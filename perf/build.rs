@@ -1,0 +1,15 @@
+//! Records the compiler's version so every record file can name its toolchain.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".into(), |s| s.trim().to_string());
+    println!("cargo:rustc-env=RAW_PERF_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
