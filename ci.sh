@@ -19,7 +19,7 @@ cd "$(dirname "$0")"
 
 STAGES=(fmt clippy doc build test_serial test_parallel cache_smoke
   exact_smoke service_smoke replay_smoke metrics_smoke bench_smoke trace_smoke
-  annotate_smoke scenario_smoke sim_smoke trace_diff)
+  annotate_smoke scenario_smoke sim_smoke trace_diff perf_smoke)
 
 stage_fmt() {
   cargo fmt --all -- --check
@@ -420,6 +420,26 @@ stage_trace_diff() {
   # Repeat the trace selfcheck on a control-flow-heavy kernel.
   cargo run --offline --release -p raw-bench --bin raw-bench -- \
     trace --bench life --tiles 4 --quick --selfcheck >/dev/null
+}
+
+stage_perf_smoke() {
+  # perf/ is a workspace of its own, so the root build never compiles it: an
+  # API break there would otherwise go unseen until the benchmark runs. Build
+  # it against this tree and take two passes of every workload; any op that
+  # fails verification fails the stage.
+  cargo build --release --offline --manifest-path perf/Cargo.toml
+  local dir
+  dir="$(mktemp -d)"
+  for workload in sim_dense sim_sparse compile_cold service_mix; do
+    perf/target/release/raw-perf run --workload "$workload" --passes 2 \
+      --out "$dir" > "$dir/$workload.txt"
+    if ! tail -n 1 "$dir/$workload.txt" | grep -q '"failed":0,'; then
+      echo "ci: raw-perf $workload reported failed ops:" >&2
+      tail -n 1 "$dir/$workload.txt" >&2
+      exit 1
+    fi
+  done
+  rm -rf "$dir"
 }
 
 # ---------------------------------------------------------------- driver ----

@@ -19,6 +19,7 @@ use rawcc::service::Client;
 use rawcc::{
     compile_with_cache, BlockCache, CompiledProgram, CompilerOptions, PlacementAlgorithm, Strategy,
 };
+use std::fmt::Write as _;
 
 /// Arguments of the `compile` subcommand.
 pub struct CompileArgs {
@@ -50,6 +51,9 @@ pub struct CompileArgs {
     /// print the optimality-gap table, and fail if a heuristic ever beats a
     /// certified optimum.
     pub gap_table: bool,
+    /// After each stat line, dump the per-tile processor and switch streams
+    /// in execution form, the first this-many instructions of each.
+    pub dump_asm: Option<usize>,
 }
 
 impl CompileArgs {
@@ -71,6 +75,7 @@ impl CompileArgs {
             remote: None,
             strategy: None,
             gap_table: false,
+            dump_asm: None,
         };
         // Context left empty: `compile` predates subcommand contexts and its
         // callers match on the short "unknown flag" wording.
@@ -84,6 +89,7 @@ impl CompileArgs {
                 "--cache-dir" => out.cache_dir = Some(p.value()?.clone()),
                 "--remote" => out.remote = Some(p.value()?.clone()),
                 "--strategy" => out.strategy = Some(p.value()?.clone()),
+                "--dump-asm" => out.dump_asm = Some(p.value_parsed("an instruction count")?),
                 "--quick" => out.quick = true,
                 "--table" => out.table = true,
                 "--gap-table" => out.gap_table = true,
@@ -98,6 +104,9 @@ impl CompileArgs {
                     "unknown strategy '{name}' (expected greedy, annealing, exact, or portfolio)"
                 ));
             }
+        }
+        if out.dump_asm.is_some() && (out.table || out.gap_table) {
+            return Err("--dump-asm dumps a plain compile; drop --table/--gap-table".into());
         }
         if out.remote.is_some() && out.gap_table {
             return Err("--remote and --gap-table are incompatible".into());
@@ -174,6 +183,35 @@ fn asm_hash(compiled: &CompiledProgram) -> u64 {
     machine_asm_hash(&compiled.machine_program)
 }
 
+/// The per-tile instruction streams in execution form (`--dump-asm`).
+fn dump_asm(out: &mut String, machine_program: &MachineProgram, max: usize) {
+    fn stream<I: std::fmt::Display>(
+        out: &mut String,
+        t: usize,
+        unit: &str,
+        insts: &[I],
+        max: usize,
+    ) {
+        let cut = if insts.len() > max {
+            format!(", first {max}")
+        } else {
+            String::new()
+        };
+        let _ = writeln!(
+            out,
+            "=== tile{t} {unit} ({} instructions{cut}) ===",
+            insts.len()
+        );
+        for (i, inst) in insts.iter().take(max).enumerate() {
+            let _ = writeln!(out, "{i:5}: {inst}");
+        }
+    }
+    for (t, tile) in machine_program.tiles.iter().enumerate() {
+        stream(out, t, "processor", &tile.proc, max);
+        stream(out, t, "switch", &tile.switch, max);
+    }
+}
+
 fn stat_line(name: &str, tiles: u32, compiled: &CompiledProgram) -> String {
     let r = &compiled.report;
     format!(
@@ -244,6 +282,9 @@ pub fn compile_command(args: &CompileArgs) -> Result<String, String> {
         }
         out.push_str(&stat_line(bench.name, args.tiles, &compiled));
         out.push('\n');
+        if let Some(max) = args.dump_asm {
+            dump_asm(&mut out, &compiled.machine_program, max);
+        }
     }
     if args.selfcheck {
         out.push_str("selfcheck: all asm hashes match the single-threaded cold-cache reference\n");
@@ -302,6 +343,9 @@ fn remote_compile_command(
             resp.evicted_bytes,
             remote_hash,
         ));
+        if let Some(max) = args.dump_asm {
+            dump_asm(&mut out, &resp.machine_program, max);
+        }
     }
     if args.selfcheck {
         out.push_str("selfcheck: all asm hashes match the single-threaded cold-cache reference\n");

@@ -333,6 +333,28 @@ pub fn figure8_text(bench: &Benchmark, sizes: &[u32]) -> String {
     s
 }
 
+/// Kernel-size sensitivity of the fpppp-kernel speedup (EXPERIMENTS.md,
+/// Table 3 notes): three kernel sizes across `sizes` on the base machine. A
+/// smaller kernel saturates earlier because its critical path flattens.
+pub fn fpppp_scale_text(sizes: &[u32]) -> String {
+    let mut s = String::new();
+    for (intermediates, outputs) in [(90, 30), (200, 60), (400, 80)] {
+        let bench = raw_benchmarks::fpppp_kernel(raw_benchmarks::FppppShape {
+            inputs: 40,
+            intermediates,
+            outputs,
+            seed: 0x0f99_9921,
+        });
+        let row = speedup_row(&bench, sizes, MachineVariant::Base, &Default::default());
+        write!(s, "ints={intermediates}: seq={}", row.seq_cycles).unwrap();
+        for (n, _, speedup) in &row.points {
+            write!(s, "  @{n}={speedup:.1}x").unwrap();
+        }
+        writeln!(s).unwrap();
+    }
+    s
+}
+
 /// Ablation study: each compiler feature toggled off, measured per benchmark.
 pub fn ablation_text(suite: &[Benchmark], sizes: &[u32]) -> String {
     let variants: Vec<(&str, CompilerOptions)> = vec![

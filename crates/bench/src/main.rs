@@ -18,7 +18,10 @@
 //! raw-bench replay --clients 8 --requests 500 --quick --check
 //! ```
 
-use raw_bench::{ablation_text, figure4_text, figure8_text, table1_text, table2_text, table3_text};
+use raw_bench::{
+    ablation_text, figure4_text, figure8_text, fpppp_scale_text, table1_text, table2_text,
+    table3_text,
+};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -31,7 +34,7 @@ USAGE:
     raw-bench annotate [--bench NAME] [--tiles N] [--top K] [--chrome PATH] [--quick]
     raw-bench compile [--tiles N] [--threads T] [--bench NAME] [--anneal SEED]
                       [--strategy NAME] [--cache-dir PATH] [--quick] [--table]
-                      [--gap-table] [--selfcheck] [--remote ADDR]
+                      [--gap-table] [--selfcheck] [--remote ADDR] [--dump-asm MAX]
     raw-bench scenario [--bench NAME] [--quick]
     raw-bench sim [--tiles N] [--bench NAME] [--selfcheck] [--quick]
     raw-bench serve [--addr A] [--shards N] [--budget-mb M] [--cache-dir PATH]
@@ -44,7 +47,9 @@ USAGE:
 
 SUBCOMMANDS:
     trace           run one benchmark with cycle-accurate tracing and print the
-                    occupancy/stall table, link heatmap, critical-path walk,
+                    occupancy/stall table (its 'all' row is the run's stall
+                    totals), static-network word count, largest compiled
+                    blocks, link heatmap, critical-path walk,
                     and predicted-vs-observed diff; --chrome exports
                     Chrome-trace JSON (with source-provenance args),
                     --selfcheck re-runs untraced and verifies bit-identical
@@ -67,7 +72,9 @@ SUBCOMMANDS:
                     heuristics and the exact solver and prints the measured
                     optimality gap (failing if a heuristic ever beats a
                     certified optimum), --remote sends each compile to a
-                    running rawcc-serve daemon instead of compiling in-process
+                    running rawcc-serve daemon instead of compiling in-process,
+                    --dump-asm MAX prints the first MAX instructions of every
+                    tile's processor and switch stream after each stats line
     serve           run the rawcc compile daemon: a long-lived process serving
                     concurrent compile requests from one sharded block cache
                     (in-flight duplicates single-flighted, byte budget
@@ -109,6 +116,7 @@ FLAGS:
     --table2        benchmark characteristics (Table 2)
     --table3        speedups across machine sizes (Table 3)
     --fig8          fpppp-kernel machine variants (Figure 8)
+    --fpppp-scale   fpppp-kernel speedup at three kernel sizes (not in --all)
     --ablations     compiler-feature ablations
     --all           everything above
     --quick         use the scaled-down suite (fast)
@@ -338,6 +346,9 @@ fn main() -> ExitCode {
             .cloned()
             .unwrap_or_else(|| raw_benchmarks::fpppp_kernel(Default::default()));
         println!("{}", figure8_text(&fpppp, &sizes));
+    }
+    if has("--fpppp-scale") {
+        println!("{}", fpppp_scale_text(&sizes));
     }
     if all || has("--ablations") {
         println!("{}", ablation_text(&suite, &sizes));

@@ -156,6 +156,21 @@ pub fn trace_command(args: &TraceArgs) -> Result<String, String> {
     out.push_str(&report::phase_table(&compiled.report.timings));
     out.push('\n');
     out.push_str(&report::occupancy_table(&run.trace));
+    let _ = writeln!(
+        out,
+        "static-network words: {}",
+        run.report.stats.static_words
+    );
+    let mut blocks: Vec<_> = compiled.report.blocks.iter().enumerate().collect();
+    blocks.sort_by_key(|(_, b)| std::cmp::Reverse(b.n_nodes));
+    let _ = writeln!(out, "largest blocks:");
+    for (i, b) in blocks.iter().take(5) {
+        let _ = writeln!(
+            out,
+            "  block {i}: nodes={} clusters={} comm-paths={} est-makespan={} spills={}",
+            b.n_nodes, b.n_clusters, b.n_comm_paths, b.makespan, b.spills
+        );
+    }
     out.push('\n');
     out.push_str(&report::link_heatmap(&run.trace));
     out.push('\n');
@@ -339,6 +354,8 @@ mod tests {
         };
         let text = trace_command(&args).unwrap();
         assert!(text.contains("per-tile occupancy"), "{text}");
+        assert!(text.contains("static-network words: "), "{text}");
+        assert!(text.contains("largest blocks:\n  block "), "{text}");
         assert!(text.contains("mesh link utilization"), "{text}");
         assert!(text.contains("observed critical path"), "{text}");
         assert!(

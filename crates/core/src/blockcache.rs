@@ -4,8 +4,8 @@
 //! *(block IR, data layout, machine config, compiler options)*, so its result —
 //! a [`BlockBundle`] — can be cached under a key derived from exactly those
 //! inputs and replayed for any identical block: unroll clones inside one
-//! program, repeated compiles in a bench loop, or (with the on-disk layer)
-//! compiles in a later process.
+//! program, repeated compiles in a bench loop, concurrent clients of the
+//! compile service, or (with the on-disk layer) compiles in a later process.
 //!
 //! # Key construction
 //!
@@ -25,44 +25,71 @@
 //! additionally stores the full key, so a colliding or mis-filed entry is
 //! rejected rather than served.
 //!
-//! # Disk layer
+//! # Cache invariants
 //!
-//! With `RAWCC_CACHE_DIR` set (or [`BlockCache::with_disk`]), bundles are also
-//! persisted as one file per key with a versioned header and a payload
-//! checksum. Entries are **never trusted blindly**: a truncated, bit-flipped,
-//! wrong-version, or wrong-key file fails validation, is ignored, and is
-//! overwritten by the fresh compile. `RAWCC_CACHE_VERIFY=1` additionally
-//! recompiles every hit and asserts the cached bundle is equal.
+//! [`BlockCache`] is the only cache: one shard for an in-process compile's
+//! worker pool, `N` for the compile service's concurrent clients.
+//!
+//! 1. **Shard residency**: a key lives only in shard `key.lo & mask` (the low
+//!    bits are already uniform FNV output); shard locks are never held two at
+//!    a time, so there is no lock ordering to get wrong and no deadlock.
+//! 2. **Single-flight**: per shard, at most one thread computes a given key at
+//!    a time. A key in `inflight` has exactly one *leader*; everyone else
+//!    waits on the shard condvar and re-checks on wake. However the leader
+//!    leaves — bundle inserted or compute panicked — its Drop guard removes
+//!    the inflight mark and wakes all waiters, so a panic can never strand a
+//!    key: the first waiter to wake becomes the new leader.
+//! 3. **Byte budget**: the global bounds are split evenly across shards; each
+//!    shard FIFO-evicts past `budget / n_shards` encoded bytes (and
+//!    `capacity / n_shards` bundles), so total residency is bounded no matter
+//!    which client fills it.
+//! 4. **Counter consistency**: `hits + misses` equals the number of
+//!    [`get_or_compute`](BlockCache::get_or_compute) calls that returned, and
+//!    `coalesced ≤ hits` (a coalesced request is a hit that waited on an
+//!    in-flight leader). A compile therefore reports exactly one miss per
+//!    distinct block key at any worker count.
+//! 5. **Disk durability**: with `RAWCC_CACHE_DIR` set (or
+//!    [`BlockCache::with_disk`]), bundles are also persisted as one file per
+//!    key with a versioned header and a payload checksum, written
+//!    tmp-then-rename. Entries are **never trusted blindly**: a truncated,
+//!    bit-flipped, wrong-version, or wrong-key file fails validation, is
+//!    ignored, and is overwritten by the fresh compile. `RAWCC_CACHE_VERIFY=1`
+//!    additionally recompiles every hit and asserts the cached bundle is
+//!    equal.
 
+use crate::codec::{
+    get_pinst, get_sdst, get_ssrc, hash128, put_config, put_ir_inst, put_options, put_pinst,
+    put_sdst, put_ssrc, put_u16, put_u32, put_u64, Dec,
+};
 use crate::driver::BlockReport;
 use crate::exact::{ExactOutcome, ExactReport, Lane};
 use crate::layout::{ArrayClass, DataLayout};
-use crate::options::{CompilerOptions, PlacementAlgorithm, PriorityScheme, Strategy};
+use crate::options::CompilerOptions;
 use crate::partition::{PlacementLog, PlacementStep};
 use crate::provenance::NO_PROV;
 use crate::regalloc::AllocResult;
 use crate::schedule::{PredOpKind, PredictedBlock};
-use raw_ir::{BinOp, Block, Imm, Inst, InstKind, MemHome, SourceSpan, Terminator, UnOp, ValueId};
-use raw_machine::isa::{AluOp, Dir, Dst, PInst, SDst, SSrc, Src};
-use raw_machine::{LatencyModel, MachineConfig, TileId};
-use raw_testkit::{hash64, hash64_with};
-use std::collections::{HashMap, VecDeque};
+use raw_ir::{Block, Terminator, ValueId};
+use raw_machine::isa::{SDst, SSrc};
+use raw_machine::{MachineConfig, TileId};
+use raw_telemetry::Counter;
+use raw_testkit::hash64;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::Hash;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Condvar, Mutex, Once, PoisonError};
 
 /// Magic prefix of on-disk cache entries.
 const MAGIC: [u8; 8] = *b"RAWCCBC\n";
 /// Bump whenever the bundle encoding or key derivation changes.
 const FORMAT_VERSION: u32 = 3;
-/// Basis of the second (independent) FNV pass forming the key's high half.
-const HI_BASIS: u64 = 0x8422_2325_cbf2_9ce4;
 /// Default in-memory capacity (bundles), evicted FIFO beyond this.
-pub(crate) const DEFAULT_CAPACITY: usize = 4096;
+const DEFAULT_CAPACITY: usize = 4096;
 /// Default in-memory byte budget (sum of encoded bundle sizes), evicted FIFO
 /// beyond this.
-pub(crate) const DEFAULT_BYTE_BUDGET: usize = 64 << 20;
+const DEFAULT_BYTE_BUDGET: usize = 64 << 20;
 
 /// 128-bit content-address of one block compilation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -121,104 +148,23 @@ pub struct BlockBundle {
 pub fn canonical_block_bytes(block: &Block) -> Vec<u8> {
     let mut out = Vec::with_capacity(block.insts.len() * 16 + 16);
     let mut rank: HashMap<ValueId, u32> = HashMap::new();
-    let mut canon = |v: ValueId, out: &mut Vec<u8>| {
+    let mut canon = |v: ValueId| {
         let next = rank.len() as u32;
-        let r = *rank.entry(v).or_insert(next);
-        put_u32(out, r);
+        *rank.entry(v).or_insert(next)
     };
     put_u64(&mut out, block.insts.len() as u64);
     for inst in &block.insts {
-        encode_ir_inst(inst, &mut canon, &mut out);
+        put_ir_inst(&mut out, inst, &mut canon);
     }
     match &block.term {
         Terminator::Jump(_) => out.push(0),
         Terminator::Halt => out.push(1),
         Terminator::Branch { cond, .. } => {
             out.push(2);
-            canon(*cond, &mut out);
+            put_u32(&mut out, canon(*cond));
         }
     }
     out
-}
-
-fn encode_ir_inst(inst: &Inst, canon: &mut impl FnMut(ValueId, &mut Vec<u8>), out: &mut Vec<u8>) {
-    let SourceSpan { line, col } = inst.span;
-    put_u32(out, line);
-    put_u32(out, col);
-    match inst.dst {
-        Some(v) => {
-            out.push(1);
-            canon(v, out);
-        }
-        None => out.push(0),
-    }
-    match &inst.kind {
-        InstKind::Const(imm) => {
-            out.push(0);
-            encode_imm(*imm, out);
-        }
-        InstKind::Un(op, a) => {
-            out.push(1);
-            out.push(unop_code(*op));
-            canon(*a, out);
-        }
-        InstKind::Bin(op, a, b) => {
-            out.push(2);
-            out.push(binop_code(*op));
-            canon(*a, out);
-            canon(*b, out);
-        }
-        InstKind::Load { array, index, home } => {
-            out.push(3);
-            put_u32(out, array.index() as u32);
-            canon(*index, out);
-            encode_home(*home, out);
-        }
-        InstKind::Store {
-            array,
-            index,
-            value,
-            home,
-        } => {
-            out.push(4);
-            put_u32(out, array.index() as u32);
-            canon(*index, out);
-            canon(*value, out);
-            encode_home(*home, out);
-        }
-        InstKind::ReadVar(v) => {
-            out.push(5);
-            put_u32(out, v.index() as u32);
-        }
-        InstKind::WriteVar(v, x) => {
-            out.push(6);
-            put_u32(out, v.index() as u32);
-            canon(*x, out);
-        }
-    }
-}
-
-pub(crate) fn encode_imm(imm: Imm, out: &mut Vec<u8>) {
-    match imm {
-        Imm::I(v) => {
-            out.push(0);
-            put_u32(out, v as u32);
-        }
-        Imm::F(v) => {
-            out.push(1);
-            put_u32(out, v.to_bits());
-        }
-    }
-}
-
-fn encode_home(home: MemHome, out: &mut Vec<u8>) {
-    match home {
-        MemHome::Static(r) => {
-            out.push(0);
-            put_u32(out, r);
-        }
-        MemHome::Dynamic => out.push(1),
-    }
 }
 
 /// Pre-encoded fingerprint of the per-compile environment (data layout,
@@ -262,61 +208,16 @@ impl KeyContext {
             }
         }
         put_u32(&mut env, layout.spill_base);
-        // Machine config: every field.
-        put_u32(&mut env, config.rows);
-        put_u32(&mut env, config.cols);
-        put_u32(&mut env, config.gprs);
-        put_u32(&mut env, config.switch_regs);
-        put_u32(&mut env, config.mem_latency);
-        put_u32(&mut env, config.mem_words);
-        env.push(match config.latency {
-            LatencyModel::Table1 => 0,
-            LatencyModel::Unit => 1,
-        });
-        put_u64(&mut env, config.port_capacity as u64);
-        put_u64(&mut env, config.dyn_fifo as u64);
-        put_u64(&mut env, config.step_limit);
-        // Two masks with the same live count produce different placements, so
-        // the mask bits themselves are part of the key.
-        put_u64(&mut env, config.faulty.bits());
-        // Compiler options: every semantic field. `threads` is excluded on
-        // purpose: worker count cannot change artifacts.
-        env.push(options.clustering as u8);
-        match options.placement {
-            PlacementAlgorithm::GreedySwap => env.push(0),
-            PlacementAlgorithm::Annealing { seed } => {
-                env.push(1);
-                put_u64(&mut env, seed);
-            }
-            PlacementAlgorithm::None => env.push(2),
-        }
-        env.push(options.placement_swap as u8);
-        env.push(match options.priority {
-            PriorityScheme::LevelFertility => 0,
-            PriorityScheme::LevelOnly => 1,
-            PriorityScheme::SourceOrder => 2,
-        });
-        put_u32(&mut env, options.cluster_comm_cost);
-        env.push(options.fold_communication as u8);
-        // Strategy fingerprint: a cached heuristic bundle must never satisfy
-        // a portfolio request (and vice versa), or cached and fresh portfolio
-        // results could disagree.
-        match options.strategy {
-            Strategy::Heuristic => env.push(0),
-            Strategy::Exact => env.push(1),
-            Strategy::Portfolio { seed } => {
-                env.push(2);
-                put_u64(&mut env, seed);
-            }
-        }
-        put_u64(&mut env, options.exact_budget);
+        // The same bytes a compile request carries, minus `threads`: worker
+        // count cannot change artifacts.
+        put_config(&mut env, config);
+        put_options(&mut env, options);
         KeyContext { env }
     }
 
     /// Cache key of a block given its [`canonical_block_bytes`].
     pub fn key(&self, block_bytes: &[u8]) -> CacheKey {
-        let lo = hash64_with(hash64(block_bytes), &self.env);
-        let hi = hash64_with(hash64_with(HI_BASIS, block_bytes), &self.env);
+        let (lo, hi) = hash128(&[block_bytes, &self.env]);
         CacheKey { lo, hi }
     }
 }
@@ -325,7 +226,7 @@ impl KeyContext {
 // The cache.
 // ---------------------------------------------------------------------------
 
-/// Block-cache effectiveness counters, surfaced per compile in
+/// Block-cache effectiveness counters of one compile, surfaced in
 /// [`CompileReport`](crate::driver::CompileReport).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -334,14 +235,44 @@ pub struct CacheStats {
     /// Blocks compiled fresh.
     pub misses: u64,
     /// Subset of [`hits`](Self::hits) that were coalesced onto another
-    /// requester's in-flight compile of the same block (single-flight dedup;
-    /// only produced by stores with in-flight tracking, e.g.
-    /// [`ShardedCache`](crate::shardcache::ShardedCache)).
+    /// requester's in-flight compile of the same block (single-flight dedup).
     pub coalesced: u64,
     /// In-memory bundles evicted (FIFO) while this compile ran.
     pub evictions: u64,
     /// Encoded bytes of the evicted bundles.
     pub evicted_bytes: u64,
+}
+
+/// Point-in-time counters of a whole [`BlockCache`], from
+/// [`BlockCache::stats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheTotals {
+    /// Requests served from a resident in-memory bundle.
+    pub hits_mem: u64,
+    /// Requests served by promoting a disk entry into memory.
+    pub hits_disk: u64,
+    /// Requests that ran the compute closure.
+    pub misses: u64,
+    /// Subset of `hits_mem` that waited on another request's in-flight
+    /// compute instead of recompiling (single-flight collapses).
+    pub coalesced: u64,
+    /// Bundles evicted by the per-shard FIFO bounds.
+    pub evictions: u64,
+    /// Encoded bytes those evictions released.
+    pub evicted_bytes: u64,
+    /// Encoded payload bytes currently resident across all shards.
+    pub resident_bytes: u64,
+    /// Bundles currently resident across all shards.
+    pub entries: u64,
+    /// On-disk entries rejected as corrupt/stale/mis-keyed.
+    pub disk_rejects: u64,
+}
+
+impl CacheTotals {
+    /// Total hits, memory and disk combined.
+    pub fn hits(&self) -> u64 {
+        self.hits_mem + self.hits_disk
+    }
 }
 
 /// Eviction tally of one cache mutation: how many bundles left the in-memory
@@ -354,15 +285,7 @@ pub struct Evicted {
     pub bytes: u64,
 }
 
-impl Evicted {
-    /// Accumulates another eviction tally into this one.
-    pub fn absorb(&mut self, other: Evicted) {
-        self.entries += other.entries;
-        self.bytes += other.bytes;
-    }
-}
-
-/// Result of one [`BlockStore::get_or_compute`] call.
+/// Result of one [`BlockCache::get_or_compute`] call.
 pub struct Fetched {
     /// The bundle, cached or freshly computed.
     pub bundle: Arc<BlockBundle>,
@@ -377,66 +300,76 @@ pub struct Fetched {
     pub evicted: Evicted,
 }
 
-/// A content-addressed store of [`BlockBundle`]s the compile driver can run
-/// against: the plain [`BlockCache`], or the sharded single-flight front the
-/// compile service shares across clients
-/// ([`ShardedCache`](crate::shardcache::ShardedCache)).
-pub trait BlockStore: Sync {
-    /// Looks up `key`; on a miss runs `compute` and stores the result. An
-    /// implementation may coalesce concurrent requests for the same key onto
-    /// one `compute` call (single-flight), but is not required to: the plain
-    /// [`BlockCache`] lets racing workers compute duplicates (both results are
-    /// identical — `compute` is pure — so last-write-wins is sound).
-    fn get_or_compute(&self, key: CacheKey, compute: &mut dyn FnMut() -> BlockBundle) -> Fetched;
-
-    /// Whether the driver should recompile every hit and assert the cached
-    /// bundle equals the fresh one.
-    fn verify_hits(&self) -> bool {
-        false
-    }
+/// A map bounded by entry count *and* by the summed byte size of its values,
+/// evicting in insertion order: the one eviction policy, shared by the cache
+/// shards and the service's response memo.
+pub(crate) struct Fifo<K, V> {
+    /// Value plus the size it was inserted with (the unit of the byte bound).
+    map: HashMap<K, (V, usize)>,
+    order: VecDeque<K>,
+    bytes: usize,
+    max_entries: usize,
+    max_bytes: usize,
 }
 
-impl BlockStore for BlockCache {
-    fn get_or_compute(&self, key: CacheKey, compute: &mut dyn FnMut() -> BlockBundle) -> Fetched {
-        let (found, mut evicted) = self.get(&key);
-        if let Some(bundle) = found {
-            return Fetched {
-                bundle,
-                cached: true,
-                coalesced: false,
-                evicted,
+impl<K: Copy + Eq + Hash, V> Fifo<K, V> {
+    pub(crate) fn new(max_entries: usize, max_bytes: usize) -> Self {
+        Fifo {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            bytes: 0,
+            max_entries,
+            max_bytes,
+        }
+    }
+
+    pub(crate) fn get(&self, key: &K) -> Option<&V> {
+        self.map.get(key).map(|(v, _)| v)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Summed sizes of the resident values.
+    pub(crate) fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    pub(crate) fn max_bytes(&self) -> usize {
+        self.max_bytes
+    }
+
+    /// Inserts `value` (replacing in place, without renewing its age, when
+    /// `key` is already resident), then evicts oldest-first until both bounds
+    /// hold again. A value larger than the byte bound evicts itself.
+    pub(crate) fn insert(&mut self, key: K, value: V, size: usize) -> Evicted {
+        match self.map.insert(key, (value, size)) {
+            None => self.order.push_back(key),
+            Some((_, old_size)) => self.bytes -= old_size,
+        }
+        self.bytes += size;
+        let mut evicted = Evicted::default();
+        while self.map.len() > self.max_entries || self.bytes > self.max_bytes {
+            let Some(old) = self.order.pop_front() else {
+                break;
             };
+            if let Some((_, old_size)) = self.map.remove(&old) {
+                self.bytes -= old_size;
+                evicted.entries += 1;
+                evicted.bytes += old_size as u64;
+            }
         }
-        let bundle = Arc::new(compute());
-        evicted.absorb(self.put(key, bundle.clone()));
-        Fetched {
-            bundle,
-            cached: false,
-            coalesced: false,
-            evicted,
-        }
+        evicted
     }
-
-    fn verify_hits(&self) -> bool {
-        self.verify
-    }
-}
-
-struct MemCache {
-    /// Bundle plus its encoded payload size (the unit of the byte budget).
-    map: HashMap<CacheKey, (std::sync::Arc<BlockBundle>, usize)>,
-    order: VecDeque<CacheKey>,
-    /// Sum of encoded sizes of every resident bundle.
-    total_bytes: usize,
 }
 
 /// The on-disk cache layer: one versioned, checksummed file per key, written
 /// tmp-then-rename so concurrent readers — including other *processes* sharing
-/// the directory — never observe a torn entry. Shared by [`BlockCache`] and
-/// the service's [`ShardedCache`](crate::shardcache::ShardedCache).
+/// the directory — never observe a torn entry.
 pub struct DiskLayer {
     dir: PathBuf,
-    rejects: raw_telemetry::Counter,
+    rejects: Counter,
 }
 
 impl DiskLayer {
@@ -454,13 +387,8 @@ impl DiskLayer {
         let _ = std::fs::remove_file(&probe);
         Ok(DiskLayer {
             dir,
-            rejects: raw_telemetry::Counter::new(),
+            rejects: Counter::new(),
         })
-    }
-
-    /// The backing directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Entries rejected as corrupt/stale/mis-keyed since construction.
@@ -468,12 +396,13 @@ impl DiskLayer {
         self.rejects.get()
     }
 
-    /// Persists `bundle` under `key` (write-then-rename, last writer wins).
+    /// Persists `bundle` under `key` (write-then-rename, last writer wins) and
+    /// returns its encoded payload length.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures; callers normally treat a store as best-effort.
-    pub fn store(&self, key: &CacheKey, bundle: &BlockBundle) -> std::io::Result<()> {
+    pub fn store(&self, key: &CacheKey, bundle: &BlockBundle) -> std::io::Result<usize> {
         let payload = encode_bundle(bundle);
         let mut entry = Vec::with_capacity(payload.len() + 44);
         entry.extend_from_slice(&MAGIC);
@@ -497,12 +426,18 @@ impl DiskLayer {
         let dst = self.dir.join(key.file_name());
         std::fs::rename(&tmp, &dst).inspect_err(|_| {
             let _ = std::fs::remove_file(&tmp);
-        })
+        })?;
+        Ok(payload.len())
     }
 
     /// Loads and validates the entry for `key`; corrupt or mis-keyed entries
     /// count as rejects and read as absent.
     pub fn load(&self, key: &CacheKey) -> Option<BlockBundle> {
+        self.load_sized(key).map(|(bundle, _)| bundle)
+    }
+
+    /// [`load`](Self::load) plus the entry's encoded payload length.
+    fn load_sized(&self, key: &CacheKey) -> Option<(BlockBundle, usize)> {
         let path = self.dir.join(key.file_name());
         let bytes = std::fs::read(&path).ok()?;
         let decoded = decode_entry(&bytes, key);
@@ -513,54 +448,98 @@ impl DiskLayer {
     }
 }
 
-/// Thread-safe content-addressed store of [`BlockBundle`]s: a bounded
-/// in-memory layer (bundle count *and* byte budget, both FIFO) plus an
-/// optional on-disk layer. See the module docs for the key and durability
-/// contract.
-pub struct BlockCache {
-    mem: Mutex<MemCache>,
-    capacity: usize,
-    byte_budget: usize,
-    disk: Option<DiskLayer>,
-    verify: bool,
+/// One shard: a FIFO-bounded map plus the single-flight bookkeeping.
+struct Shard {
+    state: Mutex<ShardState>,
+    /// Signalled whenever an inflight key resolves (inserted or abandoned).
+    cv: Condvar,
 }
 
-impl Default for BlockCache {
-    fn default() -> Self {
-        Self::in_memory()
+struct ShardState {
+    /// Resident bundles, sized by their encoded payload length.
+    resident: Fifo<CacheKey, Arc<BlockBundle>>,
+    /// Keys currently being computed by some leader thread.
+    inflight: HashSet<CacheKey>,
+}
+
+/// Held by the leader of an in-flight key; dropping it clears the mark and
+/// wakes the waiters — see module invariant 2.
+struct Leader<'a> {
+    shard: &'a Shard,
+    key: CacheKey,
+}
+
+impl Drop for Leader<'_> {
+    fn drop(&mut self) {
+        // Removing a mark is sound whatever state a panicking thread left
+        // behind, and Drop must not panic in turn.
+        let mut st = self
+            .shard
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        st.inflight.remove(&self.key);
+        drop(st);
+        self.shard.cv.notify_all();
     }
+}
+
+/// Thread-safe content-addressed store of [`BlockBundle`]s: `N` mutex shards
+/// with single-flight dedup over a bounded in-memory layer (bundle count *and*
+/// byte budget, both FIFO) plus an optional on-disk layer. See the module docs
+/// for the key contract and the invariants.
+pub struct BlockCache {
+    shards: Box<[Shard]>,
+    mask: u64,
+    disk: Option<DiskLayer>,
+    verify: bool,
+    hits_mem: Counter,
+    hits_disk: Counter,
+    misses: Counter,
+    coalesced: Counter,
+    evictions: Counter,
+    evicted_bytes: Counter,
 }
 
 impl BlockCache {
-    /// A purely in-memory cache with the default capacity.
+    /// A purely in-memory, single-shard cache with the default bounds.
     pub fn in_memory() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
+        Self::with_budget(1, DEFAULT_CAPACITY, DEFAULT_BYTE_BUDGET)
     }
 
-    /// A purely in-memory cache holding at most `capacity` bundles under the
-    /// default byte budget.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_budget(capacity, DEFAULT_BYTE_BUDGET)
-    }
-
-    /// A purely in-memory cache holding at most `capacity` bundles and at most
-    /// `byte_budget` encoded payload bytes (whichever bound bites first
-    /// triggers FIFO eviction).
-    pub fn with_budget(capacity: usize, byte_budget: usize) -> Self {
+    /// A purely in-memory cache with `shards` shards (rounded up to a power of
+    /// two) holding at most `capacity` bundles and `byte_budget` encoded
+    /// payload bytes in total, split evenly across the shards (whichever bound
+    /// bites first triggers FIFO eviction).
+    pub fn with_budget(shards: usize, capacity: usize, byte_budget: usize) -> Self {
+        let n = shards.max(1).next_power_of_two();
+        let shards = (0..n)
+            .map(|_| Shard {
+                state: Mutex::new(ShardState {
+                    resident: Fifo::new(
+                        capacity.div_ceil(n).max(1),
+                        byte_budget.div_ceil(n).max(1),
+                    ),
+                    inflight: HashSet::new(),
+                }),
+                cv: Condvar::new(),
+            })
+            .collect();
         BlockCache {
-            mem: Mutex::new(MemCache {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                total_bytes: 0,
-            }),
-            capacity: capacity.max(1),
-            byte_budget: byte_budget.max(1),
+            shards,
+            mask: (n - 1) as u64,
             disk: None,
             verify: false,
+            hits_mem: Counter::new(),
+            hits_disk: Counter::new(),
+            misses: Counter::new(),
+            coalesced: Counter::new(),
+            evictions: Counter::new(),
+            evicted_bytes: Counter::new(),
         }
     }
 
-    /// A cache backed by `dir` on disk (created if missing).
+    /// A single-shard cache backed by `dir` on disk (created if missing).
     ///
     /// # Errors
     ///
@@ -568,9 +547,17 @@ impl BlockCache {
     /// normally fall back to [`in_memory`](Self::in_memory) (see
     /// [`from_env`](Self::from_env)).
     pub fn with_disk(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let mut cache = Self::in_memory();
-        cache.disk = Some(DiskLayer::open(dir)?);
-        Ok(cache)
+        Self::in_memory().on_disk(dir)
+    }
+
+    /// Attaches a disk layer at `dir` (created if missing).
+    ///
+    /// # Errors
+    ///
+    /// Fails if the directory cannot be created or is not writable.
+    pub fn on_disk(mut self, dir: impl Into<PathBuf>) -> std::io::Result<Self> {
+        self.disk = Some(DiskLayer::open(dir)?);
+        Ok(self)
     }
 
     /// Builds the cache the public [`compile`](crate::compile) entry uses:
@@ -598,8 +585,9 @@ impl BlockCache {
         cache
     }
 
-    /// Enables or disables hit verification (recompile every hit and assert
-    /// the cached bundle equals the fresh one).
+    /// Enables or disables hit verification (the *driver* recompiles every hit
+    /// and asserts the cached bundle equals the fresh one; the cache itself
+    /// only carries the flag).
     pub fn set_verify(&mut self, verify: bool) {
         self.verify = verify;
     }
@@ -609,97 +597,134 @@ impl BlockCache {
         self.verify
     }
 
-    /// The on-disk directory, when the disk layer is active.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk.as_ref().map(DiskLayer::dir)
-    }
-
-    /// Number of bundles currently held in memory.
-    pub fn len(&self) -> usize {
-        self.mem.lock().unwrap().map.len()
-    }
-
-    /// Encoded payload bytes currently held in memory.
-    pub fn resident_bytes(&self) -> usize {
-        self.mem.lock().unwrap().total_bytes
-    }
-
-    /// The in-memory byte budget.
-    pub fn byte_budget(&self) -> usize {
-        self.byte_budget
-    }
-
-    /// Whether the in-memory layer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// On-disk entries rejected as corrupt/stale/mis-keyed since construction.
+    /// On-disk entries rejected as corrupt/stale/mis-keyed since construction
+    /// (0 without a disk layer).
     pub fn disk_rejects(&self) -> u64 {
         self.disk.as_ref().map_or(0, DiskLayer::rejects)
     }
 
-    /// Looks up `key`, consulting memory then disk (a disk hit is promoted
-    /// into memory). Returns the bundle and the evictions the promotion
-    /// caused.
-    pub fn get(&self, key: &CacheKey) -> (Option<Arc<BlockBundle>>, Evicted) {
-        if let Some((b, _)) = self.mem.lock().unwrap().map.get(key) {
-            return (Some(b.clone()), Evicted::default());
-        }
-        let Some(disk) = &self.disk else {
-            return (None, Evicted::default());
+    /// Counter snapshot. Individual counters are loaded independently, so a
+    /// snapshot taken *while requests are in flight* may be momentarily
+    /// inconsistent; quiescent snapshots are exact.
+    pub fn stats(&self) -> CacheTotals {
+        let mut totals = CacheTotals {
+            hits_mem: self.hits_mem.get(),
+            hits_disk: self.hits_disk.get(),
+            misses: self.misses.get(),
+            coalesced: self.coalesced.get(),
+            evictions: self.evictions.get(),
+            evicted_bytes: self.evicted_bytes.get(),
+            disk_rejects: self.disk_rejects(),
+            ..CacheTotals::default()
         };
-        match disk.load(key) {
-            Some(bundle) => {
-                let bundle = Arc::new(bundle);
-                let evicted = self.put_mem(*key, bundle.clone());
-                (Some(bundle), evicted)
-            }
+        for shard in &self.shards {
+            let st = shard.state.lock().unwrap();
+            totals.resident_bytes += st.resident.bytes() as u64;
+            totals.entries += st.resident.len() as u64;
+        }
+        totals
+    }
+
+    fn shard(&self, key: &CacheKey) -> &Shard {
+        &self.shards[(key.lo & self.mask) as usize]
+    }
+
+    /// The single insert path: makes `bundle` resident under the shard's FIFO
+    /// bounds and returns what that evicted.
+    fn insert(&self, key: CacheKey, bundle: Arc<BlockBundle>, size: usize) -> Evicted {
+        let mut st = self.shard(&key).state.lock().unwrap();
+        let evicted = st.resident.insert(key, bundle, size);
+        drop(st);
+        self.evictions.add(evicted.entries);
+        self.evicted_bytes.add(evicted.bytes);
+        evicted
+    }
+
+    /// Promotes `key`'s disk entry (when there is a disk layer and a valid
+    /// entry) into memory.
+    fn promote(&self, key: CacheKey) -> Option<(Arc<BlockBundle>, Evicted)> {
+        let (bundle, size) = self.disk.as_ref()?.load_sized(&key)?;
+        let bundle = Arc::new(bundle);
+        let evicted = self.insert(key, bundle.clone(), size);
+        Some((bundle, evicted))
+    }
+
+    /// Looks up `key` without computing or counting: memory, then disk (a disk
+    /// hit is promoted into memory). Returns the bundle and the evictions the
+    /// promotion caused.
+    pub fn get(&self, key: &CacheKey) -> (Option<Arc<BlockBundle>>, Evicted) {
+        let st = self.shard(key).state.lock().unwrap();
+        if let Some(bundle) = st.resident.get(key).cloned() {
+            return (Some(bundle), Evicted::default());
+        }
+        drop(st);
+        match self.promote(*key) {
+            Some((bundle, evicted)) => (Some(bundle), evicted),
             None => (None, Evicted::default()),
         }
     }
 
-    /// Inserts a freshly compiled bundle under `key` (memory and, when
-    /// enabled, disk). Returns the in-memory evictions.
-    pub fn put(&self, key: CacheKey, bundle: Arc<BlockBundle>) -> Evicted {
-        if let Some(disk) = &self.disk {
-            // Best-effort: a full disk or lost race never fails the compile.
-            let _ = disk.store(&key, &bundle);
-        }
-        self.put_mem(key, bundle)
-    }
-
-    fn put_mem(&self, key: CacheKey, bundle: Arc<BlockBundle>) -> Evicted {
-        let size = encode_bundle(&bundle).len();
-        let mut mem = self.mem.lock().unwrap();
-        match mem.map.insert(key, (bundle, size)) {
-            None => {
-                mem.order.push_back(key);
-                mem.total_bytes += size;
+    /// Looks up `key` in memory, then on disk; on a miss runs `compute` and
+    /// stores the result. Concurrent requests for the same key are coalesced
+    /// onto one `compute` call (module invariant 2).
+    pub fn get_or_compute(&self, key: CacheKey, compute: impl FnOnce() -> BlockBundle) -> Fetched {
+        let shard = self.shard(&key);
+        let mut waited = false;
+        let mut st = shard.state.lock().unwrap();
+        loop {
+            if let Some(bundle) = st.resident.get(&key).cloned() {
+                drop(st);
+                self.hits_mem.inc();
+                if waited {
+                    self.coalesced.inc();
+                }
+                return Fetched {
+                    bundle,
+                    cached: true,
+                    coalesced: waited,
+                    evicted: Evicted::default(),
+                };
             }
-            Some((_, old_size)) => {
-                // Same key re-inserted (racing workers): replace in place.
-                mem.total_bytes = mem.total_bytes - old_size + size;
-            }
-        }
-        let mut evicted = Evicted::default();
-        while mem.map.len() > self.capacity || mem.total_bytes > self.byte_budget {
-            let Some(old) = mem.order.pop_front() else {
+            if st.inflight.insert(key) {
                 break;
-            };
-            if let Some((_, old_size)) = mem.map.remove(&old) {
-                mem.total_bytes -= old_size;
-                evicted.entries += 1;
-                evicted.bytes += old_size as u64;
             }
+            waited = true;
+            st = shard.cv.wait(st).unwrap();
         }
-        evicted
+        drop(st);
+        // This thread leads `key` until `_leader` drops, after the insert.
+        let _leader = Leader { shard, key };
+
+        if let Some((bundle, evicted)) = self.promote(key) {
+            self.hits_disk.inc();
+            return Fetched {
+                bundle,
+                cached: true,
+                coalesced: false,
+                evicted,
+            };
+        }
+        let bundle = Arc::new(compute());
+        // The store is best-effort — a full disk or lost race never fails the
+        // compile — and already knows the encoded size; only without it is
+        // the bundle encoded just to be measured.
+        let stored = self.disk.as_ref().and_then(|d| d.store(&key, &bundle).ok());
+        let size = stored.unwrap_or_else(|| encode_bundle(&bundle).len());
+        let evicted = self.insert(key, bundle.clone(), size);
+        self.misses.inc();
+        Fetched {
+            bundle,
+            cached: false,
+            coalesced: false,
+            evicted,
+        }
     }
 }
 
 /// Parses and validates a full on-disk entry; any mismatch (magic, version,
-/// key, length, checksum, payload shape) yields `None`.
-fn decode_entry(bytes: &[u8], expect: &CacheKey) -> Option<BlockBundle> {
+/// key, length, checksum, payload shape) yields `None`. On success also
+/// returns the payload length.
+fn decode_entry(bytes: &[u8], expect: &CacheKey) -> Option<(BlockBundle, usize)> {
     let mut d = Dec::new(bytes);
     if d.take(8)? != MAGIC {
         return None;
@@ -720,379 +745,12 @@ fn decode_entry(bytes: &[u8], expect: &CacheKey) -> Option<BlockBundle> {
     if payload.len() != len || hash64(payload) != sum {
         return None;
     }
-    decode_bundle(payload)
+    Some((decode_bundle(payload)?, len))
 }
 
 // ---------------------------------------------------------------------------
-// Bundle (de)serialization. Little-endian, length-prefixed, no external deps.
+// Bundle (de)serialization, over the shared codec.
 // ---------------------------------------------------------------------------
-
-pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Defensive little-endian reader: every accessor returns `None` past the end.
-/// Shared with the wire protocol ([`crate::wire`]), which decodes adversarial
-/// input — nothing here may panic or over-allocate on corrupt bytes.
-pub(crate) struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let s = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(s)
-    }
-    pub(crate) fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-    pub(crate) fn u16(&mut self) -> Option<u16> {
-        self.take(2)
-            .map(|s| u16::from_le_bytes(s.try_into().unwrap()))
-    }
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-    }
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
-    }
-    pub(crate) fn i32(&mut self) -> Option<i32> {
-        self.u32().map(|v| v as i32)
-    }
-    pub(crate) fn i64(&mut self) -> Option<i64> {
-        self.u64().map(|v| v as i64)
-    }
-    /// Length prefix for a sequence whose elements occupy ≥ `min_elem` bytes:
-    /// rejects lengths that could not possibly fit in the remaining buffer, so
-    /// a corrupt length cannot cause a huge allocation.
-    pub(crate) fn len(&mut self, min_elem: usize) -> Option<usize> {
-        let n = self.u64()? as usize;
-        if n.checked_mul(min_elem.max(1))? > self.buf.len() - self.pos {
-            return None;
-        }
-        Some(n)
-    }
-    pub(crate) fn rest(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
-    pub(crate) fn at_end(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-pub(crate) fn binop_code(op: BinOp) -> u8 {
-    use BinOp::*;
-    match op {
-        Add => 0,
-        Sub => 1,
-        Mul => 2,
-        Div => 3,
-        Rem => 4,
-        And => 5,
-        Or => 6,
-        Xor => 7,
-        Shl => 8,
-        Shr => 9,
-        Shru => 10,
-        Slt => 11,
-        Sle => 12,
-        Seq => 13,
-        Sne => 14,
-        AddF => 15,
-        SubF => 16,
-        MulF => 17,
-        DivF => 18,
-        FLt => 19,
-        FLe => 20,
-        FEq => 21,
-    }
-}
-
-pub(crate) fn binop_from(code: u8) -> Option<BinOp> {
-    use BinOp::*;
-    Some(match code {
-        0 => Add,
-        1 => Sub,
-        2 => Mul,
-        3 => Div,
-        4 => Rem,
-        5 => And,
-        6 => Or,
-        7 => Xor,
-        8 => Shl,
-        9 => Shr,
-        10 => Shru,
-        11 => Slt,
-        12 => Sle,
-        13 => Seq,
-        14 => Sne,
-        15 => AddF,
-        16 => SubF,
-        17 => MulF,
-        18 => DivF,
-        19 => FLt,
-        20 => FLe,
-        21 => FEq,
-        _ => return None,
-    })
-}
-
-pub(crate) fn unop_code(op: UnOp) -> u8 {
-    use UnOp::*;
-    match op {
-        Neg => 0,
-        Not => 1,
-        Mov => 2,
-        NegF => 3,
-        AbsF => 4,
-        SqrtF => 5,
-        CvtIF => 6,
-        CvtFI => 7,
-    }
-}
-
-pub(crate) fn unop_from(code: u8) -> Option<UnOp> {
-    use UnOp::*;
-    Some(match code {
-        0 => Neg,
-        1 => Not,
-        2 => Mov,
-        3 => NegF,
-        4 => AbsF,
-        5 => SqrtF,
-        6 => CvtIF,
-        7 => CvtFI,
-        _ => return None,
-    })
-}
-
-pub(crate) fn put_src(out: &mut Vec<u8>, s: Src) {
-    match s {
-        Src::Reg(r) => {
-            out.push(0);
-            put_u16(out, r);
-        }
-        Src::Imm(imm) => {
-            out.push(1);
-            encode_imm(imm, out);
-        }
-        Src::PortIn => out.push(2),
-    }
-}
-
-pub(crate) fn get_src(d: &mut Dec<'_>) -> Option<Src> {
-    Some(match d.u8()? {
-        0 => Src::Reg(d.u16()?),
-        1 => Src::Imm(get_imm(d)?),
-        2 => Src::PortIn,
-        _ => return None,
-    })
-}
-
-pub(crate) fn get_imm(d: &mut Dec<'_>) -> Option<Imm> {
-    Some(match d.u8()? {
-        0 => Imm::I(d.i32()?),
-        1 => Imm::F(f32::from_bits(d.u32()?)),
-        _ => return None,
-    })
-}
-
-pub(crate) fn put_dst(out: &mut Vec<u8>, dst: Dst) {
-    match dst {
-        Dst::Reg(r) => {
-            out.push(0);
-            put_u16(out, r);
-        }
-        Dst::PortOut => out.push(1),
-    }
-}
-
-pub(crate) fn get_dst(d: &mut Dec<'_>) -> Option<Dst> {
-    Some(match d.u8()? {
-        0 => Dst::Reg(d.u16()?),
-        1 => Dst::PortOut,
-        _ => return None,
-    })
-}
-
-pub(crate) fn put_pinst(out: &mut Vec<u8>, inst: &PInst) {
-    match inst {
-        PInst::Alu { op, dst, a, b } => {
-            out.push(0);
-            match op {
-                AluOp::Bin(o) => {
-                    out.push(0);
-                    out.push(binop_code(*o));
-                }
-                AluOp::Un(o) => {
-                    out.push(1);
-                    out.push(unop_code(*o));
-                }
-            }
-            put_dst(out, *dst);
-            put_src(out, *a);
-            put_src(out, *b);
-        }
-        PInst::Load { dst, addr, offset } => {
-            out.push(1);
-            put_dst(out, *dst);
-            put_src(out, *addr);
-            put_u32(out, *offset as u32);
-        }
-        PInst::Store {
-            value,
-            addr,
-            offset,
-        } => {
-            out.push(2);
-            put_src(out, *value);
-            put_src(out, *addr);
-            put_u32(out, *offset as u32);
-        }
-        PInst::DLoad { dst, gaddr } => {
-            out.push(3);
-            put_dst(out, *dst);
-            put_src(out, *gaddr);
-        }
-        PInst::DStore { gaddr, value } => {
-            out.push(4);
-            put_src(out, *gaddr);
-            put_src(out, *value);
-        }
-        PInst::Jump(t) => {
-            out.push(5);
-            put_u64(out, *t as u64);
-        }
-        PInst::Bnez { cond, target } => {
-            out.push(6);
-            put_src(out, *cond);
-            put_u64(out, *target as u64);
-        }
-        PInst::Beqz { cond, target } => {
-            out.push(7);
-            put_src(out, *cond);
-            put_u64(out, *target as u64);
-        }
-        PInst::Halt => out.push(8),
-        PInst::Nop => out.push(9),
-    }
-}
-
-pub(crate) fn get_pinst(d: &mut Dec<'_>) -> Option<PInst> {
-    Some(match d.u8()? {
-        0 => {
-            let op = match d.u8()? {
-                0 => AluOp::Bin(binop_from(d.u8()?)?),
-                1 => AluOp::Un(unop_from(d.u8()?)?),
-                _ => return None,
-            };
-            PInst::Alu {
-                op,
-                dst: get_dst(d)?,
-                a: get_src(d)?,
-                b: get_src(d)?,
-            }
-        }
-        1 => PInst::Load {
-            dst: get_dst(d)?,
-            addr: get_src(d)?,
-            offset: d.i32()?,
-        },
-        2 => PInst::Store {
-            value: get_src(d)?,
-            addr: get_src(d)?,
-            offset: d.i32()?,
-        },
-        3 => PInst::DLoad {
-            dst: get_dst(d)?,
-            gaddr: get_src(d)?,
-        },
-        4 => PInst::DStore {
-            gaddr: get_src(d)?,
-            value: get_src(d)?,
-        },
-        5 => PInst::Jump(d.u64()? as usize),
-        6 => PInst::Bnez {
-            cond: get_src(d)?,
-            target: d.u64()? as usize,
-        },
-        7 => PInst::Beqz {
-            cond: get_src(d)?,
-            target: d.u64()? as usize,
-        },
-        8 => PInst::Halt,
-        9 => PInst::Nop,
-        _ => return None,
-    })
-}
-
-pub(crate) fn dir_code(dir: Dir) -> u8 {
-    dir.index() as u8
-}
-
-pub(crate) fn dir_from(code: u8) -> Option<Dir> {
-    Dir::ALL.get(code as usize).copied()
-}
-
-pub(crate) fn put_ssrc(out: &mut Vec<u8>, s: SSrc) {
-    match s {
-        SSrc::Dir(dir) => {
-            out.push(0);
-            out.push(dir_code(dir));
-        }
-        SSrc::Proc => out.push(1),
-        SSrc::Reg(r) => {
-            out.push(2);
-            out.push(r);
-        }
-    }
-}
-
-pub(crate) fn get_ssrc(d: &mut Dec<'_>) -> Option<SSrc> {
-    Some(match d.u8()? {
-        0 => SSrc::Dir(dir_from(d.u8()?)?),
-        1 => SSrc::Proc,
-        2 => SSrc::Reg(d.u8()?),
-        _ => return None,
-    })
-}
-
-pub(crate) fn put_sdst(out: &mut Vec<u8>, s: SDst) {
-    match s {
-        SDst::Dir(dir) => {
-            out.push(0);
-            out.push(dir_code(dir));
-        }
-        SDst::Proc => out.push(1),
-        SDst::Reg(r) => {
-            out.push(2);
-            out.push(r);
-        }
-    }
-}
-
-pub(crate) fn get_sdst(d: &mut Dec<'_>) -> Option<SDst> {
-    Some(match d.u8()? {
-        0 => SDst::Dir(dir_from(d.u8()?)?),
-        1 => SDst::Proc,
-        2 => SDst::Reg(d.u8()?),
-        _ => return None,
-    })
-}
 
 fn put_alloc(out: &mut Vec<u8>, a: &AllocResult) {
     put_u64(out, a.insts.len() as u64);
@@ -1389,18 +1047,18 @@ fn decode_bundle_inner(d: &mut Dec<'_>) -> Option<BlockBundle> {
     })
 }
 
-/// Round-trips a bundle through the payload codec (exposed for tests).
-pub fn roundtrip_bundle(b: &BlockBundle) -> Option<BlockBundle> {
-    decode_bundle(&encode_bundle(b))
-}
-
 // `cond_node` uses the same sentinel as provenance.
 const _: () = assert!(NO_PROV == u32::MAX);
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::{PlacementAlgorithm, PriorityScheme, Strategy};
     use raw_ir::builder::ProgramBuilder;
+    use raw_ir::{BinOp, Imm, MemHome, UnOp};
+    use raw_machine::isa::{AluOp, Dir, Dst, PInst, Src};
+    use raw_machine::{LatencyModel, TileMask};
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     fn sample_bundle() -> BlockBundle {
         BlockBundle {
@@ -1470,7 +1128,7 @@ mod tests {
     #[test]
     fn bundle_roundtrips() {
         let b = sample_bundle();
-        assert_eq!(roundtrip_bundle(&b).expect("roundtrip"), b);
+        assert_eq!(decode_bundle(&encode_bundle(&b)).expect("roundtrip"), b);
     }
 
     #[test]
@@ -1505,85 +1163,176 @@ mod tests {
         );
     }
 
+    /// A one-block program exercising loads, stores, both immediates and the
+    /// float conversions.
+    fn key_program() -> raw_ir::Program {
+        let mut b = ProgramBuilder::new("pinned");
+        let out = b.var_i32("out", 0);
+        let arr = b.array("a", raw_ir::Ty::I32, &[8]);
+        let i = b.const_i32(3);
+        let x = b.load(arr, i, MemHome::Static(3));
+        let y = b.const_f32(1.5);
+        let z = b.un(UnOp::CvtIF, x);
+        let w = b.bin(BinOp::MulF, z, y);
+        let v = b.un(UnOp::CvtFI, w);
+        b.store(arr, i, v, MemHome::Dynamic);
+        b.write_var(out, v);
+        b.halt();
+        b.finish().unwrap()
+    }
+
+    /// Cache key of `key_program`'s block and its encoded compile request.
+    fn key_and_request(
+        p: &raw_ir::Program,
+        config: &MachineConfig,
+        options: &CompilerOptions,
+    ) -> (CacheKey, Vec<u8>) {
+        let layout = DataLayout::build(p, config);
+        let key =
+            KeyContext::new(&layout, config, options).key(&canonical_block_bytes(p.block(p.entry)));
+        let request = crate::wire::encode_compile_request("pinned", p, config, options);
+        (key, request)
+    }
+
     #[test]
     fn key_separates_options_and_config() {
-        let mut b = ProgramBuilder::new("key");
-        let out = b.var_i32("out", 0);
-        let x = b.const_i32(2);
-        b.write_var(out, x);
-        b.halt();
-        let p = b.finish().unwrap();
-        let block = p.block(p.entry);
-        let bytes = canonical_block_bytes(block);
-
+        let p = key_program();
         let config = MachineConfig::square(4);
-        let layout = DataLayout::build(&p, &config);
         let base = CompilerOptions::default();
-        let k1 = KeyContext::new(&layout, &config, &base).key(&bytes);
-        // Thread count must NOT affect the key.
+        let (k1, r1) = key_and_request(&p, &config, &base);
+
+        // Thread count reaches the server in the request bytes but must NOT
+        // affect the key.
         let threaded = CompilerOptions { threads: 8, ..base };
-        assert_eq!(k1, KeyContext::new(&layout, &config, &threaded).key(&bytes));
-        // Any semantic knob must.
-        let folded = CompilerOptions {
-            fold_communication: false,
-            ..base
+        let (k, r) = key_and_request(&p, &config, &threaded);
+        assert_eq!(k, k1);
+        assert_ne!(r, r1);
+
+        // Every semantic option changes both the key and the request bytes: a
+        // field the key missed would serve stale bundles without any error.
+        // (A heuristic bundle must never satisfy an exact or portfolio
+        // request, so strategy and seeds are semantic too.)
+        type Flip = fn(&mut CompilerOptions);
+        let flips: [(&str, Flip); 10] = [
+            ("clustering", |o| o.clustering = !o.clustering),
+            ("placement", |o| {
+                o.placement = PlacementAlgorithm::Annealing { seed: 1 }
+            }),
+            ("placement seed", |o| {
+                o.placement = PlacementAlgorithm::Annealing { seed: 2 }
+            }),
+            ("placement_swap", |o| o.placement_swap = !o.placement_swap),
+            ("priority", |o| o.priority = PriorityScheme::SourceOrder),
+            ("cluster_comm_cost", |o| o.cluster_comm_cost += 1),
+            ("fold_communication", |o| {
+                o.fold_communication = !o.fold_communication
+            }),
+            ("strategy", |o| o.strategy = Strategy::Exact),
+            ("strategy seed", |o| {
+                o.strategy = Strategy::Portfolio { seed: 1 }
+            }),
+            ("exact_budget", |o| o.exact_budget = 77),
+        ];
+        let mut seen = vec![(k1, r1.clone())];
+        for (field, flip) in flips {
+            let mut options = base;
+            flip(&mut options);
+            let (k, r) = key_and_request(&p, &config, &options);
+            assert!(
+                seen.iter().all(|(sk, sr)| *sk != k && *sr != r),
+                "options.{field} must change the key and the request bytes"
+            );
+            seen.push((k, r));
+        }
+
+        // So does every machine-config field.
+        type Tweak = fn(&mut MachineConfig);
+        let tweaks: [(&str, Tweak); 11] = [
+            ("rows", |c| c.rows = 1),
+            ("cols", |c| c.cols = 1),
+            ("gprs", |c| c.gprs = 8),
+            ("switch_regs", |c| c.switch_regs += 1),
+            ("mem_latency", |c| c.mem_latency += 1),
+            ("mem_words", |c| c.mem_words *= 2),
+            ("latency", |c| c.latency = LatencyModel::Unit),
+            ("port_capacity", |c| c.port_capacity += 1),
+            ("dyn_fifo", |c| c.dyn_fifo += 1),
+            ("step_limit", |c| c.step_limit += 1),
+            ("faulty", |c| {
+                c.faulty = TileMask::of(&[TileId::from_raw(2), TileId::from_raw(3)]);
+            }),
+        ];
+        for (field, tweak) in tweaks {
+            let mut changed = config.clone();
+            tweak(&mut changed);
+            let (k, r) = key_and_request(&p, &changed, &base);
+            assert!(
+                k != k1 && r != r1,
+                "config.{field} must change the key and the request bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn key_and_request_bytes_are_pinned() {
+        // Computed at the commit before key, disk and wire moved onto one
+        // codec: none of their bytes may move.
+        let config = MachineConfig::square(8).with_faulty(TileMask::of(&[
+            TileId::from_raw(4),
+            TileId::from_raw(5),
+            TileId::from_raw(6),
+            TileId::from_raw(7),
+        ]));
+        let options = CompilerOptions {
+            placement: PlacementAlgorithm::Annealing { seed: 99 },
+            strategy: Strategy::Portfolio { seed: 41 },
+            exact_budget: 123_456,
+            threads: 3,
+            ..CompilerOptions::default()
         };
-        assert_ne!(k1, KeyContext::new(&layout, &config, &folded).key(&bytes));
-        let mut small = config.clone();
-        small.gprs = 8;
-        let layout2 = DataLayout::build(&p, &small);
-        assert_ne!(k1, KeyContext::new(&layout2, &small, &base).key(&bytes));
-        // Strategy and solver budget are semantic: a heuristic bundle must
-        // never satisfy an exact or portfolio request.
-        let exact = CompilerOptions {
-            strategy: Strategy::Exact,
-            ..base
-        };
-        let k_exact = KeyContext::new(&layout, &config, &exact).key(&bytes);
-        assert_ne!(k1, k_exact);
-        let portfolio = CompilerOptions {
-            strategy: Strategy::Portfolio { seed: 1 },
-            ..base
-        };
-        let k_pf = KeyContext::new(&layout, &config, &portfolio).key(&bytes);
-        assert_ne!(k1, k_pf);
-        assert_ne!(k_exact, k_pf);
-        let pf2 = CompilerOptions {
-            strategy: Strategy::Portfolio { seed: 2 },
-            ..base
-        };
-        assert_ne!(k_pf, KeyContext::new(&layout, &config, &pf2).key(&bytes));
-        let budget = CompilerOptions {
-            exact_budget: 77,
-            ..base
-        };
-        assert_ne!(k1, KeyContext::new(&layout, &config, &budget).key(&bytes));
+        let (key, request) = key_and_request(&key_program(), &config, &options);
+        let text = format!(
+            "cache_key lo={:#018x} hi={:#018x}\nrequest_bytes len={} hash={:#018x}\n",
+            key.lo,
+            key.hi,
+            request.len(),
+            hash64(&request)
+        );
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/golden/cache_key.txt");
+        raw_testkit::check_golden(&path, &text);
+    }
+
+    fn key(lo: u64) -> CacheKey {
+        CacheKey { lo, hi: !lo }
     }
 
     #[test]
     fn memory_cache_evicts_fifo() {
-        let cache = BlockCache::with_capacity(2);
-        let bundle = std::sync::Arc::new(sample_bundle());
-        let key = |i: u64| CacheKey { lo: i, hi: i };
-        assert_eq!(cache.put(key(1), bundle.clone()).entries, 0);
-        assert_eq!(cache.put(key(2), bundle.clone()).entries, 0);
-        assert_eq!(cache.put(key(3), bundle.clone()).entries, 1); // evicts key 1
+        let cache = BlockCache::with_budget(1, 2, usize::MAX >> 1);
+        let fetch = |i: u64| cache.get_or_compute(key(i), sample_bundle);
+        assert_eq!(fetch(1).evicted.entries, 0);
+        assert_eq!(fetch(2).evicted.entries, 0);
+        assert_eq!(fetch(3).evicted.entries, 1); // evicts key 1
         assert!(cache.get(&key(1)).0.is_none());
         assert!(cache.get(&key(2)).0.is_some());
         assert!(cache.get(&key(3)).0.is_some());
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.evictions, stats.entries), (3, 1, 2));
+        // The oldest key is gone: fetching it again is a miss.
+        assert!(!fetch(1).cached);
     }
 
     #[test]
     fn memory_cache_enforces_byte_budget() {
-        let bundle = std::sync::Arc::new(sample_bundle());
-        let size = encode_bundle(&bundle).len();
+        let size = encode_bundle(&sample_bundle()).len();
         // Budget fits exactly two encoded bundles; capacity is not the limiter.
-        let cache = BlockCache::with_budget(16, 2 * size);
-        let key = |i: u64| CacheKey { lo: i, hi: i };
-        assert_eq!(cache.put(key(1), bundle.clone()), Evicted::default());
-        assert_eq!(cache.put(key(2), bundle.clone()), Evicted::default());
-        assert_eq!(cache.resident_bytes(), 2 * size);
-        let ev = cache.put(key(3), bundle.clone()); // evicts key 1 by bytes
+        let cache = BlockCache::with_budget(1, 16, 2 * size);
+        let fetch = |i: u64| cache.get_or_compute(key(i), sample_bundle).evicted;
+        assert_eq!(fetch(1), Evicted::default());
+        assert_eq!(fetch(2), Evicted::default());
+        assert_eq!(cache.stats().resident_bytes, 2 * size as u64);
+        let ev = fetch(3); // evicts key 1 by bytes
         assert_eq!(
             ev,
             Evicted {
@@ -1594,6 +1343,79 @@ mod tests {
         assert!(cache.get(&key(1)).0.is_none());
         assert!(cache.get(&key(2)).0.is_some());
         assert!(cache.get(&key(3)).0.is_some());
-        assert_eq!(cache.resident_bytes(), 2 * size);
+        assert_eq!(cache.stats().resident_bytes, 2 * size as u64);
+    }
+
+    #[test]
+    fn single_flight_collapses_duplicate_inflight_blocks() {
+        let cache = BlockCache::with_budget(8, 4096, 64 << 20);
+        let computes = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    let fetched = cache.get_or_compute(key(42), || {
+                        computes.fetch_add(1, Ordering::SeqCst);
+                        // Long enough that the other seven all arrive while
+                        // the leader is still computing.
+                        std::thread::sleep(Duration::from_millis(50));
+                        sample_bundle()
+                    });
+                    assert_eq!(fetched.bundle.cond_node, 2);
+                });
+            }
+        });
+        assert_eq!(computes.load(Ordering::SeqCst), 1, "exactly one compute");
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.hits(), 7);
+        assert_eq!(
+            stats.coalesced, 7,
+            "seven requests coalesced onto the leader"
+        );
+        assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn disk_layer_shared_across_instances() {
+        let dir = std::env::temp_dir().join(format!("rawcc-shard-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            BlockCache::with_budget(4, 4096, 64 << 20)
+                .on_disk(&dir)
+                .unwrap()
+        };
+        {
+            let cache = open();
+            cache.get_or_compute(key(7), sample_bundle);
+            assert_eq!(cache.stats().misses, 1);
+        }
+        let cache = open();
+        let fetched = cache.get_or_compute(key(7), || panic!("must hit disk"));
+        assert!(fetched.cached);
+        let stats = cache.stats();
+        assert_eq!(stats.hits_disk, 1);
+        assert_eq!(stats.misses, 0);
+        assert_eq!(stats.disk_rejects, 0);
+        // Promoted at the size the entry declares, not by re-encoding.
+        assert_eq!(
+            stats.resident_bytes,
+            encode_bundle(&sample_bundle()).len() as u64
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn leader_panic_does_not_strand_the_key() {
+        let cache = Arc::new(BlockCache::in_memory());
+        let c = cache.clone();
+        let crashed = std::thread::spawn(move || {
+            c.get_or_compute(key(9), || panic!("leader dies mid-compute"));
+        })
+        .join();
+        assert!(crashed.is_err(), "leader thread must have panicked");
+        // The key must not be wedged: a fresh request becomes the new leader.
+        let fetched = cache.get_or_compute(key(9), sample_bundle);
+        assert!(!fetched.cached);
+        assert_eq!(cache.stats().misses, 1);
     }
 }

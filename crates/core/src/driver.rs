@@ -11,7 +11,7 @@
 //! and branches on that (paper §3.1's switch is a sequencer with its own
 //! branches).
 
-use crate::blockcache::{self, BlockBundle, BlockCache, BlockStore, KeyContext};
+use crate::blockcache::{self, BlockBundle, BlockCache, KeyContext};
 use crate::codegen::{self, TileBlockCode};
 use crate::exact;
 use crate::layout::{initial_memory_images, DataLayout};
@@ -644,20 +644,19 @@ pub fn compile_block(
     (bundle, timings)
 }
 
-/// Like [`compile`], but with an explicit [`BlockStore`], so callers can share
-/// a warm cache across compiles (bench loops, the determinism battery, build
-/// servers) instead of the per-call cache [`compile`] builds from the
-/// environment. Any store works: the plain [`BlockCache`] or the concurrent
-/// [`crate::shardcache::ShardedCache`] behind the compile service.
+/// Like [`compile`], but with an explicit [`BlockCache`], so callers can share
+/// a warm cache across compiles (bench loops, the determinism battery, the
+/// compile service) instead of the per-call cache [`compile`] builds from the
+/// environment.
 ///
 /// # Errors
 ///
 /// Returns [`CompileError`] for unsupported machine shapes.
-pub fn compile_with_cache<C: BlockStore + ?Sized>(
+pub fn compile_with_cache(
     program: &Program,
     config: &MachineConfig,
     options: &CompilerOptions,
-    cache: &C,
+    cache: &BlockCache,
 ) -> Result<CompiledProgram, CompileError> {
     let compile_start = Instant::now();
     let n_tiles = config.n_tiles();
@@ -707,7 +706,7 @@ pub fn compile_with_cache<C: BlockStore + ?Sized>(
         let block_hash = raw_testkit::hash64(&bytes);
         let key = key_ctx.key(&bytes);
         let mut timings = PhaseTimings::default();
-        let fetched = cache.get_or_compute(key, &mut || {
+        let fetched = cache.get_or_compute(key, || {
             let (bundle, t) = compile_block(block, &layout, config, options, block_hash);
             timings = t;
             bundle
@@ -719,7 +718,7 @@ pub fn compile_with_cache<C: BlockStore + ?Sized>(
             if fetched.coalesced {
                 coalesced.fetch_add(1, Ordering::Relaxed);
             }
-            if cache.verify_hits() {
+            if cache.verify() {
                 let (fresh, _) = compile_block(block, &layout, config, options, block_hash);
                 assert!(
                     fresh == *fetched.bundle,

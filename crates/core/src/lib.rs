@@ -56,6 +56,7 @@
 //! ```
 
 pub mod blockcache;
+mod codec;
 pub mod codegen;
 pub mod driver;
 pub mod exact;
@@ -66,12 +67,11 @@ pub mod provenance;
 pub mod regalloc;
 pub mod schedule;
 pub mod service;
-pub mod shardcache;
 pub mod taskgraph;
 pub mod wire;
 
 pub use blockcache::{
-    BlockBundle, BlockCache, BlockStore, CacheKey, CacheStats, DiskLayer, Evicted, Fetched,
+    BlockBundle, BlockCache, CacheKey, CacheStats, CacheTotals, DiskLayer, Evicted, Fetched,
     KeyContext,
 };
 pub use driver::{
@@ -85,5 +85,4 @@ pub use partition::{PlacementLog, PlacementStep};
 pub use provenance::{ProvRecord, ProvenanceMap, NO_PROV};
 pub use schedule::{PredOpKind, PredictedBlock};
 pub use service::{Client, ServeOptions, ServerHandle, ServiceError, TelemetryFootprint};
-pub use shardcache::{ShardedCache, ShardedStats};
 pub use wire::{MetricsFormat, MetricsResponse, WireError};

@@ -1,5 +1,5 @@
 //! The compile service: a long-running daemon that serves concurrent compile
-//! requests from one shared [`ShardedCache`], plus the matching in-process
+//! requests from one shared [`BlockCache`], plus the matching in-process
 //! [`Client`].
 //!
 //! ## Shape
@@ -9,8 +9,8 @@
 //! of [`crate::wire`]: requests are answered in order on the same connection,
 //! so clients can pipeline. All connections share:
 //!
-//! - one [`ShardedCache`] (so two clients compiling the same program hit each
-//!   other's blocks, and duplicate in-flight blocks are single-flighted);
+//! - one sharded [`BlockCache`] (so two clients compiling the same program hit
+//!   each other's blocks, and duplicate in-flight blocks are single-flighted);
 //! - one bounded latency histogram (compile wall-times, served as
 //!   p50/p90/p99 — constant memory no matter how long the daemon lives);
 //! - one per-client accounting table keyed by the name each compile request
@@ -51,9 +51,10 @@
 //! exit when their client disconnects; the daemon process exits as soon as
 //! [`ServerHandle::join`] returns, which requires only the accept loop.
 
+use crate::blockcache::{BlockCache, CacheTotals, Fifo};
+use crate::codec::hash128;
 use crate::driver::compile_with_cache;
 use crate::options::CompilerOptions;
-use crate::shardcache::ShardedCache;
 use crate::wire::{
     self, encode_compile_request, errcode, read_frame, write_frame, ClientRow, CompileRequest,
     CompileResponse, MetricsFormat, MetricsResponse, StatsResponse, WireError,
@@ -64,8 +65,7 @@ use raw_telemetry::{
     Buckets, Counter, Gauge, Histogram, Label, Registry, SpanRecord, SpanRing, SPAN_PHASES,
     SPAN_PHASE_NAMES,
 };
-use raw_testkit::{hash64, hash64_with};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -171,32 +171,15 @@ struct MemoEntry {
     program: Label,
 }
 
-/// Whole-response memo with FIFO byte-budget eviction. Keys hash the compile
-/// request payload *minus* the leading client name, so requests from
+/// Whole-response memo, FIFO-evicted under a byte budget alone. Keys hash the
+/// compile request payload *minus* the leading client name, so requests from
 /// different clients for the same (program, config, options) share entries.
-struct MemoState {
-    map: HashMap<u128, MemoEntry>,
-    order: VecDeque<u128>,
-    total: usize,
-    budget: usize,
-}
+type Memo = Fifo<u128, MemoEntry>;
 
-impl MemoState {
-    fn new(budget: usize) -> Self {
-        MemoState {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            total: 0,
-            budget,
-        }
-    }
-}
-
-/// 128-bit content key for the memo: two independent FNV-1a passes, mirroring
-/// the block cache's key construction.
+/// 128-bit content key for the memo: the block cache's two-pass hash.
 fn memo_key(rest: &[u8]) -> u128 {
-    const HI_BASIS: u64 = 0x8422_2325_cbf2_9ce4;
-    (u128::from(hash64(rest)) << 64) | u128::from(hash64_with(HI_BASIS, rest))
+    let (first, second) = hash128(&[rest]);
+    (u128::from(first) << 64) | u128::from(second)
 }
 
 /// The metrics registry plus everything registered in it that the request
@@ -237,11 +220,11 @@ fn req_index(kind: u8) -> usize {
 impl Telemetry {
     #[allow(clippy::too_many_arguments)]
     fn new(
-        cache: &Arc<ShardedCache>,
+        cache: &Arc<BlockCache>,
         latency: &Arc<Histogram>,
         clients: &Arc<Mutex<HashMap<String, ClientRow>>>,
         requests: &Arc<Counter>,
-        memo: &Arc<Mutex<MemoState>>,
+        memo: &Arc<Mutex<Memo>>,
         memo_hits: &Arc<Counter>,
         started: Instant,
     ) -> Self {
@@ -331,7 +314,7 @@ impl Telemetry {
                 "rawcc_memo_resident_bytes",
                 "encoded response bytes resident in the memo",
                 &[],
-                move || memo.lock().unwrap().total as u64,
+                move || memo.lock().unwrap().bytes() as u64,
             );
         }
         {
@@ -340,76 +323,70 @@ impl Telemetry {
                 "rawcc_memo_entries",
                 "responses resident in the memo",
                 &[],
-                move || memo.lock().unwrap().map.len() as u64,
+                move || memo.lock().unwrap().len() as u64,
             );
         }
 
-        // Sharded block cache: counters read at scrape time from the cache's
-        // own telemetry counters, occupancy by walking the shard locks.
-        type CacheScrape = fn(&ShardedCache) -> u64;
+        // Block cache: every series reads one field of the cache's own
+        // counter snapshot at scrape time.
+        type CacheScrape = fn(&CacheTotals) -> u64;
         let cache_counters: [(&str, &str, CacheScrape); 5] = [
             (
                 "rawcc_cache_misses_total",
                 "block-cache misses (each one compiled a block)",
-                ShardedCache::miss_count,
+                |t| t.misses,
             ),
             (
                 "rawcc_cache_coalesced_total",
                 "block compiles avoided by single-flight coalescing",
-                ShardedCache::coalesced_count,
+                |t| t.coalesced,
             ),
             (
                 "rawcc_cache_evictions_total",
                 "bundles evicted from the in-memory cache",
-                ShardedCache::eviction_count,
+                |t| t.evictions,
             ),
             (
                 "rawcc_cache_evicted_bytes_total",
                 "encoded bytes evicted from the in-memory cache",
-                ShardedCache::evicted_byte_count,
+                |t| t.evicted_bytes,
             ),
             (
                 "rawcc_cache_disk_rejects_total",
                 "disk-layer entries rejected as corrupt or stale",
-                ShardedCache::disk_reject_count,
+                |t| t.disk_rejects,
             ),
         ];
         for (name, help, read) in cache_counters {
             let cache = cache.clone();
-            registry.counter_fn(name, help, &[], move || read(&cache));
+            registry.counter_fn(name, help, &[], move || read(&cache.stats()));
         }
-        for (tier, read) in [
-            (
-                "mem",
-                ShardedCache::hits_mem_count as fn(&ShardedCache) -> u64,
-            ),
-            ("disk", ShardedCache::hits_disk_count),
-        ] {
+        let hit_tiers: [(&str, CacheScrape); 2] =
+            [("mem", |t| t.hits_mem), ("disk", |t| t.hits_disk)];
+        for (tier, read) in hit_tiers {
             let cache = cache.clone();
             registry.counter_fn(
                 "rawcc_cache_hits_total",
                 "block-cache hits, by serving tier",
                 &[("tier", tier)],
-                move || read(&cache),
+                move || read(&cache.stats()),
             );
         }
-        {
-            let cache = cache.clone();
-            registry.gauge_fn(
+        let occupancy: [(&str, &str, CacheScrape); 2] = [
+            (
                 "rawcc_cache_entries",
                 "bundles resident in the sharded cache",
-                &[],
-                move || cache.occupancy().0,
-            );
-        }
-        {
-            let cache = cache.clone();
-            registry.gauge_fn(
+                |t| t.entries,
+            ),
+            (
                 "rawcc_cache_resident_bytes",
                 "encoded bundle bytes resident in the sharded cache",
-                &[],
-                move || cache.occupancy().1,
-            );
+                |t| t.resident_bytes,
+            ),
+        ];
+        for (name, help, read) in occupancy {
+            let cache = cache.clone();
+            registry.gauge_fn(name, help, &[], move || read(&cache.stats()));
         }
 
         // Latency. The wall histogram is the same storage that backs the
@@ -505,7 +482,7 @@ impl Drop for ConnGuard<'_> {
 }
 
 struct ServerState {
-    cache: Arc<ShardedCache>,
+    cache: Arc<BlockCache>,
     /// Compile wall-times, bucketed. Always present (it backs the stats
     /// percentiles) — this replaces the old unbounded `Vec<u64>` reservoir,
     /// so stats memory is constant for the life of the daemon.
@@ -513,7 +490,7 @@ struct ServerState {
     clients: Arc<Mutex<HashMap<String, ClientRow>>>,
     requests: Arc<Counter>,
     shutting_down: AtomicBool,
-    memo: Arc<Mutex<MemoState>>,
+    memo: Arc<Mutex<Memo>>,
     memo_hits: Arc<Counter>,
     started: Instant,
     telemetry: Option<Telemetry>,
@@ -601,7 +578,7 @@ impl ServerState {
 
     fn memo_get(&self, key: u128) -> Option<MemoEntry> {
         let memo = self.memo.lock().unwrap();
-        memo.map.get(&key).map(|e| MemoEntry {
+        memo.get(&key).map(|e| MemoEntry {
             bytes: e.bytes.clone(),
             blocks: e.blocks,
             program: e.program,
@@ -610,33 +587,21 @@ impl ServerState {
 
     fn memo_insert(&self, key: u128, bytes: &[u8], blocks: u64, program: Label) {
         let mut memo = self.memo.lock().unwrap();
-        if memo.budget == 0 || bytes.len() > memo.budget || memo.map.contains_key(&key) {
+        // A response over the whole budget (any response, once the memo is
+        // disabled by a zero budget) is not worth evicting everything for.
+        if bytes.len() > memo.max_bytes() || memo.get(&key).is_some() {
             return;
         }
-        let mut evicted = 0u64;
-        while memo.total + bytes.len() > memo.budget {
-            let Some(old) = memo.order.pop_front() else {
-                break;
-            };
-            if let Some(e) = memo.map.remove(&old) {
-                memo.total -= e.bytes.len();
-                evicted += 1;
-            }
-        }
-        memo.total += bytes.len();
-        memo.order.push_back(key);
-        memo.map.insert(
-            key,
-            MemoEntry {
-                bytes: Arc::new(bytes.to_vec()),
-                blocks,
-                program,
-            },
-        );
+        let entry = MemoEntry {
+            bytes: Arc::new(bytes.to_vec()),
+            blocks,
+            program,
+        };
+        let evicted = memo.insert(key, entry, bytes.len());
         drop(memo);
         if let Some(tel) = &self.telemetry {
             tel.memo_insertions.inc();
-            tel.memo_evictions.add(evicted);
+            tel.memo_evictions.add(evicted.entries);
         }
     }
 }
@@ -733,9 +698,9 @@ impl Drop for ServerHandle {
 ///
 /// [`ServiceError::Bind`] / [`ServiceError::CacheDir`] for setup failures.
 pub fn serve(opts: &ServeOptions) -> Result<ServerHandle, ServiceError> {
-    let mut cache = ShardedCache::with_budget(opts.shards, opts.capacity, opts.byte_budget);
+    let mut cache = BlockCache::with_budget(opts.shards, opts.capacity, opts.byte_budget);
     if let Some(dir) = &opts.cache_dir {
-        cache = cache.with_disk(dir).map_err(ServiceError::CacheDir)?;
+        cache = cache.on_disk(dir).map_err(ServiceError::CacheDir)?;
     }
     cache.set_verify(opts.verify);
     let cache = Arc::new(cache);
@@ -748,7 +713,7 @@ pub fn serve(opts: &ServeOptions) -> Result<ServerHandle, ServiceError> {
     let latency = Arc::new(Histogram::new(Buckets::latency_us()));
     let clients = Arc::new(Mutex::new(HashMap::new()));
     let requests = Arc::new(Counter::new());
-    let memo = Arc::new(Mutex::new(MemoState::new(memo_budget)));
+    let memo = Arc::new(Mutex::new(Memo::new(usize::MAX, memo_budget)));
     let memo_hits = Arc::new(Counter::new());
     let started = Instant::now();
     let telemetry = opts.telemetry.then(|| {
@@ -1002,13 +967,8 @@ fn compile_reply(state: &ServerState, payload: &[u8]) -> Result<CompileOutcome, 
     raw_ir::verify::verify(&req.program).map_err(|e| (errcode::BAD_PROGRAM, e.to_string()))?;
     let parse_us = parse_start.elapsed().as_micros() as u64;
     let start = Instant::now();
-    let compiled = compile_with_cache(
-        &req.program,
-        &req.config,
-        &req.options,
-        state.cache.as_ref(),
-    )
-    .map_err(|e| (errcode::COMPILE, e.to_string()))?;
+    let compiled = compile_with_cache(&req.program, &req.config, &req.options, &state.cache)
+        .map_err(|e| (errcode::COMPILE, e.to_string()))?;
     let report = &compiled.report;
     // Promote `CompileReport.timings` into the span's phase vector, matching
     // rows by name (the span order is pipeline order, the report's struct

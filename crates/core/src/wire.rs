@@ -14,9 +14,10 @@
 //! ```
 //!
 //! `len` is bounded by [`MAX_FRAME`]; an oversized header is rejected before
-//! any allocation. Payloads reuse the defensive little-endian codec the block
-//! cache's disk format is built on (`Dec`), so a corrupt length inside a
-//! payload can neither panic nor allocate beyond the frame.
+//! any allocation. Payloads are built from the shared encoders of
+//! `codec.rs` — the same bytes the block cache keys and stores — so a
+//! corrupt length inside a payload can neither panic nor allocate beyond the
+//! frame.
 //!
 //! ## Request/response kinds
 //!
@@ -37,18 +38,16 @@
 //! Every request gets exactly one response frame on the same connection, in
 //! order, so clients can pipeline.
 
-use crate::blockcache::{
-    binop_code, binop_from, encode_imm, get_imm, get_pinst, get_sdst, get_ssrc, put_pinst,
-    put_sdst, put_ssrc, put_u16, put_u32, put_u64, unop_code, unop_from, Dec,
+use crate::blockcache::CacheTotals;
+use crate::codec::{
+    get_config, get_imm, get_ir_inst, get_options, get_pinst, get_sdst, get_ssrc, get_str,
+    put_config, put_imm, put_ir_inst, put_options, put_pinst, put_sdst, put_ssrc, put_str, put_u16,
+    put_u32, put_u64, Dec,
 };
-use crate::options::{CompilerOptions, PlacementAlgorithm, PriorityScheme, Strategy};
-use crate::shardcache::ShardedStats;
-use raw_ir::{
-    ArrayDecl, ArrayId, Block, BlockId, Inst, InstKind, MemHome, Program, SourceSpan, Terminator,
-    Ty, ValueId, VarDecl, VarId,
-};
+use crate::options::CompilerOptions;
+use raw_ir::{ArrayDecl, Block, BlockId, Program, Terminator, Ty, ValueId, VarDecl};
 use raw_machine::isa::SInst;
-use raw_machine::{LatencyModel, MachineConfig, MachineProgram, TileCode, TileId, TileMask};
+use raw_machine::{MachineConfig, MachineProgram, TileCode};
 use std::io::{Read, Write};
 
 /// Frame magic ("raw service v1").
@@ -205,29 +204,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), WireError> {
 // Payload codecs.
 // ---------------------------------------------------------------------------
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(d: &mut Dec<'_>) -> Option<String> {
-    let n = d.len(1)?;
-    let bytes = d.take(n)?;
-    String::from_utf8(bytes.to_vec()).ok()
-}
-
-fn put_bool(out: &mut Vec<u8>, b: bool) {
-    out.push(b as u8);
-}
-
-fn get_bool(d: &mut Dec<'_>) -> Option<bool> {
-    match d.u8()? {
-        0 => Some(false),
-        1 => Some(true),
-        _ => None,
-    }
-}
-
 fn put_ty(out: &mut Vec<u8>, ty: Ty) {
     out.push(match ty {
         Ty::I32 => 0,
@@ -243,127 +219,13 @@ fn get_ty(d: &mut Dec<'_>) -> Option<Ty> {
     }
 }
 
-fn put_home(out: &mut Vec<u8>, home: MemHome) {
-    match home {
-        MemHome::Static(t) => {
-            out.push(0);
-            put_u32(out, t);
-        }
-        MemHome::Dynamic => out.push(1),
-    }
-}
-
-fn get_home(d: &mut Dec<'_>) -> Option<MemHome> {
-    match d.u8()? {
-        0 => Some(MemHome::Static(d.u32()?)),
-        1 => Some(MemHome::Dynamic),
-        _ => None,
-    }
-}
-
-fn put_inst(out: &mut Vec<u8>, inst: &Inst) {
-    put_u32(out, inst.span.line);
-    put_u32(out, inst.span.col);
-    match inst.dst {
-        Some(v) => {
-            out.push(1);
-            put_u32(out, v.index() as u32);
-        }
-        None => out.push(0),
-    }
-    match &inst.kind {
-        InstKind::Const(imm) => {
-            out.push(0);
-            encode_imm(*imm, out);
-        }
-        InstKind::Un(op, a) => {
-            out.push(1);
-            out.push(unop_code(*op));
-            put_u32(out, a.index() as u32);
-        }
-        InstKind::Bin(op, a, b) => {
-            out.push(2);
-            out.push(binop_code(*op));
-            put_u32(out, a.index() as u32);
-            put_u32(out, b.index() as u32);
-        }
-        InstKind::Load { array, index, home } => {
-            out.push(3);
-            put_u32(out, array.index() as u32);
-            put_u32(out, index.index() as u32);
-            put_home(out, *home);
-        }
-        InstKind::Store {
-            array,
-            index,
-            value,
-            home,
-        } => {
-            out.push(4);
-            put_u32(out, array.index() as u32);
-            put_u32(out, index.index() as u32);
-            put_u32(out, value.index() as u32);
-            put_home(out, *home);
-        }
-        InstKind::ReadVar(v) => {
-            out.push(5);
-            put_u32(out, v.index() as u32);
-        }
-        InstKind::WriteVar(v, val) => {
-            out.push(6);
-            put_u32(out, v.index() as u32);
-            put_u32(out, val.index() as u32);
-        }
-    }
-}
-
-fn get_inst(d: &mut Dec<'_>) -> Option<Inst> {
-    let line = d.u32()?;
-    let col = d.u32()?;
-    let dst = match d.u8()? {
-        0 => None,
-        1 => Some(ValueId::from_raw(d.u32()?)),
-        _ => return None,
-    };
-    let kind = match d.u8()? {
-        0 => InstKind::Const(get_imm(d)?),
-        1 => {
-            let op = unop_from(d.u8()?)?;
-            InstKind::Un(op, ValueId::from_raw(d.u32()?))
-        }
-        2 => {
-            let op = binop_from(d.u8()?)?;
-            InstKind::Bin(op, ValueId::from_raw(d.u32()?), ValueId::from_raw(d.u32()?))
-        }
-        3 => InstKind::Load {
-            array: ArrayId::from_raw(d.u32()?),
-            index: ValueId::from_raw(d.u32()?),
-            home: get_home(d)?,
-        },
-        4 => InstKind::Store {
-            array: ArrayId::from_raw(d.u32()?),
-            index: ValueId::from_raw(d.u32()?),
-            value: ValueId::from_raw(d.u32()?),
-            home: get_home(d)?,
-        },
-        5 => InstKind::ReadVar(VarId::from_raw(d.u32()?)),
-        6 => InstKind::WriteVar(VarId::from_raw(d.u32()?), ValueId::from_raw(d.u32()?)),
-        _ => return None,
-    };
-    Some(Inst {
-        dst,
-        kind,
-        span: SourceSpan { line, col },
-    })
-}
-
 fn put_program(out: &mut Vec<u8>, p: &Program) {
     put_str(out, &p.name);
     put_u64(out, p.vars.len() as u64);
     for v in &p.vars {
         put_str(out, &v.name);
         put_ty(out, v.ty);
-        encode_imm(v.init, out);
+        put_imm(out, v.init);
     }
     put_u64(out, p.arrays.len() as u64);
     for a in &p.arrays {
@@ -375,7 +237,7 @@ fn put_program(out: &mut Vec<u8>, p: &Program) {
         }
         put_u64(out, a.init.len() as u64);
         for &imm in &a.init {
-            encode_imm(imm, out);
+            put_imm(out, imm);
         }
     }
     put_u64(out, p.blocks.len() as u64);
@@ -383,7 +245,7 @@ fn put_program(out: &mut Vec<u8>, p: &Program) {
         put_str(out, &b.name);
         put_u64(out, b.insts.len() as u64);
         for inst in &b.insts {
-            put_inst(out, inst);
+            put_ir_inst(out, inst, &mut |v| v.index() as u32);
         }
         match &b.term {
             Terminator::Jump(t) => {
@@ -462,7 +324,7 @@ fn get_program(d: &mut Dec<'_>) -> Option<Program> {
         let n_insts = d.len(1)?;
         let mut insts = Vec::with_capacity(n_insts);
         for _ in 0..n_insts {
-            insts.push(get_inst(d)?);
+            insts.push(get_ir_inst(d)?);
         }
         let term = match d.u8()? {
             0 => Terminator::Jump(BlockId::from_raw(d.u32()?)),
@@ -496,128 +358,6 @@ fn get_program(d: &mut Dec<'_>) -> Option<Program> {
         entry,
         value_types,
         value_names,
-    })
-}
-
-fn put_config(out: &mut Vec<u8>, c: &MachineConfig) {
-    put_u32(out, c.rows);
-    put_u32(out, c.cols);
-    put_u32(out, c.gprs);
-    put_u32(out, c.switch_regs);
-    put_u32(out, c.mem_latency);
-    put_u32(out, c.mem_words);
-    out.push(match c.latency {
-        LatencyModel::Table1 => 0,
-        LatencyModel::Unit => 1,
-    });
-    put_u64(out, c.port_capacity as u64);
-    put_u64(out, c.dyn_fifo as u64);
-    put_u64(out, c.step_limit);
-    put_u64(out, c.faulty.bits());
-}
-
-fn get_config(d: &mut Dec<'_>) -> Option<MachineConfig> {
-    let rows = d.u32()?;
-    let cols = d.u32()?;
-    let gprs = d.u32()?;
-    let switch_regs = d.u32()?;
-    let mem_latency = d.u32()?;
-    let mem_words = d.u32()?;
-    let latency = match d.u8()? {
-        0 => LatencyModel::Table1,
-        1 => LatencyModel::Unit,
-        _ => return None,
-    };
-    let port_capacity = d.u64()? as usize;
-    let dyn_fifo = d.u64()? as usize;
-    let step_limit = d.u64()?;
-    let bits = d.u64()?;
-    let mut faulty = TileMask::EMPTY;
-    for i in 0..64 {
-        if bits >> i & 1 == 1 {
-            faulty.insert(TileId::from_raw(i));
-        }
-    }
-    Some(MachineConfig {
-        rows,
-        cols,
-        gprs,
-        switch_regs,
-        mem_latency,
-        mem_words,
-        latency,
-        port_capacity,
-        dyn_fifo,
-        step_limit,
-        faulty,
-    })
-}
-
-fn put_options(out: &mut Vec<u8>, o: &CompilerOptions) {
-    put_bool(out, o.clustering);
-    match o.placement {
-        PlacementAlgorithm::GreedySwap => out.push(0),
-        PlacementAlgorithm::Annealing { seed } => {
-            out.push(1);
-            put_u64(out, seed);
-        }
-        PlacementAlgorithm::None => out.push(2),
-    }
-    put_bool(out, o.placement_swap);
-    out.push(match o.priority {
-        PriorityScheme::LevelFertility => 0,
-        PriorityScheme::LevelOnly => 1,
-        PriorityScheme::SourceOrder => 2,
-    });
-    put_u32(out, o.cluster_comm_cost);
-    put_bool(out, o.fold_communication);
-    match o.strategy {
-        Strategy::Heuristic => out.push(0),
-        Strategy::Exact => out.push(1),
-        Strategy::Portfolio { seed } => {
-            out.push(2);
-            put_u64(out, seed);
-        }
-    }
-    put_u64(out, o.exact_budget);
-    put_u64(out, o.threads as u64);
-}
-
-fn get_options(d: &mut Dec<'_>) -> Option<CompilerOptions> {
-    let clustering = get_bool(d)?;
-    let placement = match d.u8()? {
-        0 => PlacementAlgorithm::GreedySwap,
-        1 => PlacementAlgorithm::Annealing { seed: d.u64()? },
-        2 => PlacementAlgorithm::None,
-        _ => return None,
-    };
-    let placement_swap = get_bool(d)?;
-    let priority = match d.u8()? {
-        0 => PriorityScheme::LevelFertility,
-        1 => PriorityScheme::LevelOnly,
-        2 => PriorityScheme::SourceOrder,
-        _ => return None,
-    };
-    let cluster_comm_cost = d.u32()?;
-    let fold_communication = get_bool(d)?;
-    let strategy = match d.u8()? {
-        0 => Strategy::Heuristic,
-        1 => Strategy::Exact,
-        2 => Strategy::Portfolio { seed: d.u64()? },
-        _ => return None,
-    };
-    let exact_budget = d.u64()?;
-    let threads = d.u64()? as usize;
-    Some(CompilerOptions {
-        clustering,
-        placement,
-        placement_swap,
-        priority,
-        cluster_comm_cost,
-        fold_communication,
-        strategy,
-        exact_budget,
-        threads,
     })
 }
 
@@ -738,6 +478,9 @@ pub fn encode_compile_request(
     put_program(&mut out, program);
     put_config(&mut out, config);
     put_options(&mut out, options);
+    // The one option outside the cache key: it sizes the server's worker
+    // pool and changes no artifact.
+    put_u64(&mut out, options.threads as u64);
     out
 }
 
@@ -770,7 +513,8 @@ impl CompileRequest {
             let client = get_str(&mut d)?;
             let program = get_program(&mut d)?;
             let config = get_config(&mut d)?;
-            let options = get_options(&mut d)?;
+            let mut options = get_options(&mut d)?;
+            options.threads = d.u64()? as usize;
             Some(CompileRequest {
                 client,
                 program,
@@ -945,8 +689,8 @@ pub struct ClientRow {
 /// Service-wide snapshot, as carried by a [`RESP_STATS`] frame.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StatsResponse {
-    /// Global sharded-cache counters.
-    pub cache: ShardedStats,
+    /// Global block-cache counters.
+    pub cache: CacheTotals,
     /// Compile requests served since startup.
     pub requests: u64,
     /// Compile wall-time percentiles in microseconds (0 when no requests yet).
@@ -1023,7 +767,7 @@ impl StatsResponse {
                 });
             }
             d.at_end().then_some(StatsResponse {
-                cache: ShardedStats {
+                cache: CacheTotals {
                     hits_mem: v[0],
                     hits_disk: v[1],
                     misses: v[2],
@@ -1153,7 +897,9 @@ pub fn decode_error(bytes: &[u8]) -> Result<(u8, String), WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::{PlacementAlgorithm, Strategy};
     use raw_ir::builder::ProgramBuilder;
+    use raw_machine::{TileId, TileMask};
 
     fn sample_program() -> Program {
         let mut b = ProgramBuilder::new("wire-sample");
@@ -1245,7 +991,7 @@ mod tests {
     #[test]
     fn stats_response_roundtrip() {
         let resp = StatsResponse {
-            cache: ShardedStats {
+            cache: CacheTotals {
                 hits_mem: 10,
                 hits_disk: 2,
                 misses: 3,
@@ -1323,25 +1069,6 @@ mod tests {
         );
         let mut short = vec![0u8; 10];
         assert!(!patch_compiled_counters(&mut short, 1, 1));
-    }
-
-    #[test]
-    fn decoders_are_total_on_random_bytes() {
-        // Decoders must return typed errors (never panic, never OOM) on
-        // arbitrary input. The deeper server-side property test lives in
-        // tests/compile_service.rs; this is the unit-level guarantee.
-        let mut rng = raw_testkit::Rng::new(0x5eed);
-        for _ in 0..2000 {
-            let n = (rng.next_u64() % 256) as usize;
-            let bytes: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();
-            let _ = CompileRequest::decode(&bytes);
-            let _ = CompileResponse::decode(&bytes);
-            let _ = StatsResponse::decode(&bytes);
-            let _ = decode_error(&bytes);
-            let _ = decode_metrics_request(&bytes);
-            let _ = MetricsResponse::decode(&bytes);
-            let _ = read_frame(&mut bytes.as_slice());
-        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ use raw_repro::cc::{
 };
 use raw_repro::ir::Program;
 use raw_repro::machine::MachineConfig;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn opts(threads: usize) -> CompilerOptions {
@@ -214,6 +215,38 @@ fn simulated_cycles_match_across_thread_counts() {
             .1
             .cycles;
         assert_eq!(serial, parallel, "{}: cycle counts diverged", bench.name);
+    }
+}
+
+#[test]
+fn cache_stats_are_thread_invariant() {
+    // The in-process cache single-flights: workers racing on duplicate blocks
+    // wait for the first compile instead of repeating it, so a cold compile's
+    // counters are exact at any worker count. `life` repeats a quarter of its
+    // blocks, enough for eight workers to collide.
+    let bench = benchmarks::tiny_suite()
+        .into_iter()
+        .find(|b| b.name == "life")
+        .expect("life is in the suite");
+    let program = bench.program(4).expect("benchmark lowers");
+    let config = MachineConfig::square(4);
+    for threads in [1, 2, 8] {
+        let report =
+            compile_with_cache(&program, &config, &opts(threads), &BlockCache::in_memory())
+                .unwrap()
+                .report;
+        let blocks = report.blocks.len() as u64;
+        let distinct = report.block_keys.iter().collect::<HashSet<_>>().len() as u64;
+        assert!(distinct < blocks, "life must repeat some block");
+        assert_eq!(
+            report.cache.misses, distinct,
+            "threads={threads}: one compile per distinct block"
+        );
+        assert_eq!(
+            report.cache.hits + report.cache.misses,
+            blocks,
+            "threads={threads}: every block is a hit or a miss"
+        );
     }
 }
 
