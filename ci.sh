@@ -405,15 +405,19 @@ stage_scenario_smoke() {
 
 stage_sim_smoke() {
   # The sim subcommand's --selfcheck runs every sparse workload (plus a
-  # compiled jacobi) under all three steppers — tracked, reference, and the
-  # calendar-queue event core — clean and under a chaos sweep, and fails on
-  # any divergence in cycles, stats, or memory. The jacobi leg compiles
-  # through rawcc, so repeating under both worker counts also guards the
-  # event core against block-fan-out scheduling drift.
+  # compiled jacobi) under the production stepper and the reference oracle,
+  # clean and under a chaos sweep, and fails on any divergence in cycles,
+  # stats, or memory. The jacobi leg compiles through rawcc, so repeating
+  # under both worker counts also guards the differential against
+  # block-fan-out scheduling drift.
   RAWCC_THREADS=1 cargo run --offline --release -p raw-bench --bin raw-bench -- \
     sim --tiles 64 --selfcheck --quick >/dev/null
   RAWCC_THREADS=8 cargo run --offline --release -p raw-bench --bin raw-bench -- \
     sim --tiles 64 --selfcheck --quick >/dev/null
+  # 256 tiles span four run-set words: chaos is cross-checked where a wake
+  # can land in a later word than the sweep position.
+  cargo run --offline --release -p raw-bench --bin raw-bench -- \
+    sim --tiles 256 --selfcheck --quick >/dev/null
 }
 
 stage_trace_diff() {
@@ -439,6 +443,11 @@ stage_perf_smoke() {
       exit 1
     fi
   done
+  # The traced run includes the benchmark's own stepper probe: on every
+  # benchmark program the default stepper, `with_event_stepper` and (on small
+  # meshes) the reference must report the same cycle count.
+  perf/target/release/raw-perf trace --workload sim_sparse --out "$dir" \
+    > "$dir/trace.txt"
   rm -rf "$dir"
 }
 

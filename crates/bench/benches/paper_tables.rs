@@ -60,7 +60,7 @@ fn table3(h: &mut Harness) {
         }
     }
     // Past the paper's 32-tile ceiling: one compiled benchmark on an 8x8
-    // mesh, the smallest size of the event-core regime (the sparse-workload
+    // mesh, the smallest size of the big-mesh regime (the sparse-workload
     // sweep in benches/sim_scale.rs carries the 16x16 and 32x32 points).
     let bench = raw_benchmarks::jacobi(12, 1);
     let n = 64u32;

@@ -1,11 +1,10 @@
-//! Scaling micro-benchmark for the stepping cores: the sparse workload suite
-//! (`raw_bench::sim`) across mesh sizes from 4x4 to 32x32, tracked stepper vs
-//! the calendar-queue event stepper. The per-target medians in
-//! `BENCH_sim_scale.json` make the event core's cost-proportional-to-events
-//! claim a tracked regression quantity: for a fixed workload the tracked
-//! stepper's time grows with the tile count while the event stepper's stays
-//! near-flat, so the `tracked`/`event` ratio at each size is the speedup
-//! reported in EXPERIMENTS.md.
+//! Scaling micro-benchmark for the simulator: the sparse workload suite
+//! (`raw_bench::sim`) across mesh sizes from 4x4 to 32x32, one label per
+//! workload and size. The per-target medians in `BENCH_sim_scale.json` make
+//! the production stepper's cost-follows-activity claim a recorded regression
+//! quantity: a workload's stepping cost should read as a flat row across the
+//! four sizes. Each iteration also builds its machine, which is O(tiles);
+//! `raw-bench sim` times `run()` alone (EXPERIMENTS.md, "Large-mesh scaling").
 
 use raw_bench::sim::sparse_suite;
 use raw_machine::{Machine, MachineConfig};
@@ -21,22 +20,17 @@ fn main() {
         // this benchmark exists to measure.
         config.mem_words = 1 << 10;
         for w in sparse_suite(&config, true) {
-            for (stepper, label) in [(0u8, "tracked"), (2, "event")] {
-                let name = format!("sim_scale/{}/{}t/{}", w.name, tiles, label);
-                h.bench(&name, || {
-                    let mut m = Machine::new(config.clone(), &w.program);
-                    if stepper == 2 {
-                        m = m.with_event_stepper();
-                    }
-                    for &(tile, addr, value) in &w.init {
-                        m.set_mem_word(tile, addr, value);
-                    }
-                    let report = m.run().unwrap();
-                    let (tile, addr, expected) = w.check;
-                    assert_eq!(m.mem_word(tile, addr), expected, "{name}");
-                    report.cycles
-                });
-            }
+            let name = format!("sim_scale/{}/{}t", w.name, tiles);
+            h.bench(&name, || {
+                let mut m = Machine::new(config.clone(), &w.program);
+                for &(tile, addr, value) in &w.init {
+                    m.set_mem_word(tile, addr, value);
+                }
+                let report = m.run().unwrap();
+                let (tile, addr, expected) = w.check;
+                assert_eq!(m.mem_word(tile, addr), expected, "{name}");
+                report.cycles
+            });
         }
     }
     h.finish();

@@ -108,7 +108,7 @@ fn stepping_throughput(h: &mut Harness) {
         m.run().unwrap().cycles
     });
     // Same workload through the step-everything reference path: the ratio to
-    // the target above is the activity-tracking speedup, tracked per snapshot.
+    // the target above is the production stepper's speedup, kept per snapshot.
     h.bench("simulator/16_tiles_2k_iterations/reference", || {
         let mut m = Machine::new(config.clone(), &program).with_reference_stepper();
         m.run().unwrap().cycles

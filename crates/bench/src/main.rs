@@ -99,16 +99,17 @@ SUBCOMMANDS:
                     of clearing the terminal
     scenario        run the adversarial mesh scenario suite: dynamic-network
                     kernels compiled around a faulty-tile map, differentially
-                    validated (tracked vs reference stepper, traced vs
+                    validated (production vs reference stepper, traced vs
                     untraced, chaos sweep) plus a co-residency isolation
                     check; prints per-scenario stats lines, occupancy tables,
                     and the EXPERIMENTS.md summary table
-    sim             exercise the event-driven stepper on big meshes (default
-                    8x8, up to 32x32+) over sparse hand-written workloads;
-                    prints tracked-vs-event wall-clock speedup lines, or with
-                    --selfcheck differentially validates all three steppers
-                    (tracked, reference, event) clean and under a chaos
-                    sweep, including a compiled jacobi at sizes <= 64 tiles
+    sim             exercise the simulator on big meshes (default 8x8, up to
+                    32x32+) over sparse hand-written workloads; prints one
+                    wall-clock line (ms, ns_per_cycle) per workload, or with
+                    --selfcheck differentially validates the production
+                    stepper against the reference oracle clean and under a
+                    chaos sweep, including a compiled jacobi at sizes <= 64
+                    tiles
 
 FLAGS:
     --table1        operation latencies (Table 1)

@@ -8,7 +8,7 @@
 //!
 //! * masked tiles must carry **zero** instructions (processor or switch);
 //! * the simulated result must match the reference interpreter bit-exactly;
-//! * the activity-tracked stepper must match `with_reference_stepper`
+//! * the production stepper must match `with_reference_stepper`
 //!   (cycles, statistics, final memory) clean **and** under a chaos sweep;
 //! * a traced run must be bit-identical to an untraced one;
 //! * the two complementary partitions must run **co-resident** on one mesh
@@ -95,7 +95,7 @@ fn observe(mut machine: Machine, label: &str) -> Result<(RunReport, Vec<Vec<u32>
     Ok((report, mems))
 }
 
-/// Asserts the tracked and reference steppers agree on cycles, stats, and
+/// Asserts the production and reference steppers agree on cycles, stats, and
 /// final memory for this machine configuration.
 fn check_steppers(
     compiled: &CompiledProgram,
@@ -109,9 +109,9 @@ fn check_steppers(
         }
         m
     };
-    let tracked = with_chaos(compiled.instantiate(program));
+    let production = with_chaos(compiled.instantiate(program));
     let reference = with_chaos(compiled.instantiate(program).with_reference_stepper());
-    let (t_report, t_mems) = observe(tracked, label)?;
+    let (t_report, t_mems) = observe(production, label)?;
     let (r_report, r_mems) = observe(reference, label)?;
     if t_report.cycles != r_report.cycles {
         return Err(format!(
@@ -192,7 +192,7 @@ fn run_scenario(
         ));
     }
 
-    // Differential: tracked vs reference stepper, clean then chaos-swept.
+    // Differential: production vs reference stepper, clean then chaos-swept.
     check_steppers(&compiled, &program, None, &format!("{} clean", bench.name))?;
     for chaos in chaos_points(quick) {
         check_steppers(

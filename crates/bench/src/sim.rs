@@ -1,29 +1,31 @@
-//! `raw-bench sim` — event-driven stepper scaling and differential smoke.
+//! `raw-bench sim` — big-mesh scaling and differential smoke of the simulator.
 //!
-//! The event-driven core (DESIGN.md §13) claims per-cycle cost proportional
-//! to *scheduled events* rather than *tiles*. This subcommand makes that
+//! The production stepper (DESIGN.md §8) claims per-cycle cost proportional
+//! to *active components* rather than *tiles*. This subcommand makes that
 //! claim measurable and falsifiable on big meshes:
 //!
 //! * a suite of **sparse hand-written workloads** — a handful of active tiles
 //!   on an otherwise idle mesh, the regime where a 32×32 machine spends most
 //!   of its tiles dead or asleep — built directly from assembly so mesh size
 //!   is decoupled from compiler scaling;
-//! * `--selfcheck` runs every workload through all three steppers (tracked,
-//!   reference, event) and fails unless cycle counts, the full statistics
+//! * `--selfcheck` runs every workload through the production stepper and
+//!   the reference oracle and fails unless cycle counts, the full statistics
 //!   block, and final memories are bit-identical, clean and under a chaos
 //!   sweep;
 //! * a compiled benchmark (`jacobi`) joins the differential at sizes the
 //!   compiler targets (≤ 64 tiles), so the smoke also covers compiler-shaped
 //!   code and honours `RAWCC_THREADS`;
-//! * without `--selfcheck` the subcommand just times tracked vs event
-//!   stepping and prints one greppable speedup line per workload (the
-//!   statistically careful version lives in `benches/sim_scale.rs`).
+//! * without `--selfcheck` the subcommand times one run per workload and
+//!   prints one greppable `ms` / `ns_per_cycle` line each: run it at several
+//!   `--tiles` and the same workload should cost the same (the statistically
+//!   careful version lives in `benches/sim_scale.rs`).
 
 use crate::args::{require_power_of_two, FlagParser};
 use raw_ir::Imm;
 use raw_machine::asm::{ProcAsm, SwitchAsm};
 use raw_machine::chaos::ChaosConfig;
 use raw_machine::isa::{Dir, Dst, MachineProgram, PInst, SDst, SInst, SSrc, Src, TileCode};
+use raw_machine::stats::Stats;
 use raw_machine::{Machine, MachineConfig, TileId};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -37,7 +39,7 @@ pub struct SimArgs {
     pub bench: Option<String>,
     /// Smaller iteration counts and chaos sweep (CI-friendly).
     pub quick: bool,
-    /// Differentially validate all three steppers instead of timing.
+    /// Differentially validate against the reference stepper instead of timing.
     pub selfcheck: bool,
 }
 
@@ -125,7 +127,7 @@ fn spin(config: &MachineConfig, iters: i32) -> SparseWorkload {
 
 /// Two neighbouring tiles bouncing a word over the static network: every
 /// round trip sleeps and wakes both processors and both switches, so the
-/// event core's port-wake path dominates.
+/// port-wake path dominates.
 fn pingpong(config: &MachineConfig, iters: i32) -> SparseWorkload {
     // Tile 0: send the counter, receive it incremented, repeat.
     let mut p0 = ProcAsm::new();
@@ -182,8 +184,8 @@ fn pingpong(config: &MachineConfig, iters: i32) -> SparseWorkload {
 
 /// Corner-to-corner remote loads over the dynamic network: tile 0 reads a
 /// word homed on the far corner in a dependent loop, exercising wormhole
-/// routing, the remote-memory handler, and the event core's dynamic-network
-/// drain phase at full mesh diameter.
+/// routing, the remote-memory handler, and the dynamic-network drain phase
+/// at full mesh diameter.
 fn remote(config: &MachineConfig, iters: i32) -> SparseWorkload {
     let far = TileId::from_raw(config.n_tiles() - 1);
     let gaddr = config.make_gaddr(far, 7);
@@ -212,7 +214,7 @@ fn remote(config: &MachineConfig, iters: i32) -> SparseWorkload {
 }
 
 /// The sparse suite for one mesh. `quick` shrinks iteration counts so a CI
-/// smoke over three steppers and a chaos sweep stays fast.
+/// smoke over both steppers and a chaos sweep stays fast.
 #[must_use]
 pub fn sparse_suite(config: &MachineConfig, quick: bool) -> Vec<SparseWorkload> {
     let scale = if quick { 8 } else { 1 };
@@ -224,19 +226,16 @@ pub fn sparse_suite(config: &MachineConfig, quick: bool) -> Vec<SparseWorkload> 
 }
 
 /// Instantiates one stepper over a sparse workload.
-/// 0 = tracked, 1 = reference, 2 = event.
 fn machine(
     config: &MachineConfig,
     w: &SparseWorkload,
-    stepper: u8,
+    reference: bool,
     chaos: Option<ChaosConfig>,
 ) -> Machine {
     let mut m = Machine::new(config.clone(), &w.program);
-    m = match stepper {
-        0 => m,
-        1 => m.with_reference_stepper(),
-        _ => m.with_event_stepper(),
-    };
+    if reference {
+        m = m.with_reference_stepper();
+    }
     if let Some(c) = chaos {
         m = m.with_chaos(c);
     }
@@ -246,57 +245,70 @@ fn machine(
     m
 }
 
-/// Runs to completion, verifying the workload's functional check.
-fn observe(mut m: Machine, w: &SparseWorkload, label: &str) -> Result<RunSnapshot, String> {
+/// Runs to completion and snapshots everything the differential compares.
+fn snapshot(mut m: Machine, label: &str) -> Result<RunSnapshot, String> {
     let report = m.run().map_err(|e| format!("{label}: {e}"))?;
+    let n = m.config().n_tiles();
+    Ok(RunSnapshot {
+        cycles: report.cycles,
+        stats: report.stats,
+        mems: (0..n).map(|t| m.memory(TileId(t)).to_vec()).collect(),
+    })
+}
+
+/// Runs a sparse workload to completion, verifying its functional check.
+fn observe(m: Machine, w: &SparseWorkload, label: &str) -> Result<RunSnapshot, String> {
+    let snap = snapshot(m, label)?;
     let (tile, addr, expected) = w.check;
-    let got = m.mem_word(tile, addr);
+    let got = snap.mems[tile.index()][addr as usize];
     if got != expected {
         return Err(format!(
             "{label}: tile {} mem[{addr}] = {got}, expected {expected}",
             tile.0
         ));
     }
-    let n = m.config().n_tiles();
-    Ok(RunSnapshot {
-        cycles: report.cycles,
-        stats: format!("{:?}", report.stats),
-        mems: (0..n).map(|t| m.memory(TileId(t)).to_vec()).collect(),
-    })
+    Ok(snap)
 }
 
 /// Everything the differential compares.
 struct RunSnapshot {
     cycles: u64,
-    stats: String,
+    stats: Stats,
     mems: Vec<Vec<u32>>,
 }
 
-/// Asserts all three steppers agree on one (workload, chaos) point.
-fn check_three_way(
+/// Checks that the production stepper's run equals the reference oracle's;
+/// returns the agreed cycle count.
+fn check_against_reference(
+    production: &RunSnapshot,
+    reference: &RunSnapshot,
+    label: &str,
+) -> Result<u64, String> {
+    if production.cycles != reference.cycles {
+        return Err(format!(
+            "{label}: steppers disagree on cycles ({} vs reference {})",
+            production.cycles, reference.cycles
+        ));
+    }
+    if production.stats != reference.stats {
+        return Err(format!("{label}: steppers disagree on statistics"));
+    }
+    if production.mems != reference.mems {
+        return Err(format!("{label}: steppers disagree on final memory"));
+    }
+    Ok(production.cycles)
+}
+
+/// Asserts both steppers agree on one (workload, chaos) point.
+fn check_two_way(
     config: &MachineConfig,
     w: &SparseWorkload,
     chaos: Option<ChaosConfig>,
     label: &str,
 ) -> Result<u64, String> {
-    let tracked = observe(machine(config, w, 0, chaos), w, label)?;
-    let reference = observe(machine(config, w, 1, chaos), w, label)?;
-    let event = observe(machine(config, w, 2, chaos), w, label)?;
-    for (name, other) in [("reference", &reference), ("event", &event)] {
-        if other.cycles != tracked.cycles {
-            return Err(format!(
-                "{label}: {name} stepper disagrees on cycles ({} vs {})",
-                other.cycles, tracked.cycles
-            ));
-        }
-        if other.stats != tracked.stats {
-            return Err(format!("{label}: {name} stepper disagrees on statistics"));
-        }
-        if other.mems != tracked.mems {
-            return Err(format!("{label}: {name} stepper disagrees on final memory"));
-        }
-    }
-    Ok(tracked.cycles)
+    let production = observe(machine(config, w, false, chaos), w, label)?;
+    let reference = observe(machine(config, w, true, chaos), w, label)?;
+    check_against_reference(&production, &reference, label)
 }
 
 /// The chaos sweep for the smoke: fixed testkit stream, so every run
@@ -330,23 +342,15 @@ fn check_compiled(config: &MachineConfig, quick: bool, out: &mut String) -> Resu
         .map_err(|e| format!("jacobi: source compile failed: {e}"))?;
     let compiled = compile(&program, config, &CompilerOptions::default())
         .map_err(|e| format!("jacobi: compile failed: {e}"))?;
-    let run = |stepper: u8, chaos: Option<ChaosConfig>| -> Result<RunSnapshot, String> {
+    let run = |reference: bool, chaos: Option<ChaosConfig>| -> Result<RunSnapshot, String> {
         let mut m = compiled.instantiate(&program);
-        m = match stepper {
-            0 => m,
-            1 => m.with_reference_stepper(),
-            _ => m.with_event_stepper(),
-        };
+        if reference {
+            m = m.with_reference_stepper();
+        }
         if let Some(c) = chaos {
             m = m.with_chaos(c);
         }
-        let report = m.run().map_err(|e| format!("jacobi: {e}"))?;
-        let n = m.config().n_tiles();
-        Ok(RunSnapshot {
-            cycles: report.cycles,
-            stats: format!("{:?}", report.stats),
-            mems: (0..n).map(|t| m.memory(TileId(t)).to_vec()).collect(),
-        })
+        snapshot(m, "jacobi")
     };
     let mut points: Vec<Option<ChaosConfig>> = vec![None];
     points.extend(chaos_points(quick).into_iter().map(Some));
@@ -355,21 +359,11 @@ fn check_compiled(config: &MachineConfig, quick: bool, out: &mut String) -> Resu
             None => "jacobi clean".to_string(),
             Some(c) => format!("jacobi chaos seed={:#x} stall={}%", c.seed, c.stall_percent),
         };
-        let tracked = run(0, chaos)?;
-        let reference = run(1, chaos)?;
-        let event = run(2, chaos)?;
-        for (name, other) in [("reference", &reference), ("event", &event)] {
-            if (other.cycles, &other.stats, &other.mems)
-                != (tracked.cycles, &tracked.stats, &tracked.mems)
-            {
-                return Err(format!("{label}: {name} stepper diverges"));
-            }
-        }
+        let cycles = check_against_reference(&run(false, chaos)?, &run(true, chaos)?, &label)?;
         let _ = writeln!(
             out,
-            "sim jacobi tiles={} cycles={} {label}: ok",
-            config.n_tiles(),
-            tracked.cycles
+            "sim jacobi tiles={} cycles={cycles} {label}: ok",
+            config.n_tiles()
         );
     }
     Ok(())
@@ -377,8 +371,8 @@ fn check_compiled(config: &MachineConfig, quick: bool, out: &mut String) -> Resu
 
 /// Times one full run (construction and memory inspection excluded) and
 /// returns (cycles, seconds).
-fn time_run(config: &MachineConfig, w: &SparseWorkload, stepper: u8) -> Result<(u64, f64), String> {
-    let mut m = machine(config, w, stepper, None);
+fn time_run(config: &MachineConfig, w: &SparseWorkload) -> Result<(u64, f64), String> {
+    let mut m = machine(config, w, false, None);
     let label = format!("{} timing", w.name);
     let start = Instant::now();
     let report = m.run().map_err(|e| format!("{label}: {e}"))?;
@@ -431,7 +425,7 @@ pub fn sim_command(args: &SimArgs) -> Result<String, String> {
     );
     for w in &selected {
         if args.selfcheck {
-            let cycles = check_three_way(&config, w, None, &format!("{} clean", w.name))?;
+            let cycles = check_two_way(&config, w, None, &format!("{} clean", w.name))?;
             let _ = writeln!(
                 out,
                 "sim {} tiles={} active={} cycles={cycles} clean: ok",
@@ -444,7 +438,7 @@ pub fn sim_command(args: &SimArgs) -> Result<String, String> {
                     "{} chaos seed={:#x} stall={}%",
                     w.name, chaos.seed, chaos.stall_percent
                 );
-                let cycles = check_three_way(&config, w, Some(chaos), &label)?;
+                let cycles = check_two_way(&config, w, Some(chaos), &label)?;
                 let _ = writeln!(
                     out,
                     "sim {} tiles={} cycles={cycles} {label}: ok",
@@ -453,24 +447,15 @@ pub fn sim_command(args: &SimArgs) -> Result<String, String> {
                 );
             }
         } else {
-            let (t_cycles, t_secs) = time_run(&config, w, 0)?;
-            let (e_cycles, e_secs) = time_run(&config, w, 2)?;
-            if e_cycles != t_cycles {
-                return Err(format!(
-                    "{}: event stepper disagrees on cycles ({e_cycles} vs {t_cycles})",
-                    w.name
-                ));
-            }
+            let (cycles, secs) = time_run(&config, w)?;
             let _ = writeln!(
                 out,
-                "sim {} tiles={} active={} cycles={} tracked_ms={:.2} event_ms={:.2} speedup={:.1}x",
+                "sim {} tiles={} active={} cycles={cycles} ms={:.2} ns_per_cycle={:.1}",
                 w.name,
                 config.n_tiles(),
                 w.active_tiles,
-                t_cycles,
-                t_secs * 1e3,
-                e_secs * 1e3,
-                t_secs / e_secs.max(1e-9)
+                secs * 1e3,
+                secs * 1e9 / cycles.max(1) as f64
             );
         }
     }
@@ -518,7 +503,7 @@ mod tests {
         let config = MachineConfig::square(16);
         for w in sparse_suite(&config, true) {
             let label = format!("{} smoke", w.name);
-            observe(machine(&config, &w, 0, None), &w, &label).unwrap();
+            observe(machine(&config, &w, false, None), &w, &label).unwrap();
         }
     }
 
@@ -532,9 +517,12 @@ mod tests {
     }
 
     #[test]
-    fn timing_mode_reports_speedup_lines() {
+    fn timing_mode_reports_one_line_per_workload() {
         let args = SimArgs::parse(&s(&["--tiles", "64", "--quick", "--bench", "spin"])).unwrap();
         let text = sim_command(&args).unwrap();
-        assert!(text.contains("speedup="), "{text}");
+        assert!(
+            text.contains(" ms=") && text.contains(" ns_per_cycle="),
+            "{text}"
+        );
     }
 }

@@ -191,7 +191,7 @@ for (t = 0; t < @ITERS@; t = t + 1) {
 /// Pointer chasing over a host-seeded permutation: `@STEPS@` hops of
 /// `cur = P[cur]`, accumulating the visited payloads. Every subscript is
 /// data-dependent, so each hop is a serial round trip on the dynamic
-/// network — the adversarial workload for wormhole routing and the tracked
+/// network — the adversarial workload for wormhole routing and the production
 /// stepper's sleep gating.
 pub const POINTER_CHASE: &str = "
 int i; int cur; int sum;

@@ -8,12 +8,12 @@
 //! published timing (one cycle per hop).
 //!
 //! Every channel is single-writer and stages at most one word per cycle, so
-//! the tracked and event steppers commit only a *dirty list* of channels that
+//! the production stepper commits only a *dirty list* of channels that
 //! staged this cycle instead of scanning all of them, and each commit is a
 //! wake event for the channel's reader (a word arrived) and writer (staging
-//! space freed). Code that stages a write outside the shared
-//! `run_proc`/`run_switch` paths must also push the channel onto the dirty
-//! list, or the word is silently never committed under those steppers.
+//! space freed). Code that stages a write outside the `run_proc`/`run_switch`
+//! paths must also push the channel onto the dirty list, or the word is
+//! silently never committed under that stepper.
 
 use crate::isa::Word;
 use std::collections::VecDeque;
@@ -87,7 +87,7 @@ impl Channel {
     }
 
     /// True if a write is staged for commit at the end of this cycle (used by
-    /// the activity-tracked stepper to build its dirty-channel list).
+    /// the production stepper to build its dirty-channel list).
     pub fn has_staged(&self) -> bool {
         self.staged.is_some()
     }

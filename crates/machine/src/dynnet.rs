@@ -75,7 +75,7 @@ impl DynMsg {
     ///
     /// Header layout (most- to least-significant): 2-bit kind, 11-bit source
     /// tile, 11-bit destination tile, 8-bit payload length — sized for the
-    /// event-driven core's large-mesh regime (up to 2048 tiles; the original
+    /// simulator's large-mesh regime (up to 2048 tiles; the original
     /// 8-bit tile fields silently truncated indices past a 16×16 mesh).
     pub fn to_flits(&self) -> Vec<Word> {
         debug_assert!(

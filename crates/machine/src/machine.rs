@@ -7,12 +7,14 @@
 //! is a fixpoint, hence a true deadlock — unless chaos stalls are enabled, in
 //! which case a long no-progress streak is required).
 //!
-//! # Activity tracking
+//! # The two steppers
 //!
-//! The default stepper is *activity tracked*: components that provably cannot
-//! act this cycle are skipped, and only channels that staged a write are
-//! committed. The legal sleep states and their wake conditions (see DESIGN.md
-//! for the full invariants):
+//! [`Machine::with_reference_stepper`] selects the deliberately naive oracle:
+//! every component steps every cycle, every channel commits. The default —
+//! the one production core — is *activity tracked*: components that provably
+//! cannot act this cycle are not visited at all, and only channels that staged
+//! a write are committed. The legal sleep states and their wake conditions
+//! (DESIGN.md §8 holds the full invariant list):
 //!
 //! * a **halted** processor (with drained port engine) or switch is dead and
 //!   never stepped again;
@@ -25,36 +27,27 @@
 //! * the dynamic network and the remote-memory handlers are skipped while no
 //!   flit, message, or in-flight request exists anywhere.
 //!
+//! Who steps is held in two *run sets* (`crates/machine/src/calendar.rs`), one
+//! bit per processor and per switch, set exactly while the component is
+//! `Active`. A cycle sweeps each set in ascending tile order against the live
+//! words, so a wake that sets a bit ahead of the sweep runs this cycle and
+//! one behind it runs next cycle — the order a `0..n` scan over the modes
+//! would give, without the scan. Sleeping on the scoreboard sets a timer on a
+//! calendar wheel; a matured timer sets the bit again, and a stale one (the
+//! processor was woken early) falls through the mode check. Per-cycle cost is
+//! due timers + active components + `tiles/64` word reads.
+//!
 //! Sleeping is *observationally identical* to stepping-and-stalling: per-cycle
-//! stall statistics for skipped cycles are back-filled on wake (minus cycles a
-//! chaos stall would have skipped in the reference), the chaos RNG stream is
-//! drawn in exactly the reference order, and the progress flag fed to the
-//! deadlock detector is reproduced cycle by cycle (a timed scoreboard sleep
-//! still counts as progress). [`Machine::with_reference_stepper`] selects the
-//! original step-everything path; the differential test suite asserts both
-//! produce bit-identical cycle counts, statistics, and memory.
-//!
-//! # Event-driven stepping
-//!
-//! The tracked stepper still *iterates* every component each cycle, if only to
-//! check its mode — O(tiles) per cycle even when one tile is awake. For large
-//! meshes [`Machine::with_event_stepper`] selects the event-driven core: a
-//! calendar queue (`crates/machine/src/calendar.rs`) holds one wake event per
-//! runnable component, and a cycle's work is popping exactly the components
-//! scheduled for it. Sleep transitions stop inserting next-cycle events
-//! (`SleepReg` inserts its timer at `wake_at` instead), and `wake()` becomes an
-//! event insertion. Per-component processing is the *same code* the tracked
-//! stepper runs (`run_proc`/`run_switch`), replayed in
-//! the same component order, so cycle counts, statistics, emitted trace
-//! events, and deadlock detection are bit-identical — see DESIGN.md §13 for
-//! the queue invariants and tests/differential_stepper.rs for the three-way
-//! oracle. Chaos stall injection draws one RNG value per component per cycle
-//! by contract (the stream is part of the observable behaviour), which
-//! lower-bounds any stepper at Ω(tiles·cycles); with chaos enabled the event
-//! stepper therefore delegates to the tracked scan, which preserves the stream
-//! exactly.
+//! stall statistics for skipped cycles are back-filled on wake (minus the
+//! cycles on which chaos stalled the component, counted then — chaos is a pure
+//! function of `(seed, component, cycle)`, see [`crate::chaos`]), and the
+//! progress flag fed to the deadlock detector is reproduced cycle by cycle (a
+//! timed scoreboard sleep still counts as progress). The differential suite
+//! (`tests/differential_stepper.rs`) asserts that both steppers produce
+//! bit-identical cycle counts, statistics, memory and deadlock reports, clean
+//! and under chaos.
 
-use crate::calendar::{pack, CalendarQueue, UNIT_PROC, UNIT_SWITCH};
+use crate::calendar::{CalendarQueue, RunSet};
 use crate::channel::Channel;
 use crate::chaos::{Chaos, ChaosConfig};
 use crate::config::MachineConfig;
@@ -64,8 +57,6 @@ use crate::processor::{ProcOutcome, Processor, StallCause};
 use crate::stats::Stats;
 use crate::switch::{Switch, SwitchOutcome};
 use crate::trace::{ChannelInfo, ChannelRole, EventSink, NullSink, StallReason, Unit};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
@@ -110,10 +101,10 @@ pub struct RunReport {
     pub stats: Stats,
 }
 
-/// Activity state of a processor under the tracked stepper.
+/// Activity state of a processor under the production stepper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ProcMode {
-    /// Stepped every cycle.
+    /// In the run set: stepped every cycle.
     Active,
     /// Timed scoreboard wait: cannot issue before `wake_at`.
     SleepReg {
@@ -126,7 +117,7 @@ enum ProcMode {
     Dead,
 }
 
-/// Activity state of a switch under the tracked stepper.
+/// Activity state of a switch under the production stepper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SwitchMode {
     Active,
@@ -139,20 +130,19 @@ enum SwitchMode {
 ///
 /// `since == u64::MAX` means no debt. Otherwise the component skipped every
 /// cycle in `since..now`; the reference stepper would have recorded one stall
-/// per skipped cycle *except* the `chaos_skips` cycles on which its chaos draw
-/// said "stall" (the reference records nothing on those). The debt is settled
-/// into [`Stats`] immediately before the component next steps, or at run end.
+/// per skipped cycle *except* those on which chaos stalled it (the reference
+/// records nothing on those), which are counted over the span at settlement.
+/// The debt is settled into [`Stats`] immediately before the component next
+/// steps, or at run end.
 #[derive(Clone, Copy, Debug)]
 struct SleepDebt {
     since: u64,
-    chaos_skips: u64,
     cause: StallCause,
 }
 
 impl SleepDebt {
     const NONE: SleepDebt = SleepDebt {
         since: u64::MAX,
-        chaos_skips: 0,
         cause: StallCause::RegNotReady,
     };
 
@@ -161,24 +151,32 @@ impl SleepDebt {
     }
 }
 
-/// One endpoint of a static-network channel (for wake routing).
+/// A processor or a switch: one endpoint of a static-network channel (wake
+/// routing) and one subject of chaos stalls.
 #[derive(Clone, Copy, Debug)]
 enum Comp {
     ProcAt(usize),
     SwitchAt(usize),
 }
 
+impl Comp {
+    /// The component number fed to [`Chaos::stall`].
+    fn chaos_id(self) -> u64 {
+        match self {
+            Comp::ProcAt(t) => 2 * t as u64,
+            Comp::SwitchAt(t) => 2 * t as u64 + 1,
+        }
+    }
+}
+
 /// Which stepping core [`Machine::step`] uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Stepper {
-    /// Original step-everything path (semantic reference).
+    /// Step-everything path (semantic reference).
     Reference,
-    /// Activity-tracked scan: sleeping components are skipped, but every
-    /// component's mode is still inspected each cycle.
-    Tracked,
-    /// Calendar-queue event core: per-cycle work is proportional to the
-    /// number of scheduled wake events, not the mesh size.
-    Event,
+    /// The production core: sweeps the run sets, so per-cycle work follows
+    /// the number of active components, not the mesh size.
+    RunSets,
 }
 
 /// A simulated Raw machine loaded with a program.
@@ -215,7 +213,7 @@ pub struct Machine<S: EventSink = NullSink> {
     chan_reader: Vec<Comp>,
     /// Writing endpoint of each channel.
     chan_writer: Vec<Comp>,
-    /// Channels that staged a write this cycle (tracked commit list).
+    /// Channels that staged a write this cycle (the commit list).
     dirty: Vec<usize>,
     /// Channels the last `step_switch` consumed a word from (wake scratch).
     consumed: Vec<usize>,
@@ -223,8 +221,8 @@ pub struct Machine<S: EventSink = NullSink> {
     route_vals: Vec<(SSrc, Word)>,
     /// True while any flit, dynamic message, or handler request may exist.
     dyn_active: bool,
-    /// Tiles whose handler or endpoint may be non-idle (tracked/event
-    /// steppers): the dynamic phase steps exactly these handlers instead of
+    /// Tiles whose handler or endpoint may be non-idle (production stepper):
+    /// the dynamic phase steps exactly these handlers instead of
     /// scanning all `n`. Invariant: every tile with a non-idle handler or
     /// endpoint is on this list (membership flags in `dyn_watched`).
     dyn_watch: Vec<usize>,
@@ -234,34 +232,15 @@ pub struct Machine<S: EventSink = NullSink> {
     dyn_scratch: Vec<usize>,
     /// Cause of the most recent switch stall (sleep-span attribution scratch).
     last_switch_stall: StallCause,
-    /// Calendar queue of wake events (event stepper only).
-    queue: CalendarQueue,
-    /// True once the event stepper seeded its initial events and owns wake
-    /// routing; `wake()` inserts events only while this is set.
-    queue_live: bool,
-    /// Earliest queued event per processor (`u64::MAX` = none): suppresses
-    /// duplicate insertions without requiring random-access deletion.
-    proc_next_ev: Vec<u64>,
-    /// Earliest queued event per switch (`u64::MAX` = none).
-    switch_next_ev: Vec<u64>,
-    /// Processors due this cycle (event stepper scratch; sorted before use).
-    proc_agenda: Vec<usize>,
-    /// Switches due this cycle, popped in ascending index order. A min-heap
-    /// because same-cycle wakes targeting a *higher-indexed* switch land here
-    /// mid-drain (matching the tracked scan, which reaches them later in its
-    /// loop).
-    switch_agenda: BinaryHeap<Reverse<usize>>,
-    /// Cycle stamp of each switch's last processed step (same-cycle dedup).
-    switch_seen: Vec<u64>,
-    /// Lowest switch index still pending in the current cycle's phase: a wake
-    /// for switch `t >= sw_floor` runs this cycle, lower indices (already
-    /// passed) next cycle. `0` during the processor phase, `t + 1` while
-    /// processing switch `t`, `usize::MAX` in the dyn/commit phases.
-    sw_floor: usize,
-    /// Processors currently in `SleepReg` (timed waits count as progress; the
-    /// event stepper checks the count instead of scanning modes).
-    sleep_reg_count: usize,
-    /// Processors not yet `Dead` (O(1) completion check for tracked/event).
+    /// Processors in mode `Active`, swept in ascending order each cycle.
+    proc_run: RunSet,
+    /// Switches in mode `Active`.
+    switch_run: RunSet,
+    /// Processors in mode `SleepReg`: a timed wait counts as progress.
+    sleep_reg: RunSet,
+    /// Scoreboard timers: one per `SleepReg` episode, at its `wake_at`.
+    timers: CalendarQueue,
+    /// Processors not yet `Dead` (O(1) completion check).
     live_procs: usize,
     /// Switches not yet `Dead`.
     live_switches: usize,
@@ -353,7 +332,7 @@ impl<S: EventSink> Machine<S> {
             handlers,
             cycle: 0,
             chaos: None,
-            stepper: Stepper::Tracked,
+            stepper: Stepper::RunSets,
             proc_mode: vec![ProcMode::Active; n],
             proc_debt: vec![SleepDebt::NONE; n],
             switch_mode: vec![SwitchMode::Active; n],
@@ -368,15 +347,10 @@ impl<S: EventSink> Machine<S> {
             dyn_watched: vec![false; n],
             dyn_scratch: Vec::new(),
             last_switch_stall: StallCause::PortInEmpty,
-            queue: CalendarQueue::new(128),
-            queue_live: false,
-            proc_next_ev: vec![u64::MAX; n],
-            switch_next_ev: vec![u64::MAX; n],
-            proc_agenda: Vec::new(),
-            switch_agenda: BinaryHeap::new(),
-            switch_seen: vec![u64::MAX; n],
-            sw_floor: usize::MAX,
-            sleep_reg_count: 0,
+            proc_run: RunSet::full(n),
+            switch_run: RunSet::full(n),
+            sleep_reg: RunSet::empty(n),
+            timers: CalendarQueue::new(128),
             live_procs: n,
             live_switches: n,
             sink,
@@ -429,7 +403,7 @@ impl<S: EventSink> Machine<S> {
         self
     }
 
-    /// Selects the original step-everything path instead of activity tracking.
+    /// Selects the step-everything path instead of the production core.
     ///
     /// Kept as the semantic reference: the differential test suite runs every
     /// workload through both steppers and asserts identical cycle counts,
@@ -439,18 +413,12 @@ impl<S: EventSink> Machine<S> {
         self
     }
 
-    /// Selects the calendar-queue event-driven stepper.
+    /// Identity: the event-driven core this used to select is the default
+    /// (and only production) stepper.
     ///
-    /// Per-cycle cost is proportional to the number of scheduled wake events
-    /// instead of the mesh size, which is the asymptotic win on large, sparse
-    /// meshes. Observable behaviour — cycle counts, statistics, final memory,
-    /// emitted trace events, deadlock detection — is bit-identical to the
-    /// tracked and reference steppers (enforced by the differential suite).
-    /// With [chaos](Self::with_chaos) enabled the chaos RNG stream (one draw
-    /// per component per cycle) forces Ω(tiles·cycles) work, so this mode
-    /// delegates to the tracked scan, trivially preserving the stream.
-    pub fn with_event_stepper(mut self) -> Self {
-        self.stepper = Stepper::Event;
+    /// Survives only because the frozen benchmark package `perf/` calls it;
+    /// nothing else in the tree does, and the next benchmark PR drops it.
+    pub fn with_event_stepper(self) -> Self {
         self
     }
 
@@ -466,7 +434,7 @@ impl<S: EventSink> Machine<S> {
 
     /// Execution statistics so far.
     ///
-    /// Under the tracked stepper, per-cycle *stall* counters of currently
+    /// Under the production stepper, per-cycle *stall* counters of currently
     /// sleeping components are settled when they wake and at [`run`](Self::run)
     /// exit; instruction, route, and word counters are always exact.
     pub fn stats(&self) -> &Stats {
@@ -517,8 +485,8 @@ impl<S: EventSink> Machine<S> {
             && self.handlers.iter().all(|h| h.is_idle())
     }
 
-    /// O(1) equivalent of [`finished`](Self::finished) for the mode-tracking
-    /// steppers: a component goes `Dead` exactly when it observes itself
+    /// O(1) equivalent of [`finished`](Self::finished) for the production
+    /// stepper: a component goes `Dead` exactly when it observes itself
     /// halted, and `dyn_active` is false exactly while all dynamic-network
     /// state is drained. The reference stepper maintains neither, so it keeps
     /// the full scan.
@@ -535,30 +503,31 @@ impl<S: EventSink> Machine<S> {
     pub fn step(&mut self) -> bool {
         match self.stepper {
             Stepper::Reference => self.step_reference(),
-            Stepper::Tracked => self.step_tracked(),
-            // The chaos stream contract (one draw per component per cycle)
-            // makes event-driven skipping impossible; fall back to the scan.
-            Stepper::Event if self.chaos.is_some() => self.step_tracked(),
-            Stepper::Event => self.step_event(),
+            Stepper::RunSets => self.step_run_sets(),
         }
     }
 
-    /// The original stepper: every component steps, every channel commits.
+    /// Whether chaos stalls component `c` on the current cycle.
+    fn chaos_stalls(&self, c: Comp) -> bool {
+        self.chaos
+            .as_ref()
+            .is_some_and(|chaos| chaos.stall(c.chaos_id(), self.cycle))
+    }
+
+    /// The reference stepper: every component steps, every channel commits.
     fn step_reference(&mut self) -> bool {
         let n = self.config.n_tiles() as usize;
         let mut progress = false;
 
         // Processors.
         for t in 0..n {
-            if let Some(chaos) = &mut self.chaos {
-                if chaos.stall() {
-                    if S::ENABLED {
-                        let pc = self.procs[t].pc();
-                        self.sink
-                            .stall(self.cycle, t as u32, Unit::Proc, StallReason::Chaos, pc);
-                    }
-                    continue;
+            if self.chaos_stalls(Comp::ProcAt(t)) {
+                if S::ENABLED {
+                    let pc = self.procs[t].pc();
+                    self.sink
+                        .stall(self.cycle, t as u32, Unit::Proc, StallReason::Chaos, pc);
                 }
+                continue;
             }
             let pc_before = if S::ENABLED { self.procs[t].pc() } else { 0 };
             let (pin_id, pout_id) = (self.sp[t], self.ps[t]);
@@ -611,15 +580,13 @@ impl<S: EventSink> Machine<S> {
 
         // Switches.
         for t in 0..n {
-            if let Some(chaos) = &mut self.chaos {
-                if chaos.stall() {
-                    if S::ENABLED {
-                        let pc = self.switches[t].pc();
-                        self.sink
-                            .stall(self.cycle, t as u32, Unit::Switch, StallReason::Chaos, pc);
-                    }
-                    continue;
+            if self.chaos_stalls(Comp::SwitchAt(t)) {
+                if S::ENABLED {
+                    let pc = self.switches[t].pc();
+                    self.sink
+                        .stall(self.cycle, t as u32, Unit::Switch, StallReason::Chaos, pc);
                 }
+                continue;
             }
             match self.step_switch(t) {
                 SwitchOutcome::Progress => progress = true,
@@ -671,101 +638,75 @@ impl<S: EventSink> Machine<S> {
         progress
     }
 
-    /// The activity-tracked stepper (see the module docs for the invariants).
-    fn step_tracked(&mut self) -> bool {
-        let n = self.config.n_tiles() as usize;
+    /// The production stepper (see the module docs for the invariants).
+    fn step_run_sets(&mut self) -> bool {
         let mut progress = false;
         let mut run_dyn = self.dyn_active;
 
-        // Processors. The chaos draw happens for every tile in reference order
-        // even when the tile is skipped, so the RNG stream is identical.
-        self.sw_floor = 0;
-        for t in 0..n {
-            let chaos_stall = match &mut self.chaos {
-                Some(c) => c.stall(),
-                None => false,
-            };
-            match self.proc_mode[t] {
-                ProcMode::Dead => continue,
-                ProcMode::SleepReg { wake_at } => {
-                    if chaos_stall {
-                        self.proc_debt[t].chaos_skips += 1;
-                        continue;
-                    }
-                    if self.cycle < wake_at {
-                        // The reference steps, records a RegNotReady stall
-                        // (settled from the debt on wake) and counts the timed
-                        // wait as progress.
-                        progress = true;
-                        continue;
-                    }
-                    // Timer matured: step this cycle.
-                    self.proc_mode[t] = ProcMode::Active;
-                    self.sleep_reg_count -= 1;
+        // Matured scoreboard timers rejoin the run set. A stale timer — the
+        // processor was woken early and is now active, dead, or waiting on
+        // something later — falls through the mode check.
+        let cycle = self.cycle;
+        let Machine {
+            timers,
+            proc_mode,
+            proc_run,
+            sleep_reg,
+            ..
+        } = self;
+        timers.take_due(cycle, |t| {
+            if matches!(proc_mode[t], ProcMode::SleepReg { wake_at } if wake_at <= cycle) {
+                proc_mode[t] = ProcMode::Active;
+                sleep_reg.remove(t);
+                proc_run.insert(t);
+            }
+        });
+
+        // Processors. Nothing wakes a processor during this phase (its wakes
+        // go to switches), so the sweep sees a fixed set.
+        let mut from = 0;
+        while let Some(t) = self.proc_run.next_from(from) {
+            from = t + 1;
+            if self.chaos_stalls(Comp::ProcAt(t)) {
+                // With a debt pending the cycle lies inside the span the debt
+                // will report; otherwise it is a stall event of its own.
+                if S::ENABLED && !self.proc_debt[t].is_pending() {
+                    let pc = self.procs[t].pc();
+                    self.sink
+                        .stall(self.cycle, t as u32, Unit::Proc, StallReason::Chaos, pc);
                 }
-                ProcMode::SleepPort => {
-                    if chaos_stall {
-                        self.proc_debt[t].chaos_skips += 1;
-                    }
-                    continue;
-                }
-                ProcMode::Active => {
-                    if chaos_stall {
-                        if self.proc_debt[t].is_pending() {
-                            self.proc_debt[t].chaos_skips += 1;
-                        } else if S::ENABLED {
-                            let pc = self.procs[t].pc();
-                            self.sink.stall(
-                                self.cycle,
-                                t as u32,
-                                Unit::Proc,
-                                StallReason::Chaos,
-                                pc,
-                            );
-                        }
-                        continue;
-                    }
-                }
+                continue;
             }
             progress |= self.run_proc(t, &mut run_dyn);
         }
+        // A scoreboard sleeper is in a timed wait that resolves by itself: the
+        // reference steps it, records the stall and counts progress — unless
+        // chaos stalls it this cycle. Sampled after matured timers left the
+        // set and before switch-phase wakes can shrink it.
+        progress |= match self.chaos {
+            None => !self.sleep_reg.is_empty(),
+            Some(_) => self
+                .sleep_reg
+                .iter()
+                .any(|t| !self.chaos_stalls(Comp::ProcAt(t))),
+        };
 
-        // Switches.
-        for t in 0..n {
-            let chaos_stall = match &mut self.chaos {
-                Some(c) => c.stall(),
-                None => false,
-            };
-            match self.switch_mode[t] {
-                SwitchMode::Dead => continue,
-                SwitchMode::Sleeping => {
-                    if chaos_stall {
-                        self.switch_debt[t].chaos_skips += 1;
-                    }
-                    continue;
+        // Switches. A route that consumes a word wakes its upstream writer:
+        // a higher-indexed switch joins this sweep, a lower-indexed one the
+        // next — when a `0..n` scan would reach them.
+        let mut from = 0;
+        while let Some(t) = self.switch_run.next_from(from) {
+            from = t + 1;
+            if self.chaos_stalls(Comp::SwitchAt(t)) {
+                if S::ENABLED && !self.switch_debt[t].is_pending() {
+                    let pc = self.switches[t].pc();
+                    self.sink
+                        .stall(self.cycle, t as u32, Unit::Switch, StallReason::Chaos, pc);
                 }
-                SwitchMode::Active => {
-                    if chaos_stall {
-                        if self.switch_debt[t].is_pending() {
-                            self.switch_debt[t].chaos_skips += 1;
-                        } else if S::ENABLED {
-                            let pc = self.switches[t].pc();
-                            self.sink.stall(
-                                self.cycle,
-                                t as u32,
-                                Unit::Switch,
-                                StallReason::Chaos,
-                                pc,
-                            );
-                        }
-                        continue;
-                    }
-                }
+                continue;
             }
-            self.sw_floor = t + 1;
             progress |= self.run_switch(t);
         }
-        self.sw_floor = usize::MAX;
 
         progress |= self.run_dyn_phase(run_dyn);
         progress |= self.commit_dirty();
@@ -774,10 +715,8 @@ impl<S: EventSink> Machine<S> {
         progress
     }
 
-    /// Steps one processor that the mode dispatch decided runs this cycle,
-    /// applying mode transitions, stall accounting, and wake routing. Shared
-    /// verbatim between the tracked and event steppers so their observable
-    /// behaviour cannot drift. Returns the component's progress contribution.
+    /// Steps one processor of the run set, applying mode transitions, stall
+    /// accounting, and wake routing. Returns its progress contribution.
     fn run_proc(&mut self, t: usize, run_dyn: &mut bool) -> bool {
         let mut progress = false;
         self.settle_proc_debt(t);
@@ -822,8 +761,7 @@ impl<S: EventSink> Machine<S> {
                     );
                 }
                 if self.procs[t].halted() {
-                    self.proc_mode[t] = ProcMode::Dead;
-                    self.live_procs -= 1;
+                    self.park_proc(t, ProcMode::Dead);
                     // The reference observes the halt one cycle later (the
                     // next step returns `Halted`); mirror that timing.
                     if S::ENABLED {
@@ -847,20 +785,19 @@ impl<S: EventSink> Machine<S> {
                     match cause {
                         StallCause::RegNotReady => {
                             if let Some(wake_at) = self.procs[t].wake_hint() {
-                                self.proc_mode[t] = ProcMode::SleepReg { wake_at };
-                                self.sleep_reg_count += 1;
+                                self.park_proc(t, ProcMode::SleepReg { wake_at });
+                                self.sleep_reg.insert(t);
+                                self.timers.push(wake_at, t);
                                 self.proc_debt[t] = SleepDebt {
                                     since: self.cycle + 1,
-                                    chaos_skips: 0,
                                     cause,
                                 };
                             }
                         }
                         StallCause::PortInEmpty => {
-                            self.proc_mode[t] = ProcMode::SleepPort;
+                            self.park_proc(t, ProcMode::SleepPort);
                             self.proc_debt[t] = SleepDebt {
                                 since: self.cycle + 1,
-                                chaos_skips: 0,
                                 cause,
                             };
                         }
@@ -872,8 +809,7 @@ impl<S: EventSink> Machine<S> {
                 }
             }
             ProcOutcome::Halted => {
-                self.proc_mode[t] = ProcMode::Dead;
-                self.live_procs -= 1;
+                self.park_proc(t, ProcMode::Dead);
                 if S::ENABLED {
                     self.sink.idle(self.cycle, t as u32, Unit::Proc);
                 }
@@ -882,8 +818,16 @@ impl<S: EventSink> Machine<S> {
         progress
     }
 
-    /// Steps one switch that the mode dispatch decided runs this cycle (shared
-    /// between the tracked and event steppers; see [`Self::run_proc`]).
+    /// Takes an active processor out of the run set into `mode`.
+    fn park_proc(&mut self, t: usize, mode: ProcMode) {
+        self.proc_mode[t] = mode;
+        self.proc_run.remove(t);
+        if mode == ProcMode::Dead {
+            self.live_procs -= 1;
+        }
+    }
+
+    /// Steps one switch of the run set (see [`Self::run_proc`]).
     fn run_switch(&mut self, t: usize) -> bool {
         let mut progress = false;
         self.settle_switch_debt(t);
@@ -898,14 +842,15 @@ impl<S: EventSink> Machine<S> {
             SwitchOutcome::Progress => progress = true,
             SwitchOutcome::Stalled => {
                 self.switch_mode[t] = SwitchMode::Sleeping;
+                self.switch_run.remove(t);
                 self.switch_debt[t] = SleepDebt {
                     since: self.cycle + 1,
-                    chaos_skips: 0,
                     cause: self.last_switch_stall,
                 };
             }
             SwitchOutcome::Halted => {
                 self.switch_mode[t] = SwitchMode::Dead;
+                self.switch_run.remove(t);
                 self.live_switches -= 1;
                 if S::ENABLED {
                     self.sink.idle(self.cycle, t as u32, Unit::Switch);
@@ -923,12 +868,11 @@ impl<S: EventSink> Machine<S> {
         }
     }
 
-    /// Dynamic network and handlers, skipped entirely while quiescent (shared
-    /// between the tracked and event steppers). Cost is proportional to live
-    /// dynamic traffic: the router step visits only its hot worklist, and the
-    /// handler loop steps only watched tiles. A handler whose tile is not
-    /// watched has an idle handler and an idle endpoint, for which
-    /// [`Handler::step`] is a no-op returning `false` — so the skip is
+    /// Dynamic network and handlers, skipped entirely while quiescent. Cost is
+    /// proportional to live dynamic traffic: the router step visits only its
+    /// hot worklist, and the handler loop steps only watched tiles. A handler
+    /// whose tile is not watched has an idle handler and an idle endpoint, for
+    /// which [`Handler::step`] is a no-op returning `false` — so the skip is
     /// observationally identical to the reference's full scan.
     fn run_dyn_phase(&mut self, run_dyn: bool) -> bool {
         if !run_dyn {
@@ -990,7 +934,7 @@ impl<S: EventSink> Machine<S> {
 
     /// Commits exactly the channels that staged a write this cycle; each
     /// commit wakes both endpoints (reader gains a word, writer regains
-    /// staging space). Shared between the tracked and event steppers.
+    /// staging space).
     fn commit_dirty(&mut self) -> bool {
         let mut progress = false;
         for i in 0..self.dirty.len() {
@@ -1010,172 +954,41 @@ impl<S: EventSink> Machine<S> {
         progress
     }
 
-    /// The calendar-queue event-driven stepper (chaos-free path; see the
-    /// module docs and DESIGN.md §13).
-    ///
-    /// Instead of scanning every component, the cycle's agenda is popped from
-    /// the queue: processors first (ascending tile index), then switches
-    /// (ascending index via a min-heap, because a switch consuming a word can
-    /// wake a higher-indexed switch into the *same* cycle — exactly the
-    /// components the tracked scan would still reach). Stale events are
-    /// filtered by re-checking the component's mode, so wakes never need to
-    /// delete queued timers.
-    fn step_event(&mut self) -> bool {
-        let n = self.config.n_tiles() as usize;
-        let mut progress = false;
-        let mut run_dyn = self.dyn_active;
-
-        if !self.queue_live {
-            // First event-driven cycle: every component starts Active.
-            self.queue_live = true;
-            self.proc_agenda.extend(0..n);
-            self.switch_agenda.extend((0..n).map(Reverse));
-        } else {
-            let cycle = self.cycle;
-            let Machine {
-                queue,
-                proc_agenda,
-                switch_agenda,
-                proc_next_ev,
-                switch_next_ev,
-                ..
-            } = self;
-            queue.take_due(cycle, |comp| {
-                let t = (comp >> 1) as usize;
-                if comp & 1 == UNIT_PROC {
-                    proc_next_ev[t] = u64::MAX;
-                    proc_agenda.push(t);
-                } else {
-                    switch_next_ev[t] = u64::MAX;
-                    switch_agenda.push(Reverse(t));
-                }
-            });
-        }
-
-        // Processors, in tile order. No wake targets a processor in the same
-        // cycle (processor-phase wakes go to switches), so a sorted drain is
-        // complete. Duplicate agenda entries are removed by the dedup; events
-        // for components that can't run (stale timers, sleeping modes) fall
-        // through the mode check.
-        self.sw_floor = 0;
-        self.proc_agenda.sort_unstable();
-        self.proc_agenda.dedup();
-        let mut i = 0;
-        while i < self.proc_agenda.len() {
-            let t = self.proc_agenda[i];
-            i += 1;
-            match self.proc_mode[t] {
-                ProcMode::Dead | ProcMode::SleepPort => continue,
-                ProcMode::SleepReg { wake_at } => {
-                    if self.cycle < wake_at {
-                        // Stale early event; the `wake_at` timer is queued.
-                        continue;
-                    }
-                    self.proc_mode[t] = ProcMode::Active;
-                    self.sleep_reg_count -= 1;
-                }
-                ProcMode::Active => {}
-            }
-            progress |= self.run_proc(t, &mut run_dyn);
-            match self.proc_mode[t] {
-                ProcMode::Active => self.schedule_proc(self.cycle + 1, t),
-                ProcMode::SleepReg { wake_at } => self.schedule_proc(wake_at, t),
-                ProcMode::SleepPort | ProcMode::Dead => {}
-            }
-        }
-        self.proc_agenda.clear();
-        // The tracked scan counts every still-sleeping scoreboard timer as
-        // progress (a timed wait resolves by itself); sampled here, after
-        // matured timers flipped Active and before switch-phase wakes can.
-        progress |= self.sleep_reg_count > 0;
-
-        // Switches, ascending index; same-cycle wakes insert into the heap.
-        while let Some(Reverse(t)) = self.switch_agenda.pop() {
-            if self.switch_seen[t] == self.cycle {
-                continue; // duplicate (e.g. timer plus same-cycle wake)
-            }
-            match self.switch_mode[t] {
-                // Don't stamp `switch_seen` on a stale skip: a later wake this
-                // same cycle must still be able to run the switch.
-                SwitchMode::Dead | SwitchMode::Sleeping => continue,
-                SwitchMode::Active => {}
-            }
-            self.switch_seen[t] = self.cycle;
-            self.sw_floor = t + 1;
-            progress |= self.run_switch(t);
-            if self.switch_mode[t] == SwitchMode::Active {
-                self.schedule_switch(self.cycle + 1, t);
-            }
-        }
-        self.sw_floor = usize::MAX;
-
-        progress |= self.run_dyn_phase(run_dyn);
-        progress |= self.commit_dirty();
-
-        self.cycle += 1;
-        progress
-    }
-
-    /// Queues a processor wake event. Insertions already covered by an
-    /// earlier-or-equal queued event are suppressed; conversely a pop resets
-    /// the guard, so a needed insertion is never lost (duplicates are cheap,
-    /// missing events are not).
-    fn schedule_proc(&mut self, at: u64, t: usize) {
-        debug_assert!(at > self.cycle || !self.queue_live);
-        if at < self.proc_next_ev[t] {
-            self.queue.push(at, pack(UNIT_PROC, t));
-            self.proc_next_ev[t] = at;
-        }
-    }
-
-    /// Queues a switch wake event; a same-cycle wake (switch not yet reached
-    /// by this cycle's drain) goes straight into the live agenda heap.
-    fn schedule_switch(&mut self, at: u64, t: usize) {
-        if at <= self.cycle {
-            debug_assert!(at == self.cycle);
-            self.switch_agenda.push(Reverse(t));
-        } else if at < self.switch_next_ev[t] {
-            self.queue.push(at, pack(UNIT_SWITCH, t));
-            self.switch_next_ev[t] = at;
-        }
-    }
-
-    /// Makes a sleeping component eligible to step again. Its stall debt stays
+    /// Puts a sleeping component back into its run set: flip the mode, set
+    /// the bit. Where the sweep stands decides when it steps — a processor next
+    /// cycle (processors run before the phases that wake them), a switch this
+    /// cycle iff the switch sweep has not passed it. Its stall debt stays
     /// pending and is settled right before the next actual step, so a spurious
     /// wake is harmless: the component re-stalls, re-records the same stall the
     /// reference would, and goes back to sleep.
-    ///
-    /// Under the event stepper (`queue_live`), a wake that flips a sleeping
-    /// component also inserts its wake event: a woken processor steps next
-    /// cycle (processors run before the phases that wake them), a woken switch
-    /// steps this cycle iff the switch phase hasn't passed it yet
-    /// (`t >= sw_floor`) — exactly when the tracked scan would reach it.
     fn wake(&mut self, c: Comp) {
         match c {
             Comp::ProcAt(t) => {
                 match self.proc_mode[t] {
-                    ProcMode::SleepReg { .. } => self.sleep_reg_count -= 1,
+                    ProcMode::SleepReg { .. } => self.sleep_reg.remove(t),
                     ProcMode::SleepPort => {}
                     ProcMode::Active | ProcMode::Dead => return,
                 }
                 self.proc_mode[t] = ProcMode::Active;
-                if self.queue_live {
-                    self.schedule_proc(self.cycle + 1, t);
-                }
+                self.proc_run.insert(t);
             }
             Comp::SwitchAt(t) => {
                 if self.switch_mode[t] == SwitchMode::Sleeping {
                     self.switch_mode[t] = SwitchMode::Active;
-                    if self.queue_live {
-                        let at = if t >= self.sw_floor {
-                            self.cycle
-                        } else {
-                            self.cycle + 1
-                        };
-                        self.schedule_switch(at, t);
-                    }
+                    self.switch_run.insert(t);
                 }
             }
+        }
+    }
+
+    /// How many cycles of `since..now` chaos stalled `c` on: the cycles of a
+    /// sleep span on which the reference records nothing.
+    fn chaos_skips(&self, c: Comp, since: u64) -> u64 {
+        match &self.chaos {
+            None => 0,
+            Some(chaos) => (since..self.cycle)
+                .filter(|&cycle| chaos.stall(c.chaos_id(), cycle))
+                .count() as u64,
         }
     }
 
@@ -1187,8 +1000,8 @@ impl<S: EventSink> Machine<S> {
             return;
         }
         let skipped = self.cycle - debt.since;
-        debug_assert!(debt.chaos_skips <= skipped);
-        let stalls = skipped - debt.chaos_skips;
+        let chaos_skips = self.chaos_skips(Comp::ProcAt(t), debt.since);
+        let stalls = skipped - chaos_skips;
         match debt.cause {
             StallCause::RegNotReady => self.stats.tiles[t].stall_reg += stalls,
             StallCause::PortInEmpty => self.stats.tiles[t].stall_port_in += stalls,
@@ -1204,7 +1017,7 @@ impl<S: EventSink> Machine<S> {
                 debt.cause.into(),
                 debt.since,
                 self.cycle,
-                debt.chaos_skips,
+                chaos_skips,
                 pc,
             );
         }
@@ -1219,8 +1032,8 @@ impl<S: EventSink> Machine<S> {
             return;
         }
         let skipped = self.cycle - debt.since;
-        debug_assert!(debt.chaos_skips <= skipped);
-        self.stats.tiles[t].switch_stalls += skipped - debt.chaos_skips;
+        let chaos_skips = self.chaos_skips(Comp::SwitchAt(t), debt.since);
+        self.stats.tiles[t].switch_stalls += skipped - chaos_skips;
         if S::ENABLED && skipped > 0 {
             let pc = self.switches[t].pc();
             self.sink.stall_span(
@@ -1229,7 +1042,7 @@ impl<S: EventSink> Machine<S> {
                 debt.cause.into(),
                 debt.since,
                 self.cycle,
-                debt.chaos_skips,
+                chaos_skips,
                 pc,
             );
         }
@@ -1738,95 +1551,140 @@ mod tests {
         assert_eq!(m.mem_word(TileId(0), 11), 2);
     }
 
-    #[test]
-    fn reference_stepper_matches_tracked() {
-        // The dedicated differential suite covers compiled workloads; this is
-        // the in-crate smoke check on a hand-written program.
-        let run = |stepper: u8| {
-            let mut m = Machine::new(MachineConfig::grid(1, 2), &neighbor_message_program());
-            m = match stepper {
-                0 => m,
-                1 => m.with_reference_stepper(),
-                _ => m.with_event_stepper(),
-            };
-            let report = m.run().expect("completes");
-            (report.cycles, report.stats, m.mem_word(TileId(1), 0))
-        };
-        assert_eq!(run(0), run(1));
-        assert_eq!(run(0), run(2));
-    }
-
-    #[test]
-    fn event_stepper_reproduces_timed_wait_accounting() {
-        // Mirror of `all_timed_waits_is_not_deadlock` under the event core:
-        // the SleepReg timer becomes a queued event, and the stall debt must
-        // settle to exactly the same statistics.
-        let mut a = ProcAsm::new();
-        a.bin(
-            BinOp::Mul,
-            Dst::Reg(1),
-            Src::Imm(Imm::I(6)),
-            Src::Imm(Imm::I(7)),
-        );
-        a.addi(Dst::Reg(2), Src::Reg(1), 0);
-        a.store_imm_addr(Src::Reg(2), 0);
-        a.halt();
-        let program = MachineProgram {
-            tiles: vec![TileCode {
-                proc: a.finish(),
-                switch: vec![SInst::Halt],
-            }],
-        };
-        let mut m = Machine::new(MachineConfig::grid(1, 1), &program).with_event_stepper();
-        let report = m.run().expect("timed waits must not be deadlock");
-        assert_eq!(m.mem_word(TileId(0), 0), 42);
-        assert_eq!(report.cycles, 15);
-        assert_eq!(report.stats.tiles[0].stall_reg, 11);
-    }
-
-    #[test]
-    fn event_stepper_detects_deadlock_at_same_cycle() {
+    /// A lone processor blocked on a receive nobody sends to.
+    fn orphan_receive_program() -> MachineProgram {
         let mut p0 = ProcAsm::new();
         p0.recv(Dst::Reg(1));
         p0.halt();
-        let program = MachineProgram {
+        MachineProgram {
             tiles: vec![TileCode {
                 proc: p0.finish(),
                 switch: vec![SInst::Halt],
             }],
-        };
-        let run = |event: bool| {
-            let mut m = Machine::new(MachineConfig::grid(1, 1), &program);
-            if event {
-                m = m.with_event_stepper();
+        }
+    }
+
+    /// Tile 1 blocks on its input port for the full latency of tile 0's
+    /// multiply (a port wait over a scoreboard wait), then multiplies the
+    /// received word itself and waits out its own scoreboard.
+    fn port_and_scoreboard_wait_program() -> MachineProgram {
+        let mut p0 = ProcAsm::new();
+        p0.bin(
+            BinOp::Mul,
+            Dst::PortOut,
+            Src::Imm(Imm::I(6)),
+            Src::Imm(Imm::I(7)),
+        );
+        p0.halt();
+        let mut s0 = SwitchAsm::new();
+        s0.route(&[(SSrc::Proc, SDst::Dir(Dir::East))]);
+        s0.halt();
+        let mut s1 = SwitchAsm::new();
+        s1.route(&[(SSrc::Dir(Dir::West), SDst::Proc)]);
+        s1.halt();
+        let mut p1 = ProcAsm::new();
+        p1.recv(Dst::Reg(1));
+        p1.bin(BinOp::Mul, Dst::Reg(2), Src::Reg(1), Src::Imm(Imm::I(2)));
+        p1.store_imm_addr(Src::Reg(2), 0);
+        p1.halt();
+        MachineProgram {
+            tiles: vec![
+                TileCode {
+                    proc: p0.finish(),
+                    switch: s0.finish(),
+                },
+                TileCode {
+                    proc: p1.finish(),
+                    switch: s1.finish(),
+                },
+            ],
+        }
+    }
+
+    /// Runs `program` on both steppers and returns each one's full outcome.
+    fn run_both(
+        config: &MachineConfig,
+        program: &MachineProgram,
+        chaos: Option<ChaosConfig>,
+    ) -> [(Result<u64, SimError>, Stats, Vec<Word>); 2] {
+        [false, true].map(|reference| {
+            let mut m = Machine::new(config.clone(), program);
+            if reference {
+                m = m.with_reference_stepper();
             }
-            match m.run() {
-                Err(SimError::Deadlock { cycle, detail }) => (cycle, detail),
-                other => panic!("expected deadlock, got {other:?}"),
+            if let Some(c) = chaos {
+                m = m.with_chaos(c);
             }
-        };
-        assert_eq!(run(false), run(true));
+            let outcome = m.run().map(|r| r.cycles);
+            let mems = (0..config.n_tiles())
+                .flat_map(|t| m.memory(TileId(t)).to_vec())
+                .collect();
+            (outcome, m.stats().clone(), mems)
+        })
     }
 
     #[test]
-    fn event_stepper_with_chaos_matches_tracked() {
-        // With chaos the event core must preserve the RNG stream (it takes
-        // the tracked path); results and statistics stay bit-identical.
-        for seed in [3u64, 11, 19] {
-            let chaos = ChaosConfig {
-                seed,
-                stall_percent: 40,
-            };
-            let run = |event: bool| {
-                let mut m = Machine::new(MachineConfig::grid(1, 2), &neighbor_message_program())
-                    .with_chaos(chaos);
-                if event {
-                    m = m.with_event_stepper();
-                }
-                let report = m.run().expect("completes");
-                (report.cycles, report.stats, m.mem_word(TileId(1), 0))
-            };
-            assert_eq!(run(false), run(true), "seed {seed}");
+    fn production_stepper_matches_reference() {
+        // The dedicated differential suite covers compiled workloads; this is
+        // the in-crate smoke check on hand-written programs, clean and under
+        // chaos.
+        let config = MachineConfig::grid(1, 2);
+        for program in [
+            neighbor_message_program(),
+            port_and_scoreboard_wait_program(),
+        ] {
+            let [production, reference] = run_both(&config, &program, None);
+            assert!(production.0.is_ok());
+            assert_eq!(production, reference);
+            for seed in [3u64, 11, 19] {
+                let chaos = ChaosConfig {
+                    seed,
+                    stall_percent: 40,
+                };
+                let [production, reference] = run_both(&config, &program, Some(chaos));
+                assert!(production.0.is_ok());
+                assert_eq!(production, reference, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn deadlock_is_detected_at_the_reference_cycle() {
+        let [production, reference] =
+            run_both(&MachineConfig::grid(1, 1), &orphan_receive_program(), None);
+        assert!(matches!(production.0, Err(SimError::Deadlock { .. })));
+        assert_eq!(production, reference);
+    }
+
+    #[test]
+    fn step_flag_matches_reference_every_cycle() {
+        // `step()`'s return value feeds the deadlock detector, and it is the
+        // one place where a sleeper's progress under chaos is observable: a
+        // scoreboard sleeper counts iff chaos does not stall it that cycle.
+        let config = MachineConfig::grid(1, 2);
+        let program = port_and_scoreboard_wait_program();
+        let mut cases = vec![None];
+        for seed in 0..40u64 {
+            for stall_percent in [30u32, 60, 90] {
+                cases.push(Some(ChaosConfig {
+                    seed,
+                    stall_percent,
+                }));
+            }
+        }
+        for chaos in cases {
+            let mut a = Machine::new(config.clone(), &program);
+            let mut b = Machine::new(config.clone(), &program).with_reference_stepper();
+            if let Some(c) = chaos {
+                a = a.with_chaos(c);
+                b = b.with_chaos(c);
+            }
+            while !b.finished() {
+                assert!(b.cycle() < 10_000, "{chaos:?}: runaway");
+                assert_eq!(a.step(), b.step(), "{chaos:?}: cycle {}", b.cycle() - 1);
+            }
+            assert!(a.finished(), "{chaos:?}");
+            assert_eq!(a.mem_word(TileId(1), 0), 84, "{chaos:?}");
         }
     }
 
@@ -1866,68 +1724,37 @@ mod tests {
         // multiply — a near-deadlock (long stretch with only timed waits) —
         // while chaos stalls perturb every component. The run must complete
         // with the correct result, not be misreported as deadlock.
-        let mut p0 = ProcAsm::new();
-        p0.bin(
-            BinOp::Mul,
-            Dst::PortOut,
-            Src::Imm(Imm::I(6)),
-            Src::Imm(Imm::I(7)),
-        );
-        p0.halt();
-        let mut s0 = SwitchAsm::new();
-        s0.route(&[(SSrc::Proc, SDst::Dir(Dir::East))]);
-        s0.halt();
-        let mut s1 = SwitchAsm::new();
-        s1.route(&[(SSrc::Dir(Dir::West), SDst::Proc)]);
-        s1.halt();
-        let mut p1 = ProcAsm::new();
-        p1.recv(Dst::Reg(1));
-        p1.store_imm_addr(Src::Reg(1), 0);
-        p1.halt();
-        let program = MachineProgram {
-            tiles: vec![
-                TileCode {
-                    proc: p0.finish(),
-                    switch: s0.finish(),
-                },
-                TileCode {
-                    proc: p1.finish(),
-                    switch: s1.finish(),
-                },
-            ],
-        };
+        let program = port_and_scoreboard_wait_program();
         for seed in [3u64, 11, 19, 27] {
             let mut m = Machine::new(MachineConfig::grid(1, 2), &program).with_chaos(ChaosConfig {
                 seed,
                 stall_percent: 50,
             });
             m.run().expect("near-deadlock with chaos completes");
-            assert_eq!(m.mem_word(TileId(1), 0), 42, "seed {seed}");
+            assert_eq!(m.mem_word(TileId(1), 0), 84, "seed {seed}");
         }
     }
 
     #[test]
     fn genuine_deadlock_still_detected_with_chaos() {
         // A true deadlock (receive with no sender) must still be reported when
-        // chaos stalls are enabled and most components are asleep.
-        let mut p0 = ProcAsm::new();
-        p0.recv(Dst::Reg(1));
-        p0.halt();
-        let program = MachineProgram {
-            tiles: vec![TileCode {
-                proc: p0.finish(),
-                switch: vec![SInst::Halt],
-            }],
-        };
-        let mut m = Machine::new(MachineConfig::grid(1, 1), &program).with_chaos(ChaosConfig {
+        // chaos stalls are enabled and most components are asleep — at the
+        // reference's cycle, with its detail and its statistics.
+        let chaos = ChaosConfig {
             seed: 5,
             stall_percent: 30,
-        });
-        match m.run() {
+        };
+        let [production, reference] = run_both(
+            &MachineConfig::grid(1, 1),
+            &orphan_receive_program(),
+            Some(chaos),
+        );
+        match &production.0 {
             Err(SimError::Deadlock { detail, .. }) => {
                 assert!(detail.contains("tile0.proc"), "{detail}");
             }
             other => panic!("expected deadlock, got {other:?}"),
         }
+        assert_eq!(production, reference);
     }
 }

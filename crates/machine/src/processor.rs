@@ -142,9 +142,8 @@ impl Processor {
 
     /// If the last step stalled at issue on a not-yet-ready register, the cycle
     /// at which that register becomes ready — i.e. the earliest cycle the
-    /// processor can possibly issue. Used by the activity-tracked stepper to
-    /// put the processor into a timed sleep, and by the event stepper as the
-    /// calendar timer for the sleeping tile. Contract: the hint must never be
+    /// processor can possibly issue. Used by the production stepper as the
+    /// calendar timer of the processor's timed sleep. Contract: the hint must never be
     /// *later* than the actual ready cycle (a late timer would change the
     /// issue cycle and break stepper bit-identity); an early hint is harmless
     /// — the woken processor re-stalls, re-hints, and sleeps again.

@@ -1,12 +1,12 @@
 //! Execution statistics gathered by the simulator.
 //!
 //! Every counter here is part of the differential-oracle surface: the test
-//! suites compare the full `Debug` rendering of [`Stats`] across the
-//! reference, tracked, and event steppers (and across traced/untraced runs),
-//! so all three must book identical values. New counters must therefore be
-//! updated either in code shared by all steppers (`run_proc`, `run_switch`,
-//! `run_dyn_phase`, `commit_dirty`) or with explicit settle logic for skipped
-//! cycles, like the sleep-debt stall back-fill.
+//! suites compare [`Stats`] in full between the production and reference
+//! steppers (and across traced/untraced runs), so both must book identical
+//! values. A new counter must therefore be updated in both steppers' paths
+//! (`step_reference`, and `run_proc` / `run_switch` / `run_dyn_phase` /
+//! `commit_dirty`), with explicit settle logic for cycles the production
+//! stepper skips, like the sleep-debt stall back-fill.
 
 use crate::processor::StallCause;
 

@@ -11,7 +11,7 @@
 //! architectural state and control flow.
 //!
 //! Because a stalled `ROUTE` mutates nothing, a stalled switch is safe to
-//! skip: the tracked and event steppers put it to sleep and wake it when an
+//! skip: the production stepper puts it to sleep and wakes it when an
 //! adjacent channel commits a word (a source may now be ready) *or* has a
 //! word consumed (a destination may now have space). Both events are visible
 //! to the machine at the channel layer, so the switch itself carries no wake

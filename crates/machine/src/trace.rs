@@ -20,13 +20,12 @@
 //! and any consumer. See `DESIGN.md` ("Event-sink invariants") for the exact
 //! per-cycle firing and ordering guarantees.
 //!
-//! The firing contract is stepper-independent: the reference, tracked, and
-//! event stepping cores emit the *same events in the same order* (sleep-span
-//! events are settled retroactively on wake, which is why consumers clip at
-//! their window boundaries), so a sink can never tell which core produced its
-//! stream. Emission sites therefore live only in code shared between the
-//! tracked and event paths, or in the reference scan with explicitly matched
-//! timing.
+//! The firing contract is stepper-independent: the production stepper and
+//! the reference scan attribute every cycle identically (the production
+//! stepper settles a sleeper's skipped cycles retroactively as one span on
+//! wake, which is why consumers clip at their window boundaries), so reports
+//! built from a stream cannot tell which core produced it. Emission sites in
+//! the reference scan carry explicitly matched timing.
 
 use crate::isa::{Dir, SDst, SSrc};
 use crate::processor::StallCause;
@@ -158,7 +157,7 @@ pub struct ChannelInfo {
 ///
 /// Per-cycle ordering: within one cycle, events arrive as processors (by tile
 /// id), then switches (by tile id), then dynamic-network activity, then
-/// channel commits. Span events are retroactive: the activity-tracked stepper
+/// channel commits. Span events are retroactive: the production stepper
 /// coalesces a sleeping component's skipped cycles into one
 /// [`stall_span`](Self::stall_span) emitted at wake (or at run end), covering
 /// cycles strictly before the emission cycle.

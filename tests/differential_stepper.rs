@@ -1,12 +1,11 @@
-//! Differential validation of the activity-tracked and event-driven steppers.
+//! Differential validation of the production stepper.
 //!
-//! The tracked stepper skips sleeping components and commits only dirty
-//! channels; the event-driven stepper goes further and visits only components
-//! with a scheduled wake event (calendar queue, DESIGN.md §13). Both claim to
-//! be *observationally identical* to the original step-everything path (kept
-//! as `Machine::with_reference_stepper`). This suite runs every
+//! The production stepper visits only the components in its run sets and
+//! commits only dirty channels (DESIGN.md §8). It claims to be
+//! *observationally identical* to the step-everything path (kept as
+//! `Machine::with_reference_stepper`). This suite runs every
 //! `raw-benchmarks` workload — and a chaos sweep over stall rates, seeds, and
-//! mesh shapes — through all three steppers and asserts bit-identical cycle
+//! mesh shapes — through both steppers and asserts bit-identical cycle
 //! counts, statistics, and final memory, plus a truncation property: when
 //! `run()` ends early (step limit) while components are still asleep, the
 //! lazily-deferred stall debt must settle to exactly the reference statistics.
@@ -26,7 +25,7 @@ fn observe(mut machine: Machine, label: &str) -> (RunReport, Vec<Vec<u32>>) {
     (report, mems)
 }
 
-/// Asserts all three steppers agree on cycles, stats, and memory.
+/// Asserts both steppers agree on cycles, stats, and memory.
 fn assert_equivalent(
     compiled: &CompiledProgram,
     program: &Program,
@@ -39,21 +38,13 @@ fn assert_equivalent(
         }
         m
     };
-    let tracked = with_chaos(compiled.instantiate(program));
+    let production = with_chaos(compiled.instantiate(program));
     let reference = with_chaos(compiled.instantiate(program).with_reference_stepper());
-    let event = with_chaos(compiled.instantiate(program).with_event_stepper());
-    let (t_report, t_mems) = observe(tracked, label);
+    let (p_report, p_mems) = observe(production, label);
     let (r_report, r_mems) = observe(reference, label);
-    let (e_report, e_mems) = observe(event, label);
-    assert_eq!(t_report.cycles, r_report.cycles, "{label}: cycle count");
-    assert_eq!(t_report.stats, r_report.stats, "{label}: stats");
-    assert_eq!(t_mems, r_mems, "{label}: final memory");
-    assert_eq!(
-        e_report.cycles, t_report.cycles,
-        "{label}: event cycle count"
-    );
-    assert_eq!(e_report.stats, t_report.stats, "{label}: event stats");
-    assert_eq!(e_mems, t_mems, "{label}: event final memory");
+    assert_eq!(p_report.cycles, r_report.cycles, "{label}: cycle count");
+    assert_eq!(p_report.stats, r_report.stats, "{label}: stats");
+    assert_eq!(p_mems, r_mems, "{label}: final memory");
 }
 
 #[test]
@@ -70,10 +61,10 @@ fn every_workload_matches_reference() {
 #[test]
 fn chaos_sweep_matches_reference() {
     // Same sweep shape as the Appendix-A static-ordering test: stall rates
-    // {1, 5, 20, 50}% × seeds × two mesh shapes. Chaos draws one RNG value per
-    // component per cycle in the reference; the tracked stepper must consume
-    // the stream in exactly the same order even while components sleep (and
-    // the event stepper must preserve it through its tracked fallback).
+    // {1, 5, 20, 50}% × seeds × two mesh shapes. The reference asks chaos about
+    // every component every cycle; the production stepper asks only when a
+    // component is about to step and counts a sleeper's stalled cycles when
+    // its debt settles — the statistics must come out the same.
     let bench = raw_repro::benchmarks::jacobi(8, 1);
     let program = bench.program(4).unwrap();
     let mut seed_rng = raw_testkit::Rng::new(0x000A_110C_8A05);
@@ -141,7 +132,7 @@ fn near_deadlock_workload_survives_faulty_mask_and_chaos() {
 #[test]
 fn dynamic_network_workload_matches_reference() {
     // Data-dependent addressing exercises the dynamic network and the remote
-    // memory handlers — the components the tracked stepper gates hardest.
+    // memory handlers — the components the production stepper gates hardest.
     let src = "
         int i; int k;
         int D[16];
@@ -199,17 +190,15 @@ fn observe_truncated(
     fixture: &(String, CompiledProgram, Program, u64),
     limit: u64,
     chaos: Option<ChaosConfig>,
-    stepper: u8,
+    reference: bool,
 ) -> (String, raw_repro::machine::stats::Stats, Vec<Vec<u32>>) {
     let (_, compiled, program, _) = fixture;
     let mut capped = compiled.clone();
     capped.config.step_limit = limit;
     let mut m = capped.instantiate(program);
-    m = match stepper {
-        0 => m,
-        1 => m.with_reference_stepper(),
-        _ => m.with_event_stepper(),
-    };
+    if reference {
+        m = m.with_reference_stepper();
+    }
     if let Some(c) = chaos {
         m = m.with_chaos(c);
     }
@@ -234,9 +223,10 @@ raw_testkit::proptest! {
         // Truncating run() at an arbitrary cycle frequently lands while
         // processors sit in SleepReg/SleepPort and switches sleep with
         // unsettled stall debt. The flush on the error path must settle that
-        // debt *exactly*: all three steppers — which sleep through entirely
-        // different cycle subsets — must report identical statistics, and the
-        // per-tile counters must conserve (no stall cycle lost or invented).
+        // debt *exactly*: the production stepper — which sleeps through cycles
+        // the reference steps one by one — must report identical statistics,
+        // and the per-tile counters must conserve (no stall cycle lost or
+        // invented).
         let fixtures = truncation_fixtures();
         let fixture = &fixtures[bench_idx % fixtures.len()];
         let (name, _, _, full_cycles) = fixture;
@@ -248,15 +238,13 @@ raw_testkit::proptest! {
             _ => Some(ChaosConfig { seed: chaos_seed, stall_percent: 50 }),
         };
         let label = format!("{name} limit={limit} chaos={chaos:?}");
-        let tracked = observe_truncated(fixture, limit, chaos, 0);
-        let reference = observe_truncated(fixture, limit, chaos, 1);
-        let event = observe_truncated(fixture, limit, chaos, 2);
-        raw_testkit::prop_assert_eq!(&tracked, &reference, "{label}: tracked vs reference");
-        raw_testkit::prop_assert_eq!(&event, &tracked, "{label}: event vs tracked");
+        let production = observe_truncated(fixture, limit, chaos, false);
+        let reference = observe_truncated(fixture, limit, chaos, true);
+        raw_testkit::prop_assert_eq!(&production, &reference, "{label}");
         // Conservation: a tile's processor does exactly one thing per cycle —
         // issue, stall, or sit halted/chaos-stalled — so issues + recorded
         // stalls can never exceed the cycles that elapsed.
-        let (_, stats, _) = &tracked;
+        let (_, stats, _) = &production;
         for (t, tile) in stats.tiles.iter().enumerate() {
             let busy = tile.proc_insts
                 + tile.stall_reg

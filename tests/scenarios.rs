@@ -7,7 +7,7 @@
 //!   or switch — on every masked tile;
 //! * the generated code is byte-identical across worker-thread counts and
 //!   block-cache temperatures;
-//! * every scenario kernel is bit-identical between the tracked stepper and
+//! * every scenario kernel is bit-identical between the production stepper and
 //!   `with_reference_stepper`, with tracing on and off;
 //! * two programs linked co-resident produce exactly their solo results.
 
@@ -62,9 +62,9 @@ fn assert_steppers_agree(
         }
         m
     };
-    let tracked = with_chaos(compiled.instantiate(program));
+    let production = with_chaos(compiled.instantiate(program));
     let reference = with_chaos(compiled.instantiate(program).with_reference_stepper());
-    let (t_report, t_mems) = observe(tracked, label);
+    let (t_report, t_mems) = observe(production, label);
     let (r_report, r_mems) = observe(reference, label);
     assert_eq!(t_report.cycles, r_report.cycles, "{label}: cycle count");
     assert_eq!(t_report.stats, r_report.stats, "{label}: stats");
@@ -145,7 +145,7 @@ fn scenario_suite_matches_reference_stepper_traced_and_untraced() {
         let program = bench.program(config.n_live()).unwrap();
         let compiled = compile(&program, &config, &CompilerOptions::default())
             .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-        // Untraced: tracked vs reference, clean and under chaos.
+        // Untraced: production vs reference, clean and under chaos.
         assert_steppers_agree(&compiled, &program, None, bench.name);
         let mut seed_rng = raw_testkit::Rng::new(0x000A_110C_8A05);
         for _ in 0..2 {

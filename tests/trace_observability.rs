@@ -23,27 +23,17 @@ fn check_golden(name: &str, actual: &str) {
     raw_testkit::check_golden(&path, actual);
 }
 
-/// Stepper selector: 0 = tracked (default), 1 = reference, 2 = event-driven.
-fn with_stepper(
-    compiled: &CompiledProgram,
-    program: &Program,
-    stepper: u8,
-) -> raw_repro::machine::Machine<RecordingSink> {
-    let machine = compiled.instantiate_with_sink(program, RecordingSink::new());
-    match stepper {
-        0 => machine,
-        1 => machine.with_reference_stepper(),
-        _ => machine.with_event_stepper(),
-    }
-}
-
+/// Captures a trace under the production stepper, or the reference oracle.
 fn capture(
     compiled: &CompiledProgram,
     program: &Program,
     chaos: Option<ChaosConfig>,
-    stepper: u8,
+    reference: bool,
 ) -> Trace {
-    let mut machine = with_stepper(compiled, program, stepper);
+    let mut machine = compiled.instantiate_with_sink(program, RecordingSink::new());
+    if reference {
+        machine = machine.with_reference_stepper();
+    }
     if let Some(c) = chaos {
         machine = machine.with_chaos(c);
     }
@@ -59,7 +49,7 @@ fn occupancy_table_snapshot_mxm_2x2() {
     let program = bench.program(4).unwrap();
     let config = MachineConfig::square(4);
     let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
-    let trace = capture(&compiled, &program, None, 0);
+    let trace = capture(&compiled, &program, None, false);
     let text = format!(
         "{}\n{}",
         report::occupancy_table(&trace),
@@ -77,7 +67,7 @@ fn annotated_source_snapshot_mxm_2x2() {
     let program = bench.program(4).unwrap();
     let config = MachineConfig::square(4);
     let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
-    let trace = capture(&compiled, &program, None, 0);
+    let trace = capture(&compiled, &program, None, false);
     let ann = SourceAnnotation::build(&trace, &compiled.provenance);
     ann.selfcheck()
         .expect("attribution conserves window accounting");
@@ -95,7 +85,7 @@ fn critical_path_snapshot_mxm_2x2() {
     let program = bench.program(4).unwrap();
     let config = MachineConfig::square(4);
     let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
-    let trace = capture(&compiled, &program, None, 0);
+    let trace = capture(&compiled, &program, None, false);
     check_golden("critical_path_mxm_2x2.txt", &report::critical_path(&trace));
 }
 
@@ -107,38 +97,16 @@ fn occupancy_table_identical_across_steppers() {
     let program = bench.program(4).unwrap();
     let config = MachineConfig::square(4);
     let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
-    let tracked = capture(&compiled, &program, None, 0);
-    let reference = capture(&compiled, &program, None, 1);
+    let production = capture(&compiled, &program, None, false);
+    let reference = capture(&compiled, &program, None, true);
     assert_eq!(
-        report::occupancy_table(&tracked),
+        report::occupancy_table(&production),
         report::occupancy_table(&reference)
     );
     assert_eq!(
-        report::link_heatmap(&tracked),
+        report::link_heatmap(&production),
         report::link_heatmap(&reference)
     );
-}
-
-#[test]
-fn event_stepper_emits_identical_event_stream() {
-    // Stronger than report equality: the event-driven stepper must emit the
-    // *same events in the same order* as the tracked stepper — issue, stall,
-    // retroactive stall spans, routes, commits, idles — on every workload.
-    // (The reference stepper legitimately differs in idle timing, so this
-    // byte-level check is tracked-vs-event only.)
-    for (program, compiled) in compiled_suite() {
-        let mut tracked = with_stepper(compiled, program, 0);
-        let mut event = with_stepper(compiled, program, 2);
-        let t_report = tracked.run().expect("tracked completes");
-        let e_report = event.run().expect("event completes");
-        assert_eq!(t_report.cycles, e_report.cycles);
-        let t_events = tracked.into_sink().events;
-        let e_events = event.into_sink().events;
-        assert_eq!(t_events.len(), e_events.len(), "event stream length");
-        for (i, (te, ee)) in t_events.iter().zip(e_events.iter()).enumerate() {
-            assert_eq!(te, ee, "event {i} of {}", t_events.len());
-        }
-    }
 }
 
 /// The tiny suite, compiled once for the property test.
@@ -167,7 +135,7 @@ proptest! {
     #[test]
     fn stall_reasons_sum_to_window_remainder(
         bench_idx in 0usize..7,
-        stepper in 0u32..3,
+        reference in any::<bool>(),
         stall_level in 0u32..3,
         seed in 0u64..1_000_000,
     ) {
@@ -178,7 +146,7 @@ proptest! {
             1 => Some(ChaosConfig { seed, stall_percent: 5 }),
             _ => Some(ChaosConfig { seed, stall_percent: 30 }),
         };
-        let trace = capture(compiled, program, chaos, stepper as u8);
+        let trace = capture(compiled, program, chaos, reference);
         for (t, a) in trace.accounts().iter().enumerate() {
             prop_assert_eq!(
                 a.issues + a.proc_stall_total(),
