@@ -8,17 +8,16 @@
 #   ci.sh                 default gate (all stages below, in order)
 #   ci.sh --list          print the stage names and exit
 #   ci.sh --only STAGE    run a single stage (repeatable: --only a --only b)
-#   ci.sh bench           full benchmark run: all suites at full sample
-#                         counts plus the compile-service replay, writing
-#                         BENCH_*.json to the repo root ($BENCH_DIR
-#                         overrides).
+#
+# Host time is measured by perf/ (raw-perf run|trace|diff|check, see
+# perf/README.md), not here; perf_smoke only keeps that ledger honest.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 # ---------------------------------------------------------------- stages ----
 
 STAGES=(fmt clippy doc build test_serial test_parallel cache_smoke
-  exact_smoke service_smoke replay_smoke metrics_smoke bench_smoke trace_smoke
+  exact_smoke service_smoke replay_smoke metrics_smoke trace_smoke
   annotate_smoke scenario_smoke sim_smoke trace_diff perf_smoke)
 
 stage_fmt() {
@@ -195,19 +194,15 @@ stage_service_smoke() {
 stage_replay_smoke() {
   # Deterministic traffic replay against an in-process daemon: every
   # response byte-identical, warm phase 100% hits and >= 5x cold
-  # throughput; then the bench_diff self-comparison guards the snapshot
-  # format end to end.
+  # throughput.
   cargo build --offline --release -p raw-bench
   local dir
   dir="$(mktemp -d)"
-  BENCH_DIR="$dir" target/release/raw-bench \
-    replay --tiles 4 --clients 2 --requests 40 \
-    --check --bench-json > "$dir/replay.txt"
+  target/release/raw-bench replay --tiles 4 --clients 2 --requests 40 \
+    --check > "$dir/replay.txt"
   grep -q "replay phase=cold clients=2 " "$dir/replay.txt"
   grep -q "mismatches=0" "$dir/replay.txt"
   grep -q "replay check: hashes identical" "$dir/replay.txt"
-  cargo run --offline --release -p raw-bench --bin bench_diff -- \
-    "$dir/BENCH_compile_service.json" "$dir/BENCH_compile_service.json"
   rm -rf "$dir"
 }
 
@@ -316,18 +311,6 @@ PY
   rm -rf "$dir"
 }
 
-stage_bench_smoke() {
-  # Reduced-sample micro-bench run + bench_diff self-check (guards the JSON
-  # format and the diff tool).
-  local smoke_dir
-  smoke_dir="$(mktemp -d)"
-  BENCH_DIR="$smoke_dir" BENCH_SAMPLES=3 BENCH_WARMUP=1 \
-    cargo bench --offline -p raw-bench --bench simulator >/dev/null
-  cargo run --offline --release -p raw-bench --bin bench_diff -- \
-    "$smoke_dir/BENCH_simulator.json" "$smoke_dir/BENCH_simulator.json"
-  rm -rf "$smoke_dir"
-}
-
 stage_trace_smoke() {
   # --selfcheck makes raw-bench itself verify that tracing leaves the cycle
   # count bit-identical; the run also exercises every report renderer.
@@ -429,19 +412,38 @@ stage_trace_diff() {
 stage_perf_smoke() {
   # perf/ is a workspace of its own, so the root build never compiles it: an
   # API break there would otherwise go unseen until the benchmark runs. Build
-  # it against this tree and take two passes of every workload; any op that
-  # fails verification fails the stage.
+  # it against this tree and take two passes of every workload.
+  #
+  # Gated: the numbers that repeat exactly at seed 1 (sim_cycles,
+  # speedup_geomean, code_words, and failed, the count of ops that did not
+  # verify) must equal the committed perf/baseline/W.json. Only printed: the
+  # time and memory metrics, which two passes cannot resolve
+  # (perf/README.md, "Steadiness").
   cargo build --release --offline --manifest-path perf/Cargo.toml
   local dir
   dir="$(mktemp -d)"
   for workload in sim_dense sim_sparse compile_cold service_mix; do
     perf/target/release/raw-perf run --workload "$workload" --passes 2 \
-      --out "$dir" > "$dir/$workload.txt"
-    if ! tail -n 1 "$dir/$workload.txt" | grep -q '"failed":0,'; then
-      echo "ci: raw-perf $workload reported failed ops:" >&2
-      tail -n 1 "$dir/$workload.txt" >&2
-      exit 1
-    fi
+      --out "$dir" > /dev/null
+    python3 - "$workload" "$dir/$workload.json" "perf/baseline/$workload.json" <<'PY'
+import json, sys
+
+def values(path):
+    doc = json.load(open(path))
+    return {"failed": doc["failed"], **{m: v["value"] for m, v in doc["metrics"].items()}}
+
+workload = sys.argv[1]
+fresh, base = values(sys.argv[2]), values(sys.argv[3])
+gated = ("sim_cycles", "speedup_geomean", "code_words", "failed")
+bad = [m for m in gated if fresh[m] != base[m]]
+for m in bad:
+    print(f"ci: raw-perf {workload}: {m} = {fresh[m]!r}, baseline has {base[m]!r}",
+          file=sys.stderr)
+rest = ", ".join(f"{m} {fresh[m]:.3g} (baseline {base[m]:.3g})"
+                 for m in fresh if m not in gated)
+print(f"perf_smoke: {workload}: exact metrics {'DIFFER' if bad else 'match'}; not gated: {rest}")
+sys.exit(1 if bad else 0)
+PY
   done
   # The traced run includes the benchmark's own stepper probe: on every
   # benchmark program the default stepper, `with_event_stepper` and (on small
@@ -452,29 +454,6 @@ stage_perf_smoke() {
 }
 
 # ---------------------------------------------------------------- driver ----
-
-run_benches() {
-  # The harness overwrites its JSON snapshot per suite; remove stale files
-  # so each run is a clean snapshot comparable with bench_diff.
-  local dir="${BENCH_DIR:-$PWD}"
-  mkdir -p "$dir"
-  rm -f "$dir"/BENCH_simulator.json "$dir"/BENCH_paper_tables.json \
-    "$dir"/BENCH_sim_scale.json "$dir"/BENCH_compile_service.json
-  BENCH_DIR="$dir" cargo bench --offline -p raw-bench
-  # Compile-service replay at full size: the throughput/hit-rate snapshot
-  # behind EXPERIMENTS.md.
-  BENCH_DIR="$dir" cargo run --offline --release -p raw-bench --bin raw-bench -- \
-    replay --tiles 4 --clients 2 --requests 40 --check --bench-json
-}
-
-if [[ "${1:-}" == "bench" ]]; then
-  echo "==> cargo build --release (bench tooling)"
-  cargo build --offline --release -p raw-bench
-  echo "==> full benchmark suites"
-  run_benches
-  echo "ci: bench done (compare snapshots with: cargo run --release -p raw-bench --bin bench_diff -- OLD.json NEW.json)"
-  exit 0
-fi
 
 selected=()
 while [[ $# -gt 0 ]]; do
@@ -495,7 +474,7 @@ while [[ $# -gt 0 ]]; do
       shift 2
       ;;
     *)
-      echo "unknown argument '$1' (modes: ci.sh | ci.sh bench | ci.sh --list | ci.sh --only STAGE)" >&2
+      echo "unknown argument '$1' (modes: ci.sh | ci.sh --list | ci.sh --only STAGE)" >&2
       exit 2
       ;;
   esac

@@ -369,7 +369,7 @@ pub fn ablation_text(suite: &[Benchmark], sizes: &[u32]) -> String {
         (
             "no-place",
             CompilerOptions {
-                placement_swap: false,
+                placement: rawcc::PlacementAlgorithm::None,
                 ..Default::default()
             },
         ),

@@ -18,6 +18,12 @@
 //! raw-bench replay --clients 8 --requests 500 --quick --check
 //! ```
 
+use raw_bench::compiletime::{compile_command, CompileArgs};
+use raw_bench::observe::{annotate_command, trace_command, AnnotateArgs, TraceArgs};
+use raw_bench::scenario::{scenario_command, ScenarioArgs};
+use raw_bench::serve::{replay_command, serve_command, ReplayArgs, ServeArgs};
+use raw_bench::sim::{sim_command, SimArgs};
+use raw_bench::top::{top_command, TopArgs};
 use raw_bench::{
     ablation_text, figure4_text, figure8_text, fpppp_scale_text, table1_text, table2_text,
     table3_text,
@@ -42,7 +48,7 @@ USAGE:
                     [--metrics-dump] [--metrics-json]
     raw-bench replay [--addr A] [--clients K] [--requests N] [--tiles T]
                      [--seed S] [--cache-dir PATH] [--quick] [--check]
-                     [--min-speedup X] [--bench-json]
+                     [--min-speedup X]
     raw-bench top --addr A [--interval-ms MS] [--frames N] [--no-clear]
 
 SUBCOMMANDS:
@@ -89,8 +95,7 @@ SUBCOMMANDS:
                     client threads, cold then warm, checking every response
                     byte-identical against an in-process compile; --check
                     enforces zero mismatches, a 100%-hit warm phase, and a 5x
-                    warm speedup; --bench-json writes BENCH_compile_service.json
-                    (with a cumulative latency histogram per phase record)
+                    warm speedup
     top             live dashboard over a running daemon: polls the metrics
                     endpoint every --interval-ms and redraws request rates,
                     memo/cache effectiveness, wall and per-phase latency
@@ -126,157 +131,48 @@ FLAGS:
     --help          this text
 ";
 
+/// Runs one subcommand: parse its flags, run it, print its text. Errors from
+/// either step go to stderr as `raw-bench <name>: <error>` with exit code 1.
+fn run<A>(
+    name: &str,
+    args: &[String],
+    parse: fn(&[String]) -> Result<A, String>,
+    command: fn(&A) -> Result<String, String>,
+) -> ExitCode {
+    match parse(args).and_then(|parsed| command(&parsed)) {
+        Ok(text) => {
+            print!("{text}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("raw-bench {name}: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("trace") {
-        let parsed = match raw_bench::observe::TraceArgs::parse(&args[1..]) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("raw-bench trace: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match raw_bench::observe::trace_command(&parsed) {
-            Ok(text) => {
-                print!("{text}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("raw-bench trace: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    let name = args.first().map_or("", String::as_str);
+    let rest = args.get(1..).unwrap_or_default();
+    match name {
+        "trace" => run(name, rest, TraceArgs::parse, trace_command),
+        "annotate" => run(name, rest, AnnotateArgs::parse, annotate_command),
+        "compile" => run(name, rest, CompileArgs::parse, compile_command),
+        "scenario" => run(name, rest, ScenarioArgs::parse, scenario_command),
+        "sim" => run(name, rest, SimArgs::parse, sim_command),
+        "serve" => run(name, rest, ServeArgs::parse, serve_command),
+        "replay" => run(name, rest, ReplayArgs::parse, replay_command),
+        // `top` prints each frame as it polls; nothing is left to print.
+        "top" => run(name, rest, TopArgs::parse, |a| {
+            top_command(a).map(|_| String::new())
+        }),
+        _ => tables(&args),
     }
-    if args.first().map(String::as_str) == Some("scenario") {
-        let parsed = match raw_bench::scenario::ScenarioArgs::parse(&args[1..]) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("raw-bench scenario: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match raw_bench::scenario::scenario_command(&parsed) {
-            Ok(text) => {
-                print!("{text}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("raw-bench scenario: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("sim") {
-        let parsed = match raw_bench::sim::SimArgs::parse(&args[1..]) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("raw-bench sim: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match raw_bench::sim::sim_command(&parsed) {
-            Ok(text) => {
-                print!("{text}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("raw-bench sim: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("compile") {
-        let parsed = match raw_bench::compiletime::CompileArgs::parse(&args[1..]) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("raw-bench compile: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match raw_bench::compiletime::compile_command(&parsed) {
-            Ok(text) => {
-                print!("{text}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("raw-bench compile: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        let parsed = match raw_bench::serve::ServeArgs::parse(&args[1..]) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("raw-bench serve: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match raw_bench::serve::serve_command(&parsed) {
-            Ok(text) => {
-                print!("{text}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("raw-bench serve: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("replay") {
-        let parsed = match raw_bench::serve::ReplayArgs::parse(&args[1..]) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("raw-bench replay: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match raw_bench::serve::replay_command(&parsed) {
-            Ok(text) => {
-                print!("{text}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("raw-bench replay: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("top") {
-        let parsed = match raw_bench::top::TopArgs::parse(&args[1..]) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("raw-bench top: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match raw_bench::top::top_command(&parsed) {
-            Ok(_) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("raw-bench top: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("annotate") {
-        let parsed = match raw_bench::observe::AnnotateArgs::parse(&args[1..]) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("raw-bench annotate: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match raw_bench::observe::annotate_command(&parsed) {
-            Ok(text) => {
-                print!("{text}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("raw-bench annotate: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
+}
+
+/// The flag-driven paper tables and figures (no subcommand word).
+fn tables(args: &[String]) -> ExitCode {
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{USAGE}");
         return ExitCode::SUCCESS;

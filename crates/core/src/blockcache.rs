@@ -1052,6 +1052,7 @@ const _: () = assert!(NO_PROV == u32::MAX);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::get_options;
     use crate::options::{PlacementAlgorithm, PriorityScheme, Strategy};
     use raw_ir::builder::ProgramBuilder;
     use raw_ir::{BinOp, Imm, MemHome, UnOp};
@@ -1213,7 +1214,7 @@ mod tests {
         // (A heuristic bundle must never satisfy an exact or portfolio
         // request, so strategy and seeds are semantic too.)
         type Flip = fn(&mut CompilerOptions);
-        let flips: [(&str, Flip); 10] = [
+        let flips: [(&str, Flip); 9] = [
             ("clustering", |o| o.clustering = !o.clustering),
             ("placement", |o| {
                 o.placement = PlacementAlgorithm::Annealing { seed: 1 }
@@ -1221,7 +1222,6 @@ mod tests {
             ("placement seed", |o| {
                 o.placement = PlacementAlgorithm::Annealing { seed: 2 }
             }),
-            ("placement_swap", |o| o.placement_swap = !o.placement_swap),
             ("priority", |o| o.priority = PriorityScheme::SourceOrder),
             ("cluster_comm_cost", |o| o.cluster_comm_cost += 1),
             ("fold_communication", |o| {
@@ -1301,6 +1301,32 @@ mod tests {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../tests/golden/cache_key.txt");
         raw_testkit::check_golden(&path, &text);
+
+        // The options record keeps its layout: byte 2 (byte 10 after an
+        // annealing seed) is reserved and written as 1 ...
+        let encode = |o: &CompilerOptions| {
+            let mut bytes = Vec::new();
+            put_options(&mut bytes, o);
+            bytes
+        };
+        assert_eq!(
+            encode(&CompilerOptions::default()),
+            [1, 0, 1, 0, 4, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+        );
+        // ... and a 0 there, from a writer that still had the boolean alias,
+        // decodes to the spelling that replaced it.
+        for (options, reserved) in [(CompilerOptions::default(), 2), (options, 10)] {
+            let mut bytes = encode(&options);
+            assert_eq!(bytes[reserved], 1);
+            bytes[reserved] = 0;
+            let decoded = get_options(&mut Dec::new(&bytes)).expect("still decodes");
+            let expected = CompilerOptions {
+                placement: PlacementAlgorithm::None,
+                threads: 0,
+                ..options
+            };
+            assert_eq!(decoded, expected);
+        }
     }
 
     fn key(lo: u64) -> CacheKey {

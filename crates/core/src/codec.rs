@@ -375,7 +375,9 @@ pub(crate) fn put_options(out: &mut Vec<u8>, o: &CompilerOptions) {
         }
         PlacementAlgorithm::None => out.push(2),
     }
-    out.push(o.placement_swap as u8);
+    // Reserved: the byte a retired boolean alias of `placement: None` used to
+    // occupy. Always written as 1 so keys and frames keep their layout.
+    out.push(1);
     out.push(match o.priority {
         PriorityScheme::LevelFertility => 0,
         PriorityScheme::LevelOnly => 1,
@@ -405,7 +407,13 @@ pub(crate) fn get_options(d: &mut Dec<'_>) -> Option<CompilerOptions> {
         2 => PlacementAlgorithm::None,
         _ => return None,
     };
-    let placement_swap = get_bool(d)?;
+    // Reserved byte (see `put_options`): an old writer's 0 meant "no
+    // placement", whatever algorithm the byte before it named.
+    let placement = if get_bool(d)? {
+        placement
+    } else {
+        PlacementAlgorithm::None
+    };
     let priority = match d.u8()? {
         0 => PriorityScheme::LevelFertility,
         1 => PriorityScheme::LevelOnly,
@@ -424,7 +432,6 @@ pub(crate) fn get_options(d: &mut Dec<'_>) -> Option<CompilerOptions> {
     Some(CompilerOptions {
         clustering,
         placement,
-        placement_swap,
         priority,
         cluster_comm_cost,
         fold_communication,

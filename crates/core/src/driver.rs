@@ -813,6 +813,16 @@ pub fn compile_with_cache(
     // lockstep (every assembler emission appends exactly one instruction, so
     // pushing one table entry per emission keeps pc alignment; asserted below).
     let phase_start = Instant::now();
+    let switch_active = n > 1;
+    // One multicast tree per branch block, shared by every tile's switch
+    // stream (empty on a one-tile machine, which has no switch code).
+    let branch_routes: Vec<_> = bundles
+        .iter()
+        .map(|bundle| match bundle.cond_producer {
+            Some(producer) if switch_active => broadcast_routes(config, producer),
+            _ => Vec::new(),
+        })
+        .collect();
     let mut tiles = Vec::with_capacity(n);
     for t in 0..n {
         // The linker refuses to emit anything onto a faulty tile: its
@@ -831,7 +841,6 @@ pub fn compile_with_cache(
         let plabels: Vec<_> = program.blocks.iter().map(|_| pa.new_label()).collect();
         let mut sa = SwitchAsm::new();
         let slabels: Vec<_> = program.blocks.iter().map(|_| sa.new_label()).collect();
-        let switch_active = n > 1;
         let mut proc_pc: Vec<u32> = Vec::new();
         let mut switch_pc: Vec<u32> = Vec::new();
 
@@ -892,7 +901,7 @@ pub fn compile_with_cache(
                     pa.jump(plabels[if_false.index()]);
                     proc_pc.push(NO_PROV);
                     if switch_active {
-                        let routes = broadcast_routes(config, producer);
+                        let routes = &branch_routes[b];
                         sa.route(&routes[t]);
                         switch_pc.push(cond_rec);
                         sa.bnez(0, slabels[if_true.index()]);

@@ -65,10 +65,6 @@ pub struct CompilerOptions {
     pub clustering: bool,
     /// Placement algorithm (paper §4.1 "placement").
     pub placement: PlacementAlgorithm,
-    /// Improve placement with greedy swaps minimising communication hops.
-    /// Deprecated alias retained for ablation scripts: when `false`, overrides
-    /// `placement` to [`PlacementAlgorithm::None`].
-    pub placement_swap: bool,
     /// Event-scheduler priority scheme.
     pub priority: PriorityScheme,
     /// Assumed latency of one cross-tile word transfer during clustering
@@ -97,7 +93,6 @@ impl Default for CompilerOptions {
         CompilerOptions {
             clustering: true,
             placement: PlacementAlgorithm::default(),
-            placement_swap: true,
             priority: PriorityScheme::LevelFertility,
             cluster_comm_cost: 4,
             fold_communication: true,
@@ -116,7 +111,7 @@ mod tests {
     fn defaults_match_paper() {
         let o = CompilerOptions::default();
         assert!(o.clustering);
-        assert!(o.placement_swap);
+        assert_eq!(o.placement, PlacementAlgorithm::GreedySwap);
         assert_eq!(o.priority, PriorityScheme::LevelFertility);
         assert_eq!(o.cluster_comm_cost, 4);
         assert!(o.fold_communication);

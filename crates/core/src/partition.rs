@@ -367,12 +367,7 @@ fn place(
 ) -> (Vec<TileId>, PlacementLog) {
     use crate::options::PlacementAlgorithm;
     let n_tiles = config.n_tiles() as usize;
-    let algorithm = if options.placement_swap {
-        options.placement
-    } else {
-        PlacementAlgorithm::None
-    };
-    if algorithm == PlacementAlgorithm::None || n_tiles == 1 {
+    if options.placement == PlacementAlgorithm::None || n_tiles == 1 {
         // Identity assignment (locked bins are already at their tile).
         return (
             (0..n_tiles as u32).map(TileId::from_raw).collect(),
@@ -400,7 +395,7 @@ fn place(
     let swappable: Vec<usize> = (0..n_tiles)
         .filter(|&b| bins.locked[b].is_none() && !config.is_faulty(TileId::from_raw(b as u32)))
         .collect();
-    optimize_placement(&edges, &swappable, n_tiles, config, algorithm)
+    optimize_placement(&edges, &swappable, n_tiles, config, options.placement)
 }
 
 /// Aggregated incident-edge adjacency: `adj[b]` lists every bin connected to

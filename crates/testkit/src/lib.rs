@@ -1,8 +1,8 @@
-//! Hermetic test and benchmark toolkit.
+//! Hermetic test toolkit.
 //!
 //! The build environment has no access to crates.io, so the workspace cannot
-//! depend on `rand`, `proptest`, or `criterion`. This crate replaces all
-//! three with small, deterministic, dependency-free equivalents:
+//! depend on `rand` or `proptest`. This crate replaces both with small,
+//! deterministic, dependency-free equivalents:
 //!
 //! * [`Rng`] — a splitmix64-seeded xorshift64\* generator (the same family as
 //!   the simulator's chaos source) with `gen_range` / `gen_bool` / `shuffle`,
@@ -10,8 +10,6 @@
 //! * [`prop`] — a miniature property-testing harness: composable strategies,
 //!   fixed-seed case generation, greedy shrinking, and seed replay via the
 //!   `TESTKIT_SEED` / `TESTKIT_CASES` environment variables.
-//! * [`bench`](mod@bench) — a micro-benchmark harness (warmup + timed samples,
-//!   median/p10/p90) that appends JSON lines to `BENCH_<suite>.json`.
 //! * [`golden`] — the golden-snapshot comparator shared by every pinned-text
 //!   test, with `UPDATE_GOLDEN=1` regeneration.
 //!
@@ -19,7 +17,6 @@
 //! the same stream, the same cases, and the same generated workloads. Golden
 //! hashes ([`hash64`]) pin generator output across PRs.
 
-pub mod bench;
 pub mod golden;
 pub mod prop;
 pub mod rng;

@@ -2,7 +2,7 @@
 //! sizes and simulated cycle-accurately, must reproduce the reference
 //! interpreter's variables and arrays bit-exactly.
 
-use raw_repro::cc::{compile, compile_baseline, CompilerOptions};
+use raw_repro::cc::{compile, compile_baseline, CompilerOptions, PlacementAlgorithm};
 use raw_repro::ir::interp::Interpreter;
 use raw_repro::machine::MachineConfig;
 
@@ -73,7 +73,7 @@ fn ablation_configurations_stay_correct() {
             ..Default::default()
         },
         CompilerOptions {
-            placement_swap: false,
+            placement: PlacementAlgorithm::None,
             ..Default::default()
         },
         CompilerOptions {

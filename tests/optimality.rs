@@ -201,6 +201,32 @@ fn portfolio_never_trails_the_greedy_heuristic() {
     }
 }
 
+/// The portfolio's heuristic lanes pick their own placement algorithms:
+/// `placement: None` on the request must not flatten them to the identity
+/// assignment. On a 4x4 mesh (a 2x2 leaves the greedy bin order nothing to
+/// improve) `life` has a multi-cluster block won by a lane whose placement
+/// log records accepted swaps.
+#[test]
+fn portfolio_lanes_place_even_when_placement_is_none() {
+    let options = CompilerOptions {
+        placement: PlacementAlgorithm::None,
+        ..with_strategy(Strategy::Portfolio { seed: 7 })
+    };
+    let bench = benchmarks::tiny_suite()
+        .into_iter()
+        .find(|b| b.name == "life")
+        .expect("known benchmark");
+    let program = bench.program(16).expect("benchmark lowers");
+    let config = MachineConfig::square(16);
+    let compiled = compile_with_cache(&program, &config, &options, &BlockCache::in_memory())
+        .expect("compiles");
+    let swapped = compiled.report.blocks.iter().any(|block| {
+        matches!(block.placement.algorithm, "greedy-swap" | "annealing")
+            && !block.placement.steps.is_empty()
+    });
+    assert!(swapped, "no portfolio lane accepted a placement swap");
+}
+
 /// Golden snapshot of the measured optimality gap (refresh with
 /// `UPDATE_GOLDEN=1`): a placement/scheduler change that widens the gap — or
 /// a solver change that loses certificates — fails CI visibly instead of
