@@ -77,6 +77,30 @@ fn per_tile_assembly_is_pinned() {
     );
 }
 
+/// The paper kernels at 4 and 16 tiles, plus the three huge-block kernels at
+/// 4×8 as well, pinned by `raw-bench compile`'s `asm_hash` (FNV over the
+/// `MachineProgram`'s debug form). The text snapshots above are too small to
+/// reach the regime of hundreds of port events per tile; these blocks do.
+#[test]
+fn big_block_asm_hashes_are_pinned() {
+    use raw_testkit::hash64;
+    let mut s = String::new();
+    for bench in raw_repro::benchmarks::suite() {
+        let mut shapes = vec![(2, 2), (4, 4)];
+        if matches!(bench.name, "cholesky" | "fpppp-kernel" | "mxm") {
+            shapes.push((4, 8));
+        }
+        for (rows, cols) in shapes {
+            let program = bench.program(rows * cols).unwrap();
+            let config = MachineConfig::grid(rows, cols);
+            let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
+            let hash = hash64(format!("{:?}", compiled.machine_program).as_bytes());
+            writeln!(s, "{}@{rows}x{cols} {hash:#018x}", bench.name).unwrap();
+        }
+    }
+    check_golden("asm_hashes.txt", &s);
+}
+
 #[test]
 fn golden_snapshots_still_execute_correctly() {
     // The pinned kernels are not just text: they must still compile, run,
