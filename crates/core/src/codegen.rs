@@ -48,15 +48,47 @@ enum GenOp {
     Recv(ValueId),
 }
 
+/// What one tile's scheduled stream says about one value, gathered in a single
+/// sweep before folding.
+#[derive(Default)]
+struct ValueFacts {
+    /// Stream position of the first computation defining the value.
+    producer: Option<usize>,
+    /// Source-operand occurrences on the tile, plus one for the branch
+    /// condition.
+    operand_uses: usize,
+    /// Computations reading the value (each counted once).
+    n_consumers: usize,
+    /// The last such computation: `(position, operand occurrences in it)`.
+    consumer: Option<(usize, usize)>,
+    /// Sends of the value still in the stream (not folded).
+    pending_sends: usize,
+}
+
 /// Send/receive folding (paper §3.1 footnote / Figure 4: communication can be
 /// expressed "by using existing computation instructions with the appropriate
 /// communication registers", making the effective overhead two cycles).
 ///
 /// A `Send(v)` folds into `v`'s producing computation when the value has no
-/// other use on the tile; a `Recv(v)` folds into `v`'s unique consumer. Both
-/// folds move a port access within the instruction stream, so each is kept
-/// only if the tile's overall port-write (resp. port-read) order — which must
-/// match the switch's scheduled route order — is preserved.
+/// other use on the tile; a `Recv(v)` folds into `v`'s unique consumer, which
+/// must read it once and carry no other port event. A fold moves a port event
+/// within the stream, and the tile's reads and writes must keep one joint
+/// order: the switch routes them in the scheduled order, and because the
+/// processor and its switch block on both port directions, preserving only
+/// per-direction order can still deadlock (a write hoisted across enough reads
+/// fills the output FIFO while the switch waits to deliver the unread words).
+///
+/// **Legality rule:** a fold is kept iff no port event lies strictly between
+/// the event's old and new stream position. This equals re-validating the
+/// whole joint order after each tentative fold: the order is monotone before
+/// every fold (initially by construction, afterwards by induction), so every
+/// event before the old position ranks lower and every event after it ranks
+/// higher, and the moved event breaks monotonicity exactly when it jumps over
+/// one of them. Two consequences make one pass enough. Sends move backwards:
+/// scanning upward, the last port event before `j` is the only one that can
+/// lie between the producer and `j`. Receives move forwards, and a kept fold
+/// lands before the next port event: the next event after each receive is
+/// fixed once the send phase is done.
 fn fold_ops(
     graph: &TaskGraph,
     ops: &[(u64, TileOp)],
@@ -77,151 +109,99 @@ fn fold_ops(
             })
         })
         .collect();
+    if !enabled {
+        return gen.into_iter().flatten().collect();
+    }
 
-    // Original port-event ranks (reads and writes share one sequence: the
-    // processor and its switch block on both port directions, so preserving
-    // only per-direction order can still create a buffer-capacity deadlock —
-    // e.g. a write hoisted across enough reads fills the output FIFO while the
-    // switch waits to deliver the unread words).
-    let mut event_rank: HashMap<usize, usize> = HashMap::new();
-    for (i, op) in gen.iter().enumerate() {
-        if matches!(op, Some(GenOp::Send(_)) | Some(GenOp::Recv(_))) {
-            let r = event_rank.len();
-            event_rank.insert(i, r);
+    let mut facts: HashMap<ValueId, ValueFacts> = HashMap::new();
+    if let Some(c) = cond {
+        facts.entry(c).or_default().operand_uses += 1;
+    }
+    for (k, op) in ops.iter().enumerate() {
+        match op.1 {
+            TileOp::Comp(n) => {
+                let inst = &graph.insts[n];
+                if let Some(d) = inst.dst {
+                    facts.entry(d).or_default().producer.get_or_insert(k);
+                }
+                for s in inst.sources() {
+                    let f = facts.entry(s).or_default();
+                    f.operand_uses += 1;
+                    match &mut f.consumer {
+                        Some((pos, occurrences)) if *pos == k => *occurrences += 1,
+                        last => {
+                            *last = Some((k, 1));
+                            f.n_consumers += 1;
+                        }
+                    }
+                }
+            }
+            TileOp::Send(v) => facts.entry(v).or_default().pending_sends += 1,
+            TileOp::Recv(_) => {}
         }
     }
 
-    // Count uses of a value on this tile (+1 if it is the branch condition).
-    let uses_of = |gen: &[Option<GenOp>], v: ValueId| -> usize {
-        let mut count = if cond == Some(v) { 1 } else { 0 };
-        for op in gen.iter().flatten() {
-            match op {
-                GenOp::Comp { node, .. } => {
-                    count += graph.insts[*node].sources().filter(|&s| s == v).count();
-                }
-                GenOp::Send(s) if *s == v => count += 1,
-                _ => {}
-            }
-        }
-        count
-    };
+    // Stream positions of the port events, ascending, as the send phase
+    // leaves them.
+    let mut events: Vec<usize> = Vec::new();
 
-    // Validation: all port events (reads and writes jointly), ordered by
-    // stream position, must keep their original ranks increasing.
-    let order_ok = |gen: &[Option<GenOp>],
-                    ranks: &HashMap<usize, usize>,
-                    moved: &HashMap<usize, usize>|
-     -> bool {
-        let mut last = None;
-        for (i, op) in gen.iter().enumerate() {
-            let rank = match op {
-                Some(GenOp::Send(_)) | Some(GenOp::Recv(_)) => ranks.get(&i).copied(),
-                Some(GenOp::Comp {
-                    to_port, from_port, ..
-                }) if *to_port || from_port.is_some() => moved.get(&i).copied(),
-                _ => None,
-            };
-            if let Some(r) = rank {
-                if last.is_some_and(|l| r < l) {
-                    return false;
-                }
-                last = Some(r);
-            }
-        }
-        true
-    };
-
-    // Port events moved into computation ops: op index → original rank.
-    let mut moved: HashMap<usize, usize> = HashMap::new();
-
-    // ---- Send folding.
+    // ---- Send folding. A producer never absorbs two sends: the first fold
+    // needs the value's only use to be the send itself.
     for j in 0..gen.len() {
-        if !enabled {
-            break;
-        }
-        let Some(GenOp::Send(v)) = gen[j].clone() else {
-            continue;
-        };
-        // Producer must be a computation on this tile with v as destination.
-        let Some(i) = gen.iter().position(
-            |op| matches!(op, Some(GenOp::Comp { node, .. }) if graph.insts[*node].dst == Some(v)),
-        ) else {
-            continue;
-        };
-        if i >= j || uses_of(&gen, v) != 1 || moved.contains_key(&i) {
-            continue;
-        }
-        // Tentative fold.
-        let rank = event_rank[&j];
-        let saved = gen[j].take();
-        if let Some(GenOp::Comp { to_port, .. }) = gen[i].as_mut() {
-            *to_port = true;
-        }
-        moved.insert(i, rank);
-        if !order_ok(&gen, &event_rank, &moved) {
-            // Revert.
-            gen[j] = saved;
-            if let Some(GenOp::Comp { to_port, .. }) = gen[i].as_mut() {
-                *to_port = false;
+        match gen[j] {
+            Some(GenOp::Send(v)) => {
+                let f = facts.get_mut(&v).expect("every send is counted");
+                let fold = f.producer.filter(|&i| {
+                    i < j
+                        && f.operand_uses + f.pending_sends == 1
+                        && events.last().is_none_or(|&e| e < i)
+                });
+                if let Some(i) = fold {
+                    gen[j] = None;
+                    if let Some(GenOp::Comp { to_port, .. }) = gen[i].as_mut() {
+                        *to_port = true;
+                    }
+                    f.pending_sends -= 1;
+                    events.push(i);
+                } else {
+                    events.push(j);
+                }
             }
-            moved.remove(&i);
+            Some(GenOp::Recv(_)) => events.push(j),
+            _ => {}
         }
     }
 
     // ---- Receive folding.
-    for i in 0..gen.len() {
-        if !enabled {
-            break;
-        }
-        let Some(GenOp::Recv(v)) = gen[i].clone() else {
+    for (e, &i) in events.iter().enumerate() {
+        let Some(GenOp::Recv(v)) = gen[i] else {
             continue;
         };
         if cond == Some(v) {
             continue; // the branch reads the condition from a register
         }
-        // All consumers of v on this tile. The fold needs exactly ONE consumer
-        // overall — and that consumer must itself be eligible (uses v once and
-        // carries no other port event). Counting only eligible consumers would
-        // silently orphan an ineligible second consumer.
-        let consumers: Vec<(usize, bool)> = gen
-            .iter()
-            .enumerate()
-            .filter_map(|(k, op)| match op {
-                Some(GenOp::Comp {
-                    node,
-                    from_port,
-                    to_port,
-                }) if graph.insts[*node].sources().any(|s| s == v) => {
-                    let occurrences = graph.insts[*node].sources().filter(|&s| s == v).count();
-                    let eligible = occurrences == 1 && from_port.is_none() && !*to_port;
-                    Some((k, eligible))
-                }
-                _ => None,
-            })
-            .collect();
-        let sends_v = gen
-            .iter()
-            .flatten()
-            .any(|op| matches!(op, GenOp::Send(s) if *s == v));
-        if consumers.len() != 1 || !consumers[0].1 || sends_v {
+        // The fold needs exactly ONE consumer overall — and that consumer must
+        // itself be eligible (uses v once and carries no other port event).
+        // Counting only eligible consumers would silently orphan an
+        // ineligible second consumer.
+        let Some(f) = facts.get(&v) else {
+            continue;
+        };
+        let Some((j, 1)) = f.consumer.filter(|_| f.n_consumers == 1) else {
+            continue;
+        };
+        let next_event = events.get(e + 1).copied().unwrap_or(usize::MAX);
+        if f.pending_sends > 0 || j <= i || j >= next_event {
             continue;
         }
-        let j = consumers[0].0;
-        if j <= i || moved.contains_key(&j) {
-            continue;
-        }
-        let rank = event_rank[&i];
-        let saved = gen[i].take();
-        if let Some(GenOp::Comp { from_port, .. }) = gen[j].as_mut() {
+        if let Some(GenOp::Comp {
+            from_port: from_port @ None,
+            to_port: false,
+            ..
+        }) = gen[j].as_mut()
+        {
             *from_port = Some(v);
-        }
-        moved.insert(j, rank);
-        if !order_ok(&gen, &event_rank, &moved) {
-            gen[i] = saved;
-            if let Some(GenOp::Comp { from_port, .. }) = gen[j].as_mut() {
-                *from_port = None;
-            }
-            moved.remove(&j);
+            gen[i] = None;
         }
     }
 
@@ -361,7 +341,7 @@ impl TileGen<'_> {
         mut from_port: Option<ValueId>,
         to_port: bool,
     ) {
-        let inst = graph.insts[n].clone();
+        let inst = &graph.insts[n];
         // Source resolution: a folded receive supplies one operand directly
         // from the input port (consumed exactly once).
         let mut src = |gen: &mut Self, v: ValueId| -> Src {
@@ -680,6 +660,69 @@ mod tests {
             port_events(&unfolded),
             "folding must preserve the number of port events"
         );
+    }
+
+    /// A tile's port events in stream order as `(is_write, value)`. A folded
+    /// computation reads its port operand before it writes its result.
+    fn port_values(graph: &TaskGraph, ops: &[GenOp]) -> Vec<(bool, ValueId)> {
+        let mut events = Vec::new();
+        for op in ops {
+            match *op {
+                GenOp::Send(v) => events.push((true, v)),
+                GenOp::Recv(v) => events.push((false, v)),
+                GenOp::Comp {
+                    node,
+                    from_port,
+                    to_port,
+                } => {
+                    events.extend(from_port.map(|v| (false, v)));
+                    if to_port {
+                        events.push((true, graph.insts[node].dst.unwrap()));
+                    }
+                }
+            }
+        }
+        events
+    }
+
+    #[test]
+    fn folding_keeps_each_tiles_port_event_sequence() {
+        // The invariant behind the fold rule, on every block of the seven
+        // paper kernels: folding moves port events into computations but
+        // never reorders the values crossing a tile's ports.
+        let options = CompilerOptions::default();
+        let mut folded_ops = 0;
+        for n_tiles in [4, 16] {
+            let config = MachineConfig::square(n_tiles);
+            for bench in raw_benchmarks::suite() {
+                let program = bench.program(n_tiles).unwrap();
+                let layout = DataLayout::build(&program, &config);
+                for (_, block) in program.iter_blocks() {
+                    let g = TaskGraph::build(block, &layout, &config);
+                    let part = crate::partition::partition(&g, &config, &options);
+                    let sched = crate::schedule::schedule(&g, &part, &config, &options);
+                    let cond = match &block.term {
+                        raw_ir::Terminator::Branch { cond, .. } => {
+                            Some((*cond, part.assignment[g.def_of[cond]]))
+                        }
+                        _ => None,
+                    };
+                    for (tile, ops) in sched.proc_ops.iter().enumerate() {
+                        let cond_here = cond.and_then(|(c, t)| (t.index() == tile).then_some(c));
+                        let folded = fold_ops(&g, ops, cond_here, true);
+                        let unfolded = fold_ops(&g, ops, cond_here, false);
+                        folded_ops += unfolded.len() - folded.len();
+                        assert_eq!(
+                            port_values(&g, &folded),
+                            port_values(&g, &unfolded),
+                            "{}@{n_tiles} tile {tile}",
+                            bench.name
+                        );
+                    }
+                }
+            }
+        }
+        assert!(folded_ops > 0, "the kernels must exercise folding");
     }
 
     #[test]

@@ -249,7 +249,7 @@ pub fn schedule(
         level[t] = weight(&tasks[t]) + down;
     }
     let fertility = match options.priority {
-        PriorityScheme::LevelFertility => descendants(&succs, &topo),
+        PriorityScheme::LevelFertility => descendants(&succs, &n_preds, &topo),
         PriorityScheme::LevelOnly | PriorityScheme::SourceOrder => vec![0u64; n_tasks],
     };
     let priority = move |t: usize| match options.priority {
@@ -260,8 +260,8 @@ pub fn schedule(
     };
 
     // ---- Greedy list scheduling.
-    let mut proc_busy: Vec<HashSet<u64>> = vec![HashSet::new(); n_tiles];
-    let mut switch_busy: Vec<HashSet<u64>> = vec![HashSet::new(); n_tiles];
+    let mut proc_busy: Vec<SlotTable> = vec![SlotTable::default(); n_tiles];
+    let mut switch_busy: Vec<SlotTable> = vec![SlotTable::default(); n_tiles];
     // value_ready[tile * n_values + value] = first cycle a consumer on `tile`
     // may issue (dense matrix, `u64::MAX` = not produced there). The event
     // loop reads this once per data predecessor, so it must be an index, not
@@ -283,14 +283,6 @@ pub fn schedule(
         .map(|t| (priority(t), std::cmp::Reverse(t)))
         .collect();
     let mut scheduled = 0usize;
-
-    let free_slot = |busy: &HashSet<u64>, from: u64| -> u64 {
-        let mut t = from;
-        while busy.contains(&t) {
-            t += 1;
-        }
-        t
-    };
 
     while let Some((_, std::cmp::Reverse(tid))) = heap.pop() {
         scheduled += 1;
@@ -316,8 +308,8 @@ pub fn schedule(
                 let busy = &mut proc_busy[tile.index()];
                 let mut t = t0;
                 loop {
-                    t = free_slot(busy, t);
-                    if (1..=extra).all(|k| !busy.contains(&(t + k))) {
+                    t = busy.first_free(t);
+                    if (1..=extra).all(|k| !busy.contains(t + k)) {
                         break;
                     }
                     t += 1;
@@ -338,35 +330,41 @@ pub fn schedule(
                 let tree = MulticastTree::build(config, src, dsts);
                 let t0 = value_ready[ready_idx(src, value)];
                 debug_assert_ne!(t0, NOT_READY, "comm path before producer");
+                // The earliest start with every slot free. A busy slot rules
+                // out every start that would still land on it, so the search
+                // jumps to the first start that moves it onto a free one.
                 let mut t = t0;
                 'search: loop {
-                    assert!(
-                        t - t0 < SEARCH_LIMIT,
-                        "no feasible slot for comm path of {value}"
-                    );
                     // Send slot.
-                    if proc_busy[src.index()].contains(&t) {
-                        t += 1;
+                    let free = proc_busy[src.index()].first_free(t);
+                    if free != t {
+                        t = free;
                         continue;
                     }
                     // Switch slots along the tree.
                     for node in &tree.nodes {
-                        if switch_busy[node.tile.index()].contains(&(t + 1 + node.depth)) {
-                            t += 1;
+                        let cycle = t + 1 + node.depth;
+                        let free = switch_busy[node.tile.index()].first_free(cycle);
+                        if free != cycle {
+                            t += free - cycle;
                             continue 'search;
                         }
                     }
                     // Receive slots at exact arrival cycles.
-                    for node in &tree.nodes {
-                        if node.deliver
-                            && proc_busy[node.tile.index()].contains(&(t + node.depth + 2))
-                        {
-                            t += 1;
+                    for node in tree.nodes.iter().filter(|n| n.deliver) {
+                        let arr = t + node.depth + 2;
+                        let free = proc_busy[node.tile.index()].first_free(arr);
+                        if free != arr {
+                            t += free - arr;
                             continue 'search;
                         }
                     }
                     break;
                 }
+                assert!(
+                    t - t0 < SEARCH_LIMIT,
+                    "no feasible slot for comm path of {value}"
+                );
                 // Reserve everything.
                 proc_busy[src.index()].insert(t);
                 out.proc_ops[src.index()].push((t, TileOp::Send(value)));
@@ -536,6 +534,18 @@ pub fn validate(
     // ---- Communication paths: rebuild each value's multicast tree and check
     // the exact contiguous reservation the scheduler claims to have made.
     let mut switch_expected = 0usize;
+    // Each lane's `(cycle, value)` routes, sorted for binary search: the same
+    // answer as scanning the lane, whatever order the schedule under audit
+    // left it in.
+    let routed: Vec<Vec<(u64, raw_ir::ValueId)>> = sched
+        .switch_ops
+        .iter()
+        .map(|lane| {
+            let mut keys: Vec<_> = lane.iter().map(|(c, v, _)| (*c, *v)).collect();
+            keys.sort_unstable();
+            keys
+        })
+        .collect();
     for (v, arrivals) in &recvs {
         let producer = *graph.def_of.get(v).ok_or(format!("{v} has no producer"))?;
         let src = partition.assignment[producer];
@@ -551,8 +561,10 @@ pub fn validate(
         let tree = MulticastTree::build(config, src, &dsts);
         for node in &tree.nodes {
             let cycle = t_send + 1 + node.depth;
-            let lane = &sched.switch_ops[node.tile.index()];
-            if !lane.iter().any(|(c, val, _)| *c == cycle && val == v) {
+            if routed[node.tile.index()]
+                .binary_search(&(cycle, *v))
+                .is_err()
+            {
                 return Err(format!(
                     "{v}: no route on switch {:?} at cycle {cycle}",
                     node.tile
@@ -624,10 +636,15 @@ fn topo_order(succs: &[Vec<usize>], n_preds: &[usize]) -> Vec<usize> {
 }
 
 /// Exact descendant counts via bitsets over the task DAG.
-fn descendants(succs: &[Vec<usize>], topo: &[usize]) -> Vec<u64> {
+///
+/// Only the frontier of the reverse topological sweep is resident: a task's
+/// reach set is dropped as soon as its last predecessor has ORed it in, and a
+/// root's is never kept.
+fn descendants(succs: &[Vec<usize>], n_preds: &[usize], topo: &[usize]) -> Vec<u64> {
     let n = succs.len();
     let words = n.div_ceil(64);
-    let mut reach: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
+    let mut reach: Vec<Vec<u64>> = vec![Vec::new(); n];
+    let mut unread = n_preds.to_vec();
     let mut counts = vec![0u64; n];
     for &t in topo.iter().rev() {
         // Union of successors' reach sets plus the successors themselves.
@@ -637,11 +654,51 @@ fn descendants(succs: &[Vec<usize>], topo: &[usize]) -> Vec<u64> {
             for (a, b) in acc.iter_mut().zip(&reach[s]) {
                 *a |= *b;
             }
+            unread[s] -= 1;
+            if unread[s] == 0 {
+                reach[s] = Vec::new();
+            }
         }
         counts[t] = acc.iter().map(|w| w.count_ones() as u64).sum();
-        reach[t] = acc;
+        if n_preds[t] > 0 {
+            reach[t] = acc;
+        }
     }
     counts
+}
+
+/// A growable set of busy cycles, one bit per cycle: the per-lane slot table
+/// of the list scheduler.
+#[derive(Clone, Default)]
+struct SlotTable {
+    words: Vec<u64>,
+}
+
+impl SlotTable {
+    fn contains(&self, cycle: u64) -> bool {
+        self.words
+            .get((cycle / 64) as usize)
+            .is_some_and(|w| w >> (cycle % 64) & 1 != 0)
+    }
+
+    fn insert(&mut self, cycle: u64) {
+        let w = (cycle / 64) as usize;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        self.words[w] |= 1 << (cycle % 64);
+    }
+
+    /// The first free cycle at or after `from`.
+    fn first_free(&self, from: u64) -> u64 {
+        let mut w = (from / 64) as usize;
+        let mut free = !self.words.get(w).copied().unwrap_or(0) & (!0u64 << (from % 64));
+        while free == 0 {
+            w += 1;
+            free = !self.words.get(w).copied().unwrap_or(0);
+        }
+        w as u64 * 64 + u64::from(free.trailing_zeros())
+    }
 }
 
 /// Builds the per-tile switch route pairs of the **branch broadcast**: the
@@ -982,7 +1039,65 @@ mod tests {
         let succs = vec![vec![1, 2], vec![2], vec![]];
         let n_preds = vec![0, 1, 2];
         let topo = topo_order(&succs, &n_preds);
-        let d = descendants(&succs, &topo);
+        let d = descendants(&succs, &n_preds, &topo);
         assert_eq!(d, vec![2, 1, 0]);
+    }
+
+    raw_testkit::proptest! {
+        #![cases(64)]
+        /// The slot bitset answers like a `HashSet<u64>` model, across word
+        /// boundaries and from beyond its last word.
+        #[test]
+        fn slot_table_matches_hash_set_model(
+            inserts in raw_testkit::prop::vec(0u64..300, 0..120),
+            probes in raw_testkit::prop::vec(0u64..400, 1..40),
+        ) {
+            let mut table = SlotTable::default();
+            let mut model = HashSet::new();
+            for &c in inserts.iter().chain(&[63, 64]) {
+                table.insert(c);
+                model.insert(c);
+            }
+            for &from in probes.iter().chain(&[62, 63, 64, 65, 1000]) {
+                raw_testkit::prop_assert_eq!(table.contains(from), model.contains(&from));
+                let mut want = from;
+                while model.contains(&want) {
+                    want += 1;
+                }
+                raw_testkit::prop_assert_eq!(table.first_free(from), want, "from {}", from);
+            }
+        }
+
+        /// Reach sets freed at their last predecessor still count exactly
+        /// what a depth-first walk of each task's descendants finds.
+        #[test]
+        fn descendants_match_naive_reachability(
+            n in 1usize..150,
+            edges in raw_testkit::prop::vec((0usize..150, 0usize..150), 0..400),
+        ) {
+            // Orient every edge from the lower to the higher id: a DAG.
+            let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+            let mut n_preds = vec![0usize; n];
+            for (a, b) in edges {
+                let (a, b) = (a % n, b % n);
+                if a < b && !succs[a].contains(&b) {
+                    succs[a].push(b);
+                    n_preds[b] += 1;
+                }
+            }
+            let topo = topo_order(&succs, &n_preds);
+            let got = descendants(&succs, &n_preds, &topo);
+            for (t, &count) in got.iter().enumerate() {
+                let mut seen = vec![false; n];
+                let mut stack = succs[t].clone();
+                while let Some(s) = stack.pop() {
+                    if !std::mem::replace(&mut seen[s], true) {
+                        stack.extend(&succs[s]);
+                    }
+                }
+                let want = seen.iter().filter(|&&r| r).count() as u64;
+                raw_testkit::prop_assert_eq!(count, want, "task {}", t);
+            }
+        }
     }
 }
