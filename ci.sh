@@ -18,7 +18,7 @@ cd "$(dirname "$0")"
 
 STAGES=(fmt clippy doc build test_serial test_parallel cache_smoke
   exact_smoke service_smoke replay_smoke metrics_smoke trace_smoke
-  annotate_smoke scenario_smoke sim_smoke trace_diff perf_smoke)
+  annotate_smoke scenario_smoke sim_smoke perf_smoke)
 
 stage_fmt() {
   cargo fmt --all -- --check
@@ -26,6 +26,17 @@ stage_fmt() {
 
 stage_clippy() {
   cargo clippy --offline --workspace --all-targets -- -D warnings
+  # One oracle: the reference stepper is reached only through
+  # raw_machine::oracle (raw_trace::oracle::check for compiled programs), so
+  # no hand-rolled stepper differential can grow back outside the machine.
+  local copies
+  copies="$(grep -rn 'with_reference_stepper()' crates tests examples --include='*.rs' \
+    | grep -v '^crates/machine/src/' || true)"
+  if [[ -n "$copies" ]]; then
+    echo "ci: call the oracle instead of with_reference_stepper():" >&2
+    echo "$copies" >&2
+    exit 1
+  fi
 }
 
 stage_doc() {
@@ -316,8 +327,11 @@ PY
 }
 
 stage_trace_smoke() {
-  # --selfcheck makes raw-bench itself verify that tracing leaves the cycle
-  # count bit-identical; the run also exercises every report renderer.
+  # --selfcheck runs the oracle lane (interpreter, reference stepper, traced
+  # vs untraced); the runs also exercise every report renderer, on a matmul
+  # and on a control-flow-heavy kernel.
+  cargo run --offline --release -p raw-bench --bin raw-bench -- \
+    trace --bench life --tiles 4 --quick --selfcheck >/dev/null
   local trace_dir
   trace_dir="$(mktemp -d)"
   cargo run --offline --release -p raw-bench --bin raw-bench -- \
@@ -364,9 +378,9 @@ PY
 
 stage_scenario_smoke() {
   # The scenario subcommand fails by itself on any differential mismatch:
-  # masked tiles carrying code, stepper divergence (clean or chaos), traced
-  # vs untraced drift, or a co-resident program whose result differs from
-  # its solo run.
+  # any property of the oracle lane (masked tiles carrying code, interpreter
+  # mismatch, stepper divergence or traced vs untraced drift, clean or under
+  # chaos), or a co-resident program whose result differs from its solo run.
   local scenario_dir
   scenario_dir="$(mktemp -d)"
   cargo run --offline --release -p raw-bench --bin raw-bench -- \
@@ -405,12 +419,6 @@ stage_sim_smoke() {
   # can land in a later word than the sweep position.
   cargo run --offline --release -p raw-bench --bin raw-bench -- \
     sim --tiles 256 --selfcheck --quick >/dev/null
-}
-
-stage_trace_diff() {
-  # Repeat the trace selfcheck on a control-flow-heavy kernel.
-  cargo run --offline --release -p raw-bench --bin raw-bench -- \
-    trace --bench life --tiles 4 --quick --selfcheck >/dev/null
 }
 
 stage_perf_smoke() {

@@ -13,11 +13,11 @@
 use crate::args::{require_power_of_two, FlagParser};
 use raw_benchmarks::Benchmark;
 use raw_machine::MachineProgram;
-use raw_testkit::hash64;
 use rawcc::exact::{format_gap_table, gap_row};
 use rawcc::service::Client;
 use rawcc::{
-    compile_with_cache, BlockCache, CompiledProgram, CompilerOptions, PlacementAlgorithm, Strategy,
+    asm_hash, compile_with_cache, BlockCache, CompiledProgram, CompilerOptions, PlacementAlgorithm,
+    Strategy,
 };
 use std::fmt::Write as _;
 
@@ -170,19 +170,6 @@ impl CompileArgs {
     }
 }
 
-/// FNV over the full per-tile instruction streams: equal hash ⇔ equal asm for
-/// all practical purposes, and a one-token summary for scripts to diff.
-///
-/// The replay harness hashes daemon responses through this same function, so
-/// remote and in-process compiles are comparable token-for-token.
-pub(crate) fn machine_asm_hash(machine_program: &MachineProgram) -> u64 {
-    hash64(format!("{machine_program:?}").as_bytes())
-}
-
-fn asm_hash(compiled: &CompiledProgram) -> u64 {
-    machine_asm_hash(&compiled.machine_program)
-}
-
 /// The per-tile instruction streams in execution form (`--dump-asm`).
 fn dump_asm(out: &mut String, machine_program: &MachineProgram, max: usize) {
     fn stream<I: std::fmt::Display>(
@@ -224,7 +211,7 @@ fn stat_line(name: &str, tiles: u32, compiled: &CompiledProgram) -> String {
         r.cache.misses,
         r.cache.evictions,
         r.cache.evicted_bytes,
-        asm_hash(compiled),
+        asm_hash(&compiled.machine_program),
     )
 }
 
@@ -270,13 +257,13 @@ pub fn compile_command(args: &CompileArgs) -> Result<String, String> {
                 &BlockCache::in_memory(),
             )
             .map_err(|e| format!("{}: selfcheck compile: {e}", bench.name))?;
-            if asm_hash(&compiled) != asm_hash(&reference) {
+            if asm_hash(&compiled.machine_program) != asm_hash(&reference.machine_program) {
                 return Err(format!(
                     "{}: selfcheck failed: asm hash {:#018x} differs from \
                      single-threaded cold-cache reference {:#018x}",
                     bench.name,
-                    asm_hash(&compiled),
-                    asm_hash(&reference)
+                    asm_hash(&compiled.machine_program),
+                    asm_hash(&reference.machine_program)
                 ));
             }
         }
@@ -314,18 +301,18 @@ fn remote_compile_command(
         let resp = client
             .compile(&program, config, &options)
             .map_err(|e| format!("{}: {e}", bench.name))?;
-        let remote_hash = machine_asm_hash(&resp.machine_program);
+        let remote_hash = asm_hash(&resp.machine_program);
         if args.selfcheck {
             let reference =
                 compile_with_cache(&program, config, &args.options(1), &BlockCache::in_memory())
                     .map_err(|e| format!("{}: selfcheck compile: {e}", bench.name))?;
-            if remote_hash != asm_hash(&reference) {
+            if remote_hash != asm_hash(&reference.machine_program) {
                 return Err(format!(
                     "{}: selfcheck failed: remote asm hash {:#018x} differs from \
                      single-threaded cold-cache reference {:#018x}",
                     bench.name,
                     remote_hash,
-                    asm_hash(&reference)
+                    asm_hash(&reference.machine_program)
                 ));
             }
         }

@@ -58,8 +58,8 @@ SUBCOMMANDS:
                     blocks, link heatmap, critical-path walk,
                     and predicted-vs-observed diff; --chrome exports
                     Chrome-trace JSON (with source-provenance args),
-                    --selfcheck re-runs untraced and verifies bit-identical
-                    cycle counts
+                    --selfcheck runs the oracle lane (interpreter, reference
+                    stepper, untraced twin) and fails unless all agree
     annotate        run one benchmark traced and print the per-source-line
                     hotspot listing (cycles, stall taxonomy, tile spread) and
                     the placement audit log joining runtime stalls with the
@@ -104,9 +104,10 @@ SUBCOMMANDS:
                     of clearing the terminal
     scenario        run the adversarial mesh scenario suite: dynamic-network
                     kernels compiled around a faulty-tile map, differentially
-                    validated (production vs reference stepper, traced vs
-                    untraced, chaos sweep) plus a co-residency isolation
-                    check; prints per-scenario stats lines, occupancy tables,
+                    validated by the oracle lane (interpreter, production vs
+                    reference stepper, traced vs untraced, chaos sweep whose
+                    final states equal the clean run's) plus a co-residency
+                    isolation check; prints per-scenario stats lines, occupancy tables,
                     and the EXPERIMENTS.md summary table
     sim             exercise the simulator on big meshes (default 8x8, up to
                     32x32+) over sparse hand-written workloads; prints one

@@ -6,11 +6,10 @@
 //! schedule. The harness compiles each kernel **around a faulty tile map** on
 //! a 2×4 mesh and differentially validates the result:
 //!
-//! * masked tiles must carry **zero** instructions (processor or switch);
-//! * the simulated result must match the reference interpreter bit-exactly;
-//! * the production stepper must match `with_reference_stepper`
-//!   (cycles, statistics, final memory) clean **and** under a chaos sweep;
-//! * a traced run must be bit-identical to an untraced one;
+//! * the one oracle lane, `raw_trace::oracle::check`: masked tiles carry
+//!   **zero** instructions, the result matches the reference interpreter
+//!   bit-exactly, and the reference stepper, a traced twin and the clean run
+//!   agree at every point of a chaos sweep;
 //! * the two complementary partitions must run **co-resident** on one mesh
 //!   with each program's final state identical to its solo run (isolation).
 //!
@@ -18,12 +17,11 @@
 //! occupancy table; the closing table is the one recorded in EXPERIMENTS.md.
 
 use crate::args::FlagParser;
-use raw_ir::interp::Interpreter;
-use raw_ir::Program;
 use raw_machine::chaos::ChaosConfig;
-use raw_machine::{Machine, MachineConfig, RunReport, TileId, TileMask};
-use raw_trace::{report, run_coresident_traced, run_traced};
-use rawcc::{compile, link_coresident, CompiledProgram, CompilerOptions};
+use raw_machine::{MachineConfig, TileId, TileMask};
+use raw_trace::oracle::check;
+use raw_trace::{report, run_coresident_traced};
+use rawcc::{asm_hash, compile, link_coresident, CompilerOptions};
 use std::fmt::Write as _;
 
 /// Arguments of the `scenario` subcommand.
@@ -87,82 +85,6 @@ fn mask_list(config: &MachineConfig) -> String {
     dead.join(",")
 }
 
-/// Runs `machine` to completion and snapshots everything observable.
-fn observe(mut machine: Machine, label: &str) -> Result<(RunReport, Vec<Vec<u32>>), String> {
-    let report = machine.run().map_err(|e| format!("{label}: {e}"))?;
-    let n = machine.config().n_tiles();
-    let mems = (0..n).map(|t| machine.memory(TileId(t)).to_vec()).collect();
-    Ok((report, mems))
-}
-
-/// Asserts the production and reference steppers agree on cycles, stats, and
-/// final memory for this machine configuration.
-fn check_steppers(
-    compiled: &CompiledProgram,
-    program: &Program,
-    chaos: Option<ChaosConfig>,
-    label: &str,
-) -> Result<(), String> {
-    let with_chaos = |mut m: Machine| {
-        if let Some(c) = chaos {
-            m = m.with_chaos(c);
-        }
-        m
-    };
-    let production = with_chaos(compiled.instantiate(program));
-    let reference = with_chaos(compiled.instantiate(program).with_reference_stepper());
-    let (t_report, t_mems) = observe(production, label)?;
-    let (r_report, r_mems) = observe(reference, label)?;
-    if t_report.cycles != r_report.cycles {
-        return Err(format!(
-            "{label}: steppers disagree on cycles ({} vs {})",
-            t_report.cycles, r_report.cycles
-        ));
-    }
-    if t_report.stats != r_report.stats {
-        return Err(format!("{label}: steppers disagree on statistics"));
-    }
-    if t_mems != r_mems {
-        return Err(format!("{label}: steppers disagree on final memory"));
-    }
-    Ok(())
-}
-
-/// The chaos sweep: (seed, stall rate) points drawn from the fixed testkit
-/// stream so every run of the harness exercises identical chaos.
-fn chaos_points(quick: bool) -> Vec<ChaosConfig> {
-    let mut rng = raw_testkit::Rng::new(0x000A_110C_8A05);
-    let seeds: Vec<u64> = (0..if quick { 1 } else { 3 })
-        .map(|_| rng.next_u64())
-        .collect();
-    let rates: &[u32] = if quick { &[20] } else { &[1, 5, 20, 50] };
-    let mut points = Vec::new();
-    for &seed in &seeds {
-        for &stall_percent in rates {
-            points.push(ChaosConfig {
-                seed,
-                stall_percent,
-            });
-        }
-    }
-    points
-}
-
-/// Verifies that every masked tile carries zero instructions.
-fn check_masked_tiles_empty(compiled: &CompiledProgram, label: &str) -> Result<(), String> {
-    for (t, code) in compiled.machine_program.tiles.iter().enumerate() {
-        let faulty = compiled.config.is_faulty(TileId::from_raw(t as u32));
-        if faulty && (!code.proc.is_empty() || !code.switch.is_empty()) {
-            return Err(format!(
-                "{label}: faulty tile {t} carries {} proc / {} switch instructions",
-                code.proc.len(),
-                code.switch.len()
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// One fully validated scenario: returns the stats line, the occupancy table,
 /// and the row for the closing summary table.
 fn run_scenario(
@@ -176,48 +98,18 @@ fn run_scenario(
         .map_err(|e| format!("{}: source compile failed: {e}", bench.name))?;
     let compiled = compile(&program, config, &CompilerOptions::default())
         .map_err(|e| format!("{}: compile failed: {e}", bench.name))?;
-    check_masked_tiles_empty(&compiled, bench.name)?;
-
-    // Bit-exact functional check against the reference interpreter.
-    let golden = Interpreter::new(&program)
-        .run()
-        .map_err(|e| format!("{}: interpreter failed: {e}", bench.name))?;
-    let (result, run_report) = compiled
-        .run(&program)
-        .map_err(|e| format!("{}: simulation failed: {e}", bench.name))?;
-    if !result.state_eq(&golden) {
-        return Err(format!(
-            "{}: simulated result diverges from the interpreter",
-            bench.name
-        ));
-    }
-
-    // Differential: production vs reference stepper, clean then chaos-swept.
-    check_steppers(&compiled, &program, None, &format!("{} clean", bench.name))?;
-    for chaos in chaos_points(quick) {
-        check_steppers(
-            &compiled,
-            &program,
-            Some(chaos),
-            &format!(
-                "{} chaos seed={:#x} stall={}%",
-                bench.name, chaos.seed, chaos.stall_percent
-            ),
-        )?;
-    }
-
-    // Traced run must be observationally identical to the untraced one.
-    let traced = run_traced(&compiled, &program)
-        .map_err(|e| format!("{}: traced simulation failed: {e}", bench.name))?;
-    if traced.report.cycles != run_report.cycles || traced.report.stats != run_report.stats {
-        return Err(format!(
-            "{}: traced run diverged from untraced run ({} vs {} cycles)",
-            bench.name, traced.report.cycles, run_report.cycles
-        ));
-    }
-
-    let dyn_cycles = traced.trace.dyn_active_cycles();
-    let hash = asm_hash(&compiled);
+    // The chaos sweep: (seed, stall rate) points from the fixed testkit
+    // stream, so every run of the harness exercises identical chaos.
+    let stream = raw_testkit::Rng::new(0x000A_110C_8A05);
+    let points = if quick {
+        ChaosConfig::sweep(stream.take(1), &[20])
+    } else {
+        ChaosConfig::sweep(stream.take(3), &[1, 5, 20, 50])
+    };
+    let clean = check(&compiled, &program, &points)?;
+    let cycles = clean.report.cycles;
+    let dyn_cycles = clean.trace.dyn_active_cycles();
+    let hash = asm_hash(&compiled.machine_program);
     let line = format!(
         "scenario {} mesh={}x{} live={} faulty={} cycles={} dyn_cycles={} asm_hash={hash:#018x}",
         bench.name,
@@ -225,14 +117,14 @@ fn run_scenario(
         config.cols,
         n_live,
         mask_list(config),
-        run_report.cycles,
+        cycles,
         dyn_cycles,
     );
-    let occupancy = report::occupancy_table(&traced.trace);
+    let occupancy = report::occupancy_table(&clean.trace);
     let row = SummaryRow {
         name: bench.name.to_string(),
         live: n_live,
-        cycles: run_report.cycles,
+        cycles,
         dyn_cycles,
         hash,
     };
@@ -245,12 +137,6 @@ struct SummaryRow {
     cycles: u64,
     dyn_cycles: u64,
     hash: u64,
-}
-
-/// FNV over the full per-tile instruction streams (same digest as
-/// `raw-bench compile`).
-fn asm_hash(compiled: &CompiledProgram) -> u64 {
-    raw_testkit::hash64(format!("{:?}", compiled.machine_program).as_bytes())
 }
 
 /// Co-residency check: two kernels on complementary partitions of one mesh.

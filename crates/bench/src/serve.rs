@@ -103,7 +103,6 @@ impl ServeArgs {
             cache_dir: self.cache_dir.clone().map(Into::into),
             verify: self.verify,
             telemetry: !self.no_telemetry,
-            ..ServeOptions::default()
         }
     }
 }

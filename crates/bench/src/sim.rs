@@ -8,24 +8,24 @@
 //!   on an otherwise idle mesh, the regime where a 32×32 machine spends most
 //!   of its tiles dead or asleep — built directly from assembly so mesh size
 //!   is decoupled from compiler scaling;
-//! * `--selfcheck` runs every workload through the production stepper and
-//!   the reference oracle and fails unless cycle counts, the full statistics
-//!   block, and final memories are bit-identical, clean and under a chaos
-//!   sweep;
+//! * `--selfcheck` runs every workload through the stepper oracle
+//!   (`raw_machine::oracle::steppers_agree`) and fails unless outcomes, the
+//!   full statistics block, and final memories are bit-identical, clean and
+//!   under a chaos sweep;
 //! * a compiled benchmark (`jacobi`) joins the differential at sizes the
 //!   compiler targets (≤ 64 tiles), so the smoke also covers compiler-shaped
 //!   code and honours `RAWCC_THREADS`;
 //! * without `--selfcheck` the subcommand times one run per workload and
 //!   prints one greppable `ms` / `ns_per_cycle` line each: run it at several
 //!   `--tiles` and the same workload should cost the same (the statistically
-//!   careful version lives in `benches/sim_scale.rs`).
+//!   careful version is `raw-perf`'s `sim_sparse` workload, in `perf/`).
 
 use crate::args::{require_power_of_two, FlagParser};
 use raw_ir::Imm;
 use raw_machine::asm::{ProcAsm, SwitchAsm};
 use raw_machine::chaos::ChaosConfig;
 use raw_machine::isa::{Dir, Dst, MachineProgram, PInst, SDst, SInst, SSrc, Src, TileCode};
-use raw_machine::stats::Stats;
+use raw_machine::oracle::steppers_agree;
 use raw_machine::{Machine, MachineConfig, TileId};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -225,17 +225,9 @@ pub fn sparse_suite(config: &MachineConfig, quick: bool) -> Vec<SparseWorkload> 
     ]
 }
 
-/// Instantiates one stepper over a sparse workload.
-fn machine(
-    config: &MachineConfig,
-    w: &SparseWorkload,
-    reference: bool,
-    chaos: Option<ChaosConfig>,
-) -> Machine {
+/// Instantiates a sparse workload, optionally under chaos.
+fn machine(config: &MachineConfig, w: &SparseWorkload, chaos: Option<ChaosConfig>) -> Machine {
     let mut m = Machine::new(config.clone(), &w.program);
-    if reference {
-        m = m.with_reference_stepper();
-    }
     if let Some(c) = chaos {
         m = m.with_chaos(c);
     }
@@ -245,90 +237,36 @@ fn machine(
     m
 }
 
-/// Runs to completion and snapshots everything the differential compares.
-fn snapshot(mut m: Machine, label: &str) -> Result<RunSnapshot, String> {
-    let report = m.run().map_err(|e| format!("{label}: {e}"))?;
-    let n = m.config().n_tiles();
-    Ok(RunSnapshot {
-        cycles: report.cycles,
-        stats: report.stats,
-        mems: (0..n).map(|t| m.memory(TileId(t)).to_vec()).collect(),
-    })
-}
-
-/// Runs a sparse workload to completion, verifying its functional check.
-fn observe(m: Machine, w: &SparseWorkload, label: &str) -> Result<RunSnapshot, String> {
-    let snap = snapshot(m, label)?;
-    let (tile, addr, expected) = w.check;
-    let got = snap.mems[tile.index()][addr as usize];
-    if got != expected {
-        return Err(format!(
-            "{label}: tile {} mem[{addr}] = {got}, expected {expected}",
-            tile.0
-        ));
-    }
-    Ok(snap)
-}
-
-/// Everything the differential compares.
-struct RunSnapshot {
-    cycles: u64,
-    stats: Stats,
-    mems: Vec<Vec<u32>>,
-}
-
-/// Checks that the production stepper's run equals the reference oracle's;
-/// returns the agreed cycle count.
-fn check_against_reference(
-    production: &RunSnapshot,
-    reference: &RunSnapshot,
-    label: &str,
-) -> Result<u64, String> {
-    if production.cycles != reference.cycles {
-        return Err(format!(
-            "{label}: steppers disagree on cycles ({} vs reference {})",
-            production.cycles, reference.cycles
-        ));
-    }
-    if production.stats != reference.stats {
-        return Err(format!("{label}: steppers disagree on statistics"));
-    }
-    if production.mems != reference.mems {
-        return Err(format!("{label}: steppers disagree on final memory"));
-    }
-    Ok(production.cycles)
-}
-
-/// Asserts both steppers agree on one (workload, chaos) point.
+/// Both steppers agree on one (workload, chaos) point and the run passes the
+/// workload's functional check; returns the agreed cycle count.
 fn check_two_way(
     config: &MachineConfig,
     w: &SparseWorkload,
     chaos: Option<ChaosConfig>,
     label: &str,
 ) -> Result<u64, String> {
-    let production = observe(machine(config, w, false, chaos), w, label)?;
-    let reference = observe(machine(config, w, true, chaos), w, label)?;
-    check_against_reference(&production, &reference, label)
+    let snapshot = steppers_agree(label, || machine(config, w, chaos))?;
+    let cycles = snapshot.outcome.map_err(|e| format!("{label}: {e}"))?;
+    let (tile, addr, expected) = w.check;
+    let got = snapshot.memory[tile.index()][addr as usize];
+    if got != expected {
+        return Err(format!(
+            "{label}: tile {} mem[{addr}] = {got}, expected {expected}",
+            tile.0
+        ));
+    }
+    Ok(cycles)
 }
 
 /// The chaos sweep for the smoke: fixed testkit stream, so every run
 /// exercises identical chaos points.
 fn chaos_points(quick: bool) -> Vec<ChaosConfig> {
-    let mut rng = raw_testkit::Rng::new(0x513C_41E0);
-    let seeds: Vec<u64> = (0..if quick { 1 } else { 2 })
-        .map(|_| rng.next_u64())
-        .collect();
-    let rates: &[u32] = if quick { &[20] } else { &[5, 30] };
-    let mut points = Vec::new();
-    for &seed in &seeds {
-        for &stall_percent in rates {
-            points.push(ChaosConfig {
-                seed,
-                stall_percent,
-            });
-        }
+    let stream = raw_testkit::Rng::new(0x513C_41E0);
+    if quick {
+        ChaosConfig::sweep(stream.take(1), &[20])
+    } else {
+        ChaosConfig::sweep(stream.take(2), &[5, 30])
     }
-    points
 }
 
 /// Differential check of a *compiled* benchmark (jacobi) at this mesh size:
@@ -342,16 +280,6 @@ fn check_compiled(config: &MachineConfig, quick: bool, out: &mut String) -> Resu
         .map_err(|e| format!("jacobi: source compile failed: {e}"))?;
     let compiled = compile(&program, config, &CompilerOptions::default())
         .map_err(|e| format!("jacobi: compile failed: {e}"))?;
-    let run = |reference: bool, chaos: Option<ChaosConfig>| -> Result<RunSnapshot, String> {
-        let mut m = compiled.instantiate(&program);
-        if reference {
-            m = m.with_reference_stepper();
-        }
-        if let Some(c) = chaos {
-            m = m.with_chaos(c);
-        }
-        snapshot(m, "jacobi")
-    };
     let mut points: Vec<Option<ChaosConfig>> = vec![None];
     points.extend(chaos_points(quick).into_iter().map(Some));
     for chaos in points {
@@ -359,7 +287,14 @@ fn check_compiled(config: &MachineConfig, quick: bool, out: &mut String) -> Resu
             None => "jacobi clean".to_string(),
             Some(c) => format!("jacobi chaos seed={:#x} stall={}%", c.seed, c.stall_percent),
         };
-        let cycles = check_against_reference(&run(false, chaos)?, &run(true, chaos)?, &label)?;
+        let snapshot = steppers_agree(&label, || {
+            let m = compiled.instantiate(&program);
+            match chaos {
+                Some(c) => m.with_chaos(c),
+                None => m,
+            }
+        })?;
+        let cycles = snapshot.outcome.map_err(|e| format!("{label}: {e}"))?;
         let _ = writeln!(
             out,
             "sim jacobi tiles={} cycles={cycles} {label}: ok",
@@ -372,7 +307,7 @@ fn check_compiled(config: &MachineConfig, quick: bool, out: &mut String) -> Resu
 /// Times one full run (construction and memory inspection excluded) and
 /// returns (cycles, seconds).
 fn time_run(config: &MachineConfig, w: &SparseWorkload) -> Result<(u64, f64), String> {
-    let mut m = machine(config, w, false, None);
+    let mut m = machine(config, w, None);
     let label = format!("{} timing", w.name);
     let start = Instant::now();
     let report = m.run().map_err(|e| format!("{label}: {e}"))?;
@@ -502,8 +437,7 @@ mod tests {
     fn sparse_workloads_pass_their_own_checks() {
         let config = MachineConfig::square(16);
         for w in sparse_suite(&config, true) {
-            let label = format!("{} smoke", w.name);
-            observe(machine(&config, &w, false, None), &w, &label).unwrap();
+            check_two_way(&config, &w, None, &format!("{} smoke", w.name)).unwrap();
         }
     }
 

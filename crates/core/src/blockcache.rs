@@ -85,8 +85,9 @@ use std::sync::{Arc, Condvar, Mutex, Once, PoisonError};
 const MAGIC: [u8; 8] = *b"RAWCCBC\n";
 /// Bump whenever the bundle encoding or key derivation changes.
 const FORMAT_VERSION: u32 = 3;
-/// Default in-memory capacity (bundles), evicted FIFO beyond this.
-const DEFAULT_CAPACITY: usize = 4096;
+/// Default in-memory capacity (bundles), evicted FIFO beyond this; also the
+/// compile daemon's bound.
+pub(crate) const DEFAULT_CAPACITY: usize = 4096;
 /// Default in-memory byte budget (sum of encoded bundle sizes), evicted FIFO
 /// beyond this.
 const DEFAULT_BYTE_BUDGET: usize = 64 << 20;
@@ -1214,7 +1215,7 @@ mod tests {
         // (A heuristic bundle must never satisfy an exact or portfolio
         // request, so strategy and seeds are semantic too.)
         type Flip = fn(&mut CompilerOptions);
-        let flips: [(&str, Flip); 9] = [
+        let flips: [(&str, Flip); 8] = [
             ("clustering", |o| o.clustering = !o.clustering),
             ("placement", |o| {
                 o.placement = PlacementAlgorithm::Annealing { seed: 1 }
@@ -1223,7 +1224,6 @@ mod tests {
                 o.placement = PlacementAlgorithm::Annealing { seed: 2 }
             }),
             ("priority", |o| o.priority = PriorityScheme::SourceOrder),
-            ("cluster_comm_cost", |o| o.cluster_comm_cost += 1),
             ("fold_communication", |o| {
                 o.fold_communication = !o.fold_communication
             }),

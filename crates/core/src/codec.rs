@@ -19,6 +19,7 @@
 //! [`KeyContext`]: crate::blockcache::KeyContext
 
 use crate::options::{CompilerOptions, PlacementAlgorithm, PriorityScheme, Strategy};
+use crate::partition::CLUSTER_COMM_COST;
 use raw_ir::{ArrayId, BinOp, Imm, Inst, InstKind, MemHome, SourceSpan, UnOp, ValueId, VarId};
 use raw_machine::isa::{AluOp, Dir, Dst, PInst, SDst, SSrc, Src};
 use raw_machine::{LatencyModel, MachineConfig, TileId, TileMask};
@@ -383,7 +384,10 @@ pub(crate) fn put_options(out: &mut Vec<u8>, o: &CompilerOptions) {
         PriorityScheme::LevelOnly => 1,
         PriorityScheme::SourceOrder => 2,
     });
-    put_u32(out, o.cluster_comm_cost);
+    // Where the retired clustering-latency option sat: now the constant, so
+    // keys and frames keep their layout (and a changed constant changes the
+    // key). Ignored on read.
+    put_u32(out, CLUSTER_COMM_COST as u32);
     out.push(o.fold_communication as u8);
     // A cached heuristic bundle must never satisfy a portfolio request (and
     // vice versa), so the strategy and its seed are semantic.
@@ -420,7 +424,7 @@ pub(crate) fn get_options(d: &mut Dec<'_>) -> Option<CompilerOptions> {
         2 => PriorityScheme::SourceOrder,
         _ => return None,
     };
-    let cluster_comm_cost = d.u32()?;
+    d.u32()?; // reserved (see `put_options`)
     let fold_communication = get_bool(d)?;
     let strategy = match d.u8()? {
         0 => Strategy::Heuristic,
@@ -433,7 +437,6 @@ pub(crate) fn get_options(d: &mut Dec<'_>) -> Option<CompilerOptions> {
         clustering,
         placement,
         priority,
-        cluster_comm_cost,
         fold_communication,
         strategy,
         exact_budget,

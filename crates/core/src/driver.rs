@@ -312,6 +312,13 @@ impl CompiledProgram {
     }
 }
 
+/// FNV over the full per-tile instruction streams: equal hash ⇔ equal asm
+/// for all practical purposes. This is the `asm_hash=` every `raw-bench`
+/// subcommand prints and `tests/golden/asm_hashes.txt` pins.
+pub fn asm_hash(machine_program: &MachineProgram) -> u64 {
+    raw_testkit::hash64(format!("{machine_program:?}").as_bytes())
+}
+
 /// Compiles `program` for `config` with the paper's full orchestration
 /// pipeline (space-time scheduling).
 ///

@@ -75,8 +75,8 @@ pub use blockcache::{
     KeyContext,
 };
 pub use driver::{
-    compile, compile_baseline, compile_block, compile_with_cache, link_coresident, BlockReport,
-    CoResident, CompileError, CompileReport, CompiledProgram, PhaseTimings,
+    asm_hash, compile, compile_baseline, compile_block, compile_with_cache, link_coresident,
+    BlockReport, CoResident, CompileError, CompileReport, CompiledProgram, PhaseTimings,
 };
 pub use exact::{ExactOutcome, ExactReport, Lane};
 pub use layout::{ArrayClass, DataLayout};

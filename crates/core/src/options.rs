@@ -67,9 +67,6 @@ pub struct CompilerOptions {
     pub placement: PlacementAlgorithm,
     /// Event-scheduler priority scheme.
     pub priority: PriorityScheme,
-    /// Assumed latency of one cross-tile word transfer during clustering
-    /// (the idealized uniform-latency switch of paper §4.1).
-    pub cluster_comm_cost: u32,
     /// Fold sends/receives into computation instructions where the tile's
     /// port-event order allows (paper Figure 4: "the effective overhead of the
     /// communication can be as low as two cycles").
@@ -94,7 +91,6 @@ impl Default for CompilerOptions {
             clustering: true,
             placement: PlacementAlgorithm::default(),
             priority: PriorityScheme::LevelFertility,
-            cluster_comm_cost: 4,
             fold_communication: true,
             strategy: Strategy::Heuristic,
             exact_budget: 0,
@@ -113,7 +109,6 @@ mod tests {
         assert!(o.clustering);
         assert_eq!(o.placement, PlacementAlgorithm::GreedySwap);
         assert_eq!(o.priority, PriorityScheme::LevelFertility);
-        assert_eq!(o.cluster_comm_cost, 4);
         assert!(o.fold_communication);
         assert_eq!(o.strategy, Strategy::Heuristic);
         assert_eq!(o.exact_budget, 0, "0 = the exact solver's default budget");

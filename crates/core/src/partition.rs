@@ -18,6 +18,10 @@ use crate::options::CompilerOptions;
 use crate::taskgraph::{EdgeKind, TaskGraph};
 use raw_machine::{MachineConfig, TileId};
 
+/// Assumed latency of one cross-tile word transfer during clustering: the
+/// idealized uniform-latency switch of paper §4.1.
+pub(crate) const CLUSTER_COMM_COST: u64 = 4;
+
 /// Result of partitioning one block's task graph.
 #[derive(Clone, Debug)]
 pub struct Partition {
@@ -118,7 +122,7 @@ pub fn partition_timed(
         );
     }
     let clusters = if options.clustering {
-        cluster(graph, options.cluster_comm_cost)
+        cluster(graph)
     } else {
         // Ablation: every node is its own cluster.
         Clustering {
@@ -129,7 +133,7 @@ pub fn partition_timed(
         }
     };
     let n_clusters = clusters.count;
-    let bins = merge(graph, &clusters, n_tiles, config);
+    let bins = merge(&clusters, n_tiles, config);
     let place_start = std::time::Instant::now();
     let (tile_of_bin, placement) = place(graph, &clusters, &bins, config, options);
     let place_time = place_start.elapsed();
@@ -197,10 +201,10 @@ struct Clustering {
 }
 
 /// Greedy DSC-style clustering with an idealized fully connected switch of
-/// uniform latency `comm_cost` (paper §4.1).
-fn cluster(graph: &TaskGraph, comm_cost: u32) -> Clustering {
+/// uniform latency [`CLUSTER_COMM_COST`] (paper §4.1).
+fn cluster(graph: &TaskGraph) -> Clustering {
     let n = graph.len();
-    let comm = comm_cost as u64;
+    let comm = CLUSTER_COMM_COST;
     // Cluster state: nodes start as singletons created lazily.
     let mut cluster_of: Vec<Option<usize>> = vec![None; n];
     let mut cluster_pin: Vec<Option<TileId>> = Vec::new();
@@ -316,8 +320,7 @@ struct Bins {
 /// Bins on faulty tiles accept no clusters: pins never name a faulty tile
 /// (the data layout interleaves over live tiles only), and unpinned clusters
 /// choose the least-loaded *live* bin, so masked bins stay empty end to end.
-fn merge(graph: &TaskGraph, clusters: &Clustering, n_tiles: usize, config: &MachineConfig) -> Bins {
-    let _ = graph;
+fn merge(clusters: &Clustering, n_tiles: usize, config: &MachineConfig) -> Bins {
     let mut of_cluster = vec![usize::MAX; clusters.count];
     let mut load = vec![0u64; n_tiles];
     let mut locked: Vec<Option<TileId>> = vec![None; n_tiles];

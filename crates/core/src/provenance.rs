@@ -59,18 +59,6 @@ pub struct ProvenanceMap {
 }
 
 impl ProvenanceMap {
-    /// Record behind processor instruction `pc` on `tile`, if any.
-    pub fn proc_record(&self, tile: usize, pc: usize) -> Option<&ProvRecord> {
-        let id = *self.proc_pc.get(tile)?.get(pc)?;
-        self.records.get(id as usize)
-    }
-
-    /// Record behind switch instruction `pc` on `tile`, if any.
-    pub fn switch_record(&self, tile: usize, pc: usize) -> Option<&ProvRecord> {
-        let id = *self.switch_pc.get(tile)?.get(pc)?;
-        self.records.get(id as usize)
-    }
-
     /// Record id behind processor instruction `pc` on `tile` ([`NO_PROV`] when
     /// out of range or unattributed).
     pub fn proc_id(&self, tile: usize, pc: usize) -> u32 {

@@ -79,16 +79,6 @@ impl PredictedBlock {
     pub fn proc_issues(&self, tile: usize) -> usize {
         self.proc_ops[tile].len()
     }
-
-    /// The highest predicted processor occupancy across tiles, as a fraction
-    /// of the makespan (0.0 for an empty block).
-    pub fn peak_occupancy(&self) -> f64 {
-        if self.makespan == 0 {
-            return 0.0;
-        }
-        let max = self.proc_ops.iter().map(Vec::len).max().unwrap_or(0);
-        max as f64 / self.makespan as f64
-    }
 }
 
 /// The space-time schedule of one basic block.

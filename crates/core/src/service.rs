@@ -51,7 +51,7 @@
 //! exit when their client disconnects; the daemon process exits as soon as
 //! [`ServerHandle::join`] returns, which requires only the accept loop.
 
-use crate::blockcache::{BlockCache, CacheTotals, Fifo};
+use crate::blockcache::{BlockCache, CacheTotals, Fifo, DEFAULT_CAPACITY};
 use crate::codec::hash128;
 use crate::driver::compile_with_cache;
 use crate::options::CompilerOptions;
@@ -81,6 +81,11 @@ pub const SLOW_LOG_CAPACITY: usize = 16;
 pub const MAX_CLIENT_ROWS: usize = 64;
 /// The fold-over row name for clients beyond [`MAX_CLIENT_ROWS`].
 pub const OTHER_CLIENTS_ROW: &str = "(other)";
+/// Byte budget of the whole-response memo. The memo replays the encoded
+/// response for byte-identical requests, skipping decode/verify/compile/
+/// encode entirely; [`ServeOptions::verify`] turns it off so paranoia mode
+/// re-checks every request.
+const MEMO_BUDGET: usize = 64 << 20;
 
 /// Configuration for [`serve`].
 #[derive(Clone, Debug)]
@@ -90,19 +95,13 @@ pub struct ServeOptions {
     pub addr: String,
     /// Cache shard count (rounded up to a power of two).
     pub shards: usize,
-    /// Global in-memory bundle-count bound.
-    pub capacity: usize,
     /// Global in-memory byte budget, split across shards.
     pub byte_budget: usize,
     /// Optional disk layer shared by all clients.
     pub cache_dir: Option<PathBuf>,
-    /// Recompile and check every cache hit (server-side paranoia mode).
+    /// Recompile and check every cache hit (server-side paranoia mode); also
+    /// turns the whole-response memo off.
     pub verify: bool,
-    /// Byte budget for the whole-response memo (0 disables it). The memo
-    /// replays the encoded response for byte-identical requests, skipping
-    /// decode/verify/compile/encode entirely; `verify` also disables it so
-    /// paranoia mode re-checks every request.
-    pub memo_budget: usize,
     /// Maintain the metrics registry and span ring (the default). Off, the
     /// daemon still serves bounded stats percentiles, but a metrics scrape
     /// reports only `rawcc_telemetry_enabled 0` and no spans are recorded.
@@ -114,11 +113,9 @@ impl Default for ServeOptions {
         ServeOptions {
             addr: "127.0.0.1:0".into(),
             shards: 16,
-            capacity: 4096,
             byte_budget: 64 << 20,
             cache_dir: None,
             verify: false,
-            memo_budget: 64 << 20,
             telemetry: true,
         }
     }
@@ -698,7 +695,7 @@ impl Drop for ServerHandle {
 ///
 /// [`ServiceError::Bind`] / [`ServiceError::CacheDir`] for setup failures.
 pub fn serve(opts: &ServeOptions) -> Result<ServerHandle, ServiceError> {
-    let mut cache = BlockCache::with_budget(opts.shards, opts.capacity, opts.byte_budget);
+    let mut cache = BlockCache::with_budget(opts.shards, DEFAULT_CAPACITY, opts.byte_budget);
     if let Some(dir) = &opts.cache_dir {
         cache = cache.on_disk(dir).map_err(ServiceError::CacheDir)?;
     }
@@ -706,9 +703,9 @@ pub fn serve(opts: &ServeOptions) -> Result<ServerHandle, ServiceError> {
     let cache = Arc::new(cache);
     let listener = TcpListener::bind(opts.addr.as_str()).map_err(ServiceError::Bind)?;
     let addr = listener.local_addr().map_err(ServiceError::Bind)?;
-    // Verify mode must actually re-run every compile, so it forces the
-    // response memo off regardless of the configured budget.
-    let memo_budget = if opts.verify { 0 } else { opts.memo_budget };
+    // Verify mode must actually re-run every compile, so it turns the
+    // response memo off.
+    let memo_budget = if opts.verify { 0 } else { MEMO_BUDGET };
 
     let latency = Arc::new(Histogram::new(Buckets::latency_us()));
     let clients = Arc::new(Mutex::new(HashMap::new()));

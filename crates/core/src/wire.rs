@@ -143,14 +143,6 @@ pub mod errcode {
     pub const PROTOCOL: u8 = 5;
 }
 
-/// Whether `kind` is a defined *request* kind.
-pub fn is_request_kind(kind: u8) -> bool {
-    matches!(
-        kind,
-        REQ_COMPILE | REQ_STATS | REQ_PING | REQ_SHUTDOWN | REQ_METRICS
-    )
-}
-
 /// Writes one frame.
 ///
 /// # Errors

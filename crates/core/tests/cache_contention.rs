@@ -7,8 +7,7 @@
 //! "test" below (a no-op in normal runs).
 
 use raw_machine::MachineConfig;
-use raw_testkit::hash64;
-use rawcc::{compile_with_cache, BlockCache, CompilerOptions};
+use rawcc::{asm_hash, compile_with_cache, BlockCache, CompilerOptions};
 use std::process::{Command, Stdio};
 
 const CHILD_ENV: &str = "RAWCC_CONTENTION_CHILD";
@@ -41,10 +40,6 @@ fn options() -> CompilerOptions {
         threads: 2,
         ..CompilerOptions::default()
     }
-}
-
-fn asm_hash(mp: &raw_machine::MachineProgram) -> u64 {
-    hash64(format!("{mp:?}").as_bytes())
 }
 
 /// Child-process entry point: a no-op unless re-executed by the parent test.

@@ -4,10 +4,10 @@
 //! the daemon down.
 
 use raw_machine::MachineConfig;
-use raw_testkit::{hash64, Rng};
+use raw_testkit::Rng;
 use rawcc::service::{serve, Client, ServeOptions};
 use rawcc::wire;
-use rawcc::{compile_with_cache, BlockCache, CompilerOptions};
+use rawcc::{asm_hash, compile_with_cache, BlockCache, CompilerOptions};
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -39,10 +39,6 @@ fn workload() -> Vec<raw_ir::Program> {
     .enumerate()
     .map(|(n, src)| raw_lang::compile_source(&format!("svc{n}"), src, 2).unwrap())
     .collect()
-}
-
-fn asm_hash(mp: &raw_machine::MachineProgram) -> u64 {
-    hash64(format!("{mp:?}").as_bytes())
 }
 
 /// Hashes at client counts {1, 2, 8} must all equal the in-process compile.

@@ -62,19 +62,9 @@ impl ProgramBuilder {
         self.span = span;
     }
 
-    /// The span currently stamped on emitted instructions.
-    pub fn current_span(&self) -> SourceSpan {
-        self.span
-    }
-
     /// The entry block id (always `bb0`).
     pub fn entry(&self) -> BlockId {
         BlockId::from_raw(0)
-    }
-
-    /// The block currently selected for emission.
-    pub fn current_block(&self) -> BlockId {
-        self.current
     }
 
     /// Declares a persistent integer variable.

@@ -180,8 +180,6 @@ struct RouterState {
 /// injection backlog. The differential suites compare the two bit-for-bit.
 #[derive(Debug)]
 pub struct DynNet {
-    #[allow(dead_code)]
-    rows: u32,
     cols: u32,
     fifo_cap: usize,
     routers: Vec<RouterState>,
@@ -206,7 +204,6 @@ impl DynNet {
     pub fn new(rows: u32, cols: u32, fifo_cap: usize) -> Self {
         let n = (rows * cols) as usize;
         DynNet {
-            rows,
             cols,
             fifo_cap,
             routers: (0..n).map(|_| RouterState::default()).collect(),

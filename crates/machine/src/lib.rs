@@ -78,6 +78,7 @@ pub mod config;
 pub mod dynnet;
 pub mod isa;
 pub mod machine;
+pub mod oracle;
 pub mod processor;
 pub mod stats;
 pub mod switch;

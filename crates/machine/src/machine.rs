@@ -42,10 +42,9 @@
 //! cycles on which chaos stalled the component, counted then — chaos is a pure
 //! function of `(seed, component, cycle)`, see [`crate::chaos`]), and the
 //! progress flag fed to the deadlock detector is reproduced cycle by cycle (a
-//! timed scoreboard sleep still counts as progress). The differential suite
-//! (`tests/differential_stepper.rs`) asserts that both steppers produce
-//! bit-identical cycle counts, statistics, memory and deadlock reports, clean
-//! and under chaos.
+//! timed scoreboard sleep still counts as progress). The oracle
+//! ([`crate::oracle`]) asserts that both steppers produce bit-identical cycle
+//! counts, statistics, memory and deadlock reports, clean and under chaos.
 
 use crate::calendar::{CalendarQueue, RunSet};
 use crate::channel::Channel;
@@ -405,9 +404,9 @@ impl<S: EventSink> Machine<S> {
 
     /// Selects the step-everything path instead of the production core.
     ///
-    /// Kept as the semantic reference: the differential test suite runs every
-    /// workload through both steppers and asserts identical cycle counts,
-    /// statistics, and final memory.
+    /// Kept as the semantic reference and exists only to serve the oracle
+    /// ([`crate::oracle::steppers_agree`]), which runs a machine through both
+    /// steppers and demands identical outcomes, statistics, and final memory.
     pub fn with_reference_stepper(mut self) -> Self {
         self.stepper = Stepper::Reference;
         self
@@ -469,11 +468,6 @@ impl<S: EventSink> Machine<S> {
     /// co-resident programs.
     pub fn set_tile_dyn_homes(&mut self, tile: TileId, homes: Vec<TileId>) {
         self.procs[tile.index()].set_dyn_homes(homes);
-    }
-
-    /// Reads a processor register (diagnostics).
-    pub fn proc_reg(&self, tile: TileId, reg: u16) -> Word {
-        self.procs[tile.index()].reg(reg)
     }
 
     /// True when every processor and switch halted and all networks drained.
@@ -1240,49 +1234,6 @@ impl<S: EventSink> Machine<S> {
         })
     }
 
-    /// Dumps a human-readable snapshot of every non-halted component and the
-    /// static-network channel occupancy (deadlock debugging).
-    pub fn dump_state(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        for (t, p) in self.procs.iter().enumerate() {
-            if p.halted() {
-                continue;
-            }
-            let inst = self.code[t].proc.get(p.pc());
-            writeln!(s, "tile{t}.proc pc={} inst={:?}", p.pc(), inst).unwrap();
-        }
-        for (t, sw) in self.switches.iter().enumerate() {
-            if sw.halted() {
-                continue;
-            }
-            let inst = self.code[t].switch.get(sw.pc());
-            writeln!(s, "tile{t}.switch pc={} inst={:?}", sw.pc(), inst).unwrap();
-        }
-        for t in 0..self.config.n_tiles() as usize {
-            writeln!(
-                s,
-                "tile{t} ports: proc->sw={} sw->proc={}",
-                self.channels[self.ps[t]].len(),
-                self.channels[self.sp[t]].len()
-            )
-            .unwrap();
-            for dir in Dir::ALL {
-                if let Some(id) = self.link_out[t][dir.index()] {
-                    if !self.channels[id].is_empty() {
-                        writeln!(
-                            s,
-                            "  link tile{t}->{dir:?}: {} words",
-                            self.channels[id].len()
-                        )
-                        .unwrap();
-                    }
-                }
-            }
-        }
-        s
-    }
-
     fn deadlock_detail(&self) -> String {
         let mut stuck = Vec::new();
         for (t, p) in self.procs.iter().enumerate() {
@@ -1315,13 +1266,14 @@ fn get_two_mut(v: &mut [Channel], a: usize, b: usize) -> (&mut Channel, &mut Cha
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::asm::{ProcAsm, SwitchAsm};
     use crate::isa::{Dst, Src};
+    use crate::oracle::steppers_agree;
     use raw_ir::{BinOp, Imm};
 
-    fn neighbor_message_program() -> MachineProgram {
+    pub(crate) fn neighbor_message_program() -> MachineProgram {
         // Figure 4: tile(0,0) computes x+y and sends; tile(0,1) receives and
         // computes w + received. We mark completion by storing to memory.
         let mut p0 = ProcAsm::new();
@@ -1398,19 +1350,7 @@ mod tests {
 
     #[test]
     fn deadlock_detected() {
-        // Tile 0 processor reads from its port but nothing ever sends.
-        let mut p0 = ProcAsm::new();
-        p0.recv(Dst::Reg(1));
-        p0.halt();
-        let mut s0 = SwitchAsm::new();
-        s0.halt();
-        let program = MachineProgram {
-            tiles: vec![TileCode {
-                proc: p0.finish(),
-                switch: s0.finish(),
-            }],
-        };
-        let mut m = Machine::new(MachineConfig::grid(1, 1), &program);
+        let mut m = Machine::new(MachineConfig::grid(1, 1), &orphan_receive_program());
         match m.run() {
             Err(SimError::Deadlock { detail, .. }) => {
                 assert!(detail.contains("tile0.proc"), "{detail}");
@@ -1552,7 +1492,7 @@ mod tests {
     }
 
     /// A lone processor blocked on a receive nobody sends to.
-    fn orphan_receive_program() -> MachineProgram {
+    pub(crate) fn orphan_receive_program() -> MachineProgram {
         let mut p0 = ProcAsm::new();
         p0.recv(Dst::Reg(1));
         p0.halt();
@@ -1567,7 +1507,7 @@ mod tests {
     /// Tile 1 blocks on its input port for the full latency of tile 0's
     /// multiply (a port wait over a scoreboard wait), then multiplies the
     /// received word itself and waits out its own scoreboard.
-    fn port_and_scoreboard_wait_program() -> MachineProgram {
+    pub(crate) fn port_and_scoreboard_wait_program() -> MachineProgram {
         let mut p0 = ProcAsm::new();
         p0.bin(
             BinOp::Mul,
@@ -1601,59 +1541,29 @@ mod tests {
         }
     }
 
-    /// Runs `program` on both steppers and returns each one's full outcome.
-    fn run_both(
-        config: &MachineConfig,
-        program: &MachineProgram,
-        chaos: Option<ChaosConfig>,
-    ) -> [(Result<u64, SimError>, Stats, Vec<Word>); 2] {
-        [false, true].map(|reference| {
-            let mut m = Machine::new(config.clone(), program);
-            if reference {
-                m = m.with_reference_stepper();
-            }
-            if let Some(c) = chaos {
-                m = m.with_chaos(c);
-            }
-            let outcome = m.run().map(|r| r.cycles);
-            let mems = (0..config.n_tiles())
-                .flat_map(|t| m.memory(TileId(t)).to_vec())
-                .collect();
-            (outcome, m.stats().clone(), mems)
-        })
-    }
-
     #[test]
     fn production_stepper_matches_reference() {
-        // The dedicated differential suite covers compiled workloads; this is
-        // the in-crate smoke check on hand-written programs, clean and under
-        // chaos.
-        let config = MachineConfig::grid(1, 2);
+        // The root test suites cover compiled workloads; this is the in-crate
+        // smoke check on hand-written programs, clean and under chaos.
         for program in [
             neighbor_message_program(),
             port_and_scoreboard_wait_program(),
         ] {
-            let [production, reference] = run_both(&config, &program, None);
-            assert!(production.0.is_ok());
-            assert_eq!(production, reference);
-            for seed in [3u64, 11, 19] {
-                let chaos = ChaosConfig {
-                    seed,
-                    stall_percent: 40,
-                };
-                let [production, reference] = run_both(&config, &program, Some(chaos));
-                assert!(production.0.is_ok());
-                assert_eq!(production, reference, "seed {seed}");
+            for seed in [None, Some(3u64), Some(11), Some(19)] {
+                let agreed = steppers_agree(&format!("seed {seed:?}"), || {
+                    let m = Machine::new(MachineConfig::grid(1, 2), &program);
+                    match seed {
+                        None => m,
+                        Some(seed) => m.with_chaos(ChaosConfig {
+                            seed,
+                            stall_percent: 40,
+                        }),
+                    }
+                })
+                .unwrap();
+                assert!(agreed.outcome.is_ok(), "seed {seed:?}");
             }
         }
-    }
-
-    #[test]
-    fn deadlock_is_detected_at_the_reference_cycle() {
-        let [production, reference] =
-            run_both(&MachineConfig::grid(1, 1), &orphan_receive_program(), None);
-        assert!(matches!(production.0, Err(SimError::Deadlock { .. })));
-        assert_eq!(production, reference);
     }
 
     #[test]
@@ -1740,21 +1650,20 @@ mod tests {
         // A true deadlock (receive with no sender) must still be reported when
         // chaos stalls are enabled and most components are asleep — at the
         // reference's cycle, with its detail and its statistics.
-        let chaos = ChaosConfig {
-            seed: 5,
-            stall_percent: 30,
-        };
-        let [production, reference] = run_both(
-            &MachineConfig::grid(1, 1),
-            &orphan_receive_program(),
-            Some(chaos),
-        );
-        match &production.0 {
+        let agreed = steppers_agree("orphan under chaos", || {
+            Machine::new(MachineConfig::grid(1, 1), &orphan_receive_program()).with_chaos(
+                ChaosConfig {
+                    seed: 5,
+                    stall_percent: 30,
+                },
+            )
+        })
+        .unwrap();
+        match &agreed.outcome {
             Err(SimError::Deadlock { detail, .. }) => {
                 assert!(detail.contains("tile0.proc"), "{detail}");
             }
             other => panic!("expected deadlock, got {other:?}"),
         }
-        assert_eq!(production, reference);
     }
 }

@@ -97,11 +97,6 @@ impl Processor {
         self.pc
     }
 
-    /// Reads an architectural register (for tests/diagnostics).
-    pub fn reg(&self, r: u16) -> Word {
-        self.regs[r as usize]
-    }
-
     /// True if a pending port write is still waiting out its producer's
     /// latency — a timed wait that resolves by itself (the deadlock detector
     /// must treat it as progress).

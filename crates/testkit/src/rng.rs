@@ -96,6 +96,16 @@ impl Rng {
     }
 }
 
+/// The endless stream of [`Rng::next_u64`] values, so a seed list is
+/// `Rng::new(stream).take(n)`.
+impl Iterator for Rng {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        Some(self.next_u64())
+    }
+}
+
 /// Types that can be drawn uniformly from a half-open range.
 pub trait SampleRange: Copy + PartialOrd {
     /// Draws one value in `[range.start, range.end)`.

@@ -16,8 +16,9 @@
 //!   the CI round-trip check.
 //!
 //! Recording is strictly observational: a traced run is bit-identical (cycle
-//! counts, statistics, final memory) to an untraced one, which the workspace's
-//! differential test suite asserts across every workload and a chaos sweep.
+//! counts, statistics, final memory) to an untraced one, which
+//! [`oracle::check`] — the one lane every differential test and `raw-bench`
+//! self-check goes through — asserts clean and at every chaos point.
 //!
 //! # Example
 //!
@@ -47,6 +48,7 @@
 pub mod annotate;
 pub mod chrome;
 pub mod json;
+pub mod oracle;
 pub mod report;
 
 use raw_ir::interp::ExecResult;
@@ -303,8 +305,9 @@ impl TileAccount {
 impl Trace {
     /// Freezes a finished traced machine into a [`Trace`].
     ///
-    /// Call after [`Machine::run`]; `report` is the run's report.
-    pub fn capture(machine: Machine<RecordingSink>, report: &RunReport) -> Trace {
+    /// Call after [`Machine::run`]; `total_cycles` is the cycle count it
+    /// reported.
+    pub fn capture(machine: Machine<RecordingSink>, total_cycles: u64) -> Trace {
         let config = machine.config().clone();
         let channels = machine.channel_infos();
         let n = config.n_tiles() as usize;
@@ -322,7 +325,7 @@ impl Trace {
         }
         Trace {
             config,
-            total_cycles: report.cycles,
+            total_cycles,
             channels,
             events: sink.events,
             proc_idle,
@@ -473,7 +476,7 @@ pub struct TraceRun {
 pub fn run_traced(compiled: &CompiledProgram, program: &Program) -> Result<TraceRun, SimError> {
     let mut machine = compiled.instantiate_with_sink(program, RecordingSink::new());
     let report = machine.run()?;
-    let trace = Trace::capture(machine, &report);
+    let trace = Trace::capture(machine, report.cycles);
     Ok(TraceRun { trace, report })
 }
 
@@ -507,7 +510,7 @@ pub fn run_coresident_traced(
         co.parts[0].extract_result(progs[0], &machine),
         co.parts[1].extract_result(progs[1], &machine),
     ];
-    let trace = Trace::capture(machine, &report);
+    let trace = Trace::capture(machine, report.cycles);
     let groups = trace.group_accounts(&[co.tiles_of(0), co.tiles_of(1)]);
     let per_program = [groups[0], groups[1]];
     Ok(CoTraceRun {
@@ -519,12 +522,12 @@ pub fn run_coresident_traced(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use raw_ir::builder::ProgramBuilder;
     use rawcc::{compile, CompilerOptions};
 
-    fn demo_program() -> Program {
+    pub(crate) fn demo_program() -> Program {
         let mut b = ProgramBuilder::new("demo");
         let out = b.var_i32("out", 0);
         let x = b.const_i32(6);

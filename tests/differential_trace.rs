@@ -1,124 +1,14 @@
-//! Differential validation of the tracing subsystem.
+//! Chrome-trace export round trip.
 //!
-//! Tracing claims to be strictly observational: attaching a recording event
-//! sink must leave cycle counts, statistics, and final memory bit-identical
-//! to an untraced run. This suite asserts that across every `raw-benchmarks`
-//! workload and a chaos sweep, and round-trips the Chrome-trace export of
-//! matmul on 16 tiles through the in-tree JSON parser.
+//! That tracing is strictly observational — a traced run bit-identical to an
+//! untraced one, clean and under chaos — is property 4 of the one oracle lane,
+//! `raw_trace::oracle::check`, which every differential suite calls. This
+//! file checks what the lane does not: the Chrome-trace export of matmul on
+//! 16 tiles round-trips through the in-tree JSON parser.
 
-use raw_repro::cc::{compile, CompiledProgram, CompilerOptions};
-use raw_repro::ir::Program;
-use raw_repro::machine::chaos::ChaosConfig;
-use raw_repro::machine::isa::TileId;
-use raw_repro::machine::{MachineConfig, RunReport};
-use raw_repro::trace::{chrome, json, RecordingSink, Trace};
-
-/// Snapshot of everything observable about a finished run.
-type Observation = (RunReport, Vec<Vec<u32>>);
-
-fn run_untraced(
-    compiled: &CompiledProgram,
-    program: &Program,
-    chaos: Option<ChaosConfig>,
-    label: &str,
-) -> Observation {
-    let mut machine = compiled.instantiate(program);
-    if let Some(c) = chaos {
-        machine = machine.with_chaos(c);
-    }
-    let report = machine.run().unwrap_or_else(|e| panic!("{label}: {e}"));
-    let n = machine.config().n_tiles();
-    let mems = (0..n).map(|t| machine.memory(TileId(t)).to_vec()).collect();
-    (report, mems)
-}
-
-fn run_traced(
-    compiled: &CompiledProgram,
-    program: &Program,
-    chaos: Option<ChaosConfig>,
-    label: &str,
-) -> (Observation, Trace) {
-    let mut machine = compiled.instantiate_with_sink(program, RecordingSink::new());
-    if let Some(c) = chaos {
-        machine = machine.with_chaos(c);
-    }
-    let report = machine
-        .run()
-        .unwrap_or_else(|e| panic!("{label} (traced): {e}"));
-    let n = machine.config().n_tiles();
-    let mems = (0..n).map(|t| machine.memory(TileId(t)).to_vec()).collect();
-    let trace = Trace::capture(machine, &report);
-    ((report, mems), trace)
-}
-
-/// Asserts a traced run is bit-identical to an untraced one.
-fn assert_trace_transparent(
-    compiled: &CompiledProgram,
-    program: &Program,
-    chaos: Option<ChaosConfig>,
-    label: &str,
-) {
-    let (plain_report, plain_mems) = run_untraced(compiled, program, chaos, label);
-    let ((traced_report, traced_mems), trace) = run_traced(compiled, program, chaos, label);
-    assert_eq!(
-        traced_report.cycles, plain_report.cycles,
-        "{label}: cycle count changed by tracing"
-    );
-    assert_eq!(
-        traced_report.stats, plain_report.stats,
-        "{label}: stats changed by tracing"
-    );
-    assert_eq!(
-        traced_mems, plain_mems,
-        "{label}: final memory changed by tracing"
-    );
-    assert!(
-        !trace.events.is_empty(),
-        "{label}: traced run recorded no events"
-    );
-    assert_eq!(trace.total_cycles, plain_report.cycles, "{label}");
-}
-
-#[test]
-fn every_workload_traced_matches_untraced() {
-    for bench in raw_repro::benchmarks::tiny_suite() {
-        let program = bench.program(4).unwrap();
-        let config = MachineConfig::square(4);
-        let compiled = compile(&program, &config, &CompilerOptions::default())
-            .unwrap_or_else(|e| panic!("{}: compile: {e}", bench.name));
-        assert_trace_transparent(&compiled, &program, None, bench.name);
-    }
-}
-
-#[test]
-fn chaos_sweep_traced_matches_untraced() {
-    // Same sweep shape as the stepper-differential suite: stall rates
-    // {1, 5, 20, 50}% × seeds × two mesh shapes. Tracing must not perturb the
-    // chaos RNG draw order either.
-    let bench = raw_repro::benchmarks::jacobi(8, 1);
-    let program = bench.program(4).unwrap();
-    let mut seed_rng = raw_testkit::Rng::new(0x0BCE_55E0_77AC);
-    let seeds: Vec<u64> = (0..4).map(|_| seed_rng.next_u64()).collect();
-
-    for (rows, cols) in [(2u32, 2), (1, 4)] {
-        let config = MachineConfig::grid(rows, cols);
-        let compiled = compile(&program, &config, &CompilerOptions::default())
-            .unwrap_or_else(|e| panic!("{rows}x{cols}: compile: {e}"));
-        for &seed in &seeds {
-            for stall_percent in [1u32, 5, 20, 50] {
-                assert_trace_transparent(
-                    &compiled,
-                    &program,
-                    Some(ChaosConfig {
-                        seed,
-                        stall_percent,
-                    }),
-                    &format!("{rows}x{cols} seed {seed:#x} {stall_percent}%"),
-                );
-            }
-        }
-    }
-}
+use raw_repro::cc::{compile, CompilerOptions};
+use raw_repro::machine::MachineConfig;
+use raw_repro::trace::{chrome, json};
 
 #[test]
 fn chrome_trace_round_trips_for_matmul_on_16_tiles() {

@@ -8,6 +8,7 @@ use raw_repro::ir::Imm;
 use raw_repro::lang::compile_source;
 use raw_repro::machine::chaos::ChaosConfig;
 use raw_repro::machine::MachineConfig;
+use raw_repro::trace::oracle::check;
 
 fn roundtrip(program: &raw_repro::ir::Program, config: MachineConfig) -> u64 {
     let compiled = compile(program, &config, &CompilerOptions::default()).unwrap();
@@ -41,16 +42,7 @@ fn tight_buffers_under_chaos_are_still_deterministic() {
     let mut config = MachineConfig::square(4);
     config.port_capacity = 1;
     let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
-    let golden = Interpreter::new(&program).run().unwrap();
-    for seed in [1u64, 2, 3] {
-        let mut machine = compiled.instantiate(&program).with_chaos(ChaosConfig {
-            seed,
-            stall_percent: 40,
-        });
-        machine.run().unwrap();
-        let result = compiled.extract_result(&program, &machine);
-        assert!(result.state_eq(&golden), "seed {seed}");
-    }
+    check(&compiled, &program, &ChaosConfig::sweep([1, 2, 3], &[40])).unwrap();
 }
 
 #[test]

@@ -83,7 +83,6 @@ fn per_tile_assembly_is_pinned() {
 /// reach the regime of hundreds of port events per tile; these blocks do.
 #[test]
 fn big_block_asm_hashes_are_pinned() {
-    use raw_testkit::hash64;
     let mut s = String::new();
     for bench in raw_repro::benchmarks::suite() {
         let mut shapes = vec![(2, 2), (4, 4)];
@@ -94,7 +93,7 @@ fn big_block_asm_hashes_are_pinned() {
             let program = bench.program(rows * cols).unwrap();
             let config = MachineConfig::grid(rows, cols);
             let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
-            let hash = hash64(format!("{:?}", compiled.machine_program).as_bytes());
+            let hash = raw_repro::cc::asm_hash(&compiled.machine_program);
             writeln!(s, "{}@{rows}x{cols} {hash:#018x}", bench.name).unwrap();
         }
     }

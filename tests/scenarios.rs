@@ -7,19 +7,17 @@
 //!   or switch — on every masked tile;
 //! * the generated code is byte-identical across worker-thread counts and
 //!   block-cache temperatures;
-//! * every scenario kernel is bit-identical between the production stepper and
-//!   `with_reference_stepper`, with tracing on and off;
+//! * every scenario kernel passes the one oracle lane
+//!   (`raw_trace::oracle::check`): interpreter, reference stepper, traced and
+//!   untraced, clean and under chaos;
 //! * two programs linked co-resident produce exactly their solo results.
 
-use raw_repro::cc::{
-    compile, compile_with_cache, link_coresident, BlockCache, CompiledProgram, CompilerOptions,
-};
-use raw_repro::ir::interp::Interpreter;
-use raw_repro::ir::Program;
+use raw_repro::cc::{compile, compile_with_cache, link_coresident, BlockCache, CompilerOptions};
 use raw_repro::machine::chaos::ChaosConfig;
 use raw_repro::machine::isa::TileId;
-use raw_repro::machine::{Machine, MachineConfig, RunReport};
-use raw_repro::trace::{run_coresident_traced, run_traced};
+use raw_repro::machine::MachineConfig;
+use raw_repro::trace::oracle::check;
+use raw_repro::trace::run_coresident_traced;
 
 /// The scenario mesh: 2×4 with tile 3 reported dead; `mask_to_pow2` pads the
 /// mask so four tiles stay live ({0, 1, 2, 4}).
@@ -43,34 +41,6 @@ fn complement_config() -> MachineConfig {
     MachineConfig::grid(2, 4).with_faulty(mask)
 }
 
-fn observe(mut machine: Machine, label: &str) -> (RunReport, Vec<Vec<u32>>) {
-    let report = machine.run().unwrap_or_else(|e| panic!("{label}: {e}"));
-    let n = machine.config().n_tiles();
-    let mems = (0..n).map(|t| machine.memory(TileId(t)).to_vec()).collect();
-    (report, mems)
-}
-
-fn assert_steppers_agree(
-    compiled: &CompiledProgram,
-    program: &Program,
-    chaos: Option<ChaosConfig>,
-    label: &str,
-) {
-    let with_chaos = |mut m: Machine| {
-        if let Some(c) = chaos {
-            m = m.with_chaos(c);
-        }
-        m
-    };
-    let production = with_chaos(compiled.instantiate(program));
-    let reference = with_chaos(compiled.instantiate(program).with_reference_stepper());
-    let (t_report, t_mems) = observe(production, label);
-    let (r_report, r_mems) = observe(reference, label);
-    assert_eq!(t_report.cycles, r_report.cycles, "{label}: cycle count");
-    assert_eq!(t_report.stats, r_report.stats, "{label}: stats");
-    assert_eq!(t_mems, r_mems, "{label}: final memory");
-}
-
 #[test]
 fn faulty_mask_emits_zero_instructions_on_masked_tiles() {
     let config = faulty_config();
@@ -89,14 +59,6 @@ fn faulty_mask_emits_zero_instructions_on_masked_tiles() {
                 );
             }
         }
-        // And the compiled result still computes the right answer.
-        let golden = Interpreter::new(&program).run().unwrap();
-        let (result, _) = compiled.run(&program).unwrap();
-        assert!(
-            result.state_eq(&golden),
-            "{}: masked compile diverges from the interpreter",
-            bench.name
-        );
     }
 }
 
@@ -141,40 +103,12 @@ fn masked_compiles_are_identical_across_threads_and_cache_temperature() {
 #[test]
 fn scenario_suite_matches_reference_stepper_traced_and_untraced() {
     let config = faulty_config();
+    let points = ChaosConfig::sweep(raw_testkit::Rng::new(0x000A_110C_8A05).take(2), &[5, 30]);
     for bench in raw_repro::benchmarks::scenario_suite() {
         let program = bench.program(config.n_live()).unwrap();
         let compiled = compile(&program, &config, &CompilerOptions::default())
             .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-        // Untraced: production vs reference, clean and under chaos.
-        assert_steppers_agree(&compiled, &program, None, bench.name);
-        let mut seed_rng = raw_testkit::Rng::new(0x000A_110C_8A05);
-        for _ in 0..2 {
-            let seed = seed_rng.next_u64();
-            for stall_percent in [5u32, 30] {
-                assert_steppers_agree(
-                    &compiled,
-                    &program,
-                    Some(ChaosConfig {
-                        seed,
-                        stall_percent,
-                    }),
-                    &format!("{} chaos {seed:#x} {stall_percent}%", bench.name),
-                );
-            }
-        }
-        // Traced run must be observationally identical to the untraced one.
-        let (_, plain) = compiled.run(&program).unwrap();
-        let traced = run_traced(&compiled, &program).unwrap();
-        assert_eq!(
-            traced.report.cycles, plain.cycles,
-            "{}: traced cycles",
-            bench.name
-        );
-        assert_eq!(
-            traced.report.stats, plain.stats,
-            "{}: traced stats",
-            bench.name
-        );
+        check(&compiled, &program, &points).unwrap();
     }
 }
 

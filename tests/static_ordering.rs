@@ -1,104 +1,45 @@
 //! The static ordering property (paper Appendix A): a deadlock-free static
 //! schedule produces the same results under *any* timing. We model dynamic
 //! events (cache misses, interrupts) by randomly stalling processors and
-//! switches, and require bit-identical final state.
+//! switches, and require bit-identical final state. Every point goes through
+//! the one oracle lane, `raw_trace::oracle::check`, so each perturbed run is
+//! also checked against the reference stepper and a traced twin.
 
 use raw_repro::cc::{compile, CompilerOptions};
-use raw_repro::ir::interp::Interpreter;
 use raw_repro::machine::chaos::ChaosConfig;
 use raw_repro::machine::MachineConfig;
-
-fn run_with_chaos(
-    bench: &raw_repro::benchmarks::Benchmark,
-    n: u32,
-    chaos: Option<ChaosConfig>,
-) -> raw_repro::ir::interp::ExecResult {
-    let program = bench.program(n).unwrap();
-    let config = MachineConfig::square(n);
-    let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
-    let mut machine = compiled.instantiate(&program);
-    if let Some(c) = chaos {
-        machine = machine.with_chaos(c);
-    }
-    machine
-        .run()
-        .unwrap_or_else(|e| panic!("{} @{n} chaos={chaos:?}: {e}", bench.name));
-    compiled.extract_result(&program, &machine)
-}
+use raw_repro::trace::oracle::check;
+use raw_testkit::Rng;
 
 #[test]
 fn random_stalls_do_not_change_results() {
+    let config = MachineConfig::square(4);
+    let points = ChaosConfig::sweep(1..=5, &[10, 35, 60]);
     for bench in [
         raw_repro::benchmarks::jacobi(8, 1),
         raw_repro::benchmarks::mxm(4, 8, 2),
         raw_repro::benchmarks::life(6, 1),
     ] {
-        let reference = run_with_chaos(&bench, 4, None);
-        let golden = Interpreter::new(&bench.program(4).unwrap()).run().unwrap();
-        assert!(reference.state_eq(&golden));
-        for seed in 1..=5u64 {
-            for stall_percent in [10, 35, 60] {
-                let perturbed = run_with_chaos(
-                    &bench,
-                    4,
-                    Some(ChaosConfig {
-                        seed,
-                        stall_percent,
-                    }),
-                );
-                assert!(
-                    perturbed.state_eq(&reference),
-                    "{}: timing perturbation changed the result (seed {seed}, {stall_percent}%)",
-                    bench.name
-                );
-            }
-        }
+        let program = bench.program(4).unwrap();
+        let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
+        check(&compiled, &program, &points).unwrap();
     }
 }
 
 #[test]
 fn chaos_sweep_stall_rates_seeds_and_shapes() {
-    // Appendix-A sweep: stall probabilities {1, 5, 20, 50}% × 8 seeds × two
-    // mesh shapes. Final memory must be bit-identical to the unperturbed run
-    // in every cell of the matrix. The chaos seeds themselves are drawn from
-    // the testkit RNG so the sweep is deterministic but not hand-picked.
+    // The one Appendix-A sweep: stall probabilities {1, 5, 20, 50}% × 8 seeds
+    // × two mesh shapes, every point checked for final state, stepper
+    // agreement and trace transparency. The chaos seeds are drawn from the
+    // testkit RNG so the sweep is deterministic but not hand-picked.
     let bench = raw_repro::benchmarks::jacobi(8, 1);
     let program = bench.program(4).unwrap();
-    let golden = Interpreter::new(&program).run().unwrap();
-    let mut seed_rng = raw_testkit::Rng::new(0x000A_110C_8A05);
-    let seeds: Vec<u64> = (0..8).map(|_| seed_rng.next_u64()).collect();
-
+    let points = ChaosConfig::sweep(Rng::new(0x000A_110C_8A05).take(8), &[1, 5, 20, 50]);
     for (rows, cols) in [(2u32, 2), (1, 4)] {
         let config = MachineConfig::grid(rows, cols);
         let compiled = compile(&program, &config, &CompilerOptions::default())
             .unwrap_or_else(|e| panic!("{rows}x{cols}: compile: {e}"));
-        let mut reference = compiled.instantiate(&program);
-        reference
-            .run()
-            .unwrap_or_else(|e| panic!("{rows}x{cols}: {e}"));
-        let reference = compiled.extract_result(&program, &reference);
-        assert!(
-            reference.state_eq(&golden),
-            "{rows}x{cols}: unperturbed run diverges from interpreter"
-        );
-
-        for &seed in &seeds {
-            for stall_percent in [1u32, 5, 20, 50] {
-                let mut machine = compiled.instantiate(&program).with_chaos(ChaosConfig {
-                    seed,
-                    stall_percent,
-                });
-                machine.run().unwrap_or_else(|e| {
-                    panic!("{rows}x{cols} seed {seed:#x} {stall_percent}%: {e}")
-                });
-                let perturbed = compiled.extract_result(&program, &machine);
-                assert!(
-                    perturbed.state_eq(&reference),
-                    "{rows}x{cols}: timing perturbation changed final memory \
-                     (seed {seed:#x}, {stall_percent}%)"
-                );
-            }
-        }
+        check(&compiled, &program, &points).unwrap();
     }
 }
 
@@ -121,34 +62,4 @@ fn chaos_slows_execution_but_terminates() {
         noisy_cycles > clean_cycles,
         "stalls must cost cycles: {noisy_cycles} vs {clean_cycles}"
     );
-}
-
-#[test]
-fn dynamic_network_traffic_is_timing_robust_too() {
-    // A kernel with data-dependent (dynamic-network) stores.
-    let src = "
-        int i; int k;
-        int D[16];
-        int H[4];
-        for (i = 0; i < 16; i = i + 1) {
-            k = D[i] % 4;
-            H[k] = H[k] + 1;
-        }
-    ";
-    let mut program = raw_repro::lang::compile_source("hist", src, 4).unwrap();
-    let d = program.array_by_name("D").unwrap();
-    program.arrays[d.index()].init = (0..16).map(|k| raw_repro::ir::Imm::I(k * 3)).collect();
-    let config = MachineConfig::square(4);
-    let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
-    let golden = Interpreter::new(&program).run().unwrap();
-
-    for seed in [7u64, 13, 21] {
-        let mut machine = compiled.instantiate(&program).with_chaos(ChaosConfig {
-            seed,
-            stall_percent: 30,
-        });
-        machine.run().unwrap();
-        let result = compiled.extract_result(&program, &machine);
-        assert!(result.state_eq(&golden), "seed {seed} diverged");
-    }
 }

@@ -9,9 +9,10 @@
 use raw_repro::cc::{compile, CompiledProgram, CompilerOptions};
 use raw_repro::ir::Program;
 use raw_repro::machine::chaos::ChaosConfig;
+use raw_repro::machine::oracle::run_both;
 use raw_repro::machine::MachineConfig;
 use raw_repro::trace::annotate::{placement_audit, SourceAnnotation};
-use raw_repro::trace::{report, RecordingSink, Trace};
+use raw_repro::trace::{report, run_traced, RecordingSink, Trace};
 use raw_testkit::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -23,22 +24,21 @@ fn check_golden(name: &str, actual: &str) {
     raw_testkit::check_golden(&path, actual);
 }
 
-/// Captures a trace under the production stepper, or the reference oracle.
-fn capture(
+/// Traces one run under the production stepper and one under the reference,
+/// in that order.
+fn traces_on_both_steppers(
     compiled: &CompiledProgram,
     program: &Program,
     chaos: Option<ChaosConfig>,
-    reference: bool,
-) -> Trace {
-    let mut machine = compiled.instantiate_with_sink(program, RecordingSink::new());
-    if reference {
-        machine = machine.with_reference_stepper();
-    }
-    if let Some(c) = chaos {
-        machine = machine.with_chaos(c);
-    }
-    let report = machine.run().expect("run completes");
-    Trace::capture(machine, &report)
+) -> [Trace; 2] {
+    run_both(|| {
+        let m = compiled.instantiate_with_sink(program, RecordingSink::new());
+        match chaos {
+            Some(c) => m.with_chaos(c),
+            None => m,
+        }
+    })
+    .map(|(machine, snapshot)| Trace::capture(machine, snapshot.outcome.expect("run completes")))
 }
 
 #[test]
@@ -49,7 +49,7 @@ fn occupancy_table_snapshot_mxm_2x2() {
     let program = bench.program(4).unwrap();
     let config = MachineConfig::square(4);
     let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
-    let trace = capture(&compiled, &program, None, false);
+    let trace = run_traced(&compiled, &program).unwrap().trace;
     let text = format!(
         "{}\n{}",
         report::occupancy_table(&trace),
@@ -67,7 +67,7 @@ fn annotated_source_snapshot_mxm_2x2() {
     let program = bench.program(4).unwrap();
     let config = MachineConfig::square(4);
     let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
-    let trace = capture(&compiled, &program, None, false);
+    let trace = run_traced(&compiled, &program).unwrap().trace;
     let ann = SourceAnnotation::build(&trace, &compiled.provenance);
     ann.selfcheck()
         .expect("attribution conserves window accounting");
@@ -85,7 +85,7 @@ fn critical_path_snapshot_mxm_2x2() {
     let program = bench.program(4).unwrap();
     let config = MachineConfig::square(4);
     let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
-    let trace = capture(&compiled, &program, None, false);
+    let trace = run_traced(&compiled, &program).unwrap().trace;
     check_golden("critical_path_mxm_2x2.txt", &report::critical_path(&trace));
 }
 
@@ -97,8 +97,7 @@ fn occupancy_table_identical_across_steppers() {
     let program = bench.program(4).unwrap();
     let config = MachineConfig::square(4);
     let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
-    let production = capture(&compiled, &program, None, false);
-    let reference = capture(&compiled, &program, None, true);
+    let [production, reference] = traces_on_both_steppers(&compiled, &program, None);
     assert_eq!(
         report::occupancy_table(&production),
         report::occupancy_table(&reference)
@@ -130,12 +129,11 @@ proptest! {
     #![cases(12)]
 
     /// Accounting invariant: stall reasons sum to the unaccounted remainder
-    /// of every unit's live window, for random (workload, stepper, chaos)
-    /// combinations.
+    /// of every unit's live window, for random (workload, chaos)
+    /// combinations, under both steppers.
     #[test]
     fn stall_reasons_sum_to_window_remainder(
         bench_idx in 0usize..7,
-        reference in any::<bool>(),
         stall_level in 0u32..3,
         seed in 0u64..1_000_000,
     ) {
@@ -146,30 +144,31 @@ proptest! {
             1 => Some(ChaosConfig { seed, stall_percent: 5 }),
             _ => Some(ChaosConfig { seed, stall_percent: 30 }),
         };
-        let trace = capture(compiled, program, chaos, reference);
-        for (t, a) in trace.accounts().iter().enumerate() {
-            prop_assert_eq!(
-                a.issues + a.proc_stall_total(),
-                a.proc_window,
-                "tile {} proc: {} issues + {} stalls != window {}",
-                t, a.issues, a.proc_stall_total(), a.proc_window
-            );
-            prop_assert_eq!(
-                a.routes + a.controls + a.switch_stall_total(),
-                a.switch_window,
-                "tile {} switch: {} routes + {} ctrl + {} stalls != window {}",
-                t, a.routes, a.controls, a.switch_stall_total(), a.switch_window
-            );
-        }
-        // Source-level attribution must conserve the same accounting under
-        // every stepper and chaos level.
-        let ann = SourceAnnotation::build(&trace, &compiled.provenance);
-        if let Err((attributed, window)) = ann.selfcheck() {
-            prop_assert!(
-                false,
-                "annotation lost cycles: {} attributed vs {} in windows",
-                attributed, window
-            );
+        for trace in traces_on_both_steppers(compiled, program, chaos) {
+            for (t, a) in trace.accounts().iter().enumerate() {
+                prop_assert_eq!(
+                    a.issues + a.proc_stall_total(),
+                    a.proc_window,
+                    "tile {} proc: {} issues + {} stalls != window {}",
+                    t, a.issues, a.proc_stall_total(), a.proc_window
+                );
+                prop_assert_eq!(
+                    a.routes + a.controls + a.switch_stall_total(),
+                    a.switch_window,
+                    "tile {} switch: {} routes + {} ctrl + {} stalls != window {}",
+                    t, a.routes, a.controls, a.switch_stall_total(), a.switch_window
+                );
+            }
+            // Source-level attribution must conserve the same accounting under
+            // every stepper and chaos level.
+            let ann = SourceAnnotation::build(&trace, &compiled.provenance);
+            if let Err((attributed, window)) = ann.selfcheck() {
+                prop_assert!(
+                    false,
+                    "annotation lost cycles: {} attributed vs {} in windows",
+                    attributed, window
+                );
+            }
         }
     }
 }
