@@ -5,8 +5,8 @@
 //! *observationally identical* to the step-everything reference. Every
 //! workload here goes through the one oracle lane, `raw_trace::oracle::check`
 //! (reference stepper, interpreter, traced run, chaos — DESIGN.md §6); the
-//! chaos sweep over stall rates, seeds and mesh shapes lives in
-//! `tests/static_ordering.rs`. The truncation property stays here: when
+//! jacobi chaos sweep here covers the mesh shapes that
+//! `tests/static_ordering.rs` does not. The truncation property stays here: when
 //! `run()` ends early (step limit) while components are still asleep, the
 //! lazily-deferred stall debt must settle to exactly the reference statistics.
 
@@ -28,6 +28,25 @@ fn every_workload_matches_reference() {
         let compiled = compile(&program, &config, &CompilerOptions::default())
             .unwrap_or_else(|e| panic!("{}: compile: {e}", bench.name));
         check(&compiled, &program, &[]).unwrap();
+    }
+}
+
+#[test]
+fn chaos_sweep_matches_reference() {
+    // The Appendix-A sweep's stall rates {1, 5, 20, 50}% × 4 seeds on the
+    // shapes `static_ordering::chaos_sweep_stall_rates_seeds_and_shapes` leaves
+    // out: a 4×1 column and a 2×4 rectangle. The reference asks chaos about
+    // every component every cycle; the production stepper asks only when a
+    // component is about to step and counts a sleeper's stalled cycles when
+    // its debt settles — the statistics must come out the same.
+    let bench = raw_repro::benchmarks::jacobi(8, 1);
+    let points = ChaosConfig::sweep(Rng::new(0x000A_110C_8A05).take(4), &[1, 5, 20, 50]);
+    for (rows, cols) in [(4u32, 1), (2, 4)] {
+        let config = MachineConfig::grid(rows, cols);
+        let program = bench.program(config.n_live()).unwrap();
+        let compiled = compile(&program, &config, &CompilerOptions::default())
+            .unwrap_or_else(|e| panic!("{rows}x{cols}: compile: {e}"));
+        check(&compiled, &program, &points).unwrap_or_else(|e| panic!("{rows}x{cols}: {e}"));
     }
 }
 

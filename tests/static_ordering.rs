@@ -44,6 +44,29 @@ fn chaos_sweep_stall_rates_seeds_and_shapes() {
 }
 
 #[test]
+fn dynamic_network_traffic_is_timing_robust_too() {
+    // A kernel with data-dependent (dynamic-network) stores, on a 1×4 strip:
+    // every remote request and reply travels the one row, so stalls reorder
+    // dynamic traffic as much as they can. The 2×2 twin is
+    // `differential_stepper::dynamic_network_workload_matches_reference`.
+    let src = "
+        int i; int k;
+        int D[16];
+        int H[4];
+        for (i = 0; i < 16; i = i + 1) {
+            k = D[i] % 4;
+            H[k] = H[k] + 1;
+        }
+    ";
+    let mut program = raw_repro::lang::compile_source("hist", src, 4).unwrap();
+    let d = program.array_by_name("D").unwrap();
+    program.arrays[d.index()].init = (0..16).map(|k| raw_repro::ir::Imm::I(k * 3)).collect();
+    let config = MachineConfig::grid(1, 4);
+    let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
+    check(&compiled, &program, &ChaosConfig::sweep([7, 13, 21], &[30])).unwrap();
+}
+
+#[test]
 fn chaos_slows_execution_but_terminates() {
     let bench = raw_repro::benchmarks::jacobi(8, 1);
     let program = bench.program(2).unwrap();
