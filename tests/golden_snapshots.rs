@@ -100,6 +100,154 @@ fn big_block_asm_hashes_are_pinned() {
     check_golden("asm_hashes.txt", &s);
 }
 
+/// Small kernels for the loop shapes the frontend's static-reference analysis
+/// distinguishes (trip counts, strides, homes, unroll factors).
+const EDGE_KERNELS: &[(&str, &str)] = &[
+    (
+        "triangular",
+        "int i; int j; float A[8][8]; float s = 0.0;
+         for (i = 0; i < 6; i = i + 1) for (j = 0; j < i; j = j + 1) s = s + A[i][j];",
+    ),
+    (
+        "inclusive",
+        "int i; int A[16]; for (i = 1; i <= 13; i = i + 1) A[i] = i;",
+    ),
+    (
+        "negative_stride",
+        "int i; int A[16]; for (i = 0; i < 16; i = i + 1) A[15 - i] = i;",
+    ),
+    (
+        "step3_remainder",
+        "int i; int A[32]; for (i = 2; i < 31; i = i + 3) A[i] = i * 2;",
+    ),
+    (
+        "data_dependent",
+        "int i; int A[16]; int B[16];
+         for (i = 0; i < 16; i = i + 1) B[i] = (i * 5) % 16;
+         for (i = 0; i < 16; i = i + 1) A[B[i]] = i;",
+    ),
+    (
+        "branchy_body",
+        "int i; int k; int A[16];
+         for (i = 0; i < 16; i = i + 1) {
+           if (i % 2 == 0) A[i] = i; else A[i] = 0 - i;
+           k = 0; while (k < 2) k = k + 1;
+         }",
+    ),
+    (
+        "symbolic_bound_and_step",
+        "int i; int n = 13; int s = 2; int A[32];
+         for (i = 0; i < n; i = i + 1) A[i] = i;
+         for (i = 0; i < 32; i = i + s) A[i] = 1;",
+    ),
+    (
+        "step_reads_array",
+        "int i; int j; int A[8][8]; int B[8];
+         for (i = 0; i < 8; i = i + 1) B[i] = 1 + i % 3;
+         for (i = 0; i < 8; i = i + 1) for (j = 0; j < 8; j = j + B[i]) A[i][j] = j;",
+    ),
+    (
+        "zero_and_one_trip",
+        "int i; int x = 0; int A[8];
+         for (i = 5; i < 5; i = i + 1) A[i] = 1;
+         for (i = 3; i < 4; i = i + 1) A[i] = 2;
+         for (i = 9; i < 2; i = i + 2) x = 1;",
+    ),
+    (
+        "intrinsic_index",
+        "int i; float A[16]; float B[16];
+         for (i = 0; i < 16; i = i + 1) A[toint(sqrt(tofloat(i)))] = B[i];",
+    ),
+    (
+        "three_deep",
+        "int i; int j; int k; float A[4][4][4];
+         for (i = 0; i < 4; i = i + 1) for (j = 0; j < 4; j = j + 1)
+           for (k = 0; k < 4; k = k + 1) A[i][j][k] = tofloat(i + 2 * j + k);",
+    ),
+    (
+        "float_reduction",
+        "int i; float A[32]; float s = 0.0;
+         for (i = 0; i < 32; i = i + 1) s = s + A[i] * 0.5;",
+    ),
+    (
+        "column_walk",
+        "int i; int j; float A[8][8];
+         for (i = 0; i < 8; i = i + 1) for (j = 0; j < 8; j = j + 1) A[j][i] = tofloat(j);",
+    ),
+];
+
+/// Every lowered program the frontend produces for the benchmark suites, the
+/// baselines and [`EDGE_KERNELS`], hashed over the compile-request encoding
+/// (every instruction, span, `MemHome`, declaration and value name). Pins the
+/// frontend byte for byte: a refactor of the unroller or lowering must keep
+/// this file unchanged.
+#[test]
+fn lowered_ir_hashes_are_pinned() {
+    use raw_repro::lang::{compile_source_with, UnrollOptions};
+    let suites = [
+        ("suite", raw_repro::benchmarks::suite()),
+        ("scenario", raw_repro::benchmarks::scenario_suite()),
+        ("tiny", raw_repro::benchmarks::tiny_suite()),
+    ];
+    type Build = Box<dyn Fn(u32, UnrollOptions) -> raw_repro::ir::Program>;
+    let mut kernels: Vec<(String, Build)> = Vec::new();
+    for (prefix, benches) in &suites {
+        for bench in benches {
+            let bench = bench.clone();
+            kernels.push((
+                format!("{prefix}/{}", bench.name),
+                Box::new(move |n, o| bench.program_with(n, o).unwrap()),
+            ));
+        }
+    }
+    for &(name, src) in EDGE_KERNELS {
+        kernels.push((
+            format!("edge/{name}"),
+            Box::new(move |n, o| compile_source_with(name, src, n, o).unwrap()),
+        ));
+    }
+    let mut s = String::new();
+    let mut pin = |label: String, program: &raw_repro::ir::Program, tiles: u32| {
+        let bytes = raw_repro::cc::wire::encode_compile_request(
+            "",
+            program,
+            &MachineConfig::square(tiles),
+            &CompilerOptions::default(),
+        );
+        writeln!(s, "{label} {:#018x}", raw_testkit::hash64(&bytes)).unwrap();
+    };
+    for (label, build) in &kernels {
+        for tiles in [1, 2, 4, 8, 16] {
+            pin(
+                format!("{label}@{tiles}"),
+                &build(tiles, UnrollOptions::for_tiles(tiles)),
+                tiles,
+            );
+        }
+        for ilp_factor in [1, 3, 5, 6, 12] {
+            for reassociate in [false, true] {
+                let options = UnrollOptions {
+                    ilp_factor,
+                    reassociate,
+                };
+                let r = if reassociate { "+r" } else { "" };
+                pin(
+                    format!("{label}@4 ilp{ilp_factor}{r}"),
+                    &build(4, options),
+                    4,
+                );
+            }
+        }
+    }
+    for (prefix, benches) in &suites {
+        for bench in benches {
+            let label = format!("baseline/{prefix}/{}", bench.name);
+            pin(label, &bench.baseline_program().unwrap(), 1);
+        }
+    }
+    check_golden("ir_hashes.txt", &s);
+}
+
 #[test]
 fn golden_snapshots_still_execute_correctly() {
     // The pinned kernels are not just text: they must still compile, run,
