@@ -37,6 +37,17 @@ stage_clippy() {
     echo "$copies" >&2
     exit 1
   fi
+  # One static-reference analysis: the unroller and lowering ask
+  # crates/lang/src/affine.rs, so no second copy of its folding, trip-count
+  # or home arithmetic can drift away from the first.
+  local forks
+  forks="$(grep -rnE 'fn (const_eval|affine_coeff|trip_count|repetition_distance)\b' \
+    crates tests examples --include='*.rs' | grep -v '^crates/lang/src/affine.rs:' || true)"
+  if [[ -n "$forks" ]]; then
+    echo "ci: use crates/lang/src/affine.rs instead of redefining it:" >&2
+    echo "$forks" >&2
+    exit 1
+  fi
 }
 
 stage_doc() {

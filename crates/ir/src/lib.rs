@@ -27,10 +27,12 @@
 //!
 //! * a [`builder::ProgramBuilder`] for constructing programs by hand,
 //! * a [`verify`] pass enforcing the structural invariants above,
+//! * local clean-ups in [`opt`], and
 //! * a reference [`interp`] interpreter used as the golden model when checking
-//!   that compiled, simulated programs compute the right answer, and
-//! * the [`affine`] module implementing the paper's §5.3 repetition-distance and
-//!   unroll-factor analysis for staticizing affine array accesses.
+//!   that compiled, simulated programs compute the right answer.
+//!
+//! Which accesses get a static home is decided by the frontend
+//! (`raw_lang::affine`); this crate only carries the [`MemHome`] it chose.
 //!
 //! # Example
 //!
@@ -70,7 +72,6 @@
 //! assert_eq!(result.var_value(z), Imm::I(9));
 //! ```
 
-pub mod affine;
 pub mod builder;
 pub mod display;
 pub mod ids;

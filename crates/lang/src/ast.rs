@@ -176,6 +176,57 @@ impl Expr {
             | Expr::Call { span, .. } => *span,
         }
     }
+
+    /// True if `f` holds for this expression or any sub-expression (pre-order,
+    /// stopping at the first hit).
+    pub fn any(&self, f: &mut impl FnMut(&Expr) -> bool) -> bool {
+        f(self)
+            || match self {
+                Expr::Lit(..) | Expr::Var(..) => false,
+                Expr::Index { indices, .. } => indices.iter().any(|i| i.any(f)),
+                Expr::Bin { l, r, .. } => l.any(f) || r.any(f),
+                Expr::Un { e, .. } | Expr::Call { arg: e, .. } => e.any(f),
+            }
+    }
+
+    /// True if the expression reads scalar `var`.
+    pub fn mentions(&self, var: &str) -> bool {
+        self.any(&mut |e| matches!(e, Expr::Var(name, _) if name == var))
+    }
+
+    /// The expression with every read of `var` replaced by `rep`.
+    pub fn subst(&self, var: &str, rep: &Expr) -> Expr {
+        let sub = |e: &Expr| Box::new(e.subst(var, rep));
+        match self {
+            Expr::Var(name, _) if name == var => rep.clone(),
+            Expr::Lit(..) | Expr::Var(..) => self.clone(),
+            Expr::Index {
+                array,
+                indices,
+                span,
+            } => Expr::Index {
+                array: array.clone(),
+                indices: indices.iter().map(|i| i.subst(var, rep)).collect(),
+                span: *span,
+            },
+            Expr::Bin { op, l, r, span } => Expr::Bin {
+                op: *op,
+                l: sub(l),
+                r: sub(r),
+                span: *span,
+            },
+            Expr::Un { op, e, span } => Expr::Un {
+                op: *op,
+                e: sub(e),
+                span: *span,
+            },
+            Expr::Call { f, arg, span } => Expr::Call {
+                f: *f,
+                arg: sub(arg),
+                span: *span,
+            },
+        }
+    }
 }
 
 /// Assignment targets.
@@ -247,6 +298,88 @@ pub enum Stmt {
         /// Source position.
         span: Span,
     },
+}
+
+impl Stmt {
+    /// The statement with each nested body (`then`, `else`, a loop body)
+    /// replaced by `f(body)`.
+    pub fn map_bodies(mut self, mut f: impl FnMut(Vec<Stmt>) -> Vec<Stmt>) -> Stmt {
+        match &mut self {
+            Stmt::Assign { .. } => {}
+            Stmt::If { then, els, .. } => {
+                *then = f(std::mem::take(then));
+                *els = f(std::mem::take(els));
+            }
+            Stmt::While { body, .. } | Stmt::For { body, .. } => *body = f(std::mem::take(body)),
+        }
+        self
+    }
+
+    /// The statement with every read of `var` replaced by `rep`. A nested
+    /// `for` over `var` rebinds it: its header is rewritten, its body is not.
+    /// Assignments to `var` itself are never substituted.
+    pub fn subst(&self, var: &str, rep: &Expr) -> Stmt {
+        let all = |stmts: &[Stmt]| stmts.iter().map(|s| s.subst(var, rep)).collect();
+        match self {
+            Stmt::Assign { target, value } => Stmt::Assign {
+                target: match target {
+                    LValue::Var(..) => target.clone(),
+                    LValue::Index {
+                        array,
+                        indices,
+                        span,
+                    } => LValue::Index {
+                        array: array.clone(),
+                        indices: indices.iter().map(|i| i.subst(var, rep)).collect(),
+                        span: *span,
+                    },
+                },
+                value: value.subst(var, rep),
+            },
+            Stmt::If { cond, then, els } => Stmt::If {
+                cond: cond.subst(var, rep),
+                then: all(then),
+                els: all(els),
+            },
+            Stmt::While { cond, body } => Stmt::While {
+                cond: cond.subst(var, rep),
+                body: all(body),
+            },
+            Stmt::For {
+                var: inner,
+                init,
+                bound,
+                inclusive,
+                step,
+                body,
+                span,
+            } => Stmt::For {
+                var: inner.clone(),
+                init: init.subst(var, rep),
+                bound: bound.subst(var, rep),
+                inclusive: *inclusive,
+                step: step.subst(var, rep),
+                body: if inner == var {
+                    body.clone()
+                } else {
+                    all(body)
+                },
+                span: *span,
+            },
+        }
+    }
+}
+
+/// True if `f` holds for any statement in `stmts` or nested in their bodies
+/// (pre-order, stopping at the first hit).
+pub fn any_stmt(stmts: &[Stmt], f: &mut impl FnMut(&Stmt) -> bool) -> bool {
+    stmts.iter().any(|s| {
+        f(s) || match s {
+            Stmt::Assign { .. } => false,
+            Stmt::If { then, els, .. } => any_stmt(then, f) || any_stmt(els, f),
+            Stmt::While { body, .. } | Stmt::For { body, .. } => any_stmt(body, f),
+        }
+    })
 }
 
 /// A whole kernel: declarations then statements.

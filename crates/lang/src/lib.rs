@@ -29,6 +29,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+pub mod affine;
 pub mod ast;
 pub mod error;
 pub mod lower;

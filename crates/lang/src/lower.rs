@@ -7,11 +7,10 @@
 //! written back once at the end of each block that modifies it
 //! ([`InstKind::WriteVar`]).
 //!
-//! Lowering also classifies every array access (paper §5.1): an access whose
-//! linearized index is affine in the enclosing `for` variables, each of whose
-//! strides is a multiple of the tile count (guaranteed by the unroller), has a
-//! compile-time home-tile residue and becomes [`MemHome::Static`]; anything
-//! else becomes [`MemHome::Dynamic`]. On a single-tile machine every access is
+//! Lowering also classifies every array access (paper §5.1): an access with
+//! a compile-time home tile ([`affine::home`], given the enclosing `for`
+//! loops as [`Loop`] facts) becomes [`MemHome::Static`]; anything else
+//! becomes [`MemHome::Dynamic`]. On a single-tile machine every access is
 //! trivially static.
 //!
 //! [`InstKind::ReadVar`]: raw_ir::InstKind::ReadVar
@@ -19,9 +18,9 @@
 //! [`MemHome::Static`]: raw_ir::MemHome::Static
 //! [`MemHome::Dynamic`]: raw_ir::MemHome::Dynamic
 
+use crate::affine::{self, const_eval, Loop};
 use crate::ast::*;
 use crate::error::{LangError, Span};
-use crate::unroll::{affine_coeff, const_eval, subst_var_zero};
 use raw_ir::builder::ProgramBuilder;
 use raw_ir::{ArrayId, BinOp, Imm, MemHome, Program, SourceSpan, Ty, UnOp, ValueId, VarId};
 use std::collections::HashMap;
@@ -95,15 +94,7 @@ fn ir_ty(t: Type) -> Ty {
     }
 }
 
-struct LoopCtx {
-    var: String,
-    /// Induction value at the first iteration, when known.
-    base: Option<i64>,
-    /// Per-iteration step, when known.
-    step: Option<i64>,
-}
-
-struct Lower {
+struct Lower<'k> {
     b: ProgramBuilder,
     vars: HashMap<String, (VarId, Type)>,
     arrays: HashMap<String, (ArrayId, Vec<u32>, Type)>,
@@ -113,11 +104,12 @@ struct Lower {
     /// with the span of the assignment that dirtied it (stamped on the
     /// `WriteVar` emitted at flush).
     dirty: Vec<(String, Span)>,
-    loops: Vec<LoopCtx>,
+    /// The `for` loops enclosing the statement being lowered, outermost first.
+    loops: Vec<Loop<'k>>,
     n_tiles: u32,
 }
 
-impl Lower {
+impl<'k> Lower<'k> {
     /// Points the builder's provenance stamp at a source position.
     fn at(&mut self, span: Span) {
         self.b.set_span(SourceSpan::new(span.line, span.col));
@@ -135,14 +127,14 @@ impl Lower {
         self.cache.clear();
     }
 
-    fn stmts(&mut self, stmts: &[Stmt]) -> Result<(), LangError> {
+    fn stmts(&mut self, stmts: &'k [Stmt]) -> Result<(), LangError> {
         for s in stmts {
             self.stmt(s)?;
         }
         Ok(())
     }
 
-    fn stmt(&mut self, stmt: &Stmt) -> Result<(), LangError> {
+    fn stmt(&mut self, stmt: &'k Stmt) -> Result<(), LangError> {
         match stmt {
             Stmt::Assign { target, value } => self.assign(target, value),
             Stmt::If { cond, then, els } => {
@@ -203,13 +195,8 @@ impl Lower {
                 // block ends with increment + test + backward branch, saving a
                 // separate header block (and its branch broadcast and variable
                 // round-trips) every iteration.
-                let trip = match (const_eval(init), const_eval(bound), const_eval(step)) {
-                    (Some(i0), Some(b0), Some(s0)) if s0 > 0 => {
-                        let upper = if *inclusive { b0 + 1 } else { b0 };
-                        Some(((upper - i0).max(0) + s0 - 1) / s0)
-                    }
-                    _ => None,
-                };
+                let trip = affine::trip_count(init, bound, *inclusive, step);
+                let facts = Loop::new(var, init, step, body);
                 let incr = Expr::Bin {
                     op: BinKind::Add,
                     l: Box::new(Expr::Var(var.clone(), *span)),
@@ -226,11 +213,7 @@ impl Lower {
                         let exit = self.b.new_block("for.exit");
                         self.b.jump(body_b);
                         self.b.switch_to(body_b);
-                        self.loops.push(LoopCtx {
-                            var: var.clone(),
-                            base: const_eval(init),
-                            step: const_eval(step),
-                        });
+                        self.loops.push(facts);
                         self.stmts(body)?;
                         self.assign(&LValue::Var(var.clone(), *span), &incr)?;
                         self.loops.pop();
@@ -260,11 +243,7 @@ impl Lower {
                         self.flush();
                         self.b.branch(c, body_b, exit);
                         self.b.switch_to(body_b);
-                        self.loops.push(LoopCtx {
-                            var: var.clone(),
-                            base: const_eval(init),
-                            step: const_eval(step),
-                        });
+                        self.loops.push(facts);
                         self.stmts(body)?;
                         self.assign(&LValue::Var(var.clone(), *span), &incr)?;
                         self.loops.pop();
@@ -330,7 +309,8 @@ impl Lower {
             ));
         }
         // Home classification from the *source* affine form.
-        let home = self.classify(dims, indices);
+        let home = affine::home(dims, indices, &self.loops, self.n_tiles)
+            .map_or(MemHome::Dynamic, MemHome::Static);
         // Linearized value: ((i0 * d1) + i1) * d2 + i2 ...
         let mut acc: Option<ValueId> = None;
         for (k, idx) in indices.iter().enumerate() {
@@ -346,61 +326,6 @@ impl Lower {
             });
         }
         Ok((acc.expect("arrays have at least one dimension"), home))
-    }
-
-    /// Computes the home residue of an access if it satisfies the static
-    /// reference property (paper §5.3); otherwise classifies it dynamic.
-    fn classify(&self, dims: &[u32], indices: &[Expr]) -> MemHome {
-        let n = self.n_tiles as i64;
-        if n == 1 {
-            // Every element lives on the only tile.
-            return MemHome::Static(0);
-        }
-        // Linearized affine form over active loop variables.
-        let mut constant = 0i64;
-        let mut coeffs: HashMap<&str, i64> = HashMap::new();
-        let mut mult = 1i64;
-        for (idx, dim) in indices.iter().zip(dims).rev() {
-            match const_eval(idx) {
-                Some(c) => constant += c * mult,
-                None => {
-                    // Must be affine over the loop variables; the non-loop part
-                    // must be constant.
-                    let mut remainder = idx.clone();
-                    for ctx in &self.loops {
-                        match affine_coeff(idx, &ctx.var) {
-                            Some(c) => {
-                                if c != 0 {
-                                    *coeffs.entry(ctx.var.as_str()).or_insert(0) += c * mult;
-                                }
-                                remainder = subst_var_zero(&remainder, &ctx.var);
-                            }
-                            None => return MemHome::Dynamic,
-                        }
-                    }
-                    match const_eval(&remainder) {
-                        Some(c) => constant += c * mult,
-                        None => return MemHome::Dynamic,
-                    }
-                }
-            }
-            mult *= *dim as i64;
-        }
-        // Every stride must vanish mod n, with known loop bases.
-        let mut residue = constant;
-        for ctx in &self.loops {
-            let coeff = coeffs.get(ctx.var.as_str()).copied().unwrap_or(0);
-            if coeff == 0 {
-                continue;
-            }
-            match (ctx.base, ctx.step) {
-                (Some(base), Some(step)) if (coeff * step).rem_euclid(n) == 0 => {
-                    residue += coeff * base;
-                }
-                _ => return MemHome::Dynamic,
-            }
-        }
-        MemHome::Static(residue.rem_euclid(n) as u32)
     }
 
     /// Emits `v * c` using shifts and adds where profitable (a 12-cycle

@@ -15,9 +15,13 @@
 //! When the trip count is not divisible by the unroll factor, the remainder is
 //! peeled into a fully unrolled epilogue whose induction values are literals —
 //! keeping even the tail iterations statically analyzable.
+//!
+//! Trip counts, strides and factors come from [`crate::affine`], the module
+//! lowering asks for each access's home.
 
-use crate::ast::{Expr, Kernel, LValue, Literal, Stmt};
-use raw_ir::affine::{lcm, unroll_factor};
+use crate::affine::{self, lcm, trip_count, unroll_factor, Loop};
+use crate::ast::{any_stmt, BinKind, Expr, Kernel, LValue, Literal, Stmt};
+use crate::error::Span;
 
 /// Unrolling configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,7 +56,7 @@ pub fn unroll_kernel(kernel: &Kernel, n_tiles: u32, options: UnrollOptions) -> K
         n_tiles,
         options,
     };
-    out.stmts = ctx.unroll_stmts(&kernel.stmts);
+    out.stmts = ctx.unroll_stmts(std::mem::take(&mut out.stmts));
     if options.reassociate {
         out.stmts = reassociate_stmts(out.stmts);
     }
@@ -63,120 +67,78 @@ pub fn unroll_kernel(kernel: &Kernel, n_tiles: u32, options: UnrollOptions) -> K
 /// (`s = s ⊕ e_0; s = s ⊕ e_1; …`, `⊕` a fixed `+` or `-`, `e_k` independent
 /// of `s`) into one assignment against a balanced tree of the terms.
 fn reassociate_stmts(stmts: Vec<Stmt>) -> Vec<Stmt> {
-    use crate::ast::BinKind::{Add, Sub};
-    // First recurse into nested bodies.
-    let stmts: Vec<Stmt> = stmts
+    let mut stmts = stmts
         .into_iter()
-        .map(|s| match s {
-            Stmt::If { cond, then, els } => Stmt::If {
-                cond,
-                then: reassociate_stmts(then),
-                els: reassociate_stmts(els),
-            },
-            Stmt::While { cond, body } => Stmt::While {
-                cond,
-                body: reassociate_stmts(body),
-            },
-            Stmt::For {
-                var,
-                init,
-                bound,
-                inclusive,
-                step,
-                body,
-                span,
-            } => Stmt::For {
-                var,
-                init,
-                bound,
-                inclusive,
-                step,
-                body: reassociate_stmts(body),
-                span,
-            },
-            other => other,
-        })
-        .collect();
-
-    // `s = s ⊕ e` pattern match.
-    let accum = |s: &Stmt| -> Option<(String, crate::ast::BinKind, Expr)> {
-        let Stmt::Assign {
-            target: LValue::Var(name, _),
-            value: Expr::Bin { op, l, r, .. },
-        } = s
-        else {
-            return None;
+        .map(|s| s.map_bodies(reassociate_stmts))
+        .peekable();
+    let mut out = Vec::with_capacity(stmts.len());
+    while let Some(first) = stmts.next() {
+        let Some((name, span, op, _)) = accumulation(&first) else {
+            out.push(first);
+            continue;
         };
-        if *op != Add && *op != Sub {
-            return None;
+        let name = name.to_owned();
+        let mut run = vec![first];
+        while let Some(s) =
+            stmts.next_if(|s| matches!(accumulation(s), Some((n, _, o, _)) if n == name && o == op))
+        {
+            run.push(s);
         }
-        match &**l {
-            Expr::Var(v, _) if v == name && !mentions(r, name) => {
-                Some((name.clone(), *op, (**r).clone()))
-            }
-            _ if *op == Add => match &**r {
-                Expr::Var(v, _) if v == name && !mentions(l, name) => {
-                    Some((name.clone(), *op, (**l).clone()))
-                }
-                _ => None,
+        if run.len() < 3 {
+            out.extend(run);
+            continue;
+        }
+        let terms: Vec<Expr> = run
+            .iter()
+            .filter_map(|s| Some(accumulation(s)?.3.clone()))
+            .collect();
+        out.push(Stmt::Assign {
+            target: LValue::Var(name.clone(), span),
+            value: Expr::Bin {
+                op,
+                l: Box::new(Expr::Var(name, span)),
+                r: Box::new(balanced_tree(&terms, span)),
+                span,
             },
-            _ => None,
-        }
-    };
-
-    let mut out: Vec<Stmt> = Vec::with_capacity(stmts.len());
-    let mut i = 0;
-    while i < stmts.len() {
-        if let Some((name, op, first)) = accum(&stmts[i]) {
-            let mut terms = vec![first];
-            let mut j = i + 1;
-            while j < stmts.len() {
-                match accum(&stmts[j]) {
-                    Some((n2, op2, e)) if n2 == name && op2 == op => {
-                        terms.push(e);
-                        j += 1;
-                    }
-                    _ => break,
-                }
-            }
-            if terms.len() >= 3 {
-                let span = stmts[i].clone();
-                let span = match &span {
-                    Stmt::Assign { target, .. } => target.span(),
-                    _ => unreachable!(),
-                };
-                let tree = balanced_tree(&terms, span);
-                out.push(Stmt::Assign {
-                    target: LValue::Var(name.clone(), span),
-                    value: Expr::Bin {
-                        op,
-                        l: Box::new(Expr::Var(name, span)),
-                        r: Box::new(tree),
-                        span,
-                    },
-                });
-                i = j;
-                continue;
-            }
-        }
-        out.push(stmts[i].clone());
-        i += 1;
+        });
     }
     out
 }
 
-fn balanced_tree(terms: &[Expr], span: crate::error::Span) -> Expr {
+/// Matches `s = s ⊕ e` (or `s = e + s`) with `⊕` a `+` or `-` and `e` free
+/// of `s`: the variable, the target's position, `⊕` and `e`.
+fn accumulation(stmt: &Stmt) -> Option<(&str, Span, BinKind, &Expr)> {
+    let Stmt::Assign {
+        target: LValue::Var(name, span),
+        value: Expr::Bin { op, l, r, .. },
+    } = stmt
+    else {
+        return None;
+    };
+    let is_acc = |e: &Expr| matches!(e, Expr::Var(v, _) if v == name);
+    let term = match op {
+        BinKind::Add | BinKind::Sub if is_acc(l) && !r.mentions(name) => r,
+        BinKind::Add if is_acc(r) && !l.mentions(name) => l,
+        _ => return None,
+    };
+    Some((name, *span, *op, term))
+}
+
+fn balanced_tree(terms: &[Expr], span: Span) -> Expr {
     if terms.len() == 1 {
         return terms[0].clone();
     }
     let mid = terms.len() / 2;
     Expr::Bin {
-        op: crate::ast::BinKind::Add,
+        op: BinKind::Add,
         l: Box::new(balanced_tree(&terms[..mid], span)),
         r: Box::new(balanced_tree(&terms[mid..], span)),
         span,
     }
 }
+
+/// Largest trip count an outer loop of a triangular nest is fully peeled at.
+const PEEL_LIMIT: i64 = 64;
 
 struct Ctx<'k> {
     kernel: &'k Kernel,
@@ -185,504 +147,182 @@ struct Ctx<'k> {
 }
 
 impl Ctx<'_> {
-    fn unroll_stmts(&self, stmts: &[Stmt]) -> Vec<Stmt> {
-        stmts.iter().flat_map(|s| self.unroll_stmt(s)).collect()
+    fn unroll_stmts(&self, stmts: Vec<Stmt>) -> Vec<Stmt> {
+        stmts
+            .into_iter()
+            .flat_map(|s| self.unroll_stmt(s))
+            .collect()
     }
 
-    fn unroll_stmt(&self, stmt: &Stmt) -> Vec<Stmt> {
-        match stmt {
-            Stmt::Assign { .. } => vec![stmt.clone()],
-            Stmt::If { cond, then, els } => vec![Stmt::If {
-                cond: cond.clone(),
-                then: self.unroll_stmts(then),
-                els: self.unroll_stmts(els),
-            }],
-            Stmt::While { cond, body } => vec![Stmt::While {
-                cond: cond.clone(),
-                body: self.unroll_stmts(body),
-            }],
-            Stmt::For {
-                var,
-                init,
-                bound,
-                inclusive,
-                step,
-                body,
-                span,
-            } => {
-                // Innermost-ness is judged on the ORIGINAL nest: a fully
-                // peeled inner loop must not promote its parent to
-                // "innermost" (that would cascade into one giant block).
-                let originally_innermost = !contains_for(body);
-                // Unroll bottom-up: inner loops first.
-                let body = self.unroll_stmts(body);
-                let fallback = |body: Vec<Stmt>| {
-                    vec![Stmt::For {
-                        var: var.clone(),
-                        init: init.clone(),
-                        bound: bound.clone(),
-                        inclusive: *inclusive,
-                        step: step.clone(),
-                        body,
-                        span: *span,
-                    }]
-                };
-
-                let Some(step_c) = const_eval(step) else {
-                    return fallback(body);
-                };
-                if step_c <= 0 || assigns_var(&body, var) {
-                    return fallback(body);
-                }
-
-                // Factor needed to staticize the affine accesses.
-                let strides = collect_strides(self.kernel, &body, var)
-                    .into_iter()
-                    .map(|a| a * step_c);
-                let u_static = unroll_factor(strides, self.n_tiles);
-                let is_innermost = originally_innermost;
-                // Bodies with internal control flow gain nothing from extra
-                // unrolling (blocks are split at every branch anyway) and the
-                // replication only raises register pressure.
-                let ilp = if contains_branchy(&body) {
-                    self.options.ilp_factor.min(self.n_tiles.max(1))
-                } else {
-                    self.options.ilp_factor
-                };
-                let mut u = if is_innermost {
-                    lcm(u_static as u64, ilp as u64) as u32
-                } else {
-                    u_static
-                };
-
-                let (Some(init_c), Some(bound_c)) = (const_eval(init), const_eval(bound)) else {
-                    // Unknown trip count: unrolling can't preserve it exactly.
-                    return fallback(body);
-                };
-                let upper = if *inclusive { bound_c + 1 } else { bound_c };
-                let trip = ((upper - init_c).max(0) + step_c - 1) / step_c;
-
-                // Triangular nests: if an inner loop's bounds depend on this
-                // variable, only fully peeling this loop makes the inner loop
-                // analyzable (constant bounds). Peel when the expansion is
-                // reasonable.
-                let triangular = inner_bounds_mention(&body, var) && trip <= PEEL_LIMIT;
-                if triangular {
-                    u = trip.max(1) as u32;
-                }
-
-                u = u.min(trip.max(1) as u32);
-                if u <= 1 && trip > 1 {
-                    return fallback(body);
-                }
-
-                let mut out = Vec::new();
-                // A main loop that would run only once is fully peeled instead.
-                let main_loop_trips = trip / u as i64;
-                let main_iters = if main_loop_trips <= 1 {
-                    0
-                } else {
-                    main_loop_trips * u as i64
-                };
-                if main_iters > 0 {
-                    let mut unrolled = Vec::new();
-                    for k in 0..u as i64 {
-                        let replacement = if k == 0 {
-                            Expr::Var(var.clone(), *span)
-                        } else {
-                            Expr::Bin {
-                                op: crate::ast::BinKind::Add,
-                                l: Box::new(Expr::Var(var.clone(), *span)),
-                                r: Box::new(Expr::Lit(Literal::Int(k * step_c), *span)),
-                                span: *span,
-                            }
-                        };
-                        unrolled.extend(subst_stmts(&body, var, &replacement));
-                    }
-                    out.push(Stmt::For {
-                        var: var.clone(),
-                        init: Expr::Lit(Literal::Int(init_c), *span),
-                        bound: Expr::Lit(Literal::Int(init_c + main_iters * step_c), *span),
-                        inclusive: false,
-                        step: Expr::Lit(Literal::Int(u as i64 * step_c), *span),
-                        body: unrolled,
-                        span: *span,
-                    });
-                }
-                // Epilogue: peel the remaining iterations with literal values.
-                for r in main_iters..trip {
-                    let value = Expr::Lit(Literal::Int(init_c + r * step_c), *span);
-                    let peeled = subst_stmts(&body, var, &value);
-                    if triangular {
-                        // Inner loops now have constant bounds: unroll them too.
-                        out.extend(self.unroll_stmts(&peeled));
-                    } else {
-                        out.extend(peeled);
-                    }
-                }
-                // Leave the induction variable with its post-loop value.
-                let final_value = init_c + trip * step_c;
-                out.push(Stmt::Assign {
-                    target: LValue::Var(var.clone(), *span),
-                    value: Expr::Lit(Literal::Int(final_value), *span),
-                });
-                out
-            }
-        }
-    }
-}
-
-/// Constant-folds an integer expression.
-pub fn const_eval(e: &Expr) -> Option<i64> {
-    use crate::ast::BinKind::*;
-    match e {
-        Expr::Lit(Literal::Int(v), _) => Some(*v),
-        Expr::Bin { op, l, r, .. } => {
-            let (a, b) = (const_eval(l)?, const_eval(r)?);
-            match op {
-                Add => Some(a + b),
-                Sub => Some(a - b),
-                Mul => Some(a * b),
-                Div => (b != 0).then(|| a / b),
-                Rem => (b != 0).then(|| a % b),
-                _ => None,
-            }
-        }
-        Expr::Un {
-            op: crate::ast::UnKind::Neg,
-            e,
-            ..
-        } => Some(-const_eval(e)?),
-        _ => None,
-    }
-}
-
-/// The coefficient of `var` in `e`, if `e` is affine in `var`
-/// (sub-expressions not involving `var` may be arbitrary).
-pub fn affine_coeff(e: &Expr, var: &str) -> Option<i64> {
-    use crate::ast::BinKind::*;
-    match e {
-        Expr::Lit(..) => Some(0),
-        Expr::Var(name, _) => Some(if name == var { 1 } else { 0 }),
-        Expr::Bin { op, l, r, .. } => {
-            let (cl, cr) = (affine_coeff(l, var)?, affine_coeff(r, var)?);
-            match op {
-                Add => Some(cl + cr),
-                Sub => Some(cl - cr),
-                Mul => {
-                    if cl != 0 && cr != 0 {
-                        None
-                    } else if cl != 0 {
-                        Some(cl * const_eval(r)?)
-                    } else if cr != 0 {
-                        Some(cr * const_eval(l)?)
-                    } else {
-                        Some(0)
-                    }
-                }
-                Div | Rem => {
-                    if cl == 0 && cr == 0 {
-                        Some(0)
-                    } else {
-                        None
-                    }
-                }
-                _ => {
-                    if cl == 0 && cr == 0 {
-                        Some(0)
-                    } else {
-                        None
-                    }
-                }
-            }
-        }
-        Expr::Un {
-            op: crate::ast::UnKind::Neg,
-            e,
-            ..
-        } => Some(-affine_coeff(e, var)?),
-        Expr::Un { e, .. } => {
-            if affine_coeff(e, var)? == 0 {
-                Some(0)
-            } else {
-                None
-            }
-        }
-        Expr::Index { indices, .. } => {
-            if indices
-                .iter()
-                .all(|i| affine_coeff(i, var) == Some(0) || !mentions(i, var))
-            {
-                if indices.iter().any(|i| mentions(i, var)) {
-                    None
-                } else {
-                    Some(0)
-                }
-            } else {
-                None
-            }
-        }
-        Expr::Call { arg, .. } => {
-            if mentions(arg, var) {
-                None
-            } else {
-                Some(0)
-            }
-        }
-    }
-}
-
-fn mentions(e: &Expr, var: &str) -> bool {
-    match e {
-        Expr::Lit(..) => false,
-        Expr::Var(name, _) => name == var,
-        Expr::Bin { l, r, .. } => mentions(l, var) || mentions(r, var),
-        Expr::Un { e, .. } => mentions(e, var),
-        Expr::Index { indices, .. } => indices.iter().any(|i| mentions(i, var)),
-        Expr::Call { arg, .. } => mentions(arg, var),
-    }
-}
-
-/// Linearized affine strides (in elements) of every array access in `stmts`
-/// with respect to `var`.
-fn collect_strides(kernel: &Kernel, stmts: &[Stmt], var: &str) -> Vec<i64> {
-    let mut strides = Vec::new();
-    let dims_of = |array: &str| -> Option<Vec<u32>> {
-        kernel
-            .arrays
-            .iter()
-            .find(|a| a.name == array)
-            .map(|a| a.dims.clone())
-    };
-    let mut on_access = |array: &str, indices: &[Expr]| {
-        let Some(dims) = dims_of(array) else { return };
-        let mut stride = 0i64;
-        let mut mult = 1i64;
-        // Row-major: last index has multiplier 1.
-        for (idx, dim) in indices.iter().zip(&dims).rev() {
-            match affine_coeff(idx, var) {
-                Some(c) => stride += c * mult,
-                None => return, // not staticizable via unrolling
-            }
-            mult *= *dim as i64;
-        }
-        if stride != 0 {
-            strides.push(stride);
-        }
-    };
-    visit_accesses(stmts, &mut on_access);
-    strides
-}
-
-fn visit_accesses(stmts: &[Stmt], f: &mut dyn FnMut(&str, &[Expr])) {
-    fn expr(e: &Expr, f: &mut dyn FnMut(&str, &[Expr])) {
-        match e {
-            Expr::Index { array, indices, .. } => {
-                f(array, indices);
-                for i in indices {
-                    expr(i, f);
-                }
-            }
-            Expr::Bin { l, r, .. } => {
-                expr(l, f);
-                expr(r, f);
-            }
-            Expr::Un { e, .. } => expr(e, f),
-            Expr::Call { arg, .. } => expr(arg, f),
-            Expr::Lit(..) | Expr::Var(..) => {}
-        }
-    }
-    for s in stmts {
-        match s {
-            Stmt::Assign { target, value } => {
-                if let LValue::Index { array, indices, .. } = target {
-                    f(array, indices);
-                    for i in indices {
-                        expr(i, f);
-                    }
-                }
-                expr(value, f);
-            }
-            Stmt::If { cond, then, els } => {
-                expr(cond, f);
-                visit_accesses(then, f);
-                visit_accesses(els, f);
-            }
-            Stmt::While { cond, body } => {
-                expr(cond, f);
-                visit_accesses(body, f);
-            }
-            Stmt::For {
-                init, bound, body, ..
-            } => {
-                expr(init, f);
-                expr(bound, f);
-                visit_accesses(body, f);
-            }
-        }
-    }
-}
-
-fn assigns_var(stmts: &[Stmt], var: &str) -> bool {
-    stmts.iter().any(|s| match s {
-        Stmt::Assign {
-            target: LValue::Var(name, _),
-            ..
-        } => name == var,
-        Stmt::Assign { .. } => false,
-        Stmt::If { then, els, .. } => assigns_var(then, var) || assigns_var(els, var),
-        Stmt::While { body, .. } => assigns_var(body, var),
-        Stmt::For {
-            var: inner, body, ..
-        } => inner == var || assigns_var(body, var),
-    })
-}
-
-/// Largest trip count an outer loop of a triangular nest is fully peeled at.
-const PEEL_LIMIT: i64 = 64;
-
-/// True if any `for` loop nested in `stmts` has an init/bound/step mentioning
-/// `var` (a triangular or trapezoidal nest).
-fn inner_bounds_mention(stmts: &[Stmt], var: &str) -> bool {
-    stmts.iter().any(|s| match s {
-        Stmt::For {
-            init,
-            bound,
-            step,
-            body,
-            ..
-        } => {
-            mentions(init, var)
-                || mentions(bound, var)
-                || mentions(step, var)
-                || inner_bounds_mention(body, var)
-        }
-        Stmt::If { then, els, .. } => {
-            inner_bounds_mention(then, var) || inner_bounds_mention(els, var)
-        }
-        Stmt::While { body, .. } => inner_bounds_mention(body, var),
-        Stmt::Assign { .. } => false,
-    })
-}
-
-fn contains_branchy(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(|s| match s {
-        Stmt::If { .. } | Stmt::While { .. } => true,
-        Stmt::For { body, .. } => contains_branchy(body),
-        Stmt::Assign { .. } => false,
-    })
-}
-
-fn contains_for(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(|s| match s {
-        Stmt::For { .. } => true,
-        Stmt::If { then, els, .. } => contains_for(then) || contains_for(els),
-        Stmt::While { body, .. } => contains_for(body),
-        Stmt::Assign { .. } => false,
-    })
-}
-
-fn subst_stmts(stmts: &[Stmt], var: &str, replacement: &Expr) -> Vec<Stmt> {
-    stmts
-        .iter()
-        .map(|s| subst_stmt(s, var, replacement))
-        .collect()
-}
-
-fn subst_stmt(stmt: &Stmt, var: &str, rep: &Expr) -> Stmt {
-    match stmt {
-        Stmt::Assign { target, value } => Stmt::Assign {
-            target: match target {
-                LValue::Var(name, span) => {
-                    debug_assert_ne!(name, var, "unroller never substitutes assigned vars");
-                    LValue::Var(name.clone(), *span)
-                }
-                LValue::Index {
-                    array,
-                    indices,
-                    span,
-                } => LValue::Index {
-                    array: array.clone(),
-                    indices: indices.iter().map(|i| subst_expr(i, var, rep)).collect(),
-                    span: *span,
-                },
-            },
-            value: subst_expr(value, var, rep),
-        },
-        Stmt::If { cond, then, els } => Stmt::If {
-            cond: subst_expr(cond, var, rep),
-            then: subst_stmts(then, var, rep),
-            els: subst_stmts(els, var, rep),
-        },
-        Stmt::While { cond, body } => Stmt::While {
-            cond: subst_expr(cond, var, rep),
-            body: subst_stmts(body, var, rep),
-        },
-        Stmt::For {
-            var: inner,
+    fn unroll_stmt(&self, stmt: Stmt) -> Vec<Stmt> {
+        // Innermost-ness is judged on the ORIGINAL nest: a fully peeled inner
+        // loop must not promote its parent to "innermost" (that would cascade
+        // into one giant block).
+        let innermost = match &stmt {
+            Stmt::For { body, .. } => !any_stmt(body, &mut |s| matches!(s, Stmt::For { .. })),
+            _ => false,
+        };
+        // Unroll bottom-up: inner loops first.
+        let stmt = stmt.map_bodies(|body| self.unroll_stmts(body));
+        let Stmt::For {
+            var,
             init,
             bound,
             inclusive,
             step,
             body,
             span,
-        } => Stmt::For {
-            var: inner.clone(),
-            init: subst_expr(init, var, rep),
-            bound: subst_expr(bound, var, rep),
-            inclusive: *inclusive,
-            step: subst_expr(step, var, rep),
-            body: if inner == var {
-                body.clone() // shadowed
+        } = &stmt
+        else {
+            return vec![stmt];
+        };
+        // Unknown trip count, or a body that moves the variable: unrolling
+        // cannot preserve the iteration space exactly.
+        let facts = Loop::new(var, init, step, body);
+        let (Some(init_c), Some(step_c), Some(trip)) = (
+            facts.base,
+            facts.step,
+            trip_count(init, bound, *inclusive, step),
+        ) else {
+            return vec![stmt];
+        };
+
+        // Factor needed to staticize the affine accesses.
+        let u_static = unroll_factor(self.strides(body, var), step_c, self.n_tiles);
+        // Bodies with internal control flow gain nothing from extra
+        // unrolling (blocks are split at every branch anyway) and the
+        // replication only raises register pressure.
+        let branchy = any_stmt(body, &mut |s| {
+            matches!(s, Stmt::If { .. } | Stmt::While { .. })
+        });
+        let ilp = if branchy {
+            self.options.ilp_factor.min(self.n_tiles.max(1))
+        } else {
+            self.options.ilp_factor
+        };
+        let mut u = if innermost {
+            lcm(u_static, u64::from(ilp))
+        } else {
+            u_static
+        };
+
+        // Triangular nests: if an inner loop's bounds depend on this
+        // variable, only fully peeling this loop makes the inner loop
+        // analyzable (constant bounds). Peel when the expansion is
+        // reasonable.
+        let triangular = trip <= PEEL_LIMIT
+            && any_stmt(body, &mut |s| match s {
+                Stmt::For {
+                    init, bound, step, ..
+                } => [init, bound, step].iter().any(|e| e.mentions(var)),
+                _ => false,
+            });
+        let trip_cap = trip.max(1) as u64;
+        if triangular {
+            u = trip_cap;
+        }
+        let u = u.clamp(1, trip_cap) as i64;
+        if u == 1 && trip > 1 {
+            return vec![stmt];
+        }
+
+        // `trip_count` guarantees `init + trip·step` fits, and every value
+        // below takes at most `trip` steps, so this arithmetic cannot overflow.
+        let lit = |v: i64| Expr::Lit(Literal::Int(v), *span);
+        let mut out = Vec::new();
+        // A main loop that would run only once is fully peeled instead.
+        let main_iters = if trip / u <= 1 { 0 } else { trip / u * u };
+        if main_iters > 0 {
+            let mut unrolled = Vec::new();
+            for k in 0..u {
+                let replacement = if k == 0 {
+                    Expr::Var(var.clone(), *span)
+                } else {
+                    Expr::Bin {
+                        op: BinKind::Add,
+                        l: Box::new(Expr::Var(var.clone(), *span)),
+                        r: Box::new(lit(k * step_c)),
+                        span: *span,
+                    }
+                };
+                unrolled.extend(body.iter().map(|s| s.subst(var, &replacement)));
+            }
+            out.push(Stmt::For {
+                var: var.clone(),
+                init: lit(init_c),
+                bound: lit(init_c + main_iters * step_c),
+                inclusive: false,
+                step: lit(u * step_c),
+                body: unrolled,
+                span: *span,
+            });
+        }
+        // Epilogue: peel the remaining iterations with literal values.
+        for r in main_iters..trip {
+            let value = lit(init_c + r * step_c);
+            let peeled: Vec<Stmt> = body.iter().map(|s| s.subst(var, &value)).collect();
+            if triangular {
+                // Inner loops now have constant bounds: unroll them too.
+                out.extend(self.unroll_stmts(peeled));
             } else {
-                subst_stmts(body, var, rep)
-            },
-            span: *span,
-        },
+                out.extend(peeled);
+            }
+        }
+        // Leave the induction variable with its post-loop value.
+        out.push(Stmt::Assign {
+            target: LValue::Var(var.clone(), *span),
+            value: lit(init_c + trip * step_c),
+        });
+        out
     }
-}
 
-/// Substitutes the literal `0` for `var` in `e` (used to isolate the constant
-/// part of an affine index during home classification).
-pub(crate) fn subst_var_zero(e: &Expr, var: &str) -> Expr {
-    subst_expr(e, var, &Expr::Lit(Literal::Int(0), e.span()))
-}
+    /// The nonzero linearized stride over `var` of every array access in
+    /// `stmts` whose index is affine in it. `for` steps are not scanned:
+    /// that would change unroll factors.
+    fn strides(&self, stmts: &[Stmt], var: &str) -> Vec<i64> {
+        let mut out = Vec::new();
+        any_stmt(stmts, &mut |s| {
+            match s {
+                Stmt::Assign { target, value } => {
+                    if let LValue::Index { array, indices, .. } = target {
+                        out.extend(self.stride(array, indices, var));
+                        for i in indices {
+                            self.scan(i, var, &mut out);
+                        }
+                    }
+                    self.scan(value, var, &mut out);
+                }
+                Stmt::If { cond, .. } | Stmt::While { cond, .. } => self.scan(cond, var, &mut out),
+                Stmt::For { init, bound, .. } => {
+                    self.scan(init, var, &mut out);
+                    self.scan(bound, var, &mut out);
+                }
+            }
+            false
+        });
+        out
+    }
 
-fn subst_expr(e: &Expr, var: &str, rep: &Expr) -> Expr {
-    match e {
-        Expr::Var(name, _) if name == var => rep.clone(),
-        Expr::Lit(..) | Expr::Var(..) => e.clone(),
-        Expr::Index {
-            array,
-            indices,
-            span,
-        } => Expr::Index {
-            array: array.clone(),
-            indices: indices.iter().map(|i| subst_expr(i, var, rep)).collect(),
-            span: *span,
-        },
-        Expr::Bin { op, l, r, span } => Expr::Bin {
-            op: *op,
-            l: Box::new(subst_expr(l, var, rep)),
-            r: Box::new(subst_expr(r, var, rep)),
-            span: *span,
-        },
-        Expr::Un { op, e, span } => Expr::Un {
-            op: *op,
-            e: Box::new(subst_expr(e, var, rep)),
-            span: *span,
-        },
-        Expr::Call { f, arg, span } => Expr::Call {
-            f: *f,
-            arg: Box::new(subst_expr(arg, var, rep)),
-            span: *span,
-        },
+    /// Adds the strides of the array reads in `e` to `out`.
+    fn scan(&self, e: &Expr, var: &str, out: &mut Vec<i64>) {
+        e.any(&mut |e| {
+            if let Expr::Index { array, indices, .. } = e {
+                out.extend(self.stride(array, indices, var));
+            }
+            false
+        });
+    }
+
+    fn stride(&self, array: &str, indices: &[Expr], var: &str) -> Option<i64> {
+        let dims = &self.kernel.arrays.iter().find(|a| a.name == array)?.dims;
+        affine::stride(dims, indices, var).filter(|&s| s != 0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::affine::const_eval;
     use crate::parser::parse;
 
     fn unrolled(src: &str, n_tiles: u32) -> Kernel {
@@ -836,32 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn affine_coeff_handles_composition() {
-        let k = parse("t", "int i; int j; float A[8]; A[3*i + 2*j - 1] = 0.0;").unwrap();
-        let Stmt::Assign { target, .. } = &k.stmts[0] else {
-            unreachable!()
-        };
-        let LValue::Index { indices, .. } = target else {
-            unreachable!()
-        };
-        assert_eq!(affine_coeff(&indices[0], "i"), Some(3));
-        assert_eq!(affine_coeff(&indices[0], "j"), Some(2));
-        assert_eq!(affine_coeff(&indices[0], "k"), Some(0));
-    }
-
-    #[test]
-    fn non_affine_index_detected() {
-        let k = parse("t", "int i; float A[8]; A[i*i] = 0.0;").unwrap();
-        let Stmt::Assign { target, .. } = &k.stmts[0] else {
-            unreachable!()
-        };
-        let LValue::Index { indices, .. } = target else {
-            unreachable!()
-        };
-        assert_eq!(affine_coeff(&indices[0], "i"), None);
-    }
-
-    #[test]
     fn triangular_nest_fully_peels() {
         let k = unrolled(
             "int j; int kx; float A[8][8]; float s = 0.0;
@@ -931,5 +545,22 @@ mod tests {
             Stmt::For { step, .. } => assert_eq!(const_eval(step), Some(1)),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn zero_ilp_factor_unrolls_like_one() {
+        let k = parse(
+            "t",
+            "int i; float A[8]; for (i = 3; i < 4; i = i + 1) A[i] = 1.0;",
+        )
+        .unwrap();
+        let options = |ilp_factor| UnrollOptions {
+            ilp_factor,
+            reassociate: false,
+        };
+        assert_eq!(
+            unroll_kernel(&k, 4, options(0)),
+            unroll_kernel(&k, 4, options(1))
+        );
     }
 }

@@ -154,24 +154,65 @@ fn deep_branch_nesting_broadcasts_correctly() {
 
 #[test]
 fn frontend_rejects_malformed_kernels_gracefully() {
-    for (src, what) in [
-        ("int x; x = ;", "empty expression"),
-        ("float y; y = 1.5 %% 2.0;", "bad operator"),
-        ("int A[0]; A[0] = 1;", "zero-size array"),
+    // (source, what is wrong, a fragment the error message must name)
+    for (src, what, names) in [
+        ("int x; x = ;", "empty expression", "expected expression"),
+        ("float y; y = 1.5 %% 2.0;", "bad operator", "expected expression"),
+        ("int A[0]; A[0] = 1;", "zero-size array", "positive integer"),
         (
             "int i; for (i = 0; i > 3; i = i + 1) i = 0;",
-            "loop assigns induction var? no: wrong cond op is fine; body assigns i",
+            "for condition other than < or <=",
+            "'<' or '<='",
         ),
-        ("int x x = 1;", "missing semicolon"),
+        ("int x x = 1;", "missing semicolon", "expected ';'"),
+        (
+            "int i; int A[4]; for (i = 0; i < (0 - 9223372036854775807 - 1) / (0 - 1); i = i + 1) A[0] = i;",
+            "bound whose constant fold divides with overflow",
+            "9223372036854775807",
+        ),
+        (
+            "int i; int A[4]; for (i = 0; i < 3037000500 * 3037000500; i = i + 1) A[0] = i;",
+            "bound whose constant fold multiplies with overflow",
+            "3037000500",
+        ),
     ] {
-        let result = compile_source("bad", src, 2);
-        // The fourth case is actually legal-ish; accept either outcome there.
-        if what.starts_with("loop assigns") {
-            continue;
-        }
-        assert!(result.is_err(), "{what} should be rejected: {src}");
-        let err = result.unwrap_err();
+        let err = compile_source("bad", src, 2)
+            .expect_err(&format!("{what} should be rejected: {src}"));
         assert!(err.span.line >= 1, "error must carry a position");
+        assert!(
+            err.message.contains(names),
+            "{what}: message {:?} should name {names:?}",
+            err.message
+        );
+    }
+}
+
+#[test]
+fn loops_that_write_their_induction_variable_agree_with_the_interpreter() {
+    // The body moves `i` off its `init + k*step` progression, so no access
+    // indexed by `i` has a compile-time home.
+    for (name, src) in [
+        (
+            "bump_then_store",
+            "int i; int A[32]; for (i = 0; i < 16; i = i + 4) { i = i + 1; A[i] = i; }",
+        ),
+        (
+            "store_bump_store",
+            "int i; int n = 16; int A[32];
+             for (i = 0; i < n; i = i + 4) { A[i] = i; i = i + 1; A[i] = i; }",
+        ),
+        (
+            "nest_reuses_variable",
+            "int i; int n = 9; int A[16];
+             for (i = 0; i < 8; i = i + 2) { for (i = 1; i < n; i = i + 2) { A[i] = i; } }",
+        ),
+    ] {
+        for tiles in [2, 4] {
+            let program = compile_source(name, src, tiles).unwrap();
+            let config = MachineConfig::square(tiles);
+            let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
+            check(&compiled, &program, &[]).unwrap();
+        }
     }
 }
 
