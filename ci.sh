@@ -48,6 +48,17 @@ stage_clippy() {
     echo "$forks" >&2
     exit 1
   fi
+  # One stall record: the simulator, its statistics and every report speak
+  # raw_machine::trace::{StallReason, Stall}, so no second stall enum, sink
+  # method or event variant can grow back beside them.
+  local stalls
+  stalls="$(grep -rnwE 'stall_span|StallSpan|StallCause' crates tests examples \
+    --include='*.rs' || true)"
+  if [[ -n "$stalls" ]]; then
+    echo "ci: use StallReason and the one Stall range record instead:" >&2
+    echo "$stalls" >&2
+    exit 1
+  fi
 }
 
 stage_doc() {

@@ -12,12 +12,14 @@
 
 use crate::args::{require_power_of_two, FlagParser};
 use raw_benchmarks::Benchmark;
-use raw_machine::MachineProgram;
+use raw_ir::Program;
+use raw_machine::{MachineConfig, MachineProgram};
 use rawcc::exact::{format_gap_table, gap_row};
 use rawcc::service::Client;
+use rawcc::wire::CompileResponse;
 use rawcc::{
-    asm_hash, compile_with_cache, BlockCache, CompiledProgram, CompilerOptions, PlacementAlgorithm,
-    Strategy,
+    asm_hash, compile_with_cache, BlockCache, CacheStats, CompiledProgram, CompilerOptions,
+    PlacementAlgorithm, Strategy,
 };
 use std::fmt::Write as _;
 
@@ -199,21 +201,90 @@ fn dump_asm(out: &mut String, machine_program: &MachineProgram, max: usize) {
     }
 }
 
-fn stat_line(name: &str, tiles: u32, compiled: &CompiledProgram) -> String {
-    let r = &compiled.report;
-    format!(
-        "{name} tiles={tiles} threads={} blocks={} wall_ms={:.1} cache_hits={} \
-         cache_misses={} cache_evictions={} cache_evicted_bytes={} asm_hash={:#018x}",
-        r.threads,
-        r.blocks.len(),
-        r.wall.as_secs_f64() * 1e3,
-        r.cache.hits,
-        r.cache.misses,
-        r.cache.evictions,
-        r.cache.evicted_bytes,
-        asm_hash(&compiled.machine_program),
-    )
+/// The fields of one greppable compile stat line, whichever side compiled
+/// it: the in-process and `--remote` lines share this one formatter, so the
+/// lines scripts diff against each other cannot drift apart.
+struct Stat {
+    threads: usize,
+    blocks: usize,
+    wall_ms: f64,
+    cache: CacheStats,
+    asm_hash: u64,
 }
+
+impl Stat {
+    fn local(compiled: &CompiledProgram) -> Stat {
+        let r = &compiled.report;
+        Stat {
+            threads: r.threads,
+            blocks: r.blocks.len(),
+            wall_ms: r.wall.as_secs_f64() * 1e3,
+            cache: r.cache,
+            asm_hash: asm_hash(&compiled.machine_program),
+        }
+    }
+
+    /// Filled from the wire response; `blocks` is hits+misses, since the
+    /// daemon touches each block exactly once per request.
+    fn remote(resp: &CompileResponse) -> Stat {
+        Stat {
+            threads: resp.threads as usize,
+            blocks: (resp.hits + resp.misses) as usize,
+            wall_ms: resp.wall_us as f64 / 1e3,
+            cache: CacheStats {
+                hits: resp.hits,
+                misses: resp.misses,
+                evictions: resp.evictions,
+                evicted_bytes: resp.evicted_bytes,
+                ..CacheStats::default()
+            },
+            asm_hash: asm_hash(&resp.machine_program),
+        }
+    }
+
+    fn line(&self, name: &str, tiles: u32) -> String {
+        format!(
+            "{name} tiles={tiles} threads={} blocks={} wall_ms={:.1} cache_hits={} \
+             cache_misses={} cache_evictions={} cache_evicted_bytes={} asm_hash={:#018x}\n",
+            self.threads,
+            self.blocks,
+            self.wall_ms,
+            self.cache.hits,
+            self.cache.misses,
+            self.cache.evictions,
+            self.cache.evicted_bytes,
+            self.asm_hash,
+        )
+    }
+}
+
+/// Determinism oracle: a single-threaded cold-cache compile must produce
+/// byte-identical code, whatever the measured run's thread count, cache
+/// temperature or compiling process. `what` names the hash under test.
+fn selfcheck(
+    args: &CompileArgs,
+    name: &str,
+    program: &Program,
+    config: &MachineConfig,
+    what: &str,
+    hash: u64,
+) -> Result<(), String> {
+    let reference = compile_with_cache(program, config, &args.options(1), &BlockCache::in_memory())
+        .map_err(|e| format!("{name}: selfcheck compile: {e}"))?;
+    let want = asm_hash(&reference.machine_program);
+    if hash == want {
+        Ok(())
+    } else {
+        Err(format!(
+            "{name}: selfcheck failed: {what} {hash:#018x} differs from \
+             single-threaded cold-cache reference {want:#018x}"
+        ))
+    }
+}
+
+/// The last line of a `--selfcheck` run.
+const SELFCHECK_PASSED: &str =
+    "selfcheck: all asm hashes match the single-threaded cold-cache reference\n";
 
 /// Runs the `compile` subcommand and returns its stdout text.
 ///
@@ -223,7 +294,7 @@ fn stat_line(name: &str, tiles: u32, compiled: &CompiledProgram) -> String {
 /// compile failures.
 pub fn compile_command(args: &CompileArgs) -> Result<String, String> {
     let suite = args.suite()?;
-    let config = raw_machine::MachineConfig::square(args.tiles);
+    let config = MachineConfig::square(args.tiles);
     let mut out = String::new();
     if args.table {
         return table_command(args, &suite, &config);
@@ -246,49 +317,35 @@ pub fn compile_command(args: &CompileArgs) -> Result<String, String> {
             .map_err(|e| format!("{}: {e}", bench.name))?;
         let compiled = compile_with_cache(&program, &config, &args.options(args.threads), &cache)
             .map_err(|e| format!("{}: {e}", bench.name))?;
+        let stat = Stat::local(&compiled);
         if args.selfcheck {
-            // Determinism oracle: a single-threaded cold-cache compile must
-            // produce byte-identical code, whatever the measured run's thread
-            // count or cache temperature.
-            let reference = compile_with_cache(
+            selfcheck(
+                args,
+                bench.name,
                 &program,
                 &config,
-                &args.options(1),
-                &BlockCache::in_memory(),
-            )
-            .map_err(|e| format!("{}: selfcheck compile: {e}", bench.name))?;
-            if asm_hash(&compiled.machine_program) != asm_hash(&reference.machine_program) {
-                return Err(format!(
-                    "{}: selfcheck failed: asm hash {:#018x} differs from \
-                     single-threaded cold-cache reference {:#018x}",
-                    bench.name,
-                    asm_hash(&compiled.machine_program),
-                    asm_hash(&reference.machine_program)
-                ));
-            }
+                "asm hash",
+                stat.asm_hash,
+            )?;
         }
-        out.push_str(&stat_line(bench.name, args.tiles, &compiled));
-        out.push('\n');
+        out.push_str(&stat.line(bench.name, args.tiles));
         if let Some(max) = args.dump_asm {
             dump_asm(&mut out, &compiled.machine_program, max);
         }
     }
     if args.selfcheck {
-        out.push_str("selfcheck: all asm hashes match the single-threaded cold-cache reference\n");
+        out.push_str(SELFCHECK_PASSED);
     }
     Ok(out)
 }
 
 /// The `--remote` path: each workload is sent to a running daemon and the
-/// stat line is filled from the wire response. Field order matches the
-/// in-process lines so scripts can diff the two without special cases;
-/// `blocks` is hits+misses, since the daemon touches each block exactly once
-/// per request.
+/// stat line is filled from the wire response.
 fn remote_compile_command(
     args: &CompileArgs,
     addr: &str,
     suite: &[Benchmark],
-    config: &raw_machine::MachineConfig,
+    config: &MachineConfig,
 ) -> Result<String, String> {
     let mut client =
         Client::connect(addr, "raw-bench-compile").map_err(|e| format!("remote '{addr}': {e}"))?;
@@ -301,41 +358,24 @@ fn remote_compile_command(
         let resp = client
             .compile(&program, config, &options)
             .map_err(|e| format!("{}: {e}", bench.name))?;
-        let remote_hash = asm_hash(&resp.machine_program);
+        let stat = Stat::remote(&resp);
         if args.selfcheck {
-            let reference =
-                compile_with_cache(&program, config, &args.options(1), &BlockCache::in_memory())
-                    .map_err(|e| format!("{}: selfcheck compile: {e}", bench.name))?;
-            if remote_hash != asm_hash(&reference.machine_program) {
-                return Err(format!(
-                    "{}: selfcheck failed: remote asm hash {:#018x} differs from \
-                     single-threaded cold-cache reference {:#018x}",
-                    bench.name,
-                    remote_hash,
-                    asm_hash(&reference.machine_program)
-                ));
-            }
+            selfcheck(
+                args,
+                bench.name,
+                &program,
+                config,
+                "remote asm hash",
+                stat.asm_hash,
+            )?;
         }
-        out.push_str(&format!(
-            "{} tiles={} threads={} blocks={} wall_ms={:.1} cache_hits={} \
-             cache_misses={} cache_evictions={} cache_evicted_bytes={} asm_hash={:#018x}\n",
-            bench.name,
-            args.tiles,
-            resp.threads,
-            resp.hits + resp.misses,
-            resp.wall_us as f64 / 1e3,
-            resp.hits,
-            resp.misses,
-            resp.evictions,
-            resp.evicted_bytes,
-            remote_hash,
-        ));
+        out.push_str(&stat.line(bench.name, args.tiles));
         if let Some(max) = args.dump_asm {
             dump_asm(&mut out, &resp.machine_program, max);
         }
     }
     if args.selfcheck {
-        out.push_str("selfcheck: all asm hashes match the single-threaded cold-cache reference\n");
+        out.push_str(SELFCHECK_PASSED);
     }
     Ok(out)
 }
@@ -349,7 +389,7 @@ fn remote_compile_command(
 fn gap_table_command(
     args: &CompileArgs,
     suite: &[Benchmark],
-    config: &raw_machine::MachineConfig,
+    config: &MachineConfig,
 ) -> Result<String, String> {
     let heuristic_options = CompilerOptions {
         strategy: Strategy::Heuristic,
@@ -392,7 +432,7 @@ fn gap_table_command(
 fn table_command(
     args: &CompileArgs,
     suite: &[Benchmark],
-    config: &raw_machine::MachineConfig,
+    config: &MachineConfig,
 ) -> Result<String, String> {
     let mut out = String::new();
     out.push_str(&format!(

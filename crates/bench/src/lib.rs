@@ -24,12 +24,119 @@ pub mod serve;
 pub mod sim;
 pub mod top;
 
+use args::FlagParser;
 use raw_benchmarks::Benchmark;
 use raw_ir::interp::Interpreter;
 use raw_ir::Program;
 use raw_machine::{MachineConfig, TileId};
 use rawcc::{compile, compile_baseline, CompilerOptions};
 use std::fmt::Write as _;
+
+/// Arguments of the flag-driven paper tables and figures (`raw-bench` with no
+/// subcommand word).
+#[derive(Clone, Debug)]
+pub struct TablesArgs {
+    /// Table 1: operation latencies.
+    pub table1: bool,
+    /// Figure 4: neighbour message latency.
+    pub fig4: bool,
+    /// Table 2: benchmark characteristics.
+    pub table2: bool,
+    /// Table 3: speedups across machine sizes.
+    pub table3: bool,
+    /// Figure 8: fpppp-kernel machine variants.
+    pub fig8: bool,
+    /// fpppp-kernel speedup at three kernel sizes (not part of `--all`).
+    pub fpppp_scale: bool,
+    /// Compiler-feature ablations.
+    pub ablations: bool,
+    /// Machine sizes for table 3, figure 8 and the ablations (each a power of
+    /// two; capped at 4 tiles under `--quick`).
+    pub sizes: Vec<u32>,
+    /// The benchmarks to measure: the paper suite, the scaled-down suite
+    /// under `--quick`, or the one `--bench` names.
+    pub suite: Vec<Benchmark>,
+}
+
+impl TablesArgs {
+    /// Parses the flag list (`--all` sets every table flag but
+    /// `--fpppp-scale`).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message on unknown flags, missing or unparsable values,
+    /// machine sizes that are not powers of two, and unknown benchmarks.
+    pub fn parse(args: &[String]) -> Result<TablesArgs, String> {
+        let mut out = TablesArgs {
+            table1: false,
+            fig4: false,
+            table2: false,
+            table3: false,
+            fig8: false,
+            fpppp_scale: false,
+            ablations: false,
+            sizes: vec![1, 2, 4, 8, 16, 32],
+            suite: Vec::new(),
+        };
+        let (mut all, mut quick, mut bench) = (false, false, None);
+        let mut p = FlagParser::new("", args);
+        while let Some(flag) = p.next_flag() {
+            match flag {
+                "--table1" => out.table1 = true,
+                "--fig4" => out.fig4 = true,
+                "--table2" => out.table2 = true,
+                "--table3" => out.table3 = true,
+                "--fig8" => out.fig8 = true,
+                "--fpppp-scale" => out.fpppp_scale = true,
+                "--ablations" => out.ablations = true,
+                "--all" => all = true,
+                "--quick" => quick = true,
+                "--sizes" => {
+                    out.sizes = p
+                        .value()?
+                        .split(',')
+                        .map(|t| t.trim().parse::<u32>())
+                        .collect::<Result<_, _>>()
+                        .map_err(|_| "--sizes must be a comma-separated list of integers")?;
+                }
+                "--bench" => bench = Some(p.value()?.clone()),
+                _ => return Err(p.unknown()),
+            }
+        }
+        if all {
+            out.table1 = true;
+            out.fig4 = true;
+            out.table2 = true;
+            out.table3 = true;
+            out.fig8 = true;
+            out.ablations = true;
+        }
+        if let Some(&bad) = out.sizes.iter().find(|n| !n.is_power_of_two()) {
+            return Err(format!(
+                "machine size {bad} is not a power of two (low-order interleaving \
+                 requires 2^k tiles); valid sizes: 1,2,4,8,16,32,…"
+            ));
+        }
+        if quick {
+            out.sizes.retain(|&n| n <= 4);
+            if out.sizes.is_empty() {
+                out.sizes = vec![1, 2, 4];
+            }
+        }
+        out.suite = if quick {
+            raw_benchmarks::tiny_suite()
+        } else {
+            raw_benchmarks::suite()
+        };
+        if let Some(name) = bench {
+            out.suite.retain(|b| b.name == name);
+            if out.suite.is_empty() {
+                return Err(format!("unknown benchmark '{name}'"));
+            }
+        }
+        Ok(out)
+    }
+}
 
 /// Which machine variant to measure (Figure 8's three configurations).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -440,6 +547,44 @@ mod tests {
         assert_eq!(row.points.len(), 2);
         assert!(row.seq_cycles > 0);
         assert!(row.points.iter().all(|(_, c, _)| *c > 0));
+    }
+
+    fn tables(args: &[&str]) -> Result<TablesArgs, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        TablesArgs::parse(&args)
+    }
+
+    #[test]
+    fn tables_args_parse_flags_and_presets() {
+        let t = tables(&["--quick", "--all", "--sizes", "1,2,8", "--bench", "mxm"]).unwrap();
+        assert!(t.table1 && t.fig4 && t.table2 && t.table3 && t.fig8 && t.ablations);
+        assert!(!t.fpppp_scale, "--all leaves --fpppp-scale out");
+        assert_eq!(t.sizes, [1, 2], "--quick caps sizes at 4 tiles");
+        assert_eq!(t.suite.len(), 1);
+        assert_eq!(t.suite[0].name, "mxm");
+        let t = tables(&["--table1"]).unwrap();
+        assert!(t.table1 && !t.table3);
+        assert_eq!(t.sizes, [1, 2, 4, 8, 16, 32]);
+        assert!(tables(&["--sizes", "3"]).is_err());
+        assert!(tables(&["--bench", "nosuch"]).is_err());
+    }
+
+    #[test]
+    fn tables_args_reject_a_non_integer_size() {
+        let err = tables(&["--table1", "--sizes", "x"]).unwrap_err();
+        assert_eq!(err, "--sizes must be a comma-separated list of integers");
+    }
+
+    #[test]
+    fn tables_args_reject_an_unknown_flag() {
+        let err = tables(&["--tabel1"]).unwrap_err();
+        assert_eq!(err, "unknown flag '--tabel1'");
+    }
+
+    #[test]
+    fn tables_args_reject_a_missing_bench_name() {
+        let err = tables(&["--table1", "--bench"]).unwrap_err();
+        assert_eq!(err, "--bench requires a value");
     }
 
     #[test]

@@ -26,7 +26,7 @@ use raw_bench::sim::{sim_command, SimArgs};
 use raw_bench::top::{top_command, TopArgs};
 use raw_bench::{
     ablation_text, figure4_text, figure8_text, fpppp_scale_text, table1_text, table2_text,
-    table3_text,
+    table3_text, TablesArgs,
 };
 use std::process::ExitCode;
 
@@ -172,84 +172,46 @@ fn main() -> ExitCode {
     }
 }
 
-/// The flag-driven paper tables and figures (no subcommand word).
+/// The flag-driven paper tables and figures (no subcommand word). Each one
+/// prints as soon as it is measured.
 fn tables(args: &[String]) -> ExitCode {
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let has = |f: &str| args.iter().any(|a| a == f);
-    let all = has("--all");
-    let quick = has("--quick");
-
-    let mut sizes: Vec<u32> = vec![1, 2, 4, 8, 16, 32];
-    if let Some(pos) = args.iter().position(|a| a == "--sizes") {
-        match args.get(pos + 1) {
-            Some(list) => {
-                sizes = list
-                    .split(',')
-                    .map(|t| t.trim().parse::<u32>().expect("size must be an integer"))
-                    .collect();
-            }
-            None => {
-                eprintln!("--sizes requires an argument, e.g. --sizes 1,2,4");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(&bad) = sizes.iter().find(|n| !n.is_power_of_two()) {
-        eprintln!(
-            "machine size {bad} is not a power of two (low-order interleaving \
-             requires 2^k tiles); valid sizes: 1,2,4,8,16,32,…"
-        );
-        return ExitCode::FAILURE;
-    }
-    if quick {
-        sizes.retain(|&n| n <= 4);
-        if sizes.is_empty() {
-            sizes = vec![1, 2, 4];
-        }
-    }
-
-    let mut suite = if quick {
-        raw_benchmarks::tiny_suite()
-    } else {
-        raw_benchmarks::suite()
-    };
-    if let Some(pos) = args.iter().position(|a| a == "--bench") {
-        let name = args.get(pos + 1).cloned().unwrap_or_default();
-        suite.retain(|b| b.name == name);
-        if suite.is_empty() {
-            eprintln!("unknown benchmark '{name}'");
+    let args = match TablesArgs::parse(args) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("raw-bench: {e}");
             return ExitCode::FAILURE;
         }
-    }
-
-    if all || has("--table1") {
+    };
+    let (suite, sizes) = (&args.suite, &args.sizes);
+    if args.table1 {
         println!("{}", table1_text());
     }
-    if all || has("--fig4") {
+    if args.fig4 {
         println!("{}", figure4_text());
     }
-    if all || has("--table2") {
-        println!("{}", table2_text(&suite));
+    if args.table2 {
+        println!("{}", table2_text(suite));
     }
-    if all || has("--table3") {
-        println!("{}", table3_text(&suite, &sizes));
+    if args.table3 {
+        println!("{}", table3_text(suite, sizes));
     }
-    if all || has("--fig8") {
+    if args.fig8 {
         let fpppp = suite
             .iter()
             .find(|b| b.name == "fpppp-kernel")
             .cloned()
             .unwrap_or_else(|| raw_benchmarks::fpppp_kernel(Default::default()));
-        println!("{}", figure8_text(&fpppp, &sizes));
+        println!("{}", figure8_text(&fpppp, sizes));
     }
-    if has("--fpppp-scale") {
-        println!("{}", fpppp_scale_text(&sizes));
+    if args.fpppp_scale {
+        println!("{}", fpppp_scale_text(sizes));
     }
-    if all || has("--ablations") {
-        println!("{}", ablation_text(&suite, &sizes));
+    if args.ablations {
+        println!("{}", ablation_text(suite, sizes));
     }
     ExitCode::SUCCESS
 }

@@ -185,8 +185,6 @@ pub struct CompileReport {
     /// compile may count duplicate blocks racing to the same key as several
     /// misses; warm-cache counts are exact.
     pub cache: blockcache::CacheStats,
-    /// Wall-clock time per block (lookup + compile; near zero on a cache hit).
-    pub block_wall: Vec<Duration>,
     /// Whether each block was served from the cache.
     pub block_cached: Vec<bool>,
     /// Content-addressed cache key of each block, in block order. This is the
@@ -700,15 +698,8 @@ pub fn compile_with_cache(
     let evictions = AtomicU64::new(0);
     let evicted_bytes = AtomicU64::new(0);
 
-    type Compiled = (
-        Arc<BlockBundle>,
-        PhaseTimings,
-        Duration,
-        bool,
-        blockcache::CacheKey,
-    );
+    type Compiled = (Arc<BlockBundle>, PhaseTimings, bool, blockcache::CacheKey);
     let do_block = |block: &Block| -> Compiled {
-        let start = Instant::now();
         let bytes = blockcache::canonical_block_bytes(block);
         let block_hash = raw_testkit::hash64(&bytes);
         let key = key_ctx.key(&bytes);
@@ -736,13 +727,7 @@ pub fn compile_with_cache(
         } else {
             misses.fetch_add(1, Ordering::Relaxed);
         }
-        (
-            fetched.bundle,
-            timings,
-            start.elapsed(),
-            fetched.cached,
-            key,
-        )
+        (fetched.bundle, timings, fetched.cached, key)
     };
 
     let mut compiled: Vec<Option<Compiled>> = (0..blocks.len()).map(|_| None).collect();
@@ -784,10 +769,8 @@ pub fn compile_with_cache(
     let mut prov_map = ProvenanceMap::default();
     let mut bundles: Vec<Arc<BlockBundle>> = Vec::with_capacity(blocks.len());
     for (b, block) in blocks.iter().enumerate() {
-        let (bundle, timings, wall, cached, key) =
-            compiled[b].take().expect("every block compiled");
+        let (bundle, timings, cached, key) = compiled[b].take().expect("every block compiled");
         report.timings.accumulate(&timings);
-        report.block_wall.push(wall);
         report.block_cached.push(cached);
         report.block_keys.push(key);
         report.blocks.push(bundle.report.clone());

@@ -1,7 +1,7 @@
 //! Programs: declarations, basic blocks, and control flow.
 
 use crate::ids::{ArrayId, BlockId, ValueId, VarId};
-use crate::inst::{Imm, Inst, InstKind, Ty};
+use crate::inst::{Imm, Inst, Ty};
 use std::collections::HashMap;
 
 /// Declaration of a persistent scalar variable.
@@ -199,26 +199,6 @@ impl Program {
             .cloned()
             .unwrap_or_else(|| v.to_string())
     }
-
-    /// Returns, for each block, the set of variables it reads and writes.
-    ///
-    /// Used by the stitcher and by liveness-style analyses in the compiler.
-    pub fn block_var_uses(&self, b: BlockId) -> (Vec<VarId>, Vec<VarId>) {
-        let mut reads = Vec::new();
-        let mut writes = Vec::new();
-        for inst in &self.block(b).insts {
-            match inst.kind {
-                InstKind::ReadVar(v) if !reads.contains(&v) => {
-                    reads.push(v);
-                }
-                InstKind::WriteVar(v, _) if !writes.contains(&v) => {
-                    writes.push(v);
-                }
-                _ => {}
-            }
-        }
-        (reads, writes)
-    }
 }
 
 #[cfg(test)]
@@ -243,15 +223,6 @@ mod tests {
         assert!(p.var_by_name("x").is_some());
         assert!(p.var_by_name("missing").is_none());
         assert!(p.array_by_name("missing").is_none());
-    }
-
-    #[test]
-    fn block_var_uses_reports_reads_and_writes() {
-        let p = tiny();
-        let x = p.var_by_name("x").unwrap();
-        let (reads, writes) = p.block_var_uses(p.entry);
-        assert_eq!(reads, vec![x]);
-        assert_eq!(writes, vec![x]);
     }
 
     #[test]

@@ -87,4 +87,4 @@ pub mod trace;
 pub use config::{LatencyModel, MachineConfig, TileMask};
 pub use isa::{MachineProgram, TileCode, TileId};
 pub use machine::{Machine, RunReport, SimError};
-pub use trace::{ChannelInfo, ChannelRole, EventSink, NullSink, StallReason, Unit};
+pub use trace::{ChannelInfo, ChannelRole, EventSink, NullSink, Stall, StallReason, Unit};

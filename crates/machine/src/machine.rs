@@ -18,7 +18,7 @@
 //!
 //! * a **halted** processor (with drained port engine) or switch is dead and
 //!   never stepped again;
-//! * a processor stalled on the scoreboard (`RegNotReady`, no pending sends)
+//! * a processor stalled on the scoreboard (`Scoreboard`, no pending sends)
 //!   sleeps until the blocking register's ready cycle;
 //! * a processor stalled on an empty input port (no pending sends) sleeps until
 //!   the switch→processor channel commits;
@@ -52,12 +52,13 @@ use crate::chaos::{Chaos, ChaosConfig};
 use crate::config::MachineConfig;
 use crate::dynnet::{DynEndpoint, DynNet, Handler};
 use crate::isa::{Dir, MachineProgram, SDst, SInst, SSrc, TileCode, TileId, Word};
-use crate::processor::{ProcOutcome, Processor, StallCause};
+use crate::processor::{ProcOutcome, Processor};
 use crate::stats::Stats;
 use crate::switch::{Switch, SwitchOutcome};
-use crate::trace::{ChannelInfo, ChannelRole, EventSink, NullSink, StallReason, Unit};
+use crate::trace::{ChannelInfo, ChannelRole, EventSink, NullSink, Stall, StallReason, Unit};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Simulation failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -130,19 +131,19 @@ enum SwitchMode {
 /// `since == u64::MAX` means no debt. Otherwise the component skipped every
 /// cycle in `since..now`; the reference stepper would have recorded one stall
 /// per skipped cycle *except* those on which chaos stalled it (the reference
-/// records nothing on those), which are counted over the span at settlement.
-/// The debt is settled into [`Stats`] immediately before the component next
-/// steps, or at run end.
+/// records only a chaos skip on those), which are counted over the range at
+/// settlement. The debt is settled into [`Stats`] and the sink immediately
+/// before the component next steps, or at run end.
 #[derive(Clone, Copy, Debug)]
 struct SleepDebt {
     since: u64,
-    cause: StallCause,
+    reason: StallReason,
 }
 
 impl SleepDebt {
     const NONE: SleepDebt = SleepDebt {
         since: u64::MAX,
-        cause: StallCause::RegNotReady,
+        reason: StallReason::Scoreboard,
     };
 
     fn is_pending(&self) -> bool {
@@ -151,7 +152,7 @@ impl SleepDebt {
 }
 
 /// A processor or a switch: one endpoint of a static-network channel (wake
-/// routing) and one subject of chaos stalls.
+/// routing), one subject of chaos stalls, and one holder of a sleep debt.
 #[derive(Clone, Copy, Debug)]
 enum Comp {
     ProcAt(usize),
@@ -159,11 +160,20 @@ enum Comp {
 }
 
 impl Comp {
-    /// The component number fed to [`Chaos::stall`].
-    fn chaos_id(self) -> u64 {
+    /// The component number: the stream fed to [`Chaos::stall`] and the
+    /// component's slot in `Machine::debts`.
+    fn id(self) -> usize {
         match self {
-            Comp::ProcAt(t) => 2 * t as u64,
-            Comp::SwitchAt(t) => 2 * t as u64 + 1,
+            Comp::ProcAt(t) => 2 * t,
+            Comp::SwitchAt(t) => 2 * t + 1,
+        }
+    }
+
+    /// The component's tile and unit.
+    fn tile_unit(self) -> (usize, Unit) {
+        match self {
+            Comp::ProcAt(t) => (t, Unit::Proc),
+            Comp::SwitchAt(t) => (t, Unit::Switch),
         }
     }
 }
@@ -205,9 +215,9 @@ pub struct Machine<S: EventSink = NullSink> {
     /// Which stepping core `step` dispatches to.
     stepper: Stepper,
     proc_mode: Vec<ProcMode>,
-    proc_debt: Vec<SleepDebt>,
     switch_mode: Vec<SwitchMode>,
-    switch_debt: Vec<SleepDebt>,
+    /// Stall debt per component, indexed by [`Comp::id`].
+    debts: Vec<SleepDebt>,
     /// Reading endpoint of each channel.
     chan_reader: Vec<Comp>,
     /// Writing endpoint of each channel.
@@ -229,8 +239,6 @@ pub struct Machine<S: EventSink = NullSink> {
     dyn_watched: Vec<bool>,
     /// Reusable scratch for the delivered-tile list (borrow split).
     dyn_scratch: Vec<usize>,
-    /// Cause of the most recent switch stall (sleep-span attribution scratch).
-    last_switch_stall: StallCause,
     /// Processors in mode `Active`, swept in ascending order each cycle.
     proc_run: RunSet,
     /// Switches in mode `Active`.
@@ -333,9 +341,8 @@ impl<S: EventSink> Machine<S> {
             chaos: None,
             stepper: Stepper::RunSets,
             proc_mode: vec![ProcMode::Active; n],
-            proc_debt: vec![SleepDebt::NONE; n],
             switch_mode: vec![SwitchMode::Active; n],
-            switch_debt: vec![SleepDebt::NONE; n],
+            debts: vec![SleepDebt::NONE; 2 * n],
             chan_reader,
             chan_writer,
             dirty: Vec::new(),
@@ -345,7 +352,6 @@ impl<S: EventSink> Machine<S> {
             dyn_watch: Vec::new(),
             dyn_watched: vec![false; n],
             dyn_scratch: Vec::new(),
-            last_switch_stall: StallCause::PortInEmpty,
             proc_run: RunSet::full(n),
             switch_run: RunSet::full(n),
             sleep_reg: RunSet::empty(n),
@@ -455,12 +461,6 @@ impl<S: EventSink> Machine<S> {
         &self.mems[tile.index()]
     }
 
-    /// Copies `words` into a tile's memory starting at `base`.
-    pub fn install_memory(&mut self, tile: TileId, base: u32, words: &[Word]) {
-        let mem = &mut self.mems[tile.index()];
-        mem[base as usize..base as usize + words.len()].copy_from_slice(words);
-    }
-
     /// Overrides a tile's dynamic-reference home map: global addresses issued
     /// by `tile` interleave over `homes` (a power-of-two set of physical
     /// tiles) instead of the default [`MachineConfig::split_gaddr`]. The
@@ -505,7 +505,7 @@ impl<S: EventSink> Machine<S> {
     fn chaos_stalls(&self, c: Comp) -> bool {
         self.chaos
             .as_ref()
-            .is_some_and(|chaos| chaos.stall(c.chaos_id(), self.cycle))
+            .is_some_and(|chaos| chaos.stall(c.id() as u64, self.cycle))
     }
 
     /// The reference stepper: every component steps, every channel commits.
@@ -516,11 +516,12 @@ impl<S: EventSink> Machine<S> {
         // Processors.
         for t in 0..n {
             if self.chaos_stalls(Comp::ProcAt(t)) {
-                if S::ENABLED {
-                    let pc = self.procs[t].pc();
-                    self.sink
-                        .stall(self.cycle, t as u32, Unit::Proc, StallReason::Chaos, pc);
-                }
+                self.book_stall(
+                    Comp::ProcAt(t),
+                    StallReason::Chaos,
+                    self.cycle..self.cycle + 1,
+                    0,
+                );
                 continue;
             }
             let pc_before = if S::ENABLED { self.procs[t].pc() } else { 0 };
@@ -548,17 +549,13 @@ impl<S: EventSink> Machine<S> {
                         );
                     }
                 }
-                ProcOutcome::Stalled(cause) => {
-                    self.stats.tiles[t].record_stall(cause);
-                    if S::ENABLED {
-                        self.sink
-                            .stall(self.cycle, t as u32, Unit::Proc, cause.into(), pc_before);
-                    }
+                ProcOutcome::Stalled(reason) => {
+                    self.book_stall(Comp::ProcAt(t), reason, self.cycle..self.cycle + 1, 0);
                     // A scoreboard stall — or a pending port write still
                     // waiting out its producer's latency — is a *timed* wait
                     // that resolves by itself: it is not a deadlock symptom,
                     // so it counts as progress.
-                    if cause == StallCause::RegNotReady
+                    if reason == StallReason::Scoreboard
                         || self.procs[t].has_maturing_send(self.cycle)
                     {
                         progress = true;
@@ -575,16 +572,19 @@ impl<S: EventSink> Machine<S> {
         // Switches.
         for t in 0..n {
             if self.chaos_stalls(Comp::SwitchAt(t)) {
-                if S::ENABLED {
-                    let pc = self.switches[t].pc();
-                    self.sink
-                        .stall(self.cycle, t as u32, Unit::Switch, StallReason::Chaos, pc);
-                }
+                self.book_stall(
+                    Comp::SwitchAt(t),
+                    StallReason::Chaos,
+                    self.cycle..self.cycle + 1,
+                    0,
+                );
                 continue;
             }
             match self.step_switch(t) {
                 SwitchOutcome::Progress => progress = true,
-                SwitchOutcome::Stalled => {}
+                SwitchOutcome::Stalled(reason) => {
+                    self.book_stall(Comp::SwitchAt(t), reason, self.cycle..self.cycle + 1, 0);
+                }
                 SwitchOutcome::Halted => {
                     if S::ENABLED {
                         self.sink.idle(self.cycle, t as u32, Unit::Switch);
@@ -662,13 +662,7 @@ impl<S: EventSink> Machine<S> {
         while let Some(t) = self.proc_run.next_from(from) {
             from = t + 1;
             if self.chaos_stalls(Comp::ProcAt(t)) {
-                // With a debt pending the cycle lies inside the span the debt
-                // will report; otherwise it is a stall event of its own.
-                if S::ENABLED && !self.proc_debt[t].is_pending() {
-                    let pc = self.procs[t].pc();
-                    self.sink
-                        .stall(self.cycle, t as u32, Unit::Proc, StallReason::Chaos, pc);
-                }
+                self.book_chaos_skip(Comp::ProcAt(t));
                 continue;
             }
             progress |= self.run_proc(t, &mut run_dyn);
@@ -692,11 +686,7 @@ impl<S: EventSink> Machine<S> {
         while let Some(t) = self.switch_run.next_from(from) {
             from = t + 1;
             if self.chaos_stalls(Comp::SwitchAt(t)) {
-                if S::ENABLED && !self.switch_debt[t].is_pending() {
-                    let pc = self.switches[t].pc();
-                    self.sink
-                        .stall(self.cycle, t as u32, Unit::Switch, StallReason::Chaos, pc);
-                }
+                self.book_chaos_skip(Comp::SwitchAt(t));
                 continue;
             }
             progress |= self.run_switch(t);
@@ -713,7 +703,7 @@ impl<S: EventSink> Machine<S> {
     /// accounting, and wake routing. Returns its progress contribution.
     fn run_proc(&mut self, t: usize, run_dyn: &mut bool) -> bool {
         let mut progress = false;
-        self.settle_proc_debt(t);
+        self.settle_debt(Comp::ProcAt(t));
         let pc_before = if S::ENABLED { self.procs[t].pc() } else { 0 };
         let (pin_id, pout_id) = (self.sp[t], self.ps[t]);
         let pin_before = self.channels[pin_id].len();
@@ -763,41 +753,36 @@ impl<S: EventSink> Machine<S> {
                     }
                 }
             }
-            ProcOutcome::Stalled(cause) => {
-                self.stats.tiles[t].record_stall(cause);
-                if S::ENABLED {
-                    self.sink
-                        .stall(self.cycle, t as u32, Unit::Proc, cause.into(), pc_before);
-                }
-                if cause == StallCause::RegNotReady || self.procs[t].has_maturing_send(self.cycle) {
+            ProcOutcome::Stalled(reason) => {
+                self.book_stall(Comp::ProcAt(t), reason, self.cycle..self.cycle + 1, 0);
+                if reason == StallReason::Scoreboard || self.procs[t].has_maturing_send(self.cycle)
+                {
                     progress = true;
                 }
                 // A stall with no pending sends has no side effects to
                 // perform: the processor may sleep if its wake condition
                 // is observable (scoreboard timer or port commit).
                 if self.procs[t].out_pending_empty() {
-                    match cause {
-                        StallCause::RegNotReady => {
+                    let debt = SleepDebt {
+                        since: self.cycle + 1,
+                        reason,
+                    };
+                    match reason {
+                        StallReason::Scoreboard => {
                             if let Some(wake_at) = self.procs[t].wake_hint() {
                                 self.park_proc(t, ProcMode::SleepReg { wake_at });
                                 self.sleep_reg.insert(t);
                                 self.timers.push(wake_at, t);
-                                self.proc_debt[t] = SleepDebt {
-                                    since: self.cycle + 1,
-                                    cause,
-                                };
+                                self.debts[Comp::ProcAt(t).id()] = debt;
                             }
                         }
-                        StallCause::PortInEmpty => {
+                        StallReason::ReceiveEmpty => {
                             self.park_proc(t, ProcMode::SleepPort);
-                            self.proc_debt[t] = SleepDebt {
-                                since: self.cycle + 1,
-                                cause,
-                            };
+                            self.debts[Comp::ProcAt(t).id()] = debt;
                         }
-                        // PortOutFull implies pending sends (not reached
-                        // here); Dynamic waits are serviced by the handler
-                        // phase and stay active — they are rare and cheap.
+                        // SendFull implies pending sends (not reached here);
+                        // dynamic waits are serviced by the handler phase and
+                        // stay active — they are rare and cheap.
                         _ => {}
                     }
                 }
@@ -824,7 +809,7 @@ impl<S: EventSink> Machine<S> {
     /// Steps one switch of the run set (see [`Self::run_proc`]).
     fn run_switch(&mut self, t: usize) -> bool {
         let mut progress = false;
-        self.settle_switch_debt(t);
+        self.settle_debt(Comp::SwitchAt(t));
         let outcome = self.step_switch(t);
         // Words consumed by the route free space upstream writers may be
         // waiting on.
@@ -834,12 +819,13 @@ impl<S: EventSink> Machine<S> {
         }
         match outcome {
             SwitchOutcome::Progress => progress = true,
-            SwitchOutcome::Stalled => {
+            SwitchOutcome::Stalled(reason) => {
+                self.book_stall(Comp::SwitchAt(t), reason, self.cycle..self.cycle + 1, 0);
                 self.switch_mode[t] = SwitchMode::Sleeping;
                 self.switch_run.remove(t);
-                self.switch_debt[t] = SleepDebt {
+                self.debts[Comp::SwitchAt(t).id()] = SleepDebt {
                     since: self.cycle + 1,
-                    cause: self.last_switch_stall,
+                    reason,
                 };
             }
             SwitchOutcome::Halted => {
@@ -976,78 +962,65 @@ impl<S: EventSink> Machine<S> {
     }
 
     /// How many cycles of `since..now` chaos stalled `c` on: the cycles of a
-    /// sleep span on which the reference records nothing.
+    /// sleep range on which the reference records a chaos skip instead.
     fn chaos_skips(&self, c: Comp, since: u64) -> u64 {
         match &self.chaos {
             None => 0,
             Some(chaos) => (since..self.cycle)
-                .filter(|&cycle| chaos.stall(c.chaos_id(), cycle))
+                .filter(|&cycle| chaos.stall(c.id() as u64, cycle))
                 .count() as u64,
         }
     }
 
-    /// Settles a processor's deferred stall statistics up to (not including)
-    /// the current cycle.
-    fn settle_proc_debt(&mut self, t: usize) {
-        let debt = self.proc_debt[t];
-        if !debt.is_pending() {
-            return;
-        }
-        let skipped = self.cycle - debt.since;
-        let chaos_skips = self.chaos_skips(Comp::ProcAt(t), debt.since);
-        let stalls = skipped - chaos_skips;
-        match debt.cause {
-            StallCause::RegNotReady => self.stats.tiles[t].stall_reg += stalls,
-            StallCause::PortInEmpty => self.stats.tiles[t].stall_port_in += stalls,
-            _ => unreachable!("processors only sleep on reg/port-in stalls"),
-        }
-        if S::ENABLED && skipped > 0 {
-            // The pc does not advance while asleep: this is the blocked
-            // instruction's pc for the whole span.
-            let pc = self.procs[t].pc();
-            self.sink.stall_span(
-                t as u32,
-                Unit::Proc,
-                debt.cause.into(),
-                debt.since,
-                self.cycle,
-                chaos_skips,
+    /// Books the stall range `cycles` of `c` blocked on `reason`, `chaos`
+    /// cycles of which were chaos skips: the stall cycles go into [`Stats`]
+    /// and the range to the sink as one [`Stall`] record. A unit's pc does not
+    /// advance while it stalls, so its current pc is the blocked instruction's.
+    fn book_stall(&mut self, c: Comp, reason: StallReason, cycles: Range<u64>, chaos: u64) {
+        let (t, unit) = c.tile_unit();
+        let (from, to) = (cycles.start, cycles.end);
+        self.stats.tiles[t].record_stall(unit, reason, to - from - chaos);
+        if S::ENABLED {
+            let pc = match unit {
+                Unit::Proc => self.procs[t].pc(),
+                Unit::Switch => self.switches[t].pc(),
+            };
+            self.sink.stall(Stall {
+                tile: t as u32,
+                unit,
+                reason,
+                from,
+                to,
+                chaos,
                 pc,
-            );
+            });
         }
-        self.proc_debt[t] = SleepDebt::NONE;
     }
 
-    /// Settles a switch's deferred stall statistics up to (not including) the
-    /// current cycle.
-    fn settle_switch_debt(&mut self, t: usize) {
-        let debt = self.switch_debt[t];
-        if !debt.is_pending() {
-            return;
+    /// A chaos skip of an active component. With a debt pending the cycle
+    /// lies inside the range the debt will report; otherwise it is a
+    /// one-cycle record of its own.
+    fn book_chaos_skip(&mut self, c: Comp) {
+        if !self.debts[c.id()].is_pending() {
+            self.book_stall(c, StallReason::Chaos, self.cycle..self.cycle + 1, 0);
         }
-        let skipped = self.cycle - debt.since;
-        let chaos_skips = self.chaos_skips(Comp::SwitchAt(t), debt.since);
-        self.stats.tiles[t].switch_stalls += skipped - chaos_skips;
-        if S::ENABLED && skipped > 0 {
-            let pc = self.switches[t].pc();
-            self.sink.stall_span(
-                t as u32,
-                Unit::Switch,
-                debt.cause.into(),
-                debt.since,
-                self.cycle,
-                chaos_skips,
-                pc,
-            );
+    }
+
+    /// Settles a sleeper's deferred stalls up to (not including) the current
+    /// cycle as one retroactive range.
+    fn settle_debt(&mut self, c: Comp) {
+        let debt = std::mem::replace(&mut self.debts[c.id()], SleepDebt::NONE);
+        if debt.is_pending() && debt.since < self.cycle {
+            let chaos = self.chaos_skips(c, debt.since);
+            self.book_stall(c, debt.reason, debt.since..self.cycle, chaos);
         }
-        self.switch_debt[t] = SleepDebt::NONE;
     }
 
     /// Settles every outstanding stall debt (run exit, before reporting).
     fn flush_sleep_stats(&mut self) {
         for t in 0..self.config.n_tiles() as usize {
-            self.settle_proc_debt(t);
-            self.settle_switch_debt(t);
+            self.settle_debt(Comp::ProcAt(t));
+            self.settle_debt(Comp::SwitchAt(t));
         }
     }
 
@@ -1069,7 +1042,6 @@ impl<S: EventSink> Machine<S> {
             consumed,
             route_vals,
             cycle,
-            last_switch_stall,
             sink,
             ..
         } = self;
@@ -1100,18 +1072,7 @@ impl<S: EventSink> Machine<S> {
                         SSrc::Reg(_) => true,
                     };
                     if !ready {
-                        stats.tiles[t].switch_stalls += 1;
-                        *last_switch_stall = StallCause::PortInEmpty;
-                        if S::ENABLED {
-                            sink.stall(
-                                *cycle,
-                                t as u32,
-                                Unit::Switch,
-                                StallReason::ReceiveEmpty,
-                                sw_pc,
-                            );
-                        }
-                        return SwitchOutcome::Stalled;
+                        return SwitchOutcome::Stalled(StallReason::ReceiveEmpty);
                     }
                 }
                 for (_, dst) in pairs {
@@ -1126,18 +1087,7 @@ impl<S: EventSink> Machine<S> {
                         SDst::Reg(_) => true,
                     };
                     if !ready {
-                        stats.tiles[t].switch_stalls += 1;
-                        *last_switch_stall = StallCause::PortOutFull;
-                        if S::ENABLED {
-                            sink.stall(
-                                *cycle,
-                                t as u32,
-                                Unit::Switch,
-                                StallReason::SendFull,
-                                sw_pc,
-                            );
-                        }
-                        return SwitchOutcome::Stalled;
+                        return SwitchOutcome::Stalled(StallReason::SendFull);
                     }
                 }
                 // Phase 2: consume each distinct source once, then fan out.
@@ -1482,13 +1432,6 @@ pub(crate) mod tests {
             m.run().expect("chaos run completes");
             assert_eq!(m.mem_word(TileId(1), 0), base, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn install_memory_bulk_copy() {
-        let mut m = Machine::new(MachineConfig::grid(1, 1), &MachineProgram::empty(1));
-        m.install_memory(TileId(0), 10, &[1, 2, 3]);
-        assert_eq!(m.mem_word(TileId(0), 11), 2);
     }
 
     /// A lone processor blocked on a receive nobody sends to.

@@ -10,28 +10,17 @@ use crate::channel::Channel;
 use crate::config::MachineConfig;
 use crate::dynnet::{DynEndpoint, DynMsg, MsgKind};
 use crate::isa::{Dst, PInst, Src, TileId, Word};
+use crate::trace::StallReason;
 use std::collections::VecDeque;
-
-/// Why a processor failed to issue this cycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum StallCause {
-    /// A source register's value is still in flight.
-    RegNotReady,
-    /// The static-network input port is empty.
-    PortInEmpty,
-    /// The static-network output port is full.
-    PortOutFull,
-    /// Waiting for a dynamic-network reply or injection space.
-    Dynamic,
-}
 
 /// Result of stepping a processor one cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProcOutcome {
     /// An instruction issued (or a pending event completed).
     Progress,
-    /// The processor stalled.
-    Stalled(StallCause),
+    /// The processor stalled (never [`StallReason::Chaos`]: chaos skips a
+    /// step rather than stalling it).
+    Stalled(StallReason),
     /// The processor has halted.
     Halted,
 }
@@ -59,7 +48,7 @@ pub struct Processor {
     dyn_homes: Vec<TileId>,
     /// Port writes awaiting their producer latency: `(visible_at, word)`.
     out_pending: VecDeque<(u64, Word)>,
-    /// When the last [`step`](Self::step) stalled on [`StallCause::RegNotReady`]
+    /// When the last [`step`](Self::step) stalled on [`StallReason::Scoreboard`]
     /// at issue, the cycle at which the blocking register becomes ready.
     wake_hint: Option<u64>,
     /// Result latency of the operation issued by the last [`step`](Self::step)
@@ -153,13 +142,13 @@ impl Processor {
         self.last_latency
     }
 
-    fn src_ready(&self, src: Src, cycle: u64, port_in: &Channel) -> Result<(), StallCause> {
+    fn src_ready(&self, src: Src, cycle: u64, port_in: &Channel) -> Result<(), StallReason> {
         match src {
             Src::Reg(r) => {
                 if cycle >= self.ready[r as usize] {
                     Ok(())
                 } else {
-                    Err(StallCause::RegNotReady)
+                    Err(StallReason::Scoreboard)
                 }
             }
             Src::Imm(_) => Ok(()),
@@ -167,7 +156,7 @@ impl Processor {
                 if port_in.can_read() {
                     Ok(())
                 } else {
-                    Err(StallCause::PortInEmpty)
+                    Err(StallReason::ReceiveEmpty)
                 }
             }
         }
@@ -237,9 +226,9 @@ impl Processor {
                 .is_some_and(|&(when, _)| cycle < when)
             {
                 // Timed wait for the producing op's latency — always resolves.
-                ProcOutcome::Stalled(StallCause::RegNotReady)
+                ProcOutcome::Stalled(StallReason::Scoreboard)
             } else {
-                ProcOutcome::Stalled(StallCause::PortOutFull)
+                ProcOutcome::Stalled(StallReason::SendFull)
             };
         }
 
@@ -252,7 +241,7 @@ impl Processor {
                     self.dyn_state = DynState::Idle;
                     return ProcOutcome::Progress;
                 }
-                return ProcOutcome::Stalled(StallCause::Dynamic);
+                return ProcOutcome::Stalled(StallReason::DynamicNetwork);
             }
             DynState::WaitStoreAck => {
                 if let Some(msg) = dyn_ep.proc_inbox.pop_front() {
@@ -260,7 +249,7 @@ impl Processor {
                     self.dyn_state = DynState::Idle;
                     return ProcOutcome::Progress;
                 }
-                return ProcOutcome::Stalled(StallCause::Dynamic);
+                return ProcOutcome::Stalled(StallReason::DynamicNetwork);
             }
             DynState::Idle => {}
         }
@@ -290,18 +279,18 @@ impl Processor {
             PInst::Jump(_) | PInst::Halt | PInst::Nop => [None, None],
         };
         for src in srcs.into_iter().flatten() {
-            if let Err(cause) = self.src_ready(src, cycle, port_in) {
-                if cause == StallCause::RegNotReady {
+            if let Err(reason) = self.src_ready(src, cycle, port_in) {
+                if reason == StallReason::Scoreboard {
                     if let Src::Reg(r) = src {
                         self.wake_hint = Some(self.ready[r as usize]);
                     }
                 }
-                return ProcOutcome::Stalled(cause);
+                return ProcOutcome::Stalled(reason);
             }
         }
         if let Some(Dst::PortOut) = inst.dst() {
             if self.out_pending.len() >= MAX_PENDING_SENDS {
-                return ProcOutcome::Stalled(StallCause::PortOutFull);
+                return ProcOutcome::Stalled(StallReason::SendFull);
             }
         }
 
@@ -348,7 +337,7 @@ impl Processor {
             }
             PInst::DLoad { dst, gaddr } => {
                 if !dyn_ep.can_inject(2) {
-                    return ProcOutcome::Stalled(StallCause::Dynamic);
+                    return ProcOutcome::Stalled(StallReason::DynamicNetwork);
                 }
                 let g = self.read_src(gaddr, port_in);
                 let (home, local) = self.split_dyn(config, g);
@@ -363,7 +352,7 @@ impl Processor {
             }
             PInst::DStore { gaddr, value } => {
                 if !dyn_ep.can_inject(3) {
-                    return ProcOutcome::Stalled(StallCause::Dynamic);
+                    return ProcOutcome::Stalled(StallReason::DynamicNetwork);
                 }
                 let g = self.read_src(gaddr, port_in);
                 let v = self.read_src(value, port_in);
@@ -534,7 +523,7 @@ mod tests {
                 &mut pout,
                 &mut dyn_ep,
             );
-            assert_eq!(out, ProcOutcome::Stalled(StallCause::PortInEmpty));
+            assert_eq!(out, ProcOutcome::Stalled(StallReason::ReceiveEmpty));
             pin.commit();
         }
         pin.write(99);

@@ -8,7 +8,7 @@
 //! `commit_dirty`), with explicit settle logic for cycles the production
 //! stepper skips, like the sleep-debt stall back-fill.
 
-use crate::processor::StallCause;
+use crate::trace::{StallReason, Unit};
 
 /// Per-tile counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -30,19 +30,18 @@ pub struct TileStats {
 }
 
 impl TileStats {
-    /// Records a processor stall by cause.
-    pub fn record_stall(&mut self, cause: StallCause) {
-        match cause {
-            StallCause::RegNotReady => self.stall_reg += 1,
-            StallCause::PortInEmpty => self.stall_port_in += 1,
-            StallCause::PortOutFull => self.stall_port_out += 1,
-            StallCause::Dynamic => self.stall_dynamic += 1,
-        }
-    }
-
-    /// Total processor stall cycles.
-    pub fn total_stalls(&self) -> u64 {
-        self.stall_reg + self.stall_port_in + self.stall_port_out + self.stall_dynamic
+    /// Books `cycles` stall cycles of `unit` on `reason`. Chaos skips book
+    /// nothing: the unit did not step, so it did not stall.
+    pub fn record_stall(&mut self, unit: Unit, reason: StallReason, cycles: u64) {
+        let counter = match (unit, reason) {
+            (_, StallReason::Chaos) => return,
+            (Unit::Switch, _) => &mut self.switch_stalls,
+            (Unit::Proc, StallReason::Scoreboard) => &mut self.stall_reg,
+            (Unit::Proc, StallReason::ReceiveEmpty) => &mut self.stall_port_in,
+            (Unit::Proc, StallReason::SendFull) => &mut self.stall_port_out,
+            (Unit::Proc, StallReason::DynamicNetwork) => &mut self.stall_dynamic,
+        };
+        *counter += cycles;
     }
 }
 
@@ -80,13 +79,16 @@ mod tests {
     #[test]
     fn stall_recording() {
         let mut t = TileStats::default();
-        t.record_stall(StallCause::RegNotReady);
-        t.record_stall(StallCause::PortInEmpty);
-        t.record_stall(StallCause::PortInEmpty);
-        t.record_stall(StallCause::Dynamic);
+        t.record_stall(Unit::Proc, StallReason::Scoreboard, 1);
+        t.record_stall(Unit::Proc, StallReason::ReceiveEmpty, 2);
+        t.record_stall(Unit::Proc, StallReason::DynamicNetwork, 1);
+        t.record_stall(Unit::Proc, StallReason::Chaos, 5);
+        t.record_stall(Unit::Switch, StallReason::SendFull, 3);
+        t.record_stall(Unit::Switch, StallReason::Chaos, 4);
         assert_eq!(t.stall_reg, 1);
         assert_eq!(t.stall_port_in, 2);
-        assert_eq!(t.total_stalls(), 4);
+        assert_eq!(t.stall_dynamic, 1);
+        assert_eq!(t.switch_stalls, 3);
     }
 
     #[test]

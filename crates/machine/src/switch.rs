@@ -18,14 +18,17 @@
 //! state — [`SwitchOutcome`] is the entire stepping contract.
 
 use crate::isa::{SInst, Word};
+use crate::trace::StallReason;
 
 /// Result of stepping a switch one cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SwitchOutcome {
     /// The instruction executed.
     Progress,
-    /// The route stalled on a port.
-    Stalled,
+    /// The route stalled: a source had no word
+    /// ([`StallReason::ReceiveEmpty`]) or a destination no space
+    /// ([`StallReason::SendFull`]).
+    Stalled(StallReason),
     /// The switch has halted.
     Halted,
 }

@@ -1,13 +1,19 @@
 //! The event-sink interface for cycle-accurate tracing.
 //!
 //! [`Machine`](crate::Machine) is generic over an [`EventSink`] that receives a
-//! stream of per-cycle events: instruction issues, stalls (with a cause
-//! taxonomy), switch route firings, static-channel commits, and
-//! dynamic-network activity. The default sink is [`NullSink`], whose
-//! [`EventSink::ENABLED`] constant is `false`: every emission site is guarded
-//! by `if S::ENABLED`, so with the null sink the compiler removes both the
-//! calls *and* the construction of their arguments — tracing is zero-cost when
-//! disabled.
+//! stream of per-cycle events: instruction issues, stall records, switch route
+//! firings, static-channel commits, and dynamic-network activity. The default
+//! sink is [`NullSink`], whose [`EventSink::ENABLED`] constant is `false`:
+//! every emission site is guarded by `if S::ENABLED`, so with the null sink the
+//! compiler removes both the calls *and* the construction of their arguments —
+//! tracing is zero-cost when disabled.
+//!
+//! A stall is one thing from the simulator to every report: the processor and
+//! the switch report why they did not progress in the one [`StallReason`]
+//! taxonomy, the statistics book it by that reason, and the sink receives it
+//! as one [`Stall`] record — a cycle range with its chaos share. A stall the
+//! stepper observes directly is the range `cycle..cycle + 1`; a sleeper's
+//! settled debt is the retroactive range it slept through.
 //!
 //! Sinks observe the machine; they must never influence it. The simulator
 //! upholds this by construction (sink methods receive copies or shared
@@ -21,14 +27,13 @@
 //! per-cycle firing and ordering guarantees.
 //!
 //! The firing contract is stepper-independent: the production stepper and
-//! the reference scan attribute every cycle identically (the production
-//! stepper settles a sleeper's skipped cycles retroactively as one span on
-//! wake, which is why consumers clip at their window boundaries), so reports
-//! built from a stream cannot tell which core produced it. Emission sites in
-//! the reference scan carry explicitly matched timing.
+//! the reference scan attribute every cycle identically (the reference stays
+//! naive and emits one-cycle ranges where the production stepper emits one
+//! range per sleep), so reports built from a stream cannot tell which core
+//! produced it. Emission sites in the reference scan carry explicitly matched
+//! timing.
 
 use crate::isa::{Dir, SDst, SSrc};
-use crate::processor::StallCause;
 
 /// Which half of a tile an event refers to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -49,11 +54,13 @@ impl Unit {
     }
 }
 
-/// The stall-reason taxonomy used by stall events.
+/// Why a processor or switch did not progress on a cycle: the one stall
+/// taxonomy of the simulator, its statistics, and every trace report.
 ///
-/// Processor stalls map one-to-one from [`StallCause`]; switches stall either
-/// because a route source has no word yet ([`ReceiveEmpty`](Self::ReceiveEmpty))
-/// or because a route destination has no space ([`SendFull`](Self::SendFull)).
+/// A processor stalls on the scoreboard, on a port (an empty input or a full
+/// output), or on the dynamic network; a switch stalls because a route source
+/// has no word yet ([`ReceiveEmpty`](Self::ReceiveEmpty)) or a route
+/// destination has no space ([`SendFull`](Self::SendFull)).
 /// [`Chaos`](Self::Chaos) marks cycles skipped by random stall injection
 /// (cache-miss/interrupt modelling, see [`crate::chaos`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -103,15 +110,29 @@ impl StallReason {
     }
 }
 
-impl From<StallCause> for StallReason {
-    fn from(cause: StallCause) -> StallReason {
-        match cause {
-            StallCause::RegNotReady => StallReason::Scoreboard,
-            StallCause::PortInEmpty => StallReason::ReceiveEmpty,
-            StallCause::PortOutFull => StallReason::SendFull,
-            StallCause::Dynamic => StallReason::DynamicNetwork,
-        }
-    }
+/// One stall record: `unit` of `tile` was blocked on `reason` for the cycles
+/// `from..to`, `chaos` of which were chaos skips instead.
+///
+/// The chaos cycles' positions inside the range are not observable; a record
+/// whose `reason` is already [`StallReason::Chaos`] has `chaos == 0`. `pc` is
+/// the blocked instruction's program counter in the unit's stream (a unit's pc
+/// does not advance while it stalls, so it is constant over the range).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Stall {
+    /// Stalled tile.
+    pub tile: u32,
+    /// Processor or switch.
+    pub unit: Unit,
+    /// Why it stalled.
+    pub reason: StallReason,
+    /// First stalled cycle.
+    pub from: u64,
+    /// One past the last stalled cycle.
+    pub to: u64,
+    /// Cycles of the range that were chaos skips rather than `reason`.
+    pub chaos: u64,
+    /// Program counter of the blocked instruction.
+    pub pc: usize,
 }
 
 /// What a static-network channel connects (topology metadata for traces).
@@ -157,10 +178,10 @@ pub struct ChannelInfo {
 ///
 /// Per-cycle ordering: within one cycle, events arrive as processors (by tile
 /// id), then switches (by tile id), then dynamic-network activity, then
-/// channel commits. Span events are retroactive: the production stepper
-/// coalesces a sleeping component's skipped cycles into one
-/// [`stall_span`](Self::stall_span) emitted at wake (or at run end), covering
-/// cycles strictly before the emission cycle.
+/// channel commits. A sleeper's stall range is the one retroactive event: the
+/// production stepper coalesces a sleeping component's skipped cycles into
+/// one [`stall`](Self::stall) emitted at wake (or at run end), covering cycles
+/// strictly before the emission cycle.
 pub trait EventSink {
     /// When `false`, every emission site compiles out.
     const ENABLED: bool = true;
@@ -173,29 +194,9 @@ pub trait EventSink {
         let _ = (cycle, tile, pc, latency);
     }
 
-    /// A unit stalled (or was chaos-skipped) for exactly this cycle. `pc` is
-    /// the stalled instruction's program counter in the unit's stream (the pc
-    /// does not advance while stalled).
-    fn stall(&mut self, cycle: u64, tile: u32, unit: Unit, reason: StallReason, pc: usize) {
-        let _ = (cycle, tile, unit, reason, pc);
-    }
-
-    /// A unit was asleep for cycles `from..to` (retroactive, emitted at wake).
-    /// `chaos_cycles` of the span were chaos skips rather than true stalls;
-    /// their position within the span is not observable. `pc` is the blocked
-    /// instruction's program counter (constant across the span).
-    #[allow(clippy::too_many_arguments)]
-    fn stall_span(
-        &mut self,
-        tile: u32,
-        unit: Unit,
-        reason: StallReason,
-        from: u64,
-        to: u64,
-        chaos_cycles: u64,
-        pc: usize,
-    ) {
-        let _ = (tile, unit, reason, from, to, chaos_cycles, pc);
+    /// A unit stalled (or was chaos-skipped) over `stall.from..stall.to`.
+    fn stall(&mut self, stall: Stall) {
+        let _ = stall;
     }
 
     /// A switch executed a `ROUTE` with these source→destination pairs. `pc`
@@ -248,22 +249,6 @@ mod tests {
         for (i, r) in StallReason::ALL.into_iter().enumerate() {
             assert_eq!(r.index(), i);
         }
-        assert_eq!(
-            StallReason::from(StallCause::RegNotReady),
-            StallReason::Scoreboard
-        );
-        assert_eq!(
-            StallReason::from(StallCause::PortInEmpty),
-            StallReason::ReceiveEmpty
-        );
-        assert_eq!(
-            StallReason::from(StallCause::PortOutFull),
-            StallReason::SendFull
-        );
-        assert_eq!(
-            StallReason::from(StallCause::Dynamic),
-            StallReason::DynamicNetwork
-        );
     }
 
     #[test]
@@ -272,7 +257,15 @@ mod tests {
         // The default methods are callable no-ops.
         let mut s = NullSink;
         s.issue(0, 0, 0, 1);
-        s.stall(0, 0, Unit::Proc, StallReason::Scoreboard, 0);
+        s.stall(Stall {
+            tile: 0,
+            unit: Unit::Proc,
+            reason: StallReason::Scoreboard,
+            from: 0,
+            to: 1,
+            chaos: 0,
+            pc: 0,
+        });
         s.idle(0, 0, Unit::Switch);
     }
 }

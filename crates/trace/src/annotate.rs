@@ -7,21 +7,20 @@
 //! tables recover the task-graph node — and from it the source span, IR
 //! value, assigned tile, and placement bin — behind each cycle.
 //!
-//! The attribution is **exact**, not sampled: it mirrors the active-window
-//! accounting of [`Trace::accounts`] event for event (issues, routes, and
-//! switch-control cycles window-filtered; retroactive stall spans taken
-//! whole), so the cycles attributed across all rows — including the
-//! `(other)` bucket for jumps, halts, and other unattributed instructions —
-//! sum to exactly `Σ (proc_window + switch_window)` over all tiles.
+//! The attribution is **exact**, not sampled: it folds the same
+//! window-clipped walk as [`Trace::accounts`], so the cycles attributed across
+//! all rows — including the `(other)` bucket for jumps, halts, and other
+//! unattributed instructions — sum to exactly `Σ (proc_window +
+//! switch_window)` over all tiles.
 //! [`SourceAnnotation::selfcheck`] asserts that equality.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 
-use raw_machine::trace::{StallReason, Unit};
+use raw_machine::trace::Unit;
 use rawcc::{CompileReport, ProvenanceMap};
 
-use crate::{Event, Trace};
+use crate::{Activity, Trace};
 
 /// Cycles attributed to one provenance record (or one source line).
 #[derive(Clone, Debug, Default)]
@@ -32,7 +31,8 @@ pub struct AttrStats {
     pub routes: u64,
     /// Switch control-flow cycles.
     pub controls: u64,
-    /// Stall cycles (processor and switch combined) by [`StallReason::index`].
+    /// Stall cycles (processor and switch combined) by
+    /// [`StallReason::index`](raw_machine::StallReason::index).
     pub stalls: [u64; 5],
     /// Tiles whose processor or switch spent cycles here.
     pub tiles: BTreeSet<u32>,
@@ -66,73 +66,20 @@ impl AttrStats {
 /// (jumps, halts, the spilled-condition reload, switch halt padding).
 pub fn attribute_records(trace: &Trace, prov: &ProvenanceMap) -> HashMap<u32, AttrStats> {
     let mut by_rec: HashMap<u32, AttrStats> = HashMap::new();
-    let mut touch = |rec: u32, tile: u32, f: &dyn Fn(&mut AttrStats)| {
+    for b in trace.bookings() {
+        let rec = match b.unit {
+            Unit::Proc => prov.proc_id(b.tile as usize, b.pc),
+            Unit::Switch => prov.switch_id(b.tile as usize, b.pc),
+        };
         let s = by_rec.entry(rec).or_default();
-        f(s);
-        s.tiles.insert(tile);
-    };
-    let rec_of = |tile: u32, unit: Unit, pc: usize| -> u32 {
-        match unit {
-            Unit::Proc => prov.proc_id(tile as usize, pc),
-            Unit::Switch => prov.switch_id(tile as usize, pc),
-        }
-    };
-    // Mirrors Trace::accounts: single-cycle events are filtered to the unit's
-    // active window; retroactive stall spans are taken whole.
-    for ev in &trace.events {
-        match *ev {
-            Event::Issue {
-                cycle, tile, pc, ..
-            } => {
-                if cycle < trace.window(tile as usize, Unit::Proc) {
-                    let rec = rec_of(tile, Unit::Proc, pc);
-                    touch(rec, tile, &|s| s.exec += 1);
-                }
-            }
-            Event::Stall {
-                cycle,
-                tile,
-                unit,
-                reason,
-                pc,
-            } => {
-                if cycle < trace.window(tile as usize, unit) {
-                    let rec = rec_of(tile, unit, pc);
-                    touch(rec, tile, &|s| s.stalls[reason.index()] += 1);
-                }
-            }
-            Event::StallSpan {
-                tile,
-                unit,
-                reason,
-                from,
-                to,
-                chaos,
-                pc,
-            } => {
-                let rec = rec_of(tile, unit, pc);
-                let len = to - from;
-                touch(rec, tile, &|s| {
-                    s.stalls[reason.index()] += len - chaos;
-                    s.stalls[StallReason::Chaos.index()] += chaos;
-                });
-            }
-            Event::Route {
-                cycle, tile, pc, ..
-            } => {
-                if cycle < trace.window(tile as usize, Unit::Switch) {
-                    let rec = rec_of(tile, Unit::Switch, pc);
-                    touch(rec, tile, &|s| s.routes += 1);
-                }
-            }
-            Event::SwitchControl { cycle, tile, pc } => {
-                if cycle < trace.window(tile as usize, Unit::Switch) {
-                    let rec = rec_of(tile, Unit::Switch, pc);
-                    touch(rec, tile, &|s| s.controls += 1);
-                }
-            }
-            Event::ChannelCommit { .. } | Event::Idle { .. } | Event::DynActive { .. } => {}
-        }
+        let slot = match b.activity {
+            Activity::Issue => &mut s.exec,
+            Activity::Route => &mut s.routes,
+            Activity::Control => &mut s.controls,
+            Activity::Stall(r) => &mut s.stalls[r.index()],
+        };
+        *slot += b.cycles;
+        s.tiles.insert(b.tile);
     }
     by_rec
 }

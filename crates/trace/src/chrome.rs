@@ -69,28 +69,16 @@ pub fn chrome_trace_annotated(trace: &Trace, prov: Option<&ProvenanceMap>) -> St
                 let rec = rec_of(tile, Unit::Proc, pc);
                 set(&mut timeline, track(tile, Unit::Proc), cycle, "exec", rec);
             }
-            Event::Stall {
-                cycle,
-                tile,
-                unit,
-                reason,
-                pc,
-            } => {
-                let rec = rec_of(tile, unit, pc);
-                set(&mut timeline, track(tile, unit), cycle, reason.name(), rec);
-            }
-            Event::StallSpan {
-                tile,
-                unit,
-                reason,
-                from,
-                to,
-                pc,
-                ..
-            } => {
-                let rec = rec_of(tile, unit, pc);
-                for c in from..to {
-                    set(&mut timeline, track(tile, unit), c, reason.name(), rec);
+            Event::Stall(s) => {
+                let rec = rec_of(s.tile, s.unit, s.pc);
+                for c in s.from..s.to {
+                    set(
+                        &mut timeline,
+                        track(s.tile, s.unit),
+                        c,
+                        s.reason.name(),
+                        rec,
+                    );
                 }
             }
             Event::Route {

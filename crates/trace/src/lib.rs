@@ -15,6 +15,12 @@
 //!   ([`chrome::chrome_trace`]), with an in-tree JSON parser ([`json`]) used by
 //!   the CI round-trip check.
 //!
+//! A stall arrives as one [`Event::Stall`] whatever produced it: a cycle
+//! range with its chaos share. Every report that counts cycles folds one walk,
+//! `Trace::bookings`, that clips each event to its unit's live window, so
+//! per-tile accounting and source attribution conserve the same `Σ window` by
+//! construction.
+//!
 //! Recording is strictly observational: a traced run is bit-identical (cycle
 //! counts, statistics, final memory) to an untraced one, which
 //! [`oracle::check`] — the one lane every differential test and `raw-bench`
@@ -54,7 +60,7 @@ pub mod report;
 use raw_ir::interp::ExecResult;
 use raw_ir::Program;
 use raw_machine::isa::{SDst, SSrc};
-use raw_machine::trace::{ChannelInfo, EventSink, StallReason, Unit};
+use raw_machine::trace::{ChannelInfo, EventSink, Stall, StallReason, Unit};
 use raw_machine::{Machine, MachineConfig, RunReport, SimError, TileId};
 use rawcc::{CoResident, CompiledProgram};
 
@@ -72,36 +78,8 @@ pub enum Event {
         /// Result latency of the issued operation.
         latency: u32,
     },
-    /// A unit stalled (or was chaos-skipped) for exactly one cycle.
-    Stall {
-        /// Cycle of the stall.
-        cycle: u64,
-        /// Stalling tile.
-        tile: u32,
-        /// Processor or switch.
-        unit: Unit,
-        /// Why it stalled.
-        reason: StallReason,
-        /// Program counter of the stalled instruction.
-        pc: usize,
-    },
-    /// A unit slept for `from..to`; `chaos` of those cycles were chaos skips.
-    StallSpan {
-        /// Sleeping tile.
-        tile: u32,
-        /// Processor or switch.
-        unit: Unit,
-        /// Why it slept.
-        reason: StallReason,
-        /// First skipped cycle.
-        from: u64,
-        /// One past the last skipped cycle.
-        to: u64,
-        /// Chaos-skip cycles folded into the span.
-        chaos: u64,
-        /// Program counter of the blocked instruction (constant over the span).
-        pc: usize,
-    },
+    /// A unit stalled (or was chaos-skipped) over a cycle range.
+    Stall(Stall),
     /// A switch fired a `ROUTE`.
     Route {
         /// Cycle of the route.
@@ -171,36 +149,8 @@ impl EventSink for RecordingSink {
         });
     }
 
-    fn stall(&mut self, cycle: u64, tile: u32, unit: Unit, reason: StallReason, pc: usize) {
-        self.events.push(Event::Stall {
-            cycle,
-            tile,
-            unit,
-            reason,
-            pc,
-        });
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn stall_span(
-        &mut self,
-        tile: u32,
-        unit: Unit,
-        reason: StallReason,
-        from: u64,
-        to: u64,
-        chaos_cycles: u64,
-        pc: usize,
-    ) {
-        self.events.push(Event::StallSpan {
-            tile,
-            unit,
-            reason,
-            from,
-            to,
-            chaos: chaos_cycles,
-            pc,
-        });
+    fn stall(&mut self, stall: Stall) {
+        self.events.push(Event::Stall(stall));
     }
 
     fn route(&mut self, cycle: u64, tile: u32, pairs: &[(SSrc, SDst)], pc: usize) {
@@ -250,12 +200,40 @@ pub struct Trace {
     pub switch_idle: Vec<u64>,
 }
 
+/// What a unit spent a booked run of cycles on (see [`Trace::bookings`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Activity {
+    /// Processor issues (incl. pending-send drains and dynamic completions).
+    Issue,
+    /// Switch route firings.
+    Route,
+    /// Switch control-flow instructions.
+    Control,
+    /// Stalled, or chaos-skipped ([`StallReason::Chaos`]).
+    Stall(StallReason),
+}
+
+/// Cycles one unit spent on one activity at one pc, inside its live window.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Booking {
+    /// Tile.
+    pub tile: u32,
+    /// Processor or switch.
+    pub unit: Unit,
+    /// Program counter of the instruction the cycles belong to.
+    pub pc: usize,
+    /// What the cycles were spent on.
+    pub activity: Activity,
+    /// How many cycles (never zero).
+    pub cycles: u64,
+}
+
 /// Per-tile accounting derived from a [`Trace`].
 ///
 /// The *window* of a unit is `min(first idle cycle, total_cycles)`: the span
 /// in which the unit was live. Within its window every cycle is exactly one of
 /// issue / stall / chaos-skip (processors) or route / control / stall /
-/// chaos-skip (switches), so
+/// chaos-skip (switches), and one walk clips every event to it, so
 /// `issues + Σ proc_stalls == proc_window` and
 /// `routes + controls + Σ switch_stalls == switch_window`
 /// — the invariant the workspace's property test asserts.
@@ -347,75 +325,90 @@ impl Trace {
         idle.min(self.total_cycles)
     }
 
+    /// Every event's cycles inside its unit's live window, as bookings: the
+    /// one place the window clip is applied, so any report that sums them
+    /// books each live cycle exactly once.
+    ///
+    /// A stall covers its range, any other unit event its one cycle; the part
+    /// at or past the unit's [`window`](Self::window) is dropped. A stall's
+    /// chaos share is booked as [`StallReason::Chaos`] and the rest as its
+    /// reason. The chaos cycles' positions are not observable, so a clipped
+    /// range keeps as much of its share as still fits.
+    pub(crate) fn bookings(&self) -> impl Iterator<Item = Booking> + '_ {
+        self.events
+            .iter()
+            .flat_map(move |ev| {
+                let at = |tile, unit, pc, activity| Booking {
+                    tile,
+                    unit,
+                    pc,
+                    activity,
+                    cycles: 0,
+                };
+                let (event, range, chaos) = match *ev {
+                    Event::Issue {
+                        cycle, tile, pc, ..
+                    } => (
+                        at(tile, Unit::Proc, pc, Activity::Issue),
+                        cycle..cycle + 1,
+                        0,
+                    ),
+                    Event::Route {
+                        cycle, tile, pc, ..
+                    } => (
+                        at(tile, Unit::Switch, pc, Activity::Route),
+                        cycle..cycle + 1,
+                        0,
+                    ),
+                    Event::SwitchControl { cycle, tile, pc } => {
+                        let event = at(tile, Unit::Switch, pc, Activity::Control);
+                        (event, cycle..cycle + 1, 0)
+                    }
+                    Event::Stall(s) => {
+                        let event = at(s.tile, s.unit, s.pc, Activity::Stall(s.reason));
+                        (event, s.from..s.to, s.chaos)
+                    }
+                    Event::ChannelCommit { .. } | Event::Idle { .. } | Event::DynActive { .. } => {
+                        return [None, None];
+                    }
+                };
+                let window = self.window(event.tile as usize, event.unit);
+                let live = range.end.min(window).saturating_sub(range.start);
+                let chaos = chaos.min(live);
+                let book = |activity, cycles| {
+                    (cycles > 0).then_some(Booking {
+                        activity,
+                        cycles,
+                        ..event
+                    })
+                };
+                [
+                    book(event.activity, live - chaos),
+                    book(Activity::Stall(StallReason::Chaos), chaos),
+                ]
+            })
+            .flatten()
+    }
+
     /// Derives per-tile accounting (see [`TileAccount`] for the invariant).
     pub fn accounts(&self) -> Vec<TileAccount> {
-        let n = self.n_tiles();
-        let mut acc = vec![TileAccount::default(); n];
-        for (t, a) in acc.iter_mut().enumerate() {
-            a.proc_window = self.window(t, Unit::Proc);
-            a.switch_window = self.window(t, Unit::Switch);
-        }
-        for ev in &self.events {
-            match *ev {
-                Event::Issue { cycle, tile, .. } => {
-                    let a = &mut acc[tile as usize];
-                    if cycle < a.proc_window {
-                        a.issues += 1;
-                    }
-                }
-                Event::Stall {
-                    cycle,
-                    tile,
-                    unit,
-                    reason,
-                    ..
-                } => {
-                    let a = &mut acc[tile as usize];
-                    match unit {
-                        Unit::Proc => {
-                            if cycle < a.proc_window {
-                                a.proc_stalls[reason.index()] += 1;
-                            }
-                        }
-                        Unit::Switch => {
-                            if cycle < a.switch_window {
-                                a.switch_stalls[reason.index()] += 1;
-                            }
-                        }
-                    }
-                }
-                Event::StallSpan {
-                    tile,
-                    unit,
-                    reason,
-                    from,
-                    to,
-                    chaos,
-                    ..
-                } => {
-                    let a = &mut acc[tile as usize];
-                    let len = to - from;
-                    let stalls = match unit {
-                        Unit::Proc => &mut a.proc_stalls,
-                        Unit::Switch => &mut a.switch_stalls,
-                    };
-                    stalls[reason.index()] += len - chaos;
-                    stalls[StallReason::Chaos.index()] += chaos;
-                }
-                Event::Route { cycle, tile, .. } => {
-                    let a = &mut acc[tile as usize];
-                    if cycle < a.switch_window {
-                        a.routes += 1;
-                    }
-                }
-                Event::SwitchControl { cycle, tile, .. } => {
-                    let a = &mut acc[tile as usize];
-                    if cycle < a.switch_window {
-                        a.controls += 1;
-                    }
-                }
-                Event::ChannelCommit { .. } | Event::Idle { .. } | Event::DynActive { .. } => {}
-            }
+        let mut acc: Vec<TileAccount> = (0..self.n_tiles())
+            .map(|t| TileAccount {
+                proc_window: self.window(t, Unit::Proc),
+                switch_window: self.window(t, Unit::Switch),
+                ..TileAccount::default()
+            })
+            .collect();
+        for b in self.bookings() {
+            let a = &mut acc[b.tile as usize];
+            let slot = match (b.activity, b.unit) {
+                (Activity::Issue, _) => &mut a.issues,
+                (Activity::Route, _) => &mut a.routes,
+                (Activity::Control, _) => &mut a.controls,
+                (Activity::Stall(r), Unit::Proc) => &mut a.proc_stalls[r.index()],
+                (Activity::Stall(r), Unit::Switch) => &mut a.switch_stalls[r.index()],
+            };
+            *slot += b.cycles;
         }
         acc
     }
@@ -572,5 +565,72 @@ pub(crate) mod tests {
         let n_ports = 2 * 4;
         let n_links = 2 * 4; // 4 undirected edges on a 2x2 mesh
         assert_eq!(run.trace.channels.len(), n_ports + n_links);
+    }
+
+    #[test]
+    fn window_clip_books_only_live_cycles() {
+        // One tile, 10 cycles: the processor goes idle at 6, the switch at 4.
+        // Ranges straddle both boundaries and one-cycle events sit on and
+        // past them; only cycles inside the windows may be booked.
+        let stall = |unit, reason, from, to, chaos| {
+            Event::Stall(Stall {
+                tile: 0,
+                unit,
+                reason,
+                from,
+                to,
+                chaos,
+                pc: 0,
+            })
+        };
+        let issue = |cycle| Event::Issue {
+            cycle,
+            tile: 0,
+            pc: 0,
+            latency: 1,
+        };
+        use StallReason::*;
+        let trace = Trace {
+            config: MachineConfig::grid(1, 1),
+            total_cycles: 10,
+            channels: Vec::new(),
+            events: vec![
+                issue(0),
+                issue(1),
+                stall(Unit::Proc, Scoreboard, 2, 5, 1),
+                // 5..9 straddles the processor window: one cycle is live.
+                stall(Unit::Proc, ReceiveEmpty, 5, 9, 0),
+                stall(Unit::Proc, Chaos, 6, 7, 0),
+                issue(7),
+                Event::Route {
+                    cycle: 0,
+                    tile: 0,
+                    pairs: Vec::new(),
+                    pc: 0,
+                },
+                // 1..8 straddles the switch window: three cycles are live,
+                // and its chaos share keeps what fits.
+                stall(Unit::Switch, SendFull, 1, 8, 5),
+                stall(Unit::Switch, Chaos, 9, 10, 0),
+                Event::SwitchControl {
+                    cycle: 8,
+                    tile: 0,
+                    pc: 0,
+                },
+            ],
+            proc_idle: vec![6],
+            switch_idle: vec![4],
+        };
+        let a = trace.accounts()[0];
+        assert_eq!((a.proc_window, a.switch_window), (6, 4));
+        assert_eq!(a.issues, 2);
+        assert_eq!(a.proc_stalls, [2, 0, 1, 0, 1]);
+        assert_eq!((a.routes, a.controls), (1, 0));
+        assert_eq!(a.switch_stalls, [0, 0, 0, 0, 3]);
+
+        let ann = annotate::SourceAnnotation::build(&trace, &rawcc::ProvenanceMap::default());
+        assert_eq!(ann.selfcheck(), Ok(10));
+        assert_eq!((ann.other.exec, ann.other.routes), (2, 1));
+        assert_eq!(ann.other.stalls, [2, 0, 1, 0, 4]);
     }
 }

@@ -66,15 +66,7 @@ pub fn occupancy_table(trace: &Trace) -> String {
             a.controls,
             a.switch_stall_total(),
         );
-        tot.issues += a.issues;
-        tot.routes += a.routes;
-        tot.controls += a.controls;
-        tot.proc_window += a.proc_window;
-        tot.switch_window += a.switch_window;
-        for i in 0..5 {
-            tot.proc_stalls[i] += a.proc_stalls[i];
-            tot.switch_stalls[i] += a.switch_stalls[i];
-        }
+        tot.absorb(a);
     }
     let _ = writeln!(
         out,
@@ -195,27 +187,11 @@ impl<'a> Index<'a> {
                 Event::Issue { cycle, tile, .. } => {
                     idx.issues[*tile as usize].insert(*cycle);
                 }
-                Event::Stall {
-                    cycle,
-                    tile,
-                    unit: Unit::Proc,
-                    reason,
-                    ..
-                } => {
-                    idx.proc_stall[*tile as usize].insert(*cycle, *reason);
-                }
-                Event::StallSpan {
-                    tile,
-                    unit: Unit::Proc,
-                    reason,
-                    from,
-                    to,
-                    ..
-                } => {
-                    // Chaos skips inside a span are not positionally
-                    // observable; attribute the whole span to its cause.
-                    for c in *from..*to {
-                        idx.proc_stall[*tile as usize].insert(c, *reason);
+                Event::Stall(s) if s.unit == Unit::Proc => {
+                    // Chaos skips inside a range are not positionally
+                    // observable; attribute the whole range to its reason.
+                    for c in s.from..s.to {
+                        idx.proc_stall[s.tile as usize].insert(c, s.reason);
                     }
                 }
                 Event::Route {
