@@ -248,6 +248,98 @@ fn lowered_ir_hashes_are_pinned() {
     check_golden("ir_hashes.txt", &s);
 }
 
+/// The codec's own bytes: the bundle of every block of the paper kernels at
+/// 4 and 16 tiles, a compile response per program (and the same response
+/// after the memo re-stamps its counters), and one sample of each small
+/// service message. `cache_key.txt` and `ir_hashes.txt` pin the key and
+/// request bytes; together they pin every encoding the block cache, its
+/// disk entries and the wire protocol write.
+#[test]
+fn codec_bytes_are_pinned() {
+    use raw_repro::cc::blockcache::encode_bundle;
+    use raw_repro::cc::wire::{
+        self, ClientRow, CompileResponse, MetricsFormat, MetricsResponse, StatsResponse,
+    };
+    use raw_repro::cc::{compile_with_cache, BlockCache, CacheTotals};
+    use raw_testkit::hash64;
+    let mut s = String::new();
+    for bench in raw_repro::benchmarks::suite() {
+        for tiles in [4, 16] {
+            let program = bench.program(tiles).unwrap();
+            let config = MachineConfig::square(tiles);
+            let cache = BlockCache::in_memory();
+            let compiled =
+                compile_with_cache(&program, &config, &CompilerOptions::default(), &cache).unwrap();
+            let label = format!("{}@{tiles}", bench.name);
+            for (i, key) in compiled.report.block_keys.iter().enumerate() {
+                let bundle = cache.get(key).0.expect("every block is resident");
+                let hash = hash64(&encode_bundle(&bundle));
+                writeln!(s, "bundle {label} b{i} {hash:#018x}").unwrap();
+            }
+            let mut resp = CompileResponse {
+                machine_program: compiled.machine_program,
+                hits: 1,
+                misses: 2,
+                coalesced: 3,
+                evictions: 4,
+                evicted_bytes: 5,
+                wall_us: 6,
+                threads: 7,
+            }
+            .encode();
+            writeln!(s, "response {label} {:#018x}", hash64(&resp)).unwrap();
+            assert!(wire::patch_compiled_counters(&mut resp, 11, 12));
+            writeln!(s, "response-patched {label} {:#018x}", hash64(&resp)).unwrap();
+        }
+    }
+    let stats = StatsResponse {
+        cache: CacheTotals {
+            hits_mem: 1,
+            hits_disk: 2,
+            misses: 3,
+            coalesced: 4,
+            evictions: 5,
+            evicted_bytes: 6,
+            resident_bytes: 7,
+            entries: 8,
+            disk_rejects: 9,
+        },
+        requests: 10,
+        p50_us: 11,
+        p90_us: 12,
+        p99_us: 13,
+        memo_hits: 14,
+        uptime_us: 15,
+        clients: vec![
+            ClientRow {
+                client: "alice".into(),
+                requests: 16,
+                hits: 17,
+                misses: 18,
+                coalesced: 19,
+            },
+            ClientRow {
+                client: "bob".into(),
+                ..ClientRow::default()
+            },
+        ],
+    };
+    let mut samples = vec![("stats", stats.encode())];
+    for format in [MetricsFormat::Prometheus, MetricsFormat::Json] {
+        samples.push(("metrics-request", wire::encode_metrics_request(format)));
+        let body = "rawcc_telemetry_enabled 1\n".into();
+        samples.push(("metrics", MetricsResponse { format, body }.encode()));
+    }
+    samples.push((
+        "error",
+        wire::encode_error(wire::errcode::COMPILE, "no such tile"),
+    ));
+    for (label, bytes) in samples {
+        writeln!(s, "{label} {:#018x}", hash64(&bytes)).unwrap();
+    }
+    check_golden("codec_hashes.txt", &s);
+}
+
 #[test]
 fn golden_snapshots_still_execute_correctly() {
     // The pinned kernels are not just text: they must still compile, run,
