@@ -59,6 +59,20 @@ stage_clippy() {
     echo "$stalls" >&2
     exit 1
   fi
+  # One codec: every byte of the cache key, the disk entries and the wire
+  # protocol is declared once, as a Codec impl in crates/core/src/codec.rs,
+  # so no second hand-paired encoder or decoder can grow back beside it. A
+  # put_/get_ function counts when its signature takes or returns the
+  # encoder's Vec<u8> or the decoder.
+  local codecs
+  codecs="$(find crates -name '*.rs' ! -path crates/core/src/codec.rs -print0 \
+    | xargs -0 perl -0777 -ne 'print "$ARGV: $1\n" while
+        /(impl Codec for|Dec::new\(|fn (?:put|get)_\w*[^{;]*?(?:Vec<u8>|Dec<))/g')"
+  if [[ -n "$codecs" ]]; then
+    echo "ci: declare encodings as Codec impls in crates/core/src/codec.rs:" >&2
+    echo "$codecs" >&2
+    exit 1
+  fi
 }
 
 stage_doc() {

@@ -57,23 +57,15 @@
 //!    additionally recompiles every hit and asserts the cached bundle is
 //!    equal.
 
-use crate::codec::{
-    get_pinst, get_sdst, get_ssrc, hash128, put_config, put_ir_inst, put_options, put_pinst,
-    put_sdst, put_ssrc, put_u16, put_u32, put_u64, Dec,
-};
+use crate::codec::{self, hash128, Codec, FORMAT_VERSION};
 use crate::driver::BlockReport;
-use crate::exact::{ExactOutcome, ExactReport, Lane};
-use crate::layout::{ArrayClass, DataLayout};
+use crate::layout::DataLayout;
 use crate::options::CompilerOptions;
-use crate::partition::{PlacementLog, PlacementStep};
 use crate::provenance::NO_PROV;
 use crate::regalloc::AllocResult;
-use crate::schedule::{PredOpKind, PredictedBlock};
-use raw_ir::{Block, Terminator, ValueId};
 use raw_machine::isa::{SDst, SSrc};
 use raw_machine::{MachineConfig, TileId};
 use raw_telemetry::Counter;
-use raw_testkit::hash64;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
 use std::io::Write as _;
@@ -81,10 +73,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Once, PoisonError};
 
-/// Magic prefix of on-disk cache entries.
-const MAGIC: [u8; 8] = *b"RAWCCBC\n";
-/// Bump whenever the bundle encoding or key derivation changes.
-const FORMAT_VERSION: u32 = 3;
 /// Default in-memory capacity (bundles), evicted FIFO beyond this; also the
 /// compile daemon's bound.
 pub(crate) const DEFAULT_CAPACITY: usize = 4096;
@@ -140,33 +128,7 @@ pub struct BlockBundle {
 // Canonical input encoding (cache key).
 // ---------------------------------------------------------------------------
 
-/// Canonical byte encoding of one block's compile-relevant IR.
-///
-/// `ValueId`s are renumbered by first appearance (block-local values are
-/// monotone in definition order, so this is a bijection that preserves every
-/// ordering the compiler observes). The block name and terminator targets are
-/// excluded; spans are included (they are provenance output).
-pub fn canonical_block_bytes(block: &Block) -> Vec<u8> {
-    let mut out = Vec::with_capacity(block.insts.len() * 16 + 16);
-    let mut rank: HashMap<ValueId, u32> = HashMap::new();
-    let mut canon = |v: ValueId| {
-        let next = rank.len() as u32;
-        *rank.entry(v).or_insert(next)
-    };
-    put_u64(&mut out, block.insts.len() as u64);
-    for inst in &block.insts {
-        put_ir_inst(&mut out, inst, &mut canon);
-    }
-    match &block.term {
-        Terminator::Jump(_) => out.push(0),
-        Terminator::Halt => out.push(1),
-        Terminator::Branch { cond, .. } => {
-            out.push(2);
-            put_u32(&mut out, canon(*cond));
-        }
-    }
-    out
-}
+pub use crate::codec::canonical_block_bytes;
 
 /// Pre-encoded fingerprint of the per-compile environment (data layout,
 /// machine config, compiler options) appended to every block's canonical bytes
@@ -179,40 +141,12 @@ impl KeyContext {
     /// Encodes the environment once per compile.
     pub fn new(layout: &DataLayout, config: &MachineConfig, options: &CompilerOptions) -> Self {
         let mut env = Vec::with_capacity(256);
-        put_u32(&mut env, FORMAT_VERSION);
-        // Data layout: every field, in declaration order.
-        put_u32(&mut env, layout.n_tiles);
-        put_u64(&mut env, layout.live.len() as u64);
-        for t in &layout.live {
-            put_u32(&mut env, t.index() as u32);
-        }
-        put_u64(&mut env, layout.var_home.len() as u64);
-        for t in &layout.var_home {
-            put_u32(&mut env, t.index() as u32);
-        }
-        put_u64(&mut env, layout.var_addr.len() as u64);
-        for a in &layout.var_addr {
-            put_u32(&mut env, *a);
-        }
-        put_u64(&mut env, layout.array_base.len() as u64);
-        for a in &layout.array_base {
-            put_u32(&mut env, *a);
-        }
-        put_u64(&mut env, layout.array_class.len() as u64);
-        for c in &layout.array_class {
-            match c {
-                ArrayClass::Static => env.push(0),
-                ArrayClass::Dynamic { issue_tile } => {
-                    env.push(1);
-                    put_u32(&mut env, issue_tile.index() as u32);
-                }
-            }
-        }
-        put_u32(&mut env, layout.spill_base);
+        FORMAT_VERSION.put(&mut env);
+        layout.put(&mut env);
         // The same bytes a compile request carries, minus `threads`: worker
         // count cannot change artifacts.
-        put_config(&mut env, config);
-        put_options(&mut env, options);
+        config.put(&mut env);
+        options.put(&mut env);
         KeyContext { env }
     }
 
@@ -405,14 +339,7 @@ impl DiskLayer {
     /// Propagates I/O failures; callers normally treat a store as best-effort.
     pub fn store(&self, key: &CacheKey, bundle: &BlockBundle) -> std::io::Result<usize> {
         let payload = encode_bundle(bundle);
-        let mut entry = Vec::with_capacity(payload.len() + 44);
-        entry.extend_from_slice(&MAGIC);
-        put_u32(&mut entry, FORMAT_VERSION);
-        put_u64(&mut entry, key.lo);
-        put_u64(&mut entry, key.hi);
-        put_u64(&mut entry, payload.len() as u64);
-        put_u64(&mut entry, hash64(&payload));
-        entry.extend_from_slice(&payload);
+        let entry = codec::seal(key, &payload);
         // Write-then-rename so readers never observe a half-written entry.
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let tmp = self.dir.join(format!(
@@ -726,326 +653,18 @@ impl BlockCache {
 /// key, length, checksum, payload shape) yields `None`. On success also
 /// returns the payload length.
 fn decode_entry(bytes: &[u8], expect: &CacheKey) -> Option<(BlockBundle, usize)> {
-    let mut d = Dec::new(bytes);
-    if d.take(8)? != MAGIC {
-        return None;
-    }
-    if d.u32()? != FORMAT_VERSION {
-        return None;
-    }
-    let key = CacheKey {
-        lo: d.u64()?,
-        hi: d.u64()?,
-    };
-    if key != *expect {
-        return None;
-    }
-    let len = d.u64()? as usize;
-    let sum = d.u64()?;
-    let payload = d.rest();
-    if payload.len() != len || hash64(payload) != sum {
-        return None;
-    }
-    Some((decode_bundle(payload)?, len))
-}
-
-// ---------------------------------------------------------------------------
-// Bundle (de)serialization, over the shared codec.
-// ---------------------------------------------------------------------------
-
-fn put_alloc(out: &mut Vec<u8>, a: &AllocResult) {
-    put_u64(out, a.insts.len() as u64);
-    for i in &a.insts {
-        put_pinst(out, i);
-    }
-    put_u64(out, a.prov.len() as u64);
-    for p in &a.prov {
-        put_u32(out, *p);
-    }
-    match a.cond_reg {
-        Some(r) => {
-            out.push(1);
-            put_u16(out, r);
-        }
-        None => out.push(0),
-    }
-    put_u64(out, a.n_spilled as u64);
-    put_u32(out, a.spill_slots);
-}
-
-fn get_alloc(d: &mut Dec<'_>) -> Option<AllocResult> {
-    let n = d.len(1)?;
-    let insts = (0..n).map(|_| get_pinst(d)).collect::<Option<Vec<_>>>()?;
-    let n = d.len(4)?;
-    let prov = (0..n).map(|_| d.u32()).collect::<Option<Vec<_>>>()?;
-    let cond_reg = match d.u8()? {
-        0 => None,
-        1 => Some(d.u16()?),
-        _ => return None,
-    };
-    Some(AllocResult {
-        insts,
-        prov,
-        cond_reg,
-        n_spilled: d.u64()? as usize,
-        spill_slots: d.u32()?,
-    })
-}
-
-fn put_predicted(out: &mut Vec<u8>, p: &PredictedBlock) {
-    put_u64(out, p.makespan);
-    put_u64(out, p.proc_ops.len() as u64);
-    for ops in &p.proc_ops {
-        put_u64(out, ops.len() as u64);
-        for (cycle, kind) in ops {
-            put_u64(out, *cycle);
-            out.push(match kind {
-                PredOpKind::Comp => 0,
-                PredOpKind::Send => 1,
-                PredOpKind::Recv => 2,
-            });
-        }
-    }
-    put_u64(out, p.route_cycles.len() as u64);
-    for cycles in &p.route_cycles {
-        put_u64(out, cycles.len() as u64);
-        for c in cycles {
-            put_u64(out, *c);
-        }
-    }
-}
-
-fn get_predicted(d: &mut Dec<'_>) -> Option<PredictedBlock> {
-    let makespan = d.u64()?;
-    let nt = d.len(8)?;
-    let proc_ops = (0..nt)
-        .map(|_| {
-            let n = d.len(9)?;
-            (0..n)
-                .map(|_| {
-                    let cycle = d.u64()?;
-                    let kind = match d.u8()? {
-                        0 => PredOpKind::Comp,
-                        1 => PredOpKind::Send,
-                        2 => PredOpKind::Recv,
-                        _ => return None,
-                    };
-                    Some((cycle, kind))
-                })
-                .collect::<Option<Vec<_>>>()
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let nt = d.len(8)?;
-    let route_cycles = (0..nt)
-        .map(|_| {
-            let n = d.len(8)?;
-            (0..n).map(|_| d.u64()).collect::<Option<Vec<_>>>()
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(PredictedBlock {
-        makespan,
-        proc_ops,
-        route_cycles,
-    })
-}
-
-fn put_placement(out: &mut Vec<u8>, log: &PlacementLog) {
-    out.push(match log.algorithm {
-        "greedy-swap" => 1,
-        "annealing" => 2,
-        "exact" => 3,
-        _ => 0,
-    });
-    put_u64(out, log.initial_cost as u64);
-    put_u64(out, log.final_cost as u64);
-    put_u64(out, log.steps.len() as u64);
-    for s in &log.steps {
-        put_u64(out, s.step as u64);
-        put_u64(out, s.bins.0 as u64);
-        put_u64(out, s.bins.1 as u64);
-        put_u64(out, s.delta as u64);
-    }
-}
-
-fn get_placement(d: &mut Dec<'_>) -> Option<PlacementLog> {
-    let algorithm = match d.u8()? {
-        0 => "identity",
-        1 => "greedy-swap",
-        2 => "annealing",
-        3 => "exact",
-        _ => return None,
-    };
-    let initial_cost = d.i64()?;
-    let final_cost = d.i64()?;
-    let n = d.len(32)?;
-    let steps = (0..n)
-        .map(|_| {
-            Some(PlacementStep {
-                step: d.u64()? as usize,
-                bins: (d.u64()? as usize, d.u64()? as usize),
-                delta: d.i64()?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(PlacementLog {
-        algorithm,
-        initial_cost,
-        final_cost,
-        steps,
-    })
-}
-
-fn put_report(out: &mut Vec<u8>, r: &BlockReport) {
-    put_u64(out, r.n_nodes as u64);
-    put_u64(out, r.n_clusters as u64);
-    put_u64(out, r.n_comm_paths as u64);
-    put_u64(out, r.makespan);
-    put_u64(out, r.spills as u64);
-    put_predicted(out, &r.predicted);
-    put_placement(out, &r.placement);
-    out.push(match r.lane {
-        None => 0,
-        Some(Lane::Greedy) => 1,
-        Some(Lane::Annealing) => 2,
-        Some(Lane::Exact) => 3,
-    });
-    match &r.exact {
-        None => out.push(0),
-        Some(e) => {
-            out.push(1);
-            out.push(match e.outcome {
-                ExactOutcome::Certified => 0,
-                ExactOutcome::Budget => 1,
-                ExactOutcome::TooLarge => 2,
-            });
-            put_u64(out, e.makespan);
-            put_u64(out, e.lower_bound);
-            put_u64(out, e.expanded);
-        }
-    }
-}
-
-fn get_report(d: &mut Dec<'_>) -> Option<BlockReport> {
-    Some(BlockReport {
-        n_nodes: d.u64()? as usize,
-        n_clusters: d.u64()? as usize,
-        n_comm_paths: d.u64()? as usize,
-        makespan: d.u64()?,
-        spills: d.u64()? as usize,
-        predicted: get_predicted(d)?,
-        placement: get_placement(d)?,
-        lane: match d.u8()? {
-            0 => None,
-            1 => Some(Lane::Greedy),
-            2 => Some(Lane::Annealing),
-            3 => Some(Lane::Exact),
-            _ => return None,
-        },
-        exact: match d.u8()? {
-            0 => None,
-            1 => Some(ExactReport {
-                outcome: match d.u8()? {
-                    0 => ExactOutcome::Certified,
-                    1 => ExactOutcome::Budget,
-                    2 => ExactOutcome::TooLarge,
-                    _ => return None,
-                },
-                makespan: d.u64()?,
-                lower_bound: d.u64()?,
-                expanded: d.u64()?,
-            }),
-            _ => return None,
-        },
-    })
+    let payload = codec::unseal(bytes, expect)?;
+    Some((decode_bundle(payload)?, payload.len()))
 }
 
 /// Serializes a bundle to the versioned on-disk payload format.
 pub fn encode_bundle(b: &BlockBundle) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1024);
-    put_report(&mut out, &b.report);
-    put_u64(&mut out, b.phys.len() as u64);
-    for a in &b.phys {
-        put_alloc(&mut out, a);
-    }
-    put_u64(&mut out, b.switch.len() as u64);
-    for tile_ops in &b.switch {
-        put_u64(&mut out, tile_ops.len() as u64);
-        for (pairs, rec) in tile_ops {
-            put_u64(&mut out, pairs.len() as u64);
-            for (s, t) in pairs {
-                put_ssrc(&mut out, *s);
-                put_sdst(&mut out, *t);
-            }
-            put_u32(&mut out, *rec);
-        }
-    }
-    match b.cond_producer {
-        Some(t) => {
-            out.push(1);
-            put_u32(&mut out, t.index() as u32);
-        }
-        None => out.push(0),
-    }
-    put_u32(&mut out, b.cond_node);
-    put_u64(&mut out, b.node_tile.len() as u64);
-    for t in &b.node_tile {
-        put_u32(&mut out, *t);
-    }
-    put_u64(&mut out, b.node_bin.len() as u64);
-    for t in &b.node_bin {
-        put_u32(&mut out, *t);
-    }
-    out
+    codec::encode(b)
 }
 
 /// Inverse of [`encode_bundle`]; `None` on any malformed or trailing input.
 pub fn decode_bundle(bytes: &[u8]) -> Option<BlockBundle> {
-    let mut d = Dec::new(bytes);
-    let bundle = decode_bundle_inner(&mut d)?;
-    if !d.at_end() {
-        return None;
-    }
-    Some(bundle)
-}
-
-fn decode_bundle_inner(d: &mut Dec<'_>) -> Option<BlockBundle> {
-    let report = get_report(d)?;
-    let n = d.len(8)?;
-    let phys = (0..n).map(|_| get_alloc(d)).collect::<Option<Vec<_>>>()?;
-    let n = d.len(8)?;
-    let switch = (0..n)
-        .map(|_| {
-            let n_ops = d.len(12)?;
-            (0..n_ops)
-                .map(|_| {
-                    let n_pairs = d.len(2)?;
-                    let pairs = (0..n_pairs)
-                        .map(|_| Some((get_ssrc(d)?, get_sdst(d)?)))
-                        .collect::<Option<Vec<_>>>()?;
-                    Some((pairs, d.u32()?))
-                })
-                .collect::<Option<Vec<_>>>()
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let cond_producer = match d.u8()? {
-        0 => None,
-        1 => Some(TileId::from_raw(d.u32()?)),
-        _ => return None,
-    };
-    let cond_node = d.u32()?;
-    let n = d.len(4)?;
-    let node_tile = (0..n).map(|_| d.u32()).collect::<Option<Vec<_>>>()?;
-    let n = d.len(4)?;
-    let node_bin = (0..n).map(|_| d.u32()).collect::<Option<Vec<_>>>()?;
-    Some(BlockBundle {
-        report,
-        phys,
-        switch,
-        cond_producer,
-        cond_node,
-        node_tile,
-        node_bin,
-    })
+    codec::decode(bytes)
 }
 
 // `cond_node` uses the same sentinel as provenance.
@@ -1053,12 +672,15 @@ const _: () = assert!(NO_PROV == u32::MAX);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::get_options;
+    use crate::exact::{ExactOutcome, ExactReport, Lane};
     use crate::options::{PlacementAlgorithm, PriorityScheme, Strategy};
+    use crate::partition::{PlacementLog, PlacementStep};
+    use crate::schedule::{PredOpKind, PredictedBlock};
     use raw_ir::builder::ProgramBuilder;
     use raw_ir::{BinOp, Imm, MemHome, UnOp};
     use raw_machine::isa::{AluOp, Dir, Dst, PInst, Src};
     use raw_machine::{LatencyModel, TileMask};
+    use raw_testkit::hash64;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
@@ -1304,22 +926,17 @@ mod tests {
 
         // The options record keeps its layout: byte 2 (byte 10 after an
         // annealing seed) is reserved and written as 1 ...
-        let encode = |o: &CompilerOptions| {
-            let mut bytes = Vec::new();
-            put_options(&mut bytes, o);
-            bytes
-        };
         assert_eq!(
-            encode(&CompilerOptions::default()),
+            codec::encode(&CompilerOptions::default()),
             [1, 0, 1, 0, 4, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]
         );
         // ... and a 0 there, from a writer that still had the boolean alias,
         // decodes to the spelling that replaced it.
         for (options, reserved) in [(CompilerOptions::default(), 2), (options, 10)] {
-            let mut bytes = encode(&options);
+            let mut bytes = codec::encode(&options);
             assert_eq!(bytes[reserved], 1);
             bytes[reserved] = 0;
-            let decoded = get_options(&mut Dec::new(&bytes)).expect("still decodes");
+            let decoded: CompilerOptions = codec::decode(&bytes).expect("still decodes");
             let expected = CompilerOptions {
                 placement: PlacementAlgorithm::None,
                 threads: 0,

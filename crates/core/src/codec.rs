@@ -3,30 +3,60 @@
 //!
 //! ## Key invariants
 //!
-//! 1. **Total decoders.** Every `get_*` returns `None` on bytes it cannot
-//!    decode — truncated, bit-flipped or random input never panics. Disk
-//!    entries and wire frames are adversarial input.
-//! 2. **Length-prefix allocation guard.** A sequence length is read through
-//!    [`Dec::len`], which rejects a count that could not fit in the bytes that
-//!    remain, so a corrupt length never allocates beyond the buffer it came
-//!    in.
+//! 1. **Total decoders.** Every [`Codec::get`] returns `None` on bytes it
+//!    cannot decode — truncated, bit-flipped or random input never panics.
+//!    Disk entries and wire frames are adversarial input.
+//! 2. **Length-prefix allocation guard.** Every sequence count is read
+//!    through [`Dec::len`], which rejects a count larger than the bytes that
+//!    remain (every element encodes to at least one byte), and a decoded
+//!    sequence never reserves more memory than those bytes. A corrupt length
+//!    cannot allocate beyond the buffer it came in.
 //! 3. **Identical bytes for key, disk and wire.** [`KeyContext`], the disk
-//!    envelope and [`crate::wire`] all call the encoders below, so a new
-//!    `CompilerOptions` or `MachineConfig` field is one edit here and lands
-//!    in the cache key and the request bytes together. Changing any encoding
-//!    changes keys and stored bundles: bump the cache's format version.
+//!    envelope and [`crate::wire`] all write through the impls below, so a
+//!    new `CompilerOptions` or `MachineConfig` field is one edit here and
+//!    lands in the cache key and the request bytes together. Changing any
+//!    encoding changes keys and stored bundles: bump [`FORMAT_VERSION`].
+//! 4. **One declaration per type.** Each encoded type has one [`Codec`] impl,
+//!    here and nowhere else, that writes and reads it. Structs list their
+//!    fields once ([`record!`]), enums their tags once ([`tagged!`]), and
+//!    unit-like enums are their position in a code table ([`coded!`]). The
+//!    deliberate exceptions are spelled out where they occur: the key's value
+//!    renumbering and terminator form ([`canonical_block_bytes`]), the
+//!    reserved bytes of [`CompilerOptions`], the `u16` pair count of
+//!    [`SInst::Route`] and the sorted order of a program's value names.
 //!
 //! [`KeyContext`]: crate::blockcache::KeyContext
 
+use crate::blockcache::{BlockBundle, CacheKey, CacheTotals};
+use crate::driver::BlockReport;
+use crate::exact::{ExactOutcome, ExactReport, Lane};
+use crate::layout::{ArrayClass, DataLayout};
 use crate::options::{CompilerOptions, PlacementAlgorithm, PriorityScheme, Strategy};
-use crate::partition::CLUSTER_COMM_COST;
-use raw_ir::{ArrayId, BinOp, Imm, Inst, InstKind, MemHome, SourceSpan, UnOp, ValueId, VarId};
-use raw_machine::isa::{AluOp, Dir, Dst, PInst, SDst, SSrc, Src};
-use raw_machine::{LatencyModel, MachineConfig, TileId, TileMask};
+use crate::partition::{PlacementLog, PlacementStep, CLUSTER_COMM_COST};
+use crate::regalloc::AllocResult;
+use crate::schedule::{PredOpKind, PredictedBlock};
+use crate::wire::{
+    ClientRow, CompileRequest, CompileResponse, CompiledCounters, MetricsFormat, MetricsResponse,
+    StatsResponse,
+};
+use raw_ir::{
+    ArrayDecl, ArrayId, BinOp, Block, BlockId, Imm, Inst, InstKind, MemHome, Program, SourceSpan,
+    Terminator, Ty, UnOp, ValueId, VarDecl, VarId,
+};
+use raw_machine::isa::{AluOp, Dir, Dst, PInst, SDst, SInst, SSrc, Src};
+use raw_machine::{
+    LatencyModel, MachineConfig, MachineProgram, TileCode, TileId, TileMask, MAX_TILES,
+};
 use raw_testkit::{hash64, hash64_with};
+use std::collections::HashMap;
 
 /// Basis of the second, independent FNV pass.
 const HI_BASIS: u64 = 0x8422_2325_cbf2_9ce4;
+
+/// Magic prefix of on-disk cache entries.
+const MAGIC: [u8; 8] = *b"RAWCCBC\n";
+/// Bump whenever the bundle encoding or key derivation changes.
+pub(crate) const FORMAT_VERSION: u32 = 3;
 
 /// 128-bit content hash of the concatenation of `parts`: two FNV-1a passes
 /// from independent bases, returned as `(standard-basis pass, second pass)`.
@@ -36,33 +66,29 @@ pub(crate) fn hash128(parts: &[&[u8]]) -> (u64, u64) {
     (pass(hash64(&[])), pass(HI_BASIS))
 }
 
-pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+/// A type with one byte encoding, written by `put` and read back by `get`.
+pub(crate) trait Codec {
+    /// Appends the encoding of `self`.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Reads one value; `None` on any bytes `put` could not have written.
+    fn get(d: &mut Dec<'_>) -> Option<Self>
+    where
+        Self: Sized;
 }
 
-pub(crate) fn get_str(d: &mut Dec<'_>) -> Option<String> {
-    let n = d.len(1)?;
-    let bytes = d.take(n)?;
-    String::from_utf8(bytes.to_vec()).ok()
+/// The encoding of `v` alone.
+pub(crate) fn encode<T: Codec>(v: &T) -> Vec<u8> {
+    // Most bundles fit, so the common encode never regrows.
+    let mut out = Vec::with_capacity(1024);
+    v.put(&mut out);
+    out
 }
 
-pub(crate) fn get_bool(d: &mut Dec<'_>) -> Option<bool> {
-    match d.u8()? {
-        0 => Some(false),
-        1 => Some(true),
-        _ => None,
-    }
+/// Decodes a whole buffer as one `T`: `None` on malformed or trailing bytes.
+pub(crate) fn decode<T: Codec>(bytes: &[u8]) -> Option<T> {
+    let mut d = Dec::new(bytes);
+    let value = T::get(&mut d)?;
+    d.at_end().then_some(value)
 }
 
 /// Defensive little-endian reader: every accessor returns `None` past the end.
@@ -72,56 +98,294 @@ pub(crate) struct Dec<'a> {
 }
 
 impl<'a> Dec<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Dec { buf, pos: 0 }
     }
-    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         let s = self.buf.get(self.pos..end)?;
         self.pos = end;
         Some(s)
     }
-    pub(crate) fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
     }
-    pub(crate) fn u16(&mut self) -> Option<u16> {
-        self.take(2)
-            .map(|s| u16::from_le_bytes(s.try_into().unwrap()))
+    fn u8(&mut self) -> Option<u8> {
+        let [b] = self.array()?;
+        Some(b)
     }
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
+    /// A sequence count: rejects one larger than the bytes that remain, since
+    /// every element encodes to at least one byte.
+    fn len(&mut self) -> Option<usize> {
+        let n = usize::get(self)?;
+        (n <= self.remaining()).then_some(n)
     }
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
+    fn str(&mut self) -> Option<&'a str> {
+        let n = self.len()?;
+        std::str::from_utf8(self.take(n)?).ok()
     }
-    pub(crate) fn i32(&mut self) -> Option<i32> {
-        self.u32().map(|v| v as i32)
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
-    pub(crate) fn i64(&mut self) -> Option<i64> {
-        self.u64().map(|v| v as i64)
-    }
-    /// Length prefix for a sequence whose elements occupy ≥ `min_elem` bytes:
-    /// rejects lengths that could not possibly fit in the remaining buffer, so
-    /// a corrupt length cannot cause a huge allocation.
-    pub(crate) fn len(&mut self, min_elem: usize) -> Option<usize> {
-        let n = self.u64()? as usize;
-        if n.checked_mul(min_elem.max(1))? > self.buf.len() - self.pos {
-            return None;
-        }
-        Some(n)
-    }
-    pub(crate) fn rest(&self) -> &'a [u8] {
+    fn rest(&self) -> &'a [u8] {
         &self.buf[self.pos..]
     }
-    pub(crate) fn at_end(&self) -> bool {
+    fn at_end(&self) -> bool {
         self.pos == self.buf.len()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Operator code tables: an operator's code is its position.
+// Declaration macros: each writes one `Codec` impl from one list.
+// ---------------------------------------------------------------------------
+
+/// One field of a [`record!`]: its own encoding, or its code in `$table`.
+macro_rules! field {
+    (put $out:ident, $v:expr) => {
+        $v.put($out)
+    };
+    (put $out:ident, $v:expr, $table:ident) => {
+        $out.push(code_of(&$table, &$v))
+    };
+    (get $d:ident) => {
+        Codec::get($d)?
+    };
+    (get $d:ident, $table:ident) => {
+        from_code($d, &$table)?
+    };
+}
+
+/// A struct encoded as the listed fields, in order. `field in TABLE` writes
+/// the field as its position in a code table; `if check` rejects a decoded
+/// value the compiler must never see.
+macro_rules! record {
+    ($($ty:ident { $($field:ident $(in $table:ident)?),* $(,)? } $(if $check:path)?;)*) => {$(
+        impl Codec for $ty {
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                $(field!(put out, self.$field $(, $table)?);)*
+            }
+            #[inline]
+            fn get(d: &mut Dec<'_>) -> Option<Self> {
+                let value = $ty { $($field: field!(get d $(, $table)?)),* };
+                $(if !$check(&value) {
+                    return None;
+                })?
+                Some(value)
+            }
+        }
+    )*};
+}
+
+/// An enum encoded as a tag byte, then the variant's fields in the order
+/// listed.
+macro_rules! tagged {
+    ($($ty:ident {
+        $($tag:literal => $variant:ident $(($($pos:ident),*))? $({ $($named:ident),* })?),* $(,)?
+    })*) => {$(
+        impl Codec for $ty {
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $(($($pos),*))? $({ $($named),* })? => {
+                        out.push($tag);
+                        $($($pos.put(out);)*)?
+                        $($($named.put(out);)*)?
+                    })*
+                }
+            }
+            #[inline]
+            fn get(d: &mut Dec<'_>) -> Option<Self> {
+                Some(match d.u8()? {
+                    $($tag => $ty::$variant
+                        $(($({
+                            let $pos = Codec::get(d)?;
+                            $pos
+                        }),*))?
+                        $({ $($named: Codec::get(d)?),* })?,)*
+                    _ => return None,
+                })
+            }
+        }
+    )*};
+}
+
+/// Unit-like values encoded as their position in a code table.
+macro_rules! coded {
+    ($($ty:ty: $table:expr;)*) => {$(
+        impl Codec for $ty {
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                out.push(code_of(&$table, self));
+            }
+            #[inline]
+            fn get(d: &mut Dec<'_>) -> Option<Self> {
+                from_code(d, &$table)
+            }
+        }
+    )*};
+}
+
+/// Fixed-width integers, little-endian.
+macro_rules! le_int {
+    ($($ty:ty),*) => {$(
+        impl Codec for $ty {
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn get(d: &mut Dec<'_>) -> Option<Self> {
+                Some(<$ty>::from_le_bytes(d.array()?))
+            }
+        }
+    )*};
+}
+
+/// Index newtypes, as their `u32` index.
+macro_rules! id {
+    ($($ty:ty),*) => {$(
+        impl Codec for $ty {
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                // Every id is minted from a u32.
+                (self.index() as u32).put(out);
+            }
+            #[inline]
+            fn get(d: &mut Dec<'_>) -> Option<Self> {
+                u32::get(d).map(<$ty>::from_raw)
+            }
+        }
+    )*};
+}
+
+fn code_of<T: PartialEq>(table: &[T], value: &T) -> u8 {
+    // Each table lists every value its type can take.
+    let code = table.iter().position(|t| t == value);
+    code.expect("every value has a row in its code table") as u8
+}
+
+fn from_code<T: Copy>(d: &mut Dec<'_>, table: &[T]) -> Option<T> {
+    table.get(usize::from(d.u8()?)).copied()
+}
+
+// ---------------------------------------------------------------------------
+// Primitives and containers.
+// ---------------------------------------------------------------------------
+
+le_int!(u8, u16, u32, u64, i32, i64);
+id!(ValueId, BlockId, ArrayId, VarId, TileId);
+
+impl Codec for usize {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+    #[inline]
+    fn get(d: &mut Dec<'_>) -> Option<Self> {
+        usize::try_from(u64::get(d)?).ok()
+    }
+}
+
+impl Codec for f32 {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+    #[inline]
+    fn get(d: &mut Dec<'_>) -> Option<Self> {
+        u32::get(d).map(f32::from_bits)
+    }
+}
+
+impl Codec for bool {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    #[inline]
+    fn get(d: &mut Dec<'_>) -> Option<Self> {
+        match d.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+}
+
+impl Codec for str {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+}
+
+impl Codec for String {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_str().put(out);
+    }
+    #[inline]
+    fn get(d: &mut Dec<'_>) -> Option<Self> {
+        d.str().map(str::to_owned)
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(v) => {
+                out.push(1);
+                v.put(out);
+            }
+        }
+    }
+    #[inline]
+    fn get(d: &mut Dec<'_>) -> Option<Self> {
+        match d.u8()? {
+            0 => Some(None),
+            1 => T::get(d).map(Some),
+            _ => None,
+        }
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    #[inline]
+    fn get(d: &mut Dec<'_>) -> Option<Self> {
+        Some((A::get(d)?, B::get(d)?))
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        for v in self {
+            v.put(out);
+        }
+    }
+    #[inline]
+    fn get(d: &mut Dec<'_>) -> Option<Self> {
+        let n = d.len()?;
+        let mut v = Vec::with_capacity(n.min(d.remaining() / size_of::<T>().max(1)));
+        for _ in 0..n {
+            v.push(T::get(d)?);
+        }
+        Some(v)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Code tables: a value's code is its position.
 // ---------------------------------------------------------------------------
 
 const BINOPS: [BinOp; 22] = {
@@ -137,515 +401,438 @@ const UNOPS: [UnOp; 8] = {
     [Neg, Not, Mov, NegF, AbsF, SqrtF, CvtIF, CvtFI]
 };
 
-fn code_of<T: Copy + PartialEq>(table: &[T], op: T) -> u8 {
-    let code = table.iter().position(|&o| o == op);
-    code.expect("every operator has a row in its code table") as u8
-}
+/// The winning lane, `None` for the plain heuristic strategy.
+const LANES: [Option<Lane>; 4] = [
+    None,
+    Some(Lane::Greedy),
+    Some(Lane::Annealing),
+    Some(Lane::Exact),
+];
 
-pub(crate) fn binop_code(op: BinOp) -> u8 {
-    code_of(&BINOPS, op)
-}
+const PLACEMENTS: [&str; 4] = ["identity", "greedy-swap", "annealing", "exact"];
 
-pub(crate) fn binop_from(code: u8) -> Option<BinOp> {
-    BINOPS.get(code as usize).copied()
-}
-
-pub(crate) fn unop_code(op: UnOp) -> u8 {
-    code_of(&UNOPS, op)
-}
-
-pub(crate) fn unop_from(code: u8) -> Option<UnOp> {
-    UNOPS.get(code as usize).copied()
+coded! {
+    BinOp: BINOPS;
+    UnOp: UNOPS;
+    Dir: Dir::ALL;
+    Ty: [Ty::I32, Ty::F32];
+    LatencyModel: [LatencyModel::Table1, LatencyModel::Unit];
+    PriorityScheme: {
+        use PriorityScheme::*;
+        [LevelFertility, LevelOnly, SourceOrder]
+    };
+    PredOpKind: [PredOpKind::Comp, PredOpKind::Send, PredOpKind::Recv];
+    ExactOutcome: [ExactOutcome::Certified, ExactOutcome::Budget, ExactOutcome::TooLarge];
+    MetricsFormat: [MetricsFormat::Prometheus, MetricsFormat::Json];
 }
 
 // ---------------------------------------------------------------------------
-// IR instructions.
+// IR: programs on the wire, blocks in the cache key.
 // ---------------------------------------------------------------------------
 
-pub(crate) fn put_imm(out: &mut Vec<u8>, imm: Imm) {
-    match imm {
-        Imm::I(v) => {
-            out.push(0);
-            put_u32(out, v as u32);
+tagged! {
+    Imm { 0 => I(v), 1 => F(v) }
+    MemHome { 0 => Static(residue), 1 => Dynamic }
+    InstKind {
+        0 => Const(imm),
+        1 => Un(op, a),
+        2 => Bin(op, a, b),
+        3 => Load { array, index, home },
+        4 => Store { array, index, value, home },
+        5 => ReadVar(var),
+        6 => WriteVar(var, x),
+    }
+    Terminator { 0 => Jump(target), 1 => Branch { cond, if_true, if_false }, 2 => Halt }
+}
+
+record! {
+    SourceSpan { line, col };
+    Inst { span, dst, kind };
+    VarDecl { name, ty, init };
+    ArrayDecl { name, ty, dims, init };
+    Block { name, insts, term };
+    Program { name, vars, arrays, blocks, entry, value_types, value_names };
+}
+
+/// Value names go out sorted by value, so equal programs encode to equal
+/// bytes.
+impl Codec for HashMap<ValueId, String> {
+    fn put(&self, out: &mut Vec<u8>) {
+        let mut names: Vec<_> = self.iter().collect();
+        names.sort_unstable();
+        names.len().put(out);
+        for (v, name) in names {
+            v.put(out);
+            name.put(out);
         }
-        Imm::F(v) => {
-            out.push(1);
-            put_u32(out, v.to_bits());
-        }
+    }
+    fn get(d: &mut Dec<'_>) -> Option<Self> {
+        Some(Vec::<(ValueId, String)>::get(d)?.into_iter().collect())
     }
 }
 
-pub(crate) fn get_imm(d: &mut Dec<'_>) -> Option<Imm> {
-    Some(match d.u8()? {
-        0 => Imm::I(d.i32()?),
-        1 => Imm::F(f32::from_bits(d.u32()?)),
-        _ => return None,
-    })
-}
-
-fn put_mem_home(out: &mut Vec<u8>, home: MemHome) {
-    match home {
-        MemHome::Static(r) => {
-            out.push(0);
-            put_u32(out, r);
-        }
-        MemHome::Dynamic => out.push(1),
+/// Canonical byte encoding of one block's compile-relevant IR, the block's
+/// half of its cache key.
+///
+/// Instructions are written as on the wire, but with `ValueId`s renumbered
+/// by first appearance (block-local values are monotone in definition order,
+/// so this is a bijection that preserves every ordering the compiler
+/// observes): two blocks identical up to the program-global numbering, such
+/// as unroll clones, share a key. The block name and jump targets are left
+/// out — only the link phase reads them — but the terminator's kind and a
+/// branch's condition are kept, since they change codegen; spans are kept,
+/// since they are provenance output.
+pub fn canonical_block_bytes(block: &Block) -> Vec<u8> {
+    let mut out = Vec::with_capacity(block.insts.len() * 16 + 16);
+    let mut rank: HashMap<ValueId, u32> = HashMap::new();
+    let mut canon = |v: ValueId| {
+        let next = rank.len() as u32;
+        ValueId::from_raw(*rank.entry(v).or_insert(next))
+    };
+    block.insts.len().put(&mut out);
+    for inst in &block.insts {
+        // Operands are renumbered in the order the encoding writes them.
+        let dst = inst.dst.map(&mut canon);
+        let kind = match inst.kind {
+            InstKind::Un(op, a) => InstKind::Un(op, canon(a)),
+            InstKind::Bin(op, a, b) => InstKind::Bin(op, canon(a), canon(b)),
+            InstKind::Load { array, index, home } => InstKind::Load {
+                array,
+                index: canon(index),
+                home,
+            },
+            InstKind::Store {
+                array,
+                index,
+                value,
+                home,
+            } => InstKind::Store {
+                array,
+                index: canon(index),
+                value: canon(value),
+                home,
+            },
+            InstKind::WriteVar(var, x) => InstKind::WriteVar(var, canon(x)),
+            InstKind::Const(_) | InstKind::ReadVar(_) => inst.kind.clone(),
+        };
+        let span = inst.span;
+        Inst { dst, kind, span }.put(&mut out);
     }
-}
-
-fn get_mem_home(d: &mut Dec<'_>) -> Option<MemHome> {
-    match d.u8()? {
-        0 => Some(MemHome::Static(d.u32()?)),
-        1 => Some(MemHome::Dynamic),
-        _ => None,
-    }
-}
-
-/// Encodes one IR instruction, writing each [`ValueId`] as `number(v)`: the
-/// wire protocol passes the identity, the cache key a renumbering by first
-/// appearance.
-pub(crate) fn put_ir_inst(out: &mut Vec<u8>, inst: &Inst, number: &mut impl FnMut(ValueId) -> u32) {
-    let mut value = |out: &mut Vec<u8>, v: ValueId| put_u32(out, number(v));
-    let SourceSpan { line, col } = inst.span;
-    put_u32(out, line);
-    put_u32(out, col);
-    match inst.dst {
-        Some(v) => {
-            out.push(1);
-            value(out, v);
-        }
-        None => out.push(0),
-    }
-    match &inst.kind {
-        InstKind::Const(imm) => {
-            out.push(0);
-            put_imm(out, *imm);
-        }
-        InstKind::Un(op, a) => {
-            out.push(1);
-            out.push(unop_code(*op));
-            value(out, *a);
-        }
-        InstKind::Bin(op, a, b) => {
+    match block.term {
+        Terminator::Jump(_) => out.push(0),
+        Terminator::Halt => out.push(1),
+        Terminator::Branch { cond, .. } => {
             out.push(2);
-            out.push(binop_code(*op));
-            value(out, *a);
-            value(out, *b);
-        }
-        InstKind::Load { array, index, home } => {
-            out.push(3);
-            put_u32(out, array.index() as u32);
-            value(out, *index);
-            put_mem_home(out, *home);
-        }
-        InstKind::Store {
-            array,
-            index,
-            value: stored,
-            home,
-        } => {
-            out.push(4);
-            put_u32(out, array.index() as u32);
-            value(out, *index);
-            value(out, *stored);
-            put_mem_home(out, *home);
-        }
-        InstKind::ReadVar(v) => {
-            out.push(5);
-            put_u32(out, v.index() as u32);
-        }
-        InstKind::WriteVar(v, x) => {
-            out.push(6);
-            put_u32(out, v.index() as u32);
-            value(out, *x);
+            canon(cond).put(&mut out);
         }
     }
-}
-
-pub(crate) fn get_ir_inst(d: &mut Dec<'_>) -> Option<Inst> {
-    let line = d.u32()?;
-    let col = d.u32()?;
-    let dst = match d.u8()? {
-        0 => None,
-        1 => Some(ValueId::from_raw(d.u32()?)),
-        _ => return None,
-    };
-    let kind = match d.u8()? {
-        0 => InstKind::Const(get_imm(d)?),
-        1 => {
-            let op = unop_from(d.u8()?)?;
-            InstKind::Un(op, ValueId::from_raw(d.u32()?))
-        }
-        2 => {
-            let op = binop_from(d.u8()?)?;
-            InstKind::Bin(op, ValueId::from_raw(d.u32()?), ValueId::from_raw(d.u32()?))
-        }
-        3 => InstKind::Load {
-            array: ArrayId::from_raw(d.u32()?),
-            index: ValueId::from_raw(d.u32()?),
-            home: get_mem_home(d)?,
-        },
-        4 => InstKind::Store {
-            array: ArrayId::from_raw(d.u32()?),
-            index: ValueId::from_raw(d.u32()?),
-            value: ValueId::from_raw(d.u32()?),
-            home: get_mem_home(d)?,
-        },
-        5 => InstKind::ReadVar(VarId::from_raw(d.u32()?)),
-        6 => InstKind::WriteVar(VarId::from_raw(d.u32()?), ValueId::from_raw(d.u32()?)),
-        _ => return None,
-    };
-    Some(Inst {
-        dst,
-        kind,
-        span: SourceSpan { line, col },
-    })
+    out
 }
 
 // ---------------------------------------------------------------------------
 // Machine config and compiler options.
 // ---------------------------------------------------------------------------
 
-/// Every field of the machine config. Two fault masks with the same live
-/// count produce different placements, so the mask bits themselves are
-/// encoded.
-pub(crate) fn put_config(out: &mut Vec<u8>, c: &MachineConfig) {
-    put_u32(out, c.rows);
-    put_u32(out, c.cols);
-    put_u32(out, c.gprs);
-    put_u32(out, c.switch_regs);
-    put_u32(out, c.mem_latency);
-    put_u32(out, c.mem_words);
-    out.push(match c.latency {
-        LatencyModel::Table1 => 0,
-        LatencyModel::Unit => 1,
-    });
-    put_u64(out, c.port_capacity as u64);
-    put_u64(out, c.dyn_fifo as u64);
-    put_u64(out, c.step_limit);
-    put_u64(out, c.faulty.bits());
+/// A decoded mesh the machine can model; anything larger would make the
+/// compiler allocate per tile pair before it found out.
+fn mesh_fits(c: &MachineConfig) -> bool {
+    c.rows.checked_mul(c.cols).is_some_and(|n| n <= MAX_TILES)
 }
 
-pub(crate) fn get_config(d: &mut Dec<'_>) -> Option<MachineConfig> {
-    let rows = d.u32()?;
-    let cols = d.u32()?;
-    let gprs = d.u32()?;
-    let switch_regs = d.u32()?;
-    let mem_latency = d.u32()?;
-    let mem_words = d.u32()?;
-    let latency = match d.u8()? {
-        0 => LatencyModel::Table1,
-        1 => LatencyModel::Unit,
-        _ => return None,
-    };
-    let port_capacity = d.u64()? as usize;
-    let dyn_fifo = d.u64()? as usize;
-    let step_limit = d.u64()?;
-    let bits = d.u64()?;
-    let mut faulty = TileMask::EMPTY;
-    for i in 0..64 {
-        if bits >> i & 1 == 1 {
-            faulty.insert(TileId::from_raw(i));
-        }
+// Every field of the machine config. Two fault masks with the same live
+// count produce different placements, so the mask bits themselves go in.
+record! {
+    MachineConfig {
+        rows, cols, gprs, switch_regs, mem_latency, mem_words, latency, port_capacity, dyn_fifo,
+        step_limit, faulty,
+    } if mesh_fits;
+}
+
+impl Codec for TileMask {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.bits().put(out);
     }
-    Some(MachineConfig {
-        rows,
-        cols,
-        gprs,
-        switch_regs,
-        mem_latency,
-        mem_words,
-        latency,
-        port_capacity,
-        dyn_fifo,
-        step_limit,
-        faulty,
-    })
+    fn get(d: &mut Dec<'_>) -> Option<Self> {
+        let bits = u64::get(d)?;
+        let mut mask = TileMask::EMPTY;
+        for i in (0..64).filter(|i| bits >> i & 1 == 1) {
+            mask.insert(TileId::from_raw(i));
+        }
+        Some(mask)
+    }
+}
+
+tagged! {
+    PlacementAlgorithm { 0 => GreedySwap, 1 => Annealing { seed }, 2 => None }
+    Strategy { 0 => Heuristic, 1 => Exact, 2 => Portfolio { seed } }
 }
 
 /// Every *semantic* compiler option — the fields that can change an
 /// artifact. `threads` cannot, so it is not here: the cache key stops at
-/// these bytes and the wire protocol appends the thread count itself.
-pub(crate) fn put_options(out: &mut Vec<u8>, o: &CompilerOptions) {
-    out.push(o.clustering as u8);
-    match o.placement {
-        PlacementAlgorithm::GreedySwap => out.push(0),
-        PlacementAlgorithm::Annealing { seed } => {
-            out.push(1);
-            put_u64(out, seed);
-        }
-        PlacementAlgorithm::None => out.push(2),
+/// these bytes, the wire protocol appends the thread count itself, and a
+/// decoded `threads` is 0 for the caller to fill.
+impl Codec for CompilerOptions {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.clustering.put(out);
+        self.placement.put(out);
+        // Reserved: the byte a retired boolean alias of `placement: None`
+        // used to occupy. Always written as 1 so keys and frames keep their
+        // layout.
+        out.push(1);
+        self.priority.put(out);
+        // Where the retired clustering-latency option sat: now the constant,
+        // so keys and frames keep their layout (and a changed constant
+        // changes the key). Ignored on read.
+        (CLUSTER_COMM_COST as u32).put(out);
+        self.fold_communication.put(out);
+        // A cached heuristic bundle must never satisfy a portfolio request
+        // (and vice versa), so the strategy and its seed are semantic.
+        self.strategy.put(out);
+        self.exact_budget.put(out);
     }
-    // Reserved: the byte a retired boolean alias of `placement: None` used to
-    // occupy. Always written as 1 so keys and frames keep their layout.
-    out.push(1);
-    out.push(match o.priority {
-        PriorityScheme::LevelFertility => 0,
-        PriorityScheme::LevelOnly => 1,
-        PriorityScheme::SourceOrder => 2,
-    });
-    // Where the retired clustering-latency option sat: now the constant, so
-    // keys and frames keep their layout (and a changed constant changes the
-    // key). Ignored on read.
-    put_u32(out, CLUSTER_COMM_COST as u32);
-    out.push(o.fold_communication as u8);
-    // A cached heuristic bundle must never satisfy a portfolio request (and
-    // vice versa), so the strategy and its seed are semantic.
-    match o.strategy {
-        Strategy::Heuristic => out.push(0),
-        Strategy::Exact => out.push(1),
-        Strategy::Portfolio { seed } => {
-            out.push(2);
-            put_u64(out, seed);
-        }
+    fn get(d: &mut Dec<'_>) -> Option<Self> {
+        let clustering = bool::get(d)?;
+        let placement = PlacementAlgorithm::get(d)?;
+        // An old writer's 0 in the reserved byte meant "no placement",
+        // whatever algorithm the byte before it named.
+        let placement = if bool::get(d)? {
+            placement
+        } else {
+            PlacementAlgorithm::None
+        };
+        let priority = PriorityScheme::get(d)?;
+        u32::get(d)?; // the retired clustering latency
+        Some(CompilerOptions {
+            clustering,
+            placement,
+            priority,
+            fold_communication: bool::get(d)?,
+            strategy: Strategy::get(d)?,
+            exact_budget: u64::get(d)?,
+            threads: 0,
+        })
     }
-    put_u64(out, o.exact_budget);
 }
 
-/// Inverse of [`put_options`]; `threads` is left at 0 for the caller to fill.
-pub(crate) fn get_options(d: &mut Dec<'_>) -> Option<CompilerOptions> {
-    let clustering = get_bool(d)?;
-    let placement = match d.u8()? {
-        0 => PlacementAlgorithm::GreedySwap,
-        1 => PlacementAlgorithm::Annealing { seed: d.u64()? },
-        2 => PlacementAlgorithm::None,
-        _ => return None,
-    };
-    // Reserved byte (see `put_options`): an old writer's 0 meant "no
-    // placement", whatever algorithm the byte before it named.
-    let placement = if get_bool(d)? {
-        placement
-    } else {
-        PlacementAlgorithm::None
-    };
-    let priority = match d.u8()? {
-        0 => PriorityScheme::LevelFertility,
-        1 => PriorityScheme::LevelOnly,
-        2 => PriorityScheme::SourceOrder,
-        _ => return None,
-    };
-    d.u32()?; // reserved (see `put_options`)
-    let fold_communication = get_bool(d)?;
-    let strategy = match d.u8()? {
-        0 => Strategy::Heuristic,
-        1 => Strategy::Exact,
-        2 => Strategy::Portfolio { seed: d.u64()? },
-        _ => return None,
-    };
-    let exact_budget = d.u64()?;
-    Some(CompilerOptions {
-        clustering,
-        placement,
-        priority,
-        fold_communication,
-        strategy,
-        exact_budget,
-        threads: 0,
-    })
+tagged! {
+    ArrayClass { 0 => Static, 1 => Dynamic { issue_tile } }
+}
+
+// The data layout, every field in declaration order (the cache key's
+// environment half, with the config and options).
+record! {
+    DataLayout { n_tiles, live, var_home, var_addr, array_base, array_class, spill_base };
 }
 
 // ---------------------------------------------------------------------------
 // Machine instructions (bundles on disk, machine programs on the wire).
 // ---------------------------------------------------------------------------
 
-fn put_src(out: &mut Vec<u8>, s: Src) {
-    match s {
-        Src::Reg(r) => {
-            out.push(0);
-            put_u16(out, r);
-        }
-        Src::Imm(imm) => {
-            out.push(1);
-            put_imm(out, imm);
-        }
-        Src::PortIn => out.push(2),
+tagged! {
+    Src { 0 => Reg(r), 1 => Imm(imm), 2 => PortIn }
+    Dst { 0 => Reg(r), 1 => PortOut }
+    AluOp { 0 => Bin(op), 1 => Un(op) }
+    PInst {
+        0 => Alu { op, dst, a, b },
+        1 => Load { dst, addr, offset },
+        2 => Store { value, addr, offset },
+        3 => DLoad { dst, gaddr },
+        4 => DStore { gaddr, value },
+        5 => Jump(target),
+        6 => Bnez { cond, target },
+        7 => Beqz { cond, target },
+        8 => Halt,
+        9 => Nop,
     }
+    SSrc { 0 => Dir(dir), 1 => Proc, 2 => Reg(r) }
+    SDst { 0 => Dir(dir), 1 => Proc, 2 => Reg(r) }
 }
 
-fn get_src(d: &mut Dec<'_>) -> Option<Src> {
-    Some(match d.u8()? {
-        0 => Src::Reg(d.u16()?),
-        1 => Src::Imm(get_imm(d)?),
-        2 => Src::PortIn,
-        _ => return None,
-    })
-}
-
-fn put_dst(out: &mut Vec<u8>, dst: Dst) {
-    match dst {
-        Dst::Reg(r) => {
-            out.push(0);
-            put_u16(out, r);
-        }
-        Dst::PortOut => out.push(1),
-    }
-}
-
-fn get_dst(d: &mut Dec<'_>) -> Option<Dst> {
-    Some(match d.u8()? {
-        0 => Dst::Reg(d.u16()?),
-        1 => Dst::PortOut,
-        _ => return None,
-    })
-}
-
-pub(crate) fn put_pinst(out: &mut Vec<u8>, inst: &PInst) {
-    match inst {
-        PInst::Alu { op, dst, a, b } => {
-            out.push(0);
-            match op {
-                AluOp::Bin(o) => {
-                    out.push(0);
-                    out.push(binop_code(*o));
-                }
-                AluOp::Un(o) => {
-                    out.push(1);
-                    out.push(unop_code(*o));
+impl Codec for SInst {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            SInst::Route(pairs) => {
+                out.push(0);
+                // A `u16` count, unlike every other sequence: a route has at
+                // most one pair per switch output.
+                (pairs.len() as u16).put(out);
+                for pair in pairs {
+                    pair.put(out);
                 }
             }
-            put_dst(out, *dst);
-            put_src(out, *a);
-            put_src(out, *b);
-        }
-        PInst::Load { dst, addr, offset } => {
-            out.push(1);
-            put_dst(out, *dst);
-            put_src(out, *addr);
-            put_u32(out, *offset as u32);
-        }
-        PInst::Store {
-            value,
-            addr,
-            offset,
-        } => {
-            out.push(2);
-            put_src(out, *value);
-            put_src(out, *addr);
-            put_u32(out, *offset as u32);
-        }
-        PInst::DLoad { dst, gaddr } => {
-            out.push(3);
-            put_dst(out, *dst);
-            put_src(out, *gaddr);
-        }
-        PInst::DStore { gaddr, value } => {
-            out.push(4);
-            put_src(out, *gaddr);
-            put_src(out, *value);
-        }
-        PInst::Jump(t) => {
-            out.push(5);
-            put_u64(out, *t as u64);
-        }
-        PInst::Bnez { cond, target } => {
-            out.push(6);
-            put_src(out, *cond);
-            put_u64(out, *target as u64);
-        }
-        PInst::Beqz { cond, target } => {
-            out.push(7);
-            put_src(out, *cond);
-            put_u64(out, *target as u64);
-        }
-        PInst::Halt => out.push(8),
-        PInst::Nop => out.push(9),
-    }
-}
-
-pub(crate) fn get_pinst(d: &mut Dec<'_>) -> Option<PInst> {
-    Some(match d.u8()? {
-        0 => {
-            let op = match d.u8()? {
-                0 => AluOp::Bin(binop_from(d.u8()?)?),
-                1 => AluOp::Un(unop_from(d.u8()?)?),
-                _ => return None,
-            };
-            PInst::Alu {
-                op,
-                dst: get_dst(d)?,
-                a: get_src(d)?,
-                b: get_src(d)?,
+            SInst::Bnez { reg, target } => {
+                out.push(1);
+                reg.put(out);
+                target.put(out);
             }
+            SInst::Beqz { reg, target } => {
+                out.push(2);
+                reg.put(out);
+                target.put(out);
+            }
+            SInst::Jump(target) => {
+                out.push(3);
+                target.put(out);
+            }
+            SInst::Halt => out.push(4),
+            SInst::Nop => out.push(5),
         }
-        1 => PInst::Load {
-            dst: get_dst(d)?,
-            addr: get_src(d)?,
-            offset: d.i32()?,
-        },
-        2 => PInst::Store {
-            value: get_src(d)?,
-            addr: get_src(d)?,
-            offset: d.i32()?,
-        },
-        3 => PInst::DLoad {
-            dst: get_dst(d)?,
-            gaddr: get_src(d)?,
-        },
-        4 => PInst::DStore {
-            gaddr: get_src(d)?,
-            value: get_src(d)?,
-        },
-        5 => PInst::Jump(d.u64()? as usize),
-        6 => PInst::Bnez {
-            cond: get_src(d)?,
-            target: d.u64()? as usize,
-        },
-        7 => PInst::Beqz {
-            cond: get_src(d)?,
-            target: d.u64()? as usize,
-        },
-        8 => PInst::Halt,
-        9 => PInst::Nop,
-        _ => return None,
-    })
-}
-
-fn dir_from(code: u8) -> Option<Dir> {
-    Dir::ALL.get(code as usize).copied()
-}
-
-pub(crate) fn put_ssrc(out: &mut Vec<u8>, s: SSrc) {
-    match s {
-        SSrc::Dir(dir) => {
-            out.push(0);
-            out.push(dir.index() as u8);
-        }
-        SSrc::Proc => out.push(1),
-        SSrc::Reg(r) => {
-            out.push(2);
-            out.push(r);
-        }
+    }
+    #[inline]
+    fn get(d: &mut Dec<'_>) -> Option<Self> {
+        Some(match d.u8()? {
+            0 => {
+                let n = u16::get(d)?;
+                let mut pairs = Vec::with_capacity(usize::from(n).min(d.remaining()));
+                for _ in 0..n {
+                    pairs.push(Codec::get(d)?);
+                }
+                SInst::Route(pairs)
+            }
+            1 => SInst::Bnez {
+                reg: u8::get(d)?,
+                target: usize::get(d)?,
+            },
+            2 => SInst::Beqz {
+                reg: u8::get(d)?,
+                target: usize::get(d)?,
+            },
+            3 => SInst::Jump(usize::get(d)?),
+            4 => SInst::Halt,
+            5 => SInst::Nop,
+            _ => return None,
+        })
     }
 }
 
-pub(crate) fn get_ssrc(d: &mut Dec<'_>) -> Option<SSrc> {
-    Some(match d.u8()? {
-        0 => SSrc::Dir(dir_from(d.u8()?)?),
-        1 => SSrc::Proc,
-        2 => SSrc::Reg(d.u8()?),
-        _ => return None,
-    })
+record! {
+    TileCode { proc, switch };
+    MachineProgram { tiles };
 }
 
-pub(crate) fn put_sdst(out: &mut Vec<u8>, s: SDst) {
-    match s {
-        SDst::Dir(dir) => {
-            out.push(0);
-            out.push(dir.index() as u8);
-        }
-        SDst::Proc => out.push(1),
-        SDst::Reg(r) => {
-            out.push(2);
-            out.push(r);
-        }
+// ---------------------------------------------------------------------------
+// Block bundles and their disk entries.
+// ---------------------------------------------------------------------------
+
+record! {
+    AllocResult { insts, prov, cond_reg, n_spilled, spill_slots };
+    PredictedBlock { makespan, proc_ops, route_cycles };
+    PlacementStep { step, bins, delta };
+    PlacementLog { algorithm in PLACEMENTS, initial_cost, final_cost, steps };
+    ExactReport { outcome, makespan, lower_bound, expanded };
+    BlockReport {
+        n_nodes, n_clusters, n_comm_paths, makespan, spills, predicted, placement,
+        lane in LANES, exact,
+    };
+    BlockBundle { report, phys, switch, cond_producer, cond_node, node_tile, node_bin };
+    CacheKey { lo, hi };
+}
+
+/// A disk entry for `key`: magic, format version, key, the payload's length
+/// and checksum, then the payload.
+pub(crate) fn seal(key: &CacheKey, payload: &[u8]) -> Vec<u8> {
+    let mut entry = Vec::with_capacity(payload.len() + 44);
+    entry.extend_from_slice(&MAGIC);
+    FORMAT_VERSION.put(&mut entry);
+    key.put(&mut entry);
+    payload.len().put(&mut entry);
+    hash64(payload).put(&mut entry);
+    entry.extend_from_slice(payload);
+    entry
+}
+
+/// The payload of a [`seal`]ed entry for `expect`; `None` on any mismatch of
+/// magic, version, key, length or checksum.
+pub(crate) fn unseal<'a>(entry: &'a [u8], expect: &CacheKey) -> Option<&'a [u8]> {
+    let mut d = Dec::new(entry);
+    if d.take(MAGIC.len())? != MAGIC
+        || u32::get(&mut d)? != FORMAT_VERSION
+        || CacheKey::get(&mut d)? != *expect
+    {
+        return None;
+    }
+    let len = usize::get(&mut d)?;
+    let sum = u64::get(&mut d)?;
+    let payload = d.rest();
+    (payload.len() == len && hash64(payload) == sum).then_some(payload)
+}
+
+// ---------------------------------------------------------------------------
+// Wire messages.
+// ---------------------------------------------------------------------------
+
+/// The compile request's parts, borrowed, so a client encodes a program
+/// without cloning it.
+pub(crate) fn put_request(
+    out: &mut Vec<u8>,
+    client: &str,
+    program: &Program,
+    config: &MachineConfig,
+    options: &CompilerOptions,
+) {
+    client.put(out);
+    program.put(out);
+    config.put(out);
+    options.put(out);
+    // The one option outside the cache key: it sizes the server's worker
+    // pool and changes no artifact.
+    options.threads.put(out);
+}
+
+impl Codec for CompileRequest {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_request(
+            out,
+            &self.client,
+            &self.program,
+            &self.config,
+            &self.options,
+        );
+    }
+    fn get(d: &mut Dec<'_>) -> Option<Self> {
+        let client = String::get(d)?;
+        let program = Program::get(d)?;
+        let config = MachineConfig::get(d)?;
+        let mut options = CompilerOptions::get(d)?;
+        options.threads = usize::get(d)?;
+        Some(CompileRequest {
+            client,
+            program,
+            config,
+            options,
+        })
     }
 }
 
-pub(crate) fn get_sdst(d: &mut Dec<'_>) -> Option<SDst> {
-    Some(match d.u8()? {
-        0 => SDst::Dir(dir_from(d.u8()?)?),
-        1 => SDst::Proc,
-        2 => SDst::Reg(d.u8()?),
-        _ => return None,
-    })
+/// Splits `bytes` after one leading string: the string and the rest,
+/// undecoded.
+pub(crate) fn split_str(bytes: &[u8]) -> Option<(&str, &[u8])> {
+    let mut d = Dec::new(bytes);
+    let s = d.str()?;
+    Some((s, d.rest()))
+}
+
+record! {
+    CompiledCounters { hits, misses, coalesced, evictions, evicted_bytes, wall_us, threads };
+    CacheTotals {
+        hits_mem, hits_disk, misses, coalesced, evictions, evicted_bytes, resident_bytes, entries,
+        disk_rejects,
+    };
+    ClientRow { client, requests, hits, misses, coalesced };
+    StatsResponse { cache, requests, p50_us, p90_us, p99_us, memo_hits, uptime_us, clients };
+    MetricsResponse { format, body };
+}
+
+/// The machine program, then its counters as one [`CompiledCounters`] tail.
+impl Codec for CompileResponse {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.machine_program.put(out);
+        self.counters().put(out);
+    }
+    fn get(d: &mut Dec<'_>) -> Option<Self> {
+        let machine_program = MachineProgram::get(d)?;
+        let counters = CompiledCounters::get(d)?;
+        Some(CompileResponse::from_parts(machine_program, counters))
+    }
 }

@@ -181,9 +181,9 @@ pub struct CompileReport {
     pub timings: PhaseTimings,
     /// Worker threads the per-block fan-out actually used.
     pub threads: usize,
-    /// Block-cache effectiveness for this compile. Note that a *cold* parallel
-    /// compile may count duplicate blocks racing to the same key as several
-    /// misses; warm-cache counts are exact.
+    /// Block-cache effectiveness for this compile: one miss per distinct
+    /// block key at any worker count, since concurrent requests for a key
+    /// single-flight onto one compile.
     pub cache: blockcache::CacheStats,
     /// Whether each block was served from the cache.
     pub block_cached: Vec<bool>,
@@ -1072,6 +1072,14 @@ mod tests {
             result.vars,
             golden.vars
         );
+    }
+
+    /// The daemon copies the report's rows into its span by position, after
+    /// its own `parse` phase, so both lists name the phases in one order.
+    #[test]
+    fn span_phases_follow_the_report_rows() {
+        let rows = PhaseTimings::default().rows().map(|(name, _)| name);
+        assert_eq!(raw_telemetry::SPAN_PHASE_NAMES[1..], rows);
     }
 
     fn figure6_program() -> Program {

@@ -967,15 +967,11 @@ fn compile_reply(state: &ServerState, payload: &[u8]) -> Result<CompileOutcome, 
     let compiled = compile_with_cache(&req.program, &req.config, &req.options, &state.cache)
         .map_err(|e| (errcode::COMPILE, e.to_string()))?;
     let report = &compiled.report;
-    // Promote `CompileReport.timings` into the span's phase vector, matching
-    // rows by name (the span order is pipeline order, the report's struct
-    // order differs).
+    // The span's phases are `parse`, then the report's rows in their order.
     let mut phase_us = [0u64; SPAN_PHASES];
     phase_us[0] = parse_us;
-    for (name, dur) in report.timings.rows() {
-        if let Some(i) = SPAN_PHASE_NAMES.iter().position(|&p| p == name) {
-            phase_us[i] = dur.as_micros() as u64;
-        }
+    for (slot, (_, dur)) in phase_us[1..].iter_mut().zip(report.timings.rows()) {
+        *slot = dur.as_micros() as u64;
     }
     let key = report.block_keys.first().copied();
     let outcome = CompileOutcome {

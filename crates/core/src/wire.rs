@@ -14,10 +14,9 @@
 //! ```
 //!
 //! `len` is bounded by [`MAX_FRAME`]; an oversized header is rejected before
-//! any allocation. Payloads are built from the shared encoders of
-//! `codec.rs` — the same bytes the block cache keys and stores — so a
-//! corrupt length inside a payload can neither panic nor allocate beyond the
-//! frame.
+//! any allocation. Payloads are the `Codec` impls of `codec.rs` — the same
+//! bytes the block cache keys and stores — so a corrupt length inside a
+//! payload can neither panic nor allocate beyond the frame.
 //!
 //! ## Request/response kinds
 //!
@@ -39,15 +38,10 @@
 //! order, so clients can pipeline.
 
 use crate::blockcache::CacheTotals;
-use crate::codec::{
-    get_config, get_imm, get_ir_inst, get_options, get_pinst, get_sdst, get_ssrc, get_str,
-    put_config, put_imm, put_ir_inst, put_options, put_pinst, put_sdst, put_ssrc, put_str, put_u16,
-    put_u32, put_u64, Dec,
-};
+use crate::codec::{self, Codec};
 use crate::options::CompilerOptions;
-use raw_ir::{ArrayDecl, Block, BlockId, Program, Terminator, Ty, ValueId, VarDecl};
-use raw_machine::isa::SInst;
-use raw_machine::{MachineConfig, MachineProgram, TileCode};
+use raw_ir::Program;
+use raw_machine::{MachineConfig, MachineProgram};
 use std::io::{Read, Write};
 
 /// Frame magic ("raw service v1").
@@ -179,11 +173,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), WireError> {
             Err(e) => return Err(e.into()),
         }
     }
-    if header[..4] != FRAME_MAGIC {
+    let [m0, m1, m2, m3, kind, l0, l1, l2, l3] = header;
+    if [m0, m1, m2, m3] != FRAME_MAGIC {
         return Err(WireError::BadMagic);
     }
-    let kind = header[4];
-    let len = u32::from_le_bytes(header[5..9].try_into().unwrap());
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
     if len > MAX_FRAME {
         return Err(WireError::Oversized(len));
     }
@@ -193,256 +187,14 @@ pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// Payload codecs.
+// Messages. Their bytes are declared once, in `codec.rs`.
 // ---------------------------------------------------------------------------
 
-fn put_ty(out: &mut Vec<u8>, ty: Ty) {
-    out.push(match ty {
-        Ty::I32 => 0,
-        Ty::F32 => 1,
-    });
+/// Decodes a whole payload as one `T`; a malformed or trailing byte is
+/// [`WireError::Malformed`] naming `what`.
+fn decode_msg<T: Codec>(bytes: &[u8], what: &'static str) -> Result<T, WireError> {
+    codec::decode(bytes).ok_or(WireError::Malformed(what))
 }
-
-fn get_ty(d: &mut Dec<'_>) -> Option<Ty> {
-    match d.u8()? {
-        0 => Some(Ty::I32),
-        1 => Some(Ty::F32),
-        _ => None,
-    }
-}
-
-fn put_program(out: &mut Vec<u8>, p: &Program) {
-    put_str(out, &p.name);
-    put_u64(out, p.vars.len() as u64);
-    for v in &p.vars {
-        put_str(out, &v.name);
-        put_ty(out, v.ty);
-        put_imm(out, v.init);
-    }
-    put_u64(out, p.arrays.len() as u64);
-    for a in &p.arrays {
-        put_str(out, &a.name);
-        put_ty(out, a.ty);
-        put_u64(out, a.dims.len() as u64);
-        for &dim in &a.dims {
-            put_u32(out, dim);
-        }
-        put_u64(out, a.init.len() as u64);
-        for &imm in &a.init {
-            put_imm(out, imm);
-        }
-    }
-    put_u64(out, p.blocks.len() as u64);
-    for b in &p.blocks {
-        put_str(out, &b.name);
-        put_u64(out, b.insts.len() as u64);
-        for inst in &b.insts {
-            put_ir_inst(out, inst, &mut |v| v.index() as u32);
-        }
-        match &b.term {
-            Terminator::Jump(t) => {
-                out.push(0);
-                put_u32(out, t.index() as u32);
-            }
-            Terminator::Branch {
-                cond,
-                if_true,
-                if_false,
-            } => {
-                out.push(1);
-                put_u32(out, cond.index() as u32);
-                put_u32(out, if_true.index() as u32);
-                put_u32(out, if_false.index() as u32);
-            }
-            Terminator::Halt => out.push(2),
-        }
-    }
-    put_u32(out, p.entry.index() as u32);
-    put_u64(out, p.value_types.len() as u64);
-    for &ty in &p.value_types {
-        put_ty(out, ty);
-    }
-    // Deterministic order so identical programs encode identically.
-    let mut names: Vec<(u32, &str)> = p
-        .value_names
-        .iter()
-        .map(|(v, n)| (v.index() as u32, n.as_str()))
-        .collect();
-    names.sort_unstable();
-    put_u64(out, names.len() as u64);
-    for (v, n) in names {
-        put_u32(out, v);
-        put_str(out, n);
-    }
-}
-
-fn get_program(d: &mut Dec<'_>) -> Option<Program> {
-    let name = get_str(d)?;
-    let n_vars = d.len(1)?;
-    let mut vars = Vec::with_capacity(n_vars);
-    for _ in 0..n_vars {
-        vars.push(VarDecl {
-            name: get_str(d)?,
-            ty: get_ty(d)?,
-            init: get_imm(d)?,
-        });
-    }
-    let n_arrays = d.len(1)?;
-    let mut arrays = Vec::with_capacity(n_arrays);
-    for _ in 0..n_arrays {
-        let name = get_str(d)?;
-        let ty = get_ty(d)?;
-        let n_dims = d.len(4)?;
-        let mut dims = Vec::with_capacity(n_dims);
-        for _ in 0..n_dims {
-            dims.push(d.u32()?);
-        }
-        let n_init = d.len(1)?;
-        let mut init = Vec::with_capacity(n_init);
-        for _ in 0..n_init {
-            init.push(get_imm(d)?);
-        }
-        arrays.push(ArrayDecl {
-            name,
-            ty,
-            dims,
-            init,
-        });
-    }
-    let n_blocks = d.len(1)?;
-    let mut blocks = Vec::with_capacity(n_blocks);
-    for _ in 0..n_blocks {
-        let name = get_str(d)?;
-        let n_insts = d.len(1)?;
-        let mut insts = Vec::with_capacity(n_insts);
-        for _ in 0..n_insts {
-            insts.push(get_ir_inst(d)?);
-        }
-        let term = match d.u8()? {
-            0 => Terminator::Jump(BlockId::from_raw(d.u32()?)),
-            1 => Terminator::Branch {
-                cond: ValueId::from_raw(d.u32()?),
-                if_true: BlockId::from_raw(d.u32()?),
-                if_false: BlockId::from_raw(d.u32()?),
-            },
-            2 => Terminator::Halt,
-            _ => return None,
-        };
-        blocks.push(Block { name, insts, term });
-    }
-    let entry = BlockId::from_raw(d.u32()?);
-    let n_types = d.len(1)?;
-    let mut value_types = Vec::with_capacity(n_types);
-    for _ in 0..n_types {
-        value_types.push(get_ty(d)?);
-    }
-    let n_names = d.len(1)?;
-    let mut value_names = std::collections::HashMap::with_capacity(n_names);
-    for _ in 0..n_names {
-        let v = ValueId::from_raw(d.u32()?);
-        value_names.insert(v, get_str(d)?);
-    }
-    Some(Program {
-        name,
-        vars,
-        arrays,
-        blocks,
-        entry,
-        value_types,
-        value_names,
-    })
-}
-
-fn put_sinst(out: &mut Vec<u8>, inst: &SInst) {
-    match inst {
-        SInst::Route(pairs) => {
-            out.push(0);
-            put_u16(out, pairs.len() as u16);
-            for &(s, dst) in pairs {
-                put_ssrc(out, s);
-                put_sdst(out, dst);
-            }
-        }
-        SInst::Bnez { reg, target } => {
-            out.push(1);
-            out.push(*reg);
-            put_u64(out, *target as u64);
-        }
-        SInst::Beqz { reg, target } => {
-            out.push(2);
-            out.push(*reg);
-            put_u64(out, *target as u64);
-        }
-        SInst::Jump(target) => {
-            out.push(3);
-            put_u64(out, *target as u64);
-        }
-        SInst::Halt => out.push(4),
-        SInst::Nop => out.push(5),
-    }
-}
-
-fn get_sinst(d: &mut Dec<'_>) -> Option<SInst> {
-    Some(match d.u8()? {
-        0 => {
-            let n = d.u16()? as usize;
-            let mut pairs = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                pairs.push((get_ssrc(d)?, get_sdst(d)?));
-            }
-            SInst::Route(pairs)
-        }
-        1 => SInst::Bnez {
-            reg: d.u8()?,
-            target: d.u64()? as usize,
-        },
-        2 => SInst::Beqz {
-            reg: d.u8()?,
-            target: d.u64()? as usize,
-        },
-        3 => SInst::Jump(d.u64()? as usize),
-        4 => SInst::Halt,
-        5 => SInst::Nop,
-        _ => return None,
-    })
-}
-
-fn put_machine_program(out: &mut Vec<u8>, mp: &MachineProgram) {
-    put_u64(out, mp.tiles.len() as u64);
-    for tile in &mp.tiles {
-        put_u64(out, tile.proc.len() as u64);
-        for inst in &tile.proc {
-            put_pinst(out, inst);
-        }
-        put_u64(out, tile.switch.len() as u64);
-        for inst in &tile.switch {
-            put_sinst(out, inst);
-        }
-    }
-}
-
-fn get_machine_program(d: &mut Dec<'_>) -> Option<MachineProgram> {
-    let n_tiles = d.len(1)?;
-    let mut tiles = Vec::with_capacity(n_tiles);
-    for _ in 0..n_tiles {
-        let n_proc = d.len(1)?;
-        let mut proc = Vec::with_capacity(n_proc);
-        for _ in 0..n_proc {
-            proc.push(get_pinst(d)?);
-        }
-        let n_switch = d.len(1)?;
-        let mut switch = Vec::with_capacity(n_switch);
-        for _ in 0..n_switch {
-            switch.push(get_sinst(d)?);
-        }
-        tiles.push(TileCode { proc, switch });
-    }
-    Some(MachineProgram { tiles })
-}
-
-// ---------------------------------------------------------------------------
-// Messages.
-// ---------------------------------------------------------------------------
 
 /// One compile request, as carried by a [`REQ_COMPILE`] frame.
 #[derive(Clone, Debug)]
@@ -466,13 +218,7 @@ pub fn encode_compile_request(
     options: &CompilerOptions,
 ) -> Vec<u8> {
     let mut out = Vec::new();
-    put_str(&mut out, client);
-    put_program(&mut out, program);
-    put_config(&mut out, config);
-    put_options(&mut out, options);
-    // The one option outside the cache key: it sizes the server's worker
-    // pool and changes no artifact.
-    put_u64(&mut out, options.threads as u64);
+    codec::put_request(&mut out, client, program, config, options);
     out
 }
 
@@ -482,16 +228,13 @@ pub fn encode_compile_request(
 /// maps identical rest-bytes to identical responses, whoever sent them.
 #[must_use]
 pub fn split_compile_client(payload: &[u8]) -> Option<(&str, &[u8])> {
-    let n = usize::try_from(u64::from_le_bytes(payload.get(..8)?.try_into().ok()?)).ok()?;
-    let rest_at = 8usize.checked_add(n)?;
-    let client = std::str::from_utf8(payload.get(8..rest_at)?).ok()?;
-    Some((client, &payload[rest_at..]))
+    codec::split_str(payload)
 }
 
 impl CompileRequest {
     /// Serializes into a [`REQ_COMPILE`] payload.
     pub fn encode(&self) -> Vec<u8> {
-        encode_compile_request(&self.client, &self.program, &self.config, &self.options)
+        codec::encode(self)
     }
 
     /// Decodes a [`REQ_COMPILE`] payload.
@@ -500,25 +243,7 @@ impl CompileRequest {
     ///
     /// [`WireError::Malformed`] when the bytes do not decode; never panics.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut d = Dec::new(bytes);
-        let req = (|| {
-            let client = get_str(&mut d)?;
-            let program = get_program(&mut d)?;
-            let config = get_config(&mut d)?;
-            let mut options = get_options(&mut d)?;
-            options.threads = d.u64()? as usize;
-            Some(CompileRequest {
-                client,
-                program,
-                config,
-                options,
-            })
-        })()
-        .ok_or(WireError::Malformed("compile request"))?;
-        if !d.at_end() {
-            return Err(WireError::Malformed("trailing bytes after compile request"));
-        }
-        Ok(req)
+        decode_msg(bytes, "compile request")
     }
 }
 
@@ -546,16 +271,7 @@ pub struct CompileResponse {
 impl CompileResponse {
     /// Serializes into a [`RESP_COMPILED`] payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_machine_program(&mut out, &self.machine_program);
-        put_u64(&mut out, self.hits);
-        put_u64(&mut out, self.misses);
-        put_u64(&mut out, self.coalesced);
-        put_u64(&mut out, self.evictions);
-        put_u64(&mut out, self.evicted_bytes);
-        put_u64(&mut out, self.wall_us);
-        put_u32(&mut out, self.threads);
-        out
+        codec::encode(self)
     }
 
     /// Decodes a [`RESP_COMPILED`] payload.
@@ -564,34 +280,38 @@ impl CompileResponse {
     ///
     /// [`WireError::Malformed`] when the bytes do not decode; never panics.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut d = Dec::new(bytes);
-        (|| {
-            let machine_program = get_machine_program(&mut d)?;
-            let hits = d.u64()?;
-            let misses = d.u64()?;
-            let coalesced = d.u64()?;
-            let evictions = d.u64()?;
-            let evicted_bytes = d.u64()?;
-            let wall_us = d.u64()?;
-            let threads = d.u32()?;
-            d.at_end().then_some(CompileResponse {
-                machine_program,
-                hits,
-                misses,
-                coalesced,
-                evictions,
-                evicted_bytes,
-                wall_us,
-                threads,
-            })
-        })()
-        .ok_or(WireError::Malformed("compile response"))
+        decode_msg(bytes, "compile response")
+    }
+
+    /// The counter tail that follows the machine program.
+    pub(crate) fn counters(&self) -> CompiledCounters {
+        CompiledCounters {
+            hits: self.hits,
+            misses: self.misses,
+            coalesced: self.coalesced,
+            evictions: self.evictions,
+            evicted_bytes: self.evicted_bytes,
+            wall_us: self.wall_us,
+            threads: self.threads,
+        }
+    }
+
+    pub(crate) fn from_parts(machine_program: MachineProgram, c: CompiledCounters) -> Self {
+        CompileResponse {
+            machine_program,
+            hits: c.hits,
+            misses: c.misses,
+            coalesced: c.coalesced,
+            evictions: c.evictions,
+            evicted_bytes: c.evicted_bytes,
+            wall_us: c.wall_us,
+            threads: c.threads,
+        }
     }
 }
 
-/// Byte size of the fixed counter tail of a [`RESP_COMPILED`] payload
-/// (six `u64` counters plus the `u32` thread count; the machine program
-/// precedes it).
+/// Byte size of the encoded [`CompiledCounters`] tail of a [`RESP_COMPILED`]
+/// payload: six `u64` counters plus the `u32` thread count.
 const COMPILED_TAIL: usize = 6 * 8 + 4;
 
 /// Overwrites the cache counters and wall time in an already-encoded
@@ -600,16 +320,18 @@ const COMPILED_TAIL: usize = 6 * 8 + 4;
 /// an all-hits answer without re-encoding the program. Returns `false` (no
 /// change) if `payload` is too short to be a compile response.
 pub fn patch_compiled_counters(payload: &mut [u8], hits: u64, wall_us: u64) -> bool {
-    let Some(tail_at) = payload.len().checked_sub(COMPILED_TAIL) else {
+    let Some((program, old)) = split_compiled_payload(payload) else {
         return false;
     };
-    // Tail layout: hits, misses, coalesced, evictions, evicted_bytes,
-    // wall_us, threads — see `CompileResponse::encode`.
-    payload[tail_at..tail_at + 8].copy_from_slice(&hits.to_le_bytes());
-    for slot in 1..5 {
-        payload[tail_at + slot * 8..tail_at + (slot + 1) * 8].copy_from_slice(&0u64.to_le_bytes());
-    }
-    payload[tail_at + 40..tail_at + 48].copy_from_slice(&wall_us.to_le_bytes());
+    let tail_at = program.len();
+    let patched = CompiledCounters {
+        hits,
+        wall_us,
+        threads: old.threads,
+        ..CompiledCounters::default()
+    };
+    // Counters always encode to exactly `COMPILED_TAIL` bytes.
+    payload[tail_at..].copy_from_slice(&codec::encode(&patched));
     true
 }
 
@@ -639,28 +361,14 @@ pub struct CompiledCounters {
 pub fn split_compiled_payload(payload: &[u8]) -> Option<(&[u8], CompiledCounters)> {
     let tail_at = payload.len().checked_sub(COMPILED_TAIL)?;
     let (program, tail) = payload.split_at(tail_at);
-    let u64_at = |i: usize| u64::from_le_bytes(tail[i * 8..(i + 1) * 8].try_into().unwrap());
-    Some((
-        program,
-        CompiledCounters {
-            hits: u64_at(0),
-            misses: u64_at(1),
-            coalesced: u64_at(2),
-            evictions: u64_at(3),
-            evicted_bytes: u64_at(4),
-            wall_us: u64_at(5),
-            threads: u32::from_le_bytes(tail[48..52].try_into().unwrap()),
-        },
-    ))
+    Some((program, codec::decode(tail)?))
 }
 
 /// Encodes a machine program exactly as [`CompileResponse::encode`] lays it
 /// out, so callers can compare a raw response payload (via
 /// [`split_compiled_payload`]) byte-for-byte against a local compile.
 pub fn encode_machine_program(mp: &MachineProgram) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_machine_program(&mut out, mp);
-    out
+    codec::encode(mp)
 }
 
 /// Per-client accounting row in a [`StatsResponse`].
@@ -703,36 +411,7 @@ pub struct StatsResponse {
 impl StatsResponse {
     /// Serializes into a [`RESP_STATS`] payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let c = &self.cache;
-        for v in [
-            c.hits_mem,
-            c.hits_disk,
-            c.misses,
-            c.coalesced,
-            c.evictions,
-            c.evicted_bytes,
-            c.resident_bytes,
-            c.entries,
-            c.disk_rejects,
-            self.requests,
-            self.p50_us,
-            self.p90_us,
-            self.p99_us,
-            self.memo_hits,
-            self.uptime_us,
-        ] {
-            put_u64(&mut out, v);
-        }
-        put_u64(&mut out, self.clients.len() as u64);
-        for row in &self.clients {
-            put_str(&mut out, &row.client);
-            put_u64(&mut out, row.requests);
-            put_u64(&mut out, row.hits);
-            put_u64(&mut out, row.misses);
-            put_u64(&mut out, row.coalesced);
-        }
-        out
+        codec::encode(self)
     }
 
     /// Decodes a [`RESP_STATS`] payload.
@@ -741,45 +420,7 @@ impl StatsResponse {
     ///
     /// [`WireError::Malformed`] when the bytes do not decode; never panics.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut d = Dec::new(bytes);
-        (|| {
-            let mut v = [0u64; 15];
-            for slot in &mut v {
-                *slot = d.u64()?;
-            }
-            let n = d.len(1)?;
-            let mut clients = Vec::with_capacity(n);
-            for _ in 0..n {
-                clients.push(ClientRow {
-                    client: get_str(&mut d)?,
-                    requests: d.u64()?,
-                    hits: d.u64()?,
-                    misses: d.u64()?,
-                    coalesced: d.u64()?,
-                });
-            }
-            d.at_end().then_some(StatsResponse {
-                cache: CacheTotals {
-                    hits_mem: v[0],
-                    hits_disk: v[1],
-                    misses: v[2],
-                    coalesced: v[3],
-                    evictions: v[4],
-                    evicted_bytes: v[5],
-                    resident_bytes: v[6],
-                    entries: v[7],
-                    disk_rejects: v[8],
-                },
-                requests: v[9],
-                p50_us: v[10],
-                p90_us: v[11],
-                p99_us: v[12],
-                memo_hits: v[13],
-                uptime_us: v[14],
-                clients,
-            })
-        })()
-        .ok_or(WireError::Malformed("stats response"))
+        decode_msg(bytes, "stats response")
     }
 }
 
@@ -793,26 +434,9 @@ pub enum MetricsFormat {
     Json,
 }
 
-impl MetricsFormat {
-    fn code(self) -> u8 {
-        match self {
-            MetricsFormat::Prometheus => 0,
-            MetricsFormat::Json => 1,
-        }
-    }
-
-    fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(MetricsFormat::Prometheus),
-            1 => Some(MetricsFormat::Json),
-            _ => None,
-        }
-    }
-}
-
 /// Serializes a [`REQ_METRICS`] payload.
 pub fn encode_metrics_request(format: MetricsFormat) -> Vec<u8> {
-    vec![format.code()]
+    codec::encode(&format)
 }
 
 /// Decodes a [`REQ_METRICS`] payload. An empty payload means Prometheus
@@ -822,11 +446,10 @@ pub fn encode_metrics_request(format: MetricsFormat) -> Vec<u8> {
 ///
 /// [`WireError::Malformed`] when the bytes do not decode; never panics.
 pub fn decode_metrics_request(bytes: &[u8]) -> Result<MetricsFormat, WireError> {
-    match bytes {
-        [] => Ok(MetricsFormat::Prometheus),
-        [code] => MetricsFormat::from_code(*code).ok_or(WireError::Malformed("metrics format")),
-        _ => Err(WireError::Malformed("metrics request")),
+    if bytes.is_empty() {
+        return Ok(MetricsFormat::Prometheus);
     }
+    decode_msg(bytes, "metrics request")
 }
 
 /// A rendered telemetry snapshot, as carried by a [`RESP_METRICS`] frame.
@@ -841,10 +464,7 @@ pub struct MetricsResponse {
 impl MetricsResponse {
     /// Serializes into a [`RESP_METRICS`] payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.body.len() + 9);
-        out.push(self.format.code());
-        put_str(&mut out, &self.body);
-        out
+        codec::encode(self)
     }
 
     /// Decodes a [`RESP_METRICS`] payload.
@@ -853,22 +473,13 @@ impl MetricsResponse {
     ///
     /// [`WireError::Malformed`] when the bytes do not decode; never panics.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut d = Dec::new(bytes);
-        (|| {
-            let format = MetricsFormat::from_code(d.u8()?)?;
-            let body = get_str(&mut d)?;
-            d.at_end().then_some(MetricsResponse { format, body })
-        })()
-        .ok_or(WireError::Malformed("metrics response"))
+        decode_msg(bytes, "metrics response")
     }
 }
 
 /// Serializes a [`RESP_ERROR`] payload.
 pub fn encode_error(code: u8, message: &str) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(code);
-    put_str(&mut out, message);
-    out
+    codec::encode(&(code, message.to_owned()))
 }
 
 /// Decodes a [`RESP_ERROR`] payload.
@@ -877,13 +488,7 @@ pub fn encode_error(code: u8, message: &str) -> Vec<u8> {
 ///
 /// [`WireError::Malformed`] when the bytes do not decode; never panics.
 pub fn decode_error(bytes: &[u8]) -> Result<(u8, String), WireError> {
-    let mut d = Dec::new(bytes);
-    (|| {
-        let code = d.u8()?;
-        let message = get_str(&mut d)?;
-        d.at_end().then_some((code, message))
-    })()
-    .ok_or(WireError::Malformed("error response"))
+    decode_msg(bytes, "error response")
 }
 
 #[cfg(test)]

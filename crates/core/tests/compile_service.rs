@@ -5,7 +5,7 @@
 
 use raw_machine::MachineConfig;
 use raw_testkit::Rng;
-use rawcc::service::{serve, Client, ServeOptions};
+use rawcc::service::{serve, Client, ServeOptions, ServiceError};
 use rawcc::wire;
 use rawcc::{asm_hash, compile_with_cache, BlockCache, CompilerOptions};
 use std::io::Write;
@@ -298,6 +298,39 @@ fn random_garbage_never_kills_the_daemon() {
         compile_with_cache(program, &config, &options, &BlockCache::in_memory()).unwrap();
     let mut client = Client::connect(addr, "survivor").unwrap();
     let resp = client.compile(program, &config, &options).unwrap();
+    assert_eq!(
+        asm_hash(&resp.machine_program),
+        asm_hash(&reference.machine_program)
+    );
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+/// A mesh past the machine's tile limit, or one whose tile count overflows,
+/// is a malformed request: it must not reach the compiler, which would size
+/// per-tile-pair tables from it (or overflow) and take the daemon down.
+#[test]
+fn oversized_meshes_are_malformed_requests() {
+    let handle = serve(&ServeOptions::default()).unwrap();
+    let mut client = Client::connect(handle.addr(), "giant-mesh").unwrap();
+    let program = &workload()[0];
+    let options = CompilerOptions {
+        threads: 1,
+        ..CompilerOptions::default()
+    };
+    for side in [1024, 65536] {
+        let config = MachineConfig::grid(side, side);
+        match client.compile(program, &config, &options) {
+            Err(ServiceError::Wire(wire::WireError::Remote(code, _))) => {
+                assert_eq!(code, wire::errcode::MALFORMED, "{side}x{side}");
+            }
+            other => panic!("{side}x{side} mesh answered {:?}", other.map(|_| ())),
+        }
+    }
+    let config = MachineConfig::square(2);
+    let resp = client.compile(program, &config, &options).unwrap();
+    let reference =
+        compile_with_cache(program, &config, &options, &BlockCache::in_memory()).unwrap();
     assert_eq!(
         asm_hash(&resp.machine_program),
         asm_hash(&reference.machine_program)

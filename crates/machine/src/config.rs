@@ -3,6 +3,10 @@
 
 use crate::isa::{AluOp, Dir, TileId};
 
+/// Most tiles a mesh may have: a dynamic-network header names a tile in an
+/// 11-bit field.
+pub const MAX_TILES: u32 = 1 << 11;
+
 /// A set of faulty (dead) tiles, as a bitset over tile indices.
 ///
 /// A masked tile's processor, switch, and local memory are dead: the compiler

@@ -14,6 +14,7 @@
 //! tile's statically scheduled processor — the property that makes static
 //! schedules robust to dynamic events.
 
+use crate::config::MAX_TILES;
 use crate::isa::Word;
 use std::collections::VecDeque;
 
@@ -75,11 +76,12 @@ impl DynMsg {
     ///
     /// Header layout (most- to least-significant): 2-bit kind, 11-bit source
     /// tile, 11-bit destination tile, 8-bit payload length — sized for the
-    /// simulator's large-mesh regime (up to 2048 tiles; the original
-    /// 8-bit tile fields silently truncated indices past a 16×16 mesh).
+    /// simulator's large-mesh regime (up to [`MAX_TILES`] tiles; the
+    /// original 8-bit tile fields silently truncated indices past a 16×16
+    /// mesh).
     pub fn to_flits(&self) -> Vec<Word> {
         debug_assert!(
-            self.src < (1 << 11) && self.dest < (1 << 11),
+            self.src < MAX_TILES && self.dest < MAX_TILES,
             "tile index does not fit the 11-bit header field"
         );
         debug_assert!(self.payload.len() < (1 << 8), "payload too long");

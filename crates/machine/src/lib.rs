@@ -84,7 +84,7 @@ pub mod stats;
 pub mod switch;
 pub mod trace;
 
-pub use config::{LatencyModel, MachineConfig, TileMask};
+pub use config::{LatencyModel, MachineConfig, TileMask, MAX_TILES};
 pub use isa::{MachineProgram, TileCode, TileId};
 pub use machine::{Machine, RunReport, SimError};
 pub use trace::{ChannelInfo, ChannelRole, EventSink, NullSink, Stall, StallReason, Unit};

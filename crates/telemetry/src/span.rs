@@ -17,15 +17,15 @@ pub const SPAN_PHASES: usize = 8;
 /// Phase names in pipeline order. Index `i` of
 /// [`SpanRecord::phase_us`] is the time spent in `SPAN_PHASE_NAMES[i]`.
 /// `parse` covers wire decode + IR verification on the service side;
-/// the remaining seven are promoted from `CompileReport.timings`.
+/// the remaining seven are `CompileReport.timings`' rows, copied in order.
 pub const SPAN_PHASE_NAMES: [&str; SPAN_PHASES] = [
     "parse",
     "lower",
     "partition",
     "place",
     "schedule",
-    "regalloc",
     "codegen",
+    "regalloc",
     "link",
 ];
 
