@@ -5,10 +5,15 @@
 //! and counter/histogram conservation laws.
 
 use raw_repro::cc::service::{serve, Client, ServeOptions};
-use raw_repro::cc::wire::{self, MetricsFormat};
-use raw_repro::cc::CompilerOptions;
+use raw_repro::cc::wire::{self, errcode, MetricsFormat, MetricsResponse, StatsResponse};
+use raw_repro::cc::{compile_with_cache, BlockCache, CompilerOptions};
+use raw_repro::ir::Program;
 use raw_repro::machine::MachineConfig;
+use raw_repro::telemetry::SPAN_PHASE_NAMES;
 use raw_repro::trace::json::{self, Json};
+use std::collections::BTreeMap;
+use std::io::Write;
+use std::net::{Shutdown, TcpStream};
 
 /// A small workload of distinct multi-block programs.
 fn workload() -> Vec<raw_repro::ir::Program> {
@@ -78,6 +83,231 @@ fn telemetry_is_inert_on_the_compile_path() {
             );
         }
     }
+}
+
+/// One frame out, one frame in, on a raw connection (so a session can send
+/// frames `Client` never would).
+fn exchange(stream: &mut TcpStream, kind: u8, payload: &[u8]) -> (u8, Vec<u8>) {
+    wire::write_frame(stream, kind, payload).unwrap();
+    wire::read_frame(stream).unwrap()
+}
+
+fn assert_error(reply: (u8, Vec<u8>), code: u8) {
+    assert_eq!(reply.0, wire::RESP_ERROR);
+    assert_eq!(wire::decode_error(&reply.1).unwrap().0, code);
+}
+
+/// Every series of a Prometheus rendering whose value a session pins: all
+/// scalars and each histogram's `_count`. Uptime and the bucket placement
+/// (and `_sum`) of the timing histograms vary run to run.
+fn pinned_series(text: &str) -> BTreeMap<String, u64> {
+    let histograms: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.strip_suffix(" histogram"))
+        .collect();
+    text.lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty())
+        .filter_map(|line| {
+            let (series, value) = line.rsplit_once(' ').unwrap();
+            let name = &series[..series.find('{').unwrap_or(series.len())];
+            let timing = histograms
+                .iter()
+                .any(|h| name == format!("{h}_bucket") || name == format!("{h}_sum"));
+            (!timing && name != "rawcc_uptime_us")
+                .then(|| (series.to_string(), value.parse().unwrap()))
+        })
+        .collect()
+}
+
+/// What one scripted session leaves behind.
+struct Session {
+    /// The stats replies: one mid-session, one at the end.
+    stats: [StatsResponse; 2],
+    /// The final Prometheus scrape, through [`pinned_series`].
+    scrape: BTreeMap<String, u64>,
+    /// The cold compile's response payload.
+    cold: Vec<u8>,
+}
+
+/// Drives one daemon through every request kind and every error path: cold
+/// compile, memo-hit compile, stats, ping, a scrape in both formats, a
+/// malformed scrape, an unknown kind, a program that fails verification, a
+/// non-power-of-two mesh, and a truncated frame on a second connection.
+fn scripted_session(opts: &ServeOptions, program: &Program) -> Session {
+    let handle = serve(opts).unwrap();
+    let (config, options) = request_options();
+    let compile = |conn: &mut TcpStream, program: &Program, config: &MachineConfig| {
+        let req = wire::encode_compile_request("acct", program, config, &options);
+        exchange(conn, wire::REQ_COMPILE, &req)
+    };
+    let stats = |conn: &mut TcpStream| {
+        let (kind, payload) = exchange(conn, wire::REQ_STATS, &[]);
+        assert_eq!(kind, wire::RESP_STATS);
+        StatsResponse::decode(&payload).unwrap()
+    };
+    let scrape = |conn: &mut TcpStream, format| {
+        let (kind, payload) = exchange(
+            conn,
+            wire::REQ_METRICS,
+            &wire::encode_metrics_request(format),
+        );
+        assert_eq!(kind, wire::RESP_METRICS);
+        MetricsResponse::decode(&payload).unwrap().body
+    };
+
+    let mut conn = TcpStream::connect(handle.addr()).unwrap();
+    let (kind, cold) = compile(&mut conn, program, &config);
+    assert_eq!(kind, wire::RESP_COMPILED);
+    assert_eq!(compile(&mut conn, program, &config).0, wire::RESP_COMPILED);
+    let mid = stats(&mut conn);
+    assert_eq!(
+        exchange(&mut conn, wire::REQ_PING, b"p"),
+        (wire::RESP_PONG, b"p".to_vec())
+    );
+    scrape(&mut conn, MetricsFormat::Prometheus);
+    scrape(&mut conn, MetricsFormat::Json);
+    assert_error(
+        exchange(&mut conn, wire::REQ_METRICS, &[0xFF; 3]),
+        errcode::MALFORMED,
+    );
+    assert_error(exchange(&mut conn, 0x7F, b"?"), errcode::UNKNOWN_KIND);
+    let mut bad = program.clone();
+    bad.entry = raw_repro::ir::BlockId::from_raw(bad.blocks.len() as u32 + 7);
+    assert_error(compile(&mut conn, &bad, &config), errcode::BAD_PROGRAM);
+    let three_by_three = MachineConfig::grid(3, 3);
+    assert_error(
+        compile(&mut conn, program, &three_by_three),
+        errcode::COMPILE,
+    );
+
+    // A frame that promises 100 payload bytes and delivers 3: a protocol
+    // error, then the server closes that connection (and has counted the
+    // close by the time the client sees it).
+    let mut torn = TcpStream::connect(handle.addr()).unwrap();
+    let mut frame = Vec::from(wire::FRAME_MAGIC);
+    frame.push(wire::REQ_PING);
+    frame.extend_from_slice(&100u32.to_le_bytes());
+    frame.extend_from_slice(b"abc");
+    torn.write_all(&frame).unwrap();
+    torn.shutdown(Shutdown::Write).unwrap();
+    assert_error(wire::read_frame(&mut torn).unwrap(), errcode::PROTOCOL);
+    assert!(matches!(
+        wire::read_frame(&mut torn),
+        Err(wire::WireError::Closed)
+    ));
+
+    let last = stats(&mut conn);
+    let body = scrape(&mut conn, MetricsFormat::Prometheus);
+    Session {
+        stats: [mid, last],
+        scrape: pinned_series(&body),
+        cold,
+    }
+}
+
+/// Blanks the fields no two runs share: uptime and the latency percentiles.
+fn timeless(mut stats: StatsResponse) -> StatsResponse {
+    stats.uptime_us = 0;
+    (stats.p50_us, stats.p90_us, stats.p99_us) = (0, 0, 0);
+    stats
+}
+
+/// Pins the daemon's accounting: after one scripted session every counter,
+/// gauge and histogram count has an exact value, the stats replies are exact
+/// but for their timing fields, and a daemon with telemetry off answers the
+/// same stats.
+#[test]
+fn one_session_pins_every_counter() {
+    let program = &workload()[0];
+    let (config, options) = request_options();
+    // The same compile on a private cache: the daemon's cache must end up
+    // exactly where this one does (the failing compiles never reach it).
+    let reference = BlockCache::in_memory();
+    compile_with_cache(program, &config, &options, &reference).unwrap();
+    let cache = reference.stats();
+
+    let on = scripted_session(&ServeOptions::default(), program);
+    let (_, cold) = wire::split_compiled_payload(&on.cold).unwrap();
+    assert_eq!((cold.misses, cold.hits), (cache.misses, cache.hits()));
+    let blocks = cold.hits + cold.misses;
+
+    let stats_at = |requests, memo_hits, hits| StatsResponse {
+        cache,
+        requests,
+        memo_hits,
+        clients: vec![wire::ClientRow {
+            client: "acct".into(),
+            requests,
+            hits,
+            misses: cold.misses,
+            coalesced: cold.coalesced,
+        }],
+        ..StatsResponse::default()
+    };
+    let want_stats = stats_at(2, 1, cold.hits + blocks);
+    assert_eq!(timeless(on.stats[0].clone()), want_stats);
+    assert_eq!(timeless(on.stats[1].clone()), want_stats);
+
+    let mut want: BTreeMap<String, u64> = [
+        ("rawcc_cache_coalesced_total", cache.coalesced),
+        ("rawcc_cache_disk_rejects_total", cache.disk_rejects),
+        ("rawcc_cache_entries", cache.entries),
+        ("rawcc_cache_evicted_bytes_total", cache.evicted_bytes),
+        ("rawcc_cache_evictions_total", cache.evictions),
+        ("rawcc_cache_hits_total{tier=\"mem\"}", cache.hits_mem),
+        ("rawcc_cache_hits_total{tier=\"disk\"}", cache.hits_disk),
+        ("rawcc_cache_misses_total", cache.misses),
+        ("rawcc_cache_resident_bytes", cache.resident_bytes),
+        ("rawcc_client_rows", 1),
+        ("rawcc_compile_responses_total", 2),
+        ("rawcc_compile_wall_us_count", 2),
+        ("rawcc_connections_closed_total", 1),
+        ("rawcc_connections_open", 1),
+        ("rawcc_connections_opened_total", 2),
+        ("rawcc_memo_entries", 1),
+        ("rawcc_memo_evictions_total", 0),
+        ("rawcc_memo_hits_total", 1),
+        ("rawcc_memo_insertions_total", 1),
+        ("rawcc_memo_resident_bytes", on.cold.len() as u64),
+        ("rawcc_request_errors_total{code=\"malformed\"}", 1),
+        ("rawcc_request_errors_total{code=\"unknown_kind\"}", 1),
+        ("rawcc_request_errors_total{code=\"bad_program\"}", 1),
+        ("rawcc_request_errors_total{code=\"compile\"}", 1),
+        ("rawcc_request_errors_total{code=\"protocol\"}", 1),
+        // The final scrape counts itself.
+        ("rawcc_requests_total{kind=\"compile\"}", 4),
+        ("rawcc_requests_total{kind=\"stats\"}", 2),
+        ("rawcc_requests_total{kind=\"ping\"}", 1),
+        ("rawcc_requests_total{kind=\"shutdown\"}", 0),
+        ("rawcc_requests_total{kind=\"metrics\"}", 4),
+        // Two served compiles and two that ended in a typed error.
+        ("rawcc_slow_log_resident", 4),
+        ("rawcc_spans_resident", 4),
+        ("rawcc_spans_total", 4),
+        ("rawcc_telemetry_enabled", 1),
+    ]
+    .into_iter()
+    .map(|(series, value)| (series.to_string(), value))
+    .collect();
+    // Only the cold compile ran the pipeline.
+    for phase in SPAN_PHASE_NAMES {
+        want.insert(
+            format!("rawcc_compile_phase_us_count{{phase=\"{phase}\"}}"),
+            1,
+        );
+    }
+    assert_eq!(on.scrape, want);
+
+    let off = scripted_session(
+        &ServeOptions {
+            telemetry: false,
+            ..ServeOptions::default()
+        },
+        program,
+    );
+    assert_eq!(off.stats.map(timeless), on.stats.map(timeless));
+    let disabled = BTreeMap::from([("rawcc_telemetry_enabled".to_string(), 0)]);
+    assert_eq!(off.scrape, disabled);
 }
 
 /// 10k+ requests from rotating client names: the span ring, slow log,
