@@ -73,6 +73,17 @@ stage_clippy() {
     echo "$codecs" >&2
     exit 1
   fi
+  # One request path: the daemon writes every reply at one site (the other
+  # write_frame( is Client::roundtrip) and builds every span at one site, so
+  # panic isolation, deadlines and connection caps each wrap one place.
+  local writes spans
+  writes="$(grep -c 'write_frame(' crates/core/src/service.rs || true)"
+  spans="$(grep -c 'SpanRecord {' crates/core/src/service.rs || true)"
+  if (( writes > 2 || spans > 1 )); then
+    echo "ci: crates/core/src/service.rs has $writes write_frame( sites (max 2) and" \
+      "$spans SpanRecord literals (max 1); answer through ServerState::respond" >&2
+    exit 1
+  fi
 }
 
 stage_doc() {

@@ -149,26 +149,11 @@ impl CompileArgs {
     }
 
     fn suite(&self) -> Result<Vec<Benchmark>, String> {
-        let mut suite = if self.quick {
-            raw_benchmarks::tiny_suite()
-        } else {
-            raw_benchmarks::suite()
-        };
-        if let Some(name) = &self.bench {
-            suite.retain(|b| b.name == name);
-            if suite.is_empty() {
-                // Fall back to the scenario kernels so they can be measured too.
-                suite.extend(
-                    raw_benchmarks::scenario_suite()
-                        .into_iter()
-                        .filter(|b| b.name == name),
-                );
-            }
-            if suite.is_empty() {
-                return Err(format!("unknown benchmark '{name}'"));
-            }
+        match &self.bench {
+            Some(name) => Ok(vec![raw_benchmarks::by_name(name, self.quick)?]),
+            None if self.quick => Ok(raw_benchmarks::tiny_suite()),
+            None => Ok(raw_benchmarks::suite()),
         }
-        Ok(suite)
     }
 }
 

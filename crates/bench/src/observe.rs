@@ -69,28 +69,7 @@ fn compile_and_trace(
     quick: bool,
     selfcheck: bool,
 ) -> Result<(raw_benchmarks::Benchmark, CompiledProgram, TraceRun), String> {
-    let suite = if quick {
-        raw_benchmarks::tiny_suite()
-    } else {
-        raw_benchmarks::suite()
-    };
-    let bench = suite
-        .iter()
-        .find(|b| b.name == name)
-        .cloned()
-        .or_else(|| {
-            raw_benchmarks::scenario_suite()
-                .into_iter()
-                .find(|b| b.name == name)
-        })
-        .ok_or_else(|| {
-            let mut names: Vec<&str> = suite.iter().map(|b| b.name).collect();
-            names.extend(raw_benchmarks::scenario_suite().iter().map(|b| b.name));
-            format!(
-                "unknown benchmark '{name}' (available: {})",
-                names.join(", ")
-            )
-        })?;
+    let bench = raw_benchmarks::by_name(name, quick)?;
     let program = bench
         .program(tiles)
         .map_err(|e| format!("{}: source compile failed: {e}", bench.name))?;

@@ -382,13 +382,25 @@ pub fn scenario_suite() -> Vec<Benchmark> {
     vec![pointer_chase(16, 48), scatter(32, 4), gather(32)]
 }
 
-/// Looks up a suite benchmark by name, searching [`suite`] then
-/// [`scenario_suite`].
-pub fn by_name(name: &str) -> Option<Benchmark> {
-    suite()
-        .into_iter()
-        .chain(scenario_suite())
-        .find(|b| b.name == name)
+/// Looks up a benchmark by name, searching the paper suite ([`tiny_suite`]
+/// when `quick`, else [`suite`]) and then [`scenario_suite`].
+///
+/// # Errors
+///
+/// An "unknown benchmark" message listing every name searched.
+pub fn by_name(name: &str, quick: bool) -> Result<Benchmark, String> {
+    let mut all = if quick { tiny_suite() } else { suite() };
+    all.extend(scenario_suite());
+    match all.iter().position(|b| b.name == name) {
+        Some(i) => Ok(all.swap_remove(i)),
+        None => {
+            let names: Vec<&str> = all.iter().map(|b| b.name).collect();
+            Err(format!(
+                "unknown benchmark '{name}' (available: {})",
+                names.join(", ")
+            ))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -424,8 +436,12 @@ mod tests {
                 "jacobi"
             ]
         );
-        assert!(by_name("mxm").is_some());
-        assert!(by_name("nope").is_none());
+        assert_eq!(by_name("mxm", false).unwrap().name, "mxm");
+        let err = by_name("nope", true).unwrap_err();
+        assert!(
+            err.starts_with("unknown benchmark 'nope' (available: life,"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -574,7 +590,7 @@ mod tests {
                 assert!(r.insts_executed > 0, "{}", bench.name);
             }
         }
-        assert!(by_name("pointer-chase").is_some());
+        assert!(by_name("pointer-chase", true).is_ok());
     }
 
     #[test]

@@ -7,31 +7,22 @@
 //! [`serve`] binds a `std::net::TcpListener`, spawns one accept-loop thread,
 //! and one thread per connection. Every connection speaks the framed protocol
 //! of [`crate::wire`]: requests are answered in order on the same connection,
-//! so clients can pipeline. All connections share:
+//! so clients can pipeline. All connections share one sharded [`BlockCache`]
+//! (clients hit each other's blocks; duplicate in-flight blocks are
+//! single-flighted), one whole-response memo, and one ledger.
 //!
-//! - one sharded [`BlockCache`] (so two clients compiling the same program hit
-//!   each other's blocks, and duplicate in-flight blocks are single-flighted);
-//! - one bounded latency histogram (compile wall-times, served as
-//!   p50/p90/p99 — constant memory no matter how long the daemon lives);
-//! - one per-client accounting table keyed by the name each compile request
-//!   carries, bounded at [`MAX_CLIENT_ROWS`] rows (overflow folds into an
-//!   `"(other)"` row);
-//! - optionally, one telemetry [`Registry`] plus a per-request [`SpanRing`]
-//!   (see below).
-//!
-//! ## Telemetry
-//!
-//! With [`ServeOptions::telemetry`] on (the default), the daemon maintains a
-//! metrics registry (request/error/connection counters, cache and memo
-//! occupancy, per-phase compile-latency histograms) and records one
-//! [`SpanRecord`] per compile request into a bounded ring plus a slow-request
-//! log. A [`REQ_METRICS`](wire::REQ_METRICS) frame renders the registry as
-//! Prometheus text or JSON. Everything on the request path is allocation-free
-//! (atomic bumps and fixed-size span writes), and with telemetry *off* the
-//! instrumented paths are inert: compile responses are byte-identical either
-//! way (proven by a differential test), and a metrics scrape reports only
-//! `rawcc_telemetry_enabled 0`. The naming scheme and bucket layout are
-//! documented in DESIGN.md §15.
+//! A connection is one loop: read a frame, count its kind, build the reply
+//! (one match arm per kind — frame errors, unknown kinds, shutdown and memo
+//! hits included — none touching the socket or a counter), book the reply in
+//! the ledger, write it, and stop if the reply closes the connection. The
+//! ledger owns every count the daemon keeps — requests, errors, connections,
+//! memo traffic, fixed-bucket wall and phase histograms, the per-client table
+//! (bounded at [`MAX_CLIENT_ROWS`] rows) and the start time — and is always
+//! maintained. The stats reply reads it; with [`ServeOptions::telemetry`] on
+//! (the default) the metrics registry exposes it as Prometheus text or JSON
+//! ([`REQ_METRICS`](wire::REQ_METRICS)) and every compile request leaves one
+//! [`SpanRecord`] in a bounded ring. Compile responses are byte-identical
+//! either way. DESIGN.md §14–§15 hold the invariants.
 //!
 //! ## Error policy
 //!
@@ -51,21 +42,22 @@
 //! exit when their client disconnects; the daemon process exits as soon as
 //! [`ServerHandle::join`] returns, which requires only the accept loop.
 
-use crate::blockcache::{BlockCache, CacheTotals, Fifo, DEFAULT_CAPACITY};
+use crate::blockcache::{BlockCache, Fifo, DEFAULT_CAPACITY};
 use crate::codec::hash128;
 use crate::driver::compile_with_cache;
 use crate::options::CompilerOptions;
 use crate::wire::{
     self, encode_compile_request, errcode, read_frame, write_frame, ClientRow, CompileRequest,
-    CompileResponse, MetricsFormat, MetricsResponse, StatsResponse, WireError,
+    CompileResponse, CompiledCounters, MetricsFormat, MetricsResponse, StatsResponse, WireError,
 };
 use raw_ir::Program;
 use raw_machine::MachineConfig;
 use raw_telemetry::{
-    Buckets, Counter, Gauge, Histogram, Label, Registry, SpanRecord, SpanRing, SPAN_PHASES,
+    Buckets, Counter, Histogram, Label, Registry, SpanRecord, SpanRing, SPAN_PHASES,
     SPAN_PHASE_NAMES,
 };
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -87,6 +79,20 @@ pub const OTHER_CLIENTS_ROW: &str = "(other)";
 /// re-checks every request.
 const MEMO_BUDGET: usize = 64 << 20;
 
+/// The `rawcc_requests_total` label of each request kind, indexed by
+/// `kind - 1` (`wire::REQ_COMPILE` is 1, `wire::REQ_METRICS` 5).
+const REQUEST_KINDS: [&str; 5] = ["compile", "stats", "ping", "shutdown", "metrics"];
+
+/// The `rawcc_request_errors_total` label of each typed error code, indexed
+/// by `errcode - 1`.
+const ERROR_CODES: [&str; 5] = [
+    "malformed",
+    "unknown_kind",
+    "bad_program",
+    "compile",
+    "protocol",
+];
+
 /// Configuration for [`serve`].
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
@@ -102,9 +108,10 @@ pub struct ServeOptions {
     /// Recompile and check every cache hit (server-side paranoia mode); also
     /// turns the whole-response memo off.
     pub verify: bool,
-    /// Maintain the metrics registry and span ring (the default). Off, the
-    /// daemon still serves bounded stats percentiles, but a metrics scrape
-    /// reports only `rawcc_telemetry_enabled 0` and no spans are recorded.
+    /// Expose the metrics registry and keep the span ring (the default). Off,
+    /// the daemon still keeps every count and serves the stats reply, but a
+    /// metrics scrape reports only `rawcc_telemetry_enabled 0` and no spans
+    /// are recorded.
     pub telemetry: bool,
 }
 
@@ -162,6 +169,7 @@ impl From<WireError> for ServiceError {
 /// One memoised response: the encoded `RESP_COMPILED` payload plus the block
 /// count the compile touched (replayed as `hits` on memo hits) and the
 /// program name for span provenance.
+#[derive(Clone)]
 struct MemoEntry {
     bytes: Arc<Vec<u8>>,
     blocks: u64,
@@ -179,427 +187,509 @@ fn memo_key(rest: &[u8]) -> u128 {
     (u128::from(first) << 64) | u128::from(second)
 }
 
-/// The metrics registry plus everything registered in it that the request
-/// path bumps directly. Present only when [`ServeOptions::telemetry`] is on.
-///
-/// All closures registered into the registry capture `Arc`s to the shared
-/// pieces (cache, memo, client table, span ring) — never the
-/// [`ServerState`] that owns this struct, so there is no reference cycle.
-struct Telemetry {
-    registry: Registry,
-    spans: Arc<SpanRing>,
-    /// Request counters indexed by [`req_index`]: compile, stats, ping,
-    /// shutdown, metrics.
-    req_kind: [Arc<Counter>; 5],
-    /// Typed-error counters indexed by `errcode - 1`.
-    errors: [Arc<Counter>; 5],
-    conn_opened: Arc<Counter>,
-    conn_closed: Arc<Counter>,
-    conn_open: Arc<Gauge>,
-    memo_insertions: Arc<Counter>,
-    memo_evictions: Arc<Counter>,
-    /// Per-phase compile-latency histograms, indexed like
-    /// [`SPAN_PHASE_NAMES`].
-    phase_us: [Arc<Histogram>; SPAN_PHASES],
+/// Every count the daemon keeps. Always maintained: the request-kind and
+/// connection counts are bumped by the connection loop, everything else by
+/// [`Ledger::account`] from a reply.
+struct Ledger {
+    started: Instant,
+    /// Request frames by kind, indexed like [`REQUEST_KINDS`].
+    requests: [Counter; 5],
+    /// Typed error replies by code, indexed like [`ERROR_CODES`].
+    errors: [Counter; 5],
+    /// Compile responses served, memo replays included (the stats
+    /// `requests` field; errors are the difference to the compile kind).
+    compiles: Counter,
+    memo_hits: Counter,
+    memo_insertions: Counter,
+    memo_evictions: Counter,
+    conn_opened: Counter,
+    conn_closed: Counter,
+    /// Compile wall times of served compiles; backs the stats percentiles.
+    wall_us: Histogram,
+    /// Fresh-compile phase times, indexed like [`SPAN_PHASE_NAMES`].
+    phase_us: [Histogram; SPAN_PHASES],
+    /// Per-client rows, kept sorted by name for the stats reply.
+    clients: Mutex<BTreeMap<String, ClientRow>>,
+    /// Recent and slowest compile spans; `None` with telemetry off.
+    spans: Option<SpanRing>,
 }
 
-/// Registry index for a request-kind counter.
-fn req_index(kind: u8) -> usize {
-    match kind {
-        wire::REQ_COMPILE => 0,
-        wire::REQ_STATS => 1,
-        wire::REQ_PING => 2,
-        wire::REQ_SHUTDOWN => 3,
-        _ => 4, // REQ_METRICS
-    }
-}
+/// Counts a connection closed when it drops.
+struct OpenConnection<'a>(&'a Ledger);
 
-impl Telemetry {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        cache: &Arc<BlockCache>,
-        latency: &Arc<Histogram>,
-        clients: &Arc<Mutex<HashMap<String, ClientRow>>>,
-        requests: &Arc<Counter>,
-        memo: &Arc<Mutex<Memo>>,
-        memo_hits: &Arc<Counter>,
-        started: Instant,
-    ) -> Self {
-        let registry = Registry::new();
-        let spans = Arc::new(SpanRing::new(SPAN_RING_CAPACITY, SLOW_LOG_CAPACITY));
-
-        registry
-            .gauge(
-                "rawcc_telemetry_enabled",
-                "1 when the telemetry subsystem is active",
-            )
-            .set(1);
-        registry.gauge_fn(
-            "rawcc_uptime_us",
-            "microseconds since the daemon started serving",
-            &[],
-            move || started.elapsed().as_micros() as u64,
-        );
-
-        // Requests and errors. `rawcc_requests_total` counts every request
-        // frame by kind (compile includes ones that end in a typed error);
-        // `rawcc_compile_responses_total` counts served compile responses
-        // (the stats `requests` field), so errors are the difference.
-        let req_kind = ["compile", "stats", "ping", "shutdown", "metrics"].map(|kind| {
-            registry.counter_with(
-                "rawcc_requests_total",
-                "request frames served, by request kind",
-                &[("kind", kind)],
-            )
-        });
-        let errors = [
-            "malformed",
-            "unknown_kind",
-            "bad_program",
-            "compile",
-            "protocol",
-        ]
-        .map(|code| {
-            registry.counter_with(
-                "rawcc_request_errors_total",
-                "typed error responses, by error code",
-                &[("code", code)],
-            )
-        });
-        {
-            let requests = requests.clone();
-            registry.counter_fn(
-                "rawcc_compile_responses_total",
-                "compile requests answered successfully (including memo replays)",
-                &[],
-                move || requests.get(),
-            );
-        }
-
-        // Connection lifecycle.
-        let conn_opened = registry.counter(
-            "rawcc_connections_opened_total",
-            "connections accepted since startup",
-        );
-        let conn_closed = registry.counter(
-            "rawcc_connections_closed_total",
-            "connections closed since startup",
-        );
-        let conn_open = registry.gauge("rawcc_connections_open", "currently open connections");
-
-        // Whole-response memo.
-        {
-            let memo_hits = memo_hits.clone();
-            registry.counter_fn(
-                "rawcc_memo_hits_total",
-                "compile responses replayed verbatim from the whole-response memo",
-                &[],
-                move || memo_hits.get(),
-            );
-        }
-        let memo_insertions = registry.counter(
-            "rawcc_memo_insertions_total",
-            "responses inserted into the whole-response memo",
-        );
-        let memo_evictions = registry.counter(
-            "rawcc_memo_evictions_total",
-            "memo entries evicted by the byte budget",
-        );
-        {
-            let memo = memo.clone();
-            registry.gauge_fn(
-                "rawcc_memo_resident_bytes",
-                "encoded response bytes resident in the memo",
-                &[],
-                move || memo.lock().unwrap().bytes() as u64,
-            );
-        }
-        {
-            let memo = memo.clone();
-            registry.gauge_fn(
-                "rawcc_memo_entries",
-                "responses resident in the memo",
-                &[],
-                move || memo.lock().unwrap().len() as u64,
-            );
-        }
-
-        // Block cache: every series reads one field of the cache's own
-        // counter snapshot at scrape time.
-        type CacheScrape = fn(&CacheTotals) -> u64;
-        let cache_counters: [(&str, &str, CacheScrape); 5] = [
-            (
-                "rawcc_cache_misses_total",
-                "block-cache misses (each one compiled a block)",
-                |t| t.misses,
-            ),
-            (
-                "rawcc_cache_coalesced_total",
-                "block compiles avoided by single-flight coalescing",
-                |t| t.coalesced,
-            ),
-            (
-                "rawcc_cache_evictions_total",
-                "bundles evicted from the in-memory cache",
-                |t| t.evictions,
-            ),
-            (
-                "rawcc_cache_evicted_bytes_total",
-                "encoded bytes evicted from the in-memory cache",
-                |t| t.evicted_bytes,
-            ),
-            (
-                "rawcc_cache_disk_rejects_total",
-                "disk-layer entries rejected as corrupt or stale",
-                |t| t.disk_rejects,
-            ),
-        ];
-        for (name, help, read) in cache_counters {
-            let cache = cache.clone();
-            registry.counter_fn(name, help, &[], move || read(&cache.stats()));
-        }
-        let hit_tiers: [(&str, CacheScrape); 2] =
-            [("mem", |t| t.hits_mem), ("disk", |t| t.hits_disk)];
-        for (tier, read) in hit_tiers {
-            let cache = cache.clone();
-            registry.counter_fn(
-                "rawcc_cache_hits_total",
-                "block-cache hits, by serving tier",
-                &[("tier", tier)],
-                move || read(&cache.stats()),
-            );
-        }
-        let occupancy: [(&str, &str, CacheScrape); 2] = [
-            (
-                "rawcc_cache_entries",
-                "bundles resident in the sharded cache",
-                |t| t.entries,
-            ),
-            (
-                "rawcc_cache_resident_bytes",
-                "encoded bundle bytes resident in the sharded cache",
-                |t| t.resident_bytes,
-            ),
-        ];
-        for (name, help, read) in occupancy {
-            let cache = cache.clone();
-            registry.gauge_fn(name, help, &[], move || read(&cache.stats()));
-        }
-
-        // Latency. The wall histogram is the same storage that backs the
-        // stats percentiles; per-phase histograms are span-fed.
-        registry.histogram_existing(
-            "rawcc_compile_wall_us",
-            "server-side compile wall time per request, microseconds",
-            &[],
-            latency,
-        );
-        let phase_us = SPAN_PHASE_NAMES.map(|phase| {
-            registry.histogram_with(
-                "rawcc_compile_phase_us",
-                "compile pipeline phase wall time, microseconds",
-                &[("phase", phase)],
-                Buckets::latency_us(),
-            )
-        });
-
-        // Span ring and accounting-table occupancy.
-        {
-            let spans = spans.clone();
-            registry.counter_fn(
-                "rawcc_spans_total",
-                "compile spans ever recorded",
-                &[],
-                move || spans.total(),
-            );
-        }
-        {
-            let spans = spans.clone();
-            registry.gauge_fn(
-                "rawcc_spans_resident",
-                "spans resident in the bounded ring",
-                &[],
-                move || spans.len() as u64,
-            );
-        }
-        {
-            let spans = spans.clone();
-            registry.gauge_fn(
-                "rawcc_slow_log_resident",
-                "entries in the slow-request log",
-                &[],
-                move || spans.slow_len() as u64,
-            );
-        }
-        {
-            let clients = clients.clone();
-            registry.gauge_fn(
-                "rawcc_client_rows",
-                "per-client accounting rows (bounded; overflow folds into one row)",
-                &[],
-                move || clients.lock().unwrap().len() as u64,
-            );
-        }
-
-        Telemetry {
-            registry,
-            spans,
-            req_kind,
-            errors,
-            conn_opened,
-            conn_closed,
-            conn_open,
-            memo_insertions,
-            memo_evictions,
-            phase_us,
-        }
-    }
-
-    fn count_request(&self, kind: u8) {
-        self.req_kind[req_index(kind)].inc();
-    }
-
-    fn count_error(&self, code: u8) {
-        // Codes are 1-based (errcode module); clamp so an out-of-range code
-        // can never panic the counter path.
-        self.errors[(code.max(1) as usize - 1).min(self.errors.len() - 1)].inc();
-    }
-}
-
-/// Decrements the open-connection gauge however the connection ends.
-struct ConnGuard<'a>(Option<&'a Telemetry>);
-
-impl Drop for ConnGuard<'_> {
+impl Drop for OpenConnection<'_> {
     fn drop(&mut self) {
-        if let Some(tel) = self.0 {
-            tel.conn_closed.inc();
-            tel.conn_open.sub(1);
+        self.0.conn_closed.inc();
+    }
+}
+
+impl Ledger {
+    fn new(telemetry: bool) -> Self {
+        let histogram = || Histogram::new(Buckets::latency_us());
+        Ledger {
+            started: Instant::now(),
+            requests: Default::default(),
+            errors: Default::default(),
+            compiles: Counter::new(),
+            memo_hits: Counter::new(),
+            memo_insertions: Counter::new(),
+            memo_evictions: Counter::new(),
+            conn_opened: Counter::new(),
+            conn_closed: Counter::new(),
+            wall_us: histogram(),
+            phase_us: std::array::from_fn(|_| histogram()),
+            clients: Mutex::default(),
+            spans: telemetry.then(|| SpanRing::new(SPAN_RING_CAPACITY, SLOW_LOG_CAPACITY)),
         }
+    }
+
+    fn connection(&self) -> OpenConnection<'_> {
+        self.conn_opened.inc();
+        OpenConnection(self)
+    }
+
+    /// Counts a request frame before its reply is built, so a metrics scrape
+    /// counts itself. Unknown kinds count only as errors.
+    fn count_request(&self, kind: u8) {
+        if let Some(counter) = self.requests.get(usize::from(kind).wrapping_sub(1)) {
+            counter.inc();
+        }
+    }
+
+    /// Books one reply: every counter, histogram, client row and span it
+    /// changes.
+    fn account(&self, reply: &Reply, started: Instant) {
+        if let Some(code) = reply.error {
+            // Replies carry only the 1-based `errcode` constants.
+            self.errors[usize::from(code) - 1].inc();
+        }
+        if let Some(evicted) = reply.memo_insert {
+            self.memo_insertions.inc();
+            self.memo_evictions.add(evicted);
+        }
+        if let Some((client, counters)) = reply.served {
+            self.compiles.inc();
+            self.wall_us.record(counters.wall_us);
+            let mut clients = self.clients.lock().unwrap();
+            // Rows are bounded: once MAX_CLIENT_ROWS names have one, further
+            // names fold into OTHER_CLIENTS_ROW.
+            let full = clients.len() >= MAX_CLIENT_ROWS && !clients.contains_key(client);
+            let name = if full { OTHER_CLIENTS_ROW } else { client };
+            let row = clients
+                .entry(name.to_string())
+                .or_insert_with(|| ClientRow {
+                    client: name.to_string(),
+                    ..ClientRow::default()
+                });
+            row.requests += 1;
+            row.hits += counters.hits;
+            row.misses += counters.misses;
+            row.coalesced += counters.coalesced;
+        }
+        let Some(mut span) = reply.span else {
+            return;
+        };
+        if span.memo_hit {
+            self.memo_hits.inc();
+        } else if !span.error {
+            for (histogram, &us) in self.phase_us.iter().zip(&span.phase_us) {
+                histogram.record(us);
+            }
+        }
+        if let Some(spans) = &self.spans {
+            span.wall_us = started.elapsed().as_micros() as u64;
+            spans.record(span);
+        }
+    }
+}
+
+/// One reply: the frame to write, whether the connection closes after it,
+/// and what the ledger books for it beyond its request kind.
+#[derive(Default)]
+struct Reply<'a> {
+    kind: u8,
+    payload: Cow<'a, [u8]>,
+    close: bool,
+    /// The code of a typed error reply.
+    error: Option<u8>,
+    /// A served compile: the requesting client and the reply's counters.
+    served: Option<(&'a str, CompiledCounters)>,
+    /// Memo entries evicted by memoising the reply, when it was memoised.
+    memo_insert: Option<u64>,
+    /// The compile request's span: fresh, replayed or failed.
+    span: Option<SpanRecord>,
+}
+
+impl<'a> Reply<'a> {
+    fn ok(kind: u8, payload: impl Into<Cow<'a, [u8]>>) -> Self {
+        Reply {
+            kind,
+            payload: payload.into(),
+            ..Reply::default()
+        }
+    }
+
+    fn error(code: u8, message: impl std::fmt::Display) -> Self {
+        let payload = wire::encode_error(code, &message.to_string());
+        let mut reply = Reply::ok(wire::RESP_ERROR, payload);
+        reply.error = Some(code);
+        reply
     }
 }
 
 struct ServerState {
-    cache: Arc<BlockCache>,
-    /// Compile wall-times, bucketed. Always present (it backs the stats
-    /// percentiles) — this replaces the old unbounded `Vec<u64>` reservoir,
-    /// so stats memory is constant for the life of the daemon.
-    latency: Arc<Histogram>,
-    clients: Arc<Mutex<HashMap<String, ClientRow>>>,
-    requests: Arc<Counter>,
+    cache: BlockCache,
+    memo: Mutex<Memo>,
+    ledger: Ledger,
+    /// Scrape entries over this state; with telemetry off, only the
+    /// `rawcc_telemetry_enabled 0` gauge.
+    registry: Registry<ServerState>,
     shutting_down: AtomicBool,
-    memo: Arc<Mutex<Memo>>,
-    memo_hits: Arc<Counter>,
-    started: Instant,
-    telemetry: Option<Telemetry>,
+}
+
+/// A scalar scrape entry's reading of the daemon.
+type Read = fn(&ServerState) -> u64;
+
+/// The metrics registry: one scrape entry per series, each reading the
+/// daemon state when a scrape renders it.
+fn registry(telemetry: bool) -> Registry<ServerState> {
+    let mut registry = Registry::new();
+    registry.gauge_fn(
+        "rawcc_telemetry_enabled",
+        "1 when the telemetry subsystem is active",
+        &[],
+        move |_| u64::from(telemetry),
+    );
+    if !telemetry {
+        return registry;
+    }
+    let counters: [(&str, &str, Read); 12] = [
+        (
+            "rawcc_compile_responses_total",
+            "compile requests answered successfully (including memo replays)",
+            |s| s.ledger.compiles.get(),
+        ),
+        (
+            "rawcc_connections_opened_total",
+            "connections accepted since startup",
+            |s| s.ledger.conn_opened.get(),
+        ),
+        (
+            "rawcc_connections_closed_total",
+            "connections closed since startup",
+            |s| s.ledger.conn_closed.get(),
+        ),
+        (
+            "rawcc_memo_hits_total",
+            "compile responses replayed verbatim from the whole-response memo",
+            |s| s.ledger.memo_hits.get(),
+        ),
+        (
+            "rawcc_memo_insertions_total",
+            "responses inserted into the whole-response memo",
+            |s| s.ledger.memo_insertions.get(),
+        ),
+        (
+            "rawcc_memo_evictions_total",
+            "memo entries evicted by the byte budget",
+            |s| s.ledger.memo_evictions.get(),
+        ),
+        (
+            "rawcc_cache_misses_total",
+            "block-cache misses (each one compiled a block)",
+            |s| s.cache.stats().misses,
+        ),
+        (
+            "rawcc_cache_coalesced_total",
+            "block compiles avoided by single-flight coalescing",
+            |s| s.cache.stats().coalesced,
+        ),
+        (
+            "rawcc_cache_evictions_total",
+            "bundles evicted from the in-memory cache",
+            |s| s.cache.stats().evictions,
+        ),
+        (
+            "rawcc_cache_evicted_bytes_total",
+            "encoded bytes evicted from the in-memory cache",
+            |s| s.cache.stats().evicted_bytes,
+        ),
+        (
+            "rawcc_cache_disk_rejects_total",
+            "disk-layer entries rejected as corrupt or stale",
+            |s| s.cache.stats().disk_rejects,
+        ),
+        ("rawcc_spans_total", "compile spans ever recorded", |s| {
+            s.ledger.spans.as_ref().map_or(0, SpanRing::total)
+        }),
+    ];
+    let gauges: [(&str, &str, Read); 9] = [
+        (
+            "rawcc_uptime_us",
+            "microseconds since the daemon started serving",
+            |s| s.ledger.started.elapsed().as_micros() as u64,
+        ),
+        (
+            "rawcc_connections_open",
+            "currently open connections",
+            |s| {
+                let closed = s.ledger.conn_closed.get();
+                s.ledger.conn_opened.get().saturating_sub(closed)
+            },
+        ),
+        (
+            "rawcc_memo_resident_bytes",
+            "encoded response bytes resident in the memo",
+            |s| s.memo.lock().unwrap().bytes() as u64,
+        ),
+        (
+            "rawcc_memo_entries",
+            "responses resident in the memo",
+            |s| s.memo.lock().unwrap().len() as u64,
+        ),
+        (
+            "rawcc_cache_entries",
+            "bundles resident in the sharded cache",
+            |s| s.cache.stats().entries,
+        ),
+        (
+            "rawcc_cache_resident_bytes",
+            "encoded bundle bytes resident in the sharded cache",
+            |s| s.cache.stats().resident_bytes,
+        ),
+        (
+            "rawcc_spans_resident",
+            "spans resident in the bounded ring",
+            |s| s.ledger.spans.as_ref().map_or(0, |r| r.len() as u64),
+        ),
+        (
+            "rawcc_slow_log_resident",
+            "entries in the slow-request log",
+            |s| s.ledger.spans.as_ref().map_or(0, |r| r.slow_len() as u64),
+        ),
+        (
+            "rawcc_client_rows",
+            "per-client accounting rows (bounded; overflow folds into one row)",
+            |s| s.ledger.clients.lock().unwrap().len() as u64,
+        ),
+    ];
+    for (name, help, read) in counters {
+        registry.counter_fn(name, help, &[], read);
+    }
+    for (name, help, read) in gauges {
+        registry.gauge_fn(name, help, &[], read);
+    }
+    // `rawcc_requests_total` counts every request frame by kind (compile
+    // includes ones that end in a typed error).
+    for (i, kind) in REQUEST_KINDS.into_iter().enumerate() {
+        let help = "request frames served, by request kind";
+        registry.counter_fn("rawcc_requests_total", help, &[("kind", kind)], move |s| {
+            s.ledger.requests[i].get()
+        });
+    }
+    for (i, code) in ERROR_CODES.into_iter().enumerate() {
+        let help = "typed error responses, by error code";
+        registry.counter_fn(
+            "rawcc_request_errors_total",
+            help,
+            &[("code", code)],
+            move |s| s.ledger.errors[i].get(),
+        );
+    }
+    let hit_tiers: [(&str, Read); 2] = [
+        ("mem", |s| s.cache.stats().hits_mem),
+        ("disk", |s| s.cache.stats().hits_disk),
+    ];
+    for (tier, read) in hit_tiers {
+        let help = "block-cache hits, by serving tier";
+        registry.counter_fn("rawcc_cache_hits_total", help, &[("tier", tier)], read);
+    }
+    let help = "server-side compile wall time per request, microseconds";
+    registry.histogram_fn("rawcc_compile_wall_us", help, &[], |s| &s.ledger.wall_us);
+    for (i, phase) in SPAN_PHASE_NAMES.into_iter().enumerate() {
+        let help = "compile pipeline phase wall time, microseconds";
+        registry.histogram_fn(
+            "rawcc_compile_phase_us",
+            help,
+            &[("phase", phase)],
+            move |s| &s.ledger.phase_us[i],
+        );
+    }
+    registry
 }
 
 impl ServerState {
     fn stats_response(&self) -> StatsResponse {
-        let mut clients: Vec<ClientRow> = self.clients.lock().unwrap().values().cloned().collect();
-        clients.sort_by(|a, b| a.client.cmp(&b.client));
+        let ledger = &self.ledger;
+        let clients = ledger.clients.lock().unwrap().values().cloned().collect();
         StatsResponse {
             cache: self.cache.stats(),
-            requests: self.requests.get(),
-            memo_hits: self.memo_hits.get(),
-            p50_us: self.latency.quantile(0.50),
-            p90_us: self.latency.quantile(0.90),
-            p99_us: self.latency.quantile(0.99),
-            uptime_us: self.started.elapsed().as_micros() as u64,
+            requests: ledger.compiles.get(),
+            memo_hits: ledger.memo_hits.get(),
+            p50_us: ledger.wall_us.quantile(0.50),
+            p90_us: ledger.wall_us.quantile(0.90),
+            p99_us: ledger.wall_us.quantile(0.99),
+            uptime_us: ledger.started.elapsed().as_micros() as u64,
             clients,
         }
     }
 
-    /// Renders the telemetry snapshot (or the minimal disabled form, which
-    /// still parses as the same format).
-    fn render_metrics(&self, format: MetricsFormat) -> String {
-        let disabled;
-        let snapshot = match &self.telemetry {
-            Some(tel) => tel.registry.snapshot(),
-            None => {
-                disabled = Registry::new();
-                disabled
-                    .gauge(
-                        "rawcc_telemetry_enabled",
-                        "1 when the telemetry subsystem is active",
-                    )
-                    .set(0);
-                disabled.snapshot()
-            }
-        };
-        match format {
+    /// A scrape of the registry in `format`, encoded as a metrics reply.
+    fn metrics(&self, format: MetricsFormat) -> Vec<u8> {
+        let snapshot = self.registry.snapshot(self);
+        let body = match format {
             MetricsFormat::Prometheus => snapshot.render_prometheus(),
             MetricsFormat::Json => snapshot.render_json(),
-        }
-    }
-
-    /// The bounded-row entry point for per-client accounting.
-    fn client_row<'a>(
-        clients: &'a mut HashMap<String, ClientRow>,
-        client: &str,
-    ) -> &'a mut ClientRow {
-        let name = if clients.contains_key(client) || clients.len() < MAX_CLIENT_ROWS {
-            client
-        } else {
-            OTHER_CLIENTS_ROW
         };
-        clients
-            .entry(name.to_string())
-            .or_insert_with(|| ClientRow {
-                client: name.to_string(),
-                ..ClientRow::default()
-            })
+        MetricsResponse { format, body }.encode()
     }
 
-    fn record(&self, client: &str, resp: &CompileResponse) {
-        self.requests.inc();
-        self.latency.record(resp.wall_us);
-        let mut clients = self.clients.lock().unwrap();
-        let row = Self::client_row(&mut clients, client);
-        row.requests += 1;
-        row.hits += resp.hits;
-        row.misses += resp.misses;
-        row.coalesced += resp.coalesced;
-    }
-
-    /// Accounts a memo hit: the request counts like a compile whose blocks
-    /// were all cache hits.
-    fn record_memo(&self, client: &str, blocks: u64, wall_us: u64) {
-        self.requests.inc();
-        self.memo_hits.inc();
-        self.latency.record(wall_us);
-        let mut clients = self.clients.lock().unwrap();
-        let row = Self::client_row(&mut clients, client);
-        row.requests += 1;
-        row.hits += blocks;
-    }
-
-    fn memo_get(&self, key: u128) -> Option<MemoEntry> {
-        let memo = self.memo.lock().unwrap();
-        memo.get(&key).map(|e| MemoEntry {
-            bytes: e.bytes.clone(),
-            blocks: e.blocks,
-            program: e.program,
+    /// Maps one frame read to its reply; `None` closes the connection without
+    /// a word (clean EOF or a transport error). Touches neither the socket
+    /// nor a counter: the connection loop books the reply, then writes it.
+    fn respond<'a>(&self, frame: &'a Result<(u8, Vec<u8>), WireError>) -> Option<Reply<'a>> {
+        let (kind, payload) = match frame {
+            Ok((kind, payload)) => (*kind, payload.as_slice()),
+            Err(e @ (WireError::BadMagic | WireError::Oversized(_) | WireError::Truncated)) => {
+                // Stream out of sync: answer (best-effort) and drop the
+                // connection. The daemon keeps serving everyone else.
+                let mut reply = Reply::error(errcode::PROTOCOL, e);
+                reply.close = true;
+                return Some(reply);
+            }
+            Err(_) => return None,
+        };
+        Some(match kind {
+            wire::REQ_COMPILE => self.compile(payload),
+            wire::REQ_STATS => Reply::ok(wire::RESP_STATS, self.stats_response().encode()),
+            wire::REQ_PING => Reply::ok(wire::RESP_PONG, payload),
+            wire::REQ_METRICS => match wire::decode_metrics_request(payload) {
+                Ok(format) => Reply::ok(wire::RESP_METRICS, self.metrics(format)),
+                Err(e) => Reply::error(errcode::MALFORMED, e),
+            },
+            wire::REQ_SHUTDOWN => Reply {
+                close: true,
+                ..Reply::ok(wire::RESP_SHUTDOWN, Vec::new())
+            },
+            // Unknown kind: typed error, the connection stays usable
+            // (framing is still in sync — we read a well-formed frame).
+            _ => Reply::error(errcode::UNKNOWN_KIND, WireError::UnknownKind(kind)),
         })
     }
 
-    fn memo_insert(&self, key: u128, bytes: &[u8], blocks: u64, program: Label) {
+    /// A compile request: replayed from the memo when its bytes were seen
+    /// before, compiled fresh (and memoised) otherwise.
+    fn compile<'a>(&self, payload: &'a [u8]) -> Reply<'a> {
+        let started = Instant::now();
+        let split = wire::split_compile_client(payload);
+        let client = split.map_or("", |(client, _)| client);
+        // Whole-response memo: identical (program, config, options) bytes —
+        // whoever sent them — map to identical responses under a
+        // deterministic compiler, so the encoded answer is replayed verbatim
+        // with only the counter tail rewritten.
+        let key = split.map(|(_, rest)| memo_key(rest));
+        let memoised =
+            key.and_then(|key| Some((key, self.memo.lock().unwrap().get(&key)?.clone())));
+        let mut span = SpanRecord {
+            client: Label::new(client),
+            ..SpanRecord::default()
+        };
+        let mut reply = if let Some((key, entry)) = memoised {
+            let counters = CompiledCounters {
+                hits: entry.blocks,
+                wall_us: started.elapsed().as_micros() as u64,
+                ..CompiledCounters::default()
+            };
+            let mut bytes = entry.bytes.as_ref().clone();
+            wire::patch_compiled_counters(&mut bytes, counters.hits, counters.wall_us);
+            (span.program, span.key_hi, span.key_lo) =
+                (entry.program, (key >> 64) as u64, key as u64);
+            (span.blocks, span.block_hits) = (entry.blocks as u32, entry.blocks as u32);
+            span.memo_hit = true;
+            let mut reply = Reply::ok(wire::RESP_COMPILED, bytes);
+            reply.served = Some((client, counters));
+            reply
+        } else {
+            match self.compile_fresh(payload, &mut span) {
+                Ok(resp) => {
+                    let bytes = resp.encode();
+                    let blocks = resp.hits + resp.misses;
+                    let memo_insert =
+                        key.and_then(|key| self.memoise(key, &bytes, blocks, span.program));
+                    let mut reply = Reply::ok(wire::RESP_COMPILED, bytes);
+                    reply.served = Some((client, resp.counters()));
+                    reply.memo_insert = memo_insert;
+                    reply
+                }
+                Err((code, message)) => {
+                    span.error = true;
+                    Reply::error(code, message)
+                }
+            }
+        };
+        reply.span = Some(span);
+        reply
+    }
+
+    /// Memoises an encoded response. Returns the entries the insertion
+    /// evicted, or `None` when the response was not inserted.
+    fn memoise(&self, key: u128, bytes: &[u8], blocks: u64, program: Label) -> Option<u64> {
         let mut memo = self.memo.lock().unwrap();
         // A response over the whole budget (any response, once the memo is
         // disabled by a zero budget) is not worth evicting everything for.
         if bytes.len() > memo.max_bytes() || memo.get(&key).is_some() {
-            return;
+            return None;
         }
         let entry = MemoEntry {
             bytes: Arc::new(bytes.to_vec()),
             blocks,
             program,
         };
-        let evicted = memo.insert(key, entry, bytes.len());
-        drop(memo);
-        if let Some(tel) = &self.telemetry {
-            tel.memo_insertions.inc();
-            tel.memo_evictions.add(evicted.entries);
+        Some(memo.insert(key, entry, bytes.len()).entries)
+    }
+
+    /// Decodes, verifies, and compiles one request against the shared cache,
+    /// filling in the span's program, provenance, phase times and block
+    /// counts.
+    fn compile_fresh(
+        &self,
+        payload: &[u8],
+        span: &mut SpanRecord,
+    ) -> Result<CompileResponse, (u8, String)> {
+        // "parse" span phase: wire decode plus IR verification.
+        let parse_start = Instant::now();
+        let req =
+            CompileRequest::decode(payload).map_err(|e| (errcode::MALFORMED, e.to_string()))?;
+        // A decoded program is structurally arbitrary (the codec checks
+        // shape, not semantics); verify before letting the compiler assume
+        // invariants.
+        raw_ir::verify::verify(&req.program).map_err(|e| (errcode::BAD_PROGRAM, e.to_string()))?;
+        let parse_us = parse_start.elapsed().as_micros() as u64;
+        let start = Instant::now();
+        let compiled = compile_with_cache(&req.program, &req.config, &req.options, &self.cache)
+            .map_err(|e| (errcode::COMPILE, e.to_string()))?;
+        let report = &compiled.report;
+        // The span's phases are `parse`, then the report's rows in their
+        // order.
+        span.phase_us[0] = parse_us;
+        for (slot, (_, dur)) in span.phase_us[1..].iter_mut().zip(report.timings.rows()) {
+            *slot = dur.as_micros() as u64;
         }
+        // Provenance: the entry block's content-addressed cache key.
+        (span.key_hi, span.key_lo) = report.block_keys.first().map_or((0, 0), |k| (k.hi, k.lo));
+        span.program = Label::new(&req.program.name);
+        span.blocks = report.blocks.len() as u32;
+        span.block_hits = report.cache.hits as u32;
+        Ok(CompileResponse {
+            hits: report.cache.hits,
+            misses: report.cache.misses,
+            coalesced: report.cache.coalesced,
+            evictions: report.cache.evictions,
+            evicted_bytes: report.cache.evicted_bytes,
+            wall_us: start.elapsed().as_micros() as u64,
+            threads: report.threads as u32,
+            machine_program: compiled.machine_program,
+        })
     }
 }
 
@@ -642,28 +732,23 @@ impl ServerHandle {
     /// Sizes of the bounded observability structures — what a soak test
     /// asserts to prove stats memory does not grow with request count.
     pub fn telemetry_footprint(&self) -> TelemetryFootprint {
-        let state = &self.state;
-        let mut fp = TelemetryFootprint {
-            client_rows: state.clients.lock().unwrap().len(),
-            latency_buckets: state.latency.buckets().len(),
-            ..TelemetryFootprint::default()
-        };
-        if let Some(tel) = &state.telemetry {
-            fp.spans_resident = tel.spans.len();
-            fp.spans_capacity = tel.spans.capacity();
-            fp.spans_total = tel.spans.total();
-            fp.slow_resident = tel.spans.slow_len();
-            fp.slow_capacity = tel.spans.slow_capacity();
+        let ledger = &self.state.ledger;
+        let spans = ledger.spans.as_ref();
+        TelemetryFootprint {
+            spans_resident: spans.map_or(0, SpanRing::len),
+            spans_capacity: spans.map_or(0, SpanRing::capacity),
+            spans_total: spans.map_or(0, SpanRing::total),
+            slow_resident: spans.map_or(0, SpanRing::slow_len),
+            slow_capacity: spans.map_or(0, SpanRing::slow_capacity),
+            client_rows: ledger.clients.lock().unwrap().len(),
+            latency_buckets: ledger.wall_us.buckets().len(),
         }
-        fp
     }
 
     /// The slow-request log (slowest first; empty with telemetry off).
     pub fn slow_requests(&self) -> Vec<SpanRecord> {
-        self.state
-            .telemetry
-            .as_ref()
-            .map_or_else(Vec::new, |tel| tel.spans.slowest())
+        let spans = self.state.ledger.spans.as_ref();
+        spans.map_or_else(Vec::new, SpanRing::slowest)
     }
 
     /// Waits for the accept loop to exit (i.e. until some client sends
@@ -700,34 +785,17 @@ pub fn serve(opts: &ServeOptions) -> Result<ServerHandle, ServiceError> {
         cache = cache.on_disk(dir).map_err(ServiceError::CacheDir)?;
     }
     cache.set_verify(opts.verify);
-    let cache = Arc::new(cache);
     let listener = TcpListener::bind(opts.addr.as_str()).map_err(ServiceError::Bind)?;
     let addr = listener.local_addr().map_err(ServiceError::Bind)?;
     // Verify mode must actually re-run every compile, so it turns the
     // response memo off.
     let memo_budget = if opts.verify { 0 } else { MEMO_BUDGET };
-
-    let latency = Arc::new(Histogram::new(Buckets::latency_us()));
-    let clients = Arc::new(Mutex::new(HashMap::new()));
-    let requests = Arc::new(Counter::new());
-    let memo = Arc::new(Mutex::new(Memo::new(usize::MAX, memo_budget)));
-    let memo_hits = Arc::new(Counter::new());
-    let started = Instant::now();
-    let telemetry = opts.telemetry.then(|| {
-        Telemetry::new(
-            &cache, &latency, &clients, &requests, &memo, &memo_hits, started,
-        )
-    });
     let state = Arc::new(ServerState {
         cache,
-        latency,
-        clients,
-        requests,
+        memo: Mutex::new(Memo::new(usize::MAX, memo_budget)),
+        ledger: Ledger::new(opts.telemetry),
+        registry: registry(opts.telemetry),
         shutting_down: AtomicBool::new(false),
-        memo,
-        memo_hits,
-        started,
-        telemetry,
     });
 
     let accept_state = state.clone();
@@ -756,245 +824,35 @@ pub fn serve(opts: &ServeOptions) -> Result<ServerHandle, ServiceError> {
     })
 }
 
-/// Serves one connection until the client disconnects, an unrecoverable frame
-/// error occurs, or a shutdown request arrives.
+/// Serves one connection until the client disconnects, a reply closes it, or
+/// the transport fails. The one place replies are written.
 fn handle_connection(state: &ServerState, mut stream: TcpStream) {
-    let tel = state.telemetry.as_ref();
-    if let Some(tel) = tel {
-        tel.conn_opened.inc();
-        tel.conn_open.add(1);
-    }
-    let _guard = ConnGuard(tel);
+    // A local drops before the `stream` parameter, so the close is counted
+    // before the client can see it.
+    let _open = state.ledger.connection();
     loop {
-        match read_frame(&mut stream) {
-            Ok((wire::REQ_PING, payload)) => {
-                if let Some(tel) = tel {
-                    tel.count_request(wire::REQ_PING);
-                }
-                if write_frame(&mut stream, wire::RESP_PONG, &payload).is_err() {
-                    return;
-                }
+        let frame = read_frame(&mut stream);
+        let started = Instant::now();
+        if let Ok((kind, _)) = &frame {
+            state.ledger.count_request(*kind);
+        }
+        let Some(reply) = state.respond(&frame) else {
+            return;
+        };
+        state.ledger.account(&reply, started);
+        let written = write_frame(&mut stream, reply.kind, &reply.payload).is_ok();
+        if reply.kind == wire::RESP_SHUTDOWN {
+            // Acknowledged: unblock the accept loop so it observes the flag.
+            // The listener address is our own peer address' counterpart.
+            state.shutting_down.store(true, Ordering::SeqCst);
+            if let Ok(local) = stream.local_addr() {
+                let _ = TcpStream::connect(local);
             }
-            Ok((wire::REQ_STATS, _)) => {
-                if let Some(tel) = tel {
-                    tel.count_request(wire::REQ_STATS);
-                }
-                let resp = state.stats_response().encode();
-                if write_frame(&mut stream, wire::RESP_STATS, &resp).is_err() {
-                    return;
-                }
-            }
-            Ok((wire::REQ_METRICS, payload)) => {
-                if let Some(tel) = tel {
-                    tel.count_request(wire::REQ_METRICS);
-                }
-                let (kind, bytes) = match wire::decode_metrics_request(&payload) {
-                    Ok(format) => {
-                        let resp = MetricsResponse {
-                            format,
-                            body: state.render_metrics(format),
-                        };
-                        (wire::RESP_METRICS, resp.encode())
-                    }
-                    Err(e) => {
-                        if let Some(tel) = tel {
-                            tel.count_error(errcode::MALFORMED);
-                        }
-                        (
-                            wire::RESP_ERROR,
-                            wire::encode_error(errcode::MALFORMED, &e.to_string()),
-                        )
-                    }
-                };
-                if write_frame(&mut stream, kind, &bytes).is_err() {
-                    return;
-                }
-            }
-            Ok((wire::REQ_SHUTDOWN, _)) => {
-                if let Some(tel) = tel {
-                    tel.count_request(wire::REQ_SHUTDOWN);
-                }
-                let _ = write_frame(&mut stream, wire::RESP_SHUTDOWN, &[]);
-                state.shutting_down.store(true, Ordering::SeqCst);
-                // Unblock the accept loop so it observes the flag. The
-                // listener address is our own peer address' counterpart.
-                if let Ok(local) = stream.local_addr() {
-                    let _ = TcpStream::connect(local);
-                }
-                return;
-            }
-            Ok((wire::REQ_COMPILE, payload)) => {
-                let started = Instant::now();
-                if let Some(tel) = tel {
-                    tel.count_request(wire::REQ_COMPILE);
-                }
-                // Whole-response memo: identical (program, config, options)
-                // bytes — whoever sent them — map to identical responses
-                // under a deterministic compiler, so the encoded answer is
-                // replayed verbatim with only the counter tail rewritten.
-                let memo_key = wire::split_compile_client(&payload)
-                    .map(|(client, rest)| (client.to_string(), memo_key(rest)));
-                if let Some((client, key)) = &memo_key {
-                    if let Some(entry) = state.memo_get(*key) {
-                        let mut bytes = entry.bytes.as_ref().clone();
-                        let wall_us = started.elapsed().as_micros() as u64;
-                        wire::patch_compiled_counters(&mut bytes, entry.blocks, wall_us);
-                        state.record_memo(client, entry.blocks, wall_us);
-                        if let Some(tel) = tel {
-                            tel.spans.record(SpanRecord {
-                                client: Label::new(client),
-                                program: entry.program,
-                                key_hi: (*key >> 64) as u64,
-                                key_lo: *key as u64,
-                                wall_us,
-                                blocks: entry.blocks as u32,
-                                block_hits: entry.blocks as u32,
-                                memo_hit: true,
-                                ..SpanRecord::default()
-                            });
-                        }
-                        if write_frame(&mut stream, wire::RESP_COMPILED, &bytes).is_err() {
-                            return;
-                        }
-                        continue;
-                    }
-                }
-                let reply = compile_reply(state, &payload);
-                let (kind, bytes) = match &reply {
-                    Ok(out) => (wire::RESP_COMPILED, out.resp.encode()),
-                    Err((code, msg)) => (wire::RESP_ERROR, wire::encode_error(*code, msg)),
-                };
-                match &reply {
-                    Ok(out) => {
-                        if let Some((_, key)) = &memo_key {
-                            state.memo_insert(
-                                *key,
-                                &bytes,
-                                out.resp.hits + out.resp.misses,
-                                out.program,
-                            );
-                        }
-                        if let Some(tel) = tel {
-                            for (i, &us) in out.phase_us.iter().enumerate() {
-                                tel.phase_us[i].record(us);
-                            }
-                            tel.spans.record(SpanRecord {
-                                client: out.client,
-                                program: out.program,
-                                key_hi: out.key_hi,
-                                key_lo: out.key_lo,
-                                wall_us: started.elapsed().as_micros() as u64,
-                                phase_us: out.phase_us,
-                                blocks: out.blocks,
-                                block_hits: out.block_hits,
-                                ..SpanRecord::default()
-                            });
-                        }
-                    }
-                    Err((code, _)) => {
-                        if let Some(tel) = tel {
-                            tel.count_error(*code);
-                            tel.spans.record(SpanRecord {
-                                client: memo_key
-                                    .as_ref()
-                                    .map_or_else(Label::default, |(c, _)| Label::new(c)),
-                                wall_us: started.elapsed().as_micros() as u64,
-                                error: true,
-                                ..SpanRecord::default()
-                            });
-                        }
-                    }
-                }
-                if write_frame(&mut stream, kind, &bytes).is_err() {
-                    return;
-                }
-            }
-            Ok((kind, _)) => {
-                // Unknown kind: typed error, connection stays usable (framing
-                // is still in sync — we read a well-formed frame).
-                if let Some(tel) = tel {
-                    tel.count_error(errcode::UNKNOWN_KIND);
-                }
-                let err = wire::encode_error(
-                    errcode::UNKNOWN_KIND,
-                    &WireError::UnknownKind(kind).to_string(),
-                );
-                if write_frame(&mut stream, wire::RESP_ERROR, &err).is_err() {
-                    return;
-                }
-            }
-            Err(WireError::Closed) => return,
-            Err(e @ (WireError::BadMagic | WireError::Oversized(_) | WireError::Truncated)) => {
-                // Stream out of sync: answer (best-effort) and drop the
-                // connection. The daemon keeps serving everyone else.
-                if let Some(tel) = tel {
-                    tel.count_error(errcode::PROTOCOL);
-                }
-                let err = wire::encode_error(errcode::PROTOCOL, &e.to_string());
-                let _ = write_frame(&mut stream, wire::RESP_ERROR, &err);
-                return;
-            }
-            Err(_) => return,
+        }
+        if !written || reply.close {
+            return;
         }
     }
-}
-
-/// Everything a successful compile produces: the response plus the span
-/// fields the telemetry layer records (cheaply copyable, so building it
-/// costs nothing when telemetry is off).
-struct CompileOutcome {
-    resp: CompileResponse,
-    client: Label,
-    program: Label,
-    /// Entry block's content-addressed cache key (provenance).
-    key_hi: u64,
-    key_lo: u64,
-    phase_us: [u64; SPAN_PHASES],
-    blocks: u32,
-    block_hits: u32,
-}
-
-/// Decodes, verifies, and compiles one request against the shared cache.
-fn compile_reply(state: &ServerState, payload: &[u8]) -> Result<CompileOutcome, (u8, String)> {
-    // "parse" span phase: wire decode plus IR verification.
-    let parse_start = Instant::now();
-    let req = CompileRequest::decode(payload).map_err(|e| (errcode::MALFORMED, e.to_string()))?;
-    // A decoded program is structurally arbitrary (the codec checks shape,
-    // not semantics); verify before letting the compiler assume invariants.
-    raw_ir::verify::verify(&req.program).map_err(|e| (errcode::BAD_PROGRAM, e.to_string()))?;
-    let parse_us = parse_start.elapsed().as_micros() as u64;
-    let start = Instant::now();
-    let compiled = compile_with_cache(&req.program, &req.config, &req.options, &state.cache)
-        .map_err(|e| (errcode::COMPILE, e.to_string()))?;
-    let report = &compiled.report;
-    // The span's phases are `parse`, then the report's rows in their order.
-    let mut phase_us = [0u64; SPAN_PHASES];
-    phase_us[0] = parse_us;
-    for (slot, (_, dur)) in phase_us[1..].iter_mut().zip(report.timings.rows()) {
-        *slot = dur.as_micros() as u64;
-    }
-    let key = report.block_keys.first().copied();
-    let outcome = CompileOutcome {
-        client: Label::new(&req.client),
-        program: Label::new(&req.program.name),
-        key_hi: key.map_or(0, |k| k.hi),
-        key_lo: key.map_or(0, |k| k.lo),
-        phase_us,
-        blocks: report.blocks.len() as u32,
-        block_hits: report.cache.hits as u32,
-        resp: CompileResponse {
-            hits: report.cache.hits,
-            misses: report.cache.misses,
-            coalesced: report.cache.coalesced,
-            evictions: report.cache.evictions,
-            evicted_bytes: report.cache.evicted_bytes,
-            wall_us: start.elapsed().as_micros() as u64,
-            threads: report.threads as u32,
-            machine_program: compiled.machine_program,
-        },
-    };
-    state.record(&req.client, &outcome.resp);
-    Ok(outcome)
 }
 
 /// A blocking client for the compile service. One request at a time per
@@ -1028,14 +886,19 @@ impl Client {
         &self.name
     }
 
-    fn roundtrip(&mut self, kind: u8, payload: &[u8]) -> Result<(u8, Vec<u8>), ServiceError> {
+    /// Sends one request and returns the payload of its reply, which must be
+    /// of kind `want` (a typed error reply surfaces as [`WireError::Remote`]).
+    fn roundtrip(&mut self, kind: u8, payload: &[u8], want: u8) -> Result<Vec<u8>, ServiceError> {
         write_frame(&mut self.stream, kind, payload).map_err(WireError::from)?;
         let (kind, payload) = read_frame(&mut self.stream)?;
         if kind == wire::RESP_ERROR {
             let (code, msg) = wire::decode_error(&payload)?;
             return Err(ServiceError::Wire(WireError::Remote(code, msg)));
         }
-        Ok((kind, payload))
+        if kind != want {
+            return Err(ServiceError::UnexpectedResponse(kind));
+        }
+        Ok(payload)
     }
 
     /// Compiles `program` remotely, returning the machine image plus the
@@ -1070,11 +933,7 @@ impl Client {
     /// Typed server errors surface as
     /// [`WireError::Remote`] inside [`ServiceError::Wire`].
     pub fn compile_payload(&mut self, request: &[u8]) -> Result<Vec<u8>, ServiceError> {
-        let (kind, payload) = self.roundtrip(wire::REQ_COMPILE, request)?;
-        if kind != wire::RESP_COMPILED {
-            return Err(ServiceError::UnexpectedResponse(kind));
-        }
-        Ok(payload)
+        self.roundtrip(wire::REQ_COMPILE, request, wire::RESP_COMPILED)
     }
 
     /// Fetches the server-wide stats snapshot.
@@ -1083,10 +942,7 @@ impl Client {
     ///
     /// Propagates transport/protocol failures.
     pub fn stats(&mut self) -> Result<StatsResponse, ServiceError> {
-        let (kind, payload) = self.roundtrip(wire::REQ_STATS, &[])?;
-        if kind != wire::RESP_STATS {
-            return Err(ServiceError::UnexpectedResponse(kind));
-        }
+        let payload = self.roundtrip(wire::REQ_STATS, &[], wire::RESP_STATS)?;
         Ok(StatsResponse::decode(&payload)?)
     }
 
@@ -1097,10 +953,7 @@ impl Client {
     /// Propagates transport/protocol failures.
     pub fn metrics(&mut self, format: MetricsFormat) -> Result<MetricsResponse, ServiceError> {
         let request = wire::encode_metrics_request(format);
-        let (kind, payload) = self.roundtrip(wire::REQ_METRICS, &request)?;
-        if kind != wire::RESP_METRICS {
-            return Err(ServiceError::UnexpectedResponse(kind));
-        }
+        let payload = self.roundtrip(wire::REQ_METRICS, &request, wire::RESP_METRICS)?;
         Ok(MetricsResponse::decode(&payload)?)
     }
 
@@ -1110,11 +963,7 @@ impl Client {
     ///
     /// Propagates transport/protocol failures.
     pub fn ping(&mut self, payload: &[u8]) -> Result<Vec<u8>, ServiceError> {
-        let (kind, payload) = self.roundtrip(wire::REQ_PING, payload)?;
-        if kind != wire::RESP_PONG {
-            return Err(ServiceError::UnexpectedResponse(kind));
-        }
-        Ok(payload)
+        self.roundtrip(wire::REQ_PING, payload, wire::RESP_PONG)
     }
 
     /// Asks the daemon to shut down; returns once it acknowledges.
@@ -1123,10 +972,7 @@ impl Client {
     ///
     /// Propagates transport/protocol failures.
     pub fn shutdown(&mut self) -> Result<(), ServiceError> {
-        let (kind, _) = self.roundtrip(wire::REQ_SHUTDOWN, &[])?;
-        if kind != wire::RESP_SHUTDOWN {
-            return Err(ServiceError::UnexpectedResponse(kind));
-        }
+        self.roundtrip(wire::REQ_SHUTDOWN, &[], wire::RESP_SHUTDOWN)?;
         Ok(())
     }
 }

@@ -3,28 +3,26 @@
 //! Three layers, all zero-dependency and cheap enough for the request
 //! hot path:
 //!
-//! * [`metrics`] — the storage primitives: monotonic [`Counter`]s,
-//!   [`Gauge`]s, and fixed-bucket log-scale [`Histogram`]s. All of them
-//!   are plain atomics; recording never allocates and never takes a
-//!   lock.
-//! * [`registry`] — a [`Registry`] that names metrics, groups them into
-//!   families, and renders point-in-time [`Snapshot`]s as either
-//!   Prometheus text exposition or JSON (parseable by
-//!   `raw-trace`'s in-tree JSON parser).
+//! * [`metrics`] — the storage primitives: monotonic [`Counter`]s and
+//!   fixed-bucket log-scale [`Histogram`]s. Both are plain atomics;
+//!   recording never allocates and never takes a lock.
+//! * [`registry`] — a [`Registry`]: a table of named scrape entries over
+//!   one state that owns the primitives, read into point-in-time
+//!   [`Snapshot`]s and rendered as either Prometheus text exposition or
+//!   JSON (parseable by `raw-trace`'s in-tree JSON parser).
 //! * [`span`] — per-request structured [`SpanRecord`]s over the compile
 //!   pipeline, kept in a bounded pre-allocated [`SpanRing`] plus a
 //!   top-K slow-request log.
 //!
-//! The contract the service relies on (see DESIGN.md §15): when
-//! telemetry is disabled the instrumented code paths must be byte-for-
-//! byte inert — the primitives here make that easy because every
-//! recording call is a handful of relaxed atomic ops with no observable
-//! side effects on compile output.
+//! The contract the service relies on (see DESIGN.md §15): recording
+//! never changes what it observes — every recording call is a handful of
+//! relaxed atomic ops with no side effects on compile output, so the
+//! daemon keeps its counts whether or not a registry exposes them.
 
 pub mod metrics;
 pub mod registry;
 pub mod span;
 
-pub use metrics::{Buckets, Counter, Gauge, Histogram};
+pub use metrics::{Buckets, Counter, Histogram};
 pub use registry::{MetricKind, Registry, Snapshot};
 pub use span::{Label, SpanRecord, SpanRing, SPAN_PHASES, SPAN_PHASE_NAMES};

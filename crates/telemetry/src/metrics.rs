@@ -35,50 +35,6 @@ impl Counter {
     }
 }
 
-/// A gauge: a value that can move both ways.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-}
-
-impl Gauge {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Saturating decrement: a gauge never wraps below zero even if
-    /// increments and decrements race.
-    #[inline]
-    pub fn sub(&self, n: u64) {
-        let mut cur = self.value.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(n);
-            match self
-                .value
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(observed) => cur = observed,
-            }
-        }
-    }
-
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
 /// Bucket layout for a [`Histogram`]: a strictly increasing list of
 /// inclusive upper bounds. Samples above the last bound land in the
 /// implicit `+Inf` overflow bucket.
@@ -146,8 +102,7 @@ impl Default for Buckets {
 ///
 /// `record` is wait-free: one binary search over the (immutable) bound
 /// table plus three relaxed atomic adds. Memory is fixed at
-/// construction — this is what replaces the service's old unbounded
-/// latency vector.
+/// construction, so a long-lived daemon's latency memory is a constant.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Buckets,
@@ -234,19 +189,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-
-        let g = Gauge::new();
-        g.set(10);
-        g.add(5);
-        g.sub(3);
-        assert_eq!(g.get(), 12);
-        g.sub(100);
-        assert_eq!(g.get(), 0, "gauge decrement saturates at zero");
     }
 
     #[test]

@@ -1,19 +1,15 @@
 //! Metric naming, families, and exposition.
 //!
-//! A [`Registry`] owns a flat list of metric *families* (one per metric
-//! name); each family holds one or more *series* distinguished by their
-//! label sets. Registration hands back `Arc`s to the atomic primitives
-//! in [`crate::metrics`], so the hot path never touches the registry
-//! lock — the mutex is only taken at registration and scrape time.
-//!
-//! Scrape-time metrics (`counter_fn` / `gauge_fn`) let a component
-//! expose derived values (cache occupancy, uptime) without maintaining
-//! a shadow counter: the closure is evaluated once per [`Snapshot`].
+//! A [`Registry`] is a table of scrape entries over one state type `S`:
+//! each entry names a series (metric name, help, label set) and says how
+//! to read it from an `&S` — a counter or gauge value, or a histogram the
+//! state owns. The registry stores no values: the state keeps its own
+//! atomics, and [`Registry::snapshot`] evaluates every entry against it
+//! once. Entries sharing a name form one *family*.
 
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
 
-use crate::metrics::{Buckets, Counter, Gauge, Histogram};
+use crate::metrics::Histogram;
 
 /// What a metric family measures; fixed at first registration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,48 +29,40 @@ impl MetricKind {
     }
 }
 
-type ScrapeFn = Box<dyn Fn() -> u64 + Send + Sync>;
-
-enum Source {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-    CounterFn(ScrapeFn),
-    GaugeFn(ScrapeFn),
+/// How an entry reads its series from the state.
+enum Read<S> {
+    Scalar(Box<dyn Fn(&S) -> u64 + Send + Sync>),
+    Histogram(Box<dyn for<'a> Fn(&'a S) -> &'a Histogram + Send + Sync>),
 }
 
-impl Source {
-    fn kind(&self) -> MetricKind {
-        match self {
-            Source::Counter(_) | Source::CounterFn(_) => MetricKind::Counter,
-            Source::Gauge(_) | Source::GaugeFn(_) => MetricKind::Gauge,
-            Source::Histogram(_) => MetricKind::Histogram,
-        }
-    }
-}
-
-struct Series {
+struct Series<S> {
     labels: Vec<(String, String)>,
-    source: Source,
+    read: Read<S>,
 }
 
-struct Family {
+struct Family<S> {
     name: String,
     help: String,
     kind: MetricKind,
-    series: Vec<Series>,
+    series: Vec<Series<S>>,
 }
 
-/// A registry of named metrics. Cheap to share (`Arc<Registry>`); all
-/// methods take `&self`.
+/// A table of named scrape entries over a state `S`.
 ///
 /// Registration misuse — an invalid name, re-registering a name with a
 /// different kind, or a duplicate (name, label-set) pair — panics:
 /// these are programmer errors that should fail loudly in tests, not
 /// corrupt exposition silently in production.
-#[derive(Default)]
-pub struct Registry {
-    families: Mutex<Vec<Family>>,
+pub struct Registry<S> {
+    families: Vec<Family<S>>,
+}
+
+impl<S> Default for Registry<S> {
+    fn default() -> Self {
+        Registry {
+            families: Vec::new(),
+        }
+    }
 }
 
 fn valid_name(name: &str) -> bool {
@@ -86,12 +74,19 @@ fn valid_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
 }
 
-impl Registry {
+impl<S> Registry<S> {
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn register(&self, name: &str, help: &str, labels: &[(&str, &str)], source: Source) {
+    fn register(
+        &mut self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        kind: MetricKind,
+        read: Read<S>,
+    ) {
         assert!(
             valid_name(name),
             "invalid metric name {name:?} (want [a-z_][a-z0-9_]*)"
@@ -103,9 +98,7 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
-        let kind = source.kind();
-        let mut families = self.families.lock().unwrap();
-        if let Some(fam) = families.iter_mut().find(|f| f.name == name) {
+        if let Some(fam) = self.families.iter_mut().find(|f| f.name == name) {
             assert_eq!(
                 fam.kind, kind,
                 "metric {name:?} re-registered with a different kind"
@@ -114,97 +107,60 @@ impl Registry {
                 !fam.series.iter().any(|s| s.labels == labels),
                 "duplicate series for metric {name:?} labels {labels:?}"
             );
-            fam.series.push(Series { labels, source });
+            fam.series.push(Series { labels, read });
         } else {
-            families.push(Family {
+            self.families.push(Family {
                 name: name.to_string(),
                 help: help.to_string(),
                 kind,
-                series: vec![Series { labels, source }],
+                series: vec![Series { labels, read }],
             });
         }
     }
 
-    pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        self.counter_with(name, help, &[])
-    }
-
-    pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        let c = Arc::new(Counter::new());
-        self.register(name, help, labels, Source::Counter(c.clone()));
-        c
-    }
-
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        self.gauge_with(name, help, &[])
-    }
-
-    pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let g = Arc::new(Gauge::new());
-        self.register(name, help, labels, Source::Gauge(g.clone()));
-        g
-    }
-
-    pub fn histogram(&self, name: &str, help: &str, buckets: Buckets) -> Arc<Histogram> {
-        self.histogram_with(name, help, &[], buckets)
-    }
-
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        buckets: Buckets,
-    ) -> Arc<Histogram> {
-        let h = Arc::new(Histogram::new(buckets));
-        self.register(name, help, labels, Source::Histogram(h.clone()));
-        h
-    }
-
-    /// Registers an already-constructed histogram. This is for metrics
-    /// that must exist whether or not a registry does — e.g. the
-    /// service's latency histogram, which backs stats percentiles even
-    /// with telemetry disabled.
-    pub fn histogram_existing(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        h: &Arc<Histogram>,
-    ) {
-        self.register(name, help, labels, Source::Histogram(h.clone()));
-    }
-
-    /// A counter whose value is computed at scrape time. The closure
-    /// must be monotone for the exposition to be honest; the registry
-    /// does not enforce it.
+    /// A counter read at scrape time. `read` must be monotone for the
+    /// exposition to be honest; the registry does not enforce it.
     pub fn counter_fn(
-        &self,
+        &mut self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
-        f: impl Fn() -> u64 + Send + Sync + 'static,
+        read: impl Fn(&S) -> u64 + Send + Sync + 'static,
     ) {
-        self.register(name, help, labels, Source::CounterFn(Box::new(f)));
+        let read = Read::Scalar(Box::new(read));
+        self.register(name, help, labels, MetricKind::Counter, read);
     }
 
-    /// A gauge whose value is computed at scrape time.
+    /// A gauge read at scrape time.
     pub fn gauge_fn(
-        &self,
+        &mut self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
-        f: impl Fn() -> u64 + Send + Sync + 'static,
+        read: impl Fn(&S) -> u64 + Send + Sync + 'static,
     ) {
-        self.register(name, help, labels, Source::GaugeFn(Box::new(f)));
+        let read = Read::Scalar(Box::new(read));
+        self.register(name, help, labels, MetricKind::Gauge, read);
     }
 
-    /// Capture every family's current value. Families are sorted by
-    /// name so renderings are deterministic regardless of registration
-    /// order; series keep registration order within a family.
-    pub fn snapshot(&self) -> Snapshot {
-        let families = self.families.lock().unwrap();
-        let mut out: Vec<FamilySnapshot> = families
+    /// A histogram the state owns, read at scrape time.
+    pub fn histogram_fn(
+        &mut self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        read: impl for<'a> Fn(&'a S) -> &'a Histogram + Send + Sync + 'static,
+    ) {
+        let read = Read::Histogram(Box::new(read));
+        self.register(name, help, labels, MetricKind::Histogram, read);
+    }
+
+    /// Reads every entry from `state`. Families are sorted by name so
+    /// renderings are deterministic regardless of registration order;
+    /// series keep registration order within a family.
+    pub fn snapshot(&self, state: &S) -> Snapshot {
+        let mut out: Vec<FamilySnapshot> = self
+            .families
             .iter()
             .map(|fam| FamilySnapshot {
                 name: fam.name.clone(),
@@ -215,18 +171,19 @@ impl Registry {
                     .iter()
                     .map(|s| SeriesSnapshot {
                         labels: s.labels.clone(),
-                        value: match &s.source {
-                            Source::Counter(c) => SeriesValue::Scalar(c.get()),
-                            Source::Gauge(g) => SeriesValue::Scalar(g.get()),
-                            Source::CounterFn(f) | Source::GaugeFn(f) => SeriesValue::Scalar(f()),
-                            Source::Histogram(h) => {
-                                let counts = h.bucket_counts();
-                                let mut cumulative = Vec::with_capacity(counts.len());
+                        value: match &s.read {
+                            Read::Scalar(read) => SeriesValue::Scalar(read(state)),
+                            Read::Histogram(read) => {
+                                let h = read(state);
                                 let mut acc = 0u64;
-                                for c in &counts {
-                                    acc += c;
-                                    cumulative.push(acc);
-                                }
+                                let cumulative = h
+                                    .bucket_counts()
+                                    .iter()
+                                    .map(|c| {
+                                        acc += c;
+                                        acc
+                                    })
+                                    .collect();
                                 // Deriving count from the buckets (not
                                 // the count atomic) makes conservation
                                 // exact even mid-record: the +Inf
@@ -441,25 +398,25 @@ impl Snapshot {
         out.push_str("]}");
         out
     }
-
-    pub fn family(&self, name: &str) -> Option<&FamilySnapshot> {
-        self.families.iter().find(|f| f.name == name)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Buckets;
 
     #[test]
     fn scalar_rendering_and_ordering() {
-        let reg = Registry::new();
-        let b = reg.counter("zeta_total", "last registered, first name-sorted? no");
-        let a = reg.counter_with("alpha_total", "a counter", &[("kind", "x")]);
-        a.add(3);
-        b.add(7);
-        reg.gauge("middle_gauge", "a gauge").set(42);
-        let text = reg.snapshot().render_prometheus();
+        let mut reg = Registry::new();
+        reg.counter_fn(
+            "zeta_total",
+            "last registered, first name-sorted? no",
+            &[],
+            |s: &[u64; 3]| s[1],
+        );
+        reg.counter_fn("alpha_total", "a counter", &[("kind", "x")], |s| s[0]);
+        reg.gauge_fn("middle_gauge", "a gauge", &[], |s| s[2]);
+        let text = reg.snapshot(&[3, 7, 42]).render_prometheus();
         let alpha = text.find("alpha_total").unwrap();
         let middle = text.find("middle_gauge").unwrap();
         let zeta = text.find("zeta_total").unwrap();
@@ -473,12 +430,13 @@ mod tests {
 
     #[test]
     fn histogram_rendering_is_cumulative_and_conserved() {
-        let reg = Registry::new();
-        let h = reg.histogram("lat_us", "latency", Buckets::from_bounds(vec![1, 10, 100]));
+        let mut reg = Registry::new();
+        reg.histogram_fn("lat_us", "latency", &[], |h: &Histogram| h);
+        let h = Histogram::new(Buckets::from_bounds(vec![1, 10, 100]));
         for v in [1, 1, 5, 50, 5000] {
             h.record(v);
         }
-        let text = reg.snapshot().render_prometheus();
+        let text = reg.snapshot(&h).render_prometheus();
         assert!(text.contains("lat_us_bucket{le=\"1\"} 2"));
         assert!(text.contains("lat_us_bucket{le=\"10\"} 3"));
         assert!(text.contains("lat_us_bucket{le=\"100\"} 4"));
@@ -489,27 +447,21 @@ mod tests {
 
     #[test]
     fn scrape_fns_are_evaluated_per_snapshot() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let reg = Registry::new();
-        let src = Arc::new(AtomicU64::new(5));
-        let src2 = src.clone();
-        reg.gauge_fn("derived", "scrape-time", &[], move || {
-            src2.load(Ordering::Relaxed)
-        });
-        assert!(reg.snapshot().render_prometheus().contains("derived 5"));
-        src.store(9, Ordering::Relaxed);
-        assert!(reg.snapshot().render_prometheus().contains("derived 9"));
+        let mut reg = Registry::new();
+        reg.gauge_fn("derived", "scrape-time", &[], |s: &u64| *s);
+        assert!(reg.snapshot(&5).render_prometheus().contains("derived 5"));
+        assert!(reg.snapshot(&9).render_prometheus().contains("derived 9"));
     }
 
     #[test]
     fn json_rendering_has_expected_shape() {
-        let reg = Registry::new();
-        reg.counter_with("req_total", "requests", &[("kind", "compile")])
-            .add(2);
-        let h = reg.histogram("lat_us", "latency", Buckets::from_bounds(vec![10, 100]));
+        let mut reg = Registry::new();
+        reg.counter_fn("req_total", "requests", &[("kind", "compile")], |_| 2);
+        reg.histogram_fn("lat_us", "latency", &[], |h: &Histogram| h);
+        let h = Histogram::new(Buckets::from_bounds(vec![10, 100]));
         h.record(7);
         h.record(70_000);
-        let json = reg.snapshot().render_json();
+        let json = reg.snapshot(&h).render_json();
         assert!(json.contains("\"name\":\"lat_us\""));
         assert!(json.contains("\"count\":2,\"sum\":70007,\"buckets\":[[10,1],[100,1]]"));
         assert!(json.contains("\"labels\":{\"kind\":\"compile\"},\"value\":2"));
@@ -517,34 +469,33 @@ mod tests {
 
     #[test]
     fn label_values_are_escaped() {
-        let reg = Registry::new();
-        reg.counter_with("esc_total", "", &[("who", "a\"b\\c\nd")])
-            .inc();
-        let text = reg.snapshot().render_prometheus();
+        let mut reg = Registry::new();
+        reg.counter_fn("esc_total", "", &[("who", "a\"b\\c\nd")], |_: &()| 1);
+        let text = reg.snapshot(&()).render_prometheus();
         assert!(text.contains("esc_total{who=\"a\\\"b\\\\c\\nd\"} 1"));
-        let json = reg.snapshot().render_json();
+        let json = reg.snapshot(&()).render_json();
         assert!(json.contains("\"who\":\"a\\\"b\\\\c\\nd\""));
     }
 
     #[test]
     #[should_panic(expected = "different kind")]
     fn kind_conflicts_panic() {
-        let reg = Registry::new();
-        reg.counter("same_name", "");
-        reg.gauge_with("same_name", "", &[("a", "b")]);
+        let mut reg = Registry::new();
+        reg.counter_fn("same_name", "", &[], |_: &()| 0);
+        reg.gauge_fn("same_name", "", &[("a", "b")], |_| 0);
     }
 
     #[test]
     #[should_panic(expected = "duplicate series")]
     fn duplicate_series_panic() {
-        let reg = Registry::new();
-        reg.counter_with("dup_total", "", &[("a", "b")]);
-        reg.counter_with("dup_total", "", &[("a", "b")]);
+        let mut reg = Registry::new();
+        reg.counter_fn("dup_total", "", &[("a", "b")], |_: &()| 0);
+        reg.counter_fn("dup_total", "", &[("a", "b")], |_| 0);
     }
 
     #[test]
     #[should_panic(expected = "invalid metric name")]
     fn bad_names_panic() {
-        Registry::new().counter("9starts-with-digit", "");
+        Registry::new().counter_fn("9starts-with-digit", "", &[], |_: &()| 0);
     }
 }

@@ -44,13 +44,16 @@ fn request_options() -> (MachineConfig, CompilerOptions) {
     )
 }
 
-/// Zeroes the wall-time field of an encoded `RESP_COMPILED` payload (the one
-/// legitimately nondeterministic byte range — see the tail layout in
-/// `wire.rs`).
-fn zero_wall_us(payload: &mut [u8]) {
-    let n = payload.len();
-    assert!(n >= 52, "not a compile response");
-    payload[n - 12..n - 4].fill(0);
+/// Splits a `RESP_COMPILED` payload into its machine-program bytes and its
+/// counters with the wall time cleared (the one legitimately
+/// nondeterministic field).
+fn without_wall_us(payload: &[u8]) -> (&[u8], wire::CompiledCounters) {
+    let (program, counters) = wire::split_compiled_payload(payload).expect("a compile response");
+    let counters = wire::CompiledCounters {
+        wall_us: 0,
+        ..counters
+    };
+    (program, counters)
 }
 
 /// The zero-overhead contract: a daemon with telemetry on and one with it
@@ -72,12 +75,11 @@ fn telemetry_is_inert_on_the_compile_path() {
     for pass in 0..2 {
         for program in &programs {
             let req = wire::encode_compile_request("diff", program, &config, &options);
-            let mut a = client_on.compile_payload(&req).unwrap();
-            let mut b = client_off.compile_payload(&req).unwrap();
-            zero_wall_us(&mut a);
-            zero_wall_us(&mut b);
+            let a = client_on.compile_payload(&req).unwrap();
+            let b = client_off.compile_payload(&req).unwrap();
             assert_eq!(
-                a, b,
+                without_wall_us(&a),
+                without_wall_us(&b),
                 "telemetry changed response bytes for {} on pass {pass}",
                 program.name
             );
