@@ -16,7 +16,7 @@ cd "$(dirname "$0")"
 
 # ---------------------------------------------------------------- stages ----
 
-STAGES=(fmt clippy doc build test_serial test_parallel cache_smoke
+STAGES=(fmt clippy doc build test cache_smoke
   exact_smoke service_smoke replay_smoke metrics_smoke trace_smoke
   annotate_smoke scenario_smoke sim_smoke perf_smoke)
 
@@ -84,6 +84,17 @@ stage_clippy() {
       "$spans SpanRecord literals (max 1); answer through ServerState::respond" >&2
     exit 1
   fi
+  # Every setting is an argument: the compiler and the daemon read no
+  # environment variable. Only the test harness (golden updates, property
+  # test knobs in crates/testkit) may.
+  local envs
+  envs="$(grep -rnE 'env::var(_os)?\(' crates/*/src --include='*.rs' \
+    | grep -v '^crates/testkit/src/' || true)"
+  if [[ -n "$envs" ]]; then
+    echo "ci: pass settings as options or flags, not environment variables:" >&2
+    echo "$envs" >&2
+    exit 1
+  fi
 }
 
 stage_doc() {
@@ -95,15 +106,10 @@ stage_build() {
   cargo build --offline --release --workspace --examples
 }
 
-stage_test_serial() {
-  # Serial compile pipeline.
-  RAWCC_THREADS=1 cargo test --offline --workspace -q
-}
-
-stage_test_parallel() {
-  # Same binaries, second scheduling regime: every golden snapshot and
-  # differential test must be bit-identical under an 8-worker block fan-out.
-  RAWCC_THREADS=8 cargo test --offline --workspace -q
+stage_test() {
+  # Thread invariance is asserted by name (tests/parallel_determinism.rs,
+  # golden_snapshots' big-block hashes at 1 and 8 workers), so one run does.
+  cargo test --offline --workspace -q
 }
 
 stage_cache_smoke() {
@@ -137,28 +143,11 @@ stage_cache_smoke() {
 }
 
 stage_exact_smoke() {
-  # Exact-solver oracle: portfolio compiles of two small workloads must be
-  # byte-identical across worker-thread counts, and the gap table's built-in
-  # assertion (no heuristic ever beats a certified optimum) must hold.
+  # Exact-solver oracle: the gap table's built-in assertion (no heuristic ever
+  # beats a certified optimum) must hold; --gap-table exits nonzero if one
+  # does. Portfolio thread invariance is tests/parallel_determinism.rs.
   local dir
   dir="$(mktemp -d)"
-  for bench in mxm jacobi; do
-    RAWCC_THREADS=1 cargo run --offline --release -p raw-bench --bin raw-bench -- \
-      compile --tiles 4 --quick --bench "$bench" --strategy portfolio \
-      > "$dir/$bench-t1.txt"
-    RAWCC_THREADS=8 cargo run --offline --release -p raw-bench --bin raw-bench -- \
-      compile --tiles 4 --quick --bench "$bench" --strategy portfolio \
-      > "$dir/$bench-t8.txt"
-    local h1 h8
-    h1="$(sed 's/.*\(asm_hash=0x[0-9a-f]*\)/\1/' "$dir/$bench-t1.txt")"
-    h8="$(sed 's/.*\(asm_hash=0x[0-9a-f]*\)/\1/' "$dir/$bench-t8.txt")"
-    if [[ -z "$h1" || "$h1" != "$h8" ]]; then
-      echo "ci: portfolio asm differs across thread counts for $bench" >&2
-      diff "$dir/$bench-t1.txt" "$dir/$bench-t8.txt" >&2 || true
-      exit 1
-    fi
-  done
-  # --gap-table exits nonzero if any heuristic beats a certified optimum.
   cargo run --offline --release -p raw-bench --bin raw-bench -- \
     compile --tiles 4 --quick --gap-table > "$dir/gap.txt"
   if ! grep -q "^total" "$dir/gap.txt"; then
@@ -435,19 +424,6 @@ stage_scenario_smoke() {
   grep -q "scenario pointer-chase " "$scenario_dir/scenario.txt"
   grep -q "^coresident " "$scenario_dir/scenario.txt"
   grep -q "all checks passed" "$scenario_dir/scenario.txt"
-  # Masked compiles must be byte-identical across worker-thread counts.
-  RAWCC_THREADS=1 cargo run --offline --release -p raw-bench --bin raw-bench -- \
-    scenario --quick --bench gather > "$scenario_dir/t1.txt"
-  RAWCC_THREADS=8 cargo run --offline --release -p raw-bench --bin raw-bench -- \
-    scenario --quick --bench gather > "$scenario_dir/t8.txt"
-  local t1_hashes t8_hashes
-  t1_hashes="$(grep -o 'asm_hash=0x[0-9a-f]*' "$scenario_dir/t1.txt")"
-  t8_hashes="$(grep -o 'asm_hash=0x[0-9a-f]*' "$scenario_dir/t8.txt")"
-  if [[ -z "$t1_hashes" || "$t1_hashes" != "$t8_hashes" ]]; then
-    echo "ci: masked compile asm differs across RAWCC_THREADS=1 vs =8" >&2
-    diff <(echo "$t1_hashes") <(echo "$t8_hashes") >&2 || true
-    exit 1
-  fi
   rm -rf "$scenario_dir"
 }
 
@@ -455,12 +431,8 @@ stage_sim_smoke() {
   # The sim subcommand's --selfcheck runs every sparse workload (plus a
   # compiled jacobi) under the production stepper and the reference oracle,
   # clean and under a chaos sweep, and fails on any divergence in cycles,
-  # stats, or memory. The jacobi leg compiles through rawcc, so repeating
-  # under both worker counts also guards the differential against
-  # block-fan-out scheduling drift.
-  RAWCC_THREADS=1 cargo run --offline --release -p raw-bench --bin raw-bench -- \
-    sim --tiles 64 --selfcheck --quick >/dev/null
-  RAWCC_THREADS=8 cargo run --offline --release -p raw-bench --bin raw-bench -- \
+  # stats, or memory.
+  cargo run --offline --release -p raw-bench --bin raw-bench -- \
     sim --tiles 64 --selfcheck --quick >/dev/null
   # 256 tiles span four run-set words: chaos is cross-checked where a wake
   # can land in a later word than the sweep position.

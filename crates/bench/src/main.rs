@@ -43,8 +43,8 @@ USAGE:
                       [--gap-table] [--selfcheck] [--remote ADDR] [--dump-asm MAX]
     raw-bench scenario [--bench NAME] [--quick]
     raw-bench sim [--tiles N] [--bench NAME] [--selfcheck] [--quick]
-    raw-bench serve [--addr A] [--shards N] [--budget-mb M] [--cache-dir PATH]
-                    [--verify] [--no-telemetry] [--stop] [--stats]
+    raw-bench serve [--addr A] [--budget-mb M] [--cache-dir PATH]
+                    [--no-telemetry] [--stop] [--stats]
                     [--metrics-dump] [--metrics-json]
     raw-bench replay [--addr A] [--clients K] [--requests N] [--tiles T]
                      [--seed S] [--cache-dir PATH] [--quick] [--check]

@@ -28,14 +28,10 @@ use std::time::Instant;
 pub struct ServeArgs {
     /// Bind (or, for `--stop`/`--stats`, connect) address.
     pub addr: String,
-    /// Cache shard count.
-    pub shards: usize,
     /// In-memory cache byte budget in MiB.
     pub budget_mb: usize,
     /// Disk cache directory shared by all clients.
     pub cache_dir: Option<String>,
-    /// Recompile and check every cache hit server-side.
-    pub verify: bool,
     /// Send a shutdown request instead of serving.
     pub stop: bool,
     /// Fetch and print the stats snapshot instead of serving.
@@ -58,10 +54,8 @@ impl ServeArgs {
     pub fn parse(args: &[String]) -> Result<ServeArgs, String> {
         let mut out = ServeArgs {
             addr: "127.0.0.1:0".into(),
-            shards: 16,
             budget_mb: 64,
             cache_dir: None,
-            verify: false,
             stop: false,
             stats: false,
             metrics_dump: false,
@@ -72,10 +66,8 @@ impl ServeArgs {
         while let Some(flag) = p.next_flag() {
             match flag {
                 "--addr" => out.addr = p.value()?.clone(),
-                "--shards" => out.shards = p.value_parsed("an integer")?,
                 "--budget-mb" => out.budget_mb = p.value_parsed("an integer")?,
                 "--cache-dir" => out.cache_dir = Some(p.value()?.clone()),
-                "--verify" => out.verify = true,
                 "--stop" => out.stop = true,
                 "--stats" => out.stats = true,
                 "--metrics-dump" => out.metrics_dump = true,
@@ -98,10 +90,8 @@ impl ServeArgs {
     fn serve_options(&self) -> ServeOptions {
         ServeOptions {
             addr: self.addr.clone(),
-            shards: self.shards,
             byte_budget: self.budget_mb << 20,
             cache_dir: self.cache_dir.clone().map(Into::into),
-            verify: self.verify,
             telemetry: !self.no_telemetry,
         }
     }
@@ -561,25 +551,25 @@ mod tests {
     fn parse_serve_defaults_and_flags() {
         let d = ServeArgs::parse(&[]).unwrap();
         assert_eq!(d.addr, "127.0.0.1:0");
-        assert_eq!((d.shards, d.budget_mb), (16, 64));
-        assert!(!d.stop && !d.stats && !d.verify);
+        assert_eq!(d.budget_mb, 64);
+        assert!(!d.stop && !d.stats);
         let p = ServeArgs::parse(&s(&[
             "--addr",
             "127.0.0.1:7100",
-            "--shards",
-            "8",
             "--budget-mb",
             "16",
             "--cache-dir",
             "/tmp/x",
-            "--verify",
         ]))
         .unwrap();
         assert_eq!(p.addr, "127.0.0.1:7100");
-        assert_eq!((p.shards, p.budget_mb), (8, 16));
+        assert_eq!(p.budget_mb, 16);
         assert_eq!(p.cache_dir.as_deref(), Some("/tmp/x"));
-        assert!(p.verify);
         assert!(ServeArgs::parse(&s(&["--frobnicate"])).is_err());
+        // The shard count is fixed and hit checking lives in
+        // `compile --remote ADDR --selfcheck`: neither is a daemon flag.
+        assert!(ServeArgs::parse(&s(&["--shards", "8"])).is_err());
+        assert!(ServeArgs::parse(&s(&["--verify"])).is_err());
         // stop/stats without a concrete port cannot possibly connect.
         assert!(ServeArgs::parse(&s(&["--stop"])).is_err());
     }

@@ -14,7 +14,7 @@
 //!   under a chaos sweep;
 //! * a compiled benchmark (`jacobi`) joins the differential at sizes the
 //!   compiler targets (≤ 64 tiles), so the smoke also covers compiler-shaped
-//!   code and honours `RAWCC_THREADS`;
+//!   code;
 //! * without `--selfcheck` the subcommand times one run per workload and
 //!   prints one greppable `ms` / `ns_per_cycle` line each: run it at several
 //!   `--tiles` and the same workload should cost the same (the statistically
@@ -270,8 +270,7 @@ fn chaos_points(quick: bool) -> Vec<ChaosConfig> {
 }
 
 /// Differential check of a *compiled* benchmark (jacobi) at this mesh size:
-/// covers compiler-shaped code (real schedules, multi-tile control flow) and
-/// makes the smoke sensitive to `RAWCC_THREADS`.
+/// covers compiler-shaped code (real schedules, multi-tile control flow).
 fn check_compiled(config: &MachineConfig, quick: bool, out: &mut String) -> Result<(), String> {
     use rawcc::{compile, CompilerOptions};
     let bench = raw_benchmarks::jacobi(if quick { 8 } else { 16 }, 1);

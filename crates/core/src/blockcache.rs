@@ -48,14 +48,14 @@
 //!    `coalesced ≤ hits` (a coalesced request is a hit that waited on an
 //!    in-flight leader). A compile therefore reports exactly one miss per
 //!    distinct block key at any worker count.
-//! 5. **Disk durability**: with `RAWCC_CACHE_DIR` set (or
-//!    [`BlockCache::with_disk`]), bundles are also persisted as one file per
+//! 5. **Disk durability**: with a disk layer ([`BlockCache::with_disk`] or
+//!    [`BlockCache::on_disk`]), bundles are also persisted as one file per
 //!    key with a versioned header and a payload checksum, written
 //!    tmp-then-rename. Entries are **never trusted blindly**: a truncated,
 //!    bit-flipped, wrong-version, or wrong-key file fails validation, is
-//!    ignored, and is overwritten by the fresh compile. `RAWCC_CACHE_VERIFY=1`
-//!    additionally recompiles every hit and asserts the cached bundle is
-//!    equal.
+//!    ignored, and is overwritten by the fresh compile. That a hit equals a
+//!    fresh compile is checked by comparing outputs (`compile --selfcheck`,
+//!    `tests/parallel_determinism.rs`), not by the cache itself.
 
 use crate::codec::{self, hash128, Codec, FORMAT_VERSION};
 use crate::driver::BlockReport;
@@ -71,7 +71,7 @@ use std::hash::Hash;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Once, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Default in-memory capacity (bundles), evicted FIFO beyond this; also the
 /// compile daemon's bound.
@@ -420,7 +420,6 @@ pub struct BlockCache {
     shards: Box<[Shard]>,
     mask: u64,
     disk: Option<DiskLayer>,
-    verify: bool,
     hits_mem: Counter,
     hits_disk: Counter,
     misses: Counter,
@@ -457,7 +456,6 @@ impl BlockCache {
             shards,
             mask: (n - 1) as u64,
             disk: None,
-            verify: false,
             hits_mem: Counter::new(),
             hits_disk: Counter::new(),
             misses: Counter::new(),
@@ -471,9 +469,7 @@ impl BlockCache {
     ///
     /// # Errors
     ///
-    /// Fails if the directory cannot be created or is not writable; callers
-    /// normally fall back to [`in_memory`](Self::in_memory) (see
-    /// [`from_env`](Self::from_env)).
+    /// Fails if the directory cannot be created or is not writable.
     pub fn with_disk(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         Self::in_memory().on_disk(dir)
     }
@@ -486,43 +482,6 @@ impl BlockCache {
     pub fn on_disk(mut self, dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         self.disk = Some(DiskLayer::open(dir)?);
         Ok(self)
-    }
-
-    /// Builds the cache the public [`compile`](crate::compile) entry uses:
-    /// disk layer from `RAWCC_CACHE_DIR` (falling back to in-memory with a
-    /// one-time warning when unusable), verify mode from `RAWCC_CACHE_VERIFY=1`.
-    pub fn from_env() -> Self {
-        let mut cache = match std::env::var_os("RAWCC_CACHE_DIR") {
-            Some(dir) if !dir.is_empty() => match Self::with_disk(PathBuf::from(&dir)) {
-                Ok(c) => c,
-                Err(e) => {
-                    static WARN: Once = Once::new();
-                    WARN.call_once(|| {
-                        eprintln!(
-                            "rawcc: RAWCC_CACHE_DIR={} unusable ({e}); \
-                             falling back to in-memory block cache",
-                            PathBuf::from(&dir).display()
-                        );
-                    });
-                    Self::in_memory()
-                }
-            },
-            _ => Self::in_memory(),
-        };
-        cache.verify = std::env::var_os("RAWCC_CACHE_VERIFY").is_some_and(|v| v == *"1");
-        cache
-    }
-
-    /// Enables or disables hit verification (the *driver* recompiles every hit
-    /// and asserts the cached bundle equals the fresh one; the cache itself
-    /// only carries the flag).
-    pub fn set_verify(&mut self, verify: bool) {
-        self.verify = verify;
-    }
-
-    /// Whether hits are recompiled and checked.
-    pub fn verify(&self) -> bool {
-        self.verify
     }
 
     /// On-disk entries rejected as corrupt/stale/mis-keyed since construction

@@ -11,7 +11,7 @@
 //! and branches on that (paper §3.1's switch is a sequencer with its own
 //! branches).
 
-use crate::blockcache::{self, BlockBundle, BlockCache, KeyContext};
+use crate::blockcache::{self, BlockBundle, BlockCache, Fetched, KeyContext};
 use crate::codegen::{self, TileBlockCode};
 use crate::exact;
 use crate::layout::{initial_memory_images, DataLayout};
@@ -28,7 +28,7 @@ use raw_machine::trace::EventSink;
 use raw_machine::{Machine, MachineConfig, MachineProgram, RunReport, SimError, TileCode, TileId};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -328,7 +328,7 @@ pub fn compile(
     config: &MachineConfig,
     options: &CompilerOptions,
 ) -> Result<CompiledProgram, CompileError> {
-    compile_with_cache(program, config, options, &BlockCache::from_env())
+    compile_with_cache(program, config, options, &BlockCache::in_memory())
 }
 
 /// Compiles `program` sequentially for a single tile — the stand-in for the
@@ -358,21 +358,14 @@ pub fn compile_baseline(
         priority: crate::options::PriorityScheme::SourceOrder,
         ..Default::default()
     };
-    compile_with_cache(program, config, &options, &BlockCache::from_env())
+    compile_with_cache(program, config, &options, &BlockCache::in_memory())
 }
 
-/// Resolves the worker-thread count: explicit option, then the `RAWCC_THREADS`
-/// environment variable, then [`std::thread::available_parallelism`].
+/// Resolves the worker-thread count: the explicit option, or
+/// [`std::thread::available_parallelism`] when it is 0.
 fn resolve_threads(options: &CompilerOptions) -> usize {
     if options.threads > 0 {
         return options.threads;
-    }
-    if let Some(n) = std::env::var("RAWCC_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -651,8 +644,8 @@ pub fn compile_block(
 
 /// Like [`compile`], but with an explicit [`BlockCache`], so callers can share
 /// a warm cache across compiles (bench loops, the determinism battery, the
-/// compile service) instead of the per-call cache [`compile`] builds from the
-/// environment.
+/// compile service) or back it with a disk layer, instead of the per-call
+/// in-memory cache [`compile`] uses.
 ///
 /// # Errors
 ///
@@ -692,13 +685,8 @@ pub fn compile_with_cache(
     let key_ctx = KeyContext::new(&layout, config, options);
     let blocks: Vec<&Block> = program.iter_blocks().map(|(_, b)| b).collect();
     let workers = resolve_threads(options).min(blocks.len()).max(1);
-    let hits = AtomicU64::new(0);
-    let misses = AtomicU64::new(0);
-    let coalesced = AtomicU64::new(0);
-    let evictions = AtomicU64::new(0);
-    let evicted_bytes = AtomicU64::new(0);
 
-    type Compiled = (Arc<BlockBundle>, PhaseTimings, bool, blockcache::CacheKey);
+    type Compiled = (Fetched, PhaseTimings, blockcache::CacheKey);
     let do_block = |block: &Block| -> Compiled {
         let bytes = blockcache::canonical_block_bytes(block);
         let block_hash = raw_testkit::hash64(&bytes);
@@ -709,25 +697,7 @@ pub fn compile_with_cache(
             timings = t;
             bundle
         });
-        evictions.fetch_add(fetched.evicted.entries, Ordering::Relaxed);
-        evicted_bytes.fetch_add(fetched.evicted.bytes, Ordering::Relaxed);
-        if fetched.cached {
-            hits.fetch_add(1, Ordering::Relaxed);
-            if fetched.coalesced {
-                coalesced.fetch_add(1, Ordering::Relaxed);
-            }
-            if cache.verify() {
-                let (fresh, _) = compile_block(block, &layout, config, options, block_hash);
-                assert!(
-                    fresh == *fetched.bundle,
-                    "block-cache verify: cached bundle diverges from fresh compile \
-                     (key {key:?})"
-                );
-            }
-        } else {
-            misses.fetch_add(1, Ordering::Relaxed);
-        }
-        (fetched.bundle, timings, fetched.cached, key)
+        (fetched, timings, key)
     };
 
     let mut compiled: Vec<Option<Compiled>> = (0..blocks.len()).map(|_| None).collect();
@@ -759,9 +729,10 @@ pub fn compile_with_cache(
         });
     }
 
-    // ---- Deterministic merge, in program block order: reports, then the
-    // provenance records — rebuilt from the block's IR plus the bundle's
-    // tile/bin assignment, which keeps bundles position-independent.
+    // ---- Deterministic merge, in program block order: reports and cache
+    // counts, then the provenance records — rebuilt from the block's IR plus
+    // the bundle's tile/bin assignment, which keeps bundles
+    // position-independent.
     let mut report = CompileReport {
         threads: workers,
         ..CompileReport::default()
@@ -769,9 +740,16 @@ pub fn compile_with_cache(
     let mut prov_map = ProvenanceMap::default();
     let mut bundles: Vec<Arc<BlockBundle>> = Vec::with_capacity(blocks.len());
     for (b, block) in blocks.iter().enumerate() {
-        let (bundle, timings, cached, key) = compiled[b].take().expect("every block compiled");
+        let (fetched, timings, key) = compiled[b].take().expect("every block compiled");
+        let cache_stats = &mut report.cache;
+        cache_stats.hits += u64::from(fetched.cached);
+        cache_stats.misses += u64::from(!fetched.cached);
+        cache_stats.coalesced += u64::from(fetched.coalesced);
+        cache_stats.evictions += fetched.evicted.entries;
+        cache_stats.evicted_bytes += fetched.evicted.bytes;
+        let bundle = fetched.bundle;
         report.timings.accumulate(&timings);
-        report.block_cached.push(cached);
+        report.block_cached.push(fetched.cached);
         report.block_keys.push(key);
         report.blocks.push(bundle.report.clone());
 
@@ -918,13 +896,6 @@ pub fn compile_with_cache(
         prov_map.switch_pc.push(switch_pc);
     }
     report.timings.link += phase_start.elapsed();
-    report.cache = blockcache::CacheStats {
-        hits: hits.load(Ordering::Relaxed),
-        misses: misses.load(Ordering::Relaxed),
-        coalesced: coalesced.load(Ordering::Relaxed),
-        evictions: evictions.load(Ordering::Relaxed),
-        evicted_bytes: evicted_bytes.load(Ordering::Relaxed),
-    };
     report.wall = compile_start.elapsed();
 
     Ok(CompiledProgram {

@@ -79,7 +79,6 @@ pub struct CompilerOptions {
     /// expansions, **not** wall-clock, so exhaustion is bit-reproducible.
     pub exact_budget: u64,
     /// Worker threads for per-block compilation: `0` (the default) resolves to
-    /// the `RAWCC_THREADS` environment variable, then to
     /// [`std::thread::available_parallelism`]. Thread count never changes the
     /// compiled output — only wall-clock time (see `crate::blockcache`).
     pub threads: usize,

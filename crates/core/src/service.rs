@@ -75,9 +75,10 @@ pub const MAX_CLIENT_ROWS: usize = 64;
 pub const OTHER_CLIENTS_ROW: &str = "(other)";
 /// Byte budget of the whole-response memo. The memo replays the encoded
 /// response for byte-identical requests, skipping decode/verify/compile/
-/// encode entirely; [`ServeOptions::verify`] turns it off so paranoia mode
-/// re-checks every request.
+/// encode entirely.
 const MEMO_BUDGET: usize = 64 << 20;
+/// Shard count of the daemon's block cache.
+const SHARDS: usize = 16;
 
 /// The `rawcc_requests_total` label of each request kind, indexed by
 /// `kind - 1` (`wire::REQ_COMPILE` is 1, `wire::REQ_METRICS` 5).
@@ -99,15 +100,10 @@ pub struct ServeOptions {
     /// Bind address; port 0 picks a free port (read it from
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// Cache shard count (rounded up to a power of two).
-    pub shards: usize,
-    /// Global in-memory byte budget, split across shards.
+    /// Global in-memory byte budget, split across the cache's shards.
     pub byte_budget: usize,
     /// Optional disk layer shared by all clients.
     pub cache_dir: Option<PathBuf>,
-    /// Recompile and check every cache hit (server-side paranoia mode); also
-    /// turns the whole-response memo off.
-    pub verify: bool,
     /// Expose the metrics registry and keep the span ring (the default). Off,
     /// the daemon still keeps every count and serves the stats reply, but a
     /// metrics scrape reports only `rawcc_telemetry_enabled 0` and no spans
@@ -119,10 +115,8 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             addr: "127.0.0.1:0".into(),
-            shards: 16,
             byte_budget: 64 << 20,
             cache_dir: None,
-            verify: false,
             telemetry: true,
         }
     }
@@ -780,19 +774,15 @@ impl Drop for ServerHandle {
 ///
 /// [`ServiceError::Bind`] / [`ServiceError::CacheDir`] for setup failures.
 pub fn serve(opts: &ServeOptions) -> Result<ServerHandle, ServiceError> {
-    let mut cache = BlockCache::with_budget(opts.shards, DEFAULT_CAPACITY, opts.byte_budget);
+    let mut cache = BlockCache::with_budget(SHARDS, DEFAULT_CAPACITY, opts.byte_budget);
     if let Some(dir) = &opts.cache_dir {
         cache = cache.on_disk(dir).map_err(ServiceError::CacheDir)?;
     }
-    cache.set_verify(opts.verify);
     let listener = TcpListener::bind(opts.addr.as_str()).map_err(ServiceError::Bind)?;
     let addr = listener.local_addr().map_err(ServiceError::Bind)?;
-    // Verify mode must actually re-run every compile, so it turns the
-    // response memo off.
-    let memo_budget = if opts.verify { 0 } else { MEMO_BUDGET };
     let state = Arc::new(ServerState {
         cache,
-        memo: Mutex::new(Memo::new(usize::MAX, memo_budget)),
+        memo: Mutex::new(Memo::new(usize::MAX, MEMO_BUDGET)),
         ledger: Ledger::new(opts.telemetry),
         registry: registry(opts.telemetry),
         shutting_down: AtomicBool::new(false),

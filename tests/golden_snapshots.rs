@@ -81,23 +81,30 @@ fn per_tile_assembly_is_pinned() {
 /// 4×8 as well, pinned by `raw-bench compile`'s `asm_hash` (FNV over the
 /// `MachineProgram`'s debug form). The text snapshots above are too small to
 /// reach the regime of hundreds of port events per tile; these blocks do.
+/// Serial and 8-worker compiles must both match the same pinned lines.
 #[test]
 fn big_block_asm_hashes_are_pinned() {
-    let mut s = String::new();
-    for bench in raw_repro::benchmarks::suite() {
-        let mut shapes = vec![(2, 2), (4, 4)];
-        if matches!(bench.name, "cholesky" | "fpppp-kernel" | "mxm") {
-            shapes.push((4, 8));
+    for threads in [1, 8] {
+        let options = CompilerOptions {
+            threads,
+            ..CompilerOptions::default()
+        };
+        let mut s = String::new();
+        for bench in raw_repro::benchmarks::suite() {
+            let mut shapes = vec![(2, 2), (4, 4)];
+            if matches!(bench.name, "cholesky" | "fpppp-kernel" | "mxm") {
+                shapes.push((4, 8));
+            }
+            for (rows, cols) in shapes {
+                let program = bench.program(rows * cols).unwrap();
+                let config = MachineConfig::grid(rows, cols);
+                let compiled = compile(&program, &config, &options).unwrap();
+                let hash = raw_repro::cc::asm_hash(&compiled.machine_program);
+                writeln!(s, "{}@{rows}x{cols} {hash:#018x}", bench.name).unwrap();
+            }
         }
-        for (rows, cols) in shapes {
-            let program = bench.program(rows * cols).unwrap();
-            let config = MachineConfig::grid(rows, cols);
-            let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
-            let hash = raw_repro::cc::asm_hash(&compiled.machine_program);
-            writeln!(s, "{}@{rows}x{cols} {hash:#018x}", bench.name).unwrap();
-        }
+        check_golden("asm_hashes.txt", &s);
     }
-    check_golden("asm_hashes.txt", &s);
 }
 
 /// Small kernels for the loop shapes the frontend's static-reference analysis

@@ -14,7 +14,7 @@ use raw_repro::cc::{
     compile_with_cache, BlockCache, CompiledProgram, CompilerOptions, PlacementAlgorithm, Strategy,
 };
 use raw_repro::ir::Program;
-use raw_repro::machine::MachineConfig;
+use raw_repro::machine::{MachineConfig, TileId};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -94,7 +94,7 @@ fn check_program(program: &Program, config: &MachineConfig, base: &CompilerOptio
     );
 
     // Disk layer: a fresh cache over the same directory serves every block
-    // from disk, bit-identically (verify mode re-checks each hit).
+    // from disk, bit-identically.
     let dir = unique_dir("disk");
     {
         let disk = BlockCache::with_disk(&dir).expect("disk cache");
@@ -102,8 +102,7 @@ fn check_program(program: &Program, config: &MachineConfig, base: &CompilerOptio
         assert_identical(&reference, &seeded, &format!("{what} disk/cold"));
     }
     {
-        let mut disk = BlockCache::with_disk(&dir).expect("disk cache reopen");
-        disk.set_verify(true);
+        let disk = BlockCache::with_disk(&dir).expect("disk cache reopen");
         let warm_disk = compile_with_cache(program, config, &options, &disk).unwrap();
         assert_identical(&reference, &warm_disk, &format!("{what} disk/warm"));
         assert_eq!(
@@ -196,6 +195,25 @@ fn portfolio_strategy_is_thread_and_cache_invariant() {
 }
 
 #[test]
+fn masked_mesh_is_thread_and_cache_invariant() {
+    // The `raw-bench scenario` mesh: 2x4 with tile 3 dead, the mask padded to
+    // a power-of-two live count. Faulty tiles reshape placement and routing,
+    // so every scenario kernel runs the full battery on it.
+    let base = MachineConfig::grid(2, 4);
+    let mask = base.mask_to_pow2(&[TileId::from_raw(3)]);
+    let config = base.with_faulty(mask);
+    for bench in benchmarks::scenario_suite() {
+        let program = bench.program(config.n_live()).expect("scenario lowers");
+        check_program(
+            &program,
+            &config,
+            &opts(1),
+            &format!("{}@2x4-masked", bench.name),
+        );
+    }
+}
+
+#[test]
 fn simulated_cycles_match_across_thread_counts() {
     // Identical asm implies identical cycles, but run the machine anyway so a
     // regression in any equality above cannot hide behind a stale assert.
@@ -251,14 +269,13 @@ fn cache_stats_are_thread_invariant() {
 }
 
 #[test]
-fn rawcc_threads_env_only_changes_thread_count() {
-    // `compile` (the env-driven entry) under whatever RAWCC_THREADS the
-    // harness set must equal an explicit serial compile. The CI gate runs the
-    // suite under RAWCC_THREADS=1 and =8, so this covers both settings.
+fn default_options_compile_equals_serial() {
+    // `compile` with the default `threads: 0` fans out over every available
+    // core; it must equal an explicit serial compile.
     let bench = benchmarks::tiny_suite().remove(1);
     let program = bench.program(4).expect("benchmark lowers");
     let config = MachineConfig::square(4);
-    let via_env = raw_repro::cc::compile(&program, &config, &CompilerOptions::default()).unwrap();
-    let serial = compile_with_cache(&program, &config, &opts(1), &BlockCache::in_memory()).unwrap();
-    assert_identical(&serial, &via_env, "env-threaded compile");
+    let default = raw_repro::cc::compile(&program, &config, &opts(0)).unwrap();
+    let serial = raw_repro::cc::compile(&program, &config, &opts(1)).unwrap();
+    assert_identical(&serial, &default, "default-threaded compile");
 }

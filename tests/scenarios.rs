@@ -6,13 +6,14 @@
 //! * compiling with a faulty-tile mask emits **zero** instructions — processor
 //!   or switch — on every masked tile;
 //! * the generated code is byte-identical across worker-thread counts and
-//!   block-cache temperatures;
+//!   block-cache temperatures (`masked_mesh_is_thread_and_cache_invariant` in
+//!   `tests/parallel_determinism.rs`);
 //! * every scenario kernel passes the one oracle lane
 //!   (`raw_trace::oracle::check`): interpreter, reference stepper, traced and
 //!   untraced, clean and under chaos;
 //! * two programs linked co-resident produce exactly their solo results.
 
-use raw_repro::cc::{compile, compile_with_cache, link_coresident, BlockCache, CompilerOptions};
+use raw_repro::cc::{compile, link_coresident, CompilerOptions};
 use raw_repro::machine::chaos::ChaosConfig;
 use raw_repro::machine::isa::TileId;
 use raw_repro::machine::MachineConfig;
@@ -59,44 +60,6 @@ fn faulty_mask_emits_zero_instructions_on_masked_tiles() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn masked_compiles_are_identical_across_threads_and_cache_temperature() {
-    let config = faulty_config();
-    for bench in raw_repro::benchmarks::scenario_suite() {
-        let program = bench.program(config.n_live()).unwrap();
-        let opts = |threads: usize| CompilerOptions {
-            threads,
-            ..CompilerOptions::default()
-        };
-        let reference = compile_with_cache(&program, &config, &opts(1), &BlockCache::in_memory())
-            .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-        // Parallel, cold cache.
-        let parallel = compile_with_cache(&program, &config, &opts(8), &BlockCache::in_memory())
-            .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-        assert_eq!(
-            reference.machine_program, parallel.machine_program,
-            "{}: 8-thread compile diverged from serial",
-            bench.name
-        );
-        // Warm cache: compile twice against one cache, the second run must be
-        // served from it and still byte-identical.
-        let shared = BlockCache::in_memory();
-        compile_with_cache(&program, &config, &opts(8), &shared).unwrap();
-        let warm = compile_with_cache(&program, &config, &opts(8), &shared)
-            .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-        assert_eq!(
-            warm.report.cache.misses, 0,
-            "{}: warm recompiled",
-            bench.name
-        );
-        assert_eq!(
-            reference.machine_program, warm.machine_program,
-            "{}: warm-cache compile diverged",
-            bench.name
-        );
     }
 }
 
