@@ -166,6 +166,9 @@ struct RouterState {
     in_q: [VecDeque<Word>; NUM_PORTS],
     /// Per-output wormhole lock: (input port, payload flits remaining).
     out_lock: [Option<(usize, usize)>; NUM_PORTS],
+    /// Per input: some output's lock names it, so its head is mid-message
+    /// (mirrors `out_lock`; an input is owned by at most one output).
+    owned: [bool; NUM_PORTS],
     /// Round-robin arbitration pointer per output.
     rr: [usize; NUM_PORTS],
     /// Eject reassembly buffer.
@@ -184,6 +187,8 @@ struct RouterState {
 pub struct DynNet {
     cols: u32,
     fifo_cap: usize,
+    /// `(row, col)` per tile, so routing never divides.
+    coords: Vec<(u32, u32)>,
     routers: Vec<RouterState>,
     /// Membership flags for `work` (dedup guard).
     hot: Vec<bool>,
@@ -195,6 +200,9 @@ pub struct DynNet {
     /// Per-(tile, input-port) count of flits staged this cycle; persistent to
     /// avoid an O(tiles) allocation per step, reset entry-wise after use.
     staged_count: Vec<[usize; NUM_PORTS]>,
+    /// Cross-router transfers `(tile, port, flit)` decided this cycle; kept
+    /// to reuse its allocation, empty between steps.
+    staged: Vec<(usize, usize, Word)>,
     /// Total flits buffered in router FIFOs and reassembly buffers: an O(1)
     /// [`is_idle`](Self::is_idle) for the per-cycle quiescence check.
     buffered: usize,
@@ -208,11 +216,15 @@ impl DynNet {
         DynNet {
             cols,
             fifo_cap,
+            coords: (0..rows)
+                .flat_map(|r| (0..cols).map(move |c| (r, c)))
+                .collect(),
             routers: (0..n).map(|_| RouterState::default()).collect(),
             hot: vec![false; n],
             work: Vec::new(),
             delivered: Vec::new(),
             staged_count: vec![[0; NUM_PORTS]; n],
+            staged: Vec::new(),
             buffered: 0,
         }
     }
@@ -236,15 +248,11 @@ impl DynNet {
         &self.delivered
     }
 
-    fn coords(&self, t: usize) -> (u32, u32) {
-        (t as u32 / self.cols, t as u32 % self.cols)
-    }
-
     /// Output port (0=N,1=E,2=S,3=W,4=eject) for a header destined to `dest`,
     /// X-then-Y dimension ordered.
     fn route_port(&self, here: usize, dest: u32) -> usize {
-        let (r, c) = self.coords(here);
-        let (dr, dc) = self.coords(dest as usize);
+        let (r, c) = self.coords[here];
+        let (dr, dc) = self.coords[dest as usize];
         if dc > c {
             1 // East
         } else if dc < c {
@@ -259,15 +267,13 @@ impl DynNet {
     }
 
     fn neighbor(&self, t: usize, port: usize) -> usize {
-        let (r, c) = self.coords(t);
-        let (nr, nc) = match port {
-            0 => (r - 1, c),
-            1 => (r, c + 1),
-            2 => (r + 1, c),
-            3 => (r, c - 1),
+        match port {
+            0 => t - self.cols as usize,
+            1 => t + 1,
+            2 => t + self.cols as usize,
+            3 => t - 1,
             _ => unreachable!(),
-        };
-        (nr * self.cols + nc) as usize
+        }
     }
 
     /// True if no flit is buffered anywhere in the network (O(1): the flit
@@ -337,7 +343,7 @@ impl DynNet {
         // 2. Per router, per output port: move at most one flit. Cross-router
         //    transfers are staged and applied after all routers have decided,
         //    making the step order-independent.
-        let mut staged: Vec<(usize, usize, Word)> = Vec::new(); // (tile, port, flit)
+        let mut staged = std::mem::take(&mut self.staged);
 
         for &t in tiles {
             for out in 0..NUM_PORTS {
@@ -354,7 +360,7 @@ impl DynNet {
                             if let Some(&head) = self.routers[t].in_q[input].front() {
                                 // Only a header can claim a free output; inputs
                                 // mid-message are owned by some other output.
-                                if self.input_is_at_header(t, input)
+                                if !self.routers[t].owned[input]
                                     && self.route_port(t, DynMsg::decode_header(head).2) == out
                                 {
                                     found = Some(input);
@@ -366,6 +372,7 @@ impl DynNet {
                             let head = *self.routers[t].in_q[input].front().unwrap();
                             let (.., len) = DynMsg::decode_header(head);
                             self.routers[t].out_lock[out] = Some((input, len + 1));
+                            self.routers[t].owned[input] = true;
                             self.routers[t].rr[out] = (input + 1) % NUM_PORTS;
                         }
                         self.routers[t].out_lock[out].map(|(i, _)| i)
@@ -393,6 +400,7 @@ impl DynNet {
                 let (_, remaining) = self.routers[t].out_lock[out].unwrap();
                 if remaining == 1 {
                     self.routers[t].out_lock[out] = None;
+                    self.routers[t].owned[input] = false;
                 } else {
                     self.routers[t].out_lock[out] = Some((input, remaining - 1));
                 }
@@ -410,11 +418,12 @@ impl DynNet {
         for &(t, port, _) in &staged {
             self.staged_count[t][port] = 0;
         }
-        for (t, port, flit) in staged {
+        for (t, port, flit) in staged.drain(..) {
             self.routers[t].in_q[port].push_back(flit);
             // The receiving router has a flit to move next cycle.
             self.poke(t);
         }
+        self.staged = staged;
         // 3. Re-mark visited routers that still hold flits or whose endpoint
         //    kept injection backlog (e.g. a full local FIFO this cycle).
         for &t in tiles {
@@ -423,15 +432,6 @@ impl DynNet {
             }
         }
         progress
-    }
-
-    /// True if the head of `input` at router `t` is a message header (i.e. the
-    /// input is not in the middle of a message owned by some output lock).
-    fn input_is_at_header(&self, t: usize, input: usize) -> bool {
-        !self.routers[t]
-            .out_lock
-            .iter()
-            .any(|l| matches!(l, Some((i, _)) if *i == input))
     }
 
     fn eject(&mut self, t: usize, flit: Word, endpoints: &mut [DynEndpoint]) {
