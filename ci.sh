@@ -466,10 +466,14 @@ def values(path):
 workload = sys.argv[1]
 fresh, base = values(sys.argv[2]), values(sys.argv[3])
 gated = ("sim_cycles", "speedup_geomean", "code_words", "failed")
+better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
+better["failed"] = "lower"
 bad = [m for m in gated if fresh[m] != base[m]]
 for m in bad:
-    print(f"ci: raw-perf {workload}: {m} = {fresh[m]!r}, baseline has {base[m]!r}",
-          file=sys.stderr)
+    change = f"{(fresh[m] - base[m]) / abs(base[m]):+.2%}" if base[m] else "from 0"
+    verdict = "better" if (fresh[m] < base[m]) == (better[m] == "lower") else "worse"
+    print(f"ci: raw-perf {workload}: {m} = {fresh[m]!r}, baseline has {base[m]!r} "
+          f"({change}, {verdict})", file=sys.stderr)
 rest = ", ".join(f"{m} {fresh[m]:.3g} (baseline {base[m]:.3g})"
                  for m in fresh if m not in gated)
 print(f"perf_smoke: {workload}: exact metrics {'DIFFER' if bad else 'match'}; not gated: {rest}")

@@ -55,8 +55,9 @@ const HI_BASIS: u64 = 0x8422_2325_cbf2_9ce4;
 
 /// Magic prefix of on-disk cache entries.
 const MAGIC: [u8; 8] = *b"RAWCCBC\n";
-/// Bump whenever the bundle encoding or key derivation changes.
-pub(crate) const FORMAT_VERSION: u32 = 3;
+/// Bump whenever the bundle encoding or key derivation changes, or the
+/// compiler makes a different bundle from the same key.
+pub(crate) const FORMAT_VERSION: u32 = 4;
 
 /// 128-bit content hash of the concatenation of `parts`: two FNV-1a passes
 /// from independent bases, returned as `(standard-basis pass, second pass)`.
@@ -636,8 +637,8 @@ tagged! {
         0 => Alu { op, dst, a, b },
         1 => Load { dst, addr, offset },
         2 => Store { value, addr, offset },
-        3 => DLoad { dst, gaddr },
-        4 => DStore { gaddr, value },
+        3 => DLoad { dst, gaddr, offset },
+        4 => DStore { value, gaddr, offset },
         5 => Jump(target),
         6 => Bnez { cond, target },
         7 => Beqz { cond, target },

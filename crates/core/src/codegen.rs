@@ -6,8 +6,9 @@
 //! static reference with residue `r` (so the index `i` satisfies
 //! `i ≡ r (mod N)`), the element's local word address on its home tile is
 //! `base + i / N = base + (i >> log2 N)` — one shift. For a dynamic reference
-//! the interleaved global address is `base · N + i` — one add against a
-//! compile-time constant, then a dynamic-network access.
+//! the interleaved global address is `i + base · N`: the index plus the
+//! access's immediate offset, so no instruction computes it. An immediate
+//! index folds the shift at compile time too.
 
 use crate::layout::{ArrayClass, DataLayout};
 use crate::schedule::{BlockSchedule, TileOp};
@@ -235,7 +236,6 @@ pub fn generate(
             next_vreg: 0,
             insts: Vec::new(),
             shifted: HashMap::new(),
-            globals: HashMap::new(),
         };
         let mut prov: Vec<u32> = Vec::new();
         let node_of = |v: &ValueId| -> u32 {
@@ -285,8 +285,6 @@ struct TileGen<'a> {
     insts: Vec<PInst>,
     /// Memoized `idx >> log2 N` results, keyed by the index vreg.
     shifted: HashMap<u16, u16>,
-    /// Memoized interleaved global addresses, keyed by `(idx vreg, base)`.
-    globals: HashMap<(u16, u32), u16>,
 }
 
 impl TileGen<'_> {
@@ -342,10 +340,13 @@ impl TileGen<'_> {
         to_port: bool,
     ) {
         let inst = &graph.insts[n];
-        // Source resolution: a folded receive supplies one operand directly
-        // from the input port (consumed exactly once).
+        // Source resolution: a constant is an immediate; a folded receive
+        // supplies one operand directly from the input port (consumed exactly
+        // once).
         let mut src = |gen: &mut Self, v: ValueId| -> Src {
-            if from_port == Some(v) {
+            if let Some(&imm) = graph.imms.get(&v) {
+                Src::Imm(imm)
+            } else if from_port == Some(v) {
                 from_port = None;
                 Src::PortIn
             } else {
@@ -361,15 +362,7 @@ impl TileGen<'_> {
             }
         };
         match &inst.kind {
-            InstKind::Const(imm) => {
-                let d = dst(self, inst.dst.unwrap());
-                self.insts.push(PInst::Alu {
-                    op: AluOp::Un(UnOp::Mov),
-                    dst: d,
-                    a: Src::Imm(*imm),
-                    b: Src::Imm(Imm::I(0)),
-                });
-            }
+            InstKind::Const(_) => unreachable!("a constant is an operand, not a task"),
             InstKind::Un(op, s) => {
                 let a = src(self, *s);
                 let d = dst(self, inst.dst.unwrap());
@@ -405,11 +398,11 @@ impl TileGen<'_> {
                         });
                     }
                     ArrayClass::Dynamic { .. } => {
-                        let g = self.global_addr(idx, base);
                         let d = dst(self, inst.dst.unwrap());
                         self.insts.push(PInst::DLoad {
                             dst: d,
-                            gaddr: Src::Reg(g),
+                            gaddr: idx,
+                            offset: self.global_base(base),
                         });
                     }
                 }
@@ -433,10 +426,10 @@ impl TileGen<'_> {
                         });
                     }
                     ArrayClass::Dynamic { .. } => {
-                        let g = self.global_addr(idx, base);
                         self.insts.push(PInst::DStore {
-                            gaddr: Src::Reg(g),
                             value: val,
+                            gaddr: idx,
+                            offset: self.global_base(base),
                         });
                     }
                 }
@@ -460,17 +453,21 @@ impl TileGen<'_> {
         }
     }
 
-    /// `idx >> log2 N` (no-op shift elided on a 1-tile machine; memoized when
-    /// the index comes from a register).
+    /// `idx >> log2 N` (no-op shift elided on a 1-tile machine; folded for an
+    /// immediate index; memoized when the index comes from a register).
     fn local_addr(&mut self, idx: Src) -> Src {
         let shift = self.layout.tile_shift();
         if shift == 0 {
             return idx;
         }
-        if let Src::Reg(r) = idx {
-            if let Some(&t) = self.shifted.get(&r) {
-                return Src::Reg(t);
+        match idx {
+            Src::Imm(i) => return Src::Imm(Imm::I((i.to_bits() >> shift) as i32)),
+            Src::Reg(r) => {
+                if let Some(&t) = self.shifted.get(&r) {
+                    return Src::Reg(t);
+                }
             }
+            Src::PortIn => {}
         }
         let t = self.fresh();
         self.insts.push(PInst::Alu {
@@ -485,26 +482,9 @@ impl TileGen<'_> {
         Src::Reg(t)
     }
 
-    /// `idx + base · N` — the interleaved global address (memoized when the
-    /// index comes from a register).
-    fn global_addr(&mut self, idx: Src, base: u32) -> u16 {
-        if let Src::Reg(r) = idx {
-            if let Some(&t) = self.globals.get(&(r, base)) {
-                return t;
-            }
-        }
-        let t = self.fresh();
-        let base_global = (base << self.layout.tile_shift()) as i32;
-        self.insts.push(PInst::Alu {
-            op: AluOp::Bin(raw_ir::BinOp::Add),
-            dst: Dst::Reg(t),
-            a: idx,
-            b: Src::Imm(Imm::I(base_global)),
-        });
-        if let Src::Reg(r) = idx {
-            self.globals.insert((r, base), t);
-        }
-        t
+    /// `base · N`: the global address of a dynamic array's element 0.
+    fn global_base(&self, base: u32) -> i32 {
+        (base << self.layout.tile_shift()) as i32
     }
 }
 
@@ -537,7 +517,8 @@ mod tests {
     fn static_load_uses_shift_and_base_offset() {
         let (code, layout) = codegen_for(4, |b| {
             let a = b.array("A", Ty::I32, &[8]);
-            let i = b.const_i32(6);
+            let x = b.var_i32("x", 6);
+            let i = b.read_var(x);
             let v = b.load(a, i, MemHome::Static(2));
             let _ = b.add(v, v);
         });
@@ -557,6 +538,35 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn immediate_operands_fold_the_address() {
+        let (code, layout) = codegen_for(4, |b| {
+            let a = b.array("A", Ty::I32, &[8]);
+            let d = b.array("D", Ty::I32, &[8]);
+            let six = b.const_i32(6);
+            let three = b.const_i32(3);
+            let v = b.load(a, six, MemHome::Static(2));
+            b.store(d, three, v, MemHome::Dynamic);
+        });
+        let all: Vec<&PInst> = code.iter().flat_map(|c| c.insts.iter()).collect();
+        assert!(all.iter().any(|i| matches!(
+            i,
+            PInst::Load {
+                addr: Src::Imm(Imm::I(1)),
+                ..
+            } // 6 >> log2 4
+        )));
+        let d_base = (layout.array_base[1] << 2) as i32; // base · N
+        assert!(all.iter().any(|i| matches!(
+            i,
+            PInst::DStore { gaddr: Src::Imm(Imm::I(3)), offset, .. } if *offset == d_base
+        )));
+        assert!(
+            !all.iter().any(|i| matches!(i, PInst::Alu { .. })),
+            "no address arithmetic and no constant moves: {all:?}"
+        );
     }
 
     #[test]
@@ -732,6 +742,6 @@ mod tests {
             let y = b.add(x, x);
             let _ = b.mul(y, y);
         });
-        assert_eq!(code[0].n_vregs, 3);
+        assert_eq!(code[0].n_vregs, 2, "a constant takes no vreg");
     }
 }

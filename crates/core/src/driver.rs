@@ -20,9 +20,9 @@ use crate::partition::{self, Partition};
 use crate::provenance::{self, ProvRecord, ProvenanceMap, NO_PROV};
 use crate::regalloc;
 use crate::schedule::{self, broadcast_routes};
-use crate::taskgraph::TaskGraph;
+use crate::taskgraph::{self, TaskGraph};
 use raw_ir::interp::ExecResult;
-use raw_ir::{Block, Imm, Program, Terminator};
+use raw_ir::{Block, Imm, InstKind, Program, Terminator};
 use raw_machine::asm::{ProcAsm, SwitchAsm};
 use raw_machine::trace::EventSink;
 use raw_machine::{Machine, MachineConfig, MachineProgram, RunReport, SimError, TileCode, TileId};
@@ -526,6 +526,30 @@ fn check_vcode_defs(vcode: &[TileBlockCode]) {
     }
 }
 
+/// The block's terminator as compiled and linked: a branch on a block
+/// constant is decided at compile time and becomes a jump, because a
+/// constant has no producer tile to broadcast it.
+fn linked_terminator(block: &Block) -> Terminator {
+    let Terminator::Branch {
+        cond,
+        if_true,
+        if_false,
+    } = block.term
+    else {
+        return block.term;
+    };
+    let taken = block.insts.iter().find_map(|i| match i.kind {
+        InstKind::Const(Imm::I(v)) if i.dst == Some(cond) => Some(v != 0),
+        InstKind::Const(Imm::F(v)) if i.dst == Some(cond) => Some(v != 0.0),
+        _ => None,
+    });
+    match taken {
+        Some(true) => Terminator::Jump(if_true),
+        Some(false) => Terminator::Jump(if_false),
+        None => block.term,
+    }
+}
+
 /// Compiles one basic block end-to-end (task graph → partition → placement →
 /// event schedule → codegen → regalloc) into a position-independent
 /// [`BlockBundle`], plus the wall-clock time spent per phase.
@@ -567,11 +591,8 @@ pub fn compile_block(
         .collect();
 
     // Branch condition producer.
-    let branch_cond = match &block.term {
-        Terminator::Branch { cond, .. } => {
-            let def = graph.def_of[cond];
-            Some((*cond, assignment[def]))
-        }
+    let branch_cond = match linked_terminator(block) {
+        Terminator::Branch { cond, .. } => Some((cond, assignment[graph.def_of[&cond]])),
         _ => None,
     };
 
@@ -755,7 +776,12 @@ pub fn compile_with_cache(
 
         let block_base = prov_map.records.len() as u32;
         prov_map.block_base.push(block_base);
-        for (i, inst) in block.insts.iter().enumerate() {
+        for (i, inst) in block
+            .insts
+            .iter()
+            .filter(|i| taskgraph::is_task(i))
+            .enumerate()
+        {
             prov_map.records.push(ProvRecord {
                 span: inst.span,
                 value: inst.dst,
@@ -830,7 +856,7 @@ pub fn compile_with_cache(
                     switch_pc.push(rebase(base, *rec));
                 }
             }
-            match &block.term {
+            match linked_terminator(block) {
                 Terminator::Jump(target) => {
                     pa.jump(plabels[target.index()]);
                     proc_pc.push(NO_PROV);

@@ -57,11 +57,12 @@ pub const MAX_EXACT_NODES: usize = 30;
 
 /// Default node-expansion budget (one unit per candidate tile tried at any
 /// search depth). Deterministic by construction — the same block always burns
-/// the same budget — and sized from the benchmark suite: every block that
-/// certifies at a 25k budget already certifies well under 1k expansions, so
-/// 10k keeps the pathological blocks cheap without giving up certificates
-/// (raise per-compile via [`crate::options::CompilerOptions::exact_budget`]).
-pub const DEFAULT_BUDGET: u64 = 10_000;
+/// the same budget — and sized from the benchmark suite: every tiny-suite
+/// block that certifies at a 1M budget on 4 tiles certifies within 12 296
+/// expansions (a 24-node `life`/`jacobi` block), so 20k keeps the
+/// pathological blocks cheap without giving up certificates (raise
+/// per-compile via [`crate::options::CompilerOptions::exact_budget`]).
+pub const DEFAULT_BUDGET: u64 = 20_000;
 
 /// One lane of the portfolio (see [`crate::options::Strategy::Portfolio`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -603,13 +603,16 @@ mod tests {
     #[test]
     fn serial_chain_stays_on_one_tile() {
         // A pure dependence chain has no parallelism: clustering must place it
-        // in one cluster, so everything lands on a single tile.
+        // in one cluster, so everything lands on a single tile. The chain's
+        // root is a task (a variable read), not a constant.
         let (_, config, g) = setup(4, |b| {
-            let mut v = b.const_i32(1);
+            let x = b.var_i32("x", 1);
+            let mut v = b.read_var(x);
             for _ in 0..10 {
                 v = b.add(v, v);
             }
         });
+        assert_eq!(g.len(), 11);
         let part = partition(&g, &config, &CompilerOptions::default());
         let first = part.assignment[0];
         assert!(part.assignment.iter().all(|&t| t == first));
@@ -632,11 +635,13 @@ mod tests {
         used.sort();
         used.dedup();
         assert_eq!(used.len(), 4, "chains should occupy all tiles");
-        // Each chain must stay on its own tile.
+        // Each chain (12 multiplies; its constant root is no node) must stay
+        // on its own tile.
+        assert_eq!(g.len(), 4 * 12);
         for chain in 0..4 {
-            let base = chain * 13;
+            let base = chain * 12;
             let t = part.assignment[base];
-            assert!(part.assignment[base..base + 13].iter().all(|&x| x == t));
+            assert!(part.assignment[base..base + 12].iter().all(|&x| x == t));
         }
     }
 

@@ -217,16 +217,24 @@ pub fn allocate(
                 });
                 None
             }
-            PInst::DLoad { dst, gaddr } => {
+            PInst::DLoad { dst, gaddr, offset } => {
                 let gaddr = map_src(gaddr, &mut out);
                 let (dst, post) = map_dst(dst, &lookup);
-                out.push(PInst::DLoad { dst, gaddr });
+                out.push(PInst::DLoad { dst, gaddr, offset });
                 post
             }
-            PInst::DStore { gaddr, value } => {
-                let gaddr = map_src(gaddr, &mut out);
+            PInst::DStore {
+                value,
+                gaddr,
+                offset,
+            } => {
                 let value = map_src(value, &mut out);
-                out.push(PInst::DStore { gaddr, value });
+                let gaddr = map_src(gaddr, &mut out);
+                out.push(PInst::DStore {
+                    value,
+                    gaddr,
+                    offset,
+                });
                 None
             }
             other => {
@@ -324,13 +332,19 @@ fn rewrite(insts: Vec<PInst>, map: &dyn Fn(u16) -> Loc) -> Vec<PInst> {
                 addr: map_src(addr),
                 offset,
             },
-            PInst::DLoad { dst, gaddr } => PInst::DLoad {
+            PInst::DLoad { dst, gaddr, offset } => PInst::DLoad {
                 dst: map_dst(dst),
                 gaddr: map_src(gaddr),
+                offset,
             },
-            PInst::DStore { gaddr, value } => PInst::DStore {
-                gaddr: map_src(gaddr),
+            PInst::DStore {
+                value,
+                gaddr,
+                offset,
+            } => PInst::DStore {
                 value: map_src(value),
+                gaddr: map_src(gaddr),
+                offset,
             },
             other => other,
         })

@@ -5,6 +5,13 @@
 //! consumer — across the static network if they land on different tiles) or
 //! **order** edges (memory/variable serialization with no value transfer).
 //!
+//! A constant is an operand, not a task: a `Const` instruction becomes no
+//! node, and every use reads it as an immediate ([`TaskGraph::imms`]). It
+//! costs nothing to rematerialize, so it is never placed, scheduled, routed
+//! or emitted, and no data edge leaves it. Node `i` is the block's `i`-th
+//! task instruction ([`is_task`]), which is how provenance records number
+//! them.
+//!
 //! Order edges are constructed so that both endpoints are always *pinned to
 //! the same tile* (same variable home, same element-residue home, or the same
 //! dynamic-array issue tile), which means serialization never requires
@@ -12,7 +19,7 @@
 //! dependence handling of paper §5.1 sound in a distributed schedule.
 
 use crate::layout::{ArrayClass, DataLayout};
-use raw_ir::{Block, Inst, InstKind, MemHome, ValueId};
+use raw_ir::{Block, Imm, Inst, InstKind, MemHome, ValueId};
 use raw_machine::{MachineConfig, TileId};
 use std::collections::HashMap;
 
@@ -31,7 +38,8 @@ pub enum EdgeKind {
 /// The task graph of one basic block.
 #[derive(Clone, Debug)]
 pub struct TaskGraph {
-    /// The block's instructions (node `i` is `insts[i]`).
+    /// The block's task instructions, in program order (node `i` is
+    /// `insts[i]`).
     pub insts: Vec<Inst>,
     /// Estimated execution cost per node (paper: node labels).
     pub costs: Vec<u32>,
@@ -44,36 +52,53 @@ pub struct TaskGraph {
     /// Extra issue slots the node needs beyond its own instruction (address
     /// arithmetic emitted by instruction selection for memory accesses).
     pub extra_slots: Vec<u32>,
-    /// Defining node of each block-local value.
+    /// Defining node of each block-local value a task computes.
     pub def_of: HashMap<ValueId, NodeId>,
+    /// Each block-local constant: an immediate operand at every use.
+    pub imms: HashMap<ValueId, Imm>,
+}
+
+/// True unless `inst` is a constant: the block instructions that become
+/// task-graph nodes.
+pub fn is_task(inst: &Inst) -> bool {
+    !matches!(inst.kind, InstKind::Const(_))
 }
 
 impl TaskGraph {
     /// Builds the task graph for `block`.
     pub fn build(block: &Block, layout: &DataLayout, config: &MachineConfig) -> TaskGraph {
-        let n = block.insts.len();
+        let mut imms = HashMap::new();
+        for inst in &block.insts {
+            if let (InstKind::Const(imm), Some(dst)) = (&inst.kind, inst.dst) {
+                imms.insert(dst, *imm);
+            }
+        }
+        let insts: Vec<Inst> = block.insts.iter().filter(|i| is_task(i)).cloned().collect();
+        let n = insts.len();
         let mut g = TaskGraph {
-            insts: block.insts.to_vec(),
+            insts: Vec::new(),
             costs: Vec::with_capacity(n),
             succs: vec![Vec::new(); n],
             preds: vec![Vec::new(); n],
             pins: vec![None; n],
             extra_slots: vec![0; n],
             def_of: HashMap::new(),
+            imms,
         };
 
         // Costs, pins, and instruction-selection slot counts.
-        for (i, inst) in block.insts.iter().enumerate() {
+        for (i, inst) in insts.iter().enumerate() {
             g.costs.push(estimate_cost(inst, layout, config));
             g.pins[i] = pin_of(inst, layout);
-            g.extra_slots[i] = extra_slots_of(inst, layout);
+            g.extra_slots[i] = extra_slots_of(inst, layout, &g.imms);
             if let Some(dst) = inst.dst {
                 g.def_of.insert(dst, i);
             }
         }
 
-        // Data edges (def → use within the block).
-        for (i, inst) in block.insts.iter().enumerate() {
+        // Data edges (def → use within the block). A constant operand has no
+        // defining node, so it adds none.
+        for (i, inst) in insts.iter().enumerate() {
             for src in inst.sources() {
                 if let Some(&d) = g.def_of.get(&src) {
                     g.add_edge(d, i, EdgeKind::Data);
@@ -83,7 +108,7 @@ impl TaskGraph {
 
         // Variable serialization: every ReadVar(v) precedes the WriteVar(v).
         let mut reads_of: HashMap<u32, Vec<NodeId>> = HashMap::new();
-        for (i, inst) in block.insts.iter().enumerate() {
+        for (i, inst) in insts.iter().enumerate() {
             match inst.kind {
                 InstKind::ReadVar(v) => reads_of.entry(v.index() as u32).or_default().push(i),
                 InstKind::WriteVar(v, _) => {
@@ -98,7 +123,8 @@ impl TaskGraph {
         }
 
         // Memory serialization.
-        g.add_memory_order_edges(block, layout);
+        g.add_memory_order_edges(&insts, layout);
+        g.insts = insts;
         g
     }
 
@@ -113,7 +139,7 @@ impl TaskGraph {
         self.preds[to].push((from, kind));
     }
 
-    fn add_memory_order_edges(&mut self, block: &Block, layout: &DataLayout) {
+    fn add_memory_order_edges(&mut self, insts: &[Inst], layout: &DataLayout) {
         // Static arrays: dependences exist only between references with the
         // same home residue (references to different residues touch different
         // elements). Within a residue group, apply load/store ordering.
@@ -126,7 +152,7 @@ impl TaskGraph {
         let mut static_groups: HashMap<(u32, u32), Group> = HashMap::new();
         let mut dyn_last: HashMap<u32, NodeId> = HashMap::new();
 
-        for (i, inst) in block.insts.iter().enumerate() {
+        for (i, inst) in insts.iter().enumerate() {
             let (array, home, is_store) = match inst.kind {
                 InstKind::Load { array, home, .. } => (array, home, false),
                 InstKind::Store { array, home, .. } => (array, home, true),
@@ -226,15 +252,16 @@ fn estimate_cost(inst: &Inst, layout: &DataLayout, config: &MachineConfig) -> u3
     }
 }
 
-/// Issue slots instruction selection adds before the operation itself:
-/// interleaved-address arithmetic for array accesses (one shift for static
-/// references on multi-tile machines, one add for dynamic references).
-fn extra_slots_of(inst: &Inst, layout: &DataLayout) -> u32 {
+/// Issue slots instruction selection adds before the operation itself: the
+/// interleaved-address shift of a static array reference on a multi-tile
+/// machine. An immediate index folds it at compile time, and a dynamic
+/// reference carries its array base as an immediate offset.
+fn extra_slots_of(inst: &Inst, layout: &DataLayout, imms: &HashMap<ValueId, Imm>) -> u32 {
     match inst.kind {
-        InstKind::Load { array, .. } | InstKind::Store { array, .. } => match layout.class(array) {
-            ArrayClass::Dynamic { .. } => 1,
-            ArrayClass::Static => u32::from(layout.tile_shift() > 0),
-        },
+        InstKind::Load { array, index, .. } | InstKind::Store { array, index, .. } => {
+            let static_ref = matches!(layout.class(array), ArrayClass::Static);
+            u32::from(static_ref && layout.tile_shift() > 0 && !imms.contains_key(&index))
+        }
         _ => 0,
     }
 }
@@ -279,19 +306,27 @@ mod tests {
     fn data_edges_follow_dataflow() {
         let (_, g) = graph_for(
             |b| {
+                let v = b.var_i32("v", 0);
+                let r = b.read_var(v); // node 0
                 let x = b.const_i32(1);
                 let y = b.const_i32(2);
-                let s = b.add(x, y);
-                let _t = b.mul(s, s);
+                let s = b.add(r, x); // node 1
+                let _t = b.mul(s, s); // node 2
+                let _u = b.add(x, y); // node 3
             },
             4,
         );
+        // No data edge leaves a constant: it is an immediate, not a node.
+        assert!(g.insts.iter().all(is_task));
         assert_eq!(g.len(), 4);
-        assert!(g.succs[0].contains(&(2, EdgeKind::Data)));
-        assert!(g.succs[1].contains(&(2, EdgeKind::Data)));
-        // s used twice by node 3, but the edge is recorded once.
-        assert_eq!(g.succs[2], vec![(3, EdgeKind::Data)]);
-        assert!(g.preds[3].len() == 1);
+        let mut imms: Vec<u32> = g.imms.values().map(|i| i.to_bits()).collect();
+        imms.sort();
+        assert_eq!(imms, vec![1, 2]);
+        assert!(g.preds[3].is_empty(), "two immediates make no edge");
+        assert_eq!(g.preds[1], vec![(0, EdgeKind::Data)]);
+        // s used twice by node 2, but the edge is recorded once.
+        assert_eq!(g.succs[1], vec![(2, EdgeKind::Data)]);
+        assert!(g.preds[2].len() == 1);
     }
 
     #[test]
@@ -308,10 +343,10 @@ mod tests {
         );
         let v = p.var_by_name("v").unwrap();
         assert_eq!(v.index(), 0);
-        // read (node 0) → write (node 3) order edge.
-        assert!(g.succs[0].contains(&(3, EdgeKind::Order)));
+        // read (node 0) → write (node 2) order edge.
+        assert!(g.succs[0].contains(&(2, EdgeKind::Order)));
         assert_eq!(g.pins[0], Some(TileId::from_raw(0)));
-        assert_eq!(g.pins[3], Some(TileId::from_raw(0)));
+        assert_eq!(g.pins[2], Some(TileId::from_raw(0)));
         assert!(g.order_edges_colocated());
     }
 
@@ -324,24 +359,26 @@ mod tests {
                 let i4 = b.const_i32(4);
                 let i1 = b.const_i32(1);
                 let v = b.const_i32(9);
-                b.store(a, i0, v, MemHome::Static(0)); // node 4
-                let _l0 = b.load(a, i4, MemHome::Static(0)); // node 5: residue 0 too
-                let _l1 = b.load(a, i1, MemHome::Static(1)); // node 6: residue 1
-                b.store(a, i0, v, MemHome::Static(0)); // node 7
+                b.store(a, i0, v, MemHome::Static(0)); // node 0
+                let _l0 = b.load(a, i4, MemHome::Static(0)); // node 1: residue 0 too
+                let _l1 = b.load(a, i1, MemHome::Static(1)); // node 2: residue 1
+                b.store(a, i0, v, MemHome::Static(0)); // node 3
             },
             4,
         );
         // store(0) → load residue 0.
-        assert!(g.succs[4].contains(&(5, EdgeKind::Order)));
+        assert!(g.succs[0].contains(&(1, EdgeKind::Order)));
         // no edge to the residue-1 load.
-        assert!(!g.succs[4].iter().any(|&(s, _)| s == 6));
+        assert!(!g.succs[0].iter().any(|&(s, _)| s == 2));
         // both store(0) and load(0) → second store.
-        assert!(g.succs[4].contains(&(7, EdgeKind::Order)));
-        assert!(g.succs[5].contains(&(7, EdgeKind::Order)));
+        assert!(g.succs[0].contains(&(3, EdgeKind::Order)));
+        assert!(g.succs[1].contains(&(3, EdgeKind::Order)));
         assert!(g.order_edges_colocated());
         // Pins follow residues.
-        assert_eq!(g.pins[5], Some(TileId::from_raw(0)));
-        assert_eq!(g.pins[6], Some(TileId::from_raw(1)));
+        assert_eq!(g.pins[1], Some(TileId::from_raw(0)));
+        assert_eq!(g.pins[2], Some(TileId::from_raw(1)));
+        // An immediate index needs no address arithmetic.
+        assert!(g.extra_slots.iter().all(|&x| x == 0));
     }
 
     #[test]
@@ -351,18 +388,18 @@ mod tests {
                 let a = b.array("A", Ty::I32, &[8]);
                 let i0 = b.const_i32(0);
                 let i1 = b.const_i32(1);
-                let l0 = b.load(a, i0, MemHome::Dynamic); // node 2
-                let _l1 = b.load(a, i1, MemHome::Dynamic); // node 3
-                b.store(a, i1, l0, MemHome::Dynamic); // node 4
+                let l0 = b.load(a, i0, MemHome::Dynamic); // node 0
+                let _l1 = b.load(a, i1, MemHome::Dynamic); // node 1
+                b.store(a, i1, l0, MemHome::Dynamic); // node 2
             },
             4,
         );
         let _ = p;
-        assert!(g.succs[2].contains(&(3, EdgeKind::Order)));
-        assert!(g.succs[3].contains(&(4, EdgeKind::Order)));
-        assert!(g.pins[2].is_some());
-        assert_eq!(g.pins[2], g.pins[3]);
-        assert_eq!(g.pins[3], g.pins[4]);
+        assert!(g.succs[0].contains(&(1, EdgeKind::Order)));
+        assert!(g.succs[1].contains(&(2, EdgeKind::Order)));
+        assert!(g.pins[0].is_some());
+        assert_eq!(g.pins[0], g.pins[1]);
+        assert_eq!(g.pins[1], g.pins[2]);
         assert!(g.order_edges_colocated());
     }
 
@@ -379,8 +416,8 @@ mod tests {
             },
             2,
         );
-        assert_eq!(g.costs[0], 1); // const
-        assert_eq!(g.costs[1], 4); // mulf
-        assert_eq!(g.costs[4], 35); // div
+        assert_eq!(g.len(), 2); // constants are no nodes
+        assert_eq!(g.costs[0], 4); // mulf
+        assert_eq!(g.costs[1], 35); // div
     }
 }

@@ -142,12 +142,20 @@ impl ProcAsm {
 
     /// Emits a dynamic-network (remote) load.
     pub fn dload(&mut self, dst: Dst, gaddr: Src) {
-        self.push(PInst::DLoad { dst, gaddr });
+        self.push(PInst::DLoad {
+            dst,
+            gaddr,
+            offset: 0,
+        });
     }
 
     /// Emits a dynamic-network (remote) store.
     pub fn dstore(&mut self, gaddr: Src, value: Src) {
-        self.push(PInst::DStore { gaddr, value });
+        self.push(PInst::DStore {
+            value,
+            gaddr,
+            offset: 0,
+        });
     }
 
     /// Emits an unconditional jump to `label`.

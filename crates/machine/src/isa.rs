@@ -203,22 +203,28 @@ pub enum PInst {
         /// Word offset.
         offset: i32,
     },
-    /// Remote load over the dynamic network (blocking): `dst = gmem[gaddr]`.
+    /// Remote load over the dynamic network (blocking):
+    /// `dst = gmem[gaddr + offset]`.
     ///
     /// The global address interleaves the home tile in its low-order bits
-    /// (paper Figure 7): home = `gaddr mod n_tiles`, local = `gaddr / n_tiles`.
+    /// (paper Figure 7): home = `g mod n_tiles`, local = `g / n_tiles`.
     DLoad {
         /// Destination.
         dst: Dst,
-        /// Global (interleaved) word address.
+        /// Global (interleaved) word address source.
         gaddr: Src,
+        /// Word offset.
+        offset: i32,
     },
-    /// Remote store over the dynamic network (blocks until acknowledged).
+    /// Remote store over the dynamic network (blocks until acknowledged):
+    /// `gmem[gaddr + offset] = value`.
     DStore {
-        /// Global (interleaved) word address.
-        gaddr: Src,
         /// Value to store.
         value: Src,
+        /// Global (interleaved) word address source.
+        gaddr: Src,
+        /// Word offset.
+        offset: i32,
     },
     /// Unconditional jump.
     Jump(Target),
@@ -253,7 +259,7 @@ impl PInst {
             PInst::Load { addr, .. } => vec![*addr],
             PInst::Store { value, addr, .. } => vec![*value, *addr],
             PInst::DLoad { gaddr, .. } => vec![*gaddr],
-            PInst::DStore { gaddr, value } => vec![*gaddr, *value],
+            PInst::DStore { value, gaddr, .. } => vec![*value, *gaddr],
             PInst::Bnez { cond, .. } | PInst::Beqz { cond, .. } => vec![*cond],
             PInst::Jump(_) | PInst::Halt | PInst::Nop => vec![],
         }
@@ -361,8 +367,12 @@ impl fmt::Display for PInst {
                 addr,
                 offset,
             } => write!(f, "sw {value}, {offset}({addr})"),
-            PInst::DLoad { dst, gaddr } => write!(f, "dlw {dst}, [{gaddr}]"),
-            PInst::DStore { gaddr, value } => write!(f, "dsw {value}, [{gaddr}]"),
+            PInst::DLoad { dst, gaddr, offset } => write!(f, "dlw {dst}, {offset}[{gaddr}]"),
+            PInst::DStore {
+                value,
+                gaddr,
+                offset,
+            } => write!(f, "dsw {value}, {offset}[{gaddr}]"),
             PInst::Jump(t) => write!(f, "j {t}"),
             PInst::Bnez { cond, target } => write!(f, "bnez {cond}, {target}"),
             PInst::Beqz { cond, target } => write!(f, "beqz {cond}, {target}"),

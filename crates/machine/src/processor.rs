@@ -274,7 +274,7 @@ impl Processor {
             PInst::Load { addr, .. } => [Some(addr), None],
             PInst::Store { value, addr, .. } => [Some(value), Some(addr)],
             PInst::DLoad { gaddr, .. } => [Some(gaddr), None],
-            PInst::DStore { gaddr, value } => [Some(gaddr), Some(value)],
+            PInst::DStore { value, gaddr, .. } => [Some(value), Some(gaddr)],
             PInst::Bnez { cond, .. } | PInst::Beqz { cond, .. } => [Some(cond), None],
             PInst::Jump(_) | PInst::Halt | PInst::Nop => [None, None],
         };
@@ -335,11 +335,11 @@ impl Processor {
                 mem[a] = v;
                 self.pc += 1;
             }
-            PInst::DLoad { dst, gaddr } => {
+            PInst::DLoad { dst, gaddr, offset } => {
                 if !dyn_ep.can_inject(2) {
                     return ProcOutcome::Stalled(StallReason::DynamicNetwork);
                 }
-                let g = self.read_src(gaddr, port_in);
+                let g = self.read_src(gaddr, port_in).wrapping_add(offset as u32);
                 let (home, local) = self.split_dyn(config, g);
                 dyn_ep.inject(DynMsg {
                     kind: MsgKind::LoadReq,
@@ -350,12 +350,16 @@ impl Processor {
                 self.dyn_state = DynState::WaitLoad { dst };
                 self.pc += 1;
             }
-            PInst::DStore { gaddr, value } => {
+            PInst::DStore {
+                value,
+                gaddr,
+                offset,
+            } => {
                 if !dyn_ep.can_inject(3) {
                     return ProcOutcome::Stalled(StallReason::DynamicNetwork);
                 }
-                let g = self.read_src(gaddr, port_in);
                 let v = self.read_src(value, port_in);
+                let g = self.read_src(gaddr, port_in).wrapping_add(offset as u32);
                 let (home, local) = self.split_dyn(config, g);
                 dyn_ep.inject(DynMsg {
                     kind: MsgKind::StoreReq,

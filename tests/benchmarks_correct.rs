@@ -2,9 +2,16 @@
 //! sizes and simulated cycle-accurately, must reproduce the reference
 //! interpreter's variables and arrays bit-exactly.
 
-use raw_repro::cc::{compile, compile_baseline, CompilerOptions, PlacementAlgorithm};
+use raw_repro::cc::schedule::{self, TileOp};
+use raw_repro::cc::taskgraph::TaskGraph;
+use raw_repro::cc::{
+    compile, compile_baseline, partition, CompilerOptions, DataLayout, PlacementAlgorithm, NO_PROV,
+};
 use raw_repro::ir::interp::Interpreter;
+use raw_repro::ir::{InstKind, ValueId};
+use raw_repro::machine::isa::TileId;
 use raw_repro::machine::MachineConfig;
+use std::collections::HashSet;
 
 fn check(bench: &raw_repro::benchmarks::Benchmark, n: u32) {
     let program = bench.program(n).expect(bench.name);
@@ -28,6 +35,74 @@ fn tiny_suite_all_sizes() {
     for bench in raw_repro::benchmarks::tiny_suite() {
         for n in [1u32, 2, 4, 8] {
             check(&bench, n);
+        }
+    }
+}
+
+/// A constant is an immediate operand at every use: no comm path, send or
+/// receive moves a constant-defined value, and no emitted processor or switch
+/// instruction implements a constant. Every tiny-suite kernel at 2, 4, 16 and
+/// 32 tiles, plus the 2x4 mesh with tile 3 masked, each through the oracle.
+#[test]
+fn constants_never_cross_the_network() {
+    let base = MachineConfig::grid(2, 4);
+    let mask = base.mask_to_pow2(&[TileId::from_raw(3)]);
+    let masked = base.with_faulty(mask);
+    let configs = [2u32, 4, 16, 32].map(MachineConfig::square);
+    let options = CompilerOptions::default();
+    for config in configs.iter().chain([&masked]) {
+        for bench in raw_repro::benchmarks::tiny_suite() {
+            let program = bench.program(config.n_live()).expect(bench.name);
+            let label = format!("{} {}x{}", bench.name, config.rows, config.cols);
+            let consts: Vec<HashSet<ValueId>> = program
+                .blocks
+                .iter()
+                .map(|b| {
+                    b.insts
+                        .iter()
+                        .filter(|i| matches!(i.kind, InstKind::Const(_)))
+                        .filter_map(|i| i.dst)
+                        .collect()
+                })
+                .collect();
+
+            let layout = DataLayout::build(&program, config);
+            for (b, block) in program.blocks.iter().enumerate() {
+                let graph = TaskGraph::build(block, &layout, config);
+                let part = partition::partition(&graph, config, &options);
+                let sched = schedule::schedule(&graph, &part, config, &options);
+                let ports = sched
+                    .proc_ops
+                    .iter()
+                    .flatten()
+                    .filter_map(|(_, op)| match op {
+                        TileOp::Send(v) | TileOp::Recv(v) => Some(*v),
+                        TileOp::Comp(_) => None,
+                    });
+                let routes = sched.switch_ops.iter().flatten().map(|(_, v, _)| *v);
+                for v in ports.chain(routes) {
+                    assert!(
+                        !consts[b].contains(&v),
+                        "{label}: block {b} moves constant {v}"
+                    );
+                }
+            }
+
+            let compiled = compile(&program, config, &options).expect(bench.name);
+            let prov = &compiled.provenance;
+            for &id in prov.proc_pc.iter().chain(&prov.switch_pc).flatten() {
+                if id == NO_PROV {
+                    continue;
+                }
+                let rec = &prov.records[id as usize];
+                let constant = rec.kind == "const"
+                    || rec
+                        .value
+                        .is_some_and(|v| consts[rec.block as usize].contains(&v));
+                assert!(!constant, "{label}: an instruction implements {rec:?}");
+            }
+            raw_repro::trace::oracle::check(&compiled, &program, &[])
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
         }
     }
 }

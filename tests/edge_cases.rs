@@ -90,6 +90,37 @@ fn zero_trip_loops_and_empty_branches() {
 }
 
 #[test]
+fn constant_branch_conditions_link_as_jumps() {
+    // `if (1)` and `while (0)` lower to branches on a block constant. A
+    // constant has no producer tile to broadcast it, so the compiler decides
+    // the branch and links a jump: no tile executes a conditional branch.
+    let src = "
+        int x = 5; int y;
+        if (1) { x = 2; } else { x = 3; }
+        if (0) { y = 1; }
+        while (0) { x = x + 1; }
+    ";
+    for n in [1u32, 2, 4] {
+        let program = compile_source("constant-branches", src, n).unwrap();
+        let compiled = compile(
+            &program,
+            &MachineConfig::square(n),
+            &CompilerOptions::default(),
+        )
+        .unwrap();
+        let bnez = compiled.machine_program.tiles.iter().any(|t| {
+            t.proc
+                .iter()
+                .any(|i| matches!(i, raw_repro::machine::isa::PInst::Bnez { .. }))
+        });
+        assert!(!bnez, "{n} tiles: a constant branch was left conditional");
+        check(&compiled, &program, &[]).unwrap();
+        let x = program.var_by_name("x").unwrap();
+        assert_eq!(compiled.run(&program).unwrap().0.var_value(x), Imm::I(2));
+    }
+}
+
+#[test]
 fn all_priority_schemes_agree_on_results() {
     let bench = raw_repro::benchmarks::tomcatv(8, 1);
     let program = bench.program(4).unwrap();

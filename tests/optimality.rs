@@ -204,8 +204,8 @@ fn portfolio_never_trails_the_greedy_heuristic() {
 /// The portfolio's heuristic lanes pick their own placement algorithms:
 /// `placement: None` on the request must not flatten them to the identity
 /// assignment. On a 4x4 mesh (a 2x2 leaves the greedy bin order nothing to
-/// improve) `life` has a multi-cluster block won by a lane whose placement
-/// log records accepted swaps.
+/// improve) `cholesky`'s multi-cluster block is won by a lane whose
+/// placement log records accepted swaps.
 #[test]
 fn portfolio_lanes_place_even_when_placement_is_none() {
     let options = CompilerOptions {
@@ -214,7 +214,7 @@ fn portfolio_lanes_place_even_when_placement_is_none() {
     };
     let bench = benchmarks::tiny_suite()
         .into_iter()
-        .find(|b| b.name == "life")
+        .find(|b| b.name == "cholesky")
         .expect("known benchmark");
     let program = bench.program(16).expect("benchmark lowers");
     let config = MachineConfig::square(16);
