@@ -207,7 +207,8 @@ pub enum PInst {
     /// `dst = gmem[gaddr + offset]`.
     ///
     /// The global address interleaves the home tile in its low-order bits
-    /// (paper Figure 7): home = `g mod n_tiles`, local = `g / n_tiles`.
+    /// (paper Figure 7): for `g = gaddr + offset`, home = `g mod n_tiles`,
+    /// local = `g / n_tiles`.
     DLoad {
         /// Destination.
         dst: Dst,
