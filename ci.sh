@@ -365,9 +365,12 @@ PY
 stage_trace_smoke() {
   # --selfcheck runs the oracle lane (interpreter, reference stepper, traced
   # vs untraced); the runs also exercise every report renderer, on a matmul
-  # and on a control-flow-heavy kernel.
+  # and on two control-flow-heavy kernels (tomcatv at 16 tiles is the one
+  # whose idle processors skip most branch regions).
   cargo run --offline --release -p raw-bench --bin raw-bench -- \
     trace --bench life --tiles 4 --quick --selfcheck >/dev/null
+  cargo run --offline --release -p raw-bench --bin raw-bench -- \
+    trace --bench tomcatv --tiles 16 --quick --selfcheck >/dev/null
   local trace_dir
   trace_dir="$(mktemp -d)"
   cargo run --offline --release -p raw-bench --bin raw-bench -- \

@@ -2,28 +2,29 @@
 //! registers, and link per-tile instruction streams into a loadable
 //! [`MachineProgram`].
 //!
-//! Control flow is *orchestrated globally*: every tile (processor **and**
-//! switch) holds code for every basic block and follows the program's control
-//! flow in lock-step order (not lock-step time). For a conditional branch, the
-//! tile that computes the condition broadcasts it over the static network on a
-//! dimension-ordered multicast tree; every other processor branches on the
-//! received word (`bnez PortIn`) and every switch latches it into a register
-//! and branches on that (paper §3.1's switch is a sequencer with its own
-//! branches).
+//! Control flow is *orchestrated globally*: every switch follows the
+//! program's control flow in lock-step order (not lock-step time), and so does
+//! every processor with work in a branch's region. For a conditional branch,
+//! the tile that computes the condition broadcasts it over the static network
+//! on a dimension-ordered multicast tree; every switch latches it into a
+//! register and branches on that (paper §3.1's switch is a sequencer with its
+//! own branches), and every processor that has work before the branches
+//! rejoin branches on the received word (`bnez PortIn`). The link step and its
+//! invariants live in [`crate::link`].
 
 use crate::blockcache::{self, BlockBundle, BlockCache, Fetched, KeyContext};
 use crate::codegen::{self, TileBlockCode};
 use crate::exact;
 use crate::layout::{initial_memory_images, DataLayout};
+use crate::link::{self, linked_terminator};
 use crate::options::{CompilerOptions, PlacementAlgorithm, Strategy};
 use crate::partition::{self, Partition};
 use crate::provenance::{self, ProvRecord, ProvenanceMap, NO_PROV};
 use crate::regalloc;
-use crate::schedule::{self, broadcast_routes};
+use crate::schedule;
 use crate::taskgraph::{self, TaskGraph};
 use raw_ir::interp::ExecResult;
-use raw_ir::{Block, Imm, InstKind, Program, Terminator};
-use raw_machine::asm::{ProcAsm, SwitchAsm};
+use raw_ir::{Block, Imm, Program, Terminator};
 use raw_machine::trace::EventSink;
 use raw_machine::{Machine, MachineConfig, MachineProgram, RunReport, SimError, TileCode, TileId};
 use std::error::Error;
@@ -526,30 +527,6 @@ fn check_vcode_defs(vcode: &[TileBlockCode]) {
     }
 }
 
-/// The block's terminator as compiled and linked: a branch on a block
-/// constant is decided at compile time and becomes a jump, because a
-/// constant has no producer tile to broadcast it.
-fn linked_terminator(block: &Block) -> Terminator {
-    let Terminator::Branch {
-        cond,
-        if_true,
-        if_false,
-    } = block.term
-    else {
-        return block.term;
-    };
-    let taken = block.insts.iter().find_map(|i| match i.kind {
-        InstKind::Const(Imm::I(v)) if i.dst == Some(cond) => Some(v != 0),
-        InstKind::Const(Imm::F(v)) if i.dst == Some(cond) => Some(v != 0.0),
-        _ => None,
-    });
-    match taken {
-        Some(true) => Terminator::Jump(if_true),
-        Some(false) => Terminator::Jump(if_false),
-        None => block.term,
-    }
-}
-
 /// Compiles one basic block end-to-end (task graph → partition → placement →
 /// event schedule → codegen → regalloc) into a position-independent
 /// [`BlockBundle`], plus the wall-clock time spent per phase.
@@ -698,7 +675,6 @@ pub fn compile_with_cache(
         }
     }
     let layout = DataLayout::build(program, config);
-    let n = n_tiles as usize;
 
     // ---- Fan blocks out over workers: each block is looked up in the cache
     // and compiled fresh on miss. Results land in per-block slots, so the
@@ -794,133 +770,10 @@ pub fn compile_with_cache(
         }
         bundles.push(bundle);
     }
-    // Rebase a block-relative node id to an absolute provenance record id.
-    let rebase = |base: u32, node: u32| {
-        if node == NO_PROV {
-            NO_PROV
-        } else {
-            base + node
-        }
-    };
-
     // ---- Link per-tile streams, building the pc → provenance tables in
-    // lockstep (every assembler emission appends exactly one instruction, so
-    // pushing one table entry per emission keeps pc alignment; asserted below).
+    // lockstep (see crate::link).
     let phase_start = Instant::now();
-    let switch_active = n > 1;
-    // One multicast tree per branch block, shared by every tile's switch
-    // stream (empty on a one-tile machine, which has no switch code).
-    let branch_routes: Vec<_> = bundles
-        .iter()
-        .map(|bundle| match bundle.cond_producer {
-            Some(producer) if switch_active => broadcast_routes(config, producer),
-            _ => Vec::new(),
-        })
-        .collect();
-    let mut tiles = Vec::with_capacity(n);
-    for t in 0..n {
-        // The linker refuses to emit anything onto a faulty tile: its
-        // processor and switch streams stay empty (an empty stream halts
-        // immediately), and its provenance tables stay empty in lockstep.
-        if config.is_faulty(TileId::from_raw(t as u32)) {
-            tiles.push(TileCode {
-                proc: Vec::new(),
-                switch: Vec::new(),
-            });
-            prov_map.proc_pc.push(Vec::new());
-            prov_map.switch_pc.push(Vec::new());
-            continue;
-        }
-        let mut pa = ProcAsm::new();
-        let plabels: Vec<_> = program.blocks.iter().map(|_| pa.new_label()).collect();
-        let mut sa = SwitchAsm::new();
-        let slabels: Vec<_> = program.blocks.iter().map(|_| sa.new_label()).collect();
-        let mut proc_pc: Vec<u32> = Vec::new();
-        let mut switch_pc: Vec<u32> = Vec::new();
-
-        for (b, block) in program.blocks.iter().enumerate() {
-            let base = prov_map.block_base[b];
-            pa.bind(plabels[b]);
-            for (inst, &node) in bundles[b].phys[t]
-                .insts
-                .iter()
-                .zip(&bundles[b].phys[t].prov)
-            {
-                pa.push(*inst);
-                proc_pc.push(rebase(base, node));
-            }
-            if switch_active {
-                sa.bind(slabels[b]);
-                for (pairs, rec) in &bundles[b].switch[t] {
-                    sa.route(pairs);
-                    switch_pc.push(rebase(base, *rec));
-                }
-            }
-            match linked_terminator(block) {
-                Terminator::Jump(target) => {
-                    pa.jump(plabels[target.index()]);
-                    proc_pc.push(NO_PROV);
-                    if switch_active {
-                        sa.jump(slabels[target.index()]);
-                        switch_pc.push(NO_PROV);
-                    }
-                }
-                Terminator::Halt => {
-                    pa.halt();
-                    proc_pc.push(NO_PROV);
-                    if switch_active {
-                        sa.halt();
-                        switch_pc.push(NO_PROV);
-                    }
-                }
-                Terminator::Branch {
-                    if_true, if_false, ..
-                } => {
-                    let producer = bundles[b].cond_producer.expect("branch has a producer");
-                    let cond_rec = rebase(base, bundles[b].cond_node);
-                    if producer.index() == t {
-                        let cond_reg = bundles[b].phys[t]
-                            .cond_reg
-                            .expect("producer keeps the condition live");
-                        pa.bnez(
-                            raw_machine::isa::Src::Reg(cond_reg),
-                            plabels[if_true.index()],
-                        );
-                    } else {
-                        pa.bnez(raw_machine::isa::Src::PortIn, plabels[if_true.index()]);
-                    }
-                    // The branch waits on the condition: attribute it (and any
-                    // stall it suffers) to the condition's source line.
-                    proc_pc.push(cond_rec);
-                    pa.jump(plabels[if_false.index()]);
-                    proc_pc.push(NO_PROV);
-                    if switch_active {
-                        let routes = &branch_routes[b];
-                        sa.route(&routes[t]);
-                        switch_pc.push(cond_rec);
-                        sa.bnez(0, slabels[if_true.index()]);
-                        switch_pc.push(cond_rec);
-                        sa.jump(slabels[if_false.index()]);
-                        switch_pc.push(NO_PROV);
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(proc_pc.len(), pa.here(), "tile {t}: proc pc table skew");
-        debug_assert_eq!(switch_pc.len(), sa.here(), "tile {t}: switch pc table skew");
-        let switch = if switch_active {
-            sa.finish()
-        } else {
-            switch_pc.push(NO_PROV);
-            vec![raw_machine::isa::SInst::Halt]
-        };
-        tiles.push(TileCode {
-            proc: pa.finish(),
-            switch,
-        });
-        prov_map.proc_pc.push(proc_pc);
-        prov_map.switch_pc.push(switch_pc);
-    }
+    let tiles = link::link(program, config, &bundles, &mut prov_map);
     report.timings.link += phase_start.elapsed();
     report.wall = compile_start.elapsed();
 

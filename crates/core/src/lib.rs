@@ -19,8 +19,8 @@
 //!    materialized as switch `ROUTE` instructions;
 //! 6. **register allocation** ([`regalloc`]) — linear scan with spilling,
 //!    deliberately run *after* scheduling, as in the paper;
-//! 7. **linking** ([`driver`]) — per-tile streams with orchestrated global
-//!    control flow (branch-condition broadcast).
+//! 7. **linking** ([`link`]) — per-tile streams with orchestrated global
+//!    control flow (branch-condition broadcast to the tiles that branch).
 //!
 //! A [`compile_baseline`] entry point provides the sequential single-tile
 //! compiler used as the speedup baseline in the paper's Table 3.
@@ -61,6 +61,7 @@ pub mod codegen;
 pub mod driver;
 pub mod exact;
 pub mod layout;
+pub mod link;
 pub mod options;
 pub mod partition;
 pub mod provenance;

@@ -695,7 +695,9 @@ impl SlotTable {
 /// condition word travels from the producer tile along a dimension-ordered
 /// multicast tree; at every switch it is latched into switch register 0 (for
 /// the switch's own branch) and delivered to the processor on every tile other
-/// than the producer (whose processor already holds the condition).
+/// than the producer (whose processor already holds the condition). The linker
+/// drops the processor delivery on tiles whose processors skip the branch
+/// (see [`crate::link`]).
 ///
 /// Returns one pair list per tile; the producer's list sources from
 /// [`SSrc::Proc`]. On a one-tile machine this is never needed.
