@@ -371,8 +371,9 @@ impl Threaded {
     }
 }
 
-/// What the per-tile emitters share: the program, its bundles, the region
-/// analysis and one multicast tree per branch block.
+/// What the per-tile emitters share: the entry block, the bundles, the
+/// region analysis, one multicast tree per branch block and each block's
+/// base provenance record.
 struct Linker<'a> {
     entry: usize,
     bundles: &'a [Arc<BlockBundle>],
@@ -517,7 +518,7 @@ pub(crate) fn link(
         entry: program.entry.index(),
         bundles,
         regions: Regions::build(program, bundles, n),
-        // None on a one-tile machine, which has no switch code.
+        // Empty on a one-tile machine, which has no switch code.
         trees: bundles
             .iter()
             .map(|bundle| match bundle.cond_producer {
