@@ -38,10 +38,10 @@ stage_clippy() {
     exit 1
   fi
   # One static-reference analysis: the unroller and lowering ask
-  # crates/lang/src/affine.rs, so no second copy of its folding, trip-count
-  # or home arithmetic can drift away from the first.
+  # crates/lang/src/affine.rs, so no second copy of its folding, trip-count,
+  # home or index-split arithmetic can drift away from the first.
   local forks
-  forks="$(grep -rnE 'fn (const_eval|affine_coeff|trip_count|repetition_distance)\b' \
+  forks="$(grep -rnE 'fn (const_eval|affine_coeff|trip_count|repetition_distance|split)\b' \
     crates tests examples --include='*.rs' | grep -v '^crates/lang/src/affine.rs:' || true)"
   if [[ -n "$forks" ]]; then
     echo "ci: use crates/lang/src/affine.rs instead of redefining it:" >&2
@@ -366,11 +366,14 @@ stage_trace_smoke() {
   # --selfcheck runs the oracle lane (interpreter, reference stepper, traced
   # vs untraced); the runs also exercise every report renderer, on a matmul
   # and on two control-flow-heavy kernels (tomcatv at 16 tiles is the one
-  # whose idle processors skip most branch regions).
+  # whose idle processors skip most branch regions), plus vpenta, whose
+  # `X[i][N1 - j]` references have a negative index part.
   cargo run --offline --release -p raw-bench --bin raw-bench -- \
     trace --bench life --tiles 4 --quick --selfcheck >/dev/null
   cargo run --offline --release -p raw-bench --bin raw-bench -- \
     trace --bench tomcatv --tiles 16 --quick --selfcheck >/dev/null
+  cargo run --offline --release -p raw-bench --bin raw-bench -- \
+    trace --bench vpenta --tiles 16 --quick --selfcheck >/dev/null
   local trace_dir
   trace_dir="$(mktemp -d)"
   cargo run --offline --release -p raw-bench --bin raw-bench -- \

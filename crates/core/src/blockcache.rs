@@ -753,12 +753,12 @@ mod tests {
         let out = b.var_i32("out", 0);
         let arr = b.array("a", raw_ir::Ty::I32, &[8]);
         let i = b.const_i32(3);
-        let x = b.load(arr, i, MemHome::Static(3));
+        let x = b.load(arr, i, 0, MemHome::Static(3));
         let y = b.const_f32(1.5);
         let z = b.un(UnOp::CvtIF, x);
         let w = b.bin(BinOp::MulF, z, y);
         let v = b.un(UnOp::CvtFI, w);
-        b.store(arr, i, v, MemHome::Dynamic);
+        b.store(arr, i, 0, v, MemHome::Dynamic);
         b.write_var(out, v);
         b.halt();
         b.finish().unwrap()

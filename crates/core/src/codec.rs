@@ -57,7 +57,7 @@ const HI_BASIS: u64 = 0x8422_2325_cbf2_9ce4;
 const MAGIC: [u8; 8] = *b"RAWCCBC\n";
 /// Bump whenever the bundle encoding or key derivation changes, or the
 /// compiler makes a different bundle from the same key.
-pub(crate) const FORMAT_VERSION: u32 = 4;
+pub(crate) const FORMAT_VERSION: u32 = 5;
 
 /// 128-bit content hash of the concatenation of `parts`: two FNV-1a passes
 /// from independent bases, returned as `(standard-basis pass, second pass)`.
@@ -438,8 +438,8 @@ tagged! {
         0 => Const(imm),
         1 => Un(op, a),
         2 => Bin(op, a, b),
-        3 => Load { array, index, home },
-        4 => Store { array, index, value, home },
+        3 => Load { array, index, offset, home },
+        4 => Store { array, index, offset, value, home },
         5 => ReadVar(var),
         6 => WriteVar(var, x),
     }
@@ -497,19 +497,27 @@ pub fn canonical_block_bytes(block: &Block) -> Vec<u8> {
         let kind = match inst.kind {
             InstKind::Un(op, a) => InstKind::Un(op, canon(a)),
             InstKind::Bin(op, a, b) => InstKind::Bin(op, canon(a), canon(b)),
-            InstKind::Load { array, index, home } => InstKind::Load {
+            InstKind::Load {
+                array,
+                index,
+                offset,
+                home,
+            } => InstKind::Load {
                 array,
                 index: canon(index),
+                offset,
                 home,
             },
             InstKind::Store {
                 array,
                 index,
+                offset,
                 value,
                 home,
             } => InstKind::Store {
                 array,
                 index: canon(index),
+                offset,
                 value: canon(value),
                 home,
             },

@@ -2,18 +2,28 @@
 //! over *virtual* registers (physical registers are assigned afterwards by
 //! [`regalloc`](crate::regalloc)).
 //!
-//! Address arithmetic for interleaved arrays follows paper Figure 7. For a
-//! static reference with residue `r` (so the index `i` satisfies
-//! `i ≡ r (mod N)`), the element's local word address on its home tile is
-//! `base + i / N = base + (i >> log2 N)` — one shift. For a dynamic reference
-//! the interleaved global address is `i + base · N`: the index plus the
+//! Address arithmetic for interleaved arrays follows paper Figure 7, with the
+//! constant part of every index already split off by lowering: a reference
+//! touches element `e0 + c`, where `e0` is the index value and `c` the
+//! instruction's constant offset. For a static reference with residue `r`
+//! over `N = 2^s` live slots, `e0 + c ≡ r (mod N)`, so `e0 ≡ r0 = (r − c) mod
+//! N` and the element's local word on its home tile is
+//!
+//! ```text
+//! base + (e0 + c) / N = (e0 >>ₐ s) + base + ⌊(r0 + c) / N⌋
+//! ```
+//!
+//! — one arithmetic shift per index register on each tile (`e0` may be
+//! negative, as in `X[i][N1 − j]`), memoized, plus an immediate. On one tile
+//! the access is `lw d, (base + c)(e0)`. For a dynamic reference the
+//! interleaved global address is `e0 + c + base · N`: the index plus the
 //! access's immediate offset, so no instruction computes it. An immediate
 //! index folds the shift at compile time too.
 
 use crate::layout::{ArrayClass, DataLayout};
 use crate::schedule::{BlockSchedule, TileOp};
 use crate::taskgraph::TaskGraph;
-use raw_ir::{Imm, InstKind, UnOp, ValueId};
+use raw_ir::{Imm, InstKind, MemHome, UnOp, ValueId};
 use raw_machine::isa::{AluOp, Dst, PInst, Src};
 use raw_machine::TileId;
 use std::collections::HashMap;
@@ -283,7 +293,7 @@ struct TileGen<'a> {
     vregs: HashMap<ValueId, u16>,
     next_vreg: u16,
     insts: Vec<PInst>,
-    /// Memoized `idx >> log2 N` results, keyed by the index vreg.
+    /// Memoized `e0 >> log2 N` results (arithmetic), keyed by the index vreg.
     shifted: HashMap<u16, u16>,
 }
 
@@ -384,17 +394,22 @@ impl TileGen<'_> {
                     b,
                 });
             }
-            InstKind::Load { array, index, .. } => {
+            InstKind::Load {
+                array,
+                index,
+                offset,
+                home,
+            } => {
                 let idx = src(self, *index);
                 let base = self.layout.array_base(*array);
                 match self.layout.class(*array) {
                     ArrayClass::Static => {
-                        let addr = self.local_addr(idx);
+                        let (addr, offset) = self.local_addr(idx, *offset, *home, base);
                         let d = dst(self, inst.dst.unwrap());
                         self.insts.push(PInst::Load {
                             dst: d,
                             addr,
-                            offset: base as i32,
+                            offset,
                         });
                     }
                     ArrayClass::Dynamic { .. } => {
@@ -402,7 +417,7 @@ impl TileGen<'_> {
                         self.insts.push(PInst::DLoad {
                             dst: d,
                             gaddr: idx,
-                            offset: self.global_base(base),
+                            offset: self.global_base(base).wrapping_add(*offset),
                         });
                     }
                 }
@@ -410,26 +425,27 @@ impl TileGen<'_> {
             InstKind::Store {
                 array,
                 index,
+                offset,
                 value,
-                ..
+                home,
             } => {
                 let idx = src(self, *index);
                 let val = src(self, *value);
                 let base = self.layout.array_base(*array);
                 match self.layout.class(*array) {
                     ArrayClass::Static => {
-                        let addr = self.local_addr(idx);
+                        let (addr, offset) = self.local_addr(idx, *offset, *home, base);
                         self.insts.push(PInst::Store {
                             value: val,
                             addr,
-                            offset: base as i32,
+                            offset,
                         });
                     }
                     ArrayClass::Dynamic { .. } => {
                         self.insts.push(PInst::DStore {
                             value: val,
                             gaddr: idx,
-                            offset: self.global_base(base),
+                            offset: self.global_base(base).wrapping_add(*offset),
                         });
                     }
                 }
@@ -453,33 +469,43 @@ impl TileGen<'_> {
         }
     }
 
-    /// `idx >> log2 N` (no-op shift elided on a 1-tile machine; folded for an
-    /// immediate index; memoized when the index comes from a register).
-    fn local_addr(&mut self, idx: Src) -> Src {
+    /// The `(base register, immediate)` pair addressing element `e0 + c` of a
+    /// static array whose local base word is `base` and whose residue `home`
+    /// the static-reference analysis proved (paper Figure 7; see the module
+    /// doc). The shift is elided on one tile, folded for an immediate `e0` and
+    /// memoized per index register.
+    fn local_addr(&mut self, e0: Src, c: i32, home: MemHome, base: u32) -> (Src, i32) {
         let shift = self.layout.tile_shift();
         if shift == 0 {
-            return idx;
+            return (e0, (base as i32).wrapping_add(c));
         }
-        match idx {
-            Src::Imm(i) => return Src::Imm(Imm::I((i.to_bits() >> shift) as i32)),
-            Src::Reg(r) => {
-                if let Some(&t) = self.shifted.get(&r) {
-                    return Src::Reg(t);
-                }
+        let shifted = match e0 {
+            Src::Imm(i) => {
+                let word = (i.to_bits() as i32).wrapping_add(c) >> shift;
+                return (Src::Imm(Imm::I(word)), base as i32);
             }
-            Src::PortIn => {}
-        }
-        let t = self.fresh();
-        self.insts.push(PInst::Alu {
-            op: AluOp::Bin(raw_ir::BinOp::Shru),
-            dst: Dst::Reg(t),
-            a: idx,
-            b: Src::Imm(Imm::I(shift as i32)),
-        });
-        if let Src::Reg(r) = idx {
-            self.shifted.insert(r, t);
-        }
-        Src::Reg(t)
+            Src::Reg(reg) if self.shifted.contains_key(&reg) => self.shifted[&reg],
+            _ => {
+                let t = self.fresh();
+                self.insts.push(PInst::Alu {
+                    op: AluOp::Bin(raw_ir::BinOp::Shr),
+                    dst: Dst::Reg(t),
+                    a: e0,
+                    b: Src::Imm(Imm::I(shift as i32)),
+                });
+                if let Src::Reg(reg) = e0 {
+                    self.shifted.insert(reg, t);
+                }
+                t
+            }
+        };
+        let MemHome::Static(r) = home else {
+            unreachable!("static array with dynamic ref")
+        };
+        let n = i64::from(self.layout.n_tiles);
+        let r0 = (i64::from(r) - i64::from(c)).rem_euclid(n);
+        let imm = i64::from(base) + (r0 + i64::from(c)).div_euclid(n);
+        (Src::Reg(shifted), imm as i32)
     }
 
     /// `base · N`: the global address of a dynamic array's element 0.
@@ -519,7 +545,7 @@ mod tests {
             let a = b.array("A", Ty::I32, &[8]);
             let x = b.var_i32("x", 6);
             let i = b.read_var(x);
-            let v = b.load(a, i, MemHome::Static(2));
+            let v = b.load(a, i, 0, MemHome::Static(2));
             let _ = b.add(v, v);
         });
         // The load is pinned to tile 2.
@@ -534,10 +560,65 @@ mod tests {
         assert!(tile2.iter().any(|i| matches!(
             i,
             PInst::Alu {
-                op: AluOp::Bin(raw_ir::BinOp::Shru),
+                op: AluOp::Bin(raw_ir::BinOp::Shr),
                 ..
             }
         )));
+    }
+
+    /// Figure 7 with the constant split off: for every residue, offset and
+    /// sign of the index part `e0`, the `(register, immediate)` pair addresses
+    /// the home-tile word `(e0 + c) >> log2 N` of element `e0 + c`.
+    #[test]
+    fn split_index_addresses_the_home_word() {
+        for n in [1u32, 2, 4, 16] {
+            let mut b = ProgramBuilder::new("t");
+            let a = b.array("A", Ty::I32, &[64]);
+            b.halt();
+            let layout = DataLayout::build(&b.finish().unwrap(), &MachineConfig::square(n));
+            let base = layout.array_base(a);
+            let ni = n as i32;
+            for r in 0..ni {
+                for c in [-ni - 1, -1, 0, 1, ni, 2 * ni + 3] {
+                    for k in [-3, -1, 0, 2] {
+                        let e0 = k * ni + (r - c).rem_euclid(ni);
+                        let want = i64::from(base) + i64::from((e0 + c).div_euclid(ni));
+                        let mut gen = TileGen {
+                            layout: &layout,
+                            vregs: HashMap::new(),
+                            next_vreg: 1,
+                            insts: Vec::new(),
+                            shifted: HashMap::new(),
+                        };
+                        let home = MemHome::Static(r as u32);
+                        // e0 in register 0: run the emitted shift, if any.
+                        let (addr, imm) = gen.local_addr(Src::Reg(0), c, home, base);
+                        let reg = match (addr, gen.insts.as_slice()) {
+                            (Src::Reg(0), []) => e0 as u32,
+                            (
+                                Src::Reg(t),
+                                [PInst::Alu {
+                                    op,
+                                    dst: Dst::Reg(d),
+                                    a: Src::Reg(0),
+                                    b: Src::Imm(sh),
+                                }],
+                            ) if *d == t => op.eval(e0 as u32, sh.to_bits()),
+                            other => panic!("unexpected address code {other:?}"),
+                        };
+                        let got = i64::from(reg as i32) + i64::from(imm);
+                        assert_eq!(got, want, "N={n} r={r} c={c} e0={e0}");
+                        // e0 as an immediate folds to the same word.
+                        let (addr, imm) = gen.local_addr(Src::Imm(Imm::I(e0)), c, home, base);
+                        let Src::Imm(word) = addr else {
+                            panic!("an immediate index folds: {addr:?}")
+                        };
+                        let got = i64::from(word.to_bits() as i32) + i64::from(imm);
+                        assert_eq!(got, want, "N={n} r={r} c={c} e0={e0} (immediate)");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -547,8 +628,8 @@ mod tests {
             let d = b.array("D", Ty::I32, &[8]);
             let six = b.const_i32(6);
             let three = b.const_i32(3);
-            let v = b.load(a, six, MemHome::Static(2));
-            b.store(d, three, v, MemHome::Dynamic);
+            let v = b.load(a, six, 0, MemHome::Static(2));
+            b.store(d, three, 0, v, MemHome::Dynamic);
         });
         let all: Vec<&PInst> = code.iter().flat_map(|c| c.insts.iter()).collect();
         assert!(all.iter().any(|i| matches!(
@@ -574,8 +655,8 @@ mod tests {
         let (code, _) = codegen_for(2, |b| {
             let a = b.array("A", Ty::I32, &[8]);
             let i = b.const_i32(3);
-            let v = b.load(a, i, MemHome::Dynamic);
-            b.store(a, i, v, MemHome::Dynamic);
+            let v = b.load(a, i, 0, MemHome::Dynamic);
+            b.store(a, i, 0, v, MemHome::Dynamic);
         });
         let all: Vec<&PInst> = code.iter().flat_map(|c| c.insts.iter()).collect();
         assert!(all.iter().any(|i| matches!(i, PInst::DLoad { .. })));
@@ -587,12 +668,12 @@ mod tests {
         let (code, _) = codegen_for(1, |b| {
             let a = b.array("A", Ty::I32, &[8]);
             let i = b.const_i32(3);
-            let _ = b.load(a, i, MemHome::Static(0));
+            let _ = b.load(a, i, 0, MemHome::Static(0));
         });
         assert!(!code[0].insts.iter().any(|i| matches!(
             i,
             PInst::Alu {
-                op: AluOp::Bin(raw_ir::BinOp::Shru),
+                op: AluOp::Bin(raw_ir::BinOp::Shr | raw_ir::BinOp::Shru),
                 ..
             }
         )));

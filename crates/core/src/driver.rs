@@ -1003,9 +1003,9 @@ mod tests {
         b.set_array_init(a, (0..8).map(|k| raw_ir::Imm::I(k + 1)).collect());
         for k in 0..8u32 {
             let idx = b.const_i32(k as i32);
-            let v = b.load(a, idx, MemHome::Static(k % n_tiles));
+            let v = b.load(a, idx, 0, MemHome::Static(k % n_tiles));
             let sq = b.mul(v, v);
-            b.store(bb, idx, sq, MemHome::Static(k % n_tiles));
+            b.store(bb, idx, 0, sq, MemHome::Static(k % n_tiles));
         }
         b.halt();
         let p = b.finish().unwrap();
@@ -1020,9 +1020,9 @@ mod tests {
         b.set_array_init(a, (0..8).map(raw_ir::Imm::I).collect());
         // A[A[3]] = 99 — the inner value is data-dependent: dynamic access.
         let three = b.const_i32(3);
-        let inner = b.load(a, three, MemHome::Dynamic);
+        let inner = b.load(a, three, 0, MemHome::Dynamic);
         let v99 = b.const_i32(99);
-        b.store(a, inner, v99, MemHome::Dynamic);
+        b.store(a, inner, 0, v99, MemHome::Dynamic);
         b.halt();
         let p = b.finish().unwrap();
         for n in [1, 2, 4] {

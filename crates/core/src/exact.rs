@@ -670,9 +670,9 @@ mod tests {
             let a = b.array("A", Ty::I32, &[8]);
             for r in 0..4u32 {
                 let i = b.const_i32(r as i32);
-                let v = b.load(a, i, MemHome::Static(r));
+                let v = b.load(a, i, 0, MemHome::Static(r));
                 let w = b.bin(BinOp::Add, v, v);
-                b.store(a, i, w, MemHome::Static(r));
+                b.store(a, i, 0, w, MemHome::Static(r));
             }
         });
         let res = solve_with(&g, &config, &CompilerOptions::default());

@@ -199,8 +199,8 @@ mod tests {
         b.set_array_init(arr, (0..10).map(Imm::I).collect());
         let brr = b.array("B", Ty::I32, &[4]);
         let i0 = b.const_i32(0);
-        let v = b.load(arr, i0, home_a);
-        b.store(brr, i0, v, home_b);
+        let v = b.load(arr, i0, 0, home_a);
+        b.store(brr, i0, 0, v, home_b);
         b.halt();
         b.finish().unwrap()
     }

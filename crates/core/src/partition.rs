@@ -16,6 +16,7 @@
 
 use crate::options::CompilerOptions;
 use crate::taskgraph::{EdgeKind, TaskGraph};
+use raw_ir::InstKind;
 use raw_machine::{MachineConfig, TileId};
 
 /// Assumed latency of one cross-tile word transfer during clustering: the
@@ -234,7 +235,12 @@ fn cluster(graph: &TaskGraph) -> Clustering {
         // Candidates: fresh singleton, or any data-predecessor's cluster whose
         // pin is compatible. Order edges force the predecessor's cluster only
         // through pins (both endpoints share the same pin), so they need no
-        // special casing here.
+        // special casing here. A tie with the fresh singleton goes to the
+        // cluster of a load whose index is a register: loads sharing one index
+        // value (as every unrolled copy of a reference does) finish together,
+        // so a consumer of two of them always ties, and one operand is already
+        // in the load's cluster. Other ties stay fresh, so a reduction tree
+        // does not cascade into the pinned clusters.
         let mut best: (Option<usize>, u64) = (None, start_in(None, &cluster_of, &cluster_avail));
         for &(p, kind) in &graph.preds[node] {
             if kind != EdgeKind::Data {
@@ -249,7 +255,9 @@ fn cluster(graph: &TaskGraph) -> Clustering {
                 continue;
             }
             let t = start_in(Some(pc), &cluster_of, &cluster_avail);
-            if t < best.1 {
+            let register_load = matches!(graph.insts[p].kind,
+                InstKind::Load { index, .. } if !graph.imms.contains_key(&index));
+            if t < best.1 || (t == best.1 && best.0.is_none() && register_load) {
                 best = (Some(pc), t);
             }
         }
@@ -651,15 +659,54 @@ mod tests {
             let a = b.array("A", Ty::I32, &[16]);
             for r in 0..4u32 {
                 let i = b.const_i32(r as i32);
-                let v = b.load(a, i, MemHome::Static(r));
+                let v = b.load(a, i, 0, MemHome::Static(r));
                 let w = b.add(v, v);
-                b.store(a, i, w, MemHome::Static(r));
+                b.store(a, i, 0, w, MemHome::Static(r));
             }
         });
         let part = partition(&g, &config, &CompilerOptions::default());
         for (n, inst) in g.insts.iter().enumerate() {
             if let Some(pin) = g.pins[n] {
                 assert_eq!(part.assignment[n], pin, "node {n} ({inst:?})");
+            }
+        }
+    }
+
+    /// Loads that share one index value finish together, so a consumer of two
+    /// of them ties between a fresh cluster and a load's cluster: it joins the
+    /// load's, where its operand already is. Loads with immediate indices
+    /// keep the fresh cluster.
+    #[test]
+    fn consumers_of_loads_sharing_an_index_join_a_load_cluster() {
+        for shared in [true, false] {
+            let (_, _, g) = setup(4, |b| {
+                let a = b.array("A", Ty::I32, &[16]);
+                let x = b.var_i32("x", 4);
+                let i = b.read_var(x);
+                let loads: Vec<_> = (0..4)
+                    .map(|r| {
+                        let index = if shared { i } else { b.const_i32(r) };
+                        let offset = if shared { r } else { 0 };
+                        b.load(a, index, offset, MemHome::Static(r as u32))
+                    })
+                    .collect();
+                for r in 0..4 {
+                    let _ = b.add(loads[r], loads[(r + 1) % 4]);
+                }
+            });
+            let clusters = cluster(&g);
+            let node = |kind: fn(&InstKind) -> bool| -> Vec<usize> {
+                (0..g.len()).filter(|&n| kind(&g.insts[n].kind)).collect()
+            };
+            let loads = node(|k| matches!(k, InstKind::Load { .. }));
+            let adds = node(|k| matches!(k, InstKind::Bin(..)));
+            for (r, &add) in adds.iter().enumerate() {
+                let homes = [loads[r], loads[(r + 1) % 4]].map(|l| clusters.of_node[l]);
+                assert_eq!(
+                    homes.contains(&clusters.of_node[add]),
+                    shared,
+                    "shared index: {shared}, add {r}"
+                );
             }
         }
     }
@@ -716,9 +763,9 @@ mod tests {
             let a = b.array("A", Ty::I32, &[16]);
             for r in 0..4u32 {
                 let i = b.const_i32(r as i32);
-                let v = b.load(a, i, MemHome::Static(r));
+                let v = b.load(a, i, 0, MemHome::Static(r));
                 let w = b.add(v, v);
-                b.store(a, i, w, MemHome::Static(r));
+                b.store(a, i, 0, w, MemHome::Static(r));
             }
         });
         let options = CompilerOptions {
@@ -950,9 +997,9 @@ mod tests {
         let a = b.array("A", Ty::I32, &[16]);
         for r in 0..4u32 {
             let i = b.const_i32(r as i32);
-            let v = b.load(a, i, MemHome::Static(r));
+            let v = b.load(a, i, 0, MemHome::Static(r));
             let w = b.add(v, v);
-            b.store(a, i, w, MemHome::Static(r));
+            b.store(a, i, 0, w, MemHome::Static(r));
         }
         for _ in 0..6 {
             let mut v = b.const_f32(1.0);

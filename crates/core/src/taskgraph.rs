@@ -359,10 +359,10 @@ mod tests {
                 let i4 = b.const_i32(4);
                 let i1 = b.const_i32(1);
                 let v = b.const_i32(9);
-                b.store(a, i0, v, MemHome::Static(0)); // node 0
-                let _l0 = b.load(a, i4, MemHome::Static(0)); // node 1: residue 0 too
-                let _l1 = b.load(a, i1, MemHome::Static(1)); // node 2: residue 1
-                b.store(a, i0, v, MemHome::Static(0)); // node 3
+                b.store(a, i0, 0, v, MemHome::Static(0)); // node 0
+                let _l0 = b.load(a, i4, 0, MemHome::Static(0)); // node 1: residue 0 too
+                let _l1 = b.load(a, i1, 0, MemHome::Static(1)); // node 2: residue 1
+                b.store(a, i0, 0, v, MemHome::Static(0)); // node 3
             },
             4,
         );
@@ -388,9 +388,9 @@ mod tests {
                 let a = b.array("A", Ty::I32, &[8]);
                 let i0 = b.const_i32(0);
                 let i1 = b.const_i32(1);
-                let l0 = b.load(a, i0, MemHome::Dynamic); // node 0
-                let _l1 = b.load(a, i1, MemHome::Dynamic); // node 1
-                b.store(a, i1, l0, MemHome::Dynamic); // node 2
+                let l0 = b.load(a, i0, 0, MemHome::Dynamic); // node 0
+                let _l1 = b.load(a, i1, 0, MemHome::Dynamic); // node 1
+                b.store(a, i1, 0, l0, MemHome::Dynamic); // node 2
             },
             4,
         );

@@ -190,21 +190,38 @@ impl ProgramBuilder {
         dst
     }
 
-    /// Emits an array load. `home` classifies the access per paper §5.1.
-    pub fn load(&mut self, array: ArrayId, index: ValueId, home: MemHome) -> ValueId {
+    /// Emits a load of element `index + offset` of `array`. `home` classifies
+    /// the access per paper §5.1.
+    pub fn load(&mut self, array: ArrayId, index: ValueId, offset: i32, home: MemHome) -> ValueId {
         let ty = self.arrays[array.index()].ty;
         let dst = self.fresh(ty);
-        self.push(Inst::new(Some(dst), InstKind::Load { array, index, home }));
+        self.push(Inst::new(
+            Some(dst),
+            InstKind::Load {
+                array,
+                index,
+                offset,
+                home,
+            },
+        ));
         dst
     }
 
-    /// Emits an array store.
-    pub fn store(&mut self, array: ArrayId, index: ValueId, value: ValueId, home: MemHome) {
+    /// Emits a store of `value` to element `index + offset` of `array`.
+    pub fn store(
+        &mut self,
+        array: ArrayId,
+        index: ValueId,
+        offset: i32,
+        value: ValueId,
+        home: MemHome,
+    ) {
         self.push(Inst::new(
             None,
             InstKind::Store {
                 array,
                 index,
+                offset,
                 value,
                 home,
             },
@@ -386,9 +403,9 @@ mod tests {
         let a = b.array("a", Ty::I32, &[4]);
         b.set_array_init(a, vec![Imm::I(5), Imm::I(6)]);
         let idx = b.const_i32(1);
-        let v = b.load(a, idx, MemHome::Static(1));
+        let v = b.load(a, idx, 0, MemHome::Static(1));
         let idx2 = b.const_i32(2);
-        b.store(a, idx2, v, MemHome::Dynamic);
+        b.store(a, idx2, 0, v, MemHome::Dynamic);
         b.halt();
         let p = b.finish().unwrap();
         assert_eq!(p.array(a).init_value(1), Imm::I(6));

@@ -1,7 +1,7 @@
 //! Human-readable rendering of programs, blocks, and instructions.
 //!
 //! Instructions render in a Figure-6-like style, e.g. `y_1 = add a, b` or
-//! `store A[v3] = v7`. Values render by debug name when one was recorded.
+//! `store A[v3 + 1] = v7`. Values render by debug name when one was recorded.
 
 use crate::inst::{Inst, InstKind, MemHome};
 use crate::program::{Program, Terminator};
@@ -15,22 +15,28 @@ impl Program {
             InstKind::Const(imm) => format!("li {imm}"),
             InstKind::Un(op, s) => format!("{op} {}", v(*s)),
             InstKind::Bin(op, a, b) => format!("{op} {}, {}", v(*a), v(*b)),
-            InstKind::Load { array, index, home } => format!(
+            InstKind::Load {
+                array,
+                index,
+                offset,
+                home,
+            } => format!(
                 "load {}[{}]{}",
                 self.array(*array).name,
-                v(*index),
+                fmt_index(v(*index), *offset),
                 fmt_home(*home)
             ),
             InstKind::Store {
                 array,
                 index,
+                offset,
                 value,
                 home,
             } => {
                 return format!(
                     "store {}[{}]{} = {}",
                     self.array(*array).name,
-                    v(*index),
+                    fmt_index(v(*index), *offset),
                     fmt_home(*home),
                     v(*value)
                 )
@@ -44,6 +50,15 @@ impl Program {
             Some(d) => format!("{} = {}", v(d), body),
             None => body,
         }
+    }
+}
+
+/// `v8`, `v8 + 3` or `v8 - 1`.
+fn fmt_index(index: String, offset: i32) -> String {
+    match offset {
+        0 => index,
+        c if c < 0 => format!("{index} - {}", c.unsigned_abs()),
+        c => format!("{index} + {c}"),
     }
 }
 
@@ -103,8 +118,10 @@ mod tests {
         b.name_value(vx, "x_0");
         let s = b.add(vx, vx);
         b.name_value(s, "x_1");
-        let elem = b.load(a, s, MemHome::Static(0));
-        b.store(a, vx, elem, MemHome::Dynamic);
+        let elem = b.load(a, s, 0, MemHome::Static(0));
+        b.store(a, vx, 0, elem, MemHome::Dynamic);
+        let next = b.load(a, s, 3, MemHome::Static(3));
+        b.store(a, vx, -1, next, MemHome::Dynamic);
         b.write_var(x, s);
         b.halt();
         let p = b.finish().unwrap();
@@ -112,6 +129,8 @@ mod tests {
         assert!(text.contains("x_1 = add x_0, x_0"), "got:\n{text}");
         assert!(text.contains("load A[x_1] @0"), "got:\n{text}");
         assert!(text.contains("store A[x_0] @dyn"), "got:\n{text}");
+        assert!(text.contains("load A[x_1 + 3] @3"), "got:\n{text}");
+        assert!(text.contains("store A[x_0 - 1] @dyn"), "got:\n{text}");
         assert!(text.contains("write x = x_1"), "got:\n{text}");
         assert!(text.contains("halt"), "got:\n{text}");
     }

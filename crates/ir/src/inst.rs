@@ -426,21 +426,27 @@ pub enum InstKind {
     Un(UnOp, ValueId),
     /// Binary operation.
     Bin(BinOp, ValueId, ValueId),
-    /// Load one element of `array` at the (linearized) element index `index`.
+    /// Load one element of `array` at the (linearized) element index
+    /// `index + offset`.
     Load {
         /// Array being read.
         array: ArrayId,
-        /// Value holding the linearized element index.
+        /// Value holding the non-constant part of the linearized index.
         index: ValueId,
+        /// Constant part of the linearized index, folded into the memory
+        /// instruction's immediate.
+        offset: i32,
         /// Static/dynamic classification of the element's home tile.
         home: MemHome,
     },
-    /// Store `value` into `array` at element index `index`.
+    /// Store `value` into `array` at element index `index + offset`.
     Store {
         /// Array being written.
         array: ArrayId,
-        /// Value holding the linearized element index.
+        /// Value holding the non-constant part of the linearized index.
         index: ValueId,
+        /// Constant part of the linearized index.
+        offset: i32,
         /// Value being stored.
         value: ValueId,
         /// Static/dynamic classification of the element's home tile.
@@ -600,6 +606,7 @@ mod tests {
             InstKind::Load {
                 array: ArrayId::from_raw(0),
                 index: ValueId::from_raw(1),
+                offset: 0,
                 home: MemHome::Dynamic,
             },
         );

@@ -171,45 +171,29 @@ impl<'p> Interpreter<'p> {
                         let v = op.eval(values[a.index()], values[b.index()]);
                         set(&mut values, inst.dst, v);
                     }
-                    InstKind::Load { array, index, .. } => {
-                        let idx = as_index(values[index.index()]);
-                        let decl = p.array(*array);
-                        let storage = &arrays[array.index()];
-                        let bits = *storage.get(idx.max(0) as usize).ok_or(
-                            InterpError::IndexOutOfBounds {
-                                array: *array,
-                                index: idx,
-                                len: decl.len(),
-                                block: current,
-                            },
-                        )?;
-                        if idx < 0 {
-                            return Err(InterpError::IndexOutOfBounds {
-                                array: *array,
-                                index: idx,
-                                len: decl.len(),
-                                block: current,
-                            });
-                        }
-                        set(&mut values, inst.dst, Imm::from_bits(bits, decl.ty));
+                    InstKind::Load {
+                        array,
+                        index,
+                        offset,
+                        ..
+                    } => {
+                        let i = element(p, *array, values[index.index()], *offset, current)?;
+                        let bits = arrays[array.index()][i];
+                        set(
+                            &mut values,
+                            inst.dst,
+                            Imm::from_bits(bits, p.array(*array).ty),
+                        );
                     }
                     InstKind::Store {
                         array,
                         index,
+                        offset,
                         value,
                         ..
                     } => {
-                        let idx = as_index(values[index.index()]);
-                        let len = p.array(*array).len();
-                        if idx < 0 || idx as u32 >= len {
-                            return Err(InterpError::IndexOutOfBounds {
-                                array: *array,
-                                index: idx,
-                                len,
-                                block: current,
-                            });
-                        }
-                        arrays[array.index()][idx as usize] = values[value.index()].to_bits();
+                        let i = element(p, *array, values[index.index()], *offset, current)?;
+                        arrays[array.index()][i] = values[value.index()].to_bits();
                     }
                     InstKind::ReadVar(var) => {
                         set(&mut values, inst.dst, vars[var.index()]);
@@ -266,6 +250,28 @@ fn as_index(v: Imm) -> i32 {
     }
 }
 
+/// The element `index + offset` of `array` touches (wrapping, like the index
+/// arithmetic it replaces), bounds-checked.
+fn element(
+    p: &Program,
+    array: ArrayId,
+    index: Imm,
+    offset: i32,
+    block: BlockId,
+) -> Result<usize, InterpError> {
+    let index = as_index(index).wrapping_add(offset);
+    let len = p.array(array).len();
+    match u32::try_from(index) {
+        Ok(i) if i < len => Ok(i as usize),
+        _ => Err(InterpError::IndexOutOfBounds {
+            array,
+            index,
+            len,
+            block,
+        }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,7 +307,7 @@ mod tests {
         b.switch_to(body);
         let vi = b.read_var(i);
         let vs = b.read_var(sum);
-        let elem = b.load(a, vi, MemHome::Dynamic);
+        let elem = b.load(a, vi, 0, MemHome::Dynamic);
         let ns = b.add(vs, elem);
         let one = b.const_i32(1);
         let ni = b.add(vi, one);
@@ -325,7 +331,7 @@ mod tests {
         let idx = b.const_i32(2);
         let v = b.const_f32(2.5);
         let w = b.mul_f(v, v);
-        b.store(a, idx, w, MemHome::Dynamic);
+        b.store(a, idx, 0, w, MemHome::Dynamic);
         b.halt();
         let program = b.finish().unwrap();
         let arr_id = program.array_by_name("a").unwrap();
@@ -336,16 +342,24 @@ mod tests {
 
     #[test]
     fn out_of_bounds_faults() {
-        let mut b = ProgramBuilder::new("t");
-        let a = b.array("a", Ty::I32, &[2]);
-        let idx = b.const_i32(5);
-        let _ = b.load(a, idx, MemHome::Dynamic);
-        b.halt();
-        let program = b.finish().unwrap();
-        assert!(matches!(
-            Interpreter::new(&program).run(),
-            Err(InterpError::IndexOutOfBounds { .. })
-        ));
+        // The element is `index + offset`: only its sum must be in bounds.
+        for (index, offset, in_bounds) in
+            [(5, 0, false), (1, 1, false), (3, -4, false), (-1, 2, true)]
+        {
+            let mut b = ProgramBuilder::new("t");
+            let a = b.array("a", Ty::I32, &[2]);
+            let idx = b.const_i32(index);
+            let _ = b.load(a, idx, offset, MemHome::Dynamic);
+            b.halt();
+            let program = b.finish().unwrap();
+            match (Interpreter::new(&program).run(), in_bounds) {
+                (Ok(_), true) => {}
+                (Err(InterpError::IndexOutOfBounds { index: i, .. }), false) => {
+                    assert_eq!(i, index + offset)
+                }
+                (other, _) => panic!("{index} + {offset}: {other:?}"),
+            }
+        }
     }
 
     #[test]

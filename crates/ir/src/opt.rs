@@ -305,11 +305,11 @@ mod tests {
         let mut b = ProgramBuilder::new("t");
         let a = b.array("A", Ty::I32, &[4]);
         let i0 = b.const_i32(0);
-        let l1 = b.load(a, i0, MemHome::Static(0));
+        let l1 = b.load(a, i0, 0, MemHome::Static(0));
         let one = b.const_i32(1);
         let w = b.add(l1, one);
-        b.store(a, i0, w, MemHome::Static(0));
-        let _dead = b.load(a, i0, MemHome::Static(0)); // unused
+        b.store(a, i0, 0, w, MemHome::Static(0));
+        let _dead = b.load(a, i0, 0, MemHome::Static(0)); // unused
         b.halt();
         let mut p = b.finish().unwrap();
         optimize(&mut p);

@@ -142,6 +142,80 @@ fn linearize(
     Some(sum)
 }
 
+/// The non-constant terms `(term, coeff)` of one index, `Σ coeff · term`, in
+/// source order.
+pub type Terms<'e> = Vec<(&'e Expr, i32)>;
+
+/// The access `array[indices]` (row-major `dims`) split into its
+/// non-constant part and a constant, for lowering to emit the first as the
+/// memory instruction's index and fold the second into its immediate.
+///
+/// Returns each index's [`Terms`] and the constant parts of all indices,
+/// linearized into one element offset. The constant is split off every sum,
+/// difference, negation and product with a constant; every other
+/// subexpression (a scalar, an array element, a product of two variables, a
+/// literal outside `i32`) is one term. The arithmetic wraps at 32 bits, as
+/// the index arithmetic it replaces does, so the split is exact: with
+/// `dims = [_, 8]`, `[k + 3][j - 1]` is `[k][j]` plus 23, and every unrolled
+/// copy of a reference has the same terms. A fully constant index has none.
+pub fn split<'e>(dims: &[u32], indices: &'e [Expr]) -> (Vec<Terms<'e>>, i32) {
+    let mut offset = 0i32;
+    let parts = indices
+        .iter()
+        .zip(dims)
+        .map(|(idx, &dim)| {
+            let (terms, c) = split_expr(idx);
+            offset = offset.wrapping_mul(dim as i32).wrapping_add(c);
+            terms
+        })
+        .collect();
+    (parts, offset)
+}
+
+type Split<'e> = (Terms<'e>, i32);
+
+/// `e` as `(terms, constant)`, see [`split`].
+fn split_expr(e: &Expr) -> Split<'_> {
+    match e {
+        Expr::Lit(Literal::Int(v), _) => match i32::try_from(*v) {
+            Ok(v) => (Vec::new(), v),
+            Err(_) => (vec![(e, 1)], 0),
+        },
+        Expr::Bin {
+            op: op @ (BinKind::Add | BinKind::Sub),
+            l,
+            r,
+            ..
+        } => {
+            let sign = if *op == BinKind::Add { 1 } else { -1 };
+            let (mut t, c) = split_expr(l);
+            let (u, d) = scaled(split_expr(r), sign);
+            t.extend(u);
+            (t, c.wrapping_add(d))
+        }
+        Expr::Bin {
+            op: BinKind::Mul,
+            l,
+            r,
+            ..
+        } => match (split_expr(l), split_expr(r)) {
+            ((t, c), (u, d)) if t.is_empty() => scaled((u, d), c),
+            ((t, c), (u, d)) if u.is_empty() => scaled((t, c), d),
+            _ => (vec![(e, 1)], 0),
+        },
+        Expr::Un {
+            op: UnKind::Neg, e, ..
+        } => scaled(split_expr(e), -1),
+        _ => (vec![(e, 1)], 0),
+    }
+}
+
+/// Every coefficient and the constant of `(t, c)` times `k`.
+fn scaled((t, c): Split<'_>, k: i32) -> Split<'_> {
+    let t = t.into_iter().map(|(e, x)| (e, x.wrapping_mul(k))).collect();
+    (t, c.wrapping_mul(k))
+}
+
 /// How many elements the access `array[indices]` (row-major `dims`) moves
 /// when `var` grows by one; `None` if an index is not affine in `var`.
 pub fn stride(dims: &[u32], indices: &[Expr], var: &str) -> Option<i64> {
@@ -300,6 +374,40 @@ mod tests {
         assert_eq!(stride(&dims, &indices, "i"), Some(2));
         assert_eq!(stride(&dims, &indices, "j"), Some(8));
         assert_eq!(stride(&dims, &indices, "k"), Some(0));
+    }
+
+    #[test]
+    fn split_separates_the_constant_part() {
+        let names = |parts: &[Terms]| -> Vec<Vec<(String, i32)>> {
+            let name = |e: &Expr| match e {
+                Expr::Var(name, _) => name.clone(),
+                other => panic!("{other:?}"),
+            };
+            let terms = |t: &Terms| t.iter().map(|(e, k)| (name(e), *k)).collect();
+            parts.iter().map(terms).collect()
+        };
+        let (dims, indices) = store("int k; int j; int A[512]; A[(k + 3) * 8 + j - 1] = 0;");
+        let (parts, offset) = split(&dims, &indices);
+        let want = vec![("k".to_string(), 8), ("j".to_string(), 1)];
+        assert_eq!((names(&parts), offset), (vec![want], 23));
+        // The same element written two-dimensionally has one term per index.
+        let (dims, indices) = store("int k; int j; int A[64][8]; A[k + 3][j - 1] = 0;");
+        let (parts, offset) = split(&dims, &indices);
+        let want = vec![vec![("k".to_string(), 1)], vec![("j".to_string(), 1)]];
+        assert_eq!((names(&parts), offset), (want, 23));
+        // Negated parts, opaque terms and a fully constant index.
+        let (dims, indices) = store("int i; int A[8][8]; int B[8]; A[7 - i][B[i] + 2 * 3] = 0;");
+        let (parts, offset) = split(&dims, &indices);
+        assert_eq!(offset, 62);
+        assert!(matches!(parts[0][..], [(Expr::Var(_, _), -1)]));
+        assert!(matches!(parts[1][..], [(Expr::Index { .. }, 1)]));
+        let (dims, indices) = store("int A[8][8]; A[2][-(3 - 8)] = 0;");
+        assert_eq!(split(&dims, &indices), (vec![vec![], vec![]], 21));
+        // Products of two variables stay whole; arithmetic wraps at 32 bits.
+        let (dims, indices) = store("int i; int A[8]; A[i * i + 2147483647 + 2] = 0;");
+        let (parts, offset) = split(&dims, &indices);
+        assert!(matches!(parts[0][..], [(Expr::Bin { .. }, 1)]));
+        assert_eq!(offset, i32::MIN + 1);
     }
 
     #[test]

@@ -282,22 +282,24 @@ impl<'k> Lower<'k> {
                     })?;
                 let (v, t) = self.expr(value, Some(ety))?;
                 expect(ety, t, value.span(), "array store")?;
-                let (idx, home) = self.index(&dims, indices, *span)?;
+                let (idx, offset, home) = self.index(&dims, indices, *span)?;
                 self.at(*span);
-                self.b.store(aid, idx, v, home);
+                self.b.store(aid, idx, offset, v, home);
                 Ok(())
             }
         }
     }
 
-    /// Lowers a multi-dimensional index to a linearized value plus its
-    /// static/dynamic home classification.
+    /// Lowers a multi-dimensional index to the value of its non-constant part,
+    /// the constant element offset ([`affine::split`]) and its static/dynamic
+    /// home classification. A fully constant index is an immediate value with
+    /// offset 0.
     fn index(
         &mut self,
         dims: &[u32],
         indices: &[Expr],
         span: Span,
-    ) -> Result<(ValueId, MemHome), LangError> {
+    ) -> Result<(ValueId, i32, MemHome), LangError> {
         if dims.len() != indices.len() {
             return Err(LangError::new(
                 span,
@@ -311,21 +313,52 @@ impl<'k> Lower<'k> {
         // Home classification from the *source* affine form.
         let home = affine::home(dims, indices, &self.loops, self.n_tiles)
             .map_or(MemHome::Dynamic, MemHome::Static);
-        // Linearized value: ((i0 * d1) + i1) * d2 + i2 ...
+        // The non-constant part in Horner form, ((p0 · d1) + p1) · d2 + p2 …:
+        // each multiplier stays one dimension (a shift and add, where the
+        // flattened stride could need a 12-cycle multiply), and each
+        // dimension's reads come before the arithmetic combining them, in
+        // source order.
+        let (parts, offset) = affine::split(dims, indices);
         let mut acc: Option<ValueId> = None;
-        for (k, idx) in indices.iter().enumerate() {
-            let (v, t) = self.expr(idx, Some(Type::Int))?;
-            expect(Type::Int, t, idx.span(), "array index")?;
-            self.at(span);
-            acc = Some(match acc {
-                None => v,
-                Some(prev) => {
-                    let scaled = self.mul_const(prev, dims[k] as i64);
-                    self.b.add(scaled, v)
+        for (terms, &dim) in parts.iter().zip(dims) {
+            let mut part: Option<ValueId> = None;
+            for &(term, coeff) in terms {
+                let (v, t) = self.expr(term, Some(Type::Int))?;
+                expect(Type::Int, t, term.span(), "array index")?;
+                if coeff == 0 {
+                    continue;
                 }
-            });
+                self.at(span);
+                let c = i64::from(coeff);
+                part = Some(match part {
+                    None => self.mul_const(v, c),
+                    Some(prev) if c < 0 => {
+                        let scaled = self.mul_const(v, -c);
+                        self.b.sub(prev, scaled)
+                    }
+                    Some(prev) => {
+                        let scaled = self.mul_const(v, c);
+                        self.b.add(prev, scaled)
+                    }
+                });
+            }
+            self.at(span);
+            acc = match (acc, part) {
+                (None, part) => part,
+                (Some(prev), None) => Some(self.mul_const(prev, i64::from(dim))),
+                (Some(prev), Some(part)) => {
+                    let scaled = self.mul_const(prev, i64::from(dim));
+                    Some(self.b.add(scaled, part))
+                }
+            };
         }
-        Ok((acc.expect("arrays have at least one dimension"), home))
+        Ok(match acc {
+            Some(index) => (index, offset, home),
+            None => {
+                self.at(span);
+                (self.b.const_i32(offset), 0, home)
+            }
+        })
     }
 
     /// Emits `v * c` using shifts and adds where profitable (a 12-cycle
@@ -403,9 +436,9 @@ impl<'k> Lower<'k> {
                     self.arrays.get(array).cloned().ok_or_else(|| {
                         LangError::new(*span, format!("undeclared array '{array}'"))
                     })?;
-                let (idx, home) = self.index(&dims, indices, *span)?;
+                let (idx, offset, home) = self.index(&dims, indices, *span)?;
                 self.at(*span);
-                Ok((self.b.load(aid, idx, home), ety))
+                Ok((self.b.load(aid, idx, offset, home), ety))
             }
             Expr::Un { op, e: inner, span } => {
                 let (v, t) = self.expr(inner, want)?;
@@ -683,5 +716,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn neighbouring_references_share_one_index_value() {
+        let src = "int i = 2; int j = 3; float A[8][8]; float x;
+                   x = A[i - 1][j + 1] + A[i][j - 1] + A[i + 1][j];
+                   A[2][5] = x;";
+        let p = lower_src(src, 4).unwrap();
+        let block = p.block(p.entry);
+        let loads: Vec<(ValueId, i32)> = block
+            .insts
+            .iter()
+            .filter_map(|inst| match inst.kind {
+                raw_ir::InstKind::Load { index, offset, .. } => Some((index, offset)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(loads.len(), 3);
+        assert!(
+            loads.iter().all(|&(index, _)| index == loads[0].0),
+            "{loads:?}"
+        );
+        let offsets: Vec<i32> = loads.iter().map(|&(_, c)| c).collect();
+        assert_eq!(offsets, vec![-7, -1, 8]);
+        // A fully constant index is an immediate with offset 0.
+        let (index, offset) = block
+            .insts
+            .iter()
+            .find_map(|inst| match inst.kind {
+                raw_ir::InstKind::Store { index, offset, .. } => Some((index, offset)),
+                _ => None,
+            })
+            .unwrap();
+        assert_eq!(offset, 0);
+        assert!(block.insts.iter().any(
+            |inst| inst.dst == Some(index) && inst.kind == raw_ir::InstKind::Const(Imm::I(21))
+        ));
+        let r = Interpreter::new(&p).run().unwrap();
+        let x = p.var_by_name("x").unwrap();
+        assert_eq!(r.var_value(x), Imm::F(0.0));
     }
 }

@@ -185,20 +185,24 @@ pub enum PInst {
         /// Second source.
         b: Src,
     },
-    /// Local memory load: `dst = mem[addr + offset]` (word addressed).
+    /// Local memory load: `dst = mem[addr + offset]` (word addressed). As on
+    /// MIPS, the base is sign-extended before the offset is added, so a
+    /// negative base with a larger offset addresses a real word; an address
+    /// outside memory faults.
     Load {
         /// Destination.
         dst: Dst,
-        /// Base address source.
+        /// Base address source (sign-extended).
         addr: Src,
         /// Word offset.
         offset: i32,
     },
-    /// Local memory store: `mem[addr + offset] = value`.
+    /// Local memory store: `mem[addr + offset] = value`, with the base
+    /// sign-extended as for [`PInst::Load`].
     Store {
         /// Value to store.
         value: Src,
-        /// Base address source.
+        /// Base address source (sign-extended).
         addr: Src,
         /// Word offset.
         offset: i32,

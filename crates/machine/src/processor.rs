@@ -307,14 +307,16 @@ impl Processor {
                 self.pc += 1;
             }
             PInst::Load { dst, addr, offset } => {
-                let base = self.read_src(addr, port_in) as i64;
-                let a = (base + offset as i64) as usize;
-                let val = mem.get(a).copied().unwrap_or_else(|| {
-                    panic!(
-                        "tile{} load out of memory bounds: addr {a} (pc {})",
-                        self.tile, self.pc
-                    )
-                });
+                let a = effective_addr(self.read_src(addr, port_in), offset);
+                let val = usize::try_from(a)
+                    .ok()
+                    .and_then(|a| mem.get(a).copied())
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "tile{} load out of memory bounds: addr {a} (pc {})",
+                            self.tile, self.pc
+                        )
+                    });
                 self.write_dst(dst, val, cycle, config.mem_latency);
                 self.pc += 1;
             }
@@ -324,15 +326,17 @@ impl Processor {
                 offset,
             } => {
                 let v = self.read_src(value, port_in);
-                let base = self.read_src(addr, port_in) as i64;
-                let a = (base + offset as i64) as usize;
-                assert!(
-                    a < mem.len(),
-                    "tile{} store out of memory bounds: addr {a} (pc {})",
-                    self.tile,
-                    self.pc
-                );
-                mem[a] = v;
+                let a = effective_addr(self.read_src(addr, port_in), offset);
+                let slot = usize::try_from(a)
+                    .ok()
+                    .and_then(|a| mem.get_mut(a))
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "tile{} store out of memory bounds: addr {a} (pc {})",
+                            self.tile, self.pc
+                        )
+                    });
+                *slot = v;
                 self.pc += 1;
             }
             PInst::DLoad { dst, gaddr, offset } => {
@@ -401,6 +405,14 @@ impl Processor {
         }
         ProcOutcome::Progress
     }
+}
+
+/// A local memory instruction's word address: the base register,
+/// sign-extended as on MIPS, plus the immediate offset. A negative base
+/// with a larger offset addresses a real word; a negative sum addresses
+/// none and faults.
+fn effective_addr(base: Word, offset: i32) -> i64 {
+    i64::from(base as i32) + i64::from(offset)
 }
 
 #[cfg(test)]
@@ -592,5 +604,29 @@ mod tests {
         }
         assert!(proc.halted());
         assert_eq!(pout.read(), 11);
+    }
+
+    #[test]
+    fn negative_base_register_plus_offset_addresses_a_word() {
+        let mut a = ProcAsm::new();
+        a.li(Dst::Reg(1), Imm::I(77));
+        a.store_imm_addr(Src::Reg(1), 5);
+        a.li(Dst::Reg(2), Imm::I(-3));
+        a.load(Dst::Reg(3), Src::Reg(2), 8);
+        a.store(Src::Reg(3), Src::Reg(2), 10);
+        a.halt();
+        let (proc, mem, ..) = run_single(a.finish(), 100);
+        assert!(proc.halted());
+        assert_eq!(mem[7], 77, "-3 + 8 loads word 5, -3 + 10 stores word 7");
+    }
+
+    #[test]
+    #[should_panic(expected = "load out of memory bounds: addr -1")]
+    fn negative_effective_address_faults() {
+        let mut a = ProcAsm::new();
+        a.li(Dst::Reg(2), Imm::I(-3));
+        a.load(Dst::Reg(3), Src::Reg(2), 2);
+        a.halt();
+        run_single(a.finish(), 100);
     }
 }

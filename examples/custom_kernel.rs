@@ -64,8 +64,8 @@ fn from_builder() -> raw_ir::Program {
     let mut products = Vec::new();
     for k in 0..16u32 {
         let idx = b.const_i32(k as i32);
-        let av = b.load(a, idx, MemHome::Static(k % N_TILES));
-        let bv = b.load(bb, idx, MemHome::Static(k % N_TILES));
+        let av = b.load(a, idx, 0, MemHome::Static(k % N_TILES));
+        let bv = b.load(bb, idx, 0, MemHome::Static(k % N_TILES));
         products.push(b.mul_f(av, bv));
     }
     // Balanced reduction tree for the dot product.

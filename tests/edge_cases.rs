@@ -285,3 +285,23 @@ fn large_immediates_and_negative_indices_are_handled() {
         Imm::I(i32::MIN)
     );
 }
+
+#[test]
+fn negative_index_parts_address_correctly() {
+    // `A[N1 - i]` lowers to index `-i` with offset N1: the index part is
+    // negative, so its home-word shift must be arithmetic, the offset's
+    // carry into the word must be kept, and the base register must be
+    // sign-extended.
+    let src = "int i; int j; int A[32]; int B[32]; int X[8][8];
+        for (i = 0; i < 32; i = i + 1) { A[i] = 3 * i + 1; }
+        for (i = 0; i < 31; i = i + 1) { B[i] = A[31 - i] * 5 - A[31 - i - 1]; }
+        for (i = 0; i < 8; i = i + 1) {
+            for (j = 0; j < 8; j = j + 1) { X[i][7 - j] = A[i + j] + j; }
+        }";
+    for tiles in [1, 2, 4, 16] {
+        let program = compile_source("negidx", src, tiles).unwrap();
+        let config = MachineConfig::square(tiles);
+        let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
+        check(&compiled, &program, &[]).unwrap();
+    }
+}

@@ -82,13 +82,13 @@ fn build_program(ops: &[Op], n_tiles: u32) -> Program {
                 // the access is static.
                 let k = (i % 16) as u32;
                 let idx = b.const_i32(k as i32);
-                ints.push(b.load(arr, idx, MemHome::Static(k % n_tiles)));
+                ints.push(b.load(arr, idx, 0, MemHome::Static(k % n_tiles)));
             }
             Op::Store(i, v) => {
                 let k = (i % 16) as u32;
                 let idx = b.const_i32(k as i32);
                 let val = ints[v % ints.len()];
-                b.store(arr, idx, val, MemHome::Static(k % n_tiles));
+                b.store(arr, idx, 0, val, MemHome::Static(k % n_tiles));
             }
         }
     }
