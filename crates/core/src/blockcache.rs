@@ -871,14 +871,23 @@ mod tests {
             threads: 3,
             ..CompilerOptions::default()
         };
-        let (key, request) = key_and_request(&key_program(), &config, &options);
-        let text = format!(
-            "cache_key lo={:#018x} hi={:#018x}\nrequest_bytes len={} hash={:#018x}\n",
-            key.lo,
-            key.hi,
-            request.len(),
-            hash64(&request)
-        );
+        // The same record without a seeded placement: pinned beside the
+        // first so the annealing placement can go without moving its bytes.
+        let surviving = CompilerOptions {
+            placement: PlacementAlgorithm::None,
+            ..options
+        };
+        let mut text = String::new();
+        for options in [options, surviving] {
+            let (key, request) = key_and_request(&key_program(), &config, &options);
+            text += &format!(
+                "cache_key lo={:#018x} hi={:#018x}\nrequest_bytes len={} hash={:#018x}\n",
+                key.lo,
+                key.hi,
+                request.len(),
+                hash64(&request)
+            );
+        }
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../tests/golden/cache_key.txt");
         raw_testkit::check_golden(&path, &text);
