@@ -84,6 +84,17 @@ stage_clippy() {
       "$spans SpanRecord literals (max 1); answer through ServerState::respond" >&2
     exit 1
   fi
+  # One placement search: greedy swap (with None as the ablation), refined
+  # only by the exact solver, so no second placement heuristic or lane race
+  # can grow back beside it.
+  local searches
+  searches="$(grep -rnE 'PlacementAlgorithm::Annealing|lane_rank|fn block_options|--anneal' \
+    crates tests examples --include='*.rs' || true)"
+  if [[ -n "$searches" ]]; then
+    echo "ci: place with greedy swap and refine with the exact solver instead:" >&2
+    echo "$searches" >&2
+    exit 1
+  fi
   # Every setting is an argument: the compiler and the daemon read no
   # environment variable. Only the test harness (golden updates, property
   # test knobs in crates/testkit) may.
@@ -145,7 +156,7 @@ stage_cache_smoke() {
 stage_exact_smoke() {
   # Exact-solver oracle: the gap table's built-in assertion (no heuristic ever
   # beats a certified optimum) must hold; --gap-table exits nonzero if one
-  # does. Portfolio thread invariance is tests/parallel_determinism.rs.
+  # does. Exact-strategy thread invariance is tests/parallel_determinism.rs.
   local dir
   dir="$(mktemp -d)"
   cargo run --offline --release -p raw-bench --bin raw-bench -- \

@@ -19,7 +19,7 @@ use rawcc::service::Client;
 use rawcc::wire::CompileResponse;
 use rawcc::{
     asm_hash, compile_with_cache, BlockCache, CacheStats, CompiledProgram, CompilerOptions,
-    PlacementAlgorithm, Strategy,
+    Strategy,
 };
 use std::fmt::Write as _;
 
@@ -33,9 +33,6 @@ pub struct CompileArgs {
     pub quick: bool,
     /// Restrict to one benchmark.
     pub bench: Option<String>,
-    /// Annealing placement with this seed (heavier, placement-dominated
-    /// compiles — the regime the cache and the worker pool are for).
-    pub anneal: Option<u64>,
     /// Disk cache directory (cold in-memory cache when absent).
     pub cache_dir: Option<String>,
     /// Print the threads × cache-temperature sweep table.
@@ -46,9 +43,9 @@ pub struct CompileArgs {
     /// Compile through a running `rawcc-serve` daemon at this address instead
     /// of in-process.
     pub remote: Option<String>,
-    /// Block-mapping strategy: `greedy`, `annealing`, `exact`, or `portfolio`
-    /// (the portfolio and annealing seeds come from `--anneal`, default 0).
-    pub strategy: Option<String>,
+    /// Block-mapping strategy: `--strategy greedy` (the default heuristics)
+    /// or `--strategy exact`.
+    pub strategy: Strategy,
     /// Compile each workload with the heuristics and the exact strategy,
     /// print the optimality-gap table, and fail if a heuristic ever beats a
     /// certified optimum.
@@ -70,12 +67,11 @@ impl CompileArgs {
             threads: 0,
             quick: false,
             bench: None,
-            anneal: None,
             cache_dir: None,
             table: false,
             selfcheck: false,
             remote: None,
-            strategy: None,
+            strategy: Strategy::Heuristic,
             gap_table: false,
             dump_asm: None,
         };
@@ -87,10 +83,19 @@ impl CompileArgs {
                 "--tiles" => out.tiles = p.value_parsed("an integer")?,
                 "--threads" => out.threads = p.value_parsed("an integer")?,
                 "--bench" => out.bench = Some(p.value()?.clone()),
-                "--anneal" => out.anneal = Some(p.value_parsed("an integer seed")?),
                 "--cache-dir" => out.cache_dir = Some(p.value()?.clone()),
                 "--remote" => out.remote = Some(p.value()?.clone()),
-                "--strategy" => out.strategy = Some(p.value()?.clone()),
+                "--strategy" => {
+                    out.strategy = match p.value()?.as_str() {
+                        "greedy" => Strategy::Heuristic,
+                        "exact" => Strategy::Exact,
+                        name => {
+                            return Err(format!(
+                                "unknown strategy '{name}' (expected greedy or exact)"
+                            ))
+                        }
+                    }
+                }
                 "--dump-asm" => out.dump_asm = Some(p.value_parsed("an instruction count")?),
                 "--quick" => out.quick = true,
                 "--table" => out.table = true,
@@ -100,13 +105,6 @@ impl CompileArgs {
             }
         }
         require_power_of_two(out.tiles)?;
-        if let Some(name) = &out.strategy {
-            if !["greedy", "annealing", "exact", "portfolio"].contains(&name.as_str()) {
-                return Err(format!(
-                    "unknown strategy '{name}' (expected greedy, annealing, exact, or portfolio)"
-                ));
-            }
-        }
         if out.dump_asm.is_some() && (out.table || out.gap_table) {
             return Err("--dump-asm dumps a plain compile; drop --table/--gap-table".into());
         }
@@ -123,29 +121,11 @@ impl CompileArgs {
     }
 
     fn options(&self, threads: usize) -> CompilerOptions {
-        let mut options = CompilerOptions {
+        CompilerOptions {
             threads,
+            strategy: self.strategy,
             ..CompilerOptions::default()
-        };
-        if let Some(seed) = self.anneal {
-            options.placement = PlacementAlgorithm::Annealing { seed };
         }
-        match self.strategy.as_deref() {
-            None | Some("greedy") => {}
-            Some("annealing") => {
-                options.placement = PlacementAlgorithm::Annealing {
-                    seed: self.anneal.unwrap_or(0),
-                };
-            }
-            Some("exact") => options.strategy = Strategy::Exact,
-            Some("portfolio") => {
-                options.strategy = Strategy::Portfolio {
-                    seed: self.anneal.unwrap_or(0),
-                };
-            }
-            Some(other) => unreachable!("strategy '{other}' rejected at parse time"),
-        }
-        options
     }
 
     fn suite(&self) -> Result<Vec<Benchmark>, String> {
@@ -401,13 +381,8 @@ fn gap_table_command(
         rows.push(gap_row(bench.name, &heuristic.report, &exact.report)?);
     }
     let mut out = format!(
-        "optimality gap: {} tiles, heuristic={}\n",
-        args.tiles,
-        if args.anneal.is_some() {
-            "annealing"
-        } else {
-            "greedy-swap"
-        },
+        "optimality gap: {} tiles, heuristic=greedy-swap\n",
+        args.tiles
     );
     out.push_str(&format_gap_table(&rows));
     Ok(out)
@@ -421,13 +396,8 @@ fn table_command(
 ) -> Result<String, String> {
     let mut out = String::new();
     out.push_str(&format!(
-        "compile-time sweep: {} tiles, placement={}\n",
-        args.tiles,
-        if args.anneal.is_some() {
-            "annealing"
-        } else {
-            "greedy-swap"
-        },
+        "compile-time sweep: {} tiles, placement=greedy-swap\n",
+        args.tiles
     ));
     out.push_str(
         "benchmark        blocks   serial_ms    t4_ms    t8_ms  warm8_ms   t8_speedup  warm_hit%\n",
@@ -512,8 +482,8 @@ mod tests {
             "--quick",
             "--bench",
             "mxm",
-            "--anneal",
-            "7",
+            "--strategy",
+            "exact",
             "--table",
         ]))
         .unwrap();
@@ -521,9 +491,12 @@ mod tests {
         assert_eq!(p.threads, 2);
         assert!(p.quick && p.table);
         assert_eq!(p.bench.as_deref(), Some("mxm"));
-        assert_eq!(p.anneal, Some(7));
+        assert_eq!(p.strategy, Strategy::Exact);
         assert!(CompileArgs::parse(&s(&["--tiles", "3"])).is_err());
         assert!(CompileArgs::parse(&s(&["--frobnicate"])).is_err());
+        for retired in ["annealing", "portfolio"] {
+            assert!(CompileArgs::parse(&s(&["--strategy", retired])).is_err());
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * **Figure 8** — fpppp-kernel speedup under `base`, `inf-reg`, and
 //!   `1-cycle` machine configurations.
 //! * **Ablations** — the design choices DESIGN.md calls out: clustering,
-//!   placement (greedy swap vs. simulated annealing vs. none), the scheduler
-//!   priority scheme, and send/receive folding.
+//!   placement (greedy swap vs. none), the scheduler priority scheme, and
+//!   send/receive folding.
 //!
 //! Every measured run is checked bit-exactly against the reference
 //! interpreter before its cycle count is reported.
@@ -484,13 +484,6 @@ pub fn ablation_text(suite: &[Benchmark], sizes: &[u32]) -> String {
             "level-only",
             CompilerOptions {
                 priority: rawcc::PriorityScheme::LevelOnly,
-                ..Default::default()
-            },
-        ),
-        (
-            "annealing",
-            CompilerOptions {
-                placement: rawcc::PlacementAlgorithm::Annealing { seed: 42 },
                 ..Default::default()
             },
         ),

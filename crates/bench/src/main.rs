@@ -38,9 +38,10 @@ USAGE:
     raw-bench [FLAGS]
     raw-bench trace [--bench NAME] [--tiles N] [--chrome PATH] [--selfcheck] [--quick]
     raw-bench annotate [--bench NAME] [--tiles N] [--top K] [--chrome PATH] [--quick]
-    raw-bench compile [--tiles N] [--threads T] [--bench NAME] [--anneal SEED]
-                      [--strategy NAME] [--cache-dir PATH] [--quick] [--table]
-                      [--gap-table] [--selfcheck] [--remote ADDR] [--dump-asm MAX]
+    raw-bench compile [--tiles N] [--threads T] [--bench NAME]
+                      [--strategy greedy|exact] [--cache-dir PATH] [--quick]
+                      [--table] [--gap-table] [--selfcheck] [--remote ADDR]
+                      [--dump-asm MAX]
     raw-bench scenario [--bench NAME] [--quick]
     raw-bench sim [--tiles N] [--bench NAME] [--selfcheck] [--quick]
     raw-bench serve [--addr A] [--budget-mb M] [--cache-dir PATH]
@@ -63,7 +64,7 @@ SUBCOMMANDS:
     annotate        run one benchmark traced and print the per-source-line
                     hotspot listing (cycles, stall taxonomy, tile spread) and
                     the placement audit log joining runtime stalls with the
-                    placer's accepted moves; fails if attribution does not
+                    placer's accepted swaps; fails if attribution does not
                     conserve the active-window cycle accounting
     compile         compile the suite without running it, printing one
                     greppable stats line per workload (wall time, worker
@@ -72,9 +73,9 @@ SUBCOMMANDS:
                     --table prints the threads x cache-temperature sweep
                     recorded in EXPERIMENTS.md, --selfcheck recompiles
                     single-threaded on a cold cache and fails on any asm drift,
-                    --strategy picks the block-mapping engine (greedy,
-                    annealing, exact, or the deterministic three-lane
-                    portfolio), --gap-table compiles each workload with the
+                    --strategy picks the block-mapping engine (greedy, the
+                    default heuristics, or exact, the solver seeded with
+                    them), --gap-table compiles each workload with the
                     heuristics and the exact solver and prints the measured
                     optimality gap (failing if a heuristic ever beats a
                     certified optimum), --remote sends each compile to a

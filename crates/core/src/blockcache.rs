@@ -657,7 +657,7 @@ mod tests {
                     route_cycles: vec![vec![4], vec![]],
                 },
                 placement: PlacementLog {
-                    algorithm: "annealing",
+                    algorithm: "greedy-swap",
                     initial_cost: 9,
                     final_cost: -3,
                     steps: vec![PlacementStep {
@@ -793,17 +793,12 @@ mod tests {
 
         // Every semantic option changes both the key and the request bytes: a
         // field the key missed would serve stale bundles without any error.
-        // (A heuristic bundle must never satisfy an exact or portfolio
-        // request, so strategy and seeds are semantic too.)
+        // (A heuristic bundle must never satisfy an exact request, so the
+        // strategy and its seed are semantic too.)
         type Flip = fn(&mut CompilerOptions);
-        let flips: [(&str, Flip); 8] = [
+        let flips: [(&str, Flip); 7] = [
             ("clustering", |o| o.clustering = !o.clustering),
-            ("placement", |o| {
-                o.placement = PlacementAlgorithm::Annealing { seed: 1 }
-            }),
-            ("placement seed", |o| {
-                o.placement = PlacementAlgorithm::Annealing { seed: 2 }
-            }),
+            ("placement", |o| o.placement = PlacementAlgorithm::None),
             ("priority", |o| o.priority = PriorityScheme::SourceOrder),
             ("fold_communication", |o| {
                 o.fold_communication = !o.fold_communication
@@ -856,8 +851,8 @@ mod tests {
 
     #[test]
     fn key_and_request_bytes_are_pinned() {
-        // Computed at the commit before key, disk and wire moved onto one
-        // codec: none of their bytes may move.
+        // None of the key or request bytes of this record may move: a moved
+        // byte orphans every cached bundle and every daemon's memo.
         let config = MachineConfig::square(8).with_faulty(TileMask::of(&[
             TileId::from_raw(4),
             TileId::from_raw(5),
@@ -865,45 +860,36 @@ mod tests {
             TileId::from_raw(7),
         ]));
         let options = CompilerOptions {
-            placement: PlacementAlgorithm::Annealing { seed: 99 },
+            placement: PlacementAlgorithm::None,
             strategy: Strategy::Portfolio { seed: 41 },
             exact_budget: 123_456,
             threads: 3,
             ..CompilerOptions::default()
         };
-        // The same record without a seeded placement: pinned beside the
-        // first so the annealing placement can go without moving its bytes.
-        let surviving = CompilerOptions {
-            placement: PlacementAlgorithm::None,
-            ..options
-        };
-        let mut text = String::new();
-        for options in [options, surviving] {
-            let (key, request) = key_and_request(&key_program(), &config, &options);
-            text += &format!(
-                "cache_key lo={:#018x} hi={:#018x}\nrequest_bytes len={} hash={:#018x}\n",
-                key.lo,
-                key.hi,
-                request.len(),
-                hash64(&request)
-            );
-        }
+        let (key, request) = key_and_request(&key_program(), &config, &options);
+        let text = format!(
+            "cache_key lo={:#018x} hi={:#018x}\nrequest_bytes len={} hash={:#018x}\n",
+            key.lo,
+            key.hi,
+            request.len(),
+            hash64(&request)
+        );
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../tests/golden/cache_key.txt");
         raw_testkit::check_golden(&path, &text);
 
-        // The options record keeps its layout: byte 2 (byte 10 after an
-        // annealing seed) is reserved and written as 1 ...
+        // The options record keeps its layout: byte 2 is reserved and written
+        // as 1 ...
         assert_eq!(
             codec::encode(&CompilerOptions::default()),
             [1, 0, 1, 0, 4, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]
         );
         // ... and a 0 there, from a writer that still had the boolean alias,
         // decodes to the spelling that replaced it.
-        for (options, reserved) in [(CompilerOptions::default(), 2), (options, 10)] {
+        for options in [CompilerOptions::default(), options] {
             let mut bytes = codec::encode(&options);
-            assert_eq!(bytes[reserved], 1);
-            bytes[reserved] = 0;
+            assert_eq!(bytes[2], 1);
+            bytes[2] = 0;
             let decoded: CompilerOptions = codec::decode(&bytes).expect("still decodes");
             let expected = CompilerOptions {
                 placement: PlacementAlgorithm::None,

@@ -402,7 +402,8 @@ const UNOPS: [UnOp; 8] = {
     [Neg, Not, Mov, NegF, AbsF, SqrtF, CvtIF, CvtFI]
 };
 
-/// The winning lane, `None` for the plain heuristic strategy.
+/// The lane that shipped a block's schedule, `None` for the plain heuristic
+/// strategy. `Lane::Annealing` is never produced but keeps its code.
 const LANES: [Option<Lane>; 4] = [
     None,
     Some(Lane::Greedy),
@@ -410,6 +411,8 @@ const LANES: [Option<Lane>; 4] = [
     Some(Lane::Exact),
 ];
 
+/// Placement-log algorithm names. The retired `"annealing"` keeps its code,
+/// so `"exact"` stays at 3.
 const PLACEMENTS: [&str; 4] = ["identity", "greedy-swap", "annealing", "exact"];
 
 coded! {
@@ -571,8 +574,10 @@ impl Codec for TileMask {
     }
 }
 
+// Placement tag 1 is reserved: it named a retired seeded placement, and a
+// request carrying it is malformed.
 tagged! {
-    PlacementAlgorithm { 0 => GreedySwap, 1 => Annealing { seed }, 2 => None }
+    PlacementAlgorithm { 0 => GreedySwap, 2 => None }
     Strategy { 0 => Heuristic, 1 => Exact, 2 => Portfolio { seed } }
 }
 
@@ -594,8 +599,8 @@ impl Codec for CompilerOptions {
         // changes the key). Ignored on read.
         (CLUSTER_COMM_COST as u32).put(out);
         self.fold_communication.put(out);
-        // A cached heuristic bundle must never satisfy a portfolio request
-        // (and vice versa), so the strategy and its seed are semantic.
+        // A cached heuristic bundle must never satisfy an exact request (and
+        // vice versa), so the strategy is semantic.
         self.strategy.put(out);
         self.exact_budget.put(out);
     }

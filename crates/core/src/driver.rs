@@ -17,7 +17,7 @@ use crate::codegen::{self, TileBlockCode};
 use crate::exact;
 use crate::layout::{initial_memory_images, DataLayout};
 use crate::link::{self, linked_terminator};
-use crate::options::{CompilerOptions, PlacementAlgorithm, Strategy};
+use crate::options::{CompilerOptions, Strategy};
 use crate::partition::{self, Partition};
 use crate::provenance::{self, ProvRecord, ProvenanceMap, NO_PROV};
 use crate::regalloc;
@@ -108,8 +108,8 @@ pub struct BlockReport {
     pub predicted: schedule::PredictedBlock,
     /// The placement phase's accepted-swap audit log.
     pub placement: partition::PlacementLog,
-    /// Which lane produced the winning schedule (`None` for the plain
-    /// heuristic strategy, which has no race).
+    /// Which lane shipped the schedule (`None` for the plain heuristic
+    /// strategy, which runs no solver).
     pub lane: Option<exact::Lane>,
     /// The exact solver's search summary, when the strategy ran it.
     pub exact: Option<exact::ExactReport>,
@@ -373,24 +373,6 @@ fn resolve_threads(options: &CompilerOptions) -> usize {
         .unwrap_or(1)
 }
 
-/// Derives the annealing seed for one block from the global seed and the
-/// block's canonical content hash.
-///
-/// Content-based (rather than block-index-based) derivation makes the RNG
-/// stream a pure function of the block itself: deleting or reordering an
-/// *unrelated* block leaves every other block's placement unchanged, and a
-/// cached bundle stays valid wherever the block appears (see DESIGN.md §11).
-fn block_options(options: &CompilerOptions, block_hash: u64) -> CompilerOptions {
-    let mut o = *options;
-    if let PlacementAlgorithm::Annealing { seed } = o.placement {
-        let mut s = seed ^ block_hash;
-        o.placement = PlacementAlgorithm::Annealing {
-            seed: raw_testkit::rng::splitmix64(&mut s),
-        };
-    }
-    o
-}
-
 /// One heuristic lane: partition + placement + event schedule under
 /// `options`, with phase times folded into `timings`.
 fn heuristic_lane(
@@ -409,30 +391,13 @@ fn heuristic_lane(
     (part, sched)
 }
 
-/// The lane label for a heuristic result (used when the exact lane keeps its
-/// seed, so the reported lane names what actually produced the schedule).
-fn heuristic_lane_label(options: &CompilerOptions) -> exact::Lane {
-    match options.placement {
-        PlacementAlgorithm::Annealing { .. } => exact::Lane::Annealing,
-        _ => exact::Lane::Greedy,
-    }
-}
-
 /// Maps one block onto the mesh per [`CompilerOptions::strategy`]: the
-/// heuristic pipeline, the exact solver (heuristic-seeded), or the three-lane
-/// portfolio race.
-///
-/// The portfolio winner is `min by (makespan, lane_rank, lane code)` — the
-/// deterministic reading of first-better-result-wins: [`exact::lane_rank`] is
-/// a pure function of `(seed, block content, lane)`, so the winner never
-/// depends on which lane finished first on the wall clock, and portfolio
-/// output stays byte-identical at any thread count. Exact-lane solver time is
-/// accounted to the `place` phase bucket.
+/// heuristic pipeline, or the exact solver seeded with its result. Exact
+/// solver time is accounted to the `place` phase bucket.
 fn map_block(
     graph: &TaskGraph,
     config: &MachineConfig,
     options: &CompilerOptions,
-    block_hash: u64,
     timings: &mut PhaseTimings,
 ) -> (
     Partition,
@@ -440,67 +405,19 @@ fn map_block(
     Option<exact::Lane>,
     Option<exact::ExactReport>,
 ) {
+    let (part, sched) = heuristic_lane(graph, config, options, timings);
     match options.strategy {
-        Strategy::Heuristic => {
-            let (part, sched) = heuristic_lane(graph, config, options, timings);
-            (part, sched, None, None)
-        }
-        Strategy::Exact => {
-            let (part, sched) = heuristic_lane(graph, config, options, timings);
+        Strategy::Heuristic => (part, sched, None, None),
+        Strategy::Exact | Strategy::Portfolio { .. } => {
             let phase_start = Instant::now();
             let res = exact::solve(graph, config, options, part, sched);
             timings.place += phase_start.elapsed();
             let lane = if res.improved {
                 exact::Lane::Exact
             } else {
-                heuristic_lane_label(options)
+                exact::Lane::Greedy
             };
             (res.partition, res.schedule, Some(lane), Some(res.report))
-        }
-        Strategy::Portfolio { seed } => {
-            let mut greedy_opts = *options;
-            greedy_opts.placement = PlacementAlgorithm::GreedySwap;
-            let (g_part, g_sched) = heuristic_lane(graph, config, &greedy_opts, timings);
-
-            let mut s = seed ^ block_hash;
-            let mut anneal_opts = *options;
-            anneal_opts.placement = PlacementAlgorithm::Annealing {
-                seed: raw_testkit::rng::splitmix64(&mut s),
-            };
-            let (a_part, a_sched) = heuristic_lane(graph, config, &anneal_opts, timings);
-
-            let phase_start = Instant::now();
-            let res = exact::solve(graph, config, options, g_part.clone(), g_sched.clone());
-            timings.place += phase_start.elapsed();
-
-            let rank = |lane: exact::Lane| exact::lane_rank(seed, block_hash, lane);
-            let winner = [
-                (
-                    g_sched.makespan,
-                    rank(exact::Lane::Greedy),
-                    exact::Lane::Greedy,
-                ),
-                (
-                    a_sched.makespan,
-                    rank(exact::Lane::Annealing),
-                    exact::Lane::Annealing,
-                ),
-                (
-                    res.schedule.makespan,
-                    rank(exact::Lane::Exact),
-                    exact::Lane::Exact,
-                ),
-            ]
-            .into_iter()
-            .min_by_key(|&(makespan, r, lane)| (makespan, r, lane.code()))
-            .expect("portfolio has three lanes")
-            .2;
-            let (part, sched) = match winner {
-                exact::Lane::Greedy => (g_part, g_sched),
-                exact::Lane::Annealing => (a_part, a_sched),
-                exact::Lane::Exact => (res.partition, res.schedule),
-            };
-            (part, sched, Some(winner), Some(res.report))
         }
     }
 }
@@ -531,21 +448,18 @@ fn check_vcode_defs(vcode: &[TileBlockCode]) {
 /// event schedule → codegen → regalloc) into a position-independent
 /// [`BlockBundle`], plus the wall-clock time spent per phase.
 ///
-/// This function is **pure**: the bundle depends only on the arguments — no
-/// shared mutable state, no environment, no compile-order coupling (the
-/// annealer's RNG stream is derived from `block_hash`, the block's canonical
-/// content hash from [`blockcache::canonical_block_bytes`]). Purity is what
-/// makes the block-level fan-out in [`compile_with_cache`] and the
-/// content-addressed [`BlockCache`] sound; `tests/parallel_determinism.rs`
-/// enforces it end to end.
+/// This function is **pure**: the bundle depends only on the block, the
+/// layout, the machine config and the options — no shared mutable state, no
+/// environment, no compile-order coupling. Purity is what makes the
+/// block-level fan-out in [`compile_with_cache`] and the content-addressed
+/// [`BlockCache`] sound; `tests/parallel_determinism.rs` enforces it end to
+/// end.
 pub fn compile_block(
     block: &Block,
     layout: &DataLayout,
     config: &MachineConfig,
     options: &CompilerOptions,
-    block_hash: u64,
 ) -> (BlockBundle, PhaseTimings) {
-    let options = block_options(options, block_hash);
     let mut timings = PhaseTimings::default();
 
     let phase_start = Instant::now();
@@ -553,8 +467,7 @@ pub fn compile_block(
     timings.lower += phase_start.elapsed();
     debug_assert!(graph.order_edges_colocated());
 
-    let (part, sched, lane, exact_report) =
-        map_block(&graph, config, &options, block_hash, &mut timings);
+    let (part, sched, lane, exact_report) = map_block(&graph, config, options, &mut timings);
     let assignment = &part.assignment;
 
     let node_tile: Vec<u32> = assignment.iter().map(|t| t.index() as u32).collect();
@@ -685,12 +598,10 @@ pub fn compile_with_cache(
 
     type Compiled = (Fetched, PhaseTimings, blockcache::CacheKey);
     let do_block = |block: &Block| -> Compiled {
-        let bytes = blockcache::canonical_block_bytes(block);
-        let block_hash = raw_testkit::hash64(&bytes);
-        let key = key_ctx.key(&bytes);
+        let key = key_ctx.key(&blockcache::canonical_block_bytes(block));
         let mut timings = PhaseTimings::default();
         let fetched = cache.get_or_compute(key, || {
-            let (bundle, t) = compile_block(block, &layout, config, options, block_hash);
+            let (bundle, t) = compile_block(block, &layout, config, options);
             timings = t;
             bundle
         });

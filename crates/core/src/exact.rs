@@ -64,46 +64,18 @@ pub const MAX_EXACT_NODES: usize = 30;
 /// per-compile via [`crate::options::CompilerOptions::exact_budget`]).
 pub const DEFAULT_BUDGET: u64 = 20_000;
 
-/// One lane of the portfolio (see [`crate::options::Strategy::Portfolio`]).
+/// Which lane shipped a block's schedule under
+/// [`crate::options::Strategy::Exact`]: the heuristic seed, or a solver
+/// improvement on it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Lane {
-    /// The heuristic pipeline with greedy-swap placement.
+    /// The heuristic pipeline.
     Greedy,
-    /// The heuristic pipeline with annealing placement.
+    /// Never produced: kept for the benchmark harness under `perf/`, which
+    /// still names it, and for its code in the codec tables.
     Annealing,
     /// This solver.
     Exact,
-}
-
-impl Lane {
-    /// Short display name (stats lines, reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            Lane::Greedy => "greedy",
-            Lane::Annealing => "annealing",
-            Lane::Exact => "exact",
-        }
-    }
-
-    /// Stable code used in serialization and rank derivation.
-    pub fn code(self) -> u64 {
-        match self {
-            Lane::Greedy => 1,
-            Lane::Annealing => 2,
-            Lane::Exact => 3,
-        }
-    }
-}
-
-/// Deterministic tie-break rank for the portfolio's first-better-result-wins
-/// rule: among lanes with equal makespan the smallest rank wins. A pure
-/// function of `(seed, block content, lane)` — never of arrival order or
-/// timing — which is what keeps portfolio output byte-identical at any
-/// worker-thread count (asserted by `tests/parallel_determinism.rs`).
-pub fn lane_rank(seed: u64, block_hash: u64, lane: Lane) -> u64 {
-    let mut s =
-        seed ^ block_hash.rotate_left(17) ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(lane.code());
-    raw_testkit::rng::splitmix64(&mut s)
 }
 
 /// How the exact search ended.
@@ -528,7 +500,6 @@ pub fn solve(
 mod tests {
     use super::*;
     use crate::layout::DataLayout;
-    use crate::options::Strategy;
     use raw_ir::builder::ProgramBuilder;
     use raw_ir::BinOp;
 
@@ -682,15 +653,5 @@ mod tests {
             }
         }
         schedule::validate(&g, &res.partition, &config, &res.schedule).unwrap();
-    }
-
-    #[test]
-    fn lane_rank_is_a_pure_function_of_inputs() {
-        let r1 = lane_rank(7, 0xDEAD_BEEF, Lane::Greedy);
-        let r2 = lane_rank(7, 0xDEAD_BEEF, Lane::Greedy);
-        assert_eq!(r1, r2);
-        assert_ne!(r1, lane_rank(7, 0xDEAD_BEEF, Lane::Annealing));
-        assert_ne!(r1, lane_rank(8, 0xDEAD_BEEF, Lane::Greedy));
-        let _ = Strategy::Portfolio { seed: 7 };
     }
 }

@@ -54,14 +54,13 @@ pub struct PlacementStep {
 /// made it into the final assignment, in application order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlacementLog {
-    /// `"identity"`, `"greedy-swap"`, `"annealing"`, or `"exact"`.
+    /// `"identity"`, `"greedy-swap"`, or `"exact"`.
     pub algorithm: &'static str,
     /// Total hop cost of the identity assignment.
     pub initial_cost: i64,
     /// Total hop cost of the final assignment.
     pub final_cost: i64,
-    /// Accepted swaps present in the final assignment (for annealing, the
-    /// best-prefix replay; worsening moves later abandoned are not listed).
+    /// Accepted swaps present in the final assignment.
     pub steps: Vec<PlacementStep>,
 }
 
@@ -367,8 +366,8 @@ fn merge(clusters: &Clustering, n_tiles: usize, config: &MachineConfig) -> Bins 
 }
 
 /// Placement phase: bins → tiles, minimising total communication hops
-/// (paper §4.1 "placement") — greedy improving swaps by default, simulated
-/// annealing on request.
+/// (paper §4.1 "placement") — greedy improving swaps, or the identity under
+/// `PlacementAlgorithm::None`.
 fn place(
     graph: &TaskGraph,
     clusters: &Clustering,
@@ -400,13 +399,12 @@ fn place(
             }
         }
     }
-    // Faulty bins are empty but must also stay *out* of the swap set: a
-    // zero-delta annealing move could otherwise rotate live code onto a dead
-    // tile.
+    // Faulty bins are empty but must also stay *out* of the swap set: any
+    // improving swap could otherwise move a live bin onto a dead tile.
     let swappable: Vec<usize> = (0..n_tiles)
         .filter(|&b| bins.locked[b].is_none() && !config.is_faulty(TileId::from_raw(b as u32)))
         .collect();
-    optimize_placement(&edges, &swappable, n_tiles, config, options.placement)
+    optimize_placement(&edges, &swappable, n_tiles, config)
 }
 
 /// Aggregated incident-edge adjacency: `adj[b]` lists every bin connected to
@@ -460,32 +458,25 @@ fn swap_delta(
     delta
 }
 
-/// Core placement optimizer over an explicit bin-edge multiset.
+/// Greedy-swap placement over an explicit bin-edge multiset.
 ///
 /// Swap candidates are evaluated incrementally via [`swap_delta`]; because the
-/// deltas are exact integers, the accept/reject decisions — including the
-/// annealing Metropolis draws — are identical to a full cost recompute, so
-/// greedy results are bit-for-bit the same as the original O(E)-per-swap
-/// implementation (asserted by the differential tests below).
+/// deltas are exact integers, the accept/reject decisions are identical to a
+/// full cost recompute, so results are bit-for-bit the same as the original
+/// O(E)-per-swap implementation (asserted by the differential test below).
 fn optimize_placement(
     edges: &[(usize, usize)],
     swappable: &[usize],
     n_tiles: usize,
     config: &MachineConfig,
-    algorithm: crate::options::PlacementAlgorithm,
 ) -> (Vec<TileId>, PlacementLog) {
-    use crate::options::PlacementAlgorithm;
     let mut tile_of_bin: Vec<TileId> = (0..n_tiles as u32).map(TileId::from_raw).collect();
     let initial: i64 = edges
         .iter()
         .map(|&(a, b)| config.hops(tile_of_bin[a], tile_of_bin[b]) as i64)
         .sum();
     let mut log = PlacementLog {
-        algorithm: match algorithm {
-            PlacementAlgorithm::GreedySwap => "greedy-swap",
-            PlacementAlgorithm::Annealing { .. } => "annealing",
-            PlacementAlgorithm::None => "identity",
-        },
+        algorithm: "greedy-swap",
         initial_cost: initial,
         final_cost: initial,
         steps: Vec::new(),
@@ -494,95 +485,29 @@ fn optimize_placement(
         return (tile_of_bin, log);
     }
     let adj = build_adjacency(edges, n_tiles);
-    match algorithm {
-        PlacementAlgorithm::GreedySwap => {
-            let mut step = 0usize;
-            for _pass in 0..8 {
-                let mut improved = false;
-                for i in 0..swappable.len() {
-                    for j in i + 1..swappable.len() {
-                        let (a, b) = (swappable[i], swappable[j]);
-                        let d = swap_delta(&adj, &tile_of_bin, config, a, b);
-                        if d < 0 {
-                            tile_of_bin.swap(a, b);
-                            improved = true;
-                            log.steps.push(PlacementStep {
-                                step,
-                                bins: (a, b),
-                                delta: d,
-                            });
-                            log.final_cost += d;
-                        }
-                        step += 1;
-                    }
-                }
-                if !improved {
-                    break;
-                }
-            }
-        }
-        PlacementAlgorithm::Annealing { seed } => {
-            // Classic swap-move annealing with a geometric cooling schedule.
-            // Deterministic (seeded xorshift), so compilation is reproducible.
-            // Instead of cloning the assignment at every new best, the accepted
-            // swaps are logged and the best-seen prefix replayed at the end.
-            let mut rng = seed | 1;
-            let mut next = move || {
-                rng ^= rng >> 12;
-                rng ^= rng << 25;
-                rng ^= rng >> 27;
-                rng.wrapping_mul(0x2545_F491_4F6C_DD1D)
-            };
-            let mut current = initial;
-            let mut best_cost = current;
-            let mut accepted: Vec<PlacementStep> = Vec::new();
-            let mut best_len = 0usize;
-            let mut temperature = (initial as f64 / edges.len().max(1) as f64).max(1.0) * 4.0;
-            // O(deg) move evaluation funds a deeper search than the original
-            // O(E)-per-step loop (200 × swappable) at lower wall-clock; the
-            // first 200 × steps replay the original trajectory exactly, so the
-            // final cost can only be ≤ the original.
-            let steps = 400 * swappable.len().max(4);
-            for step in 0..steps {
-                let a = swappable[(next() % swappable.len() as u64) as usize];
-                let b = swappable[(next() % swappable.len() as u64) as usize];
-                if a == b {
-                    continue;
-                }
+    let mut step = 0usize;
+    for _pass in 0..8 {
+        let mut improved = false;
+        for i in 0..swappable.len() {
+            for j in i + 1..swappable.len() {
+                let (a, b) = (swappable[i], swappable[j]);
                 let d = swap_delta(&adj, &tile_of_bin, config, a, b);
-                let delta = d as f64;
-                // Accept improving moves always; worsening moves with
-                // probability exp(-delta / T).
-                let accept = delta <= 0.0 || {
-                    let u = (next() >> 11) as f64 / (1u64 << 53) as f64;
-                    u < (-delta / temperature).exp()
-                };
-                if accept {
+                if d < 0 {
                     tile_of_bin.swap(a, b);
-                    current += d;
-                    accepted.push(PlacementStep {
+                    improved = true;
+                    log.steps.push(PlacementStep {
                         step,
                         bins: (a, b),
                         delta: d,
                     });
-                    if current < best_cost {
-                        best_cost = current;
-                        best_len = accepted.len();
-                    }
+                    log.final_cost += d;
                 }
-                temperature = (temperature * 0.995).max(0.01);
+                step += 1;
             }
-            // Replay the prefix of accepted swaps that reached the best cost
-            // onto a fresh identity assignment.
-            tile_of_bin = (0..n_tiles as u32).map(TileId::from_raw).collect();
-            accepted.truncate(best_len);
-            for s in &accepted {
-                tile_of_bin.swap(s.bins.0, s.bins.1);
-            }
-            log.steps = accepted;
-            log.final_cost = best_cost;
         }
-        PlacementAlgorithm::None => unreachable!("handled above"),
+        if !improved {
+            break;
+        }
     }
     (tile_of_bin, log)
 }
@@ -731,55 +656,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn annealing_placement_is_deterministic_and_correct() {
-        use crate::options::PlacementAlgorithm;
-        let (_, config, g) = setup(8, |b| {
-            for _ in 0..8 {
-                let mut v = b.const_f32(1.0);
-                for _ in 0..6 {
-                    v = b.mul_f(v, v);
-                }
-            }
-        });
-        let options = CompilerOptions {
-            placement: PlacementAlgorithm::Annealing { seed: 7 },
-            ..Default::default()
-        };
-        let p1 = partition(&g, &config, &options);
-        let p2 = partition(&g, &config, &options);
-        assert_eq!(
-            p1.assignment, p2.assignment,
-            "annealing must be seeded-deterministic"
-        );
-        // Pins (none here) and node coverage still hold.
-        assert_eq!(p1.assignment.len(), g.len());
-    }
-
-    #[test]
-    fn annealing_respects_pins() {
-        use crate::options::PlacementAlgorithm;
-        let (_, config, g) = setup(4, |b| {
-            let a = b.array("A", Ty::I32, &[16]);
-            for r in 0..4u32 {
-                let i = b.const_i32(r as i32);
-                let v = b.load(a, i, 0, MemHome::Static(r));
-                let w = b.add(v, v);
-                b.store(a, i, 0, w, MemHome::Static(r));
-            }
-        });
-        let options = CompilerOptions {
-            placement: PlacementAlgorithm::Annealing { seed: 3 },
-            ..Default::default()
-        };
-        let part = partition(&g, &config, &options);
-        for n in 0..g.len() {
-            if let Some(pin) = g.pins[n] {
-                assert_eq!(part.assignment[n], pin);
-            }
-        }
-    }
-
     /// Total communication cost by full recompute (test oracle).
     fn full_cost(edges: &[(usize, usize)], tile_of_bin: &[TileId], config: &MachineConfig) -> u64 {
         edges
@@ -818,55 +694,6 @@ mod tests {
             }
         }
         tile_of_bin
-    }
-
-    /// The original annealing placement: 200 × steps, full cost recompute per
-    /// move, assignment clone per new best.
-    fn reference_annealing(
-        edges: &[(usize, usize)],
-        swappable: &[usize],
-        n_tiles: usize,
-        config: &MachineConfig,
-        seed: u64,
-    ) -> Vec<TileId> {
-        let mut tile_of_bin: Vec<TileId> = (0..n_tiles as u32).map(TileId::from_raw).collect();
-        let mut rng = seed | 1;
-        let mut next = move || {
-            rng ^= rng >> 12;
-            rng ^= rng << 25;
-            rng ^= rng >> 27;
-            rng.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        let mut current = full_cost(edges, &tile_of_bin, config) as f64;
-        let mut best = tile_of_bin.clone();
-        let mut best_cost = current;
-        let mut temperature = (current / edges.len().max(1) as f64).max(1.0) * 4.0;
-        let steps = 200 * swappable.len().max(4);
-        for _ in 0..steps {
-            let a = swappable[(next() % swappable.len() as u64) as usize];
-            let b = swappable[(next() % swappable.len() as u64) as usize];
-            if a == b {
-                continue;
-            }
-            tile_of_bin.swap(a, b);
-            let c = full_cost(edges, &tile_of_bin, config) as f64;
-            let delta = c - current;
-            let accept = delta <= 0.0 || {
-                let u = (next() >> 11) as f64 / (1u64 << 53) as f64;
-                u < (-delta / temperature).exp()
-            };
-            if accept {
-                current = c;
-                if c < best_cost {
-                    best_cost = c;
-                    best = tile_of_bin.clone();
-                }
-            } else {
-                tile_of_bin.swap(a, b);
-            }
-            temperature = (temperature * 0.995).max(0.01);
-        }
-        best
     }
 
     /// Deterministic synthetic bin-edge multisets of varying density.
@@ -909,13 +736,7 @@ mod tests {
                 (0..n_tiles).skip(1).collect(),
                 (0..n_tiles).step_by(2).collect(),
             ] {
-                let (new, log) = optimize_placement(
-                    &edges,
-                    &swappable,
-                    n_tiles,
-                    &config,
-                    crate::options::PlacementAlgorithm::GreedySwap,
-                );
+                let (new, log) = optimize_placement(&edges, &swappable, n_tiles, &config);
                 let old = reference_greedy(&edges, &swappable, n_tiles, &config);
                 assert_eq!(new, old, "grid {rows}x{cols} seed {seed}");
                 // Replaying the logged swaps onto identity must reproduce the
@@ -925,44 +746,6 @@ mod tests {
                     replay.swap(s.bins.0, s.bins.1);
                 }
                 assert_eq!(replay, new, "placement log replay");
-                assert_eq!(log.final_cost as u64, full_cost(&edges, &new, &config));
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_annealing_cost_not_worse_than_reference() {
-        // The incremental annealer replays the reference trajectory for its
-        // first 200 × steps and then keeps searching, so its final cost must
-        // be ≤ the reference on every input.
-        for (rows, cols, n_edges, seed) in [
-            (2u32, 2u32, 10usize, 11u64),
-            (2, 4, 40, 12),
-            (4, 4, 120, 13),
-            (4, 4, 300, 14),
-        ] {
-            let config = MachineConfig::grid(rows, cols);
-            let n_tiles = (rows * cols) as usize;
-            let edges = synthetic_edges(n_tiles, n_edges, seed);
-            let swappable: Vec<usize> = (0..n_tiles).collect();
-            for anneal_seed in [1u64, 7, 42] {
-                let (new, log) = optimize_placement(
-                    &edges,
-                    &swappable,
-                    n_tiles,
-                    &config,
-                    crate::options::PlacementAlgorithm::Annealing { seed: anneal_seed },
-                );
-                let old = reference_annealing(&edges, &swappable, n_tiles, &config, anneal_seed);
-                assert!(
-                    full_cost(&edges, &new, &config) <= full_cost(&edges, &old, &config),
-                    "grid {rows}x{cols} edges-seed {seed} anneal-seed {anneal_seed}"
-                );
-                let mut replay: Vec<TileId> = (0..n_tiles as u32).map(TileId::from_raw).collect();
-                for s in &log.steps {
-                    replay.swap(s.bins.0, s.bins.1);
-                }
-                assert_eq!(replay, new, "annealing log replay");
                 assert_eq!(log.final_cost as u64, full_cost(&edges, &new, &config));
             }
         }
@@ -992,7 +775,6 @@ mod tests {
 
     #[test]
     fn faulty_tiles_receive_no_nodes() {
-        use crate::options::PlacementAlgorithm;
         let mut b = ProgramBuilder::new("t");
         let a = b.array("A", Ty::I32, &[16]);
         for r in 0..4u32 {
@@ -1014,23 +796,47 @@ mod tests {
         let config = base.with_faulty(mask);
         let layout = DataLayout::build(&p, &config);
         let g = TaskGraph::build(p.block(p.entry), &layout, &config);
-        for algorithm in [
-            PlacementAlgorithm::GreedySwap,
-            PlacementAlgorithm::Annealing { seed: 5 },
-        ] {
-            let options = CompilerOptions {
-                placement: algorithm,
-                ..Default::default()
-            };
-            let part = partition(&g, &config, &options);
-            for (n, &t) in part.assignment.iter().enumerate() {
-                assert!(!config.is_faulty(t), "node {n} placed on faulty tile {t:?}");
+        let part = partition(&g, &config, &CompilerOptions::default());
+        for (n, &t) in part.assignment.iter().enumerate() {
+            assert!(!config.is_faulty(t), "node {n} placed on faulty tile {t:?}");
+        }
+        for (n, pin) in g.pins.iter().enumerate() {
+            if let Some(pin) = pin {
+                assert_eq!(part.assignment[n], *pin);
             }
-            for (n, pin) in g.pins.iter().enumerate() {
-                if let Some(pin) = pin {
-                    assert_eq!(part.assignment[n], *pin);
-                }
+        }
+    }
+
+    /// Any improving swap can move a live bin onto a dead tile: on a 1x4
+    /// strip padded to tiles 0 and 2 live, a chain binned on tile 2 that
+    /// talks to a load pinned on tile 0 would save hops on dead tile 1.
+    #[test]
+    fn greedy_swap_never_moves_live_bins_onto_dead_tiles() {
+        let mut b = ProgramBuilder::new("t");
+        let a = b.array("A", Ty::I32, &[16]);
+        let i = b.const_i32(0);
+        let x = b.load(a, i, 0, MemHome::Static(0));
+        for offset in [4, 8] {
+            let mut v = x;
+            for _ in 0..4 {
+                v = b.mul(v, v);
             }
+            b.store(a, i, offset, v, MemHome::Static(0));
+        }
+        b.halt();
+        let p = b.finish().unwrap();
+        let base = MachineConfig::grid(1, 4);
+        let mask = base.mask_to_pow2(&[TileId::from_raw(1)]);
+        let config = base.with_faulty(mask);
+        let layout = DataLayout::build(&p, &config);
+        let g = TaskGraph::build(p.block(p.entry), &layout, &config);
+        let options = CompilerOptions {
+            clustering: false,
+            ..Default::default()
+        };
+        let part = partition(&g, &config, &options);
+        for (n, &t) in part.assignment.iter().enumerate() {
+            assert!(!config.is_faulty(t), "node {n} placed on faulty tile {t:?}");
         }
     }
 

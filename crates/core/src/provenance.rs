@@ -34,8 +34,8 @@ pub struct ProvRecord {
     pub tile: u32,
     /// Placement bin the node's cluster was merged into (`u32::MAX` when the
     /// block was empty). Joins against the block's
-    /// [`PlacementLog`](crate::partition::PlacementLog) to recover the anneal
-    /// step that put the node on its tile.
+    /// [`PlacementLog`](crate::partition::PlacementLog) to recover the placement
+    /// swap that put the node on its tile.
     pub bin: u32,
     /// Short operation mnemonic for display.
     pub kind: &'static str,

@@ -564,7 +564,7 @@ mod tests {
             program: sample_program(),
             config: MachineConfig::square(4).with_faulty(TileMask::of(&[TileId::from_raw(2)])),
             options: CompilerOptions {
-                placement: PlacementAlgorithm::Annealing { seed: 99 },
+                placement: PlacementAlgorithm::None,
                 strategy: Strategy::Portfolio { seed: 41 },
                 exact_budget: 123_456,
                 threads: 3,
@@ -577,12 +577,22 @@ mod tests {
         assert_eq!(back.program, req.program);
         assert_eq!(back.config, req.config);
         assert_eq!(back.options.threads, 3);
-        assert!(matches!(
-            back.options.placement,
-            PlacementAlgorithm::Annealing { seed: 99 }
-        ));
+        assert_eq!(back.options.placement, PlacementAlgorithm::None);
         assert_eq!(back.options.strategy, Strategy::Portfolio { seed: 41 });
         assert_eq!(back.options.exact_budget, 123_456);
+
+        // Placement tag 1 is reserved: a request naming it is malformed.
+        let options = codec::encode(&req.options);
+        let at = bytes
+            .windows(options.len())
+            .rposition(|w| w == options)
+            .expect("the request carries its options record");
+        let mut reserved = bytes.clone();
+        reserved[at + 1] = 1;
+        assert!(matches!(
+            CompileRequest::decode(&reserved),
+            Err(WireError::Malformed("compile request"))
+        ));
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! fresh-compile property that underwrites every hit the compiler serves.
 
 use raw_machine::MachineConfig;
-use raw_testkit::hash64;
 use raw_testkit::prelude::*;
 use rawcc::blockcache::canonical_block_bytes;
 use rawcc::{
@@ -170,10 +169,9 @@ raw_testkit::proptest! {
         let layout = DataLayout::build(&program, &config);
         let key_ctx = KeyContext::new(&layout, &config, &options);
         for block in &program.blocks {
-            let bytes = canonical_block_bytes(block);
-            let (hit, _) = cache.get(&key_ctx.key(&bytes));
+            let (hit, _) = cache.get(&key_ctx.key(&canonical_block_bytes(block)));
             let hit = hit.expect("every block was just compiled into the cache");
-            let (fresh, _) = compile_block(block, &layout, &config, &options, hash64(&bytes));
+            let (fresh, _) = compile_block(block, &layout, &config, &options);
             prop_assert!(*hit == fresh, "cached bundle diverged from fresh compile");
         }
     }

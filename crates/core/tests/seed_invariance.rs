@@ -1,15 +1,14 @@
-//! Regression tests for per-block RNG seeding: the annealer's seed is derived
-//! from the *content* of each block (global seed ⊕ block hash through
-//! splitmix64), not from the block's position in the program. Deleting or
-//! reordering an unrelated block must therefore leave every other block's
-//! placement — accepted-swap log, tile assignment, makespan — unchanged.
+//! Regression tests for content-addressed block compilation: a block's
+//! placement and schedule are a function of the block's *content*, never of
+//! its position in the program. Deleting or reordering an unrelated block
+//! must therefore leave every other block's placement — accepted-swap log,
+//! tile assignment, makespan, exact-solver report — unchanged.
 
 use raw_ir::builder::ProgramBuilder;
 use raw_ir::{Program, VarId};
 use raw_machine::MachineConfig;
 use rawcc::{
-    compile_with_cache, BlockCache, BlockReport, CompiledProgram, CompilerOptions,
-    PlacementAlgorithm,
+    compile_with_cache, BlockCache, BlockReport, CompiledProgram, CompilerOptions, Strategy,
 };
 use std::collections::BTreeMap;
 
@@ -17,7 +16,7 @@ fn decls(b: &mut ProgramBuilder) -> (VarId, VarId, VarId) {
     (b.var_i32("sx", 3), b.var_i32("sy", 5), b.var_i32("sz", 7))
 }
 
-/// A wide expression tree (enough parallelism that annealing makes real
+/// A wide expression tree (enough parallelism that placement makes real
 /// choices) folding into `var`; `salt` differentiates block contents.
 fn emit_body(b: &mut ProgramBuilder, var: VarId, salt: i32) {
     let base = b.read_var(var);
@@ -79,9 +78,9 @@ fn program_xzy() -> Program {
     b.finish().unwrap()
 }
 
-fn annealing() -> CompilerOptions {
+fn exact() -> CompilerOptions {
     CompilerOptions {
-        placement: PlacementAlgorithm::Annealing { seed: 0xDECADE },
+        strategy: Strategy::Exact,
         threads: 1,
         ..CompilerOptions::default()
     }
@@ -91,7 +90,7 @@ fn compile(program: &Program) -> CompiledProgram {
     compile_with_cache(
         program,
         &MachineConfig::square(4),
-        &annealing(),
+        &exact(),
         &BlockCache::in_memory(),
     )
     .unwrap()
@@ -143,7 +142,7 @@ fn shared_blocks_hit_across_programs() {
     // with different block indices.
     let cache = BlockCache::in_memory();
     let config = MachineConfig::square(4);
-    let options = annealing();
+    let options = exact();
     compile_with_cache(&program_xyz(), &config, &options, &cache).unwrap();
     let pruned = compile_with_cache(&program_xz(), &config, &options, &cache).unwrap();
     assert_eq!(pruned.report.cache.misses, 0, "X and Z were already cached");

@@ -1,7 +1,7 @@
 //! Edge cases across the public API: degenerate machine shapes, tight
 //! buffering, scheduler variants, and frontend corner cases.
 
-use raw_repro::cc::{compile, CompilerOptions, PlacementAlgorithm, PriorityScheme};
+use raw_repro::cc::{compile, CompilerOptions, PriorityScheme};
 use raw_repro::ir::builder::ProgramBuilder;
 use raw_repro::ir::interp::Interpreter;
 use raw_repro::ir::Imm;
@@ -138,25 +138,6 @@ fn all_priority_schemes_agree_on_results() {
         let (result, _) = compiled.run(&program).unwrap();
         assert!(result.state_eq(&golden), "{priority:?} diverged");
     }
-}
-
-#[test]
-fn annealing_placement_end_to_end() {
-    let bench = raw_repro::benchmarks::fpppp_kernel(raw_repro::benchmarks::FppppShape {
-        inputs: 10,
-        intermediates: 24,
-        outputs: 6,
-        seed: 17,
-    });
-    let program = bench.program(8).unwrap();
-    let golden = Interpreter::new(&program).run().unwrap();
-    let options = CompilerOptions {
-        placement: PlacementAlgorithm::Annealing { seed: 1234 },
-        ..Default::default()
-    };
-    let compiled = compile(&program, &MachineConfig::square(8), &options).unwrap();
-    let (result, _) = compiled.run(&program).unwrap();
-    assert!(result.state_eq(&golden));
 }
 
 #[test]

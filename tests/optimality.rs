@@ -1,4 +1,4 @@
-//! Optimality oracle for the heuristic lanes (ISSUE 10 acceptance gate).
+//! Optimality oracle for the heuristic placements (ISSUE 10 acceptance gate).
 //!
 //! The exact solver ([`raw_repro::cc::exact`]) certifies optimal makespans —
 //! within the compiler's scheduling model — for blocks of up to 30 task-graph
@@ -8,8 +8,9 @@
 //! * a heuristic result *below* a certified optimum is impossible unless the
 //!   solver, the scheduler, or the cost model is broken;
 //! * the measured gap (snapshotted in `tests/golden/optimality_gap.txt` and
-//!   EXPERIMENTS.md) quantifies how far the paper's greedy/annealing lanes sit
-//!   from optimal, so a placement regression shows up as a gap regression.
+//!   EXPERIMENTS.md) quantifies how far the paper's greedy-swap placement
+//!   sits from optimal, so a placement regression shows up as a gap
+//!   regression.
 
 use raw_repro::benchmarks;
 use raw_repro::cc::exact::{self, format_gap_table, gap_row};
@@ -36,9 +37,9 @@ fn with_strategy(strategy: Strategy) -> CompilerOptions {
     }
 }
 
-/// Every heuristic lane, on every workload, must stay at or above every
+/// Every heuristic placement, on every workload, must stay at or above every
 /// certified optimum — the oracle half of the acceptance criteria. Checked
-/// for both placement heuristics, since both feed the portfolio.
+/// for greedy swap and for the identity placement (`None`).
 #[test]
 fn no_heuristic_beats_a_certified_optimum() {
     for bench in benchmarks::tiny_suite() {
@@ -47,9 +48,9 @@ fn no_heuristic_beats_a_certified_optimum() {
         let heuristics = [
             ("greedy", with_strategy(Strategy::Heuristic)),
             (
-                "annealing",
+                "identity",
                 CompilerOptions {
-                    placement: PlacementAlgorithm::Annealing { seed: 0xBEEF },
+                    placement: PlacementAlgorithm::None,
                     ..with_strategy(Strategy::Heuristic)
                 },
             ),
@@ -132,15 +133,15 @@ fn oversized_block_falls_back_to_heuristics() {
     );
 }
 
-/// The portfolio acceptance criterion: byte-identical output across thread
-/// counts and cache states (the broader sweep lives in
-/// `tests/parallel_determinism.rs`; this is the focused cross of
-/// threads {1, 8} × {cold, warm}).
+/// The exact strategy's acceptance criterion (`Strategy::Portfolio` is its
+/// alias): byte-identical output across thread counts and cache states (the
+/// broader sweep lives in `tests/parallel_determinism.rs`; this is the
+/// focused cross of threads {1, 8} × {cold, warm}).
 #[test]
 fn portfolio_is_byte_identical_across_threads_and_cache_states() {
     let config = MachineConfig::square(TILES);
     let options = |threads| CompilerOptions {
-        strategy: Strategy::Portfolio { seed: 0xCAFE },
+        strategy: Strategy::Exact,
         threads,
         ..CompilerOptions::default()
     };
@@ -173,16 +174,16 @@ fn portfolio_is_byte_identical_across_threads_and_cache_states() {
     }
 }
 
-/// The portfolio can never lose to its own greedy lane: the exact lane is
-/// seeded with the greedy result, so the winning makespan is ≤ greedy's on
-/// every block.
+/// The exact strategy (and its alias `Strategy::Portfolio`) can never lose to
+/// the greedy heuristic: the solver is seeded with the greedy result, so the
+/// shipped makespan is ≤ greedy's on every block.
 #[test]
 fn portfolio_never_trails_the_greedy_heuristic() {
     for bench in benchmarks::tiny_suite() {
         let program = bench.program(TILES).expect("benchmark lowers");
-        let portfolio = compile(&program, &with_strategy(Strategy::Portfolio { seed: 7 }));
+        let exact_run = compile(&program, &with_strategy(Strategy::Exact));
         let greedy = compile(&program, &with_strategy(Strategy::Heuristic));
-        for (i, (p, g)) in portfolio
+        for (i, (e, g)) in exact_run
             .report
             .blocks
             .iter()
@@ -190,41 +191,15 @@ fn portfolio_never_trails_the_greedy_heuristic() {
             .enumerate()
         {
             assert!(
-                p.makespan <= g.makespan,
-                "{}: block {i}: portfolio {} > greedy {}",
+                e.makespan <= g.makespan,
+                "{}: block {i}: exact {} > greedy {}",
                 bench.name,
-                p.makespan,
+                e.makespan,
                 g.makespan
             );
-            assert!(p.lane.is_some(), "{}: block {i}: no lane", bench.name);
+            assert!(e.lane.is_some(), "{}: block {i}: no lane", bench.name);
         }
     }
-}
-
-/// The portfolio's heuristic lanes pick their own placement algorithms:
-/// `placement: None` on the request must not flatten them to the identity
-/// assignment. On a 4x4 mesh (a 2x2 leaves the greedy bin order nothing to
-/// improve) `cholesky`'s multi-cluster block is won by a lane whose
-/// placement log records accepted swaps.
-#[test]
-fn portfolio_lanes_place_even_when_placement_is_none() {
-    let options = CompilerOptions {
-        placement: PlacementAlgorithm::None,
-        ..with_strategy(Strategy::Portfolio { seed: 7 })
-    };
-    let bench = benchmarks::tiny_suite()
-        .into_iter()
-        .find(|b| b.name == "cholesky")
-        .expect("known benchmark");
-    let program = bench.program(16).expect("benchmark lowers");
-    let config = MachineConfig::square(16);
-    let compiled = compile_with_cache(&program, &config, &options, &BlockCache::in_memory())
-        .expect("compiles");
-    let swapped = compiled.report.blocks.iter().any(|block| {
-        matches!(block.placement.algorithm, "greedy-swap" | "annealing")
-            && !block.placement.steps.is_empty()
-    });
-    assert!(swapped, "no portfolio lane accepted a placement swap");
 }
 
 /// Golden snapshot of the measured optimality gap (refresh with

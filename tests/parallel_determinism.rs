@@ -10,9 +10,7 @@
 //! simulated cycle counts.
 
 use raw_repro::benchmarks;
-use raw_repro::cc::{
-    compile_with_cache, BlockCache, CompiledProgram, CompilerOptions, PlacementAlgorithm, Strategy,
-};
+use raw_repro::cc::{compile_with_cache, BlockCache, CompiledProgram, CompilerOptions, Strategy};
 use raw_repro::ir::Program;
 use raw_repro::machine::{MachineConfig, TileId};
 use std::collections::HashSet;
@@ -144,39 +142,15 @@ fn chaos_sweep_shapes_are_thread_and_cache_invariant() {
 }
 
 #[test]
-fn annealing_placement_is_thread_and_cache_invariant() {
-    // The annealer's RNG stream is the part most tempted to depend on compile
-    // order; pin it across threads and cache temperature too.
-    let config = MachineConfig::square(4);
-    let base = CompilerOptions {
-        placement: PlacementAlgorithm::Annealing { seed: 0xA11CE },
-        threads: 1,
-        ..CompilerOptions::default()
-    };
-    for bench in [
-        benchmarks::tiny_suite().remove(0),
-        benchmarks::tiny_suite().remove(3),
-    ] {
-        let program = bench.program(4).expect("benchmark lowers");
-        check_program(
-            &program,
-            &config,
-            &base,
-            &format!("{}+annealing", bench.name),
-        );
-    }
-}
-
-#[test]
 fn portfolio_strategy_is_thread_and_cache_invariant() {
-    // The portfolio races three lanes per block and picks the winner by
-    // (makespan, seeded rank) — a pure function of the block bytes, never of
-    // which lane finished first on the wall clock. Run it through the full
-    // battery: serial reference vs threads {2, 8}, cold/warm memory cache,
-    // cold/warm disk cache.
+    // `Strategy::Portfolio` is an alias of `Strategy::Exact`: the exact
+    // solver seeded with the greedy result, whose search and shipped lane must
+    // be a pure function of the block bytes. Run it through the full battery:
+    // serial reference vs threads {2, 8}, cold/warm memory cache, cold/warm
+    // disk cache.
     let config = MachineConfig::square(4);
     let base = CompilerOptions {
-        strategy: Strategy::Portfolio { seed: 0xF0117 },
+        strategy: Strategy::Exact,
         threads: 1,
         ..CompilerOptions::default()
     };
@@ -185,12 +159,7 @@ fn portfolio_strategy_is_thread_and_cache_invariant() {
         benchmarks::tiny_suite().remove(6), // jacobi
     ] {
         let program = bench.program(4).expect("benchmark lowers");
-        check_program(
-            &program,
-            &config,
-            &base,
-            &format!("{}+portfolio", bench.name),
-        );
+        check_program(&program, &config, &base, &format!("{}+exact", bench.name));
     }
 }
 
