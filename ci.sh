@@ -18,7 +18,7 @@ cd "$(dirname "$0")"
 
 STAGES=(fmt clippy doc build test cache_smoke
   exact_smoke service_smoke replay_smoke metrics_smoke trace_smoke
-  annotate_smoke scenario_smoke sim_smoke perf_smoke)
+  scenario_smoke sim_smoke perf_smoke)
 
 stage_fmt() {
   cargo fmt --all -- --check
@@ -93,6 +93,17 @@ stage_clippy() {
   if [[ -n "$searches" ]]; then
     echo "ci: place with greedy swap and refine with the exact solver instead:" >&2
     echo "$searches" >&2
+    exit 1
+  fi
+  # One command per question in raw-bench: host time is raw-perf's (perf/),
+  # and the per-line listing is a section of `trace`, so no timing mode,
+  # thread sweep or second tracing subcommand can grow back beside them.
+  local clocks
+  clocks="$(grep -rnE '"annotate" =>|fn table_command|fn time_run|ns_per_cycle' \
+    crates/bench/src || true)"
+  if [[ -n "$clocks" ]]; then
+    echo "ci: measure host time with raw-perf and annotate through trace instead:" >&2
+    echo "$clocks" >&2
     exit 1
   fi
   # Every setting is an argument: the compiler and the daemon read no
@@ -385,40 +396,25 @@ stage_trace_smoke() {
     trace --bench tomcatv --tiles 16 --quick --selfcheck >/dev/null
   cargo run --offline --release -p raw-bench --bin raw-bench -- \
     trace --bench vpenta --tiles 16 --quick --selfcheck >/dev/null
+  # The mxm run also checks the per-line listing: trace fails by itself if
+  # attribution does not sum exactly to the active-window cycle accounting.
   local trace_dir
   trace_dir="$(mktemp -d)"
   cargo run --offline --release -p raw-bench --bin raw-bench -- \
     trace --bench mxm --tiles 4 --quick --selfcheck \
-    --chrome "$trace_dir/mxm.trace.json" >/dev/null
-  # The exported Chrome trace must parse as JSON with a non-empty
-  # traceEvents array.
+    --chrome "$trace_dir/mxm.trace.json" > "$trace_dir/mxm.txt"
+  grep -q "cycles attributed ==" "$trace_dir/mxm.txt"
+  grep -q "placement audit" "$trace_dir/mxm.txt"
+  grep -q "top stall:" "$trace_dir/mxm.txt"
+  # The exported Chrome trace must parse as JSON with duration events, and
+  # its slices must carry source-provenance args (line/col/op) that join the
+  # space-time trace back to the Mini-C source.
   python3 - "$trace_dir/mxm.trace.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 events = doc["traceEvents"]
 assert events, "empty traceEvents"
 assert any(e.get("ph") == "X" for e in events), "no duration events"
-PY
-  rm -rf "$trace_dir"
-}
-
-stage_annotate_smoke() {
-  # The annotate command fails by itself if per-line attribution does not
-  # sum exactly to the active-window cycle accounting.
-  local annotate_dir
-  annotate_dir="$(mktemp -d)"
-  cargo run --offline --release -p raw-bench --bin raw-bench -- \
-    annotate --quick --chrome "$annotate_dir/mxm.annotate.json" \
-    > "$annotate_dir/annotate.txt"
-  grep -q "cycles attributed ==" "$annotate_dir/annotate.txt"
-  grep -q "placement audit" "$annotate_dir/annotate.txt"
-  grep -q "top stall:" "$annotate_dir/annotate.txt"
-  # Duration slices must carry source-provenance args (line/col/op) that
-  # join the space-time trace back to the Mini-C source.
-  python3 - "$annotate_dir/mxm.annotate.json" <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-events = doc["traceEvents"]
 tagged = [e for e in events if "line" in e.get("args", {})]
 assert tagged, "no provenance-tagged slices"
 for e in tagged:
@@ -426,7 +422,7 @@ for e in tagged:
     assert args["line"] >= 1 and args["col"] >= 1, f"bad span in {e}"
     assert isinstance(args["op"], str) and args["op"], f"missing op in {e}"
 PY
-  rm -rf "$annotate_dir"
+  rm -rf "$trace_dir"
 }
 
 stage_scenario_smoke() {
@@ -445,16 +441,15 @@ stage_scenario_smoke() {
 }
 
 stage_sim_smoke() {
-  # The sim subcommand's --selfcheck runs every sparse workload (plus a
-  # compiled jacobi) under the production stepper and the reference oracle,
-  # clean and under a chaos sweep, and fails on any divergence in cycles,
-  # stats, or memory.
+  # The sim subcommand runs every sparse workload (plus a compiled jacobi)
+  # under the production stepper and the reference oracle, clean and under a
+  # chaos sweep, and fails on any divergence in cycles, stats, or memory.
   cargo run --offline --release -p raw-bench --bin raw-bench -- \
-    sim --tiles 64 --selfcheck --quick >/dev/null
+    sim --tiles 64 --quick >/dev/null
   # 256 tiles span four run-set words: chaos is cross-checked where a wake
   # can land in a later word than the sweep position.
   cargo run --offline --release -p raw-bench --bin raw-bench -- \
-    sim --tiles 256 --selfcheck --quick >/dev/null
+    sim --tiles 256 --quick >/dev/null
 }
 
 stage_perf_smoke() {
@@ -466,14 +461,17 @@ stage_perf_smoke() {
   # speedup_geomean, code_words, and failed, the count of ops that did not
   # verify) must equal the committed perf/baseline/W.json. Only printed: the
   # time and memory metrics, which two passes cannot resolve
-  # (perf/README.md, "Steadiness").
+  # (perf/README.md, "Steadiness"). Every workload gets its verdict line and
+  # the trace step runs before the stage fails, so one stale baseline hides
+  # no other.
   cargo build --release --offline --manifest-path perf/Cargo.toml
-  local dir
+  local dir differ=()
   dir="$(mktemp -d)"
   for workload in sim_dense sim_sparse compile_cold service_mix; do
     perf/target/release/raw-perf run --workload "$workload" --passes 2 \
       --out "$dir" > /dev/null
-    python3 - "$workload" "$dir/$workload.json" "perf/baseline/$workload.json" <<'PY'
+    python3 - "$workload" "$dir/$workload.json" "perf/baseline/$workload.json" \
+      <<'PY' || differ+=("$workload")
 import json, sys
 
 def values(path):
@@ -503,6 +501,10 @@ PY
   perf/target/release/raw-perf trace --workload sim_sparse --out "$dir" \
     > "$dir/trace.txt"
   rm -rf "$dir"
+  if (( ${#differ[@]} > 0 )); then
+    echo "ci: raw-perf exact metrics differ from perf/baseline on: ${differ[*]}" >&2
+    exit 1
+  fi
 }
 
 # ---------------------------------------------------------------- driver ----

@@ -1,14 +1,13 @@
 //! Shared flag parsing for the `raw-bench` subcommands.
 //!
-//! Every subcommand (`trace`, `annotate`, `compile`, `scenario`, `sim`) takes
-//! the same shape of argument list — a flat sequence of `--flag` switches and
-//! `--flag VALUE` pairs — and used to carry its own copy of the cursor/`need`
-//! loop. [`FlagParser`] centralises that walk while keeping each subcommand's
-//! error wording intact: missing values report `"<flag> requires a value"`,
-//! unparsable values report `"<flag> must be <expected>"`, and unknown flags
-//! report `"unknown <context> flag '<flag>'"` (or `"unknown flag '<flag>'"`
-//! when the subcommand predates contexts and its callers grep for the short
-//! form).
+//! Every subcommand (`trace`, `compile`, `scenario`, `sim`, `serve`,
+//! `replay`, `top`) and the flag-driven paper tables take the same shape of
+//! argument list — a flat sequence of `--flag` switches and `--flag VALUE`
+//! pairs. [`FlagParser`] is that one walk: missing values report
+//! `"<flag> requires a value"`, unparsable values report
+//! `"<flag> must be <expected>"`, and unknown flags report
+//! `"unknown <context> flag '<flag>'"` (or `"unknown flag '<flag>'"` for the
+//! tables, which have no subcommand word).
 
 use std::str::FromStr;
 
@@ -33,8 +32,8 @@ use std::str::FromStr;
 /// # Ok::<(), String>(())
 /// ```
 pub struct FlagParser<'a> {
-    /// Subcommand name used in "unknown … flag" errors; empty for the legacy
-    /// short form.
+    /// Subcommand name used in "unknown … flag" errors; empty for the
+    /// paper tables' short form.
     context: &'a str,
     args: &'a [String],
     /// Index of the next unread argument.
@@ -100,12 +99,6 @@ impl<'a> FlagParser<'a> {
         } else {
             format!("unknown {} flag '{flag}'", self.context)
         }
-    }
-
-    /// Whether `flag` appears anywhere in the argument list (used for
-    /// presets that defer to an explicit flag, e.g. `--quick` vs `--tiles`).
-    pub fn mentions(&self, flag: &str) -> bool {
-        self.args.iter().any(|a| a == flag)
     }
 }
 
@@ -186,14 +179,6 @@ mod tests {
             demo_parse("demo", &args).unwrap(),
             (8, Some("--quick".to_string()), false)
         );
-    }
-
-    #[test]
-    fn mentions_checks_the_whole_list() {
-        let args = s(&["--quick", "--tiles", "8"]);
-        let p = FlagParser::new("demo", &args);
-        assert!(p.mentions("--tiles"));
-        assert!(!p.mentions("--bench"));
     }
 
     #[test]

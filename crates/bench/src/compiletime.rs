@@ -7,8 +7,8 @@
 //! mxm tiles=16 threads=8 blocks=12 wall_ms=41.3 cache_hits=0 cache_misses=12 cache_evictions=0 asm_hash=0x91b2...
 //! ```
 //!
-//! `--table` instead sweeps threads ∈ {1, 4, 8} cold plus an 8-thread warm
-//! re-compile and prints the speedup table recorded in `EXPERIMENTS.md`.
+//! Its `wall_ms` is one unrepeated sample; host time is measured by
+//! `raw-perf`'s `compile_cold` workload (`perf/`).
 
 use crate::args::{require_power_of_two, FlagParser};
 use raw_benchmarks::Benchmark;
@@ -35,8 +35,6 @@ pub struct CompileArgs {
     pub bench: Option<String>,
     /// Disk cache directory (cold in-memory cache when absent).
     pub cache_dir: Option<String>,
-    /// Print the threads × cache-temperature sweep table.
-    pub table: bool,
     /// Recompile each workload single-threaded on a cold cache and fail on
     /// any asm-hash drift (determinism self-check).
     pub selfcheck: bool,
@@ -68,16 +66,13 @@ impl CompileArgs {
             quick: false,
             bench: None,
             cache_dir: None,
-            table: false,
             selfcheck: false,
             remote: None,
             strategy: Strategy::Heuristic,
             gap_table: false,
             dump_asm: None,
         };
-        // Context left empty: `compile` predates subcommand contexts and its
-        // callers match on the short "unknown flag" wording.
-        let mut p = FlagParser::new("", args);
+        let mut p = FlagParser::new("compile", args);
         while let Some(flag) = p.next_flag() {
             match flag {
                 "--tiles" => out.tiles = p.value_parsed("an integer")?,
@@ -98,21 +93,17 @@ impl CompileArgs {
                 }
                 "--dump-asm" => out.dump_asm = Some(p.value_parsed("an instruction count")?),
                 "--quick" => out.quick = true,
-                "--table" => out.table = true,
                 "--gap-table" => out.gap_table = true,
                 "--selfcheck" => out.selfcheck = true,
                 _ => return Err(p.unknown()),
             }
         }
         require_power_of_two(out.tiles)?;
-        if out.dump_asm.is_some() && (out.table || out.gap_table) {
-            return Err("--dump-asm dumps a plain compile; drop --table/--gap-table".into());
+        if out.dump_asm.is_some() && out.gap_table {
+            return Err("--dump-asm dumps a plain compile; drop --gap-table".into());
         }
         if out.remote.is_some() && out.gap_table {
             return Err("--remote and --gap-table are incompatible".into());
-        }
-        if out.remote.is_some() && out.table {
-            return Err("--remote and --table are incompatible".into());
         }
         if out.remote.is_some() && out.cache_dir.is_some() {
             return Err("--cache-dir is the daemon's to choose; drop it with --remote".into());
@@ -261,9 +252,6 @@ pub fn compile_command(args: &CompileArgs) -> Result<String, String> {
     let suite = args.suite()?;
     let config = MachineConfig::square(args.tiles);
     let mut out = String::new();
-    if args.table {
-        return table_command(args, &suite, &config);
-    }
     if args.gap_table {
         return gap_table_command(args, &suite, &config);
     }
@@ -388,77 +376,6 @@ fn gap_table_command(
     Ok(out)
 }
 
-/// The threads × cache-temperature sweep behind the EXPERIMENTS.md table.
-fn table_command(
-    args: &CompileArgs,
-    suite: &[Benchmark],
-    config: &MachineConfig,
-) -> Result<String, String> {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "compile-time sweep: {} tiles, placement=greedy-swap\n",
-        args.tiles
-    ));
-    out.push_str(
-        "benchmark        blocks   serial_ms    t4_ms    t8_ms  warm8_ms   t8_speedup  warm_hit%\n",
-    );
-    let mut tot = [0.0f64; 4];
-    for bench in suite {
-        let program = bench
-            .program(args.tiles)
-            .map_err(|e| format!("{}: {e}", bench.name))?;
-        let mut wall = [0.0f64; 3];
-        let mut blocks = 0;
-        for (slot, threads) in [1usize, 4, 8].into_iter().enumerate() {
-            // Fresh cold cache per run: measures compilation, not caching.
-            let compiled = compile_with_cache(
-                &program,
-                config,
-                &args.options(threads),
-                &BlockCache::in_memory(),
-            )
-            .map_err(|e| format!("{}: {e}", bench.name))?;
-            wall[slot] = compiled.report.wall.as_secs_f64() * 1e3;
-            blocks = compiled.report.blocks.len();
-        }
-        let shared = BlockCache::in_memory();
-        let options = args.options(8);
-        compile_with_cache(&program, config, &options, &shared)
-            .map_err(|e| format!("{}: {e}", bench.name))?;
-        let warm = compile_with_cache(&program, config, &options, &shared)
-            .map_err(|e| format!("{}: {e}", bench.name))?;
-        let warm_ms = warm.report.wall.as_secs_f64() * 1e3;
-        let hits = warm.report.cache.hits as f64;
-        let lookups = hits + warm.report.cache.misses as f64;
-        out.push_str(&format!(
-            "{:<16} {:>6} {:>11.1} {:>8.1} {:>8.1} {:>9.2} {:>11.2}x {:>9.0}\n",
-            bench.name,
-            blocks,
-            wall[0],
-            wall[1],
-            wall[2],
-            warm_ms,
-            wall[0] / wall[2].max(1e-9),
-            100.0 * hits / lookups.max(1.0),
-        ));
-        tot[0] += wall[0];
-        tot[1] += wall[1];
-        tot[2] += wall[2];
-        tot[3] += warm_ms;
-    }
-    out.push_str(&format!(
-        "{:<16} {:>6} {:>11.1} {:>8.1} {:>8.1} {:>9.2} {:>11.2}x\n",
-        "total",
-        "",
-        tot[0],
-        tot[1],
-        tot[2],
-        tot[3],
-        tot[0] / tot[2].max(1e-9),
-    ));
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,10 +387,7 @@ mod tests {
     #[test]
     fn parse_defaults_and_flags() {
         let d = CompileArgs::parse(&[]).unwrap();
-        assert_eq!(
-            (d.tiles, d.threads, d.quick, d.table),
-            (16, 0, false, false)
-        );
+        assert_eq!((d.tiles, d.threads, d.quick), (16, 0, false));
         let p = CompileArgs::parse(&s(&[
             "--tiles",
             "4",
@@ -484,16 +398,22 @@ mod tests {
             "mxm",
             "--strategy",
             "exact",
-            "--table",
         ]))
         .unwrap();
         assert_eq!(p.tiles, 4);
         assert_eq!(p.threads, 2);
-        assert!(p.quick && p.table);
+        assert!(p.quick);
         assert_eq!(p.bench.as_deref(), Some("mxm"));
         assert_eq!(p.strategy, Strategy::Exact);
         assert!(CompileArgs::parse(&s(&["--tiles", "3"])).is_err());
-        assert!(CompileArgs::parse(&s(&["--frobnicate"])).is_err());
+        let err = |args: &[&str]| CompileArgs::parse(&s(args)).err().unwrap_or_default();
+        assert_eq!(
+            err(&["--frobnicate"]),
+            "unknown compile flag '--frobnicate'"
+        );
+        // A retired flag fails loudly rather than being ignored.
+        assert_eq!(err(&["--table"]), "unknown compile flag '--table'");
+        assert!(err(&["--dump-asm", "3", "--gap-table"]).contains("drop --gap-table"));
         for retired in ["annealing", "portfolio"] {
             assert!(CompileArgs::parse(&s(&["--strategy", retired])).is_err());
         }

@@ -572,6 +572,9 @@ mod tests {
     fn tables_args_reject_an_unknown_flag() {
         let err = tables(&["--tabel1"]).unwrap_err();
         assert_eq!(err, "unknown flag '--tabel1'");
+        // A retired subcommand word fails loudly rather than being ignored.
+        let err = tables(&["annotate", "--bench", "mxm"]).unwrap_err();
+        assert_eq!(err, "unknown flag 'annotate'");
     }
 
     #[test]

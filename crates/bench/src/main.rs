@@ -7,19 +7,19 @@
 //! raw-bench --quick              # tiny suite (CI-friendly)
 //! raw-bench --bench mxm --table3 # restrict to one benchmark
 //! raw-bench trace --bench mxm --tiles 16 --chrome out.json
-//! raw-bench annotate --bench mxm --tiles 16
 //! raw-bench compile --tiles 16 --threads 8 --cache-dir /tmp/rbc
-//! raw-bench compile --tiles 16 --table
 //! raw-bench scenario --quick
+//! raw-bench sim --tiles 64 --quick
 //! raw-bench sim --tiles 1024 --bench spin
-//! raw-bench sim --tiles 64 --selfcheck --quick
 //! raw-bench serve --addr 127.0.0.1:0 --cache-dir /tmp/rbc
 //! raw-bench compile --tiles 4 --quick --remote 127.0.0.1:7100
 //! raw-bench replay --clients 8 --requests 500 --quick --check
 //! ```
+//!
+//! Host time is not measured here: `raw-perf` (`perf/`) is the benchmark.
 
 use raw_bench::compiletime::{compile_command, CompileArgs};
-use raw_bench::observe::{annotate_command, trace_command, AnnotateArgs, TraceArgs};
+use raw_bench::observe::{trace_command, TraceArgs};
 use raw_bench::scenario::{scenario_command, ScenarioArgs};
 use raw_bench::serve::{replay_command, serve_command, ReplayArgs, ServeArgs};
 use raw_bench::sim::{sim_command, SimArgs};
@@ -36,14 +36,14 @@ raw-bench — regenerate the tables and figures of
 
 USAGE:
     raw-bench [FLAGS]
-    raw-bench trace [--bench NAME] [--tiles N] [--chrome PATH] [--selfcheck] [--quick]
-    raw-bench annotate [--bench NAME] [--tiles N] [--top K] [--chrome PATH] [--quick]
+    raw-bench trace [--bench NAME] [--tiles N] [--top K] [--chrome PATH]
+                    [--selfcheck] [--quick]
     raw-bench compile [--tiles N] [--threads T] [--bench NAME]
                       [--strategy greedy|exact] [--cache-dir PATH] [--quick]
-                      [--table] [--gap-table] [--selfcheck] [--remote ADDR]
+                      [--gap-table] [--selfcheck] [--remote ADDR]
                       [--dump-asm MAX]
     raw-bench scenario [--bench NAME] [--quick]
-    raw-bench sim [--tiles N] [--bench NAME] [--selfcheck] [--quick]
+    raw-bench sim [--tiles N] [--bench NAME] [--quick]
     raw-bench serve [--addr A] [--budget-mb M] [--cache-dir PATH]
                     [--no-telemetry] [--stop] [--stats]
                     [--metrics-dump] [--metrics-json]
@@ -57,21 +57,20 @@ SUBCOMMANDS:
                     occupancy/stall table (its 'all' row is the run's stall
                     totals), static-network word count, largest compiled
                     blocks, link heatmap, critical-path walk,
-                    and predicted-vs-observed diff; --chrome exports
-                    Chrome-trace JSON (with source-provenance args),
-                    --selfcheck runs the oracle lane (interpreter, reference
-                    stepper, untraced twin) and fails unless all agree
-    annotate        run one benchmark traced and print the per-source-line
-                    hotspot listing (cycles, stall taxonomy, tile spread) and
-                    the placement audit log joining runtime stalls with the
-                    placer's accepted swaps; fails if attribution does not
-                    conserve the active-window cycle accounting
+                    predicted-vs-observed diff, the per-source-line hotspot
+                    listing (cycles, stall taxonomy, tile spread) and the
+                    placement audit log joining runtime stalls with the
+                    placer's accepted swaps (--top K rows per block); fails
+                    if attribution does not conserve the active-window cycle
+                    accounting; --chrome exports Chrome-trace JSON (with
+                    source-provenance args), --selfcheck runs the oracle lane
+                    (interpreter, reference stepper, untraced twin) and fails
+                    unless all agree
     compile         compile the suite without running it, printing one
                     greppable stats line per workload (wall time, worker
                     threads, block-cache hits/misses, asm hash); --cache-dir
                     persists the content-addressed block cache across runs,
-                    --table prints the threads x cache-temperature sweep
-                    recorded in EXPERIMENTS.md, --selfcheck recompiles
+                    --selfcheck recompiles
                     single-threaded on a cold cache and fails on any asm drift,
                     --strategy picks the block-mapping engine (greedy, the
                     default heuristics, or exact, the solver seeded with
@@ -110,13 +109,11 @@ SUBCOMMANDS:
                     final states equal the clean run's) plus a co-residency
                     isolation check; prints per-scenario stats lines, occupancy tables,
                     and the EXPERIMENTS.md summary table
-    sim             exercise the simulator on big meshes (default 8x8, up to
-                    32x32+) over sparse hand-written workloads; prints one
-                    wall-clock line (ms, ns_per_cycle) per workload, or with
-                    --selfcheck differentially validates the production
-                    stepper against the reference oracle clean and under a
-                    chaos sweep, including a compiled jacobi at sizes <= 64
-                    tiles
+    sim             differentially validate the production stepper against
+                    the reference oracle on big meshes (default 8x8, up to
+                    32x32+) over sparse hand-written workloads, clean and
+                    under a chaos sweep, plus a compiled jacobi at sizes
+                    <= 64 tiles; host time is raw-perf's sim_sparse workload
 
 FLAGS:
     --table1        operation latencies (Table 1)
@@ -159,7 +156,6 @@ fn main() -> ExitCode {
     let rest = args.get(1..).unwrap_or_default();
     match name {
         "trace" => run(name, rest, TraceArgs::parse, trace_command),
-        "annotate" => run(name, rest, AnnotateArgs::parse, annotate_command),
         "compile" => run(name, rest, CompileArgs::parse, compile_command),
         "scenario" => run(name, rest, ScenarioArgs::parse, scenario_command),
         "sim" => run(name, rest, SimArgs::parse, sim_command),

@@ -1,9 +1,9 @@
-//! The `raw-bench trace` and `raw-bench annotate` subcommands: compile a
-//! benchmark, run it with the recording event sink, and render the
-//! observability reports — occupancy table, link heatmap, critical path,
-//! predicted-vs-observed, phase timings (`trace`), or the per-source-line
-//! hotspot listing and placement audit log (`annotate`) — optionally
-//! exporting a provenance-annotated Chrome-trace JSON file.
+//! The `raw-bench trace` subcommand: compile a benchmark, run it with the
+//! recording event sink, and render the observability reports — phase
+//! timings, occupancy table, link heatmap, critical path,
+//! predicted-vs-observed, the per-source-line hotspot listing and the
+//! placement audit log — optionally exporting a provenance-annotated
+//! Chrome-trace JSON file.
 
 use crate::args::{require_power_of_two, FlagParser};
 use raw_machine::trace::StallReason;
@@ -11,7 +11,7 @@ use raw_machine::MachineConfig;
 use raw_trace::annotate::{placement_audit, SourceAnnotation};
 use raw_trace::oracle::check;
 use raw_trace::{chrome, json, report, run_traced, TraceRun};
-use rawcc::{compile, CompiledProgram, CompilerOptions};
+use rawcc::{compile, CompilerOptions};
 use std::fmt::Write as _;
 
 /// Parsed arguments of `raw-bench trace`.
@@ -21,6 +21,8 @@ pub struct TraceArgs {
     pub bench: String,
     /// Machine size in tiles (power of two).
     pub tiles: u32,
+    /// Rows per block in the placement audit.
+    pub top: usize,
     /// Write Chrome-trace JSON here.
     pub chrome_out: Option<String>,
     /// Run through the oracle lane: interpreter, reference stepper, and an
@@ -40,6 +42,7 @@ impl TraceArgs {
         let mut out = TraceArgs {
             bench: "mxm".to_string(),
             tiles: 4,
+            top: 5,
             chrome_out: None,
             selfcheck: false,
             quick: false,
@@ -49,6 +52,7 @@ impl TraceArgs {
             match flag {
                 "--bench" => out.bench = p.value()?.clone(),
                 "--tiles" => out.tiles = p.value_parsed("an integer")?,
+                "--top" => out.top = p.value_parsed("an integer")?,
                 "--chrome" => out.chrome_out = Some(p.value()?.clone()),
                 "--selfcheck" => out.selfcheck = true,
                 "--quick" => out.quick = true,
@@ -58,31 +62,6 @@ impl TraceArgs {
         require_power_of_two(out.tiles)?;
         Ok(out)
     }
-}
-
-/// Compiles `name` from the chosen suite for a `tiles`-tile machine and runs
-/// it under the recording sink — through the oracle lane
-/// (`raw_trace::oracle::check`) when `selfcheck` is set.
-fn compile_and_trace(
-    name: &str,
-    tiles: u32,
-    quick: bool,
-    selfcheck: bool,
-) -> Result<(raw_benchmarks::Benchmark, CompiledProgram, TraceRun), String> {
-    let bench = raw_benchmarks::by_name(name, quick)?;
-    let program = bench
-        .program(tiles)
-        .map_err(|e| format!("{}: source compile failed: {e}", bench.name))?;
-    let config = MachineConfig::square(tiles);
-    let compiled = compile(&program, &config, &CompilerOptions::default())
-        .map_err(|e| format!("{}: compile failed: {e}", bench.name))?;
-    let run = if selfcheck {
-        check(&compiled, &program, &[])?
-    } else {
-        run_traced(&compiled, &program)
-            .map_err(|e| format!("{}: traced simulation failed: {e}", bench.name))?
-    };
-    Ok((bench, compiled, run))
 }
 
 /// One-line summary of the dominant stall reason across all tiles and units.
@@ -116,11 +95,29 @@ fn top_stall_summary(run: &TraceRun) -> String {
 /// # Errors
 ///
 /// Returns a message on unknown benchmark, compile/simulation failure,
-/// self-check divergence, or Chrome-export I/O failure.
+/// self-check divergence, attribution that fails to conserve the
+/// active-window cycle accounting, or Chrome-export I/O failure.
 pub fn trace_command(args: &TraceArgs) -> Result<String, String> {
-    let (bench, compiled, run) =
-        compile_and_trace(&args.bench, args.tiles, args.quick, args.selfcheck)?;
+    let bench = raw_benchmarks::by_name(&args.bench, args.quick)?;
+    let program = bench
+        .program(args.tiles)
+        .map_err(|e| format!("{}: source compile failed: {e}", bench.name))?;
     let config = MachineConfig::square(args.tiles);
+    let compiled = compile(&program, &config, &CompilerOptions::default())
+        .map_err(|e| format!("{}: compile failed: {e}", bench.name))?;
+    let run = if args.selfcheck {
+        check(&compiled, &program, &[])?
+    } else {
+        run_traced(&compiled, &program)
+            .map_err(|e| format!("{}: traced simulation failed: {e}", bench.name))?
+    };
+    let ann = SourceAnnotation::build(&run.trace, &compiled.provenance);
+    ann.selfcheck().map_err(|(a, w)| {
+        format!(
+            "{}: provenance attribution lost cycles: {a} attributed vs {w} in active windows",
+            bench.name
+        )
+    })?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -157,6 +154,15 @@ pub fn trace_command(args: &TraceArgs) -> Result<String, String> {
     out.push_str(&report::critical_path(&run.trace));
     out.push('\n');
     out.push_str(&report::predicted_vs_observed(&run.trace, &compiled.report));
+    out.push('\n');
+    out.push_str(&ann.render(bench.source()));
+    out.push('\n');
+    out.push_str(&placement_audit(
+        &run.trace,
+        &compiled.provenance,
+        &compiled.report,
+        args.top,
+    ));
 
     if args.selfcheck {
         let _ = writeln!(
@@ -180,103 +186,6 @@ pub fn trace_command(args: &TraceArgs) -> Result<String, String> {
     Ok(out)
 }
 
-/// Parsed arguments of `raw-bench annotate`.
-#[derive(Clone, Debug)]
-pub struct AnnotateArgs {
-    /// Benchmark name (from the paper suite).
-    pub bench: String,
-    /// Machine size in tiles (power of two).
-    pub tiles: u32,
-    /// Rows per block in the placement audit.
-    pub top: usize,
-    /// Write a provenance-annotated Chrome-trace JSON file here.
-    pub chrome_out: Option<String>,
-    /// Use the scaled-down suite.
-    pub quick: bool,
-}
-
-impl AnnotateArgs {
-    /// Parses the argument list following the `annotate` subcommand word.
-    ///
-    /// # Errors
-    ///
-    /// Returns a usage message on unknown flags or missing values.
-    pub fn parse(args: &[String]) -> Result<AnnotateArgs, String> {
-        let mut out = AnnotateArgs {
-            bench: "mxm".to_string(),
-            tiles: 16,
-            top: 5,
-            chrome_out: None,
-            quick: false,
-        };
-        let mut p = FlagParser::new("annotate", args);
-        while let Some(flag) = p.next_flag() {
-            match flag {
-                "--bench" => out.bench = p.value()?.clone(),
-                "--tiles" => out.tiles = p.value_parsed("an integer")?,
-                "--top" => out.top = p.value_parsed("an integer")?,
-                "--chrome" => out.chrome_out = Some(p.value()?.clone()),
-                "--quick" => {
-                    out.quick = true;
-                    // The quick preset targets a small machine unless --tiles
-                    // was given explicitly.
-                    if !p.mentions("--tiles") {
-                        out.tiles = 4;
-                    }
-                }
-                _ => return Err(p.unknown()),
-            }
-        }
-        require_power_of_two(out.tiles)?;
-        Ok(out)
-    }
-}
-
-/// Runs the annotate subcommand: the per-source-line hotspot listing followed
-/// by the placement audit log.
-///
-/// # Errors
-///
-/// Returns a message on unknown benchmark, compile/simulation failure,
-/// attribution that fails to conserve the active-window cycle accounting, or
-/// Chrome-export I/O failure.
-pub fn annotate_command(args: &AnnotateArgs) -> Result<String, String> {
-    let (bench, compiled, run) = compile_and_trace(&args.bench, args.tiles, args.quick, false)?;
-    let ann = SourceAnnotation::build(&run.trace, &compiled.provenance);
-    let attributed = ann.selfcheck().map_err(|(a, w)| {
-        format!(
-            "{}: provenance attribution lost cycles: {a} attributed vs {w} in active windows",
-            bench.name
-        )
-    })?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "annotate: {} on {} tile(s), {} cycles, {attributed} attributed cycles\n",
-        bench.name, args.tiles, run.report.cycles
-    );
-    out.push_str(&ann.render(bench.source()));
-    out.push('\n');
-    out.push_str(&placement_audit(
-        &run.trace,
-        &compiled.provenance,
-        &compiled.report,
-        args.top,
-    ));
-    if let Some(path) = &args.chrome_out {
-        let doc = chrome::chrome_trace_annotated(&run.trace, Some(&compiled.provenance));
-        json::parse(&doc).map_err(|e| format!("chrome export is not valid JSON: {e}"))?;
-        std::fs::write(path, &doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-        let _ = writeln!(
-            out,
-            "\nchrome trace written to {path} ({} bytes, provenance args included)",
-            doc.len()
-        );
-    }
-    let _ = writeln!(out, "\n{}", top_stall_summary(&run));
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,6 +197,8 @@ mod tests {
             "jacobi",
             "--tiles",
             "8",
+            "--top",
+            "3",
             "--chrome",
             "/tmp/x.json",
             "--selfcheck",
@@ -299,8 +210,11 @@ mod tests {
         let t = TraceArgs::parse(&args).unwrap();
         assert_eq!(t.bench, "jacobi");
         assert_eq!(t.tiles, 8);
+        assert_eq!(t.top, 3);
         assert_eq!(t.chrome_out.as_deref(), Some("/tmp/x.json"));
         assert!(t.selfcheck && t.quick);
+        let d = TraceArgs::parse(&[]).unwrap();
+        assert_eq!((d.bench.as_str(), d.tiles, d.top), ("mxm", 4, 5));
     }
 
     #[test]
@@ -319,6 +233,7 @@ mod tests {
         let args = TraceArgs {
             bench: "mxm".to_string(),
             tiles: 4,
+            top: 5,
             chrome_out: None,
             selfcheck: true,
             quick: true,
@@ -329,6 +244,10 @@ mod tests {
         assert!(text.contains("largest blocks:\n  block "), "{text}");
         assert!(text.contains("mesh link utilization"), "{text}");
         assert!(text.contains("observed critical path"), "{text}");
+        assert!(text.contains("annotated source"), "{text}");
+        assert!(text.contains(" cycles attributed == "), "{text}");
+        assert!(text.contains("placement audit"), "{text}");
+        assert_eq!(text.matches("top stall:").count(), 1, "{text}");
         assert!(
             text.contains("selfcheck: traced and untraced runs agree"),
             "{text}"
@@ -340,6 +259,7 @@ mod tests {
         let args = TraceArgs {
             bench: "nope".to_string(),
             tiles: 2,
+            top: 5,
             chrome_out: None,
             selfcheck: false,
             quick: true,

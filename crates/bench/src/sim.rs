@@ -1,24 +1,23 @@
-//! `raw-bench sim` — big-mesh scaling and differential smoke of the simulator.
+//! `raw-bench sim` — differential smoke of the simulator on big meshes.
 //!
-//! The production stepper (DESIGN.md §8) claims per-cycle cost proportional
-//! to *active components* rather than *tiles*. This subcommand makes that
-//! claim measurable and falsifiable on big meshes:
+//! The production stepper (DESIGN.md §8) skips idle components, so big
+//! meshes with a few live tiles are where it departs furthest from the
+//! reference stepper. This subcommand cross-checks the two there:
 //!
 //! * a suite of **sparse hand-written workloads** — a handful of active tiles
 //!   on an otherwise idle mesh, the regime where a 32×32 machine spends most
 //!   of its tiles dead or asleep — built directly from assembly so mesh size
 //!   is decoupled from compiler scaling;
-//! * `--selfcheck` runs every workload through the stepper oracle
-//!   (`raw_machine::oracle::steppers_agree`) and fails unless outcomes, the
-//!   full statistics block, and final memories are bit-identical, clean and
-//!   under a chaos sweep;
+//! * every workload runs through the stepper oracle
+//!   (`raw_machine::oracle::steppers_agree`), which fails unless outcomes,
+//!   the full statistics block, and final memories are bit-identical, clean
+//!   and under a chaos sweep;
 //! * a compiled benchmark (`jacobi`) joins the differential at sizes the
 //!   compiler targets (≤ 64 tiles), so the smoke also covers compiler-shaped
-//!   code;
-//! * without `--selfcheck` the subcommand times one run per workload and
-//!   prints one greppable `ms` / `ns_per_cycle` line each: run it at several
-//!   `--tiles` and the same workload should cost the same (the statistically
-//!   careful version is `raw-perf`'s `sim_sparse` workload, in `perf/`).
+//!   code.
+//!
+//! Host time is not measured here: `raw-perf`'s `sim_sparse` workload
+//! (`perf/`) times the same regime.
 
 use crate::args::{require_power_of_two, FlagParser};
 use raw_ir::Imm;
@@ -28,7 +27,6 @@ use raw_machine::isa::{Dir, Dst, MachineProgram, PInst, SDst, SInst, SSrc, Src, 
 use raw_machine::oracle::steppers_agree;
 use raw_machine::{Machine, MachineConfig, TileId};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Arguments of the `sim` subcommand.
 #[derive(Debug)]
@@ -39,8 +37,6 @@ pub struct SimArgs {
     pub bench: Option<String>,
     /// Smaller iteration counts and chaos sweep (CI-friendly).
     pub quick: bool,
-    /// Differentially validate against the reference stepper instead of timing.
-    pub selfcheck: bool,
 }
 
 impl SimArgs {
@@ -54,7 +50,6 @@ impl SimArgs {
             tiles: 64,
             bench: None,
             quick: false,
-            selfcheck: false,
         };
         let mut p = FlagParser::new("sim", args);
         while let Some(flag) = p.next_flag() {
@@ -62,7 +57,6 @@ impl SimArgs {
                 "--tiles" => out.tiles = p.value_parsed("an integer")?,
                 "--bench" => out.bench = Some(p.value()?.clone()),
                 "--quick" => out.quick = true,
-                "--selfcheck" => out.selfcheck = true,
                 _ => return Err(p.unknown()),
             }
         }
@@ -269,6 +263,9 @@ fn chaos_points(quick: bool) -> Vec<ChaosConfig> {
     }
 }
 
+/// The largest mesh the compiled jacobi joins the differential at.
+const JACOBI_MAX_TILES: u32 = 64;
+
 /// Differential check of a *compiled* benchmark (jacobi) at this mesh size:
 /// covers compiler-shaped code (real schedules, multi-tile control flow).
 fn check_compiled(config: &MachineConfig, quick: bool, out: &mut String) -> Result<(), String> {
@@ -303,25 +300,6 @@ fn check_compiled(config: &MachineConfig, quick: bool, out: &mut String) -> Resu
     Ok(())
 }
 
-/// Times one full run (construction and memory inspection excluded) and
-/// returns (cycles, seconds).
-fn time_run(config: &MachineConfig, w: &SparseWorkload) -> Result<(u64, f64), String> {
-    let mut m = machine(config, w, None);
-    let label = format!("{} timing", w.name);
-    let start = Instant::now();
-    let report = m.run().map_err(|e| format!("{label}: {e}"))?;
-    let secs = start.elapsed().as_secs_f64();
-    let (tile, addr, expected) = w.check;
-    let got = m.mem_word(tile, addr);
-    if got != expected {
-        return Err(format!(
-            "{label}: tile {} mem[{addr}] = {got}, expected {expected}",
-            tile.0
-        ));
-    }
-    Ok((report.cycles, secs))
-}
-
 /// Runs the `sim` subcommand and renders its report.
 ///
 /// # Errors
@@ -335,7 +313,9 @@ pub fn sim_command(args: &SimArgs) -> Result<String, String> {
         .iter()
         .filter(|w| args.bench.as_deref().is_none_or(|b| b == w.name))
         .collect();
+    // Compiler-shaped code joins the differential at sizes rawcc targets.
     let wants_jacobi = args.bench.as_deref().is_none_or(|b| b == "jacobi");
+    let runs_jacobi = wants_jacobi && config.n_tiles() <= JACOBI_MAX_TILES;
     if selected.is_empty() && !wants_jacobi {
         let names: Vec<&str> = suite.iter().map(|w| w.name).collect();
         return Err(format!(
@@ -344,57 +324,45 @@ pub fn sim_command(args: &SimArgs) -> Result<String, String> {
             names.join(", ")
         ));
     }
+    if selected.is_empty() && !runs_jacobi {
+        return Err(format!(
+            "sim workload 'jacobi' runs only at <= {JACOBI_MAX_TILES} tiles, not {}; \
+             nothing to check",
+            config.n_tiles()
+        ));
+    }
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "sim mesh {}x{} ({} tiles), {} mode",
+        "sim mesh {}x{} ({} tiles), production vs reference stepper",
         config.rows,
         config.cols,
         config.n_tiles(),
-        if args.selfcheck {
-            "selfcheck"
-        } else {
-            "timing"
-        }
     );
     for w in &selected {
-        if args.selfcheck {
-            let cycles = check_two_way(&config, w, None, &format!("{} clean", w.name))?;
-            let _ = writeln!(
-                out,
-                "sim {} tiles={} active={} cycles={cycles} clean: ok",
-                w.name,
-                config.n_tiles(),
-                w.active_tiles
+        let cycles = check_two_way(&config, w, None, &format!("{} clean", w.name))?;
+        let _ = writeln!(
+            out,
+            "sim {} tiles={} active={} cycles={cycles} clean: ok",
+            w.name,
+            config.n_tiles(),
+            w.active_tiles
+        );
+        for chaos in chaos_points(args.quick) {
+            let label = format!(
+                "{} chaos seed={:#x} stall={}%",
+                w.name, chaos.seed, chaos.stall_percent
             );
-            for chaos in chaos_points(args.quick) {
-                let label = format!(
-                    "{} chaos seed={:#x} stall={}%",
-                    w.name, chaos.seed, chaos.stall_percent
-                );
-                let cycles = check_two_way(&config, w, Some(chaos), &label)?;
-                let _ = writeln!(
-                    out,
-                    "sim {} tiles={} cycles={cycles} {label}: ok",
-                    w.name,
-                    config.n_tiles()
-                );
-            }
-        } else {
-            let (cycles, secs) = time_run(&config, w)?;
+            let cycles = check_two_way(&config, w, Some(chaos), &label)?;
             let _ = writeln!(
                 out,
-                "sim {} tiles={} active={} cycles={cycles} ms={:.2} ns_per_cycle={:.1}",
+                "sim {} tiles={} cycles={cycles} {label}: ok",
                 w.name,
-                config.n_tiles(),
-                w.active_tiles,
-                secs * 1e3,
-                secs * 1e9 / cycles.max(1) as f64
+                config.n_tiles()
             );
         }
     }
-    // Compiler-shaped code joins the differential at sizes rawcc targets.
-    if args.selfcheck && wants_jacobi && config.n_tiles() <= 64 {
+    if runs_jacobi {
         check_compiled(&config, args.quick, &mut out)?;
     }
     Ok(out)
@@ -411,25 +379,22 @@ mod tests {
     #[test]
     fn parse_defaults_and_flags() {
         let d = SimArgs::parse(&[]).unwrap();
-        assert_eq!((d.tiles, d.quick, d.selfcheck), (64, false, false));
-        let p = SimArgs::parse(&s(&[
-            "--tiles",
-            "256",
-            "--bench",
-            "spin",
-            "--quick",
-            "--selfcheck",
-        ]))
-        .unwrap();
+        assert_eq!((d.tiles, d.quick), (64, false));
+        let p = SimArgs::parse(&s(&["--tiles", "256", "--bench", "spin", "--quick"])).unwrap();
         assert_eq!(p.tiles, 256);
         assert_eq!(p.bench.as_deref(), Some("spin"));
-        assert!(p.quick && p.selfcheck);
+        assert!(p.quick);
         assert!(SimArgs::parse(&s(&["--tiles", "3"]))
             .unwrap_err()
             .contains("power of two"));
         assert!(SimArgs::parse(&s(&["--frobnicate"]))
             .unwrap_err()
             .contains("unknown sim flag"));
+        // A retired flag fails loudly rather than being ignored.
+        assert_eq!(
+            SimArgs::parse(&s(&["--selfcheck"])).unwrap_err(),
+            "unknown sim flag '--selfcheck'"
+        );
     }
 
     #[test]
@@ -442,7 +407,7 @@ mod tests {
 
     #[test]
     fn selfcheck_smoke_on_a_small_mesh() {
-        let args = SimArgs::parse(&s(&["--tiles", "16", "--quick", "--selfcheck"])).unwrap();
+        let args = SimArgs::parse(&s(&["--tiles", "16", "--quick"])).unwrap();
         let text = sim_command(&args).unwrap();
         assert!(text.contains("sim spin tiles=16"), "{text}");
         assert!(text.contains("clean: ok"), "{text}");
@@ -450,12 +415,11 @@ mod tests {
     }
 
     #[test]
-    fn timing_mode_reports_one_line_per_workload() {
-        let args = SimArgs::parse(&s(&["--tiles", "64", "--quick", "--bench", "spin"])).unwrap();
-        let text = sim_command(&args).unwrap();
-        assert!(
-            text.contains(" ms=") && text.contains(" ns_per_cycle="),
-            "{text}"
-        );
+    fn a_selection_that_checks_nothing_is_an_error() {
+        let args = SimArgs::parse(&s(&["--tiles", "128", "--bench", "jacobi", "--quick"])).unwrap();
+        let err = sim_command(&args).unwrap_err();
+        assert!(err.contains("<= 64 tiles"), "{err}");
+        let err = sim_command(&SimArgs::parse(&s(&["--bench", "nosuch"])).unwrap()).unwrap_err();
+        assert!(err.contains("unknown sim workload 'nosuch'"), "{err}");
     }
 }
