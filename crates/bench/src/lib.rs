@@ -25,12 +25,52 @@ pub mod sim;
 pub mod top;
 
 use args::FlagParser;
+use compiletime::{compile_command, CompileArgs};
+use observe::{trace_command, TraceArgs};
 use raw_benchmarks::Benchmark;
 use raw_ir::interp::Interpreter;
 use raw_ir::Program;
 use raw_machine::{MachineConfig, TileId};
 use rawcc::{compile, compile_baseline, CompilerOptions};
+use scenario::{scenario_command, ScenarioArgs};
+use serve::{replay_command, serve_command, ReplayArgs, ServeArgs};
+use sim::{sim_command, SimArgs};
 use std::fmt::Write as _;
+use top::{top_command, TopArgs};
+
+/// A subcommand: parses the arguments after its word, runs, and returns
+/// the text left to print.
+pub type Subcommand = fn(&[String]) -> Result<String, String>;
+
+/// The subcommand a first word names, or `None` for any other word, which
+/// the paper tables take as their first flag.
+pub fn subcommand(word: &str) -> Option<Subcommand> {
+    Some(match word {
+        "trace" => |a| TraceArgs::parse(a).and_then(|a| trace_command(&a)),
+        "compile" => |a| CompileArgs::parse(a).and_then(|a| compile_command(&a)),
+        "scenario" => |a| ScenarioArgs::parse(a).and_then(|a| scenario_command(&a)),
+        "sim" => |a| SimArgs::parse(a).and_then(|a| sim_command(&a)),
+        "serve" => |a| ServeArgs::parse(a).and_then(|a| serve_command(&a)),
+        "replay" => |a| ReplayArgs::parse(a).and_then(|a| replay_command(&a)),
+        // `top` prints each frame as it polls; nothing is left to print.
+        "top" => |a| {
+            TopArgs::parse(a)
+                .and_then(|a| top_command(&a))
+                .map(|_| String::new())
+        },
+        _ => return None,
+    })
+}
+
+/// Whether a command line asks for the usage text: it is empty, or holds
+/// `--help` or `-h` after a subcommand word or a tables flag. A stray first
+/// word never does; it goes to the tables, whose parse rejects it.
+pub fn wants_usage(args: &[String]) -> bool {
+    args.first().is_none_or(|first| {
+        (first.starts_with('-') || subcommand(first).is_some())
+            && args.iter().any(|a| a == "--help" || a == "-h")
+    })
+}
 
 /// Arguments of the flag-driven paper tables and figures (`raw-bench` with no
 /// subcommand word).
@@ -575,6 +615,31 @@ mod tests {
         // A retired subcommand word fails loudly rather than being ignored.
         let err = tables(&["annotate", "--bench", "mxm"]).unwrap_err();
         assert_eq!(err, "unknown flag 'annotate'");
+    }
+
+    #[test]
+    fn help_is_one_decision_for_the_tables_and_every_subcommand() {
+        let line = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+        assert!(wants_usage(&[]));
+        for help in ["--help", "-h"] {
+            assert!(wants_usage(&line(&[help])));
+            assert!(wants_usage(&line(&["--table3", "--quick", help])));
+            for word in [
+                "trace", "compile", "scenario", "sim", "serve", "replay", "top",
+            ] {
+                assert!(wants_usage(&line(&[word, "--tiles", "4", help])), "{word}");
+            }
+        }
+        assert!(!wants_usage(&line(&["trace", "--bench", "mxm"])));
+        // A stray first word fails as an unknown flag of the tables, with or
+        // without --help: a retired subcommand must not succeed.
+        for args in [line(&["annotate", "--help"]), line(&["annotate"])] {
+            let err = TablesArgs::parse(&args).unwrap_err();
+            assert!(
+                !wants_usage(&args) && err == "unknown flag 'annotate'",
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -18,15 +18,9 @@
 //!
 //! Host time is not measured here: `raw-perf` (`perf/`) is the benchmark.
 
-use raw_bench::compiletime::{compile_command, CompileArgs};
-use raw_bench::observe::{trace_command, TraceArgs};
-use raw_bench::scenario::{scenario_command, ScenarioArgs};
-use raw_bench::serve::{replay_command, serve_command, ReplayArgs, ServeArgs};
-use raw_bench::sim::{sim_command, SimArgs};
-use raw_bench::top::{top_command, TopArgs};
 use raw_bench::{
-    ablation_text, figure4_text, figure8_text, fpppp_scale_text, table1_text, table2_text,
-    table3_text, TablesArgs,
+    ablation_text, figure4_text, figure8_text, fpppp_scale_text, subcommand, table1_text,
+    table2_text, table3_text, wants_usage, TablesArgs,
 };
 use std::process::ExitCode;
 
@@ -45,8 +39,7 @@ USAGE:
     raw-bench scenario [--bench NAME] [--quick]
     raw-bench sim [--tiles N] [--bench NAME] [--quick]
     raw-bench serve [--addr A] [--budget-mb M] [--cache-dir PATH]
-                    [--no-telemetry] [--stop] [--stats]
-                    [--metrics-dump] [--metrics-json]
+                    [--no-telemetry] [--stop] [--stats] [--metrics-dump]
     raw-bench replay [--addr A] [--clients K] [--requests N] [--tiles T]
                      [--seed S] [--cache-dir PATH] [--quick] [--check]
                      [--min-speedup X]
@@ -88,9 +81,9 @@ SUBCOMMANDS:
                     'rawcc-serve listening on ADDR' once bound; --stop asks a
                     running daemon to shut down, --stats prints its hit/miss/
                     latency-percentile counters as an aligned per-client
-                    table, --metrics-dump/--metrics-json scrape the telemetry
-                    registry (Prometheus text / JSON), --no-telemetry runs
-                    the daemon without the registry and span ring
+                    table, --metrics-dump prints the telemetry registry's
+                    Prometheus text, --no-telemetry runs the daemon without
+                    the registry and span ring
     replay          stress the daemon with a deterministic request mix from K
                     client threads, cold then warm, checking every response
                     byte-identical against an in-process compile; --check
@@ -127,55 +120,33 @@ FLAGS:
     --quick         use the scaled-down suite (fast)
     --sizes A,B,..  machine sizes for table3/fig8 (default 1,2,4,8,16,32)
     --bench NAME    restrict table2/table3/ablations to one benchmark
-    --help          this text
+    --help, -h      this text (also after a subcommand word)
 ";
 
-/// Runs one subcommand: parse its flags, run it, print its text. Errors from
-/// either step go to stderr as `raw-bench <name>: <error>` with exit code 1.
-fn run<A>(
-    name: &str,
-    args: &[String],
-    parse: fn(&[String]) -> Result<A, String>,
-    command: fn(&A) -> Result<String, String>,
-) -> ExitCode {
-    match parse(args).and_then(|parsed| command(&parsed)) {
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if wants_usage(&args) {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(command) = subcommand(&args[0]) else {
+        return tables(&args);
+    };
+    match command(&args[1..]) {
         Ok(text) => {
             print!("{text}");
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("raw-bench {name}: {e}");
+            eprintln!("raw-bench {}: {e}", args[0]);
             ExitCode::FAILURE
         }
-    }
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let name = args.first().map_or("", String::as_str);
-    let rest = args.get(1..).unwrap_or_default();
-    match name {
-        "trace" => run(name, rest, TraceArgs::parse, trace_command),
-        "compile" => run(name, rest, CompileArgs::parse, compile_command),
-        "scenario" => run(name, rest, ScenarioArgs::parse, scenario_command),
-        "sim" => run(name, rest, SimArgs::parse, sim_command),
-        "serve" => run(name, rest, ServeArgs::parse, serve_command),
-        "replay" => run(name, rest, ReplayArgs::parse, replay_command),
-        // `top` prints each frame as it polls; nothing is left to print.
-        "top" => run(name, rest, TopArgs::parse, |a| {
-            top_command(a).map(|_| String::new())
-        }),
-        _ => tables(&args),
     }
 }
 
 /// The flag-driven paper tables and figures (no subcommand word). Each one
 /// prints as soon as it is measured.
 fn tables(args: &[String]) -> ExitCode {
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
     let args = match TablesArgs::parse(args) {
         Ok(args) => args,
         Err(e) => {

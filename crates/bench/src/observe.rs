@@ -1,9 +1,9 @@
 //! The `raw-bench trace` subcommand: compile a benchmark, run it with the
-//! recording event sink, and render the observability reports — phase
-//! timings, occupancy table, link heatmap, critical path,
-//! predicted-vs-observed, the per-source-line hotspot listing and the
-//! placement audit log — optionally exporting a provenance-annotated
-//! Chrome-trace JSON file.
+//! recording event sink, and render the observability reports — occupancy
+//! table, link heatmap, critical path, predicted-vs-observed, the
+//! per-source-line hotspot listing and the placement audit log — optionally
+//! exporting a provenance-annotated Chrome-trace JSON file. Every line is a
+//! function of the program and the mesh: host time is `raw-perf`'s.
 
 use crate::args::{require_power_of_two, FlagParser};
 use raw_machine::trace::StallReason;
@@ -130,8 +130,6 @@ pub fn trace_command(args: &TraceArgs) -> Result<String, String> {
         run.report.cycles,
         run.trace.events.len()
     );
-    out.push_str(&report::phase_table(&compiled.report.timings));
-    out.push('\n');
     out.push_str(&report::occupancy_table(&run.trace));
     let _ = writeln!(
         out,
@@ -252,6 +250,13 @@ mod tests {
             text.contains("selfcheck: traced and untraced runs agree"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn trace_text_is_identical_across_runs() {
+        let args = ["--bench", "mxm", "--tiles", "4", "--quick"].map(String::from);
+        let args = TraceArgs::parse(&args).unwrap();
+        assert_eq!(trace_command(&args), trace_command(&args));
     }
 
     #[test]

@@ -1,20 +1,19 @@
 //! `raw-bench top` — a live terminal dashboard over a running compile daemon.
 //!
-//! Polls the daemon's `metrics` endpoint (JSON rendering) on an interval and
-//! redraws a compact one-screen summary: request mix and rate, memo and
-//! block-cache effectiveness, wall/phase latency percentiles, connection and
-//! span occupancy. Rates are computed from inter-frame counter deltas, so the
+//! Polls the daemon's `metrics` endpoint on an interval and redraws a compact
+//! one-screen summary: request mix and rate, memo and block-cache
+//! effectiveness, wall/phase latency percentiles, connection and span
+//! occupancy. Rates are computed from inter-frame counter deltas, so the
 //! first frame shows totals only.
 //!
-//! The JSON body is parsed with `raw-trace`'s in-tree parser — the dashboard
-//! adds no dependencies and exercises the same exposition format external
-//! tooling would consume.
+//! Each scrape is the daemon's Prometheus text, read back by
+//! `raw_telemetry::Snapshot::parse_prometheus`; the percentiles come from the
+//! same quantile as the stats reply's.
 
 use crate::args::FlagParser;
-use raw_trace::json::{self, Json};
+use raw_telemetry::Snapshot;
 use rawcc::service::Client;
 use rawcc::wire::MetricsFormat;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -61,106 +60,10 @@ impl TopArgs {
     }
 }
 
-/// One histogram series: cumulative `(le, count)` pairs plus sum and count.
-struct HistSeries {
-    count: u64,
-    sum: u64,
-    buckets: Vec<(u64, u64)>,
-}
-
-impl HistSeries {
-    /// Nearest-rank quantile; the upper bound of the bucket holding the
-    /// ranked sample (0 when empty).
-    fn quantile(&self, q: f64) -> u64 {
-        let total = self.buckets.last().map_or(0, |&(_, c)| c);
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        self.buckets
-            .iter()
-            .find(|&&(_, cum)| cum >= rank)
-            .map_or_else(|| self.buckets.last().unwrap().0, |&(le, _)| le)
-    }
-
-    fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-}
-
-/// One decoded metrics snapshot, flattened for lookup. Scalar keys are
-/// `name` or `name{k=v,…}` in the exposition's label order.
+/// One parsed scrape and when it was taken.
 struct Frame {
-    scalars: HashMap<String, u64>,
-    hists: HashMap<String, HistSeries>,
+    snapshot: Snapshot,
     at: Instant,
-}
-
-fn series_key(name: &str, labels: &Json) -> String {
-    let Json::Obj(fields) = labels else {
-        return name.to_string();
-    };
-    if fields.is_empty() {
-        return name.to_string();
-    }
-    let body: Vec<String> = fields
-        .iter()
-        .map(|(k, v)| format!("{k}={}", v.as_str().unwrap_or_default()))
-        .collect();
-    format!("{name}{{{}}}", body.join(","))
-}
-
-impl Frame {
-    /// Decodes the JSON metrics body. Unknown families are kept (by name),
-    /// so the dashboard tolerates the daemon growing new metrics.
-    fn parse(body: &str) -> Result<Frame, String> {
-        let doc = json::parse(body).map_err(|e| format!("metrics JSON: {e:?}"))?;
-        let families = doc
-            .get("families")
-            .and_then(Json::as_arr)
-            .ok_or("metrics JSON: no families array")?;
-        let mut scalars = HashMap::new();
-        let mut hists = HashMap::new();
-        for fam in families {
-            let name = fam.get("name").and_then(Json::as_str).unwrap_or_default();
-            let series = fam.get("series").and_then(Json::as_arr).unwrap_or(&[]);
-            for s in series {
-                let labels = s.get("labels").cloned().unwrap_or(Json::Obj(Vec::new()));
-                let key = series_key(name, &labels);
-                if let Some(v) = s.get("value").and_then(Json::as_f64) {
-                    scalars.insert(key, v as u64);
-                } else if let Some(buckets) = s.get("buckets").and_then(Json::as_arr) {
-                    let pairs = buckets
-                        .iter()
-                        .filter_map(|b| {
-                            let pair = b.as_arr()?;
-                            Some((
-                                pair.first()?.as_f64()? as u64,
-                                pair.get(1)?.as_f64()? as u64,
-                            ))
-                        })
-                        .collect();
-                    hists.insert(
-                        key,
-                        HistSeries {
-                            count: s.get("count").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-                            sum: s.get("sum").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-                            buckets: pairs,
-                        },
-                    );
-                }
-            }
-        }
-        Ok(Frame {
-            scalars,
-            hists,
-            at: Instant::now(),
-        })
-    }
-
-    fn scalar(&self, key: &str) -> u64 {
-        self.scalars.get(key).copied().unwrap_or(0)
-    }
 }
 
 fn mib(bytes: u64) -> f64 {
@@ -168,51 +71,45 @@ fn mib(bytes: u64) -> f64 {
 }
 
 /// Counter rate between two frames, per second (0 on the first frame).
-fn rate(prev: Option<&Frame>, cur: &Frame, key: &str) -> f64 {
+fn rate(prev: Option<&Frame>, cur: &Frame, name: &str, labels: &[(&str, &str)]) -> f64 {
     let Some(prev) = prev else { return 0.0 };
     let dt = cur.at.duration_since(prev.at).as_secs_f64();
     if dt <= 0.0 {
         return 0.0;
     }
-    cur.scalar(key).saturating_sub(prev.scalar(key)) as f64 / dt
+    let [now, then] = [cur, prev].map(|f| f.snapshot.scalar(name, labels));
+    now.saturating_sub(then) as f64 / dt
 }
 
 /// Renders one dashboard frame. Pure string building, so tests can assert on
 /// it without a terminal.
 fn render(addr: &str, prev: Option<&Frame>, cur: &Frame) -> String {
     let mut out = String::new();
-    if cur.scalar("rawcc_telemetry_enabled") == 0 {
+    let s = &cur.snapshot;
+    if s.scalar("rawcc_telemetry_enabled", &[]) == 0 {
         let _ = writeln!(
             out,
             "rawcc-serve @ {addr} — telemetry disabled (restart without --no-telemetry)"
         );
         return out;
     }
-    let uptime_s = cur.scalar("rawcc_uptime_us") as f64 / 1e6;
+    let uptime_s = s.scalar("rawcc_uptime_us", &[]) as f64 / 1e6;
     let _ = writeln!(out, "rawcc-serve @ {addr} — up {uptime_s:.1}s");
 
-    let compile = cur.scalar("rawcc_requests_total{kind=compile}");
-    let errors: u64 = [
-        "malformed",
-        "unknown_kind",
-        "bad_program",
-        "compile",
-        "protocol",
-    ]
-    .iter()
-    .map(|c| cur.scalar(&format!("rawcc_request_errors_total{{code={c}}}")))
-    .sum();
+    let requests = |kind| s.scalar("rawcc_requests_total", &[("kind", kind)]);
     let _ = writeln!(
         out,
-        "requests  compile {compile} ({:.1}/s)  stats {}  ping {}  metrics {}  errors {errors}",
-        rate(prev, cur, "rawcc_requests_total{kind=compile}"),
-        cur.scalar("rawcc_requests_total{kind=stats}"),
-        cur.scalar("rawcc_requests_total{kind=ping}"),
-        cur.scalar("rawcc_requests_total{kind=metrics}"),
+        "requests  compile {} ({:.1}/s)  stats {}  ping {}  metrics {}  errors {}",
+        requests("compile"),
+        rate(prev, cur, "rawcc_requests_total", &[("kind", "compile")]),
+        requests("stats"),
+        requests("ping"),
+        requests("metrics"),
+        s.scalar_sum("rawcc_request_errors_total"),
     );
 
-    let served = cur.scalar("rawcc_compile_responses_total");
-    let memo_hits = cur.scalar("rawcc_memo_hits_total");
+    let served = s.scalar("rawcc_compile_responses_total", &[]);
+    let memo_hits = s.scalar("rawcc_memo_hits_total", &[]);
     let memo_pct = if served > 0 {
         memo_hits as f64 * 100.0 / served as f64
     } else {
@@ -222,43 +119,40 @@ fn render(addr: &str, prev: Option<&Frame>, cur: &Frame) -> String {
         out,
         "memo      hits {memo_hits} ({memo_pct:.1}% of {served} served)  entries {}  \
          resident {:.1} MiB",
-        cur.scalar("rawcc_memo_entries"),
-        mib(cur.scalar("rawcc_memo_resident_bytes")),
+        s.scalar("rawcc_memo_entries", &[]),
+        mib(s.scalar("rawcc_memo_resident_bytes", &[])),
     );
 
+    let hits = |tier| s.scalar("rawcc_cache_hits_total", &[("tier", tier)]);
     let _ = writeln!(
         out,
         "cache     mem hits {} ({:.1}/s)  disk hits {}  misses {}  coalesced {}  \
          entries {}  resident {:.1} MiB",
-        cur.scalar("rawcc_cache_hits_total{tier=mem}"),
-        rate(prev, cur, "rawcc_cache_hits_total{tier=mem}"),
-        cur.scalar("rawcc_cache_hits_total{tier=disk}"),
-        cur.scalar("rawcc_cache_misses_total"),
-        cur.scalar("rawcc_cache_coalesced_total"),
-        cur.scalar("rawcc_cache_entries"),
-        mib(cur.scalar("rawcc_cache_resident_bytes")),
+        hits("mem"),
+        rate(prev, cur, "rawcc_cache_hits_total", &[("tier", "mem")]),
+        hits("disk"),
+        s.scalar("rawcc_cache_misses_total", &[]),
+        s.scalar("rawcc_cache_coalesced_total", &[]),
+        s.scalar("rawcc_cache_entries", &[]),
+        mib(s.scalar("rawcc_cache_resident_bytes", &[])),
     );
 
-    if let Some(wall) = cur.hists.get("rawcc_compile_wall_us") {
+    if let Some(wall) = s.hist("rawcc_compile_wall_us", &[]) {
         let _ = writeln!(
             out,
             "latency   p50 {}µs  p90 {}µs  p99 {}µs  mean {}µs  (n={})",
             wall.quantile(0.50),
             wall.quantile(0.90),
             wall.quantile(0.99),
-            wall.mean(),
+            wall.sum.checked_div(wall.count).unwrap_or(0),
             wall.count,
         );
     }
     let mut phases = String::new();
     for phase in raw_telemetry::SPAN_PHASE_NAMES {
-        if let Some(h) = cur
-            .hists
-            .get(&format!("rawcc_compile_phase_us{{phase={phase}}}"))
-        {
-            if h.count > 0 {
-                let _ = write!(phases, "{phase} {}  ", h.quantile(0.5));
-            }
+        let hist = s.hist("rawcc_compile_phase_us", &[("phase", phase)]);
+        if let Some(h) = hist.filter(|h| h.count > 0) {
+            let _ = write!(phases, "{phase} {}  ", h.quantile(0.5));
         }
     }
     if !phases.is_empty() {
@@ -269,13 +163,13 @@ fn render(addr: &str, prev: Option<&Frame>, cur: &Frame) -> String {
         out,
         "conns     open {}  opened {}  closed {}   spans {} total / {} resident   \
          slow-log {}   clients {}",
-        cur.scalar("rawcc_connections_open"),
-        cur.scalar("rawcc_connections_opened_total"),
-        cur.scalar("rawcc_connections_closed_total"),
-        cur.scalar("rawcc_spans_total"),
-        cur.scalar("rawcc_spans_resident"),
-        cur.scalar("rawcc_slow_log_resident"),
-        cur.scalar("rawcc_client_rows"),
+        s.scalar("rawcc_connections_open", &[]),
+        s.scalar("rawcc_connections_opened_total", &[]),
+        s.scalar("rawcc_connections_closed_total", &[]),
+        s.scalar("rawcc_spans_total", &[]),
+        s.scalar("rawcc_spans_resident", &[]),
+        s.scalar("rawcc_slow_log_resident", &[]),
+        s.scalar("rawcc_client_rows", &[]),
     );
     out
 }
@@ -296,7 +190,7 @@ pub fn top_command(args: &TopArgs) -> Result<String, String> {
     let mut last = String::new();
     loop {
         frame_no += 1;
-        let resp = match client.metrics(MetricsFormat::Json) {
+        let resp = match client.metrics(MetricsFormat::Prometheus) {
             Ok(resp) => resp,
             // An unbounded watch ends quietly when the daemon shuts down.
             Err(e) if args.frames == 0 && frame_no > 1 => {
@@ -305,7 +199,10 @@ pub fn top_command(args: &TopArgs) -> Result<String, String> {
             }
             Err(e) => return Err(e.to_string()),
         };
-        let frame = Frame::parse(&resp.body)?;
+        let frame = Frame {
+            snapshot: Snapshot::parse_prometheus(&resp.body)?,
+            at: Instant::now(),
+        };
         last = render(&args.addr, prev.as_ref(), &frame);
         if args.no_clear {
             println!("{last}");
@@ -351,38 +248,47 @@ mod tests {
         assert!(TopArgs::parse(&s(&["--addr", "x", "--bogus"])).is_err());
     }
 
+    fn frame(text: &str) -> Frame {
+        Frame {
+            snapshot: Snapshot::parse_prometheus(text).unwrap(),
+            at: Instant::now(),
+        }
+    }
+
     #[test]
-    fn frame_parses_and_renders_metrics_json() {
-        let body = "{\"families\":[\
-            {\"name\":\"rawcc_telemetry_enabled\",\"kind\":\"gauge\",\"help\":\"\",\
-             \"series\":[{\"labels\":{},\"value\":1}]},\
-            {\"name\":\"rawcc_uptime_us\",\"kind\":\"gauge\",\"help\":\"\",\
-             \"series\":[{\"labels\":{},\"value\":2500000}]},\
-            {\"name\":\"rawcc_requests_total\",\"kind\":\"counter\",\"help\":\"\",\
-             \"series\":[{\"labels\":{\"kind\":\"compile\"},\"value\":7},\
-                         {\"labels\":{\"kind\":\"ping\"},\"value\":2}]},\
-            {\"name\":\"rawcc_compile_wall_us\",\"kind\":\"histogram\",\"help\":\"\",\
-             \"series\":[{\"labels\":{},\"count\":4,\"sum\":4000,\
-                          \"buckets\":[[1000,3],[2000,4]]}]}]}";
-        let frame = Frame::parse(body).unwrap();
-        assert_eq!(frame.scalar("rawcc_requests_total{kind=compile}"), 7);
-        assert_eq!(frame.scalar("rawcc_requests_total{kind=ping}"), 2);
-        let wall = &frame.hists["rawcc_compile_wall_us"];
-        assert_eq!((wall.count, wall.sum), (4, 4000));
-        assert_eq!(wall.quantile(0.5), 1000);
-        assert_eq!(wall.quantile(0.99), 2000);
+    fn frame_parses_and_renders_a_scrape() {
+        let frame = frame(
+            "# TYPE rawcc_telemetry_enabled gauge\n\
+             rawcc_telemetry_enabled 1\n\
+             # TYPE rawcc_uptime_us gauge\n\
+             rawcc_uptime_us 2500000\n\
+             # TYPE rawcc_requests_total counter\n\
+             rawcc_requests_total{kind=\"compile\"} 7\n\
+             rawcc_requests_total{kind=\"ping\"} 2\n\
+             # TYPE rawcc_request_errors_total counter\n\
+             rawcc_request_errors_total{code=\"malformed\"} 1\n\
+             rawcc_request_errors_total{code=\"a_new_code\"} 2\n\
+             # TYPE rawcc_compile_wall_us histogram\n\
+             rawcc_compile_wall_us_bucket{le=\"1000\"} 3\n\
+             rawcc_compile_wall_us_bucket{le=\"2000\"} 4\n\
+             rawcc_compile_wall_us_bucket{le=\"+Inf\"} 5\n\
+             rawcc_compile_wall_us_sum 99000\n\
+             rawcc_compile_wall_us_count 5\n",
+        );
         let text = render("127.0.0.1:7100", None, &frame);
         assert!(text.contains("up 2.5s"), "{text}");
         assert!(text.contains("compile 7"), "{text}");
-        assert!(text.contains("p99 2000µs"), "{text}");
+        assert!(text.contains("ping 2"), "{text}");
+        // Every code of the error family counts, known or not.
+        assert!(text.contains("errors 3"), "{text}");
+        // The +Inf sample ranks too: p99 is the overflow's last finite bound.
+        assert!(text.contains("p50 1000µs  p90 2000µs  p99 2000µs"));
+        assert!(text.contains("mean 19800µs  (n=5)"), "{text}");
     }
 
     #[test]
     fn disabled_daemon_renders_a_notice() {
-        let body = "{\"families\":[\
-            {\"name\":\"rawcc_telemetry_enabled\",\"kind\":\"gauge\",\"help\":\"\",\
-             \"series\":[{\"labels\":{},\"value\":0}]}]}";
-        let frame = Frame::parse(body).unwrap();
+        let frame = frame("# TYPE rawcc_telemetry_enabled gauge\nrawcc_telemetry_enabled 0\n");
         let text = render("a", None, &frame);
         assert!(text.contains("telemetry disabled"), "{text}");
     }

@@ -427,7 +427,8 @@ coded! {
     };
     PredOpKind: [PredOpKind::Comp, PredOpKind::Send, PredOpKind::Recv];
     ExactOutcome: [ExactOutcome::Certified, ExactOutcome::Budget, ExactOutcome::TooLarge];
-    MetricsFormat: [MetricsFormat::Prometheus, MetricsFormat::Json];
+    // Code 1 is reserved: it named a retired JSON rendering.
+    MetricsFormat: [MetricsFormat::Prometheus];
 }
 
 // ---------------------------------------------------------------------------

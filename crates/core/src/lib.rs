@@ -85,5 +85,5 @@ pub use options::{CompilerOptions, PlacementAlgorithm, PriorityScheme, Strategy}
 pub use partition::{PlacementLog, PlacementStep};
 pub use provenance::{ProvRecord, ProvenanceMap, NO_PROV};
 pub use schedule::{PredOpKind, PredictedBlock};
-pub use service::{Client, ServeOptions, ServerHandle, ServiceError, TelemetryFootprint};
+pub use service::{Client, ServeOptions, ServerHandle, ServiceError};
 pub use wire::{MetricsFormat, MetricsResponse, WireError};

@@ -530,11 +530,7 @@ impl ServerState {
 
     /// A scrape of the registry in `format`, encoded as a metrics reply.
     fn metrics(&self, format: MetricsFormat) -> Vec<u8> {
-        let snapshot = self.registry.snapshot(self);
-        let body = match format {
-            MetricsFormat::Prometheus => snapshot.render_prometheus(),
-            MetricsFormat::Json => snapshot.render_json(),
-        };
+        let body = self.registry.snapshot(self).render_prometheus();
         MetricsResponse { format, body }.encode()
     }
 
@@ -687,27 +683,6 @@ impl ServerState {
     }
 }
 
-/// Bounded-memory sizes of the observability structures, for soak tests and
-/// debugging. All capacities are fixed at startup; the `*_resident` values
-/// can only ever reach them, never exceed them.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TelemetryFootprint {
-    /// Spans resident in the ring (≤ `spans_capacity`).
-    pub spans_resident: usize,
-    /// Ring capacity ([`SPAN_RING_CAPACITY`]; 0 with telemetry off).
-    pub spans_capacity: usize,
-    /// Spans ever recorded (monotone; storage does not grow with it).
-    pub spans_total: u64,
-    /// Slow-log entries resident (≤ `slow_capacity`).
-    pub slow_resident: usize,
-    /// Slow-log capacity ([`SLOW_LOG_CAPACITY`]; 0 with telemetry off).
-    pub slow_capacity: usize,
-    /// Per-client accounting rows (≤ [`MAX_CLIENT_ROWS`] + 1).
-    pub client_rows: usize,
-    /// Latency-histogram buckets (fixed at startup).
-    pub latency_buckets: usize,
-}
-
 /// A running server. Dropping the handle shuts the server down (best-effort)
 /// if nobody has already; [`join`](Self::join) blocks until the accept loop
 /// exits.
@@ -721,22 +696,6 @@ impl ServerHandle {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Sizes of the bounded observability structures — what a soak test
-    /// asserts to prove stats memory does not grow with request count.
-    pub fn telemetry_footprint(&self) -> TelemetryFootprint {
-        let ledger = &self.state.ledger;
-        let spans = ledger.spans.as_ref();
-        TelemetryFootprint {
-            spans_resident: spans.map_or(0, SpanRing::len),
-            spans_capacity: spans.map_or(0, SpanRing::capacity),
-            spans_total: spans.map_or(0, SpanRing::total),
-            slow_resident: spans.map_or(0, SpanRing::slow_len),
-            slow_capacity: spans.map_or(0, SpanRing::slow_capacity),
-            client_rows: ledger.clients.lock().unwrap().len(),
-            latency_buckets: ledger.wall_us.buckets().len(),
-        }
     }
 
     /// The slow-request log (slowest first; empty with telemetry off).

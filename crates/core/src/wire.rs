@@ -26,7 +26,7 @@
 //! | [`REQ_STATS`] | empty |
 //! | [`REQ_PING`] | arbitrary bytes (echoed) |
 //! | [`REQ_SHUTDOWN`] | empty |
-//! | [`REQ_METRICS`] | one [`MetricsFormat`] byte (empty payload = Prometheus text) |
+//! | [`REQ_METRICS`] | one [`MetricsFormat`] byte, or empty (both mean Prometheus text) |
 //! | [`RESP_COMPILED`] | [`MachineProgram`] + per-request cache counters + wall time |
 //! | [`RESP_STATS`] | global counters + latency percentiles + per-client rows |
 //! | [`RESP_PONG`] | echoed bytes |
@@ -57,7 +57,7 @@ pub const REQ_STATS: u8 = 0x02;
 pub const REQ_PING: u8 = 0x03;
 /// Graceful shutdown request (empty payload).
 pub const REQ_SHUTDOWN: u8 = 0x04;
-/// Telemetry scrape request (one [`MetricsFormat`] byte; empty = Prometheus).
+/// Telemetry scrape request (one [`MetricsFormat`] byte, or empty).
 pub const REQ_METRICS: u8 = 0x05;
 /// Successful compile response.
 pub const RESP_COMPILED: u8 = 0x81;
@@ -424,14 +424,15 @@ impl StatsResponse {
     }
 }
 
-/// Rendering requested by (and echoed in) a telemetry scrape.
+/// Rendering requested by (and echoed in) a telemetry scrape. Prometheus
+/// text is the only one; its code 1 named a retired JSON rendering and is
+/// reserved, so a request carrying it is malformed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MetricsFormat {
-    /// Prometheus text exposition format 0.0.4.
+    /// Prometheus text exposition format 0.0.4, read back by
+    /// `raw_telemetry::Snapshot::parse_prometheus`.
     #[default]
     Prometheus,
-    /// JSON, parseable by `raw-trace`'s in-tree parser.
-    Json,
 }
 
 /// Serializes a [`REQ_METRICS`] payload.
@@ -457,7 +458,7 @@ pub fn decode_metrics_request(bytes: &[u8]) -> Result<MetricsFormat, WireError> 
 pub struct MetricsResponse {
     /// The rendering the body is in (echoes the request).
     pub format: MetricsFormat,
-    /// The rendered snapshot: Prometheus text or a JSON document.
+    /// The rendered snapshot, Prometheus text.
     pub body: String,
 }
 
@@ -680,15 +681,16 @@ mod tests {
 
     #[test]
     fn metrics_request_roundtrip_and_empty_default() {
-        for format in [MetricsFormat::Prometheus, MetricsFormat::Json] {
-            let bytes = encode_metrics_request(format);
-            assert_eq!(decode_metrics_request(&bytes).unwrap(), format);
-        }
-        assert_eq!(
-            decode_metrics_request(&[]).unwrap(),
-            MetricsFormat::Prometheus,
-            "bare scrape defaults to Prometheus text"
-        );
+        let prometheus = MetricsFormat::Prometheus;
+        assert_eq!(encode_metrics_request(prometheus), [0]);
+        assert_eq!(decode_metrics_request(&[0]).unwrap(), prometheus);
+        // A bare scrape defaults to Prometheus text.
+        assert_eq!(decode_metrics_request(&[]).unwrap(), prometheus);
+        // Code 1 is reserved: a scrape asking for it is malformed.
+        assert!(matches!(
+            decode_metrics_request(&[1]),
+            Err(WireError::Malformed("metrics request"))
+        ));
         assert!(decode_metrics_request(&[9]).is_err());
         assert!(decode_metrics_request(&[0, 0]).is_err());
     }
@@ -696,8 +698,8 @@ mod tests {
     #[test]
     fn metrics_response_roundtrip() {
         let resp = MetricsResponse {
-            format: MetricsFormat::Json,
-            body: "{\"families\":[]}".into(),
+            format: MetricsFormat::Prometheus,
+            body: "# TYPE rawcc_telemetry_enabled gauge\nrawcc_telemetry_enabled 1\n".into(),
         };
         assert_eq!(MetricsResponse::decode(&resp.encode()).unwrap(), resp);
         assert!(MetricsResponse::decode(&[1]).is_err());

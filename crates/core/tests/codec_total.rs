@@ -116,14 +116,14 @@ fn cases(dir: &std::path::Path) -> Vec<Case> {
         ),
         case(
             "metrics request",
-            wire::encode_metrics_request(MetricsFormat::Json),
+            wire::encode_metrics_request(MetricsFormat::Prometheus),
             Box::new(|b| wire::decode_metrics_request(b).is_ok()),
         ),
         case(
             "metrics response",
             MetricsResponse {
-                format: MetricsFormat::Json,
-                body: "{\"families\":[]}".into(),
+                format: MetricsFormat::Prometheus,
+                body: "rawcc_telemetry_enabled 1\n".into(),
             }
             .encode(),
             Box::new(|b| MetricsResponse::decode(b).is_ok()),

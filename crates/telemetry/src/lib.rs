@@ -8,8 +8,8 @@
 //!   recording never allocates and never takes a lock.
 //! * [`registry`] — a [`Registry`]: a table of named scrape entries over
 //!   one state that owns the primitives, read into point-in-time
-//!   [`Snapshot`]s and rendered as either Prometheus text exposition or
-//!   JSON (parseable by `raw-trace`'s in-tree JSON parser).
+//!   [`Snapshot`]s. Prometheus text is their one rendering, and
+//!   [`Snapshot::parse_prometheus`] reads it back into an equal snapshot.
 //! * [`span`] — per-request structured [`SpanRecord`]s over the compile
 //!   pipeline, kept in a bounded pre-allocated [`SpanRing`] plus a
 //!   top-K slow-request log.
@@ -23,6 +23,6 @@ pub mod metrics;
 pub mod registry;
 pub mod span;
 
-pub use metrics::{Buckets, Counter, Histogram};
-pub use registry::{MetricKind, Registry, Snapshot};
+pub use metrics::{quantile, Buckets, Counter, Histogram};
+pub use registry::{HistSnapshot, MetricKind, Registry, SeriesValue, Snapshot};
 pub use span::{Label, SpanRecord, SpanRing, SPAN_PHASES, SPAN_PHASE_NAMES};

@@ -98,10 +98,32 @@ impl Default for Buckets {
     }
 }
 
+/// Nearest-rank quantile, `q` in `[0, 1]`, over cumulative bucket counts:
+/// `cumulative[i]` counts the samples at or below `bounds[i]`, and its last
+/// entry is the total, `+Inf` overflow included. Returns the upper bound of
+/// the bucket holding the ranked sample (the last finite bound for an
+/// overflow sample), so estimates are monotone in `q` and never understate
+/// by more than one bucket width. Returns 0 when there are no samples.
+///
+/// The one quantile of the crate: [`Histogram::quantile`] (the daemon's
+/// stats percentiles) and a scraped histogram's
+/// [`HistSnapshot::quantile`](crate::registry::HistSnapshot::quantile) both
+/// call it, so a dashboard reading the scrape agrees with the stats reply.
+pub fn quantile(bounds: &[u64], cumulative: &[u64], q: f64) -> u64 {
+    let total = cumulative.last().copied().unwrap_or(0);
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+    let at = cumulative.partition_point(|&c| c < rank);
+    bounds.get(at).or(bounds.last()).copied().unwrap_or(0)
+}
+
 /// A fixed-bucket histogram with atomic storage.
 ///
 /// `record` is wait-free: one binary search over the (immutable) bound
-/// table plus three relaxed atomic adds. Memory is fixed at
+/// table plus two relaxed atomic adds. The sample count is the bucket total,
+/// so there is no second count to drift from it. Memory is fixed at
 /// construction, so a long-lived daemon's latency memory is a constant.
 #[derive(Debug)]
 pub struct Histogram {
@@ -110,7 +132,6 @@ pub struct Histogram {
     /// the `+Inf` overflow bucket.
     counts: Vec<AtomicU64>,
     sum: AtomicU64,
-    count: AtomicU64,
 }
 
 impl Histogram {
@@ -122,7 +143,6 @@ impl Histogram {
             buckets,
             counts,
             sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
         }
     }
 
@@ -131,56 +151,32 @@ impl Histogram {
         let idx = self.buckets.bounds.partition_point(|&b| b < v);
         self.counts[idx].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn buckets(&self) -> &Buckets {
         &self.buckets
     }
 
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Non-cumulative per-bucket counts; the final entry is the `+Inf`
-    /// overflow bucket.
-    pub fn bucket_counts(&self) -> Vec<u64> {
+    /// Cumulative counts per finite bound plus a final `+Inf` entry, the
+    /// total of every recorded sample.
+    pub fn cumulative_counts(&self) -> Vec<u64> {
+        let mut acc = 0u64;
         self.counts
             .iter()
-            .map(|c| c.load(Ordering::Relaxed))
+            .map(|c| {
+                acc += c.load(Ordering::Relaxed);
+                acc
+            })
             .collect()
     }
 
-    /// Nearest-rank quantile estimate, `q` in `[0, 1]`. Returns the
-    /// upper bound of the bucket containing the ranked sample (the last
-    /// finite bound for overflow samples), so estimates are monotone in
-    /// `q` and never understate by more than one bucket width. Returns
-    /// 0 for an empty histogram.
+    /// Nearest-rank quantile estimate, `q` in `[0, 1]`; see [`quantile`].
     pub fn quantile(&self, q: f64) -> u64 {
-        let counts = self.bucket_counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let bound_idx = i.min(self.buckets.len() - 1);
-                return self.buckets.bounds[bound_idx];
-            }
-        }
-        *self.buckets.bounds.last().expect("non-empty bounds")
-    }
-
-    /// Mean of recorded samples (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum().checked_div(self.count()).unwrap_or(0)
+        quantile(self.buckets.bounds(), &self.cumulative_counts(), q)
     }
 }
 
@@ -214,16 +210,15 @@ mod tests {
             h.record(v);
             expect_sum = expect_sum.wrapping_add(v);
         }
-        assert_eq!(h.count(), 10);
         assert_eq!(h.sum(), expect_sum);
-        let bucket_total: u64 = h.bucket_counts().iter().sum();
+        let cumulative = h.cumulative_counts();
         assert_eq!(
-            bucket_total,
-            h.count(),
+            cumulative.last(),
+            Some(&10),
             "every sample lands in exactly one bucket"
         );
         // Two samples exceed 2^10: they must be in the overflow bucket.
-        assert_eq!(*h.bucket_counts().last().unwrap(), 2);
+        assert_eq!(cumulative[cumulative.len() - 2], 8);
     }
 
     #[test]
@@ -246,7 +241,6 @@ mod tests {
     fn empty_histogram_quantile_is_zero() {
         let h = Histogram::new(Buckets::latency_us());
         assert_eq!(h.quantile(0.99), 0);
-        assert_eq!(h.mean(), 0);
     }
 
     #[test]

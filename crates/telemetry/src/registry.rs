@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use crate::metrics::Histogram;
+use crate::metrics::{self, Histogram};
 
 /// What a metric family measures; fixed at first registration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +36,7 @@ enum Read<S> {
 }
 
 struct Series<S> {
-    labels: Vec<(String, String)>,
+    labels: Labels,
     read: Read<S>,
 }
 
@@ -159,71 +159,86 @@ impl<S> Registry<S> {
     /// renderings are deterministic regardless of registration order;
     /// series keep registration order within a family.
     pub fn snapshot(&self, state: &S) -> Snapshot {
-        let mut out: Vec<FamilySnapshot> = self
+        let read = |s: &Series<S>| match &s.read {
+            Read::Scalar(read) => SeriesValue::Scalar(read(state)),
+            Read::Histogram(read) => {
+                let h = read(state);
+                let cumulative = h.cumulative_counts();
+                // The +Inf cumulative is the count, so conservation is exact
+                // even mid-record.
+                let count = *cumulative.last().expect("a +Inf bucket");
+                let (bounds, sum) = (h.buckets().bounds().to_vec(), h.sum());
+                SeriesValue::Hist(HistSnapshot {
+                    bounds,
+                    cumulative,
+                    sum,
+                    count,
+                })
+            }
+        };
+        let series = |s: &Series<S>| SeriesSnapshot {
+            labels: s.labels.clone(),
+            value: read(s),
+        };
+        let mut families: Vec<FamilySnapshot> = self
             .families
             .iter()
             .map(|fam| FamilySnapshot {
                 name: fam.name.clone(),
                 help: fam.help.clone(),
                 kind: fam.kind,
-                series: fam
-                    .series
-                    .iter()
-                    .map(|s| SeriesSnapshot {
-                        labels: s.labels.clone(),
-                        value: match &s.read {
-                            Read::Scalar(read) => SeriesValue::Scalar(read(state)),
-                            Read::Histogram(read) => {
-                                let h = read(state);
-                                let mut acc = 0u64;
-                                let cumulative = h
-                                    .bucket_counts()
-                                    .iter()
-                                    .map(|c| {
-                                        acc += c;
-                                        acc
-                                    })
-                                    .collect();
-                                // Deriving count from the buckets (not
-                                // the count atomic) makes conservation
-                                // exact even mid-record: the +Inf
-                                // cumulative always equals _count.
-                                SeriesValue::Hist {
-                                    bounds: h.buckets().bounds().to_vec(),
-                                    cumulative,
-                                    sum: h.sum(),
-                                    count: acc,
-                                }
-                            }
-                        },
-                    })
-                    .collect(),
+                series: fam.series.iter().map(series).collect(),
             })
             .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        Snapshot { families: out }
+        families.sort_by(|a, b| a.name.cmp(&b.name));
+        Snapshot { families }
     }
 }
 
 /// One resolved series value.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SeriesValue {
     Scalar(u64),
-    Hist {
-        /// Finite bucket upper bounds.
-        bounds: Vec<u64>,
-        /// Cumulative counts per finite bound plus a final `+Inf`
-        /// entry; `cumulative.len() == bounds.len() + 1`.
-        cumulative: Vec<u64>,
-        sum: u64,
-        count: u64,
-    },
+    Hist(HistSnapshot),
 }
 
+impl SeriesValue {
+    /// A counter's or gauge's value; 0 for a histogram.
+    fn scalar(&self) -> u64 {
+        match self {
+            SeriesValue::Scalar(v) => *v,
+            SeriesValue::Hist(_) => 0,
+        }
+    }
+}
+
+/// A histogram series at one scrape.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HistSnapshot {
+    /// Finite bucket upper bounds.
+    pub bounds: Vec<u64>,
+    /// Cumulative counts per finite bound plus a final `+Inf` entry;
+    /// `cumulative.len() == bounds.len() + 1`.
+    pub cumulative: Vec<u64>,
+    pub sum: u64,
+    pub count: u64,
+}
+
+impl HistSnapshot {
+    /// Nearest-rank quantile by the same [`metrics::quantile`] as
+    /// [`Histogram::quantile`].
+    pub fn quantile(&self, q: f64) -> u64 {
+        metrics::quantile(&self.bounds, &self.cumulative, q)
+    }
+}
+
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SeriesSnapshot {
-    pub labels: Vec<(String, String)>,
+    pub labels: Labels,
     pub value: SeriesValue,
 }
 
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FamilySnapshot {
     pub name: String,
     pub help: String,
@@ -231,59 +246,152 @@ pub struct FamilySnapshot {
     pub series: Vec<SeriesSnapshot>,
 }
 
-/// A point-in-time capture of a [`Registry`], renderable as Prometheus
-/// text or JSON.
+impl FamilySnapshot {
+    /// The family's sample lines as the exposition lays them out, each a
+    /// `(name, labels, value)`: one per scalar series, and per histogram
+    /// series a cumulative `_bucket` per finite bound, a `+Inf` bucket equal
+    /// to the count (each with its `le` label last), then `_sum` and
+    /// `_count`.
+    pub fn samples(&self) -> Vec<Sample> {
+        let mut out = Vec::new();
+        for s in &self.series {
+            let SeriesValue::Hist(h) = &s.value else {
+                out.push((self.name.clone(), s.labels.clone(), s.value.scalar()));
+                continue;
+            };
+            let les = h.bounds.iter().map(u64::to_string).chain(["+Inf".into()]);
+            let counts = h.cumulative[..h.bounds.len()].iter().chain([&h.count]);
+            for (le, &c) in les.zip(counts) {
+                let labels = s.labels.iter().cloned().chain([("le".into(), le)]);
+                out.push((format!("{}_bucket", self.name), labels.collect(), c));
+            }
+            out.push((format!("{}_sum", self.name), s.labels.clone(), h.sum));
+            out.push((format!("{}_count", self.name), s.labels.clone(), h.count));
+        }
+        out
+    }
+}
+
+/// A point-in-time capture of a [`Registry`]. Its one rendering is
+/// Prometheus text, and [`Snapshot::parse_prometheus`] reads that text back
+/// into an equal snapshot.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
     pub families: Vec<FamilySnapshot>,
 }
 
+/// A series' label pairs, in registration order.
+pub type Labels = Vec<(String, String)>;
+
+/// One sample line: name (with any `_bucket`/`_sum`/`_count` suffix),
+/// labels and value.
+pub type Sample = (String, Labels, u64);
+
+/// Escapes `\`, `"` and newline, the three characters the exposition
+/// format escapes in label values and help text.
 fn escape_prom(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
-fn prom_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    let mut parts: Vec<String> = labels
+/// The inverse of [`escape_prom`]; `None` for text it never writes (a
+/// dangling or unknown escape, or a bare `"`).
+fn unescape_prom(s: &str) -> Option<String> {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        out.push(match (c, c == '\\') {
+            (_, true) => match chars.next()? {
+                'n' => '\n',
+                c @ ('\\' | '"') => c,
+                _ => return None,
+            },
+            (c, false) => c,
+        });
+    }
+    (escape_prom(&out) == s).then_some(out)
+}
+
+/// A label set as the exposition spells it, `{k="v",…}` with values
+/// escaped, or nothing when empty.
+pub fn prom_labels(labels: &[(String, String)]) -> String {
+    if labels.is_empty() {
+        return String::new();
+    }
+    let parts: Vec<String> = labels
         .iter()
         .map(|(k, v)| format!("{k}=\"{}\"", escape_prom(v)))
         .collect();
-    if let Some((k, v)) = extra {
-        parts.push(format!("{k}=\"{}\"", escape_prom(v)));
-    }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", parts.join(","))
-    }
+    format!("{{{}}}", parts.join(","))
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// One sample line, `name{k="v",…} value`, split into its parts.
+fn parse_sample(line: &str) -> Result<Sample, String> {
+    let (series, value) = line.rsplit_once(' ').ok_or("a sample needs a value")?;
+    let value = value
+        .parse()
+        .map_err(|_| format!("value {value:?} is not a u64"))?;
+    let (name, mut body) = series.split_once('{').unwrap_or((series, "}"));
+    let mut labels = Vec::new();
+    while let Some((key, after)) = body.split_once("=\"") {
+        if !valid_name(key) {
+            return Err(format!("invalid label name {key:?}"));
         }
+        // The value ends at the first quote no backslash escapes.
+        let mut escaped = false;
+        let (end, _) = after
+            .char_indices()
+            .find(|&(_, c)| {
+                let closes = c == '"' && !escaped;
+                escaped = c == '\\' && !escaped;
+                closes
+            })
+            .ok_or("an unterminated label value")?;
+        let value = unescape_prom(&after[..end]).ok_or("a bad escape in a label value")?;
+        labels.push((key.to_string(), value));
+        body = after[end + 1..]
+            .strip_prefix(',')
+            .unwrap_or(&after[end + 1..]);
     }
-    out
+    Ok((name.to_string(), labels, value))
 }
 
 impl Snapshot {
+    /// Finds family `name`.
+    fn family(&self, name: &str) -> Option<&FamilySnapshot> {
+        self.families.iter().find(|f| f.name == name)
+    }
+
+    /// The series of family `name` with exactly `labels`, in registration
+    /// order.
+    fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&SeriesValue> {
+        let same = |s: &&SeriesSnapshot| {
+            let pairs = s.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+            pairs.eq(labels.iter().copied())
+        };
+        Some(&self.family(name)?.series.iter().find(same)?.value)
+    }
+
+    /// The value of counter or gauge `name{labels}`; 0 when absent.
+    pub fn scalar(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
+        self.get(name, labels).map_or(0, SeriesValue::scalar)
+    }
+
+    /// Histogram `name{labels}`, when there is one.
+    pub fn hist(&self, name: &str, labels: &[(&str, &str)]) -> Option<&HistSnapshot> {
+        match self.get(name, labels)? {
+            SeriesValue::Hist(h) => Some(h),
+            SeriesValue::Scalar(_) => None,
+        }
+    }
+
+    /// The sum over every series of counter or gauge family `name`.
+    pub fn scalar_sum(&self, name: &str) -> u64 {
+        let series = self.family(name).map_or(&[][..], |f| &f.series);
+        series.iter().map(|s| s.value.scalar()).sum()
+    }
+
     /// Prometheus text exposition format, version 0.0.4: `# HELP` /
     /// `# TYPE` headers, one sample per line, histograms expanded into
     /// cumulative `_bucket{le=...}` series plus `_sum` and `_count`.
@@ -294,109 +402,126 @@ impl Snapshot {
                 let _ = writeln!(out, "# HELP {} {}", fam.name, escape_prom(&fam.help));
             }
             let _ = writeln!(out, "# TYPE {} {}", fam.name, fam.kind.as_str());
-            for s in &fam.series {
-                match &s.value {
-                    SeriesValue::Scalar(v) => {
-                        let _ = writeln!(out, "{}{} {}", fam.name, prom_labels(&s.labels, None), v);
-                    }
-                    SeriesValue::Hist {
-                        bounds,
-                        cumulative,
-                        sum,
-                        count,
-                    } => {
-                        for (i, b) in bounds.iter().enumerate() {
-                            let le = b.to_string();
-                            let _ = writeln!(
-                                out,
-                                "{}_bucket{} {}",
-                                fam.name,
-                                prom_labels(&s.labels, Some(("le", &le))),
-                                cumulative[i]
-                            );
-                        }
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{} {}",
-                            fam.name,
-                            prom_labels(&s.labels, Some(("le", "+Inf"))),
-                            count
-                        );
-                        let _ = writeln!(
-                            out,
-                            "{}_sum{} {}",
-                            fam.name,
-                            prom_labels(&s.labels, None),
-                            sum
-                        );
-                        let _ = writeln!(
-                            out,
-                            "{}_count{} {}",
-                            fam.name,
-                            prom_labels(&s.labels, None),
-                            count
-                        );
-                    }
-                }
+            for (name, labels, value) in fam.samples() {
+                let _ = writeln!(out, "{name}{} {value}", prom_labels(&labels));
             }
         }
         out
     }
 
-    /// JSON rendering of the same data, shaped for `raw-trace`'s
-    /// in-tree parser. Histogram buckets are `[le, cumulative]` pairs
-    /// over the finite bounds; the `+Inf` cumulative equals `count`.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"families\":[");
-        for (fi, fam) in self.families.iter().enumerate() {
-            if fi > 0 {
-                out.push(',');
+    /// Reads a [`Snapshot::render_prometheus`] text back:
+    /// `parse_prometheus(&s.render_prometheus()) == Ok(s)` for every
+    /// snapshot a [`Registry`] takes. A histogram's `_bucket`/`_sum`/`_count`
+    /// lines fold back into one [`HistSnapshot`].
+    ///
+    /// # Errors
+    ///
+    /// `"metrics line N: <reason>"` for a line the renderer would not write
+    /// (a bad escape, a value that is not a `u64`, an unknown kind, a sample
+    /// outside a family or spelled otherwise than rendered), and
+    /// `"metrics family F is not a rendering"` when a family's samples are
+    /// not what [`FamilySnapshot::samples`] lays out for the series they
+    /// fold into: out of order, mislabelled, or a `+Inf` bucket other than
+    /// the `_count`.
+    pub fn parse_prometheus(text: &str) -> Result<Snapshot, String> {
+        let mut families: Vec<(String, String, MetricKind, Vec<Sample>)> = Vec::new();
+        let mut help: Option<(&str, String)> = None;
+        for (n, line) in text.split_terminator('\n').enumerate() {
+            let at = |reason: &str| format!("metrics line {}: {reason}", n + 1);
+            if let Some(rest) = line.strip_prefix("# HELP ") {
+                let (name, text) = rest
+                    .split_once(' ')
+                    .ok_or_else(|| at("# HELP needs a text"))?;
+                help = Some((name, unescape_prom(text).ok_or_else(|| at("a bad escape"))?));
+            } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = rest
+                    .split_once(' ')
+                    .ok_or_else(|| at("# TYPE needs a kind"))?;
+                let kind = match kind {
+                    "counter" => MetricKind::Counter,
+                    "gauge" => MetricKind::Gauge,
+                    "histogram" => MetricKind::Histogram,
+                    _ => return Err(at(&format!("unknown metric kind {kind:?}"))),
+                };
+                let help = match help.take() {
+                    Some((named, help)) if named == name => help,
+                    Some((named, _)) => return Err(at(&format!("# HELP {named} before it"))),
+                    None => String::new(),
+                };
+                families.push((name.to_string(), help, kind, Vec::new()));
+            } else {
+                let samples = match families.last_mut() {
+                    Some((.., samples)) if help.is_none() => samples,
+                    _ => return Err(at("a sample outside a family")),
+                };
+                let (name, labels, value) = parse_sample(line).map_err(|e| at(&e))?;
+                if format!("{name}{} {value}", prom_labels(&labels)) != line {
+                    return Err(at("a sample spelled otherwise than rendered"));
+                }
+                samples.push((name, labels, value));
             }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"kind\":\"{}\",\"help\":\"{}\",\"series\":[",
-                escape_json(&fam.name),
-                fam.kind.as_str(),
-                escape_json(&fam.help)
-            );
-            for (si, s) in fam.series.iter().enumerate() {
-                if si > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"labels\":{");
-                for (li, (k, v)) in s.labels.iter().enumerate() {
-                    if li > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{}\":\"{}\"", escape_json(k), escape_json(v));
-                }
-                out.push('}');
-                match &s.value {
-                    SeriesValue::Scalar(v) => {
-                        let _ = write!(out, ",\"value\":{v}");
-                    }
-                    SeriesValue::Hist {
+        }
+        if help.is_some() {
+            return Err("metrics text ends after a # HELP".into());
+        }
+        let families = families.into_iter().map(|(name, help, kind, samples)| {
+            FamilySnapshot {
+                name,
+                help,
+                kind,
+                series: Vec::new(),
+            }
+            .fold(&samples)
+        });
+        Ok(Snapshot {
+            families: families.collect::<Result<_, _>>()?,
+        })
+    }
+}
+
+impl FamilySnapshot {
+    /// Folds sample lines into this (series-less) family's series: each is
+    /// one scalar, or a histogram's run of `_bucket` lines then `_sum` and
+    /// `_count`. The fold is exact only if the series lay the same lines
+    /// back out.
+    fn fold(mut self, samples: &[Sample]) -> Result<FamilySnapshot, String> {
+        let not_a_rendering = || format!("metrics family {} is not a rendering", self.name);
+        let mut rest = samples;
+        while let Some((_, labels, value)) = rest.first() {
+            let (labels, value) = if self.kind != MetricKind::Histogram {
+                rest = &rest[1..];
+                (labels, SeriesValue::Scalar(*value))
+            } else {
+                let n = rest.iter().take_while(|s| s.0.ends_with("_bucket")).count();
+                let (buckets, tail) = rest.split_at(n);
+                let [(_, labels, sum), (_, _, count), tail @ ..] = tail else {
+                    return Err(not_a_rendering());
+                };
+                let les = buckets[..n.saturating_sub(1)].iter();
+                let bounds = les.map(|(_, l, _)| l.last()?.1.parse().ok());
+                let bounds = bounds.collect::<Option<_>>().ok_or_else(not_a_rendering)?;
+                let cumulative = buckets.iter().map(|&(.., c)| c).collect();
+                let (sum, count) = (*sum, *count);
+                rest = tail;
+                (
+                    labels,
+                    SeriesValue::Hist(HistSnapshot {
                         bounds,
                         cumulative,
                         sum,
                         count,
-                    } => {
-                        let _ = write!(out, ",\"count\":{count},\"sum\":{sum},\"buckets\":[");
-                        for (bi, b) in bounds.iter().enumerate() {
-                            if bi > 0 {
-                                out.push(',');
-                            }
-                            let _ = write!(out, "[{},{}]", b, cumulative[bi]);
-                        }
-                        out.push(']');
-                    }
-                }
-                out.push('}');
-            }
-            out.push_str("]}");
+                    }),
+                )
+            };
+            self.series.push(SeriesSnapshot {
+                labels: labels.clone(),
+                value,
+            });
         }
-        out.push_str("]}");
-        out
+        if self.samples() != samples {
+            return Err(not_a_rendering());
+        }
+        Ok(self)
     }
 }
 
@@ -405,44 +530,61 @@ mod tests {
     use super::*;
     use crate::metrics::Buckets;
 
-    #[test]
-    fn scalar_rendering_and_ordering() {
-        let mut reg = Registry::new();
-        reg.counter_fn(
-            "zeta_total",
-            "last registered, first name-sorted? no",
-            &[],
-            |s: &[u64; 3]| s[1],
-        );
-        reg.counter_fn("alpha_total", "a counter", &[("kind", "x")], |s| s[0]);
-        reg.gauge_fn("middle_gauge", "a gauge", &[], |s| s[2]);
-        let text = reg.snapshot(&[3, 7, 42]).render_prometheus();
-        let alpha = text.find("alpha_total").unwrap();
-        let middle = text.find("middle_gauge").unwrap();
-        let zeta = text.find("zeta_total").unwrap();
-        assert!(alpha < middle && middle < zeta, "families sorted by name");
-        assert!(text.contains("# TYPE alpha_total counter"));
-        assert!(text.contains("alpha_total{kind=\"x\"} 3"));
-        assert!(text.contains("# TYPE middle_gauge gauge"));
-        assert!(text.contains("middle_gauge 42"));
-        assert!(text.contains("zeta_total 7"));
+    /// Counters and gauges with and without labels, `"`, `\` and a newline
+    /// in a label value and a help text, and two histograms over the state.
+    fn sample_registry() -> Registry<[Histogram; 2]> {
+        let mut reg: Registry<[Histogram; 2]> = Registry::new();
+        reg.counter_fn("zeta_total", "registered first", &[], |_| u64::MAX);
+        reg.counter_fn("req_total", "by kind", &[("kind", "a")], |_| 7);
+        reg.counter_fn("req_total", "by kind", &[("kind", "b")], |_| 2);
+        reg.gauge_fn("pair", "", &[("x", "1"), ("y", "")], |_| 2);
+        let help = "help with \\ and \"quotes\"\nand a line";
+        reg.counter_fn("esc_total", help, &[("who", "a\"b\\c\nd")], |_| 1);
+        reg.histogram_fn("lat_us", "latency", &[], |h| &h[0]);
+        reg.histogram_fn("phase_us", "", &[("phase", "a")], |h| &h[1]);
+        reg
+    }
+
+    fn sample_state() -> [Histogram; 2] {
+        let state = [vec![1, 10, 100], vec![5]].map(|b| Histogram::new(Buckets::from_bounds(b)));
+        for v in [1, 1, 5, 50, 5000] {
+            state[0].record(v);
+        }
+        state
     }
 
     #[test]
-    fn histogram_rendering_is_cumulative_and_conserved() {
-        let mut reg = Registry::new();
-        reg.histogram_fn("lat_us", "latency", &[], |h: &Histogram| h);
-        let h = Histogram::new(Buckets::from_bounds(vec![1, 10, 100]));
-        for v in [1, 1, 5, 50, 5000] {
-            h.record(v);
-        }
-        let text = reg.snapshot(&h).render_prometheus();
-        assert!(text.contains("lat_us_bucket{le=\"1\"} 2"));
-        assert!(text.contains("lat_us_bucket{le=\"10\"} 3"));
-        assert!(text.contains("lat_us_bucket{le=\"100\"} 4"));
-        assert!(text.contains("lat_us_bucket{le=\"+Inf\"} 5"));
-        assert!(text.contains("lat_us_sum 5057"));
-        assert!(text.contains("lat_us_count 5"));
+    fn rendering_is_sorted_escaped_and_cumulative() {
+        let text = sample_registry()
+            .snapshot(&sample_state())
+            .render_prometheus();
+        let want = r#"# HELP esc_total help with \\ and \"quotes\"\nand a line
+# TYPE esc_total counter
+esc_total{who="a\"b\\c\nd"} 1
+# HELP lat_us latency
+# TYPE lat_us histogram
+lat_us_bucket{le="1"} 2
+lat_us_bucket{le="10"} 3
+lat_us_bucket{le="100"} 4
+lat_us_bucket{le="+Inf"} 5
+lat_us_sum 5057
+lat_us_count 5
+# TYPE pair gauge
+pair{x="1",y=""} 2
+# TYPE phase_us histogram
+phase_us_bucket{phase="a",le="5"} 0
+phase_us_bucket{phase="a",le="+Inf"} 0
+phase_us_sum{phase="a"} 0
+phase_us_count{phase="a"} 0
+# HELP req_total by kind
+# TYPE req_total counter
+req_total{kind="a"} 7
+req_total{kind="b"} 2
+# HELP zeta_total registered first
+# TYPE zeta_total counter
+zeta_total 18446744073709551615
+"#;
+        assert_eq!(text, want);
     }
 
     #[test]
@@ -453,28 +595,55 @@ mod tests {
         assert!(reg.snapshot(&9).render_prometheus().contains("derived 9"));
     }
 
+    /// `parse_prometheus(render_prometheus(s)) == s` on the sample registry,
+    /// before and after a histogram takes an overflow sample.
     #[test]
-    fn json_rendering_has_expected_shape() {
-        let mut reg = Registry::new();
-        reg.counter_fn("req_total", "requests", &[("kind", "compile")], |_| 2);
-        reg.histogram_fn("lat_us", "latency", &[], |h: &Histogram| h);
-        let h = Histogram::new(Buckets::from_bounds(vec![10, 100]));
-        h.record(7);
-        h.record(70_000);
-        let json = reg.snapshot(&h).render_json();
-        assert!(json.contains("\"name\":\"lat_us\""));
-        assert!(json.contains("\"count\":2,\"sum\":70007,\"buckets\":[[10,1],[100,1]]"));
-        assert!(json.contains("\"labels\":{\"kind\":\"compile\"},\"value\":2"));
+    fn parse_inverts_render() {
+        let (reg, state) = (sample_registry(), sample_state());
+        for _ in 0..2 {
+            let snapshot = reg.snapshot(&state);
+            let text = snapshot.render_prometheus();
+            let back = Snapshot::parse_prometheus(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+            assert_eq!(back, snapshot, "{text}");
+            state[1].record(6);
+        }
+        // The scrape and the live histogram share one quantile, so overflow
+        // samples rank against the +Inf total in both.
+        let scraped = reg.snapshot(&state);
+        let lat = scraped.hist("lat_us", &[]).unwrap();
+        for q in [0.0, 0.25, 0.5, 0.6, 0.9, 0.99, 1.0] {
+            assert_eq!(lat.quantile(q), state[0].quantile(q), "q={q}");
+        }
+        assert_eq!(lat.quantile(0.99), 100, "overflow: the last finite bound");
+        assert_eq!(scraped.scalar("req_total", &[("kind", "a")]), 7);
+        assert_eq!(scraped.scalar_sum("req_total"), 9);
     }
 
     #[test]
-    fn label_values_are_escaped() {
-        let mut reg = Registry::new();
-        reg.counter_fn("esc_total", "", &[("who", "a\"b\\c\nd")], |_: &()| 1);
-        let text = reg.snapshot(&()).render_prometheus();
-        assert!(text.contains("esc_total{who=\"a\\\"b\\\\c\\nd\"} 1"));
-        let json = reg.snapshot(&()).render_json();
-        assert!(json.contains("\"who\":\"a\\\"b\\\\c\\nd\""));
+    fn parse_rejects_what_render_never_writes() {
+        let bad = |text: &str| Snapshot::parse_prometheus(text).unwrap_err();
+        assert!(bad("x 1\n").contains("line 1: a sample outside a family"));
+        assert!(bad("# TYPE x summary\n").contains("unknown metric kind"));
+        assert!(bad("# TYPE x counter\nx{a=\"b} 1\n").contains("line 2: an unterminated"));
+        assert!(bad("# TYPE x counter\nx{a=\"\\t\"} 1\n").contains("bad escape"));
+        assert!(bad("# TYPE x counter\nx -1\n").contains("not a u64"));
+        for sample in ["x{a=\"b\"c=\"d\"} 1", "x{a=\"b\",} 1", "x{} 1"] {
+            let text = format!("# TYPE x counter\n{sample}\n");
+            assert!(bad(&text).contains("spelled otherwise"), "{sample}");
+        }
+        assert!(bad("# HELP x h\n# TYPE y gauge\n").contains("# HELP x before it"));
+        assert!(bad("# HELP x h\n").contains("ends after a # HELP"));
+        let hist = "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\n";
+        for text in [
+            "# TYPE x counter\ny 1\n".to_string(),
+            format!("{hist}h_sum 3\nh_count 1\n"),
+            format!("{hist}h_sum{{a=\"b\"}} 3\nh_count 2\n"),
+            format!("{hist}h_count 2\nh_sum 3\n"),
+            format!("{hist}h_sum 3\n"),
+            "# TYPE h histogram\nh_bucket{le=\"x\"} 1\nh_sum 3\nh_count 1\n".into(),
+        ] {
+            assert!(bad(&text).contains("is not a rendering"), "{text}");
+        }
     }
 
     #[test]

@@ -17,7 +17,8 @@ pub const SPAN_PHASES: usize = 8;
 /// Phase names in pipeline order. Index `i` of
 /// [`SpanRecord::phase_us`] is the time spent in `SPAN_PHASE_NAMES[i]`.
 /// `parse` covers wire decode + IR verification on the service side;
-/// the remaining seven are `CompileReport.timings`' rows, copied in order.
+/// the remaining seven name the compiler's `PhaseTimings::rows`, which
+/// take their names from here.
 pub const SPAN_PHASE_NAMES: [&str; SPAN_PHASES] = [
     "parse",
     "lower",
@@ -70,12 +71,6 @@ impl Default for Label {
 impl std::fmt::Debug for Label {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.as_str().fmt(f)
-    }
-}
-
-impl From<&str> for Label {
-    fn from(s: &str) -> Self {
-        Self::new(s)
     }
 }
 
@@ -200,16 +195,8 @@ impl SpanRing {
         self.len() == 0
     }
 
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().unwrap().ring.len()
-    }
-
     pub fn slow_len(&self) -> usize {
         self.inner.lock().unwrap().slow.len()
-    }
-
-    pub fn slow_capacity(&self) -> usize {
-        self.inner.lock().unwrap().slow_cap
     }
 }
 
@@ -243,7 +230,6 @@ mod tests {
             ring.record(span(i));
         }
         assert_eq!(ring.len(), 4);
-        assert_eq!(ring.capacity(), 4);
         assert_eq!(ring.total(), 10);
         let recent = ring.recent(10);
         assert_eq!(recent.len(), 4);
@@ -262,7 +248,6 @@ mod tests {
         let slow: Vec<u64> = ring.slowest().iter().map(|s| s.wall_us).collect();
         assert_eq!(slow, vec![200, 100, 75]);
         assert_eq!(ring.slow_len(), 3);
-        assert_eq!(ring.slow_capacity(), 3);
     }
 
     #[test]

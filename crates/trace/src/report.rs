@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 use raw_machine::isa::{SDst, SSrc, TileId};
 use raw_machine::trace::{ChannelRole, StallReason, Unit};
-use rawcc::{CompileReport, PhaseTimings};
+use rawcc::CompileReport;
 
 use crate::{Event, Trace};
 
@@ -420,22 +420,6 @@ pub fn predicted_vs_observed(trace: &Trace, report: &CompileReport) -> String {
         "note: predicted counts cover one straight-line pass (loops once); the\n\
          observed column includes every dynamic repetition, so deltas beyond\n\
          control-flow effects indicate cost-model divergence.\n",
-    );
-    out
-}
-
-/// Renders per-phase compile timings (wall clock).
-pub fn phase_table(timings: &PhaseTimings) -> String {
-    let mut out = String::new();
-    out.push_str("compile phase timings\n");
-    for (name, d) in timings.rows() {
-        let _ = writeln!(out, "{:>10}: {:>9.3} ms", name, d.as_secs_f64() * 1e3);
-    }
-    let _ = writeln!(
-        out,
-        "{:>10}: {:>9.3} ms",
-        "total",
-        timings.total().as_secs_f64() * 1e3
     );
     out
 }

@@ -332,11 +332,10 @@ fn codec_bytes_are_pinned() {
         ],
     };
     let mut samples = vec![("stats", stats.encode())];
-    for format in [MetricsFormat::Prometheus, MetricsFormat::Json] {
-        samples.push(("metrics-request", wire::encode_metrics_request(format)));
-        let body = "rawcc_telemetry_enabled 1\n".into();
-        samples.push(("metrics", MetricsResponse { format, body }.encode()));
-    }
+    let format = MetricsFormat::Prometheus;
+    samples.push(("metrics-request", wire::encode_metrics_request(format)));
+    let body = "rawcc_telemetry_enabled 1\n".into();
+    samples.push(("metrics", MetricsResponse { format, body }.encode()));
     samples.push((
         "error",
         wire::encode_error(wire::errcode::COMPILE, "no such tile"),

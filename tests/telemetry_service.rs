@@ -1,16 +1,16 @@
 //! End-to-end tests of the telemetry subsystem: the zero-overhead-when-
 //! disabled contract (byte-identical compile responses), bounded stats
 //! memory under a 10k-request soak, the pinned Prometheus exposition
-//! surface, the JSON rendering round-tripped through `raw-trace`'s parser,
-//! and counter/histogram conservation laws.
+//! surface, and counter/histogram conservation laws. Every scrape is read
+//! back through `Snapshot::parse_prometheus`, the renderer's own inverse.
 
-use raw_repro::cc::service::{serve, Client, ServeOptions};
+use raw_repro::cc::service::{serve, Client, ServeOptions, SLOW_LOG_CAPACITY, SPAN_RING_CAPACITY};
 use raw_repro::cc::wire::{self, errcode, MetricsFormat, MetricsResponse, StatsResponse};
 use raw_repro::cc::{compile_with_cache, BlockCache, CompilerOptions};
 use raw_repro::ir::Program;
 use raw_repro::machine::MachineConfig;
-use raw_repro::telemetry::SPAN_PHASE_NAMES;
-use raw_repro::trace::json::{self, Json};
+use raw_repro::telemetry::registry::prom_labels;
+use raw_repro::telemetry::{MetricKind, SeriesValue, Snapshot, SPAN_PHASE_NAMES};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -99,41 +99,40 @@ fn assert_error(reply: (u8, Vec<u8>), code: u8) {
     assert_eq!(wire::decode_error(&reply.1).unwrap().0, code);
 }
 
-/// Every series of a Prometheus rendering whose value a session pins: all
-/// scalars and each histogram's `_count`. Uptime and the bucket placement
-/// (and `_sum`) of the timing histograms vary run to run.
-fn pinned_series(text: &str) -> BTreeMap<String, u64> {
-    let histograms: Vec<&str> = text
-        .lines()
-        .filter_map(|l| l.strip_prefix("# TYPE ")?.strip_suffix(" histogram"))
-        .collect();
-    text.lines()
-        .filter(|l| !l.starts_with('#') && !l.is_empty())
-        .filter_map(|line| {
-            let (series, value) = line.rsplit_once(' ').unwrap();
-            let name = &series[..series.find('{').unwrap_or(series.len())];
-            let timing = histograms
-                .iter()
-                .any(|h| name == format!("{h}_bucket") || name == format!("{h}_sum"));
-            (!timing && name != "rawcc_uptime_us")
-                .then(|| (series.to_string(), value.parse().unwrap()))
-        })
-        .collect()
+/// Parses a scrape body, which must be a rendering the parser inverts.
+fn parse(body: &str) -> Snapshot {
+    Snapshot::parse_prometheus(body).unwrap_or_else(|e| panic!("{e}\n{body}"))
+}
+
+/// Every sample of a scrape whose value a session pins, keyed as the
+/// exposition spells it (`name{k="v",…}`): all scalars and each histogram's
+/// `_count`. Uptime and the bucket placement (and `_sum`) of the timing
+/// histograms vary run to run.
+fn pinned_series(snapshot: &Snapshot) -> BTreeMap<String, u64> {
+    let mut out = BTreeMap::new();
+    for fam in &snapshot.families {
+        for (name, labels, value) in fam.samples() {
+            let timing = fam.kind == MetricKind::Histogram && !name.ends_with("_count");
+            if !timing && fam.name != "rawcc_uptime_us" {
+                out.insert(format!("{name}{}", prom_labels(&labels)), value);
+            }
+        }
+    }
+    out
 }
 
 /// What one scripted session leaves behind.
 struct Session {
     /// The stats replies: one mid-session, one at the end.
     stats: [StatsResponse; 2],
-    /// The final Prometheus scrape, through [`pinned_series`].
+    /// The final scrape, through [`pinned_series`].
     scrape: BTreeMap<String, u64>,
     /// The cold compile's response payload.
     cold: Vec<u8>,
 }
 
 /// Drives one daemon through every request kind and every error path: cold
-/// compile, memo-hit compile, stats, ping, a scrape in both formats, a
-/// malformed scrape, an unknown kind, a program that fails verification, a
+/// compile, memo-hit compile, stats, ping, two scrapes, a malformed scrape, an unknown kind, a program that fails verification, a
 /// non-power-of-two mesh, and a truncated frame on a second connection.
 fn scripted_session(opts: &ServeOptions, program: &Program) -> Session {
     let handle = serve(opts).unwrap();
@@ -167,7 +166,7 @@ fn scripted_session(opts: &ServeOptions, program: &Program) -> Session {
         (wire::RESP_PONG, b"p".to_vec())
     );
     scrape(&mut conn, MetricsFormat::Prometheus);
-    scrape(&mut conn, MetricsFormat::Json);
+    scrape(&mut conn, MetricsFormat::Prometheus);
     assert_error(
         exchange(&mut conn, wire::REQ_METRICS, &[0xFF; 3]),
         errcode::MALFORMED,
@@ -202,7 +201,7 @@ fn scripted_session(opts: &ServeOptions, program: &Program) -> Session {
     let body = scrape(&mut conn, MetricsFormat::Prometheus);
     Session {
         stats: [mid, last],
-        scrape: pinned_series(&body),
+        scrape: pinned_series(&parse(&body)),
         cold,
     }
 }
@@ -347,21 +346,32 @@ fn soak_keeps_observability_memory_bounded() {
     let stats = client.stats().unwrap();
     assert_eq!(stats.requests, total);
 
-    let fp = handle.telemetry_footprint();
-    assert_eq!(fp.spans_total, total, "every request recorded a span");
-    assert_eq!(fp.spans_capacity, 256);
-    assert_eq!(fp.spans_resident, 256, "ring saturates at capacity");
-    assert_eq!(fp.slow_capacity, 16);
-    assert!(fp.slow_resident <= 16);
-    assert!(
-        fp.client_rows <= 65,
-        "client table must fold past 64 rows, got {}",
-        fp.client_rows
+    let scrape = parse(&client.metrics(MetricsFormat::Prometheus).unwrap().body);
+    let gauge = |name| scrape.scalar(name, &[]) as usize;
+    assert_eq!(
+        gauge("rawcc_spans_total"),
+        total as usize,
+        "one span per request"
     );
+    assert_eq!(
+        gauge("rawcc_spans_resident"),
+        SPAN_RING_CAPACITY,
+        "ring at capacity"
+    );
+    assert!(gauge("rawcc_slow_log_resident") <= SLOW_LOG_CAPACITY);
+    let rows = gauge("rawcc_client_rows");
     assert!(
-        fp.latency_buckets < 128,
-        "latency histogram is a fixed bucket table, got {}",
-        fp.latency_buckets
+        rows <= 65,
+        "client table must fold past 64 rows, got {rows}"
+    );
+    let buckets = scrape
+        .hist("rawcc_compile_wall_us", &[])
+        .unwrap()
+        .bounds
+        .len();
+    assert!(
+        buckets < 128,
+        "latency histogram is a fixed table, got {buckets}"
     );
     // The fold-over row exists and absorbed the overflow names.
     assert!(stats.clients.iter().any(|r| r.client == "(other)"));
@@ -370,35 +380,21 @@ fn soak_keeps_observability_memory_bounded() {
     assert!(stats.p99_us > 0);
 }
 
-/// Normalizes a Prometheus rendering to its stable surface: family lines
-/// (name + type) and per-series label *keys* (values change run to run,
-/// names and labels must not drift without a conscious golden update).
-fn prometheus_signature(text: &str) -> String {
-    let mut lines: Vec<String> = Vec::new();
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            lines.push(format!("family {rest}"));
-        } else if !line.starts_with('#') && !line.is_empty() {
-            let name_end = line.find(['{', ' ']).unwrap_or(line.len());
-            let mut keys: Vec<&str> = Vec::new();
-            if let (Some(open), Some(close)) = (line.find('{'), line.rfind('}')) {
-                for pair in line[open + 1..close].split(',') {
-                    if let Some((k, _)) = pair.split_once('=') {
-                        keys.push(k);
-                    }
-                }
-            }
+/// Normalizes a scrape to its stable surface: family lines (name + type)
+/// and per-series label *keys* of every sample line it renders (values
+/// change run to run, names and labels must not drift without a conscious
+/// golden update).
+fn prometheus_signature(snapshot: &Snapshot) -> String {
+    let mut lines = std::collections::BTreeSet::new();
+    for fam in &snapshot.families {
+        lines.insert(format!("family {} {}\n", fam.name, fam.kind.as_str()));
+        for (name, labels, _) in fam.samples() {
+            let mut keys: Vec<&str> = labels.iter().map(|(k, _)| k.as_str()).collect();
             keys.sort_unstable();
-            lines.push(format!(
-                "series {}{{{}}}",
-                &line[..name_end],
-                keys.join(",")
-            ));
+            lines.insert(format!("series {name}{{{}}}\n", keys.join(",")));
         }
     }
-    lines.sort();
-    lines.dedup();
-    lines.join("\n") + "\n"
+    lines.into_iter().collect()
 }
 
 /// The exposition surface is pinned as a golden file: adding, renaming, or
@@ -418,100 +414,71 @@ fn prometheus_rendering_matches_golden_surface() {
     assert_eq!(resp.format, MetricsFormat::Prometheus);
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden/metrics_surface.txt");
-    raw_testkit::check_golden(&path, &prometheus_signature(&resp.body));
+    raw_testkit::check_golden(&path, &prometheus_signature(&parse(&resp.body)));
 }
 
-/// Finds family `name` in a parsed metrics document.
-fn family<'a>(doc: &'a Json, name: &str) -> Option<&'a Json> {
-    doc.get("families")?
-        .as_arr()?
-        .iter()
-        .find(|f| f.get("name").and_then(Json::as_str) == Some(name))
-}
-
-fn scalar_sum(doc: &Json, name: &str) -> f64 {
-    family(doc, name)
-        .and_then(|f| f.get("series"))
-        .and_then(Json::as_arr)
-        .map(|series| {
-            series
-                .iter()
-                .filter_map(|s| s.get("value").and_then(Json::as_f64))
-                .sum()
-        })
-        .unwrap_or(0.0)
-}
-
-/// The JSON rendering parses with the in-tree `raw-trace` parser and obeys
-/// the conservation laws: cumulative buckets are monotone with the final
-/// bucket equal to `_count`, and the wall-histogram count equals the served
-/// request counter.
+/// A scrape parses back into a snapshot that obeys the conservation laws:
+/// families in sorted order, cumulative buckets monotone with the `+Inf`
+/// bucket equal to `_count`, and the wall-histogram count equal to the
+/// served request counter.
 #[test]
-fn metrics_json_roundtrips_and_conserves_counts() {
+fn metrics_scrape_parses_and_conserves_counts() {
     let programs = workload();
     let (config, options) = request_options();
     let handle = serve(&ServeOptions::default()).unwrap();
-    let mut client = Client::connect(handle.addr(), "json").unwrap();
+    let mut client = Client::connect(handle.addr(), "scrape").unwrap();
     for _pass in 0..3 {
         for program in &programs {
             client.compile(program, &config, &options).unwrap();
         }
     }
 
-    let resp = client.metrics(MetricsFormat::Json).unwrap();
-    assert_eq!(resp.format, MetricsFormat::Json);
-    let doc = json::parse(&resp.body).expect("metrics JSON parses");
+    let resp = client.metrics(MetricsFormat::Prometheus).unwrap();
+    assert_eq!(resp.format, MetricsFormat::Prometheus);
+    let snapshot = parse(&resp.body);
 
-    let families = doc.get("families").and_then(Json::as_arr).unwrap();
-    assert!(families.len() >= 15, "expected a rich registry");
-    let mut names: Vec<&str> = Vec::new();
-    for fam in families {
-        names.push(fam.get("name").and_then(Json::as_str).unwrap());
-        let kind = fam.get("kind").and_then(Json::as_str).unwrap();
-        assert!(matches!(kind, "counter" | "gauge" | "histogram"), "{kind}");
-        for s in fam.get("series").and_then(Json::as_arr).unwrap() {
-            if kind == "histogram" {
-                let count = s.get("count").and_then(Json::as_f64).unwrap();
-                let buckets = s.get("buckets").and_then(Json::as_arr).unwrap();
-                let mut prev = 0.0;
-                for b in buckets {
-                    let cum = b.as_arr().unwrap()[1].as_f64().unwrap();
-                    assert!(cum >= prev, "cumulative buckets must be monotone");
-                    prev = cum;
+    assert!(snapshot.families.len() >= 15, "expected a rich registry");
+    for fam in &snapshot.families {
+        for s in &fam.series {
+            let hist = match &s.value {
+                SeriesValue::Hist(h) => h,
+                SeriesValue::Scalar(_) => {
+                    assert_ne!(fam.kind, MetricKind::Histogram, "{}", fam.name);
+                    continue;
                 }
-                // No overflow samples here, so the last finite bucket (and
-                // the implicit +Inf bucket) both equal _count.
-                assert_eq!(prev, count, "bucket sum must equal count");
-            } else {
-                assert!(s.get("value").and_then(Json::as_f64).is_some());
-            }
+            };
+            assert_eq!(fam.kind, MetricKind::Histogram, "{}", fam.name);
+            let cumulative = &hist.cumulative;
+            assert!(
+                cumulative.is_sorted(),
+                "cumulative buckets must be monotone"
+            );
+            assert_eq!(
+                cumulative.last(),
+                Some(&hist.count),
+                "+Inf must equal count"
+            );
         }
     }
-    let mut sorted = names.clone();
-    sorted.sort_unstable();
-    assert_eq!(names, sorted, "families render in sorted order");
+    let names = snapshot.families.iter().map(|f| &f.name);
+    assert!(names.is_sorted(), "families render in sorted order");
 
-    let served = scalar_sum(&doc, "rawcc_compile_responses_total");
-    assert_eq!(served, 9.0);
-    let wall = family(&doc, "rawcc_compile_wall_us").unwrap();
-    let series = wall.get("series").and_then(Json::as_arr).unwrap();
-    let wall_count = series[0].get("count").and_then(Json::as_f64).unwrap();
-    assert_eq!(
-        wall_count, served,
-        "every served request lands in the wall histogram"
-    );
+    let served = snapshot.scalar_sum("rawcc_compile_responses_total");
+    assert_eq!(served, 9);
+    let wall = snapshot.hist("rawcc_compile_wall_us", &[]).unwrap();
+    assert_eq!(wall.count, served, "every served request is timed");
     // 3 cold compiles + 6 memo replays.
-    assert_eq!(scalar_sum(&doc, "rawcc_memo_hits_total"), 6.0);
+    assert_eq!(snapshot.scalar_sum("rawcc_memo_hits_total"), 6);
     // Phase histograms only see the cold (non-memo) compiles.
-    let phase = family(&doc, "rawcc_compile_phase_us").unwrap();
-    for s in phase.get("series").and_then(Json::as_arr).unwrap() {
-        let count = s.get("count").and_then(Json::as_f64).unwrap();
-        assert_eq!(count, 3.0, "one phase sample per cold compile");
+    for phase in SPAN_PHASE_NAMES {
+        let hist = snapshot.hist("rawcc_compile_phase_us", &[("phase", phase)]);
+        let hist = hist.unwrap();
+        assert_eq!(hist.count, 3, "one {phase} sample per cold compile");
     }
 }
 
 /// A disabled daemon still answers metrics scrapes — with the single
-/// `rawcc_telemetry_enabled 0` gauge in both formats — and records no spans.
+/// `rawcc_telemetry_enabled 0` gauge — and records no spans.
 #[test]
 fn disabled_daemon_reports_disabled() {
     let handle = serve(&ServeOptions {
@@ -520,12 +487,14 @@ fn disabled_daemon_reports_disabled() {
     })
     .unwrap();
     let mut client = Client::connect(handle.addr(), "off").unwrap();
+    let (config, options) = request_options();
+    client.compile(&workload()[0], &config, &options).unwrap();
     let text = client.metrics(MetricsFormat::Prometheus).unwrap().body;
     assert!(text.contains("rawcc_telemetry_enabled 0"), "{text}");
-    let doc = json::parse(&client.metrics(MetricsFormat::Json).unwrap().body).unwrap();
-    assert_eq!(scalar_sum(&doc, "rawcc_telemetry_enabled"), 0.0);
-    let fp = handle.telemetry_footprint();
-    assert_eq!((fp.spans_capacity, fp.spans_total), (0, 0));
+    let snapshot = parse(&text);
+    assert_eq!(snapshot.families.len(), 1, "{text}");
+    assert_eq!(snapshot.scalar("rawcc_telemetry_enabled", &[]), 0);
+    assert!(handle.slow_requests().is_empty(), "no span was kept");
 }
 
 /// Spans carry the per-phase breakdown and cache-key provenance; the slow
