@@ -9,12 +9,15 @@
 //!
 //! # The two steppers
 //!
-//! [`Machine::with_reference_stepper`] selects the deliberately naive oracle:
-//! every component steps every cycle, every channel commits. The default —
-//! the one production core — is *activity tracked*: components that provably
-//! cannot act this cycle are not visited at all, and only channels that staged
-//! a write are committed. The legal sleep states and their wake conditions
-//! (DESIGN.md §8 holds the full invariant list):
+//! [`Machine::with_reference_stepper`] selects the deliberately naive oracle
+//! (`reference.rs`): every component steps every cycle, every channel
+//! commits. The default — the one production core (`runsets.rs`, with its
+//! dynamic-network phase in `dynphase.rs`) — is *activity tracked*:
+//! components that provably cannot act this cycle are not visited at all,
+//! and only channels that staged a write are committed. This file holds what
+//! both share: the machine state, loading, the switch step, stall booking and
+//! the run loop. Its share of DESIGN.md §8's invariants is the table of
+//! legal sleep states and their wake conditions:
 //!
 //! * a **halted** processor (with drained port engine) or switch is dead and
 //!   never stepped again;
@@ -46,13 +49,17 @@
 //! ([`crate::oracle`]) asserts that both steppers produce bit-identical cycle
 //! counts, statistics, memory and deadlock reports, clean and under chaos.
 
+mod dynphase;
+mod reference;
+mod runsets;
+
 use crate::calendar::{CalendarQueue, RunSet};
 use crate::channel::Channel;
 use crate::chaos::{Chaos, ChaosConfig};
 use crate::config::MachineConfig;
 use crate::dynnet::{DynEndpoint, DynNet, Handler};
 use crate::isa::{Dir, MachineProgram, SDst, SInst, SSrc, TileCode, TileId, Word};
-use crate::processor::{ProcOutcome, Processor};
+use crate::processor::Processor;
 use crate::stats::Stats;
 use crate::switch::{Switch, SwitchOutcome};
 use crate::trace::{ChannelInfo, ChannelRole, EventSink, NullSink, Stall, StallReason, Unit};
@@ -508,470 +515,6 @@ impl<S: EventSink> Machine<S> {
             .is_some_and(|chaos| chaos.stall(c.id() as u64, self.cycle))
     }
 
-    /// The reference stepper: every component steps, every channel commits.
-    fn step_reference(&mut self) -> bool {
-        let n = self.config.n_tiles() as usize;
-        let mut progress = false;
-
-        // Processors.
-        for t in 0..n {
-            if self.chaos_stalls(Comp::ProcAt(t)) {
-                self.book_stall(
-                    Comp::ProcAt(t),
-                    StallReason::Chaos,
-                    self.cycle..self.cycle + 1,
-                    0,
-                );
-                continue;
-            }
-            let pc_before = if S::ENABLED { self.procs[t].pc() } else { 0 };
-            let (pin_id, pout_id) = (self.sp[t], self.ps[t]);
-            let (pin, pout) = get_two_mut(&mut self.channels, pin_id, pout_id);
-            let outcome = self.procs[t].step(
-                &self.code[t].proc,
-                self.cycle,
-                &self.config,
-                &mut self.mems[t],
-                pin,
-                pout,
-                &mut self.endpoints[t],
-            );
-            match outcome {
-                ProcOutcome::Progress => {
-                    self.stats.tiles[t].proc_insts += 1;
-                    progress = true;
-                    if S::ENABLED {
-                        self.sink.issue(
-                            self.cycle,
-                            t as u32,
-                            pc_before,
-                            self.procs[t].last_issue_latency(),
-                        );
-                    }
-                }
-                ProcOutcome::Stalled(reason) => {
-                    self.book_stall(Comp::ProcAt(t), reason, self.cycle..self.cycle + 1, 0);
-                    // A scoreboard stall — or a pending port write still
-                    // waiting out its producer's latency — is a *timed* wait
-                    // that resolves by itself: it is not a deadlock symptom,
-                    // so it counts as progress.
-                    if reason == StallReason::Scoreboard
-                        || self.procs[t].has_maturing_send(self.cycle)
-                    {
-                        progress = true;
-                    }
-                }
-                ProcOutcome::Halted => {
-                    if S::ENABLED {
-                        self.sink.idle(self.cycle, t as u32, Unit::Proc);
-                    }
-                }
-            }
-        }
-
-        // Switches.
-        for t in 0..n {
-            if self.chaos_stalls(Comp::SwitchAt(t)) {
-                self.book_stall(
-                    Comp::SwitchAt(t),
-                    StallReason::Chaos,
-                    self.cycle..self.cycle + 1,
-                    0,
-                );
-                continue;
-            }
-            match self.step_switch(t) {
-                SwitchOutcome::Progress => progress = true,
-                SwitchOutcome::Stalled(reason) => {
-                    self.book_stall(Comp::SwitchAt(t), reason, self.cycle..self.cycle + 1, 0);
-                }
-                SwitchOutcome::Halted => {
-                    if S::ENABLED {
-                        self.sink.idle(self.cycle, t as u32, Unit::Switch);
-                    }
-                }
-            }
-        }
-
-        // Dynamic network and handlers.
-        if self.dynnet.step(&mut self.endpoints) {
-            self.stats.dyn_active_cycles += 1;
-            progress = true;
-            if S::ENABLED {
-                self.sink.dyn_active(self.cycle);
-            }
-        }
-        for t in 0..n {
-            if self.handlers[t].step(
-                t as u32,
-                self.cycle,
-                self.config.mem_latency,
-                &mut self.mems[t],
-                &mut self.endpoints[t],
-            ) || !self.handlers[t].is_idle()
-            {
-                // An in-flight handler request is a timed wait, not deadlock.
-                progress = true;
-            }
-        }
-
-        // Commit staged channel writes.
-        for id in 0..self.channels.len() {
-            if self.channels[id].commit() {
-                self.stats.static_words += 1;
-                progress = true;
-                if S::ENABLED {
-                    self.sink
-                        .channel_commit(self.cycle, id, self.channels[id].len());
-                }
-            }
-        }
-        self.dirty.clear();
-
-        self.cycle += 1;
-        progress
-    }
-
-    /// The production stepper (see the module docs for the invariants).
-    fn step_run_sets(&mut self) -> bool {
-        let mut progress = false;
-        let mut run_dyn = self.dyn_active;
-
-        // Matured scoreboard timers rejoin the run set. A stale timer — the
-        // processor was woken early and is now active, dead, or waiting on
-        // something later — falls through the mode check.
-        let cycle = self.cycle;
-        let Machine {
-            timers,
-            proc_mode,
-            proc_run,
-            sleep_reg,
-            ..
-        } = self;
-        timers.take_due(cycle, |t| {
-            if matches!(proc_mode[t], ProcMode::SleepReg { wake_at } if wake_at <= cycle) {
-                proc_mode[t] = ProcMode::Active;
-                sleep_reg.remove(t);
-                proc_run.insert(t);
-            }
-        });
-
-        // Processors. Nothing wakes a processor during this phase (its wakes
-        // go to switches), so the sweep sees a fixed set.
-        let mut from = 0;
-        while let Some(t) = self.proc_run.next_from(from) {
-            from = t + 1;
-            if self.chaos_stalls(Comp::ProcAt(t)) {
-                self.book_chaos_skip(Comp::ProcAt(t));
-                continue;
-            }
-            progress |= self.run_proc(t, &mut run_dyn);
-        }
-        // A scoreboard sleeper is in a timed wait that resolves by itself: the
-        // reference steps it, records the stall and counts progress — unless
-        // chaos stalls it this cycle. Sampled after matured timers left the
-        // set and before switch-phase wakes can shrink it.
-        progress |= match self.chaos {
-            None => !self.sleep_reg.is_empty(),
-            Some(_) => self
-                .sleep_reg
-                .iter()
-                .any(|t| !self.chaos_stalls(Comp::ProcAt(t))),
-        };
-
-        // Switches. A route that consumes a word wakes its upstream writer:
-        // a higher-indexed switch joins this sweep, a lower-indexed one the
-        // next — when a `0..n` scan would reach them.
-        let mut from = 0;
-        while let Some(t) = self.switch_run.next_from(from) {
-            from = t + 1;
-            if self.chaos_stalls(Comp::SwitchAt(t)) {
-                self.book_chaos_skip(Comp::SwitchAt(t));
-                continue;
-            }
-            progress |= self.run_switch(t);
-        }
-
-        progress |= self.run_dyn_phase(run_dyn);
-        progress |= self.commit_dirty();
-
-        self.cycle += 1;
-        progress
-    }
-
-    /// Steps one processor of the run set, applying mode transitions, stall
-    /// accounting, and wake routing. Returns its progress contribution.
-    fn run_proc(&mut self, t: usize, run_dyn: &mut bool) -> bool {
-        let mut progress = false;
-        self.settle_debt(Comp::ProcAt(t));
-        let pc_before = if S::ENABLED { self.procs[t].pc() } else { 0 };
-        let (pin_id, pout_id) = (self.sp[t], self.ps[t]);
-        let pin_before = self.channels[pin_id].len();
-        let (pin, pout) = get_two_mut(&mut self.channels, pin_id, pout_id);
-        let outcome = self.procs[t].step(
-            &self.code[t].proc,
-            self.cycle,
-            &self.config,
-            &mut self.mems[t],
-            pin,
-            pout,
-            &mut self.endpoints[t],
-        );
-        // A consumed word frees space the tile's switch may be waiting on.
-        if self.channels[pin_id].len() < pin_before {
-            self.wake(Comp::SwitchAt(t));
-        }
-        if self.channels[pout_id].has_staged() {
-            self.dirty.push(pout_id);
-        }
-        if !self.endpoints[t].is_idle() {
-            *run_dyn = true;
-            // The processor touched its endpoint (injected a request or left
-            // inbox words pending): watch the tile and let the router pull
-            // from the injection queue.
-            self.dyn_mark(t);
-            self.dynnet.poke(t);
-        }
-        match outcome {
-            ProcOutcome::Progress => {
-                self.stats.tiles[t].proc_insts += 1;
-                progress = true;
-                if S::ENABLED {
-                    self.sink.issue(
-                        self.cycle,
-                        t as u32,
-                        pc_before,
-                        self.procs[t].last_issue_latency(),
-                    );
-                }
-                if self.procs[t].halted() {
-                    self.park_proc(t, ProcMode::Dead);
-                    // The reference observes the halt one cycle later (the
-                    // next step returns `Halted`); mirror that timing.
-                    if S::ENABLED {
-                        self.sink.idle(self.cycle + 1, t as u32, Unit::Proc);
-                    }
-                }
-            }
-            ProcOutcome::Stalled(reason) => {
-                self.book_stall(Comp::ProcAt(t), reason, self.cycle..self.cycle + 1, 0);
-                if reason == StallReason::Scoreboard || self.procs[t].has_maturing_send(self.cycle)
-                {
-                    progress = true;
-                }
-                // A stall with no pending sends has no side effects to
-                // perform: the processor may sleep if its wake condition
-                // is observable (scoreboard timer or port commit).
-                if self.procs[t].out_pending_empty() {
-                    let debt = SleepDebt {
-                        since: self.cycle + 1,
-                        reason,
-                    };
-                    match reason {
-                        StallReason::Scoreboard => {
-                            if let Some(wake_at) = self.procs[t].wake_hint() {
-                                self.park_proc(t, ProcMode::SleepReg { wake_at });
-                                self.sleep_reg.insert(t);
-                                self.timers.push(wake_at, t);
-                                self.debts[Comp::ProcAt(t).id()] = debt;
-                            }
-                        }
-                        StallReason::ReceiveEmpty => {
-                            self.park_proc(t, ProcMode::SleepPort);
-                            self.debts[Comp::ProcAt(t).id()] = debt;
-                        }
-                        // SendFull implies pending sends (not reached here);
-                        // dynamic waits are serviced by the handler phase and
-                        // stay active — they are rare and cheap.
-                        _ => {}
-                    }
-                }
-            }
-            ProcOutcome::Halted => {
-                self.park_proc(t, ProcMode::Dead);
-                if S::ENABLED {
-                    self.sink.idle(self.cycle, t as u32, Unit::Proc);
-                }
-            }
-        }
-        progress
-    }
-
-    /// Takes an active processor out of the run set into `mode`.
-    fn park_proc(&mut self, t: usize, mode: ProcMode) {
-        self.proc_mode[t] = mode;
-        self.proc_run.remove(t);
-        if mode == ProcMode::Dead {
-            self.live_procs -= 1;
-        }
-    }
-
-    /// Steps one switch of the run set (see [`Self::run_proc`]).
-    fn run_switch(&mut self, t: usize) -> bool {
-        let mut progress = false;
-        self.settle_debt(Comp::SwitchAt(t));
-        let outcome = self.step_switch(t);
-        // Words consumed by the route free space upstream writers may be
-        // waiting on.
-        for i in 0..self.consumed.len() {
-            let id = self.consumed[i];
-            self.wake(self.chan_writer[id]);
-        }
-        match outcome {
-            SwitchOutcome::Progress => progress = true,
-            SwitchOutcome::Stalled(reason) => {
-                self.book_stall(Comp::SwitchAt(t), reason, self.cycle..self.cycle + 1, 0);
-                self.switch_mode[t] = SwitchMode::Sleeping;
-                self.switch_run.remove(t);
-                self.debts[Comp::SwitchAt(t).id()] = SleepDebt {
-                    since: self.cycle + 1,
-                    reason,
-                };
-            }
-            SwitchOutcome::Halted => {
-                self.switch_mode[t] = SwitchMode::Dead;
-                self.switch_run.remove(t);
-                self.live_switches -= 1;
-                if S::ENABLED {
-                    self.sink.idle(self.cycle, t as u32, Unit::Switch);
-                }
-            }
-        }
-        progress
-    }
-
-    /// Adds tile `t` to the dynamic watch list (idempotent).
-    fn dyn_mark(&mut self, t: usize) {
-        if !self.dyn_watched[t] {
-            self.dyn_watched[t] = true;
-            self.dyn_watch.push(t);
-        }
-    }
-
-    /// Dynamic network and handlers, skipped entirely while quiescent. Cost is
-    /// proportional to live dynamic traffic: the router step visits only its
-    /// hot worklist, and the handler loop steps only watched tiles. A handler
-    /// whose tile is not watched has an idle handler and an idle endpoint, for
-    /// which [`Handler::step`] is a no-op returning `false` — so the skip is
-    /// observationally identical to the reference's full scan.
-    fn run_dyn_phase(&mut self, run_dyn: bool) -> bool {
-        if !run_dyn {
-            return false;
-        }
-        let mut progress = false;
-        if self.dynnet.step_hot(&mut self.endpoints) {
-            self.stats.dyn_active_cycles += 1;
-            progress = true;
-            if S::ENABLED {
-                self.sink.dyn_active(self.cycle);
-            }
-        }
-        // Tiles that completed a message this cycle gained inbox work.
-        self.dyn_scratch.clear();
-        self.dyn_scratch.extend_from_slice(self.dynnet.delivered());
-        for i in 0..self.dyn_scratch.len() {
-            let t = self.dyn_scratch[i];
-            self.dyn_mark(t);
-        }
-        // Step watched handlers, dropping tiles that went fully idle. Handler
-        // steps are per-tile independent, so the (unsorted) watch order does
-        // not affect behaviour or statistics.
-        let mut i = 0;
-        while i < self.dyn_watch.len() {
-            let t = self.dyn_watch[i];
-            let stepped = self.handlers[t].step(
-                t as u32,
-                self.cycle,
-                self.config.mem_latency,
-                &mut self.mems[t],
-                &mut self.endpoints[t],
-            );
-            if stepped || !self.handlers[t].is_idle() {
-                // An in-flight handler request is a timed wait, not deadlock.
-                progress = true;
-            }
-            if stepped {
-                // The handler may have injected a reply for the router to pull.
-                self.dynnet.poke(t);
-            }
-            if !self.handlers[t].is_idle() || !self.endpoints[t].is_idle() {
-                i += 1;
-            } else {
-                self.dyn_watched[t] = false;
-                self.dyn_watch.swap_remove(i);
-            }
-        }
-        self.dyn_active = !self.dynnet.is_idle() || !self.dyn_watch.is_empty();
-        debug_assert_eq!(
-            self.dyn_active,
-            !self.dynnet.is_idle()
-                || self.endpoints.iter().any(|e| !e.is_idle())
-                || self.handlers.iter().any(|h| !h.is_idle()),
-            "dyn_watch lost a non-idle tile"
-        );
-        progress
-    }
-
-    /// Commits exactly the channels that staged a write this cycle; each
-    /// commit wakes both endpoints (reader gains a word, writer regains
-    /// staging space).
-    fn commit_dirty(&mut self) -> bool {
-        let mut progress = false;
-        for i in 0..self.dirty.len() {
-            let id = self.dirty[i];
-            let committed = self.channels[id].commit();
-            debug_assert!(committed, "dirty channel had nothing staged");
-            self.stats.static_words += 1;
-            progress = true;
-            if S::ENABLED {
-                self.sink
-                    .channel_commit(self.cycle, id, self.channels[id].len());
-            }
-            self.wake(self.chan_reader[id]);
-            self.wake(self.chan_writer[id]);
-        }
-        self.dirty.clear();
-        progress
-    }
-
-    /// Puts a sleeping component back into its run set: flip the mode, set
-    /// the bit. Where the sweep stands decides when it steps — a processor next
-    /// cycle (processors run before the phases that wake them), a switch this
-    /// cycle iff the switch sweep has not passed it. Its stall debt stays
-    /// pending and is settled right before the next actual step, so a spurious
-    /// wake is harmless: the component re-stalls, re-records the same stall the
-    /// reference would, and goes back to sleep.
-    fn wake(&mut self, c: Comp) {
-        match c {
-            Comp::ProcAt(t) => {
-                match self.proc_mode[t] {
-                    ProcMode::SleepReg { .. } => self.sleep_reg.remove(t),
-                    ProcMode::SleepPort => {}
-                    ProcMode::Active | ProcMode::Dead => return,
-                }
-                self.proc_mode[t] = ProcMode::Active;
-                self.proc_run.insert(t);
-            }
-            Comp::SwitchAt(t) => {
-                if self.switch_mode[t] == SwitchMode::Sleeping {
-                    self.switch_mode[t] = SwitchMode::Active;
-                    self.switch_run.insert(t);
-                }
-            }
-        }
-    }
-
-    /// How many cycles of `since..now` chaos stalled `c` on: the cycles of a
-    /// sleep range on which the reference records a chaos skip instead.
-    fn chaos_skips(&self, c: Comp, since: u64) -> u64 {
-        match &self.chaos {
-            None => 0,
-            Some(chaos) => (since..self.cycle)
-                .filter(|&cycle| chaos.stall(c.id() as u64, cycle))
-                .count() as u64,
-        }
-    }
-
     /// Books the stall range `cycles` of `c` blocked on `reason`, `chaos`
     /// cycles of which were chaos skips: the stall cycles go into [`Stats`]
     /// and the range to the sink as one [`Stall`] record. A unit's pc does not
@@ -994,33 +537,6 @@ impl<S: EventSink> Machine<S> {
                 chaos,
                 pc,
             });
-        }
-    }
-
-    /// A chaos skip of an active component. With a debt pending the cycle
-    /// lies inside the range the debt will report; otherwise it is a
-    /// one-cycle record of its own.
-    fn book_chaos_skip(&mut self, c: Comp) {
-        if !self.debts[c.id()].is_pending() {
-            self.book_stall(c, StallReason::Chaos, self.cycle..self.cycle + 1, 0);
-        }
-    }
-
-    /// Settles a sleeper's deferred stalls up to (not including) the current
-    /// cycle as one retroactive range.
-    fn settle_debt(&mut self, c: Comp) {
-        let debt = std::mem::replace(&mut self.debts[c.id()], SleepDebt::NONE);
-        if debt.is_pending() && debt.since < self.cycle {
-            let chaos = self.chaos_skips(c, debt.since);
-            self.book_stall(c, debt.reason, debt.since..self.cycle, chaos);
-        }
-    }
-
-    /// Settles every outstanding stall debt (run exit, before reporting).
-    fn flush_sleep_stats(&mut self) {
-        for t in 0..self.config.n_tiles() as usize {
-            self.settle_debt(Comp::ProcAt(t));
-            self.settle_debt(Comp::SwitchAt(t));
         }
     }
 
