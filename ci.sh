@@ -440,6 +440,18 @@ stage_sim_smoke() {
   # The sim subcommand runs every sparse workload (plus a compiled jacobi)
   # under the production stepper and the reference oracle, clean and under a
   # chaos sweep, and fails on any divergence in cycles, stats, or memory.
+  # 16 tiles is the dense 4x4 regime the compiled jacobi runs in; every line
+  # carries the production run's work counters.
+  local sim_out
+  sim_out="$(cargo run --offline --release -p raw-bench --bin raw-bench -- \
+    sim --tiles 16 --quick)"
+  for field in proc_steps switch_steps restalls timers_popped timers_stale \
+    channel_commits; do
+    grep -q "^sim jacobi tiles=16 .* $field=[0-9]" <<< "$sim_out" || {
+      echo "ci: sim --tiles 16 prints no $field counter" >&2
+      return 1
+    }
+  done
   cargo run --offline --release -p raw-bench --bin raw-bench -- \
     sim --tiles 64 --quick >/dev/null
   # 256 tiles span four run-set words: chaos is cross-checked where a wake

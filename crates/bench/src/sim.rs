@@ -16,16 +16,19 @@
 //!   compiler targets (≤ 64 tiles), so the smoke also covers compiler-shaped
 //!   code.
 //!
-//! Host time is not measured here: `raw-perf`'s `sim_sparse` workload
-//! (`perf/`) times the same regime.
+//! Every line also prints the production run's work counters
+//! (`raw_machine::WorkCounters`: steps, re-stalls after a wake, timers,
+//! channel commits) — exact counts of the stepping a run took. Host time is
+//! not measured here: `raw-perf`'s `sim_sparse` workload (`perf/`) times the
+//! same regime.
 
 use crate::args::{require_power_of_two, FlagParser};
 use raw_ir::Imm;
 use raw_machine::asm::{ProcAsm, SwitchAsm};
 use raw_machine::chaos::ChaosConfig;
 use raw_machine::isa::{Dir, Dst, MachineProgram, PInst, SDst, SInst, SSrc, Src, TileCode};
-use raw_machine::oracle::steppers_agree;
-use raw_machine::{Machine, MachineConfig, TileId};
+use raw_machine::oracle::production_agrees;
+use raw_machine::{Machine, MachineConfig, TileId, WorkCounters};
 use std::fmt::Write as _;
 
 /// Arguments of the `sim` subcommand.
@@ -232,14 +235,15 @@ fn machine(config: &MachineConfig, w: &SparseWorkload, chaos: Option<ChaosConfig
 }
 
 /// Both steppers agree on one (workload, chaos) point and the run passes the
-/// workload's functional check; returns the agreed cycle count.
+/// workload's functional check; returns the agreed cycle count and the
+/// production stepper's work counters.
 fn check_two_way(
     config: &MachineConfig,
     w: &SparseWorkload,
     chaos: Option<ChaosConfig>,
     label: &str,
-) -> Result<u64, String> {
-    let snapshot = steppers_agree(label, || machine(config, w, chaos))?;
+) -> Result<(u64, WorkCounters), String> {
+    let (production, snapshot) = production_agrees(label, || machine(config, w, chaos))?;
     let cycles = snapshot.outcome.map_err(|e| format!("{label}: {e}"))?;
     let (tile, addr, expected) = w.check;
     let got = snapshot.memory[tile.index()][addr as usize];
@@ -249,7 +253,7 @@ fn check_two_way(
             tile.0
         ));
     }
-    Ok(cycles)
+    Ok((cycles, *production.work()))
 }
 
 /// The chaos sweep for the smoke: fixed testkit stream, so every run
@@ -283,7 +287,7 @@ fn check_compiled(config: &MachineConfig, quick: bool, out: &mut String) -> Resu
             None => "jacobi clean".to_string(),
             Some(c) => format!("jacobi chaos seed={:#x} stall={}%", c.seed, c.stall_percent),
         };
-        let snapshot = steppers_agree(&label, || {
+        let (production, snapshot) = production_agrees(&label, || {
             let m = compiled.instantiate(&program);
             match chaos {
                 Some(c) => m.with_chaos(c),
@@ -293,8 +297,9 @@ fn check_compiled(config: &MachineConfig, quick: bool, out: &mut String) -> Resu
         let cycles = snapshot.outcome.map_err(|e| format!("{label}: {e}"))?;
         let _ = writeln!(
             out,
-            "sim jacobi tiles={} cycles={cycles} {label}: ok",
-            config.n_tiles()
+            "sim jacobi tiles={} cycles={cycles} {} {label}: ok",
+            config.n_tiles(),
+            production.work()
         );
     }
     Ok(())
@@ -340,10 +345,10 @@ pub fn sim_command(args: &SimArgs) -> Result<String, String> {
         config.n_tiles(),
     );
     for w in &selected {
-        let cycles = check_two_way(&config, w, None, &format!("{} clean", w.name))?;
+        let (cycles, work) = check_two_way(&config, w, None, &format!("{} clean", w.name))?;
         let _ = writeln!(
             out,
-            "sim {} tiles={} active={} cycles={cycles} clean: ok",
+            "sim {} tiles={} active={} cycles={cycles} {work} clean: ok",
             w.name,
             config.n_tiles(),
             w.active_tiles
@@ -353,10 +358,10 @@ pub fn sim_command(args: &SimArgs) -> Result<String, String> {
                 "{} chaos seed={:#x} stall={}%",
                 w.name, chaos.seed, chaos.stall_percent
             );
-            let cycles = check_two_way(&config, w, Some(chaos), &label)?;
+            let (cycles, work) = check_two_way(&config, w, Some(chaos), &label)?;
             let _ = writeln!(
                 out,
-                "sim {} tiles={} cycles={cycles} {label}: ok",
+                "sim {} tiles={} cycles={cycles} {work} {label}: ok",
                 w.name,
                 config.n_tiles()
             );
@@ -406,12 +411,51 @@ mod tests {
     }
 
     #[test]
+    fn every_sim_workload_decodes_losslessly() {
+        // Loading decodes the program into op tables; re-encoding them gives
+        // back every workload this subcommand runs, at every mesh size.
+        for tiles in [2u32, 16, 64, 256] {
+            let config = MachineConfig::square(tiles);
+            for quick in [true, false] {
+                for w in sparse_suite(&config, quick) {
+                    let m = machine(&config, &w, None);
+                    assert_eq!(
+                        format!("{:?}", m.reencode()),
+                        format!("{:?}", w.program),
+                        "{} at {tiles} tiles",
+                        w.name
+                    );
+                }
+            }
+        }
+        for tiles in [16u32, 64] {
+            let config = MachineConfig::square(tiles);
+            for quick in [true, false] {
+                let bench = raw_benchmarks::jacobi(if quick { 8 } else { 16 }, 1);
+                let program = bench.program(config.n_live()).unwrap();
+                let compiled =
+                    rawcc::compile(&program, &config, &rawcc::CompilerOptions::default()).unwrap();
+                assert_eq!(
+                    format!("{:?}", compiled.instantiate(&program).reencode()),
+                    format!("{:?}", compiled.machine_program),
+                    "jacobi at {tiles} tiles"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn selfcheck_smoke_on_a_small_mesh() {
         let args = SimArgs::parse(&s(&["--tiles", "16", "--quick"])).unwrap();
         let text = sim_command(&args).unwrap();
         assert!(text.contains("sim spin tiles=16"), "{text}");
         assert!(text.contains("clean: ok"), "{text}");
         assert!(text.contains("sim jacobi tiles=16"), "{text}");
+        // Every line carries the production run's work counters.
+        for line in text.lines().skip(1) {
+            assert!(line.contains(" proc_steps="), "{line}");
+            assert!(line.contains(" channel_commits="), "{line}");
+        }
     }
 
     #[test]

@@ -161,13 +161,12 @@ fn render(addr: &str, prev: Option<&Frame>, cur: &Frame) -> String {
 
     let _ = writeln!(
         out,
-        "conns     open {}  opened {}  closed {}   spans {} total / {} resident   \
+        "conns     open {}  opened {}  closed {}   spans {} total   \
          slow-log {}   clients {}",
         s.scalar("rawcc_connections_open", &[]),
         s.scalar("rawcc_connections_opened_total", &[]),
         s.scalar("rawcc_connections_closed_total", &[]),
         s.scalar("rawcc_spans_total", &[]),
-        s.scalar("rawcc_spans_resident", &[]),
         s.scalar("rawcc_slow_log_resident", &[]),
         s.scalar("rawcc_client_rows", &[]),
     );

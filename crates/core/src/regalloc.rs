@@ -462,13 +462,11 @@ mod tests {
 
     #[test]
     fn semantics_preserved_under_spilling() {
-        // Execute both versions on a bare processor and compare the final
+        // Execute both versions on a one-tile machine and compare the final
         // store: ((1+2) + (3+4)) + 5·6 = 40.
         use raw_machine::asm::ProcAsm;
-        use raw_machine::channel::Channel;
-        use raw_machine::dynnet::DynEndpoint;
-        use raw_machine::processor::Processor;
-        use raw_machine::MachineConfig;
+        use raw_machine::isa::{MachineProgram, SInst, TileCode};
+        use raw_machine::{Machine, MachineConfig, TileId};
 
         let virt = vec![
             li(0, 1),
@@ -500,21 +498,15 @@ mod tests {
                 asm.push(i);
             }
             asm.halt();
-            let code = asm.finish();
-            let config = MachineConfig::grid(1, 1);
-            let mut proc = Processor::new(0, 32);
-            let mut mem = vec![0u32; 512];
-            let mut pin = Channel::new(4);
-            let mut pout = Channel::new(4);
-            let mut ep = DynEndpoint::new(16);
-            let mut cycle = 0;
-            while !proc.halted() && cycle < 10_000 {
-                proc.step(
-                    &code, cycle, &config, &mut mem, &mut pin, &mut pout, &mut ep,
-                );
-                cycle += 1;
-            }
-            mem[0]
+            let program = MachineProgram {
+                tiles: vec![TileCode {
+                    proc: asm.finish(),
+                    switch: vec![SInst::Halt],
+                }],
+            };
+            let mut machine = Machine::new(MachineConfig::grid(1, 1), &program);
+            machine.run().expect("a one-tile program completes");
+            machine.mem_word(TileId(0), 0)
         };
 
         let n = virt.len();

@@ -19,9 +19,9 @@
 //! memo traffic, fixed-bucket wall and phase histograms, the per-client table
 //! (bounded at [`MAX_CLIENT_ROWS`] rows) and the start time — and is always
 //! maintained. The stats reply reads it; with [`ServeOptions::telemetry`] on
-//! (the default) the metrics registry exposes it as Prometheus text or JSON
-//! ([`REQ_METRICS`](wire::REQ_METRICS)) and every compile request leaves one
-//! [`SpanRecord`] in a bounded ring. Compile responses are byte-identical
+//! (the default) the metrics registry exposes it as Prometheus text
+//! ([`REQ_METRICS`](wire::REQ_METRICS)) and every compile request is counted
+//! as one [`SpanRecord`], the slowest kept in a bounded log. Compile responses are byte-identical
 //! either way. DESIGN.md §14–§15 hold the invariants.
 //!
 //! ## Error policy
@@ -53,7 +53,7 @@ use crate::wire::{
 use raw_ir::Program;
 use raw_machine::MachineConfig;
 use raw_telemetry::{
-    Buckets, Counter, Histogram, Label, Registry, SpanRecord, SpanRing, SPAN_PHASES,
+    Buckets, Counter, Histogram, Label, Registry, SpanLog, SpanRecord, SPAN_PHASES,
     SPAN_PHASE_NAMES,
 };
 use std::borrow::Cow;
@@ -64,8 +64,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Spans kept resident in the telemetry ring.
-pub const SPAN_RING_CAPACITY: usize = 256;
 /// Slow-request log size (top-K compile requests by wall time).
 pub const SLOW_LOG_CAPACITY: usize = 16;
 /// Per-client stats rows are bounded; once this many distinct client names
@@ -104,7 +102,7 @@ pub struct ServeOptions {
     pub byte_budget: usize,
     /// Optional disk layer shared by all clients.
     pub cache_dir: Option<PathBuf>,
-    /// Expose the metrics registry and keep the span ring (the default). Off,
+    /// Expose the metrics registry and keep the slow-request log (the default). Off,
     /// the daemon still keeps every count and serves the stats reply, but a
     /// metrics scrape reports only `rawcc_telemetry_enabled 0` and no spans
     /// are recorded.
@@ -204,8 +202,8 @@ struct Ledger {
     phase_us: [Histogram; SPAN_PHASES],
     /// Per-client rows, kept sorted by name for the stats reply.
     clients: Mutex<BTreeMap<String, ClientRow>>,
-    /// Recent and slowest compile spans; `None` with telemetry off.
-    spans: Option<SpanRing>,
+    /// Span count and slowest compile spans; `None` with telemetry off.
+    spans: Option<SpanLog>,
 }
 
 /// Counts a connection closed when it drops.
@@ -233,7 +231,7 @@ impl Ledger {
             wall_us: histogram(),
             phase_us: std::array::from_fn(|_| histogram()),
             clients: Mutex::default(),
-            spans: telemetry.then(|| SpanRing::new(SPAN_RING_CAPACITY, SLOW_LOG_CAPACITY)),
+            spans: telemetry.then(|| SpanLog::new(SLOW_LOG_CAPACITY)),
         }
     }
 
@@ -414,10 +412,10 @@ fn registry(telemetry: bool) -> Registry<ServerState> {
             |s| s.cache.stats().disk_rejects,
         ),
         ("rawcc_spans_total", "compile spans ever recorded", |s| {
-            s.ledger.spans.as_ref().map_or(0, SpanRing::total)
+            s.ledger.spans.as_ref().map_or(0, SpanLog::total)
         }),
     ];
-    let gauges: [(&str, &str, Read); 9] = [
+    let gauges: [(&str, &str, Read); 8] = [
         (
             "rawcc_uptime_us",
             "microseconds since the daemon started serving",
@@ -450,11 +448,6 @@ fn registry(telemetry: bool) -> Registry<ServerState> {
             "rawcc_cache_resident_bytes",
             "encoded bundle bytes resident in the sharded cache",
             |s| s.cache.stats().resident_bytes,
-        ),
-        (
-            "rawcc_spans_resident",
-            "spans resident in the bounded ring",
-            |s| s.ledger.spans.as_ref().map_or(0, |r| r.len() as u64),
         ),
         (
             "rawcc_slow_log_resident",
@@ -701,7 +694,7 @@ impl ServerHandle {
     /// The slow-request log (slowest first; empty with telemetry off).
     pub fn slow_requests(&self) -> Vec<SpanRecord> {
         let spans = self.state.ledger.spans.as_ref();
-        spans.map_or_else(Vec::new, SpanRing::slowest)
+        spans.map_or_else(Vec::new, SpanLog::slowest)
     }
 
     /// Waits for the accept loop to exit (i.e. until some client sends

@@ -2,10 +2,11 @@
 //! this cycle) and the timer wheel (who rejoins it later).
 //!
 //! A [`RunSet`] is a bitset over tile indices swept in ascending order
-//! *against the live words*: a member inserted ahead of the sweep position is
-//! visited in the same sweep, one inserted behind it waits for the next —
-//! exactly what a `0..n` scan over per-tile modes does, at `n/64` word reads
-//! plus one step per member.
+//! *against the live words* (re-reading a member's word after stepping it):
+//! a member inserted ahead of the sweep position is visited in the same
+//! sweep, one inserted behind it waits for the next — exactly what a `0..n`
+//! scan over per-tile modes does, at `n/64` word reads plus one step per
+//! member.
 //!
 //! The [`CalendarQueue`] is a bucketed timing wheel holding scoreboard timers
 //! `(cycle, tile)`, hashed by `cycle & mask`. Insertion and per-cycle
@@ -64,6 +65,18 @@ impl RunSet {
         self.words[i / 64] &= !bit;
     }
 
+    /// Number of 64-member words.
+    #[inline]
+    pub(crate) fn word_count(&self) -> usize {
+        self.words.len()
+    }
+
+    /// The members `64 * w .. 64 * w + 64`, one bit each, as they are now.
+    #[inline(always)]
+    pub(crate) fn word(&self, w: usize) -> u64 {
+        self.words[w]
+    }
+
     /// The members, ascending.
     pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         std::iter::successors(self.next_from(0), |&i| self.next_from(i + 1))
@@ -72,7 +85,7 @@ impl RunSet {
     /// The smallest member `>= from`, read from the words as they are now.
     /// A sweep is `let mut t = 0; while let Some(i) = set.next_from(t) { …;
     /// t = i + 1 }` with the body free to insert and remove.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn next_from(&self, from: usize) -> Option<usize> {
         let mut w = from / 64;
         let mut word = *self.words.get(w)? & (u64::MAX << (from % 64));

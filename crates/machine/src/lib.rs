@@ -21,6 +21,11 @@
 //! property*, paper Appendix A — tested here by injecting random stalls and
 //! checking results are unchanged).
 //!
+//! Loading a program decodes every tile's code once into flat op tables
+//! (`decode`), and the simulator steps only those: one instruction semantics
+//! for both of its steppers, with every operand, route port and latency
+//! resolved up front (DESIGN.md §8).
+//!
 //! The timing model matches the paper's published cost model: one cycle to
 //! inject processor→switch, one cycle per switch→switch hop, one cycle
 //! switch→processor, so a single-word message between neighbouring processors
@@ -75,6 +80,7 @@ pub(crate) mod calendar;
 pub mod channel;
 pub mod chaos;
 pub mod config;
+pub(crate) mod decode;
 pub mod dynnet;
 pub mod isa;
 pub mod machine;
@@ -87,4 +93,5 @@ pub mod trace;
 pub use config::{LatencyModel, MachineConfig, TileMask, MAX_TILES};
 pub use isa::{MachineProgram, TileCode, TileId};
 pub use machine::{Machine, RunReport, SimError};
+pub use stats::WorkCounters;
 pub use trace::{ChannelInfo, ChannelRole, EventSink, NullSink, Stall, StallReason, Unit};

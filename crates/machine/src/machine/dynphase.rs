@@ -2,10 +2,10 @@
 //!
 //! Its share of DESIGN.md §8's invariants:
 //!
-//! 7. **Quiescence is O(1)**: `dyn_active` is false exactly while every
+//! 8. **Quiescence is O(1)**: `dyn_active` is false exactly while every
 //!    router queue, reassembly buffer, endpoint and handler is idle, and the
 //!    whole phase is skipped then.
-//! 8. **The dynamic network is worklist-driven.** Routers step from the hot
+//! 9. **The dynamic network is worklist-driven.** Routers step from the hot
 //!    worklist in ascending order (FIFO arbitration is resolved in tile
 //!    order, as in the reference's full scan), and handlers step from the
 //!    `dyn_watch` list of tiles whose handler or endpoint may be non-idle; a

@@ -7,6 +7,16 @@
 //! is a fixpoint, hence a true deadlock — unless chaos stalls are enabled, in
 //! which case a long no-progress streak is required).
 //!
+//! # The decoded program
+//!
+//! Loading translates every tile's code once into flat op tables
+//! (`crate::decode`): processor ops with their operands, ALU function and
+//! result latency resolved, routes as slices of one port array of channel
+//! ids and switch registers. Both steppers execute only those tables, over
+//! one slab of channel rings and per-tile register slabs; the loaded
+//! [`TileCode`] is kept only for an enabled sink's route events, and
+//! [`Machine::reencode`] rebuilds it from the tables (the decode's oracle).
+//!
 //! # The two steppers
 //!
 //! [`Machine::with_reference_stepper`] selects the deliberately naive oracle
@@ -15,18 +25,21 @@
 //! dynamic-network phase in `dynphase.rs`) — is *activity tracked*:
 //! components that provably cannot act this cycle are not visited at all,
 //! and only channels that staged a write are committed. This file holds what
-//! both share: the machine state, loading, the switch step, stall booking and
-//! the run loop. Its share of DESIGN.md §8's invariants is the table of
-//! legal sleep states and their wake conditions:
+//! both share: the machine state, loading, the processor and switch steps,
+//! stall booking and the run loop. Its share of DESIGN.md §8's invariants is
+//! the table of legal sleep states and their wake conditions:
 //!
 //! * a **halted** processor (with drained port engine) or switch is dead and
 //!   never stepped again;
-//! * a processor stalled on the scoreboard (`Scoreboard`, no pending sends)
-//!   sleeps until the blocking register's ready cycle;
+//! * a processor stalled on the scoreboard, or on anything while its oldest
+//!   pending send is still maturing, sleeps until the register's ready cycle
+//!   or the send's maturity (an empty-input stall also wakes on a commit on
+//!   the switch→processor channel);
 //! * a processor stalled on an empty input port (no pending sends) sleeps until
 //!   the switch→processor channel commits;
-//! * a switch with a stalled route sleeps until any adjacent channel commits a
-//!   word or has a word consumed;
+//! * a switch with a stalled route sleeps until the channel that blocked it
+//!   commits a word (an empty source) or has a word consumed (a full
+//!   destination) — no other channel's event wakes it;
 //! * the dynamic network and the remote-memory handlers are skipped while no
 //!   flit, message, or in-flight request exists anywhere.
 //!
@@ -35,9 +48,9 @@
 //! `Active`. A cycle sweeps each set in ascending tile order against the live
 //! words, so a wake that sets a bit ahead of the sweep runs this cycle and
 //! one behind it runs next cycle — the order a `0..n` scan over the modes
-//! would give, without the scan. Sleeping on the scoreboard sets a timer on a
-//! calendar wheel; a matured timer sets the bit again, and a stale one (the
-//! processor was woken early) falls through the mode check. Per-cycle cost is
+//! would give, without the scan. A timed sleep sets a timer on a calendar
+//! wheel; a matured timer sets the bit again, and a stale one (the processor
+//! was woken early) falls through the mode check. Per-cycle cost is
 //! due timers + active components + `tiles/64` word reads.
 //!
 //! Sleeping is *observationally identical* to stepping-and-stalling: per-cycle
@@ -45,7 +58,7 @@
 //! cycles on which chaos stalled the component, counted then — chaos is a pure
 //! function of `(seed, component, cycle)`, see [`crate::chaos`]), and the
 //! progress flag fed to the deadlock detector is reproduced cycle by cycle (a
-//! timed scoreboard sleep still counts as progress). The oracle
+//! timed sleep still counts as progress). The oracle
 //! ([`crate::oracle`]) asserts that both steppers produce bit-identical cycle
 //! counts, statistics, memory and deadlock reports, clean and under chaos.
 
@@ -54,13 +67,14 @@ mod reference;
 mod runsets;
 
 use crate::calendar::{CalendarQueue, RunSet};
-use crate::channel::Channel;
+use crate::channel::Channels;
 use crate::chaos::{Chaos, ChaosConfig};
 use crate::config::MachineConfig;
+use crate::decode::{Port, Program, SOp, Wiring};
 use crate::dynnet::{DynEndpoint, DynNet, Handler};
-use crate::isa::{Dir, MachineProgram, SDst, SInst, SSrc, TileCode, TileId, Word};
-use crate::processor::Processor;
-use crate::stats::Stats;
+use crate::isa::{Dir, MachineProgram, SInst, TileCode, TileId, Word};
+use crate::processor::{ProcOutcome, Processor, TileView};
+use crate::stats::{Stats, WorkCounters};
 use crate::switch::{Switch, SwitchOutcome};
 use crate::trace::{ChannelInfo, ChannelRole, EventSink, NullSink, Stall, StallReason, Unit};
 use std::error::Error;
@@ -113,9 +127,12 @@ pub struct RunReport {
 enum ProcMode {
     /// In the run set: stepped every cycle.
     Active,
-    /// Timed scoreboard wait: cannot issue before `wake_at`.
+    /// Timed wait — a scoreboard stall, or any stall while a port write is
+    /// still maturing: nothing can change before `wake_at` except, for a
+    /// port stall, a commit on the switch→processor channel.
     SleepReg {
-        /// First cycle the blocking register is ready.
+        /// First cycle the processor may act: the blocking register's ready
+        /// cycle or the maturing write's, whichever comes first.
         wake_at: u64,
     },
     /// Blocked on an empty input port; woken by a commit on sw→proc.
@@ -128,35 +145,44 @@ enum ProcMode {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SwitchMode {
     Active,
-    /// Route stalled; woken by any event on an adjacent channel.
+    /// Route stalled; woken by an event on the channel that blocked it.
     Sleeping,
     Dead,
 }
 
-/// Deferred stall accounting for a sleeping (or just-woken) component.
+/// Sleep bookkeeping of one component under the production stepper: its
+/// deferred stall accounting and the channel that wakes it.
 ///
-/// `since == u64::MAX` means no debt. Otherwise the component skipped every
-/// cycle in `since..now`; the reference stepper would have recorded one stall
-/// per skipped cycle *except* those on which chaos stalled it (the reference
-/// records only a chaos skip on those), which are counted over the range at
-/// settlement. The debt is settled into [`Stats`] and the sink immediately
-/// before the component next steps, or at run end.
+/// `since == u64::MAX` means no debt. Otherwise the component stalled at
+/// cycle `since` on `reason` and skipped every cycle after it up to now; the
+/// reference stepper would have recorded one stall per cycle of `since..now`
+/// *except* those on which chaos stalled it (the reference records only a
+/// chaos skip on those), which are counted over the range at settlement. The
+/// debt is settled into [`Stats`] and the sink immediately before the
+/// component next steps, or at run end.
 #[derive(Clone, Copy, Debug)]
-struct SleepDebt {
+struct Sched {
     since: u64,
     reason: StallReason,
+    /// While asleep, the channel whose commit or consume wakes it;
+    /// [`NO_CHANNEL`] for a timer-only sleep.
+    blocked_on: u32,
 }
 
-impl SleepDebt {
-    const NONE: SleepDebt = SleepDebt {
+impl Sched {
+    const AWAKE: Sched = Sched {
         since: u64::MAX,
         reason: StallReason::Scoreboard,
+        blocked_on: NO_CHANNEL,
     };
 
-    fn is_pending(&self) -> bool {
+    fn in_debt(&self) -> bool {
         self.since != u64::MAX
     }
 }
+
+/// `Sched::blocked_on` of a component no channel event can wake.
+const NO_CHANNEL: u32 = u32::MAX;
 
 /// A processor or a switch: one endpoint of a static-network channel (wake
 /// routing), one subject of chaos stalls, and one holder of a sleep debt.
@@ -168,7 +194,7 @@ enum Comp {
 
 impl Comp {
     /// The component number: the stream fed to [`Chaos::stall`] and the
-    /// component's slot in `Machine::debts`.
+    /// component's slot in `Machine::sched`.
     fn id(self) -> usize {
         match self {
             Comp::ProcAt(t) => 2 * t,
@@ -202,29 +228,36 @@ enum Stepper {
 #[derive(Debug)]
 pub struct Machine<S: EventSink = NullSink> {
     config: MachineConfig,
+    /// The loaded code, kept only for an enabled sink: its route events
+    /// carry the route's pairs. Empty under [`NullSink`].
     code: Vec<TileCode>,
+    /// The decoded code both steppers execute.
+    prog: Program,
+    /// Channel ids of every tile's ports.
+    wiring: Wiring,
     procs: Vec<Processor>,
+    /// Processor registers, `config.gprs` per tile.
+    regs: Vec<Word>,
+    /// Cycle from which each processor register is readable (scoreboard).
+    ready: Vec<u64>,
     switches: Vec<Switch>,
-    channels: Vec<Channel>,
-    /// Channel id: processor → switch, per tile.
-    ps: Vec<usize>,
-    /// Channel id: switch → processor, per tile.
-    sp: Vec<usize>,
-    /// Channel id: switch → neighbour switch, per tile per direction.
-    link_out: Vec<[Option<usize>; 4]>,
+    /// Switch registers, `config.switch_regs` per tile.
+    sregs: Vec<Word>,
+    chans: Channels,
     mems: Vec<Vec<Word>>,
     dynnet: DynNet,
     endpoints: Vec<DynEndpoint>,
     handlers: Vec<Handler>,
     cycle: u64,
     stats: Stats,
+    work: WorkCounters,
     chaos: Option<Chaos>,
     /// Which stepping core `step` dispatches to.
     stepper: Stepper,
     proc_mode: Vec<ProcMode>,
     switch_mode: Vec<SwitchMode>,
-    /// Stall debt per component, indexed by [`Comp::id`].
-    debts: Vec<SleepDebt>,
+    /// Sleep bookkeeping per component, indexed by [`Comp::id`].
+    sched: Vec<Sched>,
     /// Reading endpoint of each channel.
     chan_reader: Vec<Comp>,
     /// Writing endpoint of each channel.
@@ -234,7 +267,7 @@ pub struct Machine<S: EventSink = NullSink> {
     /// Channels the last `step_switch` consumed a word from (wake scratch).
     consumed: Vec<usize>,
     /// Reusable scratch for route source values.
-    route_vals: Vec<(SSrc, Word)>,
+    route_vals: Vec<Word>,
     /// True while any flit, dynamic message, or handler request may exist.
     dyn_active: bool,
     /// Tiles whose handler or endpoint may be non-idle (production stepper):
@@ -252,7 +285,7 @@ pub struct Machine<S: EventSink = NullSink> {
     switch_run: RunSet,
     /// Processors in mode `SleepReg`: a timed wait counts as progress.
     sleep_reg: RunSet,
-    /// Scoreboard timers: one per `SleepReg` episode, at its `wake_at`.
+    /// `SleepReg` timers: one per episode, at its `wake_at`.
     timers: CalendarQueue,
     /// Processors not yet `Dead` (O(1) completion check).
     live_procs: usize,
@@ -277,7 +310,8 @@ impl Machine {
 
 impl<S: EventSink> Machine<S> {
     /// Builds a machine from a configuration and loads `program`, attaching
-    /// `sink` as the event consumer.
+    /// `sink` as the event consumer. Loading decodes every tile's code once
+    /// into the op tables both steppers execute (`crate::decode`).
     ///
     /// # Panics
     ///
@@ -286,70 +320,78 @@ impl<S: EventSink> Machine<S> {
     pub fn with_sink(config: MachineConfig, program: &MachineProgram, sink: S) -> Machine<S> {
         let n = config.n_tiles() as usize;
         assert_eq!(program.tiles.len(), n, "program must cover all {n} tiles");
-        let mut channels = Vec::new();
         let mut chan_reader = Vec::new();
         let mut chan_writer = Vec::new();
-        let mut alloc = |cap: usize, writer: Comp, reader: Comp| {
-            channels.push(Channel::new(cap));
+        let mut alloc = |writer: Comp, reader: Comp| {
             chan_writer.push(writer);
             chan_reader.push(reader);
-            channels.len() - 1
+            chan_writer.len() - 1
         };
         let mut ps = Vec::with_capacity(n);
         let mut sp = Vec::with_capacity(n);
         for t in 0..n {
-            ps.push(alloc(
-                config.port_capacity,
-                Comp::ProcAt(t),
-                Comp::SwitchAt(t),
-            ));
-            sp.push(alloc(
-                config.port_capacity,
-                Comp::SwitchAt(t),
-                Comp::ProcAt(t),
-            ));
+            ps.push(alloc(Comp::ProcAt(t), Comp::SwitchAt(t)));
+            sp.push(alloc(Comp::SwitchAt(t), Comp::ProcAt(t)));
         }
         let mut link_out = vec![[None; 4]; n];
         for (t, out) in link_out.iter_mut().enumerate() {
             for dir in Dir::ALL {
                 if let Some(nb) = config.neighbor(TileId(t as u32), dir) {
-                    out[dir.index()] = Some(alloc(
-                        config.port_capacity,
-                        Comp::SwitchAt(t),
-                        Comp::SwitchAt(nb.index()),
-                    ));
+                    out[dir.index()] = Some(alloc(Comp::SwitchAt(t), Comp::SwitchAt(nb.index())));
                 }
             }
         }
-        let procs = (0..n)
-            .map(|t| Processor::new(t as u32, config.gprs))
+        let link_in = (0..n)
+            .map(|t| {
+                Dir::ALL.map(|d| {
+                    config
+                        .neighbor(TileId(t as u32), d)
+                        .and_then(|nb| link_out[nb.index()][d.opposite().index()])
+                })
+            })
             .collect();
-        let switches = (0..n).map(|_| Switch::new(config.switch_regs)).collect();
-        let mems = (0..n)
-            .map(|_| vec![0u32; config.mem_words as usize])
-            .collect();
-        let dynnet = DynNet::new(config.rows, config.cols, config.dyn_fifo);
-        let endpoints = (0..n).map(|_| DynEndpoint::new(16)).collect();
-        let handlers = (0..n).map(|_| Handler::new()).collect();
-        Machine {
-            stats: Stats::new(n),
-            code: program.tiles.clone(),
-            procs,
-            switches,
-            channels,
+        let wiring = Wiring {
             ps,
             sp,
             link_out,
+            link_in,
+        };
+        let prog = Program::decode(&program.tiles, &wiring, &config);
+        let mems = (0..n)
+            .map(|_| vec![0u32; config.mem_words as usize])
+            .collect();
+        Machine {
+            stats: Stats::new(n),
+            work: WorkCounters::default(),
+            code: if S::ENABLED {
+                program.tiles.clone()
+            } else {
+                Vec::new()
+            },
+            procs: (0..n)
+                .map(|t| Processor::new(t as u32, prog.proc_code[t], wiring.sp[t], wiring.ps[t]))
+                .collect(),
+            regs: vec![0; n * config.gprs as usize],
+            ready: vec![0; n * config.gprs as usize],
+            switches: prog
+                .switch_code
+                .iter()
+                .map(|&code| Switch::new(code))
+                .collect(),
+            sregs: vec![0; n * config.switch_regs as usize],
+            chans: Channels::new(chan_writer.len(), config.port_capacity),
+            wiring,
+            prog,
             mems,
-            dynnet,
-            endpoints,
-            handlers,
+            dynnet: DynNet::new(config.rows, config.cols, config.dyn_fifo),
+            endpoints: (0..n).map(|_| DynEndpoint::new(16)).collect(),
+            handlers: (0..n).map(|_| Handler::new()).collect(),
             cycle: 0,
             chaos: None,
             stepper: Stepper::RunSets,
             proc_mode: vec![ProcMode::Active; n],
             switch_mode: vec![SwitchMode::Active; n],
-            debts: vec![SleepDebt::NONE; 2 * n],
+            sched: vec![Sched::AWAKE; 2 * n],
             chan_reader,
             chan_writer,
             dirty: Vec::new(),
@@ -380,15 +422,24 @@ impl<S: EventSink> Machine<S> {
         self.sink
     }
 
+    /// The program the decoded op tables encode, rebuilt from the tables
+    /// alone. The decode is lossless, so this equals the loaded program:
+    /// the round trip is the decode's oracle.
+    pub fn reencode(&self) -> MachineProgram {
+        MachineProgram {
+            tiles: self.prog.encode(&self.wiring),
+        }
+    }
+
     /// Static description of every static-network channel, indexed by the
     /// channel id used in [`EventSink::channel_commit`] events.
     pub fn channel_infos(&self) -> Vec<ChannelInfo> {
-        let mut roles = vec![None; self.channels.len()];
+        let mut roles = vec![None; self.chans.count()];
         for t in 0..self.config.n_tiles() as usize {
-            roles[self.ps[t]] = Some(ChannelRole::ProcToSwitch { tile: t as u32 });
-            roles[self.sp[t]] = Some(ChannelRole::SwitchToProc { tile: t as u32 });
+            roles[self.wiring.ps[t]] = Some(ChannelRole::ProcToSwitch { tile: t as u32 });
+            roles[self.wiring.sp[t]] = Some(ChannelRole::SwitchToProc { tile: t as u32 });
             for dir in Dir::ALL {
-                if let Some(id) = self.link_out[t][dir.index()] {
+                if let Some(id) = self.wiring.link_out[t][dir.index()] {
                     let to = self.config.neighbor(TileId(t as u32), dir).unwrap();
                     roles[id] = Some(ChannelRole::Link {
                         from: t as u32,
@@ -453,6 +504,13 @@ impl<S: EventSink> Machine<S> {
         &self.stats
     }
 
+    /// How much stepping the run has taken so far (see [`WorkCounters`]).
+    /// Kept apart from [`stats`](Self::stats): the two steppers do different
+    /// work by design, while their `Stats` must agree bit for bit.
+    pub fn work(&self) -> &WorkCounters {
+        &self.work
+    }
+
     /// Reads a word of a tile's local memory.
     pub fn mem_word(&self, tile: TileId, addr: u32) -> Word {
         self.mems[tile.index()][addr as usize]
@@ -509,6 +567,7 @@ impl<S: EventSink> Machine<S> {
     }
 
     /// Whether chaos stalls component `c` on the current cycle.
+    #[inline]
     fn chaos_stalls(&self, c: Comp) -> bool {
         self.chaos
             .as_ref()
@@ -540,120 +599,138 @@ impl<S: EventSink> Machine<S> {
         }
     }
 
-    /// Steps one switch. Fetch reads the code in place, consumed channel ids
+    /// Steps processor `t` one cycle over its decoded code.
+    #[inline(always)]
+    fn step_proc(&mut self, t: usize) -> ProcOutcome {
+        self.work.proc_steps += 1;
+        let gprs = self.config.gprs as usize;
+        let regs = t * gprs..(t + 1) * gprs;
+        let mut tile = TileView {
+            ops: &self.prog.pops,
+            regs: &mut self.regs[regs.clone()],
+            ready: &mut self.ready[regs],
+            mem: &mut self.mems[t],
+            chans: &mut self.chans,
+            dyn_ep: &mut self.endpoints[t],
+            config: &self.config,
+        };
+        self.procs[t].step(&mut tile, self.cycle)
+    }
+
+    /// Steps switch `t` one cycle over its decoded code. Consumed channel ids
     /// are recorded in `self.consumed`, staged writes are pushed onto
-    /// `self.dirty`, and route values go through a reusable scratch buffer —
-    /// the whole path is allocation-free after warm-up.
+    /// `self.dirty`, and a stalled route leaves the channel that blocked it
+    /// in its `Sched::blocked_on` — the whole path is allocation-free after
+    /// warm-up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the route to execute names a direction without a
+    /// neighbour.
+    #[inline(always)]
     fn step_switch(&mut self, t: usize) -> SwitchOutcome {
+        self.work.switch_steps += 1;
         let Machine {
             config,
             code,
+            prog,
             switches,
-            channels,
-            ps,
-            sp,
-            link_out,
+            sregs,
+            chans,
             stats,
             dirty,
             consumed,
             route_vals,
+            sched,
             cycle,
             sink,
             ..
         } = self;
         consumed.clear();
         let sw = &mut switches[t];
-        let Some(inst) = sw.fetch(&code[t].switch) else {
+        if sw.halted {
             return SwitchOutcome::Halted;
+        }
+        let op = match sw.code.fetch(&prog.sops, sw.pc) {
+            Some(SOp::Halt) | None => {
+                sw.halted = true;
+                return SwitchOutcome::Halted;
+            }
+            Some(&op) => op,
         };
-        // Fetch does not advance: this is the fetched instruction's pc.
-        let sw_pc = sw.pc();
-        match inst {
-            SInst::Route(pairs) => {
-                let link_in = |d: Dir| -> Option<usize> {
-                    config
-                        .neighbor(TileId(t as u32), d)
-                        .and_then(|nb| link_out[nb.index()][d.opposite().index()])
+        let regs = &mut sregs[t * config.switch_regs as usize..][..config.switch_regs as usize];
+        match op {
+            SOp::Route(route) => {
+                let ports = &prog.ports;
+                // Readiness of every distinct source, then every destination,
+                // in pair order: the first failure blocks the route.
+                for p in &ports[route.sources()] {
+                    if let Port::Chan(id) = p.port {
+                        if !chans.can_read(id.get()) {
+                            sched[Comp::SwitchAt(t).id()].blocked_on = id.get() as u32;
+                            return SwitchOutcome::Stalled(StallReason::ReceiveEmpty);
+                        }
+                    }
+                }
+                for p in &ports[route.pairs()] {
+                    if let Port::Chan(id) = p.port {
+                        if !chans.can_write(id.get()) {
+                            sched[Comp::SwitchAt(t).id()].blocked_on = id.get() as u32;
+                            return SwitchOutcome::Stalled(StallReason::SendFull);
+                        }
+                    }
+                }
+                // Consume each distinct source once, then fan out.
+                let single = if route.n_srcs == 1 {
+                    let port = ports[route.first as usize].port;
+                    read_source(port, chans, consumed, regs)
+                } else {
+                    route_vals.clear();
+                    for p in &ports[route.sources()] {
+                        route_vals.push(read_source(p.port, chans, consumed, regs));
+                    }
+                    0
                 };
-                // Phase 1: readiness of all sources and destinations.
-                for (src, _) in pairs {
-                    let ready = match src {
-                        SSrc::Dir(d) => match link_in(*d) {
-                            Some(id) => channels[id].can_read(),
-                            None => {
-                                panic!("tile{t} switch routes from {d:?} but there is no neighbour")
-                            }
-                        },
-                        SSrc::Proc => channels[ps[t]].can_read(),
-                        SSrc::Reg(_) => true,
+                for p in &ports[route.pairs()] {
+                    let v = if route.n_srcs == 1 {
+                        single
+                    } else {
+                        route_vals[p.src as usize]
                     };
-                    if !ready {
-                        return SwitchOutcome::Stalled(StallReason::ReceiveEmpty);
+                    match p.port {
+                        Port::Chan(id) => {
+                            chans.write(id.get(), v);
+                            dirty.push(id.get());
+                        }
+                        Port::Reg(r) => regs[r as usize] = v,
+                        Port::Missing(_) => unreachable!("decoded as NoNeighbour"),
                     }
                 }
-                for (_, dst) in pairs {
-                    let ready = match dst {
-                        SDst::Dir(d) => match link_out[t][d.index()] {
-                            Some(id) => channels[id].can_write(),
-                            None => {
-                                panic!("tile{t} switch routes to {d:?} but there is no neighbour")
-                            }
-                        },
-                        SDst::Proc => channels[sp[t]].can_write(),
-                        SDst::Reg(_) => true,
-                    };
-                    if !ready {
-                        return SwitchOutcome::Stalled(StallReason::SendFull);
-                    }
-                }
-                // Phase 2: consume each distinct source once, then fan out.
-                route_vals.clear();
-                for (src, _) in pairs {
-                    if route_vals.iter().any(|(s, _)| s == src) {
-                        continue;
-                    }
-                    let v = match src {
-                        SSrc::Dir(d) => {
-                            let id = link_in(*d).unwrap();
-                            consumed.push(id);
-                            channels[id].read()
-                        }
-                        SSrc::Proc => {
-                            let id = ps[t];
-                            consumed.push(id);
-                            channels[id].read()
-                        }
-                        SSrc::Reg(r) => sw.reg(*r),
-                    };
-                    route_vals.push((*src, v));
-                }
-                for (src, dst) in pairs {
-                    let v = route_vals.iter().find(|(s, _)| s == src).unwrap().1;
-                    match dst {
-                        SDst::Dir(d) => {
-                            let id = link_out[t][d.index()].unwrap();
-                            channels[id].write(v);
-                            dirty.push(id);
-                        }
-                        SDst::Proc => {
-                            let id = sp[t];
-                            channels[id].write(v);
-                            dirty.push(id);
-                        }
-                        SDst::Reg(r) => sw.set_reg(*r, v),
-                    }
-                }
-                sw.advance();
+                let pc = sw.pc;
+                sw.pc += 1;
                 stats.tiles[t].switch_routes += 1;
                 if S::ENABLED {
-                    sink.route(*cycle, t as u32, pairs, sw_pc);
+                    let SInst::Route(pairs) = &code[t].switch[pc] else {
+                        unreachable!("a route op decodes a route");
+                    };
+                    sink.route(*cycle, t as u32, pairs, pc);
                 }
                 SwitchOutcome::Progress
             }
-            other => {
-                sw.exec_control(other);
+            SOp::NoNeighbour { dir, out, .. } => {
+                let way = if out { "to" } else { "from" };
+                panic!("tile{t} switch routes {way} {dir:?} but there is no neighbour")
+            }
+            control => {
+                let pc = sw.pc;
+                sw.pc = match control {
+                    SOp::Bnez { reg, target } if regs[reg as usize] != 0 => target as usize,
+                    SOp::Beqz { reg, target } if regs[reg as usize] == 0 => target as usize,
+                    SOp::Jump(target) => target as usize,
+                    _ => pc + 1,
+                };
                 if S::ENABLED {
-                    sink.switch_control(*cycle, t as u32, sw_pc);
+                    sink.switch_control(*cycle, t as u32, pc);
                 }
                 SwitchOutcome::Progress
             }
@@ -720,14 +797,17 @@ impl<S: EventSink> Machine<S> {
     }
 }
 
-fn get_two_mut(v: &mut [Channel], a: usize, b: usize) -> (&mut Channel, &mut Channel) {
-    assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = v.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = v.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
+/// Consumes a route source: a channel's front word (recording the channel
+/// in `consumed`) or a switch register.
+#[inline(always)]
+fn read_source(port: Port, chans: &mut Channels, consumed: &mut Vec<usize>, regs: &[Word]) -> Word {
+    match port {
+        Port::Chan(id) => {
+            consumed.push(id.get());
+            chans.read(id.get())
+        }
+        Port::Reg(r) => regs[r as usize],
+        Port::Missing(_) => unreachable!("decoded as NoNeighbour"),
     }
 }
 
@@ -735,8 +815,9 @@ fn get_two_mut(v: &mut [Channel], a: usize, b: usize) -> (&mut Channel, &mut Cha
 pub(crate) mod tests {
     use super::*;
     use crate::asm::{ProcAsm, SwitchAsm};
-    use crate::isa::{Dst, Src};
+    use crate::isa::{Dst, SDst, SSrc, Src};
     use crate::oracle::steppers_agree;
+    use crate::stats::WorkCounters;
     use raw_ir::{BinOp, Imm};
 
     pub(crate) fn neighbor_message_program() -> MachineProgram {
@@ -1124,5 +1205,298 @@ pub(crate) mod tests {
             }
             other => panic!("expected deadlock, got {other:?}"),
         }
+    }
+
+    /// Tile 0 issues two 12-cycle multiplies into its output port, so its
+    /// port engine holds two maturing sends while it waits on a receive
+    /// (the word from tile 1 arrives first), then stalls on a full pending
+    /// queue, and halts with sends still maturing: every stall a processor
+    /// may now sleep through on the maturing send's timer.
+    pub(crate) fn maturing_send_program() -> MachineProgram {
+        let mut p0 = ProcAsm::new();
+        for x in [6, 7] {
+            p0.bin(
+                BinOp::Mul,
+                Dst::PortOut,
+                Src::Imm(Imm::I(x)),
+                Src::Imm(Imm::I(x)),
+            );
+        }
+        p0.recv(Dst::Reg(1));
+        p0.addi(Dst::PortOut, Src::Reg(1), 1);
+        p0.bin(BinOp::Mul, Dst::PortOut, Src::Reg(1), Src::Imm(Imm::I(3)));
+        p0.halt();
+        let mut s0 = SwitchAsm::new();
+        s0.route_in(Dir::East);
+        for _ in 0..4 {
+            s0.route_out(Dir::East);
+        }
+        s0.halt();
+        let mut s1 = SwitchAsm::new();
+        s1.route_out(Dir::West);
+        for _ in 0..4 {
+            s1.route_in(Dir::West);
+        }
+        s1.halt();
+        let mut p1 = ProcAsm::new();
+        p1.send(Src::Imm(Imm::I(5)));
+        for addr in 0..4 {
+            p1.recv(Dst::Reg(1));
+            p1.store_imm_addr(Src::Reg(1), addr);
+        }
+        p1.halt();
+        MachineProgram {
+            tiles: vec![
+                TileCode {
+                    proc: p0.finish(),
+                    switch: s0.finish(),
+                },
+                TileCode {
+                    proc: p1.finish(),
+                    switch: s1.finish(),
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn maturing_send_sleeps_agree_with_reference() {
+        let config = MachineConfig::grid(1, 2);
+        let program = maturing_send_program();
+        let mut m = Machine::new(config.clone(), &program);
+        m.run().unwrap();
+        assert_eq!(
+            (0..4).map(|a| m.mem_word(TileId(1), a)).collect::<Vec<_>>(),
+            [36, 49, 6, 15]
+        );
+        assert!(m.work().timers_popped > 0, "no maturing-send sleep taken");
+        let mut cases = vec![None];
+        cases.extend(
+            ChaosConfig::sweep(raw_testkit::Rng::new(0x3A7_0E5D).take(8), &[10, 40, 80])
+                .into_iter()
+                .map(Some),
+        );
+        for chaos in cases {
+            let build = || {
+                let m = Machine::new(config.clone(), &program);
+                match chaos {
+                    Some(c) => m.with_chaos(c),
+                    None => m,
+                }
+            };
+            steppers_agree(&format!("{chaos:?}"), build).unwrap();
+            // The progress flag too: a maturing-send sleeper counts as
+            // progress on every cycle chaos does not stall it.
+            let (mut a, mut b) = (build(), build().with_reference_stepper());
+            while !b.finished() {
+                assert!(b.cycle() < 10_000, "{chaos:?}: runaway");
+                assert_eq!(a.step(), b.step(), "{chaos:?}: cycle {}", b.cycle() - 1);
+            }
+        }
+    }
+
+    /// Tiles 0 and 2 of a 1x3 row send one word each to tile 1, whose switch
+    /// takes both in one route: tile 2's word (a 12-cycle multiply) first,
+    /// tile 0's (a plain send) second.
+    fn two_source_route_program() -> MachineProgram {
+        let mut p0 = ProcAsm::new();
+        p0.send(Src::Imm(Imm::I(3)));
+        p0.halt();
+        let mut s0 = SwitchAsm::new();
+        s0.route_out(Dir::East);
+        s0.halt();
+        let mut s1 = SwitchAsm::new();
+        s1.route(&[
+            (SSrc::Dir(Dir::East), SDst::Proc),
+            (SSrc::Dir(Dir::West), SDst::Reg(0)),
+        ]);
+        s1.halt();
+        let mut p1 = ProcAsm::new();
+        p1.recv(Dst::Reg(1));
+        p1.store_imm_addr(Src::Reg(1), 0);
+        p1.halt();
+        let mut p2 = ProcAsm::new();
+        p2.bin(
+            BinOp::Mul,
+            Dst::PortOut,
+            Src::Imm(Imm::I(6)),
+            Src::Imm(Imm::I(7)),
+        );
+        p2.halt();
+        let mut s2 = SwitchAsm::new();
+        s2.route_out(Dir::West);
+        s2.halt();
+        MachineProgram {
+            tiles: vec![
+                TileCode {
+                    proc: p0.finish(),
+                    switch: s0.finish(),
+                },
+                TileCode {
+                    proc: p1.finish(),
+                    switch: s1.finish(),
+                },
+                TileCode {
+                    proc: p2.finish(),
+                    switch: s2.finish(),
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn a_two_source_route_sleeps_through_its_first_word() {
+        // Tile 1's route blocks on its first source (the late word) and
+        // sleeps on that channel only: the early word's commit does not wake
+        // it, so the route steps exactly twice — the stall and the firing.
+        // Every switch takes three steps: stall, route, halt.
+        let program = two_source_route_program();
+        let config = MachineConfig::grid(1, 3);
+        let snapshot =
+            steppers_agree("two sources", || Machine::new(config.clone(), &program)).unwrap();
+        let mut m = Machine::new(config, &program);
+        m.run().unwrap();
+        assert_eq!(m.mem_word(TileId(1), 0), 42);
+        assert_eq!(m.stats(), &snapshot.stats);
+        assert_eq!(m.work().switch_steps, 3 * 3);
+        assert_eq!(m.work().restalls, 0);
+    }
+
+    /// One switch route naming a direction the 1x1 mesh does not have,
+    /// after `first`.
+    fn missing_neighbour_program(first: SInst, pair: (SSrc, SDst)) -> MachineProgram {
+        MachineProgram {
+            tiles: vec![TileCode {
+                proc: vec![crate::isa::PInst::Halt],
+                switch: vec![first, SInst::Route(vec![pair]), SInst::Halt],
+            }],
+        }
+    }
+
+    #[test]
+    fn a_route_to_a_missing_neighbour_panics_only_when_it_executes() {
+        let config = MachineConfig::grid(1, 1);
+        let out = (SSrc::Proc, SDst::Dir(Dir::North));
+        let from = (SSrc::Dir(Dir::West), SDst::Proc);
+        // Loading decodes the route; a switch that halts first never runs it.
+        for pair in [out, from] {
+            let agreed = steppers_agree("unreached", || {
+                Machine::new(
+                    config.clone(),
+                    &missing_neighbour_program(SInst::Halt, pair),
+                )
+            })
+            .unwrap();
+            assert!(agreed.outcome.is_ok());
+        }
+        // Executed, it panics with the route's message, under both steppers.
+        for (pair, message) in [
+            (
+                out,
+                "tile0 switch routes to North but there is no neighbour",
+            ),
+            (
+                from,
+                "tile0 switch routes from West but there is no neighbour",
+            ),
+        ] {
+            for reference in [false, true] {
+                let program = missing_neighbour_program(SInst::Nop, pair);
+                let mut m = Machine::new(config.clone(), &program);
+                if reference {
+                    m = m.with_reference_stepper();
+                }
+                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.run()))
+                    .expect_err("the route must panic");
+                assert_eq!(
+                    panic.downcast_ref::<String>().map(String::as_str),
+                    Some(message)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reading_the_work_counters_changes_nothing() {
+        // The counters are host-side bookkeeping: a run whose counters are
+        // read every cycle ends with the cycles, statistics and memory of one
+        // whose counters are never read.
+        for program in [maturing_send_program(), port_and_scoreboard_wait_program()] {
+            let config = MachineConfig::grid(1, 2);
+            let mut read = Machine::new(config.clone(), &program);
+            let mut seen = WorkCounters::default();
+            while !read.finished() {
+                read.step();
+                let now = *read.work();
+                assert!(now.proc_steps >= seen.proc_steps && now.switch_steps >= seen.switch_steps);
+                seen = now;
+            }
+            let mut unread = Machine::new(config, &program);
+            let (read, unread) = (
+                crate::oracle::Snapshot::run(&mut read),
+                crate::oracle::Snapshot::run(&mut unread),
+            );
+            assert_eq!(read.first_difference(&unread), None);
+            assert_eq!(read.outcome, unread.outcome);
+        }
+    }
+
+    #[test]
+    fn the_decode_round_trips_every_hand_written_program() {
+        for (program, config) in [
+            (neighbor_message_program(), MachineConfig::grid(1, 2)),
+            (
+                port_and_scoreboard_wait_program(),
+                MachineConfig::grid(1, 2),
+            ),
+            (maturing_send_program(), MachineConfig::grid(1, 2)),
+            (two_source_route_program(), MachineConfig::grid(1, 3)),
+            (orphan_receive_program(), MachineConfig::grid(1, 1)),
+            (
+                missing_neighbour_program(SInst::Nop, (SSrc::Dir(Dir::East), SDst::Reg(3))),
+                MachineConfig::grid(1, 1),
+            ),
+        ] {
+            let m = Machine::new(config.with_unit_latency(), &program);
+            assert_eq!(format!("{:?}", m.reencode()), format!("{program:?}"));
+        }
+    }
+
+    #[test]
+    fn switch_control_flow_follows_its_registers() {
+        // The switch latches two words from its processor into registers and
+        // branches on them: `bnez` and `beqz` taken and not taken, a jump,
+        // and a stream that ends without `halt`. A wrong turn routes an extra
+        // word or the wrong one.
+        let mut p = ProcAsm::new();
+        p.send(Src::Imm(Imm::I(1)));
+        p.send(Src::Imm(Imm::I(0)));
+        p.recv(Dst::Reg(1));
+        p.store_imm_addr(Src::Reg(1), 0);
+        p.halt();
+        let switch = vec![
+            SInst::Route(vec![(SSrc::Proc, SDst::Reg(2))]),
+            SInst::Bnez { reg: 2, target: 3 },
+            SInst::Route(vec![(SSrc::Reg(3), SDst::Proc)]),
+            SInst::Route(vec![(SSrc::Proc, SDst::Reg(3))]),
+            SInst::Beqz { reg: 3, target: 6 },
+            SInst::Route(vec![(SSrc::Reg(3), SDst::Proc)]),
+            SInst::Bnez { reg: 3, target: 5 },
+            SInst::Route(vec![(SSrc::Reg(2), SDst::Proc)]),
+            SInst::Jump(10),
+            SInst::Route(vec![(SSrc::Reg(3), SDst::Proc)]),
+        ];
+        let program = MachineProgram {
+            tiles: vec![TileCode {
+                proc: p.finish(),
+                switch,
+            }],
+        };
+        let config = MachineConfig::grid(1, 1);
+        let agreed =
+            steppers_agree("switch control", || Machine::new(config.clone(), &program)).unwrap();
+        assert!(agreed.outcome.is_ok(), "{:?}", agreed.outcome);
+        assert_eq!(agreed.memory[0][0], 1);
+        assert_eq!(agreed.stats.tiles[0].switch_routes, 3);
     }
 }

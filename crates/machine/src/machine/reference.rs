@@ -6,15 +6,17 @@
 //! [`Stats`](crate::stats::Stats), final memory, truncated-run settlement and
 //! deadlock reports, clean and under chaos. Its share of the §8 invariants:
 //!
-//! * it keeps no activity state — no run sets, modes, debts or dirty list —
-//!   so a bug in that machinery cannot hide in both steppers at once;
+//! * it keeps no activity state — no run sets, modes, debts, blocking
+//!   channels or dirty list — so a bug in that machinery cannot hide in both
+//!   steppers at once; it executes the same decoded ops (`step_proc`,
+//!   `step_switch`), so there is one instruction semantics;
 //! * a processor stall with a maturing send, a scoreboard stall or an
 //!   in-flight handler request is a timed wait and counts as progress, the
 //!   rule the production core reproduces for its sleepers (invariant 5);
 //! * it books one one-cycle [`Stall`] per stalled step, where the production
 //!   core books one range per sleep; reports cannot tell the two apart.
 
-use super::{get_two_mut, Comp, Machine};
+use super::{Comp, Machine};
 use crate::processor::ProcOutcome;
 use crate::switch::SwitchOutcome;
 #[cfg(doc)]
@@ -39,17 +41,7 @@ impl<S: EventSink> Machine<S> {
                 continue;
             }
             let pc_before = if S::ENABLED { self.procs[t].pc() } else { 0 };
-            let (pin_id, pout_id) = (self.sp[t], self.ps[t]);
-            let (pin, pout) = get_two_mut(&mut self.channels, pin_id, pout_id);
-            let outcome = self.procs[t].step(
-                &self.code[t].proc,
-                self.cycle,
-                &self.config,
-                &mut self.mems[t],
-                pin,
-                pout,
-                &mut self.endpoints[t],
-            );
+            let outcome = self.step_proc(t);
             match outcome {
                 ProcOutcome::Progress => {
                     self.stats.tiles[t].proc_insts += 1;
@@ -130,16 +122,16 @@ impl<S: EventSink> Machine<S> {
         }
 
         // Commit staged channel writes.
-        for id in 0..self.channels.len() {
-            if self.channels[id].commit() {
+        for id in 0..self.chans.count() {
+            if self.chans.commit(id) {
                 self.stats.static_words += 1;
                 progress = true;
                 if S::ENABLED {
-                    self.sink
-                        .channel_commit(self.cycle, id, self.channels[id].len());
+                    self.sink.channel_commit(self.cycle, id, self.chans.len(id));
                 }
             }
         }
+        self.work.channel_commits += self.chans.count() as u64;
         self.dirty.clear();
 
         self.cycle += 1;

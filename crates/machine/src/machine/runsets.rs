@@ -4,20 +4,27 @@
 //! and only channels that staged a write are committed. Its share of
 //! DESIGN.md §8's invariants:
 //!
-//! 1. **No side effects while asleep.** A processor sleeps only with an
-//!    empty port engine; a stalled switch mutates nothing by construction.
+//! 1. **No side effects while asleep.** A processor sleeps only while its
+//!    port engine has nothing to drain — empty, or its oldest send still
+//!    maturing, with a timer at the maturity cycle; a stalled switch mutates
+//!    nothing by construction.
 //! 2. **Stall stats are settled lazily, chaos skips counted lazily.** A
 //!    sleeper's debt `{since, reason}` is booked as one range right before
 //!    its next step (or at run exit), minus the cycles chaos stalled it on.
 //! 3. **Run-set sweep order is scan order.** `wake` flips the mode and sets
 //!    the bit; where the sweep stands decides when the component steps.
 //! 4. **The wheel holds timers only, and tolerates stale ones.**
-//! 5. **The progress flag is exact**: a scoreboard sleeper counts as
-//!    progress iff chaos does not stall it that cycle.
-//! 6. **The dirty list covers every writer**, and each commit wakes both
-//!    endpoints of the channel.
+//! 5. **The progress flag is exact**: a timed sleeper (scoreboard, or a
+//!    maturing send) counts as progress iff chaos does not stall it that
+//!    cycle.
+//! 6. **The dirty list covers every writer.**
+//! 7. **A sleeper wakes on its blocking channel only.** A stalled route
+//!    records the first channel that blocked it, a port-blocked processor
+//!    its input port; a commit or a consume on that channel wakes it, and no
+//!    other event does. A stall changes no state, so nothing else can
+//!    unblock it first.
 
-use super::{get_two_mut, Comp, Machine, ProcMode, SleepDebt, SwitchMode};
+use super::{Comp, Machine, ProcMode, Sched, SwitchMode, NO_CHANNEL};
 use crate::processor::ProcOutcome;
 use crate::switch::SwitchOutcome;
 use crate::trace::{EventSink, StallReason, Unit};
@@ -28,40 +35,47 @@ impl<S: EventSink> Machine<S> {
         let mut progress = false;
         let mut run_dyn = self.dyn_active;
 
-        // Matured scoreboard timers rejoin the run set. A stale timer — the
-        // processor was woken early and is now active, dead, or waiting on
-        // something later — falls through the mode check.
+        // Matured timers rejoin the run set. A stale timer — the processor
+        // was woken early and is now active, dead, or waiting on something
+        // later — falls through the mode check.
         let cycle = self.cycle;
         let Machine {
             timers,
             proc_mode,
             proc_run,
             sleep_reg,
+            work,
             ..
         } = self;
         timers.take_due(cycle, |t| {
+            work.timers_popped += 1;
             if matches!(proc_mode[t], ProcMode::SleepReg { wake_at } if wake_at <= cycle) {
                 proc_mode[t] = ProcMode::Active;
                 sleep_reg.remove(t);
                 proc_run.insert(t);
+            } else {
+                work.timers_stale += 1;
             }
         });
 
         // Processors. Nothing wakes a processor during this phase (its wakes
-        // go to switches), so the sweep sees a fixed set.
-        let mut from = 0;
-        while let Some(t) = self.proc_run.next_from(from) {
-            from = t + 1;
-            if self.chaos_stalls(Comp::ProcAt(t)) {
-                self.book_chaos_skip(Comp::ProcAt(t));
-                continue;
+        // go to switches), so the sweep walks each word as it stood.
+        for w in 0..self.proc_run.word_count() {
+            let mut bits = self.proc_run.word(w);
+            while bits != 0 {
+                let t = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.chaos_stalls(Comp::ProcAt(t)) {
+                    self.book_chaos_skip(Comp::ProcAt(t));
+                    continue;
+                }
+                progress |= self.run_proc(t, &mut run_dyn);
             }
-            progress |= self.run_proc(t, &mut run_dyn);
         }
-        // A scoreboard sleeper is in a timed wait that resolves by itself: the
-        // reference steps it, records the stall and counts progress — unless
-        // chaos stalls it this cycle. Sampled after matured timers left the
-        // set and before switch-phase wakes can shrink it.
+        // A timed sleeper resolves by itself: the reference steps it, records
+        // the stall and counts progress — unless chaos stalls it this cycle.
+        // Sampled after matured timers left the set and before switch-phase
+        // wakes can shrink it.
         progress |= match self.chaos {
             None => !self.sleep_reg.is_empty(),
             Some(_) => self
@@ -70,17 +84,23 @@ impl<S: EventSink> Machine<S> {
                 .any(|t| !self.chaos_stalls(Comp::ProcAt(t))),
         };
 
-        // Switches. A route that consumes a word wakes its upstream writer:
-        // a higher-indexed switch joins this sweep, a lower-indexed one the
-        // next — when a `0..n` scan would reach them.
-        let mut from = 0;
-        while let Some(t) = self.switch_run.next_from(from) {
-            from = t + 1;
-            if self.chaos_stalls(Comp::SwitchAt(t)) {
-                self.book_chaos_skip(Comp::SwitchAt(t));
-                continue;
+        // Switches. A route that consumes a word wakes its upstream writer
+        // if that word's channel blocked it: a higher-indexed switch joins
+        // this sweep, a lower-indexed one the next — when a `0..n` scan would
+        // reach them.
+        for w in 0..self.switch_run.word_count() {
+            let mut bits = self.switch_run.word(w);
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                let t = 64 * w + bit as usize;
+                if self.chaos_stalls(Comp::SwitchAt(t)) {
+                    self.book_chaos_skip(Comp::SwitchAt(t));
+                } else {
+                    progress |= self.run_switch(t);
+                }
+                // The live word past `t`: a wake ahead of the sweep joins it.
+                bits = self.switch_run.word(w) & (u64::MAX << bit << 1);
             }
-            progress |= self.run_switch(t);
         }
 
         progress |= self.run_dyn_phase(run_dyn);
@@ -94,28 +114,22 @@ impl<S: EventSink> Machine<S> {
     /// accounting, and wake routing. Returns its progress contribution.
     pub(super) fn run_proc(&mut self, t: usize, run_dyn: &mut bool) -> bool {
         let mut progress = false;
-        self.settle_debt(Comp::ProcAt(t));
+        let woken = self.settle_debt(Comp::ProcAt(t));
         let pc_before = if S::ENABLED { self.procs[t].pc() } else { 0 };
-        let (pin_id, pout_id) = (self.sp[t], self.ps[t]);
-        let pin_before = self.channels[pin_id].len();
-        let (pin, pout) = get_two_mut(&mut self.channels, pin_id, pout_id);
-        let outcome = self.procs[t].step(
-            &self.code[t].proc,
-            self.cycle,
-            &self.config,
-            &mut self.mems[t],
-            pin,
-            pout,
-            &mut self.endpoints[t],
-        );
+        let (pin, pout) = (self.procs[t].pin(), self.procs[t].pout());
+        let pin_before = self.chans.len(pin);
+        let outcome = self.step_proc(t);
         // A consumed word frees space the tile's switch may be waiting on.
-        if self.channels[pin_id].len() < pin_before {
-            self.wake(Comp::SwitchAt(t));
+        if self.chans.len(pin) < pin_before {
+            self.wake_on(Comp::SwitchAt(t), pin);
         }
-        if self.channels[pout_id].has_staged() {
-            self.dirty.push(pout_id);
+        if self.chans.has_staged(pout) {
+            self.dirty.push(pout);
         }
-        if !self.endpoints[t].is_idle() {
+        // Only a processor waiting on a remote reference touches its
+        // endpoint; otherwise the endpoint is as the last dynamic phase left
+        // it, watched if non-idle.
+        if self.procs[t].dyn_waiting() && !self.endpoints[t].is_idle() {
             *run_dyn = true;
             // The processor touched its endpoint (injected a request or left
             // inbox words pending): watch the tile and let the router pull
@@ -145,37 +159,13 @@ impl<S: EventSink> Machine<S> {
                 }
             }
             ProcOutcome::Stalled(reason) => {
-                self.book_stall(Comp::ProcAt(t), reason, self.cycle..self.cycle + 1, 0);
-                if reason == StallReason::Scoreboard || self.procs[t].has_maturing_send(self.cycle)
-                {
+                self.work.restalls += u64::from(woken);
+                let maturing = self.procs[t].maturing_send(self.cycle);
+                if reason == StallReason::Scoreboard || maturing.is_some() {
                     progress = true;
                 }
-                // A stall with no pending sends has no side effects to
-                // perform: the processor may sleep if its wake condition
-                // is observable (scoreboard timer or port commit).
-                if self.procs[t].out_pending_empty() {
-                    let debt = SleepDebt {
-                        since: self.cycle + 1,
-                        reason,
-                    };
-                    match reason {
-                        StallReason::Scoreboard => {
-                            if let Some(wake_at) = self.procs[t].wake_hint() {
-                                self.park_proc(t, ProcMode::SleepReg { wake_at });
-                                self.sleep_reg.insert(t);
-                                self.timers.push(wake_at, t);
-                                self.debts[Comp::ProcAt(t).id()] = debt;
-                            }
-                        }
-                        StallReason::ReceiveEmpty => {
-                            self.park_proc(t, ProcMode::SleepPort);
-                            self.debts[Comp::ProcAt(t).id()] = debt;
-                        }
-                        // SendFull implies pending sends (not reached here);
-                        // dynamic waits are serviced by the handler phase and
-                        // stay active — they are rare and cheap.
-                        _ => {}
-                    }
+                if !self.sleep_stalled_proc(t, reason, maturing) {
+                    self.book_stall(Comp::ProcAt(t), reason, self.cycle..self.cycle + 1, 0);
                 }
             }
             ProcOutcome::Halted => {
@@ -188,6 +178,53 @@ impl<S: EventSink> Machine<S> {
         progress
     }
 
+    /// Puts a processor that stalled on `reason` to sleep when every step it
+    /// would take before its wake condition is another identical stall with
+    /// no side effect: the port engine has nothing to drain before the
+    /// oldest pending send matures (`maturing`), and the stall cannot clear
+    /// before its register is ready or a word commits on its input port.
+    ///
+    /// | stall | port engine | sleep | wakes on |
+    /// |-------|-------------|-------|----------|
+    /// | scoreboard | empty or maturing | `SleepReg` | timer at the register's ready cycle, or the send's, if earlier |
+    /// | input port empty | empty | `SleepPort` | a commit on sw→proc |
+    /// | input port empty | maturing | `SleepReg` | the send's timer, or a commit on sw→proc |
+    /// | pending sends full, or halted | maturing | `SleepReg` | the send's timer |
+    ///
+    /// Anything else — a matured send blocked on a full port, a dynamic
+    /// network wait — stays active: those are rare and cheap. Returns whether
+    /// the processor sleeps; its debt then covers this cycle's stall too.
+    fn sleep_stalled_proc(&mut self, t: usize, reason: StallReason, maturing: Option<u64>) -> bool {
+        let proc = &self.procs[t];
+        let pin = proc.pin() as u32;
+        let (mode, on) = match (reason, maturing) {
+            (StallReason::Scoreboard, _) if maturing.is_some() || proc.out_pending_empty() => {
+                let hint = proc.wake_hint();
+                let Some(wake_at) = hint.into_iter().chain(maturing).min() else {
+                    return false;
+                };
+                (ProcMode::SleepReg { wake_at }, NO_CHANNEL)
+            }
+            (StallReason::ReceiveEmpty, None) if proc.out_pending_empty() => {
+                (ProcMode::SleepPort, pin)
+            }
+            (StallReason::ReceiveEmpty, Some(wake_at)) => (ProcMode::SleepReg { wake_at }, pin),
+            (StallReason::SendFull, Some(wake_at)) => (ProcMode::SleepReg { wake_at }, NO_CHANNEL),
+            _ => return false,
+        };
+        if let ProcMode::SleepReg { wake_at } = mode {
+            self.sleep_reg.insert(t);
+            self.timers.push(wake_at, t);
+        }
+        self.park_proc(t, mode);
+        self.sched[Comp::ProcAt(t).id()] = Sched {
+            since: self.cycle,
+            reason,
+            blocked_on: on,
+        };
+        true
+    }
+
     /// Takes an active processor out of the run set into `mode`.
     pub(super) fn park_proc(&mut self, t: usize, mode: ProcMode) {
         self.proc_mode[t] = mode;
@@ -197,27 +234,29 @@ impl<S: EventSink> Machine<S> {
         }
     }
 
-    /// Steps one switch of the run set (see [`Self::run_proc`]).
+    /// Steps one switch of the run set (see [`Self::run_proc`]). A stalled
+    /// route sleeps on the channel `step_switch` found blocking it.
     pub(super) fn run_switch(&mut self, t: usize) -> bool {
         let mut progress = false;
-        self.settle_debt(Comp::SwitchAt(t));
+        let woken = self.settle_debt(Comp::SwitchAt(t));
         let outcome = self.step_switch(t);
-        // Words consumed by the route free space upstream writers may be
-        // waiting on.
+        // Words consumed by the route free space an upstream writer may be
+        // blocked on.
         for i in 0..self.consumed.len() {
             let id = self.consumed[i];
-            self.wake(self.chan_writer[id]);
+            self.wake_on(self.chan_writer[id], id);
         }
         match outcome {
             SwitchOutcome::Progress => progress = true,
             SwitchOutcome::Stalled(reason) => {
-                self.book_stall(Comp::SwitchAt(t), reason, self.cycle..self.cycle + 1, 0);
+                self.work.restalls += u64::from(woken);
                 self.switch_mode[t] = SwitchMode::Sleeping;
                 self.switch_run.remove(t);
-                self.debts[Comp::SwitchAt(t).id()] = SleepDebt {
-                    since: self.cycle + 1,
-                    reason,
-                };
+                // The debt starts with this cycle's stall; `step_switch` left
+                // the blocking channel.
+                let sched = &mut self.sched[Comp::SwitchAt(t).id()];
+                sched.since = self.cycle;
+                sched.reason = reason;
             }
             SwitchOutcome::Halted => {
                 self.switch_mode[t] = SwitchMode::Dead;
@@ -232,34 +271,45 @@ impl<S: EventSink> Machine<S> {
     }
 
     /// Commits exactly the channels that staged a write this cycle; each
-    /// commit wakes both endpoints (reader gains a word, writer regains
-    /// staging space).
+    /// commit wakes the channel's reader if it sleeps on the channel (a word
+    /// arrived). The writer cannot be asleep on it: a writer blocks on a
+    /// channel only while the channel is full, and then it stages nothing.
     pub(super) fn commit_dirty(&mut self) -> bool {
+        self.work.channel_commits += self.dirty.len() as u64;
         let mut progress = false;
         for i in 0..self.dirty.len() {
             let id = self.dirty[i];
-            let committed = self.channels[id].commit();
+            let committed = self.chans.commit(id);
             debug_assert!(committed, "dirty channel had nothing staged");
             self.stats.static_words += 1;
             progress = true;
             if S::ENABLED {
-                self.sink
-                    .channel_commit(self.cycle, id, self.channels[id].len());
+                self.sink.channel_commit(self.cycle, id, self.chans.len(id));
             }
-            self.wake(self.chan_reader[id]);
-            self.wake(self.chan_writer[id]);
+            self.wake_on(self.chan_reader[id], id);
         }
         self.dirty.clear();
         progress
+    }
+
+    /// Wakes `c` if it sleeps on channel `id`: the one event that can end
+    /// its stall. Every other channel event leaves the stall standing — a
+    /// stall changes no state, so nothing but its blocking channel can
+    /// unblock it first.
+    #[inline(always)]
+    fn wake_on(&mut self, c: Comp, id: usize) {
+        if self.sched[c.id()].blocked_on == id as u32 {
+            self.wake(c);
+        }
     }
 
     /// Puts a sleeping component back into its run set: flip the mode, set
     /// the bit. Where the sweep stands decides when it steps — a processor next
     /// cycle (processors run before the phases that wake them), a switch this
     /// cycle iff the switch sweep has not passed it. Its stall debt stays
-    /// pending and is settled right before the next actual step, so a spurious
-    /// wake is harmless: the component re-stalls, re-records the same stall the
-    /// reference would, and goes back to sleep.
+    /// pending and is settled right before the next actual step, so an early
+    /// wake is harmless: the component re-stalls, re-records the same stall
+    /// the reference would, and goes back to sleep.
     pub(super) fn wake(&mut self, c: Comp) {
         match c {
             Comp::ProcAt(t) => {
@@ -295,18 +345,32 @@ impl<S: EventSink> Machine<S> {
     /// lies inside the range the debt will report; otherwise it is a
     /// one-cycle record of its own.
     pub(super) fn book_chaos_skip(&mut self, c: Comp) {
-        if !self.debts[c.id()].is_pending() {
+        if !self.sched[c.id()].in_debt() {
             self.book_stall(c, StallReason::Chaos, self.cycle..self.cycle + 1, 0);
         }
     }
 
-    /// Settles a sleeper's deferred stalls up to (not including) the current
-    /// cycle as one retroactive range.
-    pub(super) fn settle_debt(&mut self, c: Comp) {
-        let debt = std::mem::replace(&mut self.debts[c.id()], SleepDebt::NONE);
-        if debt.is_pending() && debt.since < self.cycle {
-            let chaos = self.chaos_skips(c, debt.since);
-            self.book_stall(c, debt.reason, debt.since..self.cycle, chaos);
+    /// Settles a woken sleeper's deferred stalls; returns whether `c` had a
+    /// debt (it slept since its last step). The common case — no debt — is
+    /// one inlined check in front of the out-of-line settle.
+    #[inline]
+    pub(super) fn settle_debt(&mut self, c: Comp) -> bool {
+        if !self.sched[c.id()].in_debt() {
+            return false;
+        }
+        self.settle_pending_debt(c);
+        true
+    }
+
+    /// Books a pending debt up to (not including) the current cycle as one
+    /// retroactive range.
+    #[inline(never)]
+    fn settle_pending_debt(&mut self, c: Comp) {
+        let Sched { since, reason, .. } = self.sched[c.id()];
+        self.sched[c.id()].since = u64::MAX;
+        if since < self.cycle {
+            let chaos = self.chaos_skips(c, since);
+            self.book_stall(c, reason, since..self.cycle, chaos);
         }
     }
 

@@ -121,9 +121,22 @@ pub fn steppers_agree<S: EventSink>(
     label: &str,
     build: impl FnMut() -> Machine<S>,
 ) -> Result<Snapshot, String> {
-    let [(_, production), (_, reference)] = run_both(build);
+    production_agrees(label, build).map(|(_, snapshot)| snapshot)
+}
+
+/// [`steppers_agree`], also returning the finished production machine —
+/// for what a snapshot leaves out, like its [`Machine::work`] counters.
+///
+/// # Errors
+///
+/// As [`steppers_agree`].
+pub fn production_agrees<S: EventSink>(
+    label: &str,
+    build: impl FnMut() -> Machine<S>,
+) -> Result<(Machine<S>, Snapshot), String> {
+    let [(machine, production), (_, reference)] = run_both(build);
     match production.first_difference(&reference) {
-        None => Ok(production),
+        None => Ok((machine, production)),
         Some(field) => Err(format!("{label}: steppers disagree on {field}")),
     }
 }

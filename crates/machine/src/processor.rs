@@ -6,12 +6,12 @@
 //! of a not-yet-ready register stalls at issue (scoreboard), modelling full
 //! bypassing without tracking pipeline stages individually.
 
-use crate::channel::Channel;
+use crate::channel::Channels;
 use crate::config::MachineConfig;
+use crate::decode::{Operand, PKind, POp, Stream, ALU_FNS};
 use crate::dynnet::{DynEndpoint, DynMsg, MsgKind};
-use crate::isa::{Dst, PInst, Src, TileId, Word};
+use crate::isa::{Dst, TileId, Word};
 use crate::trace::StallReason;
-use std::collections::VecDeque;
 
 /// Result of stepping a processor one cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,45 +32,68 @@ enum DynState {
     WaitStoreAck,
 }
 
-/// Architectural + micro-architectural state of one tile processor.
+/// Maximum number of in-flight delayed port writes before issue stalls.
+const MAX_PENDING_SENDS: usize = 2;
+
+/// Everything one processor step touches outside the processor's own state:
+/// the tile's decoded code, register file, memory, ports and endpoint.
+pub(crate) struct TileView<'a> {
+    /// The flat processor op table.
+    pub(crate) ops: &'a [POp],
+    pub(crate) regs: &'a mut [Word],
+    pub(crate) ready: &'a mut [u64],
+    pub(crate) mem: &'a mut [Word],
+    pub(crate) chans: &'a mut Channels,
+    pub(crate) dyn_ep: &'a mut DynEndpoint,
+    pub(crate) config: &'a MachineConfig,
+}
+
+/// Control and micro-architectural state of one tile processor. Its
+/// registers and their ready cycles live in the machine's per-tile slabs.
 #[derive(Debug)]
-pub struct Processor {
+pub(crate) struct Processor {
     tile: u32,
+    /// This tile's stream in the machine's processor op table.
+    code: Stream,
+    /// Switch → processor channel id.
+    pin: u32,
+    /// Processor → switch channel id.
+    pout: u32,
     pc: usize,
     halted: bool,
-    regs: Vec<Word>,
-    ready: Vec<u64>,
     dyn_state: DynState,
     /// Slot→physical home map for dynamic references. Empty means identity:
     /// fall back to [`MachineConfig::split_gaddr`]. Non-empty (always a power
     /// of two, set by the driver under a faulty-tile mask or co-residency)
     /// means global addresses interleave over these tiles instead.
     dyn_homes: Vec<TileId>,
-    /// Port writes awaiting their producer latency: `(visible_at, word)`.
-    out_pending: VecDeque<(u64, Word)>,
-    /// When the last [`step`](Self::step) stalled on [`StallReason::Scoreboard`]
+    /// Port writes awaiting their producer latency, oldest first:
+    /// `(visible_at, word)`; the first `n_pending` entries are live.
+    pending: [(u64, Word); MAX_PENDING_SENDS],
+    n_pending: usize,
+    /// When the last step stalled on [`StallReason::Scoreboard`]
     /// at issue, the cycle at which the blocking register becomes ready.
     wake_hint: Option<u64>,
-    /// Result latency of the operation issued by the last [`step`](Self::step)
+    /// Result latency of the operation issued by the last step
     /// (1 when the instruction produced no delayed result).
     last_latency: u32,
 }
 
-/// Maximum number of in-flight delayed port writes before issue stalls.
-const MAX_PENDING_SENDS: usize = 2;
-
 impl Processor {
-    /// Creates a processor for `tile` with `gprs` registers, all zero.
-    pub fn new(tile: u32, gprs: u32) -> Self {
+    /// Creates a processor for `tile` at pc 0, running `code` with its
+    /// ports on channels `pin` (from the switch) and `pout` (to it).
+    pub(crate) fn new(tile: u32, code: Stream, pin: usize, pout: usize) -> Self {
         Processor {
             tile,
+            code,
+            pin: pin as u32,
+            pout: pout as u32,
             pc: 0,
             halted: false,
-            regs: vec![0; gprs as usize],
-            ready: vec![0; gprs as usize],
             dyn_state: DynState::Idle,
             dyn_homes: Vec::new(),
-            out_pending: VecDeque::new(),
+            pending: [(0, 0); MAX_PENDING_SENDS],
+            n_pending: 0,
             wake_hint: None,
             last_latency: 1,
         }
@@ -78,7 +101,7 @@ impl Processor {
 
     /// True once the processor executed `halt`.
     pub fn halted(&self) -> bool {
-        self.halted && self.out_pending.is_empty()
+        self.halted && self.n_pending == 0
     }
 
     /// Current program counter (for diagnostics).
@@ -86,18 +109,39 @@ impl Processor {
         self.pc
     }
 
+    /// The switch → processor channel id.
+    pub(crate) fn pin(&self) -> usize {
+        self.pin as usize
+    }
+
+    /// The processor → switch channel id.
+    pub(crate) fn pout(&self) -> usize {
+        self.pout as usize
+    }
+
+    /// When the oldest pending port write is still waiting out its
+    /// producer's latency, the cycle it matures — a timed wait that resolves
+    /// by itself (the deadlock detector must treat it as progress).
+    pub fn maturing_send(&self, cycle: u64) -> Option<u64> {
+        let when = self.pending[0].0;
+        (self.n_pending != 0 && cycle < when).then_some(when)
+    }
+
     /// True if a pending port write is still waiting out its producer's
-    /// latency — a timed wait that resolves by itself (the deadlock detector
-    /// must treat it as progress).
+    /// latency.
     pub fn has_maturing_send(&self, cycle: u64) -> bool {
-        self.out_pending
-            .front()
-            .is_some_and(|&(when, _)| cycle < when)
+        self.maturing_send(cycle).is_some()
+    }
+
+    /// True while a remote load or store awaits its reply: the one state in
+    /// which a step touches the dynamic-network endpoint.
+    pub(crate) fn dyn_waiting(&self) -> bool {
+        self.dyn_state != DynState::Idle
     }
 
     /// True if no delayed port write is in flight.
     pub fn out_pending_empty(&self) -> bool {
-        self.out_pending.is_empty()
+        self.n_pending == 0
     }
 
     /// Overrides the global-address→home mapping for dynamic references.
@@ -136,95 +180,70 @@ impl Processor {
     }
 
     /// Result latency of the most recently issued operation (1 when it had no
-    /// delayed result). Meaningful right after a [`step`](Self::step) that
+    /// delayed result). Meaningful right after a step that
     /// returned [`ProcOutcome::Progress`]; feeds issue events for tracing.
     pub fn last_issue_latency(&self) -> u32 {
         self.last_latency
     }
 
-    fn src_ready(&self, src: Src, cycle: u64, port_in: &Channel) -> Result<(), StallReason> {
-        match src {
-            Src::Reg(r) => {
-                if cycle >= self.ready[r as usize] {
-                    Ok(())
-                } else {
-                    Err(StallReason::Scoreboard)
-                }
-            }
-            Src::Imm(_) => Ok(()),
-            Src::PortIn => {
-                if port_in.can_read() {
-                    Ok(())
-                } else {
-                    Err(StallReason::ReceiveEmpty)
-                }
-            }
+    /// Drains the oldest pending send into the output port if it has
+    /// matured and the port has space (the port engine, one word a cycle).
+    #[inline]
+    fn drain(&mut self, cycle: u64, chans: &mut Channels, pout: usize) -> bool {
+        if self.n_pending == 0 {
+            return false;
         }
+        let (when, word) = self.pending[0];
+        if cycle < when || !chans.can_write(pout) {
+            return false;
+        }
+        chans.write(pout, word);
+        self.pending[0] = self.pending[1];
+        self.n_pending -= 1;
+        true
     }
 
-    fn read_src(&self, src: Src, port_in: &mut Channel) -> Word {
-        match src {
-            Src::Reg(r) => self.regs[r as usize],
-            Src::Imm(imm) => imm.to_bits(),
-            Src::PortIn => port_in.read(),
-        }
-    }
-
-    fn write_dst(&mut self, dst: Dst, value: Word, cycle: u64, latency: u32) {
+    #[inline]
+    fn write_dst(
+        &mut self,
+        tile: &mut TileView<'_>,
+        dst: Dst,
+        value: Word,
+        cycle: u64,
+        latency: u32,
+    ) {
         self.last_latency = latency;
         match dst {
             Dst::Reg(r) => {
-                self.regs[r as usize] = value;
-                self.ready[r as usize] = cycle + latency as u64;
+                tile.regs[r as usize] = value;
+                tile.ready[r as usize] = cycle + latency as u64;
             }
             Dst::PortOut => {
                 // The word reaches the switch one cycle after the producing
                 // operation completes; channel staging supplies that +1, and the
                 // pending queue supplies the op latency beyond the issue cycle.
-                self.out_pending
-                    .push_back((cycle + latency.saturating_sub(1) as u64, value));
+                assert!(self.n_pending < MAX_PENDING_SENDS, "port engine overflow");
+                self.pending[self.n_pending] = (cycle + latency.saturating_sub(1) as u64, value);
+                self.n_pending += 1;
             }
         }
     }
 
-    /// Steps the processor one cycle.
-    ///
-    /// `mem` is this tile's local data memory; `port_in`/`port_out` are the
-    /// static-network channels to/from this tile's switch; `dyn_ep` is the
-    /// dynamic-network endpoint.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step(
-        &mut self,
-        code: &[PInst],
-        cycle: u64,
-        config: &MachineConfig,
-        mem: &mut [Word],
-        port_in: &mut Channel,
-        port_out: &mut Channel,
-        dyn_ep: &mut DynEndpoint,
-    ) -> ProcOutcome {
+    /// Steps the processor one cycle over its tile's decoded code.
+    #[inline(always)]
+    pub(crate) fn step(&mut self, tile: &mut TileView<'_>, cycle: u64) -> ProcOutcome {
         self.wake_hint = None;
         self.last_latency = 1;
         // Drain one matured pending send per cycle (the port engine).
-        let mut drained = false;
-        if let Some(&(when, word)) = self.out_pending.front() {
-            if cycle >= when && port_out.can_write() {
-                port_out.write(word);
-                self.out_pending.pop_front();
-                drained = true;
-            }
-        }
+        let (pin, pout) = (self.pin(), self.pout());
+        let drained = self.drain(cycle, tile.chans, pout);
 
         if self.halted {
             return if drained {
                 ProcOutcome::Progress
-            } else if self.out_pending.is_empty() {
+            } else if self.n_pending == 0 {
                 ProcOutcome::Halted
-            } else if self
-                .out_pending
-                .front()
-                .is_some_and(|&(when, _)| cycle < when)
-            {
+            } else if self.has_maturing_send(cycle) {
                 // Timed wait for the producing op's latency — always resolves.
                 ProcOutcome::Stalled(StallReason::Scoreboard)
             } else {
@@ -235,16 +254,16 @@ impl Processor {
         // Dynamic-network wait states block issue until the reply arrives.
         match self.dyn_state {
             DynState::WaitLoad { dst } => {
-                if let Some(msg) = dyn_ep.proc_inbox.pop_front() {
+                if let Some(msg) = tile.dyn_ep.proc_inbox.pop_front() {
                     debug_assert_eq!(msg.kind, MsgKind::LoadReply);
-                    self.write_dst(dst, msg.payload[0], cycle, 1);
+                    self.write_dst(tile, dst, msg.payload[0], cycle, 1);
                     self.dyn_state = DynState::Idle;
                     return ProcOutcome::Progress;
                 }
                 return ProcOutcome::Stalled(StallReason::DynamicNetwork);
             }
             DynState::WaitStoreAck => {
-                if let Some(msg) = dyn_ep.proc_inbox.pop_front() {
+                if let Some(msg) = tile.dyn_ep.proc_inbox.pop_front() {
                     debug_assert_eq!(msg.kind, MsgKind::StoreAck);
                     self.dyn_state = DynState::Idle;
                     return ProcOutcome::Progress;
@@ -254,82 +273,80 @@ impl Processor {
             DynState::Idle => {}
         }
 
-        let inst = match code.get(self.pc) {
-            Some(&i) => i,
-            None => {
-                // Running off the end is treated as halt.
-                self.halted = true;
-                return ProcOutcome::Progress;
-            }
+        let ops = tile.ops;
+        let Some(op) = self.code.fetch(ops, self.pc) else {
+            // Running off the end is treated as halt.
+            self.halted = true;
+            return ProcOutcome::Progress;
         };
 
-        // Readiness checks in operand order (no side effects yet). Checked
-        // inline rather than via `PInst::sources()` to keep the hot path free
-        // of per-cycle allocations.
-        let srcs: [Option<Src>; 2] = match inst {
-            PInst::Alu { op, a, b, .. } => match op {
-                crate::isa::AluOp::Un(_) => [Some(a), None],
-                crate::isa::AluOp::Bin(_) => [Some(a), Some(b)],
-            },
-            PInst::Load { addr, .. } => [Some(addr), None],
-            PInst::Store { value, addr, .. } => [Some(value), Some(addr)],
-            PInst::DLoad { gaddr, .. } => [Some(gaddr), None],
-            PInst::DStore { value, gaddr, .. } => [Some(value), Some(gaddr)],
-            PInst::Bnez { cond, .. } | PInst::Beqz { cond, .. } => [Some(cond), None],
-            PInst::Jump(_) | PInst::Halt | PInst::Nop => [None, None],
-        };
-        for src in srcs.into_iter().flatten() {
-            if let Err(reason) = self.src_ready(src, cycle, port_in) {
-                if reason == StallReason::Scoreboard {
-                    if let Src::Reg(r) = src {
-                        self.wake_hint = Some(self.ready[r as usize]);
+        // Readiness checks in operand order (no side effects yet).
+        for &src in &op.srcs[..op.n_srcs as usize] {
+            match src {
+                Operand::Reg(r) => {
+                    let ready = tile.ready[usize::from(u16::from_ne_bytes(r))];
+                    if cycle < ready {
+                        self.wake_hint = Some(ready);
+                        return ProcOutcome::Stalled(StallReason::Scoreboard);
                     }
                 }
-                return ProcOutcome::Stalled(reason);
+                Operand::Port => {
+                    if !tile.chans.can_read(pin) {
+                        return ProcOutcome::Stalled(StallReason::ReceiveEmpty);
+                    }
+                }
+                Operand::Int(_) | Operand::Float(_) => {}
             }
         }
-        if let Some(Dst::PortOut) = inst.dst() {
-            if self.out_pending.len() >= MAX_PENDING_SENDS {
-                return ProcOutcome::Stalled(StallReason::SendFull);
-            }
+        if op.sends && self.n_pending >= MAX_PENDING_SENDS {
+            return ProcOutcome::Stalled(StallReason::SendFull);
         }
 
-        match inst {
-            PInst::Alu { op, dst, a, b } => {
-                let av = self.read_src(a, port_in);
-                let bv = match op {
-                    crate::isa::AluOp::Un(_) => 0,
-                    crate::isa::AluOp::Bin(_) => self.read_src(b, port_in),
+        #[inline(always)]
+        fn read(tile: &mut TileView<'_>, src: Operand, pin: usize) -> Word {
+            match src {
+                Operand::Reg(r) => tile.regs[usize::from(u16::from_ne_bytes(r))],
+                Operand::Int(w) | Operand::Float(w) => Word::from_ne_bytes(w),
+                Operand::Port => tile.chans.read(pin),
+            }
+        }
+        match op.kind {
+            PKind::Alu => {
+                let av = read(tile, op.srcs[0], pin);
+                let bv = if op.n_srcs == 2 {
+                    read(tile, op.srcs[1], pin)
+                } else {
+                    0
                 };
-                let latency = config.latency.alu_latency(op);
-                let val = op.eval(av, bv);
-                self.write_dst(dst, val, cycle, latency);
+                self.write_dst(
+                    tile,
+                    op.dst,
+                    ALU_FNS[op.alu as usize](av, bv),
+                    cycle,
+                    op.latency.into(),
+                );
                 self.pc += 1;
             }
-            PInst::Load { dst, addr, offset } => {
-                let a = effective_addr(self.read_src(addr, port_in), offset);
+            PKind::Load => {
+                let a = effective_addr(read(tile, op.srcs[0], pin), op.offset());
                 let val = usize::try_from(a)
                     .ok()
-                    .and_then(|a| mem.get(a).copied())
+                    .and_then(|a| tile.mem.get(a).copied())
                     .unwrap_or_else(|| {
                         panic!(
                             "tile{} load out of memory bounds: addr {a} (pc {})",
                             self.tile, self.pc
                         )
                     });
-                self.write_dst(dst, val, cycle, config.mem_latency);
+                self.write_dst(tile, op.dst, val, cycle, op.latency.into());
                 self.pc += 1;
             }
-            PInst::Store {
-                value,
-                addr,
-                offset,
-            } => {
-                let v = self.read_src(value, port_in);
-                let a = effective_addr(self.read_src(addr, port_in), offset);
+            PKind::Store => {
+                let v = read(tile, op.srcs[0], pin);
+                let a = effective_addr(read(tile, op.srcs[1], pin), op.offset());
                 let slot = usize::try_from(a)
                     .ok()
-                    .and_then(|a| mem.get_mut(a))
+                    .and_then(|a| tile.mem.get_mut(a))
                     .unwrap_or_else(|| {
                         panic!(
                             "tile{} store out of memory bounds: addr {a} (pc {})",
@@ -339,33 +356,29 @@ impl Processor {
                 *slot = v;
                 self.pc += 1;
             }
-            PInst::DLoad { dst, gaddr, offset } => {
-                if !dyn_ep.can_inject(2) {
+            PKind::DLoad => {
+                if !tile.dyn_ep.can_inject(2) {
                     return ProcOutcome::Stalled(StallReason::DynamicNetwork);
                 }
-                let g = self.read_src(gaddr, port_in).wrapping_add(offset as u32);
-                let (home, local) = self.split_dyn(config, g);
-                dyn_ep.inject(DynMsg {
+                let g = read(tile, op.srcs[0], pin).wrapping_add(op.arg);
+                let (home, local) = self.split_dyn(tile.config, g);
+                tile.dyn_ep.inject(DynMsg {
                     kind: MsgKind::LoadReq,
                     src: self.tile,
                     dest: home,
                     payload: vec![local],
                 });
-                self.dyn_state = DynState::WaitLoad { dst };
+                self.dyn_state = DynState::WaitLoad { dst: op.dst };
                 self.pc += 1;
             }
-            PInst::DStore {
-                value,
-                gaddr,
-                offset,
-            } => {
-                if !dyn_ep.can_inject(3) {
+            PKind::DStore => {
+                if !tile.dyn_ep.can_inject(3) {
                     return ProcOutcome::Stalled(StallReason::DynamicNetwork);
                 }
-                let v = self.read_src(value, port_in);
-                let g = self.read_src(gaddr, port_in).wrapping_add(offset as u32);
-                let (home, local) = self.split_dyn(config, g);
-                dyn_ep.inject(DynMsg {
+                let v = read(tile, op.srcs[0], pin);
+                let g = read(tile, op.srcs[1], pin).wrapping_add(op.arg);
+                let (home, local) = self.split_dyn(tile.config, g);
+                tile.dyn_ep.inject(DynMsg {
                     kind: MsgKind::StoreReq,
                     src: self.tile,
                     dest: home,
@@ -374,21 +387,21 @@ impl Processor {
                 self.dyn_state = DynState::WaitStoreAck;
                 self.pc += 1;
             }
-            PInst::Jump(target) => {
-                self.pc = target;
+            PKind::Jump => {
+                self.pc = op.target();
             }
-            PInst::Bnez { cond, target } => {
-                let c = self.read_src(cond, port_in);
-                self.pc = if c != 0 { target } else { self.pc + 1 };
+            PKind::Bnez => {
+                let c = read(tile, op.srcs[0], pin);
+                self.pc = if c != 0 { op.target() } else { self.pc + 1 };
             }
-            PInst::Beqz { cond, target } => {
-                let c = self.read_src(cond, port_in);
-                self.pc = if c == 0 { target } else { self.pc + 1 };
+            PKind::Beqz => {
+                let c = read(tile, op.srcs[0], pin);
+                self.pc = if c == 0 { op.target() } else { self.pc + 1 };
             }
-            PInst::Halt => {
+            PKind::Halt => {
                 self.halted = true;
             }
-            PInst::Nop => {
+            PKind::Nop => {
                 self.pc += 1;
             }
         }
@@ -396,12 +409,7 @@ impl Processor {
         // the port) must reach the switch next cycle, so drain it now unless the
         // port engine already moved a word this cycle.
         if !drained {
-            if let Some(&(when, word)) = self.out_pending.front() {
-                if cycle >= when && port_out.can_write() {
-                    port_out.write(word);
-                    self.out_pending.pop_front();
-                }
-            }
+            self.drain(cycle, tile.chans, pout);
         }
         ProcOutcome::Progress
     }
@@ -419,34 +427,80 @@ fn effective_addr(base: Word, offset: i32) -> i64 {
 mod tests {
     use super::*;
     use crate::asm::ProcAsm;
+    use crate::decode::{Program, Wiring};
+    use crate::isa::{PInst, Src, TileCode};
     use raw_ir::{BinOp, Imm};
 
-    fn run_single(
-        code: Vec<PInst>,
-        max_cycles: u64,
-    ) -> (Processor, Vec<Word>, Channel, Channel, u64) {
-        let config = MachineConfig::grid(1, 1);
-        let mut proc = Processor::new(0, 32);
-        let mut mem = vec![0u32; 1024];
-        let mut pin = Channel::new(4);
-        let mut pout = Channel::new(4);
-        let mut dyn_ep = DynEndpoint::new(16);
-        let mut cycle = 0;
-        while !proc.halted() && cycle < max_cycles {
-            proc.step(
-                &code,
-                cycle,
-                &config,
-                &mut mem,
-                &mut pin,
-                &mut pout,
-                &mut dyn_ep,
-            );
-            pin.commit();
-            pout.commit();
-            cycle += 1;
+    /// One processor wired to two channels (0: switch → processor, 1:
+    /// processor → switch), stepped over the decoded form of `code`.
+    struct Bench {
+        proc: Processor,
+        code: Vec<POp>,
+        regs: Vec<Word>,
+        ready: Vec<u64>,
+        mem: Vec<Word>,
+        chans: Channels,
+        dyn_ep: DynEndpoint,
+        config: MachineConfig,
+    }
+
+    impl Bench {
+        fn new(code: Vec<PInst>, mem_words: usize) -> Bench {
+            let config = MachineConfig::grid(1, 1);
+            let wiring = Wiring {
+                ps: vec![1],
+                sp: vec![0],
+                link_out: vec![[None; 4]],
+                link_in: vec![[None; 4]],
+            };
+            let tiles = [TileCode {
+                proc: code,
+                switch: Vec::new(),
+            }];
+            let prog = Program::decode(&tiles, &wiring, &config);
+            Bench {
+                proc: Processor::new(0, prog.proc_code[0], 0, 1),
+                code: prog.pops,
+                regs: vec![0; 32],
+                ready: vec![0; 32],
+                mem: vec![0; mem_words],
+                chans: Channels::new(2, 4),
+                dyn_ep: DynEndpoint::new(16),
+                config,
+            }
         }
-        (proc, mem, pin, pout, cycle)
+
+        fn step(&mut self, cycle: u64) -> ProcOutcome {
+            let mut tile = TileView {
+                ops: &self.code,
+                regs: &mut self.regs,
+                ready: &mut self.ready,
+                mem: &mut self.mem,
+                chans: &mut self.chans,
+                dyn_ep: &mut self.dyn_ep,
+                config: &self.config,
+            };
+            self.proc.step(&mut tile, cycle)
+        }
+
+        /// Steps until halted (committing both channels every cycle);
+        /// returns the cycle count.
+        fn run(&mut self, max_cycles: u64) -> u64 {
+            let mut cycle = 0;
+            while !self.proc.halted() && cycle < max_cycles {
+                self.step(cycle);
+                self.chans.commit(0);
+                self.chans.commit(1);
+                cycle += 1;
+            }
+            cycle
+        }
+    }
+
+    fn run_single(code: Vec<PInst>, max_cycles: u64) -> (Bench, u64) {
+        let mut bench = Bench::new(code, 1024);
+        let cycles = bench.run(max_cycles);
+        (bench, cycles)
     }
 
     #[test]
@@ -456,9 +510,9 @@ mod tests {
         a.addi(Dst::Reg(2), Src::Reg(1), 2);
         a.store_imm_addr(Src::Reg(2), 8);
         a.halt();
-        let (proc, mem, ..) = run_single(a.finish(), 100);
-        assert!(proc.halted());
-        assert_eq!(mem[8], 42);
+        let (bench, _) = run_single(a.finish(), 100);
+        assert!(bench.proc.halted());
+        assert_eq!(bench.mem[8], 42);
     }
 
     #[test]
@@ -475,8 +529,8 @@ mod tests {
         a.addi(Dst::Reg(2), Src::Reg(1), 0);
         a.store_imm_addr(Src::Reg(2), 0);
         a.halt();
-        let (_, mem, _, _, cycles) = run_single(a.finish(), 100);
-        assert_eq!(mem[0], 42);
+        let (bench, cycles) = run_single(a.finish(), 100);
+        assert_eq!(bench.mem[0], 42);
         // issue mul at 0; add issues at 12; store at 13; halt at 14 → 15 cycles.
         assert_eq!(cycles, 15);
     }
@@ -496,8 +550,8 @@ mod tests {
         a.addi(Dst::Reg(5), Src::Imm(Imm::I(3)), 3);
         a.store_imm_addr(Src::Reg(1), 0);
         a.halt();
-        let (_, mem, _, _, cycles) = run_single(a.finish(), 100);
-        assert_eq!(mem[0], 42);
+        let (bench, cycles) = run_single(a.finish(), 100);
+        assert_eq!(bench.mem[0], 42);
         // store must wait for mul's result at cycle 12, halts at 13 → 14 total.
         assert_eq!(cycles, 14);
     }
@@ -511,53 +565,31 @@ mod tests {
         a.addi(Dst::Reg(3), Src::Reg(2), 1);
         a.store_imm_addr(Src::Reg(3), 4);
         a.halt();
-        let (_, mem, ..) = run_single(a.finish(), 100);
-        assert_eq!(mem[4], 6);
+        let (bench, _) = run_single(a.finish(), 100);
+        assert_eq!(bench.mem[4], 6);
     }
 
     #[test]
     fn port_read_blocks_until_data() {
-        let config = MachineConfig::grid(1, 1);
-        let mut proc = Processor::new(0, 32);
-        let mut mem = vec![0u32; 64];
-        let mut pin = Channel::new(4);
-        let mut pout = Channel::new(4);
-        let mut dyn_ep = DynEndpoint::new(16);
         let mut a = ProcAsm::new();
         a.recv(Dst::Reg(1));
         a.store_imm_addr(Src::Reg(1), 0);
         a.halt();
-        let code = a.finish();
+        let mut bench = Bench::new(a.finish(), 64);
         // Three cycles with no data: all stall.
         for cycle in 0..3 {
-            let out = proc.step(
-                &code,
-                cycle,
-                &config,
-                &mut mem,
-                &mut pin,
-                &mut pout,
-                &mut dyn_ep,
-            );
+            let out = bench.step(cycle);
             assert_eq!(out, ProcOutcome::Stalled(StallReason::ReceiveEmpty));
-            pin.commit();
+            bench.chans.commit(0);
         }
-        pin.write(99);
-        pin.commit();
+        bench.chans.write(0, 99);
+        bench.chans.commit(0);
         for cycle in 3..10 {
-            proc.step(
-                &code,
-                cycle,
-                &config,
-                &mut mem,
-                &mut pin,
-                &mut pout,
-                &mut dyn_ep,
-            );
-            pin.commit();
+            bench.step(cycle);
+            bench.chans.commit(0);
         }
-        assert!(proc.halted());
-        assert_eq!(mem[0], 99);
+        assert!(bench.proc.halted());
+        assert_eq!(bench.mem[0], 99);
     }
 
     #[test]
@@ -572,38 +604,42 @@ mod tests {
         a.bnez(Src::Reg(2), top);
         a.store_imm_addr(Src::Reg(1), 0);
         a.halt();
-        let (_, mem, ..) = run_single(a.finish(), 1000);
-        assert_eq!(mem[0], 5);
+        let (bench, _) = run_single(a.finish(), 1000);
+        assert_eq!(bench.mem[0], 5);
     }
 
     #[test]
     fn halted_processor_drains_pending_sends() {
-        let config = MachineConfig::grid(1, 1);
-        let mut proc = Processor::new(0, 32);
-        let mut mem = vec![0u32; 16];
-        let mut pin = Channel::new(4);
-        let mut pout = Channel::new(4);
-        let mut dyn_ep = DynEndpoint::new(16);
         let mut a = ProcAsm::new();
         a.send(Src::Imm(Imm::I(11)));
         a.halt();
-        let code = a.finish();
-        let mut cycle = 0;
-        while !proc.halted() && cycle < 50 {
-            proc.step(
-                &code,
-                cycle,
-                &config,
-                &mut mem,
-                &mut pin,
-                &mut pout,
-                &mut dyn_ep,
-            );
-            pout.commit();
-            cycle += 1;
-        }
-        assert!(proc.halted());
-        assert_eq!(pout.read(), 11);
+        let mut bench = Bench::new(a.finish(), 16);
+        bench.run(50);
+        assert!(bench.proc.halted());
+        assert_eq!(bench.chans.read(1), 11);
+    }
+
+    #[test]
+    fn a_maturing_send_is_reported_until_it_matures() {
+        // A 12-cycle multiply into the port: the word waits out the latency
+        // in the port engine before it reaches the channel.
+        let mut a = ProcAsm::new();
+        a.bin(
+            BinOp::Mul,
+            Dst::PortOut,
+            Src::Imm(Imm::I(6)),
+            Src::Imm(Imm::I(7)),
+        );
+        a.halt();
+        let mut bench = Bench::new(a.finish(), 16);
+        assert_eq!(bench.step(0), ProcOutcome::Progress);
+        assert_eq!(bench.proc.maturing_send(0), Some(11));
+        assert_eq!(bench.step(1), ProcOutcome::Progress, "the halt issues");
+        assert_eq!(bench.step(2), ProcOutcome::Stalled(StallReason::Scoreboard));
+        assert_eq!(bench.proc.maturing_send(10), Some(11));
+        assert_eq!(bench.proc.maturing_send(11), None);
+        assert_eq!(bench.step(11), ProcOutcome::Progress, "the word drains");
+        assert!(bench.proc.halted());
     }
 
     #[test]
@@ -615,9 +651,12 @@ mod tests {
         a.load(Dst::Reg(3), Src::Reg(2), 8);
         a.store(Src::Reg(3), Src::Reg(2), 10);
         a.halt();
-        let (proc, mem, ..) = run_single(a.finish(), 100);
-        assert!(proc.halted());
-        assert_eq!(mem[7], 77, "-3 + 8 loads word 5, -3 + 10 stores word 7");
+        let (bench, _) = run_single(a.finish(), 100);
+        assert!(bench.proc.halted());
+        assert_eq!(
+            bench.mem[7], 77,
+            "-3 + 8 loads word 5, -3 + 10 stores word 7"
+        );
     }
 
     #[test]

@@ -72,6 +72,48 @@ impl Stats {
     }
 }
 
+/// How much stepping a run took: host-side work, not machine behaviour.
+///
+/// Unlike [`Stats`], these counts differ between the steppers by design —
+/// the reference steps every component every cycle, the production core
+/// only the ones that can act — so they stay out of the oracle's surface
+/// (read them through `Machine::work`). They are exact and deterministic, so
+/// a change to the stepping machinery shows here as an exact count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// Processor steps taken (chaos skips excluded).
+    pub proc_steps: u64,
+    /// Switch steps taken (chaos skips excluded).
+    pub switch_steps: u64,
+    /// Steps right after a wake that stalled again (production core).
+    pub restalls: u64,
+    /// Timers taken off the wheel (production core).
+    pub timers_popped: u64,
+    /// Popped timers whose processor had already moved on.
+    pub timers_stale: u64,
+    /// Channels the commit phase visited: the dirty list under the
+    /// production core, every channel every cycle under the reference.
+    pub channel_commits: u64,
+}
+
+impl std::fmt::Display for WorkCounters {
+    /// `proc_steps=… switch_steps=… restalls=… timers_popped=…
+    /// timers_stale=… channel_commits=…`, one `name=value` field each.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "proc_steps={} switch_steps={} restalls={} timers_popped={} timers_stale={} \
+             channel_commits={}",
+            self.proc_steps,
+            self.switch_steps,
+            self.restalls,
+            self.timers_popped,
+            self.timers_stale,
+            self.channel_commits
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

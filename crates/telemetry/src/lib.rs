@@ -11,8 +11,8 @@
 //!   [`Snapshot`]s. Prometheus text is their one rendering, and
 //!   [`Snapshot::parse_prometheus`] reads it back into an equal snapshot.
 //! * [`span`] — per-request structured [`SpanRecord`]s over the compile
-//!   pipeline, kept in a bounded pre-allocated [`SpanRing`] plus a
-//!   top-K slow-request log.
+//!   pipeline, counted by a [`SpanLog`] that keeps a bounded,
+//!   pre-allocated top-K slow-request log.
 //!
 //! The contract the service relies on (see DESIGN.md §15): recording
 //! never changes what it observes — every recording call is a handful of
@@ -25,4 +25,4 @@ pub mod span;
 
 pub use metrics::{quantile, Buckets, Counter, Histogram};
 pub use registry::{HistSnapshot, MetricKind, Registry, SeriesValue, Snapshot};
-pub use span::{Label, SpanRecord, SpanRing, SPAN_PHASES, SPAN_PHASE_NAMES};
+pub use span::{Label, SpanLog, SpanRecord, SPAN_PHASES, SPAN_PHASE_NAMES};

@@ -3,10 +3,10 @@
 //! A [`SpanRecord`] is a fixed-size, `Copy` summary of one compile
 //! request: who asked, what was compiled (with block cache-key
 //! provenance), how long each pipeline phase took, and how the cache
-//! behaved. Records live in a [`SpanRing`] — a pre-allocated circular
-//! buffer — plus a top-K slow-request log ordered by wall time. Both
-//! structures are bounded at construction: recording a span never
-//! allocates, so a long-lived daemon's span memory is a constant.
+//! behaved. A [`SpanLog`] counts every record and keeps the top-K
+//! slowest, ordered by wall time. The log is bounded at construction:
+//! recording a span never allocates, so a long-lived daemon's span memory
+//! is a constant.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -77,7 +77,7 @@ impl std::fmt::Debug for Label {
 /// Fixed-size summary of one compile request.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SpanRecord {
-    /// Monotone sequence number assigned by the ring at record time.
+    /// Monotone sequence number assigned by the log at record time.
     pub seq: u64,
     /// Client name from the wire request (truncated to 31 bytes).
     pub client: Label,
@@ -103,36 +103,23 @@ pub struct SpanRecord {
     pub error: bool,
 }
 
-struct RingInner {
-    ring: Vec<SpanRecord>,
-    head: usize,
-    len: usize,
-    /// Slow-request log: up to `slow_cap` records sorted by descending
-    /// `wall_us`.
-    slow: Vec<SpanRecord>,
-    slow_cap: usize,
-}
-
-/// Bounded ring of recent spans plus a top-K slow log.
+/// Span count plus a top-K slow-request log.
 ///
-/// All storage is allocated up front; [`SpanRing::record`] takes one
-/// short mutex section and performs no allocation.
-pub struct SpanRing {
-    inner: Mutex<RingInner>,
+/// The log is allocated up front; [`SpanLog::record`] takes one short
+/// mutex section and performs no allocation.
+pub struct SpanLog {
+    /// Up to `slow_cap` records sorted by descending `wall_us`.
+    slow: Mutex<Vec<SpanRecord>>,
+    slow_cap: usize,
     seq: AtomicU64,
 }
 
-impl SpanRing {
-    pub fn new(capacity: usize, slow_capacity: usize) -> Self {
-        assert!(capacity > 0 && slow_capacity > 0, "degenerate span ring");
+impl SpanLog {
+    pub fn new(slow_capacity: usize) -> Self {
+        assert!(slow_capacity > 0, "degenerate slow log");
         Self {
-            inner: Mutex::new(RingInner {
-                ring: vec![SpanRecord::default(); capacity],
-                head: 0,
-                len: 0,
-                slow: Vec::with_capacity(slow_capacity),
-                slow_cap: slow_capacity,
-            }),
+            slow: Mutex::new(Vec::with_capacity(slow_capacity)),
+            slow_cap: slow_capacity,
             seq: AtomicU64::new(0),
         }
     }
@@ -141,44 +128,23 @@ impl SpanRing {
     pub fn record(&self, mut rec: SpanRecord) -> u64 {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         rec.seq = seq;
-        let mut inner = self.inner.lock().unwrap();
-        let cap = inner.ring.len();
-        let head = inner.head;
-        inner.ring[head] = rec;
-        inner.head = (head + 1) % cap;
-        inner.len = (inner.len + 1).min(cap);
-
-        // Slow log: keep the top `slow_cap` by wall time. The vec is
-        // pre-allocated at capacity, so the sorted insert shifts in
-        // place without growing.
-        let full = inner.slow.len() == inner.slow_cap;
-        if !full || rec.wall_us > inner.slow.last().map_or(0, |s| s.wall_us) {
+        // Keep the top `slow_cap` by wall time. The vec is pre-allocated at
+        // capacity, so the sorted insert shifts in place without growing.
+        let mut slow = self.slow.lock().unwrap();
+        let full = slow.len() == self.slow_cap;
+        if !full || rec.wall_us > slow.last().map_or(0, |s| s.wall_us) {
             if full {
-                inner.slow.pop();
+                slow.pop();
             }
-            let at = inner.slow.partition_point(|s| s.wall_us >= rec.wall_us);
-            inner.slow.insert(at, rec);
+            let at = slow.partition_point(|s| s.wall_us >= rec.wall_us);
+            slow.insert(at, rec);
         }
         seq
     }
 
-    /// The most recent spans, newest first, up to `n`.
-    pub fn recent(&self, n: usize) -> Vec<SpanRecord> {
-        let inner = self.inner.lock().unwrap();
-        let cap = inner.ring.len();
-        let take = n.min(inner.len);
-        let mut out = Vec::with_capacity(take);
-        for i in 0..take {
-            // head points at the next write slot; newest is head-1.
-            let idx = (inner.head + cap - 1 - i) % cap;
-            out.push(inner.ring[idx]);
-        }
-        out
-    }
-
     /// The slow-request log, slowest first.
     pub fn slowest(&self) -> Vec<SpanRecord> {
-        self.inner.lock().unwrap().slow.clone()
+        self.slow.lock().unwrap().clone()
     }
 
     /// Total spans ever recorded.
@@ -186,17 +152,8 @@ impl SpanRing {
         self.seq.load(Ordering::Relaxed)
     }
 
-    /// Spans currently resident in the ring (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     pub fn slow_len(&self) -> usize {
-        self.inner.lock().unwrap().slow.len()
+        self.slow.lock().unwrap().len()
     }
 }
 
@@ -224,39 +181,23 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_bounded_and_newest_first() {
-        let ring = SpanRing::new(4, 2);
-        for i in 0..10 {
-            ring.record(span(i));
-        }
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring.total(), 10);
-        let recent = ring.recent(10);
-        assert_eq!(recent.len(), 4);
-        let walls: Vec<u64> = recent.iter().map(|s| s.wall_us).collect();
-        assert_eq!(walls, vec![9, 8, 7, 6]);
-        let seqs: Vec<u64> = recent.iter().map(|s| s.seq).collect();
-        assert_eq!(seqs, vec![9, 8, 7, 6]);
-    }
-
-    #[test]
     fn slow_log_keeps_top_k_sorted() {
-        let ring = SpanRing::new(8, 3);
+        let log = SpanLog::new(3);
         for w in [5, 100, 1, 50, 200, 2, 75] {
-            ring.record(span(w));
+            log.record(span(w));
         }
-        let slow: Vec<u64> = ring.slowest().iter().map(|s| s.wall_us).collect();
+        let slow: Vec<u64> = log.slowest().iter().map(|s| s.wall_us).collect();
         assert_eq!(slow, vec![200, 100, 75]);
-        assert_eq!(ring.slow_len(), 3);
+        assert_eq!(log.slow_len(), 3);
     }
 
     #[test]
     fn slow_log_ties_do_not_displace() {
-        let ring = SpanRing::new(8, 2);
-        ring.record(span(10));
-        ring.record(span(10));
-        ring.record(span(10)); // tie with resident minimum: not inserted
-        let slow = ring.slowest();
+        let log = SpanLog::new(2);
+        log.record(span(10));
+        log.record(span(10));
+        log.record(span(10)); // tie with resident minimum: not inserted
+        let slow = log.slowest();
         assert_eq!(slow.len(), 2);
         assert_eq!(slow[0].seq, 0);
         assert_eq!(slow[1].seq, 1);
@@ -265,13 +206,13 @@ mod tests {
     #[test]
     fn concurrent_recording_stays_bounded() {
         use std::sync::Arc;
-        let ring = Arc::new(SpanRing::new(16, 4));
+        let log = Arc::new(SpanLog::new(4));
         let handles: Vec<_> = (0..4)
             .map(|t| {
-                let ring = ring.clone();
+                let log = log.clone();
                 std::thread::spawn(move || {
                     for i in 0..500u64 {
-                        ring.record(span(t * 1000 + i));
+                        log.record(span(t * 1000 + i));
                     }
                 })
             })
@@ -279,11 +220,10 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(ring.total(), 2000);
-        assert_eq!(ring.len(), 16);
-        assert_eq!(ring.slow_len(), 4);
+        assert_eq!(log.total(), 2000);
+        assert_eq!(log.slow_len(), 4);
         // Top-4 overall walls are 3499, 3498, 3497, 3496.
-        let slow: Vec<u64> = ring.slowest().iter().map(|s| s.wall_us).collect();
+        let slow: Vec<u64> = log.slowest().iter().map(|s| s.wall_us).collect();
         assert_eq!(slow, vec![3499, 3498, 3497, 3496]);
     }
 }

@@ -32,6 +32,30 @@ fn every_workload_matches_reference() {
 }
 
 #[test]
+fn decoded_programs_reencode_losslessly() {
+    // Loading decodes every tile's code into flat op tables (DESIGN.md §8);
+    // re-encoding them must give back the compiled program exactly, for
+    // every suite kernel at every mesh size it is compiled for.
+    for tiles in [1u32, 2, 4, 16, 32] {
+        let config = MachineConfig::square(tiles);
+        for bench in raw_repro::benchmarks::suite() {
+            let program = bench.program(config.n_live()).unwrap();
+            let compiled = compile(&program, &config, &CompilerOptions::default())
+                .unwrap_or_else(|e| panic!("{} at {tiles}: compile: {e}", bench.name));
+            let machine = compiled.instantiate(&program);
+            // Debug text is bit-exact for every immediate but NaN payloads,
+            // and is what `asm_hash` pins.
+            assert_eq!(
+                format!("{:?}", machine.reencode()),
+                format!("{:?}", compiled.machine_program),
+                "{} at {tiles} tiles",
+                bench.name
+            );
+        }
+    }
+}
+
+#[test]
 fn chaos_sweep_matches_reference() {
     // The Appendix-A sweep's stall rates {1, 5, 20, 50}% × 4 seeds on the
     // shapes `static_ordering::chaos_sweep_stall_rates_seeds_and_shapes` leaves

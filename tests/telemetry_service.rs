@@ -4,7 +4,7 @@
 //! surface, and counter/histogram conservation laws. Every scrape is read
 //! back through `Snapshot::parse_prometheus`, the renderer's own inverse.
 
-use raw_repro::cc::service::{serve, Client, ServeOptions, SLOW_LOG_CAPACITY, SPAN_RING_CAPACITY};
+use raw_repro::cc::service::{serve, Client, ServeOptions, SLOW_LOG_CAPACITY};
 use raw_repro::cc::wire::{self, errcode, MetricsFormat, MetricsResponse, StatsResponse};
 use raw_repro::cc::{compile_with_cache, BlockCache, CompilerOptions};
 use raw_repro::ir::Program;
@@ -283,7 +283,6 @@ fn one_session_pins_every_counter() {
         ("rawcc_requests_total{kind=\"metrics\"}", 4),
         // Two served compiles and two that ended in a typed error.
         ("rawcc_slow_log_resident", 4),
-        ("rawcc_spans_resident", 4),
         ("rawcc_spans_total", 4),
         ("rawcc_telemetry_enabled", 1),
     ]
@@ -311,7 +310,7 @@ fn one_session_pins_every_counter() {
     assert_eq!(off.scrape, disabled);
 }
 
-/// 10k+ requests from rotating client names: the span ring, slow log,
+/// 10k+ requests from rotating client names: the slow log,
 /// latency histogram, and per-client table must all stay at their fixed
 /// capacities (the old implementation pushed every latency into an unbounded
 /// `Vec`).
@@ -352,11 +351,6 @@ fn soak_keeps_observability_memory_bounded() {
         gauge("rawcc_spans_total"),
         total as usize,
         "one span per request"
-    );
-    assert_eq!(
-        gauge("rawcc_spans_resident"),
-        SPAN_RING_CAPACITY,
-        "ring at capacity"
     );
     assert!(gauge("rawcc_slow_log_resident") <= SLOW_LOG_CAPACITY);
     let rows = gauge("rawcc_client_rows");
