@@ -144,6 +144,9 @@ stage_test() {
   # Thread invariance is asserted by name (tests/parallel_determinism.rs,
   # golden_snapshots' big-block hashes at 1 and 8 workers), so one run does.
   cargo test --offline --workspace -q
+  # The compiler's word and shift arithmetic once more as it ships: release
+  # builds wrap on overflow and compile out debug assertions.
+  cargo test --offline --release -p rawcc --lib -q
 }
 
 stage_cache_smoke() {

@@ -22,11 +22,10 @@
 
 use crate::layout::{ArrayClass, DataLayout};
 use crate::schedule::{BlockSchedule, TileOp};
-use crate::taskgraph::TaskGraph;
+use crate::taskgraph::{NodeId, Operand, TaskGraph};
 use raw_ir::{Imm, InstKind, MemHome, UnOp, ValueId};
 use raw_machine::isa::{AluOp, Dst, PInst, Src};
 use raw_machine::TileId;
-use std::collections::HashMap;
 
 /// One tile's code for one block, over virtual registers.
 #[derive(Clone, Debug, Default)]
@@ -45,23 +44,24 @@ pub struct TileBlockCode {
     pub n_vregs: u16,
 }
 
-/// One processor op after send/receive folding.
+/// One processor op after send/receive folding. Values are named by the
+/// nodes that compute them.
 #[derive(Clone, Debug)]
 enum GenOp {
     /// Execute a block instruction; `from_port` names a source value consumed
     /// directly from the input port; `to_port` sends the result directly.
     Comp {
-        node: usize,
-        from_port: Option<ValueId>,
+        node: NodeId,
+        from_port: Option<NodeId>,
         to_port: bool,
     },
-    Send(ValueId),
-    Recv(ValueId),
+    Send(NodeId),
+    Recv(NodeId),
 }
 
 /// What one tile's scheduled stream says about one value, gathered in a single
 /// sweep before folding.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct ValueFacts {
     /// Stream position of the first computation defining the value.
     producer: Option<usize>,
@@ -100,11 +100,16 @@ struct ValueFacts {
 /// lie between the producer and `j`. Receives move forwards, and a kept fold
 /// lands before the next port event: the next event after each receive is
 /// fixed once the send phase is done.
+///
+/// `facts` is indexed by node id and must hold only defaults; the entries
+/// this tile touches are reset before returning, so one table serves every
+/// tile of a block.
 fn fold_ops(
     graph: &TaskGraph,
     ops: &[(u64, TileOp)],
-    cond: Option<ValueId>,
+    cond: Option<NodeId>,
     enabled: bool,
+    facts: &mut [ValueFacts],
 ) -> Vec<GenOp> {
     let mut gen: Vec<Option<GenOp>> = ops
         .iter()
@@ -124,19 +129,17 @@ fn fold_ops(
         return gen.into_iter().flatten().collect();
     }
 
-    let mut facts: HashMap<ValueId, ValueFacts> = HashMap::new();
     if let Some(c) = cond {
-        facts.entry(c).or_default().operand_uses += 1;
+        facts[c].operand_uses += 1;
     }
     for (k, op) in ops.iter().enumerate() {
         match op.1 {
             TileOp::Comp(n) => {
-                let inst = &graph.insts[n];
-                if let Some(d) = inst.dst {
-                    facts.entry(d).or_default().producer.get_or_insert(k);
+                if graph.insts[n].dst.is_some() {
+                    facts[n].producer.get_or_insert(k);
                 }
-                for s in inst.sources() {
-                    let f = facts.entry(s).or_default();
+                for s in source_nodes(graph, n) {
+                    let f = &mut facts[s];
                     f.operand_uses += 1;
                     match &mut f.consumer {
                         Some((pos, occurrences)) if *pos == k => *occurrences += 1,
@@ -147,7 +150,7 @@ fn fold_ops(
                     }
                 }
             }
-            TileOp::Send(v) => facts.entry(v).or_default().pending_sends += 1,
+            TileOp::Send(v) => facts[v].pending_sends += 1,
             TileOp::Recv(_) => {}
         }
     }
@@ -161,7 +164,7 @@ fn fold_ops(
     for j in 0..gen.len() {
         match gen[j] {
             Some(GenOp::Send(v)) => {
-                let f = facts.get_mut(&v).expect("every send is counted");
+                let f = &mut facts[v];
                 let fold = f.producer.filter(|&i| {
                     i < j
                         && f.operand_uses + f.pending_sends == 1
@@ -195,9 +198,7 @@ fn fold_ops(
         // itself be eligible (uses v once and carries no other port event).
         // Counting only eligible consumers would silently orphan an
         // ineligible second consumer.
-        let Some(f) = facts.get(&v) else {
-            continue;
-        };
+        let f = &facts[v];
         let Some((j, 1)) = f.consumer.filter(|_| f.n_consumers == 1) else {
             continue;
         };
@@ -216,7 +217,29 @@ fn fold_ops(
         }
     }
 
+    for (_, op) in ops {
+        match *op {
+            TileOp::Comp(n) => {
+                facts[n] = ValueFacts::default();
+                for s in source_nodes(graph, n) {
+                    facts[s] = ValueFacts::default();
+                }
+            }
+            TileOp::Send(v) | TileOp::Recv(v) => facts[v] = ValueFacts::default(),
+        }
+    }
+    if let Some(c) = cond {
+        facts[c] = ValueFacts::default();
+    }
     gen.into_iter().flatten().collect()
+}
+
+/// The nodes whose values node `n` reads (its register and port operands).
+fn source_nodes(graph: &TaskGraph, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    graph.operands[n].iter().filter_map(|op| match op {
+        Some(Operand::Node(d)) => Some(*d),
+        _ => None,
+    })
 }
 
 /// Generates per-tile virtual-register code for one scheduled block.
@@ -235,33 +258,24 @@ pub fn generate(
     // Physical tile count: under a faulty mask, `layout.n_tiles` is the
     // (smaller) live-slot count, but code streams exist per physical tile.
     let n_tiles = schedule.proc_ops.len();
+    let branch_cond = branch_cond.map(|(c, producer)| (graph.def_of[&c], producer));
+    // Node-indexed tables shared by every tile; each tile leaves them clean.
+    let mut facts = vec![ValueFacts::default(); graph.len()];
+    let mut vregs = vec![NO_VREG; graph.len()];
     let mut out = Vec::with_capacity(n_tiles);
     for tile in 0..n_tiles {
         let cond_here =
             branch_cond.and_then(|(c, producer)| (producer.index() == tile).then_some(c));
-        let ops = fold_ops(graph, &schedule.proc_ops[tile], cond_here, fold);
-        let mut gen = TileGen {
-            layout,
-            vregs: HashMap::new(),
-            next_vreg: 0,
-            insts: Vec::new(),
-            shifted: HashMap::new(),
-        };
+        let ops = fold_ops(graph, &schedule.proc_ops[tile], cond_here, fold, &mut facts);
+        let mut gen = TileGen::new(layout, &mut vregs);
         let mut prov: Vec<u32> = Vec::new();
-        let node_of = |v: &ValueId| -> u32 {
-            graph
-                .def_of
-                .get(v)
-                .map(|&n| n as u32)
-                .unwrap_or(crate::provenance::NO_PROV)
-        };
         for op in &ops {
             gen.emit(graph, op);
             let node = match op {
-                GenOp::Comp { node, .. } => *node as u32,
-                GenOp::Send(v) | GenOp::Recv(v) => node_of(v),
+                GenOp::Comp { node, .. } => *node,
+                GenOp::Send(v) | GenOp::Recv(v) => *v,
             };
-            prov.resize(gen.insts.len(), node);
+            prov.resize(gen.insts.len(), node as u32);
         }
         let mut cond_vreg = None;
         if let Some(cond) = cond_here {
@@ -274,37 +288,68 @@ pub fn generate(
                     a: Src::Reg(v),
                     b: Src::Imm(Imm::I(0)),
                 });
-                prov.resize(gen.insts.len(), node_of(&cond));
+                prov.resize(gen.insts.len(), cond as u32);
             }
             cond_vreg = Some(v);
         }
+        let n_vregs = gen.next_vreg;
+        let insts = gen.finish();
         out.push(TileBlockCode {
-            insts: gen.insts,
+            insts,
             prov,
             cond_vreg,
-            n_vregs: gen.next_vreg,
+            n_vregs,
         });
     }
     out
 }
 
+/// No virtual register yet (in [`TileGen`]'s node- and vreg-indexed tables).
+const NO_VREG: u16 = u16::MAX;
+
 struct TileGen<'a> {
     layout: &'a DataLayout,
-    vregs: HashMap<ValueId, u16>,
+    /// Per node: the vreg holding its value on this tile, or [`NO_VREG`].
+    vregs: &'a mut [u16],
+    /// The nodes given a vreg on this tile, so `vregs` can be cleared.
+    named: Vec<NodeId>,
     next_vreg: u16,
     insts: Vec<PInst>,
-    /// Memoized `e0 >> log2 N` results (arithmetic), keyed by the index vreg.
-    shifted: HashMap<u16, u16>,
+    /// Memoized `e0 >> log2 N` results (arithmetic), indexed by the index
+    /// vreg ([`NO_VREG`] = not shifted yet).
+    shifted: Vec<u16>,
+}
+
+impl<'a> TileGen<'a> {
+    /// A generator over `vregs`, which must hold only [`NO_VREG`].
+    fn new(layout: &'a DataLayout, vregs: &'a mut [u16]) -> TileGen<'a> {
+        TileGen {
+            layout,
+            vregs,
+            named: Vec::new(),
+            next_vreg: 0,
+            insts: Vec::new(),
+            shifted: Vec::new(),
+        }
+    }
+
+    /// The tile's code, leaving the shared `vregs` table clean.
+    fn finish(self) -> Vec<PInst> {
+        for &n in &self.named {
+            self.vregs[n] = NO_VREG;
+        }
+        self.insts
+    }
 }
 
 impl TileGen<'_> {
-    fn vreg(&mut self, v: ValueId) -> u16 {
-        if let Some(&r) = self.vregs.get(&v) {
-            return r;
+    fn vreg(&mut self, node: NodeId) -> u16 {
+        if self.vregs[node] != NO_VREG {
+            return self.vregs[node];
         }
-        let r = self.next_vreg;
-        self.next_vreg += 1;
-        self.vregs.insert(v, r);
+        let r = self.fresh();
+        self.vregs[node] = r;
+        self.named.push(node);
         r
     }
 
@@ -345,37 +390,38 @@ impl TileGen<'_> {
     fn emit_comp(
         &mut self,
         graph: &TaskGraph,
-        n: usize,
-        mut from_port: Option<ValueId>,
+        n: NodeId,
+        mut from_port: Option<NodeId>,
         to_port: bool,
     ) {
         let inst = &graph.insts[n];
+        let operands = graph.operands[n];
         // Source resolution: a constant is an immediate; a folded receive
         // supplies one operand directly from the input port (consumed exactly
         // once).
-        let mut src = |gen: &mut Self, v: ValueId| -> Src {
-            if let Some(&imm) = graph.imms.get(&v) {
-                Src::Imm(imm)
-            } else if from_port == Some(v) {
-                from_port = None;
-                Src::PortIn
-            } else {
-                Src::Reg(gen.vreg(v))
+        let mut src = |gen: &mut Self, k: usize| -> Src {
+            match operands[k].expect("the instruction reads this operand") {
+                Operand::Imm(imm) => Src::Imm(imm),
+                Operand::Node(d) if from_port == Some(d) => {
+                    from_port = None;
+                    Src::PortIn
+                }
+                Operand::Node(d) => Src::Reg(gen.vreg(d)),
             }
         };
         // Destination resolution: a folded send writes the output port.
-        let dst = |gen: &mut Self, v: ValueId| -> Dst {
+        let dst = |gen: &mut Self| -> Dst {
             if to_port {
                 Dst::PortOut
             } else {
-                Dst::Reg(gen.vreg(v))
+                Dst::Reg(gen.vreg(n))
             }
         };
         match &inst.kind {
             InstKind::Const(_) => unreachable!("a constant is an operand, not a task"),
-            InstKind::Un(op, s) => {
-                let a = src(self, *s);
-                let d = dst(self, inst.dst.unwrap());
+            InstKind::Un(op, _) => {
+                let a = src(self, 0);
+                let d = dst(self);
                 self.insts.push(PInst::Alu {
                     op: AluOp::Un(*op),
                     dst: d,
@@ -383,10 +429,10 @@ impl TileGen<'_> {
                     b: Src::Imm(Imm::I(0)),
                 });
             }
-            InstKind::Bin(op, l, r) => {
-                let a = src(self, *l);
-                let b = src(self, *r);
-                let d = dst(self, inst.dst.unwrap());
+            InstKind::Bin(op, ..) => {
+                let a = src(self, 0);
+                let b = src(self, 1);
+                let d = dst(self);
                 self.insts.push(PInst::Alu {
                     op: AluOp::Bin(*op),
                     dst: d,
@@ -396,16 +442,16 @@ impl TileGen<'_> {
             }
             InstKind::Load {
                 array,
-                index,
                 offset,
                 home,
+                ..
             } => {
-                let idx = src(self, *index);
+                let idx = src(self, 0);
                 let base = self.layout.array_base(*array);
                 match self.layout.class(*array) {
                     ArrayClass::Static => {
                         let (addr, offset) = self.local_addr(idx, *offset, *home, base);
-                        let d = dst(self, inst.dst.unwrap());
+                        let d = dst(self);
                         self.insts.push(PInst::Load {
                             dst: d,
                             addr,
@@ -413,7 +459,7 @@ impl TileGen<'_> {
                         });
                     }
                     ArrayClass::Dynamic { .. } => {
-                        let d = dst(self, inst.dst.unwrap());
+                        let d = dst(self);
                         self.insts.push(PInst::DLoad {
                             dst: d,
                             gaddr: idx,
@@ -424,13 +470,12 @@ impl TileGen<'_> {
             }
             InstKind::Store {
                 array,
-                index,
                 offset,
-                value,
                 home,
+                ..
             } => {
-                let idx = src(self, *index);
-                let val = src(self, *value);
+                let idx = src(self, 0);
+                let val = src(self, 1);
                 let base = self.layout.array_base(*array);
                 match self.layout.class(*array) {
                     ArrayClass::Static => {
@@ -451,15 +496,15 @@ impl TileGen<'_> {
                 }
             }
             InstKind::ReadVar(v) => {
-                let d = dst(self, inst.dst.unwrap());
+                let d = dst(self);
                 self.insts.push(PInst::Load {
                     dst: d,
                     addr: Src::Imm(Imm::I(self.layout.var_addr(*v) as i32)),
                     offset: 0,
                 });
             }
-            InstKind::WriteVar(v, s) => {
-                let val = src(self, *s);
+            InstKind::WriteVar(v, _) => {
+                let val = src(self, 0);
                 self.insts.push(PInst::Store {
                     value: val,
                     addr: Src::Imm(Imm::I(self.layout.var_addr(*v) as i32)),
@@ -484,7 +529,14 @@ impl TileGen<'_> {
                 let word = (i.to_bits() as i32).wrapping_add(c) >> shift;
                 return (Src::Imm(Imm::I(word)), base as i32);
             }
-            Src::Reg(reg) if self.shifted.contains_key(&reg) => self.shifted[&reg],
+            Src::Reg(reg)
+                if self
+                    .shifted
+                    .get(reg as usize)
+                    .is_some_and(|&t| t != NO_VREG) =>
+            {
+                self.shifted[reg as usize]
+            }
             _ => {
                 let t = self.fresh();
                 self.insts.push(PInst::Alu {
@@ -494,7 +546,11 @@ impl TileGen<'_> {
                     b: Src::Imm(Imm::I(shift as i32)),
                 });
                 if let Src::Reg(reg) = e0 {
-                    self.shifted.insert(reg, t);
+                    let reg = reg as usize;
+                    if reg >= self.shifted.len() {
+                        self.shifted.resize(reg + 1, NO_VREG);
+                    }
+                    self.shifted[reg] = t;
                 }
                 t
             }
@@ -583,13 +639,8 @@ mod tests {
                     for k in [-3, -1, 0, 2] {
                         let e0 = k * ni + (r - c).rem_euclid(ni);
                         let want = i64::from(base) + i64::from((e0 + c).div_euclid(ni));
-                        let mut gen = TileGen {
-                            layout: &layout,
-                            vregs: HashMap::new(),
-                            next_vreg: 1,
-                            insts: Vec::new(),
-                            shifted: HashMap::new(),
-                        };
+                        let mut gen = TileGen::new(&layout, &mut []);
+                        gen.next_vreg = 1;
                         let home = MemHome::Static(r as u32);
                         // e0 in register 0: run the emitted shift, if any.
                         let (addr, imm) = gen.local_addr(Src::Reg(0), c, home, base);
@@ -755,7 +806,7 @@ mod tests {
 
     /// A tile's port events in stream order as `(is_write, value)`. A folded
     /// computation reads its port operand before it writes its result.
-    fn port_values(graph: &TaskGraph, ops: &[GenOp]) -> Vec<(bool, ValueId)> {
+    fn port_values(graph: &TaskGraph, ops: &[GenOp]) -> Vec<(bool, NodeId)> {
         let mut events = Vec::new();
         for op in ops {
             match *op {
@@ -768,7 +819,8 @@ mod tests {
                 } => {
                     events.extend(from_port.map(|v| (false, v)));
                     if to_port {
-                        events.push((true, graph.insts[node].dst.unwrap()));
+                        assert!(graph.insts[node].dst.is_some());
+                        events.push((true, node));
                     }
                 }
             }
@@ -794,14 +846,16 @@ mod tests {
                     let sched = crate::schedule::schedule(&g, &part, &config, &options);
                     let cond = match &block.term {
                         raw_ir::Terminator::Branch { cond, .. } => {
-                            Some((*cond, part.assignment[g.def_of[cond]]))
+                            let node = g.def_of[cond];
+                            Some((node, part.assignment[node]))
                         }
                         _ => None,
                     };
+                    let mut facts = vec![ValueFacts::default(); g.len()];
                     for (tile, ops) in sched.proc_ops.iter().enumerate() {
                         let cond_here = cond.and_then(|(c, t)| (t.index() == tile).then_some(c));
-                        let folded = fold_ops(&g, ops, cond_here, true);
-                        let unfolded = fold_ops(&g, ops, cond_here, false);
+                        let folded = fold_ops(&g, ops, cond_here, true, &mut facts);
+                        let unfolded = fold_ops(&g, ops, cond_here, false, &mut facts);
                         folded_ops += unfolded.len() - folded.len();
                         assert_eq!(
                             port_values(&g, &folded),

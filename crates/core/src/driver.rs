@@ -510,21 +510,6 @@ pub fn compile_block(
         .collect();
     timings.regalloc += phase_start.elapsed();
 
-    // Switch ops resolve to their producing nodes through `def_of`
-    // (block-relative ids; the merge phase rebases them).
-    let switch: Vec<Vec<(Vec<_>, u32)>> = sched
-        .switch_ops
-        .iter()
-        .map(|ops| {
-            ops.iter()
-                .map(|(_, v, pairs)| {
-                    let rec = graph.def_of.get(v).map(|&n| n as u32).unwrap_or(NO_PROV);
-                    (pairs.clone(), rec)
-                })
-                .collect()
-        })
-        .collect();
-
     let report = BlockReport {
         n_nodes: graph.len(),
         n_clusters: part.n_clusters,
@@ -536,6 +521,17 @@ pub fn compile_block(
         lane,
         exact: exact_report,
     };
+    // Switch ops carry their producing nodes (block-relative ids; the merge
+    // phase rebases them).
+    let switch: Vec<Vec<(Vec<_>, u32)>> = sched
+        .switch_ops
+        .into_iter()
+        .map(|ops| {
+            ops.into_iter()
+                .map(|(_, node, pairs)| (pairs, node as u32))
+                .collect()
+        })
+        .collect();
     let bundle = BlockBundle {
         report,
         phys,

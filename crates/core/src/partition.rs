@@ -15,7 +15,7 @@
 //! to that tile during placement.
 
 use crate::options::CompilerOptions;
-use crate::taskgraph::{EdgeKind, TaskGraph};
+use crate::taskgraph::{EdgeKind, Operand, TaskGraph};
 use raw_ir::InstKind;
 use raw_machine::{MachineConfig, TileId};
 
@@ -254,8 +254,8 @@ fn cluster(graph: &TaskGraph) -> Clustering {
                 continue;
             }
             let t = start_in(Some(pc), &cluster_of, &cluster_avail);
-            let register_load = matches!(graph.insts[p].kind,
-                InstKind::Load { index, .. } if !graph.imms.contains_key(&index));
+            let register_load = matches!(graph.insts[p].kind, InstKind::Load { .. })
+                && matches!(graph.operands[p][0], Some(Operand::Node(_)));
             if t < best.1 || (t == best.1 && best.0.is_none() && register_load) {
                 best = (Some(pc), t);
             }

@@ -15,7 +15,6 @@
 
 use raw_ir::Imm;
 use raw_machine::isa::{Dst, PInst, Src};
-use std::collections::HashMap;
 
 /// Reserved temporaries for spill reloads (physical registers 0 and 1).
 const TMP0: u16 = 0;
@@ -112,14 +111,14 @@ pub fn allocate(
     order.sort_by_key(|&v| (start[v], v));
     let mut free: Vec<u16> = (RESERVED..RESERVED + avail).rev().collect();
     let mut active: Vec<usize> = Vec::new(); // vregs, kept sorted by end
-    let mut loc: HashMap<u16, Loc> = HashMap::new();
+    let mut loc: Vec<Option<Loc>> = vec![None; n];
 
     for v in order {
         // Expire.
         active.retain(|&a| {
             if end[a] < start[v] {
-                if let Some(Loc::Phys(p)) = loc.get(&(a as u16)) {
-                    free.push(*p);
+                if let Some(Loc::Phys(p)) = loc[a] {
+                    free.push(p);
                 }
                 false
             } else {
@@ -127,7 +126,7 @@ pub fn allocate(
             }
         });
         if let Some(p) = free.pop() {
-            loc.insert(v as u16, Loc::Phys(p));
+            loc[v] = Some(Loc::Phys(p));
             active.push(v);
         } else {
             // Spill the live range with the furthest end (it or v).
@@ -136,36 +135,31 @@ pub fn allocate(
                 .max_by_key(|&&a| end[a])
                 .expect("no registers and nothing active");
             if end[victim] > end[v] {
-                let p = match loc[&(victim as u16)] {
-                    Loc::Phys(p) => p,
-                    Loc::Spill(_) => unreachable!("active ranges hold registers"),
+                let Some(Loc::Phys(p)) = loc[victim] else {
+                    unreachable!("active ranges hold registers")
                 };
-                loc.insert(victim as u16, Loc::Spill(0)); // slot assigned below
+                loc[victim] = Some(Loc::Spill(0)); // slot assigned below
                 active.retain(|&a| a != victim);
-                loc.insert(v as u16, Loc::Phys(p));
+                loc[v] = Some(Loc::Phys(p));
                 active.push(v);
             } else {
-                loc.insert(v as u16, Loc::Spill(0));
+                loc[v] = Some(Loc::Spill(0));
             }
         }
     }
 
-    // Assign spill slots densely.
+    // Assign spill slots densely, in vreg order.
     let mut slots = 0u32;
-    let mut spilled: Vec<u16> = loc
-        .iter()
-        .filter(|(_, l)| matches!(l, Loc::Spill(_)))
-        .map(|(&v, _)| v)
-        .collect();
-    spilled.sort_unstable();
-    for &v in &spilled {
-        loc.insert(v, Loc::Spill(spill_base + slots));
-        slots += 1;
+    for l in loc.iter_mut() {
+        if let Some(Loc::Spill(addr)) = l {
+            *addr = spill_base + slots;
+            slots += 1;
+        }
     }
-    let n_spilled = spilled.len();
+    let n_spilled = slots as usize;
 
     // Rewrite with reloads and spill stores.
-    let lookup = |v: u16| -> Loc { *loc.get(&v).unwrap_or(&Loc::Phys(RESERVED)) };
+    let lookup = |v: u16| -> Loc { loc[v as usize].unwrap_or(Loc::Phys(RESERVED)) };
     let mut out = Vec::with_capacity(insts.len());
     let mut out_prov: Vec<u32> = Vec::with_capacity(prov.len());
     for (pos, inst) in insts.into_iter().enumerate() {

@@ -18,24 +18,23 @@ use crate::partition::Partition;
 use crate::taskgraph::{EdgeKind, NodeId, TaskGraph};
 use raw_machine::isa::{Dir, SDst, SSrc};
 use raw_machine::{MachineConfig, TileId};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// One slot in a tile processor's schedule.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TileOp {
     /// Execute the block instruction with this task-graph node id.
     Comp(NodeId),
-    /// Send a value (register → output port).
-    Send(raw_ir::ValueId),
-    /// Receive a value (input port → register).
-    Recv(raw_ir::ValueId),
+    /// Send the value this node computes (register → output port).
+    Send(NodeId),
+    /// Receive the value this node computes (input port → register).
+    Recv(NodeId),
 }
 
-/// One tile's switch schedule: `(cycle, routed value, route pairs)` in
-/// increasing cycle order. The value identifies which communication path the
-/// route belongs to (provenance: it resolves to the producing node's source
-/// span).
-pub type TileSwitchOps = Vec<(u64, raw_ir::ValueId, Vec<(SSrc, SDst)>)>;
+/// One tile's switch schedule: `(cycle, producing node, route pairs)` in
+/// increasing cycle order. The node names the communication path the route
+/// belongs to (provenance: the producer's source span).
+pub type TileSwitchOps = Vec<(u64, NodeId, Vec<(SSrc, SDst)>)>;
 
 /// Kind of a predicted processor slot (condensed from [`TileOp`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,20 +124,59 @@ impl BlockSchedule {
     }
 }
 
-#[derive(Clone, Debug)]
-enum Task {
-    Comp(NodeId),
-    Comm {
-        value: raw_ir::ValueId,
-        src: TileId,
-        dsts: Vec<TileId>,
-    },
+/// One communication path: the value of `node`, sent from its tile `src` to
+/// the tiles `dsts` (a range of the scheduler's flat destination list,
+/// ascending by tile).
+struct Comm {
+    node: NodeId,
+    src: TileId,
+    dsts: std::ops::Range<usize>,
+}
+
+/// Task successor lists in one flat array: task `t`'s are
+/// `list[start[t]..start[t + 1]]`.
+struct Adjacency {
+    start: Vec<usize>,
+    list: Vec<usize>,
+}
+
+impl Adjacency {
+    fn of(&self, t: usize) -> &[usize] {
+        &self.list[self.start[t]..self.start[t + 1]]
+    }
+
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Packs `edges` (each `(from, to)`, in any order) over `n` tasks, keeping
+    /// each task's successors in edge order.
+    fn from_edges(n: usize, edges: &[(usize, usize)]) -> Adjacency {
+        let mut start = vec![0usize; n + 1];
+        for &(from, _) in edges {
+            start[from + 1] += 1;
+        }
+        for t in 0..n {
+            start[t + 1] += start[t];
+        }
+        let mut fill = start.clone();
+        let mut list = vec![0usize; edges.len()];
+        for &(from, to) in edges {
+            list[fill[from]] = to;
+            fill[from] += 1;
+        }
+        Adjacency { start, list }
+    }
 }
 
 /// Bound on how far the scheduler searches for a feasible path start time.
 const SEARCH_LIMIT: u64 = 1 << 20;
 
 /// Schedules one partitioned block.
+///
+/// Task ids `0..graph.len()` are the computations (task `n` is node `n`);
+/// `graph.len() + c` is communication path `c`. Every per-value table is a
+/// `Vec` indexed by node id.
 pub fn schedule(
     graph: &TaskGraph,
     partition: &Partition,
@@ -155,228 +193,217 @@ pub fn schedule(
     if graph.is_empty() {
         return out;
     }
+    let n = graph.len();
+    let tile_of = &partition.assignment;
 
-    // ---- Build the task list: one Comp per node, one Comm per value with
-    // remote consumers.
-    let mut tasks: Vec<Task> = (0..graph.len()).map(Task::Comp).collect();
-    // comm_of[node] = task id of the node's outgoing comm path (dense vector,
-    // `usize::MAX` = none — node ids index it directly on the hot path).
+    // ---- One communication path per node with remote data consumers.
     const NO_COMM: usize = usize::MAX;
-    let mut comm_of: Vec<usize> = vec![NO_COMM; graph.len()];
-    for (n, slot) in comm_of.iter_mut().enumerate() {
-        let Some(v) = graph.insts[n].dst else {
+    let mut comm_of: Vec<usize> = vec![NO_COMM; n];
+    let mut comms: Vec<Comm> = Vec::new();
+    let mut dst_tiles: Vec<TileId> = Vec::new();
+    let mut scratch: Vec<TileId> = Vec::new();
+    for node in 0..n {
+        let src = tile_of[node];
+        scratch.clear();
+        scratch.extend(
+            graph.succs[node]
+                .iter()
+                .filter(|&&(_, k)| k == EdgeKind::Data)
+                .map(|&(s, _)| tile_of[s])
+                .filter(|&t| t != src),
+        );
+        if scratch.is_empty() {
             continue;
-        };
-        let src = partition.assignment[n];
-        let mut dsts: Vec<TileId> = graph.succs[n]
-            .iter()
-            .filter(|&&(_, k)| k == EdgeKind::Data)
-            .map(|&(s, _)| partition.assignment[s])
-            .filter(|&t| t != src)
-            .collect();
-        dsts.sort();
-        dsts.dedup();
-        if !dsts.is_empty() {
-            tasks.push(Task::Comm {
-                value: v,
-                src,
-                dsts,
-            });
-            *slot = tasks.len() - 1;
         }
+        scratch.sort_unstable();
+        scratch.dedup();
+        let at = dst_tiles.len();
+        dst_tiles.extend_from_slice(&scratch);
+        comm_of[node] = n + comms.len();
+        comms.push(Comm {
+            node,
+            src,
+            dsts: at..dst_tiles.len(),
+        });
     }
-    out.n_comm_paths = tasks.len() - graph.len();
-
-    // ---- Task dependency edges.
-    let n_tasks = tasks.len();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n_tasks];
-    let mut n_preds: Vec<usize> = vec![0; n_tasks];
-    let add_dep =
-        |from: usize, to: usize, succs: &mut Vec<Vec<usize>>, n_preds: &mut Vec<usize>| {
-            if !succs[from].contains(&to) {
-                succs[from].push(to);
-                n_preds[to] += 1;
-            }
-        };
-    for n in 0..graph.len() {
-        if comm_of[n] != NO_COMM {
-            add_dep(n, comm_of[n], &mut succs, &mut n_preds);
-        }
-        for &(p, kind) in &graph.preds[n] {
-            match kind {
-                EdgeKind::Order => add_dep(p, n, &mut succs, &mut n_preds),
-                EdgeKind::Data => {
-                    if partition.assignment[p] == partition.assignment[n] {
-                        add_dep(p, n, &mut succs, &mut n_preds);
-                    } else {
-                        let c = comm_of[p];
-                        debug_assert_ne!(c, NO_COMM, "remote data edge must have a comm path");
-                        add_dep(c, n, &mut succs, &mut n_preds);
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- Priorities: level + fertility over the task DAG.
-    let weight = |t: &Task| -> u64 {
-        match t {
-            Task::Comp(n) => graph.costs[*n] as u64,
-            Task::Comm { src, dsts, .. } => {
-                let max_hops = dsts
-                    .iter()
-                    .map(|&d| config.hops(*src, d))
-                    .max()
-                    .unwrap_or(0);
-                2 + max_hops as u64
-            }
-        }
+    out.n_comm_paths = comms.len();
+    let n_tasks = n + comms.len();
+    // Where a remote consumer on `tile` reads the value of `node`.
+    let dst_slot = |node: NodeId, tile: TileId| -> usize {
+        let range = comms[comm_of[node] - n].dsts.clone();
+        let k = dst_tiles[range.clone()]
+            .binary_search(&tile)
+            .expect("a remote consumer's tile is a destination of its comm path");
+        range.start + k
     };
-    let topo = topo_order(&succs, &n_preds);
+
+    // ---- Task dependency edges. The graph has at most one edge per node
+    // pair and a task stands for a distinct node (itself, or the path of a
+    // remote data edge's producer), so no edge repeats.
+    let mut edges: Vec<(usize, usize)> = Vec::with_capacity(n_tasks);
+    let mut n_preds: Vec<usize> = vec![0; n_tasks];
+    for node in 0..n {
+        if comm_of[node] != NO_COMM {
+            edges.push((node, comm_of[node]));
+            n_preds[comm_of[node]] = 1;
+        }
+        for &(p, kind) in &graph.preds[node] {
+            let from = match kind {
+                EdgeKind::Data if tile_of[p] != tile_of[node] => comm_of[p],
+                _ => p,
+            };
+            edges.push((from, node));
+        }
+        n_preds[node] = graph.preds[node].len();
+    }
+    let succs = Adjacency::from_edges(n_tasks, &edges);
+    drop(edges);
+
+    // ---- Priorities: level + fertility over the task DAG. Program order
+    // with each node's path right after it is a topological order: data
+    // and order edges only ever point forward.
+    let mut topo: Vec<usize> = Vec::with_capacity(n_tasks);
+    for (node, &comm) in comm_of.iter().enumerate() {
+        topo.push(node);
+        if comm != NO_COMM {
+            topo.push(comm);
+        }
+    }
+    let weight = |t: usize| -> u64 {
+        if t < n {
+            return graph.costs[t] as u64;
+        }
+        let c = &comms[t - n];
+        let max_hops = dst_tiles[c.dsts.clone()]
+            .iter()
+            .map(|&d| config.hops(c.src, d))
+            .max()
+            .unwrap_or(0);
+        2 + max_hops as u64
+    };
     let mut level = vec![0u64; n_tasks];
     for &t in topo.iter().rev() {
-        let down = succs[t].iter().map(|&s| level[s]).max().unwrap_or(0);
-        level[t] = weight(&tasks[t]) + down;
+        let down = succs.of(t).iter().map(|&s| level[s]).max().unwrap_or(0);
+        level[t] = weight(t) + down;
     }
     let fertility = match options.priority {
         PriorityScheme::LevelFertility => descendants(&succs, &n_preds, &topo),
         PriorityScheme::LevelOnly | PriorityScheme::SourceOrder => vec![0u64; n_tasks],
     };
-    let priority = move |t: usize| match options.priority {
+    drop(topo);
+    let priority = |t: usize| match options.priority {
         // Source order: constant priority; the deterministic tie-break on the
         // smallest task id makes the ready list issue in program order.
         PriorityScheme::SourceOrder => 0,
         _ => level[t] * 8 + fertility[t],
     };
+    // The ready list issues the highest priority first, the smallest task id
+    // among equals: rank every task in that order once, and keep the ready
+    // tasks as a set of ranks.
+    let mut by_rank: Vec<u128> = (0..n_tasks)
+        .map(|t| (u128::from(!priority(t)) << 64) | t as u128)
+        .collect();
+    by_rank.sort_unstable();
+    let mut rank = vec![0usize; n_tasks];
+    for (r, &key) in by_rank.iter().enumerate() {
+        rank[key as u64 as usize] = r;
+    }
+    drop((level, fertility));
 
     // ---- Greedy list scheduling.
     let mut proc_busy: Vec<SlotTable> = vec![SlotTable::default(); n_tiles];
     let mut switch_busy: Vec<SlotTable> = vec![SlotTable::default(); n_tiles];
-    // value_ready[tile * n_values + value] = first cycle a consumer on `tile`
-    // may issue (dense matrix, `u64::MAX` = not produced there). The event
-    // loop reads this once per data predecessor, so it must be an index, not
-    // a hash lookup.
-    const NOT_READY: u64 = u64::MAX;
-    let n_values = graph
-        .insts
-        .iter()
-        .filter_map(|i| i.dst)
-        .map(|v| v.index() + 1)
-        .max()
-        .unwrap_or(0);
-    let mut value_ready: Vec<u64> = vec![NOT_READY; n_tiles * n_values];
-    let ready_idx = |tile: TileId, v: raw_ir::ValueId| tile.index() * n_values + v.index();
-    let mut issue: Vec<u64> = vec![0; n_tasks];
-    let mut remaining = n_preds.clone();
-    let mut heap: BinaryHeap<(u64, std::cmp::Reverse<usize>)> = (0..n_tasks)
-        .filter(|&t| remaining[t] == 0)
-        .map(|t| (priority(t), std::cmp::Reverse(t)))
-        .collect();
+    // ready[node]: first cycle a consumer on the node's own tile may issue;
+    // dst_ready[k]: the same on destination `dst_tiles[k]` of the node's
+    // path. Each is written when its producer (or path) is scheduled, before
+    // any consumer can be.
+    let mut ready: Vec<u64> = vec![0; n];
+    let mut dst_ready: Vec<u64> = vec![0; dst_tiles.len()];
+    // The slot each node's operation issues in (order edges wait on it).
+    let mut issue: Vec<u64> = vec![0; n];
+    let mut remaining = n_preds;
+    let mut ready_list = RankSet::new(n_tasks);
+    for t in (0..n_tasks).filter(|&t| remaining[t] == 0) {
+        ready_list.insert(rank[t]);
+    }
+    let mut tree = MulticastTree::default();
     let mut scheduled = 0usize;
 
-    while let Some((_, std::cmp::Reverse(tid))) = heap.pop() {
+    while let Some(r) = ready_list.pop_min() {
+        let tid = by_rank[r] as u64 as usize;
         scheduled += 1;
-        match &tasks[tid] {
-            &Task::Comp(n) => {
-                let tile = partition.assignment[n];
-                let mut t0 = 0u64;
-                for &(p, kind) in &graph.preds[n] {
-                    match kind {
-                        EdgeKind::Order => t0 = t0.max(issue[p] + 1),
-                        EdgeKind::Data => {
-                            let v = graph.insts[p].dst.expect("data edge has a value");
-                            let ready = value_ready[ready_idx(tile, v)];
-                            debug_assert_ne!(ready, NOT_READY, "consumer before producer");
-                            t0 = t0.max(ready);
-                        }
-                    }
-                }
-                // Instruction selection may prepend address arithmetic: find a
-                // run of `1 + extra` consecutive free slots, with the memory
-                // operation itself in the last one.
-                let extra = graph.extra_slots[n] as u64;
-                let busy = &mut proc_busy[tile.index()];
-                let mut t = t0;
-                loop {
-                    t = busy.first_free(t);
-                    if (1..=extra).all(|k| !busy.contains(t + k)) {
-                        break;
-                    }
-                    t += 1;
-                }
-                for k in 0..=extra {
-                    busy.insert(t + k);
-                }
-                let op_slot = t + extra;
-                out.proc_ops[tile.index()].push((t, TileOp::Comp(n)));
-                issue[tid] = op_slot;
-                if let Some(v) = graph.insts[n].dst {
-                    value_ready[ready_idx(tile, v)] = op_slot + graph.costs[n] as u64;
-                }
-                out.makespan = out.makespan.max(op_slot + graph.costs[n] as u64);
+        if tid < n {
+            let node = tid;
+            let tile = tile_of[node];
+            let mut t0 = 0u64;
+            for &(p, kind) in &graph.preds[node] {
+                t0 = t0.max(match kind {
+                    EdgeKind::Order => issue[p] + 1,
+                    EdgeKind::Data if tile_of[p] == tile => ready[p],
+                    EdgeKind::Data => dst_ready[dst_slot(p, tile)],
+                });
             }
-            Task::Comm { value, src, dsts } => {
-                let (value, src) = (*value, *src);
-                let tree = MulticastTree::build(config, src, dsts);
-                let t0 = value_ready[ready_idx(src, value)];
-                debug_assert_ne!(t0, NOT_READY, "comm path before producer");
-                // The earliest start with every slot free. A busy slot rules
-                // out every start that would still land on it, so the search
-                // jumps to the first start that moves it onto a free one.
-                let mut t = t0;
-                'search: loop {
-                    // Send slot.
-                    let free = proc_busy[src.index()].first_free(t);
-                    if free != t {
-                        t = free;
-                        continue;
-                    }
-                    // Switch slots along the tree.
-                    for node in &tree.nodes {
-                        let cycle = t + 1 + node.depth;
-                        let free = switch_busy[node.tile.index()].first_free(cycle);
-                        if free != cycle {
-                            t += free - cycle;
-                            continue 'search;
-                        }
-                    }
-                    // Receive slots at exact arrival cycles.
-                    for node in tree.nodes.iter().filter(|n| n.deliver) {
-                        let arr = t + node.depth + 2;
-                        let free = proc_busy[node.tile.index()].first_free(arr);
-                        if free != arr {
-                            t += free - arr;
-                            continue 'search;
-                        }
-                    }
-                    break;
+            // Instruction selection may prepend address arithmetic: find a
+            // run of `1 + extra` consecutive free slots, with the memory
+            // operation itself in the last one.
+            let extra = graph.extra_slots[node] as u64;
+            let busy = &proc_busy[tile.index()];
+            let t = earliest_start(t0, || (0..=extra).map(move |k| (busy, k)));
+            let busy = &mut proc_busy[tile.index()];
+            for k in 0..=extra {
+                busy.insert(t + k);
+            }
+            let op_slot = t + extra;
+            out.proc_ops[tile.index()].push((t, TileOp::Comp(node)));
+            issue[node] = op_slot;
+            ready[node] = op_slot + graph.costs[node] as u64;
+            out.makespan = out.makespan.max(ready[node]);
+        } else {
+            let Comm {
+                node,
+                src,
+                ref dsts,
+            } = comms[tid - n];
+            tree.rebuild(config, src, &dst_tiles[dsts.clone()]);
+            let t0 = ready[node];
+            // The earliest start with every slot free: the send at `t`, each
+            // switch at `t + 1 + depth`, each receive at `t + depth + 2`.
+            let (procs, switches, nodes) = (&proc_busy, &switch_busy, &tree.nodes);
+            let t = earliest_start(t0, move || {
+                let send = std::iter::once((&procs[src.index()], 0));
+                let routes = nodes
+                    .iter()
+                    .map(move |tn| (&switches[tn.tile.index()], 1 + tn.depth));
+                let recvs = nodes
+                    .iter()
+                    .filter(|tn| tn.deliver)
+                    .map(move |tn| (&procs[tn.tile.index()], tn.depth + 2));
+                send.chain(routes).chain(recvs)
+            });
+            assert!(
+                t - t0 < SEARCH_LIMIT,
+                "no feasible slot for comm path of node {node}"
+            );
+            // Reserve everything.
+            proc_busy[src.index()].insert(t);
+            out.proc_ops[src.index()].push((t, TileOp::Send(node)));
+            for tn in &tree.nodes {
+                let cycle = t + 1 + tn.depth;
+                switch_busy[tn.tile.index()].insert(cycle);
+                out.switch_ops[tn.tile.index()].push((cycle, node, tn.pairs()));
+                if tn.deliver {
+                    let arr = t + tn.depth + 2;
+                    proc_busy[tn.tile.index()].insert(arr);
+                    out.proc_ops[tn.tile.index()].push((arr, TileOp::Recv(node)));
+                    dst_ready[dst_slot(node, tn.tile)] = arr + 1;
+                    out.makespan = out.makespan.max(arr + 1);
                 }
-                assert!(
-                    t - t0 < SEARCH_LIMIT,
-                    "no feasible slot for comm path of {value}"
-                );
-                // Reserve everything.
-                proc_busy[src.index()].insert(t);
-                out.proc_ops[src.index()].push((t, TileOp::Send(value)));
-                for node in &tree.nodes {
-                    let cycle = t + 1 + node.depth;
-                    switch_busy[node.tile.index()].insert(cycle);
-                    out.switch_ops[node.tile.index()].push((cycle, value, node.pairs()));
-                    if node.deliver {
-                        let arr = t + node.depth + 2;
-                        proc_busy[node.tile.index()].insert(arr);
-                        out.proc_ops[node.tile.index()].push((arr, TileOp::Recv(value)));
-                        value_ready[ready_idx(node.tile, value)] = arr + 1;
-                        out.makespan = out.makespan.max(arr + 1);
-                    }
-                }
-                issue[tid] = t;
             }
         }
-        for &s in &succs[tid] {
+        for &s in succs.of(tid) {
             remaining[s] -= 1;
             if remaining[s] == 0 {
-                heap.push((priority(s), std::cmp::Reverse(s)));
+                ready_list.insert(rank[s]);
             }
         }
     }
@@ -385,13 +412,79 @@ pub fn schedule(
         "task DAG must be acyclic and connected to roots"
     );
 
+    // Each lane books a cycle at most once, so the keys are unique and an
+    // unstable sort orders them exactly as a stable one would.
     for ops in &mut out.proc_ops {
-        ops.sort_by_key(|(t, _)| *t);
+        ops.sort_unstable_by_key(|(t, _)| *t);
     }
     for ops in &mut out.switch_ops {
-        ops.sort_by_key(|(t, ..)| *t);
+        ops.sort_unstable_by_key(|(t, ..)| *t);
     }
     out
+}
+
+/// A set of ranks `0..n` with O(1) insert and a smallest-first pop: one bit
+/// per rank, and one summary bit per nonzero word.
+struct RankSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+    /// No summary word below this one is nonzero.
+    first: usize,
+}
+
+impl RankSet {
+    fn new(n: usize) -> RankSet {
+        let words = n.div_ceil(64);
+        RankSet {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+            first: 0,
+        }
+    }
+
+    fn insert(&mut self, r: usize) {
+        let w = r / 64;
+        self.words[w] |= 1 << (r % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+        self.first = self.first.min(w / 64);
+    }
+
+    fn pop_min(&mut self) -> Option<usize> {
+        while self.summary.get(self.first)? == &0 {
+            self.first += 1;
+        }
+        let w = self.first * 64 + self.summary[self.first].trailing_zeros() as usize;
+        let bit = self.words[w].trailing_zeros() as usize;
+        self.words[w] &= self.words[w] - 1;
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+        Some(w * 64 + bit)
+    }
+}
+
+/// The earliest start `t >= t0` at which every lane `(table, offset)` that
+/// `lanes()` yields is free at cycle `t + offset`: the minimal feasible start,
+/// tested 64 candidates at a time by ANDing each lane's free bits shifted by
+/// its offset.
+fn earliest_start<'a, L>(t0: u64, lanes: impl Fn() -> L) -> u64
+where
+    L: Iterator<Item = (&'a SlotTable, u64)>,
+{
+    let mut t = t0;
+    loop {
+        let mut feasible = !0u64;
+        for (table, offset) in lanes() {
+            feasible &= table.free_window(t + offset);
+            if feasible == 0 {
+                break;
+            }
+        }
+        if feasible != 0 {
+            return t + u64::from(feasible.trailing_zeros());
+        }
+        t += 64;
+    }
 }
 
 /// Structural validation of a [`BlockSchedule`] against the scheduling model:
@@ -428,8 +521,8 @@ pub fn validate(
     // ---- Single-issue per tile: collect busy processor slots, expanding each
     // computation to its `extra + 1` consecutive slots.
     let mut comp_slot: Vec<Option<u64>> = vec![None; graph.len()];
-    let mut sends: HashMap<raw_ir::ValueId, u64> = HashMap::new();
-    let mut recvs: HashMap<raw_ir::ValueId, Vec<(TileId, u64)>> = HashMap::new();
+    let mut sends: Vec<Option<u64>> = vec![None; graph.len()];
+    let mut recvs: Vec<Vec<(TileId, u64)>> = vec![Vec::new(); graph.len()];
     for (tile, ops) in sched.proc_ops.iter().enumerate() {
         let mut busy: HashSet<u64> = HashSet::new();
         let mut reserve = |from: u64, to: u64| -> Result<(), String> {
@@ -455,16 +548,13 @@ pub fn validate(
                     reserve(*t, *t + graph.extra_slots[*n] as u64)?;
                 }
                 TileOp::Send(v) => {
-                    if sends.insert(*v, *t).is_some() {
-                        return Err(format!("{v} sent twice"));
+                    if sends[*v].replace(*t).is_some() {
+                        return Err(format!("value of node {v} sent twice"));
                     }
                     reserve(*t, *t)?;
                 }
                 TileOp::Recv(v) => {
-                    recvs
-                        .entry(*v)
-                        .or_default()
-                        .push((TileId::from_raw(tile as u32), *t));
+                    recvs[*v].push((TileId::from_raw(tile as u32), *t));
                     reserve(*t, *t)?;
                 }
             }
@@ -477,17 +567,17 @@ pub fn validate(
     }
     // ---- Operand readiness per (tile, value): producer completion locally,
     // arrival + 1 remotely.
-    let mut ready: HashMap<(usize, raw_ir::ValueId), u64> = HashMap::new();
+    let mut ready: HashMap<(usize, NodeId), u64> = HashMap::new();
     for (n, slot) in comp_slot.iter().enumerate() {
-        if let Some(v) = graph.insts[n].dst {
+        if graph.insts[n].dst.is_some() {
             let tile = partition.assignment[n].index();
             let op_slot = slot.unwrap() + graph.extra_slots[n] as u64;
-            ready.insert((tile, v), op_slot + graph.costs[n] as u64);
+            ready.insert((tile, n), op_slot + graph.costs[n] as u64);
         }
     }
-    for (v, arrivals) in &recvs {
+    for (v, arrivals) in recvs.iter().enumerate() {
         for &(tile, arr) in arrivals {
-            ready.insert((tile.index(), *v), arr + 1);
+            ready.insert((tile.index(), v), arr + 1);
         }
     }
     // ---- Dependence edges.
@@ -504,20 +594,19 @@ pub fn validate(
                         ));
                     }
                 }
-                EdgeKind::Data => {
-                    let v = graph.insts[p].dst.expect("data edge has a value");
-                    match ready.get(&(tile, v)) {
-                        None => {
-                            return Err(format!("node {n} consumes {v} never made ready"));
-                        }
-                        Some(&r) if r > t_n => {
-                            return Err(format!(
-                                "node {n} issues at {t_n} before {v} ready at {r}"
-                            ));
-                        }
-                        _ => {}
+                EdgeKind::Data => match ready.get(&(tile, p)) {
+                    None => {
+                        return Err(format!(
+                            "node {n} consumes node {p}'s value, never made ready"
+                        ));
                     }
-                }
+                    Some(&r) if r > t_n => {
+                        return Err(format!(
+                            "node {n} issues at {t_n} before node {p}'s value is ready at {r}"
+                        ));
+                    }
+                    _ => {}
+                },
             }
         }
     }
@@ -527,7 +616,7 @@ pub fn validate(
     // Each lane's `(cycle, value)` routes, sorted for binary search: the same
     // answer as scanning the lane, whatever order the schedule under audit
     // left it in.
-    let routed: Vec<Vec<(u64, raw_ir::ValueId)>> = sched
+    let routed: Vec<Vec<(u64, NodeId)>> = sched
         .switch_ops
         .iter()
         .map(|lane| {
@@ -536,14 +625,18 @@ pub fn validate(
             keys
         })
         .collect();
-    for (v, arrivals) in &recvs {
-        let producer = *graph.def_of.get(v).ok_or(format!("{v} has no producer"))?;
-        let src = partition.assignment[producer];
-        let Some(&t_send) = sends.get(v) else {
-            return Err(format!("{v} received but never sent"));
+    for (v, arrivals) in recvs.iter().enumerate() {
+        if arrivals.is_empty() {
+            continue;
+        }
+        let src = partition.assignment[v];
+        let Some(t_send) = sends[v] else {
+            return Err(format!("value of node {v} received but never sent"));
         };
-        if ready.get(&(src.index(), *v)).is_none_or(|&r| r > t_send) {
-            return Err(format!("{v} sent at {t_send} before it is produced"));
+        if ready.get(&(src.index(), v)).is_none_or(|&r| r > t_send) {
+            return Err(format!(
+                "value of node {v} sent at {t_send} before it is produced"
+            ));
         }
         let mut dsts: Vec<TileId> = arrivals.iter().map(|&(t, _)| t).collect();
         dsts.sort();
@@ -552,11 +645,11 @@ pub fn validate(
         for node in &tree.nodes {
             let cycle = t_send + 1 + node.depth;
             if routed[node.tile.index()]
-                .binary_search(&(cycle, *v))
+                .binary_search(&(cycle, v))
                 .is_err()
             {
                 return Err(format!(
-                    "{v}: no route on switch {:?} at cycle {cycle}",
+                    "value of node {v}: no route on switch {:?} at cycle {cycle}",
                     node.tile
                 ));
             }
@@ -565,7 +658,7 @@ pub fn validate(
                 let arr = t_send + node.depth + 2;
                 if !arrivals.iter().any(|&(t, c)| t == node.tile && c == arr) {
                     return Err(format!(
-                        "{v}: no receive on tile {:?} at arrival cycle {arr}",
+                        "value of node {v}: no receive on tile {:?} at arrival cycle {arr}",
                         node.tile
                     ));
                 }
@@ -594,7 +687,7 @@ pub fn validate(
         let op_slot = slot.unwrap() + graph.extra_slots[n] as u64;
         last = last.max(op_slot + graph.costs[n] as u64);
     }
-    for arrivals in recvs.values() {
+    for arrivals in &recvs {
         for &(_, arr) in arrivals {
             last = last.max(arr + 1);
         }
@@ -608,50 +701,106 @@ pub fn validate(
     Ok(())
 }
 
-fn topo_order(succs: &[Vec<usize>], n_preds: &[usize]) -> Vec<usize> {
-    let mut remaining = n_preds.to_vec();
-    let mut stack: Vec<usize> = (0..succs.len()).filter(|&t| remaining[t] == 0).collect();
-    let mut order = Vec::with_capacity(succs.len());
-    while let Some(t) = stack.pop() {
-        order.push(t);
-        for &s in &succs[t] {
-            remaining[s] -= 1;
-            if remaining[s] == 0 {
-                stack.push(s);
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), succs.len());
-    order
-}
-
-/// Exact descendant counts via bitsets over the task DAG.
+/// Exact descendant counts via bitsets over the task DAG, given any
+/// topological order `topo` of its tasks.
 ///
-/// Only the frontier of the reverse topological sweep is resident: a task's
-/// reach set is dropped as soon as its last predecessor has ORed it in, and a
+/// A task's reach set holds topological positions, all after its own, in a
+/// window of words from its first successor's position to its last
+/// descendant's: a task whose descendants sit close by in the order costs
+/// words for those alone. A task with one successor `s` counts `1 + |reach(s)|`
+/// with no popcount, and takes over `s`'s set when it is `s`'s last reader.
+/// Only the frontier of the reverse sweep is resident: a reach set goes back
+/// to the buffer pool as soon as its last predecessor has read it, and a
 /// root's is never kept.
-fn descendants(succs: &[Vec<usize>], n_preds: &[usize], topo: &[usize]) -> Vec<u64> {
+fn descendants(succs: &Adjacency, n_preds: &[usize], topo: &[usize]) -> Vec<u64> {
+    #[derive(Default)]
+    struct Window {
+        /// Word index of `words[0]` among the positions.
+        base: usize,
+        words: Vec<u64>,
+    }
     let n = succs.len();
-    let words = n.div_ceil(64);
-    let mut reach: Vec<Vec<u64>> = vec![Vec::new(); n];
+    let mut pos = vec![0usize; n];
+    for (i, &t) in topo.iter().enumerate() {
+        pos[t] = i;
+    }
+    let mut reach: Vec<Window> = (0..n).map(|_| Window::default()).collect();
+    let mut pool: Vec<Vec<u64>> = Vec::new();
     let mut unread = n_preds.to_vec();
     let mut counts = vec![0u64; n];
     for &t in topo.iter().rev() {
+        let ss = succs.of(t);
+        if let [s] = *ss {
+            counts[t] = counts[s] + 1;
+            unread[s] -= 1;
+            let last_reader = unread[s] == 0;
+            if n_preds[t] == 0 {
+                if last_reader {
+                    pool.push(std::mem::take(&mut reach[s].words));
+                }
+                continue;
+            }
+            let mut win = if last_reader {
+                std::mem::take(&mut reach[s])
+            } else {
+                let mut words = pool.pop().unwrap_or_default();
+                words.clear();
+                words.extend_from_slice(&reach[s].words);
+                Window {
+                    base: reach[s].base,
+                    words,
+                }
+            };
+            let w = pos[s] / 64;
+            if win.words.is_empty() {
+                win.base = w;
+                win.words.push(0);
+            } else if w < win.base {
+                win.words.splice(0..0, std::iter::repeat_n(0, win.base - w));
+                win.base = w;
+            }
+            win.words[w - win.base] |= 1 << (pos[s] % 64);
+            reach[t] = win;
+            continue;
+        }
+        if ss.is_empty() {
+            continue;
+        }
         // Union of successors' reach sets plus the successors themselves.
-        let mut acc = vec![0u64; words];
-        for &s in &succs[t] {
-            acc[s / 64] |= 1 << (s % 64);
-            for (a, b) in acc.iter_mut().zip(&reach[s]) {
-                *a |= *b;
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for &s in ss {
+            let r = &reach[s];
+            lo = lo.min(pos[s] / 64);
+            hi = hi.max(pos[s] / 64);
+            if !r.words.is_empty() {
+                hi = hi.max(r.base + r.words.len() - 1);
+            }
+        }
+        let mut acc = pool.pop().unwrap_or_default();
+        acc.clear();
+        acc.resize(hi - lo + 1, 0);
+        for &s in ss {
+            let p = pos[s] - lo * 64;
+            acc[p / 64] |= 1 << (p % 64);
+            let r = &reach[s];
+            if !r.words.is_empty() {
+                for (a, b) in acc[r.base - lo..].iter_mut().zip(&r.words) {
+                    *a |= *b;
+                }
             }
             unread[s] -= 1;
             if unread[s] == 0 {
-                reach[s] = Vec::new();
+                pool.push(std::mem::take(&mut reach[s].words));
             }
         }
-        counts[t] = acc.iter().map(|w| w.count_ones() as u64).sum();
+        counts[t] = acc.iter().map(|w| u64::from(w.count_ones())).sum();
         if n_preds[t] > 0 {
-            reach[t] = acc;
+            reach[t] = Window {
+                base: lo,
+                words: acc,
+            };
+        } else {
+            pool.push(acc);
         }
     }
     counts
@@ -665,12 +814,6 @@ struct SlotTable {
 }
 
 impl SlotTable {
-    fn contains(&self, cycle: u64) -> bool {
-        self.words
-            .get((cycle / 64) as usize)
-            .is_some_and(|w| w >> (cycle % 64) & 1 != 0)
-    }
-
     fn insert(&mut self, cycle: u64) {
         let w = (cycle / 64) as usize;
         if w >= self.words.len() {
@@ -679,15 +822,18 @@ impl SlotTable {
         self.words[w] |= 1 << (cycle % 64);
     }
 
-    /// The first free cycle at or after `from`.
-    fn first_free(&self, from: u64) -> u64 {
-        let mut w = (from / 64) as usize;
-        let mut free = !self.words.get(w).copied().unwrap_or(0) & (!0u64 << (from % 64));
-        while free == 0 {
-            w += 1;
-            free = !self.words.get(w).copied().unwrap_or(0);
-        }
-        w as u64 * 64 + u64::from(free.trailing_zeros())
+    /// The free cycles `from .. from + 64` as a word: bit `i` is set iff
+    /// cycle `from + i` is free.
+    fn free_window(&self, from: u64) -> u64 {
+        let w = (from / 64) as usize;
+        let shift = from % 64;
+        let word = |i: usize| self.words.get(i).copied().unwrap_or(0);
+        let busy = if shift == 0 {
+            word(w)
+        } else {
+            word(w) >> shift | word(w + 1) << (64 - shift)
+        };
+        !busy
     }
 }
 
@@ -715,7 +861,7 @@ pub fn broadcast_routes(config: &MachineConfig, producer: TileId) -> Vec<Vec<(SS
         if node.deliver {
             pairs.push((node.src, SDst::Proc));
         }
-        for &d in &node.children {
+        for &d in node.children() {
             pairs.push((node.src, SDst::Dir(d)));
         }
         routes[node.tile.index()] = pairs;
@@ -723,11 +869,23 @@ pub fn broadcast_routes(config: &MachineConfig, producer: TileId) -> Vec<Vec<(SS
     routes
 }
 
-/// A dimension-ordered multicast tree rooted at the producer tile.
-#[derive(Debug)]
+/// A dimension-ordered multicast tree rooted at the producer tile. Its
+/// buffers are reused from one [`MulticastTree::rebuild`] to the next.
+#[derive(Debug, Default)]
 struct MulticastTree {
     nodes: Vec<TreeNode>,
+    /// Per tile: index of its node in `nodes`, or [`NOT_IN_TREE`].
+    slot: Vec<u32>,
+    /// Per source tile, the live-mesh BFS tree (faulty machines only),
+    /// computed on first use.
+    bfs: Vec<Option<BfsParents>>,
+    route: Vec<Dir>,
 }
+
+const NOT_IN_TREE: u32 = u32::MAX;
+
+/// Per tile, its parent and the direction from it in a BFS spanning tree.
+type BfsParents = Vec<Option<(TileId, Dir)>>;
 
 #[derive(Debug)]
 struct TreeNode {
@@ -736,19 +894,21 @@ struct TreeNode {
     depth: u64,
     /// Where this switch takes the word from.
     src: SSrc,
-    /// Directions to forward to.
-    children: Vec<Dir>,
+    /// Directions to forward to, in first-use order (`children[..n_children]`).
+    children: [Dir; 4],
+    n_children: u8,
     /// Whether this tile's processor consumes the word.
     deliver: bool,
 }
 
 impl TreeNode {
+    fn children(&self) -> &[Dir] {
+        &self.children[..self.n_children as usize]
+    }
+
     fn pairs(&self) -> Vec<(SSrc, SDst)> {
-        let mut pairs: Vec<(SSrc, SDst)> = self
-            .children
-            .iter()
-            .map(|&d| (self.src, SDst::Dir(d)))
-            .collect();
+        let mut pairs = Vec::with_capacity(self.children().len() + usize::from(self.deliver));
+        pairs.extend(self.children().iter().map(|&d| (self.src, SDst::Dir(d))));
         if self.deliver {
             pairs.push((self.src, SDst::Proc));
         }
@@ -761,7 +921,7 @@ impl TreeNode {
 /// shared tree are prefix-consistent, which the multicast-tree merge relies
 /// on. Only used when the machine has faulty tiles — the fault-free case
 /// keeps the exact legacy dimension-ordered routes.
-fn live_bfs_parents(config: &MachineConfig, src: TileId) -> Vec<Option<(TileId, Dir)>> {
+fn live_bfs_parents(config: &MachineConfig, src: TileId) -> BfsParents {
     let n = config.n_tiles() as usize;
     let mut parents: Vec<Option<(TileId, Dir)>> = vec![None; n];
     let mut seen = vec![false; n];
@@ -785,66 +945,72 @@ fn live_bfs_parents(config: &MachineConfig, src: TileId) -> Vec<Option<(TileId, 
 
 impl MulticastTree {
     fn build(config: &MachineConfig, src: TileId, dsts: &[TileId]) -> MulticastTree {
-        // With faulty tiles, dimension-ordered routes may cross a dead
-        // switch; route along a shared BFS tree of the live mesh instead.
-        let bfs = if config.faulty.is_empty() {
-            None
-        } else {
-            Some(live_bfs_parents(config, src))
-        };
-        let route_to = |dst: TileId| -> Vec<Dir> {
-            match &bfs {
-                None => config.xy_route(src, dst),
-                Some(parents) => {
-                    let mut path = Vec::new();
-                    let mut cur = dst;
-                    while cur != src {
-                        let (p, d) = parents[cur.index()]
-                            .expect("faulty mask must leave the live mesh connected");
-                        path.push(d);
-                        cur = p;
-                    }
-                    path.reverse();
-                    path
-                }
-            }
-        };
-        let mut index: HashMap<u32, usize> = HashMap::new();
-        let mut nodes: Vec<TreeNode> = vec![TreeNode {
-            tile: src,
-            depth: 0,
-            src: SSrc::Proc,
-            children: Vec::new(),
-            deliver: false,
-        }];
-        index.insert(src.index() as u32, 0);
+        let mut tree = MulticastTree::default();
+        tree.rebuild(config, src, dsts);
+        tree
+    }
+
+    /// Replaces this tree with the one from `src` to `dsts`.
+    fn rebuild(&mut self, config: &MachineConfig, src: TileId, dsts: &[TileId]) {
+        let n_tiles = config.n_tiles() as usize;
+        for node in self.nodes.drain(..) {
+            self.slot[node.tile.index()] = NOT_IN_TREE;
+        }
+        self.slot.resize(n_tiles, NOT_IN_TREE);
+        self.add_node(src, 0, SSrc::Proc);
+        let mut route = std::mem::take(&mut self.route);
         for &dst in dsts {
             debug_assert_ne!(dst, src, "local consumers need no communication");
             debug_assert!(!config.is_faulty(dst), "comm path to faulty tile");
-            let route = route_to(dst);
+            route.clear();
+            if config.faulty.is_empty() {
+                route.extend(config.xy_steps(src, dst));
+            } else {
+                // With faulty tiles, dimension-ordered routes may cross a dead
+                // switch; route along a shared BFS tree of the live mesh.
+                self.bfs.resize(n_tiles, None);
+                let parents =
+                    self.bfs[src.index()].get_or_insert_with(|| live_bfs_parents(config, src));
+                let mut cur = dst;
+                while cur != src {
+                    let (p, d) = parents[cur.index()]
+                        .expect("faulty mask must leave the live mesh connected");
+                    route.push(d);
+                    cur = p;
+                }
+                route.reverse();
+            }
             let mut cur = src;
             let mut cur_idx = 0usize;
             for (k, &dir) in route.iter().enumerate() {
                 let next = config.neighbor(cur, dir).expect("route stays on mesh");
-                if !nodes[cur_idx].children.contains(&dir) {
-                    nodes[cur_idx].children.push(dir);
+                let node = &mut self.nodes[cur_idx];
+                if !node.children().contains(&dir) {
+                    node.children[node.n_children as usize] = dir;
+                    node.n_children += 1;
                 }
-                let next_idx = *index.entry(next.index() as u32).or_insert_with(|| {
-                    nodes.push(TreeNode {
-                        tile: next,
-                        depth: (k + 1) as u64,
-                        src: SSrc::Dir(dir.opposite()),
-                        children: Vec::new(),
-                        deliver: false,
-                    });
-                    nodes.len() - 1
-                });
+                cur_idx = match self.slot[next.index()] {
+                    NOT_IN_TREE => self.add_node(next, (k + 1) as u64, SSrc::Dir(dir.opposite())),
+                    i => i as usize,
+                };
                 cur = next;
-                cur_idx = next_idx;
             }
-            nodes[cur_idx].deliver = true;
+            self.nodes[cur_idx].deliver = true;
         }
-        MulticastTree { nodes }
+        self.route = route;
+    }
+
+    fn add_node(&mut self, tile: TileId, depth: u64, src: SSrc) -> usize {
+        self.slot[tile.index()] = self.nodes.len() as u32;
+        self.nodes.push(TreeNode {
+            tile,
+            depth,
+            src,
+            children: [Dir::North; 4],
+            n_children: 0,
+            deliver: false,
+        });
+        self.nodes.len() - 1
     }
 }
 
@@ -954,10 +1120,10 @@ mod tests {
         assert_eq!(tree.nodes.len(), 4);
         let node2 = tree.nodes.iter().find(|n| n.tile.index() == 2).unwrap();
         assert!(node2.deliver);
-        assert_eq!(node2.children, vec![Dir::East]);
+        assert_eq!(node2.children(), [Dir::East]);
         let node3 = tree.nodes.iter().find(|n| n.tile.index() == 3).unwrap();
         assert!(node3.deliver);
-        assert!(node3.children.is_empty());
+        assert!(node3.children().is_empty());
         assert_eq!(node3.depth, 3);
     }
 
@@ -1028,17 +1194,23 @@ mod tests {
     #[test]
     fn descendant_counts_are_exact() {
         // 0 → 1 → 2, 0 → 2.
-        let succs = vec![vec![1, 2], vec![2], vec![]];
-        let n_preds = vec![0, 1, 2];
-        let topo = topo_order(&succs, &n_preds);
-        let d = descendants(&succs, &n_preds, &topo);
+        let succs = Adjacency::from_edges(3, &[(0, 1), (0, 2), (1, 2)]);
+        let d = descendants(&succs, &[0, 1, 2], &[0, 1, 2]);
         assert_eq!(d, vec![2, 1, 0]);
+    }
+
+    /// The first start `t >= t0` with every lane free at `t + offset`, one
+    /// candidate at a time.
+    fn brute_force_start(model: &[HashSet<u64>], lanes: &[(usize, u64)], t0: u64) -> u64 {
+        (t0..)
+            .find(|&t| lanes.iter().all(|&(l, off)| !model[l].contains(&(t + off))))
+            .expect("a finite busy set leaves a free start")
     }
 
     raw_testkit::proptest! {
         #![cases(64)]
-        /// The slot bitset answers like a `HashSet<u64>` model, across word
-        /// boundaries and from beyond its last word.
+        /// The free-slot window answers like a `HashSet<u64>` model, across
+        /// word boundaries and from beyond its last word.
         #[test]
         fn slot_table_matches_hash_set_model(
             inserts in raw_testkit::prop::vec(0u64..300, 0..120),
@@ -1051,40 +1223,109 @@ mod tests {
                 model.insert(c);
             }
             for &from in probes.iter().chain(&[62, 63, 64, 65, 1000]) {
-                raw_testkit::prop_assert_eq!(table.contains(from), model.contains(&from));
-                let mut want = from;
-                while model.contains(&want) {
-                    want += 1;
+                let window = table.free_window(from);
+                for i in 0..64 {
+                    let free = window >> i & 1 == 1;
+                    raw_testkit::prop_assert_eq!(free, !model.contains(&(from + i)), "from {} + {}", from, i);
                 }
-                raw_testkit::prop_assert_eq!(table.first_free(from), want, "from {}", from);
             }
         }
 
-        /// Reach sets freed at their last predecessor still count exactly
-        /// what a depth-first walk of each task's descendants finds.
+        /// The word-parallel start search returns the minimal feasible start a
+        /// cycle-by-cycle scan finds: random busy tables, each with a busy run
+        /// long enough to push the answer several words out, lanes offset on
+        /// both sides of a word boundary (a tree depth `d` puts a switch at
+        /// `1 + d` and a receive at `d + 2`), and the `1 + extra` slot runs of
+        /// a computation.
+        #[test]
+        fn earliest_start_matches_brute_force_scan(
+            busy in raw_testkit::prop::vec(raw_testkit::prop::vec(0u64..400, 0..150), 1..5),
+            runs in raw_testkit::prop::vec((0u64..300, 0u64..200), 5..6),
+            lanes in raw_testkit::prop::vec((0usize..5, 0usize..9), 1..7),
+            t0 in 0u64..300,
+            extra in 0u64..3,
+        ) {
+            const OFFSETS: [u64; 9] = [0, 1, 2, 63, 64, 65, 66, 67, 130];
+            let mut tables = vec![SlotTable::default(); busy.len()];
+            let mut model = vec![HashSet::new(); busy.len()];
+            for (l, cycles) in busy.iter().enumerate() {
+                let (at, len) = runs[l];
+                for c in cycles.iter().copied().chain(at..at + len) {
+                    tables[l].insert(c);
+                    model[l].insert(c);
+                }
+            }
+            let lanes: Vec<(usize, u64)> = lanes
+                .iter()
+                .map(|&(l, o)| (l % busy.len(), OFFSETS[o]))
+                .collect();
+            let got = earliest_start(t0, || lanes.iter().map(|&(l, off)| (&tables[l], off)));
+            raw_testkit::prop_assert_eq!(got, brute_force_start(&model, &lanes, t0));
+            let run: Vec<(usize, u64)> = (0..=extra).map(|k| (0, k)).collect();
+            let got = earliest_start(t0, || run.iter().map(|&(l, off)| (&tables[l], off)));
+            raw_testkit::prop_assert_eq!(got, brute_force_start(&model, &run, t0), "extra {}", extra);
+        }
+
+        /// Windowed reach sets count exactly what a depth-first walk of each
+        /// task's descendants finds: random DAGs with many roots, plus one
+        /// hub fanning out to up to 150 later tasks, with task ids shuffled
+        /// away from the order the DAG was drawn in and a depth-first
+        /// topological order that is neither.
         #[test]
         fn descendants_match_naive_reachability(
             n in 1usize..150,
             edges in raw_testkit::prop::vec((0usize..150, 0usize..150), 0..400),
+            hub in 0usize..150,
+            fan in 0usize..150,
+            keys in raw_testkit::prop::vec(0u64..1_000_000, 150..151),
         ) {
-            // Orient every edge from the lower to the higher id: a DAG.
-            let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-            let mut n_preds = vec![0usize; n];
+            // id[p]: the task drawn at position p; every edge runs from a lower
+            // position to a higher one, so the graph is a DAG.
+            let mut id: Vec<usize> = (0..n).collect();
+            id.sort_by_key(|&p| (keys[p], p));
+            let mut lists: Vec<Vec<usize>> = vec![Vec::new(); n];
+            let mut add = |a: usize, b: usize| {
+                if a < b && !lists[id[a]].contains(&id[b]) {
+                    lists[id[a]].push(id[b]);
+                }
+            };
             for (a, b) in edges {
-                let (a, b) = (a % n, b % n);
-                if a < b && !succs[a].contains(&b) {
-                    succs[a].push(b);
-                    n_preds[b] += 1;
+                add(a % n, b % n);
+            }
+            let hub = hub % n;
+            for b in hub + 1..(hub + 1 + fan).min(n) {
+                add(hub, b);
+            }
+            let pairs: Vec<(usize, usize)> = lists
+                .iter()
+                .enumerate()
+                .flat_map(|(a, ss)| ss.iter().map(move |&b| (a, b)))
+                .collect();
+            let succs = Adjacency::from_edges(n, &pairs);
+            let mut n_preds = vec![0usize; n];
+            for &(_, b) in &pairs {
+                n_preds[b] += 1;
+            }
+            let mut remaining = n_preds.clone();
+            let mut stack: Vec<usize> = (0..n).filter(|&t| n_preds[t] == 0).collect();
+            let mut topo = Vec::with_capacity(n);
+            while let Some(t) = stack.pop() {
+                topo.push(t);
+                for &s in succs.of(t) {
+                    remaining[s] -= 1;
+                    if remaining[s] == 0 {
+                        stack.push(s);
+                    }
                 }
             }
-            let topo = topo_order(&succs, &n_preds);
+            raw_testkit::prop_assert_eq!(topo.len(), n);
             let got = descendants(&succs, &n_preds, &topo);
             for (t, &count) in got.iter().enumerate() {
                 let mut seen = vec![false; n];
-                let mut stack = succs[t].clone();
+                let mut stack = lists[t].clone();
                 while let Some(s) = stack.pop() {
                     if !std::mem::replace(&mut seen[s], true) {
-                        stack.extend(&succs[s]);
+                        stack.extend(&lists[s]);
                     }
                 }
                 let want = seen.iter().filter(|&&r| r).count() as u64;

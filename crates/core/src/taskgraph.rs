@@ -6,11 +6,15 @@
 //! **order** edges (memory/variable serialization with no value transfer).
 //!
 //! A constant is an operand, not a task: a `Const` instruction becomes no
-//! node, and every use reads it as an immediate ([`TaskGraph::imms`]). It
+//! node, and every use reads it as an immediate ([`Operand::Imm`]). It
 //! costs nothing to rematerialize, so it is never placed, scheduled, routed
 //! or emitted, and no data edge leaves it. Node `i` is the block's `i`-th
 //! task instruction ([`is_task`]), which is how provenance records number
 //! them.
+//!
+//! Every source operand is resolved from its [`ValueId`] to a node or an
+//! immediate once, here ([`TaskGraph::operands`]): the phases after this one
+//! index their per-value tables by node id and never look a value up again.
 //!
 //! Order edges are constructed so that both endpoints are always *pinned to
 //! the same tile* (same variable home, same element-residue home, or the same
@@ -35,6 +39,15 @@ pub enum EdgeKind {
     Order,
 }
 
+/// A node's source operand, resolved once when the graph is built.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Operand {
+    /// The value this node of the block computes.
+    Node(NodeId),
+    /// A block-local constant, read as an immediate.
+    Imm(Imm),
+}
+
 /// The task graph of one basic block.
 #[derive(Clone, Debug)]
 pub struct TaskGraph {
@@ -52,10 +65,80 @@ pub struct TaskGraph {
     /// Extra issue slots the node needs beyond its own instruction (address
     /// arithmetic emitted by instruction selection for memory accesses).
     pub extra_slots: Vec<u32>,
+    /// Source operands per node, in [`Inst::sources`] order.
+    pub operands: Vec<[Option<Operand>; 2]>,
     /// Defining node of each block-local value a task computes.
-    pub def_of: HashMap<ValueId, NodeId>,
-    /// Each block-local constant: an immediate operand at every use.
-    pub imms: HashMap<ValueId, Imm>,
+    pub def_of: ValueTable<NodeId>,
+}
+
+/// A map over one block's values. Lowering numbers a block's values nearly
+/// consecutively, so when their ids span at most four times the
+/// block's length the map is a table indexed by id; otherwise it hashes, so
+/// a block never pays for ids outside it.
+#[derive(Clone, Debug)]
+pub struct ValueTable<T> {
+    repr: Repr<T>,
+}
+
+#[derive(Clone, Debug)]
+enum Repr<T> {
+    Dense { base: usize, slots: Vec<Option<T>> },
+    Hashed(HashMap<ValueId, T>),
+}
+
+/// Largest id span per block instruction a [`ValueTable`] indexes directly.
+const DENSE_SPAN: usize = 4;
+
+impl<T: Copy> ValueTable<T> {
+    /// An empty map for the values `block` defines.
+    pub fn for_block(block: &Block) -> ValueTable<T> {
+        let ids = block.insts.iter().filter_map(|i| i.dst.map(ValueId::index));
+        let (lo, hi) = ids.fold((usize::MAX, 0), |(lo, hi), v| (lo.min(v), hi.max(v)));
+        let repr = if lo > hi {
+            Repr::Dense {
+                base: 0,
+                slots: Vec::new(),
+            }
+        } else if hi - lo < DENSE_SPAN * block.insts.len() {
+            Repr::Dense {
+                base: lo,
+                slots: vec![None; hi - lo + 1],
+            }
+        } else {
+            Repr::Hashed(HashMap::with_capacity(block.insts.len()))
+        };
+        ValueTable { repr }
+    }
+
+    /// The entry for `v`, if any.
+    pub fn get(&self, v: &ValueId) -> Option<&T> {
+        match &self.repr {
+            Repr::Dense { base, slots } => v
+                .index()
+                .checked_sub(*base)
+                .and_then(|i| slots.get(i))
+                .and_then(Option::as_ref),
+            Repr::Hashed(map) => map.get(v),
+        }
+    }
+
+    /// Sets the entry for `v`, one of the block's values.
+    fn insert(&mut self, v: ValueId, t: T) {
+        match &mut self.repr {
+            Repr::Dense { base, slots } => slots[v.index() - *base] = Some(t),
+            Repr::Hashed(map) => {
+                map.insert(v, t);
+            }
+        }
+    }
+}
+
+impl<T: Copy> std::ops::Index<&ValueId> for ValueTable<T> {
+    type Output = T;
+
+    fn index(&self, v: &ValueId) -> &T {
+        self.get(v).expect("a value of this block")
+    }
 }
 
 /// True unless `inst` is a constant: the block instructions that become
@@ -66,13 +149,12 @@ pub fn is_task(inst: &Inst) -> bool {
 
 impl TaskGraph {
     /// Builds the task graph for `block`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value is used before its definition in the block, which
+    /// [`raw_ir::verify`] rejects.
     pub fn build(block: &Block, layout: &DataLayout, config: &MachineConfig) -> TaskGraph {
-        let mut imms = HashMap::new();
-        for inst in &block.insts {
-            if let (InstKind::Const(imm), Some(dst)) = (&inst.kind, inst.dst) {
-                imms.insert(dst, *imm);
-            }
-        }
         let insts: Vec<Inst> = block.insts.iter().filter(|i| is_task(i)).cloned().collect();
         let n = insts.len();
         let mut g = TaskGraph {
@@ -82,26 +164,48 @@ impl TaskGraph {
             preds: vec![Vec::new(); n],
             pins: vec![None; n],
             extra_slots: vec![0; n],
-            def_of: HashMap::new(),
-            imms,
+            operands: Vec::with_capacity(n),
+            def_of: ValueTable::for_block(block),
         };
+
+        // The one ValueId lookup per source: program order meets every
+        // definition before its uses, constants included.
+        let mut operand_of: ValueTable<Operand> = ValueTable::for_block(block);
+        for inst in &block.insts {
+            let Some(dst) = inst.dst else {
+                if is_task(inst) {
+                    g.operands.push(resolve(inst, &operand_of));
+                }
+                continue;
+            };
+            if let InstKind::Const(imm) = inst.kind {
+                operand_of.insert(dst, Operand::Imm(imm));
+            } else {
+                g.operands.push(resolve(inst, &operand_of));
+                let node = g.operands.len() - 1;
+                operand_of.insert(dst, Operand::Node(node));
+                g.def_of.insert(dst, node);
+            }
+        }
 
         // Costs, pins, and instruction-selection slot counts.
         for (i, inst) in insts.iter().enumerate() {
             g.costs.push(estimate_cost(inst, layout, config));
             g.pins[i] = pin_of(inst, layout);
-            g.extra_slots[i] = extra_slots_of(inst, layout, &g.imms);
-            if let Some(dst) = inst.dst {
-                g.def_of.insert(dst, i);
-            }
+            g.extra_slots[i] = extra_slots_of(inst, layout, &g.operands[i]);
         }
+
+        // Edges are added in three passes over the targets (data, variable,
+        // memory); `marked[from] == to` records an edge already present, so
+        // a pass re-marks a target's predecessors before adding to it.
+        let mut marked = vec![usize::MAX; n];
 
         // Data edges (def → use within the block). A constant operand has no
         // defining node, so it adds none.
-        for (i, inst) in insts.iter().enumerate() {
-            for src in inst.sources() {
-                if let Some(&d) = g.def_of.get(&src) {
-                    g.add_edge(d, i, EdgeKind::Data);
+        for i in 0..n {
+            for d in g.operands[i].into_iter().flatten() {
+                if let Operand::Node(d) = d {
+                    g.add_edge(&mut marked, d, i, EdgeKind::Data);
                 }
             }
         }
@@ -113,8 +217,9 @@ impl TaskGraph {
                 InstKind::ReadVar(v) => reads_of.entry(v.index() as u32).or_default().push(i),
                 InstKind::WriteVar(v, _) => {
                     if let Some(reads) = reads_of.get(&(v.index() as u32)) {
+                        g.mark_preds(&mut marked, i);
                         for &r in reads {
-                            g.add_edge(r, i, EdgeKind::Order);
+                            g.add_edge(&mut marked, r, i, EdgeKind::Order);
                         }
                     }
                 }
@@ -123,23 +228,36 @@ impl TaskGraph {
         }
 
         // Memory serialization.
-        g.add_memory_order_edges(&insts, layout);
+        g.add_memory_order_edges(&insts, layout, &mut marked);
         g.insts = insts;
         g
     }
 
-    fn add_edge(&mut self, from: NodeId, to: NodeId, kind: EdgeKind) {
-        if from == to {
+    /// Sets `marked[p] = to` for every current predecessor `p` of `to`.
+    fn mark_preds(&self, marked: &mut [usize], to: NodeId) {
+        for &(p, _) in &self.preds[to] {
+            marked[p] = to;
+        }
+    }
+
+    /// Adds `from → to` unless an edge joins them already (the first kind
+    /// wins). `marked` must cover every predecessor of `to` (see
+    /// [`TaskGraph::mark_preds`]).
+    fn add_edge(&mut self, marked: &mut [usize], from: NodeId, to: NodeId, kind: EdgeKind) {
+        if from == to || marked[from] == to {
             return;
         }
-        if self.succs[from].iter().any(|&(s, _)| s == to) {
-            return;
-        }
+        marked[from] = to;
         self.succs[from].push((to, kind));
         self.preds[to].push((from, kind));
     }
 
-    fn add_memory_order_edges(&mut self, insts: &[Inst], layout: &DataLayout) {
+    fn add_memory_order_edges(
+        &mut self,
+        insts: &[Inst],
+        layout: &DataLayout,
+        marked: &mut [usize],
+    ) {
         // Static arrays: dependences exist only between references with the
         // same home residue (references to different residues touch different
         // elements). Within a residue group, apply load/store ordering.
@@ -158,11 +276,12 @@ impl TaskGraph {
                 InstKind::Store { array, home, .. } => (array, home, true),
                 _ => continue,
             };
+            self.mark_preds(marked, i);
             match layout.class(array) {
                 ArrayClass::Dynamic { .. } => {
                     let key = array.index() as u32;
                     if let Some(&prev) = dyn_last.get(&key) {
-                        self.add_edge(prev, i, EdgeKind::Order);
+                        self.add_edge(marked, prev, i, EdgeKind::Order);
                     }
                     dyn_last.insert(key, i);
                 }
@@ -176,16 +295,16 @@ impl TaskGraph {
                         .or_default();
                     if is_store {
                         if let Some(s) = group.last_store {
-                            self.add_edge(s, i, EdgeKind::Order);
+                            self.add_edge(marked, s, i, EdgeKind::Order);
                         }
                         for &l in &group.loads_since {
-                            self.add_edge(l, i, EdgeKind::Order);
+                            self.add_edge(marked, l, i, EdgeKind::Order);
                         }
                         group.last_store = Some(i);
                         group.loads_since.clear();
                     } else {
                         if let Some(s) = group.last_store {
-                            self.add_edge(s, i, EdgeKind::Order);
+                            self.add_edge(marked, s, i, EdgeKind::Order);
                         }
                         group.loads_since.push(i);
                     }
@@ -256,14 +375,28 @@ fn estimate_cost(inst: &Inst, layout: &DataLayout, config: &MachineConfig) -> u3
 /// interleaved-address shift of a static array reference on a multi-tile
 /// machine. An immediate index folds it at compile time, and a dynamic
 /// reference carries its array base as an immediate offset.
-fn extra_slots_of(inst: &Inst, layout: &DataLayout, imms: &HashMap<ValueId, Imm>) -> u32 {
+fn extra_slots_of(inst: &Inst, layout: &DataLayout, operands: &[Option<Operand>; 2]) -> u32 {
     match inst.kind {
-        InstKind::Load { array, index, .. } | InstKind::Store { array, index, .. } => {
+        InstKind::Load { array, .. } | InstKind::Store { array, .. } => {
             let static_ref = matches!(layout.class(array), ArrayClass::Static);
-            u32::from(static_ref && layout.tile_shift() > 0 && !imms.contains_key(&index))
+            let index_in_reg = matches!(operands[0], Some(Operand::Node(_)));
+            u32::from(static_ref && layout.tile_shift() > 0 && index_in_reg)
         }
         _ => 0,
     }
+}
+
+/// `inst`'s sources as operands, in [`Inst::sources`] order.
+fn resolve(inst: &Inst, operand_of: &ValueTable<Operand>) -> [Option<Operand>; 2] {
+    let mut out = [None; 2];
+    for (slot, v) in out.iter_mut().zip(inst.sources()) {
+        *slot = Some(
+            *operand_of
+                .get(&v)
+                .expect("a block-local value is defined before its uses"),
+        );
+    }
+    out
 }
 
 /// The tile a node must execute on, if constrained.
@@ -319,14 +452,60 @@ mod tests {
         // No data edge leaves a constant: it is an immediate, not a node.
         assert!(g.insts.iter().all(is_task));
         assert_eq!(g.len(), 4);
-        let mut imms: Vec<u32> = g.imms.values().map(|i| i.to_bits()).collect();
-        imms.sort();
-        assert_eq!(imms, vec![1, 2]);
+        let (one, two) = (Some(Operand::Imm(Imm::I(1))), Some(Operand::Imm(Imm::I(2))));
+        assert_eq!(g.operands[1], [Some(Operand::Node(0)), one]);
+        assert_eq!(g.operands[2], [Some(Operand::Node(1)); 2]);
+        assert_eq!(g.operands[3], [one, two]);
         assert!(g.preds[3].is_empty(), "two immediates make no edge");
         assert_eq!(g.preds[1], vec![(0, EdgeKind::Data)]);
         // s used twice by node 2, but the edge is recorded once.
         assert_eq!(g.succs[1], vec![(2, EdgeKind::Data)]);
         assert!(g.preds[2].len() == 1);
+    }
+
+    #[test]
+    fn spread_value_ids_build_the_same_graph() {
+        // Ids 1000 apart leave no dense window: the hashed table must
+        // resolve every operand and definition exactly as the dense one.
+        let (p, g) = graph_for(
+            |b| {
+                let v = b.var_i32("v", 0);
+                let r = b.read_var(v);
+                let one = b.const_i32(1);
+                let s = b.add(r, one);
+                let t = b.mul(s, r);
+                b.write_var(v, t);
+            },
+            4,
+        );
+        let spread = |v: ValueId| ValueId::from_raw(v.index() as u32 * 1000);
+        let mut block = p.block(p.entry).clone();
+        for inst in &mut block.insts {
+            inst.dst = inst.dst.map(spread);
+            match &mut inst.kind {
+                InstKind::Un(_, a) | InstKind::WriteVar(_, a) => *a = spread(*a),
+                InstKind::Bin(_, a, b) => (*a, *b) = (spread(*a), spread(*b)),
+                _ => {}
+            }
+        }
+        let config = MachineConfig::square(4);
+        let spread_g = TaskGraph::build(&block, &DataLayout::build(&p, &config), &config);
+        assert!(matches!(spread_g.def_of.repr, Repr::Hashed(_)));
+        assert!(matches!(g.def_of.repr, Repr::Dense { .. }));
+        assert_eq!(spread_g.operands, g.operands);
+        assert_eq!(spread_g.succs, g.succs);
+        for (n, inst) in p
+            .block(p.entry)
+            .insts
+            .iter()
+            .filter(|i| is_task(i))
+            .enumerate()
+        {
+            if let Some(v) = inst.dst {
+                assert_eq!((g.def_of[&v], spread_g.def_of[&spread(v)]), (n, n));
+            }
+        }
+        assert_eq!(spread_g.def_of.get(&ValueId::from_raw(7)), None);
     }
 
     #[test]

@@ -293,29 +293,17 @@ impl MachineConfig {
     /// The dimension-ordered (X-then-Y) route from `a` to `b`, as a direction
     /// sequence. Empty when `a == b`.
     pub fn xy_route(&self, a: TileId, b: TileId) -> Vec<Dir> {
+        self.xy_steps(a, b).collect()
+    }
+
+    /// The steps of [`MachineConfig::xy_route`], without collecting them.
+    pub fn xy_steps(&self, a: TileId, b: TileId) -> impl Iterator<Item = Dir> {
         let (ar, ac) = self.coords(a);
         let (br, bc) = self.coords(b);
-        let mut route = Vec::new();
-        let (mut r, mut c) = (ar, ac);
-        while c != bc {
-            if c < bc {
-                route.push(Dir::East);
-                c += 1;
-            } else {
-                route.push(Dir::West);
-                c -= 1;
-            }
-        }
-        while r != br {
-            if r < br {
-                route.push(Dir::South);
-                r += 1;
-            } else {
-                route.push(Dir::North);
-                r -= 1;
-            }
-        }
-        route
+        let x = if ac < bc { Dir::East } else { Dir::West };
+        let y = if ar < br { Dir::South } else { Dir::North };
+        std::iter::repeat_n(x, ac.abs_diff(bc) as usize)
+            .chain(std::iter::repeat_n(y, ar.abs_diff(br) as usize))
     }
 
     /// Splits an interleaved global word address into `(home tile, local word)`.

@@ -16,6 +16,7 @@
 
 use crate::config::MAX_TILES;
 use crate::isa::Word;
+use crate::memory::LocalMem;
 use std::collections::VecDeque;
 
 /// The four dynamic message kinds used by the remote-memory protocol.
@@ -500,7 +501,7 @@ impl Handler {
         tile: u32,
         cycle: u64,
         mem_latency: u32,
-        mem: &mut [Word],
+        mem: &mut LocalMem,
         ep: &mut DynEndpoint,
     ) -> bool {
         if self.current.is_none() {
@@ -517,7 +518,9 @@ impl Handler {
         let reply = match req.kind {
             MsgKind::LoadReq => {
                 let addr = req.payload[0] as usize;
-                let value = mem[addr];
+                let value = mem
+                    .load(addr)
+                    .expect("remote load within the home tile's memory");
                 DynMsg {
                     kind: MsgKind::LoadReply,
                     src: tile,
@@ -527,7 +530,8 @@ impl Handler {
             }
             MsgKind::StoreReq => {
                 let addr = req.payload[0] as usize;
-                mem[addr] = req.payload[1];
+                mem.store(addr, req.payload[1])
+                    .expect("remote store within the home tile's memory");
                 DynMsg {
                     kind: MsgKind::StoreAck,
                     src: tile,
@@ -608,8 +612,8 @@ mod tests {
     #[test]
     fn handler_services_load_and_store() {
         let mut ep = DynEndpoint::new(16);
-        let mut mem = vec![0u32; 32];
-        mem[5] = 77;
+        let mut mem = LocalMem::new(32);
+        mem.store(5, 77);
         let mut h = Handler::new();
         ep.handler_inbox.push_back(DynMsg {
             kind: MsgKind::LoadReq,
@@ -642,7 +646,7 @@ mod tests {
         for cycle in 0..20 {
             h2.step(0, cycle, 2, &mut mem, &mut ep2);
         }
-        assert_eq!(mem[9], 1234);
+        assert_eq!(mem.load(9), Some(1234));
         assert!(!ep2.inject.is_empty(), "ack injected");
     }
 

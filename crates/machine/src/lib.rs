@@ -84,6 +84,7 @@ pub(crate) mod decode;
 pub mod dynnet;
 pub mod isa;
 pub mod machine;
+pub mod memory;
 pub mod oracle;
 pub mod processor;
 pub mod stats;

@@ -73,6 +73,7 @@ use crate::config::MachineConfig;
 use crate::decode::{Port, Program, SOp, Wiring};
 use crate::dynnet::{DynEndpoint, DynNet, Handler};
 use crate::isa::{Dir, MachineProgram, SInst, TileCode, TileId, Word};
+use crate::memory::LocalMem;
 use crate::processor::{ProcOutcome, Processor, TileView};
 use crate::stats::{Stats, WorkCounters};
 use crate::switch::{Switch, SwitchOutcome};
@@ -244,7 +245,7 @@ pub struct Machine<S: EventSink = NullSink> {
     /// Switch registers, `config.switch_regs` per tile.
     sregs: Vec<Word>,
     chans: Channels,
-    mems: Vec<Vec<Word>>,
+    mems: Vec<LocalMem>,
     dynnet: DynNet,
     endpoints: Vec<DynEndpoint>,
     handlers: Vec<Handler>,
@@ -358,7 +359,7 @@ impl<S: EventSink> Machine<S> {
         };
         let prog = Program::decode(&program.tiles, &wiring, &config);
         let mems = (0..n)
-            .map(|_| vec![0u32; config.mem_words as usize])
+            .map(|_| LocalMem::new(config.mem_words as usize))
             .collect();
         Machine {
             stats: Stats::new(n),
@@ -512,18 +513,31 @@ impl<S: EventSink> Machine<S> {
     }
 
     /// Reads a word of a tile's local memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is at or past `config.mem_words`.
     pub fn mem_word(&self, tile: TileId, addr: u32) -> Word {
-        self.mems[tile.index()][addr as usize]
+        self.mems[tile.index()]
+            .load(addr as usize)
+            .unwrap_or_else(|| panic!("tile {tile:?}: address {addr} past the end of memory"))
     }
 
     /// Writes a word of a tile's local memory (used to preload data).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is at or past `config.mem_words`.
     pub fn set_mem_word(&mut self, tile: TileId, addr: u32, value: Word) {
-        self.mems[tile.index()][addr as usize] = value;
+        self.mems[tile.index()]
+            .store(addr as usize, value)
+            .unwrap_or_else(|| panic!("tile {tile:?}: address {addr} past the end of memory"))
     }
 
-    /// A tile's entire local memory (differential testing, diagnostics).
-    pub fn memory(&self, tile: TileId) -> &[Word] {
-        &self.mems[tile.index()]
+    /// A tile's entire local memory, `config.mem_words` words (differential
+    /// testing, diagnostics).
+    pub fn memory(&self, tile: TileId) -> Vec<Word> {
+        self.mems[tile.index()].to_vec()
     }
 
     /// Overrides a tile's dynamic-reference home map: global addresses issued

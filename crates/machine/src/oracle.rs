@@ -35,7 +35,7 @@ impl Snapshot {
     pub fn run<S: EventSink>(machine: &mut Machine<S>) -> Snapshot {
         let outcome = machine.run().map(|report| report.cycles);
         let memory = (0..machine.config().n_tiles())
-            .map(|t| machine.memory(TileId(t)).to_vec())
+            .map(|t| machine.memory(TileId(t)))
             .collect();
         Snapshot {
             outcome,

@@ -11,6 +11,7 @@ use crate::config::MachineConfig;
 use crate::decode::{Operand, PKind, POp, Stream, ALU_FNS};
 use crate::dynnet::{DynEndpoint, DynMsg, MsgKind};
 use crate::isa::{Dst, TileId, Word};
+use crate::memory::LocalMem;
 use crate::trace::StallReason;
 
 /// Result of stepping a processor one cycle.
@@ -42,7 +43,7 @@ pub(crate) struct TileView<'a> {
     pub(crate) ops: &'a [POp],
     pub(crate) regs: &'a mut [Word],
     pub(crate) ready: &'a mut [u64],
-    pub(crate) mem: &'a mut [Word],
+    pub(crate) mem: &'a mut LocalMem,
     pub(crate) chans: &'a mut Channels,
     pub(crate) dyn_ep: &'a mut DynEndpoint,
     pub(crate) config: &'a MachineConfig,
@@ -331,7 +332,7 @@ impl Processor {
                 let a = effective_addr(read(tile, op.srcs[0], pin), op.offset());
                 let val = usize::try_from(a)
                     .ok()
-                    .and_then(|a| tile.mem.get(a).copied())
+                    .and_then(|a| tile.mem.load(a))
                     .unwrap_or_else(|| {
                         panic!(
                             "tile{} load out of memory bounds: addr {a} (pc {})",
@@ -344,16 +345,15 @@ impl Processor {
             PKind::Store => {
                 let v = read(tile, op.srcs[0], pin);
                 let a = effective_addr(read(tile, op.srcs[1], pin), op.offset());
-                let slot = usize::try_from(a)
+                usize::try_from(a)
                     .ok()
-                    .and_then(|a| tile.mem.get_mut(a))
+                    .and_then(|a| tile.mem.store(a, v))
                     .unwrap_or_else(|| {
                         panic!(
                             "tile{} store out of memory bounds: addr {a} (pc {})",
                             self.tile, self.pc
                         )
                     });
-                *slot = v;
                 self.pc += 1;
             }
             PKind::DLoad => {
@@ -438,7 +438,7 @@ mod tests {
         code: Vec<POp>,
         regs: Vec<Word>,
         ready: Vec<u64>,
-        mem: Vec<Word>,
+        mem: LocalMem,
         chans: Channels,
         dyn_ep: DynEndpoint,
         config: MachineConfig,
@@ -463,7 +463,7 @@ mod tests {
                 code: prog.pops,
                 regs: vec![0; 32],
                 ready: vec![0; 32],
-                mem: vec![0; mem_words],
+                mem: LocalMem::new(mem_words),
                 chans: Channels::new(2, 4),
                 dyn_ep: DynEndpoint::new(16),
                 config,
@@ -512,7 +512,7 @@ mod tests {
         a.halt();
         let (bench, _) = run_single(a.finish(), 100);
         assert!(bench.proc.halted());
-        assert_eq!(bench.mem[8], 42);
+        assert_eq!(bench.mem.load(8).unwrap(), 42);
     }
 
     #[test]
@@ -530,7 +530,7 @@ mod tests {
         a.store_imm_addr(Src::Reg(2), 0);
         a.halt();
         let (bench, cycles) = run_single(a.finish(), 100);
-        assert_eq!(bench.mem[0], 42);
+        assert_eq!(bench.mem.load(0).unwrap(), 42);
         // issue mul at 0; add issues at 12; store at 13; halt at 14 → 15 cycles.
         assert_eq!(cycles, 15);
     }
@@ -551,7 +551,7 @@ mod tests {
         a.store_imm_addr(Src::Reg(1), 0);
         a.halt();
         let (bench, cycles) = run_single(a.finish(), 100);
-        assert_eq!(bench.mem[0], 42);
+        assert_eq!(bench.mem.load(0).unwrap(), 42);
         // store must wait for mul's result at cycle 12, halts at 13 → 14 total.
         assert_eq!(cycles, 14);
     }
@@ -566,7 +566,7 @@ mod tests {
         a.store_imm_addr(Src::Reg(3), 4);
         a.halt();
         let (bench, _) = run_single(a.finish(), 100);
-        assert_eq!(bench.mem[4], 6);
+        assert_eq!(bench.mem.load(4).unwrap(), 6);
     }
 
     #[test]
@@ -589,7 +589,7 @@ mod tests {
             bench.chans.commit(0);
         }
         assert!(bench.proc.halted());
-        assert_eq!(bench.mem[0], 99);
+        assert_eq!(bench.mem.load(0).unwrap(), 99);
     }
 
     #[test]
@@ -605,7 +605,7 @@ mod tests {
         a.store_imm_addr(Src::Reg(1), 0);
         a.halt();
         let (bench, _) = run_single(a.finish(), 1000);
-        assert_eq!(bench.mem[0], 5);
+        assert_eq!(bench.mem.load(0).unwrap(), 5);
     }
 
     #[test]
@@ -654,7 +654,8 @@ mod tests {
         let (bench, _) = run_single(a.finish(), 100);
         assert!(bench.proc.halted());
         assert_eq!(
-            bench.mem[7], 77,
+            bench.mem.load(7).unwrap(),
+            77,
             "-3 + 8 loads word 5, -3 + 10 stores word 7"
         );
     }

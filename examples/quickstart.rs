@@ -98,13 +98,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("== (e/f/g) event scheduler: space-time schedule with communication ==");
     let sched = rawcc::schedule::schedule(&graph, &partition, &config, &options);
+    let value_name = |n: usize| program.value_name(graph.insts[n].dst.expect("a sent value"));
     for tile in 0..config.n_tiles() as usize {
         println!("  tile{tile} processor:");
         for (t, op) in &sched.proc_ops[tile] {
             let desc = match op {
                 TileOp::Comp(n) => program.fmt_inst(&graph.insts[*n]),
-                TileOp::Send(v) => format!("send({})", program.value_name(*v)),
-                TileOp::Recv(v) => format!("{} = recv()", program.value_name(*v)),
+                TileOp::Send(n) => format!("send({})", value_name(*n)),
+                TileOp::Recv(n) => format!("{} = recv()", value_name(*n)),
             };
             println!("    cycle {t:3}: {desc}");
         }

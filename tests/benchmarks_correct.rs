@@ -78,11 +78,12 @@ fn constants_never_cross_the_network() {
                     .iter()
                     .flatten()
                     .filter_map(|(_, op)| match op {
-                        TileOp::Send(v) | TileOp::Recv(v) => Some(*v),
+                        TileOp::Send(n) | TileOp::Recv(n) => Some(*n),
                         TileOp::Comp(_) => None,
                     });
-                let routes = sched.switch_ops.iter().flatten().map(|(_, v, _)| *v);
-                for v in ports.chain(routes) {
+                let routes = sched.switch_ops.iter().flatten().map(|(_, n, _)| *n);
+                for n in ports.chain(routes) {
+                    let v = graph.insts[n].dst.expect("a moved value has a producer");
                     assert!(
                         !consts[b].contains(&v),
                         "{label}: block {b} moves constant {v}"
