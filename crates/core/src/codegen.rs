@@ -64,16 +64,16 @@ enum GenOp {
 #[derive(Clone, Default)]
 struct ValueFacts {
     /// Stream position of the first computation defining the value.
-    producer: Option<usize>,
+    producer: Option<u32>,
     /// Source-operand occurrences on the tile, plus one for the branch
     /// condition.
-    operand_uses: usize,
+    operand_uses: u32,
     /// Computations reading the value (each counted once).
-    n_consumers: usize,
+    n_consumers: u32,
     /// The last such computation: `(position, operand occurrences in it)`.
-    consumer: Option<(usize, usize)>,
+    consumer: Option<(u32, u32)>,
     /// Sends of the value still in the stream (not folded).
-    pending_sends: usize,
+    pending_sends: u32,
 }
 
 /// Send/receive folding (paper §3.1 footnote / Figure 4: communication can be
@@ -133,6 +133,8 @@ fn fold_ops(
         facts[c].operand_uses += 1;
     }
     for (k, op) in ops.iter().enumerate() {
+        // Stream positions fit in `u32`, which halves the facts table.
+        let k = k as u32;
         match op.1 {
             TileOp::Comp(n) => {
                 if graph.insts[n].dst.is_some() {
@@ -165,7 +167,7 @@ fn fold_ops(
         match gen[j] {
             Some(GenOp::Send(v)) => {
                 let f = &mut facts[v];
-                let fold = f.producer.filter(|&i| {
+                let fold = f.producer.map(|i| i as usize).filter(|&i| {
                     i < j
                         && f.operand_uses + f.pending_sends == 1
                         && events.last().is_none_or(|&e| e < i)
@@ -202,6 +204,7 @@ fn fold_ops(
         let Some((j, 1)) = f.consumer.filter(|_| f.n_consumers == 1) else {
             continue;
         };
+        let j = j as usize;
         let next_event = events.get(e + 1).copied().unwrap_or(usize::MAX);
         if f.pending_sends > 0 || j <= i || j >= next_event {
             continue;

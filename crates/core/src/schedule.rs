@@ -308,7 +308,6 @@ pub fn schedule(
     for (r, &key) in by_rank.iter().enumerate() {
         rank[key as u64 as usize] = r;
     }
-    drop((level, fertility));
 
     // ---- Greedy list scheduling.
     let mut proc_busy: Vec<SlotTable> = vec![SlotTable::default(); n_tiles];
@@ -707,11 +706,12 @@ pub fn validate(
 /// A task's reach set holds topological positions, all after its own, in a
 /// window of words from its first successor's position to its last
 /// descendant's: a task whose descendants sit close by in the order costs
-/// words for those alone. A task with one successor `s` counts `1 + |reach(s)|`
-/// with no popcount, and takes over `s`'s set when it is `s`'s last reader.
-/// Only the frontier of the reverse sweep is resident: a reach set goes back
-/// to the buffer pool as soon as its last predecessor has read it, and a
-/// root's is never kept.
+/// words for those alone. A task starts from its successor with the widest
+/// window — taking that set over when it is the successor's last reader,
+/// copying it otherwise — and ORs in the rest, counting only the bits each
+/// OR adds. Only the frontier of the reverse sweep is resident: a reach set
+/// goes back to the buffer pool as soon as its last predecessor has read it,
+/// and a root's is never kept.
 fn descendants(succs: &Adjacency, n_preds: &[usize], topo: &[usize]) -> Vec<u64> {
     #[derive(Default)]
     struct Window {
@@ -730,43 +730,10 @@ fn descendants(succs: &Adjacency, n_preds: &[usize], topo: &[usize]) -> Vec<u64>
     let mut counts = vec![0u64; n];
     for &t in topo.iter().rev() {
         let ss = succs.of(t);
-        if let [s] = *ss {
-            counts[t] = counts[s] + 1;
-            unread[s] -= 1;
-            let last_reader = unread[s] == 0;
-            if n_preds[t] == 0 {
-                if last_reader {
-                    pool.push(std::mem::take(&mut reach[s].words));
-                }
-                continue;
-            }
-            let mut win = if last_reader {
-                std::mem::take(&mut reach[s])
-            } else {
-                let mut words = pool.pop().unwrap_or_default();
-                words.clear();
-                words.extend_from_slice(&reach[s].words);
-                Window {
-                    base: reach[s].base,
-                    words,
-                }
-            };
-            let w = pos[s] / 64;
-            if win.words.is_empty() {
-                win.base = w;
-                win.words.push(0);
-            } else if w < win.base {
-                win.words.splice(0..0, std::iter::repeat_n(0, win.base - w));
-                win.base = w;
-            }
-            win.words[w - win.base] |= 1 << (pos[s] % 64);
-            reach[t] = win;
+        let Some(&widest) = ss.iter().max_by_key(|&&s| reach[s].words.len()) else {
             continue;
-        }
-        if ss.is_empty() {
-            continue;
-        }
-        // Union of successors' reach sets plus the successors themselves.
+        };
+        // The union's window: from the first successor to the last descendant.
         let (mut lo, mut hi) = (usize::MAX, 0);
         for &s in ss {
             let r = &reach[s];
@@ -776,31 +743,50 @@ fn descendants(succs: &Adjacency, n_preds: &[usize], topo: &[usize]) -> Vec<u64>
                 hi = hi.max(r.base + r.words.len() - 1);
             }
         }
-        let mut acc = pool.pop().unwrap_or_default();
-        acc.clear();
-        acc.resize(hi - lo + 1, 0);
+        let mut acc = if unread[widest] == 1 {
+            std::mem::take(&mut reach[widest])
+        } else {
+            let mut words = pool.pop().unwrap_or_default();
+            words.clear();
+            words.extend_from_slice(&reach[widest].words);
+            Window {
+                base: reach[widest].base,
+                words,
+            }
+        };
+        if acc.words.is_empty() {
+            acc.base = lo;
+        }
+        acc.words
+            .splice(0..0, std::iter::repeat_n(0, acc.base - lo));
+        acc.words.resize(hi - lo + 1, 0);
+        acc.base = lo;
+        let mut count = counts[widest];
         for &s in ss {
             let p = pos[s] - lo * 64;
-            acc[p / 64] |= 1 << (p % 64);
+            let word = &mut acc.words[p / 64];
+            count += (!*word >> (p % 64)) & 1;
+            *word |= 1 << (p % 64);
+            unread[s] -= 1;
+            if s == widest {
+                continue;
+            }
             let r = &reach[s];
             if !r.words.is_empty() {
-                for (a, b) in acc[r.base - lo..].iter_mut().zip(&r.words) {
-                    *a |= *b;
+                for (a, &b) in acc.words[r.base - lo..].iter_mut().zip(&r.words) {
+                    count += u64::from((b & !*a).count_ones());
+                    *a |= b;
                 }
             }
-            unread[s] -= 1;
             if unread[s] == 0 {
                 pool.push(std::mem::take(&mut reach[s].words));
             }
         }
-        counts[t] = acc.iter().map(|w| u64::from(w.count_ones())).sum();
+        counts[t] = count;
         if n_preds[t] > 0 {
-            reach[t] = Window {
-                base: lo,
-                words: acc,
-            };
+            reach[t] = acc;
         } else {
-            pool.push(acc);
+            pool.push(acc.words);
         }
     }
     counts
