@@ -34,12 +34,20 @@ impl LocalMem {
     #[inline]
     pub fn store(&mut self, addr: usize, value: Word) -> Option<()> {
         if addr >= self.words.len() {
-            if addr >= self.size {
-                return None;
-            }
-            self.words.resize(addr + 1, 0);
+            self.grow_to(addr)?;
         }
         self.words[addr] = value;
+        Some(())
+    }
+
+    /// Allocates up to word `addr`, off the store's hot path; `None` past the
+    /// end of memory.
+    #[cold]
+    fn grow_to(&mut self, addr: usize) -> Option<()> {
+        if addr >= self.size {
+            return None;
+        }
+        self.words.resize(addr + 1, 0);
         Some(())
     }
 
