@@ -72,9 +72,9 @@ pub struct TaskGraph {
 }
 
 /// A map over one block's values. Lowering numbers a block's values nearly
-/// consecutively, so when their ids span at most four times the
-/// block's length the map is a table indexed by id; otherwise it hashes, so
-/// a block never pays for ids outside it.
+/// consecutively, so when their ids span at most four times the block's
+/// length the map is a table indexed by id; otherwise it hashes, so a block
+/// never pays for ids outside it.
 #[derive(Clone, Debug)]
 pub struct ValueTable<T> {
     repr: Repr<T>,
@@ -91,7 +91,7 @@ const DENSE_SPAN: usize = 4;
 
 impl<T: Copy> ValueTable<T> {
     /// An empty map for the values `block` defines.
-    pub fn for_block(block: &Block) -> ValueTable<T> {
+    fn for_block(block: &Block) -> ValueTable<T> {
         let ids = block.insts.iter().filter_map(|i| i.dst.map(ValueId::index));
         let (lo, hi) = ids.fold((usize::MAX, 0), |(lo, hi), v| (lo.min(v), hi.max(v)));
         let repr = if lo > hi {
