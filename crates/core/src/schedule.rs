@@ -862,16 +862,10 @@ struct MulticastTree {
     nodes: Vec<TreeNode>,
     /// Per tile: index of its node in `nodes`, or [`NOT_IN_TREE`].
     slot: Vec<u32>,
-    /// Per source tile, the live-mesh BFS tree (faulty machines only),
-    /// computed on first use.
-    bfs: Vec<Option<BfsParents>>,
     route: Vec<Dir>,
 }
 
 const NOT_IN_TREE: u32 = u32::MAX;
-
-/// Per tile, its parent and the direction from it in a BFS spanning tree.
-type BfsParents = Vec<Option<(TileId, Dir)>>;
 
 #[derive(Debug)]
 struct TreeNode {
@@ -907,7 +901,7 @@ impl TreeNode {
 /// shared tree are prefix-consistent, which the multicast-tree merge relies
 /// on. Only used when the machine has faulty tiles — the fault-free case
 /// keeps the exact legacy dimension-ordered routes.
-fn live_bfs_parents(config: &MachineConfig, src: TileId) -> BfsParents {
+fn live_bfs_parents(config: &MachineConfig, src: TileId) -> Vec<Option<(TileId, Dir)>> {
     let n = config.n_tiles() as usize;
     let mut parents: Vec<Option<(TileId, Dir)>> = vec![None; n];
     let mut seen = vec![false; n];
@@ -944,19 +938,15 @@ impl MulticastTree {
         }
         self.slot.resize(n_tiles, NOT_IN_TREE);
         self.add_node(src, 0, SSrc::Proc);
+        // With faulty tiles, dimension-ordered routes may cross a dead
+        // switch; route along a shared BFS tree of the live mesh.
+        let bfs = (!config.faulty.is_empty()).then(|| live_bfs_parents(config, src));
         let mut route = std::mem::take(&mut self.route);
         for &dst in dsts {
             debug_assert_ne!(dst, src, "local consumers need no communication");
             debug_assert!(!config.is_faulty(dst), "comm path to faulty tile");
             route.clear();
-            if config.faulty.is_empty() {
-                route.extend(config.xy_steps(src, dst));
-            } else {
-                // With faulty tiles, dimension-ordered routes may cross a dead
-                // switch; route along a shared BFS tree of the live mesh.
-                self.bfs.resize(n_tiles, None);
-                let parents =
-                    self.bfs[src.index()].get_or_insert_with(|| live_bfs_parents(config, src));
+            if let Some(parents) = &bfs {
                 let mut cur = dst;
                 while cur != src {
                     let (p, d) = parents[cur.index()]
@@ -965,6 +955,8 @@ impl MulticastTree {
                     cur = p;
                 }
                 route.reverse();
+            } else {
+                route.extend(config.xy_route(src, dst));
             }
             let mut cur = src;
             let mut cur_idx = 0usize;

@@ -68,77 +68,7 @@ pub struct TaskGraph {
     /// Source operands per node, in [`Inst::sources`] order.
     pub operands: Vec<[Option<Operand>; 2]>,
     /// Defining node of each block-local value a task computes.
-    pub def_of: ValueTable<NodeId>,
-}
-
-/// A map over one block's values. Lowering numbers a block's values nearly
-/// consecutively, so when their ids span at most four times the block's
-/// length the map is a table indexed by id; otherwise it hashes, so a block
-/// never pays for ids outside it.
-#[derive(Clone, Debug)]
-pub struct ValueTable<T> {
-    repr: Repr<T>,
-}
-
-#[derive(Clone, Debug)]
-enum Repr<T> {
-    Dense { base: usize, slots: Vec<Option<T>> },
-    Hashed(HashMap<ValueId, T>),
-}
-
-/// Largest id span per block instruction a [`ValueTable`] indexes directly.
-const DENSE_SPAN: usize = 4;
-
-impl<T: Copy> ValueTable<T> {
-    /// An empty map for the values `block` defines.
-    fn for_block(block: &Block) -> ValueTable<T> {
-        let ids = block.insts.iter().filter_map(|i| i.dst.map(ValueId::index));
-        let (lo, hi) = ids.fold((usize::MAX, 0), |(lo, hi), v| (lo.min(v), hi.max(v)));
-        let repr = if lo > hi {
-            Repr::Dense {
-                base: 0,
-                slots: Vec::new(),
-            }
-        } else if hi - lo < DENSE_SPAN * block.insts.len() {
-            Repr::Dense {
-                base: lo,
-                slots: vec![None; hi - lo + 1],
-            }
-        } else {
-            Repr::Hashed(HashMap::with_capacity(block.insts.len()))
-        };
-        ValueTable { repr }
-    }
-
-    /// The entry for `v`, if any.
-    pub fn get(&self, v: &ValueId) -> Option<&T> {
-        match &self.repr {
-            Repr::Dense { base, slots } => v
-                .index()
-                .checked_sub(*base)
-                .and_then(|i| slots.get(i))
-                .and_then(Option::as_ref),
-            Repr::Hashed(map) => map.get(v),
-        }
-    }
-
-    /// Sets the entry for `v`, one of the block's values.
-    fn insert(&mut self, v: ValueId, t: T) {
-        match &mut self.repr {
-            Repr::Dense { base, slots } => slots[v.index() - *base] = Some(t),
-            Repr::Hashed(map) => {
-                map.insert(v, t);
-            }
-        }
-    }
-}
-
-impl<T: Copy> std::ops::Index<&ValueId> for ValueTable<T> {
-    type Output = T;
-
-    fn index(&self, v: &ValueId) -> &T {
-        self.get(v).expect("a value of this block")
-    }
+    pub def_of: HashMap<ValueId, NodeId>,
 }
 
 /// True unless `inst` is a constant: the block instructions that become
@@ -165,12 +95,12 @@ impl TaskGraph {
             pins: vec![None; n],
             extra_slots: vec![0; n],
             operands: Vec::with_capacity(n),
-            def_of: ValueTable::for_block(block),
+            def_of: HashMap::with_capacity(n),
         };
 
         // The one ValueId lookup per source: program order meets every
         // definition before its uses, constants included.
-        let mut operand_of: ValueTable<Operand> = ValueTable::for_block(block);
+        let mut operand_of: HashMap<ValueId, Operand> = HashMap::with_capacity(block.insts.len());
         for inst in &block.insts {
             let Some(dst) = inst.dst else {
                 if is_task(inst) {
@@ -387,7 +317,7 @@ fn extra_slots_of(inst: &Inst, layout: &DataLayout, operands: &[Option<Operand>;
 }
 
 /// `inst`'s sources as operands, in [`Inst::sources`] order.
-fn resolve(inst: &Inst, operand_of: &ValueTable<Operand>) -> [Option<Operand>; 2] {
+fn resolve(inst: &Inst, operand_of: &HashMap<ValueId, Operand>) -> [Option<Operand>; 2] {
     let mut out = [None; 2];
     for (slot, v) in out.iter_mut().zip(inst.sources()) {
         *slot = Some(
@@ -465,8 +395,8 @@ mod tests {
 
     #[test]
     fn spread_value_ids_build_the_same_graph() {
-        // Ids 1000 apart leave no dense window: the hashed table must
-        // resolve every operand and definition exactly as the dense one.
+        // Ids 1000 apart resolve every operand and definition exactly as
+        // consecutive ones.
         let (p, g) = graph_for(
             |b| {
                 let v = b.var_i32("v", 0);
@@ -490,8 +420,6 @@ mod tests {
         }
         let config = MachineConfig::square(4);
         let spread_g = TaskGraph::build(&block, &DataLayout::build(&p, &config), &config);
-        assert!(matches!(spread_g.def_of.repr, Repr::Hashed(_)));
-        assert!(matches!(g.def_of.repr, Repr::Dense { .. }));
         assert_eq!(spread_g.operands, g.operands);
         assert_eq!(spread_g.succs, g.succs);
         for (n, inst) in p
