@@ -224,7 +224,7 @@ fn lowered_ir_hashes_are_pinned() {
         writeln!(s, "{label} {:#018x}", raw_testkit::hash64(&bytes)).unwrap();
     };
     for (label, build) in &kernels {
-        for tiles in [1, 2, 4, 8, 16] {
+        for tiles in [1, 2, 4, 8, 16, 32] {
             pin(
                 format!("{label}@{tiles}"),
                 &build(tiles, UnrollOptions::for_tiles(tiles)),
