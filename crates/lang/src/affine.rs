@@ -17,26 +17,26 @@
 //! predictably. Every integer step is checked: a fold that overflows is
 //! simply not constant.
 
-use crate::ast::{any_stmt, BinKind, Expr, LValue, Literal, Stmt, UnKind};
+use crate::ast::{any_stmt, BinKind, Expr, ExprId, Exprs, LValue, Literal, Stmt, Sym, UnKind};
 
 /// What is known about one enclosing `for` loop: while it runs, its variable
 /// takes the values `base + k·step` for `k = 0, 1, …`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Loop<'a> {
+pub struct Loop {
     /// Induction variable.
-    pub var: &'a str,
+    pub var: Sym,
     /// Value on the first iteration, when constant.
     pub base: Option<i64>,
     /// Per-iteration step, when constant.
     pub step: Option<i64>,
 }
 
-impl<'a> Loop<'a> {
+impl Loop {
     /// The facts of `for (var = init; …; var = var + step) body`. A body that
     /// writes `var`, directly or as a nested loop's variable, breaks the
     /// progression, so then neither base nor step is known.
-    pub fn new(var: &'a str, init: &Expr, step: &Expr, body: &[Stmt]) -> Self {
-        let writes = any_stmt(body, &mut |s| match s {
+    pub fn new(ex: &Exprs, var: Sym, init: ExprId, step: ExprId, body: &[Stmt]) -> Self {
+        let writes = any_stmt(body, &mut |s| match *s {
             Stmt::Assign {
                 target: LValue::Var(name, _),
                 ..
@@ -44,7 +44,7 @@ impl<'a> Loop<'a> {
             Stmt::For { var: inner, .. } => inner == var,
             _ => false,
         });
-        let known = |e: &Expr| if writes { None } else { const_eval(e) };
+        let known = |e| if writes { None } else { const_eval(ex, e) };
         Loop {
             var,
             base: known(init),
@@ -55,17 +55,17 @@ impl<'a> Loop<'a> {
 
 /// Constant-folds an integer expression. `None` if it reads a variable or an
 /// array, divides by zero, or overflows.
-pub fn const_eval(e: &Expr) -> Option<i64> {
-    eval(e, &|_| None)
+pub fn const_eval(ex: &Exprs, e: ExprId) -> Option<i64> {
+    eval(ex, e, &|_| None)
 }
 
 /// Folds `e` with every scalar read answered by `var`.
-fn eval(e: &Expr, var: &impl Fn(&str) -> Option<i64>) -> Option<i64> {
-    match e {
-        Expr::Lit(Literal::Int(v), _) => Some(*v),
+fn eval(ex: &Exprs, e: ExprId, var: &impl Fn(Sym) -> Option<i64>) -> Option<i64> {
+    match ex[e] {
+        Expr::Lit(Literal::Int(v), _) => Some(v),
         Expr::Var(name, _) => var(name),
         Expr::Bin { op, l, r, .. } => {
-            let (a, b) = (eval(l, var)?, eval(r, var)?);
+            let (a, b) = (eval(ex, l, var)?, eval(ex, r, var)?);
             match op {
                 BinKind::Add => a.checked_add(b),
                 BinKind::Sub => a.checked_sub(b),
@@ -77,7 +77,7 @@ fn eval(e: &Expr, var: &impl Fn(&str) -> Option<i64>) -> Option<i64> {
         }
         Expr::Un {
             op: UnKind::Neg, e, ..
-        } => eval(e, var)?.checked_neg(),
+        } => eval(ex, e, var)?.checked_neg(),
         _ => None,
     }
 }
@@ -86,8 +86,18 @@ fn eval(e: &Expr, var: &impl Fn(&str) -> Option<i64>) -> Option<i64> {
 /// `inclusive`), when all three are constant and `step > 0`. `None` as well
 /// when the value after the last iteration, `init + trip·step`, overflows, so
 /// every value a counted loop's variable takes fits in an `i64`.
-pub fn trip_count(init: &Expr, bound: &Expr, inclusive: bool, step: &Expr) -> Option<i64> {
-    let (init, bound, step) = (const_eval(init)?, const_eval(bound)?, const_eval(step)?);
+pub fn trip_count(
+    ex: &Exprs,
+    init: ExprId,
+    bound: ExprId,
+    inclusive: bool,
+    step: ExprId,
+) -> Option<i64> {
+    let (init, bound, step) = (
+        const_eval(ex, init)?,
+        const_eval(ex, bound)?,
+        const_eval(ex, step)?,
+    );
     if step <= 0 {
         return None;
     }
@@ -102,19 +112,19 @@ pub fn trip_count(init: &Expr, bound: &Expr, inclusive: bool, step: &Expr) -> Op
 
 /// The coefficient of `var` in `e` if `e` is affine in `var` (terms without
 /// `var` may be anything), else `None`.
-pub fn affine_coeff(e: &Expr, var: &str) -> Option<i64> {
-    match e {
+pub fn affine_coeff(ex: &Exprs, e: ExprId, var: Sym) -> Option<i64> {
+    match ex[e] {
         Expr::Lit(..) => Some(0),
         Expr::Var(name, _) => Some(i64::from(name == var)),
         Expr::Bin { op, l, r, .. } => {
-            let (cl, cr) = (affine_coeff(l, var)?, affine_coeff(r, var)?);
+            let (cl, cr) = (affine_coeff(ex, l, var)?, affine_coeff(ex, r, var)?);
             match op {
                 BinKind::Add => cl.checked_add(cr),
                 BinKind::Sub => cl.checked_sub(cr),
                 BinKind::Mul => match (cl, cr) {
                     (0, 0) => Some(0),
-                    (c, 0) => c.checked_mul(const_eval(r)?),
-                    (0, c) => c.checked_mul(const_eval(l)?),
+                    (c, 0) => c.checked_mul(const_eval(ex, r)?),
+                    (0, c) => c.checked_mul(const_eval(ex, l)?),
                     _ => None,
                 },
                 _ => (cl == 0 && cr == 0).then_some(0),
@@ -122,35 +132,43 @@ pub fn affine_coeff(e: &Expr, var: &str) -> Option<i64> {
         }
         Expr::Un {
             op: UnKind::Neg, e, ..
-        } => affine_coeff(e, var)?.checked_neg(),
-        Expr::Un { e, .. } => (affine_coeff(e, var)? == 0).then_some(0),
-        Expr::Index { .. } | Expr::Call { .. } => (!e.mentions(var)).then_some(0),
+        } => affine_coeff(ex, e, var)?.checked_neg(),
+        Expr::Un { e, .. } => (affine_coeff(ex, e, var)? == 0).then_some(0),
+        Expr::Index { .. } | Expr::Call { .. } => (!ex.mentions(e, var)).then_some(0),
     }
 }
 
 /// Row-major linearization `Σ_d term(indices[d]) · Π_{d' > d} dims[d']`.
 fn linearize(
     dims: &[u32],
-    indices: &[Expr],
-    mut term: impl FnMut(&Expr) -> Option<i64>,
+    indices: &[ExprId],
+    mut term: impl FnMut(ExprId) -> Option<i64>,
 ) -> Option<i64> {
     let (mut sum, mut mult) = (0i64, 1i64);
-    for (idx, &dim) in indices.iter().zip(dims).rev() {
+    for (&idx, &dim) in indices.iter().zip(dims).rev() {
         sum = sum.checked_add(term(idx)?.checked_mul(mult)?)?;
         mult = mult.checked_mul(i64::from(dim))?;
     }
     Some(sum)
 }
 
-/// The non-constant terms `(term, coeff)` of one index, `Σ coeff · term`, in
-/// source order.
-pub type Terms<'e> = Vec<(&'e Expr, i32)>;
+/// One non-constant term of an access's index: `coeff · e` in index `dim`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Term {
+    /// Which index (dimension) the term belongs to.
+    pub dim: usize,
+    /// The term's expression.
+    pub e: ExprId,
+    /// Its coefficient.
+    pub coeff: i32,
+}
 
 /// The access `array[indices]` (row-major `dims`) split into its
 /// non-constant part and a constant, for lowering to emit the first as the
 /// memory instruction's index and fold the second into its immediate.
 ///
-/// Returns each index's [`Terms`] and the constant parts of all indices,
+/// Appends each index's non-constant [`Term`]s to `terms`, by dimension and
+/// in source order, and returns the constant parts of all indices,
 /// linearized into one element offset. The constant is split off every sum,
 /// difference, negation and product with a constant; every other
 /// subexpression (a scalar, an array element, a product of two variables, a
@@ -158,68 +176,88 @@ pub type Terms<'e> = Vec<(&'e Expr, i32)>;
 /// the index arithmetic it replaces does, so the split is exact: with
 /// `dims = [_, 8]`, `[k + 3][j - 1]` is `[k][j]` plus 23, and every unrolled
 /// copy of a reference has the same terms. A fully constant index has none.
-pub fn split<'e>(dims: &[u32], indices: &'e [Expr]) -> (Vec<Terms<'e>>, i32) {
+pub fn split(ex: &Exprs, dims: &[u32], indices: &[ExprId], terms: &mut Vec<Term>) -> i32 {
     let mut offset = 0i32;
-    let parts = indices
-        .iter()
-        .zip(dims)
-        .map(|(idx, &dim)| {
-            let (terms, c) = split_expr(idx);
-            offset = offset.wrapping_mul(dim as i32).wrapping_add(c);
-            terms
-        })
-        .collect();
-    (parts, offset)
+    for (dim, (&idx, &d)) in indices.iter().zip(dims).enumerate() {
+        let start = terms.len();
+        let c = split_expr(ex, idx, terms);
+        for t in &mut terms[start..] {
+            t.dim = dim;
+        }
+        offset = offset.wrapping_mul(d as i32).wrapping_add(c);
+    }
+    offset
 }
 
-type Split<'e> = (Terms<'e>, i32);
-
-/// `e` as `(terms, constant)`, see [`split`].
-fn split_expr(e: &Expr) -> Split<'_> {
-    match e {
-        Expr::Lit(Literal::Int(v), _) => match i32::try_from(*v) {
-            Ok(v) => (Vec::new(), v),
-            Err(_) => (vec![(e, 1)], 0),
-        },
+/// Appends the terms of `e` to `terms` and returns its constant, see
+/// [`split`] (the terms' `dim` is left for the caller to set).
+fn split_expr(ex: &Exprs, e: ExprId, terms: &mut Vec<Term>) -> i32 {
+    let term = |terms: &mut Vec<Term>| {
+        terms.push(Term {
+            dim: 0,
+            e,
+            coeff: 1,
+        });
+        0
+    };
+    let scale = |terms: &mut [Term], k: i32| {
+        for t in terms {
+            t.coeff = t.coeff.wrapping_mul(k);
+        }
+    };
+    match ex[e] {
+        Expr::Lit(Literal::Int(v), _) => i32::try_from(v).unwrap_or_else(|_| term(terms)),
         Expr::Bin {
             op: op @ (BinKind::Add | BinKind::Sub),
             l,
             r,
             ..
         } => {
-            let sign = if *op == BinKind::Add { 1 } else { -1 };
-            let (mut t, c) = split_expr(l);
-            let (u, d) = scaled(split_expr(r), sign);
-            t.extend(u);
-            (t, c.wrapping_add(d))
+            let c = split_expr(ex, l, terms);
+            let mid = terms.len();
+            let mut d = split_expr(ex, r, terms);
+            if op == BinKind::Sub {
+                scale(&mut terms[mid..], -1);
+                d = d.wrapping_neg();
+            }
+            c.wrapping_add(d)
         }
         Expr::Bin {
             op: BinKind::Mul,
             l,
             r,
             ..
-        } => match (split_expr(l), split_expr(r)) {
-            ((t, c), (u, d)) if t.is_empty() => scaled((u, d), c),
-            ((t, c), (u, d)) if u.is_empty() => scaled((t, c), d),
-            _ => (vec![(e, 1)], 0),
-        },
+        } => {
+            let start = terms.len();
+            let c = split_expr(ex, l, terms);
+            let mid = terms.len();
+            let d = split_expr(ex, r, terms);
+            if mid == start {
+                scale(&mut terms[mid..], c);
+            } else if terms.len() == mid {
+                scale(&mut terms[start..], d);
+            } else {
+                terms.truncate(start);
+                return term(terms);
+            }
+            c.wrapping_mul(d)
+        }
         Expr::Un {
             op: UnKind::Neg, e, ..
-        } => scaled(split_expr(e), -1),
-        _ => (vec![(e, 1)], 0),
+        } => {
+            let start = terms.len();
+            let c = split_expr(ex, e, terms);
+            scale(&mut terms[start..], -1);
+            c.wrapping_neg()
+        }
+        _ => term(terms),
     }
-}
-
-/// Every coefficient and the constant of `(t, c)` times `k`.
-fn scaled((t, c): Split<'_>, k: i32) -> Split<'_> {
-    let t = t.into_iter().map(|(e, x)| (e, x.wrapping_mul(k))).collect();
-    (t, c.wrapping_mul(k))
 }
 
 /// How many elements the access `array[indices]` (row-major `dims`) moves
 /// when `var` grows by one; `None` if an index is not affine in `var`.
-pub fn stride(dims: &[u32], indices: &[Expr], var: &str) -> Option<i64> {
-    linearize(dims, indices, |idx| affine_coeff(idx, var))
+pub fn stride(ex: &Exprs, dims: &[u32], indices: &[ExprId], var: Sym) -> Option<i64> {
+    linearize(dims, indices, |idx| affine_coeff(ex, idx, var))
 }
 
 /// The home tile of the access `array[indices]` (row-major `dims`) inside the
@@ -228,17 +266,23 @@ pub fn stride(dims: &[u32], indices: &[Expr], var: &str) -> Option<i64> {
 /// variables with a constant remainder, and every loop variable it depends on
 /// has a known base and a step that moves it by a multiple of `n_tiles`.
 /// On one tile every element is at home.
-pub fn home(dims: &[u32], indices: &[Expr], loops: &[Loop], n_tiles: u32) -> Option<u32> {
+pub fn home(
+    ex: &Exprs,
+    dims: &[u32],
+    indices: &[ExprId],
+    loops: &[Loop],
+    n_tiles: u32,
+) -> Option<u32> {
     if n_tiles <= 1 {
         return Some(0);
     }
     let n = i64::from(n_tiles);
     // The index with every loop variable at zero, plus each variable's share
     // on its first iteration.
-    let at_zero = |name: &str| loops.iter().any(|l| l.var == name).then_some(0);
-    let mut residue = linearize(dims, indices, |idx| eval(idx, &at_zero))?;
+    let at_zero = |name: Sym| loops.iter().any(|l| l.var == name).then_some(0);
+    let mut residue = linearize(dims, indices, |idx| eval(ex, idx, &at_zero))?;
     for l in loops {
-        let coeff = stride(dims, indices, l.var)?;
+        let coeff = stride(ex, dims, indices, l.var)?;
         if coeff != 0 {
             let (base, step) = (l.base?, l.step?);
             if coeff.checked_mul(step)? % n != 0 {
@@ -293,29 +337,71 @@ pub fn unroll_factor(strides: impl IntoIterator<Item = i64>, step: i64, n_tiles:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Kernel;
     use crate::parser::parse;
 
-    /// The first statement's store indices and the kernel's array dims.
-    fn store(src: &str) -> (Vec<u32>, Vec<Expr>) {
+    /// The non-constant terms `(term, coeff)` of one index.
+    type Terms = Vec<(ExprId, i32)>;
+
+    /// The first statement's store: the parsed kernel, the array's dims and
+    /// the store's indices.
+    struct Store {
+        k: Kernel,
+        dims: Vec<u32>,
+        indices: Vec<ExprId>,
+    }
+
+    impl Store {
+        /// The symbol spelled `name`, or one the source never names.
+        fn sym(&self, name: &str) -> Sym {
+            self.k.sym(name).unwrap_or(Sym(u32::MAX))
+        }
+
+        /// [`split`]'s terms grouped by index, and its offset.
+        fn split(&self) -> (Vec<Terms>, i32) {
+            let mut terms = Vec::new();
+            let offset = split(&self.k.exprs, &self.dims, &self.indices, &mut terms);
+            let mut parts = vec![Vec::new(); self.indices.len()];
+            for t in terms {
+                parts[t.dim].push((t.e, t.coeff));
+            }
+            (parts, offset)
+        }
+
+        fn stride(&self, var: &str) -> Option<i64> {
+            stride(&self.k.exprs, &self.dims, &self.indices, self.sym(var))
+        }
+
+        fn coeff(&self, var: &str) -> Option<i64> {
+            affine_coeff(&self.k.exprs, self.indices[0], self.sym(var))
+        }
+    }
+
+    fn store(src: &str) -> Store {
         let k = parse("t", src).unwrap();
         let Stmt::Assign {
             target: LValue::Index { indices, .. },
             ..
-        } = &k.stmts[0]
+        } = k.stmts[0]
         else {
             panic!("expected a store first")
         };
-        (k.arrays[0].dims.clone(), indices.clone())
+        Store {
+            dims: k.arrays[0].dims.clone(),
+            indices: k.exprs.list(indices).to_vec(),
+            k,
+        }
     }
 
-    fn bound_of(src: &str) -> Expr {
-        let (_, mut indices) = store(&format!("int A[1]; A[{src}] = 0;"));
-        indices.remove(0)
+    /// `src` folded as the index of a one-element store.
+    fn folded(src: &str) -> Option<i64> {
+        let s = store(&format!("int A[1]; A[{src}] = 0;"));
+        const_eval(&s.k.exprs, s.indices[0])
     }
 
     #[test]
     fn const_eval_folds_and_refuses_overflow() {
-        assert_eq!(const_eval(&bound_of("(7 - 2) * 3 % 4 / -1")), Some(-3));
+        assert_eq!(folded("(7 - 2) * 3 % 4 / -1"), Some(-3));
         for src in [
             "(0 - 9223372036854775807 - 1) / (0 - 1)",
             "(0 - 9223372036854775807 - 1) % (0 - 1)",
@@ -325,19 +411,18 @@ mod tests {
             "1 / 0",
             "x + 1",
         ] {
-            assert_eq!(const_eval(&bound_of(src)), None, "{src}");
+            assert_eq!(folded(src), None, "{src}");
         }
     }
 
     #[test]
     fn trip_counts() {
         let trip = |init: &str, bound: &str, inclusive, step: &str| {
-            trip_count(
-                &bound_of(init),
-                &bound_of(bound),
-                inclusive,
-                &bound_of(step),
-            )
+            let s = store(&format!("int A[1][1][1]; A[{init}][{bound}][{step}] = 0;"));
+            let [init, bound, step] = s.indices[..] else {
+                unreachable!()
+            };
+            trip_count(&s.k.exprs, init, bound, inclusive, step)
         };
         assert_eq!(trip("0", "16", false, "1"), Some(16));
         assert_eq!(trip("0", "16", true, "1"), Some(17));
@@ -354,67 +439,76 @@ mod tests {
 
     #[test]
     fn affine_coeff_handles_composition() {
-        let (_, indices) = store("int i; int j; float A[8]; A[3*i + 2*j - 1] = 0.0;");
-        assert_eq!(affine_coeff(&indices[0], "i"), Some(3));
-        assert_eq!(affine_coeff(&indices[0], "j"), Some(2));
-        assert_eq!(affine_coeff(&indices[0], "k"), Some(0));
+        let s = store("int i; int j; float A[8]; A[3*i + 2*j - 1] = 0.0;");
+        assert_eq!(s.coeff("i"), Some(3));
+        assert_eq!(s.coeff("j"), Some(2));
+        assert_eq!(s.coeff("k"), Some(0));
     }
 
     #[test]
     fn non_affine_index_detected() {
         for src in ["i*i", "B[i]", "toint(tofloat(i))", "i / 2", "!i"] {
-            let (_, indices) = store(&format!("int i; int A[8]; int B[8]; A[{src}] = 0;"));
-            assert_eq!(affine_coeff(&indices[0], "i"), None, "{src}");
+            let s = store(&format!("int i; int A[8]; int B[8]; A[{src}] = 0;"));
+            assert_eq!(s.coeff("i"), None, "{src}");
         }
     }
 
     #[test]
     fn stride_linearizes_row_major() {
-        let (dims, indices) = store("int i; int j; float A[4][8]; A[j][2*i + 1] = 0.0;");
-        assert_eq!(stride(&dims, &indices, "i"), Some(2));
-        assert_eq!(stride(&dims, &indices, "j"), Some(8));
-        assert_eq!(stride(&dims, &indices, "k"), Some(0));
+        let s = store("int i; int j; float A[4][8]; A[j][2*i + 1] = 0.0;");
+        assert_eq!(s.stride("i"), Some(2));
+        assert_eq!(s.stride("j"), Some(8));
+        assert_eq!(s.stride("k"), Some(0));
     }
 
     #[test]
     fn split_separates_the_constant_part() {
-        let names = |parts: &[Terms]| -> Vec<Vec<(String, i32)>> {
-            let name = |e: &Expr| match e {
-                Expr::Var(name, _) => name.clone(),
+        let names = |s: &Store, parts: &[Terms]| -> Vec<Vec<(String, i32)>> {
+            let name = |e: ExprId| match s.k.exprs[e] {
+                Expr::Var(name, _) => s.k.name_of(name).to_string(),
                 other => panic!("{other:?}"),
             };
-            let terms = |t: &Terms| t.iter().map(|(e, k)| (name(e), *k)).collect();
+            let terms = |t: &Terms| t.iter().map(|&(e, k)| (name(e), k)).collect();
             parts.iter().map(terms).collect()
         };
-        let (dims, indices) = store("int k; int j; int A[512]; A[(k + 3) * 8 + j - 1] = 0;");
-        let (parts, offset) = split(&dims, &indices);
+        let s = store("int k; int j; int A[512]; A[(k + 3) * 8 + j - 1] = 0;");
+        let (parts, offset) = s.split();
         let want = vec![("k".to_string(), 8), ("j".to_string(), 1)];
-        assert_eq!((names(&parts), offset), (vec![want], 23));
+        assert_eq!((names(&s, &parts), offset), (vec![want], 23));
         // The same element written two-dimensionally has one term per index.
-        let (dims, indices) = store("int k; int j; int A[64][8]; A[k + 3][j - 1] = 0;");
-        let (parts, offset) = split(&dims, &indices);
+        let s = store("int k; int j; int A[64][8]; A[k + 3][j - 1] = 0;");
+        let (parts, offset) = s.split();
         let want = vec![vec![("k".to_string(), 1)], vec![("j".to_string(), 1)]];
-        assert_eq!((names(&parts), offset), (want, 23));
+        assert_eq!((names(&s, &parts), offset), (want, 23));
         // Negated parts, opaque terms and a fully constant index.
-        let (dims, indices) = store("int i; int A[8][8]; int B[8]; A[7 - i][B[i] + 2 * 3] = 0;");
-        let (parts, offset) = split(&dims, &indices);
+        let s = store("int i; int A[8][8]; int B[8]; A[7 - i][B[i] + 2 * 3] = 0;");
+        let (parts, offset) = s.split();
         assert_eq!(offset, 62);
-        assert!(matches!(parts[0][..], [(Expr::Var(_, _), -1)]));
-        assert!(matches!(parts[1][..], [(Expr::Index { .. }, 1)]));
-        let (dims, indices) = store("int A[8][8]; A[2][-(3 - 8)] = 0;");
-        assert_eq!(split(&dims, &indices), (vec![vec![], vec![]], 21));
+        assert!(matches!(node_of(&s, &parts[0]), (Expr::Var(_, _), -1, 1)));
+        assert!(matches!(node_of(&s, &parts[1]), (Expr::Index { .. }, 1, 1)));
+        let s = store("int A[8][8]; A[2][-(3 - 8)] = 0;");
+        assert_eq!(s.split(), (vec![vec![], vec![]], 21));
         // Products of two variables stay whole; arithmetic wraps at 32 bits.
-        let (dims, indices) = store("int i; int A[8]; A[i * i + 2147483647 + 2] = 0;");
-        let (parts, offset) = split(&dims, &indices);
-        assert!(matches!(parts[0][..], [(Expr::Bin { .. }, 1)]));
+        let s = store("int i; int A[8]; A[i * i + 2147483647 + 2] = 0;");
+        let (parts, offset) = s.split();
+        assert!(matches!(node_of(&s, &parts[0]), (Expr::Bin { .. }, 1, 1)));
         assert_eq!(offset, i32::MIN + 1);
+    }
+
+    /// The first term's node, its coefficient and the number of terms.
+    fn node_of(s: &Store, part: &Terms) -> (Expr, i32, usize) {
+        (s.k.exprs[part[0].0], part[0].1, part.len())
     }
 
     #[test]
     fn home_needs_known_steps_that_are_multiples_of_the_tile_count() {
-        let (dims, indices) = store("int i; int j; float A[8][8]; A[j][i + 1] = 0.0;");
-        let lp = |var, base, step| Loop { var, base, step };
-        let at = |loops: &[Loop]| home(&dims, &indices, loops, 4);
+        let s = store("int i; int j; float A[8][8]; A[j][i + 1] = 0.0;");
+        let lp = |var, base, step| Loop {
+            var: s.sym(var),
+            base,
+            step,
+        };
+        let at = |loops: &[Loop]| home(&s.k.exprs, &s.dims, &s.indices, loops, 4);
         // i = 2, 6, 10, …: element 8j + i + 1 always lands on tile 3.
         assert_eq!(
             at(&[lp("i", Some(2), Some(4))]),
@@ -431,7 +525,7 @@ mod tests {
             at(&[j, lp("i", Some(1), Some(4)), lp("k", None, None)]),
             Some(2)
         );
-        assert_eq!(home(&dims, &indices, &[], 1), Some(0));
+        assert_eq!(home(&s.k.exprs, &s.dims, &s.indices, &[], 1), Some(0));
     }
 
     #[test]
@@ -454,7 +548,7 @@ mod tests {
                     step,
                     body,
                     ..
-                } => Loop::new(var, init, step, body),
+                } => Loop::new(&k.exprs, *var, *init, *step, body),
                 other => panic!("{other:?}"),
             })
             .collect();

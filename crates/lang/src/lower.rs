@@ -18,12 +18,11 @@
 //! [`MemHome::Static`]: raw_ir::MemHome::Static
 //! [`MemHome::Dynamic`]: raw_ir::MemHome::Dynamic
 
-use crate::affine::{self, const_eval, Loop};
+use crate::affine::{self, const_eval, Loop, Term};
 use crate::ast::*;
 use crate::error::{LangError, Span};
 use raw_ir::builder::ProgramBuilder;
 use raw_ir::{ArrayId, BinOp, Imm, MemHome, Program, SourceSpan, Ty, UnOp, ValueId, VarId};
-use std::collections::HashMap;
 
 /// Lowers an (already unrolled) kernel to an IR program for `n_tiles` tiles.
 ///
@@ -31,17 +30,22 @@ use std::collections::HashMap;
 ///
 /// Returns type and name-resolution errors with source positions.
 pub fn lower_kernel(kernel: &Kernel, n_tiles: u32) -> Result<Program, LangError> {
+    let n_syms = kernel.names.len();
     let mut lower = Lower {
         b: ProgramBuilder::new(kernel.name.clone()),
-        vars: HashMap::new(),
-        arrays: HashMap::new(),
-        cache: HashMap::new(),
+        k: kernel,
+        ex: &kernel.exprs,
+        vars: vec![None; n_syms],
+        arrays: vec![None; n_syms],
+        cache: vec![None; n_syms],
         dirty: Vec::new(),
         loops: Vec::new(),
+        terms: Vec::new(),
         n_tiles,
     };
     for v in &kernel.vars {
-        if lower.vars.contains_key(&v.name) || lower.arrays.contains_key(&v.name) {
+        let sym = v.sym.index();
+        if lower.vars[sym].is_some() || lower.arrays[sym].is_some() {
             return Err(LangError::new(
                 v.span,
                 format!("duplicate name '{}'", v.name),
@@ -61,19 +65,18 @@ pub fn lower_kernel(kernel: &Kernel, n_tiles: u32) -> Result<Program, LangError>
             }
         };
         let id = lower.b.declare_var(v.name.clone(), ir_ty(v.ty), init);
-        lower.vars.insert(v.name.clone(), (id, v.ty));
+        lower.vars[sym] = Some((id, v.ty));
     }
     for a in &kernel.arrays {
-        if lower.vars.contains_key(&a.name) || lower.arrays.contains_key(&a.name) {
+        let sym = a.sym.index();
+        if lower.vars[sym].is_some() || lower.arrays[sym].is_some() {
             return Err(LangError::new(
                 a.span,
                 format!("duplicate name '{}'", a.name),
             ));
         }
         let id = lower.b.array(a.name.clone(), ir_ty(a.ty), &a.dims);
-        lower
-            .arrays
-            .insert(a.name.clone(), (id, a.dims.clone(), a.ty));
+        lower.arrays[sym] = Some((id, &a.dims[..], a.ty));
     }
     lower.stmts(&kernel.stmts)?;
     lower.flush();
@@ -94,18 +97,25 @@ fn ir_ty(t: Type) -> Ty {
     }
 }
 
+/// Per-symbol tables are `Vec`s indexed by [`Sym`]; a symbol the kernel
+/// does not declare (as that kind) holds `None`.
 struct Lower<'k> {
     b: ProgramBuilder,
-    vars: HashMap<String, (VarId, Type)>,
-    arrays: HashMap<String, (ArrayId, Vec<u32>, Type)>,
+    k: &'k Kernel,
+    ex: &'k Exprs,
+    vars: Vec<Option<(VarId, Type)>>,
+    arrays: Vec<Option<(ArrayId, &'k [u32], Type)>>,
     /// Current block-local value of each scalar.
-    cache: HashMap<String, ValueId>,
+    cache: Vec<Option<ValueId>>,
     /// Scalars assigned in the current block, in first-assignment order, each
     /// with the span of the assignment that dirtied it (stamped on the
     /// `WriteVar` emitted at flush).
-    dirty: Vec<(String, Span)>,
+    dirty: Vec<(Sym, Span)>,
     /// The `for` loops enclosing the statement being lowered, outermost first.
-    loops: Vec<Loop<'k>>,
+    loops: Vec<Loop>,
+    /// The index terms of the array references being lowered, innermost
+    /// last (see [`Lower::index`]).
+    terms: Vec<Term>,
     n_tiles: u32,
 }
 
@@ -118,13 +128,30 @@ impl<'k> Lower<'k> {
     /// Writes back dirty variables and forgets block-local values. Must be
     /// called before every block boundary.
     fn flush(&mut self) {
-        for (name, span) in std::mem::take(&mut self.dirty) {
-            let value = self.cache[&name];
-            let (var, _) = self.vars[&name];
+        for (sym, span) in std::mem::take(&mut self.dirty) {
+            let value = self.cache[sym.index()].expect("a dirty variable has a value");
+            let (var, _) = self.vars[sym.index()].expect("a dirty variable is declared");
             self.at(span);
             self.b.write_var(var, value);
         }
-        self.cache.clear();
+        self.cache.fill(None);
+    }
+
+    /// The declared scalar `sym`, or an error at `span`.
+    fn var(&self, sym: Sym, span: Span) -> Result<(VarId, Type), LangError> {
+        self.vars[sym.index()].ok_or_else(|| {
+            LangError::new(
+                span,
+                format!("undeclared variable '{}'", self.k.name_of(sym)),
+            )
+        })
+    }
+
+    /// The declared array `sym`, or an error at `span`.
+    fn array(&self, sym: Sym, span: Span) -> Result<(ArrayId, &'k [u32], Type), LangError> {
+        self.arrays[sym.index()].ok_or_else(|| {
+            LangError::new(span, format!("undeclared array '{}'", self.k.name_of(sym)))
+        })
     }
 
     fn stmts(&mut self, stmts: &'k [Stmt]) -> Result<(), LangError> {
@@ -136,10 +163,10 @@ impl<'k> Lower<'k> {
 
     fn stmt(&mut self, stmt: &'k Stmt) -> Result<(), LangError> {
         match stmt {
-            Stmt::Assign { target, value } => self.assign(target, value),
+            Stmt::Assign { target, value } => self.assign(*target, *value),
             Stmt::If { cond, then, els } => {
-                let (c, ct) = self.expr(cond, Some(Type::Int))?;
-                expect(Type::Int, ct, cond.span(), "if condition")?;
+                let (c, ct) = self.expr(*cond, Some(Type::Int))?;
+                expect(Type::Int, ct, self.ex.span(*cond), "if condition")?;
                 self.flush();
                 let then_b = self.b.new_block("then");
                 let else_b = self.b.new_block("else");
@@ -163,8 +190,8 @@ impl<'k> Lower<'k> {
                 let exit = self.b.new_block("while.exit");
                 self.b.jump(header);
                 self.b.switch_to(header);
-                let (c, ct) = self.expr(cond, Some(Type::Int))?;
-                expect(Type::Int, ct, cond.span(), "while condition")?;
+                let (c, ct) = self.expr(*cond, Some(Type::Int))?;
+                expect(Type::Int, ct, self.ex.span(*cond), "while condition")?;
                 self.flush();
                 self.b.branch(c, body_b, exit);
                 self.b.switch_to(body_b);
@@ -174,36 +201,27 @@ impl<'k> Lower<'k> {
                 self.b.switch_to(exit);
                 Ok(())
             }
-            Stmt::For {
+            &Stmt::For {
                 var,
                 init,
                 bound,
                 inclusive,
                 step,
-                body,
+                ref body,
                 span,
             } => {
-                let (_, vt) = *self
-                    .vars
-                    .get(var)
-                    .ok_or_else(|| LangError::new(*span, format!("undeclared variable '{var}'")))?;
-                expect(Type::Int, vt, *span, "for induction variable")?;
+                let (_, vt) = self.var(var, span)?;
+                expect(Type::Int, vt, span, "for induction variable")?;
                 // i = init
-                self.assign(&LValue::Var(var.clone(), *span), init)?;
+                self.assign(LValue::Var(var, span), init)?;
 
                 // Known trip count? Then rotate into do-while form: the body
                 // block ends with increment + test + backward branch, saving a
                 // separate header block (and its branch broadcast and variable
                 // round-trips) every iteration.
-                let trip = affine::trip_count(init, bound, *inclusive, step);
-                let facts = Loop::new(var, init, step, body);
-                let incr = Expr::Bin {
-                    op: BinKind::Add,
-                    l: Box::new(Expr::Var(var.clone(), *span)),
-                    r: Box::new(step.clone()),
-                    span: *span,
-                };
-                let cond_op = if *inclusive { BinOp::Sle } else { BinOp::Slt };
+                let trip = affine::trip_count(self.ex, init, bound, inclusive, step);
+                let facts = Loop::new(self.ex, var, init, step, body);
+                let cond_op = if inclusive { BinOp::Sle } else { BinOp::Slt };
 
                 match trip {
                     Some(0) => Ok(()), // body never runs; i keeps its init value
@@ -215,12 +233,12 @@ impl<'k> Lower<'k> {
                         self.b.switch_to(body_b);
                         self.loops.push(facts);
                         self.stmts(body)?;
-                        self.assign(&LValue::Var(var.clone(), *span), &incr)?;
+                        self.increment(var, step, span)?;
                         self.loops.pop();
-                        let (iv, _) = self.expr(&Expr::Var(var.clone(), *span), Some(Type::Int))?;
+                        let (iv, _) = self.read(var, span)?;
                         let (bv, bt) = self.expr(bound, Some(Type::Int))?;
-                        expect(Type::Int, bt, bound.span(), "for bound")?;
-                        self.at(*span);
+                        expect(Type::Int, bt, self.ex.span(bound), "for bound")?;
+                        self.at(span);
                         let c = self.b.bin(cond_op, iv, bv);
                         self.flush();
                         self.b.branch(c, body_b, exit);
@@ -235,17 +253,17 @@ impl<'k> Lower<'k> {
                         let exit = self.b.new_block("for.exit");
                         self.b.jump(header);
                         self.b.switch_to(header);
-                        let (iv, _) = self.expr(&Expr::Var(var.clone(), *span), Some(Type::Int))?;
+                        let (iv, _) = self.read(var, span)?;
                         let (bv, bt) = self.expr(bound, Some(Type::Int))?;
-                        expect(Type::Int, bt, bound.span(), "for bound")?;
-                        self.at(*span);
+                        expect(Type::Int, bt, self.ex.span(bound), "for bound")?;
+                        self.at(span);
                         let c = self.b.bin(cond_op, iv, bv);
                         self.flush();
                         self.b.branch(c, body_b, exit);
                         self.b.switch_to(body_b);
                         self.loops.push(facts);
                         self.stmts(body)?;
-                        self.assign(&LValue::Var(var.clone(), *span), &incr)?;
+                        self.increment(var, step, span)?;
                         self.loops.pop();
                         self.flush();
                         self.b.jump(header);
@@ -257,18 +275,39 @@ impl<'k> Lower<'k> {
         }
     }
 
-    fn assign(&mut self, target: &LValue, value: &Expr) -> Result<(), LangError> {
+    /// `var = var + step`, stamped at the loop's `span`: lowered exactly as
+    /// that assignment would be.
+    fn increment(&mut self, var: Sym, step: ExprId, span: Span) -> Result<(), LangError> {
+        let (lv, lt) = self.read(var, span)?;
+        let (rv, rt) = self.expr(step, Some(Type::Int))?;
+        self.at(span);
+        if lt != rt {
+            return Err(LangError::new(
+                span,
+                format!("operand type mismatch: {lt:?} vs {rt:?}"),
+            ));
+        }
+        let v = self.b.add(lv, rv);
+        self.set(var, span, v);
+        Ok(())
+    }
+
+    /// Records `v` as the block-local value of scalar `sym`, assigned at
+    /// `span`.
+    fn set(&mut self, sym: Sym, span: Span, v: ValueId) {
+        if !self.dirty.iter().any(|&(s, _)| s == sym) {
+            self.dirty.push((sym, span));
+        }
+        self.cache[sym.index()] = Some(v);
+    }
+
+    fn assign(&mut self, target: LValue, value: ExprId) -> Result<(), LangError> {
         match target {
-            LValue::Var(name, span) => {
-                let (_, vt) = *self.vars.get(name).ok_or_else(|| {
-                    LangError::new(*span, format!("undeclared variable '{name}'"))
-                })?;
+            LValue::Var(sym, span) => {
+                let (_, vt) = self.var(sym, span)?;
                 let (v, t) = self.expr(value, Some(vt))?;
-                expect(vt, t, value.span(), "assignment")?;
-                if !self.dirty.iter().any(|(n, _)| n == name) {
-                    self.dirty.push((name.clone(), *span));
-                }
-                self.cache.insert(name.clone(), v);
+                expect(vt, t, self.ex.span(value), "assignment")?;
+                self.set(sym, span, v);
                 Ok(())
             }
             LValue::Index {
@@ -276,14 +315,11 @@ impl<'k> Lower<'k> {
                 indices,
                 span,
             } => {
-                let (aid, dims, ety) =
-                    self.arrays.get(array).cloned().ok_or_else(|| {
-                        LangError::new(*span, format!("undeclared array '{array}'"))
-                    })?;
+                let (aid, dims, ety) = self.array(array, span)?;
                 let (v, t) = self.expr(value, Some(ety))?;
-                expect(ety, t, value.span(), "array store")?;
-                let (idx, offset, home) = self.index(&dims, indices, *span)?;
-                self.at(*span);
+                expect(ety, t, self.ex.span(value), "array store")?;
+                let (idx, offset, home) = self.index(dims, self.ex.list(indices), span)?;
+                self.at(span);
                 self.b.store(aid, idx, offset, v, home);
                 Ok(())
             }
@@ -297,7 +333,7 @@ impl<'k> Lower<'k> {
     fn index(
         &mut self,
         dims: &[u32],
-        indices: &[Expr],
+        indices: &[ExprId],
         span: Span,
     ) -> Result<(ValueId, i32, MemHome), LangError> {
         if dims.len() != indices.len() {
@@ -311,20 +347,29 @@ impl<'k> Lower<'k> {
             ));
         }
         // Home classification from the *source* affine form.
-        let home = affine::home(dims, indices, &self.loops, self.n_tiles)
+        let home = affine::home(self.ex, dims, indices, &self.loops, self.n_tiles)
             .map_or(MemHome::Dynamic, MemHome::Static);
         // The non-constant part in Horner form, ((p0 · d1) + p1) · d2 + p2 …:
         // each multiplier stays one dimension (a shift and add, where the
         // flattened stride could need a 12-cycle multiply), and each
         // dimension's reads come before the arithmetic combining them, in
         // source order.
-        let (parts, offset) = affine::split(dims, indices);
+        //
+        // The terms wait on `self.terms` above `start`; a nested reference
+        // lowered by `self.expr` pushes its own above `end` and truncates
+        // them before it returns.
+        let start = self.terms.len();
+        let offset = affine::split(self.ex, dims, indices, &mut self.terms);
+        let end = self.terms.len();
+        let mut next = start;
         let mut acc: Option<ValueId> = None;
-        for (terms, &dim) in parts.iter().zip(dims) {
+        for (d, &dim) in dims.iter().enumerate() {
             let mut part: Option<ValueId> = None;
-            for &(term, coeff) in terms {
+            while next < end && self.terms[next].dim == d {
+                let Term { e: term, coeff, .. } = self.terms[next];
+                next += 1;
                 let (v, t) = self.expr(term, Some(Type::Int))?;
-                expect(Type::Int, t, term.span(), "array index")?;
+                expect(Type::Int, t, self.ex.span(term), "array index")?;
                 if coeff == 0 {
                     continue;
                 }
@@ -352,6 +397,7 @@ impl<'k> Lower<'k> {
                 }
             };
         }
+        self.terms.truncate(start);
         Ok(match acc {
             Some(index) => (index, offset, home),
             None => {
@@ -398,51 +444,50 @@ impl<'k> Lower<'k> {
         }
     }
 
-    fn expr(&mut self, e: &Expr, want: Option<Type>) -> Result<(ValueId, Type), LangError> {
-        match e {
+    /// Reads scalar `sym`: its block-local value, or a `ReadVar` stamped at
+    /// `span` on the first read in the block.
+    fn read(&mut self, sym: Sym, span: Span) -> Result<(ValueId, Type), LangError> {
+        let (var, t) = self.var(sym, span)?;
+        if let Some(v) = self.cache[sym.index()] {
+            return Ok((v, t));
+        }
+        self.at(span);
+        let v = self.b.read_var(var);
+        self.cache[sym.index()] = Some(v);
+        Ok((v, t))
+    }
+
+    fn expr(&mut self, e: ExprId, want: Option<Type>) -> Result<(ValueId, Type), LangError> {
+        match self.ex[e] {
             Expr::Lit(Literal::Int(v), span) => {
-                self.at(*span);
+                self.at(span);
                 if want == Some(Type::Float) {
-                    Ok((self.b.const_f32(*v as f32), Type::Float))
+                    Ok((self.b.const_f32(v as f32), Type::Float))
                 } else {
-                    let x = i32::try_from(*v).map_err(|_| {
-                        LangError::new(*span, format!("integer literal {v} out of range"))
+                    let x = i32::try_from(v).map_err(|_| {
+                        LangError::new(span, format!("integer literal {v} out of range"))
                     })?;
                     Ok((self.b.const_i32(x), Type::Int))
                 }
             }
             Expr::Lit(Literal::Float(v), span) => {
-                self.at(*span);
-                Ok((self.b.const_f32(*v), Type::Float))
+                self.at(span);
+                Ok((self.b.const_f32(v), Type::Float))
             }
-            Expr::Var(name, span) => {
-                let (var, t) = *self.vars.get(name).ok_or_else(|| {
-                    LangError::new(*span, format!("undeclared variable '{name}'"))
-                })?;
-                if let Some(&v) = self.cache.get(name) {
-                    return Ok((v, t));
-                }
-                self.at(*span);
-                let v = self.b.read_var(var);
-                self.cache.insert(name.clone(), v);
-                Ok((v, t))
-            }
+            Expr::Var(sym, span) => self.read(sym, span),
             Expr::Index {
                 array,
                 indices,
                 span,
             } => {
-                let (aid, dims, ety) =
-                    self.arrays.get(array).cloned().ok_or_else(|| {
-                        LangError::new(*span, format!("undeclared array '{array}'"))
-                    })?;
-                let (idx, offset, home) = self.index(&dims, indices, *span)?;
-                self.at(*span);
+                let (aid, dims, ety) = self.array(array, span)?;
+                let (idx, offset, home) = self.index(dims, self.ex.list(indices), span)?;
+                self.at(span);
                 Ok((self.b.load(aid, idx, offset, home), ety))
             }
             Expr::Un { op, e: inner, span } => {
                 let (v, t) = self.expr(inner, want)?;
-                self.at(*span);
+                self.at(span);
                 match op {
                     UnKind::Neg => {
                         let r = match t {
@@ -452,7 +497,7 @@ impl<'k> Lower<'k> {
                         Ok((r, t))
                     }
                     UnKind::Not => {
-                        expect(Type::Int, t, *span, "'!'")?;
+                        expect(Type::Int, t, span, "'!'")?;
                         let zero = self.b.const_i32(0);
                         Ok((self.b.seq(v, zero), Type::Int))
                     }
@@ -465,8 +510,8 @@ impl<'k> Lower<'k> {
                     Intrinsic::ToFloat => (Type::Int, Type::Float),
                 };
                 let (v, t) = self.expr(arg, Some(want_arg))?;
-                expect(want_arg, t, *span, "intrinsic argument")?;
-                self.at(*span);
+                expect(want_arg, t, span, "intrinsic argument")?;
+                self.at(span);
                 let op = match f {
                     Intrinsic::Sqrt => UnOp::SqrtF,
                     Intrinsic::Abs => UnOp::AbsF,
@@ -475,15 +520,15 @@ impl<'k> Lower<'k> {
                 };
                 Ok((self.b.un(op, v), out))
             }
-            Expr::Bin { op, l, r, span } => self.bin(*op, l, r, *span, want),
+            Expr::Bin { op, l, r, span } => self.bin(op, l, r, span, want),
         }
     }
 
     fn bin(
         &mut self,
         op: BinKind,
-        l: &Expr,
-        r: &Expr,
+        l: ExprId,
+        r: ExprId,
         span: Span,
         want: Option<Type>,
     ) -> Result<(ValueId, Type), LangError> {
@@ -502,11 +547,9 @@ impl<'k> Lower<'k> {
         self.at(span);
         let ty = if lt == rt {
             lt
-        } else if lt == Type::Int && matches!(l, Expr::Lit(Literal::Int(_), _)) {
+        } else if let (Type::Int, Expr::Lit(Literal::Int(v), _)) = (lt, self.ex[l]) {
             // Re-emit the left literal as float.
-            if let Expr::Lit(Literal::Int(v), _) = l {
-                lv = self.b.const_f32(*v as f32);
-            }
+            lv = self.b.const_f32(v as f32);
             Type::Float
         } else {
             return Err(LangError::new(
@@ -520,7 +563,7 @@ impl<'k> Lower<'k> {
             (BinKind::Mul, Type::Int) => {
                 // Strength-reduce multiplies by literal constants: the 12-cycle
                 // multiplier dominates address arithmetic otherwise.
-                let reduced = match (const_eval(l), const_eval(r)) {
+                let reduced = match (const_eval(self.ex, l), const_eval(self.ex, r)) {
                     (Some(c), _) => Some(self.mul_const(rv, c)),
                     (_, Some(c)) => Some(self.mul_const(lv, c)),
                     _ => None,

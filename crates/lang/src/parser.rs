@@ -22,25 +22,40 @@
 use crate::ast::*;
 use crate::error::{LangError, Span};
 use crate::token::{lex, Tok, Token};
+use std::collections::HashMap;
 
-/// Parses a kernel from source text.
+/// Parses a kernel from source text. Every identifier a statement names is
+/// interned here, once, as a [`Sym`].
 ///
 /// # Errors
 ///
 /// Returns the first syntax error with its position.
 pub fn parse(name: &str, source: &str) -> Result<Kernel, LangError> {
     let tokens = lex(source)?;
-    let mut p = Parser { tokens, pos: 0 };
-    p.kernel(name)
+    let mut p = Parser {
+        tokens: &tokens,
+        pos: 0,
+        syms: HashMap::new(),
+        kernel: Kernel {
+            name: name.to_string(),
+            ..Default::default()
+        },
+    };
+    p.kernel()?;
+    Ok(p.kernel)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'t> {
+    tokens: &'t [Token],
     pos: usize,
+    /// The symbol of every spelling seen so far.
+    syms: HashMap<&'t str, Sym>,
+    /// The kernel being built: its names, arena and declarations.
+    kernel: Kernel,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
+impl<'t> Parser<'t> {
+    fn peek(&self) -> &'t Tok {
         &self.tokens[self.pos].tok
     }
 
@@ -48,8 +63,8 @@ impl Parser {
         self.tokens[self.pos].span
     }
 
-    fn next(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    fn next(&mut self) -> &'t Token {
+        let t = &self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
@@ -67,8 +82,8 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<(String, Span), LangError> {
-        match self.peek().clone() {
+    fn ident(&mut self) -> Result<(&'t str, Span), LangError> {
+        match self.peek() {
             Tok::Ident(name) => {
                 let span = self.next().span;
                 Ok((name, span))
@@ -80,11 +95,20 @@ impl Parser {
         }
     }
 
-    fn kernel(&mut self, name: &str) -> Result<Kernel, LangError> {
-        let mut kernel = Kernel {
-            name: name.to_string(),
-            ..Default::default()
-        };
+    /// The symbol spelled `name`, interned on first sight.
+    fn sym(&mut self, name: &'t str) -> Sym {
+        let names = &mut self.kernel.names;
+        *self.syms.entry(name).or_insert_with(|| {
+            names.push(name.to_string());
+            Sym(names.len() as u32 - 1)
+        })
+    }
+
+    fn push(&mut self, e: Expr) -> ExprId {
+        self.kernel.exprs.push(e)
+    }
+
+    fn kernel(&mut self) -> Result<(), LangError> {
         // Declarations: a run of `int`/`float` headed items.
         while matches!(self.peek(), Tok::KwInt | Tok::KwFloat) {
             let ty = match self.next().tok {
@@ -93,12 +117,13 @@ impl Parser {
                 _ => unreachable!(),
             };
             let (ident, span) = self.ident()?;
+            let sym = self.sym(ident);
             if *self.peek() == Tok::LBracket {
                 let mut dims = Vec::new();
                 while *self.peek() == Tok::LBracket {
                     self.next();
-                    match self.next().tok {
-                        Tok::Int(d) if d > 0 => dims.push(d as u32),
+                    match &self.next().tok {
+                        &Tok::Int(d) if d > 0 => dims.push(d as u32),
                         other => {
                             return Err(LangError::new(
                                 span,
@@ -111,8 +136,9 @@ impl Parser {
                     self.eat(&Tok::RBracket, "']'")?;
                 }
                 self.eat(&Tok::Semi, "';'")?;
-                kernel.arrays.push(ArrayDef {
-                    name: ident,
+                self.kernel.arrays.push(ArrayDef {
+                    name: ident.to_string(),
+                    sym,
                     ty,
                     dims,
                     span,
@@ -125,8 +151,9 @@ impl Parser {
                     None
                 };
                 self.eat(&Tok::Semi, "';'")?;
-                kernel.vars.push(VarDef {
-                    name: ident,
+                self.kernel.vars.push(VarDef {
+                    name: ident.to_string(),
+                    sym,
                     ty,
                     init,
                     span,
@@ -135,9 +162,10 @@ impl Parser {
         }
         // Statements until EOF.
         while *self.peek() != Tok::Eof {
-            kernel.stmts.push(self.stmt()?);
+            let stmt = self.stmt()?;
+            self.kernel.stmts.push(stmt);
         }
-        Ok(kernel)
+        Ok(())
     }
 
     fn literal(&mut self) -> Result<Literal, LangError> {
@@ -147,9 +175,9 @@ impl Parser {
         } else {
             false
         };
-        match self.next().tok {
-            Tok::Int(v) => Ok(Literal::Int(if negative { -v } else { v })),
-            Tok::Float(v) => Ok(Literal::Float(if negative { -v } else { v })),
+        match &self.next().tok {
+            &Tok::Int(v) => Ok(Literal::Int(if negative { -v } else { v })),
+            &Tok::Float(v) => Ok(Literal::Float(if negative { -v } else { v })),
             other => Err(LangError::new(
                 self.span(),
                 format!("expected literal, found {other:?}"),
@@ -175,7 +203,7 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, LangError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::KwFor => self.for_stmt(),
             Tok::KwWhile => {
                 self.next();
@@ -228,7 +256,7 @@ impl Parser {
                 format!("for-loop condition must test '{var}'"),
             ));
         }
-        let inclusive = match self.next().tok {
+        let inclusive = match &self.next().tok {
             Tok::Lt => false,
             Tok::Le => true,
             other => {
@@ -260,7 +288,7 @@ impl Parser {
         self.eat(&Tok::RParen, "')'")?;
         let body = self.block_or_stmt()?;
         Ok(Stmt::For {
-            var,
+            var: self.sym(var),
             init,
             bound,
             inclusive,
@@ -270,60 +298,60 @@ impl Parser {
         })
     }
 
+    /// `('[' expr ']')+`, as one list in the arena.
+    fn indices(&mut self) -> Result<ExprList, LangError> {
+        let mut indices = Vec::new();
+        while *self.peek() == Tok::LBracket {
+            self.next();
+            indices.push(self.expr()?);
+            self.eat(&Tok::RBracket, "']'")?;
+        }
+        Ok(self.kernel.exprs.push_list(&indices))
+    }
+
     fn lvalue(&mut self) -> Result<LValue, LangError> {
         let (name, span) = self.ident()?;
+        let sym = self.sym(name);
         if *self.peek() == Tok::LBracket {
-            let mut indices = Vec::new();
-            while *self.peek() == Tok::LBracket {
-                self.next();
-                indices.push(self.expr()?);
-                self.eat(&Tok::RBracket, "']'")?;
-            }
             Ok(LValue::Index {
-                array: name,
-                indices,
+                array: sym,
+                indices: self.indices()?,
                 span,
             })
         } else {
-            Ok(LValue::Var(name, span))
+            Ok(LValue::Var(sym, span))
         }
     }
 
-    fn expr(&mut self) -> Result<Expr, LangError> {
+    fn expr(&mut self) -> Result<ExprId, LangError> {
         self.or_expr()
     }
 
-    fn or_expr(&mut self) -> Result<Expr, LangError> {
+    fn bin(&mut self, op: BinKind, l: ExprId, r: ExprId, span: Span) -> ExprId {
+        self.push(Expr::Bin { op, l, r, span })
+    }
+
+    fn or_expr(&mut self) -> Result<ExprId, LangError> {
         let mut l = self.and_expr()?;
         while *self.peek() == Tok::OrOr {
             let span = self.next().span;
             let r = self.and_expr()?;
-            l = Expr::Bin {
-                op: BinKind::Or,
-                l: Box::new(l),
-                r: Box::new(r),
-                span,
-            };
+            l = self.bin(BinKind::Or, l, r, span);
         }
         Ok(l)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, LangError> {
+    fn and_expr(&mut self) -> Result<ExprId, LangError> {
         let mut l = self.cmp_expr()?;
         while *self.peek() == Tok::AndAnd {
             let span = self.next().span;
             let r = self.cmp_expr()?;
-            l = Expr::Bin {
-                op: BinKind::And,
-                l: Box::new(l),
-                r: Box::new(r),
-                span,
-            };
+            l = self.bin(BinKind::And, l, r, span);
         }
         Ok(l)
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr, LangError> {
+    fn cmp_expr(&mut self) -> Result<ExprId, LangError> {
         let l = self.add_expr()?;
         let op = match self.peek() {
             Tok::Eq => BinKind::Eq,
@@ -336,15 +364,10 @@ impl Parser {
         };
         let span = self.next().span;
         let r = self.add_expr()?;
-        Ok(Expr::Bin {
-            op,
-            l: Box::new(l),
-            r: Box::new(r),
-            span,
-        })
+        Ok(self.bin(op, l, r, span))
     }
 
-    fn add_expr(&mut self) -> Result<Expr, LangError> {
+    fn add_expr(&mut self) -> Result<ExprId, LangError> {
         let mut l = self.mul_expr()?;
         loop {
             let op = match self.peek() {
@@ -354,16 +377,11 @@ impl Parser {
             };
             let span = self.next().span;
             let r = self.mul_expr()?;
-            l = Expr::Bin {
-                op,
-                l: Box::new(l),
-                r: Box::new(r),
-                span,
-            };
+            l = self.bin(op, l, r, span);
         }
     }
 
-    fn mul_expr(&mut self) -> Result<Expr, LangError> {
+    fn mul_expr(&mut self) -> Result<ExprId, LangError> {
         let mut l = self.unary_expr()?;
         loop {
             let op = match self.peek() {
@@ -374,49 +392,31 @@ impl Parser {
             };
             let span = self.next().span;
             let r = self.unary_expr()?;
-            l = Expr::Bin {
-                op,
-                l: Box::new(l),
-                r: Box::new(r),
-                span,
-            };
+            l = self.bin(op, l, r, span);
         }
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, LangError> {
-        match self.peek() {
-            Tok::Minus => {
-                let span = self.next().span;
-                let e = self.unary_expr()?;
-                Ok(Expr::Un {
-                    op: UnKind::Neg,
-                    e: Box::new(e),
-                    span,
-                })
-            }
-            Tok::Bang => {
-                let span = self.next().span;
-                let e = self.unary_expr()?;
-                Ok(Expr::Un {
-                    op: UnKind::Not,
-                    e: Box::new(e),
-                    span,
-                })
-            }
-            _ => self.primary(),
-        }
+    fn unary_expr(&mut self) -> Result<ExprId, LangError> {
+        let op = match self.peek() {
+            Tok::Minus => UnKind::Neg,
+            Tok::Bang => UnKind::Not,
+            _ => return self.primary(),
+        };
+        let span = self.next().span;
+        let e = self.unary_expr()?;
+        Ok(self.push(Expr::Un { op, e, span }))
     }
 
-    fn primary(&mut self) -> Result<Expr, LangError> {
+    fn primary(&mut self) -> Result<ExprId, LangError> {
         let span = self.span();
-        match self.peek().clone() {
-            Tok::Int(v) => {
+        match self.peek() {
+            &Tok::Int(v) => {
                 self.next();
-                Ok(Expr::Lit(Literal::Int(v), span))
+                Ok(self.push(Expr::Lit(Literal::Int(v), span)))
             }
-            Tok::Float(v) => {
+            &Tok::Float(v) => {
                 self.next();
-                Ok(Expr::Lit(Literal::Float(v), span))
+                Ok(self.push(Expr::Lit(Literal::Float(v), span)))
             }
             Tok::LParen => {
                 self.next();
@@ -427,31 +427,24 @@ impl Parser {
             Tok::Ident(name) => {
                 self.next();
                 if *self.peek() == Tok::LParen {
-                    let f = Intrinsic::by_name(&name).ok_or_else(|| {
+                    let f = Intrinsic::by_name(name).ok_or_else(|| {
                         LangError::new(span, format!("unknown intrinsic '{name}'"))
                     })?;
                     self.next();
                     let arg = self.expr()?;
                     self.eat(&Tok::RParen, "')'")?;
-                    Ok(Expr::Call {
-                        f,
-                        arg: Box::new(arg),
-                        span,
-                    })
+                    Ok(self.push(Expr::Call { f, arg, span }))
                 } else if *self.peek() == Tok::LBracket {
-                    let mut indices = Vec::new();
-                    while *self.peek() == Tok::LBracket {
-                        self.next();
-                        indices.push(self.expr()?);
-                        self.eat(&Tok::RBracket, "']'")?;
-                    }
-                    Ok(Expr::Index {
-                        array: name,
+                    let array = self.sym(name);
+                    let indices = self.indices()?;
+                    Ok(self.push(Expr::Index {
+                        array,
                         indices,
                         span,
-                    })
+                    }))
                 } else {
-                    Ok(Expr::Var(name, span))
+                    let sym = self.sym(name);
+                    Ok(self.push(Expr::Var(sym, span)))
                 }
             }
             other => Err(LangError::new(
@@ -488,7 +481,7 @@ mod tests {
                 body,
                 ..
             } => {
-                assert_eq!(var, "i");
+                assert_eq!(k.name_of(*var), "i");
                 assert!(!inclusive);
                 assert_eq!(body.len(), 1);
             }
@@ -510,14 +503,14 @@ mod tests {
     fn precedence_mul_before_add() {
         let k = parse("t", "int x; x = 1 + 2 * 3;").unwrap();
         match &k.stmts[0] {
-            Stmt::Assign { value, .. } => match value {
+            Stmt::Assign { value, .. } => match k.exprs[*value] {
                 Expr::Bin {
                     op: BinKind::Add,
                     r,
                     ..
                 } => {
                     assert!(matches!(
-                        **r,
+                        k.exprs[r],
                         Expr::Bin {
                             op: BinKind::Mul,
                             ..

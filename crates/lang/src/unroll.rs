@@ -20,7 +20,7 @@
 //! lowering asks for each access's home.
 
 use crate::affine::{self, lcm, trip_count, unroll_factor, Loop};
-use crate::ast::{any_stmt, BinKind, Expr, Kernel, LValue, Literal, Stmt};
+use crate::ast::{any_stmt, BinKind, Expr, ExprId, Exprs, Kernel, LValue, Literal, Stmt, Sym};
 use crate::error::Span;
 
 /// Unrolling configuration.
@@ -48,58 +48,70 @@ impl UnrollOptions {
     }
 }
 
-/// Unrolls every eligible `for` loop in the kernel.
+/// Unrolls every eligible `for` loop in the kernel. The result extends the
+/// kernel's expression arena: each unrolled copy shares every subtree that
+/// does not read the loop variable.
 pub fn unroll_kernel(kernel: &Kernel, n_tiles: u32, options: UnrollOptions) -> Kernel {
-    let mut out = kernel.clone();
-    let ctx = Ctx {
-        kernel,
+    // An array's dims by symbol; the first declaration of a name wins.
+    let mut dims = vec![None; kernel.names.len()];
+    for a in kernel.arrays.iter().rev() {
+        dims[a.sym.index()] = Some(&a.dims[..]);
+    }
+    let mut ctx = Ctx {
+        ex: kernel.exprs.clone(),
+        dims,
+        strides: Vec::new(),
         n_tiles,
         options,
     };
-    out.stmts = ctx.unroll_stmts(std::mem::take(&mut out.stmts));
+    let mut stmts = ctx.unroll_stmts(kernel.stmts.clone());
     if options.reassociate {
-        out.stmts = reassociate_stmts(out.stmts);
+        stmts = reassociate_stmts(&mut ctx.ex, stmts);
     }
-    out
+    Kernel {
+        name: kernel.name.clone(),
+        vars: kernel.vars.clone(),
+        arrays: kernel.arrays.clone(),
+        stmts,
+        names: kernel.names.clone(),
+        exprs: ctx.ex,
+    }
 }
 
 /// Rewrites maximal runs of same-variable accumulations
 /// (`s = s ⊕ e_0; s = s ⊕ e_1; …`, `⊕` a fixed `+` or `-`, `e_k` independent
 /// of `s`) into one assignment against a balanced tree of the terms.
-fn reassociate_stmts(stmts: Vec<Stmt>) -> Vec<Stmt> {
-    let mut stmts = stmts
-        .into_iter()
-        .map(|s| s.map_bodies(reassociate_stmts))
-        .peekable();
+fn reassociate_stmts(ex: &mut Exprs, stmts: Vec<Stmt>) -> Vec<Stmt> {
+    let mut stmts = stmts.into_iter().peekable();
     let mut out = Vec::with_capacity(stmts.len());
     while let Some(first) = stmts.next() {
-        let Some((name, span, op, _)) = accumulation(&first) else {
+        let first = first.map_bodies(|body| reassociate_stmts(ex, body));
+        let Some((name, span, op, _)) = accumulation(ex, &first) else {
             out.push(first);
             continue;
         };
-        let name = name.to_owned();
-        let mut run = vec![first];
-        while let Some(s) =
-            stmts.next_if(|s| matches!(accumulation(s), Some((n, _, o, _)) if n == name && o == op))
+        let start = out.len();
+        out.push(first);
+        while let Some(s) = stmts
+            .next_if(|s| matches!(accumulation(ex, s), Some((n, _, o, _)) if n == name && o == op))
         {
-            run.push(s);
+            out.push(s);
         }
-        if run.len() < 3 {
-            out.extend(run);
+        if out.len() - start < 3 {
             continue;
         }
-        let terms: Vec<Expr> = run
-            .iter()
-            .filter_map(|s| Some(accumulation(s)?.3.clone()))
-            .collect();
+        let tree = balanced_tree(ex, &out[start..], span);
+        let acc = ex.push(Expr::Var(name, span));
+        let value = ex.push(Expr::Bin {
+            op,
+            l: acc,
+            r: tree,
+            span,
+        });
+        out.truncate(start);
         out.push(Stmt::Assign {
-            target: LValue::Var(name.clone(), span),
-            value: Expr::Bin {
-                op,
-                l: Box::new(Expr::Var(name, span)),
-                r: Box::new(balanced_tree(&terms, span)),
-                span,
-            },
+            target: LValue::Var(name, span),
+            value,
         });
     }
     out
@@ -107,54 +119,67 @@ fn reassociate_stmts(stmts: Vec<Stmt>) -> Vec<Stmt> {
 
 /// Matches `s = s ⊕ e` (or `s = e + s`) with `⊕` a `+` or `-` and `e` free
 /// of `s`: the variable, the target's position, `⊕` and `e`.
-fn accumulation(stmt: &Stmt) -> Option<(&str, Span, BinKind, &Expr)> {
+fn accumulation(ex: &Exprs, stmt: &Stmt) -> Option<(Sym, Span, BinKind, ExprId)> {
     let Stmt::Assign {
         target: LValue::Var(name, span),
-        value: Expr::Bin { op, l, r, .. },
-    } = stmt
+        value,
+    } = *stmt
     else {
         return None;
     };
-    let is_acc = |e: &Expr| matches!(e, Expr::Var(v, _) if v == name);
+    let Expr::Bin { op, l, r, .. } = ex[value] else {
+        return None;
+    };
+    let is_acc = |e| matches!(ex[e], Expr::Var(v, _) if v == name);
     let term = match op {
-        BinKind::Add | BinKind::Sub if is_acc(l) && !r.mentions(name) => r,
-        BinKind::Add if is_acc(r) && !l.mentions(name) => l,
+        BinKind::Add | BinKind::Sub if is_acc(l) && !ex.mentions(r, name) => r,
+        BinKind::Add if is_acc(r) && !ex.mentions(l, name) => l,
         _ => return None,
     };
-    Some((name, *span, *op, term))
+    Some((name, span, op, term))
 }
 
-fn balanced_tree(terms: &[Expr], span: Span) -> Expr {
-    if terms.len() == 1 {
-        return terms[0].clone();
+/// A balanced `+` tree over the terms of a run of accumulations.
+fn balanced_tree(ex: &mut Exprs, run: &[Stmt], span: Span) -> ExprId {
+    if let [s] = run {
+        return accumulation(ex, s).expect("a run holds accumulations").3;
     }
-    let mid = terms.len() / 2;
-    Expr::Bin {
+    let mid = run.len() / 2;
+    let l = balanced_tree(ex, &run[..mid], span);
+    let r = balanced_tree(ex, &run[mid..], span);
+    ex.push(Expr::Bin {
         op: BinKind::Add,
-        l: Box::new(balanced_tree(&terms[..mid], span)),
-        r: Box::new(balanced_tree(&terms[mid..], span)),
+        l,
+        r,
         span,
-    }
+    })
 }
 
 /// Largest trip count an outer loop of a triangular nest is fully peeled at.
 const PEEL_LIMIT: i64 = 64;
 
 struct Ctx<'k> {
-    kernel: &'k Kernel,
+    /// The output kernel's arena: the input's nodes plus every copy's.
+    ex: Exprs,
+    /// Each array's dims, by symbol.
+    dims: Vec<Option<&'k [u32]>>,
+    /// Reused buffer for one loop's strides.
+    strides: Vec<i64>,
     n_tiles: u32,
     options: UnrollOptions,
 }
 
 impl Ctx<'_> {
-    fn unroll_stmts(&self, stmts: Vec<Stmt>) -> Vec<Stmt> {
-        stmts
-            .into_iter()
-            .flat_map(|s| self.unroll_stmt(s))
-            .collect()
+    fn unroll_stmts(&mut self, stmts: Vec<Stmt>) -> Vec<Stmt> {
+        let mut out = Vec::with_capacity(stmts.len());
+        for s in stmts {
+            self.unroll_into(s, &mut out);
+        }
+        out
     }
 
-    fn unroll_stmt(&self, stmt: Stmt) -> Vec<Stmt> {
+    /// Appends `stmt`, unrolled, to `out`.
+    fn unroll_into(&mut self, stmt: Stmt, out: &mut Vec<Stmt>) {
         // Innermost-ness is judged on the ORIGINAL nest: a fully peeled inner
         // loop must not promote its parent to "innermost" (that would cascade
         // into one giant block).
@@ -170,25 +195,30 @@ impl Ctx<'_> {
             bound,
             inclusive,
             step,
-            body,
+            ref body,
             span,
-        } = &stmt
+        } = stmt
         else {
-            return vec![stmt];
+            out.push(stmt);
+            return;
         };
         // Unknown trip count, or a body that moves the variable: unrolling
         // cannot preserve the iteration space exactly.
-        let facts = Loop::new(var, init, step, body);
+        let facts = Loop::new(&self.ex, var, init, step, body);
         let (Some(init_c), Some(step_c), Some(trip)) = (
             facts.base,
             facts.step,
-            trip_count(init, bound, *inclusive, step),
+            trip_count(&self.ex, init, bound, inclusive, step),
         ) else {
-            return vec![stmt];
+            out.push(stmt);
+            return;
         };
 
         // Factor needed to staticize the affine accesses.
-        let u_static = unroll_factor(self.strides(body, var), step_c, self.n_tiles);
+        let mut strides = std::mem::take(&mut self.strides);
+        self.strides_into(body, var, &mut strides);
+        let u_static = unroll_factor(strides.drain(..), step_c, self.n_tiles);
+        self.strides = strides;
         // Bodies with internal control flow gain nothing from extra
         // unrolling (blocks are split at every branch anyway) and the
         // replication only raises register pressure.
@@ -211,10 +241,12 @@ impl Ctx<'_> {
         // analyzable (constant bounds). Peel when the expansion is
         // reasonable.
         let triangular = trip <= PEEL_LIMIT
-            && any_stmt(body, &mut |s| match s {
+            && any_stmt(body, &mut |s| match *s {
                 Stmt::For {
                     init, bound, step, ..
-                } => [init, bound, step].iter().any(|e| e.mentions(var)),
+                } => [init, bound, step]
+                    .iter()
+                    .any(|&e| self.ex.mentions(e, var)),
                 _ => false,
             });
         let trip_cap = trip.max(1) as u64;
@@ -223,99 +255,100 @@ impl Ctx<'_> {
         }
         let u = u.clamp(1, trip_cap) as i64;
         if u == 1 && trip > 1 {
-            return vec![stmt];
+            out.push(stmt);
+            return;
         }
 
         // `trip_count` guarantees `init + trip·step` fits, and every value
         // below takes at most `trip` steps, so this arithmetic cannot overflow.
-        let lit = |v: i64| Expr::Lit(Literal::Int(v), *span);
-        let mut out = Vec::new();
+        let lit = |ex: &mut Exprs, v: i64| ex.push(Expr::Lit(Literal::Int(v), span));
         // A main loop that would run only once is fully peeled instead.
         let main_iters = if trip / u <= 1 { 0 } else { trip / u * u };
         if main_iters > 0 {
-            let mut unrolled = Vec::new();
+            let mut unrolled = Vec::with_capacity(u as usize * body.len());
             for k in 0..u {
-                let replacement = if k == 0 {
-                    Expr::Var(var.clone(), *span)
-                } else {
-                    Expr::Bin {
+                let ex = &mut self.ex;
+                let mut replacement = ex.push(Expr::Var(var, span));
+                if k > 0 {
+                    let offset = lit(ex, k * step_c);
+                    replacement = ex.push(Expr::Bin {
                         op: BinKind::Add,
-                        l: Box::new(Expr::Var(var.clone(), *span)),
-                        r: Box::new(lit(k * step_c)),
-                        span: *span,
-                    }
-                };
-                unrolled.extend(body.iter().map(|s| s.subst(var, &replacement)));
+                        l: replacement,
+                        r: offset,
+                        span,
+                    });
+                }
+                unrolled.extend(body.iter().map(|s| s.subst(ex, var, replacement)));
             }
             out.push(Stmt::For {
-                var: var.clone(),
-                init: lit(init_c),
-                bound: lit(init_c + main_iters * step_c),
+                var,
+                init: lit(&mut self.ex, init_c),
+                bound: lit(&mut self.ex, init_c + main_iters * step_c),
                 inclusive: false,
-                step: lit(u * step_c),
+                step: lit(&mut self.ex, u * step_c),
                 body: unrolled,
-                span: *span,
+                span,
             });
         }
         // Epilogue: peel the remaining iterations with literal values.
         for r in main_iters..trip {
-            let value = lit(init_c + r * step_c);
-            let peeled: Vec<Stmt> = body.iter().map(|s| s.subst(var, &value)).collect();
-            if triangular {
-                // Inner loops now have constant bounds: unroll them too.
-                out.extend(self.unroll_stmts(peeled));
-            } else {
-                out.extend(peeled);
+            let value = lit(&mut self.ex, init_c + r * step_c);
+            for s in body {
+                let peeled = s.subst(&mut self.ex, var, value);
+                if triangular {
+                    // Inner loops now have constant bounds: unroll them too.
+                    self.unroll_into(peeled, out);
+                } else {
+                    out.push(peeled);
+                }
             }
         }
         // Leave the induction variable with its post-loop value.
         out.push(Stmt::Assign {
-            target: LValue::Var(var.clone(), *span),
-            value: lit(init_c + trip * step_c),
+            target: LValue::Var(var, span),
+            value: lit(&mut self.ex, init_c + trip * step_c),
         });
-        out
     }
 
-    /// The nonzero linearized stride over `var` of every array access in
-    /// `stmts` whose index is affine in it. `for` steps are not scanned:
-    /// that would change unroll factors.
-    fn strides(&self, stmts: &[Stmt], var: &str) -> Vec<i64> {
-        let mut out = Vec::new();
+    /// Appends to `out` the nonzero linearized stride over `var` of every
+    /// array access in `stmts` whose index is affine in it. `for` steps are
+    /// not scanned: that would change unroll factors.
+    fn strides_into(&self, stmts: &[Stmt], var: Sym, out: &mut Vec<i64>) {
         any_stmt(stmts, &mut |s| {
-            match s {
+            match *s {
                 Stmt::Assign { target, value } => {
                     if let LValue::Index { array, indices, .. } = target {
+                        let indices = self.ex.list(indices);
                         out.extend(self.stride(array, indices, var));
-                        for i in indices {
-                            self.scan(i, var, &mut out);
+                        for &i in indices {
+                            self.scan(i, var, out);
                         }
                     }
-                    self.scan(value, var, &mut out);
+                    self.scan(value, var, out);
                 }
-                Stmt::If { cond, .. } | Stmt::While { cond, .. } => self.scan(cond, var, &mut out),
+                Stmt::If { cond, .. } | Stmt::While { cond, .. } => self.scan(cond, var, out),
                 Stmt::For { init, bound, .. } => {
-                    self.scan(init, var, &mut out);
-                    self.scan(bound, var, &mut out);
+                    self.scan(init, var, out);
+                    self.scan(bound, var, out);
                 }
             }
             false
         });
-        out
     }
 
     /// Adds the strides of the array reads in `e` to `out`.
-    fn scan(&self, e: &Expr, var: &str, out: &mut Vec<i64>) {
-        e.any(&mut |e| {
-            if let Expr::Index { array, indices, .. } = e {
-                out.extend(self.stride(array, indices, var));
+    fn scan(&self, e: ExprId, var: Sym, out: &mut Vec<i64>) {
+        self.ex.any(e, &mut |e| {
+            if let Expr::Index { array, indices, .. } = *e {
+                out.extend(self.stride(array, self.ex.list(indices), var));
             }
             false
         });
     }
 
-    fn stride(&self, array: &str, indices: &[Expr], var: &str) -> Option<i64> {
-        let dims = &self.kernel.arrays.iter().find(|a| a.name == array)?.dims;
-        affine::stride(dims, indices, var).filter(|&s| s != 0)
+    fn stride(&self, array: Sym, indices: &[ExprId], var: Sym) -> Option<i64> {
+        let dims = self.dims[array.index()]?;
+        affine::stride(&self.ex, dims, indices, var).filter(|&s| s != 0)
     }
 }
 
@@ -351,20 +384,17 @@ mod tests {
         );
         match &k.stmts[0] {
             Stmt::For { step, body, .. } => {
-                assert_eq!(const_eval(step), Some(8));
+                assert_eq!(const_eval(&k.exprs, *step), Some(8));
                 // 8 unrolled assignments inside.
                 assert_eq!(body.len(), 8);
             }
             other => panic!("expected for, got {other:?}"),
         }
         // Final induction-variable fix-up.
-        assert!(matches!(
-            k.stmts.last(),
-            Some(Stmt::Assign {
-                value: Expr::Lit(Literal::Int(32), _),
-                ..
-            })
-        ));
+        let Some(&Stmt::Assign { value, .. }) = k.stmts.last() else {
+            panic!("{:?}", k.stmts.last())
+        };
+        assert!(matches!(k.exprs[value], Expr::Lit(Literal::Int(32), _)));
     }
 
     #[test]
@@ -375,7 +405,7 @@ mod tests {
         );
         // ILP factor 4 on 2 tiles: the main loop covers 8, epilogue peels 2.
         match &k.stmts[0] {
-            Stmt::For { bound, .. } => assert_eq!(const_eval(bound), Some(8)),
+            Stmt::For { bound, .. } => assert_eq!(const_eval(&k.exprs, *bound), Some(8)),
             other => panic!("{other:?}"),
         }
         // Two peeled assignments + final fix-up.
@@ -392,7 +422,7 @@ mod tests {
             4,
         );
         match &k.stmts[0] {
-            Stmt::For { step, .. } => assert_eq!(const_eval(step), Some(8)),
+            Stmt::For { step, .. } => assert_eq!(const_eval(&k.exprs, *step), Some(8)),
             other => panic!("{other:?}"),
         }
         // With ILP unrolling disabled, the pure staticizing factor shows.
@@ -410,7 +440,7 @@ mod tests {
             },
         );
         match &u.stmts[0] {
-            Stmt::For { step, .. } => assert_eq!(const_eval(step), Some(4)),
+            Stmt::For { step, .. } => assert_eq!(const_eval(&u.exprs, *step), Some(4)),
             other => panic!("{other:?}"),
         }
     }
@@ -429,7 +459,7 @@ mod tests {
         );
         match &k.stmts[0] {
             Stmt::For { step, body, .. } => {
-                assert_eq!(const_eval(step), Some(1), "outer stays rolled");
+                assert_eq!(const_eval(&k.exprs, *step), Some(1), "outer stays rolled");
                 // The inner loop (trip 8, ILP factor 8) is fully peeled.
                 assert_eq!(count_fors(body), 0);
             }
@@ -451,7 +481,7 @@ mod tests {
             4,
         );
         match &k.stmts[0] {
-            Stmt::For { step, .. } => assert_eq!(const_eval(step), Some(4)),
+            Stmt::For { step, .. } => assert_eq!(const_eval(&k.exprs, *step), Some(4)),
             other => panic!("{other:?}"),
         }
     }
@@ -497,21 +527,21 @@ mod tests {
         );
         // The unrolled body should contain ONE accumulation into s per block,
         // not four.
-        fn count_s_assigns(stmts: &[Stmt]) -> usize {
+        fn count_s_assigns(stmts: &[Stmt], s_sym: Sym) -> usize {
             stmts
                 .iter()
                 .map(|s| match s {
                     Stmt::Assign {
                         target: LValue::Var(n, _),
                         ..
-                    } if n == "s" => 1,
-                    Stmt::For { body, .. } => count_s_assigns(body),
+                    } if *n == s_sym => 1,
+                    Stmt::For { body, .. } => count_s_assigns(body, s_sym),
                     _ => 0,
                 })
                 .sum()
         }
         match &k.stmts[0] {
-            Stmt::For { body, .. } => assert_eq!(count_s_assigns(body), 1),
+            Stmt::For { body, .. } => assert_eq!(count_s_assigns(body, k.sym("s").unwrap()), 1),
             other => panic!("{other:?}"),
         }
     }
@@ -542,7 +572,7 @@ mod tests {
         );
         assert_eq!(count_fors(&k.stmts), 1);
         match &k.stmts[0] {
-            Stmt::For { step, .. } => assert_eq!(const_eval(step), Some(1)),
+            Stmt::For { step, .. } => assert_eq!(const_eval(&k.exprs, *step), Some(1)),
             other => panic!("{other:?}"),
         }
     }
