@@ -9,10 +9,17 @@
 //! Both passes are purely block-local (values never cross blocks), preserve
 //! single-assignment form, and leave memory operations alone except for
 //! removing loads whose results are never used.
+//!
+//! Their per-value tables are dense: one `Vec` indexed by [`ValueId`] per
+//! program, reset after each block by the entries that block touched, so a
+//! pass costs the program's instructions plus one table, never blocks ×
+//! values. Only CSE's expression table is a map (keyed by operator and
+//! operands), built per block with the block's length as capacity.
 
 use crate::ids::ValueId;
-use crate::inst::{BinOp, InstKind};
+use crate::inst::{BinOp, Imm, InstKind};
 use crate::program::{Program, Terminator};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Runs constant folding, local CSE, and DCE on every block.
@@ -30,26 +37,27 @@ pub fn optimize(program: &mut Program) {
 /// because both use the same [`BinOp::eval`]/[`UnOp::eval`](crate::UnOp::eval) reference
 /// implementations.
 pub fn fold_constants(program: &mut Program) {
-    use crate::inst::Imm;
-    use std::collections::HashMap;
+    let mut known: Vec<Option<Imm>> = vec![None; program.value_types.len()];
     for block in &mut program.blocks {
-        let mut known: HashMap<ValueId, Imm> = HashMap::new();
         for inst in &mut block.insts {
             let folded: Option<Imm> = match &inst.kind {
                 InstKind::Const(imm) => Some(*imm),
-                InstKind::Un(op, s) => known.get(s).map(|&v| op.eval(v)),
-                InstKind::Bin(op, a, b) => match (known.get(a), known.get(b)) {
-                    (Some(&x), Some(&y)) => Some(op.eval(x, y)),
+                InstKind::Un(op, s) => known[s.index()].map(|v| op.eval(v)),
+                InstKind::Bin(op, a, b) => match (known[a.index()], known[b.index()]) {
+                    (Some(x), Some(y)) => Some(op.eval(x, y)),
                     _ => None,
                 },
                 _ => None,
             };
             if let (Some(v), Some(dst)) = (folded, inst.dst) {
-                known.insert(dst, v);
+                known[dst.index()] = Some(v);
                 if !matches!(inst.kind, InstKind::Const(_)) {
                     inst.kind = InstKind::Const(v);
                 }
             }
+        }
+        for dst in block.insts.iter().filter_map(|inst| inst.dst) {
+            known[dst.index()] = None;
         }
     }
 }
@@ -68,12 +76,12 @@ fn commutative(op: BinOp) -> bool {
 /// the block-entry value, so duplicates are identical) are deduplicated;
 /// memory accesses are left untouched.
 pub fn local_cse(program: &mut Program) {
+    // The surviving equal value of each dropped duplicate; `None` elsewhere.
+    let mut remap: Vec<Option<ValueId>> = vec![None; program.value_types.len()];
+    let mut dropped: Vec<ValueId> = Vec::new();
+    let lookup = |remap: &[Option<ValueId>], v: ValueId| remap[v.index()].unwrap_or(v);
     for block in &mut program.blocks {
-        let mut remap: HashMap<ValueId, ValueId> = HashMap::new();
-        let mut table: HashMap<Key, ValueId> = HashMap::new();
-        let lookup = |remap: &HashMap<ValueId, ValueId>, v: ValueId| -> ValueId {
-            remap.get(&v).copied().unwrap_or(v)
-        };
+        let mut table: HashMap<Key, ValueId> = HashMap::with_capacity(block.insts.len());
         let mut kept = Vec::with_capacity(block.insts.len());
         for mut inst in block.insts.drain(..) {
             // Remap sources through earlier eliminations.
@@ -107,17 +115,25 @@ pub fn local_cse(program: &mut Program) {
                 _ => None,
             };
             if let (Some(key), Some(dst)) = (key, inst.dst) {
-                if let Some(&prior) = table.get(&key) {
-                    remap.insert(dst, prior);
-                    continue; // drop the duplicate
+                match table.entry(key) {
+                    Entry::Occupied(prior) => {
+                        remap[dst.index()] = Some(*prior.get());
+                        dropped.push(dst);
+                        continue; // drop the duplicate
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert(dst);
+                    }
                 }
-                table.insert(key, dst);
             }
             kept.push(inst);
         }
         block.insts = kept;
         if let Terminator::Branch { cond, .. } = &mut block.term {
             *cond = lookup(&remap, *cond);
+        }
+        for v in dropped.drain(..) {
+            remap[v.index()] = None;
         }
     }
 }
@@ -135,15 +151,20 @@ enum Key {
 /// removed as well (a dead load has no architectural effect on the Raw
 /// prototype).
 pub fn dce(program: &mut Program) {
-    let n_values = program.value_types.len();
+    let mut used = vec![false; program.value_types.len()];
+    let mut live = Vec::new();
     for block in &mut program.blocks {
-        let mut used = vec![false; n_values];
-        if let Terminator::Branch { cond, .. } = &block.term {
+        let cond = match block.term {
+            Terminator::Branch { cond, .. } => Some(cond),
+            _ => None,
+        };
+        if let Some(cond) = cond {
             used[cond.index()] = true;
         }
         // Backward sweep: an instruction is live if it has a side effect or
         // its destination is used later.
-        let mut live = vec![false; block.insts.len()];
+        live.clear();
+        live.resize(block.insts.len(), false);
         for (i, inst) in block.insts.iter().enumerate().rev() {
             let side_effect = matches!(inst.kind, InstKind::Store { .. } | InstKind::WriteVar(..));
             let needed = side_effect || inst.dst.map(|d| used[d.index()]).unwrap_or(false);
@@ -154,8 +175,18 @@ pub fn dce(program: &mut Program) {
                 }
             }
         }
-        let mut keep = live.into_iter();
-        block.insts.retain(|_| keep.next().unwrap());
+        let mut keep = live.iter();
+        block.insts.retain(|_| *keep.next().unwrap());
+        // Every entry set above is the condition or a kept instruction's
+        // source.
+        for s in block
+            .insts
+            .iter()
+            .flat_map(|inst| inst.sources())
+            .chain(cond)
+        {
+            used[s.index()] = false;
+        }
     }
 }
 

@@ -120,17 +120,17 @@ pub fn verify(program: &Program) -> Result<(), VerifyError> {
     }
 
     for (bid, block) in program.iter_blocks() {
-        // Values defined so far in this block, in order.
-        let mut local_defs: Vec<bool> = vec![false; n_values];
-
-        let check_use = |v: ValueId, local: &Vec<bool>| -> Result<(), VerifyError> {
+        // Values are single-definition, so a use is local iff its value was
+        // defined in this block: `defined_in` holds only earlier definitions
+        // when a use is checked.
+        let check_use = |v: ValueId, defined_in: &[Option<BlockId>]| -> Result<(), VerifyError> {
             if v.index() >= n_values {
                 return Err(VerifyError::ValueOutOfRange {
                     value: v,
                     block: bid,
                 });
             }
-            if !local[v.index()] {
+            if defined_in[v.index()] != Some(bid) {
                 return Err(VerifyError::UseBeforeDef {
                     value: v,
                     block: bid,
@@ -144,7 +144,7 @@ pub fn verify(program: &Program) -> Result<(), VerifyError> {
         for (i, inst) in block.insts.iter().enumerate() {
             // Uses first.
             for src in inst.sources() {
-                check_use(src, &local_defs)?;
+                check_use(src, &defined_in)?;
             }
             // Kind-specific checks.
             match &inst.kind {
@@ -254,7 +254,6 @@ pub fn verify(program: &Program) -> Result<(), VerifyError> {
                     });
                 }
                 defined_in[dst.index()] = Some(bid);
-                local_defs[dst.index()] = true;
             }
         }
 
@@ -273,7 +272,7 @@ pub fn verify(program: &Program) -> Result<(), VerifyError> {
                 if_true,
                 if_false,
             } => {
-                check_use(*cond, &local_defs)?;
+                check_use(*cond, &defined_in)?;
                 if program.ty(*cond) != Ty::I32 {
                     return Err(VerifyError::TypeMismatch {
                         block: bid,
@@ -404,6 +403,55 @@ mod tests {
             verify(&program),
             Err(VerifyError::UseBeforeDef { .. })
         ));
+    }
+
+    #[test]
+    fn a_use_needs_a_definition_earlier_in_its_own_block() {
+        let v = ValueId::from_raw;
+        let def = |dst, imm| Inst::new(Some(v(dst)), InstKind::Const(Imm::I(imm)));
+        let add = |dst, a, b| Inst::new(Some(v(dst)), InstKind::Bin(BinOp::Add, v(a), v(b)));
+        let block = |name: &str, insts, term| Block {
+            name: name.into(),
+            insts,
+            term,
+        };
+        // v1 is defined in block a and used by the add in block b.
+        let later_block = Program {
+            value_types: vec![Ty::I32; 4],
+            blocks: vec![
+                block(
+                    "a",
+                    vec![def(0, 1), def(1, 2)],
+                    Terminator::Jump(BlockId::from_raw(1)),
+                ),
+                block("b", vec![def(2, 3), add(3, 2, 1)], Terminator::Halt),
+            ],
+            ..Program::default()
+        };
+        assert_eq!(
+            verify(&later_block),
+            Err(VerifyError::UseBeforeDef {
+                value: v(1),
+                block: BlockId::from_raw(1),
+            })
+        );
+        // v2 is used by the add before the const after it defines it.
+        let same_block = Program {
+            value_types: vec![Ty::I32; 3],
+            blocks: vec![block(
+                "a",
+                vec![def(0, 1), add(1, 0, 2), def(2, 3)],
+                Terminator::Halt,
+            )],
+            ..Program::default()
+        };
+        assert_eq!(
+            verify(&same_block),
+            Err(VerifyError::UseBeforeDef {
+                value: v(2),
+                block: BlockId::from_raw(0),
+            })
+        );
     }
 
     #[test]
