@@ -63,7 +63,7 @@ use crate::layout::DataLayout;
 use crate::options::CompilerOptions;
 use crate::provenance::NO_PROV;
 use crate::regalloc::AllocResult;
-use raw_machine::isa::{SDst, SSrc};
+use crate::schedule::RoutePairs;
 use raw_machine::{MachineConfig, TileId};
 use raw_telemetry::Counter;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -99,7 +99,7 @@ impl CacheKey {
 /// One tile's switch ops for a block, in schedule order: `(route pairs,
 /// producing node id)` per op ([`NO_PROV`] when the moved value has no
 /// defining node).
-pub type TileSwitchOps = Vec<(Vec<(SSrc, SDst)>, u32)>;
+pub type TileSwitchOps = Vec<(RoutePairs, u32)>;
 
 /// Everything [`compile_block`](crate::driver::compile_block) produces for one
 /// block, in block-relative form (node ids instead of absolute provenance
@@ -637,7 +637,7 @@ mod tests {
     use crate::schedule::{PredOpKind, PredictedBlock};
     use raw_ir::builder::ProgramBuilder;
     use raw_ir::{BinOp, Imm, MemHome, UnOp};
-    use raw_machine::isa::{AluOp, Dir, Dst, PInst, Src};
+    use raw_machine::isa::{AluOp, Dir, Dst, PInst, SDst, SSrc, Src};
     use raw_machine::{LatencyModel, TileMask};
     use raw_testkit::hash64;
     use std::sync::atomic::AtomicUsize;
@@ -695,10 +695,12 @@ mod tests {
                 spill_slots: 2,
             }],
             switch: vec![vec![(
-                vec![
+                [
                     (SSrc::Proc, SDst::Dir(Dir::West)),
                     (SSrc::Dir(Dir::North), SDst::Proc),
-                ],
+                ]
+                .into_iter()
+                .collect(),
                 2,
             )]],
             cond_producer: Some(TileId::from_raw(1)),

@@ -34,7 +34,7 @@ use crate::layout::{ArrayClass, DataLayout};
 use crate::options::{CompilerOptions, PlacementAlgorithm, PriorityScheme, Strategy};
 use crate::partition::{PlacementLog, PlacementStep, CLUSTER_COMM_COST};
 use crate::regalloc::AllocResult;
-use crate::schedule::{PredOpKind, PredictedBlock};
+use crate::schedule::{PredOpKind, PredictedBlock, RoutePairs, MAX_ROUTE_PAIRS};
 use crate::wire::{
     ClientRow, CompileRequest, CompileResponse, CompiledCounters, MetricsFormat, MetricsResponse,
     StatsResponse,
@@ -382,6 +382,29 @@ impl<T: Codec> Codec for Vec<T> {
             v.push(T::get(d)?);
         }
         Some(v)
+    }
+}
+
+/// The same bytes as the `Vec` of its pairs.
+impl Codec for RoutePairs {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        for pair in self.iter() {
+            pair.put(out);
+        }
+    }
+    #[inline]
+    fn get(d: &mut Dec<'_>) -> Option<Self> {
+        let n = d.len()?;
+        if n > MAX_ROUTE_PAIRS {
+            return None;
+        }
+        let mut pairs = RoutePairs::EMPTY;
+        for _ in 0..n {
+            pairs.push(Codec::get(d)?);
+        }
+        Some(pairs)
     }
 }
 
@@ -849,5 +872,32 @@ impl Codec for CompileResponse {
         let machine_program = MachineProgram::get(d)?;
         let counters = CompiledCounters::get(d)?;
         Some(CompileResponse::from_parts(machine_program, counters))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn route_pairs_encode_as_the_vec_of_their_pairs() {
+        let all = [
+            (SSrc::Proc, SDst::Reg(0)),
+            (SSrc::Proc, SDst::Proc),
+            (SSrc::Dir(Dir::North), SDst::Dir(Dir::East)),
+            (SSrc::Reg(3), SDst::Dir(Dir::South)),
+            (SSrc::Proc, SDst::Dir(Dir::West)),
+            (SSrc::Proc, SDst::Dir(Dir::North)),
+        ];
+        for n in 0..=MAX_ROUTE_PAIRS {
+            let pairs: RoutePairs = all[..n].iter().copied().collect();
+            let bytes = encode(&pairs);
+            assert_eq!(bytes, encode(&all[..n].to_vec()), "{n} pairs");
+            assert_eq!(decode::<RoutePairs>(&bytes), Some(pairs));
+        }
+        // A longer list is no route this compiler wrote.
+        let mut long = all.to_vec();
+        long.push((SSrc::Proc, SDst::Reg(1)));
+        assert_eq!(decode::<RoutePairs>(&encode(&long)), None);
     }
 }

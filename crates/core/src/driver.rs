@@ -523,7 +523,7 @@ pub fn compile_block(
     };
     // Switch ops carry their producing nodes (block-relative ids; the merge
     // phase rebases them).
-    let switch: Vec<Vec<(Vec<_>, u32)>> = sched
+    let switch: Vec<Vec<(schedule::RoutePairs, u32)>> = sched
         .switch_ops
         .into_iter()
         .map(|ops| {

@@ -43,10 +43,10 @@
 
 use crate::blockcache::BlockBundle;
 use crate::provenance::{ProvenanceMap, NO_PROV};
-use crate::schedule::broadcast_routes;
+use crate::schedule::{broadcast_routes, RoutePairs};
 use raw_ir::{Block, Imm, InstKind, Program, Terminator};
 use raw_machine::asm::{ProcAsm, SwitchAsm};
-use raw_machine::isa::{PInst, SDst, SInst, SSrc, Src};
+use raw_machine::isa::{PInst, SDst, SInst, Src};
 use raw_machine::{MachineConfig, TileCode, TileId};
 use std::sync::Arc;
 
@@ -378,7 +378,7 @@ struct Linker<'a> {
     entry: usize,
     bundles: &'a [Arc<BlockBundle>],
     regions: Regions,
-    trees: Vec<Vec<Vec<(SSrc, SDst)>>>,
+    trees: Vec<Vec<RoutePairs>>,
     block_base: &'a [u32],
 }
 
@@ -469,7 +469,7 @@ impl Linker<'_> {
             if let Flow::Branch { .. } = flow[b] {
                 // Latch and forward the branch word; hand it to the
                 // processor only if the processor branches on it.
-                let route: Vec<(SSrc, SDst)> = self.trees[b][t]
+                let route: RoutePairs = self.trees[b][t]
                     .iter()
                     .copied()
                     .filter(|&(_, dst)| dst != SDst::Proc || takes_word[b])

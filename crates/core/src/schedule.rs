@@ -34,7 +34,80 @@ pub enum TileOp {
 /// One tile's switch schedule: `(cycle, producing node, route pairs)` in
 /// increasing cycle order. The node names the communication path the route
 /// belongs to (provenance: the producer's source span).
-pub type TileSwitchOps = Vec<(u64, NodeId, Vec<(SSrc, SDst)>)>;
+pub type TileSwitchOps = Vec<(u64, NodeId, RoutePairs)>;
+
+/// The most pairs one switch route can hold: one per output port (the four
+/// directions and the processor) plus switch register 0, where a branch
+/// broadcast latches its word.
+pub const MAX_ROUTE_PAIRS: usize = 6;
+
+/// The route pairs of one switch op, held inline: a route is at most
+/// [`MAX_ROUTE_PAIRS`] pairs, so no op allocates. Reads as a slice.
+#[derive(Clone, Copy)]
+pub struct RoutePairs {
+    pairs: [(SSrc, SDst); MAX_ROUTE_PAIRS],
+    len: u8,
+}
+
+impl RoutePairs {
+    /// An empty route.
+    pub const EMPTY: RoutePairs = RoutePairs {
+        pairs: [(SSrc::Proc, SDst::Proc); MAX_ROUTE_PAIRS],
+        len: 0,
+    };
+
+    /// Appends a pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the route already holds [`MAX_ROUTE_PAIRS`] pairs.
+    pub fn push(&mut self, pair: (SSrc, SDst)) {
+        assert!(
+            (self.len as usize) < MAX_ROUTE_PAIRS,
+            "a switch route holds at most {MAX_ROUTE_PAIRS} pairs"
+        );
+        self.pairs[self.len as usize] = pair;
+        self.len += 1;
+    }
+}
+
+impl Default for RoutePairs {
+    fn default() -> Self {
+        RoutePairs::EMPTY
+    }
+}
+
+impl std::ops::Deref for RoutePairs {
+    type Target = [(SSrc, SDst)];
+
+    fn deref(&self) -> &[(SSrc, SDst)] {
+        &self.pairs[..self.len as usize]
+    }
+}
+
+impl PartialEq for RoutePairs {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for RoutePairs {}
+
+impl std::fmt::Debug for RoutePairs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<(SSrc, SDst)> for RoutePairs {
+    fn from_iter<I: IntoIterator<Item = (SSrc, SDst)>>(iter: I) -> Self {
+        let mut pairs = RoutePairs::EMPTY;
+        for pair in iter {
+            pairs.push(pair);
+        }
+        pairs
+    }
+}
 
 /// Kind of a predicted processor slot (condensed from [`TileOp`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -833,7 +906,7 @@ impl SlotTable {
 ///
 /// Returns one pair list per tile; the producer's list sources from
 /// [`SSrc::Proc`]. On a one-tile machine this is never needed.
-pub fn broadcast_routes(config: &MachineConfig, producer: TileId) -> Vec<Vec<(SSrc, SDst)>> {
+pub fn broadcast_routes(config: &MachineConfig, producer: TileId) -> Vec<RoutePairs> {
     let n = config.n_tiles() as usize;
     let dsts: Vec<TileId> = config
         .live_tiles()
@@ -841,9 +914,10 @@ pub fn broadcast_routes(config: &MachineConfig, producer: TileId) -> Vec<Vec<(SS
         .filter(|&t| t != producer)
         .collect();
     let tree = MulticastTree::build(config, producer, &dsts);
-    let mut routes = vec![Vec::new(); n];
+    let mut routes = vec![RoutePairs::EMPTY; n];
     for node in &tree.nodes {
-        let mut pairs: Vec<(SSrc, SDst)> = vec![(node.src, SDst::Reg(0))];
+        let mut pairs = RoutePairs::EMPTY;
+        pairs.push((node.src, SDst::Reg(0)));
         if node.deliver {
             pairs.push((node.src, SDst::Proc));
         }
@@ -886,9 +960,12 @@ impl TreeNode {
         &self.children[..self.n_children as usize]
     }
 
-    fn pairs(&self) -> Vec<(SSrc, SDst)> {
-        let mut pairs = Vec::with_capacity(self.children().len() + usize::from(self.deliver));
-        pairs.extend(self.children().iter().map(|&d| (self.src, SDst::Dir(d))));
+    fn pairs(&self) -> RoutePairs {
+        let mut pairs: RoutePairs = self
+            .children()
+            .iter()
+            .map(|&d| (self.src, SDst::Dir(d)))
+            .collect();
         if self.deliver {
             pairs.push((self.src, SDst::Proc));
         }
