@@ -71,12 +71,6 @@ impl RoutePairs {
     }
 }
 
-impl Default for RoutePairs {
-    fn default() -> Self {
-        RoutePairs::EMPTY
-    }
-}
-
 impl std::ops::Deref for RoutePairs {
     type Target = [(SSrc, SDst)];
 
@@ -90,8 +84,6 @@ impl PartialEq for RoutePairs {
         **self == **other
     }
 }
-
-impl Eq for RoutePairs {}
 
 impl std::fmt::Debug for RoutePairs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -465,7 +465,7 @@ mod tests {
     fn split_separates_the_constant_part() {
         let names = |s: &Store, parts: &[Terms]| -> Vec<Vec<(String, i32)>> {
             let name = |e: ExprId| match s.k.exprs[e] {
-                Expr::Var(name, _) => s.k.name_of(name).to_string(),
+                Expr::Var(name, _) => s.k.names[name.index()].clone(),
                 other => panic!("{other:?}"),
             };
             let terms = |t: &Terms| t.iter().map(|&(e, k)| (name(e), k)).collect();

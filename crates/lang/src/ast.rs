@@ -519,11 +519,6 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// The spelling of `sym`.
-    pub fn name_of(&self, sym: Sym) -> &str {
-        &self.names[sym.index()]
-    }
-
     /// The symbol spelled `name`, if the source names it anywhere.
     pub fn sym(&self, name: &str) -> Option<Sym> {
         let i = self.names.iter().position(|n| n == name)?;

@@ -9,6 +9,15 @@
 //! Because the staticizing unroll factor depends on the machine size, source
 //! is compiled *per machine size*: [`compile_source`] takes the tile count.
 //!
+//! The frontend costs what its output costs. The parser interns every
+//! identifier once as an [`ast::Sym`]; the unroller and lowering index their
+//! tables by symbol and never look a name up again. Expressions live in one
+//! arena per kernel ([`ast::Exprs`]) and name their operands by `Copy` ids, so
+//! an unrolled or peeled copy of a statement shares every subtree that does
+//! not read the loop variable and allocates only the nodes on the paths that
+//! do. Lowering's clean-ups ([`raw_ir::opt`]) keep their per-value tables
+//! dense. DESIGN.md §13 states these rules.
+//!
 //! # Example
 //!
 //! ```

@@ -33,7 +33,7 @@ pub fn lower_kernel(kernel: &Kernel, n_tiles: u32) -> Result<Program, LangError>
     let n_syms = kernel.names.len();
     let mut lower = Lower {
         b: ProgramBuilder::new(kernel.name.clone()),
-        k: kernel,
+        names: &kernel.names,
         ex: &kernel.exprs,
         vars: vec![None; n_syms],
         arrays: vec![None; n_syms],
@@ -101,7 +101,7 @@ fn ir_ty(t: Type) -> Ty {
 /// does not declare (as that kind) holds `None`.
 struct Lower<'k> {
     b: ProgramBuilder,
-    k: &'k Kernel,
+    names: &'k [String],
     ex: &'k Exprs,
     vars: Vec<Option<(VarId, Type)>>,
     arrays: Vec<Option<(ArrayId, &'k [u32], Type)>>,
@@ -142,7 +142,7 @@ impl<'k> Lower<'k> {
         self.vars[sym.index()].ok_or_else(|| {
             LangError::new(
                 span,
-                format!("undeclared variable '{}'", self.k.name_of(sym)),
+                format!("undeclared variable '{}'", self.names[sym.index()]),
             )
         })
     }
@@ -150,7 +150,10 @@ impl<'k> Lower<'k> {
     /// The declared array `sym`, or an error at `span`.
     fn array(&self, sym: Sym, span: Span) -> Result<(ArrayId, &'k [u32], Type), LangError> {
         self.arrays[sym.index()].ok_or_else(|| {
-            LangError::new(span, format!("undeclared array '{}'", self.k.name_of(sym)))
+            LangError::new(
+                span,
+                format!("undeclared array '{}'", self.names[sym.index()]),
+            )
         })
     }
 

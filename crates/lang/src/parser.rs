@@ -481,7 +481,7 @@ mod tests {
                 body,
                 ..
             } => {
-                assert_eq!(k.name_of(*var), "i");
+                assert_eq!(k.names[var.index()], "i");
                 assert!(!inclusive);
                 assert_eq!(body.len(), 1);
             }

@@ -60,7 +60,6 @@ pub fn unroll_kernel(kernel: &Kernel, n_tiles: u32, options: UnrollOptions) -> K
     let mut ctx = Ctx {
         ex: kernel.exprs.clone(),
         dims,
-        strides: Vec::new(),
         n_tiles,
         options,
     };
@@ -163,8 +162,6 @@ struct Ctx<'k> {
     ex: Exprs,
     /// Each array's dims, by symbol.
     dims: Vec<Option<&'k [u32]>>,
-    /// Reused buffer for one loop's strides.
-    strides: Vec<i64>,
     n_tiles: u32,
     options: UnrollOptions,
 }
@@ -215,10 +212,7 @@ impl Ctx<'_> {
         };
 
         // Factor needed to staticize the affine accesses.
-        let mut strides = std::mem::take(&mut self.strides);
-        self.strides_into(body, var, &mut strides);
-        let u_static = unroll_factor(strides.drain(..), step_c, self.n_tiles);
-        self.strides = strides;
+        let u_static = unroll_factor(self.strides(body, var), step_c, self.n_tiles);
         // Bodies with internal control flow gain nothing from extra
         // unrolling (blocks are split at every branch anyway) and the
         // replication only raises register pressure.
@@ -310,10 +304,11 @@ impl Ctx<'_> {
         });
     }
 
-    /// Appends to `out` the nonzero linearized stride over `var` of every
-    /// array access in `stmts` whose index is affine in it. `for` steps are
-    /// not scanned: that would change unroll factors.
-    fn strides_into(&self, stmts: &[Stmt], var: Sym, out: &mut Vec<i64>) {
+    /// The nonzero linearized stride over `var` of every array access in
+    /// `stmts` whose index is affine in it. `for` steps are not scanned:
+    /// that would change unroll factors.
+    fn strides(&self, stmts: &[Stmt], var: Sym) -> Vec<i64> {
+        let mut out = Vec::new();
         any_stmt(stmts, &mut |s| {
             match *s {
                 Stmt::Assign { target, value } => {
@@ -321,19 +316,20 @@ impl Ctx<'_> {
                         let indices = self.ex.list(indices);
                         out.extend(self.stride(array, indices, var));
                         for &i in indices {
-                            self.scan(i, var, out);
+                            self.scan(i, var, &mut out);
                         }
                     }
-                    self.scan(value, var, out);
+                    self.scan(value, var, &mut out);
                 }
-                Stmt::If { cond, .. } | Stmt::While { cond, .. } => self.scan(cond, var, out),
+                Stmt::If { cond, .. } | Stmt::While { cond, .. } => self.scan(cond, var, &mut out),
                 Stmt::For { init, bound, .. } => {
-                    self.scan(init, var, out);
-                    self.scan(bound, var, out);
+                    self.scan(init, var, &mut out);
+                    self.scan(bound, var, &mut out);
                 }
             }
             false
         });
+        out
     }
 
     /// Adds the strides of the array reads in `e` to `out`.
