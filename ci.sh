@@ -48,6 +48,16 @@ stage_clippy() {
     echo "$forks" >&2
     exit 1
   fi
+  # Names resolve once, at parse: the frontend interns each spelling as a
+  # Sym and every later table is indexed by it, so no string-keyed map can
+  # grow back in the unroller or lowering.
+  local names
+  names="$(grep -rn 'HashMap<String' crates/lang/src --include='*.rs' || true)"
+  if [[ -n "$names" ]]; then
+    echo "ci: resolve names at parse (ast::Sym) instead of keying a map by String:" >&2
+    echo "$names" >&2
+    exit 1
+  fi
   # One stall record: the simulator, its statistics and every report speak
   # raw_machine::trace::{StallReason, Stall}, so no second stall enum, sink
   # method or event variant can grow back beside them.
