@@ -14,7 +14,9 @@
 //! program, reset after each block by the entries that block touched, so a
 //! pass costs the program's instructions plus one table, never blocks ×
 //! values. Only CSE's expression table is a map (keyed by operator and
-//! operands), built per block with the block's length as capacity.
+//! operands), built per block with the block's length as capacity. The
+//! tables are indexed by value, so every pass takes a program that passes
+//! [`verify`](crate::verify::verify) (every id inside the value table).
 
 use crate::ids::ValueId;
 use crate::inst::{BinOp, Imm, InstKind};
