@@ -128,6 +128,18 @@ stage_clippy() {
     echo "$expositions" >&2
     exit 1
   fi
+  # One route value: a switch route is raw_machine::isa::RoutePairs from
+  # the scheduler through the bundle, the ISA and the assembler to the trace,
+  # so no second pair list or bounded pair type can grow back beside it.
+  local routes
+  routes="$(grep -rnF 'Vec<(SSrc, SDst)>' crates/*/src --include='*.rs' || true
+    grep -rnw 'struct RoutePairs' crates/*/src --include='*.rs' \
+      | grep -v '^crates/machine/src/isa.rs:' || true)"
+  if [[ -n "$routes" ]]; then
+    echo "ci: hold switch routes as raw_machine::isa::RoutePairs:" >&2
+    echo "$routes" >&2
+    exit 1
+  fi
   # Every setting is an argument: the compiler and the daemon read no
   # environment variable. Only the test harness (golden updates, property
   # test knobs in crates/testkit) may.

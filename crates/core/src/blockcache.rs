@@ -63,7 +63,7 @@ use crate::layout::DataLayout;
 use crate::options::CompilerOptions;
 use crate::provenance::NO_PROV;
 use crate::regalloc::AllocResult;
-use crate::schedule::RoutePairs;
+use raw_machine::isa::RoutePairs;
 use raw_machine::{MachineConfig, TileId};
 use raw_telemetry::Counter;
 use std::collections::{HashMap, HashSet, VecDeque};

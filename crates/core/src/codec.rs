@@ -23,7 +23,9 @@
 //!    deliberate exceptions are spelled out where they occur: the key's value
 //!    renumbering and terminator form ([`canonical_block_bytes`]), the
 //!    reserved bytes of [`CompilerOptions`], the `u16` pair count of
-//!    [`SInst::Route`] and the sorted order of a program's value names.
+//!    [`SInst::Route`] (a bundle's [`RoutePairs`] count is a `usize`; both
+//!    decode through the ISA's checked [`RoutePairs::push`]) and the
+//!    sorted order of a program's value names.
 //!
 //! [`KeyContext`]: crate::blockcache::KeyContext
 
@@ -34,7 +36,7 @@ use crate::layout::{ArrayClass, DataLayout};
 use crate::options::{CompilerOptions, PlacementAlgorithm, PriorityScheme, Strategy};
 use crate::partition::{PlacementLog, PlacementStep, CLUSTER_COMM_COST};
 use crate::regalloc::AllocResult;
-use crate::schedule::{PredOpKind, PredictedBlock, RoutePairs, MAX_ROUTE_PAIRS};
+use crate::schedule::{PredOpKind, PredictedBlock};
 use crate::wire::{
     ClientRow, CompileRequest, CompileResponse, CompiledCounters, MetricsFormat, MetricsResponse,
     StatsResponse,
@@ -43,7 +45,7 @@ use raw_ir::{
     ArrayDecl, ArrayId, BinOp, Block, BlockId, Imm, Inst, InstKind, MemHome, Program, SourceSpan,
     Terminator, Ty, UnOp, ValueId, VarDecl, VarId,
 };
-use raw_machine::isa::{AluOp, Dir, Dst, PInst, SDst, SInst, SSrc, Src};
+use raw_machine::isa::{AluOp, Dir, Dst, PInst, RoutePairs, SDst, SInst, SSrc, Src};
 use raw_machine::{
     LatencyModel, MachineConfig, MachineProgram, TileCode, TileId, TileMask, MAX_TILES,
 };
@@ -397,15 +399,18 @@ impl Codec for RoutePairs {
     #[inline]
     fn get(d: &mut Dec<'_>) -> Option<Self> {
         let n = d.len()?;
-        if n > MAX_ROUTE_PAIRS {
-            return None;
-        }
-        let mut pairs = RoutePairs::EMPTY;
-        for _ in 0..n {
-            pairs.push(Codec::get(d)?);
-        }
-        Some(pairs)
+        route_pairs(d, n)
     }
+}
+
+/// `n` route pairs, built through the ISA's checked [`RoutePairs::push`]:
+/// more than six pairs or a repeated destination is no route.
+fn route_pairs(d: &mut Dec<'_>, n: usize) -> Option<RoutePairs> {
+    let mut pairs = RoutePairs::EMPTY;
+    for _ in 0..n {
+        pairs.push(Codec::get(d)?).ok()?;
+    }
+    Some(pairs)
 }
 
 // ---------------------------------------------------------------------------
@@ -692,10 +697,10 @@ impl Codec for SInst {
         match self {
             SInst::Route(pairs) => {
                 out.push(0);
-                // A `u16` count, unlike every other sequence: a route has at
-                // most one pair per switch output.
+                // A `u16` count, unlike every other sequence (a bundle's
+                // `RoutePairs` included): a route has at most six pairs.
                 (pairs.len() as u16).put(out);
-                for pair in pairs {
+                for pair in pairs.iter() {
                     pair.put(out);
                 }
             }
@@ -722,11 +727,7 @@ impl Codec for SInst {
         Some(match d.u8()? {
             0 => {
                 let n = u16::get(d)?;
-                let mut pairs = Vec::with_capacity(usize::from(n).min(d.remaining()));
-                for _ in 0..n {
-                    pairs.push(Codec::get(d)?);
-                }
-                SInst::Route(pairs)
+                SInst::Route(route_pairs(d, n.into())?)
             }
             1 => SInst::Bnez {
                 reg: u8::get(d)?,
@@ -889,15 +890,26 @@ mod tests {
             (SSrc::Proc, SDst::Dir(Dir::West)),
             (SSrc::Proc, SDst::Dir(Dir::North)),
         ];
-        for n in 0..=MAX_ROUTE_PAIRS {
+        for n in 0..=all.len() {
             let pairs: RoutePairs = all[..n].iter().copied().collect();
             let bytes = encode(&pairs);
             assert_eq!(bytes, encode(&all[..n].to_vec()), "{n} pairs");
             assert_eq!(decode::<RoutePairs>(&bytes), Some(pairs));
+            let inst = SInst::Route(pairs);
+            assert_eq!(encode(&inst), [&[0, n as u8, 0], &bytes[8..]].concat());
+            assert_eq!(decode::<SInst>(&encode(&inst)), Some(inst));
         }
-        // A longer list is no route this compiler wrote.
-        let mut long = all.to_vec();
-        long.push((SSrc::Proc, SDst::Reg(1)));
-        assert_eq!(decode::<RoutePairs>(&encode(&long)), None);
+        // A seventh pair or a repeated destination is no route, in a bundle
+        // or behind a switch instruction's tag 0 and `u16` count.
+        let seventh = [&all[..], &[(SSrc::Proc, SDst::Reg(1))]].concat();
+        let twice = [&all[..3], &[(SSrc::Dir(Dir::West), SDst::Proc)]].concat();
+        for bad in [seventh, twice] {
+            let bytes = encode(&bad);
+            assert_eq!(decode::<RoutePairs>(&bytes), None, "{bad:?}");
+            let inst = [&[0, bad.len() as u8, 0], &bytes[8..]].concat();
+            assert_eq!(decode::<SInst>(&inst), None, "{bad:?}");
+        }
+        // Six inline pairs keep a switch instruction within 32 bytes.
+        assert!(size_of::<SInst>() <= 32);
     }
 }

@@ -237,14 +237,7 @@ impl CompiledProgram {
     /// machine's event consumer (see [`raw_machine::trace`]).
     pub fn instantiate_with_sink<S: EventSink>(&self, program: &Program, sink: S) -> Machine<S> {
         let mut machine = Machine::with_sink(self.config.clone(), &self.machine_program, sink);
-        for (tile, words) in initial_memory_images(program, &self.layout)
-            .into_iter()
-            .enumerate()
-        {
-            for (addr, value) in words {
-                machine.set_mem_word(TileId::from_raw(tile as u32), addr, value);
-            }
-        }
+        self.load_memory(program, &mut machine);
         // Under a faulty mask, dynamic references interleave over the live
         // tiles in slot order rather than the default physical interleave.
         if !self.layout.identity_homes() {
@@ -253,6 +246,19 @@ impl CompiledProgram {
             }
         }
         machine
+    }
+
+    /// Writes `program`'s initial memory image, laid out as this program
+    /// was compiled, into `machine`.
+    fn load_memory<S: EventSink>(&self, program: &Program, machine: &mut Machine<S>) {
+        for (tile, words) in initial_memory_images(program, &self.layout)
+            .into_iter()
+            .enumerate()
+        {
+            for (addr, value) in words {
+                machine.set_mem_word(TileId::from_raw(tile as u32), addr, value);
+            }
+        }
     }
 
     /// Reads the machine-visible final state (variables from their home tiles,
@@ -523,7 +529,7 @@ pub fn compile_block(
     };
     // Switch ops carry their producing nodes (block-relative ids; the merge
     // phase rebases them).
-    let switch: Vec<Vec<(schedule::RoutePairs, u32)>> = sched
+    let switch = sched
         .switch_ops
         .into_iter()
         .map(|ops| {
@@ -772,16 +778,11 @@ impl CoResident {
     pub fn instantiate_with_sink<S: EventSink>(&self, progs: [&Program; 2], sink: S) -> Machine<S> {
         let mut machine = Machine::with_sink(self.config.clone(), &self.machine_program, sink);
         for (part, prog) in self.parts.iter().zip(progs) {
-            for (tile, words) in initial_memory_images(prog, &part.layout)
-                .into_iter()
-                .enumerate()
-            {
-                for (addr, value) in words {
-                    machine.set_mem_word(TileId::from_raw(tile as u32), addr, value);
-                }
-            }
+            part.load_memory(prog, &mut machine);
             // Each program's dynamic references stay inside its own
-            // partition: its issue tiles interleave over its own live set.
+            // partition: its issue tiles interleave over its own live set,
+            // even where that set is tiles 0..k (identity homes), since the
+            // mesh's default interleave spans the other part's tiles too.
             for &t in &part.layout.live {
                 machine.set_tile_dyn_homes(t, part.layout.live.clone());
             }

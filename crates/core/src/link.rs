@@ -43,10 +43,10 @@
 
 use crate::blockcache::BlockBundle;
 use crate::provenance::{ProvenanceMap, NO_PROV};
-use crate::schedule::{broadcast_routes, RoutePairs};
+use crate::schedule::broadcast_routes;
 use raw_ir::{Block, Imm, InstKind, Program, Terminator};
 use raw_machine::asm::{ProcAsm, SwitchAsm};
-use raw_machine::isa::{PInst, SDst, SInst, Src};
+use raw_machine::isa::{PInst, RoutePairs, SDst, SInst, Src};
 use raw_machine::{MachineConfig, TileCode, TileId};
 use std::sync::Arc;
 

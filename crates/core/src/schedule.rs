@@ -16,7 +16,7 @@
 use crate::options::{CompilerOptions, PriorityScheme};
 use crate::partition::Partition;
 use crate::taskgraph::{EdgeKind, NodeId, TaskGraph};
-use raw_machine::isa::{Dir, SDst, SSrc};
+use raw_machine::isa::{Dir, RoutePairs, SDst, SSrc};
 use raw_machine::{MachineConfig, TileId};
 use std::collections::{HashMap, HashSet};
 
@@ -35,71 +35,6 @@ pub enum TileOp {
 /// increasing cycle order. The node names the communication path the route
 /// belongs to (provenance: the producer's source span).
 pub type TileSwitchOps = Vec<(u64, NodeId, RoutePairs)>;
-
-/// The most pairs one switch route can hold: one per output port (the four
-/// directions and the processor) plus switch register 0, where a branch
-/// broadcast latches its word.
-pub const MAX_ROUTE_PAIRS: usize = 6;
-
-/// The route pairs of one switch op, held inline: a route is at most
-/// [`MAX_ROUTE_PAIRS`] pairs, so no op allocates. Reads as a slice.
-#[derive(Clone, Copy)]
-pub struct RoutePairs {
-    pairs: [(SSrc, SDst); MAX_ROUTE_PAIRS],
-    len: u8,
-}
-
-impl RoutePairs {
-    /// An empty route.
-    pub const EMPTY: RoutePairs = RoutePairs {
-        pairs: [(SSrc::Proc, SDst::Proc); MAX_ROUTE_PAIRS],
-        len: 0,
-    };
-
-    /// Appends a pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the route already holds [`MAX_ROUTE_PAIRS`] pairs.
-    pub fn push(&mut self, pair: (SSrc, SDst)) {
-        assert!(
-            (self.len as usize) < MAX_ROUTE_PAIRS,
-            "a switch route holds at most {MAX_ROUTE_PAIRS} pairs"
-        );
-        self.pairs[self.len as usize] = pair;
-        self.len += 1;
-    }
-}
-
-impl std::ops::Deref for RoutePairs {
-    type Target = [(SSrc, SDst)];
-
-    fn deref(&self) -> &[(SSrc, SDst)] {
-        &self.pairs[..self.len as usize]
-    }
-}
-
-impl PartialEq for RoutePairs {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl std::fmt::Debug for RoutePairs {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl FromIterator<(SSrc, SDst)> for RoutePairs {
-    fn from_iter<I: IntoIterator<Item = (SSrc, SDst)>>(iter: I) -> Self {
-        let mut pairs = RoutePairs::EMPTY;
-        for pair in iter {
-            pairs.push(pair);
-        }
-        pairs
-    }
-}
 
 /// Kind of a predicted processor slot (condensed from [`TileOp`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -908,15 +843,11 @@ pub fn broadcast_routes(config: &MachineConfig, producer: TileId) -> Vec<RoutePa
     let tree = MulticastTree::build(config, producer, &dsts);
     let mut routes = vec![RoutePairs::EMPTY; n];
     for node in &tree.nodes {
-        let mut pairs = RoutePairs::EMPTY;
-        pairs.push((node.src, SDst::Reg(0)));
-        if node.deliver {
-            pairs.push((node.src, SDst::Proc));
-        }
-        for &d in node.children() {
-            pairs.push((node.src, SDst::Dir(d)));
-        }
-        routes[node.tile.index()] = pairs;
+        let dsts = [SDst::Reg(0)]
+            .into_iter()
+            .chain(node.deliver.then_some(SDst::Proc));
+        let dirs = node.children().iter().map(|&d| SDst::Dir(d));
+        routes[node.tile.index()] = dsts.chain(dirs).map(|dst| (node.src, dst)).collect();
     }
     routes
 }
@@ -953,15 +884,9 @@ impl TreeNode {
     }
 
     fn pairs(&self) -> RoutePairs {
-        let mut pairs: RoutePairs = self
-            .children()
-            .iter()
-            .map(|&d| (self.src, SDst::Dir(d)))
-            .collect();
-        if self.deliver {
-            pairs.push((self.src, SDst::Proc));
-        }
-        pairs
+        let dirs = self.children().iter().map(|&d| SDst::Dir(d));
+        let dsts = dirs.chain(self.deliver.then_some(SDst::Proc));
+        dsts.map(|dst| (self.src, dst)).collect()
     }
 }
 

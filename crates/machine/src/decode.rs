@@ -13,17 +13,19 @@
 //!   ([`RoutePort`]): the distinct sources first (each consumed once — a
 //!   multicast), then one `(source index, destination)` entry per pair. A
 //!   port is a channel id or a switch register, so no neighbour lookup or
-//!   value search is left for execution time. A route naming a missing
-//!   neighbour decodes to [`SOp::NoNeighbour`], which panics with the
-//!   message the route always gave, and only when the switch executes it.
+//!   value search is left for execution time. An instruction naming a
+//!   missing neighbour or a switch register past `config.switch_regs`
+//!   decodes to [`SOp::Fault`], which panics naming the tile and the port,
+//!   and only when the switch executes it.
 //!
 //! The decode is lossless: [`Program::encode`] rebuilds the original
 //! [`TileCode`]s from the tables alone, and the round trip is the decode's
-//! oracle (`Machine::reencode`). The original code is kept beside the tables
-//! only when a sink is enabled, for its route events.
+//! oracle (`Machine::reencode`). A route event's pairs are rebuilt the same
+//! way ([`Program::encode_route`]), so a machine keeps no second copy of its
+//! code.
 
 use crate::config::MachineConfig;
-use crate::isa::{AluOp, Dir, Dst, PInst, SDst, SInst, SSrc, Src, TileCode, Word};
+use crate::isa::{AluOp, Dir, Dst, PInst, RoutePairs, SDst, SInst, SSrc, Src, TileCode, Word};
 use raw_ir::{BinOp, Imm, UnOp};
 use std::ops::Range;
 
@@ -307,10 +309,8 @@ impl ChanId {
 pub(crate) enum Port {
     /// A static-network channel.
     Chan(ChanId),
-    /// A switch register.
+    /// A switch register, below `config.switch_regs`.
     Reg(u8),
-    /// A direction with no neighbour (only inside [`SOp::NoNeighbour`]).
-    Missing(Dir),
 }
 
 /// One entry of the flat route array: a distinct source (`src` unused) or
@@ -347,13 +347,9 @@ impl RouteSlice {
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum SOp {
     Route(RouteSlice),
-    /// A route naming a direction without a neighbour: the first such
-    /// source in pair order, else the first such destination (`out`).
-    NoNeighbour {
-        route: RouteSlice,
-        dir: Dir,
-        out: bool,
-    },
+    /// An instruction this machine cannot execute: index into
+    /// [`Program::faults`], whose message it panics with.
+    Fault(u32),
     Bnez {
         reg: u8,
         target: u32,
@@ -378,54 +374,66 @@ pub(crate) struct Wiring {
     pub(crate) link_out: Vec<[Option<usize>; 4]>,
     /// Neighbour switch → switch, per tile per direction.
     pub(crate) link_in: Vec<[Option<usize>; 4]>,
+    /// Switch registers per tile (`config.switch_regs`).
+    pub(crate) regs: u32,
 }
 
 impl Wiring {
-    fn source(&self, t: usize, src: SSrc) -> Port {
+    /// The port source `src` of tile `t` reads, or why the tile has none.
+    fn source(&self, t: usize, src: SSrc) -> Result<Port, String> {
         match src {
-            SSrc::Proc => Port::Chan(ChanId::new(self.ps[t])),
-            SSrc::Reg(r) => Port::Reg(r),
+            SSrc::Proc => Ok(Port::Chan(ChanId::new(self.ps[t]))),
+            SSrc::Reg(r) => self.register(t, r).map(Port::Reg),
             SSrc::Dir(d) => self.link_in[t][d.index()]
-                .map_or(Port::Missing(d), |id| Port::Chan(ChanId::new(id))),
+                .map(|id| Port::Chan(ChanId::new(id)))
+                .ok_or_else(|| {
+                    format!("tile{t} switch routes from {d:?} but there is no neighbour")
+                }),
         }
     }
 
-    fn destination(&self, t: usize, dst: SDst) -> Port {
+    /// The port destination `dst` of tile `t` writes, or why it has none.
+    fn destination(&self, t: usize, dst: SDst) -> Result<Port, String> {
         match dst {
-            SDst::Proc => Port::Chan(ChanId::new(self.sp[t])),
-            SDst::Reg(r) => Port::Reg(r),
+            SDst::Proc => Ok(Port::Chan(ChanId::new(self.sp[t]))),
+            SDst::Reg(r) => self.register(t, r).map(Port::Reg),
             SDst::Dir(d) => self.link_out[t][d.index()]
-                .map_or(Port::Missing(d), |id| Port::Chan(ChanId::new(id))),
+                .map(|id| Port::Chan(ChanId::new(id)))
+                .ok_or_else(|| format!("tile{t} switch routes to {d:?} but there is no neighbour")),
         }
+    }
+
+    /// Switch register `reg` of tile `t`, or why the tile has none.
+    fn register(&self, t: usize, reg: u8) -> Result<u8, String> {
+        let regs = self.regs;
+        (u32::from(reg) < regs).then_some(reg).ok_or_else(|| {
+            format!("tile{t} switch names register r{reg} but has only {regs} switch registers")
+        })
     }
 
     fn encode_source(&self, t: usize, port: Port) -> SSrc {
         match port {
             Port::Reg(r) => SSrc::Reg(r),
-            Port::Missing(d) => SSrc::Dir(d),
             Port::Chan(id) if id.get() == self.ps[t] => SSrc::Proc,
-            Port::Chan(id) => SSrc::Dir(
-                Dir::ALL
-                    .into_iter()
-                    .find(|d| self.link_in[t][d.index()] == Some(id.get()))
-                    .expect("a source channel is a link into the tile"),
-            ),
+            Port::Chan(id) => SSrc::Dir(link_dir(&self.link_in[t], id)),
         }
     }
 
     fn encode_destination(&self, t: usize, port: Port) -> SDst {
         match port {
             Port::Reg(r) => SDst::Reg(r),
-            Port::Missing(d) => SDst::Dir(d),
             Port::Chan(id) if id.get() == self.sp[t] => SDst::Proc,
-            Port::Chan(id) => SDst::Dir(
-                Dir::ALL
-                    .into_iter()
-                    .find(|d| self.link_out[t][d.index()] == Some(id.get()))
-                    .expect("a destination channel is a link out of the tile"),
-            ),
+            Port::Chan(id) => SDst::Dir(link_dir(&self.link_out[t], id)),
         }
     }
+}
+
+/// The direction of a tile's link channel `id` among `links`.
+fn link_dir(links: &[Option<usize>; 4], id: ChanId) -> Dir {
+    Dir::ALL
+        .into_iter()
+        .find(|d| links[d.index()] == Some(id.get()))
+        .expect("a route channel is one of the tile's links")
 }
 
 /// A branch target as stored in an op.
@@ -477,6 +485,10 @@ pub(crate) struct Program {
     pub(crate) switch_code: Vec<Stream>,
     /// Route sources and pairs, sliced by [`RouteSlice`].
     pub(crate) ports: Vec<RoutePort>,
+    /// Every [`SOp::Fault`]'s instruction, kept for the lossless encode,
+    /// and the message it panics with: the first source in pair order the
+    /// tile lacks, else the first destination.
+    pub(crate) faults: Vec<(SInst, String)>,
 }
 
 impl Program {
@@ -489,6 +501,7 @@ impl Program {
             sops: Vec::with_capacity(tiles.iter().map(|code| code.switch.len()).sum()),
             switch_code: Vec::with_capacity(tiles.len()),
             ports: Vec::new(),
+            faults: Vec::new(),
         };
         for (t, code) in tiles.iter().enumerate() {
             let start = prog.pops.len();
@@ -496,8 +509,13 @@ impl Program {
                 .extend(code.proc.iter().map(|&inst| POp::decode(inst, config)));
             prog.proc_code.push(Stream::new(start..prog.pops.len()));
             let start = prog.sops.len();
-            for inst in &code.switch {
-                let op = prog.decode_switch(t, inst, wiring);
+            for &inst in &code.switch {
+                let mark = prog.ports.len();
+                let op = prog.decode_switch(t, inst, wiring).unwrap_or_else(|fault| {
+                    prog.ports.truncate(mark);
+                    prog.faults.push((inst, fault));
+                    SOp::Fault((prog.faults.len() - 1) as u32)
+                });
                 prog.sops.push(op);
             }
             prog.switch_code.push(Stream::new(start..prog.sops.len()));
@@ -505,69 +523,50 @@ impl Program {
         prog
     }
 
-    fn decode_switch(&mut self, t: usize, inst: &SInst, wiring: &Wiring) -> SOp {
-        match *inst {
-            SInst::Route(ref pairs) => {
+    /// Decodes one switch instruction of tile `t`, or says why the machine
+    /// cannot execute it.
+    fn decode_switch(&mut self, t: usize, inst: SInst, wiring: &Wiring) -> Result<SOp, String> {
+        Ok(match inst {
+            SInst::Route(pairs) => {
                 // Distinct sources first — two pairs name the same source iff
                 // they resolve to the same port — then one entry per pair.
                 let first = self.ports.len();
-                for (src, _) in pairs {
-                    let port = wiring.source(t, *src);
+                for &(src, _) in pairs.iter() {
+                    let port = wiring.source(t, src)?;
                     if !self.ports[first..].iter().any(|p| p.port == port) {
                         self.ports.push(RoutePort { src: 0, port });
                     }
                 }
                 let n_srcs = self.ports.len() - first;
-                for (src, dst) in pairs {
-                    let port = wiring.source(t, *src);
+                for &(src, dst) in pairs.iter() {
+                    let port = wiring.source(t, src)?;
                     let index = self.ports[first..first + n_srcs]
                         .iter()
                         .position(|p| p.port == port)
                         .expect("every pair's source is listed");
                     self.ports.push(RoutePort {
-                        src: u8::try_from(index).expect("a route has at most 255 sources"),
-                        port: wiring.destination(t, *dst),
+                        src: index as u8,
+                        port: wiring.destination(t, dst)?,
                     });
                 }
-                let route = RouteSlice {
+                SOp::Route(RouteSlice {
                     first: u32::try_from(first).expect("route table fits u32 indices"),
                     n_srcs: n_srcs as u8,
-                    n_pairs: u8::try_from(pairs.len()).expect("a route has at most 255 pairs"),
-                };
-                let missing = |ports: &[RoutePort]| {
-                    ports.iter().find_map(|p| match p.port {
-                        Port::Missing(d) => Some(d),
-                        _ => None,
-                    })
-                };
-                if let Some(dir) = missing(&self.ports[route.sources()]) {
-                    SOp::NoNeighbour {
-                        route,
-                        dir,
-                        out: false,
-                    }
-                } else if let Some(dir) = missing(&self.ports[route.pairs()]) {
-                    SOp::NoNeighbour {
-                        route,
-                        dir,
-                        out: true,
-                    }
-                } else {
-                    SOp::Route(route)
-                }
+                    n_pairs: pairs.len() as u8,
+                })
             }
             SInst::Bnez { reg, target } => SOp::Bnez {
-                reg,
+                reg: wiring.register(t, reg)?,
                 target: target_index(target),
             },
             SInst::Beqz { reg, target } => SOp::Beqz {
-                reg,
+                reg: wiring.register(t, reg)?,
                 target: target_index(target),
             },
             SInst::Jump(target) => SOp::Jump(target_index(target)),
             SInst::Halt => SOp::Halt,
             SInst::Nop => SOp::Nop,
-        }
+        })
     }
 
     /// The tiles' code rebuilt from the tables alone: equal to the decoded
@@ -587,23 +586,25 @@ impl Program {
             .collect()
     }
 
+    /// A route's pairs rebuilt from the tables: the inverse of its decode.
+    pub(crate) fn encode_route(&self, t: usize, route: RouteSlice, wiring: &Wiring) -> RoutePairs {
+        let sources = &self.ports[route.sources()];
+        self.ports[route.pairs()]
+            .iter()
+            .map(|pair| {
+                let src = sources[pair.src as usize].port;
+                (
+                    wiring.encode_source(t, src),
+                    wiring.encode_destination(t, pair.port),
+                )
+            })
+            .collect()
+    }
+
     fn encode_switch(&self, t: usize, op: &SOp, wiring: &Wiring) -> SInst {
         match *op {
-            SOp::Route(route) | SOp::NoNeighbour { route, .. } => {
-                let sources = &self.ports[route.sources()];
-                SInst::Route(
-                    self.ports[route.pairs()]
-                        .iter()
-                        .map(|pair| {
-                            let src = sources[pair.src as usize].port;
-                            (
-                                wiring.encode_source(t, src),
-                                wiring.encode_destination(t, pair.port),
-                            )
-                        })
-                        .collect(),
-                )
-            }
+            SOp::Route(route) => SInst::Route(self.encode_route(t, route, wiring)),
+            SOp::Fault(i) => self.faults[i as usize].0,
             SOp::Bnez { reg, target } => SInst::Bnez {
                 reg,
                 target: target as usize,

@@ -311,13 +311,91 @@ pub enum SDst {
     Reg(u8),
 }
 
-/// Switch instructions.
-#[derive(Clone, Debug, PartialEq)]
+/// The most pairs one switch route can hold: one per output port (the four
+/// directions and the processor) plus switch register 0, where a branch
+/// broadcast latches its word.
+pub const MAX_ROUTE_PAIRS: usize = 6;
+
+/// The source→destination pairs of one `ROUTE`, held inline. Its
+/// constructors enforce the ISA's two rules: at most [`MAX_ROUTE_PAIRS`]
+/// pairs, and no destination named twice (an output port can appear in only
+/// one pair of a `ROUTE` — paper §3.1). Reads as a slice.
+#[derive(Clone, Copy)]
+pub struct RoutePairs {
+    pairs: [(SSrc, SDst); MAX_ROUTE_PAIRS],
+    len: u8,
+}
+
+impl RoutePairs {
+    /// An empty route.
+    pub const EMPTY: RoutePairs = RoutePairs {
+        pairs: [(SSrc::Proc, SDst::Proc); MAX_ROUTE_PAIRS],
+        len: 0,
+    };
+
+    /// Appends a pair, or leaves the route as it is and says why it cannot:
+    /// the route is full, or it already names the pair's destination.
+    pub fn push(&mut self, pair: (SSrc, SDst)) -> Result<(), &'static str> {
+        if self.iter().any(|&(_, dst)| dst == pair.1) {
+            return Err("duplicate destination in ROUTE");
+        }
+        let slot = self
+            .pairs
+            .get_mut(self.len as usize)
+            .ok_or("a switch route holds at most six pairs")?;
+        *slot = pair;
+        self.len += 1;
+        Ok(())
+    }
+}
+
+impl std::ops::Deref for RoutePairs {
+    type Target = [(SSrc, SDst)];
+
+    fn deref(&self) -> &[(SSrc, SDst)] {
+        &self.pairs[..self.len as usize]
+    }
+}
+
+impl PartialEq for RoutePairs {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+/// A plain list, as a `Vec` of the pairs prints: `SInst`'s `Debug` output,
+/// which the assembly hash reads, stays what it was.
+impl fmt::Debug for RoutePairs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Collects through [`RoutePairs::push`].
+///
+/// # Panics
+///
+/// Panics where `push` refuses a pair: a seventh, or a repeated destination.
+impl FromIterator<(SSrc, SDst)> for RoutePairs {
+    fn from_iter<I: IntoIterator<Item = (SSrc, SDst)>>(iter: I) -> Self {
+        let mut pairs = RoutePairs::EMPTY;
+        for pair in iter {
+            if let Err(why) = pairs.push(pair) {
+                panic!("{why}: {pair:?}");
+            }
+        }
+        pairs
+    }
+}
+
+/// Switch instructions. Every field is plain data, so the whole instruction
+/// is `Copy`, like [`PInst`].
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SInst {
     /// Atomically move words along all pairs. The instruction stalls until
     /// every source has a word and every destination can accept one; an input
     /// port listed in several pairs is a multicast and is consumed once.
-    Route(Vec<(SSrc, SDst)>),
+    Route(RoutePairs),
     /// Branch if switch register `reg` is non-zero.
     Bnez {
         /// Register holding the condition.
@@ -545,10 +623,11 @@ mod tests {
             offset: 36,
         };
         assert_eq!(l.to_string(), "lw $csto, 36(r5)");
-        let r = SInst::Route(vec![
+        let pairs = [
             (SSrc::Proc, SDst::Dir(Dir::East)),
             (SSrc::Proc, SDst::Reg(0)),
-        ]);
+        ];
+        let r = SInst::Route(pairs.into_iter().collect());
         assert_eq!(r.to_string(), "route $cPi->$cEo, $cPi->r0");
         assert_eq!(SInst::Bnez { reg: 0, target: 9 }.to_string(), "bnez r0, 9");
     }

@@ -13,9 +13,10 @@
 //! (`crate::decode`): processor ops with their operands, ALU function and
 //! result latency resolved, routes as slices of one port array of channel
 //! ids and switch registers. Both steppers execute only those tables, over
-//! one slab of channel rings and per-tile register slabs; the loaded
-//! [`TileCode`] is kept only for an enabled sink's route events, and
-//! [`Machine::reencode`] rebuilds it from the tables (the decode's oracle).
+//! one slab of channel rings and per-tile register slabs. The loaded
+//! [`TileCode`](crate::isa::TileCode) is not kept: [`Machine::reencode`] rebuilds it from the
+//! tables (the decode's oracle), and an enabled sink's route events rebuild
+//! their pairs the same way.
 //!
 //! # The two steppers
 //!
@@ -72,7 +73,7 @@ use crate::chaos::{Chaos, ChaosConfig};
 use crate::config::MachineConfig;
 use crate::decode::{Port, Program, SOp, Wiring};
 use crate::dynnet::{DynEndpoint, DynNet, Handler};
-use crate::isa::{Dir, MachineProgram, SInst, TileCode, TileId, Word};
+use crate::isa::{Dir, MachineProgram, TileId, Word, MAX_ROUTE_PAIRS};
 use crate::memory::LocalMem;
 use crate::processor::{ProcOutcome, Processor, TileView};
 use crate::stats::{Stats, WorkCounters};
@@ -229,10 +230,8 @@ enum Stepper {
 #[derive(Debug)]
 pub struct Machine<S: EventSink = NullSink> {
     config: MachineConfig,
-    /// The loaded code, kept only for an enabled sink: its route events
-    /// carry the route's pairs. Empty under [`NullSink`].
-    code: Vec<TileCode>,
-    /// The decoded code both steppers execute.
+    /// The decoded code both steppers execute; an enabled sink's route
+    /// events rebuild their pairs from it.
     prog: Program,
     /// Channel ids of every tile's ports.
     wiring: Wiring,
@@ -267,8 +266,6 @@ pub struct Machine<S: EventSink = NullSink> {
     dirty: Vec<usize>,
     /// Channels the last `step_switch` consumed a word from (wake scratch).
     consumed: Vec<usize>,
-    /// Reusable scratch for route source values.
-    route_vals: Vec<Word>,
     /// True while any flit, dynamic message, or handler request may exist.
     dyn_active: bool,
     /// Tiles whose handler or endpoint may be non-idle (production stepper):
@@ -356,6 +353,7 @@ impl<S: EventSink> Machine<S> {
             sp,
             link_out,
             link_in,
+            regs: config.switch_regs,
         };
         let prog = Program::decode(&program.tiles, &wiring, &config);
         let mems = (0..n)
@@ -364,11 +362,6 @@ impl<S: EventSink> Machine<S> {
         Machine {
             stats: Stats::new(n),
             work: WorkCounters::default(),
-            code: if S::ENABLED {
-                program.tiles.clone()
-            } else {
-                Vec::new()
-            },
             procs: (0..n)
                 .map(|t| Processor::new(t as u32, prog.proc_code[t], wiring.sp[t], wiring.ps[t]))
                 .collect(),
@@ -397,7 +390,6 @@ impl<S: EventSink> Machine<S> {
             chan_writer,
             dirty: Vec::new(),
             consumed: Vec::new(),
-            route_vals: Vec::new(),
             dyn_active: false,
             dyn_watch: Vec::new(),
             dyn_watched: vec![false; n],
@@ -639,22 +631,21 @@ impl<S: EventSink> Machine<S> {
     ///
     /// # Panics
     ///
-    /// Panics if the route to execute names a direction without a
-    /// neighbour.
+    /// Panics if the instruction to execute names a direction without a
+    /// neighbour or a switch register the machine does not have.
     #[inline(always)]
     fn step_switch(&mut self, t: usize) -> SwitchOutcome {
         self.work.switch_steps += 1;
         let Machine {
             config,
-            code,
             prog,
+            wiring,
             switches,
             sregs,
             chans,
             stats,
             dirty,
             consumed,
-            route_vals,
             sched,
             cycle,
             sink,
@@ -695,46 +686,29 @@ impl<S: EventSink> Machine<S> {
                     }
                 }
                 // Consume each distinct source once, then fan out.
-                let single = if route.n_srcs == 1 {
-                    let port = ports[route.first as usize].port;
-                    read_source(port, chans, consumed, regs)
-                } else {
-                    route_vals.clear();
-                    for p in &ports[route.sources()] {
-                        route_vals.push(read_source(p.port, chans, consumed, regs));
-                    }
-                    0
-                };
+                let mut vals = [0; MAX_ROUTE_PAIRS];
+                for (v, p) in vals.iter_mut().zip(&ports[route.sources()]) {
+                    *v = read_source(p.port, chans, consumed, regs);
+                }
                 for p in &ports[route.pairs()] {
-                    let v = if route.n_srcs == 1 {
-                        single
-                    } else {
-                        route_vals[p.src as usize]
-                    };
+                    let v = vals[p.src as usize];
                     match p.port {
                         Port::Chan(id) => {
                             chans.write(id.get(), v);
                             dirty.push(id.get());
                         }
                         Port::Reg(r) => regs[r as usize] = v,
-                        Port::Missing(_) => unreachable!("decoded as NoNeighbour"),
                     }
                 }
                 let pc = sw.pc;
                 sw.pc += 1;
                 stats.tiles[t].switch_routes += 1;
                 if S::ENABLED {
-                    let SInst::Route(pairs) = &code[t].switch[pc] else {
-                        unreachable!("a route op decodes a route");
-                    };
-                    sink.route(*cycle, t as u32, pairs, pc);
+                    sink.route(*cycle, t as u32, prog.encode_route(t, route, wiring), pc);
                 }
                 SwitchOutcome::Progress
             }
-            SOp::NoNeighbour { dir, out, .. } => {
-                let way = if out { "to" } else { "from" };
-                panic!("tile{t} switch routes {way} {dir:?} but there is no neighbour")
-            }
+            SOp::Fault(i) => panic!("{}", prog.faults[i as usize].1),
             control => {
                 let pc = sw.pc;
                 sw.pc = match control {
@@ -821,7 +795,6 @@ fn read_source(port: Port, chans: &mut Channels, consumed: &mut Vec<usize>, regs
             chans.read(id.get())
         }
         Port::Reg(r) => regs[r as usize],
-        Port::Missing(_) => unreachable!("decoded as NoNeighbour"),
     }
 }
 
@@ -829,7 +802,7 @@ fn read_source(port: Port, chans: &mut Channels, consumed: &mut Vec<usize>, regs
 pub(crate) mod tests {
     use super::*;
     use crate::asm::{ProcAsm, SwitchAsm};
-    use crate::isa::{Dst, SDst, SSrc, Src};
+    use crate::isa::{Dst, SDst, SInst, SSrc, Src, TileCode};
     use crate::oracle::steppers_agree;
     use crate::stats::WorkCounters;
     use raw_ir::{BinOp, Imm};
@@ -1376,58 +1349,73 @@ pub(crate) mod tests {
         assert_eq!(m.work().restalls, 0);
     }
 
-    /// One switch route naming a direction the 1x1 mesh does not have,
-    /// after `first`.
-    fn missing_neighbour_program(first: SInst, pair: (SSrc, SDst)) -> MachineProgram {
-        MachineProgram {
+    /// A one-pair switch route.
+    fn route(pair: (SSrc, SDst)) -> SInst {
+        SInst::Route([pair].into_iter().collect())
+    }
+
+    /// Loads `faulty`, an instruction the 1x1 mesh cannot execute, behind
+    /// `first` and checks that it is harmless until the switch reaches it,
+    /// then panics with `message` under both steppers.
+    fn assert_switch_fault(faulty: SInst, message: &str) {
+        let config = MachineConfig::grid(1, 1);
+        let program = |first| MachineProgram {
             tiles: vec![TileCode {
                 proc: vec![crate::isa::PInst::Halt],
-                switch: vec![first, SInst::Route(vec![pair]), SInst::Halt],
+                switch: vec![first, faulty, SInst::Halt],
             }],
+        };
+        // Loading decodes the instruction; a switch that halts first never
+        // runs it, and the decode still round-trips it.
+        let unreached = program(SInst::Halt);
+        let agreed =
+            steppers_agree("unreached", || Machine::new(config.clone(), &unreached)).unwrap();
+        assert!(agreed.outcome.is_ok());
+        let loaded = Machine::new(config.clone(), &unreached);
+        assert_eq!(loaded.reencode(), unreached);
+        // Executed, it panics with its message, under both steppers.
+        for reference in [false, true] {
+            let mut m = Machine::new(config.clone(), &program(SInst::Nop));
+            if reference {
+                m = m.with_reference_stepper();
+            }
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.run()))
+                .expect_err("the instruction must panic");
+            assert_eq!(
+                panic.downcast_ref::<String>().map(String::as_str),
+                Some(message),
+                "{faulty:?}"
+            );
         }
     }
 
     #[test]
     fn a_route_to_a_missing_neighbour_panics_only_when_it_executes() {
-        let config = MachineConfig::grid(1, 1);
-        let out = (SSrc::Proc, SDst::Dir(Dir::North));
-        let from = (SSrc::Dir(Dir::West), SDst::Proc);
-        // Loading decodes the route; a switch that halts first never runs it.
-        for pair in [out, from] {
-            let agreed = steppers_agree("unreached", || {
-                Machine::new(
-                    config.clone(),
-                    &missing_neighbour_program(SInst::Halt, pair),
-                )
-            })
-            .unwrap();
-            assert!(agreed.outcome.is_ok());
-        }
-        // Executed, it panics with the route's message, under both steppers.
-        for (pair, message) in [
-            (
-                out,
-                "tile0 switch routes to North but there is no neighbour",
-            ),
-            (
-                from,
-                "tile0 switch routes from West but there is no neighbour",
-            ),
-        ] {
-            for reference in [false, true] {
-                let program = missing_neighbour_program(SInst::Nop, pair);
-                let mut m = Machine::new(config.clone(), &program);
-                if reference {
-                    m = m.with_reference_stepper();
-                }
-                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.run()))
-                    .expect_err("the route must panic");
-                assert_eq!(
-                    panic.downcast_ref::<String>().map(String::as_str),
-                    Some(message)
-                );
-            }
-        }
+        assert_switch_fault(
+            route((SSrc::Proc, SDst::Dir(Dir::North))),
+            "tile0 switch routes to North but there is no neighbour",
+        );
+        assert_switch_fault(
+            route((SSrc::Dir(Dir::West), SDst::Proc)),
+            "tile0 switch routes from West but there is no neighbour",
+        );
+    }
+
+    #[test]
+    fn a_missing_switch_register_panics_only_when_it_executes() {
+        // The 1x1 mesh has switch registers r0..r7.
+        let message =
+            |reg| format!("tile0 switch names register r{reg} but has only 8 switch registers");
+        assert_switch_fault(route((SSrc::Reg(8), SDst::Proc)), &message(8));
+        assert_switch_fault(route((SSrc::Proc, SDst::Reg(8))), &message(8));
+        assert_switch_fault(SInst::Bnez { reg: 8, target: 0 }, &message(8));
+        assert_switch_fault(
+            SInst::Beqz {
+                reg: 255,
+                target: 0,
+            },
+            &message(255),
+        );
     }
 
     #[test]
@@ -1466,10 +1454,6 @@ pub(crate) mod tests {
             (maturing_send_program(), MachineConfig::grid(1, 2)),
             (two_source_route_program(), MachineConfig::grid(1, 3)),
             (orphan_receive_program(), MachineConfig::grid(1, 1)),
-            (
-                missing_neighbour_program(SInst::Nop, (SSrc::Dir(Dir::East), SDst::Reg(3))),
-                MachineConfig::grid(1, 1),
-            ),
         ] {
             let m = Machine::new(config.with_unit_latency(), &program);
             assert_eq!(format!("{:?}", m.reencode()), format!("{program:?}"));
@@ -1489,16 +1473,16 @@ pub(crate) mod tests {
         p.store_imm_addr(Src::Reg(1), 0);
         p.halt();
         let switch = vec![
-            SInst::Route(vec![(SSrc::Proc, SDst::Reg(2))]),
+            route((SSrc::Proc, SDst::Reg(2))),
             SInst::Bnez { reg: 2, target: 3 },
-            SInst::Route(vec![(SSrc::Reg(3), SDst::Proc)]),
-            SInst::Route(vec![(SSrc::Proc, SDst::Reg(3))]),
+            route((SSrc::Reg(3), SDst::Proc)),
+            route((SSrc::Proc, SDst::Reg(3))),
             SInst::Beqz { reg: 3, target: 6 },
-            SInst::Route(vec![(SSrc::Reg(3), SDst::Proc)]),
+            route((SSrc::Reg(3), SDst::Proc)),
             SInst::Bnez { reg: 3, target: 5 },
-            SInst::Route(vec![(SSrc::Reg(2), SDst::Proc)]),
+            route((SSrc::Reg(2), SDst::Proc)),
             SInst::Jump(10),
-            SInst::Route(vec![(SSrc::Reg(3), SDst::Proc)]),
+            route((SSrc::Reg(3), SDst::Proc)),
         ];
         let program = MachineProgram {
             tiles: vec![TileCode {

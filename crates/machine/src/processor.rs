@@ -452,6 +452,7 @@ mod tests {
                 sp: vec![0],
                 link_out: vec![[None; 4]],
                 link_in: vec![[None; 4]],
+                regs: config.switch_regs,
             };
             let tiles = [TileCode {
                 proc: code,

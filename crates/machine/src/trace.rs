@@ -33,7 +33,7 @@
 //! produced it. Emission sites in the reference scan carry explicitly matched
 //! timing.
 
-use crate::isa::{Dir, SDst, SSrc};
+use crate::isa::{Dir, RoutePairs};
 
 /// Which half of a tile an event refers to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -201,7 +201,7 @@ pub trait EventSink {
 
     /// A switch executed a `ROUTE` with these source→destination pairs. `pc`
     /// is the route instruction's index in the switch stream.
-    fn route(&mut self, cycle: u64, tile: u32, pairs: &[(SSrc, SDst)], pc: usize) {
+    fn route(&mut self, cycle: u64, tile: u32, pairs: RoutePairs, pc: usize) {
         let _ = (cycle, tile, pairs, pc);
     }
 

@@ -59,7 +59,7 @@ pub mod report;
 
 use raw_ir::interp::ExecResult;
 use raw_ir::Program;
-use raw_machine::isa::{SDst, SSrc};
+use raw_machine::isa::RoutePairs;
 use raw_machine::trace::{ChannelInfo, EventSink, Stall, StallReason, Unit};
 use raw_machine::{Machine, MachineConfig, RunReport, SimError, TileId};
 use rawcc::{CoResident, CompiledProgram};
@@ -87,7 +87,7 @@ pub enum Event {
         /// Routing tile.
         tile: u32,
         /// The route's source→destination pairs.
-        pairs: Vec<(SSrc, SDst)>,
+        pairs: RoutePairs,
         /// Switch program counter of the route instruction.
         pc: usize,
     },
@@ -153,11 +153,11 @@ impl EventSink for RecordingSink {
         self.events.push(Event::Stall(stall));
     }
 
-    fn route(&mut self, cycle: u64, tile: u32, pairs: &[(SSrc, SDst)], pc: usize) {
+    fn route(&mut self, cycle: u64, tile: u32, pairs: RoutePairs, pc: usize) {
         self.events.push(Event::Route {
             cycle,
             tile,
-            pairs: pairs.to_vec(),
+            pairs,
             pc,
         });
     }
@@ -605,7 +605,7 @@ pub(crate) mod tests {
                 Event::Route {
                     cycle: 0,
                     tile: 0,
-                    pairs: Vec::new(),
+                    pairs: RoutePairs::EMPTY,
                     pc: 0,
                 },
                 // 1..8 straddles the switch window: three cycles are live,

@@ -7,7 +7,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 
-use raw_machine::isa::{SDst, SSrc, TileId};
+use raw_machine::isa::{RoutePairs, SDst, SSrc, TileId};
 use raw_machine::trace::{ChannelRole, StallReason, Unit};
 use rawcc::CompileReport;
 
@@ -149,10 +149,10 @@ pub fn link_heatmap(trace: &Trace) -> String {
 }
 
 /// Per-tile cycle-indexed view of the trace used by the critical-path walk.
-struct Index<'a> {
+struct Index {
     issues: Vec<BTreeSet<u64>>,
     proc_stall: Vec<HashMap<u64, StallReason>>,
-    routes: Vec<HashMap<u64, &'a [(SSrc, SDst)]>>,
+    routes: Vec<HashMap<u64, RoutePairs>>,
     /// Sorted commit cycles per channel.
     commits: Vec<Vec<u64>>,
     sp_chan: Vec<Option<usize>>,
@@ -161,8 +161,8 @@ struct Index<'a> {
     link_chan: HashMap<(u32, usize), usize>,
 }
 
-impl<'a> Index<'a> {
-    fn build(trace: &'a Trace) -> Index<'a> {
+impl Index {
+    fn build(trace: &Trace) -> Index {
         let n = trace.n_tiles();
         let mut idx = Index {
             issues: vec![BTreeSet::new(); n],
@@ -197,7 +197,7 @@ impl<'a> Index<'a> {
                 Event::Route {
                     cycle, tile, pairs, ..
                 } => {
-                    idx.routes[*tile as usize].insert(*cycle, pairs.as_slice());
+                    idx.routes[*tile as usize].insert(*cycle, *pairs);
                 }
                 Event::ChannelCommit { cycle, channel, .. } => {
                     idx.commits[*channel].push(*cycle);
