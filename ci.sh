@@ -83,6 +83,21 @@ stage_clippy() {
     echo "$codecs" >&2
     exit 1
   fi
+  # One content hash: the cache key, the memo key and the disk checksum are
+  # codec::hash128, so no byte-serial FNV pass can grow back on a hot path.
+  # FNV (raw_testkit::hash64) stays the golden fingerprint: in the
+  # compiler's own code it hashes only driver::asm_hash's text; unit tests
+  # (each file's trailing #[cfg(test)] module) may pin bytes with it.
+  local fnv
+  fnv="$(find crates/core/src -name '*.rs' -print0 \
+    | xargs -0 perl -0777 -ne 's/\n#\[cfg\(test\)\]\nmod tests \{.*//s;
+        s/\npub fn asm_hash\(.*?\n\}\n/\n/s if $ARGV =~ m{/driver\.rs$};
+        print "$ARGV: $1\n" while /\b(hash64(?:_with)?)\b/g')"
+  if [[ -n "$fnv" ]]; then
+    echo "ci: content-hash with codec::hash128 (FNV is for asm_hash and golden pins):" >&2
+    echo "$fnv" >&2
+    exit 1
+  fi
   # One request path: the daemon writes every reply at one site (the other
   # write_frame( is Client::roundtrip) and builds every span at one site, so
   # panic isolation, deadlines and connection caps each wrap one place.

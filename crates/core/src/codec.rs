@@ -26,6 +26,12 @@
 //!    [`SInst::Route`] (a bundle's [`RoutePairs`] count is a `usize`; both
 //!    decode through the ISA's checked [`RoutePairs::push`]) and the
 //!    sorted order of a program's value names.
+//! 5. **One content hash.** [`hash128`] addresses the bytes these impls
+//!    write: the block cache key, the daemon's memo key and (one 64-bit
+//!    half) the disk entry's payload checksum. It reads 16 little-endian
+//!    bytes per round through two folded-multiply lanes and gives the same
+//!    value on every host. It is fast, not collision-resistant: a cache
+//!    directory or daemon shared with an adversary is trusted as before.
 //!
 //! [`KeyContext`]: crate::blockcache::KeyContext
 
@@ -49,24 +55,120 @@ use raw_machine::isa::{AluOp, Dir, Dst, PInst, RoutePairs, SDst, SInst, SSrc, Sr
 use raw_machine::{
     LatencyModel, MachineConfig, MachineProgram, TileCode, TileId, TileMask, MAX_TILES,
 };
-use raw_testkit::{hash64, hash64_with};
 use std::collections::HashMap;
-
-/// Basis of the second, independent FNV pass.
-const HI_BASIS: u64 = 0x8422_2325_cbf2_9ce4;
 
 /// Magic prefix of on-disk cache entries.
 const MAGIC: [u8; 8] = *b"RAWCCBC\n";
-/// Bump whenever the bundle encoding or key derivation changes, or the
-/// compiler makes a different bundle from the same key.
-pub(crate) const FORMAT_VERSION: u32 = 5;
+/// Bump whenever the bundle encoding, key derivation or content hash
+/// changes, or the compiler makes a different bundle from the same key.
+pub(crate) const FORMAT_VERSION: u32 = 6;
 
-/// 128-bit content hash of the concatenation of `parts`: two FNV-1a passes
-/// from independent bases, returned as `(standard-basis pass, second pass)`.
+// ---------------------------------------------------------------------------
+// The content hash (key invariant 5).
+// ---------------------------------------------------------------------------
+
+/// Odd 64-bit constants with balanced bits: the lanes' round secrets (0, 1),
+/// their starting states (2, 3), and the finalization's secrets (all four).
+const SECRET: [u64; 4] = [
+    0xa076_1d64_78bd_642f,
+    0xe703_7ed1_a0b4_28db,
+    0x8ebc_6af0_9c88_c6e3,
+    0x5899_65cc_7537_4cc3,
+];
+
+/// Folded multiply: the 128-bit product of `a` and `b`, high half XOR low
+/// half, so the low bits carry the well-mixed middle of the product too.
+#[inline(always)]
+fn mum(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    p as u64 ^ (p >> 64) as u64
+}
+
+/// The running state of [`hash128`]: two lanes, the byte count, and the
+/// bytes of a round that a part boundary left incomplete.
+struct Hash128 {
+    lanes: [u64; 2],
+    len: u64,
+    pending: [u8; 16],
+    fill: usize,
+}
+
+impl Hash128 {
+    fn new() -> Self {
+        Hash128 {
+            lanes: [SECRET[2], SECRET[3]],
+            len: 0,
+            pending: [0; 16],
+            fill: 0,
+        }
+    }
+
+    /// One round: both lanes read both words, each with its own secret and
+    /// the word order swapped, and fold in their own previous state.
+    #[inline(always)]
+    fn round(&mut self, bytes: &[u8; 16]) {
+        let w0 = u64::from_le_bytes(bytes[..8].try_into().expect("a round is two words"));
+        let w1 = u64::from_le_bytes(bytes[8..].try_into().expect("a round is two words"));
+        let [a, b] = self.lanes;
+        self.lanes = [mum(w0 ^ SECRET[0], w1 ^ a), mum(w1 ^ SECRET[1], w0 ^ b)];
+    }
+
+    /// Absorbs `bytes` as if appended to everything written so far.
+    fn write(&mut self, mut bytes: &[u8]) {
+        self.len = self.len.wrapping_add(bytes.len() as u64);
+        if self.fill > 0 {
+            let n = bytes.len().min(16 - self.fill);
+            self.pending[self.fill..self.fill + n].copy_from_slice(&bytes[..n]);
+            self.fill += n;
+            bytes = &bytes[n..];
+            if self.fill < 16 {
+                return;
+            }
+            let full = self.pending;
+            self.round(&full);
+            self.fill = 0;
+        }
+        let mut rounds = bytes.chunks_exact(16);
+        for round in &mut rounds {
+            self.round(round.try_into().expect("exact 16-byte chunks"));
+        }
+        let rest = rounds.remainder();
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.fill = rest.len();
+    }
+
+    /// Zero-pads a last partial round, then crosses the lanes with the
+    /// length: each half depends on both lanes, so a change that reaches
+    /// either lane moves both halves, and a zero-padded tail differs from
+    /// real zero bytes by its length.
+    fn finish(mut self) -> (u64, u64) {
+        if self.fill > 0 {
+            self.pending[self.fill..].fill(0);
+            let last = self.pending;
+            self.round(&last);
+        }
+        let [a, b] = self.lanes;
+        let n = self.len;
+        (
+            mum(a ^ SECRET[1], b ^ n ^ SECRET[2]),
+            mum(b ^ SECRET[0], a ^ n ^ SECRET[3]),
+        )
+    }
+}
+
+/// 128-bit content hash of the concatenation of `parts`, as `(lo, hi)`.
+/// Split points do not matter: `hash128(&[a, b]) == hash128(&[ab])`.
 pub(crate) fn hash128(parts: &[&[u8]]) -> (u64, u64) {
-    let pass = |basis| parts.iter().fold(basis, |h, part| hash64_with(h, part));
-    // Hashing nothing yields the standard FNV-1a offset basis.
-    (pass(hash64(&[])), pass(HI_BASIS))
+    let mut h = Hash128::new();
+    for part in parts {
+        h.write(part);
+    }
+    h.finish()
+}
+
+/// A disk entry's payload checksum: the low half of its [`hash128`].
+fn checksum(payload: &[u8]) -> u64 {
+    hash128(&[payload]).0
 }
 
 /// A type with one byte encoding, written by `put` and read back by `get`.
@@ -776,7 +878,7 @@ pub(crate) fn seal(key: &CacheKey, payload: &[u8]) -> Vec<u8> {
     FORMAT_VERSION.put(&mut entry);
     key.put(&mut entry);
     payload.len().put(&mut entry);
-    hash64(payload).put(&mut entry);
+    checksum(payload).put(&mut entry);
     entry.extend_from_slice(payload);
     entry
 }
@@ -794,7 +896,7 @@ pub(crate) fn unseal<'a>(entry: &'a [u8], expect: &CacheKey) -> Option<&'a [u8]>
     let len = usize::get(&mut d)?;
     let sum = u64::get(&mut d)?;
     let payload = d.rest();
-    (payload.len() == len && hash64(payload) == sum).then_some(payload)
+    (payload.len() == len && checksum(payload) == sum).then_some(payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -911,5 +1013,90 @@ mod tests {
         }
         // Six inline pairs keep a switch instruction within 32 bytes.
         assert!(size_of::<SInst>() <= 32);
+    }
+
+    /// `len` bytes of a fixed pattern that repeats only every 256 bytes.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(167).wrapping_add(13))
+            .collect()
+    }
+
+    #[test]
+    fn hash128_is_pinned() {
+        // A moved value orphans every cache directory and every daemon memo:
+        // change it only together with FORMAT_VERSION.
+        const PINNED: [(usize, u64, u64); 12] = [
+            (0, 0x33c5_fbba_1f62_a133, 0x75ad_c8bb_5071_9ca7),
+            (1, 0xfd5e_1fa8_47ec_d823, 0xf878_0e07_a42c_d777),
+            (7, 0xcfe9_5b5a_2507_f81a, 0x853b_a051_89d9_dfb6),
+            (8, 0xf035_1d57_f9c0_f074, 0x5f0e_d0e7_8297_3035),
+            (9, 0xa216_a930_640d_470c, 0x6ff1_300c_4a2a_81a5),
+            (15, 0xa89e_6bcf_4b87_93cd, 0xe816_2dbd_df0c_31c2),
+            (16, 0x833a_3245_c015_dcdf, 0x8aa2_30cf_71c4_3cfa),
+            (17, 0x16a5_c6d5_7641_3127, 0x7210_ee03_7ebe_9026),
+            (31, 0x7ca5_dd1a_3a00_57eb, 0xa27f_4631_20ee_42d4),
+            (32, 0xc87b_3206_cc24_4e86, 0xa1d9_8b11_8669_8c35),
+            (33, 0xeca6_bd82_1423_7c4e, 0x769b_c0e6_c5b6_ce41),
+            (4096, 0x84c9_3745_3fa5_b259, 0xf1ae_2ea1_bcff_8b56),
+        ];
+        for (len, lo, hi) in PINNED {
+            assert_eq!(hash128(&[&pattern(len)]), (lo, hi), "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_and_truncation_moves_both_halves() {
+        for len in [64, 1024] {
+            let mut bytes = pattern(len);
+            let (lo, hi) = hash128(&[&bytes]);
+            let moved = |(l, h): (u64, u64)| l != lo && h != hi;
+            for bit in 0..len * 8 {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                assert!(moved(hash128(&[&bytes])), "{len} bytes, bit {bit} flipped");
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            for n in 0..len {
+                assert!(moved(hash128(&[&bytes[..n]])), "{len} bytes cut to {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn split_points_do_not_matter() {
+        // Two and three parts, empty ones included, so a round is completed
+        // across one and across two part boundaries.
+        let bytes = pattern(48);
+        let whole = hash128(&[&bytes]);
+        for i in 0..=bytes.len() {
+            let (a, rest) = bytes.split_at(i);
+            assert_eq!(hash128(&[a, rest]), whole, "split at {i}");
+            for j in 0..=rest.len() {
+                let (b, c) = rest.split_at(j);
+                assert_eq!(hash128(&[a, b, c]), whole, "split at {i} and {}", i + j);
+            }
+        }
+    }
+
+    #[test]
+    fn key_low_bits_spread_evenly_over_the_shards() {
+        // DESIGN.md §11 shard residency: a key lives in shard `lo & 15`.
+        // Consecutive counters, bare and followed by a fixed environment
+        // the way a block's bytes are followed by its compile's.
+        let env = pattern(200);
+        for suffix in [&[][..], &env] {
+            let mut shards = [0u32; 16];
+            for i in 0u64..10_000 {
+                shards[(hash128(&[&i.to_le_bytes(), suffix]).0 & 15) as usize] += 1;
+            }
+            // Chi-squared over 16 shards (15 degrees of freedom): 37.7 is
+            // its 0.1 % upper tail.
+            let expect = 10_000.0 / 16.0;
+            let chi2: f64 = shards
+                .iter()
+                .map(|&n| (f64::from(n) - expect).powi(2) / expect)
+                .sum();
+            assert!(chi2 < 37.7, "chi2 {chi2:.1}: {shards:?}");
+        }
     }
 }

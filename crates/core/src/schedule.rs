@@ -34,7 +34,7 @@ pub enum TileOp {
 /// One tile's switch schedule: `(cycle, producing node, route pairs)` in
 /// increasing cycle order. The node names the communication path the route
 /// belongs to (provenance: the producer's source span).
-pub type TileSwitchOps = Vec<(u64, NodeId, RoutePairs)>;
+pub type TileSwitchSchedule = Vec<(u64, NodeId, RoutePairs)>;
 
 /// Kind of a predicted processor slot (condensed from [`TileOp`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,8 +85,8 @@ impl PredictedBlock {
 pub struct BlockSchedule {
     /// Per tile: `(cycle, op)` in increasing cycle order.
     pub proc_ops: Vec<Vec<(u64, TileOp)>>,
-    /// Per tile: `(cycle, route pairs)` in increasing cycle order.
-    pub switch_ops: Vec<TileSwitchOps>,
+    /// Per tile: its switch schedule (see [`TileSwitchSchedule`]).
+    pub switch_ops: Vec<TileSwitchSchedule>,
     /// Estimated completion time of the block.
     pub makespan: u64,
     /// Number of communication paths scheduled (reporting).

@@ -173,10 +173,11 @@ struct MemoEntry {
 /// different clients for the same (program, config, options) share entries.
 type Memo = Fifo<u128, MemoEntry>;
 
-/// 128-bit content key for the memo: the block cache's two-pass hash.
+/// 128-bit content key for the memo: the block cache's content hash. On a
+/// memo hit it is most of the server's work.
 fn memo_key(rest: &[u8]) -> u128 {
-    let (first, second) = hash128(&[rest]);
-    (u128::from(first) << 64) | u128::from(second)
+    let (lo, hi) = hash128(&[rest]);
+    (u128::from(lo) << 64) | u128::from(hi)
 }
 
 /// Every count the daemon keeps. Always maintained: the request-kind and

@@ -4,11 +4,12 @@
 
 use raw_ir::builder::ProgramBuilder;
 use raw_machine::MachineConfig;
-use rawcc::blockcache::{decode_bundle, encode_bundle};
+use rawcc::blockcache::{decode_bundle, decode_entry, encode_bundle};
 use rawcc::wire::{
     self, ClientRow, CompileRequest, CompileResponse, MetricsFormat, MetricsResponse, StatsResponse,
 };
-use rawcc::{compile_with_cache, BlockCache, CacheTotals, CompilerOptions, DiskLayer};
+use rawcc::{compile_with_cache, BlockCache, CacheKey, CacheTotals, CompilerOptions, DiskLayer};
+use std::path::{Path, PathBuf};
 
 /// A decoder reduced to "did it accept these bytes".
 type Accepts = Box<dyn Fn(&[u8]) -> bool>;
@@ -23,7 +24,14 @@ struct Case {
     sealed: bool,
 }
 
-fn cases(dir: &std::path::Path) -> Vec<Case> {
+/// The disk layer behind the "disk entry" sample, and where that entry lives.
+struct EntryFile {
+    disk: DiskLayer,
+    key: CacheKey,
+    path: PathBuf,
+}
+
+fn cases(dir: &Path) -> (Vec<Case>, EntryFile) {
     // Real samples: one compile of a small program through every layer.
     let mut b = ProgramBuilder::new("total");
     let out = b.var_i32("out", 0);
@@ -40,15 +48,16 @@ fn cases(dir: &std::path::Path) -> Vec<Case> {
     let key = compiled.report.block_keys[0];
     let bundle = cache.get(&key).0.expect("just compiled");
 
-    // The disk layer decodes whatever bytes sit in the key's entry file.
+    // One stored entry, read back once: its bytes are the sample, swept
+    // through the decode `DiskLayer::load` applies to what it reads.
     let disk = DiskLayer::open(dir).unwrap();
     disk.store(&key, &bundle).unwrap();
-    let entry_path = std::fs::read_dir(dir)
+    let path = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .find(|p| p.extension().is_some_and(|x| x == "rbc"))
         .expect("the stored entry");
-    let entry = std::fs::read(&entry_path).unwrap();
+    let entry = std::fs::read(&path).unwrap();
 
     let case = |name, sample, accepts: Accepts| Case {
         name,
@@ -58,16 +67,13 @@ fn cases(dir: &std::path::Path) -> Vec<Case> {
     };
     let mut frame = Vec::new();
     wire::write_frame(&mut frame, wire::REQ_PING, b"hello").unwrap();
-    vec![
+    let cases = vec![
         Case {
             sealed: true,
             ..case(
                 "disk entry",
                 entry,
-                Box::new(move |b| {
-                    std::fs::write(&entry_path, b).unwrap();
-                    disk.load(&key).is_some()
-                }),
+                Box::new(move |b| decode_entry(b, &key).is_some()),
             )
         },
         case(
@@ -138,14 +144,15 @@ fn cases(dir: &std::path::Path) -> Vec<Case> {
             frame,
             Box::new(|mut b| wire::read_frame(&mut b).is_ok()),
         ),
-    ]
+    ];
+    (cases, EntryFile { disk, key, path })
 }
 
 #[test]
 fn every_decoder_is_total() {
     let dir = std::env::temp_dir().join(format!("rawcc-codec-total-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cases = cases(&dir);
+    let (cases, entry_file) = cases(&dir);
     for case in &cases {
         let Case { name, sample, .. } = case;
         assert!((case.accepts)(sample), "{name}: the sample itself decodes");
@@ -184,6 +191,22 @@ fn every_decoder_is_total() {
             let _ = (case.accepts)(&spliced);
         }
     }
-    drop(cases);
+    // The file path itself: a torn and a bit-flipped entry file each read
+    // as absent and count as a reject.
+    let EntryFile { disk, key, path } = entry_file;
+    let entry = std::fs::read(&path).unwrap();
+    let mut flipped = entry.clone();
+    *flipped.last_mut().unwrap() ^= 1;
+    for (n, bad) in [&entry[..entry.len() - 1], &flipped]
+        .into_iter()
+        .enumerate()
+    {
+        std::fs::write(&path, bad).unwrap();
+        assert!(disk.load(&key).is_none(), "corrupt entry file {n} loaded");
+        assert_eq!(disk.rejects(), n as u64 + 1, "corrupt entry file {n}");
+    }
+    std::fs::write(&path, &entry).unwrap();
+    assert!(disk.load(&key).is_some(), "the intact entry file loads");
+    assert_eq!(disk.rejects(), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
