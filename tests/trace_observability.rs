@@ -1,5 +1,6 @@
-//! Observability reports: golden snapshot of the stall-taxonomy occupancy
-//! table, and the accounting invariant as a property test.
+//! Observability reports: golden snapshots of the stall-taxonomy occupancy
+//! table and the predicted-vs-observed table, and the accounting invariant
+//! as a property test.
 //!
 //! The invariant (see `raw_trace::TileAccount`): within a unit's live window,
 //! every cycle is attributed exactly once, so per tile the stall reasons sum
@@ -56,6 +57,21 @@ fn occupancy_table_snapshot_mxm_2x2() {
         report::link_heatmap(&trace)
     );
     check_golden("trace_occupancy_mxm_2x2.txt", &text);
+}
+
+#[test]
+fn predicted_vs_observed_snapshot_mxm_2x2() {
+    // Pins the scheduler's per-tile issue and route counts against the
+    // simulator's, and the makespan ratio.
+    let bench = raw_repro::benchmarks::mxm(4, 8, 2);
+    let program = bench.program(4).unwrap();
+    let config = MachineConfig::square(4);
+    let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();
+    let trace = run_traced(&compiled, &program).unwrap().trace;
+    check_golden(
+        "predicted_vs_observed_mxm_2x2.txt",
+        &report::predicted_vs_observed(&trace, &compiled.report),
+    );
 }
 
 #[test]
