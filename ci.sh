@@ -155,6 +155,18 @@ stage_clippy() {
     echo "$routes" >&2
     exit 1
   fi
+  # One schedule record: the scheduler's BlockSchedule is the block's
+  # space-time map, and a block report keeps only its per-tile counts
+  # (driver::TileCounts), so no second per-op copy can grow back into every
+  # cached bundle.
+  local records
+  records="$(grep -rnE 'PredictedBlock|PredOpKind|fn predicted\(' \
+    crates tests examples --include='*.rs' || true)"
+  if [[ -n "$records" ]]; then
+    echo "ci: summarise a block's schedule as driver::TileCounts in its report:" >&2
+    echo "$records" >&2
+    exit 1
+  fi
   # Every setting is an argument: the compiler and the daemon read no
   # environment variable. Only the test harness (golden updates, property
   # test knobs in crates/testkit) may.

@@ -637,10 +637,10 @@ const _: () = assert!(NO_PROV == u32::MAX);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::TileCounts;
     use crate::exact::{ExactOutcome, ExactReport, Lane};
     use crate::options::{PlacementAlgorithm, PriorityScheme, Strategy};
     use crate::partition::{PlacementLog, PlacementStep};
-    use crate::schedule::{PredOpKind, PredictedBlock};
     use raw_ir::builder::ProgramBuilder;
     use raw_ir::{BinOp, Imm, MemHome, UnOp};
     use raw_machine::isa::{AluOp, Dir, Dst, PInst, SDst, SSrc, Src};
@@ -657,11 +657,13 @@ mod tests {
                 n_comm_paths: 1,
                 makespan: 17,
                 spills: 1,
-                predicted: PredictedBlock {
-                    makespan: 17,
-                    proc_ops: vec![vec![(0, PredOpKind::Comp), (3, PredOpKind::Send)], vec![]],
-                    route_cycles: vec![vec![4], vec![]],
-                },
+                predicted: vec![
+                    TileCounts {
+                        issues: 2,
+                        routes: 1,
+                    },
+                    TileCounts::default(),
+                ],
                 placement: PlacementLog {
                     algorithm: "greedy-swap",
                     initial_cost: 9,

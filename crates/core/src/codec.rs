@@ -32,17 +32,21 @@
 //!    bytes per round through two folded-multiply lanes and gives the same
 //!    value on every host. It is fast, not collision-resistant: a cache
 //!    directory or daemon shared with an adversary is trusted as before.
+//! 6. **A bundle stores what its readers read.** Its per-tile instruction
+//!    and switch streams are the block's schedule; the [`BlockReport`]
+//!    beside them keeps only per-tile issue and route counts of it
+//!    ([`TileCounts`]), never a second per-slot copy. Format version 7
+//!    dropped such a copy, about 30 % of every bundle's bytes.
 //!
 //! [`KeyContext`]: crate::blockcache::KeyContext
 
 use crate::blockcache::{BlockBundle, CacheKey, CacheTotals};
-use crate::driver::BlockReport;
+use crate::driver::{BlockReport, TileCounts};
 use crate::exact::{ExactOutcome, ExactReport, Lane};
 use crate::layout::{ArrayClass, DataLayout};
 use crate::options::{CompilerOptions, PlacementAlgorithm, PriorityScheme, Strategy};
 use crate::partition::{PlacementLog, PlacementStep, CLUSTER_COMM_COST};
 use crate::regalloc::AllocResult;
-use crate::schedule::{PredOpKind, PredictedBlock};
 use crate::wire::{
     ClientRow, CompileRequest, CompileResponse, CompiledCounters, MetricsFormat, MetricsResponse,
     StatsResponse,
@@ -61,7 +65,7 @@ use std::collections::HashMap;
 const MAGIC: [u8; 8] = *b"RAWCCBC\n";
 /// Bump whenever the bundle encoding, key derivation or content hash
 /// changes, or the compiler makes a different bundle from the same key.
-pub(crate) const FORMAT_VERSION: u32 = 6;
+pub(crate) const FORMAT_VERSION: u32 = 7;
 
 // ---------------------------------------------------------------------------
 // The content hash (key invariant 5).
@@ -555,7 +559,6 @@ coded! {
         use PriorityScheme::*;
         [LevelFertility, LevelOnly, SourceOrder]
     };
-    PredOpKind: [PredOpKind::Comp, PredOpKind::Send, PredOpKind::Recv];
     ExactOutcome: [ExactOutcome::Certified, ExactOutcome::Budget, ExactOutcome::TooLarge];
     // Code 1 is reserved: it named a retired JSON rendering.
     MetricsFormat: [MetricsFormat::Prometheus];
@@ -858,7 +861,7 @@ record! {
 
 record! {
     AllocResult { insts, prov, cond_reg, n_spilled, spill_slots };
-    PredictedBlock { makespan, proc_ops, route_cycles };
+    TileCounts { issues, routes };
     PlacementStep { step, bins, delta };
     PlacementLog { algorithm in PLACEMENTS, initial_cost, final_cost, steps };
     ExactReport { outcome, makespan, lower_bound, expanded };

@@ -104,8 +104,9 @@ pub struct BlockReport {
     pub makespan: u64,
     /// Virtual registers spilled, summed over tiles.
     pub spills: usize,
-    /// The scheduler's predicted space-time map (for observed-trace diffing).
-    pub predicted: schedule::PredictedBlock,
+    /// Per tile: the schedule's processor issues and route firings (for
+    /// observed-trace diffing).
+    pub predicted: Vec<TileCounts>,
     /// The placement phase's accepted-swap audit log.
     pub placement: partition::PlacementLog,
     /// Which lane shipped the schedule (`None` for the plain heuristic
@@ -113,6 +114,16 @@ pub struct BlockReport {
     pub lane: Option<exact::Lane>,
     /// The exact solver's search summary, when the strategy ran it.
     pub exact: Option<exact::ExactReport>,
+}
+
+/// One tile's share of a block's schedule: its scheduled processor issues
+/// and switch route firings, one straight-line pass.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TileCounts {
+    /// Processor slots (computations, sends and receives).
+    pub issues: u32,
+    /// Switch route firings.
+    pub routes: u32,
 }
 
 /// Wall-clock time spent in each compiler phase, summed over all blocks.
@@ -522,7 +533,15 @@ pub fn compile_block(
         n_comm_paths: sched.n_comm_paths,
         makespan: sched.makespan,
         spills: phys.iter().map(|p| p.n_spilled).sum(),
-        predicted: sched.predicted(),
+        predicted: sched
+            .proc_ops
+            .iter()
+            .zip(&sched.switch_ops)
+            .map(|(ops, routes)| TileCounts {
+                issues: ops.len() as u32,
+                routes: routes.len() as u32,
+            })
+            .collect(),
         placement: part.placement,
         lane,
         exact: exact_report,
@@ -977,5 +996,41 @@ mod tests {
             c4 * 2 < c1,
             "expected ≥2x speedup on 4 tiles: c1={c1} c4={c4}"
         );
+    }
+
+    #[test]
+    fn tile_counts_match_the_schedule_they_summarise() {
+        // Every block of two paper kernels: a tile's predicted route count is
+        // its switch stream in the bundle and in the scheduler's output, and
+        // its issue count is the scheduler's processor slots.
+        let options = CompilerOptions::default();
+        for n_tiles in [4, 16] {
+            let config = MachineConfig::square(n_tiles);
+            for bench in raw_benchmarks::suite() {
+                if !matches!(bench.name, "life" | "mxm") {
+                    continue;
+                }
+                let program = bench.program(n_tiles).unwrap();
+                let layout = DataLayout::build(&program, &config);
+                for (id, block) in program.iter_blocks() {
+                    let (bundle, _) = compile_block(block, &layout, &config, &options);
+                    let graph = TaskGraph::build(block, &layout, &config);
+                    let (_, sched, ..) =
+                        map_block(&graph, &config, &options, &mut PhaseTimings::default());
+                    let counts = &bundle.report.predicted;
+                    let at = format!("{}@{n_tiles} {id:?}", bench.name);
+                    assert_eq!(counts.len(), n_tiles as usize, "{at}");
+                    for (t, c) in counts.iter().enumerate() {
+                        assert_eq!(c.routes as usize, bundle.switch[t].len(), "{at} tile {t}");
+                        assert_eq!(
+                            c.routes as usize,
+                            sched.switch_ops[t].len(),
+                            "{at} tile {t}"
+                        );
+                        assert_eq!(c.issues as usize, sched.proc_ops[t].len(), "{at} tile {t}");
+                    }
+                }
+            }
+        }
     }
 }

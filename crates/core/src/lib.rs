@@ -78,12 +78,12 @@ pub use blockcache::{
 pub use driver::{
     asm_hash, compile, compile_baseline, compile_block, compile_with_cache, link_coresident,
     BlockReport, CoResident, CompileError, CompileReport, CompiledProgram, PhaseTimings,
+    TileCounts,
 };
 pub use exact::{ExactOutcome, ExactReport, Lane};
 pub use layout::{ArrayClass, DataLayout};
 pub use options::{CompilerOptions, PlacementAlgorithm, PriorityScheme, Strategy};
 pub use partition::{PlacementLog, PlacementStep};
 pub use provenance::{ProvRecord, ProvenanceMap, NO_PROV};
-pub use schedule::{PredOpKind, PredictedBlock};
 pub use service::{Client, ServeOptions, ServerHandle, ServiceError};
 pub use wire::{MetricsFormat, MetricsResponse, WireError};

@@ -36,50 +36,6 @@ pub enum TileOp {
 /// belongs to (provenance: the producer's source span).
 pub type TileSwitchSchedule = Vec<(u64, NodeId, RoutePairs)>;
 
-/// Kind of a predicted processor slot (condensed from [`TileOp`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PredOpKind {
-    /// A computation instruction issues.
-    Comp,
-    /// A value is injected into the static network.
-    Send,
-    /// A value is consumed from the static network.
-    Recv,
-}
-
-impl PredOpKind {
-    /// Short display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            PredOpKind::Comp => "comp",
-            PredOpKind::Send => "send",
-            PredOpKind::Recv => "recv",
-        }
-    }
-}
-
-/// The scheduler's *predicted* space-time map of one block: which tile is
-/// predicted to do what at which block-relative cycle. Captured into the
-/// compile report so the `raw-trace` crate can diff it against the simulator's
-/// *observed* trace (the cost-model divergence the paper's §4.2 cost model
-/// glosses over: operand arrival jitter, port back-pressure, branch overhead).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PredictedBlock {
-    /// Predicted completion time of the block (block-relative cycles).
-    pub makespan: u64,
-    /// Per tile: `(cycle, kind)` in increasing cycle order.
-    pub proc_ops: Vec<Vec<(u64, PredOpKind)>>,
-    /// Per tile: predicted route-firing cycles in increasing order.
-    pub route_cycles: Vec<Vec<u64>>,
-}
-
-impl PredictedBlock {
-    /// Predicted busy slots (issues) on one tile's processor.
-    pub fn proc_issues(&self, tile: usize) -> usize {
-        self.proc_ops[tile].len()
-    }
-}
-
 /// The space-time schedule of one basic block.
 #[derive(Clone, Debug, Default)]
 pub struct BlockSchedule {
@@ -91,37 +47,6 @@ pub struct BlockSchedule {
     pub makespan: u64,
     /// Number of communication paths scheduled (reporting).
     pub n_comm_paths: usize,
-}
-
-impl BlockSchedule {
-    /// Condenses this schedule into the predicted space-time map recorded in
-    /// the compile report.
-    pub fn predicted(&self) -> PredictedBlock {
-        PredictedBlock {
-            makespan: self.makespan,
-            proc_ops: self
-                .proc_ops
-                .iter()
-                .map(|ops| {
-                    ops.iter()
-                        .map(|(t, op)| {
-                            let kind = match op {
-                                TileOp::Comp(_) => PredOpKind::Comp,
-                                TileOp::Send(_) => PredOpKind::Send,
-                                TileOp::Recv(_) => PredOpKind::Recv,
-                            };
-                            (*t, kind)
-                        })
-                        .collect()
-                })
-                .collect(),
-            route_cycles: self
-                .switch_ops
-                .iter()
-                .map(|ops| ops.iter().map(|(t, ..)| *t).collect())
-                .collect(),
-        }
-    }
 }
 
 /// One communication path: the value of `node`, sent from its tile `src` to

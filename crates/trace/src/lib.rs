@@ -9,8 +9,8 @@
 //! * an ASCII mesh-link utilization heatmap ([`report::link_heatmap`]),
 //! * a critical-path walk through the observed trace
 //!   ([`report::critical_path`]),
-//! * a predicted-vs-observed diff against the scheduler's space-time map
-//!   ([`report::predicted_vs_observed`]),
+//! * a predicted-vs-observed diff against the scheduler's makespan and
+//!   per-tile issue and route counts ([`report::predicted_vs_observed`]),
 //! * Chrome-trace JSON export for `chrome://tracing` / Perfetto
 //!   ([`chrome::chrome_trace`]), with an in-tree JSON parser ([`json`]) used by
 //!   the CI round-trip check.

@@ -371,23 +371,21 @@ pub fn critical_path(trace: &Trace) -> String {
     out
 }
 
-/// Renders the scheduler's predicted space-time map against the observed
-/// trace: makespans, per-tile issue counts, and per-tile route counts.
+/// Renders the scheduler's prediction against the observed trace:
+/// makespans, per-tile issue counts, and per-tile route counts.
 pub fn predicted_vs_observed(trace: &Trace, report: &CompileReport) -> String {
     let accounts = trace.accounts();
     let n = trace.n_tiles();
     let mut pred_issues = vec![0u64; n];
     let mut pred_routes = vec![0u64; n];
     for b in &report.blocks {
-        for (t, slot) in pred_issues.iter_mut().enumerate() {
-            if t < b.predicted.proc_ops.len() {
-                *slot += b.predicted.proc_issues(t) as u64;
-            }
-        }
-        for (t, slot) in pred_routes.iter_mut().enumerate() {
-            if t < b.predicted.route_cycles.len() {
-                *slot += b.predicted.route_cycles[t].len() as u64;
-            }
+        for ((issues, routes), c) in pred_issues
+            .iter_mut()
+            .zip(&mut pred_routes)
+            .zip(&b.predicted)
+        {
+            *issues += u64::from(c.issues);
+            *routes += u64::from(c.routes);
         }
     }
     let mut out = String::new();

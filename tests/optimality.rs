@@ -133,12 +133,12 @@ fn oversized_block_falls_back_to_heuristics() {
     );
 }
 
-/// The exact strategy's acceptance criterion (`Strategy::Portfolio` is its
-/// alias): byte-identical output across thread counts and cache states (the
-/// broader sweep lives in `tests/parallel_determinism.rs`; this is the
-/// focused cross of threads {1, 8} × {cold, warm}).
+/// The exact strategy's acceptance criterion: byte-identical output across
+/// thread counts and cache states (the broader sweep lives in
+/// `tests/parallel_determinism.rs`; this is the focused cross of threads
+/// {1, 8} × {cold, warm}).
 #[test]
-fn portfolio_is_byte_identical_across_threads_and_cache_states() {
+fn exact_is_byte_identical_across_threads_and_cache_states() {
     let config = MachineConfig::square(TILES);
     let options = |threads| CompilerOptions {
         strategy: Strategy::Exact,
@@ -174,11 +174,11 @@ fn portfolio_is_byte_identical_across_threads_and_cache_states() {
     }
 }
 
-/// The exact strategy (and its alias `Strategy::Portfolio`) can never lose to
-/// the greedy heuristic: the solver is seeded with the greedy result, so the
-/// shipped makespan is ≤ greedy's on every block.
+/// The exact strategy can never lose to the greedy heuristic: the solver is
+/// seeded with the greedy result, so the shipped makespan is ≤ greedy's on
+/// every block.
 #[test]
-fn portfolio_never_trails_the_greedy_heuristic() {
+fn exact_never_trails_the_greedy_heuristic() {
     for bench in benchmarks::tiny_suite() {
         let program = bench.program(TILES).expect("benchmark lowers");
         let exact_run = compile(&program, &with_strategy(Strategy::Exact));

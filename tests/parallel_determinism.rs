@@ -142,10 +142,10 @@ fn chaos_sweep_shapes_are_thread_and_cache_invariant() {
 }
 
 #[test]
-fn portfolio_strategy_is_thread_and_cache_invariant() {
-    // `Strategy::Portfolio` is an alias of `Strategy::Exact`: the exact
-    // solver seeded with the greedy result, whose search and shipped lane must
-    // be a pure function of the block bytes. Run it through the full battery:
+fn exact_strategy_is_thread_and_cache_invariant() {
+    // `Strategy::Exact` runs the exact solver seeded with the greedy result;
+    // its search and shipped lane must be a pure function of the block
+    // bytes. Run it through the full battery:
     // serial reference vs threads {2, 8}, cold/warm memory cache, cold/warm
     // disk cache.
     let config = MachineConfig::square(4);
