@@ -35,8 +35,7 @@
 //! 6. **A bundle stores what its readers read.** Its per-tile instruction
 //!    and switch streams are the block's schedule; the [`BlockReport`]
 //!    beside them keeps only per-tile issue and route counts of it
-//!    ([`TileCounts`]), never a second per-slot copy. Format version 7
-//!    dropped such a copy, about 30 % of every bundle's bytes.
+//!    ([`TileCounts`]), never a second per-slot copy.
 //!
 //! [`KeyContext`]: crate::blockcache::KeyContext
 

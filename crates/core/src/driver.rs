@@ -538,8 +538,8 @@ pub fn compile_block(
             .iter()
             .zip(&sched.switch_ops)
             .map(|(ops, routes)| TileCounts {
-                issues: ops.len() as u32,
-                routes: routes.len() as u32,
+                issues: u32::try_from(ops.len()).expect("a tile's slots fit in u32"),
+                routes: u32::try_from(routes.len()).expect("a tile's routes fit in u32"),
             })
             .collect(),
         placement: part.placement,
