@@ -19,7 +19,7 @@ use rawcc::service::Client;
 use rawcc::wire::CompileResponse;
 use rawcc::{
     asm_hash, compile_with_cache, BlockCache, CacheStats, CompiledProgram, CompilerOptions,
-    Strategy,
+    DiskLayer, Strategy,
 };
 use std::fmt::Write as _;
 
@@ -242,6 +242,22 @@ fn selfcheck(
 const SELFCHECK_PASSED: &str =
     "selfcheck: all asm hashes match the single-threaded cold-cache reference\n";
 
+/// Deletes the entries another codec format version left in the cache
+/// directory `dir` (no lookup reaches them), noting on stderr how many went.
+///
+/// # Errors
+///
+/// Returns a message when the directory cannot be opened or cleaned.
+pub fn remove_stale_entries(dir: &str) -> Result<(), String> {
+    let removed = DiskLayer::open(dir)
+        .and_then(|disk| disk.remove_stale())
+        .map_err(|e| format!("cache dir '{dir}' unusable: {e}"))?;
+    if removed > 0 {
+        eprintln!("cache dir '{dir}': removed {removed} entries of another format version");
+    }
+    Ok(())
+}
+
 /// Runs the `compile` subcommand and returns its stdout text.
 ///
 /// # Errors
@@ -260,6 +276,7 @@ pub fn compile_command(args: &CompileArgs) -> Result<String, String> {
     }
     let cache = match &args.cache_dir {
         Some(dir) => {
+            remove_stale_entries(dir)?;
             BlockCache::with_disk(dir).map_err(|e| format!("cache dir '{dir}' unusable: {e}"))?
         }
         None => BlockCache::in_memory(),

@@ -62,7 +62,8 @@ SUBCOMMANDS:
     compile         compile the suite without running it, printing one
                     greppable stats line per workload (wall time, worker
                     threads, block-cache hits/misses, asm hash); --cache-dir
-                    persists the content-addressed block cache across runs,
+                    persists the content-addressed block cache across runs
+                    (deleting entries of another format version first),
                     --selfcheck recompiles
                     single-threaded on a cold cache and fails on any asm drift,
                     --strategy picks the block-mapping engine (greedy, the
@@ -83,7 +84,8 @@ SUBCOMMANDS:
                     latency-percentile counters as an aligned per-client
                     table, --metrics-dump prints the telemetry registry's
                     Prometheus text, --no-telemetry runs the daemon without
-                    the registry and span ring
+                    the registry; --cache-dir deletes entries of another
+                    format version at start-up
     replay          stress the daemon with a deterministic request mix from K
                     client threads, cold then warm, checking every response
                     byte-identical against an in-process compile; --check
@@ -92,7 +94,7 @@ SUBCOMMANDS:
     top             live dashboard over a running daemon: polls the metrics
                     endpoint every --interval-ms and redraws request rates,
                     memo/cache effectiveness, wall and per-phase latency
-                    percentiles, and connection/span occupancy; --frames N
+                    percentiles, and connection/client-row occupancy; --frames N
                     exits after N polls, --no-clear appends frames instead
                     of clearing the terminal
     scenario        run the adversarial mesh scenario suite: dynamic-network

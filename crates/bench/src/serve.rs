@@ -14,6 +14,7 @@
 //! hash byte-identical too). Output is greppable `replay phase=... ` lines.
 
 use crate::args::{require_power_of_two, FlagParser};
+use crate::compiletime::remove_stale_entries;
 use raw_benchmarks::Benchmark;
 use raw_lang::UnrollOptions;
 use raw_machine::MachineConfig;
@@ -39,7 +40,7 @@ pub struct ServeArgs {
     /// Fetch and print the Prometheus-text metrics snapshot instead of
     /// serving.
     pub metrics_dump: bool,
-    /// Run the daemon without the telemetry registry/span ring.
+    /// Run the daemon without the telemetry registry.
     pub no_telemetry: bool,
 }
 
@@ -177,6 +178,9 @@ pub fn serve_command(args: &ServeArgs) -> Result<String, String> {
             .metrics(MetricsFormat::Prometheus)
             .map_err(|e| e.to_string())?;
         return Ok(resp.body);
+    }
+    if let Some(dir) = &args.cache_dir {
+        remove_stale_entries(dir)?;
     }
     let handle = serve(&args.serve_options()).map_err(|e| e.to_string())?;
     // Printed (and flushed) before blocking so wrappers can scrape the port.

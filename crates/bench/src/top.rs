@@ -2,7 +2,7 @@
 //!
 //! Polls the daemon's `metrics` endpoint on an interval and redraws a compact
 //! one-screen summary: request mix and rate, memo and block-cache
-//! effectiveness, wall/phase latency percentiles, connection and span
+//! effectiveness, wall/phase latency percentiles, connection and client-row
 //! occupancy. Rates are computed from inter-frame counter deltas, so the
 //! first frame shows totals only.
 //!
@@ -161,13 +161,10 @@ fn render(addr: &str, prev: Option<&Frame>, cur: &Frame) -> String {
 
     let _ = writeln!(
         out,
-        "conns     open {}  opened {}  closed {}   spans {} total   \
-         slow-log {}   clients {}",
+        "conns     open {}  opened {}  closed {}   clients {}",
         s.scalar("rawcc_connections_open", &[]),
         s.scalar("rawcc_connections_opened_total", &[]),
         s.scalar("rawcc_connections_closed_total", &[]),
-        s.scalar("rawcc_spans_total", &[]),
-        s.scalar("rawcc_slow_log_resident", &[]),
         s.scalar("rawcc_client_rows", &[]),
     );
     out

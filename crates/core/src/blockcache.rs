@@ -72,7 +72,7 @@ use raw_machine::{MachineConfig, TileId};
 use raw_telemetry::Counter;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -367,6 +367,31 @@ impl DiskLayer {
     /// count as rejects and read as absent.
     pub fn load(&self, key: &CacheKey) -> Option<BlockBundle> {
         self.load_sized(key).map(|(bundle, _)| bundle)
+    }
+
+    /// Deletes the entries another format version wrote: their keys moved,
+    /// so no lookup reaches them. Only a `*.rbc` file whose header carries
+    /// the entry magic and a version other than the current one goes;
+    /// anything else in the directory stays. Returns the entries removed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failure to list the directory or to delete a stale entry.
+    pub fn remove_stale(&self) -> std::io::Result<usize> {
+        let mut removed = 0;
+        for entry in std::fs::read_dir(&self.dir)? {
+            let path = entry?.path();
+            if path.extension().is_none_or(|ext| ext != "rbc") {
+                continue;
+            }
+            let mut header = [0u8; codec::HEADER_LEN];
+            let read = std::fs::File::open(&path).and_then(|mut f| f.read_exact(&mut header));
+            if read.is_ok() && codec::entry_version(&header).is_some_and(|v| v != FORMAT_VERSION) {
+                std::fs::remove_file(&path)?;
+                removed += 1;
+            }
+        }
+        Ok(removed)
     }
 
     /// [`load`](Self::load) plus the entry's encoded payload length.
@@ -1008,6 +1033,28 @@ mod tests {
             stats.resident_bytes,
             encode_bundle(&sample_bundle()).len() as u64
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn remove_stale_deletes_only_other_format_versions() {
+        let dir = std::env::temp_dir().join(format!("rawcc-stale-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk = DiskLayer::open(&dir).unwrap();
+        disk.store(&key(1), &sample_bundle()).unwrap();
+        let mut old = std::fs::read(dir.join(key(1).file_name())).unwrap();
+        // The version follows the 8-byte magic.
+        old[8..codec::HEADER_LEN].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
+        std::fs::write(dir.join(key(2).file_name()), &old).unwrap();
+        std::fs::write(dir.join("x.rbc"), b"no magic here").unwrap();
+        std::fs::write(dir.join("notes.txt"), &old).unwrap();
+
+        assert_eq!(disk.remove_stale().unwrap(), 1);
+        assert!(!dir.join(key(2).file_name()).exists());
+        assert!(dir.join("x.rbc").exists());
+        assert!(dir.join("notes.txt").exists());
+        assert!(disk.load(&key(1)).is_some());
+        assert_eq!(disk.rejects(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

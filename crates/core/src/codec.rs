@@ -885,6 +885,19 @@ pub(crate) fn seal(key: &CacheKey, payload: &[u8]) -> Vec<u8> {
     entry
 }
 
+/// Bytes of a [`seal`]ed entry's header: magic, then format version.
+pub(crate) const HEADER_LEN: usize = MAGIC.len() + 4;
+
+/// The format version a disk entry's header declares; `None` when `header`
+/// does not start with the entry magic.
+pub(crate) fn entry_version(header: &[u8]) -> Option<u32> {
+    let mut d = Dec::new(header);
+    if d.take(MAGIC.len())? != MAGIC {
+        return None;
+    }
+    u32::get(&mut d)
+}
+
 /// The payload of a [`seal`]ed entry for `expect`; `None` on any mismatch of
 /// magic, version, key, length or checksum.
 pub(crate) fn unseal<'a>(entry: &'a [u8], expect: &CacheKey) -> Option<&'a [u8]> {

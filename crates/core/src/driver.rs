@@ -151,9 +151,9 @@ impl PhaseTimings {
         self.rows().iter().map(|&(_, d)| d).sum()
     }
 
-    /// `(name, duration)` rows in pipeline order. The names are the daemon
-    /// span's phases after its service-side `parse`, so a span copies these
-    /// rows in order.
+    /// `(name, duration)` rows in pipeline order. The names are the daemon's
+    /// phase-histogram labels after its service-side `parse`, so the daemon
+    /// books these rows in order.
     pub fn rows(&self) -> [(&'static str, Duration); 7] {
         let durations = [
             self.lower,
@@ -196,9 +196,8 @@ pub struct CompileReport {
     pub cache: blockcache::CacheStats,
     /// Whether each block was served from the cache.
     pub block_cached: Vec<bool>,
-    /// Content-addressed cache key of each block, in block order. This is the
-    /// provenance link between a served request and the cache entries it
-    /// touched (the service records the entry block's key in its span log).
+    /// Content-addressed cache key of each block, in block order: the link
+    /// between a compile and the cache entries it touched.
     pub block_keys: Vec<blockcache::CacheKey>,
     /// End-to-end wall-clock time of the compile.
     pub wall: Duration,
@@ -626,34 +625,29 @@ pub fn compile_with_cache(
         (fetched, timings, key)
     };
 
-    let mut compiled: Vec<Option<Compiled>> = (0..blocks.len()).map(|_| None).collect();
-    if workers == 1 {
-        for (slot, block) in compiled.iter_mut().zip(&blocks) {
-            *slot = Some(do_block(block));
+    // One loop claims blocks in index order; the calling thread runs it
+    // beside `workers - 1` scoped helpers, so one worker spawns no thread.
+    let next = AtomicUsize::new(0);
+    let drain = || {
+        let mut out = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(block) = blocks.get(i) else { break };
+            out.push((i, do_block(block)));
         }
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(block) = blocks.get(i) else { break };
-                            out.push((i, do_block(block)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("compile worker panicked") {
-                    compiled[i] = Some(result);
-                }
-            }
-        });
-    }
+        out
+    };
+    let mut compiled: Vec<Option<Compiled>> = (0..blocks.len()).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        let mine = drain();
+        let theirs = helpers
+            .into_iter()
+            .flat_map(|h| h.join().expect("compile worker panicked"));
+        for (i, result) in mine.into_iter().chain(theirs) {
+            compiled[i] = Some(result);
+        }
+    });
 
     // ---- Deterministic merge, in program block order: reports and cache
     // counts, then the provenance records — rebuilt from the block's IR plus

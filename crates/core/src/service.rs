@@ -20,8 +20,7 @@
 //! (bounded at [`MAX_CLIENT_ROWS`] rows) and the start time — and is always
 //! maintained. The stats reply reads it; with [`ServeOptions::telemetry`] on
 //! (the default) the metrics registry exposes it as Prometheus text
-//! ([`REQ_METRICS`](wire::REQ_METRICS)) and every compile request is counted
-//! as one [`SpanRecord`], the slowest kept in a bounded log. Compile responses are byte-identical
+//! ([`REQ_METRICS`](wire::REQ_METRICS)). Compile responses are byte-identical
 //! either way. DESIGN.md §14–§15 hold the invariants.
 //!
 //! ## Error policy
@@ -52,10 +51,7 @@ use crate::wire::{
 };
 use raw_ir::Program;
 use raw_machine::MachineConfig;
-use raw_telemetry::{
-    Buckets, Counter, Histogram, Label, Registry, SpanLog, SpanRecord, SPAN_PHASES,
-    SPAN_PHASE_NAMES,
-};
+use raw_telemetry::{Buckets, Counter, Histogram, Registry, SPAN_PHASES, SPAN_PHASE_NAMES};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -64,8 +60,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Slow-request log size (top-K compile requests by wall time).
-pub const SLOW_LOG_CAPACITY: usize = 16;
 /// Per-client stats rows are bounded; once this many distinct client names
 /// have rows, further names fold into [`OTHER_CLIENTS_ROW`].
 pub const MAX_CLIENT_ROWS: usize = 64;
@@ -102,10 +96,9 @@ pub struct ServeOptions {
     pub byte_budget: usize,
     /// Optional disk layer shared by all clients.
     pub cache_dir: Option<PathBuf>,
-    /// Expose the metrics registry and keep the slow-request log (the default). Off,
-    /// the daemon still keeps every count and serves the stats reply, but a
-    /// metrics scrape reports only `rawcc_telemetry_enabled 0` and no spans
-    /// are recorded.
+    /// Expose the metrics registry (the default). Off, the daemon still keeps
+    /// every count and serves the stats reply, but a metrics scrape reports
+    /// only `rawcc_telemetry_enabled 0`.
     pub telemetry: bool,
 }
 
@@ -159,13 +152,11 @@ impl From<WireError> for ServiceError {
 }
 
 /// One memoised response: the encoded `RESP_COMPILED` payload plus the block
-/// count the compile touched (replayed as `hits` on memo hits) and the
-/// program name for span provenance.
+/// count the compile touched (replayed as `hits` on memo hits).
 #[derive(Clone)]
 struct MemoEntry {
     bytes: Arc<Vec<u8>>,
     blocks: u64,
-    program: Label,
 }
 
 /// Whole-response memo, FIFO-evicted under a byte budget alone. Keys hash the
@@ -203,8 +194,6 @@ struct Ledger {
     phase_us: [Histogram; SPAN_PHASES],
     /// Per-client rows, kept sorted by name for the stats reply.
     clients: Mutex<BTreeMap<String, ClientRow>>,
-    /// Span count and slowest compile spans; `None` with telemetry off.
-    spans: Option<SpanLog>,
 }
 
 /// Counts a connection closed when it drops.
@@ -217,7 +206,7 @@ impl Drop for OpenConnection<'_> {
 }
 
 impl Ledger {
-    fn new(telemetry: bool) -> Self {
+    fn new() -> Self {
         let histogram = || Histogram::new(Buckets::latency_us());
         Ledger {
             started: Instant::now(),
@@ -232,7 +221,6 @@ impl Ledger {
             wall_us: histogram(),
             phase_us: std::array::from_fn(|_| histogram()),
             clients: Mutex::default(),
-            spans: telemetry.then(|| SpanLog::new(SLOW_LOG_CAPACITY)),
         }
     }
 
@@ -249,9 +237,8 @@ impl Ledger {
         }
     }
 
-    /// Books one reply: every counter, histogram, client row and span it
-    /// changes.
-    fn account(&self, reply: &Reply, started: Instant) {
+    /// Books one reply: every counter, histogram and client row it changes.
+    fn account(&self, reply: &Reply) {
         if let Some(code) = reply.error {
             // Replies carry only the 1-based `errcode` constants.
             self.errors[usize::from(code) - 1].inc();
@@ -279,19 +266,13 @@ impl Ledger {
             row.misses += counters.misses;
             row.coalesced += counters.coalesced;
         }
-        let Some(mut span) = reply.span else {
-            return;
-        };
-        if span.memo_hit {
+        if reply.memo_hit {
             self.memo_hits.inc();
-        } else if !span.error {
-            for (histogram, &us) in self.phase_us.iter().zip(&span.phase_us) {
+        }
+        if let Some(phase_us) = &reply.phase_us {
+            for (histogram, &us) in self.phase_us.iter().zip(phase_us) {
                 histogram.record(us);
             }
-        }
-        if let Some(spans) = &self.spans {
-            span.wall_us = started.elapsed().as_micros() as u64;
-            spans.record(span);
         }
     }
 }
@@ -309,8 +290,10 @@ struct Reply<'a> {
     served: Option<(&'a str, CompiledCounters)>,
     /// Memo entries evicted by memoising the reply, when it was memoised.
     memo_insert: Option<u64>,
-    /// The compile request's span: fresh, replayed or failed.
-    span: Option<SpanRecord>,
+    /// A fresh compile's phase times, indexed like [`SPAN_PHASE_NAMES`].
+    phase_us: Option<[u64; SPAN_PHASES]>,
+    /// The reply was replayed from the whole-response memo.
+    memo_hit: bool,
 }
 
 impl<'a> Reply<'a> {
@@ -356,7 +339,7 @@ fn registry(telemetry: bool) -> Registry<ServerState> {
     if !telemetry {
         return registry;
     }
-    let counters: [(&str, &str, Read); 12] = [
+    let counters: [(&str, &str, Read); 11] = [
         (
             "rawcc_compile_responses_total",
             "compile requests answered successfully (including memo replays)",
@@ -412,11 +395,8 @@ fn registry(telemetry: bool) -> Registry<ServerState> {
             "disk-layer entries rejected as corrupt or stale",
             |s| s.cache.stats().disk_rejects,
         ),
-        ("rawcc_spans_total", "compile spans ever recorded", |s| {
-            s.ledger.spans.as_ref().map_or(0, SpanLog::total)
-        }),
     ];
-    let gauges: [(&str, &str, Read); 8] = [
+    let gauges: [(&str, &str, Read); 7] = [
         (
             "rawcc_uptime_us",
             "microseconds since the daemon started serving",
@@ -449,11 +429,6 @@ fn registry(telemetry: bool) -> Registry<ServerState> {
             "rawcc_cache_resident_bytes",
             "encoded bundle bytes resident in the sharded cache",
             |s| s.cache.stats().resident_bytes,
-        ),
-        (
-            "rawcc_slow_log_resident",
-            "entries in the slow-request log",
-            |s| s.ledger.spans.as_ref().map_or(0, |r| r.slow_len() as u64),
         ),
         (
             "rawcc_client_rows",
@@ -572,13 +547,8 @@ impl ServerState {
         // deterministic compiler, so the encoded answer is replayed verbatim
         // with only the counter tail rewritten.
         let key = split.map(|(_, rest)| memo_key(rest));
-        let memoised =
-            key.and_then(|key| Some((key, self.memo.lock().unwrap().get(&key)?.clone())));
-        let mut span = SpanRecord {
-            client: Label::new(client),
-            ..SpanRecord::default()
-        };
-        let mut reply = if let Some((key, entry)) = memoised {
+        let memoised = key.and_then(|key| self.memo.lock().unwrap().get(&key).cloned());
+        if let Some(entry) = memoised {
             let counters = CompiledCounters {
                 hits: entry.blocks,
                 wall_us: started.elapsed().as_micros() as u64,
@@ -586,38 +556,29 @@ impl ServerState {
             };
             let mut bytes = entry.bytes.as_ref().clone();
             wire::patch_compiled_counters(&mut bytes, counters.hits, counters.wall_us);
-            (span.program, span.key_hi, span.key_lo) =
-                (entry.program, (key >> 64) as u64, key as u64);
-            (span.blocks, span.block_hits) = (entry.blocks as u32, entry.blocks as u32);
-            span.memo_hit = true;
             let mut reply = Reply::ok(wire::RESP_COMPILED, bytes);
             reply.served = Some((client, counters));
-            reply
-        } else {
-            match self.compile_fresh(payload, &mut span) {
-                Ok(resp) => {
-                    let bytes = resp.encode();
-                    let blocks = resp.hits + resp.misses;
-                    let memo_insert =
-                        key.and_then(|key| self.memoise(key, &bytes, blocks, span.program));
-                    let mut reply = Reply::ok(wire::RESP_COMPILED, bytes);
-                    reply.served = Some((client, resp.counters()));
-                    reply.memo_insert = memo_insert;
-                    reply
-                }
-                Err((code, message)) => {
-                    span.error = true;
-                    Reply::error(code, message)
-                }
+            reply.memo_hit = true;
+            return reply;
+        }
+        match self.compile_fresh(payload) {
+            Ok((resp, phase_us)) => {
+                let bytes = resp.encode();
+                let blocks = resp.hits + resp.misses;
+                let memo_insert = key.and_then(|key| self.memoise(key, &bytes, blocks));
+                let mut reply = Reply::ok(wire::RESP_COMPILED, bytes);
+                reply.served = Some((client, resp.counters()));
+                reply.memo_insert = memo_insert;
+                reply.phase_us = Some(phase_us);
+                reply
             }
-        };
-        reply.span = Some(span);
-        reply
+            Err((code, message)) => Reply::error(code, message),
+        }
     }
 
     /// Memoises an encoded response. Returns the entries the insertion
     /// evicted, or `None` when the response was not inserted.
-    fn memoise(&self, key: u128, bytes: &[u8], blocks: u64, program: Label) -> Option<u64> {
+    fn memoise(&self, key: u128, bytes: &[u8], blocks: u64) -> Option<u64> {
         let mut memo = self.memo.lock().unwrap();
         // A response over the whole budget (any response, once the memo is
         // disabled by a zero budget) is not worth evicting everything for.
@@ -627,20 +588,17 @@ impl ServerState {
         let entry = MemoEntry {
             bytes: Arc::new(bytes.to_vec()),
             blocks,
-            program,
         };
         Some(memo.insert(key, entry, bytes.len()).entries)
     }
 
     /// Decodes, verifies, and compiles one request against the shared cache,
-    /// filling in the span's program, provenance, phase times and block
-    /// counts.
+    /// returning the response and its phase times.
     fn compile_fresh(
         &self,
         payload: &[u8],
-        span: &mut SpanRecord,
-    ) -> Result<CompileResponse, (u8, String)> {
-        // "parse" span phase: wire decode plus IR verification.
+    ) -> Result<(CompileResponse, [u64; SPAN_PHASES]), (u8, String)> {
+        // The "parse" phase: wire decode plus IR verification.
         let parse_start = Instant::now();
         let req =
             CompileRequest::decode(payload).map_err(|e| (errcode::MALFORMED, e.to_string()))?;
@@ -653,18 +611,13 @@ impl ServerState {
         let compiled = compile_with_cache(&req.program, &req.config, &req.options, &self.cache)
             .map_err(|e| (errcode::COMPILE, e.to_string()))?;
         let report = &compiled.report;
-        // The span's phases are `parse`, then the report's rows in their
-        // order.
-        span.phase_us[0] = parse_us;
-        for (slot, (_, dur)) in span.phase_us[1..].iter_mut().zip(report.timings.rows()) {
+        // The phases are `parse`, then the report's rows in their order.
+        let mut phase_us = [0; SPAN_PHASES];
+        phase_us[0] = parse_us;
+        for (slot, (_, dur)) in phase_us[1..].iter_mut().zip(report.timings.rows()) {
             *slot = dur.as_micros() as u64;
         }
-        // Provenance: the entry block's content-addressed cache key.
-        (span.key_hi, span.key_lo) = report.block_keys.first().map_or((0, 0), |k| (k.hi, k.lo));
-        span.program = Label::new(&req.program.name);
-        span.blocks = report.blocks.len() as u32;
-        span.block_hits = report.cache.hits as u32;
-        Ok(CompileResponse {
+        let resp = CompileResponse {
             hits: report.cache.hits,
             misses: report.cache.misses,
             coalesced: report.cache.coalesced,
@@ -673,7 +626,8 @@ impl ServerState {
             wall_us: start.elapsed().as_micros() as u64,
             threads: report.threads as u32,
             machine_program: compiled.machine_program,
-        })
+        };
+        Ok((resp, phase_us))
     }
 }
 
@@ -690,12 +644,6 @@ impl ServerHandle {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The slow-request log (slowest first; empty with telemetry off).
-    pub fn slow_requests(&self) -> Vec<SpanRecord> {
-        let spans = self.state.ledger.spans.as_ref();
-        spans.map_or_else(Vec::new, SpanLog::slowest)
     }
 
     /// Waits for the accept loop to exit (i.e. until some client sends
@@ -736,7 +684,7 @@ pub fn serve(opts: &ServeOptions) -> Result<ServerHandle, ServiceError> {
     let state = Arc::new(ServerState {
         cache,
         memo: Mutex::new(Memo::new(usize::MAX, MEMO_BUDGET)),
-        ledger: Ledger::new(opts.telemetry),
+        ledger: Ledger::new(),
         registry: registry(opts.telemetry),
         shutting_down: AtomicBool::new(false),
     });
@@ -775,14 +723,13 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
     let _open = state.ledger.connection();
     loop {
         let frame = read_frame(&mut stream);
-        let started = Instant::now();
         if let Ok((kind, _)) = &frame {
             state.ledger.count_request(*kind);
         }
         let Some(reply) = state.respond(&frame) else {
             return;
         };
-        state.ledger.account(&reply, started);
+        state.ledger.account(&reply);
         let written = write_frame(&mut stream, reply.kind, &reply.payload).is_ok();
         if reply.kind == wire::RESP_SHUTDOWN {
             // Acknowledged: unblock the accept loop so it observes the flag.

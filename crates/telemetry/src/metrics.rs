@@ -180,6 +180,24 @@ impl Histogram {
     }
 }
 
+/// Number of compile pipeline phases the daemon keeps a histogram for.
+pub const SPAN_PHASES: usize = 8;
+
+/// Phase names in pipeline order: the `phase` label of the daemon's
+/// `rawcc_compile_phase_us` histograms. `parse` covers wire decode + IR
+/// verification on the service side; the remaining seven name the
+/// compiler's `PhaseTimings::rows`, which take their names from here.
+pub const SPAN_PHASE_NAMES: [&str; SPAN_PHASES] = [
+    "parse",
+    "lower",
+    "partition",
+    "place",
+    "schedule",
+    "codegen",
+    "regalloc",
+    "link",
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;

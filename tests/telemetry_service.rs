@@ -4,7 +4,7 @@
 //! surface, and counter/histogram conservation laws. Every scrape is read
 //! back through `Snapshot::parse_prometheus`, the renderer's own inverse.
 
-use raw_repro::cc::service::{serve, Client, ServeOptions, SLOW_LOG_CAPACITY};
+use raw_repro::cc::service::{serve, Client, ServeOptions};
 use raw_repro::cc::wire::{self, errcode, MetricsFormat, MetricsResponse, StatsResponse};
 use raw_repro::cc::{compile_with_cache, BlockCache, CompilerOptions};
 use raw_repro::ir::Program;
@@ -281,9 +281,6 @@ fn one_session_pins_every_counter() {
         ("rawcc_requests_total{kind=\"ping\"}", 1),
         ("rawcc_requests_total{kind=\"shutdown\"}", 0),
         ("rawcc_requests_total{kind=\"metrics\"}", 4),
-        // Two served compiles and two that ended in a typed error.
-        ("rawcc_slow_log_resident", 4),
-        ("rawcc_spans_total", 4),
         ("rawcc_telemetry_enabled", 1),
     ]
     .into_iter()
@@ -310,9 +307,8 @@ fn one_session_pins_every_counter() {
     assert_eq!(off.scrape, disabled);
 }
 
-/// 10k+ requests from rotating client names: the slow log,
-/// latency histogram, and per-client table must all stay at their fixed
-/// capacities (the old implementation pushed every latency into an unbounded
+/// 10k+ requests from rotating client names: the latency histogram and
+/// per-client table must stay at their fixed capacities (the old implementation pushed every latency into an unbounded
 /// `Vec`).
 #[test]
 fn soak_keeps_observability_memory_bounded() {
@@ -346,14 +342,12 @@ fn soak_keeps_observability_memory_bounded() {
     assert_eq!(stats.requests, total);
 
     let scrape = parse(&client.metrics(MetricsFormat::Prometheus).unwrap().body);
-    let gauge = |name| scrape.scalar(name, &[]) as usize;
     assert_eq!(
-        gauge("rawcc_spans_total"),
-        total as usize,
-        "one span per request"
+        scrape.scalar("rawcc_requests_total", &[("kind", "compile")]),
+        total,
+        "one compile frame counted per request"
     );
-    assert!(gauge("rawcc_slow_log_resident") <= SLOW_LOG_CAPACITY);
-    let rows = gauge("rawcc_client_rows");
+    let rows = scrape.scalar("rawcc_client_rows", &[]);
     assert!(
         rows <= 65,
         "client table must fold past 64 rows, got {rows}"
@@ -472,7 +466,7 @@ fn metrics_scrape_parses_and_conserves_counts() {
 }
 
 /// A disabled daemon still answers metrics scrapes — with the single
-/// `rawcc_telemetry_enabled 0` gauge — and records no spans.
+/// `rawcc_telemetry_enabled 0` gauge.
 #[test]
 fn disabled_daemon_reports_disabled() {
     let handle = serve(&ServeOptions {
@@ -488,44 +482,4 @@ fn disabled_daemon_reports_disabled() {
     let snapshot = parse(&text);
     assert_eq!(snapshot.families.len(), 1, "{text}");
     assert_eq!(snapshot.scalar("rawcc_telemetry_enabled", &[]), 0);
-    assert!(handle.slow_requests().is_empty(), "no span was kept");
-}
-
-/// Spans carry the per-phase breakdown and cache-key provenance; the slow
-/// log holds the slowest requests and memo replays are flagged as such.
-#[test]
-fn spans_carry_phases_and_provenance() {
-    let programs = workload();
-    let (config, options) = request_options();
-    let handle = serve(&ServeOptions::default()).unwrap();
-    let mut client = Client::connect(handle.addr(), "spans").unwrap();
-    for program in &programs {
-        client.compile(program, &config, &options).unwrap();
-    }
-    client.compile(&programs[0], &config, &options).unwrap();
-
-    let slow = handle.slow_requests();
-    assert!(!slow.is_empty());
-    assert!(slow.windows(2).all(|w| w[0].wall_us >= w[1].wall_us));
-    let cold = slow
-        .iter()
-        .find(|s| !s.memo_hit)
-        .expect("cold compiles in slow log");
-    assert_eq!(cold.client.as_str(), "spans");
-    assert!(cold.program.as_str().starts_with("tel"));
-    assert!(cold.wall_us > 0);
-    assert!(cold.blocks > 0);
-    assert_ne!(
-        (cold.key_hi, cold.key_lo),
-        (0, 0),
-        "span records the entry block's cache key"
-    );
-    assert!(
-        cold.phase_us.iter().sum::<u64>() > 0,
-        "phase breakdown populated"
-    );
-    let memo = slow.iter().find(|s| s.memo_hit);
-    if let Some(memo) = memo {
-        assert_eq!(memo.block_hits, memo.blocks);
-    }
 }
