@@ -759,12 +759,12 @@ mod tests {
             let next = b.new_block("body");
             for i in 0..pad {
                 let pad_var = b.var_i32(format!("pad{i}"), 0);
-                let v = b.const_i32(1);
+                let v = b.const_i32(i as i32);
                 b.write_var(pad_var, v);
             }
             b.jump(next);
             b.switch_to(next);
-            let x = b.const_i32(6);
+            let x = b.read_var(out);
             let y = b.const_i32(7);
             let p = b.mul(x, y);
             b.write_var(out, p);

@@ -876,10 +876,12 @@ mod tests {
     #[test]
     fn vreg_count_tracks_values_and_temps() {
         let (code, _) = codegen_for(1, |b| {
-            let x = b.const_i32(1);
-            let y = b.add(x, x);
+            let xv = b.var_i32("x", 1);
+            let x = b.read_var(xv);
+            let one = b.const_i32(1);
+            let y = b.add(x, one);
             let _ = b.mul(y, y);
         });
-        assert_eq!(code[0].n_vregs, 2, "a constant takes no vreg");
+        assert_eq!(code[0].n_vregs, 3, "a constant takes no vreg");
     }
 }

@@ -965,9 +965,11 @@ mod tests {
     fn parallel_run_is_faster_than_sequential_for_wide_block() {
         // 16 independent fp chains: 4 tiles should beat 1 tile.
         let mut b = ProgramBuilder::new("wide");
-        let out: Vec<_> = (0..16).map(|k| b.var_f32(format!("o{k}"), 0.0)).collect();
-        for (k, &o) in out.iter().enumerate() {
-            let mut v = b.const_f32(1.0 + k as f32);
+        let out: Vec<_> = (0..16)
+            .map(|k| b.var_f32(format!("o{k}"), 1.0 + k as f32))
+            .collect();
+        for &o in &out {
+            let mut v = b.read_var(o);
             for _ in 0..8 {
                 v = b.mul_f(v, v);
             }

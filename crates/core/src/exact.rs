@@ -539,7 +539,8 @@ mod tests {
     #[test]
     fn serial_chain_certifies_at_critical_path() {
         let (g, config) = graph_for(4, |b| {
-            let mut v = b.const_i32(1);
+            let x = b.var_i32("x", 1);
+            let mut v = b.read_var(x);
             for _ in 0..6 {
                 v = b.bin(BinOp::Add, v, v);
             }
@@ -554,13 +555,15 @@ mod tests {
     #[test]
     fn exact_never_beats_lower_bound_and_never_trails_heuristic() {
         let (g, config) = graph_for(4, |b| {
-            for _ in 0..3 {
-                let mut v = b.const_f32(1.5);
+            for k in 0..3 {
+                let x = b.var_f32(format!("x{k}"), 1.5);
+                let mut v = b.read_var(x);
                 for _ in 0..3 {
                     v = b.bin(BinOp::MulF, v, v);
                 }
             }
-            let x = b.const_i32(3);
+            let i = b.var_i32("i", 3);
+            let x = b.read_var(i);
             let y = b.bin(BinOp::Add, x, x);
             let _ = b.bin(BinOp::Mul, y, x);
         });
@@ -577,8 +580,9 @@ mod tests {
     #[test]
     fn solver_is_deterministic() {
         let (g, config) = graph_for(4, |b| {
-            for _ in 0..4 {
-                let mut v = b.const_f32(2.0);
+            for k in 0..4 {
+                let x = b.var_f32(format!("x{k}"), 2.0);
+                let mut v = b.read_var(x);
                 for _ in 0..4 {
                     v = b.bin(BinOp::MulF, v, v);
                 }
@@ -595,9 +599,13 @@ mod tests {
     #[test]
     fn tiny_budget_returns_seed_uncertified() {
         let (g, config) = graph_for(4, |b| {
-            for _ in 0..4 {
-                let mut v = b.const_f32(2.0);
-                for _ in 0..4 {
+            // Four chains from one read: the seed pays to spread them.
+            let x = b.var_f32("x", 2.0);
+            let r = b.read_var(x);
+            for k in 0..4 {
+                let c = b.const_f32(k as f32);
+                let mut v = b.bin(BinOp::MulF, r, c);
+                for _ in 1..4 {
                     v = b.bin(BinOp::MulF, v, v);
                 }
             }
@@ -618,8 +626,9 @@ mod tests {
     fn oversized_block_falls_back_without_searching() {
         let (g, config) = graph_for(4, |b| {
             // 40+ nodes: well past MAX_EXACT_NODES.
-            for _ in 0..40 {
-                let v = b.const_i32(7);
+            for k in 0..40 {
+                let x = b.var_i32(format!("x{k}"), 7);
+                let v = b.read_var(x);
                 let _ = b.bin(BinOp::Add, v, v);
             }
         });

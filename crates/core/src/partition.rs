@@ -556,8 +556,9 @@ mod tests {
     fn independent_chains_spread_across_tiles() {
         // Four long independent chains should use all four tiles.
         let (_, config, g) = setup(4, |b| {
-            for _ in 0..4 {
-                let mut v = b.const_f32(1.0);
+            for k in 0..4 {
+                let x = b.var_f32(format!("x{k}"), 1.0);
+                let mut v = b.read_var(x);
                 for _ in 0..12 {
                     v = b.mul_f(v, v);
                 }
@@ -568,13 +569,13 @@ mod tests {
         used.sort();
         used.dedup();
         assert_eq!(used.len(), 4, "chains should occupy all tiles");
-        // Each chain (12 multiplies; its constant root is no node) must stay
-        // on its own tile.
-        assert_eq!(g.len(), 4 * 12);
+        // Each chain (a variable read and 12 multiplies) must stay on its
+        // own tile.
+        assert_eq!(g.len(), 4 * 13);
         for chain in 0..4 {
-            let base = chain * 12;
+            let base = chain * 13;
             let t = part.assignment[base];
-            assert!(part.assignment[base..base + 12].iter().all(|&x| x == t));
+            assert!(part.assignment[base..base + 13].iter().all(|&x| x == t));
         }
     }
 
@@ -783,8 +784,9 @@ mod tests {
             let w = b.add(v, v);
             b.store(a, i, 0, w, MemHome::Static(r));
         }
-        for _ in 0..6 {
-            let mut v = b.const_f32(1.0);
+        for k in 0..6 {
+            let x = b.var_f32(format!("x{k}"), 1.0);
+            let mut v = b.read_var(x);
             for _ in 0..8 {
                 v = b.mul_f(v, v);
             }
@@ -815,9 +817,9 @@ mod tests {
         let mut b = ProgramBuilder::new("t");
         let a = b.array("A", Ty::I32, &[16]);
         let i = b.const_i32(0);
-        let x = b.load(a, i, 0, MemHome::Static(0));
         for offset in [4, 8] {
-            let mut v = x;
+            // Loads are never merged, so each chain has its own root.
+            let mut v = b.load(a, i, 0, MemHome::Static(0));
             for _ in 0..4 {
                 v = b.mul(v, v);
             }
@@ -850,7 +852,8 @@ mod tests {
     #[test]
     fn single_tile_everything_on_tile_zero() {
         let (_, config, g) = setup(1, |b| {
-            let x = b.const_i32(1);
+            let xv = b.var_i32("x", 1);
+            let x = b.read_var(xv);
             let y = b.add(x, x);
             let _ = b.mul(y, y);
         });

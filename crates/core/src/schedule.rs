@@ -937,14 +937,15 @@ mod tests {
     #[test]
     fn single_tile_schedule_is_sequential() {
         let (g, _, s) = schedule_for(1, |b| {
-            let x = b.const_i32(1);
+            let xv = b.var_i32("x", 1);
+            let x = b.read_var(xv);
             let y = b.add(x, x);
             let _ = b.mul(y, y);
         });
         assert_eq!(s.proc_ops[0].len(), g.len());
         assert_eq!(s.n_comm_paths, 0);
-        // Times strictly increase and respect latencies: add (issue≥1 after
-        // const ready at 1), mul after add result.
+        // Times strictly increase and respect latencies: add after the read,
+        // mul after add result.
         let times: Vec<u64> = s.proc_ops[0].iter().map(|(t, _)| *t).collect();
         assert!(times.windows(2).all(|w| w[0] < w[1]));
     }

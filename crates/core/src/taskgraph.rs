@@ -352,7 +352,7 @@ fn pin_of(inst: &Inst, layout: &DataLayout) -> Option<TileId> {
 mod tests {
     use super::*;
     use raw_ir::builder::ProgramBuilder;
-    use raw_ir::{Program, Ty};
+    use raw_ir::{BinOp, Program, Ty};
 
     fn graph_for(build: impl FnOnce(&mut ProgramBuilder), n_tiles: u32) -> (Program, TaskGraph) {
         let mut b = ProgramBuilder::new("t");
@@ -367,18 +367,26 @@ mod tests {
 
     #[test]
     fn data_edges_follow_dataflow() {
-        let (_, g) = graph_for(
-            |b| {
-                let v = b.var_i32("v", 0);
-                let r = b.read_var(v); // node 0
-                let x = b.const_i32(1);
-                let y = b.const_i32(2);
-                let s = b.add(r, x); // node 1
-                let _t = b.mul(s, s); // node 2
-                let _u = b.add(x, y); // node 3
-            },
-            4,
-        );
+        let mut b = ProgramBuilder::new("t");
+        let v = b.var_i32("v", 0);
+        let r = b.read_var(v); // node 0
+        let x = b.const_i32(1);
+        let y = b.const_i32(2);
+        let s = b.add(r, x); // node 1
+        let _t = b.mul(s, s); // node 2
+        b.halt();
+        let mut p = b.finish().unwrap();
+        // The builder folds an operator over two constants, but a decoded
+        // wire program can still carry one: append it by hand.
+        let u = ValueId::from_raw(p.value_types.len() as u32);
+        p.value_types.push(Ty::I32);
+        p.blocks[0]
+            .insts
+            .push(Inst::new(Some(u), InstKind::Bin(BinOp::Add, x, y))); // node 3
+        assert_eq!(raw_ir::verify::verify(&p), Ok(()));
+        let config = MachineConfig::square(4);
+        let layout = DataLayout::build(&p, &config);
+        let g = TaskGraph::build(p.block(p.entry), &layout, &config);
         // No data edge leaves a constant: it is an immediate, not a node.
         assert!(g.insts.iter().all(is_task));
         assert_eq!(g.len(), 4);
@@ -514,17 +522,19 @@ mod tests {
     fn costs_use_latency_table() {
         let (_, g) = graph_for(
             |b| {
-                let x = b.const_f32(1.0);
-                let y = b.mul_f(x, x);
-                let four = b.const_i32(4);
+                let xv = b.var_f32("x", 1.0);
+                let x = b.read_var(xv); // node 0
+                let y = b.mul_f(x, x); // node 1
+                let nv = b.var_i32("n", 4);
+                let four = b.read_var(nv); // node 2
                 let two = b.const_i32(2);
-                let _z = b.div(four, two);
+                let _z = b.div(four, two); // node 3
                 let _ = y;
             },
             2,
         );
-        assert_eq!(g.len(), 2); // constants are no nodes
-        assert_eq!(g.costs[0], 4); // mulf
-        assert_eq!(g.costs[1], 35); // div
+        assert_eq!(g.len(), 4); // constants are no nodes
+        assert_eq!(g.costs[1], 4); // mulf
+        assert_eq!(g.costs[3], 35); // div
     }
 }

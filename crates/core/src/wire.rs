@@ -502,7 +502,8 @@ mod tests {
     fn sample_program() -> Program {
         let mut b = ProgramBuilder::new("wire-sample");
         let out = b.var_i32("out", 0);
-        let x = b.const_i32(6);
+        let xv = b.var_i32("x", 6);
+        let x = b.read_var(xv);
         let y = b.const_i32(7);
         let p = b.mul(x, y);
         b.write_var(out, p);

@@ -35,7 +35,8 @@ fn cases(dir: &Path) -> (Vec<Case>, EntryFile) {
     // Real samples: one compile of a small program through every layer.
     let mut b = ProgramBuilder::new("total");
     let out = b.var_i32("out", 0);
-    let x = b.const_i32(6);
+    let xv = b.var_i32("x", 6);
+    let x = b.read_var(xv);
     let p = b.mul(x, x);
     b.write_var(out, p);
     b.name_value(p, "p");

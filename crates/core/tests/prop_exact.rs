@@ -16,12 +16,15 @@ use rawcc::{exact, partition, schedule, CompilerOptions};
 
 /// Lowers a random straight-line op list into a single-block program: each
 /// `(op, a, b)` picks a binary operator and two earlier values (indices taken
-/// modulo the values available so far, seeded with two constants).
+/// modulo the values available so far, seeded with two variable reads: the
+/// builder folds an operator over constants into no node at all).
 fn build_graph(ops: &[(usize, u16, u16)], config: &MachineConfig) -> TaskGraph {
     const OPS: [BinOp; 5] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Xor, BinOp::Slt];
     let mut b = ProgramBuilder::new("prop-exact");
     let out = b.var_i32("out", 0);
-    let mut values = vec![b.const_i32(3), b.const_i32(-7)];
+    let x = b.var_i32("x", 3);
+    let y = b.var_i32("y", -7);
+    let mut values = vec![b.read_var(x), b.read_var(y)];
     for &(op, a_raw, b_raw) in ops {
         let a = values[a_raw as usize % values.len()];
         let bb = values[b_raw as usize % values.len()];

@@ -1,9 +1,23 @@
 //! Ergonomic construction of [`Program`]s.
 //!
-//! The builder mints fresh [`ValueId`]s for every emitted instruction, so
+//! The builder mints a fresh [`ValueId`] for every instruction it emits, so
 //! programs it produces are single-assignment by construction. [`finish`]
 //! additionally runs the [`verify`] pass, so a successfully built
 //! program satisfies every structural invariant the compiler relies on.
+//!
+//! It also numbers values as it emits them: every distinct pure expression
+//! in a block produces exactly one value. Each block under construction keeps
+//! one table from key to value — a `Const` by its bits and type, a unary or
+//! binary operator by its operands (a commutative operator's sorted), a
+//! `ReadVar` by its variable (every read observes the block-entry value) —
+//! and an emission whose key is in it returns the value already there.
+//! Loads, stores and variable writes are always emitted. A unary or binary
+//! operator whose operands are all constants of the current block, each of
+//! the type [`verify`] accepts for the operator, is evaluated through
+//! [`UnOp::eval`]/[`BinOp::eval`] (the interpreter's and simulator's
+//! reference semantics, so float folding is bit-exact) and yields the
+//! block's constant of its result. Any other operand is left to
+//! [`finish`], which reports it as it would without numbering.
 //!
 //! [`finish`]: ProgramBuilder::finish
 
@@ -12,6 +26,23 @@ use crate::inst::{BinOp, Imm, Inst, InstKind, MemHome, SourceSpan, Ty, UnOp};
 use crate::program::{ArrayDecl, Block, Program, Terminator, VarDecl};
 use crate::verify::{self, VerifyError};
 use std::collections::HashMap;
+
+/// What makes two pure instructions of one block compute the same value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Key {
+    Const(u32, Ty),
+    Un(UnOp, ValueId),
+    Bin(BinOp, ValueId, ValueId),
+    ReadVar(VarId),
+}
+
+fn commutative(op: BinOp) -> bool {
+    use BinOp::*;
+    matches!(
+        op,
+        Add | Mul | And | Or | Xor | Seq | Sne | AddF | MulF | FEq
+    )
+}
 
 /// Incremental builder for [`Program`]s.
 ///
@@ -24,6 +55,8 @@ pub struct ProgramBuilder {
     blocks: Vec<PendingBlock>,
     current: BlockId,
     value_types: Vec<Ty>,
+    /// The immediate of each value a `Const` defines; `None` elsewhere.
+    consts: Vec<Option<Imm>>,
     value_names: HashMap<ValueId, String>,
     span: SourceSpan,
 }
@@ -33,6 +66,20 @@ struct PendingBlock {
     name: String,
     insts: Vec<Inst>,
     term: Option<Terminator>,
+    /// The value of each pure expression emitted so far; dropped once the
+    /// block is terminated.
+    numbered: HashMap<Key, ValueId>,
+}
+
+impl PendingBlock {
+    fn new(name: String) -> Self {
+        PendingBlock {
+            name,
+            insts: Vec::new(),
+            term: None,
+            numbered: HashMap::new(),
+        }
+    }
 }
 
 impl ProgramBuilder {
@@ -42,13 +89,10 @@ impl ProgramBuilder {
             name: name.into(),
             vars: Vec::new(),
             arrays: Vec::new(),
-            blocks: vec![PendingBlock {
-                name: "entry".into(),
-                insts: Vec::new(),
-                term: None,
-            }],
+            blocks: vec![PendingBlock::new("entry".into())],
             current: BlockId::from_raw(0),
             value_types: Vec::new(),
+            consts: Vec::new(),
             value_names: HashMap::new(),
             span: SourceSpan::NONE,
         }
@@ -118,11 +162,7 @@ impl ProgramBuilder {
     /// Creates a new, empty block (does not switch to it).
     pub fn new_block(&mut self, name: impl Into<String>) -> BlockId {
         let id = BlockId::from_raw(self.blocks.len() as u32);
-        self.blocks.push(PendingBlock {
-            name: name.into(),
-            insts: Vec::new(),
-            term: None,
-        });
+        self.blocks.push(PendingBlock::new(name.into()));
         id
     }
 
@@ -143,7 +183,31 @@ impl ProgramBuilder {
     fn fresh(&mut self, ty: Ty) -> ValueId {
         let id = ValueId::from_raw(self.value_types.len() as u32);
         self.value_types.push(ty);
+        self.consts.push(None);
         id
+    }
+
+    /// Emits the pure instruction `kind` under `key`, unless the current
+    /// block already holds that key: then returns the value it maps to.
+    fn numbered(&mut self, key: Key, ty: Ty, kind: InstKind) -> ValueId {
+        let next = ValueId::from_raw(self.value_types.len() as u32);
+        let cur = &mut self.blocks[self.current.index()];
+        assert!(cur.term.is_none(), "emitting into terminated block");
+        let dst = *cur.numbered.entry(key).or_insert(next);
+        if dst == next {
+            self.fresh(ty);
+            self.push(Inst::new(Some(dst), kind));
+        }
+        dst
+    }
+
+    /// The immediate of `v` if a `Const` of the current block defines it
+    /// with type `want` (any type when `None`).
+    fn local_const(&self, v: ValueId, want: Option<Ty>) -> Option<Imm> {
+        let imm = (*self.consts.get(v.index())?)?;
+        let key = Key::Const(imm.to_bits(), imm.ty());
+        let local = self.blocks[self.current.index()].numbered.get(&key) == Some(&v);
+        (local && want.map_or(true, |t| t == imm.ty())).then_some(imm)
     }
 
     fn push(&mut self, mut inst: Inst) {
@@ -158,10 +222,11 @@ impl ProgramBuilder {
         self.value_names.insert(v, name.into());
     }
 
-    /// Emits `li` of an immediate.
+    /// Emits `li` of an immediate, once per block.
     pub fn const_imm(&mut self, imm: Imm) -> ValueId {
-        let dst = self.fresh(imm.ty());
-        self.push(Inst::new(Some(dst), InstKind::Const(imm)));
+        let key = Key::Const(imm.to_bits(), imm.ty());
+        let dst = self.numbered(key, imm.ty(), InstKind::Const(imm));
+        self.consts[dst.index()] = Some(imm);
         dst
     }
 
@@ -175,19 +240,29 @@ impl ProgramBuilder {
         self.const_imm(Imm::F(v))
     }
 
-    /// Emits a unary operation.
+    /// Emits a unary operation, folded if its operand is a constant.
     pub fn un(&mut self, op: UnOp, src: ValueId) -> ValueId {
-        let src_ty = self.value_types[src.index()];
-        let dst = self.fresh(op.result_ty(src_ty));
-        self.push(Inst::new(Some(dst), InstKind::Un(op, src)));
-        dst
+        if let Some(a) = self.local_const(src, op.operand_ty()) {
+            return self.const_imm(op.eval(a));
+        }
+        let ty = op.result_ty(self.value_types[src.index()]);
+        self.numbered(Key::Un(op, src), ty, InstKind::Un(op, src))
     }
 
-    /// Emits a binary operation.
+    /// Emits a binary operation, folded if both operands are constants.
     pub fn bin(&mut self, op: BinOp, lhs: ValueId, rhs: ValueId) -> ValueId {
-        let dst = self.fresh(op.result_ty());
-        self.push(Inst::new(Some(dst), InstKind::Bin(op, lhs, rhs)));
-        dst
+        let want = Some(op.operand_ty());
+        if let Some(a) = self.local_const(lhs, want) {
+            if let Some(b) = self.local_const(rhs, want) {
+                return self.const_imm(op.eval(a, b));
+            }
+        }
+        let key = if commutative(op) && rhs < lhs {
+            Key::Bin(op, rhs, lhs)
+        } else {
+            Key::Bin(op, lhs, rhs)
+        };
+        self.numbered(key, op.result_ty(), InstKind::Bin(op, lhs, rhs))
     }
 
     /// Emits a load of element `index + offset` of `array`. `home` classifies
@@ -228,12 +303,11 @@ impl ProgramBuilder {
         ));
     }
 
-    /// Emits a read of a persistent variable's block-entry value.
+    /// Emits a read of a persistent variable's block-entry value, once per
+    /// block.
     pub fn read_var(&mut self, var: VarId) -> ValueId {
         let ty = self.vars[var.index()].ty;
-        let dst = self.fresh(ty);
-        self.push(Inst::new(Some(dst), InstKind::ReadVar(var)));
-        dst
+        self.numbered(Key::ReadVar(var), ty, InstKind::ReadVar(var))
     }
 
     /// Emits a persistent write of `value` to `var`.
@@ -249,6 +323,7 @@ impl ProgramBuilder {
             self.current
         );
         cur.term = Some(term);
+        cur.numbered = HashMap::new();
     }
 
     /// Terminates the current block with an unconditional jump.
@@ -342,6 +417,7 @@ sugar_bin! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::Interpreter;
 
     #[test]
     fn unterminated_block_is_an_error() {
@@ -387,7 +463,8 @@ mod tests {
     fn value_types_follow_operators() {
         let mut b = ProgramBuilder::new("t");
         let f = b.const_f32(1.0);
-        let i = b.const_i32(1);
+        let iv = b.var_i32("i", 1);
+        let i = b.read_var(iv);
         let fi = b.un(UnOp::CvtIF, i);
         let s = b.add_f(f, fi);
         let c = b.bin(BinOp::FLt, s, f);
@@ -410,5 +487,222 @@ mod tests {
         let p = b.finish().unwrap();
         assert_eq!(p.array(a).init_value(1), Imm::I(6));
         assert_eq!(p.num_insts(), 4);
+    }
+
+    fn count(p: &Program, pred: impl Fn(&InstKind) -> bool) -> usize {
+        p.blocks[0].insts.iter().filter(|i| pred(&i.kind)).count()
+    }
+
+    #[test]
+    fn constants_fold_through_chains() {
+        let mut b = ProgramBuilder::new("t");
+        let out = b.var_i32("out", 0);
+        let two = b.const_i32(2);
+        let three = b.const_i32(3);
+        let six = b.mul(two, three); // foldable
+        let twelve = b.add(six, six); // foldable via chain
+        b.write_var(out, twelve);
+        b.halt();
+        let mut p = b.finish().unwrap();
+        assert!(count(&p, |k| matches!(k, InstKind::Const(Imm::I(6)))) == 1);
+        assert_eq!(count(&p, |k| matches!(k, InstKind::Bin(..))), 0);
+        crate::opt::dce(&mut p);
+        // Only one surviving constant (12) feeds the write.
+        let survivors = &p.blocks[0].insts;
+        assert_eq!(survivors.len(), 2, "{survivors:?}");
+        assert_eq!(survivors[0].kind, InstKind::Const(Imm::I(12)));
+        let r = Interpreter::new(&p).run().unwrap();
+        assert_eq!(r.var_value(out), Imm::I(12));
+    }
+
+    #[test]
+    fn float_folding_is_bit_exact() {
+        // The same sum twice: folded from constants, and computed by the
+        // interpreter from variables holding the same two values.
+        let mut b = ProgramBuilder::new("t");
+        let folded = b.var_f32("folded", 0.0);
+        let computed = b.var_f32("computed", 0.0);
+        let xv = b.var_f32("x", 0.1);
+        let yv = b.var_f32("y", 0.2);
+        let x = b.const_f32(0.1);
+        let y = b.const_f32(0.2);
+        let s = b.add_f(x, y);
+        b.write_var(folded, s);
+        let xr = b.read_var(xv);
+        let yr = b.read_var(yv);
+        let t = b.add_f(xr, yr);
+        b.write_var(computed, t);
+        b.halt();
+        let p = b.finish().unwrap();
+        assert_eq!(count(&p, |k| matches!(k, InstKind::Bin(..))), 1);
+        let r = Interpreter::new(&p).run().unwrap();
+        assert!(r.var_value(folded).bits_eq(r.var_value(computed)));
+        assert!(r.var_value(folded).bits_eq(Imm::F(0.1 + 0.2)));
+    }
+
+    #[test]
+    fn non_constant_operands_not_folded() {
+        let mut b = ProgramBuilder::new("t");
+        let x = b.var_i32("x", 7);
+        let out = b.var_i32("out", 0);
+        let v = b.read_var(x);
+        let one = b.const_i32(1);
+        let s = b.add(v, one);
+        b.write_var(out, s);
+        b.halt();
+        let p = b.finish().unwrap();
+        assert_eq!(count(&p, |k| matches!(k, InstKind::Bin(BinOp::Add, ..))), 1);
+    }
+
+    #[test]
+    fn repeated_address_arithmetic_is_one_value() {
+        let mut b = ProgramBuilder::new("t");
+        let out = b.var_i32("out", 0);
+        let i = b.var_i32("i", 3);
+        let v1 = b.read_var(i);
+        let c1 = b.const_i32(32);
+        let m1 = b.mul(v1, c1);
+        // Duplicate triple: read, const, mul.
+        let v2 = b.read_var(i);
+        let c2 = b.const_i32(32);
+        let m2 = b.mul(v2, c2);
+        assert_eq!((v2, c2, m2), (v1, c1, m1));
+        let s = b.add(m1, m2);
+        b.write_var(out, s);
+        b.halt();
+        let p = b.finish().unwrap();
+        assert_eq!(p.num_insts(), 5);
+        assert_eq!(p.num_values(), 4);
+        let r = Interpreter::new(&p).run().unwrap();
+        assert_eq!(r.var_value(out), Imm::I(192));
+    }
+
+    #[test]
+    fn commutative_operands_merge() {
+        let mut b = ProgramBuilder::new("t");
+        let out = b.var_i32("out", 0);
+        let xv = b.var_i32("xv", 6);
+        let yv = b.var_i32("yv", 7);
+        let x = b.read_var(xv);
+        let y = b.read_var(yv);
+        let m1 = b.mul(x, y);
+        let m2 = b.mul(y, x); // same product
+        assert_eq!(m1, m2);
+        let s = b.add(m1, m2);
+        b.write_var(out, s);
+        b.halt();
+        let p = b.finish().unwrap();
+        assert_eq!(count(&p, |k| matches!(k, InstKind::Bin(BinOp::Mul, ..))), 1);
+        let r = Interpreter::new(&p).run().unwrap();
+        assert_eq!(r.var_value(out), Imm::I(84));
+    }
+
+    #[test]
+    fn non_commutative_not_merged() {
+        let mut b = ProgramBuilder::new("t");
+        let out = b.var_i32("out", 0);
+        let xv = b.var_i32("xv", 10);
+        let yv = b.var_i32("yv", 3);
+        let x = b.read_var(xv);
+        let y = b.read_var(yv);
+        let d1 = b.sub(x, y);
+        let d2 = b.sub(y, x);
+        assert_ne!(d1, d2);
+        let s = b.add(d1, d2);
+        b.write_var(out, s);
+        b.halt();
+        let p = b.finish().unwrap();
+        assert_eq!(count(&p, |k| matches!(k, InstKind::Bin(BinOp::Sub, ..))), 2);
+    }
+
+    #[test]
+    fn readvar_duplicates_merge() {
+        let mut b = ProgramBuilder::new("t");
+        let x = b.var_i32("x", 2);
+        let out = b.var_i32("out", 0);
+        let r1 = b.read_var(x);
+        let r2 = b.read_var(x);
+        assert_eq!(r1, r2);
+        let s = b.add(r1, r2);
+        b.write_var(out, s);
+        b.halt();
+        let p = b.finish().unwrap();
+        assert_eq!(count(&p, |k| matches!(k, InstKind::ReadVar(_))), 1);
+        let r = Interpreter::new(&p).run().unwrap();
+        assert_eq!(r.var_value(out), Imm::I(4));
+    }
+
+    #[test]
+    fn branch_condition_is_the_numbered_value() {
+        let mut b = ProgramBuilder::new("t");
+        let exit = b.new_block("exit");
+        let other = b.new_block("other");
+        let x = b.const_i32(1);
+        let y1 = b.const_i32(5);
+        let y2 = b.const_i32(5); // the same value as y1
+        assert_eq!(y1, y2);
+        let c = b.slt(x, y2); // folds to the block's constant 1
+        assert_eq!(c, x);
+        let _unused = b.add(y1, y2);
+        b.branch(c, exit, other);
+        b.switch_to(exit);
+        b.halt();
+        b.switch_to(other);
+        b.halt();
+        let mut p = b.finish().unwrap();
+        crate::opt::dce(&mut p);
+        assert!(matches!(p.blocks[0].term, Terminator::Branch { cond, .. } if cond == x));
+        assert_eq!(p.blocks[0].insts.len(), 1);
+        let r = Interpreter::new(&p).run().unwrap();
+        assert_eq!(r.blocks_executed, 2);
+    }
+
+    #[test]
+    fn blocks_number_their_values_apart() {
+        let mut b = ProgramBuilder::new("t");
+        let x = b.var_i32("x", 0);
+        let next = b.new_block("next");
+        let c0 = b.const_i32(4);
+        let r0 = b.read_var(x);
+        b.jump(next);
+        b.switch_to(next);
+        assert_ne!(b.const_i32(4), c0);
+        assert_ne!(b.read_var(x), r0);
+        b.halt();
+        b.finish().unwrap();
+    }
+
+    #[test]
+    fn a_constant_of_another_block_is_not_folded() {
+        let mut b = ProgramBuilder::new("t");
+        let out = b.var_i32("out", 0);
+        let next = b.new_block("next");
+        let c = b.const_i32(2);
+        b.jump(next);
+        b.switch_to(next);
+        let one = b.const_i32(1);
+        let s = b.add(c, one);
+        b.write_var(out, s);
+        b.halt();
+        assert_eq!(
+            b.finish(),
+            Err(VerifyError::UseBeforeDef {
+                value: c,
+                block: next
+            })
+        );
+    }
+
+    #[test]
+    fn an_ill_typed_constant_operation_is_not_folded() {
+        let mut b = ProgramBuilder::new("t");
+        let x = b.const_f32(1.0);
+        let y = b.const_f32(2.0);
+        let _ = b.add(x, y);
+        b.halt();
+        assert!(matches!(
+            b.finish(),
+            Err(VerifyError::TypeMismatch { inst: 2, .. })
+        ));
     }
 }

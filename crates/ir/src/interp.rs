@@ -281,8 +281,8 @@ mod tests {
     #[test]
     fn straight_line_arithmetic() {
         let mut b = ProgramBuilder::new("t");
-        let x = b.var_i32("x", 0);
-        let three = b.const_i32(3);
+        let x = b.var_i32("x", 3);
+        let three = b.read_var(x);
         let four = b.const_i32(4);
         let s = b.add(three, four);
         let p2 = b.mul(s, s);
@@ -329,7 +329,8 @@ mod tests {
         let mut b = ProgramBuilder::new("t");
         let a = b.array("a", Ty::F32, &[4]);
         let idx = b.const_i32(2);
-        let v = b.const_f32(2.5);
+        let x = b.var_f32("x", 2.5);
+        let v = b.read_var(x);
         let w = b.mul_f(v, v);
         b.store(a, idx, 0, w, MemHome::Dynamic);
         b.halt();

@@ -16,8 +16,11 @@ raw_testkit::proptest! {
     ) {
         let mut b = ProgramBuilder::new("prop-arith");
         let out = b.var_i32("out", 0);
+        // Seeded from a variable, so the interpreter evaluates every
+        // operator (the builder folds operators over constants).
+        let seed = b.var_i32("seed", 1);
         let mut acc_host: i32 = 1;
-        let mut acc = b.const_i32(1);
+        let mut acc = b.read_var(seed);
         for (&v, &o) in vals.iter().zip(ops.iter()) {
             let rhs_host = v as i32;
             let rhs = b.const_i32(rhs_host);

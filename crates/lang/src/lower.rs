@@ -85,8 +85,9 @@ pub fn lower_kernel(kernel: &Kernel, n_tiles: u32) -> Result<Program, LangError>
         .b
         .finish()
         .map_err(|e| LangError::new(Span::default(), format!("internal lowering error: {e}")))?;
-    // Standard local clean-ups (the paper's SUIF frontend provided these).
-    raw_ir::opt::optimize(&mut program);
+    // The builder emitted each distinct pure expression of a block once and
+    // folded constant operators; drop what no instruction reads.
+    raw_ir::opt::dce(&mut program);
     Ok(program)
 }
 

@@ -36,7 +36,8 @@
 //! # fn raw_benchmarks_demo() -> raw_ir::Program {
 //! #     let mut b = raw_ir::builder::ProgramBuilder::new("demo");
 //! #     let out = b.var_i32("out", 0);
-//! #     let x = b.const_i32(6);
+//! #     let xv = b.var_i32("x", 6);
+//! #     let x = b.read_var(xv);
 //! #     let y = b.const_i32(7);
 //! #     let p = b.mul(x, y);
 //! #     b.write_var(out, p);
@@ -523,7 +524,8 @@ pub(crate) mod tests {
     pub(crate) fn demo_program() -> Program {
         let mut b = ProgramBuilder::new("demo");
         let out = b.var_i32("out", 0);
-        let x = b.const_i32(6);
+        let xv = b.var_i32("x", 6);
+        let x = b.read_var(xv);
         let y = b.const_i32(7);
         let p = b.mul(x, y);
         b.write_var(out, p);

@@ -151,7 +151,8 @@ mod tests {
         .unwrap();
         let mut b = raw_ir::builder::ProgramBuilder::new("demo");
         let out = b.var_i32("out", 0);
-        let x = b.const_i32(6);
+        let xv = b.var_i32("x", 6);
+        let x = b.read_var(xv);
         let y = b.const_i32(8);
         let p = b.mul(x, y);
         b.write_var(out, p);

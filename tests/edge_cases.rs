@@ -232,7 +232,10 @@ fn loops_that_write_their_induction_variable_agree_with_the_interpreter() {
 fn interpreter_and_machine_agree_on_integer_edge_values() {
     let mut b = ProgramBuilder::new("edges");
     let out = b.var_i32("out", 0);
-    let min = b.const_i32(i32::MIN);
+    // Read from a variable, so the machine divides (the builder folds an
+    // operator over two constants).
+    let min_var = b.var_i32("min", i32::MIN);
+    let min = b.read_var(min_var);
     let neg1 = b.const_i32(-1);
     // i32::MIN / -1 overflows in hardware; both models must agree on a value.
     let q = b.div(min, neg1);
@@ -249,7 +252,8 @@ fn large_immediates_and_negative_indices_are_handled() {
     let mut b = ProgramBuilder::new("imm");
     let out = b.var_i32("out", 0);
     let big = b.const_i32(i32::MAX);
-    let one = b.const_i32(1);
+    let one_var = b.var_i32("one", 1);
+    let one = b.read_var(one_var);
     let wrapped = b.add(big, one); // wraps to i32::MIN
     b.write_var(out, wrapped);
     b.halt();

@@ -110,7 +110,8 @@ fn small_workloads_certify_every_eligible_block() {
 fn oversized_block_falls_back_to_heuristics() {
     let mut b = ProgramBuilder::new("oversized");
     let out = b.var_i32("out", 0);
-    let mut acc = b.const_i32(1);
+    let seed = b.var_i32("seed", 1);
+    let mut acc = b.read_var(seed);
     for i in 0..60 {
         let c = b.const_i32(i);
         acc = b.add(acc, c);

@@ -45,9 +45,14 @@ fn build_program(ops: &[Op], n_tiles: u32) -> Program {
     b.set_array_init(arr, (0..16).map(|k| Imm::I(k * 3 - 7)).collect());
     let out_i = b.var_i32("out_i", 0);
     let out_f = b.var_f32("out_f", 0.0);
+    // The tape starts from variable reads: the builder folds an operator
+    // over constants, so values seeded from constants alone would never
+    // reach the machine as arithmetic.
+    let in_i = b.var_i32("in_i", 5);
+    let in_f = b.var_f32("in_f", 1.5);
 
-    let mut ints: Vec<ValueId> = vec![b.const_i32(5)];
-    let mut floats: Vec<ValueId> = vec![b.const_f32(1.5)];
+    let mut ints: Vec<ValueId> = vec![b.read_var(in_i)];
+    let mut floats: Vec<ValueId> = vec![b.read_var(in_f)];
 
     for op in ops {
         match op {
