@@ -598,6 +598,32 @@ mod tests {
     }
 
     #[test]
+    fn an_array_past_u32_elements_decodes_then_fails_verify() {
+        // The codec checks shape, not semantics: the daemon's verify (run on
+        // every decoded program) is what rejects the overflowing array.
+        let mut program = sample_program();
+        program.arrays.push(raw_ir::ArrayDecl {
+            name: "huge".into(),
+            ty: raw_ir::Ty::I32,
+            dims: vec![65536, 65536],
+            init: Vec::new(),
+        });
+        let bytes = encode_compile_request(
+            "c",
+            &program,
+            &MachineConfig::square(4),
+            &CompilerOptions::default(),
+        );
+        let back = CompileRequest::decode(&bytes).unwrap();
+        assert_eq!(
+            raw_ir::verify::verify(&back.program),
+            Err(raw_ir::verify::VerifyError::ArrayTooLarge {
+                array: raw_ir::ArrayId::from_raw(0)
+            })
+        );
+    }
+
+    #[test]
     fn stats_response_roundtrip() {
         let resp = StatsResponse {
             cache: CacheTotals {

@@ -32,9 +32,15 @@ pub struct ArrayDecl {
 }
 
 impl ArrayDecl {
-    /// Total number of elements.
+    /// Total number of elements ([`verify`](crate::verify::verify) rejects
+    /// an array whose count overflows `u32`).
     pub fn len(&self) -> u32 {
         self.dims.iter().product()
+    }
+
+    /// Total number of elements, or `None` if the count overflows `u32`.
+    pub fn checked_len(&self) -> Option<u32> {
+        self.dims.iter().try_fold(1u32, |n, &d| n.checked_mul(d))
     }
 
     /// True if the array has zero elements.

@@ -4,7 +4,7 @@
 //! any hand construction or transformation catches violations early with a
 //! precise error instead of a mis-compile.
 
-use crate::ids::{BlockId, ValueId, VarId};
+use crate::ids::{ArrayId, BlockId, ValueId, VarId};
 use crate::inst::{InstKind, Ty, UnOp};
 use crate::program::{Program, Terminator};
 use std::error::Error;
@@ -58,6 +58,11 @@ pub enum VerifyError {
         /// Description of the dangling reference.
         detail: String,
     },
+    /// An array's element count overflows `u32`.
+    ArrayTooLarge {
+        /// The offending array.
+        array: ArrayId,
+    },
     /// More than one `WriteVar` to the same variable within one block.
     ///
     /// The renaming performed by initial code transformation guarantees a single
@@ -93,6 +98,9 @@ impl fmt::Display for VerifyError {
             VerifyError::BadReference { block, detail } => {
                 write!(f, "dangling reference in {block}: {detail}")
             }
+            VerifyError::ArrayTooLarge { array } => {
+                write!(f, "array {array} has more than {} elements", u32::MAX)
+            }
             VerifyError::MultipleVarWrites { var, block } => {
                 write!(f, "variable {var} written more than once in {block}")
             }
@@ -116,6 +124,15 @@ pub fn verify(program: &Program) -> Result<(), VerifyError> {
         return Err(VerifyError::BadReference {
             block: program.entry,
             detail: format!("entry block {} out of range", program.entry),
+        });
+    }
+    if let Some(i) = program
+        .arrays
+        .iter()
+        .position(|a| a.checked_len().is_none())
+    {
+        return Err(VerifyError::ArrayTooLarge {
+            array: ArrayId::from_raw(i as u32),
         });
     }
 
@@ -489,6 +506,19 @@ mod tests {
             b.finish(),
             Err(VerifyError::MultipleVarWrites { .. })
         ));
+    }
+
+    #[test]
+    fn array_element_count_past_u32_rejected() {
+        let mut b = ProgramBuilder::new("bad");
+        b.array("A", Ty::I32, &[4]);
+        let big = b.array("B", Ty::I32, &[65536, 65536]);
+        b.halt();
+        assert_eq!(b.finish(), Err(VerifyError::ArrayTooLarge { array: big }));
+        let mut b = ProgramBuilder::new("ok");
+        b.array("B", Ty::I32, &[65536, 65535]);
+        b.halt();
+        assert!(b.finish().is_ok());
     }
 
     #[test]

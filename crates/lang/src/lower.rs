@@ -54,7 +54,9 @@ pub fn lower_kernel(kernel: &Kernel, n_tiles: u32) -> Result<Program, LangError>
         let init = match (v.ty, v.init) {
             (Type::Int, None) => Imm::I(0),
             (Type::Float, None) => Imm::F(0.0),
-            (Type::Int, Some(Literal::Int(x))) => Imm::I(x as i32),
+            (Type::Int, Some(Literal::Int(x))) => Imm::I(i32::try_from(x).map_err(|_| {
+                LangError::new(v.span, format!("integer literal {x} out of range"))
+            })?),
             (Type::Float, Some(Literal::Float(x))) => Imm::F(x),
             (Type::Float, Some(Literal::Int(x))) => Imm::F(x as f32),
             (Type::Int, Some(Literal::Float(_))) => {
@@ -663,6 +665,18 @@ mod tests {
         assert!(lower_src("int x; float y; x = y;", 1).is_err());
         assert!(lower_src("float y; y = y % 2.0;", 1).is_err());
         assert!(lower_src("int x; x = 1.5;", 1).is_err());
+    }
+
+    #[test]
+    fn int_initializer_out_of_range_rejected() {
+        let e = lower_src("int y;\nint x = 5000000000;", 1).unwrap_err();
+        assert_eq!((e.span.line, e.span.col), (2, 5));
+        assert_eq!(e.message, "integer literal 5000000000 out of range");
+        // The same text as the literal in an assignment.
+        let e = lower_src("int x; x = 5000000000;", 1).unwrap_err();
+        assert_eq!(e.message, "integer literal 5000000000 out of range");
+        let r = run("int x = -2147483648; int y = 2147483647;");
+        assert_eq!(r.vars, vec![Imm::I(i32::MIN), Imm::I(i32::MAX)]);
     }
 
     #[test]

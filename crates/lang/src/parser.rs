@@ -123,7 +123,9 @@ impl<'t> Parser<'t> {
                 while *self.peek() == Tok::LBracket {
                     self.next();
                     match &self.next().tok {
-                        &Tok::Int(d) if d > 0 => dims.push(d as u32),
+                        &Tok::Int(d) if d > 0 => dims.push(u32::try_from(d).map_err(|_| {
+                            LangError::new(span, format!("array dimension {d} out of range"))
+                        })?),
                         other => {
                             return Err(LangError::new(
                                 span,
@@ -134,6 +136,16 @@ impl<'t> Parser<'t> {
                         }
                     }
                     self.eat(&Tok::RBracket, "']'")?;
+                }
+                if dims
+                    .iter()
+                    .try_fold(1u32, |n, &d| n.checked_mul(d))
+                    .is_none()
+                {
+                    return Err(LangError::new(
+                        span,
+                        format!("array '{ident}' has more than {} elements", u32::MAX),
+                    ));
                 }
                 self.eat(&Tok::Semi, "';'")?;
                 self.kernel.arrays.push(ArrayDef {
@@ -538,5 +550,19 @@ mod tests {
     #[test]
     fn rejects_unknown_call() {
         assert!(parse("t", "float y; y = frobnicate(y);").is_err());
+    }
+
+    #[test]
+    fn rejects_array_sizes_past_u32() {
+        // 2^32 + 1 would truncate to a 1-element array.
+        let e = parse("t", "int x;\nint A[4294967297];").unwrap_err();
+        assert_eq!((e.span.line, e.span.col), (2, 5));
+        assert_eq!(e.message, "array dimension 4294967297 out of range");
+        // 2^16 · 2^16 would wrap the element count to 0.
+        let e = parse("t", "int A[65536][65536];").unwrap_err();
+        assert_eq!((e.span.line, e.span.col), (1, 5));
+        assert_eq!(e.message, "array 'A' has more than 4294967295 elements");
+        let k = parse("t", "int A[65536][65535];").unwrap();
+        assert_eq!(k.arrays[0].dims, vec![65536, 65535]);
     }
 }
