@@ -178,6 +178,16 @@ stage_clippy() {
     echo "$records" >&2
     exit 1
   fi
+  # One value numbering: raw_ir::builder::ProgramBuilder emits each distinct
+  # pure expression of a block once and folds constant operators as it
+  # emits, so no whole-program fold or CSE pass can grow back behind it.
+  local passes
+  passes="$(grep -rnwE 'fold_constants|local_cse' crates tests examples --include='*.rs' || true)"
+  if [[ -n "$passes" ]]; then
+    echo "ci: number values in ProgramBuilder instead of a fold or CSE pass:" >&2
+    echo "$passes" >&2
+    exit 1
+  fi
   # Every setting is an argument: the compiler and the daemon read no
   # environment variable. Only the test harness (golden updates, property
   # test knobs in crates/testkit) may.

@@ -6,18 +6,14 @@
 //! program satisfies every structural invariant the compiler relies on.
 //!
 //! It also numbers values as it emits them: every distinct pure expression
-//! in a block produces exactly one value. Each block under construction keeps
-//! one table from key to value — a `Const` by its bits and type, a unary or
-//! binary operator by its operands (a commutative operator's sorted), a
-//! `ReadVar` by its variable (every read observes the block-entry value) —
-//! and an emission whose key is in it returns the value already there.
-//! Loads, stores and variable writes are always emitted. A unary or binary
-//! operator whose operands are all constants of the current block, each of
-//! the type [`verify`] accepts for the operator, is evaluated through
-//! [`UnOp::eval`]/[`BinOp::eval`] (the interpreter's and simulator's
-//! reference semantics, so float folding is bit-exact) and yields the
-//! block's constant of its result. Any other operand is left to
-//! [`finish`], which reports it as it would without numbering.
+//! in a block produces exactly one value. A `Const`, unary or binary
+//! operator (commutative operands sorted) or `ReadVar` whose key the
+//! current block already holds returns the value already there. An operator
+//! whose operands are all constants of the current block, of the type
+//! [`verify`] accepts for it, folds through [`UnOp::eval`]/[`BinOp::eval`]
+//! (the simulator's semantics, bit-exact for floats) into the block's
+//! constant of its result; any other operand is left for [`finish`] to
+//! report. Loads, stores and variable writes are always emitted.
 //!
 //! [`finish`]: ProgramBuilder::finish
 
@@ -26,9 +22,10 @@ use crate::inst::{BinOp, Imm, Inst, InstKind, MemHome, SourceSpan, Ty, UnOp};
 use crate::program::{ArrayDecl, Block, Program, Terminator, VarDecl};
 use crate::verify::{self, VerifyError};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// What makes two pure instructions of one block compute the same value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Key {
     Const(u32, Ty),
     Un(UnOp, ValueId),
@@ -36,12 +33,18 @@ enum Key {
     ReadVar(VarId),
 }
 
-fn commutative(op: BinOp) -> bool {
-    use BinOp::*;
-    matches!(
-        op,
-        Add | Mul | And | Or | Xor | Seq | Sne | AddF | MulF | FEq
-    )
+/// One 16-byte write per key: the default hasher pays per write, and a
+/// derived `Hash` makes four (each discriminant a word of its own).
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let (tag, op, a, b) = match *self {
+            Key::Const(bits, ty) => (0, ty as u32, bits, 0),
+            Key::Un(op, v) => (1, op as u32, v.0, 0),
+            Key::Bin(op, x, y) => (2, op as u32, x.0, y.0),
+            Key::ReadVar(var) => (3, 0, var.0, 0),
+        };
+        state.write_u128(u128::from(tag << 8 | op) << 64 | u128::from(a) << 32 | u128::from(b));
+    }
 }
 
 /// Incremental builder for [`Program`]s.
@@ -61,7 +64,7 @@ pub struct ProgramBuilder {
     span: SourceSpan,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct PendingBlock {
     name: String,
     insts: Vec<Inst>,
@@ -71,17 +74,6 @@ struct PendingBlock {
     numbered: HashMap<Key, ValueId>,
 }
 
-impl PendingBlock {
-    fn new(name: String) -> Self {
-        PendingBlock {
-            name,
-            insts: Vec::new(),
-            term: None,
-            numbered: HashMap::new(),
-        }
-    }
-}
-
 impl ProgramBuilder {
     /// Creates a builder with a single (entry) block selected for emission.
     pub fn new(name: impl Into<String>) -> Self {
@@ -89,7 +81,10 @@ impl ProgramBuilder {
             name: name.into(),
             vars: Vec::new(),
             arrays: Vec::new(),
-            blocks: vec![PendingBlock::new("entry".into())],
+            blocks: vec![PendingBlock {
+                name: "entry".into(),
+                ..PendingBlock::default()
+            }],
             current: BlockId::from_raw(0),
             value_types: Vec::new(),
             consts: Vec::new(),
@@ -162,7 +157,10 @@ impl ProgramBuilder {
     /// Creates a new, empty block (does not switch to it).
     pub fn new_block(&mut self, name: impl Into<String>) -> BlockId {
         let id = BlockId::from_raw(self.blocks.len() as u32);
-        self.blocks.push(PendingBlock::new(name.into()));
+        self.blocks.push(PendingBlock {
+            name: name.into(),
+            ..PendingBlock::default()
+        });
         id
     }
 
@@ -207,7 +205,7 @@ impl ProgramBuilder {
         let imm = (*self.consts.get(v.index())?)?;
         let key = Key::Const(imm.to_bits(), imm.ty());
         let local = self.blocks[self.current.index()].numbered.get(&key) == Some(&v);
-        (local && want.map_or(true, |t| t == imm.ty())).then_some(imm)
+        (local && want.is_none_or(|t| t == imm.ty())).then_some(imm)
     }
 
     fn push(&mut self, mut inst: Inst) {
@@ -257,7 +255,7 @@ impl ProgramBuilder {
                 return self.const_imm(op.eval(a, b));
             }
         }
-        let key = if commutative(op) && rhs < lhs {
+        let key = if op.commutes() && rhs < lhs {
             Key::Bin(op, rhs, lhs)
         } else {
             Key::Bin(op, lhs, rhs)

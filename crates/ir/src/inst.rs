@@ -21,7 +21,7 @@ use std::fmt;
 ///
 /// `SourceSpan::NONE` (line 0) marks compiler-synthesized instructions with no
 /// source counterpart. Spans ride along through every transformation — the
-/// unroller, renaming, constant folding, CSE, decomposition — so the trace
+/// unroller, renaming, value numbering, decomposition — so the trace
 /// layer can attribute machine cycles back to Mini-C lines. They are metadata
 /// only: [`Inst`] equality ignores them (see `DESIGN.md` §10).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -215,6 +215,15 @@ impl BinOp {
             AddF | SubF | MulF | DivF => Ty::F32,
             _ => Ty::I32,
         }
+    }
+
+    /// True if swapping the operands leaves the result unchanged.
+    pub fn commutes(self) -> bool {
+        use BinOp::*;
+        matches!(
+            self,
+            Add | Mul | And | Or | Xor | Seq | Sne | AddF | MulF | FEq
+        )
     }
 
     /// Operand type expected by the operator.

@@ -25,9 +25,11 @@
 //!
 //! The crate also contains:
 //!
-//! * a [`builder::ProgramBuilder`] for constructing programs by hand,
+//! * a [`builder::ProgramBuilder`] for constructing programs, which emits
+//!   each distinct pure expression of a block once and folds operators over
+//!   constants as it goes,
 //! * a [`verify`] pass enforcing the structural invariants above,
-//! * local clean-ups in [`opt`], and
+//! * dead-code elimination in [`opt`], and
 //! * a reference [`interp`] interpreter used as the golden model when checking
 //!   that compiled, simulated programs compute the right answer.
 //!

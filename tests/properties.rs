@@ -8,7 +8,7 @@
 use raw_repro::cc::{compile, CompilerOptions};
 use raw_repro::ir::builder::ProgramBuilder;
 use raw_repro::ir::interp::Interpreter;
-use raw_repro::ir::{BinOp, Imm, MemHome, Program, Ty, UnOp, ValueId};
+use raw_repro::ir::{BinOp, Imm, InstKind, MemHome, Program, Ty, UnOp, ValueId, VarId};
 use raw_repro::machine::MachineConfig;
 use raw_testkit::prelude::*;
 
@@ -177,4 +177,67 @@ proptest! {
             prop_assert!(result.state_eq(&golden), "diverged with {} registers", gprs);
         }
     }
+}
+
+/// What makes two pure instructions of one block compute the same value.
+#[derive(PartialEq, Eq, Hash)]
+enum PureKey {
+    Const(u32, Ty),
+    Un(UnOp, ValueId),
+    Bin(BinOp, ValueId, ValueId),
+    ReadVar(VarId),
+}
+
+/// Every lowered program of the three benchmark suites, at 1 to 32 tiles:
+/// no block holds two pure instructions with equal keys (the builder emits
+/// each distinct pure expression of a block once), and no unary or binary
+/// operator has only constant operands (the builder folds those).
+#[test]
+fn lowered_blocks_hold_each_pure_expression_once() {
+    use std::collections::HashSet;
+    let suites = [
+        raw_repro::benchmarks::suite(),
+        raw_repro::benchmarks::scenario_suite(),
+        raw_repro::benchmarks::tiny_suite(),
+    ];
+    let mut checked = 0;
+    for bench in suites.iter().flatten() {
+        for tiles in [1, 2, 4, 8, 16, 32] {
+            let program = bench.program(tiles).unwrap();
+            for (bid, block) in program.iter_blocks() {
+                let at = format!("{}@{tiles} {bid}", bench.name);
+                let mut keys = HashSet::new();
+                let mut consts = HashSet::new();
+                for inst in &block.insts {
+                    let key = match inst.kind {
+                        InstKind::Const(imm) => {
+                            consts.insert(inst.dst.unwrap());
+                            PureKey::Const(imm.to_bits(), imm.ty())
+                        }
+                        InstKind::Un(op, a) => {
+                            assert!(!consts.contains(&a), "{at}: {op} of a constant");
+                            PureKey::Un(op, a)
+                        }
+                        InstKind::Bin(op, a, b) => {
+                            assert!(
+                                !(consts.contains(&a) && consts.contains(&b)),
+                                "{at}: {op} of two constants"
+                            );
+                            let (a, b) = if op.commutes() && b < a {
+                                (b, a)
+                            } else {
+                                (a, b)
+                            };
+                            PureKey::Bin(op, a, b)
+                        }
+                        InstKind::ReadVar(var) => PureKey::ReadVar(var),
+                        _ => continue,
+                    };
+                    assert!(keys.insert(key), "{at}: {} repeats", program.fmt_inst(inst));
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked > 0);
 }
