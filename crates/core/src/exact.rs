@@ -555,10 +555,12 @@ mod tests {
     #[test]
     fn exact_never_beats_lower_bound_and_never_trails_heuristic() {
         let (g, config) = graph_for(4, |b| {
+            let x = b.var_f32("x", 1.5);
+            let r = b.read_var(x);
             for k in 0..3 {
-                let x = b.var_f32(format!("x{k}"), 1.5);
-                let mut v = b.read_var(x);
-                for _ in 0..3 {
+                let c = b.const_f32(k as f32);
+                let mut v = b.bin(BinOp::MulF, r, c);
+                for _ in 1..3 {
                     v = b.bin(BinOp::MulF, v, v);
                 }
             }
@@ -580,10 +582,12 @@ mod tests {
     #[test]
     fn solver_is_deterministic() {
         let (g, config) = graph_for(4, |b| {
+            let x = b.var_f32("x", 2.0);
+            let r = b.read_var(x);
             for k in 0..4 {
-                let x = b.var_f32(format!("x{k}"), 2.0);
-                let mut v = b.read_var(x);
-                for _ in 0..4 {
+                let c = b.const_f32(k as f32);
+                let mut v = b.bin(BinOp::MulF, r, c);
+                for _ in 1..4 {
                     v = b.bin(BinOp::MulF, v, v);
                 }
             }

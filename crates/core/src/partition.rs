@@ -554,12 +554,16 @@ mod tests {
 
     #[test]
     fn independent_chains_spread_across_tiles() {
-        // Four long independent chains should use all four tiles.
+        // Four long independent chains should use all four tiles. They
+        // start from one read (node 0), each by its own constant, so only the
+        // read is pinned.
         let (_, config, g) = setup(4, |b| {
+            let x = b.var_f32("x", 1.0);
+            let r = b.read_var(x);
             for k in 0..4 {
-                let x = b.var_f32(format!("x{k}"), 1.0);
-                let mut v = b.read_var(x);
-                for _ in 0..12 {
+                let c = b.const_f32(k as f32);
+                let mut v = b.mul_f(r, c);
+                for _ in 1..12 {
                     v = b.mul_f(v, v);
                 }
             }
@@ -569,13 +573,13 @@ mod tests {
         used.sort();
         used.dedup();
         assert_eq!(used.len(), 4, "chains should occupy all tiles");
-        // Each chain (a variable read and 12 multiplies) must stay on its
-        // own tile.
-        assert_eq!(g.len(), 4 * 13);
+        // Each chain (12 multiplies; its constants are no nodes) must stay
+        // on its own tile.
+        assert_eq!(g.len(), 1 + 4 * 12);
         for chain in 0..4 {
-            let base = chain * 13;
+            let base = 1 + chain * 12;
             let t = part.assignment[base];
-            assert!(part.assignment[base..base + 13].iter().all(|&x| x == t));
+            assert!(part.assignment[base..base + 12].iter().all(|&x| x == t));
         }
     }
 
@@ -784,10 +788,12 @@ mod tests {
             let w = b.add(v, v);
             b.store(a, i, 0, w, MemHome::Static(r));
         }
+        let x = b.var_f32("x", 1.0);
+        let r = b.read_var(x);
         for k in 0..6 {
-            let x = b.var_f32(format!("x{k}"), 1.0);
-            let mut v = b.read_var(x);
-            for _ in 0..8 {
+            let c = b.const_f32(k as f32);
+            let mut v = b.mul_f(r, c);
+            for _ in 1..8 {
                 v = b.mul_f(v, v);
             }
         }
