@@ -858,6 +858,105 @@ mod tests {
         }
     }
 
+    raw_testkit::proptest! {
+        #![cases(32)]
+        #[test]
+        fn hot_worklist_steps_like_the_full_scan(
+            shape in 0u32..3,
+            a in 1u32..65,
+            b in 1u32..33,
+            fifo in 1usize..5,
+            seed in raw_testkit::prop::any::<u64>(),
+        ) {
+            // One seeded burst of traffic, driven through two networks: one
+            // stepped by the full scan, one by the hot worklist. A 1×N line,
+            // an N×1 column, or a mesh of up to 32×32 (a hot set over 16
+            // words); every message may target its own tile, whose flits
+            // eject the cycle they are fed, so a router keeps only injection
+            // backlog.
+            let (rows, cols) = match shape {
+                0 => (1, a),
+                1 => (a, 1),
+                _ => ((a - 1) % 32 + 1, b),
+            };
+            let n = (rows * cols) as usize;
+            let mut rng = raw_testkit::Rng::new(seed);
+            // A hotspot draws a third of the messages: converging bursts
+            // contend for its links and exercise arbitration and backpressure.
+            let hotspot = rng.gen_range(0..n as u32);
+            let mut schedule: Vec<(u64, DynMsg)> = (0..rng.gen_range(1..65u32))
+                .map(|id| {
+                    let kind = match rng.gen_range(0..4) {
+                        0 => MsgKind::LoadReq,
+                        1 => MsgKind::LoadReply,
+                        2 => MsgKind::StoreReq,
+                        _ => MsgKind::StoreAck,
+                    };
+                    let payload = (0..rng.gen_range(0..4u32)).map(|k| id * 4 + k).collect();
+                    let msg = DynMsg {
+                        kind,
+                        src: rng.gen_range(0..n as u32),
+                        dest: if rng.gen_bool(0.3) {
+                            hotspot
+                        } else {
+                            rng.gen_range(0..n as u32)
+                        },
+                        payload,
+                    };
+                    (rng.gen_range(0..24u64), msg)
+                })
+                .collect();
+            schedule.sort_by_key(|(at, _)| *at);
+            let mut scan = DynNet::new(rows, cols, fifo);
+            let mut hot = DynNet::new(rows, cols, fifo);
+            let mut eps: [Vec<DynEndpoint>; 2] =
+                std::array::from_fn(|_| (0..n).map(|_| DynEndpoint::new(16)).collect());
+            let mut pending: [Vec<VecDeque<DynMsg>>; 2] =
+                std::array::from_fn(|_| vec![VecDeque::new(); n]);
+            let mut next = 0;
+            for cycle in 0..4_000u64 {
+                while next < schedule.len() && schedule[next].0 <= cycle {
+                    let msg = &schedule[next].1;
+                    for side in &mut pending {
+                        side[msg.src as usize].push_back(msg.clone());
+                    }
+                    next += 1;
+                }
+                for (side, (eps, pending)) in eps.iter_mut().zip(&mut pending).enumerate() {
+                    for (t, queue) in pending.iter_mut().enumerate() {
+                        while queue
+                            .front()
+                            .is_some_and(|m| eps[t].can_inject(m.payload.len() + 1))
+                        {
+                            eps[t].inject(queue.pop_front().unwrap());
+                            if side == 1 {
+                                hot.poke(t);
+                            }
+                        }
+                    }
+                }
+                assert_eq!(pending[0], pending[1], "cycle {cycle}: injection differs");
+                let [scan_eps, hot_eps] = &mut eps;
+                let moved = scan.step(scan_eps);
+                assert_eq!(moved, hot.step_hot(hot_eps), "cycle {cycle}: progress differs");
+                assert_eq!(scan.delivered(), hot.delivered(), "cycle {cycle}: delivered");
+                for t in 0..n {
+                    assert_eq!(scan_eps[t].proc_inbox, hot_eps[t].proc_inbox, "cycle {cycle}");
+                    assert_eq!(scan_eps[t].handler_inbox, hot_eps[t].handler_inbox);
+                }
+                assert_eq!(scan.is_idle(), hot.is_idle(), "cycle {cycle}: idle differs");
+                let drained = next == schedule.len()
+                    && pending[0].iter().all(VecDeque::is_empty)
+                    && scan_eps.iter().all(|e| !e.inject_backlog())
+                    && scan.is_idle();
+                if drained {
+                    return;
+                }
+            }
+            panic!("traffic did not drain in 4 000 cycles");
+        }
+    }
+
     #[test]
     fn inject_capacity_enforced() {
         let mut ep = DynEndpoint::new(4);

@@ -360,3 +360,105 @@ fn golden_snapshots_still_execute_correctly() {
         assert!(result.state_eq(&golden));
     }
 }
+
+/// One finished run's dynamic-network fingerprint: cycles, the cycles a flit
+/// moved, every processor's dynamic-network stall cycles, the static words
+/// committed, and a hash of every tile's final memory (each tile's words up
+/// to its last non-zero one).
+fn dynnet_line<S: raw_repro::machine::EventSink>(
+    label: &str,
+    machine: &mut raw_repro::machine::Machine<S>,
+) -> String {
+    use raw_repro::machine::TileId;
+    let cycles = machine
+        .run()
+        .unwrap_or_else(|e| panic!("{label}: {e}"))
+        .cycles;
+    let mut mem_hash = 0xcbf2_9ce4_8422_2325;
+    for t in 0..machine.config().n_tiles() {
+        let words = machine.memory(TileId(t));
+        let used = words.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+        if used > 0 {
+            mem_hash = raw_testkit::hash64_with(mem_hash, &t.to_le_bytes());
+            for w in &words[..used] {
+                mem_hash = raw_testkit::hash64_with(mem_hash, &w.to_le_bytes());
+            }
+        }
+    }
+    let stats = machine.stats();
+    let stall_dynamic: u64 = stats.tiles.iter().map(|t| t.stall_dynamic).sum();
+    format!(
+        "{label} cycles={cycles} dyn_active_cycles={} stall_dynamic={stall_dynamic} \
+         static_words={} mem_hash={mem_hash:#018x}\n",
+        stats.dyn_active_cycles, stats.static_words
+    )
+}
+
+/// Pins every run that moves dynamic-network traffic, clean and at one chaos
+/// point: `raw-bench sim`'s quick sparse suite at 64 and 1024 tiles, the
+/// compiled pointer-chase, gather and scatter kernels at 8×8, and the
+/// data-dependent histogram at 4×4. Both steppers share one router, so the
+/// stepper differentials cannot see a router change; this golden can.
+#[test]
+fn dynamic_network_runs_are_pinned() {
+    use raw_repro::machine::chaos::ChaosConfig;
+    use raw_repro::machine::Machine;
+    // `raw-bench sim --quick`'s chaos point.
+    let chaos = ChaosConfig::sweep(raw_testkit::Rng::new(0x513C_41E0).take(1), &[20])[0];
+    let points = [
+        (None, "clean".to_string()),
+        (Some(chaos), "chaos".to_string()),
+    ];
+    let mut s = String::new();
+    for tiles in [64, 1024] {
+        let config = MachineConfig::square(tiles);
+        for w in raw_bench::sim::sparse_suite(&config, true) {
+            for (chaos, point) in &points {
+                let mut m = Machine::new(config.clone(), &w.program);
+                if let Some(c) = chaos {
+                    m = m.with_chaos(*c);
+                }
+                for &(tile, addr, value) in &w.init {
+                    m.set_mem_word(tile, addr, value);
+                }
+                s += &dynnet_line(&format!("sim {}@{tiles} {point}", w.name), &mut m);
+            }
+        }
+    }
+    let hist = "
+        int i; int k;
+        int D[16];
+        int H[4];
+        for (i = 0; i < 16; i = i + 1) {
+            k = D[i] % 4;
+            H[k] = H[k] + 1;
+        }
+    ";
+    let mut hist_program = raw_repro::lang::compile_source("hist", hist, 16).unwrap();
+    let d = hist_program.array_by_name("D").unwrap();
+    hist_program.arrays[d.index()].init = (0..16).map(|k| raw_repro::ir::Imm::I(k * 3)).collect();
+    let mut compiled_runs = vec![(
+        "hist@4x4".to_string(),
+        hist_program,
+        MachineConfig::grid(4, 4),
+    )];
+    for bench in raw_repro::benchmarks::scenario_suite() {
+        let program = bench.program(64).unwrap();
+        compiled_runs.push((
+            format!("{}@8x8", bench.name),
+            program,
+            MachineConfig::grid(8, 8),
+        ));
+    }
+    for (name, program, config) in &compiled_runs {
+        let compiled = compile(program, config, &CompilerOptions::default()).unwrap();
+        for (chaos, point) in &points {
+            let mut m = compiled.instantiate(program);
+            if let Some(c) = chaos {
+                m = m.with_chaos(*c);
+            }
+            s += &dynnet_line(&format!("compiled {name} {point}"), &mut m);
+        }
+    }
+    check_golden("dynnet_runs.txt", &s);
+}
