@@ -43,6 +43,12 @@ impl RunSet {
         set
     }
 
+    /// Removes every member.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0

@@ -13,11 +13,50 @@
 //! is modelled as a small autonomous unit so remote traffic does not perturb the
 //! tile's statically scheduled processor — the property that makes static
 //! schedules robust to dynamic events.
+//!
+//! # Representation
+//!
+//! Nothing is allocated per message or per cycle:
+//!
+//! * a [`DynMsg`] is `Copy` and carries its payload inline (at most
+//!   [`PAYLOAD_CAP`] words), so injection, eject reassembly and the
+//!   handler's reply build no heap value;
+//! * every router input port is a fixed ring of `dyn_fifo` flit slots in one
+//!   slab for the whole mesh, as `channel::Channels` holds static words;
+//! * per router, one *request mask* per output holds the inputs whose head
+//!   is an unowned header routed there. It is refreshed only when a head or
+//!   an ownership changes (a flit lands in an empty ring, a lock is taken, a
+//!   tail releases one), so arbitration is a rotate of the mask from the
+//!   output's round-robin pointer plus a `trailing_zeros`, not a scan and
+//!   decode of all five inputs;
+//! * the routers to visit are a bitset pair (`calendar::RunSet`): the set a
+//!   step sweeps and the set it marks for the next step.
+//!
+//! # One sweep
+//!
+//! [`DynNet::step_hot`] sweeps the marked routers in ascending tile order;
+//! [`DynNet::step`], the reference stepper's path, marks every router and
+//! runs the same sweep. Per router the sweep feeds one flit from the
+//! endpoint's injection queue into the local input, then visits outputs 0..4
+//! in order — a head exposed by an earlier output's pop is visible to later
+//! outputs the same cycle — and moves at most one flit per output. A flit
+//! bound for a neighbour moves only if the neighbour's ring has room after
+//! the flits already staged for it this cycle, and it is staged: staged
+//! flits land after every router has decided. Feeding a router touches only
+//! its own local ring, which no other router reads, so feeding each router
+//! right before routing it is the same as feeding all first. A visited
+//! router that still holds flits or injection backlog marks itself for the
+//! next step; a router that receives a staged flit is marked too.
 
+use crate::calendar::RunSet;
 use crate::config::MAX_TILES;
 use crate::isa::Word;
 use crate::memory::LocalMem;
 use std::collections::VecDeque;
+
+/// Most payload words a message carries: a store request's address and
+/// value, plus one spare.
+pub const PAYLOAD_CAP: usize = 3;
 
 /// The four dynamic message kinds used by the remote-memory protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,13 +81,13 @@ impl MsgKind {
         }
     }
 
+    /// The kind in the low two bits of `v` (every value names one).
     fn decode(v: u32) -> MsgKind {
-        match v {
+        match v & 3 {
             0 => MsgKind::LoadReq,
             1 => MsgKind::LoadReply,
             2 => MsgKind::StoreReq,
-            3 => MsgKind::StoreAck,
-            other => panic!("bad message kind {other}"),
+            _ => MsgKind::StoreAck,
         }
     }
 
@@ -57,10 +96,20 @@ impl MsgKind {
     pub fn for_handler(self) -> bool {
         matches!(self, MsgKind::LoadReq | MsgKind::StoreReq)
     }
+
+    /// Flits of the protocol's message of this kind: the header plus the
+    /// payload its documentation names.
+    pub fn flits(self) -> usize {
+        match self {
+            MsgKind::StoreAck => 1,
+            MsgKind::LoadReq | MsgKind::LoadReply => 2,
+            MsgKind::StoreReq => 3,
+        }
+    }
 }
 
 /// An assembled dynamic-network message.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DynMsg {
     /// Message kind.
     pub kind: MsgKind,
@@ -68,32 +117,59 @@ pub struct DynMsg {
     pub src: u32,
     /// Destination tile index.
     pub dest: u32,
-    /// Payload words.
-    pub payload: Vec<Word>,
+    len: u8,
+    /// Payload words, zero past `len` (so the derived equality is the
+    /// payload's).
+    words: [Word; PAYLOAD_CAP],
 }
 
 impl DynMsg {
-    /// Encodes into header + payload flits.
+    /// A message carrying `payload`.
     ///
-    /// Header layout (most- to least-significant): 2-bit kind, 11-bit source
-    /// tile, 11-bit destination tile, 8-bit payload length — sized for the
-    /// simulator's large-mesh regime (up to [`MAX_TILES`] tiles; the
-    /// original 8-bit tile fields silently truncated indices past a 16×16
-    /// mesh).
-    pub fn to_flits(&self) -> Vec<Word> {
+    /// # Panics
+    ///
+    /// Panics if `payload` holds more than [`PAYLOAD_CAP`] words.
+    pub fn new(kind: MsgKind, src: u32, dest: u32, payload: &[Word]) -> DynMsg {
+        assert!(
+            payload.len() <= PAYLOAD_CAP,
+            "a dynamic message carries at most {PAYLOAD_CAP} payload words"
+        );
+        let mut words = [0; PAYLOAD_CAP];
+        words[..payload.len()].copy_from_slice(payload);
+        DynMsg {
+            kind,
+            src,
+            dest,
+            len: payload.len() as u8,
+            words,
+        }
+    }
+
+    /// Payload words.
+    pub fn payload(&self) -> &[Word] {
+        &self.words[..usize::from(self.len)]
+    }
+
+    /// Flits on the wire: the header plus the payload.
+    pub fn flits(&self) -> usize {
+        1 + usize::from(self.len)
+    }
+
+    /// The header flit.
+    ///
+    /// Layout (most- to least-significant): 2-bit kind, 11-bit source tile,
+    /// 11-bit destination tile, 8-bit payload length — sized for the
+    /// simulator's large-mesh regime (up to [`MAX_TILES`] tiles, which
+    /// `MachineConfig::grid` and `Machine::with_sink` enforce).
+    pub fn header(&self) -> Word {
         debug_assert!(
             self.src < MAX_TILES && self.dest < MAX_TILES,
             "tile index does not fit the 11-bit header field"
         );
-        debug_assert!(self.payload.len() < (1 << 8), "payload too long");
-        let header = (self.kind.encode() << 30)
+        (self.kind.encode() << 30)
             | ((self.src & 0x7ff) << 19)
             | ((self.dest & 0x7ff) << 8)
-            | (self.payload.len() as u32 & 0xff);
-        let mut flits = Vec::with_capacity(1 + self.payload.len());
-        flits.push(header);
-        flits.extend_from_slice(&self.payload);
-        flits
+            | u32::from(self.len)
     }
 
     /// Decodes a header flit into `(kind, src, dest, payload_len)`.
@@ -101,10 +177,22 @@ impl DynMsg {
         (
             MsgKind::decode(header >> 30),
             (header >> 19) & 0x7ff,
-            (header >> 8) & 0x7ff,
-            (header & 0xff) as usize,
+            header_dest(header),
+            header_len(header),
         )
     }
+}
+
+/// The destination tile of a header flit.
+#[inline]
+fn header_dest(header: Word) -> u32 {
+    (header >> 8) & 0x7ff
+}
+
+/// The payload length of a header flit.
+#[inline]
+fn header_len(header: Word) -> usize {
+    (header & 0xff) as usize
 }
 
 /// Per-tile interface between the dynamic network and the processor/handler.
@@ -122,7 +210,7 @@ impl DynEndpoint {
     /// Creates an endpoint whose injection FIFO holds `inject_cap` flits.
     pub fn new(inject_cap: usize) -> Self {
         DynEndpoint {
-            inject: VecDeque::new(),
+            inject: VecDeque::with_capacity(inject_cap),
             inject_cap,
             proc_inbox: VecDeque::new(),
             handler_inbox: VecDeque::new(),
@@ -141,9 +229,9 @@ impl DynEndpoint {
     /// Panics if there is not enough space; check
     /// [`can_inject`](Self::can_inject) first.
     pub fn inject(&mut self, msg: DynMsg) {
-        let flits = msg.to_flits();
-        assert!(self.can_inject(flits.len()), "dynamic inject overflow");
-        self.inject.extend(flits);
+        assert!(self.can_inject(msg.flits()), "dynamic inject overflow");
+        self.inject.push_back(msg.header());
+        self.inject.extend(msg.payload());
     }
 
     /// True if nothing is buffered at this endpoint (used for quiescence).
@@ -152,7 +240,7 @@ impl DynEndpoint {
     }
 
     /// True while flits await injection into the local router (the router
-    /// must stay on the hot worklist until it drains them).
+    /// must stay marked until it drains them).
     pub fn inject_backlog(&self) -> bool {
         !self.inject.is_empty()
     }
@@ -160,51 +248,78 @@ impl DynEndpoint {
 
 const NUM_PORTS: usize = 5; // N, E, S, W, Local
 const LOCAL: usize = 4;
+/// One bit per output in a request mask: input `i`'s bits are
+/// `INPUT_BITS << i` (output `o`'s inputs sit at bits `5 * o .. 5 * o + 5`).
+const INPUT_BITS: u32 = 1 | 1 << 5 | 1 << 10 | 1 << 15 | 1 << 20;
 
-#[derive(Debug, Default)]
-struct RouterState {
-    /// Input FIFOs: N, E, S, W, Local (fed from the endpoint's inject queue).
-    in_q: [VecDeque<Word>; NUM_PORTS],
-    /// Per-output wormhole lock: (input port, payload flits remaining).
-    out_lock: [Option<(usize, usize)>; NUM_PORTS],
-    /// Per input: some output's lock names it, so its head is mid-message
-    /// (mirrors `out_lock`; an input is owned by at most one output).
-    owned: [bool; NUM_PORTS],
+/// One input port's flit ring; its slots live in [`DynNet::slots`].
+#[derive(Clone, Copy, Debug, Default)]
+struct Ring {
+    /// Slot of the oldest flit.
+    head: u32,
+    /// Flits held.
+    len: u32,
+    /// Flits staged for this ring this cycle (zero between steps).
+    staged: u32,
+}
+
+/// One router's arbitration state.
+#[derive(Clone, Copy, Debug, Default)]
+struct Router {
+    /// Per output `o`, bits `5 * o .. 5 * o + 5`: the inputs whose head is a
+    /// header, not owned by any output, routed to `o`.
+    req: u32,
+    /// Flits held across the five input rings.
+    queued: u32,
+    /// Outputs holding a wormhole lock.
+    locked: u8,
+    /// Inputs some output's lock names (so their head is mid-message).
+    owned: u8,
+    /// Per locked output: the input it is locked to.
+    lock_in: [u8; NUM_PORTS],
+    /// Per locked output: flits of the current message still to pass.
+    lock_left: [u16; NUM_PORTS],
     /// Round-robin arbitration pointer per output.
-    rr: [usize; NUM_PORTS],
-    /// Eject reassembly buffer.
-    reasm: Vec<Word>,
-    reasm_need: usize,
+    rr: [u8; NUM_PORTS],
+}
+
+/// A router's eject reassembly: the message so far and its flit counts.
+#[derive(Clone, Copy, Debug)]
+struct Reassembly {
+    msg: DynMsg,
+    have: u8,
+    need: u8,
 }
 
 /// The whole-machine dynamic network: one wormhole router per tile.
 ///
-/// Two stepping entry points share the same per-router logic:
-/// [`step`](Self::step) scans every router (the reference stepper's path) and
-/// [`step_hot`](Self::step_hot) visits only the hot worklist — routers that
-/// hold flits or were [`poke`](Self::poke)d because their endpoint gained
-/// injection backlog. The differential suites compare the two bit-for-bit.
+/// [`step_hot`](Self::step_hot) sweeps the marked routers — those holding
+/// flits, receiving one, or [`poke`](Self::poke)d because their endpoint
+/// gained injection backlog; [`step`](Self::step) marks every router and
+/// runs the same sweep (see the module docs).
 #[derive(Debug)]
 pub struct DynNet {
     cols: u32,
-    fifo_cap: usize,
+    fifo_cap: u32,
     /// `(row, col)` per tile, so routing never divides.
     coords: Vec<(u32, u32)>,
-    routers: Vec<RouterState>,
-    /// Membership flags for `work` (dedup guard).
-    hot: Vec<bool>,
-    /// Routers to visit on the next `step_hot` (unsorted; sorted on drain).
-    work: Vec<usize>,
+    routers: Vec<Router>,
+    /// One ring per `(tile, input port)`, at `tile * 5 + port`.
+    rings: Vec<Ring>,
+    /// `fifo_cap` flit slots per ring, ring-major.
+    slots: Vec<Word>,
+    reassembly: Vec<Reassembly>,
+    /// The routers this step sweeps (empty between steps).
+    hot: RunSet,
+    /// The routers the next step sweeps.
+    next_hot: RunSet,
     /// Tiles whose endpoint received a complete message during the last step
     /// (the machine puts their handlers/processors under watch).
     delivered: Vec<usize>,
-    /// Per-(tile, input-port) count of flits staged this cycle; persistent to
-    /// avoid an O(tiles) allocation per step, reset entry-wise after use.
-    staged_count: Vec<[usize; NUM_PORTS]>,
-    /// Cross-router transfers `(tile, port, flit)` decided this cycle; kept
-    /// to reuse its allocation, empty between steps.
-    staged: Vec<(usize, usize, Word)>,
-    /// Total flits buffered in router FIFOs and reassembly buffers: an O(1)
+    /// Cross-router transfers `(ring, flit)` decided this cycle; kept to reuse
+    /// its allocation, empty between steps.
+    staged: Vec<(u32, Word)>,
+    /// Total flits buffered in router rings and reassembly buffers: an O(1)
     /// [`is_idle`](Self::is_idle) for the per-cycle quiescence check.
     buffered: usize,
 }
@@ -214,33 +329,37 @@ impl DynNet {
     /// `fifo_cap`.
     pub fn new(rows: u32, cols: u32, fifo_cap: usize) -> Self {
         let n = (rows * cols) as usize;
+        let empty = Reassembly {
+            msg: DynMsg::new(MsgKind::LoadReq, 0, 0, &[]),
+            have: 0,
+            need: 0,
+        };
         DynNet {
             cols,
-            fifo_cap,
+            fifo_cap: u32::try_from(fifo_cap).expect("dynamic FIFO depth fits 32 bits"),
             coords: (0..rows)
                 .flat_map(|r| (0..cols).map(move |c| (r, c)))
                 .collect(),
-            routers: (0..n).map(|_| RouterState::default()).collect(),
-            hot: vec![false; n],
-            work: Vec::new(),
+            routers: vec![Router::default(); n],
+            rings: vec![Ring::default(); n * NUM_PORTS],
+            slots: vec![0; n * NUM_PORTS * fifo_cap],
+            reassembly: vec![empty; n],
+            hot: RunSet::empty(n),
+            next_hot: RunSet::empty(n),
             delivered: Vec::new(),
-            staged_count: vec![[0; NUM_PORTS]; n],
             staged: Vec::new(),
             buffered: 0,
         }
     }
 
-    /// Puts router `t` on the hot worklist for the next [`step_hot`](Self::step_hot).
+    /// Marks router `t` for the next [`step_hot`](Self::step_hot).
     ///
     /// The machine pokes a router whenever tile `t`'s endpoint may have
     /// gained injection backlog (a processor issued a dynamic access, a
-    /// handler injected a reply); all other hotness — buffered flits,
+    /// handler injected a reply); all other marking — buffered flits,
     /// incoming staged transfers — is maintained internally.
     pub fn poke(&mut self, t: usize) {
-        if !self.hot[t] {
-            self.hot[t] = true;
-            self.work.push(t);
-        }
+        self.next_hot.insert(t);
     }
 
     /// Tiles that completed message reassembly during the last step (either
@@ -251,6 +370,7 @@ impl DynNet {
 
     /// Output port (0=N,1=E,2=S,3=W,4=eject) for a header destined to `dest`,
     /// X-then-Y dimension ordered.
+    #[inline]
     fn route_port(&self, here: usize, dest: u32) -> usize {
         let (r, c) = self.coords[here];
         let (dr, dc) = self.coords[dest as usize];
@@ -267,6 +387,8 @@ impl DynNet {
         }
     }
 
+    /// The router beyond output `port` (0..4) of router `t`.
+    #[inline]
     fn neighbor(&self, t: usize, port: usize) -> usize {
         match port {
             0 => t - self.cols as usize,
@@ -282,179 +404,210 @@ impl DynNet {
     pub fn is_idle(&self) -> bool {
         debug_assert_eq!(
             self.buffered == 0,
-            self.routers
-                .iter()
-                .all(|r| r.in_q.iter().all(|q| q.is_empty()) && r.reasm.is_empty()),
+            self.rings.iter().all(|r| r.len == 0) && self.reassembly.iter().all(|r| r.have == 0),
             "buffered-flit counter out of sync"
         );
         self.buffered == 0
     }
 
-    /// Advances the network one cycle by scanning every router (the
-    /// reference stepper's path). Returns `true` if any flit moved.
+    /// Advances the network one cycle over every router (the reference
+    /// stepper's path). Returns `true` if any flit moved.
     ///
     /// `endpoints[t]` supplies tile `t`'s injection queue and receives its
     /// ejected messages.
     pub fn step(&mut self, endpoints: &mut [DynEndpoint]) -> bool {
-        // The full scan visits everything, so pending hot marks are moot;
-        // step_tiles regenerates them from the post-step state.
-        for i in 0..self.work.len() {
-            self.hot[self.work[i]] = false;
+        for t in 0..self.routers.len() {
+            self.next_hot.insert(t);
         }
-        self.work.clear();
-        let all: Vec<usize> = (0..self.routers.len()).collect();
-        self.step_tiles(&all, endpoints)
+        self.step_hot(endpoints)
     }
 
-    /// Advances the network one cycle visiting only the hot worklist:
-    /// routers holding flits plus routers [`poke`](Self::poke)d since the
-    /// last step. Observationally identical to [`step`](Self::step) — a
-    /// router that is neither fed nor holds flits cannot move anything — at
-    /// cost proportional to live traffic rather than mesh size.
+    /// Advances the network one cycle over the marked routers only.
+    /// Observationally identical to [`step`](Self::step) — an unmarked
+    /// router is neither fed nor holds flits, so it cannot move anything —
+    /// at cost proportional to live traffic rather than mesh size.
     pub fn step_hot(&mut self, endpoints: &mut [DynEndpoint]) -> bool {
-        let mut work = std::mem::take(&mut self.work);
-        // Ascending tile order: FIFO-capacity arbitration between routers
-        // must resolve exactly as the reference scan's 0..n loop does.
-        work.sort_unstable();
-        for &t in &work {
-            self.hot[t] = false;
-        }
-        self.step_tiles(&work, endpoints)
-    }
-
-    /// One cycle over `tiles` (ascending, deduplicated). Shared between the
-    /// full scan and the hot-worklist paths.
-    fn step_tiles(&mut self, tiles: &[usize], endpoints: &mut [DynEndpoint]) -> bool {
-        let mut progress = false;
+        std::mem::swap(&mut self.hot, &mut self.next_hot);
         self.delivered.clear();
-
-        // 1. Feed one flit per tile from the endpoint inject queue into the
-        //    router's local input port.
-        for &t in tiles {
-            let router = &mut self.routers[t];
-            if router.in_q[LOCAL].len() < self.fifo_cap {
-                if let Some(f) = endpoints[t].inject.pop_front() {
-                    router.in_q[LOCAL].push_back(f);
-                    self.buffered += 1;
-                    progress = true;
+        let mut progress = false;
+        // Ascending tile order: neighbour-space checks see exactly the rings
+        // a `0..n` scan would. Nothing marks `hot` during the sweep.
+        for w in 0..self.hot.word_count() {
+            let mut bits = self.hot.word(w);
+            while bits != 0 {
+                let t = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                progress |= self.feed(t, &mut endpoints[t]);
+                progress |= self.route(t, endpoints);
+                // A router's rings only grow after its own turn, and a
+                // staged arrival marks its receiver below.
+                if self.routers[t].queued != 0 || endpoints[t].inject_backlog() {
+                    self.next_hot.insert(t);
                 }
             }
         }
-
-        // 2. Per router, per output port: move at most one flit. Cross-router
-        //    transfers are staged and applied after all routers have decided,
-        //    making the step order-independent.
+        self.hot.clear();
         let mut staged = std::mem::take(&mut self.staged);
-
-        for &t in tiles {
-            for out in 0..NUM_PORTS {
-                // Which input currently owns this output?
-                let owner = match self.routers[t].out_lock[out] {
-                    Some((input, _)) => Some(input),
-                    None => {
-                        // Arbitrate: find an input whose head is a header routed
-                        // to this output, round-robin from rr[out].
-                        let start = self.routers[t].rr[out];
-                        let mut found = None;
-                        for k in 0..NUM_PORTS {
-                            let input = (start + k) % NUM_PORTS;
-                            if let Some(&head) = self.routers[t].in_q[input].front() {
-                                // Only a header can claim a free output; inputs
-                                // mid-message are owned by some other output.
-                                if !self.routers[t].owned[input]
-                                    && self.route_port(t, DynMsg::decode_header(head).2) == out
-                                {
-                                    found = Some(input);
-                                    break;
-                                }
-                            }
-                        }
-                        if let Some(input) = found {
-                            let head = *self.routers[t].in_q[input].front().unwrap();
-                            let (.., len) = DynMsg::decode_header(head);
-                            self.routers[t].out_lock[out] = Some((input, len + 1));
-                            self.routers[t].owned[input] = true;
-                            self.routers[t].rr[out] = (input + 1) % NUM_PORTS;
-                        }
-                        self.routers[t].out_lock[out].map(|(i, _)| i)
-                    }
-                };
-                let Some(input) = owner else { continue };
-                // Try to move one flit from `input` to `out`.
-                if self.routers[t].in_q[input].is_empty() {
-                    continue;
-                }
-                let can = if out == LOCAL {
-                    true // eject reassembly is unbounded
-                } else {
-                    let nb = self.neighbor(t, out);
-                    let nb_port = opposite(out);
-                    self.routers[nb].in_q[nb_port].len() + self.staged_count[nb][nb_port]
-                        < self.fifo_cap
-                };
-                if !can {
-                    continue;
-                }
-                let flit = self.routers[t].in_q[input].pop_front().unwrap();
-                progress = true;
-                // Update the wormhole lock.
-                let (_, remaining) = self.routers[t].out_lock[out].unwrap();
-                if remaining == 1 {
-                    self.routers[t].out_lock[out] = None;
-                    self.routers[t].owned[input] = false;
-                } else {
-                    self.routers[t].out_lock[out] = Some((input, remaining - 1));
-                }
-                if out == LOCAL {
-                    self.eject(t, flit, endpoints);
-                } else {
-                    let nb = self.neighbor(t, out);
-                    let nb_port = opposite(out);
-                    self.staged_count[nb][nb_port] += 1;
-                    staged.push((nb, nb_port, flit));
-                }
-            }
-        }
-
-        for &(t, port, _) in &staged {
-            self.staged_count[t][port] = 0;
-        }
-        for (t, port, flit) in staged.drain(..) {
-            self.routers[t].in_q[port].push_back(flit);
-            // The receiving router has a flit to move next cycle.
-            self.poke(t);
+        for (ring, flit) in staged.drain(..) {
+            let ring = ring as usize;
+            self.rings[ring].staged = 0;
+            self.push(ring, flit);
+            self.next_hot.insert(ring / NUM_PORTS);
         }
         self.staged = staged;
-        // 3. Re-mark visited routers that still hold flits or whose endpoint
-        //    kept injection backlog (e.g. a full local FIFO this cycle).
-        for &t in tiles {
-            if self.routers[t].in_q.iter().any(|q| !q.is_empty()) || endpoints[t].inject_backlog() {
-                self.poke(t);
+        progress
+    }
+
+    /// Moves one flit from tile `t`'s endpoint into its local input ring if
+    /// the ring has room. Returns `true` if a flit moved.
+    #[inline]
+    fn feed(&mut self, t: usize, ep: &mut DynEndpoint) -> bool {
+        if self.rings[t * NUM_PORTS + LOCAL].len >= self.fifo_cap {
+            return false;
+        }
+        let Some(flit) = ep.inject.pop_front() else {
+            return false;
+        };
+        self.push(t * NUM_PORTS + LOCAL, flit);
+        self.buffered += 1;
+        true
+    }
+
+    /// Moves at most one flit per output of router `t`, outputs in order.
+    /// Returns `true` if a flit moved.
+    #[inline]
+    fn route(&mut self, t: usize, endpoints: &mut [DynEndpoint]) -> bool {
+        let mut progress = false;
+        if self.routers[t].queued == 0 {
+            return false;
+        }
+        for out in 0..NUM_PORTS {
+            let r = &mut self.routers[t];
+            let input = if r.locked & (1 << out) != 0 {
+                usize::from(r.lock_in[out])
+            } else {
+                // Arbitrate: the first requesting input round-robin from
+                // rr[out]. Bit k of the rotated mask is input rr + k (mod 5).
+                let reqs = (r.req >> (5 * out)) & 0x1f;
+                if reqs == 0 {
+                    continue;
+                }
+                let rr = u32::from(r.rr[out]);
+                let rotated = ((reqs >> rr) | (reqs << (5 - rr))) & 0x1f;
+                let input = (rr + rotated.trailing_zeros()) as usize % NUM_PORTS;
+                let ring = t * NUM_PORTS + input;
+                let head =
+                    self.slots[ring * self.fifo_cap as usize + self.rings[ring].head as usize];
+                let r = &mut self.routers[t];
+                r.locked |= 1 << out;
+                r.lock_in[out] = input as u8;
+                r.lock_left[out] = header_len(head) as u16 + 1;
+                r.owned |= 1 << input;
+                r.req &= !(INPUT_BITS << input);
+                r.rr[out] = ((input + 1) % NUM_PORTS) as u8;
+                input
+            };
+            let ring = t * NUM_PORTS + input;
+            if self.rings[ring].len == 0 {
+                continue;
+            }
+            let target = if out == LOCAL {
+                None // eject reassembly is unbounded
+            } else {
+                let nb = self.neighbor(t, out) * NUM_PORTS + opposite(out);
+                let nb_ring = &self.rings[nb];
+                if nb_ring.len + nb_ring.staged >= self.fifo_cap {
+                    continue;
+                }
+                Some(nb)
+            };
+            let flit = self.pop(ring);
+            progress = true;
+            let r = &mut self.routers[t];
+            r.lock_left[out] -= 1;
+            if r.lock_left[out] == 0 {
+                // The tail passed: the input's next head may request.
+                r.locked &= !(1 << out);
+                r.owned &= !(1 << input);
+                self.refresh(ring);
+            }
+            match target {
+                None => self.eject(t, flit, endpoints),
+                Some(nb) => {
+                    self.rings[nb].staged += 1;
+                    self.staged.push((nb as u32, flit));
+                }
             }
         }
         progress
     }
 
-    fn eject(&mut self, t: usize, flit: Word, endpoints: &mut [DynEndpoint]) {
-        let r = &mut self.routers[t];
-        if r.reasm.is_empty() {
-            let (.., len) = DynMsg::decode_header(flit);
-            r.reasm_need = len + 1;
+    /// Appends `flit` to `ring` (which has room), refreshing the ring's
+    /// request if the flit became its head.
+    #[inline]
+    fn push(&mut self, ring: usize, flit: Word) {
+        let cap = self.fifo_cap;
+        let rg = &mut self.rings[ring];
+        let mut slot = rg.head + rg.len;
+        if slot >= cap {
+            slot -= cap;
         }
-        r.reasm.push(flit);
-        if r.reasm.len() == r.reasm_need {
-            let (kind, src, dest, _) = DynMsg::decode_header(r.reasm[0]);
-            let msg = DynMsg {
-                kind,
-                src,
-                dest,
-                payload: r.reasm[1..].to_vec(),
-            };
-            let flits = r.reasm.len();
-            r.reasm.clear();
-            r.reasm_need = 0;
+        rg.len += 1;
+        let was_empty = rg.len == 1;
+        self.slots[ring * cap as usize + slot as usize] = flit;
+        self.routers[ring / NUM_PORTS].queued += 1;
+        if was_empty {
+            self.refresh(ring);
+        }
+    }
+
+    /// Removes and returns the head of `ring` (which is non-empty).
+    #[inline]
+    fn pop(&mut self, ring: usize) -> Word {
+        let cap = self.fifo_cap;
+        let rg = &mut self.rings[ring];
+        let slot = rg.head;
+        rg.head = if slot + 1 == cap { 0 } else { slot + 1 };
+        rg.len -= 1;
+        self.routers[ring / NUM_PORTS].queued -= 1;
+        self.slots[ring * cap as usize + slot as usize]
+    }
+
+    /// Recomputes the request of input `ring`: its head's output if the
+    /// head is an unowned header, none otherwise.
+    #[inline]
+    fn refresh(&mut self, ring: usize) {
+        let (t, input) = (ring / NUM_PORTS, ring % NUM_PORTS);
+        let rg = self.rings[ring];
+        let out = (self.routers[t].owned & (1 << input) == 0 && rg.len != 0).then(|| {
+            let head = self.slots[ring * self.fifo_cap as usize + rg.head as usize];
+            self.route_port(t, header_dest(head))
+        });
+        let r = &mut self.routers[t];
+        r.req &= !(INPUT_BITS << input);
+        if let Some(out) = out {
+            r.req |= 1 << (5 * out + input);
+        }
+    }
+
+    fn eject(&mut self, t: usize, flit: Word, endpoints: &mut [DynEndpoint]) {
+        let re = &mut self.reassembly[t];
+        if re.have == 0 {
+            let (kind, src, dest, len) = DynMsg::decode_header(flit);
+            debug_assert!(len <= PAYLOAD_CAP, "header names {len} payload words");
             debug_assert_eq!(dest as usize, t, "message ejected at wrong tile");
-            if kind.for_handler() {
+            re.msg = DynMsg::new(kind, src, dest, &[]);
+            re.msg.len = len as u8;
+            re.need = len as u8 + 1;
+        } else {
+            re.msg.words[usize::from(re.have) - 1] = flit;
+        }
+        re.have += 1;
+        if re.have == re.need {
+            let msg = re.msg;
+            let flits = usize::from(re.need);
+            re.have = 0;
+            if msg.kind.for_handler() {
                 endpoints[t].handler_inbox.push_back(msg);
             } else {
                 endpoints[t].proc_inbox.push_back(msg);
@@ -504,44 +657,32 @@ impl Handler {
         mem: &mut LocalMem,
         ep: &mut DynEndpoint,
     ) -> bool {
-        if self.current.is_none() {
+        let Some((req, done_at)) = self.current else {
             if let Some(req) = ep.handler_inbox.pop_front() {
                 self.current = Some((req, cycle + mem_latency as u64));
                 return true;
             }
             return false;
-        }
-        let (req, done_at) = self.current.as_ref().unwrap();
-        if cycle < *done_at {
+        };
+        if cycle < done_at {
             return false;
         }
         let reply = match req.kind {
             MsgKind::LoadReq => {
-                let addr = req.payload[0] as usize;
                 let value = mem
-                    .load(addr)
+                    .load(req.payload()[0] as usize)
                     .expect("remote load within the home tile's memory");
-                DynMsg {
-                    kind: MsgKind::LoadReply,
-                    src: tile,
-                    dest: req.src,
-                    payload: vec![value],
-                }
+                DynMsg::new(MsgKind::LoadReply, tile, req.src, &[value])
             }
             MsgKind::StoreReq => {
-                let addr = req.payload[0] as usize;
-                mem.store(addr, req.payload[1])
+                let (addr, value) = (req.payload()[0], req.payload()[1]);
+                mem.store(addr as usize, value)
                     .expect("remote store within the home tile's memory");
-                DynMsg {
-                    kind: MsgKind::StoreAck,
-                    src: tile,
-                    dest: req.src,
-                    payload: vec![],
-                }
+                DynMsg::new(MsgKind::StoreAck, tile, req.src, &[])
             }
             other => panic!("handler received non-request {other:?}"),
         };
-        if ep.can_inject(reply.to_flits().len()) {
+        if ep.can_inject(reply.flits()) {
             ep.inject(reply);
             self.current = None;
             true
@@ -557,15 +698,9 @@ mod tests {
 
     #[test]
     fn header_round_trip() {
-        let msg = DynMsg {
-            kind: MsgKind::StoreReq,
-            src: 3,
-            dest: 7,
-            payload: vec![100, 42],
-        };
-        let flits = msg.to_flits();
-        assert_eq!(flits.len(), 3);
-        let (kind, src, dest, len) = DynMsg::decode_header(flits[0]);
+        let msg = DynMsg::new(MsgKind::StoreReq, 3, 7, &[100, 42]);
+        assert_eq!(msg.flits(), 3);
+        let (kind, src, dest, len) = DynMsg::decode_header(msg.header());
         assert_eq!((kind, src, dest, len), (MsgKind::StoreReq, 3, 7, 2));
     }
 
@@ -574,19 +709,14 @@ mod tests {
         // 2x2 mesh: tile 0 sends a LoadReply to tile 3 (1 hop E + 1 hop S).
         let mut net = DynNet::new(2, 2, 4);
         let mut eps: Vec<DynEndpoint> = (0..4).map(|_| DynEndpoint::new(16)).collect();
-        eps[0].inject(DynMsg {
-            kind: MsgKind::LoadReply,
-            src: 0,
-            dest: 3,
-            payload: vec![99],
-        });
+        eps[0].inject(DynMsg::new(MsgKind::LoadReply, 0, 3, &[99]));
         let mut cycles = 0;
         while eps[3].proc_inbox.is_empty() && cycles < 50 {
             net.step(&mut eps);
             cycles += 1;
         }
         let msg = eps[3].proc_inbox.pop_front().expect("message delivered");
-        assert_eq!(msg.payload, vec![99]);
+        assert_eq!(msg.payload(), vec![99]);
         assert!(net.is_idle());
         // Sanity on latency: ~1 cycle injection feed + 2 hops + eject flits.
         assert!(cycles <= 12, "took {cycles} cycles");
@@ -596,12 +726,7 @@ mod tests {
     fn request_routes_to_handler_inbox() {
         let mut net = DynNet::new(1, 2, 4);
         let mut eps: Vec<DynEndpoint> = (0..2).map(|_| DynEndpoint::new(16)).collect();
-        eps[0].inject(DynMsg {
-            kind: MsgKind::LoadReq,
-            src: 0,
-            dest: 1,
-            payload: vec![5],
-        });
+        eps[0].inject(DynMsg::new(MsgKind::LoadReq, 0, 1, &[5]));
         for _ in 0..20 {
             net.step(&mut eps);
         }
@@ -615,12 +740,8 @@ mod tests {
         let mut mem = LocalMem::new(32);
         mem.store(5, 77);
         let mut h = Handler::new();
-        ep.handler_inbox.push_back(DynMsg {
-            kind: MsgKind::LoadReq,
-            src: 2,
-            dest: 0,
-            payload: vec![5],
-        });
+        ep.handler_inbox
+            .push_back(DynMsg::new(MsgKind::LoadReq, 2, 0, &[5]));
         let mut cycle = 0;
         while !(h.is_idle() && ep.handler_inbox.is_empty() && !ep.inject.is_empty()) {
             h.step(0, cycle, 2, &mut mem, &mut ep);
@@ -637,12 +758,8 @@ mod tests {
         // Store request.
         let mut ep2 = DynEndpoint::new(16);
         let mut h2 = Handler::new();
-        ep2.handler_inbox.push_back(DynMsg {
-            kind: MsgKind::StoreReq,
-            src: 1,
-            dest: 0,
-            payload: vec![9, 1234],
-        });
+        ep2.handler_inbox
+            .push_back(DynMsg::new(MsgKind::StoreReq, 1, 0, &[9, 1234]));
         for cycle in 0..20 {
             h2.step(0, cycle, 2, &mut mem, &mut ep2);
         }
@@ -657,26 +774,16 @@ mod tests {
         // link 1->2. Flits of each message must arrive contiguously.
         let mut net = DynNet::new(1, 3, 2);
         let mut eps: Vec<DynEndpoint> = (0..3).map(|_| DynEndpoint::new(16)).collect();
-        eps[0].inject(DynMsg {
-            kind: MsgKind::StoreReq,
-            src: 0,
-            dest: 2,
-            payload: vec![1, 11],
-        });
-        eps[1].inject(DynMsg {
-            kind: MsgKind::StoreReq,
-            src: 1,
-            dest: 2,
-            payload: vec![2, 22],
-        });
+        eps[0].inject(DynMsg::new(MsgKind::StoreReq, 0, 2, &[1, 11]));
+        eps[1].inject(DynMsg::new(MsgKind::StoreReq, 1, 2, &[2, 22]));
         for _ in 0..60 {
             net.step(&mut eps);
         }
         assert_eq!(eps[2].handler_inbox.len(), 2, "both messages delivered");
         for msg in &eps[2].handler_inbox {
             match msg.src {
-                0 => assert_eq!(msg.payload, vec![1, 11]),
-                1 => assert_eq!(msg.payload, vec![2, 22]),
+                0 => assert_eq!(msg.payload(), vec![1, 11]),
+                1 => assert_eq!(msg.payload(), vec![2, 22]),
                 other => panic!("unexpected source {other}"),
             }
         }
@@ -694,7 +801,7 @@ mod tests {
         loop {
             for (t, q) in pending.iter_mut().enumerate() {
                 while let Some(m) = q.front() {
-                    if !eps[t].can_inject(m.payload.len() + 1) {
+                    if !eps[t].can_inject(m.payload().len() + 1) {
                         break;
                     }
                     let m = q.pop_front().unwrap();
@@ -742,13 +849,8 @@ mod tests {
             for _ in 0..rng.gen_range(0..3) {
                 payload.push(rng.gen_range(0..1000) as Word);
             }
-            let msg = DynMsg {
-                kind,
-                src,
-                dest,
-                payload,
-            };
-            pending[src as usize].push_back(msg.clone());
+            let msg = DynMsg::new(kind, src, dest, &payload);
+            pending[src as usize].push_back(msg);
             sent.push(msg);
         }
         drain(&mut net, &mut eps, &mut pending, 20_000);
@@ -761,7 +863,7 @@ mod tests {
                 let mut last_per_src = vec![-1i64; n];
                 for m in inbox {
                     assert_eq!(m.dest as usize, t, "ejected at the wrong tile");
-                    let id = m.payload[0] as i64;
+                    let id = m.payload()[0] as i64;
                     assert!(
                         last_per_src[m.src as usize] < id,
                         "flow {} -> {t} reordered: {} after {}",
@@ -770,12 +872,12 @@ mod tests {
                         last_per_src[m.src as usize]
                     );
                     last_per_src[m.src as usize] = id;
-                    received.push(m.clone());
+                    received.push(*m);
                 }
             }
         }
         assert_eq!(received.len(), sent.len(), "message count mismatch");
-        let by_id = |v: &mut Vec<DynMsg>| v.sort_by_key(|m| m.payload[0]);
+        let by_id = |v: &mut Vec<DynMsg>| v.sort_by_key(|m| m.payload()[0]);
         by_id(&mut sent);
         by_id(&mut received);
         assert_eq!(received, sent, "delivered messages differ from injected");
@@ -793,12 +895,12 @@ mod tests {
         let per_tile = 10u32;
         for (t, q) in pending.iter_mut().enumerate().take(3) {
             for seq in 0..per_tile {
-                q.push_back(DynMsg {
-                    kind: MsgKind::StoreReq,
-                    src: t as u32,
-                    dest: 3,
-                    payload: vec![seq, t as Word],
-                });
+                q.push_back(DynMsg::new(
+                    MsgKind::StoreReq,
+                    t as u32,
+                    3,
+                    &[seq, t as Word],
+                ));
             }
         }
         drain(&mut net, &mut eps, &mut pending, 20_000);
@@ -811,7 +913,7 @@ mod tests {
         let mut next = [0u32; 3];
         for m in inbox {
             let t = m.src as usize;
-            assert_eq!(m.payload, vec![next[t], t as Word], "flow {t} reordered");
+            assert_eq!(m.payload(), vec![next[t], t as Word], "flow {t} reordered");
             next[t] += 1;
         }
         assert_eq!(next, [per_tile; 3]);
@@ -828,30 +930,23 @@ mod tests {
         let mut eps: Vec<DynEndpoint> = (0..n).map(|_| DynEndpoint::new(16)).collect();
         let mut pending: Vec<VecDeque<DynMsg>> = vec![VecDeque::new(); n];
         for _ in 0..3 {
-            pending[0].push_back(DynMsg {
-                kind: MsgKind::StoreAck,
-                src: 0,
-                dest: 2,
-                payload: vec![],
-            });
+            pending[0].push_back(DynMsg::new(MsgKind::StoreAck, 0, 2, &[]));
         }
         for i in 0..2u32 {
-            pending[1].push_back(DynMsg {
-                kind: MsgKind::StoreReq,
-                src: 1,
-                dest: 2,
-                payload: vec![i, 100 + i],
-            });
+            pending[1].push_back(DynMsg::new(MsgKind::StoreReq, 1, 2, &[i, 100 + i]));
         }
         drain(&mut net, &mut eps, &mut pending, 1_000);
         assert_eq!(eps[2].proc_inbox.len(), 3);
         for m in &eps[2].proc_inbox {
-            assert_eq!((m.kind, m.src, m.payload.len()), (MsgKind::StoreAck, 0, 0));
+            assert_eq!(
+                (m.kind, m.src, m.payload().len()),
+                (MsgKind::StoreAck, 0, 0)
+            );
         }
         assert_eq!(eps[2].handler_inbox.len(), 2);
         for (i, m) in eps[2].handler_inbox.iter().enumerate() {
             assert_eq!(
-                m.payload,
+                m.payload(),
                 vec![i as Word, 100 + i as Word],
                 "spliced payload"
             );
@@ -892,18 +987,15 @@ mod tests {
                         2 => MsgKind::StoreReq,
                         _ => MsgKind::StoreAck,
                     };
-                    let payload = (0..rng.gen_range(0..4u32)).map(|k| id * 4 + k).collect();
-                    let msg = DynMsg {
-                        kind,
-                        src: rng.gen_range(0..n as u32),
-                        dest: if rng.gen_bool(0.3) {
-                            hotspot
-                        } else {
-                            rng.gen_range(0..n as u32)
-                        },
-                        payload,
+                    let payload: Vec<Word> =
+                        (0..rng.gen_range(0..4u32)).map(|k| id * 4 + k).collect();
+                    let src = rng.gen_range(0..n as u32);
+                    let dest = if rng.gen_bool(0.3) {
+                        hotspot
+                    } else {
+                        rng.gen_range(0..n as u32)
                     };
-                    (rng.gen_range(0..24u64), msg)
+                    (rng.gen_range(0..24u64), DynMsg::new(kind, src, dest, &payload))
                 })
                 .collect();
             schedule.sort_by_key(|(at, _)| *at);
@@ -918,7 +1010,7 @@ mod tests {
                 while next < schedule.len() && schedule[next].0 <= cycle {
                     let msg = &schedule[next].1;
                     for side in &mut pending {
-                        side[msg.src as usize].push_back(msg.clone());
+                        side[msg.src as usize].push_back(*msg);
                     }
                     next += 1;
                 }
@@ -926,7 +1018,7 @@ mod tests {
                     for (t, queue) in pending.iter_mut().enumerate() {
                         while queue
                             .front()
-                            .is_some_and(|m| eps[t].can_inject(m.payload.len() + 1))
+                            .is_some_and(|m| eps[t].can_inject(m.payload().len() + 1))
                         {
                             eps[t].inject(queue.pop_front().unwrap());
                             if side == 1 {
@@ -962,12 +1054,7 @@ mod tests {
         let mut ep = DynEndpoint::new(4);
         assert!(ep.can_inject(4));
         assert!(!ep.can_inject(5));
-        ep.inject(DynMsg {
-            kind: MsgKind::StoreAck,
-            src: 0,
-            dest: 0,
-            payload: vec![],
-        });
+        ep.inject(DynMsg::new(MsgKind::StoreAck, 0, 0, &[]));
         assert!(ep.can_inject(3));
         assert!(!ep.can_inject(4));
     }

@@ -5,9 +5,10 @@
 //! 8. **Quiescence is O(1)**: `dyn_active` is false exactly while every
 //!    router queue, reassembly buffer, endpoint and handler is idle, and the
 //!    whole phase is skipped then.
-//! 9. **The dynamic network is worklist-driven.** Routers step from the hot
-//!    worklist in ascending order (FIFO arbitration is resolved in tile
-//!    order, as in the reference's full scan), and handlers step from the
+//! 9. **The dynamic network is worklist-driven.** Routers step from the
+//!    network's hot bitset in ascending order (FIFO space between routers is
+//!    resolved in tile order, as in the reference's full sweep, which runs
+//!    the same code over every router), and handlers step from the
 //!    `dyn_watch` list of tiles whose handler or endpoint may be non-idle; a
 //!    skipped tile's `Handler::step` would be a no-op.
 
@@ -27,7 +28,7 @@ impl<S: EventSink> Machine<S> {
 
     /// Dynamic network and handlers, skipped entirely while quiescent. Cost is
     /// proportional to live dynamic traffic: the router step visits only its
-    /// hot worklist, and the handler loop steps only watched tiles. A handler
+    /// hot set, and the handler loop steps only watched tiles. A handler
     /// whose tile is not watched has an idle handler and an idle endpoint, for
     /// which [`Handler::step`] is a no-op returning `false` — so the skip is
     /// observationally identical to the reference's full scan.

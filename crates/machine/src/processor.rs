@@ -169,6 +169,21 @@ impl Processor {
         }
     }
 
+    /// Injects a remote-memory request for global address `g` (a store's
+    /// `value` follows the local address). Out of line, so the inlined step
+    /// of static-network code does not carry it.
+    #[cold]
+    #[inline(never)]
+    fn request(&self, tile: &mut TileView<'_>, kind: MsgKind, g: u32, value: Option<Word>) {
+        let (home, local) = self.split_dyn(tile.config, g);
+        let msg = match value {
+            None => DynMsg::new(kind, self.tile, home, &[local]),
+            Some(v) => DynMsg::new(kind, self.tile, home, &[local, v]),
+        };
+        debug_assert_eq!(msg.flits(), kind.flits());
+        tile.dyn_ep.inject(msg);
+    }
+
     /// If the last step stalled at issue on a not-yet-ready register, the cycle
     /// at which that register becomes ready — i.e. the earliest cycle the
     /// processor can possibly issue. Used by the production stepper as the
@@ -257,7 +272,7 @@ impl Processor {
             DynState::WaitLoad { dst } => {
                 if let Some(msg) = tile.dyn_ep.proc_inbox.pop_front() {
                     debug_assert_eq!(msg.kind, MsgKind::LoadReply);
-                    self.write_dst(tile, dst, msg.payload[0], cycle, 1);
+                    self.write_dst(tile, dst, msg.payload()[0], cycle, 1);
                     self.dyn_state = DynState::Idle;
                     return ProcOutcome::Progress;
                 }
@@ -357,33 +372,21 @@ impl Processor {
                 self.pc += 1;
             }
             PKind::DLoad => {
-                if !tile.dyn_ep.can_inject(2) {
+                if !tile.dyn_ep.can_inject(MsgKind::LoadReq.flits()) {
                     return ProcOutcome::Stalled(StallReason::DynamicNetwork);
                 }
                 let g = read(tile, op.srcs[0], pin).wrapping_add(op.arg);
-                let (home, local) = self.split_dyn(tile.config, g);
-                tile.dyn_ep.inject(DynMsg {
-                    kind: MsgKind::LoadReq,
-                    src: self.tile,
-                    dest: home,
-                    payload: vec![local],
-                });
+                self.request(tile, MsgKind::LoadReq, g, None);
                 self.dyn_state = DynState::WaitLoad { dst: op.dst };
                 self.pc += 1;
             }
             PKind::DStore => {
-                if !tile.dyn_ep.can_inject(3) {
+                if !tile.dyn_ep.can_inject(MsgKind::StoreReq.flits()) {
                     return ProcOutcome::Stalled(StallReason::DynamicNetwork);
                 }
                 let v = read(tile, op.srcs[0], pin);
                 let g = read(tile, op.srcs[1], pin).wrapping_add(op.arg);
-                let (home, local) = self.split_dyn(tile.config, g);
-                tile.dyn_ep.inject(DynMsg {
-                    kind: MsgKind::StoreReq,
-                    src: self.tile,
-                    dest: home,
-                    payload: vec![local, v],
-                });
+                self.request(tile, MsgKind::StoreReq, g, Some(v));
                 self.dyn_state = DynState::WaitStoreAck;
                 self.pc += 1;
             }
