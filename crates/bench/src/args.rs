@@ -9,6 +9,7 @@
 //! `"unknown <context> flag '<flag>'"` (or `"unknown flag '<flag>'"` for the
 //! tables, which have no subcommand word).
 
+use raw_machine::MAX_TILES;
 use std::str::FromStr;
 
 /// Cursor over a subcommand's argument list.
@@ -102,16 +103,23 @@ impl<'a> FlagParser<'a> {
     }
 }
 
-/// Validates the mesh-size constraint shared by every sizing flag.
+/// Validates the mesh-size constraint shared by every sizing flag: a power
+/// of two, at most [`MAX_TILES`] (a dynamic-network header names a tile in
+/// 11 bits).
 ///
 /// # Errors
 ///
-/// `"machine size <n> is not a power of two"` otherwise.
+/// `"machine size <n> is not a power of two"` or `"machine size <n>
+/// exceeds the 2048-tile maximum"`.
 pub fn require_power_of_two(tiles: u32) -> Result<(), String> {
-    if tiles.is_power_of_two() {
-        Ok(())
-    } else {
+    if !tiles.is_power_of_two() {
         Err(format!("machine size {tiles} is not a power of two"))
+    } else if tiles > MAX_TILES {
+        Err(format!(
+            "machine size {tiles} exceeds the {MAX_TILES}-tile maximum"
+        ))
+    } else {
+        Ok(())
     }
 }
 
@@ -186,5 +194,16 @@ mod tests {
         assert!(require_power_of_two(8).is_ok());
         let err = require_power_of_two(3).unwrap_err();
         assert_eq!(err, "machine size 3 is not a power of two");
+    }
+
+    #[test]
+    fn a_mesh_past_max_tiles_is_a_usage_error() {
+        // Past 2048 tiles the dynamic network's header fields truncate tile
+        // indices and messages eject at the wrong tile.
+        assert!(require_power_of_two(MAX_TILES).is_ok());
+        let err = require_power_of_two(4096).unwrap_err();
+        assert_eq!(err, "machine size 4096 exceeds the 2048-tile maximum");
+        let err = demo_parse("demo", &s(&["--tiles", "4096"])).unwrap_err();
+        assert_eq!(err, "machine size 4096 exceeds the 2048-tile maximum");
     }
 }

@@ -157,6 +157,9 @@ impl TablesArgs {
                  requires 2^k tiles); valid sizes: 1,2,4,8,16,32,…"
             ));
         }
+        for &n in &out.sizes {
+            args::require_power_of_two(n)?;
+        }
         if quick {
             out.sizes.retain(|&n| n <= 4);
             if out.sizes.is_empty() {
@@ -599,6 +602,10 @@ mod tests {
         assert!(t.table1 && !t.table3);
         assert_eq!(t.sizes, [1, 2, 4, 8, 16, 32]);
         assert!(tables(&["--sizes", "3"]).is_err());
+        assert_eq!(
+            tables(&["--sizes", "4,4096"]).unwrap_err(),
+            "machine size 4096 exceeds the 2048-tile maximum"
+        );
         assert!(tables(&["--bench", "nosuch"]).is_err());
     }
 

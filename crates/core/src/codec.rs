@@ -55,9 +55,7 @@ use raw_ir::{
     Terminator, Ty, UnOp, ValueId, VarDecl, VarId,
 };
 use raw_machine::isa::{AluOp, Dir, Dst, PInst, RoutePairs, SDst, SInst, SSrc, Src};
-use raw_machine::{
-    LatencyModel, MachineConfig, MachineProgram, TileCode, TileId, TileMask, MAX_TILES,
-};
+use raw_machine::{LatencyModel, MachineConfig, MachineProgram, TileCode, TileId, TileMask};
 use std::collections::HashMap;
 
 /// Magic prefix of on-disk cache entries.
@@ -681,7 +679,7 @@ pub fn canonical_block_bytes(block: &Block) -> Vec<u8> {
 /// A decoded mesh the machine can model; anything larger would make the
 /// compiler allocate per tile pair before it found out.
 fn mesh_fits(c: &MachineConfig) -> bool {
-    c.rows.checked_mul(c.cols).is_some_and(|n| n <= MAX_TILES)
+    c.within_max_tiles()
 }
 
 // Every field of the machine config. Two fault masks with the same live

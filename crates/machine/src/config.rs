@@ -7,6 +7,11 @@ use crate::isa::{AluOp, Dir, TileId};
 /// 11-bit field.
 pub const MAX_TILES: u32 = 1 << 11;
 
+/// True if a `rows × cols` mesh has at most [`MAX_TILES`] tiles.
+fn fits(rows: u32, cols: u32) -> bool {
+    rows.checked_mul(cols).is_some_and(|n| n <= MAX_TILES)
+}
+
 /// A set of faulty (dead) tiles, as a bitset over tile indices.
 ///
 /// A masked tile's processor, switch, and local memory are dead: the compiler
@@ -127,8 +132,17 @@ impl Default for MachineConfig {
 
 impl MachineConfig {
     /// A `rows × cols` machine with prototype defaults.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mesh is empty or has more than [`MAX_TILES`] tiles (a
+    /// dynamic-network header could not name them all).
     pub fn grid(rows: u32, cols: u32) -> Self {
         assert!(rows > 0 && cols > 0, "mesh must be non-empty");
+        assert!(
+            fits(rows, cols),
+            "a {rows}x{cols} mesh exceeds the {MAX_TILES}-tile maximum"
+        );
         MachineConfig {
             rows,
             cols,
@@ -150,7 +164,8 @@ impl MachineConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is not a power of two (low-order interleaving requires it).
+    /// Panics if `n` is not a power of two (low-order interleaving requires
+    /// it) or exceeds [`MAX_TILES`].
     pub fn square(n: u32) -> Self {
         assert!(n.is_power_of_two(), "tile count must be a power of two");
         let log = n.trailing_zeros();
@@ -175,6 +190,11 @@ impl MachineConfig {
     pub fn with_faulty(mut self, faulty: TileMask) -> Self {
         self.faulty = faulty;
         self
+    }
+
+    /// True if the mesh has at most [`MAX_TILES`] tiles.
+    pub fn within_max_tiles(&self) -> bool {
+        fits(self.rows, self.cols)
     }
 
     /// Number of tiles (live or faulty).
@@ -332,6 +352,25 @@ mod tests {
             })
             .collect();
         assert_eq!(shapes, vec![(1, 1), (1, 2), (2, 2), (2, 4), (4, 4), (4, 8)]);
+    }
+
+    #[test]
+    fn the_largest_mesh_fits_and_one_more_tile_does_not() {
+        assert_eq!(MachineConfig::square(MAX_TILES).n_tiles(), MAX_TILES);
+        assert!(MachineConfig::grid(MAX_TILES, 1).within_max_tiles());
+        let mut wide = MachineConfig::grid(1, 1);
+        wide.cols = MAX_TILES + 1;
+        assert!(!wide.within_max_tiles());
+        wide.rows = u32::MAX;
+        assert!(!wide.within_max_tiles(), "overflowing product");
+    }
+
+    #[test]
+    #[should_panic(expected = "a 64x64 mesh exceeds the 2048-tile maximum")]
+    fn a_mesh_past_max_tiles_is_rejected() {
+        // Its tile indices would truncate in the 11-bit header fields, and
+        // messages would eject at the wrong tile.
+        MachineConfig::square(4096);
     }
 
     #[test]

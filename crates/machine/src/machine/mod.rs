@@ -299,8 +299,7 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if the program does not provide code for exactly
-    /// `config.n_tiles()` tiles.
+    /// As [`Machine::with_sink`].
     pub fn new(config: MachineConfig, program: &MachineProgram) -> Self {
         Machine::with_sink(config, program, NullSink)
     }
@@ -313,9 +312,17 @@ impl<S: EventSink> Machine<S> {
     ///
     /// # Panics
     ///
-    /// Panics if the program does not provide code for exactly
-    /// `config.n_tiles()` tiles.
+    /// Panics if the mesh has more than [`MAX_TILES`](crate::MAX_TILES)
+    /// tiles (a dynamic-network header could not name them all), or if the
+    /// program does not provide code for exactly `config.n_tiles()` tiles.
     pub fn with_sink(config: MachineConfig, program: &MachineProgram, sink: S) -> Machine<S> {
+        assert!(
+            config.within_max_tiles(),
+            "a {}x{} mesh exceeds the {}-tile maximum",
+            config.rows,
+            config.cols,
+            crate::MAX_TILES
+        );
         let n = config.n_tiles() as usize;
         assert_eq!(program.tiles.len(), n, "program must cover all {n} tiles");
         let mut chan_reader = Vec::new();
@@ -842,6 +849,25 @@ pub(crate) mod tests {
                 },
             ],
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a 64x64 mesh exceeds the 2048-tile maximum")]
+    fn a_machine_past_max_tiles_is_rejected() {
+        // A config widened after `MachineConfig::grid` checked it: its tile
+        // indices would truncate in the 11-bit header fields.
+        let mut config = MachineConfig::grid(1, 1);
+        (config.rows, config.cols) = (64, 64);
+        let halt = TileCode {
+            proc: vec![crate::isa::PInst::Halt],
+            switch: vec![SInst::Halt],
+        };
+        Machine::new(
+            config,
+            &MachineProgram {
+                tiles: vec![halt; 4096],
+            },
+        );
     }
 
     #[test]
