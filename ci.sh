@@ -531,6 +531,23 @@ stage_sim_smoke() {
   # can land in a later word than the sweep position.
   cargo run --offline --release -p raw-bench --bin raw-bench -- \
     sim --tiles 256 --quick >/dev/null
+  # 32x32 is the mesh raw-perf's sim_sparse times, and its dynamic network's
+  # hot set spans 16 words.
+  cargo run --offline --release -p raw-bench --bin raw-bench -- \
+    sim --tiles 1024 --quick >/dev/null
+  # Past 2048 tiles a dynamic-network header cannot name every tile: the
+  # size is a usage error, never a run that misroutes its messages.
+  local big_err
+  if big_err="$(cargo run --offline --release -p raw-bench --bin raw-bench -- \
+    sim --tiles 4096 --quick --bench remote 2>&1)"; then
+    echo "ci: sim --tiles 4096 succeeded; it must be refused" >&2
+    return 1
+  fi
+  grep -q "machine size 4096 exceeds the 2048-tile maximum" <<< "$big_err" || {
+    echo "ci: sim --tiles 4096 failed without the usage error:" >&2
+    echo "$big_err" >&2
+    return 1
+  }
 }
 
 stage_perf_smoke() {
