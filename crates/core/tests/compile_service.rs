@@ -319,7 +319,10 @@ fn oversized_meshes_are_malformed_requests() {
         ..CompilerOptions::default()
     };
     for side in [1024, 65536] {
-        let config = MachineConfig::grid(side, side);
+        // `MachineConfig::grid` refuses such a mesh, so widen a valid one:
+        // the wire carries whatever a client's fields say.
+        let mut config = MachineConfig::grid(1, 1);
+        (config.rows, config.cols) = (side, side);
         match client.compile(program, &config, &options) {
             Err(ServiceError::Wire(wire::WireError::Remote(code, _))) => {
                 assert_eq!(code, wire::errcode::MALFORMED, "{side}x{side}");
