@@ -477,10 +477,10 @@ impl DynNet {
     /// Returns `true` if a flit moved.
     #[inline]
     fn route(&mut self, t: usize, endpoints: &mut [DynEndpoint]) -> bool {
-        let mut progress = false;
         if self.routers[t].queued == 0 {
             return false;
         }
+        let mut progress = false;
         for out in 0..NUM_PORTS {
             let r = &mut self.routers[t];
             let input = if r.locked & (1 << out) != 0 {
@@ -495,9 +495,7 @@ impl DynNet {
                 let rr = u32::from(r.rr[out]);
                 let rotated = ((reqs >> rr) | (reqs << (5 - rr))) & 0x1f;
                 let input = (rr + rotated.trailing_zeros()) as usize % NUM_PORTS;
-                let ring = t * NUM_PORTS + input;
-                let head =
-                    self.slots[ring * self.fifo_cap as usize + self.rings[ring].head as usize];
+                let head = self.head(t * NUM_PORTS + input);
                 let r = &mut self.routers[t];
                 r.locked |= 1 << out;
                 r.lock_in[out] = input as u8;
@@ -573,16 +571,19 @@ impl DynNet {
         self.slots[ring * cap as usize + slot as usize]
     }
 
+    /// The oldest flit of `ring` (which is non-empty).
+    #[inline]
+    fn head(&self, ring: usize) -> Word {
+        self.slots[ring * self.fifo_cap as usize + self.rings[ring].head as usize]
+    }
+
     /// Recomputes the request of input `ring`: its head's output if the
     /// head is an unowned header, none otherwise.
     #[inline]
     fn refresh(&mut self, ring: usize) {
         let (t, input) = (ring / NUM_PORTS, ring % NUM_PORTS);
-        let rg = self.rings[ring];
-        let out = (self.routers[t].owned & (1 << input) == 0 && rg.len != 0).then(|| {
-            let head = self.slots[ring * self.fifo_cap as usize + rg.head as usize];
-            self.route_port(t, header_dest(head))
-        });
+        let out = (self.routers[t].owned & (1 << input) == 0 && self.rings[ring].len != 0)
+            .then(|| self.route_port(t, header_dest(self.head(ring))));
         let r = &mut self.routers[t];
         r.req &= !(INPUT_BITS << input);
         if let Some(out) = out {
