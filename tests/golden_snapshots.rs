@@ -405,10 +405,7 @@ fn dynamic_network_runs_are_pinned() {
     use raw_repro::machine::Machine;
     // `raw-bench sim --quick`'s chaos point.
     let chaos = ChaosConfig::sweep(raw_testkit::Rng::new(0x513C_41E0).take(1), &[20])[0];
-    let points = [
-        (None, "clean".to_string()),
-        (Some(chaos), "chaos".to_string()),
-    ];
+    let points = [(None, "clean"), (Some(chaos), "chaos")];
     let mut s = String::new();
     for tiles in [64, 1024] {
         let config = MachineConfig::square(tiles);
