@@ -7,11 +7,6 @@ use crate::isa::{AluOp, Dir, TileId};
 /// 11-bit field.
 pub const MAX_TILES: u32 = 1 << 11;
 
-/// True if a `rows × cols` mesh has at most [`MAX_TILES`] tiles.
-fn fits(rows: u32, cols: u32) -> bool {
-    rows.checked_mul(cols).is_some_and(|n| n <= MAX_TILES)
-}
-
 /// A set of faulty (dead) tiles, as a bitset over tile indices.
 ///
 /// A masked tile's processor, switch, and local memory are dead: the compiler
@@ -139,11 +134,7 @@ impl MachineConfig {
     /// dynamic-network header could not name them all).
     pub fn grid(rows: u32, cols: u32) -> Self {
         assert!(rows > 0 && cols > 0, "mesh must be non-empty");
-        assert!(
-            fits(rows, cols),
-            "a {rows}x{cols} mesh exceeds the {MAX_TILES}-tile maximum"
-        );
-        MachineConfig {
+        let config = MachineConfig {
             rows,
             cols,
             gprs: 32,
@@ -155,7 +146,12 @@ impl MachineConfig {
             dyn_fifo: 4,
             step_limit: 4_000_000_000,
             faulty: TileMask::EMPTY,
-        }
+        };
+        assert!(
+            config.within_max_tiles(),
+            "a {rows}x{cols} mesh exceeds the {MAX_TILES}-tile maximum"
+        );
+        config
     }
 
     /// A machine with `n` tiles in the most nearly square power-of-two mesh
@@ -194,7 +190,9 @@ impl MachineConfig {
 
     /// True if the mesh has at most [`MAX_TILES`] tiles.
     pub fn within_max_tiles(&self) -> bool {
-        fits(self.rows, self.cols)
+        self.rows
+            .checked_mul(self.cols)
+            .is_some_and(|n| n <= MAX_TILES)
     }
 
     /// Number of tiles (live or faulty).

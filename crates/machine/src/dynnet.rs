@@ -283,12 +283,12 @@ struct Router {
     rr: [u8; NUM_PORTS],
 }
 
-/// A router's eject reassembly: the message so far and its flit counts.
+/// A router's eject reassembly: the message so far (its length from the
+/// header) and the flits received.
 #[derive(Clone, Copy, Debug)]
 struct Reassembly {
     msg: DynMsg,
     have: u8,
-    need: u8,
 }
 
 /// The whole-machine dynamic network: one wormhole router per tile.
@@ -332,7 +332,6 @@ impl DynNet {
         let empty = Reassembly {
             msg: DynMsg::new(MsgKind::LoadReq, 0, 0, &[]),
             have: 0,
-            need: 0,
         };
         DynNet {
             cols,
@@ -599,14 +598,12 @@ impl DynNet {
             debug_assert_eq!(dest as usize, t, "message ejected at wrong tile");
             re.msg = DynMsg::new(kind, src, dest, &[]);
             re.msg.len = len as u8;
-            re.need = len as u8 + 1;
         } else {
             re.msg.words[usize::from(re.have) - 1] = flit;
         }
         re.have += 1;
-        if re.have == re.need {
+        if usize::from(re.have) == re.msg.flits() {
             let msg = re.msg;
-            let flits = usize::from(re.need);
             re.have = 0;
             if msg.kind.for_handler() {
                 endpoints[t].handler_inbox.push_back(msg);
@@ -615,7 +612,7 @@ impl DynNet {
             }
             // The message left the network: drop its flits from the buffered
             // count and report the delivery so the machine can watch tile t.
-            self.buffered -= flits;
+            self.buffered -= msg.flits();
             self.delivered.push(t);
         }
     }
