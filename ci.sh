@@ -108,6 +108,16 @@ stage_clippy() {
       "answer through ServerState::respond" >&2
     exit 1
   fi
+  # One read-out: `serve --stats` and Client::stats fold the metrics scrape,
+  # so no stats frame can grow back beside it.
+  local readouts
+  readouts="$(grep -rnwE 'REQ_STATS|RESP_STATS|stats_response' \
+    crates tests examples --include='*.rs' || true)"
+  if [[ -n "$readouts" ]]; then
+    echo "ci: read the daemon through its metrics scrape, not a second frame:" >&2
+    echo "$readouts" >&2
+    exit 1
+  fi
   # Only what a reader reads: the ledger books every compile into counters
   # and histograms, so no per-request record, inline label or slow-request
   # log can grow back without a reader of its own.
@@ -370,7 +380,8 @@ stage_metrics_smoke() {
   # (every sample preceded by HELP/TYPE), bucket cumulatives monotone, and
   # the counters conserved: the +Inf bucket of the wall-time histogram must
   # equal its _count, which must equal the served compile-response counter,
-  # which must cover everything the replay sent.
+  # which must cover everything the replay sent, and equal the sum of the
+  # per-client series and the (total) row `serve --stats` folds from them.
   cargo build --offline --release -p raw-bench
   local bin=target/release/raw-bench
   local dir
@@ -403,13 +414,14 @@ stage_metrics_smoke() {
   grep -q "latency " "$dir/top.txt"
 
   "$bin" serve --metrics-dump --addr "$addr" > "$dir/metrics.prom"
+  "$bin" serve --stats --addr "$addr" > "$dir/stats.txt"
   "$bin" serve --stop --addr "$addr"
   wait "$pid"
 
-  python3 - "$dir/metrics.prom" <<'PY'
+  python3 - "$dir/metrics.prom" "$dir/stats.txt" <<'PY'
 import re, sys
 
-prom_path = sys.argv[1]
+prom_path, stats_path = sys.argv[1], sys.argv[2]
 
 # --- Prometheus text exposition: shape and conservation ---------------------
 typed, helped, samples = set(), set(), {}
@@ -438,6 +450,12 @@ wall_inf = samples['rawcc_compile_wall_us_bucket{le="+Inf"}']
 wall_count = samples["rawcc_compile_wall_us_count"]
 assert wall_inf == wall_count == served, \
     f"conservation: +Inf={wall_inf} _count={wall_count} served={served}"
+by_client = [v for k, v in samples.items()
+             if k.startswith('rawcc_client_requests_total{client="')]
+assert by_client and sum(by_client) == served, \
+    f"client series sum to {sum(by_client)}, served={served}"
+totals = re.findall(r'^ +\(total\) +(\d+) ', open(stats_path).read(), re.M)
+assert totals == [f"{served:.0f}"], f"--stats (total) row {totals}, served={served}"
 
 buckets = {}
 for series, value in samples.items():

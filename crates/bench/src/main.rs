@@ -80,12 +80,12 @@ SUBCOMMANDS:
                     (in-flight duplicates single-flighted, byte budget
                     enforced across all clients); prints
                     'rawcc-serve listening on ADDR' once bound; --stop asks a
-                    running daemon to shut down, --stats prints its hit/miss/
-                    latency-percentile counters as an aligned per-client
-                    table, --metrics-dump prints the telemetry registry's
-                    Prometheus text, --no-telemetry runs the daemon without
-                    the registry; --cache-dir deletes entries of another
-                    format version at start-up
+                    running daemon to shut down, --metrics-dump prints its one
+                    read-out, the telemetry registry's Prometheus text,
+                    --stats folds that into hit/miss/latency-percentile
+                    counters and an aligned per-client table, --no-telemetry
+                    hides the read-out; --cache-dir deletes entries of
+                    another format version at start-up
     replay          stress the daemon with a deterministic request mix from K
                     client threads, cold then warm, checking every response
                     byte-identical against an in-process compile; --check

@@ -15,10 +15,11 @@
 
 use crate::args::{require_power_of_two, FlagParser};
 use crate::compiletime::remove_stale_entries;
+use crate::top::disabled_notice;
 use raw_benchmarks::Benchmark;
 use raw_lang::UnrollOptions;
 use raw_machine::MachineConfig;
-use rawcc::service::{serve, Client, ServeOptions, ServerHandle};
+use rawcc::service::{serve, Client, ServeOptions, ServerHandle, ServiceError, StatsResponse};
 use rawcc::wire::MetricsFormat;
 use rawcc::{compile_with_cache, wire, BlockCache, CompilerOptions};
 use std::fmt::Write as _;
@@ -35,12 +36,12 @@ pub struct ServeArgs {
     pub cache_dir: Option<String>,
     /// Send a shutdown request instead of serving.
     pub stop: bool,
-    /// Fetch and print the stats snapshot instead of serving.
+    /// Fetch one scrape and print it as the stats table instead of serving.
     pub stats: bool,
     /// Fetch and print the Prometheus-text metrics snapshot instead of
     /// serving.
     pub metrics_dump: bool,
-    /// Run the daemon without the telemetry registry.
+    /// Run the daemon with its read-out, the telemetry registry, hidden.
     pub no_telemetry: bool,
 }
 
@@ -89,10 +90,10 @@ impl ServeArgs {
     }
 }
 
-/// Formats a stats snapshot: one greppable `service stats` line (stable
-/// key=value fields, for scripts), then a human-oriented aligned table of the
-/// per-client rows plus a global total row.
-fn stats_text(stats: &rawcc::wire::StatsResponse) -> String {
+/// Formats the stats folded from a scrape: one greppable `service stats`
+/// line (stable key=value fields, for scripts), then a human-oriented
+/// aligned table of the per-client rows plus a global total row.
+fn stats_text(stats: &StatsResponse) -> String {
     let c = &stats.cache;
     let uptime_s = stats.uptime_us as f64 / 1e6;
     let req_per_s = stats.requests as f64 / uptime_s.max(1e-9);
@@ -153,7 +154,8 @@ fn stats_text(stats: &rawcc::wire::StatsResponse) -> String {
 }
 
 /// Runs the `serve` subcommand. The daemon path prints its listen line and
-/// blocks until shutdown; `--stop`/`--stats` are quick client round-trips.
+/// blocks until shutdown; `--stop`/`--stats`/`--metrics-dump` are quick
+/// client round-trips (`--stats` folds one metrics scrape).
 ///
 /// # Errors
 ///
@@ -168,8 +170,11 @@ pub fn serve_command(args: &ServeArgs) -> Result<String, String> {
     if args.stats {
         let mut client =
             Client::connect(args.addr.as_str(), "raw-bench-stats").map_err(|e| e.to_string())?;
-        let stats = client.stats().map_err(|e| e.to_string())?;
-        return Ok(stats_text(&stats));
+        return match client.stats() {
+            Ok(stats) => Ok(stats_text(&stats)),
+            Err(ServiceError::TelemetryDisabled) => Ok(disabled_notice(&args.addr)),
+            Err(e) => Err(e.to_string()),
+        };
     }
     if args.metrics_dump {
         let mut client =

@@ -7,8 +7,8 @@
 //! first frame shows totals only.
 //!
 //! Each scrape is the daemon's Prometheus text, read back by
-//! `raw_telemetry::Snapshot::parse_prometheus`; the percentiles come from the
-//! same quantile as the stats reply's.
+//! `raw_telemetry::Snapshot::parse_prometheus`: the daemon's one read-out,
+//! which `serve --stats` folds too, so both show the same percentiles.
 
 use crate::args::FlagParser;
 use raw_telemetry::Snapshot;
@@ -81,28 +81,29 @@ fn rate(prev: Option<&Frame>, cur: &Frame, name: &str, labels: &[(&str, &str)]) 
     now.saturating_sub(then) as f64 / dt
 }
 
+/// What `top` and `serve --stats` print for a daemon whose read-out is
+/// hidden.
+pub(crate) fn disabled_notice(addr: &str) -> String {
+    format!("rawcc-serve @ {addr} — telemetry disabled (restart without --no-telemetry)\n")
+}
+
 /// Renders one dashboard frame. Pure string building, so tests can assert on
 /// it without a terminal.
 fn render(addr: &str, prev: Option<&Frame>, cur: &Frame) -> String {
-    let mut out = String::new();
     let s = &cur.snapshot;
     if s.scalar("rawcc_telemetry_enabled", &[]) == 0 {
-        let _ = writeln!(
-            out,
-            "rawcc-serve @ {addr} — telemetry disabled (restart without --no-telemetry)"
-        );
-        return out;
+        return disabled_notice(addr);
     }
+    let mut out = String::new();
     let uptime_s = s.scalar("rawcc_uptime_us", &[]) as f64 / 1e6;
     let _ = writeln!(out, "rawcc-serve @ {addr} — up {uptime_s:.1}s");
 
     let requests = |kind| s.scalar("rawcc_requests_total", &[("kind", kind)]);
     let _ = writeln!(
         out,
-        "requests  compile {} ({:.1}/s)  stats {}  ping {}  metrics {}  errors {}",
+        "requests  compile {} ({:.1}/s)  ping {}  metrics {}  errors {}",
         requests("compile"),
         rate(prev, cur, "rawcc_requests_total", &[("kind", "compile")]),
-        requests("stats"),
         requests("ping"),
         requests("metrics"),
         s.scalar_sum("rawcc_request_errors_total"),

@@ -39,7 +39,7 @@
 //!
 //! [`KeyContext`]: crate::blockcache::KeyContext
 
-use crate::blockcache::{BlockBundle, CacheKey, CacheTotals};
+use crate::blockcache::{BlockBundle, CacheKey};
 use crate::driver::{BlockReport, TileCounts};
 use crate::exact::{ExactOutcome, ExactReport, Lane};
 use crate::layout::{ArrayClass, DataLayout};
@@ -47,8 +47,7 @@ use crate::options::{CompilerOptions, PlacementAlgorithm, PriorityScheme, Strate
 use crate::partition::{PlacementLog, PlacementStep, CLUSTER_COMM_COST};
 use crate::regalloc::AllocResult;
 use crate::wire::{
-    ClientRow, CompileRequest, CompileResponse, CompiledCounters, MetricsFormat, MetricsResponse,
-    StatsResponse,
+    CompileRequest, CompileResponse, CompiledCounters, MetricsFormat, MetricsResponse,
 };
 use raw_ir::{
     ArrayDecl, ArrayId, BinOp, Block, BlockId, Imm, Inst, InstKind, MemHome, Program, SourceSpan,
@@ -969,12 +968,6 @@ pub(crate) fn split_str(bytes: &[u8]) -> Option<(&str, &[u8])> {
 
 record! {
     CompiledCounters { hits, misses, coalesced, evictions, evicted_bytes, wall_us, threads };
-    CacheTotals {
-        hits_mem, hits_disk, misses, coalesced, evictions, evicted_bytes, resident_bytes, entries,
-        disk_rejects,
-    };
-    ClientRow { client, requests, hits, misses, coalesced };
-    StatsResponse { cache, requests, p50_us, p90_us, p99_us, memo_hits, uptime_us, clients };
     MetricsResponse { format, body };
 }
 

@@ -18,10 +18,12 @@
 //! ledger owns every count the daemon keeps — requests, errors, connections,
 //! memo traffic, fixed-bucket wall and phase histograms, the per-client table
 //! (bounded at [`MAX_CLIENT_ROWS`] rows) and the start time — and is always
-//! maintained. The stats reply reads it; with [`ServeOptions::telemetry`] on
-//! (the default) the metrics registry exposes it as Prometheus text
-//! ([`REQ_METRICS`](wire::REQ_METRICS)). Compile responses are byte-identical
-//! either way. DESIGN.md §14–§15 hold the invariants.
+//! maintained. Its one read-out is the metrics registry's Prometheus text
+//! ([`REQ_METRICS`](wire::REQ_METRICS)), client rows as `client`-labelled
+//! series; [`Client::stats`] folds a scrape into a [`StatsResponse`]. With
+//! [`ServeOptions::telemetry`] off the read-out is hidden, and compile
+//! responses are byte-identical either way. DESIGN.md §14–§15 hold the
+//! invariants.
 //!
 //! ## Error policy
 //!
@@ -41,17 +43,19 @@
 //! exit when their client disconnects; the daemon process exits as soon as
 //! [`ServerHandle::join`] returns, which requires only the accept loop.
 
-use crate::blockcache::{BlockCache, Fifo, DEFAULT_CAPACITY};
+use crate::blockcache::{BlockCache, CacheTotals, Fifo, DEFAULT_CAPACITY};
 use crate::codec::hash128;
 use crate::driver::compile_with_cache;
 use crate::options::CompilerOptions;
 use crate::wire::{
-    self, encode_compile_request, errcode, read_frame, write_frame, ClientRow, CompileRequest,
-    CompileResponse, CompiledCounters, MetricsFormat, MetricsResponse, StatsResponse, WireError,
+    self, encode_compile_request, errcode, read_frame, write_frame, CompileRequest,
+    CompileResponse, CompiledCounters, MetricsFormat, MetricsResponse, WireError,
 };
 use raw_ir::Program;
 use raw_machine::MachineConfig;
-use raw_telemetry::{Buckets, Counter, Histogram, Registry, SPAN_PHASES, SPAN_PHASE_NAMES};
+use raw_telemetry::{
+    Buckets, Counter, Histogram, Registry, Snapshot, SPAN_PHASES, SPAN_PHASE_NAMES,
+};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -60,11 +64,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Per-client stats rows are bounded; once this many distinct client names
-/// have rows, further names fold into [`OTHER_CLIENTS_ROW`].
+/// Per-client rows are bounded; once this many distinct client names have
+/// rows, further names fold into [`OTHER_CLIENTS_ROW`].
 pub const MAX_CLIENT_ROWS: usize = 64;
 /// The fold-over row name for clients beyond [`MAX_CLIENT_ROWS`].
 pub const OTHER_CLIENTS_ROW: &str = "(other)";
+/// Longest client name, in bytes, a compile request may carry (a longer one
+/// is `MALFORMED`): names are label values of every scrape.
+pub const MAX_CLIENT_NAME: usize = 64;
 /// Byte budget of the whole-response memo. The memo replays the encoded
 /// response for byte-identical requests, skipping decode/verify/compile/
 /// encode entirely.
@@ -72,9 +79,20 @@ const MEMO_BUDGET: usize = 64 << 20;
 /// Shard count of the daemon's block cache.
 const SHARDS: usize = 16;
 
-/// The `rawcc_requests_total` label of each request kind, indexed by
-/// `kind - 1` (`wire::REQ_COMPILE` is 1, `wire::REQ_METRICS` 5).
-const REQUEST_KINDS: [&str; 5] = ["compile", "stats", "ping", "shutdown", "metrics"];
+/// Each request kind and its `rawcc_requests_total` label.
+const REQUEST_KINDS: [(u8, &str); 4] = [
+    (wire::REQ_COMPILE, "compile"),
+    (wire::REQ_PING, "ping"),
+    (wire::REQ_SHUTDOWN, "shutdown"),
+    (wire::REQ_METRICS, "metrics"),
+];
+
+/// A client row's counts, each the `client`-labelled counter family
+/// `rawcc_client_{count}_total`.
+const CLIENT_COUNTS: [&str; 4] = ["requests", "hits", "misses", "coalesced"];
+
+/// One client's row, indexed like [`CLIENT_COUNTS`].
+type ClientCounts = [u64; 4];
 
 /// The `rawcc_request_errors_total` label of each typed error code, indexed
 /// by `errcode - 1`.
@@ -96,9 +114,9 @@ pub struct ServeOptions {
     pub byte_budget: usize,
     /// Optional disk layer shared by all clients.
     pub cache_dir: Option<PathBuf>,
-    /// Expose the metrics registry (the default). Off, the daemon still keeps
-    /// every count and serves the stats reply, but a metrics scrape reports
-    /// only `rawcc_telemetry_enabled 0`.
+    /// Expose the daemon's read-out, the metrics registry (the default).
+    /// Off, the daemon still keeps every count, but a scrape reports only
+    /// `rawcc_telemetry_enabled 0` and [`Client::stats`] fails.
     pub telemetry: bool,
 }
 
@@ -127,6 +145,8 @@ pub enum ServiceError {
     Wire(WireError),
     /// The server answered with a frame kind the client did not expect.
     UnexpectedResponse(u8),
+    /// The daemon runs with telemetry off, so it has no read-out to fold.
+    TelemetryDisabled,
 }
 
 impl std::fmt::Display for ServiceError {
@@ -139,6 +159,7 @@ impl std::fmt::Display for ServiceError {
             ServiceError::UnexpectedResponse(kind) => {
                 write!(f, "unexpected response kind {kind:#04x}")
             }
+            ServiceError::TelemetryDisabled => write!(f, "the daemon runs with telemetry off"),
         }
     }
 }
@@ -177,23 +198,23 @@ fn memo_key(rest: &[u8]) -> u128 {
 struct Ledger {
     started: Instant,
     /// Request frames by kind, indexed like [`REQUEST_KINDS`].
-    requests: [Counter; 5],
+    requests: [Counter; 4],
     /// Typed error replies by code, indexed like [`ERROR_CODES`].
     errors: [Counter; 5],
-    /// Compile responses served, memo replays included (the stats
-    /// `requests` field; errors are the difference to the compile kind).
+    /// Compile responses served, memo replays included (errors are the
+    /// difference to the compile kind).
     compiles: Counter,
     memo_hits: Counter,
     memo_insertions: Counter,
     memo_evictions: Counter,
     conn_opened: Counter,
     conn_closed: Counter,
-    /// Compile wall times of served compiles; backs the stats percentiles.
+    /// Compile wall times of served compiles.
     wall_us: Histogram,
     /// Fresh-compile phase times, indexed like [`SPAN_PHASE_NAMES`].
     phase_us: [Histogram; SPAN_PHASES],
-    /// Per-client rows, kept sorted by name for the stats reply.
-    clients: Mutex<BTreeMap<String, ClientRow>>,
+    /// Per-client rows, sorted by name as the scrape lists them.
+    clients: Mutex<BTreeMap<String, ClientCounts>>,
 }
 
 /// Counts a connection closed when it drops.
@@ -232,8 +253,8 @@ impl Ledger {
     /// Counts a request frame before its reply is built, so a metrics scrape
     /// counts itself. Unknown kinds count only as errors.
     fn count_request(&self, kind: u8) {
-        if let Some(counter) = self.requests.get(usize::from(kind).wrapping_sub(1)) {
-            counter.inc();
+        if let Some(i) = REQUEST_KINDS.iter().position(|&(k, _)| k == kind) {
+            self.requests[i].inc();
         }
     }
 
@@ -250,21 +271,16 @@ impl Ledger {
         if let Some((client, counters)) = reply.served {
             self.compiles.inc();
             self.wall_us.record(counters.wall_us);
+            let counts = [1, counters.hits, counters.misses, counters.coalesced];
             let mut clients = self.clients.lock().unwrap();
             // Rows are bounded: once MAX_CLIENT_ROWS names have one, further
-            // names fold into OTHER_CLIENTS_ROW.
+            // names fold into OTHER_CLIENTS_ROW. Only a new row allocates.
             let full = clients.len() >= MAX_CLIENT_ROWS && !clients.contains_key(client);
             let name = if full { OTHER_CLIENTS_ROW } else { client };
-            let row = clients
-                .entry(name.to_string())
-                .or_insert_with(|| ClientRow {
-                    client: name.to_string(),
-                    ..ClientRow::default()
-                });
-            row.requests += 1;
-            row.hits += counters.hits;
-            row.misses += counters.misses;
-            row.coalesced += counters.coalesced;
+            match clients.get_mut(name) {
+                Some(row) => row.iter_mut().zip(counts).for_each(|(n, add)| *n += add),
+                None => _ = clients.insert(name.to_owned(), counts),
+            }
         }
         if reply.memo_hit {
             self.memo_hits.inc();
@@ -444,7 +460,7 @@ fn registry(telemetry: bool) -> Registry<ServerState> {
     }
     // `rawcc_requests_total` counts every request frame by kind (compile
     // includes ones that end in a typed error).
-    for (i, kind) in REQUEST_KINDS.into_iter().enumerate() {
+    for (i, (_, kind)) in REQUEST_KINDS.into_iter().enumerate() {
         let help = "request frames served, by request kind";
         registry.counter_fn("rawcc_requests_total", help, &[("kind", kind)], move |s| {
             s.ledger.requests[i].get()
@@ -467,6 +483,15 @@ fn registry(telemetry: bool) -> Registry<ServerState> {
         let help = "block-cache hits, by serving tier";
         registry.counter_fn("rawcc_cache_hits_total", help, &[("tier", tier)], read);
     }
+    // One entry per client family, each reading every row at scrape time.
+    let help = "served compile requests and their block-cache hits, misses, coalesced, by client";
+    for (i, count) in CLIENT_COUNTS.into_iter().enumerate() {
+        let name = format!("rawcc_client_{count}_total");
+        registry.counter_family_fn(&name, help, "client", move |s| {
+            let clients = s.ledger.clients.lock().unwrap();
+            clients.iter().map(|(c, row)| (c.clone(), row[i])).collect()
+        });
+    }
     let help = "server-side compile wall time per request, microseconds";
     registry.histogram_fn("rawcc_compile_wall_us", help, &[], |s| &s.ledger.wall_us);
     for (i, phase) in SPAN_PHASE_NAMES.into_iter().enumerate() {
@@ -482,21 +507,6 @@ fn registry(telemetry: bool) -> Registry<ServerState> {
 }
 
 impl ServerState {
-    fn stats_response(&self) -> StatsResponse {
-        let ledger = &self.ledger;
-        let clients = ledger.clients.lock().unwrap().values().cloned().collect();
-        StatsResponse {
-            cache: self.cache.stats(),
-            requests: ledger.compiles.get(),
-            memo_hits: ledger.memo_hits.get(),
-            p50_us: ledger.wall_us.quantile(0.50),
-            p90_us: ledger.wall_us.quantile(0.90),
-            p99_us: ledger.wall_us.quantile(0.99),
-            uptime_us: ledger.started.elapsed().as_micros() as u64,
-            clients,
-        }
-    }
-
     /// A scrape of the registry in `format`, encoded as a metrics reply.
     fn metrics(&self, format: MetricsFormat) -> Vec<u8> {
         let body = self.registry.snapshot(self).render_prometheus();
@@ -520,7 +530,6 @@ impl ServerState {
         };
         Some(match kind {
             wire::REQ_COMPILE => self.compile(payload),
-            wire::REQ_STATS => Reply::ok(wire::RESP_STATS, self.stats_response().encode()),
             wire::REQ_PING => Reply::ok(wire::RESP_PONG, payload),
             wire::REQ_METRICS => match wire::decode_metrics_request(payload) {
                 Ok(format) => Reply::ok(wire::RESP_METRICS, self.metrics(format)),
@@ -542,6 +551,12 @@ impl ServerState {
         let started = Instant::now();
         let split = wire::split_compile_client(payload);
         let client = split.map_or("", |(client, _)| client);
+        let len = client.len();
+        if len > MAX_CLIENT_NAME {
+            let why =
+                format!("client name of {len} bytes is over the {MAX_CLIENT_NAME}-byte limit");
+            return Reply::error(errcode::MALFORMED, why);
+        }
         // Whole-response memo: identical (program, config, options) bytes —
         // whoever sent them — map to identical responses under a
         // deterministic compiler, so the encoded answer is replayed verbatim
@@ -745,6 +760,102 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
     }
 }
 
+/// One client's row of a [`StatsResponse`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ClientRow {
+    /// Client name as sent in its compile requests.
+    pub client: String,
+    /// Compile requests served.
+    pub requests: u64,
+    /// Cache hits across those requests.
+    pub hits: u64,
+    /// Fresh compiles across those requests.
+    pub misses: u64,
+    /// Single-flight coalesced hits across those requests.
+    pub coalesced: u64,
+}
+
+/// Service-wide stats, as [`Client::stats`] folds them out of one scrape.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct StatsResponse {
+    /// Global block-cache counters.
+    pub cache: CacheTotals,
+    /// Compile requests served since startup.
+    pub requests: u64,
+    /// Compile wall-time percentiles in microseconds (0 when no requests yet).
+    pub p50_us: u64,
+    /// 90th percentile.
+    pub p90_us: u64,
+    /// 99th percentile.
+    pub p99_us: u64,
+    /// Requests answered verbatim from the whole-response memo (identical
+    /// request bytes seen before).
+    pub memo_hits: u64,
+    /// Microseconds since the daemon started serving.
+    pub uptime_us: u64,
+    /// Per-client rows, sorted by client name.
+    pub clients: Vec<ClientRow>,
+}
+
+impl StatsResponse {
+    /// Reads the stats out of a parsed scrape: the cache, memo and uptime
+    /// series, the percentiles of `rawcc_compile_wall_us` and one row per
+    /// `client` label of the per-client families.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::TelemetryDisabled`] when the scrape reports
+    /// `rawcc_telemetry_enabled 0`.
+    pub fn from_scrape(s: &Snapshot) -> Result<Self, ServiceError> {
+        if s.scalar("rawcc_telemetry_enabled", &[]) == 0 {
+            return Err(ServiceError::TelemetryDisabled);
+        }
+        let tier = |tier| s.scalar("rawcc_cache_hits_total", &[("tier", tier)]);
+        let cache = CacheTotals {
+            hits_mem: tier("mem"),
+            hits_disk: tier("disk"),
+            misses: s.scalar("rawcc_cache_misses_total", &[]),
+            coalesced: s.scalar("rawcc_cache_coalesced_total", &[]),
+            evictions: s.scalar("rawcc_cache_evictions_total", &[]),
+            evicted_bytes: s.scalar("rawcc_cache_evicted_bytes_total", &[]),
+            resident_bytes: s.scalar("rawcc_cache_resident_bytes", &[]),
+            entries: s.scalar("rawcc_cache_entries", &[]),
+            disk_rejects: s.scalar("rawcc_cache_disk_rejects_total", &[]),
+        };
+        let wall = s.hist("rawcc_compile_wall_us", &[]);
+        let quantile = |q| wall.map_or(0, |h| h.quantile(q));
+        let count = |count, client| {
+            let family = format!("rawcc_client_{count}_total");
+            s.scalar(&family, &[("client", client)])
+        };
+        // One row per series of the requests family, in name order.
+        let requests = s
+            .families
+            .iter()
+            .filter(|f| f.name == "rawcc_client_requests_total");
+        let clients = requests.flat_map(|f| &f.series).filter_map(|series| {
+            let (_, client) = series.labels.first()?;
+            Some(ClientRow {
+                client: client.clone(),
+                requests: count("requests", client),
+                hits: count("hits", client),
+                misses: count("misses", client),
+                coalesced: count("coalesced", client),
+            })
+        });
+        Ok(StatsResponse {
+            cache,
+            requests: s.scalar("rawcc_compile_responses_total", &[]),
+            p50_us: quantile(0.50),
+            p90_us: quantile(0.90),
+            p99_us: quantile(0.99),
+            memo_hits: s.scalar("rawcc_memo_hits_total", &[]),
+            uptime_us: s.scalar("rawcc_uptime_us", &[]),
+            clients: clients.collect(),
+        })
+    }
+}
+
 /// A blocking client for the compile service. One request at a time per
 /// client; open several clients for concurrency.
 pub struct Client {
@@ -826,14 +937,18 @@ impl Client {
         self.roundtrip(wire::REQ_COMPILE, request, wire::RESP_COMPILED)
     }
 
-    /// Fetches the server-wide stats snapshot.
+    /// Fetches the server-wide stats: one scrape, folded by
+    /// [`StatsResponse::from_scrape`].
     ///
     /// # Errors
     ///
-    /// Propagates transport/protocol failures.
+    /// [`ServiceError::TelemetryDisabled`] against a daemon with telemetry
+    /// off, and transport/protocol failures (text that does not parse is
+    /// [`WireError::Malformed`]).
     pub fn stats(&mut self) -> Result<StatsResponse, ServiceError> {
-        let payload = self.roundtrip(wire::REQ_STATS, &[], wire::RESP_STATS)?;
-        Ok(StatsResponse::decode(&payload)?)
+        let body = self.metrics(MetricsFormat::Prometheus)?.body;
+        let snapshot = Snapshot::parse_prometheus(&body);
+        StatsResponse::from_scrape(&snapshot.map_err(|_| WireError::Malformed("metrics text"))?)
     }
 
     /// Fetches a rendered telemetry snapshot in `format`.

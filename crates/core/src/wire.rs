@@ -23,12 +23,10 @@
 //! | kind | payload |
 //! |------|---------|
 //! | [`REQ_COMPILE`] | client name + [`raw_ir::Program`] + [`MachineConfig`] + [`CompilerOptions`] |
-//! | [`REQ_STATS`] | empty |
 //! | [`REQ_PING`] | arbitrary bytes (echoed) |
 //! | [`REQ_SHUTDOWN`] | empty |
 //! | [`REQ_METRICS`] | one [`MetricsFormat`] byte, or empty (both mean Prometheus text) |
 //! | [`RESP_COMPILED`] | [`MachineProgram`] + per-request cache counters + wall time |
-//! | [`RESP_STATS`] | global counters + latency percentiles + per-client rows |
 //! | [`RESP_PONG`] | echoed bytes |
 //! | [`RESP_SHUTDOWN`] | empty |
 //! | [`RESP_METRICS`] | format byte + rendered telemetry snapshot (text) |
@@ -36,8 +34,11 @@
 //!
 //! Every request gets exactly one response frame on the same connection, in
 //! order, so clients can pipeline.
+//!
+//! The metrics scrape is the daemon's one read-out (`Client::stats` folds it).
+//! Kind `0x02` named a retired stats request: it answers
+//! [`errcode::UNKNOWN_KIND`] like any unknown kind.
 
-use crate::blockcache::CacheTotals;
 use crate::codec::{self, Codec};
 use crate::options::CompilerOptions;
 use raw_ir::Program;
@@ -51,8 +52,6 @@ pub const MAX_FRAME: u32 = 64 << 20;
 
 /// Compile request: client name + program + config + options.
 pub const REQ_COMPILE: u8 = 0x01;
-/// Stats snapshot request (empty payload).
-pub const REQ_STATS: u8 = 0x02;
 /// Liveness probe; payload is echoed back.
 pub const REQ_PING: u8 = 0x03;
 /// Graceful shutdown request (empty payload).
@@ -61,8 +60,6 @@ pub const REQ_SHUTDOWN: u8 = 0x04;
 pub const REQ_METRICS: u8 = 0x05;
 /// Successful compile response.
 pub const RESP_COMPILED: u8 = 0x81;
-/// Stats snapshot response.
-pub const RESP_STATS: u8 = 0x82;
 /// Ping echo.
 pub const RESP_PONG: u8 = 0x83;
 /// Shutdown acknowledged; the daemon exits after this frame.
@@ -199,7 +196,8 @@ fn decode_msg<T: Codec>(bytes: &[u8], what: &'static str) -> Result<T, WireError
 /// One compile request, as carried by a [`REQ_COMPILE`] frame.
 #[derive(Clone, Debug)]
 pub struct CompileRequest {
-    /// Client identity for per-client stats rows.
+    /// Client identity for the per-client series (at most
+    /// `service::MAX_CLIENT_NAME` bytes).
     pub client: String,
     /// The program to compile.
     pub program: Program,
@@ -209,8 +207,8 @@ pub struct CompileRequest {
     pub options: CompilerOptions,
 }
 
-/// Serializes a [`REQ_COMPILE`] payload without cloning the program (the
-/// borrow-side counterpart of [`CompileRequest::encode`]).
+/// Serializes a [`REQ_COMPILE`] payload; the one encoder of the message,
+/// borrowing the program rather than owning it.
 pub fn encode_compile_request(
     client: &str,
     program: &Program,
@@ -232,11 +230,6 @@ pub fn split_compile_client(payload: &[u8]) -> Option<(&str, &[u8])> {
 }
 
 impl CompileRequest {
-    /// Serializes into a [`REQ_COMPILE`] payload.
-    pub fn encode(&self) -> Vec<u8> {
-        codec::encode(self)
-    }
-
     /// Decodes a [`REQ_COMPILE`] payload.
     ///
     /// # Errors
@@ -369,59 +362,6 @@ pub fn split_compiled_payload(payload: &[u8]) -> Option<(&[u8], CompiledCounters
 /// [`split_compiled_payload`]) byte-for-byte against a local compile.
 pub fn encode_machine_program(mp: &MachineProgram) -> Vec<u8> {
     codec::encode(mp)
-}
-
-/// Per-client accounting row in a [`StatsResponse`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ClientRow {
-    /// Client name as sent in its compile requests.
-    pub client: String,
-    /// Compile requests served.
-    pub requests: u64,
-    /// Cache hits across those requests.
-    pub hits: u64,
-    /// Fresh compiles across those requests.
-    pub misses: u64,
-    /// Single-flight coalesced hits across those requests.
-    pub coalesced: u64,
-}
-
-/// Service-wide snapshot, as carried by a [`RESP_STATS`] frame.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct StatsResponse {
-    /// Global block-cache counters.
-    pub cache: CacheTotals,
-    /// Compile requests served since startup.
-    pub requests: u64,
-    /// Compile wall-time percentiles in microseconds (0 when no requests yet).
-    pub p50_us: u64,
-    /// 90th percentile.
-    pub p90_us: u64,
-    /// 99th percentile.
-    pub p99_us: u64,
-    /// Requests answered verbatim from the whole-response memo (identical
-    /// request bytes seen before).
-    pub memo_hits: u64,
-    /// Microseconds since the daemon started serving.
-    pub uptime_us: u64,
-    /// Per-client rows, sorted by client name.
-    pub clients: Vec<ClientRow>,
-}
-
-impl StatsResponse {
-    /// Serializes into a [`RESP_STATS`] payload.
-    pub fn encode(&self) -> Vec<u8> {
-        codec::encode(self)
-    }
-
-    /// Decodes a [`RESP_STATS`] payload.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Malformed`] when the bytes do not decode; never panics.
-    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        decode_msg(bytes, "stats response")
-    }
 }
 
 /// Rendering requested by (and echoed in) a telemetry scrape. Prometheus
@@ -573,7 +513,7 @@ mod tests {
                 ..CompilerOptions::default()
             },
         };
-        let bytes = req.encode();
+        let bytes = encode_compile_request(&req.client, &req.program, &req.config, &req.options);
         let back = CompileRequest::decode(&bytes).unwrap();
         assert_eq!(back.client, req.client);
         assert_eq!(back.program, req.program);
@@ -621,37 +561,6 @@ mod tests {
                 array: raw_ir::ArrayId::from_raw(0)
             })
         );
-    }
-
-    #[test]
-    fn stats_response_roundtrip() {
-        let resp = StatsResponse {
-            cache: CacheTotals {
-                hits_mem: 10,
-                hits_disk: 2,
-                misses: 3,
-                coalesced: 4,
-                evictions: 1,
-                evicted_bytes: 4096,
-                resident_bytes: 1 << 20,
-                entries: 17,
-                disk_rejects: 1,
-            },
-            requests: 15,
-            p50_us: 100,
-            p90_us: 900,
-            p99_us: 9900,
-            memo_hits: 6,
-            uptime_us: 12_345_678,
-            clients: vec![ClientRow {
-                client: "a".into(),
-                requests: 5,
-                hits: 4,
-                misses: 1,
-                coalesced: 0,
-            }],
-        };
-        assert_eq!(StatsResponse::decode(&resp.encode()).unwrap(), resp);
     }
 
     #[test]

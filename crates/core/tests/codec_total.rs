@@ -5,10 +5,8 @@
 use raw_ir::builder::ProgramBuilder;
 use raw_machine::MachineConfig;
 use rawcc::blockcache::{decode_bundle, decode_entry, encode_bundle};
-use rawcc::wire::{
-    self, ClientRow, CompileRequest, CompileResponse, MetricsFormat, MetricsResponse, StatsResponse,
-};
-use rawcc::{compile_with_cache, BlockCache, CacheKey, CacheTotals, CompilerOptions, DiskLayer};
+use rawcc::wire::{self, CompileRequest, CompileResponse, MetricsFormat, MetricsResponse};
+use rawcc::{compile_with_cache, BlockCache, CacheKey, CompilerOptions, DiskLayer};
 use std::path::{Path, PathBuf};
 
 /// A decoder reduced to "did it accept these bytes".
@@ -101,25 +99,6 @@ fn cases(dir: &Path) -> (Vec<Case>, EntryFile) {
             }
             .encode(),
             Box::new(|b| CompileResponse::decode(b).is_ok()),
-        ),
-        case(
-            "stats response",
-            StatsResponse {
-                cache: CacheTotals {
-                    hits_mem: 10,
-                    entries: 17,
-                    ..CacheTotals::default()
-                },
-                requests: 15,
-                clients: vec![ClientRow {
-                    client: "a".into(),
-                    requests: 5,
-                    ..ClientRow::default()
-                }],
-                ..StatsResponse::default()
-            }
-            .encode(),
-            Box::new(|b| StatsResponse::decode(b).is_ok()),
         ),
         case(
             "metrics request",

@@ -1,11 +1,11 @@
 //! End-to-end tests of the compile daemon: byte-identical results at every
 //! client count, a fully warm second pass, corrupt-disk recovery through the
-//! service, per-client stats, and a protocol fuzz pass that must never take
-//! the daemon down.
+//! service, per-client stats folded from the scrape, bounded client names,
+//! and a protocol fuzz pass that must never take the daemon down.
 
 use raw_machine::MachineConfig;
 use raw_testkit::Rng;
-use rawcc::service::{serve, Client, ServeOptions, ServiceError};
+use rawcc::service::{serve, Client, ServeOptions, ServiceError, MAX_CLIENT_NAME};
 use rawcc::wire;
 use rawcc::{asm_hash, compile_with_cache, BlockCache, CompilerOptions};
 use std::io::Write;
@@ -272,22 +272,20 @@ fn random_garbage_never_kills_the_daemon() {
         Err(e) => panic!("oversize answered with {e}"),
     }
 
-    // Unknown request kind on a valid frame: typed error, connection stays up.
+    // Unknown request kinds on a valid frame — 0x02 named the retired stats
+    // request — get a typed error, and the connection stays up.
     let mut stream = TcpStream::connect(addr).unwrap();
-    wire::write_frame(&mut stream, 0x7F, b"?").unwrap();
-    let (kind, payload) = read_one_frame(&mut stream).unwrap();
-    assert_eq!(kind, wire::RESP_ERROR);
-    assert_eq!(
-        wire::decode_error(&payload).unwrap().0,
-        wire::errcode::UNKNOWN_KIND
-    );
-    // Same connection still serves valid requests afterwards.
-    wire::write_frame(&mut stream, wire::REQ_PING, b"alive?").unwrap();
-    let (kind, payload) = read_one_frame(&mut stream).unwrap();
-    assert_eq!(kind, wire::RESP_PONG);
-    assert_eq!(payload, b"alive?");
+    for unknown in [0x7F, 0x02] {
+        wire::write_frame(&mut stream, unknown, b"?").unwrap();
+        let (kind, payload) = read_one_frame(&mut stream).unwrap();
+        assert_eq!(kind, wire::RESP_ERROR);
+        assert_eq!(
+            wire::decode_error(&payload).unwrap().0,
+            wire::errcode::UNKNOWN_KIND
+        );
+    }
 
-    // After all that abuse the daemon still compiles correctly.
+    // After all that abuse the same connection still compiles correctly.
     let program = &workload()[0];
     let config = MachineConfig::square(2);
     let options = CompilerOptions {
@@ -296,48 +294,59 @@ fn random_garbage_never_kills_the_daemon() {
     };
     let reference =
         compile_with_cache(program, &config, &options, &BlockCache::in_memory()).unwrap();
-    let mut client = Client::connect(addr, "survivor").unwrap();
-    let resp = client.compile(program, &config, &options).unwrap();
+    let request = wire::encode_compile_request("survivor", program, &config, &options);
+    wire::write_frame(&mut stream, wire::REQ_COMPILE, &request).unwrap();
+    let (kind, payload) = read_one_frame(&mut stream).unwrap();
+    assert_eq!(kind, wire::RESP_COMPILED);
+    let resp = wire::CompileResponse::decode(&payload).unwrap();
     assert_eq!(
         asm_hash(&resp.machine_program),
         asm_hash(&reference.machine_program)
     );
-    client.shutdown().unwrap();
-    handle.join();
 }
 
 /// A mesh past the machine's tile limit, or one whose tile count overflows,
 /// is a malformed request: it must not reach the compiler, which would size
 /// per-tile-pair tables from it (or overflow) and take the daemon down.
+/// So is a client name past `MAX_CLIENT_NAME` bytes (a row and a scrape
+/// label); no row is booked, and a name of exactly the bound is served.
 #[test]
-fn oversized_meshes_are_malformed_requests() {
+fn oversized_meshes_and_client_names_are_malformed_requests() {
     let handle = serve(&ServeOptions::default()).unwrap();
-    let mut client = Client::connect(handle.addr(), "giant-mesh").unwrap();
+    let mut client = Client::connect(handle.addr(), "z".repeat(MAX_CLIENT_NAME)).unwrap();
     let program = &workload()[0];
     let options = CompilerOptions {
         threads: 1,
         ..CompilerOptions::default()
     };
-    for side in [1024, 65536] {
+    let square = MachineConfig::square(2);
+    let meshes = [1024, 65536].map(|side| {
         // `MachineConfig::grid` refuses such a mesh, so widen a valid one:
         // the wire carries whatever a client's fields say.
         let mut config = MachineConfig::grid(1, 1);
         (config.rows, config.cols) = (side, side);
-        match client.compile(program, &config, &options) {
+        wire::encode_compile_request(client.name(), program, &config, &options)
+    });
+    let names = ["x".repeat(1 << 20), "y".repeat(MAX_CLIENT_NAME + 1)]
+        .map(|name| wire::encode_compile_request(&name, program, &square, &options));
+    for (i, request) in meshes.iter().chain(&names).enumerate() {
+        match client.compile_payload(request) {
             Err(ServiceError::Wire(wire::WireError::Remote(code, _))) => {
-                assert_eq!(code, wire::errcode::MALFORMED, "{side}x{side}");
+                assert_eq!(code, wire::errcode::MALFORMED, "request {i}");
             }
-            other => panic!("{side}x{side} mesh answered {:?}", other.map(|_| ())),
+            other => panic!("request {i} answered {:?}", other.map(|_| ())),
         }
     }
-    let config = MachineConfig::square(2);
-    let resp = client.compile(program, &config, &options).unwrap();
+    let resp = client.compile(program, &square, &options).unwrap();
     let reference =
-        compile_with_cache(program, &config, &options, &BlockCache::in_memory()).unwrap();
+        compile_with_cache(program, &square, &options, &BlockCache::in_memory()).unwrap();
     assert_eq!(
         asm_hash(&resp.machine_program),
         asm_hash(&reference.machine_program)
     );
+    let clients = client.stats().unwrap().clients;
+    let one = matches!(&clients[..], [row] if row.client == client.name() && row.requests == 1);
+    assert!(one, "{clients:?}");
     client.shutdown().unwrap();
     handle.join();
 }

@@ -21,5 +21,5 @@
 pub mod metrics;
 pub mod registry;
 
-pub use metrics::{quantile, Buckets, Counter, Histogram, SPAN_PHASES, SPAN_PHASE_NAMES};
+pub use metrics::{Buckets, Counter, Histogram, SPAN_PHASES, SPAN_PHASE_NAMES};
 pub use registry::{HistSnapshot, MetricKind, Registry, SeriesValue, Snapshot};

@@ -6,6 +6,7 @@
 //! are racy snapshots, which is fine — scrapes observe a value that was
 //! true at *some* point during the scrape.
 
+use crate::registry::HistSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotonically increasing counter.
@@ -82,41 +83,6 @@ impl Buckets {
     pub fn bounds(&self) -> &[u64] {
         &self.bounds
     }
-
-    pub fn len(&self) -> usize {
-        self.bounds.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.bounds.is_empty()
-    }
-}
-
-impl Default for Buckets {
-    fn default() -> Self {
-        Self::latency_us()
-    }
-}
-
-/// Nearest-rank quantile, `q` in `[0, 1]`, over cumulative bucket counts:
-/// `cumulative[i]` counts the samples at or below `bounds[i]`, and its last
-/// entry is the total, `+Inf` overflow included. Returns the upper bound of
-/// the bucket holding the ranked sample (the last finite bound for an
-/// overflow sample), so estimates are monotone in `q` and never understate
-/// by more than one bucket width. Returns 0 when there are no samples.
-///
-/// The one quantile of the crate: [`Histogram::quantile`] (the daemon's
-/// stats percentiles) and a scraped histogram's
-/// [`HistSnapshot::quantile`](crate::registry::HistSnapshot::quantile) both
-/// call it, so a dashboard reading the scrape agrees with the stats reply.
-pub fn quantile(bounds: &[u64], cumulative: &[u64], q: f64) -> u64 {
-    let total = cumulative.last().copied().unwrap_or(0);
-    if total == 0 {
-        return 0;
-    }
-    let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-    let at = cumulative.partition_point(|&c| c < rank);
-    bounds.get(at).or(bounds.last()).copied().unwrap_or(0)
 }
 
 /// A fixed-bucket histogram with atomic storage.
@@ -136,7 +102,7 @@ pub struct Histogram {
 
 impl Histogram {
     pub fn new(buckets: Buckets) -> Self {
-        let n = buckets.len() + 1;
+        let n = buckets.bounds.len() + 1;
         let mut counts = Vec::with_capacity(n);
         counts.resize_with(n, AtomicU64::default);
         Self {
@@ -153,30 +119,20 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    pub fn buckets(&self) -> &Buckets {
-        &self.buckets
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative counts per finite bound plus a final `+Inf` entry, the
-    /// total of every recorded sample.
-    pub fn cumulative_counts(&self) -> Vec<u64> {
-        let mut acc = 0u64;
-        self.counts
-            .iter()
-            .map(|c| {
-                acc += c.load(Ordering::Relaxed);
-                acc
-            })
-            .collect()
-    }
-
-    /// Nearest-rank quantile estimate, `q` in `[0, 1]`; see [`quantile`].
-    pub fn quantile(&self, q: f64) -> u64 {
-        quantile(self.buckets.bounds(), &self.cumulative_counts(), q)
+    /// The histogram as a scrape reads it. The `+Inf` cumulative is the
+    /// count, so `sum(buckets) == count` holds even mid-record.
+    pub fn snapshot(&self) -> HistSnapshot {
+        let mut count = 0;
+        let cumulative = self.counts.iter().map(|c| {
+            count += c.load(Ordering::Relaxed);
+            count
+        });
+        HistSnapshot {
+            bounds: self.buckets.bounds.clone(),
+            cumulative: cumulative.collect(),
+            sum: self.sum.load(Ordering::Relaxed),
+            count,
+        }
     }
 }
 
@@ -217,7 +173,8 @@ mod tests {
         assert_eq!(*b.bounds().first().unwrap(), 1);
         assert_eq!(*b.bounds().last().unwrap(), 1 << 26);
         // Dense enough for ~19% worst-case quantization at the top.
-        assert!(b.len() > 80, "unexpectedly coarse layout: {}", b.len());
+        let n = b.bounds().len();
+        assert!(n > 80, "unexpectedly coarse layout: {n}");
     }
 
     #[test]
@@ -228,15 +185,12 @@ mod tests {
             h.record(v);
             expect_sum = expect_sum.wrapping_add(v);
         }
-        assert_eq!(h.sum(), expect_sum);
-        let cumulative = h.cumulative_counts();
-        assert_eq!(
-            cumulative.last(),
-            Some(&10),
-            "every sample lands in exactly one bucket"
-        );
+        let h = h.snapshot();
+        assert_eq!(h.sum, expect_sum);
+        assert_eq!(h.cumulative.last(), Some(&h.count));
+        assert_eq!(h.count, 10, "every sample lands in exactly one bucket");
         // Two samples exceed 2^10: they must be in the overflow bucket.
-        assert_eq!(cumulative[cumulative.len() - 2], 8);
+        assert_eq!(h.cumulative[h.bounds.len() - 1], 8);
     }
 
     #[test]
@@ -245,6 +199,7 @@ mod tests {
         for v in 1..=1000u64 {
             h.record(v);
         }
+        let h = h.snapshot();
         let p50 = h.quantile(0.50);
         let p90 = h.quantile(0.90);
         let p99 = h.quantile(0.99);
@@ -258,14 +213,14 @@ mod tests {
     #[test]
     fn empty_histogram_quantile_is_zero() {
         let h = Histogram::new(Buckets::latency_us());
-        assert_eq!(h.quantile(0.99), 0);
+        assert_eq!(h.snapshot().quantile(0.99), 0);
     }
 
     #[test]
     fn overflow_samples_report_last_finite_bound() {
         let h = Histogram::new(Buckets::from_bounds(vec![1, 2, 4]));
         h.record(1_000_000);
-        assert_eq!(h.quantile(0.5), 4);
+        assert_eq!(h.snapshot().quantile(0.5), 4);
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! A [`Registry`] is a table of scrape entries over one state type `S`:
 //! each entry names a series (metric name, help, label set) and says how
 //! to read it from an `&S` — a counter or gauge value, or a histogram the
-//! state owns. The registry stores no values: the state keeps its own
-//! atomics, and [`Registry::snapshot`] evaluates every entry against it
-//! once. Entries sharing a name form one *family*.
+//! state owns — or names a whole counter family whose series the state
+//! lists at scrape time under one label. The registry stores no values:
+//! the state keeps its own atomics, and [`Registry::snapshot`] evaluates
+//! every entry against it once. Entries sharing a name form one *family*.
 
 use std::fmt::Write as _;
 
-use crate::metrics::{self, Histogram};
+use crate::metrics::Histogram;
 
 /// What a metric family measures; fixed at first registration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +34,12 @@ impl MetricKind {
 enum Read<S> {
     Scalar(Box<dyn Fn(&S) -> u64 + Send + Sync>),
     Histogram(Box<dyn for<'a> Fn(&'a S) -> &'a Histogram + Send + Sync>),
+    /// Every series of the family, each under the label key named here.
+    Labelled(String, LabelledRead<S>),
 }
+
+/// A labelled family's reading: its series as `(label value, value)`.
+type LabelledRead<S> = Box<dyn Fn(&S) -> Vec<(String, u64)> + Send + Sync>;
 
 struct Series<S> {
     labels: Labels,
@@ -103,8 +109,11 @@ impl<S> Registry<S> {
                 fam.kind, kind,
                 "metric {name:?} re-registered with a different kind"
             );
+            // A labelled family's one entry stands for all its series.
+            let labelled = |r: &Read<S>| matches!(r, Read::Labelled(..));
+            let clash = |s: &Series<S>| s.labels == labels || labelled(&s.read);
             assert!(
-                !fam.series.iter().any(|s| s.labels == labels),
+                !labelled(&read) && !fam.series.iter().any(clash),
                 "duplicate series for metric {name:?} labels {labels:?}"
             );
             fam.series.push(Series { labels, read });
@@ -143,6 +152,22 @@ impl<S> Registry<S> {
         self.register(name, help, labels, MetricKind::Gauge, read);
     }
 
+    /// A counter family whose series the state lists at scrape time, one
+    /// per `(value, count)` that `read` returns, each labelled `key="value"`
+    /// (values may come from outside the program; the exposition escapes
+    /// them). It is the family's one entry.
+    pub fn counter_family_fn(
+        &mut self,
+        name: &str,
+        help: &str,
+        key: &str,
+        read: impl Fn(&S) -> Vec<(String, u64)> + Send + Sync + 'static,
+    ) {
+        assert!(valid_name(key), "invalid label name {key:?} on {name:?}");
+        let read = Read::Labelled(key.to_string(), Box::new(read));
+        self.register(name, help, &[], MetricKind::Counter, read);
+    }
+
     /// A histogram the state owns, read at scrape time.
     pub fn histogram_fn(
         &mut self,
@@ -157,39 +182,34 @@ impl<S> Registry<S> {
 
     /// Reads every entry from `state`. Families are sorted by name so
     /// renderings are deterministic regardless of registration order;
-    /// series keep registration order within a family.
+    /// series keep registration order within a family (a labelled
+    /// family's, the order its read lists them in).
     pub fn snapshot(&self, state: &S) -> Snapshot {
-        let read = |s: &Series<S>| match &s.read {
-            Read::Scalar(read) => SeriesValue::Scalar(read(state)),
-            Read::Histogram(read) => {
-                let h = read(state);
-                let cumulative = h.cumulative_counts();
-                // The +Inf cumulative is the count, so conservation is exact
-                // even mid-record.
-                let count = *cumulative.last().expect("a +Inf bucket");
-                let (bounds, sum) = (h.buckets().bounds().to_vec(), h.sum());
-                SeriesValue::Hist(HistSnapshot {
-                    bounds,
-                    cumulative,
-                    sum,
-                    count,
-                })
+        let read = |fam: &Family<S>| {
+            let mut series = Vec::with_capacity(fam.series.len());
+            for s in &fam.series {
+                let value = match &s.read {
+                    Read::Scalar(read) => SeriesValue::Scalar(read(state)),
+                    Read::Histogram(read) => SeriesValue::Hist(read(state).snapshot()),
+                    Read::Labelled(key, read) => {
+                        series.extend(read(state).into_iter().map(|(v, n)| SeriesSnapshot {
+                            labels: vec![(key.clone(), v)],
+                            value: SeriesValue::Scalar(n),
+                        }));
+                        continue;
+                    }
+                };
+                let labels = s.labels.clone();
+                series.push(SeriesSnapshot { labels, value });
             }
-        };
-        let series = |s: &Series<S>| SeriesSnapshot {
-            labels: s.labels.clone(),
-            value: read(s),
-        };
-        let mut families: Vec<FamilySnapshot> = self
-            .families
-            .iter()
-            .map(|fam| FamilySnapshot {
+            FamilySnapshot {
                 name: fam.name.clone(),
                 help: fam.help.clone(),
                 kind: fam.kind,
-                series: fam.series.iter().map(series).collect(),
-            })
-            .collect();
+                series,
+            }
+        };
+        let mut families: Vec<FamilySnapshot> = self.families.iter().map(read).collect();
         families.sort_by(|a, b| a.name.cmp(&b.name));
         Snapshot { families }
     }
@@ -225,10 +245,21 @@ pub struct HistSnapshot {
 }
 
 impl HistSnapshot {
-    /// Nearest-rank quantile by the same [`metrics::quantile`] as
-    /// [`Histogram::quantile`].
+    /// Nearest-rank quantile, `q` in `[0, 1]`, ranked against the count
+    /// (overflow included): the upper bound of the ranked sample's bucket,
+    /// the last finite bound for an overflow sample, 0 with no samples. It
+    /// is the crate's one quantile: `top` and `serve --stats` both read it.
     pub fn quantile(&self, q: f64) -> u64 {
-        metrics::quantile(&self.bounds, &self.cumulative, q)
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let at = self.cumulative.partition_point(|&c| c < rank);
+        self.bounds
+            .get(at)
+            .or(self.bounds.last())
+            .copied()
+            .unwrap_or(0)
     }
 }
 
@@ -595,11 +626,28 @@ zeta_total 18446744073709551615
         assert!(reg.snapshot(&9).render_prometheus().contains("derived 9"));
     }
 
-    /// `parse_prometheus(render_prometheus(s)) == s` on the sample registry,
-    /// before and after a histogram takes an overflow sample.
+    /// The label values a labelled family takes from outside the program:
+    /// every character the exposition escapes or its syntax uses, the empty
+    /// string, non-ASCII text, a whole sample line, and a 64-byte name (the
+    /// compile daemon's client-name bound).
+    fn outside_values() -> Vec<String> {
+        let escaped = ["\"", "\\", "\n", "}", ",", "=", " ", "#", "", "ünï 名"];
+        let mut values = Vec::from(escaped.map(String::from));
+        values.push("a\"b}\n c".into());
+        values.push("x{k=\"v\",j=\"w\"} 7 # \\\"".into());
+        values.push("n".repeat(64));
+        values
+    }
+
+    /// `parse_prometheus(render_prometheus(s)) == s` on the sample registry
+    /// plus a labelled family over [`outside_values`], before and after a
+    /// histogram takes an overflow sample.
     #[test]
     fn parse_inverts_render() {
-        let (reg, state) = (sample_registry(), sample_state());
+        let (mut reg, state) = (sample_registry(), sample_state());
+        reg.counter_family_fn("client_total", "by client", "client", |_| {
+            (0..).zip(outside_values()).map(|(n, v)| (v, n)).collect()
+        });
         for _ in 0..2 {
             let snapshot = reg.snapshot(&state);
             let text = snapshot.render_prometheus();
@@ -607,16 +655,21 @@ zeta_total 18446744073709551615
             assert_eq!(back, snapshot, "{text}");
             state[1].record(6);
         }
-        // The scrape and the live histogram share one quantile, so overflow
-        // samples rank against the +Inf total in both.
+        // Overflow samples rank against the +Inf total.
         let scraped = reg.snapshot(&state);
         let lat = scraped.hist("lat_us", &[]).unwrap();
-        for q in [0.0, 0.25, 0.5, 0.6, 0.9, 0.99, 1.0] {
-            assert_eq!(lat.quantile(q), state[0].quantile(q), "q={q}");
-        }
-        assert_eq!(lat.quantile(0.99), 100, "overflow: the last finite bound");
+        let quantiles = [0.0, 0.25, 0.5, 0.6, 0.9, 0.99, 1.0].map(|q| lat.quantile(q));
+        assert_eq!(quantiles, [1, 1, 10, 10, 100, 100, 100]);
         assert_eq!(scraped.scalar("req_total", &[("kind", "a")]), 7);
         assert_eq!(scraped.scalar_sum("req_total"), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate series")]
+    fn a_labelled_family_is_one_entry() {
+        let mut reg = Registry::new();
+        reg.counter_family_fn("by_client_total", "", "client", |_: &()| Vec::new());
+        reg.counter_fn("by_client_total", "", &[("client", "a")], |_| 0);
     }
 
     #[test]

@@ -264,10 +264,8 @@ fn lowered_ir_hashes_are_pinned() {
 #[test]
 fn codec_bytes_are_pinned() {
     use raw_repro::cc::blockcache::encode_bundle;
-    use raw_repro::cc::wire::{
-        self, ClientRow, CompileResponse, MetricsFormat, MetricsResponse, StatsResponse,
-    };
-    use raw_repro::cc::{compile_with_cache, BlockCache, CacheTotals};
+    use raw_repro::cc::wire::{self, CompileResponse, MetricsFormat, MetricsResponse};
+    use raw_repro::cc::{compile_with_cache, BlockCache};
     use raw_testkit::hash64;
     let mut s = String::new();
     for bench in raw_repro::benchmarks::suite() {
@@ -299,47 +297,16 @@ fn codec_bytes_are_pinned() {
             writeln!(s, "response-patched {label} {:#018x}", hash64(&resp)).unwrap();
         }
     }
-    let stats = StatsResponse {
-        cache: CacheTotals {
-            hits_mem: 1,
-            hits_disk: 2,
-            misses: 3,
-            coalesced: 4,
-            evictions: 5,
-            evicted_bytes: 6,
-            resident_bytes: 7,
-            entries: 8,
-            disk_rejects: 9,
-        },
-        requests: 10,
-        p50_us: 11,
-        p90_us: 12,
-        p99_us: 13,
-        memo_hits: 14,
-        uptime_us: 15,
-        clients: vec![
-            ClientRow {
-                client: "alice".into(),
-                requests: 16,
-                hits: 17,
-                misses: 18,
-                coalesced: 19,
-            },
-            ClientRow {
-                client: "bob".into(),
-                ..ClientRow::default()
-            },
-        ],
-    };
-    let mut samples = vec![("stats", stats.encode())];
     let format = MetricsFormat::Prometheus;
-    samples.push(("metrics-request", wire::encode_metrics_request(format)));
     let body = "rawcc_telemetry_enabled 1\n".into();
-    samples.push(("metrics", MetricsResponse { format, body }.encode()));
-    samples.push((
-        "error",
-        wire::encode_error(wire::errcode::COMPILE, "no such tile"),
-    ));
+    let samples = [
+        ("metrics-request", wire::encode_metrics_request(format)),
+        ("metrics", MetricsResponse { format, body }.encode()),
+        (
+            "error",
+            wire::encode_error(wire::errcode::COMPILE, "no such tile"),
+        ),
+    ];
     for (label, bytes) in samples {
         writeln!(s, "{label} {:#018x}", hash64(&bytes)).unwrap();
     }

@@ -1,11 +1,11 @@
-//! End-to-end tests of the telemetry subsystem: the zero-overhead-when-
-//! disabled contract (byte-identical compile responses), bounded stats
+//! End-to-end tests of the daemon's one read-out: the zero-overhead-when-
+//! disabled contract (byte-identical compile responses), bounded ledger
 //! memory under a 10k-request soak, the pinned Prometheus exposition
 //! surface, and counter/histogram conservation laws. Every scrape is read
 //! back through `Snapshot::parse_prometheus`, the renderer's own inverse.
 
-use raw_repro::cc::service::{serve, Client, ServeOptions};
-use raw_repro::cc::wire::{self, errcode, MetricsFormat, MetricsResponse, StatsResponse};
+use raw_repro::cc::service::{serve, Client, ClientRow, ServeOptions, ServiceError, StatsResponse};
+use raw_repro::cc::wire::{self, errcode, MetricsFormat, MetricsResponse};
 use raw_repro::cc::{compile_with_cache, BlockCache, CompilerOptions};
 use raw_repro::ir::Program;
 use raw_repro::machine::MachineConfig;
@@ -123,8 +123,8 @@ fn pinned_series(snapshot: &Snapshot) -> BTreeMap<String, u64> {
 
 /// What one scripted session leaves behind.
 struct Session {
-    /// The stats replies: one mid-session, one at the end.
-    stats: [StatsResponse; 2],
+    /// Two scrapes: one mid-session, one at the end.
+    scrapes: [Snapshot; 2],
     /// The final scrape, through [`pinned_series`].
     scrape: BTreeMap<String, u64>,
     /// The cold compile's response payload.
@@ -132,19 +132,16 @@ struct Session {
 }
 
 /// Drives one daemon through every request kind and every error path: cold
-/// compile, memo-hit compile, stats, ping, two scrapes, a malformed scrape, an unknown kind, a program that fails verification, a
-/// non-power-of-two mesh, and a truncated frame on a second connection.
+/// compile, memo-hit compile, a scrape, ping, two more scrapes, a malformed
+/// scrape, an unknown kind, the retired stats kind, a program that fails
+/// verification, a non-power-of-two mesh, and a truncated frame on a second
+/// connection.
 fn scripted_session(opts: &ServeOptions, program: &Program) -> Session {
     let handle = serve(opts).unwrap();
     let (config, options) = request_options();
     let compile = |conn: &mut TcpStream, program: &Program, config: &MachineConfig| {
         let req = wire::encode_compile_request("acct", program, config, &options);
         exchange(conn, wire::REQ_COMPILE, &req)
-    };
-    let stats = |conn: &mut TcpStream| {
-        let (kind, payload) = exchange(conn, wire::REQ_STATS, &[]);
-        assert_eq!(kind, wire::RESP_STATS);
-        StatsResponse::decode(&payload).unwrap()
     };
     let scrape = |conn: &mut TcpStream, format| {
         let (kind, payload) = exchange(
@@ -160,7 +157,7 @@ fn scripted_session(opts: &ServeOptions, program: &Program) -> Session {
     let (kind, cold) = compile(&mut conn, program, &config);
     assert_eq!(kind, wire::RESP_COMPILED);
     assert_eq!(compile(&mut conn, program, &config).0, wire::RESP_COMPILED);
-    let mid = stats(&mut conn);
+    let mid = parse(&scrape(&mut conn, MetricsFormat::Prometheus));
     assert_eq!(
         exchange(&mut conn, wire::REQ_PING, b"p"),
         (wire::RESP_PONG, b"p".to_vec())
@@ -172,6 +169,7 @@ fn scripted_session(opts: &ServeOptions, program: &Program) -> Session {
         errcode::MALFORMED,
     );
     assert_error(exchange(&mut conn, 0x7F, b"?"), errcode::UNKNOWN_KIND);
+    assert_error(exchange(&mut conn, 0x02, &[]), errcode::UNKNOWN_KIND);
     let mut bad = program.clone();
     bad.entry = raw_repro::ir::BlockId::from_raw(bad.blocks.len() as u32 + 7);
     assert_error(compile(&mut conn, &bad, &config), errcode::BAD_PROGRAM);
@@ -197,26 +195,18 @@ fn scripted_session(opts: &ServeOptions, program: &Program) -> Session {
         Err(wire::WireError::Closed)
     ));
 
-    let last = stats(&mut conn);
-    let body = scrape(&mut conn, MetricsFormat::Prometheus);
+    let last = parse(&scrape(&mut conn, MetricsFormat::Prometheus));
     Session {
-        stats: [mid, last],
-        scrape: pinned_series(&parse(&body)),
+        scrape: pinned_series(&last),
+        scrapes: [mid, last],
         cold,
     }
 }
 
-/// Blanks the fields no two runs share: uptime and the latency percentiles.
-fn timeless(mut stats: StatsResponse) -> StatsResponse {
-    stats.uptime_us = 0;
-    (stats.p50_us, stats.p90_us, stats.p99_us) = (0, 0, 0);
-    stats
-}
-
 /// Pins the daemon's accounting: after one scripted session every counter,
-/// gauge and histogram count has an exact value, the stats replies are exact
-/// but for their timing fields, and a daemon with telemetry off answers the
-/// same stats.
+/// gauge and histogram count has an exact value, per-client series
+/// included, and the stats folded from its scrapes are exact but for their
+/// timing fields. A daemon with telemetry off scrapes as disabled.
 #[test]
 fn one_session_pins_every_counter() {
     let program = &workload()[0];
@@ -232,22 +222,27 @@ fn one_session_pins_every_counter() {
     assert_eq!((cold.misses, cold.hits), (cache.misses, cache.hits()));
     let blocks = cold.hits + cold.misses;
 
-    let stats_at = |requests, memo_hits, hits| StatsResponse {
+    let want_stats = StatsResponse {
         cache,
-        requests,
-        memo_hits,
-        clients: vec![wire::ClientRow {
+        requests: 2,
+        memo_hits: 1,
+        clients: vec![ClientRow {
             client: "acct".into(),
-            requests,
-            hits,
+            requests: 2,
+            hits: cold.hits + blocks,
             misses: cold.misses,
             coalesced: cold.coalesced,
         }],
         ..StatsResponse::default()
     };
-    let want_stats = stats_at(2, 1, cold.hits + blocks);
-    assert_eq!(timeless(on.stats[0].clone()), want_stats);
-    assert_eq!(timeless(on.stats[1].clone()), want_stats);
+    // The timing fields are the scrape's: its uptime and wall quantiles.
+    for scrape in &on.scrapes {
+        let wall = scrape.hist("rawcc_compile_wall_us", &[]).unwrap();
+        let mut want = want_stats.clone();
+        [want.p50_us, want.p90_us, want.p99_us] = [0.50, 0.90, 0.99].map(|q| wall.quantile(q));
+        want.uptime_us = scrape.scalar("rawcc_uptime_us", &[]);
+        assert_eq!(StatsResponse::from_scrape(scrape).unwrap(), want);
+    }
 
     let mut want: BTreeMap<String, u64> = [
         ("rawcc_cache_coalesced_total", cache.coalesced),
@@ -271,21 +266,30 @@ fn one_session_pins_every_counter() {
         ("rawcc_memo_insertions_total", 1),
         ("rawcc_memo_resident_bytes", on.cold.len() as u64),
         ("rawcc_request_errors_total{code=\"malformed\"}", 1),
-        ("rawcc_request_errors_total{code=\"unknown_kind\"}", 1),
+        ("rawcc_request_errors_total{code=\"unknown_kind\"}", 2),
         ("rawcc_request_errors_total{code=\"bad_program\"}", 1),
         ("rawcc_request_errors_total{code=\"compile\"}", 1),
         ("rawcc_request_errors_total{code=\"protocol\"}", 1),
-        // The final scrape counts itself.
+        // The final scrape counts itself; unknown kinds count only as errors.
         ("rawcc_requests_total{kind=\"compile\"}", 4),
-        ("rawcc_requests_total{kind=\"stats\"}", 2),
         ("rawcc_requests_total{kind=\"ping\"}", 1),
         ("rawcc_requests_total{kind=\"shutdown\"}", 0),
-        ("rawcc_requests_total{kind=\"metrics\"}", 4),
+        ("rawcc_requests_total{kind=\"metrics\"}", 5),
         ("rawcc_telemetry_enabled", 1),
     ]
     .into_iter()
     .map(|(series, value)| (series.to_string(), value))
     .collect();
+    let row = [2, cold.hits + blocks, cold.misses, cold.coalesced];
+    for (count, value) in ["requests", "hits", "misses", "coalesced"]
+        .into_iter()
+        .zip(row)
+    {
+        want.insert(
+            format!("rawcc_client_{count}_total{{client=\"acct\"}}"),
+            value,
+        );
+    }
     // Only the cold compile ran the pipeline.
     for phase in SPAN_PHASE_NAMES {
         want.insert(
@@ -302,7 +306,6 @@ fn one_session_pins_every_counter() {
         },
         program,
     );
-    assert_eq!(off.stats.map(timeless), on.stats.map(timeless));
     let disabled = BTreeMap::from([("rawcc_telemetry_enabled".to_string(), 0)]);
     assert_eq!(off.scrape, disabled);
 }
@@ -396,7 +399,6 @@ fn prometheus_rendering_matches_golden_surface() {
     for program in &programs {
         client.compile(program, &config, &options).unwrap();
     }
-    client.stats().unwrap();
     client.ping(b"x").unwrap();
     let resp = client.metrics(MetricsFormat::Prometheus).unwrap();
     assert_eq!(resp.format, MetricsFormat::Prometheus);
@@ -408,13 +410,15 @@ fn prometheus_rendering_matches_golden_surface() {
 /// A scrape parses back into a snapshot that obeys the conservation laws:
 /// families in sorted order, cumulative buckets monotone with the `+Inf`
 /// bucket equal to `_count`, and the wall-histogram count equal to the
-/// served request counter.
+/// served request counter and to the client's series. The client's name,
+/// a label value the daemon did not write, comes back verbatim.
 #[test]
 fn metrics_scrape_parses_and_conserves_counts() {
     let programs = workload();
     let (config, options) = request_options();
     let handle = serve(&ServeOptions::default()).unwrap();
-    let mut client = Client::connect(handle.addr(), "scrape").unwrap();
+    let name = "a\"b}\n c";
+    let mut client = Client::connect(handle.addr(), name).unwrap();
     for _pass in 0..3 {
         for program in &programs {
             client.compile(program, &config, &options).unwrap();
@@ -455,6 +459,9 @@ fn metrics_scrape_parses_and_conserves_counts() {
     assert_eq!(served, 9);
     let wall = snapshot.hist("rawcc_compile_wall_us", &[]).unwrap();
     assert_eq!(wall.count, served, "every served request is timed");
+    let clients = client.stats().unwrap().clients;
+    let one = matches!(&clients[..], [row] if row.client == name && row.requests == served);
+    assert!(one, "{clients:?}");
     // 3 cold compiles + 6 memo replays.
     assert_eq!(snapshot.scalar_sum("rawcc_memo_hits_total"), 6);
     // Phase histograms only see the cold (non-memo) compiles.
@@ -466,7 +473,8 @@ fn metrics_scrape_parses_and_conserves_counts() {
 }
 
 /// A disabled daemon still answers metrics scrapes — with the single
-/// `rawcc_telemetry_enabled 0` gauge.
+/// `rawcc_telemetry_enabled 0` gauge — so `Client::stats` has nothing to
+/// fold.
 #[test]
 fn disabled_daemon_reports_disabled() {
     let handle = serve(&ServeOptions {
@@ -482,4 +490,8 @@ fn disabled_daemon_reports_disabled() {
     let snapshot = parse(&text);
     assert_eq!(snapshot.families.len(), 1, "{text}");
     assert_eq!(snapshot.scalar("rawcc_telemetry_enabled", &[]), 0);
+    assert!(matches!(
+        client.stats(),
+        Err(ServiceError::TelemetryDisabled)
+    ));
 }
