@@ -425,7 +425,7 @@ prom_path, stats_path = sys.argv[1], sys.argv[2]
 
 # --- Prometheus text exposition: shape and conservation ---------------------
 typed, helped, samples = set(), set(), {}
-sample_re = re.compile(r'^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (-?[0-9]+(?:\.[0-9]+)?)$')
+sample_re = re.compile(r'^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{(?:[^"}]|"(?:[^"\\]|\\.)*")*\})? (-?[0-9]+(?:\.[0-9]+)?)$')
 for line in open(prom_path):
     line = line.rstrip("\n")
     if not line:

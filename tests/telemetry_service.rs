@@ -490,8 +490,6 @@ fn disabled_daemon_reports_disabled() {
     let snapshot = parse(&text);
     assert_eq!(snapshot.families.len(), 1, "{text}");
     assert_eq!(snapshot.scalar("rawcc_telemetry_enabled", &[]), 0);
-    assert!(matches!(
-        client.stats(),
-        Err(ServiceError::TelemetryDisabled)
-    ));
+    let stats = client.stats();
+    assert!(matches!(stats, Err(ServiceError::TelemetryDisabled)));
 }
