@@ -303,6 +303,9 @@ fn random_garbage_never_kills_the_daemon() {
         asm_hash(&resp.machine_program),
         asm_hash(&reference.machine_program)
     );
+    let mut client = Client::connect(addr, "survivor").unwrap();
+    client.shutdown().unwrap();
+    handle.join();
 }
 
 /// A mesh past the machine's tile limit, or one whose tile count overflows,
