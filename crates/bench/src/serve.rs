@@ -119,15 +119,10 @@ fn stats_text(stats: &StatsResponse) -> String {
         c.entries,
         c.disk_rejects,
     );
-    // Aligned table: client column wide enough for the longest name.
-    let width = stats
-        .clients
-        .iter()
-        .map(|r| r.client.len())
-        .chain(["(total)".len()])
-        .max()
-        .unwrap_or(8)
-        .max("client".len());
+    // Aligned table: client column wide enough for the longest name and
+    // the `(total)` row, which also outgrows the `client` header.
+    let names = stats.clients.iter().map(|r| r.client.len());
+    let width = names.fold("(total)".len(), usize::max);
     let _ = writeln!(
         out,
         "  {:<width$} {:>10} {:>10} {:>10} {:>10}",

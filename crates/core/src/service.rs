@@ -483,15 +483,13 @@ fn registry(telemetry: bool) -> Registry<ServerState> {
         let help = "block-cache hits, by serving tier";
         registry.counter_fn("rawcc_cache_hits_total", help, &[("tier", tier)], read);
     }
-    // One entry per client family, each reading every row at scrape time.
+    // The client families are one table, read under one lock per scrape.
     let help = "served compile requests and their block-cache hits, misses, coalesced, by client";
-    for (i, count) in CLIENT_COUNTS.into_iter().enumerate() {
-        let name = format!("rawcc_client_{count}_total");
-        registry.counter_family_fn(&name, help, "client", move |s| {
-            let clients = s.ledger.clients.lock().unwrap();
-            clients.iter().map(|(c, row)| (c.clone(), row[i])).collect()
-        });
-    }
+    let names = CLIENT_COUNTS.map(|count| format!("rawcc_client_{count}_total"));
+    registry.counter_table_fn(names, help, "client", |s| {
+        let clients = s.ledger.clients.lock().unwrap();
+        clients.iter().map(|(c, n)| (c.clone(), n.into())).collect()
+    });
     let help = "server-side compile wall time per request, microseconds";
     registry.histogram_fn("rawcc_compile_wall_us", help, &[], |s| &s.ledger.wall_us);
     for (i, phase) in SPAN_PHASE_NAMES.into_iter().enumerate() {

@@ -3,10 +3,10 @@
 //! A [`Registry`] is a table of scrape entries over one state type `S`:
 //! each entry names a series (metric name, help, label set) and says how
 //! to read it from an `&S` — a counter or gauge value, or a histogram the
-//! state owns — or names a whole counter family whose series the state
-//! lists at scrape time under one label. The registry stores no values:
-//! the state keeps its own atomics, and [`Registry::snapshot`] evaluates
-//! every entry against it once. Entries sharing a name form one *family*.
+//! state owns — or a column of a counter table the state lists at scrape
+//! time, one row per label value. The registry stores no values: the state
+//! keeps its own atomics, and [`Registry::snapshot`] reads every entry and
+//! table from it once. Entries sharing a name form one *family*.
 
 use std::fmt::Write as _;
 
@@ -34,12 +34,12 @@ impl MetricKind {
 enum Read<S> {
     Scalar(Box<dyn Fn(&S) -> u64 + Send + Sync>),
     Histogram(Box<dyn for<'a> Fn(&'a S) -> &'a Histogram + Send + Sync>),
-    /// Every series of the family, each under the label key named here.
-    Labelled(String, LabelledRead<S>),
+    /// Column `.1` of table `.0`: one series per row, under the table's key.
+    Column(usize, usize),
 }
 
-/// A labelled family's reading: its series as `(label value, value)`.
-type LabelledRead<S> = Box<dyn Fn(&S) -> Vec<(String, u64)> + Send + Sync>;
+/// A counter table's rows as `(label value, one count per column)`.
+type TableRead<S> = Box<dyn Fn(&S) -> Vec<(String, Vec<u64>)> + Send + Sync>;
 
 struct Series<S> {
     labels: Labels,
@@ -61,12 +61,14 @@ struct Family<S> {
 /// corrupt exposition silently in production.
 pub struct Registry<S> {
     families: Vec<Family<S>>,
+    tables: Vec<(String, TableRead<S>)>,
 }
 
 impl<S> Default for Registry<S> {
     fn default() -> Self {
         Registry {
             families: Vec::new(),
+            tables: Vec::new(),
         }
     }
 }
@@ -109,11 +111,11 @@ impl<S> Registry<S> {
                 fam.kind, kind,
                 "metric {name:?} re-registered with a different kind"
             );
-            // A labelled family's one entry stands for all its series.
-            let labelled = |r: &Read<S>| matches!(r, Read::Labelled(..));
-            let clash = |s: &Series<S>| s.labels == labels || labelled(&s.read);
+            // A table column's one entry stands for all its family's series.
+            let column = |r: &Read<S>| matches!(r, Read::Column(..));
+            let clash = |s: &Series<S>| s.labels == labels || column(&s.read);
             assert!(
-                !labelled(&read) && !fam.series.iter().any(clash),
+                !column(&read) && !fam.series.iter().any(clash),
                 "duplicate series for metric {name:?} labels {labels:?}"
             );
             fam.series.push(Series { labels, read });
@@ -152,20 +154,23 @@ impl<S> Registry<S> {
         self.register(name, help, labels, MetricKind::Gauge, read);
     }
 
-    /// A counter family whose series the state lists at scrape time, one
-    /// per `(value, count)` that `read` returns, each labelled `key="value"`
-    /// (values may come from outside the program; the exposition escapes
-    /// them). It is the family's one entry.
-    pub fn counter_family_fn(
+    /// Counter families, one per name, each the column of one table that
+    /// `read` lists once per snapshot (so the families agree row by row): a
+    /// row `(value, counts)` is one series per family, labelled
+    /// `key="value"`. Values may come from outside the program.
+    pub fn counter_table_fn(
         &mut self,
-        name: &str,
+        names: impl IntoIterator<Item = String>,
         help: &str,
         key: &str,
-        read: impl Fn(&S) -> Vec<(String, u64)> + Send + Sync + 'static,
+        read: impl Fn(&S) -> Vec<(String, Vec<u64>)> + Send + Sync + 'static,
     ) {
-        assert!(valid_name(key), "invalid label name {key:?} on {name:?}");
-        let read = Read::Labelled(key.to_string(), Box::new(read));
-        self.register(name, help, &[], MetricKind::Counter, read);
+        assert!(valid_name(key), "invalid label name {key:?}");
+        for (column, name) in names.into_iter().enumerate() {
+            let read = Read::Column(self.tables.len(), column);
+            self.register(&name, help, &[], MetricKind::Counter, read);
+        }
+        self.tables.push((key.to_string(), Box::new(read)));
     }
 
     /// A histogram the state owns, read at scrape time.
@@ -182,19 +187,20 @@ impl<S> Registry<S> {
 
     /// Reads every entry from `state`. Families are sorted by name so
     /// renderings are deterministic regardless of registration order;
-    /// series keep registration order within a family (a labelled
-    /// family's, the order its read lists them in).
+    /// series keep registration order within a family (a table column's,
+    /// the order its table lists its rows in).
     pub fn snapshot(&self, state: &S) -> Snapshot {
+        let rows: Vec<_> = self.tables.iter().map(|(_, read)| read(state)).collect();
         let read = |fam: &Family<S>| {
             let mut series = Vec::with_capacity(fam.series.len());
             for s in &fam.series {
                 let value = match &s.read {
                     Read::Scalar(read) => SeriesValue::Scalar(read(state)),
                     Read::Histogram(read) => SeriesValue::Hist(read(state).snapshot()),
-                    Read::Labelled(key, read) => {
-                        series.extend(read(state).into_iter().map(|(v, n)| SeriesSnapshot {
-                            labels: vec![(key.clone(), v)],
-                            value: SeriesValue::Scalar(n),
+                    &Read::Column(table, column) => {
+                        series.extend(rows[table].iter().map(|(v, n)| SeriesSnapshot {
+                            labels: vec![(self.tables[table].0.clone(), v.clone())],
+                            value: SeriesValue::Scalar(n[column]),
                         }));
                         continue;
                     }
@@ -560,6 +566,7 @@ impl FamilySnapshot {
 mod tests {
     use super::*;
     use crate::metrics::Buckets;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     /// Counters and gauges with and without labels, `"`, `\` and a newline
     /// in a label value and a help text, and two histograms over the state.
@@ -618,36 +625,42 @@ zeta_total 18446744073709551615
         assert_eq!(text, want);
     }
 
+    /// Entries read at every snapshot; a table, once for all its columns.
     #[test]
     fn scrape_fns_are_evaluated_per_snapshot() {
         let mut reg = Registry::new();
-        reg.gauge_fn("derived", "scrape-time", &[], |s: &u64| *s);
-        assert!(reg.snapshot(&5).render_prometheus().contains("derived 5"));
-        assert!(reg.snapshot(&9).render_prometheus().contains("derived 9"));
+        reg.gauge_fn("derived", "", &[], |s: &AtomicU64| s.load(Relaxed));
+        let bump = |s: &AtomicU64| vec![("v".to_string(), vec![s.fetch_add(1, Relaxed); 2])];
+        reg.counter_table_fn(["a_total", "b_total"].map(String::from), "", "k", bump);
+        let state = AtomicU64::new(5);
+        for n in [5, 6] {
+            let scrape = reg.snapshot(&state);
+            let [a, b] = ["a_total", "b_total"].map(|f| scrape.scalar(f, &[("k", "v")]));
+            assert_eq!([a, b, scrape.scalar("derived", &[])], [n, n, n + 1]);
+        }
     }
 
-    /// The label values a labelled family takes from outside the program:
-    /// every character the exposition escapes or its syntax uses, the empty
-    /// string, non-ASCII text, a whole sample line, and a 64-byte name (the
-    /// compile daemon's client-name bound).
-    fn outside_values() -> Vec<String> {
+    /// A two-column table's rows over label values from outside the
+    /// program: every character the exposition escapes or its syntax uses,
+    /// the empty string, non-ASCII text, a whole sample line, and a 64-byte
+    /// name (the compile daemon's client-name bound).
+    fn outside_rows() -> Vec<(String, Vec<u64>)> {
         let escaped = ["\"", "\\", "\n", "}", ",", "=", " ", "#", "", "ünï 名"];
         let mut values = Vec::from(escaped.map(String::from));
         values.push("a\"b}\n c".into());
         values.push("x{k=\"v\",j=\"w\"} 7 # \\\"".into());
         values.push("n".repeat(64));
-        values
+        values.into_iter().map(|v| (v, vec![1, 2])).collect()
     }
 
     /// `parse_prometheus(render_prometheus(s)) == s` on the sample registry
-    /// plus a labelled family over [`outside_values`], before and after a
+    /// plus a counter table of [`outside_rows`], before and after a
     /// histogram takes an overflow sample.
     #[test]
     fn parse_inverts_render() {
         let (mut reg, state) = (sample_registry(), sample_state());
-        reg.counter_family_fn("client_total", "by client", "client", |_| {
-            (0..).zip(outside_values()).map(|(n, v)| (v, n)).collect()
-        });
+        let names = ["client_total", "client_hits_total"].map(String::from);
+        reg.counter_table_fn(names, "by client", "client", |_| outside_rows());
         for _ in 0..2 {
             let snapshot = reg.snapshot(&state);
             let text = snapshot.render_prometheus();
@@ -666,9 +679,10 @@ zeta_total 18446744073709551615
 
     #[test]
     #[should_panic(expected = "duplicate series")]
-    fn a_labelled_family_is_one_entry() {
+    fn a_table_column_is_one_entry() {
         let mut reg = Registry::new();
-        reg.counter_family_fn("by_client_total", "", "client", |_: &()| Vec::new());
+        let names = ["by_client_total".to_string()];
+        reg.counter_table_fn(names, "", "client", |_: &()| Vec::new());
         reg.counter_fn("by_client_total", "", &[("client", "a")], |_| 0);
     }
 

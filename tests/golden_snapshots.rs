@@ -299,13 +299,11 @@ fn codec_bytes_are_pinned() {
     }
     let format = MetricsFormat::Prometheus;
     let body = "rawcc_telemetry_enabled 1\n".into();
+    let error = wire::encode_error(wire::errcode::COMPILE, "no such tile");
     let samples = [
         ("metrics-request", wire::encode_metrics_request(format)),
         ("metrics", MetricsResponse { format, body }.encode()),
-        (
-            "error",
-            wire::encode_error(wire::errcode::COMPILE, "no such tile"),
-        ),
+        ("error", error),
     ];
     for (label, bytes) in samples {
         writeln!(s, "{label} {:#018x}", hash64(&bytes)).unwrap();

@@ -281,14 +281,9 @@ fn one_session_pins_every_counter() {
     .map(|(series, value)| (series.to_string(), value))
     .collect();
     let row = [2, cold.hits + blocks, cold.misses, cold.coalesced];
-    for (count, value) in ["requests", "hits", "misses", "coalesced"]
-        .into_iter()
-        .zip(row)
-    {
-        want.insert(
-            format!("rawcc_client_{count}_total{{client=\"acct\"}}"),
-            value,
-        );
+    for (count, value) in ["requests", "hits", "misses", "coalesced"].iter().zip(row) {
+        let series = format!("rawcc_client_{count}_total{{client=\"acct\"}}");
+        want.insert(series, value);
     }
     // Only the cold compile ran the pipeline.
     for phase in SPAN_PHASE_NAMES {
