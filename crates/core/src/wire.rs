@@ -43,7 +43,7 @@ use crate::codec::{self, Codec};
 use crate::options::CompilerOptions;
 use raw_ir::Program;
 use raw_machine::{MachineConfig, MachineProgram};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 /// Frame magic ("raw service v1").
 pub const FRAME_MAGIC: [u8; 4] = *b"RWS1";
@@ -112,7 +112,7 @@ impl std::error::Error for WireError {}
 
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+        if e.kind() == ErrorKind::UnexpectedEof {
             WireError::Truncated
         } else {
             WireError::Io(e)
@@ -134,19 +134,31 @@ pub mod errcode {
     pub const PROTOCOL: u8 = 5;
 }
 
-/// Writes one frame.
+/// Writes one frame: header and payload go out in one vectored write, so
+/// on a socket a frame is one syscall and (under `TCP_NODELAY`) one segment
+/// when it fits, and the reader wakes once for it. Only a short write
+/// loops, over what is left.
 ///
 /// # Errors
 ///
-/// Propagates transport errors.
+/// Propagates transport errors; a write that takes no bytes is
+/// [`std::io::ErrorKind::WriteZero`].
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME as usize);
     let mut header = [0u8; 9];
     header[..4].copy_from_slice(&FRAME_MAGIC);
     header[4] = kind;
     header[5..9].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut bufs = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut left = &mut bufs[..];
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -166,7 +178,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), WireError> {
             Ok(0) if got == 0 => return Err(WireError::Closed),
             Ok(0) => return Err(WireError::Truncated),
             Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
         }
     }
@@ -497,6 +509,89 @@ mod tests {
             read_frame(&mut buf2.as_slice()),
             Err(WireError::Truncated)
         ));
+    }
+
+    /// A socket stand-in: each vectored write takes at most `max` bytes
+    /// across the slices it is given, after failing its first `interrupts`
+    /// calls with `Interrupted`; `calls` counts every call.
+    struct Sink {
+        bytes: Vec<u8>,
+        calls: usize,
+        max: usize,
+        interrupts: usize,
+    }
+
+    impl Sink {
+        fn new(max: usize, interrupts: usize) -> Self {
+            let bytes = Vec::new();
+            Sink {
+                bytes,
+                calls: 0,
+                max,
+                interrupts,
+            }
+        }
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.interrupts > 0 {
+                self.interrupts -= 1;
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let start = self.bytes.len();
+            for buf in bufs {
+                let room = self.max - (self.bytes.len() - start);
+                self.bytes.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.bytes.len() - start)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The frame's bytes, spelled out apart from `write_frame`.
+    fn frame_bytes(kind: u8, payload: &[u8]) -> Vec<u8> {
+        let len = (payload.len() as u32).to_le_bytes();
+        [&FRAME_MAGIC[..], &[kind], &len, payload].concat()
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for payload in [vec![], vec![7], vec![0xA5; 1 << 20]] {
+            let mut sink = Sink::new(usize::MAX, 0);
+            write_frame(&mut sink, RESP_COMPILED, &payload).unwrap();
+            assert_eq!(sink.calls, 1, "{} payload bytes", payload.len());
+            assert_eq!(sink.bytes, frame_bytes(RESP_COMPILED, &payload));
+        }
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_finish_the_frame() {
+        for payload in [&b""[..], b"x", b"hello, world"] {
+            let want = frame_bytes(REQ_PING, payload);
+            let mut short = Sink::new(3, 0);
+            write_frame(&mut short, REQ_PING, payload).unwrap();
+            assert_eq!(short.bytes, want);
+            assert_eq!(short.calls, want.len().div_ceil(3));
+            let mut interrupted = Sink::new(usize::MAX, 1);
+            write_frame(&mut interrupted, REQ_PING, payload).unwrap();
+            assert_eq!(interrupted.bytes, want);
+            assert_eq!(interrupted.calls, 2);
+        }
+    }
+
+    #[test]
+    fn a_write_of_nothing_fails_the_frame() {
+        let err = write_frame(&mut Sink::new(0, 0), REQ_PING, b"x").unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WriteZero);
     }
 
     #[test]
