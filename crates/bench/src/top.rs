@@ -166,7 +166,7 @@ fn render(addr: &str, prev: Option<&Frame>, cur: &Frame) -> String {
         s.scalar("rawcc_connections_open", &[]),
         s.scalar("rawcc_connections_opened_total", &[]),
         s.scalar("rawcc_connections_closed_total", &[]),
-        s.scalar("rawcc_client_rows", &[]),
+        s.series_count("rawcc_client_requests_total"),
     );
     out
 }

@@ -450,12 +450,14 @@ pub struct BlockCache {
     shards: Box<[Shard]>,
     mask: u64,
     disk: Option<DiskLayer>,
-    hits_mem: Counter,
-    hits_disk: Counter,
-    misses: Counter,
-    coalesced: Counter,
-    evictions: Counter,
-    evicted_bytes: Counter,
+    // Lock-free, so the daemon's scrape reads each one without touching a
+    // shard.
+    pub(crate) hits_mem: Counter,
+    pub(crate) hits_disk: Counter,
+    pub(crate) misses: Counter,
+    pub(crate) coalesced: Counter,
+    pub(crate) evictions: Counter,
+    pub(crate) evicted_bytes: Counter,
 }
 
 impl BlockCache {
@@ -524,22 +526,30 @@ impl BlockCache {
     /// snapshot taken *while requests are in flight* may be momentarily
     /// inconsistent; quiescent snapshots are exact.
     pub fn stats(&self) -> CacheTotals {
-        let mut totals = CacheTotals {
+        let (entries, resident_bytes) = self.resident();
+        CacheTotals {
             hits_mem: self.hits_mem.get(),
             hits_disk: self.hits_disk.get(),
             misses: self.misses.get(),
             coalesced: self.coalesced.get(),
             evictions: self.evictions.get(),
             evicted_bytes: self.evicted_bytes.get(),
+            resident_bytes,
+            entries,
             disk_rejects: self.disk_rejects(),
-            ..CacheTotals::default()
-        };
+        }
+    }
+
+    /// Bundles and their encoded bytes resident across all shards: one pass,
+    /// one shard lock at a time.
+    pub(crate) fn resident(&self) -> (u64, u64) {
+        let (mut entries, mut bytes) = (0, 0);
         for shard in &self.shards {
             let st = shard.state.lock().unwrap();
-            totals.resident_bytes += st.resident.bytes() as u64;
-            totals.entries += st.resident.len() as u64;
+            entries += st.resident.len() as u64;
+            bytes += st.resident.bytes() as u64;
         }
-        totals
+        (entries, bytes)
     }
 
     fn shard(&self, key: &CacheKey) -> &Shard {

@@ -389,30 +389,30 @@ fn registry(telemetry: bool) -> Registry<ServerState> {
         (
             "rawcc_cache_misses_total",
             "block-cache misses (each one compiled a block)",
-            |s| s.cache.stats().misses,
+            |s| s.cache.misses.get(),
         ),
         (
             "rawcc_cache_coalesced_total",
             "block compiles avoided by single-flight coalescing",
-            |s| s.cache.stats().coalesced,
+            |s| s.cache.coalesced.get(),
         ),
         (
             "rawcc_cache_evictions_total",
             "bundles evicted from the in-memory cache",
-            |s| s.cache.stats().evictions,
+            |s| s.cache.evictions.get(),
         ),
         (
             "rawcc_cache_evicted_bytes_total",
             "encoded bytes evicted from the in-memory cache",
-            |s| s.cache.stats().evicted_bytes,
+            |s| s.cache.evicted_bytes.get(),
         ),
         (
             "rawcc_cache_disk_rejects_total",
             "disk-layer entries rejected as corrupt or stale",
-            |s| s.cache.stats().disk_rejects,
+            |s| s.cache.disk_rejects(),
         ),
     ];
-    let gauges: [(&str, &str, Read); 7] = [
+    let gauges: [(&str, &str, Read); 6] = [
         (
             "rawcc_uptime_us",
             "microseconds since the daemon started serving",
@@ -439,17 +439,12 @@ fn registry(telemetry: bool) -> Registry<ServerState> {
         (
             "rawcc_cache_entries",
             "bundles resident in the sharded cache",
-            |s| s.cache.stats().entries,
+            |s| s.cache.resident().0,
         ),
         (
             "rawcc_cache_resident_bytes",
             "encoded bundle bytes resident in the sharded cache",
-            |s| s.cache.stats().resident_bytes,
-        ),
-        (
-            "rawcc_client_rows",
-            "per-client accounting rows (bounded; overflow folds into one row)",
-            |s| s.ledger.clients.lock().unwrap().len() as u64,
+            |s| s.cache.resident().1,
         ),
     ];
     for (name, help, read) in counters {
@@ -476,8 +471,8 @@ fn registry(telemetry: bool) -> Registry<ServerState> {
         );
     }
     let hit_tiers: [(&str, Read); 2] = [
-        ("mem", |s| s.cache.stats().hits_mem),
-        ("disk", |s| s.cache.stats().hits_disk),
+        ("mem", |s| s.cache.hits_mem.get()),
+        ("disk", |s| s.cache.hits_disk.get()),
     ];
     for (tier, read) in hit_tiers {
         let help = "block-cache hits, by serving tier";

@@ -429,6 +429,11 @@ impl Snapshot {
         series.iter().map(|s| s.value.scalar()).sum()
     }
 
+    /// The number of series in family `name`; 0 when absent.
+    pub fn series_count(&self, name: &str) -> usize {
+        self.family(name).map_or(0, |f| f.series.len())
+    }
+
     /// Prometheus text exposition format, version 0.0.4: `# HELP` /
     /// `# TYPE` headers, one sample per line, histograms expanded into
     /// cumulative `_bucket{le=...}` series plus `_sum` and `_count`.

@@ -254,7 +254,6 @@ fn one_session_pins_every_counter() {
         ("rawcc_cache_hits_total{tier=\"disk\"}", cache.hits_disk),
         ("rawcc_cache_misses_total", cache.misses),
         ("rawcc_cache_resident_bytes", cache.resident_bytes),
-        ("rawcc_client_rows", 1),
         ("rawcc_compile_responses_total", 2),
         ("rawcc_compile_wall_us_count", 2),
         ("rawcc_connections_closed_total", 1),
@@ -285,6 +284,8 @@ fn one_session_pins_every_counter() {
         let series = format!("rawcc_client_{count}_total{{client=\"acct\"}}");
         want.insert(series, value);
     }
+    let [_, last] = &on.scrapes;
+    assert_eq!(last.series_count("rawcc_client_requests_total"), 1);
     // Only the cold compile ran the pipeline.
     for phase in SPAN_PHASE_NAMES {
         want.insert(
@@ -345,7 +346,7 @@ fn soak_keeps_observability_memory_bounded() {
         total,
         "one compile frame counted per request"
     );
-    let rows = scrape.scalar("rawcc_client_rows", &[]);
+    let rows = scrape.series_count("rawcc_client_requests_total");
     assert!(
         rows <= 65,
         "client table must fold past 64 rows, got {rows}"
