@@ -108,6 +108,17 @@ stage_clippy() {
       "answer through ServerState::respond" >&2
     exit 1
   fi
+  # One frame, one write: socket bytes move only through wire::write_frame
+  # and wire::read_frame, so no path can send a frame in pieces.
+  local raw_io
+  raw_io="$(grep -nE 'write_all\(|write_vectored\(|read_exact\(' \
+    crates/core/src/service.rs || true)"
+  if [[ -n "$raw_io" ]]; then
+    echo "ci: crates/core/src/service.rs moves socket bytes outside the framing" \
+      "helpers (use wire::write_frame / wire::read_frame):" >&2
+    echo "$raw_io" >&2
+    exit 1
+  fi
   # One read-out: `serve --stats` and Client::stats fold the metrics scrape,
   # so no stats frame can grow back beside it.
   local readouts
