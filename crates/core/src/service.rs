@@ -704,9 +704,9 @@ pub fn serve(opts: &ServeOptions) -> Result<ServerHandle, ServiceError> {
                 break;
             }
             let Ok(stream) = stream else { continue };
-            // Frames are written header-then-payload; without nodelay the
-            // small header write interacts with delayed ACKs and adds tens of
-            // milliseconds to every response.
+            // Each frame is one write (`wire::write_frame`), so nodelay sends
+            // it at once as one segment when it fits; without nodelay a small
+            // reply waits on the peer's delayed ACK, tens of milliseconds.
             let _ = stream.set_nodelay(true);
             let conn_state = accept_state.clone();
             // Connection threads are detached: they exit when their client
