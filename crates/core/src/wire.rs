@@ -142,7 +142,7 @@ pub mod errcode {
 /// # Errors
 ///
 /// Propagates transport errors; a write that takes no bytes is
-/// [`std::io::ErrorKind::WriteZero`].
+/// [`ErrorKind::WriteZero`].
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME as usize);
     let mut header = [0u8; 9];
@@ -523,9 +523,8 @@ mod tests {
 
     impl Sink {
         fn new(max: usize, interrupts: usize) -> Self {
-            let bytes = Vec::new();
             Sink {
-                bytes,
+                bytes: Vec::new(),
                 calls: 0,
                 max,
                 interrupts,
