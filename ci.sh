@@ -554,6 +554,20 @@ stage_sim_smoke() {
       return 1
     }
   done
+  # A processor waiting on a remote reply sleeps until the router delivers
+  # it: remote's clean run must step its processors fewer times than half
+  # its cycles (stepping through every waiting cycle takes more steps than
+  # cycles).
+  local remote_line remote_cycles remote_steps
+  remote_line="$(grep "^sim remote tiles=16 .* clean: ok$" <<< "$sim_out" || true)"
+  remote_cycles="$(sed -n 's/.* cycles=\([0-9]*\) .*/\1/p' <<< "$remote_line")"
+  remote_steps="$(sed -n 's/.* proc_steps=\([0-9]*\) .*/\1/p' <<< "$remote_line")"
+  if [ -z "$remote_cycles" ] || [ -z "$remote_steps" ] \
+    || (( 2 * remote_steps >= remote_cycles )); then
+    echo "ci: sim remote tiles=16 took proc_steps=${remote_steps:-?} for" \
+      "cycles=${remote_cycles:-?}; a dynamic wait must sleep" >&2
+    return 1
+  fi
   cargo run --offline --release -p raw-bench --bin raw-bench -- \
     sim --tiles 64 --quick >/dev/null
   # 256 tiles span four run-set words: chaos is cross-checked where a wake

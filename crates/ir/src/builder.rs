@@ -62,6 +62,11 @@ pub struct ProgramBuilder {
     consts: Vec<Option<Imm>>,
     value_names: HashMap<ValueId, String>,
     span: SourceSpan,
+    /// An empty value-numbering table with capacity, handed to the next
+    /// block that numbers a value: a terminated block's table, cleared, or
+    /// one sized by [`reserve_values`](Self::reserve_values). Blocks share
+    /// its allocation, never its entries.
+    spare: HashMap<Key, ValueId>,
 }
 
 #[derive(Debug, Default)]
@@ -69,8 +74,8 @@ struct PendingBlock {
     name: String,
     insts: Vec<Inst>,
     term: Option<Terminator>,
-    /// The value of each pure expression emitted so far; dropped once the
-    /// block is terminated.
+    /// The value of each pure expression emitted so far; handed on (its
+    /// entries cleared) as the builder's spare once the block is terminated.
     numbered: HashMap<Key, ValueId>,
 }
 
@@ -90,7 +95,16 @@ impl ProgramBuilder {
             consts: Vec::new(),
             value_names: HashMap::new(),
             span: SourceSpan::NONE,
+            spare: HashMap::new(),
         }
+    }
+
+    /// Sizes the value-numbering table for blocks of up to about `values`
+    /// distinct pure expressions, so the largest block does not grow its
+    /// table by doubling. A capacity hint only: what a block numbers, folds
+    /// or emits does not depend on it.
+    pub fn reserve_values(&mut self, values: usize) {
+        self.spare.reserve(values);
     }
 
     /// Sets the source span stamped on subsequently emitted instructions.
@@ -191,6 +205,9 @@ impl ProgramBuilder {
         let next = ValueId::from_raw(self.value_types.len() as u32);
         let cur = &mut self.blocks[self.current.index()];
         assert!(cur.term.is_none(), "emitting into terminated block");
+        if cur.numbered.capacity() == 0 {
+            cur.numbered = std::mem::take(&mut self.spare);
+        }
         let dst = *cur.numbered.entry(key).or_insert(next);
         if dst == next {
             self.fresh(ty);
@@ -321,7 +338,11 @@ impl ProgramBuilder {
             self.current
         );
         cur.term = Some(term);
-        cur.numbered = HashMap::new();
+        let mut table = std::mem::take(&mut cur.numbered);
+        if table.capacity() > self.spare.capacity() {
+            table.clear();
+            self.spare = table;
+        }
     }
 
     /// Terminates the current block with an unconditional jump.
@@ -668,6 +689,29 @@ mod tests {
         assert_ne!(b.read_var(x), r0);
         b.halt();
         b.finish().unwrap();
+    }
+
+    #[test]
+    fn open_blocks_keep_their_own_tables() {
+        // A block left unterminated and selected again still numbers its
+        // own values, while another block's table is handed on; a reserved
+        // capacity changes nothing that is numbered.
+        for reserve in [0, 64] {
+            let mut b = ProgramBuilder::new("t");
+            b.reserve_values(reserve);
+            let other = b.new_block("other");
+            let c = b.const_i32(7);
+            b.switch_to(other);
+            let d = b.const_i32(7);
+            assert_ne!(c, d);
+            b.switch_to(b.entry());
+            assert_eq!(b.const_i32(7), c);
+            b.jump(other);
+            b.switch_to(other);
+            assert_eq!(b.const_i32(7), d);
+            b.halt();
+            b.finish().unwrap();
+        }
     }
 
     #[test]

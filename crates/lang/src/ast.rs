@@ -227,6 +227,11 @@ impl std::ops::Index<ExprId> for Exprs {
 }
 
 impl Exprs {
+    /// Nodes in the arena.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// Appends a node.
     pub fn push(&mut self, e: Expr) -> ExprId {
         let id = ExprId(self.nodes.len() as u32);

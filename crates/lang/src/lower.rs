@@ -43,6 +43,10 @@ pub fn lower_kernel(kernel: &Kernel, n_tiles: u32) -> Result<Program, LangError>
         terms: Vec::new(),
         n_tiles,
     };
+    // The unrolled arena's node count is near the number of values the
+    // largest block numbers (an unrolled copy shares only the subtrees that
+    // do not read its loop variable): a table that size seldom regrows.
+    lower.b.reserve_values(kernel.exprs.len());
     for v in &kernel.vars {
         let sym = v.sym.index();
         if lower.vars[sym].is_some() || lower.arrays[sym].is_some() {

@@ -10,9 +10,11 @@
 //!    resolved in tile order, as in the reference's full sweep, which runs
 //!    the same code over every router), and handlers step from the
 //!    `dyn_watch` list of tiles whose handler or endpoint may be non-idle; a
-//!    skipped tile's `Handler::step` would be a no-op.
+//!    skipped tile's `Handler::step` would be a no-op. A delivery into a
+//!    processor inbox wakes that tile's `SleepDyn` processor, which pops the
+//!    reply next cycle, as the reference's processor sweep does.
 
-use super::Machine;
+use super::{Comp, Machine, ProcMode};
 #[cfg(doc)]
 use crate::dynnet::Handler;
 use crate::trace::EventSink;
@@ -44,12 +46,17 @@ impl<S: EventSink> Machine<S> {
                 self.sink.dyn_active(self.cycle);
             }
         }
-        // Tiles that completed a message this cycle gained inbox work.
+        // Tiles that completed a message this cycle gained inbox work; a
+        // reply wakes its processor, which pops it next cycle. A request
+        // (handler-bound) leaves the processor asleep.
         self.dyn_scratch.clear();
         self.dyn_scratch.extend_from_slice(self.dynnet.delivered());
         for i in 0..self.dyn_scratch.len() {
             let t = self.dyn_scratch[i];
             self.dyn_mark(t);
+            if self.proc_mode[t] == ProcMode::SleepDyn && !self.endpoints[t].proc_inbox.is_empty() {
+                self.wake(Comp::ProcAt(t));
+            }
         }
         // Step watched handlers, dropping tiles that went fully idle. Handler
         // steps are per-tile independent, so the (unsorted) watch order does

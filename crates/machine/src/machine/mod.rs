@@ -38,6 +38,9 @@
 //!   the switch→processor channel);
 //! * a processor stalled on an empty input port (no pending sends) sleeps until
 //!   the switch→processor channel commits;
+//! * a processor waiting on a remote reference's reply (no pending sends,
+//!   empty processor inbox) sleeps until the router delivers a message to
+//!   that inbox;
 //! * a switch with a stalled route sleeps until the channel that blocked it
 //!   commits a word (an empty source) or has a word consumed (a full
 //!   destination) — no other channel's event wakes it;
@@ -139,6 +142,10 @@ enum ProcMode {
     },
     /// Blocked on an empty input port; woken by a commit on sw→proc.
     SleepPort,
+    /// Waiting on a remote load's reply or a remote store's ack with an
+    /// empty port engine; woken when the router delivers a message to the
+    /// tile's processor inbox.
+    SleepDyn,
     /// Halted with the port engine drained; never steps again.
     Dead,
 }
@@ -1000,6 +1007,83 @@ pub(crate) mod tests {
         m.set_mem_word(TileId(1), 5, 1234);
         m.run().expect("completes");
         assert_eq!(m.mem_word(TileId(0), 0), 1234);
+    }
+
+    /// Homes of the pointer chain [`remote_chain_machine`] follows. Tile 0
+    /// is one of them: its request reaches its own handler while its
+    /// processor sleeps.
+    const CHAIN_HOMES: [u32; 5] = [7, 0, 5, 3, 6];
+
+    /// Tile 0 of a 2x4 mesh follows a pointer chain through the memories of
+    /// [`CHAIN_HOMES`] (each loaded word is the global address of the next,
+    /// the last is 4242), stores the last word to tile 4 and to its own
+    /// memory, and halts; every other tile halts at once.
+    fn remote_chain_machine() -> Machine {
+        let config = MachineConfig::grid(2, 4);
+        let node = |i: usize| config.make_gaddr(TileId(CHAIN_HOMES[i]), 2 + i as u32);
+        let mut p0 = ProcAsm::new();
+        p0.dload(Dst::Reg(1), Src::Imm(Imm::I(node(0) as i32)));
+        for _ in 1..CHAIN_HOMES.len() {
+            p0.dload(Dst::Reg(1), Src::Reg(1));
+        }
+        let last = config.make_gaddr(TileId(4), 9);
+        p0.dstore(Src::Imm(Imm::I(last as i32)), Src::Reg(1));
+        p0.store_imm_addr(Src::Reg(1), 0);
+        p0.halt();
+        let mut tiles = vec![TileCode {
+            proc: p0.finish(),
+            switch: vec![SInst::Halt],
+        }];
+        tiles.resize(
+            8,
+            TileCode {
+                proc: vec![crate::isa::PInst::Halt],
+                switch: vec![SInst::Halt],
+            },
+        );
+        let mut m = Machine::new(config.clone(), &MachineProgram { tiles });
+        for (i, &home) in CHAIN_HOMES.iter().enumerate() {
+            let next = if i + 1 < CHAIN_HOMES.len() {
+                node(i + 1)
+            } else {
+                4242
+            };
+            m.set_mem_word(TileId(home), 2 + i as u32, next);
+        }
+        m
+    }
+
+    #[test]
+    fn a_processor_sleeps_through_its_remote_round_trips() {
+        // Each request (five loads, one store) costs the issue, one stalled
+        // step that puts the processor to sleep, and the step that pops the
+        // reply its delivery woke it for — not one step per cycle of the
+        // round trip. A request delivered to the sleeper's own handler does
+        // not wake it.
+        let mut m = remote_chain_machine();
+        m.run().unwrap();
+        assert_eq!(m.mem_word(TileId(0), 0), 4242);
+        assert_eq!(m.mem_word(TileId(4), 9), 4242);
+        let requests = CHAIN_HOMES.len() as u64 + 1;
+        let waited = m.stats().tiles[0].stall_dynamic;
+        assert!(waited > 4 * requests, "round trips of {waited} cycles");
+        let issued: u64 = m.stats().tiles.iter().map(|t| t.proc_insts).sum();
+        let work = *m.work();
+        assert!(
+            work.proc_steps <= issued + requests,
+            "{} steps for {issued} issues and {requests} requests",
+            work.proc_steps
+        );
+        assert_eq!(work.restalls, 0);
+        steppers_agree("remote chain", remote_chain_machine).unwrap();
+        let chaos = ChaosConfig {
+            seed: 7,
+            stall_percent: 30,
+        };
+        steppers_agree("remote chain under chaos", || {
+            remote_chain_machine().with_chaos(chaos)
+        })
+        .unwrap();
     }
 
     #[test]

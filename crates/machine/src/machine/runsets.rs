@@ -16,13 +16,16 @@
 //! 4. **The wheel holds timers only, and tolerates stale ones.**
 //! 5. **The progress flag is exact**: a timed sleeper (scoreboard, or a
 //!    maturing send) counts as progress iff chaos does not stall it that
-//!    cycle.
+//!    cycle; a processor asleep on a dynamic reply counts none, as its
+//!    stall does in the reference.
 //! 6. **The dirty list covers every writer.**
 //! 7. **A sleeper wakes on its blocking channel only.** A stalled route
 //!    records the first channel that blocked it, a port-blocked processor
 //!    its input port; a commit or a consume on that channel wakes it, and no
 //!    other event does. A stall changes no state, so nothing else can
-//!    unblock it first.
+//!    unblock it first. A processor waiting on a dynamic reply has no
+//!    channel: only a delivery into its own processor inbox wakes it (the
+//!    dynamic phase, `dynphase.rs`), never one bound for its tile's handler.
 
 use super::{Comp, Machine, ProcMode, Sched, SwitchMode, NO_CHANNEL};
 use crate::processor::ProcOutcome;
@@ -190,10 +193,13 @@ impl<S: EventSink> Machine<S> {
     /// | input port empty | empty | `SleepPort` | a commit on sw→proc |
     /// | input port empty | maturing | `SleepReg` | the send's timer, or a commit on sw→proc |
     /// | pending sends full, or halted | maturing | `SleepReg` | the send's timer |
+    /// | dynamic network, awaiting a reply with an empty processor inbox | empty | `SleepDyn` | a delivery into the processor inbox |
     ///
-    /// Anything else — a matured send blocked on a full port, a dynamic
-    /// network wait — stays active: those are rare and cheap. Returns whether
-    /// the processor sleeps; its debt then covers this cycle's stall too.
+    /// Anything else stays active: a matured send blocked on a full port, a
+    /// dynamic wait with sends pending, and a remote access whose request
+    /// does not fit the injection queue (no reply is owed yet). Returns
+    /// whether the processor sleeps; its debt then covers this cycle's stall
+    /// too.
     fn sleep_stalled_proc(&mut self, t: usize, reason: StallReason, maturing: Option<u64>) -> bool {
         let proc = &self.procs[t];
         let pin = proc.pin() as u32;
@@ -210,6 +216,13 @@ impl<S: EventSink> Machine<S> {
             }
             (StallReason::ReceiveEmpty, Some(wake_at)) => (ProcMode::SleepReg { wake_at }, pin),
             (StallReason::SendFull, Some(wake_at)) => (ProcMode::SleepReg { wake_at }, NO_CHANNEL),
+            (StallReason::DynamicNetwork, None)
+                if proc.dyn_waiting()
+                    && proc.out_pending_empty()
+                    && self.endpoints[t].proc_inbox.is_empty() =>
+            {
+                (ProcMode::SleepDyn, NO_CHANNEL)
+            }
             _ => return false,
         };
         if let ProcMode::SleepReg { wake_at } = mode {
@@ -315,7 +328,7 @@ impl<S: EventSink> Machine<S> {
             Comp::ProcAt(t) => {
                 match self.proc_mode[t] {
                     ProcMode::SleepReg { .. } => self.sleep_reg.remove(t),
-                    ProcMode::SleepPort => {}
+                    ProcMode::SleepPort | ProcMode::SleepDyn => {}
                     ProcMode::Active | ProcMode::Dead => return,
                 }
                 self.proc_mode[t] = ProcMode::Active;

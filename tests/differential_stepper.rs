@@ -118,13 +118,16 @@ fn dynamic_network_workload_matches_reference() {
 // ---------------------------------------------------------------------------
 
 /// Precompiled workloads plus each one's clean full-run cycle count, shared
-/// across property cases (compilation dominates otherwise).
+/// across property cases (compilation dominates otherwise). The scenario
+/// kernels' data-dependent references put processors to sleep on dynamic
+/// replies, so a truncated run also stops inside those waits.
 fn truncation_fixtures() -> &'static Vec<(String, CompiledProgram, Program, u64)> {
     static FIXTURES: OnceLock<Vec<(String, CompiledProgram, Program, u64)>> = OnceLock::new();
     FIXTURES.get_or_init(|| {
         let config = MachineConfig::square(4);
         raw_repro::benchmarks::tiny_suite()
             .into_iter()
+            .chain(raw_repro::benchmarks::scenario_suite())
             .map(|bench| {
                 let program = bench.program(4).unwrap();
                 let compiled = compile(&program, &config, &CompilerOptions::default())
@@ -146,7 +149,7 @@ raw_testkit::proptest! {
         chaos_seed in 1u64..1_000_000,
     ) {
         // Truncating run() at an arbitrary cycle frequently lands while
-        // processors sit in SleepReg/SleepPort and switches sleep with
+        // processors sit in SleepReg/SleepPort/SleepDyn and switches sleep with
         // unsettled stall debt. The flush on the error path must settle that
         // debt *exactly*: the production stepper — which sleeps through cycles
         // the reference steps one by one — must report identical statistics,
