@@ -37,6 +37,19 @@ stage_clippy() {
     echo "$copies" >&2
     exit 1
   fi
+  # One dynamic worklist: raw_machine::dynnet::DynNet owns every tile's
+  # router, endpoint and handler and steps them in one sweep over its own run
+  # set, so no machine-side watch list can grow back beside it and no
+  # handler steps outside that sweep.
+  local worklists
+  worklists="$(grep -rnwE 'dyn_watch|dyn_watched|dyn_mark|dyn_scratch' crates || true
+    grep -rnE '([Hh]andlers?(\[[^]]*\])?\.step|Handler::step)\(' crates --include='*.rs' \
+      | grep -v '^crates/machine/src/dynnet.rs:' || true)"
+  if [[ -n "$worklists" ]]; then
+    echo "ci: step the dynamic network's tiles only in DynNet's sweep:" >&2
+    echo "$worklists" >&2
+    exit 1
+  fi
   # One static-reference analysis: the unroller and lowering ask
   # crates/lang/src/affine.rs, so no second copy of its folding, trip-count,
   # home or index-split arithmetic can drift away from the first.
@@ -548,7 +561,7 @@ stage_sim_smoke() {
   sim_out="$(cargo run --offline --release -p raw-bench --bin raw-bench -- \
     sim --tiles 16 --quick)"
   for field in proc_steps switch_steps restalls timers_popped timers_stale \
-    channel_commits; do
+    channel_commits dyn_visits dyn_idle_visits; do
     grep -q "^sim jacobi tiles=16 .* $field=[0-9]" <<< "$sim_out" || {
       echo "ci: sim --tiles 16 prints no $field counter" >&2
       return 1

@@ -258,12 +258,14 @@ pub fn measure(
     }
 }
 
-/// Compiles and runs the sequential baseline, returning its cycle count.
+/// Compiles and runs `bench`'s sequential baseline, returning its cycle
+/// count.
 ///
 /// # Panics
 ///
 /// Panics on compile/simulation/verification failure (see [`measure`]).
-pub fn measure_baseline(program: &Program) -> u64 {
+pub fn measure_baseline(bench: &Benchmark) -> u64 {
+    let program = &bench.baseline_program().expect("baseline compiles");
     let config = MachineConfig::square(1);
     let compiled = compile_baseline(program, &config)
         .unwrap_or_else(|e| panic!("{}: baseline compile failed: {e}", program.name));
@@ -290,15 +292,15 @@ pub struct SpeedupRow {
     pub points: Vec<(u32, u64, f64)>,
 }
 
-/// Measures one benchmark across `sizes`, under `variant`.
+/// Measures one benchmark across `sizes`, under `variant`, against its
+/// baseline's `seq_cycles` ([`measure_baseline`], measured once per table).
 pub fn speedup_row(
     bench: &Benchmark,
+    seq_cycles: u64,
     sizes: &[u32],
     variant: MachineVariant,
     options: &CompilerOptions,
 ) -> SpeedupRow {
-    let baseline = bench.baseline_program().expect("baseline compiles");
-    let seq_cycles = measure_baseline(&baseline);
     let mut points = Vec::with_capacity(sizes.len());
     for &n in sizes {
         let program = bench.program(n).expect("program compiles");
@@ -420,8 +422,7 @@ pub fn table2_text(suite: &[Benchmark]) -> String {
     )
     .unwrap();
     for b in suite {
-        let baseline = b.baseline_program().expect("baseline compiles");
-        let cycles = measure_baseline(&baseline);
+        let cycles = measure_baseline(b);
         writeln!(
             s,
             "  {:<14} {:>6} {:>12} {:>12}  {}",
@@ -447,7 +448,13 @@ pub fn table3_text(suite: &[Benchmark], sizes: &[u32]) -> String {
     }
     writeln!(s).unwrap();
     for b in suite {
-        let row = speedup_row(b, sizes, MachineVariant::Base, &options);
+        let row = speedup_row(
+            b,
+            measure_baseline(b),
+            sizes,
+            MachineVariant::Base,
+            &options,
+        );
         write!(s, "  {:<14}", row.name).unwrap();
         for (_, _, speedup) in &row.points {
             write!(s, " {speedup:>8.2}").unwrap();
@@ -468,12 +475,13 @@ pub fn figure8_text(bench: &Benchmark, sizes: &[u32]) -> String {
         write!(s, " {:>8}", format!("N={n}")).unwrap();
     }
     writeln!(s, " {:>12}", "seq cycles").unwrap();
+    let seq_cycles = measure_baseline(bench);
     for variant in [
         MachineVariant::Base,
         MachineVariant::InfReg,
         MachineVariant::OneCycle,
     ] {
-        let row = speedup_row(bench, sizes, variant, &options);
+        let row = speedup_row(bench, seq_cycles, sizes, variant, &options);
         write!(s, "  {:<8}", variant.name()).unwrap();
         for (_, _, speedup) in &row.points {
             write!(s, " {speedup:>8.2}").unwrap();
@@ -495,7 +503,14 @@ pub fn fpppp_scale_text(sizes: &[u32]) -> String {
             outputs,
             seed: 0x0f99_9921,
         });
-        let row = speedup_row(&bench, sizes, MachineVariant::Base, &Default::default());
+        let seq_cycles = measure_baseline(&bench);
+        let row = speedup_row(
+            &bench,
+            seq_cycles,
+            sizes,
+            MachineVariant::Base,
+            &Default::default(),
+        );
         write!(s, "ints={intermediates}: seq={}", row.seq_cycles).unwrap();
         for (n, _, speedup) in &row.points {
             write!(s, "  @{n}={speedup:.1}x").unwrap();
@@ -542,8 +557,9 @@ pub fn ablation_text(suite: &[Benchmark], sizes: &[u32]) -> String {
     writeln!(s, "Ablations: speedup with compiler features disabled").unwrap();
     for b in suite {
         writeln!(s, "  {}:", b.name).unwrap();
+        let seq_cycles = measure_baseline(b);
         for (name, options) in &variants {
-            let row = speedup_row(b, sizes, MachineVariant::Base, options);
+            let row = speedup_row(b, seq_cycles, sizes, MachineVariant::Base, options);
             write!(s, "    {name:<12}").unwrap();
             for (n, _, speedup) in &row.points {
                 write!(s, " N={n}:{speedup:>6.2}").unwrap();
@@ -576,6 +592,7 @@ mod tests {
         let bench = raw_benchmarks::mxm(4, 8, 2);
         let row = speedup_row(
             &bench,
+            measure_baseline(&bench),
             &[1, 2],
             MachineVariant::Base,
             &CompilerOptions::default(),

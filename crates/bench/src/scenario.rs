@@ -59,7 +59,9 @@ impl ScenarioArgs {
 /// a power-of-two live count, leaving partition A = {0, 1, 2, 4}.
 fn partition_a() -> MachineConfig {
     let base = MachineConfig::grid(2, 4);
-    let mask = base.mask_to_pow2(&[TileId::from_raw(3)]);
+    let mask = base
+        .mask_to_pow2(&[TileId::from_raw(3)])
+        .expect("the mesh fits the mask");
     base.with_faulty(mask)
 }
 

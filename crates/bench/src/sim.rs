@@ -18,7 +18,8 @@
 //!
 //! Every line also prints the production run's work counters
 //! (`raw_machine::WorkCounters`: steps, re-stalls after a wake, timers,
-//! channel commits) — exact counts of the stepping a run took. Host time is
+//! channel commits, dynamic-network visits and the visits that moved
+//! nothing) — exact counts of the stepping a run took. Host time is
 //! not measured here: `raw-perf`'s `sim_sparse` workload (`perf/`) times the
 //! same regime.
 
@@ -455,6 +456,7 @@ mod tests {
         for line in text.lines().skip(1) {
             assert!(line.contains(" proc_steps="), "{line}");
             assert!(line.contains(" channel_commits="), "{line}");
+            assert!(line.contains(" dyn_idle_visits="), "{line}");
         }
     }
 

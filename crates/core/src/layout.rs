@@ -259,7 +259,9 @@ mod tests {
     fn faulty_mask_interleaves_over_live_tiles_only() {
         let p = program_with(MemHome::Static(0), MemHome::Static(0));
         let base = MachineConfig::grid(2, 4);
-        let mask = base.mask_to_pow2(&[TileId::from_raw(2)]);
+        let mask = base
+            .mask_to_pow2(&[TileId::from_raw(2)])
+            .expect("the mesh fits the mask");
         let config = base.with_faulty(mask);
         let layout = DataLayout::build(&p, &config);
         assert_eq!(layout.n_tiles, 4);

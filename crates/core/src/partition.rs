@@ -800,7 +800,9 @@ mod tests {
         b.halt();
         let p = b.finish().unwrap();
         let base = MachineConfig::grid(2, 4);
-        let mask = base.mask_to_pow2(&[TileId::from_raw(1), TileId::from_raw(4)]);
+        let mask = base
+            .mask_to_pow2(&[TileId::from_raw(1), TileId::from_raw(4)])
+            .expect("the mesh fits the mask");
         let config = base.with_faulty(mask);
         let layout = DataLayout::build(&p, &config);
         let g = TaskGraph::build(p.block(p.entry), &layout, &config);
@@ -834,7 +836,9 @@ mod tests {
         b.halt();
         let p = b.finish().unwrap();
         let base = MachineConfig::grid(1, 4);
-        let mask = base.mask_to_pow2(&[TileId::from_raw(1)]);
+        let mask = base
+            .mask_to_pow2(&[TileId::from_raw(1)])
+            .expect("the mesh fits the mask");
         let config = base.with_faulty(mask);
         let layout = DataLayout::build(&p, &config);
         let g = TaskGraph::build(p.block(p.entry), &layout, &config);

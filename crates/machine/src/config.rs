@@ -248,30 +248,34 @@ impl MachineConfig {
     /// highest-index healthy tiles required to bring the live count down to a
     /// power of two (low-order interleaving needs one).
     ///
-    /// # Panics
-    ///
-    /// Panics if every tile is dead.
-    pub fn mask_to_pow2(&self, dead: &[TileId]) -> TileMask {
-        let mut mask = TileMask::of(dead);
-        let live = self.n_tiles() - mask.len();
-        assert!(live > 0, "mask kills every tile");
-        let target = if live.is_power_of_two() {
-            live
-        } else {
-            1 << (31 - live.leading_zeros()) // largest power of two below live
-        };
-        let mut excess = live - target;
+    /// Returns `None` if every tile is dead, or if the mask would need a tile
+    /// it cannot hold ([`TileMask`] covers tile indices below 64, and padding
+    /// takes the highest indices first).
+    pub fn mask_to_pow2(&self, dead: &[TileId]) -> Option<TileMask> {
+        let mut mask = TileMask::EMPTY;
+        for &t in dead {
+            if t.0 >= 64 {
+                return None;
+            }
+            mask.insert(t);
+        }
+        let live = self.n_tiles().checked_sub(mask.len()).filter(|&l| l > 0)?;
+        // Down to the largest power of two at most `live`.
+        let mut excess = live - (1 << live.ilog2());
         for i in (0..self.n_tiles()).rev() {
             if excess == 0 {
                 break;
             }
             let t = TileId(i);
             if !mask.contains(t) {
+                if i >= 64 {
+                    return None;
+                }
                 mask.insert(t);
                 excess -= 1;
             }
         }
-        mask
+        Some(mask)
     }
 
     /// `(row, col)` of a tile.
@@ -465,13 +469,35 @@ mod tests {
         let c = MachineConfig::grid(2, 4);
         // One dead tile leaves 7 live; the mask pads down to 4 using the
         // highest-index healthy tiles.
-        let m = c.mask_to_pow2(&[TileId(2)]);
+        let m = c.mask_to_pow2(&[TileId(2)]).unwrap();
         assert_eq!(c.clone().with_faulty(m).n_live(), 4);
         assert!(m.contains(TileId(2)));
         assert!(m.contains(TileId(7)) && m.contains(TileId(6)) && m.contains(TileId(5)));
         // Already a power of two: nothing added.
         let m = c.mask_to_pow2(&[TileId(0), TileId(1), TileId(2), TileId(3)]);
-        assert_eq!(m.len(), 4);
+        assert_eq!(m.unwrap().len(), 4);
+        // Every tile dead.
+        assert_eq!(
+            c.mask_to_pow2(&(0..8).map(TileId).collect::<Vec<_>>()),
+            None
+        );
+    }
+
+    #[test]
+    fn mask_to_pow2_refuses_tiles_past_the_mask() {
+        // 16x16: one dead tile leaves 255 live, and padding down to 128
+        // would mask tiles 255 down to 129, which the 64-bit mask cannot
+        // hold; nor can it hold a dead tile at index 64 or above.
+        let c = MachineConfig::grid(16, 16);
+        assert_eq!(c.mask_to_pow2(&[TileId(5)]), None);
+        assert_eq!(c.mask_to_pow2(&[TileId(200)]), None);
+        // With no dead tile 256 is already a power of two.
+        assert_eq!(c.mask_to_pow2(&[]), Some(TileMask::EMPTY));
+        // 8x8 fits: one dead tile pads down to 32 with tiles 63 down to 33.
+        let c = MachineConfig::grid(8, 8);
+        let m = c.mask_to_pow2(&[TileId(5)]).unwrap();
+        assert_eq!(c.with_faulty(m).n_live(), 32);
+        assert!(m.contains(TileId(63)) && m.contains(TileId(33)) && !m.contains(TileId(32)));
     }
 
     #[test]

@@ -28,30 +28,47 @@
 //!   an ownership changes (a flit lands in an empty ring, a lock is taken, a
 //!   tail releases one), so arbitration is a rotate of the mask from the
 //!   output's round-robin pointer plus a `trailing_zeros`, not a scan and
-//!   decode of all five inputs;
-//! * the routers to visit are a bitset pair (`calendar::RunSet`): the set a
-//!   step sweeps and the set it marks for the next step.
+//!   decode of all five inputs.
 //!
 //! # One sweep
 //!
-//! [`DynNet::step_hot`] sweeps the marked routers in ascending tile order;
-//! [`DynNet::step`], the reference stepper's path, marks every router and
-//! runs the same sweep. Per router the sweep feeds one flit from the
-//! endpoint's injection queue into the local input, then visits outputs 0..4
-//! in order — a head exposed by an earlier output's pop is visible to later
-//! outputs the same cycle — and moves at most one flit per output. A flit
-//! bound for a neighbour moves only if the neighbour's ring has room after
-//! the flits already staged for it this cycle, and it is staged: staged
-//! flits land after every router has decided. Feeding a router touches only
-//! its own local ring, which no other router reads, so feeding each router
-//! right before routing it is the same as feeding all first. A visited
-//! router that still holds flits or injection backlog marks itself for the
-//! next step; a router that receives a staged flit is marked too.
+//! [`DynNet`] owns every tile's router, endpoint and handler, and one run set
+//! (a bitset pair, `calendar::RunSet`: the set a step sweeps and the set it
+//! marks for the next) decides which tiles a step visits.
+//! [`DynNet::step_hot`] sweeps the marked tiles in ascending tile order;
+//! [`DynNet::step`], the reference stepper's path, marks every tile and runs
+//! the same sweep.
+//!
+//! At each visited tile the sweep feeds one flit from the endpoint's
+//! injection queue into the local input, routes, then steps the tile's
+//! handler over its memory. Routing visits outputs 0..4 in order — a head
+//! exposed by an earlier output's pop is visible to later outputs the same
+//! cycle — and moves at most one flit per output. A flit bound for a
+//! neighbour moves only if the neighbour's ring has room after the flits
+//! already staged for it this cycle, and it is staged: staged flits land
+//! after every tile has been visited.
+//!
+//! Each step is local to its tile, so the interleaving equals feeding every
+//! router, then routing every router, then stepping every handler:
+//!
+//! * feeding tile `t` touches only its own local ring and injection queue,
+//!   which no other router reads;
+//! * only router `t` ejects into tile `t`'s inboxes, so handler `t` has seen
+//!   every delivery of the cycle once router `t` has run;
+//! * only router `t` feeds from tile `t`'s injection queue, and it has fed
+//!   already, so a reply the handler injects waits for the next cycle either
+//!   way.
+//!
+//! A visited tile stays marked while its router holds flits, its endpoint
+//! has injection backlog, or its handler is busy or has requests waiting; a
+//! tile that receives a staged flit is marked too, and the machine
+//! [`poke`](DynNet::poke)s a tile whose processor injected a request.
 
 use crate::calendar::RunSet;
 use crate::config::MAX_TILES;
 use crate::isa::Word;
 use crate::memory::LocalMem;
+use crate::stats::WorkCounters;
 use std::collections::VecDeque;
 
 /// Most payload words a message carries: a store request's address and
@@ -234,11 +251,6 @@ impl DynEndpoint {
         self.inject.extend(msg.payload());
     }
 
-    /// True if nothing is buffered at this endpoint (used for quiescence).
-    pub fn is_idle(&self) -> bool {
-        self.inject.is_empty() && self.proc_inbox.is_empty() && self.handler_inbox.is_empty()
-    }
-
     /// True while flits await injection into the local router (the router
     /// must stay marked until it drains them).
     pub fn inject_backlog(&self) -> bool {
@@ -291,16 +303,30 @@ struct Reassembly {
     have: u8,
 }
 
-/// The whole-machine dynamic network: one wormhole router per tile.
+/// What one step of the dynamic network did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DynProgress {
+    /// A flit moved: fed, routed or ejected.
+    pub moved: bool,
+    /// A handler took or answered a request, or holds one in flight (a
+    /// timed wait, not a deadlock).
+    pub handling: bool,
+}
+
+/// The whole-machine dynamic network: one wormhole router, endpoint and
+/// remote-memory handler per tile, and the run set that decides which tiles
+/// a step visits.
 ///
-/// [`step_hot`](Self::step_hot) sweeps the marked routers — those holding
-/// flits, receiving one, or [`poke`](Self::poke)d because their endpoint
-/// gained injection backlog; [`step`](Self::step) marks every router and
-/// runs the same sweep (see the module docs).
+/// [`step_hot`](Self::step_hot) sweeps the marked tiles — those holding
+/// flits or requests, receiving a flit, or [`poke`](Self::poke)d because
+/// their processor injected a request; [`step`](Self::step) marks every
+/// tile and runs the same sweep (see the module docs).
 #[derive(Debug)]
 pub struct DynNet {
     cols: u32,
     fifo_cap: u32,
+    /// Cycles a handler's memory access takes.
+    mem_latency: u32,
     /// `(row, col)` per tile, so routing never divides.
     coords: Vec<(u32, u32)>,
     routers: Vec<Router>,
@@ -309,12 +335,14 @@ pub struct DynNet {
     /// `fifo_cap` flit slots per ring, ring-major.
     slots: Vec<Word>,
     reassembly: Vec<Reassembly>,
-    /// The routers this step sweeps (empty between steps).
+    endpoints: Vec<DynEndpoint>,
+    handlers: Vec<Handler>,
+    /// The tiles this step sweeps (empty between steps).
     hot: RunSet,
-    /// The routers the next step sweeps.
+    /// The tiles the next step sweeps.
     next_hot: RunSet,
-    /// Tiles whose endpoint received a complete message during the last step
-    /// (the machine puts their handlers/processors under watch).
+    /// Tiles whose processor inbox received a message during the last step
+    /// (the machine wakes a processor asleep on its reply).
     delivered: Vec<usize>,
     /// Cross-router transfers `(ring, flit)` decided this cycle; kept to reuse
     /// its allocation, empty between steps.
@@ -326,8 +354,9 @@ pub struct DynNet {
 
 impl DynNet {
     /// Creates the network for a `rows × cols` mesh with per-link FIFO depth
-    /// `fifo_cap`.
-    pub fn new(rows: u32, cols: u32, fifo_cap: usize) -> Self {
+    /// `fifo_cap`, injection queues of `inject_cap` flits, and handlers
+    /// whose memory access takes `mem_latency` cycles.
+    pub fn new(rows: u32, cols: u32, fifo_cap: usize, inject_cap: usize, mem_latency: u32) -> Self {
         let n = (rows * cols) as usize;
         let empty = Reassembly {
             msg: DynMsg::new(MsgKind::LoadReq, 0, 0, &[]),
@@ -336,6 +365,7 @@ impl DynNet {
         DynNet {
             cols,
             fifo_cap: u32::try_from(fifo_cap).expect("dynamic FIFO depth fits 32 bits"),
+            mem_latency,
             coords: (0..rows)
                 .flat_map(|r| (0..cols).map(move |c| (r, c)))
                 .collect(),
@@ -343,6 +373,8 @@ impl DynNet {
             rings: vec![Ring::default(); n * NUM_PORTS],
             slots: vec![0; n * NUM_PORTS * fifo_cap],
             reassembly: vec![empty; n],
+            endpoints: (0..n).map(|_| DynEndpoint::new(inject_cap)).collect(),
+            handlers: (0..n).map(|_| Handler::default()).collect(),
             hot: RunSet::empty(n),
             next_hot: RunSet::empty(n),
             delivered: Vec::new(),
@@ -351,20 +383,30 @@ impl DynNet {
         }
     }
 
-    /// Marks router `t` for the next [`step_hot`](Self::step_hot).
+    /// Marks tile `t` for the next [`step_hot`](Self::step_hot).
     ///
-    /// The machine pokes a router whenever tile `t`'s endpoint may have
-    /// gained injection backlog (a processor issued a dynamic access, a
-    /// handler injected a reply); all other marking — buffered flits,
-    /// incoming staged transfers — is maintained internally.
+    /// The machine pokes a tile whose processor injected a request; all
+    /// other marking — buffered flits, incoming staged transfers, injection
+    /// backlog, requests and busy handlers — is maintained by the sweep.
     pub fn poke(&mut self, t: usize) {
         self.next_hot.insert(t);
     }
 
-    /// Tiles that completed message reassembly during the last step (either
-    /// inbox); cleared at the start of every step.
+    /// Tiles whose processor inbox received a message during the last step;
+    /// cleared at the start of every step.
     pub fn delivered(&self) -> &[usize] {
         &self.delivered
+    }
+
+    /// Tile `t`'s endpoint.
+    pub fn endpoint(&self, t: usize) -> &DynEndpoint {
+        &self.endpoints[t]
+    }
+
+    /// Tile `t`'s endpoint, for its processor to inject requests and pop
+    /// replies. A processor that injects must [`poke`](Self::poke) the tile.
+    pub fn endpoint_mut(&mut self, t: usize) -> &mut DynEndpoint {
+        &mut self.endpoints[t]
     }
 
     /// Output port (0=N,1=E,2=S,3=W,4=eject) for a header destined to `dest`,
@@ -398,37 +440,57 @@ impl DynNet {
         }
     }
 
-    /// True if no flit is buffered anywhere in the network (O(1): the flit
-    /// count is maintained by feed and eject).
+    /// True if nothing is in flight: no flit is buffered and no tile is
+    /// marked, so no endpoint holds injection backlog or requests and every
+    /// handler is idle. O(1): feed and eject maintain the flit count, and the
+    /// sweep keeps every busy tile marked. A reply waiting in a processor
+    /// inbox does not count; its processor is alive and pops it.
     pub fn is_idle(&self) -> bool {
         debug_assert_eq!(
             self.buffered == 0,
             self.rings.iter().all(|r| r.len == 0) && self.reassembly.iter().all(|r| r.have == 0),
             "buffered-flit counter out of sync"
         );
-        self.buffered == 0
+        let idle = self.buffered == 0 && self.next_hot.is_empty();
+        debug_assert!(
+            !idle
+                || self.endpoints.iter().zip(&self.handlers).all(|(e, h)| {
+                    !e.inject_backlog() && e.handler_inbox.is_empty() && h.is_idle()
+                }),
+            "a busy tile is not marked"
+        );
+        idle
     }
 
-    /// Advances the network one cycle over every router (the reference
-    /// stepper's path). Returns `true` if any flit moved.
-    ///
-    /// `endpoints[t]` supplies tile `t`'s injection queue and receives its
-    /// ejected messages.
-    pub fn step(&mut self, endpoints: &mut [DynEndpoint]) -> bool {
+    /// Advances the network one cycle over every tile (the reference
+    /// stepper's path). `mems[t]` is tile `t`'s memory, which its handler
+    /// serves.
+    pub fn step(
+        &mut self,
+        cycle: u64,
+        mems: &mut [LocalMem],
+        work: &mut WorkCounters,
+    ) -> DynProgress {
         for t in 0..self.routers.len() {
             self.next_hot.insert(t);
         }
-        self.step_hot(endpoints)
+        self.step_hot(cycle, mems, work)
     }
 
-    /// Advances the network one cycle over the marked routers only.
+    /// Advances the network one cycle over the marked tiles only.
     /// Observationally identical to [`step`](Self::step) — an unmarked
-    /// router is neither fed nor holds flits, so it cannot move anything —
-    /// at cost proportional to live traffic rather than mesh size.
-    pub fn step_hot(&mut self, endpoints: &mut [DynEndpoint]) -> bool {
+    /// tile holds no flit, backlog or request and has an idle handler, so
+    /// its visit would change nothing — at cost proportional to live
+    /// traffic rather than mesh size.
+    pub fn step_hot(
+        &mut self,
+        cycle: u64,
+        mems: &mut [LocalMem],
+        work: &mut WorkCounters,
+    ) -> DynProgress {
         std::mem::swap(&mut self.hot, &mut self.next_hot);
         self.delivered.clear();
-        let mut progress = false;
+        let mut progress = DynProgress::default();
         // Ascending tile order: neighbour-space checks see exactly the rings
         // a `0..n` scan would. Nothing marks `hot` during the sweep.
         for w in 0..self.hot.word_count() {
@@ -436,16 +498,33 @@ impl DynNet {
             while bits != 0 {
                 let t = 64 * w + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                progress |= self.feed(t, &mut endpoints[t]);
-                progress |= self.route(t, endpoints);
-                // A router's rings only grow after its own turn, and a
-                // staged arrival marks its receiver below.
-                if self.routers[t].queued != 0 || endpoints[t].inject_backlog() {
+                let fed = self.feed(t);
+                let routed = self.route(t);
+                let (ep, handler) = (&mut self.endpoints[t], &mut self.handlers[t]);
+                let handled = handler.step(t as u32, cycle, self.mem_latency, &mut mems[t], ep);
+                progress.moved |= fed | routed;
+                progress.handling |= handled || !handler.is_idle();
+                work.dyn_visits += 1;
+                work.dyn_idle_visits += u64::from(!(fed | routed | handled));
+                // A tile's rings only grow after its own turn, and a staged
+                // arrival marks its receiver below.
+                if self.routers[t].queued != 0
+                    || ep.inject_backlog()
+                    || !ep.handler_inbox.is_empty()
+                    || !handler.is_idle()
+                {
                     self.next_hot.insert(t);
                 }
             }
         }
         self.hot.clear();
+        self.land_staged();
+        progress
+    }
+
+    /// Lands the flits staged for neighbouring rings this cycle, marking
+    /// each receiver.
+    fn land_staged(&mut self) {
         let mut staged = std::mem::take(&mut self.staged);
         for (ring, flit) in staged.drain(..) {
             let ring = ring as usize;
@@ -454,17 +533,16 @@ impl DynNet {
             self.next_hot.insert(ring / NUM_PORTS);
         }
         self.staged = staged;
-        progress
     }
 
     /// Moves one flit from tile `t`'s endpoint into its local input ring if
     /// the ring has room. Returns `true` if a flit moved.
     #[inline]
-    fn feed(&mut self, t: usize, ep: &mut DynEndpoint) -> bool {
+    fn feed(&mut self, t: usize) -> bool {
         if self.rings[t * NUM_PORTS + LOCAL].len >= self.fifo_cap {
             return false;
         }
-        let Some(flit) = ep.inject.pop_front() else {
+        let Some(flit) = self.endpoints[t].inject.pop_front() else {
             return false;
         };
         self.push(t * NUM_PORTS + LOCAL, flit);
@@ -475,7 +553,7 @@ impl DynNet {
     /// Moves at most one flit per output of router `t`, outputs in order.
     /// Returns `true` if a flit moved.
     #[inline]
-    fn route(&mut self, t: usize, endpoints: &mut [DynEndpoint]) -> bool {
+    fn route(&mut self, t: usize) -> bool {
         if self.routers[t].queued == 0 {
             return false;
         }
@@ -529,7 +607,7 @@ impl DynNet {
                 self.refresh(ring);
             }
             match target {
-                None => self.eject(t, flit, endpoints),
+                None => self.eject(t, flit),
                 Some(nb) => {
                     self.rings[nb].staged += 1;
                     self.staged.push((nb as u32, flit));
@@ -590,7 +668,7 @@ impl DynNet {
         }
     }
 
-    fn eject(&mut self, t: usize, flit: Word, endpoints: &mut [DynEndpoint]) {
+    fn eject(&mut self, t: usize, flit: Word) {
         let re = &mut self.reassembly[t];
         if re.have == 0 {
             let (kind, src, dest, len) = DynMsg::decode_header(flit);
@@ -605,15 +683,17 @@ impl DynNet {
         if usize::from(re.have) == re.msg.flits() {
             let msg = re.msg;
             re.have = 0;
-            if msg.kind.for_handler() {
-                endpoints[t].handler_inbox.push_back(msg);
-            } else {
-                endpoints[t].proc_inbox.push_back(msg);
-            }
             // The message left the network: drop its flits from the buffered
-            // count and report the delivery so the machine can watch tile t.
+            // count. A reply is reported, so the machine can wake the
+            // processor waiting on it; a request is the handler's, stepped
+            // right after this router.
             self.buffered -= msg.flits();
-            self.delivered.push(t);
+            if msg.kind.for_handler() {
+                self.endpoints[t].handler_inbox.push_back(msg);
+            } else {
+                self.endpoints[t].proc_inbox.push_back(msg);
+                self.delivered.push(t);
+            }
         }
     }
 }
@@ -628,26 +708,21 @@ fn opposite(port: usize) -> usize {
     }
 }
 
-/// The per-tile remote-memory handler.
+/// A tile's remote-memory handler; only [`DynNet`]'s sweep steps it.
 #[derive(Debug, Default)]
-pub struct Handler {
+struct Handler {
     current: Option<(DynMsg, u64)>, // (request, done_at)
 }
 
 impl Handler {
-    /// Creates an idle handler.
-    pub fn new() -> Self {
-        Handler::default()
-    }
-
     /// True if no request is in flight.
-    pub fn is_idle(&self) -> bool {
+    fn is_idle(&self) -> bool {
         self.current.is_none()
     }
 
     /// Steps the handler: accepts one request, services it after `mem_latency`
     /// cycles, and injects the response. Returns `true` on progress.
-    pub fn step(
+    fn step(
         &mut self,
         tile: u32,
         cycle: u64,
@@ -694,6 +769,38 @@ impl Handler {
 mod tests {
     use super::*;
 
+    /// Words of every test tile's memory.
+    const MEM_WORDS: usize = 8;
+
+    /// A network and its tiles' memories, stepped by the full sweep.
+    struct Mesh {
+        net: DynNet,
+        mems: Vec<LocalMem>,
+        cycle: u64,
+        work: WorkCounters,
+    }
+
+    impl Mesh {
+        fn new(rows: u32, cols: u32, fifo: usize, inject_cap: usize) -> Mesh {
+            Mesh {
+                net: DynNet::new(rows, cols, fifo, inject_cap, 2),
+                mems: vec![LocalMem::new(MEM_WORDS); (rows * cols) as usize],
+                cycle: 0,
+                work: WorkCounters::default(),
+            }
+        }
+
+        fn step(&mut self) -> DynProgress {
+            let progress = self.net.step(self.cycle, &mut self.mems, &mut self.work);
+            self.cycle += 1;
+            progress
+        }
+
+        fn ep(&mut self, t: usize) -> &mut DynEndpoint {
+            self.net.endpoint_mut(t)
+        }
+    }
+
     #[test]
     fn header_round_trip() {
         let msg = DynMsg::new(MsgKind::StoreReq, 3, 7, &[100, 42]);
@@ -705,31 +812,48 @@ mod tests {
     #[test]
     fn message_crosses_mesh() {
         // 2x2 mesh: tile 0 sends a LoadReply to tile 3 (1 hop E + 1 hop S).
-        let mut net = DynNet::new(2, 2, 4);
-        let mut eps: Vec<DynEndpoint> = (0..4).map(|_| DynEndpoint::new(16)).collect();
-        eps[0].inject(DynMsg::new(MsgKind::LoadReply, 0, 3, &[99]));
-        let mut cycles = 0;
-        while eps[3].proc_inbox.is_empty() && cycles < 50 {
-            net.step(&mut eps);
-            cycles += 1;
+        let mut mesh = Mesh::new(2, 2, 4, 16);
+        mesh.ep(0)
+            .inject(DynMsg::new(MsgKind::LoadReply, 0, 3, &[99]));
+        while mesh.ep(3).proc_inbox.is_empty() && mesh.cycle < 50 {
+            mesh.step();
         }
-        let msg = eps[3].proc_inbox.pop_front().expect("message delivered");
+        let msg = mesh
+            .ep(3)
+            .proc_inbox
+            .pop_front()
+            .expect("message delivered");
         assert_eq!(msg.payload(), vec![99]);
-        assert!(net.is_idle());
+        assert!(mesh.net.is_idle());
         // Sanity on latency: ~1 cycle injection feed + 2 hops + eject flits.
-        assert!(cycles <= 12, "took {cycles} cycles");
+        assert!(mesh.cycle <= 12, "took {} cycles", mesh.cycle);
     }
 
     #[test]
-    fn request_routes_to_handler_inbox() {
-        let mut net = DynNet::new(1, 2, 4);
-        let mut eps: Vec<DynEndpoint> = (0..2).map(|_| DynEndpoint::new(16)).collect();
-        eps[0].inject(DynMsg::new(MsgKind::LoadReq, 0, 1, &[5]));
-        for _ in 0..20 {
-            net.step(&mut eps);
+    fn requests_are_served_by_their_home_handler() {
+        // Tile 0 of a 1x2 line loads word 5 of tile 1 and stores 1234 at its
+        // word 6. Tile 1's handler serves both in its router's turn, and the
+        // reply and the ack come back to tile 0's processor inbox.
+        let mut mesh = Mesh::new(1, 2, 4, 16);
+        mesh.mems[1].store(5, 77);
+        mesh.ep(0).inject(DynMsg::new(MsgKind::LoadReq, 0, 1, &[5]));
+        mesh.ep(0)
+            .inject(DynMsg::new(MsgKind::StoreReq, 0, 1, &[6, 1234]));
+        mesh.net.poke(0);
+        while !mesh.net.is_idle() {
+            mesh.step();
+            assert!(mesh.cycle < 40, "requests not served");
         }
-        assert_eq!(eps[1].handler_inbox.len(), 1);
-        assert!(eps[1].proc_inbox.is_empty());
+        let replies: Vec<_> = mesh.ep(0).proc_inbox.drain(..).collect();
+        assert_eq!(
+            replies,
+            [
+                DynMsg::new(MsgKind::LoadReply, 1, 0, &[77]),
+                DynMsg::new(MsgKind::StoreAck, 1, 0, &[]),
+            ]
+        );
+        assert!(mesh.ep(1).proc_inbox.is_empty());
+        assert_eq!(mesh.mems[1].load(6), Some(1234));
     }
 
     #[test]
@@ -737,7 +861,7 @@ mod tests {
         let mut ep = DynEndpoint::new(16);
         let mut mem = LocalMem::new(32);
         mem.store(5, 77);
-        let mut h = Handler::new();
+        let mut h = Handler::default();
         ep.handler_inbox
             .push_back(DynMsg::new(MsgKind::LoadReq, 2, 0, &[5]));
         let mut cycle = 0;
@@ -755,7 +879,7 @@ mod tests {
 
         // Store request.
         let mut ep2 = DynEndpoint::new(16);
-        let mut h2 = Handler::new();
+        let mut h2 = Handler::default();
         ep2.handler_inbox
             .push_back(DynMsg::new(MsgKind::StoreReq, 1, 0, &[9, 1234]));
         for cycle in 0..20 {
@@ -767,18 +891,18 @@ mod tests {
 
     #[test]
     fn two_messages_same_link_stay_contiguous() {
-        // Tiles 0 and 2 both send 2-payload messages through tile 1 to tile 1?
-        // Use 1x3 mesh: 0 -> 2 and a local message 1 -> 2 contending on the
-        // link 1->2. Flits of each message must arrive contiguously.
-        let mut net = DynNet::new(1, 3, 2);
-        let mut eps: Vec<DynEndpoint> = (0..3).map(|_| DynEndpoint::new(16)).collect();
-        eps[0].inject(DynMsg::new(MsgKind::StoreReq, 0, 2, &[1, 11]));
-        eps[1].inject(DynMsg::new(MsgKind::StoreReq, 1, 2, &[2, 22]));
+        // 1x3 mesh: 0 -> 2 and a local message 1 -> 2 contend on the link
+        // 1->2. Flits of each message must arrive contiguously.
+        let mut mesh = Mesh::new(1, 3, 2, 16);
+        mesh.ep(0)
+            .inject(DynMsg::new(MsgKind::LoadReply, 0, 2, &[1, 11]));
+        mesh.ep(1)
+            .inject(DynMsg::new(MsgKind::LoadReply, 1, 2, &[2, 22]));
         for _ in 0..60 {
-            net.step(&mut eps);
+            mesh.step();
         }
-        assert_eq!(eps[2].handler_inbox.len(), 2, "both messages delivered");
-        for msg in &eps[2].handler_inbox {
+        assert_eq!(mesh.ep(2).proc_inbox.len(), 2, "both messages delivered");
+        for msg in &mesh.ep(2).proc_inbox {
             match msg.src {
                 0 => assert_eq!(msg.payload(), vec![1, 11]),
                 1 => assert_eq!(msg.payload(), vec![2, 22]),
@@ -789,30 +913,20 @@ mod tests {
 
     /// Injects pending messages as capacity frees, steps until the network
     /// and all endpoints drain, and panics if it fails to settle.
-    fn drain(
-        net: &mut DynNet,
-        eps: &mut [DynEndpoint],
-        pending: &mut [VecDeque<DynMsg>],
-        limit: u64,
-    ) {
-        let mut cycles = 0u64;
+    fn drain(mesh: &mut Mesh, pending: &mut [VecDeque<DynMsg>], limit: u64) {
         loop {
             for (t, q) in pending.iter_mut().enumerate() {
-                while let Some(m) = q.front() {
-                    if !eps[t].can_inject(m.payload().len() + 1) {
-                        break;
-                    }
+                while q.front().is_some_and(|m| mesh.ep(t).can_inject(m.flits())) {
                     let m = q.pop_front().unwrap();
-                    eps[t].inject(m);
+                    mesh.ep(t).inject(m);
                 }
             }
-            net.step(eps);
-            cycles += 1;
-            assert!(cycles < limit, "network did not drain in {limit} cycles");
-            let drained = pending.iter().all(|q| q.is_empty())
-                && eps.iter().all(|e| e.inject.is_empty())
-                && net.is_idle();
-            if drained {
+            mesh.step();
+            assert!(
+                mesh.cycle < limit,
+                "network did not drain in {limit} cycles"
+            );
+            if pending.iter().all(|q| q.is_empty()) && mesh.net.is_idle() {
                 break;
             }
         }
@@ -824,11 +938,11 @@ mod tests {
         // sizes on a 4x4 mesh with shallow FIFOs. Every message must arrive
         // exactly once, bit-identical, and messages of one (src → dest) flow
         // must arrive in injection order (single dimension-ordered path +
-        // FIFO links ⇒ no overtaking).
+        // FIFO links ⇒ no overtaking). The kinds are the processor-bound
+        // ones, so every message stays in its inbox.
         let mut rng = raw_testkit::Rng::new(0x00D1_44E7);
         let n = 16usize;
-        let mut net = DynNet::new(4, 4, 2);
-        let mut eps: Vec<DynEndpoint> = (0..n).map(|_| DynEndpoint::new(8)).collect();
+        let mut mesh = Mesh::new(4, 4, 2, 8);
         let mut pending: Vec<VecDeque<DynMsg>> = vec![VecDeque::new(); n];
         let mut sent: Vec<DynMsg> = Vec::new();
         for id in 0..120i32 {
@@ -837,10 +951,10 @@ mod tests {
             if dest == src {
                 dest = (dest + 1) % n as u32;
             }
-            let kind = match rng.gen_range(0..3) {
-                0 => MsgKind::StoreReq,
-                1 => MsgKind::LoadReq,
-                _ => MsgKind::LoadReply,
+            let kind = if rng.gen_bool(0.5) {
+                MsgKind::StoreAck
+            } else {
+                MsgKind::LoadReply
             };
             // payload[0] is a unique id; per-flow ids are increasing.
             let mut payload = vec![id as Word];
@@ -851,27 +965,27 @@ mod tests {
             pending[src as usize].push_back(msg);
             sent.push(msg);
         }
-        drain(&mut net, &mut eps, &mut pending, 20_000);
+        drain(&mut mesh, &mut pending, 20_000);
 
         let mut received: Vec<DynMsg> = Vec::new();
-        for (t, ep) in eps.iter().enumerate() {
-            for inbox in [&ep.handler_inbox, &ep.proc_inbox] {
-                // Per-flow ordering: within one inbox (fixed dest), ids from
-                // any one source must be increasing.
-                let mut last_per_src = vec![-1i64; n];
-                for m in inbox {
-                    assert_eq!(m.dest as usize, t, "ejected at the wrong tile");
-                    let id = m.payload()[0] as i64;
-                    assert!(
-                        last_per_src[m.src as usize] < id,
-                        "flow {} -> {t} reordered: {} after {}",
-                        m.src,
-                        id,
-                        last_per_src[m.src as usize]
-                    );
-                    last_per_src[m.src as usize] = id;
-                    received.push(*m);
-                }
+        for t in 0..n {
+            let ep = mesh.net.endpoint(t);
+            assert!(ep.handler_inbox.is_empty());
+            // Per-flow ordering: within the inbox (fixed dest), ids from any
+            // one source must be increasing.
+            let mut last_per_src = vec![-1i64; n];
+            for m in &ep.proc_inbox {
+                assert_eq!(m.dest as usize, t, "ejected at the wrong tile");
+                let id = m.payload()[0] as i64;
+                assert!(
+                    last_per_src[m.src as usize] < id,
+                    "flow {} -> {t} reordered: {} after {}",
+                    m.src,
+                    id,
+                    last_per_src[m.src as usize]
+                );
+                last_per_src[m.src as usize] = id;
+                received.push(*m);
             }
         }
         assert_eq!(received.len(), sent.len(), "message count mismatch");
@@ -887,22 +1001,21 @@ mod tests {
         // at tile 3: maximum backpressure on the shared East links. Wormhole
         // flow control must stall, never drop or tear a message.
         let n = 4usize;
-        let mut net = DynNet::new(1, 4, 1);
-        let mut eps: Vec<DynEndpoint> = (0..n).map(|_| DynEndpoint::new(3)).collect();
+        let mut mesh = Mesh::new(1, 4, 1, 3);
         let mut pending: Vec<VecDeque<DynMsg>> = vec![VecDeque::new(); n];
         let per_tile = 10u32;
         for (t, q) in pending.iter_mut().enumerate().take(3) {
             for seq in 0..per_tile {
                 q.push_back(DynMsg::new(
-                    MsgKind::StoreReq,
+                    MsgKind::LoadReply,
                     t as u32,
                     3,
                     &[seq, t as Word],
                 ));
             }
         }
-        drain(&mut net, &mut eps, &mut pending, 20_000);
-        let inbox = &eps[3].handler_inbox;
+        drain(&mut mesh, &mut pending, 20_000);
+        let inbox = &mesh.ep(3).proc_inbox;
         assert_eq!(
             inbox.len(),
             3 * per_tile as usize,
@@ -924,31 +1037,69 @@ mod tests {
         // eject port must frame every message exactly — the reassembly buffer
         // may never splice one message's flits into another's.
         let n = 3usize;
-        let mut net = DynNet::new(1, 3, 2);
-        let mut eps: Vec<DynEndpoint> = (0..n).map(|_| DynEndpoint::new(16)).collect();
+        let mut mesh = Mesh::new(1, 3, 2, 16);
         let mut pending: Vec<VecDeque<DynMsg>> = vec![VecDeque::new(); n];
         for _ in 0..3 {
             pending[0].push_back(DynMsg::new(MsgKind::StoreAck, 0, 2, &[]));
         }
         for i in 0..2u32 {
-            pending[1].push_back(DynMsg::new(MsgKind::StoreReq, 1, 2, &[i, 100 + i]));
+            pending[1].push_back(DynMsg::new(MsgKind::LoadReply, 1, 2, &[i, 100 + i]));
         }
-        drain(&mut net, &mut eps, &mut pending, 1_000);
-        assert_eq!(eps[2].proc_inbox.len(), 3);
-        for m in &eps[2].proc_inbox {
-            assert_eq!(
-                (m.kind, m.src, m.payload().len()),
-                (MsgKind::StoreAck, 0, 0)
-            );
+        drain(&mut mesh, &mut pending, 1_000);
+        let inbox = &mesh.ep(2).proc_inbox;
+        let acks: Vec<_> = inbox
+            .iter()
+            .filter(|m| m.kind == MsgKind::StoreAck)
+            .collect();
+        assert_eq!(acks.len(), 3);
+        for m in acks {
+            assert_eq!((m.src, m.payload().len()), (0, 0));
         }
-        assert_eq!(eps[2].handler_inbox.len(), 2);
-        for (i, m) in eps[2].handler_inbox.iter().enumerate() {
+        let replies: Vec<_> = inbox
+            .iter()
+            .filter(|m| m.kind == MsgKind::LoadReply)
+            .collect();
+        assert_eq!(replies.len(), 2);
+        for (i, m) in replies.iter().enumerate() {
             assert_eq!(
                 m.payload(),
                 vec![i as Word, 100 + i as Word],
                 "spliced payload"
             );
         }
+    }
+
+    /// One cycle in the order the machine stepped the network before the
+    /// handlers joined the sweep: every router fed and routed in ascending
+    /// order, the staged flits landed, then every handler.
+    fn step_routers_then_handlers(
+        net: &mut DynNet,
+        cycle: u64,
+        mems: &mut [LocalMem],
+    ) -> DynProgress {
+        net.delivered.clear();
+        let mut progress = DynProgress::default();
+        for t in 0..net.routers.len() {
+            progress.moved |= net.feed(t);
+            progress.moved |= net.route(t);
+        }
+        net.land_staged();
+        for (t, (handler, ep)) in net.handlers.iter_mut().zip(&mut net.endpoints).enumerate() {
+            progress.handling |= handler.step(t as u32, cycle, net.mem_latency, &mut mems[t], ep)
+                || !handler.is_idle();
+        }
+        progress
+    }
+
+    /// True if no flit, injection backlog, request or in-flight handler is
+    /// left anywhere: the full scan [`DynNet::is_idle`] must agree with.
+    fn drained(net: &DynNet) -> bool {
+        net.buffered == 0
+            && net
+                .endpoints
+                .iter()
+                .zip(&net.handlers)
+                .all(|(ep, h)| ep.inject.is_empty() && ep.handler_inbox.is_empty() && h.is_idle())
     }
 
     raw_testkit::proptest! {
@@ -961,12 +1112,15 @@ mod tests {
             fifo in 1usize..5,
             seed in raw_testkit::prop::any::<u64>(),
         ) {
-            // One seeded burst of traffic, driven through two networks: one
-            // stepped by the full scan, one by the hot worklist. A 1×N line,
-            // an N×1 column, or a mesh of up to 32×32 (a hot set over 16
-            // words); every message may target its own tile, whose flits
-            // eject the cycle they are fed, so a router keeps only injection
-            // backlog.
+            // One seeded burst of traffic, driven through two networks: a
+            // model that steps every router and then every handler, and the
+            // hot worklist, which steps each marked tile's handler at its
+            // router's turn. A 1×N line, an N×1 column, or a mesh of up to
+            // 32×32 (a hot set over 16 words); every message may target its
+            // own tile, whose flits eject the cycle they are fed. Requests
+            // name words of their home's memory, so the handlers serve them
+            // and their replies travel back; replies and acks of any length
+            // ride along to the processor inboxes.
             let (rows, cols) = match shape {
                 0 => (1, a),
                 1 => (a, 1),
@@ -974,19 +1128,21 @@ mod tests {
             };
             let n = (rows * cols) as usize;
             let mut rng = raw_testkit::Rng::new(seed);
+            let mem_latency = rng.gen_range(0..4u32);
             // A hotspot draws a third of the messages: converging bursts
             // contend for its links and exercise arbitration and backpressure.
             let hotspot = rng.gen_range(0..n as u32);
             let mut schedule: Vec<(u64, DynMsg)> = (0..rng.gen_range(1..65u32))
                 .map(|id| {
-                    let kind = match rng.gen_range(0..4) {
-                        0 => MsgKind::LoadReq,
-                        1 => MsgKind::LoadReply,
-                        2 => MsgKind::StoreReq,
-                        _ => MsgKind::StoreAck,
+                    let addr = rng.gen_range(0..MEM_WORDS as u32);
+                    let len = rng.gen_range(0..4u32);
+                    let any: Vec<Word> = (0..len).map(|k| id * 4 + k).collect();
+                    let (kind, payload) = match rng.gen_range(0..4) {
+                        0 => (MsgKind::LoadReq, vec![addr]),
+                        1 => (MsgKind::StoreReq, vec![addr, id]),
+                        2 => (MsgKind::LoadReply, any),
+                        _ => (MsgKind::StoreAck, any),
                     };
-                    let payload: Vec<Word> =
-                        (0..rng.gen_range(0..4u32)).map(|k| id * 4 + k).collect();
                     let src = rng.gen_range(0..n as u32);
                     let dest = if rng.gen_bool(0.3) {
                         hotspot
@@ -997,12 +1153,13 @@ mod tests {
                 })
                 .collect();
             schedule.sort_by_key(|(at, _)| *at);
-            let mut scan = DynNet::new(rows, cols, fifo);
-            let mut hot = DynNet::new(rows, cols, fifo);
-            let mut eps: [Vec<DynEndpoint>; 2] =
-                std::array::from_fn(|_| (0..n).map(|_| DynEndpoint::new(16)).collect());
+            let mut model = DynNet::new(rows, cols, fifo, 16, mem_latency);
+            let mut hot = DynNet::new(rows, cols, fifo, 16, mem_latency);
+            let mut mems: [Vec<LocalMem>; 2] =
+                std::array::from_fn(|_| vec![LocalMem::new(MEM_WORDS); n]);
             let mut pending: [Vec<VecDeque<DynMsg>>; 2] =
                 std::array::from_fn(|_| vec![VecDeque::new(); n]);
+            let mut work = WorkCounters::default();
             let mut next = 0;
             for cycle in 0..4_000u64 {
                 while next < schedule.len() && schedule[next].0 <= cycle {
@@ -1012,34 +1169,42 @@ mod tests {
                     }
                     next += 1;
                 }
-                for (side, (eps, pending)) in eps.iter_mut().zip(&mut pending).enumerate() {
-                    for (t, queue) in pending.iter_mut().enumerate() {
+                for (side, net) in [&mut model, &mut hot].into_iter().enumerate() {
+                    for (t, queue) in pending[side].iter_mut().enumerate() {
                         while queue
                             .front()
-                            .is_some_and(|m| eps[t].can_inject(m.payload().len() + 1))
+                            .is_some_and(|m| net.endpoint(t).can_inject(m.flits()))
                         {
-                            eps[t].inject(queue.pop_front().unwrap());
-                            if side == 1 {
-                                hot.poke(t);
-                            }
+                            net.endpoint_mut(t).inject(queue.pop_front().unwrap());
+                            net.poke(t);
                         }
                     }
                 }
                 assert_eq!(pending[0], pending[1], "cycle {cycle}: injection differs");
-                let [scan_eps, hot_eps] = &mut eps;
-                let moved = scan.step(scan_eps);
-                assert_eq!(moved, hot.step_hot(hot_eps), "cycle {cycle}: progress differs");
-                assert_eq!(scan.delivered(), hot.delivered(), "cycle {cycle}: delivered");
+                let [model_mems, hot_mems] = &mut mems;
+                let moved = step_routers_then_handlers(&mut model, cycle, model_mems);
+                assert_eq!(
+                    moved,
+                    hot.step_hot(cycle, hot_mems, &mut work),
+                    "cycle {cycle}: progress differs"
+                );
+                assert_eq!(model.delivered(), hot.delivered(), "cycle {cycle}: delivered");
                 for t in 0..n {
-                    assert_eq!(scan_eps[t].proc_inbox, hot_eps[t].proc_inbox, "cycle {cycle}");
-                    assert_eq!(scan_eps[t].handler_inbox, hot_eps[t].handler_inbox);
+                    let (m, h) = (model.endpoint(t), hot.endpoint(t));
+                    assert_eq!(m.proc_inbox, h.proc_inbox, "cycle {cycle}: tile {t}");
+                    assert_eq!(m.handler_inbox, h.handler_inbox, "cycle {cycle}: tile {t}");
+                    for addr in 0..MEM_WORDS {
+                        assert_eq!(
+                            model_mems[t].load(addr),
+                            hot_mems[t].load(addr),
+                            "cycle {cycle}: tile {t} word {addr}"
+                        );
+                    }
                 }
-                assert_eq!(scan.is_idle(), hot.is_idle(), "cycle {cycle}: idle differs");
-                let drained = next == schedule.len()
-                    && pending[0].iter().all(VecDeque::is_empty)
-                    && scan_eps.iter().all(|e| !e.inject_backlog())
-                    && scan.is_idle();
-                if drained {
+                assert_eq!(drained(&model), hot.is_idle(), "cycle {cycle}: idle differs");
+                if next == schedule.len() && pending[0].iter().all(VecDeque::is_empty) && hot.is_idle() {
+                    assert!(work.dyn_idle_visits < work.dyn_visits);
+                    assert!(work.dyn_visits <= (cycle + 1) * n as u64);
                     return;
                 }
             }

@@ -22,13 +22,16 @@
 //!
 //! [`Machine::with_reference_stepper`] selects the deliberately naive oracle
 //! (`reference.rs`): every component steps every cycle, every channel
-//! commits. The default — the one production core (`runsets.rs`, with its
-//! dynamic-network phase in `dynphase.rs`) — is *activity tracked*:
-//! components that provably cannot act this cycle are not visited at all,
-//! and only channels that staged a write are committed. This file holds what
-//! both share: the machine state, loading, the processor and switch steps,
-//! stall booking and the run loop. Its share of DESIGN.md §8's invariants is
-//! the table of legal sleep states and their wake conditions:
+//! commits. The default — the one production core (`runsets.rs`) — is
+//! *activity tracked*: components that provably cannot act this cycle are
+//! not visited at all, and only channels that staged a write are committed.
+//! Both step the dynamic network the same way: [`DynNet`] owns every tile's
+//! router, endpoint and handler and sweeps them in one pass over its own run
+//! set — every tile under the reference, the marked ones under the
+//! production core. This file holds what both share: the machine state,
+//! loading, the processor and switch steps, stall and dynamic-network
+//! booking and the run loop. Its share of DESIGN.md §8's invariants is the
+//! table of legal sleep states and their wake conditions:
 //!
 //! * a **halted** processor (with drained port engine) or switch is dead and
 //!   never stepped again;
@@ -44,8 +47,8 @@
 //! * a switch with a stalled route sleeps until the channel that blocked it
 //!   commits a word (an empty source) or has a word consumed (a full
 //!   destination) — no other channel's event wakes it;
-//! * the dynamic network and the remote-memory handlers are skipped while no
-//!   flit, message, or in-flight request exists anywhere.
+//! * the dynamic network (routers, endpoints and handlers) is skipped while
+//!   it is idle: no flit buffered and no tile marked.
 //!
 //! Who steps is held in two *run sets* (`crates/machine/src/calendar.rs`), one
 //! bit per processor and per switch, set exactly while the component is
@@ -66,7 +69,6 @@
 //! ([`crate::oracle`]) asserts that both steppers produce bit-identical cycle
 //! counts, statistics, memory and deadlock reports, clean and under chaos.
 
-mod dynphase;
 mod reference;
 mod runsets;
 
@@ -75,7 +77,7 @@ use crate::channel::Channels;
 use crate::chaos::{Chaos, ChaosConfig};
 use crate::config::MachineConfig;
 use crate::decode::{Port, Program, SOp, Wiring};
-use crate::dynnet::{DynEndpoint, DynNet, Handler};
+use crate::dynnet::{DynNet, DynProgress};
 use crate::isa::{Dir, MachineProgram, TileId, Word, MAX_ROUTE_PAIRS};
 use crate::memory::LocalMem;
 use crate::processor::{ProcOutcome, Processor, TileView};
@@ -252,9 +254,9 @@ pub struct Machine<S: EventSink = NullSink> {
     sregs: Vec<Word>,
     chans: Channels,
     mems: Vec<LocalMem>,
+    /// Every tile's router, endpoint and handler, and the run set of the
+    /// tiles its sweep visits.
     dynnet: DynNet,
-    endpoints: Vec<DynEndpoint>,
-    handlers: Vec<Handler>,
     cycle: u64,
     stats: Stats,
     work: WorkCounters,
@@ -273,17 +275,6 @@ pub struct Machine<S: EventSink = NullSink> {
     dirty: Vec<usize>,
     /// Channels the last `step_switch` consumed a word from (wake scratch).
     consumed: Vec<usize>,
-    /// True while any flit, dynamic message, or handler request may exist.
-    dyn_active: bool,
-    /// Tiles whose handler or endpoint may be non-idle (production stepper):
-    /// the dynamic phase steps exactly these handlers instead of
-    /// scanning all `n`. Invariant: every tile with a non-idle handler or
-    /// endpoint is on this list (membership flags in `dyn_watched`).
-    dyn_watch: Vec<usize>,
-    /// Membership flags for `dyn_watch`.
-    dyn_watched: Vec<bool>,
-    /// Reusable scratch for the delivered-tile list (borrow split).
-    dyn_scratch: Vec<usize>,
     /// Processors in mode `Active`, swept in ascending order each cycle.
     proc_run: RunSet,
     /// Switches in mode `Active`.
@@ -391,9 +382,13 @@ impl<S: EventSink> Machine<S> {
             wiring,
             prog,
             mems,
-            dynnet: DynNet::new(config.rows, config.cols, config.dyn_fifo),
-            endpoints: (0..n).map(|_| DynEndpoint::new(16)).collect(),
-            handlers: (0..n).map(|_| Handler::new()).collect(),
+            dynnet: DynNet::new(
+                config.rows,
+                config.cols,
+                config.dyn_fifo,
+                16,
+                config.mem_latency,
+            ),
             cycle: 0,
             chaos: None,
             stepper: Stepper::RunSets,
@@ -404,10 +399,6 @@ impl<S: EventSink> Machine<S> {
             chan_writer,
             dirty: Vec::new(),
             consumed: Vec::new(),
-            dyn_active: false,
-            dyn_watch: Vec::new(),
-            dyn_watched: vec![false; n],
-            dyn_scratch: Vec::new(),
             proc_run: RunSet::full(n),
             switch_run: RunSet::full(n),
             sleep_reg: RunSet::empty(n),
@@ -560,20 +551,17 @@ impl<S: EventSink> Machine<S> {
         self.procs.iter().all(|p| p.halted())
             && self.switches.iter().all(|s| s.halted())
             && self.dynnet.is_idle()
-            && self.endpoints.iter().all(|e| e.is_idle())
-            && self.handlers.iter().all(|h| h.is_idle())
     }
 
     /// O(1) equivalent of [`finished`](Self::finished) for the production
     /// stepper: a component goes `Dead` exactly when it observes itself
-    /// halted, and `dyn_active` is false exactly while all dynamic-network
-    /// state is drained. The reference stepper maintains neither, so it keeps
-    /// the full scan.
+    /// halted. The reference stepper maintains no modes, so it keeps the
+    /// full scan.
     fn quiesced(&self) -> bool {
         if self.stepper == Stepper::Reference {
             return self.finished();
         }
-        let done = self.live_procs == 0 && self.live_switches == 0 && !self.dyn_active;
+        let done = self.live_procs == 0 && self.live_switches == 0 && self.dynnet.is_idle();
         debug_assert_eq!(done, self.finished());
         done
     }
@@ -619,6 +607,19 @@ impl<S: EventSink> Machine<S> {
         }
     }
 
+    /// Books one step of the dynamic network: a cycle on which a flit moved
+    /// is an active cycle. Returns the step's progress flag; a handler
+    /// holding a request is a timed wait, so it counts.
+    fn book_dyn(&mut self, step: DynProgress) -> bool {
+        if step.moved {
+            self.stats.dyn_active_cycles += 1;
+            if S::ENABLED {
+                self.sink.dyn_active(self.cycle);
+            }
+        }
+        step.moved || step.handling
+    }
+
     /// Steps processor `t` one cycle over its decoded code.
     #[inline(always)]
     fn step_proc(&mut self, t: usize) -> ProcOutcome {
@@ -631,7 +632,7 @@ impl<S: EventSink> Machine<S> {
             ready: &mut self.ready[regs],
             mem: &mut self.mems[t],
             chans: &mut self.chans,
-            dyn_ep: &mut self.endpoints[t],
+            dyn_ep: self.dynnet.endpoint_mut(t),
             config: &self.config,
         };
         self.procs[t].step(&mut tile, self.cycle)
@@ -1532,25 +1533,40 @@ pub(crate) mod tests {
     fn reading_the_work_counters_changes_nothing() {
         // The counters are host-side bookkeeping: a run whose counters are
         // read every cycle ends with the cycles, statistics and memory of one
-        // whose counters are never read.
-        for program in [maturing_send_program(), port_and_scoreboard_wait_program()] {
-            let config = MachineConfig::grid(1, 2);
-            let mut read = Machine::new(config.clone(), &program);
+        // whose counters are never read. The remote chain drives the dynamic
+        // network's sweep, so its visits are read too.
+        let builds: [fn() -> Machine; 3] = [
+            || Machine::new(MachineConfig::grid(1, 2), &maturing_send_program()),
+            || {
+                Machine::new(
+                    MachineConfig::grid(1, 2),
+                    &port_and_scoreboard_wait_program(),
+                )
+            },
+            remote_chain_machine,
+        ];
+        for build in builds {
+            let mut read = build();
             let mut seen = WorkCounters::default();
             while !read.finished() {
                 read.step();
                 let now = *read.work();
                 assert!(now.proc_steps >= seen.proc_steps && now.switch_steps >= seen.switch_steps);
+                assert!(now.dyn_visits >= seen.dyn_visits);
+                assert!(now.dyn_idle_visits >= seen.dyn_idle_visits);
+                assert!(now.dyn_idle_visits <= now.dyn_visits);
                 seen = now;
             }
-            let mut unread = Machine::new(config, &program);
             let (read, unread) = (
                 crate::oracle::Snapshot::run(&mut read),
-                crate::oracle::Snapshot::run(&mut unread),
+                crate::oracle::Snapshot::run(&mut build()),
             );
             assert_eq!(read.first_difference(&unread), None);
             assert_eq!(read.outcome, unread.outcome);
         }
+        let mut chain = remote_chain_machine();
+        chain.run().unwrap();
+        assert!(chain.work().dyn_visits > chain.work().dyn_idle_visits);
     }
 
     #[test]

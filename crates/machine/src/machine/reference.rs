@@ -1,5 +1,5 @@
 //! The reference stepper: every component steps every cycle, every channel
-//! commits, the dynamic network scans every router.
+//! commits, the dynamic network's sweep visits every tile.
 //!
 //! It is deliberately naive and exists to be the oracle of the production
 //! core (DESIGN.md §8): the two must agree bit for bit on cycles, the full
@@ -9,7 +9,9 @@
 //! * it keeps no activity state — no run sets, modes, debts, blocking
 //!   channels or dirty list — so a bug in that machinery cannot hide in both
 //!   steppers at once; it executes the same decoded ops (`step_proc`,
-//!   `step_switch`), so there is one instruction semantics;
+//!   `step_switch`), so there is one instruction semantics, and the same
+//!   dynamic-network sweep (`DynNet::step` marks every tile, then sweeps, so
+//!   routers and handlers step every cycle);
 //! * a processor stall with a maturing send, a scoreboard stall or an
 //!   in-flight handler request is a timed wait and counts as progress, the
 //!   rule the production core reproduces for its sleepers (invariant 5);
@@ -99,27 +101,9 @@ impl<S: EventSink> Machine<S> {
             }
         }
 
-        // Dynamic network and handlers.
-        if self.dynnet.step(&mut self.endpoints) {
-            self.stats.dyn_active_cycles += 1;
-            progress = true;
-            if S::ENABLED {
-                self.sink.dyn_active(self.cycle);
-            }
-        }
-        for t in 0..n {
-            if self.handlers[t].step(
-                t as u32,
-                self.cycle,
-                self.config.mem_latency,
-                &mut self.mems[t],
-                &mut self.endpoints[t],
-            ) || !self.handlers[t].is_idle()
-            {
-                // An in-flight handler request is a timed wait, not deadlock.
-                progress = true;
-            }
-        }
+        // Dynamic network: every router, then its handler, every tile.
+        let dyn_step = self.dynnet.step(self.cycle, &mut self.mems, &mut self.work);
+        progress |= self.book_dyn(dyn_step);
 
         // Commit staged channel writes.
         for id in 0..self.chans.count() {

@@ -24,8 +24,11 @@
 //!    its input port; a commit or a consume on that channel wakes it, and no
 //!    other event does. A stall changes no state, so nothing else can
 //!    unblock it first. A processor waiting on a dynamic reply has no
-//!    channel: only a delivery into its own processor inbox wakes it (the
-//!    dynamic phase, `dynphase.rs`), never one bound for its tile's handler.
+//!    channel: only a delivery into its own processor inbox wakes it
+//!    (`DynNet::delivered` after the network's sweep), never a request bound
+//!    for its tile's handler.
+//! 8. **The dynamic network steps iff it is not idle**, over the tiles its
+//!    own run set marks (DESIGN.md §8).
 
 use super::{Comp, Machine, ProcMode, Sched, SwitchMode, NO_CHANNEL};
 use crate::processor::ProcOutcome;
@@ -36,7 +39,6 @@ impl<S: EventSink> Machine<S> {
     /// The production stepper (see the module docs for the invariants).
     pub(super) fn step_run_sets(&mut self) -> bool {
         let mut progress = false;
-        let mut run_dyn = self.dyn_active;
 
         // Matured timers rejoin the run set. A stale timer — the processor
         // was woken early and is now active, dead, or waiting on something
@@ -72,7 +74,7 @@ impl<S: EventSink> Machine<S> {
                     self.book_chaos_skip(Comp::ProcAt(t));
                     continue;
                 }
-                progress |= self.run_proc(t, &mut run_dyn);
+                progress |= self.run_proc(t);
             }
         }
         // A timed sleeper resolves by itself: the reference steps it, records
@@ -106,7 +108,20 @@ impl<S: EventSink> Machine<S> {
             }
         }
 
-        progress |= self.run_dyn_phase(run_dyn);
+        if !self.dynnet.is_idle() {
+            let dyn_step = self
+                .dynnet
+                .step_hot(self.cycle, &mut self.mems, &mut self.work);
+            progress |= self.book_dyn(dyn_step);
+            // A reply wakes the processor asleep on it, which pops it next
+            // cycle, when the reference's processor sweep does.
+            for i in 0..self.dynnet.delivered().len() {
+                let t = self.dynnet.delivered()[i];
+                if self.proc_mode[t] == ProcMode::SleepDyn {
+                    self.wake(Comp::ProcAt(t));
+                }
+            }
+        }
         progress |= self.commit_dirty();
 
         self.cycle += 1;
@@ -115,7 +130,7 @@ impl<S: EventSink> Machine<S> {
 
     /// Steps one processor of the run set, applying mode transitions, stall
     /// accounting, and wake routing. Returns its progress contribution.
-    pub(super) fn run_proc(&mut self, t: usize, run_dyn: &mut bool) -> bool {
+    pub(super) fn run_proc(&mut self, t: usize) -> bool {
         let mut progress = false;
         let woken = self.settle_debt(Comp::ProcAt(t));
         let pc_before = if S::ENABLED { self.procs[t].pc() } else { 0 };
@@ -129,15 +144,9 @@ impl<S: EventSink> Machine<S> {
         if self.chans.has_staged(pout) {
             self.dirty.push(pout);
         }
-        // Only a processor waiting on a remote reference touches its
-        // endpoint; otherwise the endpoint is as the last dynamic phase left
-        // it, watched if non-idle.
-        if self.procs[t].dyn_waiting() && !self.endpoints[t].is_idle() {
-            *run_dyn = true;
-            // The processor touched its endpoint (injected a request or left
-            // inbox words pending): watch the tile and let the router pull
-            // from the injection queue.
-            self.dyn_mark(t);
+        // A processor injects only the request it then waits on; the router
+        // pulls it from the injection queue.
+        if self.procs[t].dyn_waiting() && self.dynnet.endpoint(t).inject_backlog() {
             self.dynnet.poke(t);
         }
         match outcome {
@@ -219,7 +228,7 @@ impl<S: EventSink> Machine<S> {
             (StallReason::DynamicNetwork, None)
                 if proc.dyn_waiting()
                     && proc.out_pending_empty()
-                    && self.endpoints[t].proc_inbox.is_empty() =>
+                    && self.dynnet.endpoint(t).proc_inbox.is_empty() =>
             {
                 (ProcMode::SleepDyn, NO_CHANNEL)
             }

@@ -4,7 +4,7 @@
 //! suites compare [`Stats`] in full between the production and reference
 //! steppers (and across traced/untraced runs), so both must book identical
 //! values. A new counter must therefore be updated in both steppers' paths
-//! (`step_reference`, and `run_proc` / `run_switch` / `run_dyn_phase` /
+//! (`step_reference`, and `run_proc` / `run_switch` / `book_dyn` /
 //! `commit_dirty`), with explicit settle logic for cycles the production
 //! stepper skips, like the sleep-debt stall back-fill.
 
@@ -94,22 +94,30 @@ pub struct WorkCounters {
     /// Channels the commit phase visited: the dirty list under the
     /// production core, every channel every cycle under the reference.
     pub channel_commits: u64,
+    /// Tiles the dynamic network's sweep visited: the marked ones under the
+    /// production core, every tile every cycle under the reference.
+    pub dyn_visits: u64,
+    /// Sweep visits that moved no flit and changed no handler.
+    pub dyn_idle_visits: u64,
 }
 
 impl std::fmt::Display for WorkCounters {
     /// `proc_steps=… switch_steps=… restalls=… timers_popped=…
-    /// timers_stale=… channel_commits=…`, one `name=value` field each.
+    /// timers_stale=… channel_commits=… dyn_visits=… dyn_idle_visits=…`,
+    /// one `name=value` field each.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "proc_steps={} switch_steps={} restalls={} timers_popped={} timers_stale={} \
-             channel_commits={}",
+             channel_commits={} dyn_visits={} dyn_idle_visits={}",
             self.proc_steps,
             self.switch_steps,
             self.restalls,
             self.timers_popped,
             self.timers_stale,
-            self.channel_commits
+            self.channel_commits,
+            self.dyn_visits,
+            self.dyn_idle_visits
         )
     }
 }

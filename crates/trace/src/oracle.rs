@@ -126,7 +126,9 @@ mod tests {
     #[test]
     fn a_masked_tile_with_code_is_named() {
         let base = MachineConfig::grid(2, 4);
-        let mask = base.mask_to_pow2(&[TileId::from_raw(3)]);
+        let mask = base
+            .mask_to_pow2(&[TileId::from_raw(3)])
+            .expect("the mesh fits the mask");
         let config = base.with_faulty(mask);
         let program = crate::tests::demo_program();
         let mut compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();

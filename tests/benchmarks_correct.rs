@@ -48,7 +48,9 @@ fn tiny_suite_all_sizes() {
 #[test]
 fn constants_never_cross_the_network() {
     let base = MachineConfig::grid(2, 4);
-    let mask = base.mask_to_pow2(&[TileId::from_raw(3)]);
+    let mask = base
+        .mask_to_pow2(&[TileId::from_raw(3)])
+        .expect("the mesh fits the mask");
     let masked = base.with_faulty(mask);
     let configs = [2u32, 4, 16, 32].map(MachineConfig::square);
     let options = CompilerOptions::default();
@@ -117,7 +119,9 @@ fn constants_never_cross_the_network() {
 #[test]
 fn linked_streams_have_no_redundant_jumps() {
     let base = MachineConfig::grid(2, 4);
-    let mask = base.mask_to_pow2(&[TileId::from_raw(3)]);
+    let mask = base
+        .mask_to_pow2(&[TileId::from_raw(3)])
+        .expect("the mesh fits the mask");
     let masked = base.with_faulty(mask);
     let configs = [1u32, 2, 4, 16, 32].map(MachineConfig::square);
     let points = ChaosConfig::sweep(Rng::new(0x000A_110C_8A05).take(3), &[5, 20, 50]);

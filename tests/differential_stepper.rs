@@ -84,7 +84,9 @@ fn near_deadlock_workload_survives_faulty_mask_and_chaos() {
     // between steppers under an aggressive chaos sweep.
     let bench = raw_repro::benchmarks::scatter(32, 4);
     let base = MachineConfig::grid(2, 4);
-    let mask = base.mask_to_pow2(&[TileId::from_raw(3)]);
+    let mask = base
+        .mask_to_pow2(&[TileId::from_raw(3)])
+        .expect("the mesh fits the mask");
     let config = base.with_faulty(mask);
     let program = bench.program(config.n_live()).unwrap();
     let compiled = compile(&program, &config, &CompilerOptions::default()).unwrap();

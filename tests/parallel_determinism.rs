@@ -169,7 +169,9 @@ fn masked_mesh_is_thread_and_cache_invariant() {
     // a power-of-two live count. Faulty tiles reshape placement and routing,
     // so every scenario kernel runs the full battery on it.
     let base = MachineConfig::grid(2, 4);
-    let mask = base.mask_to_pow2(&[TileId::from_raw(3)]);
+    let mask = base
+        .mask_to_pow2(&[TileId::from_raw(3)])
+        .expect("the mesh fits the mask");
     let config = base.with_faulty(mask);
     for bench in benchmarks::scenario_suite() {
         let program = bench.program(config.n_live()).expect("scenario lowers");

@@ -24,7 +24,9 @@ use raw_repro::trace::run_coresident_traced;
 /// mask so four tiles stay live ({0, 1, 2, 4}).
 fn faulty_config() -> MachineConfig {
     let base = MachineConfig::grid(2, 4);
-    let mask = base.mask_to_pow2(&[TileId::from_raw(3)]);
+    let mask = base
+        .mask_to_pow2(&[TileId::from_raw(3)])
+        .expect("the mesh fits the mask");
     base.with_faulty(mask)
 }
 
